@@ -22,6 +22,7 @@
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::ops::ControlFlow;
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -39,13 +40,17 @@ use crate::codec::{write_frame, AnyFrame, FrameDecoder};
 use crate::service::{client_main, node_main, with_protocol, Done, NodeEnv, ToNode};
 use crate::spec::ClusterSpec;
 use crate::transport::{
-    ClientRegistry, EchoResponder, NodeHooks, OnConnect, TcpNode, TcpTransport, Transport,
+    read_frames, ClientRegistry, EchoResponder, NodeHooks, OnConnect, TcpNode, TcpTransport,
+    Transport,
 };
 
 /// Echo round trips per node for the clock-offset estimate (min-RTT
 /// selection wants several candidates; 16 keeps the collection phase
 /// under a millisecond per node on loopback).
 const ECHO_ROUNDS: u32 = 16;
+
+/// Upper bound on `Done` reports a forwarder frames into one socket write.
+const DONE_BATCH: usize = 256;
 
 /// The client id the run-end collector `Hello`s with: one past the real
 /// clients, so its connection gets a registry slot (for `ObsDump`
@@ -215,6 +220,24 @@ where
     }
 }
 
+/// Client `client`'s registered connection. The `Hello` that registers it
+/// travels the same stream as the traffic that made a node answer, so the
+/// entry normally exists already; wait briefly in case the frames raced.
+fn registered_stream(reg: &ClientRegistry, client: usize) -> Option<TcpStream> {
+    for _attempt in 0..250 {
+        let stream = reg
+            .lock()
+            .expect("registry poisoned")
+            .get(&client)
+            .and_then(|s| s.try_clone().ok());
+        if stream.is_some() {
+            return stream;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    None
+}
+
 /// Frame `ObsDump` answers down the requesting collector's registered
 /// connection, stamping the live transport counters into each export on
 /// the way (the node loop snapshots only its own thread-local state).
@@ -222,22 +245,7 @@ fn obs_forwarder(rx: Receiver<(usize, ObsExport)>, reg: ClientRegistry, net: Arc
     let mut buf = Vec::new();
     while let Ok((client, mut export)) = rx.recv() {
         export.net = net.snapshot();
-        // The collector Hello'd on the same connection the pull arrived
-        // on, so the registry entry normally exists already; wait
-        // briefly in case the frames raced.
-        let mut stream = None;
-        for _attempt in 0..250 {
-            stream = reg
-                .lock()
-                .expect("registry poisoned")
-                .get(&client)
-                .and_then(|s| s.try_clone().ok());
-            if stream.is_some() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        if let Some(mut s) = stream {
+        if let Some(mut s) = registered_stream(&reg, client) {
             buf.clear();
             write_frame::<()>(
                 &AnyFrame::ObsDump {
@@ -251,68 +259,42 @@ fn obs_forwarder(rx: Receiver<(usize, ObsExport)>, reg: ClientRegistry, net: Arc
     }
 }
 
-/// Frame `Done` reports down client `client`'s registered connection.
-/// Reports arriving before the client's `Hello` are held back briefly;
-/// a client that never registers (or whose connection broke) costs the
+/// Frame `Done` reports down client `client`'s registered connection:
+/// everything the node loop queued since the last write goes out as one
+/// segment, down a stream looked up once and kept until a write fails (a
+/// reconnecting client re-registers; the next report looks it up afresh).
+/// A client that never registers (or whose connection broke) costs the
 /// reports, not the node — exactly a lossy link in the fault model.
 fn done_forwarder(client: usize, rx: Receiver<Done>, reg: ClientRegistry) {
     let mut backlog: Vec<Done> = Vec::new();
     let mut buf = Vec::new();
-    while let Ok(d) = rx.recv() {
-        backlog.push(d);
-        for _attempt in 0..250 {
-            let stream = reg
-                .lock()
-                .expect("registry poisoned")
-                .get(&client)
-                .and_then(|s| s.try_clone().ok());
-            match stream {
-                Some(mut s) => {
-                    buf.clear();
-                    for d in &backlog {
-                        write_frame::<()>(&AnyFrame::Done(*d), &mut buf);
-                    }
-                    if s.write_all(&buf).is_ok() {
-                        backlog.clear();
-                    }
-                    // Written or broken: either way stop retrying now;
-                    // a rebroken connection re-registers on reconnect.
-                    break;
-                }
-                None => std::thread::sleep(Duration::from_millis(20)),
-            }
+    let mut stream: Option<TcpStream> = None;
+    while rx.recv_batch(&mut backlog, DONE_BATCH).is_ok() {
+        if stream.is_none() {
+            stream = registered_stream(&reg, client);
+        }
+        let Some(s) = &mut stream else { continue };
+        buf.clear();
+        for d in &backlog {
+            write_frame::<()>(&AnyFrame::Done(*d), &mut buf);
+        }
+        if s.write_all(&buf).is_ok() {
+            backlog.clear();
+        } else {
+            stream = None;
         }
     }
 }
 
-/// One client connection's read loop: decode frames, forward the `Done`s.
-fn done_reader<M: Wire>(mut stream: TcpStream, out: Sender<Done>) {
-    use std::io::Read as _;
-    let mut dec = FrameDecoder::new();
-    let mut chunk = vec![0u8; 64 * 1024];
-    loop {
-        let n = match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => n,
-        };
-        dec.feed(&chunk[..n]);
-        loop {
-            match dec.next_frame::<M>() {
-                Ok(Some(AnyFrame::Done(d))) => {
-                    if out.send(d).is_err() {
-                        return;
-                    }
-                }
-                Ok(Some(_)) => {} // nodes never send these to a client
-                Ok(None) => break,
-                Err(_) => {
-                    if dec.is_poisoned() {
-                        return;
-                    }
-                }
-            }
-        }
-    }
+/// One client connection's read loop: forward the `Done`s (nodes send a
+/// client nothing else), one reply-channel hand-off per socket read.
+fn done_reader<M: Wire>(stream: TcpStream, out: Sender<Done>) {
+    read_frames::<M, _>(&stream, &out, None, |frame| {
+        ControlFlow::Continue(match frame {
+            AnyFrame::Done(d) => Some(d),
+            _ => None,
+        })
+    });
 }
 
 /// Everything the run-end collector gathered from the live cluster:

@@ -64,13 +64,14 @@
 //! ## The hot path (batched since ISSUE-4)
 //!
 //! Both loops are **drain-then-dispatch**: a node blocks on the *exact*
-//! next deadline (timer, delayed-envelope release or scheduled crash; or
-//! indefinitely when idle — an idle node performs zero wakeups, see
+//! next deadline (live timer, delayed-envelope release or scheduled crash;
+//! or indefinitely when idle — an idle node performs zero wakeups, see
 //! [`ServiceOutcome::spurious_wakeups`]), drains its whole inbound backlog
 //! in one lock acquisition (`recv_batch_timeout`), dispatches every
 //! envelope through the slab-indexed demultiplexer, and only then flushes
 //! the outputs — one `send_batch` per peer node and per client. Self-sends
 //! short-circuit through an in-memory queue and never touch a channel.
+//! Clients stage and flush the same way (see `client_main`).
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -92,7 +93,7 @@ use ac_obs::{
 };
 
 use crate::inline::InlineVec;
-use crate::transport::{ChannelTransport, TcpNode, TcpTransport, Transport};
+use crate::transport::{ChannelTransport, Outbox, TcpNode, TcpTransport, Transport};
 
 /// Upper bound on envelopes drained per node-loop iteration. Bounds the
 /// latency a long backlog can add to timer firing while still amortizing
@@ -751,6 +752,9 @@ pub(crate) struct NodeReturn {
     pub(crate) dropped_messages: usize,
     pub(crate) delayed_messages: usize,
     pub(crate) orphaned_envelopes: usize,
+    /// Transactions still open at exit: begun here and never `End`ed.
+    #[cfg(test)]
+    pub(crate) open_instances: usize,
     /// Prepare records staged on the Begin critical path (the records a
     /// pre-group-commit node forced one by one).
     pub(crate) wal_prepare_forces: usize,
@@ -773,7 +777,8 @@ pub(crate) struct ClientReturn {
     pub(crate) offered: usize,
     /// Open-loop arrivals shed at a full in-flight window.
     pub(crate) shed: usize,
-    /// Client-side observability (the `ClientQueueWait` seam).
+    /// Client-side observability (the `ClientQueueWait` seam and the
+    /// client transport's share of `TcpWrite`).
     pub(crate) obs: NodeObs,
 }
 
@@ -1185,7 +1190,10 @@ where
     // Reused batch buffers: inbound drain, per-peer outbound envelopes,
     // per-client decision replies, and the self-delivery queue.
     let mut inbox: Vec<ToNode<P::Msg>> = Vec::with_capacity(NODE_BATCH);
-    let mut outbox: Vec<Vec<ToNode<P::Msg>>> = (0..n).map(|_| Vec::new()).collect();
+    let mut outbox: Outbox<P::Msg> = Outbox::new(n);
+    // Envelopes the fault policy has cleared for the wire (judged
+    // `Deliver`, or delay-released), waiting for the flush point.
+    let mut cleared: Outbox<P::Msg> = Outbox::new(n);
     let mut done_out: Vec<Vec<Done>> = (0..done_txs.len()).map(|_| Vec::new()).collect();
     let mut selfq: VecDeque<(TxnId, P::Msg)> = VecDeque::new();
     // Envelopes held back by Fate::Delay, released at their due instant.
@@ -1232,11 +1240,14 @@ where
                     if global == me {
                         selfq.push_back((instance, msg));
                     } else {
-                        outbox[global].push(ToNode::Net {
-                            txn: instance,
-                            from: me,
-                            msg,
-                        });
+                        outbox.stage(
+                            global,
+                            ToNode::Net {
+                                txn: instance,
+                                from: me,
+                                msg,
+                            },
+                        );
                     }
                 }
                 NodeEvent::Decided { instance, value } => decided.push((instance, value)),
@@ -1258,9 +1269,8 @@ where
                 decided_map.clear();
                 selfq.clear();
                 delayed.clear();
-                for b in outbox.iter_mut() {
-                    b.clear();
-                }
+                outbox = Outbox::new(n);
+                cleared = Outbox::new(n);
                 for b in done_out.iter_mut() {
                     b.clear();
                 }
@@ -1361,7 +1371,7 @@ where
                         // *logged* vote (never re-validated — peers may
                         // have acted on it).
                         for &q in parts.iter().filter(|&&q| q != me) {
-                            outbox[q].push(ToNode::StatusQ { txn: id, from: me });
+                            outbox.stage(q, ToNode::StatusQ { txn: id, from: me });
                         }
                         meta.insert(
                             id,
@@ -1460,7 +1470,7 @@ where
                             }
                             None => {
                                 for &q in m.parts.iter().filter(|&&q| q != me) {
-                                    outbox[q].push(ToNode::StatusQ { txn: id, from: me });
+                                    outbox.stage(q, ToNode::StatusQ { txn: id, from: me });
                                 }
                             }
                         }
@@ -1501,7 +1511,7 @@ where
                                 *w = (*w).max(txn_seq(id));
                             }
                             for &q in parts.iter().filter(|&&q| q != me) {
-                                outbox[q].push(ToNode::StatusQ { txn: id, from: me });
+                                outbox.stage(q, ToNode::StatusQ { txn: id, from: me });
                             }
                             meta.insert(
                                 id,
@@ -1630,7 +1640,7 @@ where
                 ToNode::StatusQ { txn, from } => {
                     if let Some(&v) = decided_map.get(&txn) {
                         if from < n && from != me {
-                            outbox[from].push(ToNode::StatusA { txn, value: v });
+                            outbox.stage(from, ToNode::StatusA { txn, value: v });
                         }
                     }
                     // Undecided or unknown: stay silent; the querier keeps
@@ -1742,21 +1752,18 @@ where
             epoch,
         );
 
-        // 5. Flush. Delay-released envelopes first (already judged by the
-        //    policy — they bypass it; their dependent records were forced
-        //    the iteration that staged them), then the group-commit WAL
-        //    force, then one send_batch (one lock, at most one wakeup)
-        //    per destination with traffic this iteration, each envelope
-        //    passing through the fault policy.
+        // 5. Flush. Delay-released envelopes are staged first (already
+        //    judged by the policy — they bypass it; their dependent
+        //    records were forced the iteration that staged them), then
+        //    the group-commit WAL force, then this iteration's envelopes
+        //    pass through the fault policy, then the single write point:
+        //    one send_batch (one lock or socket write, at most one
+        //    wakeup) per destination with traffic.
         let flush_now = Instant::now();
-        let mut released = 0usize;
-        let mut flushed = 0usize;
         let mut forced = 0usize;
         while delayed.peek().is_some_and(|d| d.due <= flush_now) {
             let d = delayed.pop().expect("peeked");
-            wire.fetch_add(1, Ordering::Relaxed);
-            transport.send(d.to, d.env);
-            released += 1;
+            cleared.stage(d.to, d.env);
         }
 
         // 5a. Group commit: everything this iteration staged — Begin-path
@@ -1792,8 +1799,10 @@ where
         }
         if hold {
             // Everything staged this iteration waits on the capped force;
-            // only the already-durable delayed releases went out.
+            // only the already-durable delayed releases go out.
+            let released = cleared.flush(&mut *transport);
             if released > 0 {
+                wire.fetch_add(released, Ordering::Relaxed);
                 obs.record(Stage::Flush, flush_now.elapsed());
             }
             let crash_pending =
@@ -1803,51 +1812,36 @@ where
             }
             continue;
         }
-        let elapsed = flush_now.saturating_duration_since(epoch);
-        for (to, batch) in outbox.iter_mut().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            match &policy {
-                None => {
-                    wire.fetch_add(batch.len(), Ordering::Relaxed);
-                    flushed += batch.len();
-                    transport.send_batch(to, batch);
-                }
-                Some(pol) => {
-                    let mut staged: Vec<ToNode<P::Msg>> = Vec::with_capacity(batch.len());
-                    for env in batch.drain(..) {
-                        let seq = net_seq[to];
-                        net_seq[to] += 1;
-                        match pol.fate(me, to, elapsed, seq) {
-                            Fate::Deliver => staged.push(env),
-                            Fate::Drop => dropped_messages += 1,
-                            Fate::Delay(d) => {
-                                delayed_messages += 1;
-                                delayed.push(DelayedEnv {
-                                    due: flush_now + d,
-                                    seq,
-                                    to,
-                                    env,
-                                });
-                            }
-                        }
-                    }
-                    if !staged.is_empty() {
-                        wire.fetch_add(staged.len(), Ordering::Relaxed);
-                        flushed += staged.len();
-                        transport.send_batch(to, &mut staged);
+        if let Some(pol) = &policy {
+            let elapsed = flush_now.saturating_duration_since(epoch);
+            for (to, env) in outbox.drain() {
+                let seq = net_seq[to];
+                net_seq[to] += 1;
+                match pol.fate(me, to, elapsed, seq) {
+                    Fate::Deliver => cleared.stage(to, env),
+                    Fate::Drop => dropped_messages += 1,
+                    Fate::Delay(d) => {
+                        delayed_messages += 1;
+                        delayed.push(DelayedEnv {
+                            due: flush_now + d,
+                            seq,
+                            to,
+                            env,
+                        });
                     }
                 }
             }
         }
+        let on_wire = outbox.flush(&mut *transport) + cleared.flush(&mut *transport);
+        wire.fetch_add(on_wire, Ordering::Relaxed);
+        let mut flushed = on_wire;
         for (client, batch) in done_out.iter_mut().enumerate() {
             if !batch.is_empty() {
                 flushed += batch.len();
                 let _ = done_txs[client].send_batch(batch.drain(..));
             }
         }
-        if released + flushed > 0 {
+        if flushed > 0 {
             obs.record(Stage::Flush, flush_now.elapsed());
         }
 
@@ -1858,14 +1852,7 @@ where
         //    us for a scheduled crash the next loop top handles.
         let crash_pending =
             window.is_some_and(|w| !crashed && Instant::now() >= epoch + w.down_after);
-        if got == 0
-            && !fired_any
-            && released == 0
-            && flushed == 0
-            && forced == 0
-            && !shutdown
-            && !crash_pending
-        {
+        if got == 0 && !fired_any && flushed == 0 && forced == 0 && !shutdown && !crash_pending {
             spurious_wakeups += 1;
         }
     }
@@ -1913,6 +1900,8 @@ where
         dropped_messages,
         delayed_messages,
         orphaned_envelopes,
+        #[cfg(test)]
+        open_instances: meta.len(),
         wal_prepare_forces,
         wal_forces,
         obs,
@@ -1931,11 +1920,30 @@ struct PendingTxn {
     deadline: Instant,
 }
 
+/// Stage `txn`'s `Begin` for every participant.
+fn stage_begins<M>(outbox: &mut Outbox<M>, p: &PendingTxn, client: usize, retry: bool) {
+    for &q in &p.parts {
+        outbox.stage(
+            q,
+            ToNode::Begin {
+                txn: Arc::clone(&p.txn),
+                client,
+                retry,
+            },
+        );
+    }
+}
+
 /// One closed-loop client: submit, await all participant decisions with
 /// bounded, retrying waits, record, repeat. Unresolved transactions are
 /// parked (background retries) so a dead node blocks one transaction, not
 /// the whole load stream; abandonment at `txn_deadline` is the last resort
 /// and counts as a stall.
+///
+/// Egress follows the node loop's rule: `Begin`s, `End`s and retries are
+/// *staged* per destination and leave through one flush per loop turn,
+/// immediately before the client parks on its reply channel — so an
+/// `End` and the next `Begin` to the same node share one socket write.
 pub(crate) fn client_main<P>(
     client: usize,
     cfg: &ServiceConfig,
@@ -1967,6 +1975,25 @@ where
     let mut dbuf: Vec<Done> = Vec::with_capacity(CLIENT_BATCH);
     let mut next_allowed = Instant::now();
     let mut obs = NodeObs::new();
+    let mut outbox: Outbox<P::Msg> = Outbox::new(cfg.n);
+    // A fresh outstanding transaction, its Begins staged.
+    let submit = |t: Transaction, t0: Instant, outbox: &mut Outbox<P::Msg>| {
+        let txn = Arc::new(t);
+        let parts = participants_of(&txn, cfg.n);
+        let now = Instant::now();
+        let p = PendingTxn {
+            decisions: vec![None; parts.len()],
+            txn,
+            parts,
+            got: 0,
+            t0,
+            retries: 0,
+            next_retry: now + cfg.reply_timeout,
+            deadline: now + cfg.txn_deadline,
+        };
+        stage_begins(outbox, &p, client, false);
+        p
+    };
 
     // Open loop: arrivals fire on a Poisson schedule regardless of
     // completions; a full in-flight window sheds the arrival instead of
@@ -1997,30 +2024,7 @@ where
                     shed += 1;
                     continue;
                 }
-                let txn = Arc::new(t);
-                let parts = participants_of(&txn, cfg.n);
-                for &p in &parts {
-                    transport.send(
-                        p,
-                        ToNode::Begin {
-                            txn: Arc::clone(&txn),
-                            client,
-                            retry: false,
-                        },
-                    );
-                }
-                let k = parts.len();
-                let now = Instant::now();
-                outstanding.push(PendingTxn {
-                    txn,
-                    parts,
-                    decisions: vec![None; k],
-                    got: 0,
-                    t0: scheduled,
-                    retries: 0,
-                    next_retry: now + cfg.reply_timeout,
-                    deadline: now + cfg.txn_deadline,
-                });
+                outstanding.push(submit(t, scheduled, &mut outbox));
                 submitted += 1;
             }
             if offered == total && outstanding.is_empty() {
@@ -2039,29 +2043,7 @@ where
                 }
                 let mut t = gen.next_txn();
                 t.id = ServiceConfig::txn_id(client, submitted);
-                let txn = Arc::new(t);
-                let parts = participants_of(&txn, cfg.n);
-                for &p in &parts {
-                    transport.send(
-                        p,
-                        ToNode::Begin {
-                            txn: Arc::clone(&txn),
-                            client,
-                            retry: false,
-                        },
-                    );
-                }
-                let k = parts.len();
-                outstanding.push(PendingTxn {
-                    txn,
-                    parts,
-                    decisions: vec![None; k],
-                    got: 0,
-                    t0: now,
-                    retries: 0,
-                    next_retry: now + cfg.reply_timeout,
-                    deadline: now + cfg.txn_deadline,
-                });
+                outstanding.push(submit(t, now, &mut outbox));
                 submitted += 1;
                 if let Some(p) = cfg.pacing {
                     next_allowed = now + p;
@@ -2092,6 +2074,10 @@ where
                 due = Some(due.map_or(next_allowed, |d| d.min(next_allowed)));
             }
         }
+        // The turn's single write point: everything staged since the last
+        // park — the fold-in's Ends, the expiry pass's retried Begins,
+        // this turn's fresh Begins — leaves now, one batch per node.
+        outbox.flush(&mut *transport);
         let wait = due
             .expect("the loop only continues with work pending")
             .saturating_duration_since(Instant::now());
@@ -2134,7 +2120,7 @@ where
                     journaled_at: None,
                 });
                 for &q in &p.parts {
-                    transport.send(q, ToNode::End { txn: p.txn.id });
+                    outbox.stage(q, ToNode::End { txn: p.txn.id });
                 }
                 records.push(ClientRecord {
                     txn: p.txn,
@@ -2176,20 +2162,16 @@ where
                 retries += 1;
                 p.retries += 1;
                 p.next_retry = now + cfg.reply_timeout;
-                for &q in &p.parts {
-                    transport.send(
-                        q,
-                        ToNode::Begin {
-                            txn: Arc::clone(&p.txn),
-                            client,
-                            retry: true,
-                        },
-                    );
-                }
+                stage_begins(&mut outbox, p, client, true);
             }
             i += 1;
         }
     }
+    // The loop breaks right after the fold-in staged the last Ends.
+    outbox.flush(&mut *transport);
+    // The client's half of the socket path (zero over channels).
+    let (writes, write_nanos) = transport.io_stats();
+    obs.meters.add_many(Stage::TcpWrite, writes, write_nanos);
     ClientReturn {
         records,
         events,
@@ -2634,6 +2616,59 @@ mod tests {
             .map(|h| h.join().expect("node thread panicked").spurious_wakeups)
             .sum();
         assert_eq!(total, 0, "idle nodes woke without work to do");
+    }
+
+    /// Every staged `End` leaves the client — including the ones the last
+    /// loop turn stages right before the loop breaks — so a windowed run
+    /// leaves no instance open at any node. (Over channels the clients'
+    /// final flush is FIFO-ahead of the `Shutdown` sent after they return,
+    /// so the check is exact.)
+    #[test]
+    fn windowed_clients_end_every_instance_they_began() {
+        use ac_commit::protocols::PaxosCommit;
+        type P = PaxosCommit;
+        let n = 4;
+        let cfg = ServiceConfig::new(n, 1, ProtocolKind::PaxosCommit)
+            .clients(1)
+            .txns_per_client(300)
+            .park_retries(0)
+            .max_outstanding(32);
+        let node_ch: Vec<_> = (0..n)
+            .map(|_| unbounded::<ToNode<<P as ac_sim::Automaton>::Msg>>())
+            .collect();
+        let (node_txs, node_rxs): (Vec<_>, Vec<_>) = node_ch.into_iter().unzip();
+        let (done_tx, done_rx) = unbounded::<Done>();
+        let wire = Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = node_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(me, rx)| {
+                let env = bare_env::<P>(
+                    me,
+                    n,
+                    rx,
+                    node_txs.clone(),
+                    vec![done_tx.clone()],
+                    Arc::clone(&wire),
+                );
+                std::thread::spawn(move || node_main::<P>(env))
+            })
+            .collect();
+        let transport = Box::new(ChannelTransport::new(node_txs.clone()));
+        let ret = client_main::<P>(0, &cfg, Instant::now(), transport, done_rx);
+        assert_eq!((ret.records.len(), ret.stalled, ret.retries), (300, 0, 0));
+        for tx in &node_txs {
+            let _ = tx.send(ToNode::Shutdown);
+        }
+        let nodes: Vec<NodeReturn> = handles
+            .into_iter()
+            .map(|h| h.join().expect("node thread panicked"))
+            .collect();
+        let decided: usize = nodes.iter().map(|r| r.log.len()).sum();
+        assert_eq!(decided, 2 * 300, "two participants per transaction");
+        for (p, r) in nodes.iter().enumerate() {
+            assert_eq!(r.open_instances, 0, "node {p} was never told to end some");
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The node-to-node transport seam and its two implementations.
 //!
-//! [`node_main`](crate::service)'s flush step stages outbound envelopes
-//! per destination and hands each destination's batch to a [`Transport`].
-//! Everything above the seam — fault policy, delay heap, wire counters,
-//! batching — is transport-agnostic; everything below is how bytes (or
-//! in-process values) actually move:
+//! Both loops of [`crate::service`] — `node_main` and `client_main` —
+//! stage outbound envelopes per destination in an `Outbox` and hand each
+//! destination's batch to a [`Transport`] at one flush point per loop
+//! turn: nothing writes a socket except a flush, and a flush writes each
+//! destination once. Everything above the seam — fault policy, delay
+//! heap, wire counters, batching — is transport-agnostic; everything
+//! below is how bytes (or in-process values) actually move:
 //!
 //! * [`ChannelTransport`] — the original fast path: one unbounded
 //!   crossbeam channel per node, `send_batch` is one lock acquisition.
@@ -12,8 +14,10 @@
 //!   framed by [`crate::codec`] and written to a lazily-established
 //!   socket, with reconnect-on-failure. Its receiving counterpart is
 //!   [`TcpNode`]: a listener whose per-connection reader threads decode
-//!   frames and forward them into the node's ordinary inbox channel, so
-//!   the node loop itself never knows which transport fed it.
+//!   frames and forward them into the node's ordinary inbox channel —
+//!   every frame one socket `read` delivered in **one** inbox hand-off
+//!   (`read_frames`) — so the node loop itself never knows which
+//!   transport fed it.
 //!
 //! ## Reconnect state machine (per peer)
 //!
@@ -37,6 +41,7 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -103,6 +108,51 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
 
     fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
         let _ = self.txs[to].send_batch(batch.drain(..));
+    }
+}
+
+/// Per-destination staging of outbound envelopes: what a loop turn
+/// produces for node `to` accumulates in `to`'s batch until the turn's
+/// single flush point — one lock or one socket write per destination per
+/// turn. Staging order is delivery order per destination, so the
+/// [`Transport`] contract's per-sender FIFO carries through.
+pub(crate) struct Outbox<M> {
+    staged: Vec<Vec<ToNode<M>>>,
+}
+
+impl<M> Outbox<M> {
+    /// An empty outbox for destinations `0..n`.
+    pub(crate) fn new(n: usize) -> Outbox<M> {
+        Outbox {
+            staged: (0..n).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// Stage `env` behind everything already staged for `to`.
+    pub(crate) fn stage(&mut self, to: ProcessId, env: ToNode<M>) {
+        self.staged[to].push(env);
+    }
+
+    /// Take every staged envelope, destinations ascending, staging order
+    /// within a destination (the fault policy judges them one by one).
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (ProcessId, ToNode<M>)> + '_ {
+        self.staged
+            .iter_mut()
+            .enumerate()
+            .flat_map(|(to, batch)| batch.drain(..).map(move |env| (to, env)))
+    }
+
+    /// The flush point: one `send_batch` per destination with traffic.
+    /// Returns how many envelopes were handed to the transport.
+    pub(crate) fn flush(&mut self, transport: &mut dyn Transport<M>) -> usize {
+        let mut sent = 0;
+        for (to, batch) in self.staged.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                sent += batch.len();
+                transport.send_batch(to, batch);
+            }
+        }
+        sent
     }
 }
 
@@ -451,85 +501,105 @@ impl Drop for TcpNode {
     }
 }
 
-/// One connection's read loop: accumulate chunks, decode frames, route.
-/// Exits on EOF, read error, or a poisoned frame stream.
-fn read_loop<M: Wire + Send + 'static>(
-    mut stream: TcpStream,
-    inbox: Sender<ToNode<M>>,
-    hooks: NodeHooks,
+/// One connection's read loop, shared by the node-side readers and the
+/// multi-process client's `Done` readers: every complete frame a socket
+/// `read` delivered is decoded and offered to `route`, and the items it
+/// returned go to `out` with **one** `send_batch` — one lock and at most
+/// one wake-up of the receiving loop per read, not per frame. They are
+/// handed over before the socket is looked at again, so frames that
+/// arrived whole ahead of EOF, a read error, a poisoned stream or a
+/// `route` break (drop the connection) are still delivered. A malformed
+/// body skips that frame only; a poisoned stream (frame boundary lost)
+/// ends the loop — the peer reconnects with a fresh one.
+pub(crate) fn read_frames<M: Wire, T>(
+    mut stream: &TcpStream,
+    out: &Sender<T>,
+    net: Option<&NetMeters>,
+    mut route: impl FnMut(AnyFrame<M>) -> ControlFlow<(), Option<T>>,
 ) {
     let mut dec = FrameDecoder::new();
     let mut chunk = vec![0u8; READ_CHUNK];
-    let mut echo_buf = Vec::new();
-    loop {
+    let mut batch: Vec<T> = Vec::new();
+    let mut open = true;
+    while open {
         let n = match stream.read(&mut chunk) {
             Ok(0) | Err(_) => return,
             Ok(n) => n,
         };
-        if let Some(net) = &hooks.net {
+        if let Some(net) = net {
             net.received(n as u64);
         }
         dec.feed(&chunk[..n]);
-        loop {
-            let frame = dec.next_frame::<M>();
-            if let Ok(Some(_)) = &frame {
-                if let Some(net) = &hooks.net {
-                    net.frame_in();
-                }
-            }
-            match frame {
-                Ok(Some(AnyFrame::Node(env))) => {
-                    if inbox.send(env).is_err() {
-                        return; // node gone: drop the connection
+        while open {
+            match dec.next_frame::<M>() {
+                Ok(Some(frame)) => {
+                    if let Some(net) = net {
+                        net.frame_in();
+                    }
+                    match route(frame) {
+                        ControlFlow::Continue(item) => batch.extend(item),
+                        ControlFlow::Break(()) => open = false,
                     }
                 }
-                Ok(Some(AnyFrame::Hello { client })) => {
-                    if let (Some(reg), Ok(half)) = (&hooks.clients, stream.try_clone()) {
-                        reg.lock().expect("registry poisoned").insert(client, half);
-                    }
-                }
-                Ok(Some(AnyFrame::EchoReq { seq, t0_nanos })) => {
-                    // Answer inline from the reader thread: the round
-                    // trip then measures the network path, not the node
-                    // loop's inbox backlog.
-                    if let Some(echo) = &hooks.echo {
-                        let node_nanos =
-                            u64::try_from(echo.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        echo_buf.clear();
-                        write_frame::<M>(
-                            &AnyFrame::EchoResp {
-                                seq,
-                                t0_nanos,
-                                node: echo.node,
-                                node_nanos,
-                            },
-                            &mut echo_buf,
-                        );
-                        if stream.write_all(&echo_buf).is_err() {
-                            return;
-                        }
-                    }
-                }
-                // Not node-bound frames: a node never receives these.
-                Ok(Some(
-                    AnyFrame::Done(_) | AnyFrame::EchoResp { .. } | AnyFrame::ObsDump { .. },
-                )) => {}
                 Ok(None) => break,
-                // Malformed body: that frame is skipped, keep decoding.
-                // Poisoned stream: frame boundary lost — drop the
-                // connection (the peer will reconnect with a fresh one).
                 Err(_) => {
-                    if dec.is_poisoned() {
-                        if let Some(net) = &hooks.net {
+                    open = !dec.is_poisoned();
+                    if let Some(net) = net {
+                        if open {
+                            net.decode_error();
+                        } else {
                             net.resync();
                         }
-                        return;
-                    }
-                    if let Some(net) = &hooks.net {
-                        net.decode_error();
                     }
                 }
             }
         }
+        // Receiver gone: drop the connection.
+        open &= batch.is_empty() || out.send_batch(batch.drain(..)).is_ok();
     }
+}
+
+/// A node-side connection: protocol and control envelopes go to the inbox,
+/// `Hello` registers the write half, `EchoReq` is answered inline.
+fn read_loop<M: Wire + Send + 'static>(
+    stream: TcpStream,
+    inbox: Sender<ToNode<M>>,
+    hooks: NodeHooks,
+) {
+    let mut echo_buf = Vec::new();
+    read_frames::<M, _>(&stream, &inbox, hooks.net.as_deref(), |frame| {
+        match frame {
+            AnyFrame::Node(env) => return ControlFlow::Continue(Some(env)),
+            AnyFrame::Hello { client } => {
+                if let (Some(reg), Ok(half)) = (&hooks.clients, stream.try_clone()) {
+                    reg.lock().expect("registry poisoned").insert(client, half);
+                }
+            }
+            AnyFrame::EchoReq { seq, t0_nanos } => {
+                // Answer inline from the reader thread: the round trip
+                // then measures the network path, not the node loop's
+                // inbox backlog.
+                if let Some(echo) = &hooks.echo {
+                    let node_nanos =
+                        u64::try_from(echo.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    echo_buf.clear();
+                    write_frame::<M>(
+                        &AnyFrame::EchoResp {
+                            seq,
+                            t0_nanos,
+                            node: echo.node,
+                            node_nanos,
+                        },
+                        &mut echo_buf,
+                    );
+                    if (&stream).write_all(&echo_buf).is_err() {
+                        return ControlFlow::Break(());
+                    }
+                }
+            }
+            // Not node-bound frames: a node never receives these.
+            AnyFrame::Done(_) | AnyFrame::EchoResp { .. } | AnyFrame::ObsDump { .. } => {}
+        }
+        ControlFlow::Continue(None)
+    });
 }

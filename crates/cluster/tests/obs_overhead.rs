@@ -5,7 +5,9 @@
 //! did not buy their data with wakeups, stalls or lost counter
 //! exactness. The idle half of the invariant (zero spurious wakeups
 //! with instruments armed and nothing to measure) is pinned by
-//! `service::tests::idle_nodes_perform_zero_spurious_wakeups_over_50ms`.
+//! `service::tests::idle_nodes_perform_zero_spurious_wakeups_over_50ms`;
+//! the long-run half (ended transactions leave no timer behind to wake a
+//! node) by the second test here.
 
 use std::time::Duration;
 
@@ -65,4 +67,32 @@ fn instrumented_hot_path_stays_wakeup_free_and_fully_attributed() {
     // zero here) — the meter is counter-exact, not an estimate.
     let (forces, _) = out.stage_meters.get(Stage::WalForce);
     assert_eq!(forces as usize, out.wal_prepare_forces);
+}
+
+/// A run many `U` long: every PaxosCommit instance arms a round timer at
+/// open and is ended by its client long before the timer is due. Those
+/// timers must die with their instance — a node that parks on an ended
+/// transaction's deadline wakes up to move nothing. (The run above ends
+/// before its first `U` elapses, so it cannot see this.)
+#[test]
+fn ended_transactions_leave_no_timer_to_wake_an_idle_node() {
+    let cfg = ServiceConfig::new(4, 1, ProtocolKind::PaxosCommit)
+        .clients(2)
+        .txns_per_client(2000)
+        .workload(Workload::Uniform { span: 2 })
+        .unit(Duration::from_millis(1))
+        .keys_per_shard(1 << 20)
+        .seed(5);
+    let out = run_service(&cfg);
+    assert!(out.is_safe(), "safety violations: {:?}", out.violations);
+    assert_eq!(out.txns, 2 * 2000);
+    assert!(
+        out.elapsed > 20 * cfg.unit,
+        "the run must span many timer periods, took {:?}",
+        out.elapsed
+    );
+    assert_eq!(
+        out.spurious_wakeups, 0,
+        "a node woke for the timer of a transaction that had ended"
+    );
 }

@@ -53,12 +53,14 @@ fn paxos_commit_and_inbac_serve_load_over_tcp() {
 #[test]
 fn channel_and_tcp_reach_identical_decisions() {
     for kind in [ProtocolKind::TwoPc, ProtocolKind::PaxosCommit] {
-        let over_channel = run_service(
-            &tcp_config(kind)
-                .clients(1)
-                .transport(TransportKind::Channel),
-        );
-        let over_tcp = run_service(&tcp_config(kind).clients(1));
+        // A generous `U`: 2PC aborts a transaction whose votes miss the
+        // 1·U timer, and the sibling tests of this binary load the same
+        // cores — a stall must not read as a transport difference.
+        let serial = tcp_config(kind)
+            .clients(1)
+            .unit(std::time::Duration::from_millis(25));
+        let over_channel = run_service(&serial.clone().transport(TransportKind::Channel));
+        let over_tcp = run_service(&serial);
         assert!(over_channel.is_safe() && over_tcp.is_safe());
         let key = |o: &ac_cluster::ServiceOutcome| {
             let mut decisions: Vec<(u64, bool)> = o
@@ -75,4 +77,36 @@ fn channel_and_tcp_reach_identical_decisions() {
             "{kind:?}: decisions diverged between channel and TCP"
         );
     }
+}
+
+/// The egress rule over real sockets: clients stage `Begin`/`End` per node
+/// and flush once per loop turn, nodes flush once per drain, so a
+/// windowed run coalesces many envelopes into each `write_all` — clients
+/// and nodes together stay below two socket writes per transaction
+/// (per-envelope client sends alone cost four). Coalescing must not cost
+/// anything else: no retry, no orphaned envelope, nothing stalled.
+#[test]
+fn windowed_paxos_commit_coalesces_socket_writes_on_both_ends() {
+    let cfg = ServiceConfig::new(4, 1, ProtocolKind::PaxosCommit)
+        .clients(2)
+        .txns_per_client(2000)
+        .workload(Workload::Uniform { span: 2 })
+        .keys_per_shard(1 << 20)
+        .seed(7)
+        .transport(TransportKind::Tcp)
+        .park_retries(0)
+        .max_outstanding(32);
+    let out = run_service(&cfg);
+    assert!(out.is_safe(), "audit violations: {:?}", out.violations);
+    assert_eq!(out.txns, 2 * 2000);
+    assert_eq!(out.stalled, 0);
+    assert_eq!(out.retries, 0);
+    assert_eq!(out.orphaned_envelopes, 0);
+    let (writes, _) = out.stage_meters.get(ac_cluster::Stage::TcpWrite);
+    let per_txn = writes as f64 / out.txns as f64;
+    assert!(
+        per_txn < 2.0,
+        "{writes} socket writes for {} transactions = {per_txn:.2} per txn",
+        out.txns
+    );
 }

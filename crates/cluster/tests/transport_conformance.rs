@@ -8,6 +8,9 @@
 //! * no loss and no duplication on a clean link,
 //! * delivery resumes after the peer drops every connection (the
 //!   channel impl treats the bounce as a no-op and must be unaffected),
+//! * one `send_batch` is one inbox hand-off: its envelopes become visible
+//!   to the receiving loop together and in order, and a stream cut
+//!   mid-frame still delivers every whole frame ahead of the cut,
 //! * the transport-layer meters tell the truth: a severed-then-healed
 //!   link records exactly one reconnect, and the bytes/frames counters
 //!   on both sides match the frame log.
@@ -182,6 +185,65 @@ proptest! {
             let plain = pump(&rig, &[count], 1);
             prop_assert_eq!(&batched, &plain, "{}: batching changed the transcript", rig.name);
         }
+    }
+}
+
+/// Egress coalescing meets ingress batching: the `k` envelopes of one
+/// `send_batch` travel as one segment and are handed to the inbox under
+/// one lock, so the receiving loop's first `recv_batch` sees all `k`, in
+/// order — never a prefix (one wake-up per read, not per frame).
+#[test]
+fn one_send_batch_arrives_in_order_as_one_inbox_batch() {
+    for rig in rigs(1) {
+        let mut t = (rig.make)();
+        let mut next = 0u32;
+        // Round 0 also pays the TCP rig's first-contact dial.
+        for k in [1u32, 2, 7, 32, 32, 5] {
+            let mut batch: Vec<_> = (next..next + k).map(|s| net(0, s)).collect();
+            t.send_batch(0, &mut batch);
+            let mut got = Vec::new();
+            rig.rxs[0]
+                .recv_batch(&mut got, usize::MAX)
+                .expect("sender alive");
+            let seqs: Vec<u64> = got
+                .iter()
+                .map(|env| match env {
+                    ToNode::Net { msg, .. } => *msg,
+                    other => panic!("{}: unexpected envelope {other:?}", rig.name),
+                })
+                .collect();
+            let expect: Vec<u64> = (next..next + k).map(u64::from).collect();
+            assert_eq!(
+                seqs, expect,
+                "{}: batch of {k} split or reordered",
+                rig.name
+            );
+            next += k;
+        }
+    }
+}
+
+/// A stream cut mid-frame after `j` whole frames delivers exactly those
+/// `j`: the reader hands over what it decoded before it sees the EOF.
+#[test]
+fn stream_cut_mid_frame_still_delivers_the_whole_frames_before_it() {
+    use std::io::Write as _;
+    let (tx, rx) = unbounded::<ToNode<M>>();
+    let node = TcpNode::bind("127.0.0.1:0", tx, None).expect("bind loopback");
+    for j in [0u32, 1, 9] {
+        let mut bytes = Vec::new();
+        for s in 0..j {
+            write_frame(&AnyFrame::Node(net(0, s)), &mut bytes);
+        }
+        let whole = bytes.len();
+        write_frame(&AnyFrame::Node(net(0, j)), &mut bytes);
+        bytes.truncate(whole + (bytes.len() - whole) / 2);
+        let mut stream = std::net::TcpStream::connect(node.addr()).expect("connect");
+        stream.write_all(&bytes).expect("write");
+        drop(stream);
+        let got = drain(&rx, j as usize + 1, Duration::from_millis(300));
+        let expect: Vec<_> = (0..j as u64).map(|s| (1, 0, s)).collect();
+        assert_eq!(got, expect, "cut after {j} whole frames");
     }
 }
 

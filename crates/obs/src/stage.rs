@@ -39,7 +39,8 @@ pub enum Stage {
     WalJournal = 4,
     /// Per-peer `send_batch` flush in the node loop's flush step.
     Flush = 5,
-    /// Socket write time inside the TCP transport (0 over channels).
+    /// Socket write time inside the TCP transport, node flushes and
+    /// client flushes alike (0 over channels).
     TcpWrite = 6,
     /// Inbox drain-to-dispatch gap: time between draining a batch off the
     /// inbox and finishing its dispatch into the protocol demux.

@@ -208,8 +208,11 @@ struct Slot<A: Automaton> {
 /// and feeds events in — [`NodeLoop::open`] to start an instance,
 /// [`NodeLoop::deliver`] for an inbound message, [`NodeLoop::fire_due`] to
 /// fire expired timers — and receives the instance's effects through a
-/// [`NodeEvent`] sink. Timers of closed instances are discarded lazily when
-/// they surface at the top of the heap.
+/// [`NodeEvent`] sink. Timers of closed instances are discarded when they
+/// surface at the top of the heap — eagerly, by whichever call exposed
+/// them ([`NodeLoop::close`], [`NodeLoop::fire_next`]) — so the heap's head
+/// is always a **live** timer and [`NodeLoop::next_due`] never reports a
+/// deadline that would wake the host for nothing.
 ///
 /// Instance state lives in a [`Slab`] — dense storage with free-list
 /// recycling, resolved by a fast-hash index — so the per-envelope
@@ -418,7 +421,8 @@ impl<A: Automaton> NodeLoop<A> {
 
     /// Fire **at most one** timer — the earliest due at or before `now` —
     /// returning whether one fired. Stale timers of closed instances are
-    /// discarded on the way (they do not count as a fire).
+    /// discarded on the way (they do not count as a fire), including any
+    /// the fired timer's removal exposed at the head of the heap.
     ///
     /// This is the causality-preserving primitive: firing one timer at a
     /// time lets the host deliver the self-sends that fire produced before
@@ -426,7 +430,8 @@ impl<A: Automaton> NodeLoop<A> {
     /// matching the simulator's order where same-timestamp deliveries
     /// precede later timers.
     pub fn fire_next(&mut self, now: Instant, sink: &mut impl FnMut(NodeEvent<A::Msg>)) -> bool {
-        while self.timers.peek().is_some_and(|t| t.due <= now) {
+        let mut fired = false;
+        while !fired && self.timers.peek().is_some_and(|t| t.due <= now) {
             let t = self.timers.pop().expect("peeked");
             let Some(slot) = self.slots.get_mut(t.instance) else {
                 continue; // stale timer of a closed instance
@@ -451,15 +456,30 @@ impl<A: Automaton> NodeLoop<A> {
                 &mut ctx,
                 sink,
             );
-            return true;
+            fired = true;
         }
-        false
+        self.prune_stale_heads();
+        fired
     }
 
-    /// The wall-clock instant of the earliest pending timer (possibly a
-    /// stale one of a closed instance — the wake-up is then a cheap no-op).
+    /// The wall-clock instant of the earliest pending **live** timer: a
+    /// host parking until this deadline always has a timer to fire when
+    /// it wakes (stale heads are pruned by the calls that expose them).
     pub fn next_due(&self) -> Option<Instant> {
         self.timers.peek().map(|t| t.due)
+    }
+
+    /// Pop timers of closed instances off the top of the heap until a
+    /// live one (or nothing) is at the head. Stale entries deeper in the
+    /// heap stay until they surface — each is popped exactly once.
+    fn prune_stale_heads(&mut self) {
+        while self
+            .timers
+            .peek()
+            .is_some_and(|t| !self.slots.contains(t.instance))
+        {
+            self.timers.pop();
+        }
     }
 
     /// `(fired timers, total lag nanoseconds past their deadlines)` over
@@ -471,10 +491,13 @@ impl<A: Automaton> NodeLoop<A> {
         (self.timer_fires, self.timer_lag_nanos)
     }
 
-    /// Close `instance` and drop its state; its pending timers are
-    /// discarded lazily. Returns its decision, if it had one.
+    /// Close `instance` and drop its state. Its pending timers are
+    /// discarded as they reach the top of the heap — right here if one
+    /// already is there. Returns its decision, if it had one.
     pub fn close(&mut self, instance: InstanceId) -> Option<u64> {
-        self.slots.remove(instance).and_then(|s| s.decided)
+        let slot = self.slots.remove(instance);
+        self.prune_stale_heads();
+        slot.and_then(|s| s.decided)
     }
 
     /// Drop **all** instances and pending timers — the crash/restart hook.
@@ -869,6 +892,31 @@ mod tests {
         node.close(2);
         assert!(!node.fire_next(due + Duration::from_millis(1), &mut sink));
         assert_eq!(node.timer_stats().0, 1, "stale timers do not count");
+    }
+
+    /// A closed instance's timer must not be reported as a deadline: the
+    /// host would park on it and wake for nothing. Stale entries buried
+    /// under a live head are pruned when they surface.
+    #[test]
+    fn next_due_reports_only_live_timers() {
+        let clock = UnitClock::new(Duration::from_millis(1));
+        let mut node: NodeLoop<TimedDecider> = NodeLoop::new(0, 1, clock);
+        let mut sink = |_: NodeEvent<()>| {};
+        let t0 = Instant::now();
+        node.open_as(1, TimedDecider { value: 1 }, 0, 1, t0, &mut sink);
+        assert!(node.next_due().is_some());
+        node.close(1);
+        assert_eq!(node.next_due(), None, "a closed instance's timer remains");
+
+        // Live head (2), stale entry (3) behind it, live tail (4).
+        let ms = Duration::from_millis;
+        node.open(2, TimedDecider { value: 2 }, t0, &mut sink);
+        node.open(3, TimedDecider { value: 3 }, t0 + ms(1), &mut sink);
+        node.open(4, TimedDecider { value: 4 }, t0 + ms(2), &mut sink);
+        node.close(3);
+        assert_eq!(node.next_due(), Some(t0 + ms(1)));
+        assert!(node.fire_next(t0 + ms(1), &mut sink));
+        assert_eq!(node.next_due(), Some(t0 + ms(3)), "skips the stale 3");
     }
 
     #[test]

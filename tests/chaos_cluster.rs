@@ -11,7 +11,9 @@
 use std::time::Duration;
 
 use ac_chaos::{run_chaos, ChaosConfig, ChaosPlan};
-use ac_cluster::{participants_of, run_service_faulted, FaultSpec, ServiceConfig, TransportKind};
+use ac_cluster::{
+    participants_of, run_service_faulted, CrashWindow, FaultSpec, ServiceConfig, TransportKind,
+};
 use ac_commit::protocols::ProtocolKind;
 use ac_commit::Scenario;
 use ac_net::{Crash, FaultPlan};
@@ -535,6 +537,41 @@ fn crash_mid_batch_under_group_commit_loses_only_unacknowledged_txns() {
             "key {k} diverged across a mid-batch crash recovery"
         );
     }
+}
+
+/// A retried `Begin` is staged by the client's expiry pass and must leave
+/// in that same turn's flush, before the client parks again — not one
+/// reply wait later. Node 1 is dead for the first 50 ms, so it misses the
+/// transaction's `Begin`; the survivors abort on the missing vote. With
+/// 100 ms reply waits the client's first retry (t ≈ 100 ms) re-opens the
+/// instance at the restarted node and the second (t ≈ 200 ms) triggers
+/// the `StatusQ` round that hands it the decision. A retry that left a
+/// park late would need a third and resolve a reply wait later.
+#[test]
+fn retried_begins_leave_in_the_turn_that_staged_them() {
+    let cfg = ServiceConfig::new(4, 1, ProtocolKind::TwoPc)
+        .clients(1)
+        .txns_per_client(1)
+        .workload(Workload::Uniform { span: 4 })
+        .reply_timeout(Duration::from_millis(100))
+        .park_retries(8)
+        .txn_deadline(Duration::from_secs(3));
+    let mut spec = FaultSpec::none(4);
+    spec.crashes[1] = Some(CrashWindow {
+        down_after: Duration::ZERO,
+        up_after: Some(Duration::from_millis(50)),
+    });
+    let out = run_service_faulted(&cfg, &spec);
+    assert!(out.is_safe(), "audit failed: {:?}", out.violations);
+    assert_eq!(out.stalled, 0);
+    let ev = &out.txn_events[0];
+    assert_eq!(ev.committed, Some(false), "node 1 never voted in time");
+    assert_eq!(ev.retries, 2, "re-open, then cooperative termination");
+    let decided = ev.decided_at.expect("resolved");
+    assert!(
+        decided < Duration::from_millis(290),
+        "resolved {decided:?} after submission: a retry left late"
+    );
 }
 
 /// The run_service_faulted surface also works without any chaos plan —
