@@ -231,8 +231,12 @@ pub struct ServiceConfig {
     /// The commit protocol serving the cluster.
     pub kind: ProtocolKind,
     /// Wall-clock duration of one virtual delay unit `U` (protocol timers
-    /// are scaled by this; it must comfortably exceed channel latency or
-    /// timer-driven protocols degrade into their fallback paths).
+    /// are scaled by this). It bounds how long a round waits for a
+    /// message that may never come, so it must comfortably exceed
+    /// channel latency — a round that times out with its messages still
+    /// in flight degrades into the protocol's fallback path — but it
+    /// does not pace a failure-free run: rounds close when their
+    /// collection is complete.
     pub unit: Duration,
     /// Number of closed-loop client threads (the concurrency level).
     pub clients: usize,

@@ -15,7 +15,7 @@ use ac_cluster::{run_service, ServiceConfig};
 use ac_commit::protocols::ProtocolKind;
 use ac_txn::Workload;
 
-/// The PaxosCommit ×16 hot path: the protocol with no timer floor, at
+/// The PaxosCommit ×16 hot path: a protocol with no timer on its path, at
 /// the sweep's highest concurrency, fully instrumented. The run must
 /// stay safe, stall-free and wakeup-free, and the flight recorder must
 /// reconstruct (at test scale, 100 % sampling) every decided

@@ -20,6 +20,34 @@
 //!   see all `n` votes, else 0), first asking `P_{f+1}..P_n` for help
 //!   (`[HELP]`/`[HELPED]`) if it received no acknowledgement at all.
 //!
+//! ## What the timers mean
+//!
+//! The list above is the simulator's unit grid, where every message takes
+//! exactly `U`. Two of the three waits are *complete-able* collections,
+//! and their timers only bound them:
+//!
+//! * **`TAG1` (`1·U`)** guards "every vote this backup is owed" — `n` for
+//!   a primary `P1..Pf`, `f` for the secondary `P_{f+1}`. Its action,
+//!   `InbacCore::close_votes` (acknowledge, enter phase 1, arm `TAG2`),
+//!   runs from `on_message` the moment the last owed vote is in, and from
+//!   the timer only if the round is still open.
+//! * **`TAG2` (`2·U`)** guards `acks_complete()`. Its fast-path action,
+//!   `InbacCore::try_fast_decide`, runs on every `[C]` and decides the
+//!   moment the acknowledgements are complete; the predicate is monotone,
+//!   so this is the decision the timer would have taken, only sooner.
+//!
+//! What stays clock-driven is everything whose trigger is **silence**:
+//! at `2·U` the timer still advances `P_{f+1}..P_n` to phase 2 — folding
+//! what they learnt into `collection0` and serving `[HELP]` — and sends
+//! any process with *incomplete* acknowledgements to consensus or `[HELP]`.
+//! A helper must not answer before `2·U`: the agreement proof (Appendix B)
+//! needs its `[HELPED]` to carry every acknowledgement that a synchronous
+//! run could still deliver to it, and "no more acks are coming" is a
+//! statement only the clock can make. So a nice execution decides after
+//! two message hand-offs however long `U` is, while on the unit grid —
+//! where the last message of a round and its timer coincide, deliveries
+//! first — every execution is unchanged.
+//!
 //! [`InbacFastAbort`] adds the §5.2 acceleration: a 0-voter broadcasts its
 //! vote and decides immediately, making failure-free aborts terminate after
 //! one message delay.
@@ -149,6 +177,59 @@ impl InbacCore {
         self.me == self.f
     }
 
+    /// How many votes this backup is owed in phase 0: everyone's for a
+    /// primary, those of `P1..Pf` for the secondary.
+    #[inline]
+    fn votes_owed(&self) -> usize {
+        if self.is_primary_backup() {
+            self.n
+        } else {
+            self.f
+        }
+    }
+
+    /// Close the vote round of a backup: acknowledge the backed-up votes,
+    /// enter phase 1 and arm `TAG2`. Called by `on_message` as soon as
+    /// every owed vote is in, and by `TAG1` if the round is still open.
+    fn close_votes(&mut self, ctx: &mut Ctx<InbacMsg>) {
+        debug_assert!(self.me <= self.f && self.phase == 0);
+        let acks: Vec<InbacMsg> = if self.bundle_acks {
+            vec![InbacMsg::C(self.collection0.clone())]
+        } else {
+            self.collection0
+                .iter()
+                .map(|&(p, v)| InbacMsg::C(vec![(p, v)]))
+                .collect()
+        };
+        for c in acks {
+            if self.is_primary_backup() {
+                ctx.broadcast(c);
+            } else {
+                debug_assert!(self.is_secondary_backup());
+                for q in 0..self.f {
+                    ctx.send(q, c.clone());
+                }
+            }
+        }
+        self.phase = 1;
+        ctx.set_timer(Time::units(2), TAG2);
+    }
+
+    /// Figure 1's fast path: decide the AND of the votes iff the `f`
+    /// backups confirmed everything. Called on every `[C]` (the
+    /// acknowledgements just became complete) and wherever the slow path
+    /// re-evaluates them. Returns whether the process is now decided.
+    fn try_fast_decide(&mut self, ctx: &mut Ctx<InbacMsg>) -> bool {
+        match self.acks_complete() {
+            Some(and) => {
+                ctx.trace(|| format!("all {} acks complete -> decide {}", self.f, and as u8));
+                self.decide(and, ctx);
+                true
+            }
+            None => false,
+        }
+    }
+
     fn decide(&mut self, v: bool, ctx: &mut Ctx<InbacMsg>) {
         if !self.decided {
             self.decided = true;
@@ -219,12 +300,10 @@ impl InbacCore {
         vs_and_complete(&union, self.n)
     }
 
-    /// Figure 1's left column once acknowledgements are in: decide if the
-    /// `f` backups confirmed everything, else propose to consensus.
+    /// Figure 1's left column at `2·U`: decide if the `f` backups confirmed
+    /// everything, else propose to consensus (or ask for help).
     fn decide_or_propose(&mut self, ctx: &mut Ctx<InbacMsg>) {
-        if let Some(and) = self.acks_complete() {
-            ctx.trace(|| format!("all {} acks complete -> decide {}", self.f, and as u8));
-            self.decide(and, ctx);
+        if self.try_fast_decide(ctx) {
             return;
         }
         if self.cnt >= 1 {
@@ -254,8 +333,7 @@ impl InbacCore {
             return;
         }
         self.wait = false;
-        if let Some(and) = self.acks_complete() {
-            self.decide(and, ctx);
+        if self.try_fast_decide(ctx) {
             return;
         }
         if self.cnt >= 1 {
@@ -299,8 +377,14 @@ impl InbacCore {
     fn on_message(&mut self, from: ProcessId, msg: InbacMsg, ctx: &mut Ctx<InbacMsg>) {
         match msg {
             InbacMsg::V(v) => {
+                // Only an open vote round listens (stragglers after the
+                // acknowledgement went out change nothing), and within it
+                // the first vote binds (`vs_insert`).
                 if self.phase == 0 {
                     vs_insert(&mut self.collection0, from, v);
+                    if self.collection0.len() == self.votes_owed() {
+                        self.close_votes(ctx);
+                    }
                 }
             }
             InbacMsg::C(collection) => {
@@ -311,7 +395,13 @@ impl InbacCore {
                     None => self.collection1.push((from, collection)),
                 }
                 self.cnt += 1;
-                self.maybe_complete_wait(ctx);
+                if self.wait {
+                    self.maybe_complete_wait(ctx);
+                } else if !self.decided && !self.proposed {
+                    // Acknowledgements complete: nothing left to wait for.
+                    // `TAG2` still fires to advance the phase.
+                    self.try_fast_decide(ctx);
+                }
             }
             InbacMsg::Help => {
                 if self.phase == 2 && self.me >= self.f {
@@ -354,28 +444,9 @@ impl InbacCore {
         }
         match tag {
             TAG1 => {
-                debug_assert!(self.me <= self.f && self.phase == 0);
-                // Acknowledge the backed-up votes.
-                let acks: Vec<InbacMsg> = if self.bundle_acks {
-                    vec![InbacMsg::C(self.collection0.clone())]
-                } else {
-                    self.collection0
-                        .iter()
-                        .map(|&(p, v)| InbacMsg::C(vec![(p, v)]))
-                        .collect()
-                };
-                for c in acks {
-                    if self.is_primary_backup() {
-                        ctx.broadcast(c);
-                    } else {
-                        debug_assert!(self.is_secondary_backup());
-                        for q in 0..self.f {
-                            ctx.send(q, c.clone());
-                        }
-                    }
+                if self.phase == 0 {
+                    self.close_votes(ctx);
                 }
-                self.phase = 1;
-                ctx.set_timer(Time::units(2), TAG2);
             }
             TAG2 => {
                 if self.me >= self.f {
@@ -400,8 +471,7 @@ impl InbacCore {
                     }
                 } else if !self.decided && !self.proposed {
                     // P1..Pf can always conclude at 2U.
-                    if let Some(and) = self.acks_complete() {
-                        self.decide(and, ctx);
+                    if self.try_fast_decide(ctx) {
                         return;
                     }
                     match vs_and_complete(&self.ack_union(), self.n) {
@@ -473,6 +543,7 @@ inbac_flavor!(
 mod tests {
     use super::*;
     use crate::checker::check;
+    use crate::protocols::message_speed::Run;
     use crate::protocols::ProtocolKind;
     use crate::runner::{nice_complexity, Scenario};
     use ac_net::{Crash, DelayRule};
@@ -487,6 +558,24 @@ mod tests {
                 assert_eq!(m, (2 * f * n) as u64, "n={n} f={f}");
             }
         }
+    }
+
+    #[test]
+    fn decides_at_message_speed_and_ignores_stragglers() {
+        let (n, f) = (5, 2);
+        let mut run = Run::<Inbac>::start(&vec![true; n], f);
+        // No timer has fired: every backup acknowledged on its last owed
+        // vote and everyone decided on its last acknowledgement.
+        assert!(run.all_decided(1));
+        assert_eq!(run.wire, 2 * f * n);
+        // A vote re-sent to a primary and to the secondary after their
+        // rounds closed, then the stale timers: `TAG1` is a no-op, `TAG2`
+        // only advances the phase.
+        run.inject(3, 0, InbacMsg::V(true));
+        run.inject(0, f, InbacMsg::V(false));
+        run.fire_timers();
+        assert_eq!(run.wire, 2 * f * n, "no second acknowledgement");
+        assert!(run.procs.iter().skip(f).all(|p| p.0.phase == 2));
     }
 
     #[test]

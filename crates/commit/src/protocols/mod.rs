@@ -6,6 +6,20 @@
 //! time 0 (`time k` = `k·U`); the Appendix E protocols state "the timer
 //! starts at time 1 when the first sending event happens", i.e.
 //! `time k` = `(k−1)·U`. A private helper `etime` encodes the latter.
+//!
+//! Two kinds of timer live here, and they are implemented differently.
+//! A timer that guards a **complete-able collection** (2PC/3PC: the
+//! votes, the `AckPc`s; 1NBAC: the votes; INBAC: a backup's owed votes,
+//! the acknowledgements) is a failure detector: the round's one closing
+//! function runs from `on_message` the moment the collection is
+//! complete, and from the timer only if the round is still open, so a
+//! nice execution costs message hand-offs, not timer periods. A timer
+//! whose trigger is **silence** (0NBAC's "heard nothing", the chain and
+//! star protocols' noop windows and time slots, INBAC's `2·U` help
+//! serving, every watchdog and consensus timer) stays clock-driven,
+//! because only the clock can say that nothing is coming. On the
+//! simulator's unit grid the two coincide; each module's docs say which
+//! of its timers is which.
 
 use ac_sim::Time;
 
@@ -257,6 +271,95 @@ impl ProtocolKind {
             ProtocolKind::ThreePc => scenario.run::<ThreePc>(),
             ProtocolKind::PaxosCommit => scenario.run::<PaxosCommit>(),
             ProtocolKind::FasterPaxosCommit => scenario.run::<FasterPaxosCommit>(),
+        }
+    }
+}
+
+/// Test executor that runs a protocol **at message speed**: every send is
+/// handed over FIFO at a virtual instant far inside the first unit, and no
+/// timer fires until the test says so. What a protocol gets done here it
+/// gets done without its clock — the early-completion paths — and what it
+/// sends when the timers finally fire is what a stale timer costs.
+#[cfg(test)]
+pub(crate) mod message_speed {
+    use std::collections::VecDeque;
+
+    use ac_sim::{Action, Ctx, ProcessId, Time};
+
+    use crate::problem::{CommitProtocol, Vote};
+
+    pub(crate) struct Run<P: CommitProtocol> {
+        pub(crate) procs: Vec<P>,
+        queue: VecDeque<(ProcessId, ProcessId, P::Msg)>,
+        timers: Vec<(Time, ProcessId, u32)>,
+        /// Inter-process messages sent so far (self-sends are free).
+        pub(crate) wire: usize,
+        pub(crate) decisions: Vec<Option<u64>>,
+    }
+
+    impl<P: CommitProtocol> Run<P> {
+        /// Start every process and hand messages over until nothing is in
+        /// flight.
+        pub(crate) fn start(votes: &[Vote], f: usize) -> Self {
+            let n = votes.len();
+            let mut run = Run {
+                procs: (0..n).map(|p| P::new(p, n, f, votes[p])).collect(),
+                queue: VecDeque::new(),
+                timers: Vec::new(),
+                wire: 0,
+                decisions: vec![None; n],
+            };
+            for p in 0..n {
+                run.step(p, Time::ZERO, |a, ctx| a.on_start(ctx));
+            }
+            run.drain();
+            run
+        }
+
+        fn step(&mut self, p: ProcessId, now: Time, f: impl FnOnce(&mut P, &mut Ctx<P::Msg>)) {
+            let mut ctx = Ctx::new(now, p, self.procs.len(), false);
+            f(&mut self.procs[p], &mut ctx);
+            for action in ctx.take_actions() {
+                match action {
+                    Action::Send { to, msg } => {
+                        self.wire += usize::from(to != p);
+                        self.queue.push_back((p, to, msg));
+                    }
+                    Action::SetTimer { at, tag } => self.timers.push((at, p, tag)),
+                    Action::Decide(v) => {
+                        assert!(self.decisions[p].is_none(), "P{p} decided twice");
+                        self.decisions[p] = Some(v);
+                    }
+                }
+            }
+        }
+
+        fn drain(&mut self) {
+            while let Some((from, to, msg)) = self.queue.pop_front() {
+                self.step(to, Time(1), |a, ctx| a.on_message(from, msg, ctx));
+            }
+        }
+
+        /// Hand `msg` from `from` to `to` out of the blue — a straggler —
+        /// and run to quiescence.
+        pub(crate) fn inject(&mut self, from: ProcessId, to: ProcessId, msg: P::Msg) {
+            self.queue.push_back((from, to, msg));
+            self.drain();
+        }
+
+        /// Fire every armed timer in deadline order (and whatever those
+        /// arm), running to quiescence after each.
+        pub(crate) fn fire_timers(&mut self) {
+            while !self.timers.is_empty() {
+                self.timers.sort_by_key(|&(at, p, _)| (at, p));
+                let (at, p, tag) = self.timers.remove(0);
+                self.step(p, at, |a, ctx| a.on_timer(tag, ctx));
+                self.drain();
+            }
+        }
+
+        pub(crate) fn all_decided(&self, v: u64) -> bool {
+            self.decisions.iter().all(|&d| d == Some(v))
         }
     }
 }

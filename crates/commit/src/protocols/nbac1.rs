@@ -12,6 +12,21 @@
 //! Nice-execution complexity: 1 delay, `n²−n` messages (the `[D]` round is
 //! still in flight when everyone has decided — see the paper's message
 //! accounting and `ac_net::Metrics`).
+//!
+//! ## What the timers mean
+//!
+//! The first round is a *complete-able* collection — all `n` votes — so
+//! its action, `Nbac1::close_votes`, has two triggers: `on_message` calls
+//! it the moment the `n`-th vote is in, and the `1·U` timer (`TAG1`) calls
+//! it only if the round is still open, which then means some vote is late
+//! or lost. The timer is the failure detector, not the trigger: a nice
+//! execution decides after one message hand-off, however long `U` is,
+//! while on the simulator's unit grid the last vote and the timer coincide
+//! at `U` and nothing changes. `TAG2` stays clock-driven: it is armed only
+//! by a process whose vote round *timed out*, so it is never on a
+//! failure-free path, and what it waits for is **silence** — "no `[D, d]`
+//! by `2·U`" is what licenses proposing 0 — so only the clock can end it.
+//! The consensus module's timers are its own.
 
 use ac_consensus::{CtxHost, Paxos, PaxosMsg, CONS_TAG_BASE};
 use ac_sim::{Automaton, Ctx, ProcessId, Time};
@@ -36,7 +51,6 @@ pub enum Nbac1Msg {
 #[derive(Debug)]
 pub struct Nbac1 {
     phase: u8,
-    proposed: bool,
     decided: bool,
     decision: bool,
     collection0: Vec<bool>,
@@ -51,7 +65,6 @@ impl CommitProtocol for Nbac1 {
         validate_params(n, f);
         Nbac1 {
             phase: 0,
-            proposed: false,
             decided: false,
             decision: vote,
             collection0: vec![false; n],
@@ -62,6 +75,24 @@ impl CommitProtocol for Nbac1 {
 }
 
 impl Nbac1 {
+    /// Close the vote round. Called by `on_message` as soon as all `n`
+    /// votes are in, and by `TAG1` if the round is still open: a full
+    /// collection relays its AND and decides, a short one waits one more
+    /// delay for somebody else's `[D, d]`.
+    fn close_votes(&mut self, ctx: &mut Ctx<Nbac1Msg>) {
+        debug_assert_eq!(self.phase, 0);
+        self.phase = 1;
+        if self.collection0.iter().all(|&g| g) {
+            ctx.broadcast(Nbac1Msg::D(self.decision));
+            if !self.decided {
+                self.decided = true;
+                ctx.decide(decision_value(self.decision));
+            }
+        } else {
+            ctx.set_timer(Time::units(2), TAG2);
+        }
+    }
+
     fn cons_decided(&mut self, d: Option<u64>, ctx: &mut Ctx<Nbac1Msg>) {
         if let Some(v) = d {
             if !self.decided {
@@ -83,8 +114,17 @@ impl Automaton for Nbac1 {
     fn on_message(&mut self, from: ProcessId, msg: Nbac1Msg, ctx: &mut Ctx<Nbac1Msg>) {
         match msg {
             Nbac1Msg::V(v) => {
+                // First vote binds, and only an open round listens: a
+                // straggler must neither change the AND nor trigger a
+                // second `[D]` broadcast.
+                if self.phase != 0 || self.collection0[from] {
+                    return;
+                }
                 self.collection0[from] = true;
                 self.decision &= v;
+                if self.collection0.iter().all(|&g| g) {
+                    self.close_votes(ctx);
+                }
             }
             Nbac1Msg::D(d) => {
                 self.collection1_any = true;
@@ -113,16 +153,8 @@ impl Automaton for Nbac1 {
         }
         match tag {
             TAG1 => {
-                debug_assert_eq!(self.phase, 0);
-                if self.collection0.iter().all(|&g| g) {
-                    ctx.broadcast(Nbac1Msg::D(self.decision));
-                    if !self.decided {
-                        self.decided = true;
-                        ctx.decide(decision_value(self.decision));
-                    }
-                } else {
-                    self.phase = 1;
-                    ctx.set_timer(Time::units(2), TAG2);
+                if self.phase == 0 {
+                    self.close_votes(ctx);
                 }
             }
             TAG2 => {
@@ -131,7 +163,6 @@ impl Automaton for Nbac1 {
                     if !self.collection1_any {
                         self.decision = false;
                     }
-                    self.proposed = true;
                     let v = decision_value(self.decision);
                     let mut host = CtxHost {
                         ctx,
@@ -142,7 +173,6 @@ impl Automaton for Nbac1 {
             }
             other => unreachable!("unknown 1NBAC timer tag {other}"),
         }
-        let _ = self.proposed;
     }
 }
 
@@ -150,6 +180,7 @@ impl Automaton for Nbac1 {
 mod tests {
     use super::*;
     use crate::checker::check;
+    use crate::protocols::message_speed::Run;
     use crate::protocols::ProtocolKind;
     use crate::runner::{nice_complexity, Scenario};
     use ac_net::{Crash, DelayRule};
@@ -161,6 +192,21 @@ mod tests {
             let (d, m) = nice_complexity::<Nbac1>(n, 1);
             assert_eq!((d, m), (1, (n * n - n) as u64), "n={n}");
         }
+    }
+
+    #[test]
+    fn decides_at_message_speed_and_ignores_stragglers() {
+        let n = 4;
+        let mut run = Run::<Nbac1>::start(&vec![true; n], 1);
+        // No timer has fired: one hand-off decided everyone; the `[D]`
+        // round (the second `n²−n`) is the relay Table 5 does not count.
+        assert!(run.all_decided(1));
+        assert_eq!(run.wire, 2 * (n * n - n));
+        // A duplicate and a contradicting vote, then the stale timers.
+        run.inject(0, 1, Nbac1Msg::V(true));
+        run.inject(2, 1, Nbac1Msg::V(false));
+        run.fire_timers();
+        assert_eq!(run.wire, 2 * (n * n - n), "no second [D] broadcast");
     }
 
     #[test]

@@ -15,6 +15,21 @@
 //! Nice-execution complexity: 4 delays, `4n−4` messages (votes, pre-commit,
 //! acks, do-commit). The paper's "+1 delay, +2n−2 messages over 2PC"
 //! summary counts the decision point of the coordinator; see EXPERIMENTS.md.
+//!
+//! ## What the timers mean
+//!
+//! The coordinator runs two *complete-able* collections — all `n` votes,
+//! then all `n` `AckPc`s — and each has one round-closing function with
+//! two triggers: `ThreePc::close_votes` runs the moment the vote outcome
+//! is fixed (every vote in, or the first `No`), `ThreePc::close_acks`
+//! the moment the last ack is in, and the `1·U` / `3·U` timers run the
+//! same functions only if their round is still open. The timers are the
+//! failure detector — they bound the wait for a message that never comes
+//! — so a nice execution commits in four hand-offs rather than `4·U`; on
+//! the simulator's unit grid message and timer coincide and nothing
+//! changes. The watchdog and the termination rounds stay clock-driven:
+//! their trigger is *silence* (no `DoCommit`/`DoAbort` by `5·U`, then one
+//! flooding round per unit), which no message can complete early.
 
 use ac_sim::{Automaton, Ctx, ProcessId, Time};
 
@@ -36,6 +51,17 @@ pub enum PcState {
     Prepared,
     /// Decided commit.
     Committed,
+}
+
+/// Where the coordinator is in its two collections.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Round {
+    /// Collecting votes (guarded by `TAG_COLLECT`).
+    Votes,
+    /// Pre-commit sent, collecting acks (guarded by `TAG_ACKS`).
+    Acks,
+    /// Both rounds over; vote and ack stragglers change nothing.
+    Closed,
 }
 
 /// Bitmask of states observed during termination flooding.
@@ -92,6 +118,7 @@ pub struct ThreePc {
     state: PcState,
     decided: bool,
     // Coordinator.
+    round: Round,
     votes_all: bool,
     got_vote: Vec<bool>,
     acks: Vec<bool>,
@@ -121,6 +148,37 @@ impl ThreePc {
         }
     }
 
+    /// Close the vote round. Called by `on_message` as soon as the outcome
+    /// is fixed (all `n` votes in, or a `No`), and by `TAG_COLLECT` if the
+    /// round is still open — a vote still missing then is a failure: abort.
+    fn close_votes(&mut self, ctx: &mut Ctx<ThreePcMsg>) {
+        debug_assert!(self.is_coordinator() && self.round == Round::Votes);
+        if self.votes_all && self.got_vote.iter().all(|&g| g) {
+            self.round = Round::Acks;
+            self.state = PcState::Prepared;
+            self.acks[self.me] = true;
+            ctx.broadcast_others(ThreePcMsg::PreCommit);
+            ctx.set_timer(Time::units(3), TAG_ACKS);
+        } else {
+            self.round = Round::Closed;
+            ctx.broadcast_others(ThreePcMsg::DoAbort);
+            self.decide(false, ctx);
+        }
+    }
+
+    /// Close the ack round. Called by `on_message` when the last `AckPc`
+    /// is in, and by `TAG_ACKS` if the round is still open.
+    fn close_acks(&mut self, ctx: &mut Ctx<ThreePcMsg>) {
+        debug_assert!(self.is_coordinator() && self.round == Round::Acks);
+        self.round = Round::Closed;
+        if self.acks.iter().all(|&a| a) {
+            ctx.broadcast_others(ThreePcMsg::DoCommit);
+            self.decide(true, ctx);
+        }
+        // Missing acks: stay prepared; the termination protocol
+        // (watchdog) resolves it together with everyone else.
+    }
+
     /// Watchdog deadline: normal flow ends by 4U.
     fn watchdog_at(&self) -> Time {
         Time::units(5)
@@ -147,6 +205,7 @@ impl CommitProtocol for ThreePc {
                 PcState::Aborted
             },
             decided: false,
+            round: Round::Votes,
             votes_all: true,
             got_vote: vec![false; n],
             acks: vec![false; n],
@@ -178,8 +237,17 @@ impl Automaton for ThreePc {
     fn on_message(&mut self, from: ProcessId, msg: ThreePcMsg, ctx: &mut Ctx<ThreePcMsg>) {
         match msg {
             ThreePcMsg::V(v) => {
+                // First vote binds, and only an open round listens: a
+                // straggler must neither flip `votes_all` nor re-broadcast
+                // `PreCommit`/`DoAbort`.
+                if self.round != Round::Votes || self.got_vote[from] {
+                    return;
+                }
                 self.votes_all &= v;
                 self.got_vote[from] = true;
+                if !self.votes_all || self.got_vote.iter().all(|&g| g) {
+                    self.close_votes(ctx);
+                }
             }
             ThreePcMsg::PreCommit => {
                 if self.state == PcState::Uncertain {
@@ -188,7 +256,13 @@ impl Automaton for ThreePc {
                 }
             }
             ThreePcMsg::AckPc => {
+                if self.round != Round::Acks {
+                    return; // straggler: `DoCommit` went out (or never will)
+                }
                 self.acks[from] = true;
+                if self.acks.iter().all(|&a| a) {
+                    self.close_acks(ctx);
+                }
             }
             ThreePcMsg::DoCommit => self.decide(true, ctx),
             ThreePcMsg::DoAbort => self.decide(false, ctx),
@@ -201,28 +275,14 @@ impl Automaton for ThreePc {
     fn on_timer(&mut self, tag: u32, ctx: &mut Ctx<ThreePcMsg>) {
         match tag {
             TAG_COLLECT => {
-                debug_assert!(self.is_coordinator());
-                if self.votes_all && self.got_vote.iter().all(|&g| g) {
-                    self.state = PcState::Prepared;
-                    self.acks[self.me] = true;
-                    ctx.broadcast_others(ThreePcMsg::PreCommit);
-                    ctx.set_timer(Time::units(3), TAG_ACKS);
-                } else {
-                    ctx.broadcast_others(ThreePcMsg::DoAbort);
-                    self.decide(false, ctx);
+                if self.round == Round::Votes {
+                    self.close_votes(ctx);
                 }
             }
             TAG_ACKS => {
-                debug_assert!(self.is_coordinator());
-                if self.decided {
-                    return;
+                if self.round == Round::Acks {
+                    self.close_acks(ctx);
                 }
-                if self.acks.iter().all(|&a| a) {
-                    ctx.broadcast_others(ThreePcMsg::DoCommit);
-                    self.decide(true, ctx);
-                }
-                // Missing acks: stay prepared; the termination protocol
-                // (watchdog) resolves it together with everyone else.
             }
             TAG_WATCHDOG => {
                 if self.decided {
@@ -264,6 +324,7 @@ impl Automaton for ThreePc {
 mod tests {
     use super::*;
     use crate::checker::check;
+    use crate::protocols::message_speed::Run;
     use crate::protocols::ProtocolKind;
     use crate::runner::{nice_complexity, Scenario};
     use ac_net::{Crash, DelayRule};
@@ -275,6 +336,34 @@ mod tests {
             let (d, m) = nice_complexity::<ThreePc>(n, 1);
             assert_eq!((d, m), (4, (4 * n - 4) as u64), "n={n}");
         }
+    }
+
+    #[test]
+    fn commits_at_message_speed_and_ignores_stragglers() {
+        let n = 5;
+        let mut run = Run::<ThreePc>::start(&vec![true; n], 1);
+        // No timer has fired: four hand-offs committed everyone.
+        assert!(run.all_decided(1));
+        assert_eq!(run.wire, 4 * n - 4);
+        // Duplicate and contradicting votes, a duplicate ack, then every
+        // stale timer (collect, acks, the watchdogs).
+        run.inject(0, n - 1, ThreePcMsg::V(true));
+        run.inject(1, n - 1, ThreePcMsg::V(false));
+        run.inject(2, n - 1, ThreePcMsg::AckPc);
+        run.fire_timers();
+        assert_eq!(run.wire, 4 * n - 4, "no second PreCommit/DoCommit");
+        assert!(run.procs[n - 1].votes_all, "a closed round is immutable");
+    }
+
+    #[test]
+    fn first_no_fixes_the_outcome_at_message_speed() {
+        let n = 5;
+        let mut votes = vec![true; n];
+        votes[0] = false;
+        let mut run = Run::<ThreePc>::start(&votes, 1);
+        assert!(run.all_decided(0));
+        run.fire_timers();
+        assert_eq!(run.wire, 2 * n - 2, "votes + one DoAbort round");
     }
 
     #[test]

@@ -6,6 +6,23 @@
 //! decision has a single source — but a coordinator crash blocks every
 //! participant forever ("a single point of failure", §6.2). Nice-execution
 //! complexity: 2 delays, `2n−2` messages.
+//!
+//! ## What the collect timer means
+//!
+//! The coordinator's vote round is a *complete-able* collection: once all
+//! `n` votes are in — or one `No` is, which fixes the outcome whatever the
+//! rest say — there is nothing left to wait for. `TwoPc::close_round`
+//! is the round's single action and has two triggers: `on_message` calls
+//! it the moment the outcome is fixed, and the `1·U` timer calls it only
+//! if the round is still open. The timer is therefore the **failure
+//! detector** — it bounds the wait for a vote that never comes, and a
+//! late vote still aborts at exactly `1·U` — not the trigger: a nice
+//! execution commits in two message hand-offs, however long `U` is. On
+//! the simulator's unit grid the last vote and the timer coincide at `U`
+//! (deliveries precede timers), so every unit-grid execution is unchanged.
+//! The coordinator's *own* `No` is acted on at the first incoming vote
+//! rather than at time 0, which keeps failure-free aborts at Table 5's
+//! two delays.
 
 use ac_sim::{Automaton, Ctx, ProcessId, Time};
 
@@ -32,6 +49,8 @@ pub struct TwoPc {
     votes_all: bool,
     /// Coordinator: processes whose vote arrived (self included).
     got: Vec<bool>,
+    /// Decided. For the coordinator this is also "the vote round is closed
+    /// (outcome broadcast)": votes arriving afterwards are stragglers.
     decided: bool,
 }
 
@@ -42,6 +61,24 @@ impl TwoPc {
 
     fn is_coordinator(&self) -> bool {
         self.me == self.coordinator()
+    }
+
+    /// Whether no further vote can change the outcome: a `No` is in, or
+    /// every vote is.
+    fn outcome_fixed(&self) -> bool {
+        !self.votes_all || self.got.iter().all(|&g| g)
+    }
+
+    /// Close the vote round: broadcast the outcome and decide. Called by
+    /// `on_message` as soon as [`TwoPc::outcome_fixed`], and by the collect
+    /// timer if the round is still open — a vote still missing then means
+    /// a failure somewhere: abort.
+    fn close_round(&mut self, ctx: &mut Ctx<TwoPcMsg>) {
+        debug_assert!(self.is_coordinator() && !self.decided);
+        let commit = self.votes_all && self.got.iter().all(|&g| g);
+        ctx.broadcast_others(TwoPcMsg::D(commit));
+        self.decided = true;
+        ctx.decide(decision_value(commit));
     }
 }
 
@@ -69,7 +106,7 @@ impl Automaton for TwoPc {
             self.votes_all = self.vote;
             self.got[self.me] = true;
             // All votes are in transit now; they arrive within U in any
-            // synchronous execution.
+            // synchronous execution. The timer only bounds that wait.
             ctx.set_timer(Time::units(1), TAG_COLLECT);
         } else {
             let coord = self.coordinator();
@@ -82,8 +119,18 @@ impl Automaton for TwoPc {
         match msg {
             TwoPcMsg::V(v) => {
                 debug_assert!(self.is_coordinator());
+                // First vote binds, and a closed round stays closed: a
+                // straggler (a late link, or a crash-restarted participant
+                // re-sending its logged vote) must neither flip
+                // `votes_all` nor trigger a second outcome broadcast.
+                if self.decided || self.got[from] {
+                    return;
+                }
                 self.votes_all &= v;
                 self.got[from] = true;
+                if self.outcome_fixed() {
+                    self.close_round(ctx);
+                }
             }
             TwoPcMsg::D(d) => {
                 if !self.decided {
@@ -96,17 +143,16 @@ impl Automaton for TwoPc {
 
     fn on_timer(&mut self, tag: u32, ctx: &mut Ctx<TwoPcMsg>) {
         debug_assert_eq!(tag, TAG_COLLECT);
-        // A missing vote means a failure somewhere: abort.
-        let commit = self.votes_all && self.got.iter().all(|&g| g);
-        ctx.broadcast_others(TwoPcMsg::D(commit));
-        self.decided = true;
-        ctx.decide(decision_value(commit));
+        if !self.decided {
+            self.close_round(ctx);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocols::message_speed::Run;
     use crate::runner::{nice_complexity, run_nice, Scenario};
     use ac_net::{Crash, DelayRule};
     use ac_sim::U;
@@ -117,6 +163,33 @@ mod tests {
             let (d, m) = nice_complexity::<TwoPc>(n, 1);
             assert_eq!((d, m), (2, 2 * n as u64 - 2), "n={n}");
         }
+    }
+
+    #[test]
+    fn commits_at_message_speed_and_ignores_stragglers() {
+        let n = 5;
+        let mut run = Run::<TwoPc>::start(&vec![true; n], 1);
+        // No timer has fired: two hand-offs committed everyone.
+        assert!(run.all_decided(1));
+        assert_eq!(run.wire, 2 * n - 2);
+        // A crash-restarted participant re-sends its logged vote, another
+        // one changes its mind, and then the stale collect timer fires.
+        run.inject(0, n - 1, TwoPcMsg::V(true));
+        run.inject(1, n - 1, TwoPcMsg::V(false));
+        run.fire_timers();
+        assert_eq!(run.wire, 2 * n - 2, "the outcome is broadcast once");
+        assert!(run.procs[n - 1].votes_all, "a closed round is immutable");
+    }
+
+    #[test]
+    fn first_no_fixes_the_outcome_at_message_speed() {
+        let n = 5;
+        let mut votes = vec![true; n];
+        votes[0] = false;
+        let mut run = Run::<TwoPc>::start(&votes, 1);
+        assert!(run.all_decided(0));
+        run.fire_timers();
+        assert_eq!(run.wire, 2 * n - 2, "later votes are stragglers");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--json] [--jobs N] [--out PATH] [--quick] [--transport channel|tcp] \
+//! repro [--json] [--jobs N] [--out PATH] [--quick] [--transport channel|tcp] [--before PATH] \
 //!       [table1|table2|table3|table4|table5|fig1|ablations|exhaustive|bench|load|chaos|saturate|all]
 //! repro proc [--quick] [--json] [--jobs N] [--out PATH] [--dump-dir DIR] [--metrics PORT]
 //! repro bench-check <path>
@@ -55,7 +55,12 @@
 //! explorer soundness, a dirty committed chaos section) fail the run,
 //! wall-clock drift only warns; the machine-readable comparison is written
 //! to `--out` (default `PERF_comparison.json`) — CI's perf-smoke job runs
-//! this.
+//! this. `--before PATH` (on `bench`/`load`/`chaos`/`saturate`) embeds a
+//! **before/after pair** in the written baseline: `PATH` is the same
+//! sweep measured at the parent commit on the same box, and every
+//! latency, throughput and stage-share metric both files carry is paired
+//! in the `pair` section — how a claimed speed-up lands in the committed
+//! baseline with the stage that moved.
 
 use std::path::PathBuf;
 
@@ -128,7 +133,7 @@ fn trace_dump(path: &str, dump: &ac_obs::ClusterDump) {
 fn usage_exit() -> ! {
     eprintln!(
         "usage: repro [--json] [--jobs N] [--out PATH] [--quick] [--transport channel|tcp] \
-         [table1|table2|table3|table4|table5|fig1|ablations|exhaustive|bench|load|chaos|saturate|all]\n\
+         [--before PATH] [table1|table2|table3|table4|table5|fig1|ablations|exhaustive|bench|load|chaos|saturate|all]\n\
          \x20      repro proc [--quick] [--json] [--jobs N] [--out PATH] [--dump-dir DIR] [--metrics PORT]\n\
          \x20      repro bench-check <path>\n\
          \x20      repro trace [<path>]\n\
@@ -145,6 +150,7 @@ fn main() {
     let mut transport = ac_cluster::TransportKind::Channel;
     let mut out: Option<PathBuf> = None;
     let mut against: Option<PathBuf> = None;
+    let mut before: Option<PathBuf> = None;
     let mut dump_dir = PathBuf::from(".");
     let mut metrics_port: Option<u16> = None;
     let mut targets: Vec<String> = Vec::new();
@@ -198,6 +204,13 @@ fn main() {
                     usage_exit();
                 };
                 against = Some(PathBuf::from(p));
+            }
+            "--before" => {
+                let Some(p) = it.next() else {
+                    eprintln!("--before requires a path");
+                    usage_exit();
+                };
+                before = Some(PathBuf::from(p));
             }
             _ if arg.starts_with("--") => {
                 eprintln!("unknown flag `{arg}`");
@@ -412,12 +425,30 @@ fn main() {
     // `chaos`: additionally run the availability-under-failure sweep
     // (schema v3).
     if id == "bench" || id == "load" || id == "chaos" || id == "saturate" {
-        let (report, baseline) = match id {
+        let (report, mut baseline) = match id {
             "bench" => experiments::bench_baseline(jobs),
             "load" => experiments::load_baseline_with(quick, jobs, transport),
             "chaos" => experiments::chaos_baseline_with(quick, jobs, transport),
             _ => experiments::saturate_baseline_with(quick, jobs, transport),
         };
+        if let Some(path) = before {
+            let parsed = std::fs::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|t| serde_json::from_str(&t).map_err(|e| format!("{e:?}")));
+            match parsed {
+                Ok(v) => {
+                    baseline.pair = Some(ac_harness::report::BeforeAfter::between(
+                        &path.display().to_string(),
+                        &v,
+                        &baseline,
+                    ));
+                }
+                Err(e) => {
+                    eprintln!("cannot use --before {}: {e}", path.display());
+                    std::process::exit(1);
+                }
+            }
+        }
         if json {
             println!("{}", report.to_json());
         } else {

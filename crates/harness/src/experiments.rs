@@ -752,6 +752,7 @@ pub fn bench_baseline(jobs: usize) -> (Report, BenchBaseline) {
         chaos: None,
         attribution: None,
         saturation: None,
+        pair: None,
         explorer: ExplorerBaseline {
             protocol: ProtocolKind::Inbac.name().into(),
             n: cfg.n,
@@ -894,14 +895,14 @@ pub fn load_baseline_with(
     }
     r.table(t);
     r.note(
-        "latency is wall-clock submit -> all n decisions. Timer-driven \
-         protocols pay their synchrony timeouts for real: 2PC's coordinator \
-         collects votes at 1U and INBAC decides at 2U, so their p50 floors \
-         are ~2 units; PaxosCommit's fast path decides on quorum *message \
-         arrival* and runs at channel speed - the wall-clock face of the \
-         paper's time/message trade-off (delay counts assume messages take \
-         exactly U; over fast links the timer-free protocol wins latency \
-         while paying its message premium). 'safe' requires a clean \
+        "latency is wall-clock submit -> all n decisions. Every protocol \
+         of this sweep acts on message arrival: 2PC's coordinator closes \
+         its vote round on the last vote (or first No) and INBAC decides \
+         on its last acknowledgement, their 1U/2U timers only bounding \
+         the wait for a message that never comes - so the columns compare \
+         hops, fan-out and message counts (the paper's time/message \
+         trade-off), not the configured U; a p50 near k*U now means a \
+         round timed out. 'safe' requires a clean \
          post-run audit: agreed decisions, no commit without n yes-votes, \
          no lock left held, no stalled client.",
     );
@@ -1023,10 +1024,11 @@ pub fn load_baseline_with(
          WAL-forced -> decided(node) -> decided(client); the five stage \
          shares sum to 100% of measured end-to-end latency by \
          construction. `protocol%` is the commit protocol's own critical-\
-         path residency (timer floors + vote/decision waits) — the \
-         dominant share for the timer-driven protocols, which is the \
-         paper's delay-bound claim in wall-clock form. `repro trace` \
-         renders the embedded slowest-transaction timelines.",
+         path residency: vote/decision hand-offs for the protocols that \
+         act on message arrival (all of Table 5 but the chain since \
+         ISSUE-14), the unit grid itself for (n-1+f)NBAC, whose rounds are \
+         clocked by design. `repro trace` renders the embedded \
+         slowest-transaction timelines.",
     );
     baseline.attribution = Some(AttributionBaseline {
         n,
@@ -1282,8 +1284,11 @@ pub const SATURATION_BASE_RATE: f64 = 25.0;
 /// gate's WAL-force cells. The node loop forces per drained batch, but a
 /// fast loop drains ~1 record per iteration; the time cap holds the
 /// force (and everything that depends on it) until records from several
-/// iterations share one force — 2 ms is ≪ the 5 ms delay unit, so the
-/// added latency hides under the protocols' timer floors.
+/// iterations share one force. 2 ms is below the 5 ms delay unit, but
+/// no longer hidden: since ISSUE-14 a 2PC/INBAC commit is a few
+/// hand-offs, so under this hold the `wal` stage (the hold, not I/O —
+/// ROADMAP item 1a) is most of a saturation-sweep commit, and a vote
+/// held past `1·U` is a timeout like any other late vote.
 pub const SATURATION_FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(2);
 
 /// One open-loop durable run of the saturation sweep: Poisson arrivals at

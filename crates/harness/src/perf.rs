@@ -334,6 +334,53 @@ pub fn perf_compare(
         });
     }
 
+    // --- Live message-speed gate: the round timers of 2PC, 3PC, 1NBAC
+    // and INBAC guard complete-able collections, so a failure-free
+    // closed-loop run must be paced by message hand-offs, not by `U`:
+    // p50 below one unit (timer-paced, even the one-delay 1NBAC sat at
+    // `1·U`) and a protocol timer firing on at most 1 % of transactions
+    // (a fire means an instance was still open at its deadline — a
+    // scheduling stall, never the normal path). Counter-backed:
+    // `Stage::TimerFire` counts live timers the node loops fired. ---
+    for kind in [
+        ac_commit::protocols::ProtocolKind::TwoPc,
+        ac_commit::protocols::ProtocolKind::ThreePc,
+        ac_commit::protocols::ProtocolKind::Nbac1,
+        ac_commit::protocols::ProtocolKind::Inbac,
+    ] {
+        let (n, f_res) = crate::experiments::SERVICE_GRID;
+        let unit = crate::experiments::SERVICE_UNIT;
+        let out = ac_cluster::run_service(
+            &ac_cluster::ServiceConfig::new(n, f_res, kind)
+                .clients(2)
+                .txns_per_client(if quick { 50 } else { 100 })
+                .workload(ac_txn::Workload::Uniform { span: 2 })
+                .unit(unit)
+                .keys_per_shard(32)
+                .seed(7),
+        );
+        let fires = out.stage_meters.get(ac_cluster::Stage::TimerFire).0;
+        let fires_pct = 100.0 * fires as f64 / out.txns.max(1) as f64;
+        checks.push(PerfCheck {
+            gate: "exact".into(),
+            key: format!(
+                "{} closed-loop timer fires per 100 txns (must be ≤ 1)",
+                kind.name()
+            ),
+            against: 1.0,
+            current: fires_pct,
+            ok: out.is_safe() && out.stalled == 0 && fires_pct <= 1.0,
+        });
+        let p50_micros = out.latency.p50() as f64 / 1e3;
+        checks.push(PerfCheck {
+            gate: "exact".into(),
+            key: format!("{} closed-loop p50 µs (must be < U)", kind.name()),
+            against: unit.as_micros() as f64,
+            current: p50_micros,
+            ok: p50_micros < unit.as_micros() as f64,
+        });
+    }
+
     // --- Service entries: match on (protocol, workload, clients). ---
     let service = current
         .service

@@ -390,9 +390,9 @@ pub fn proc_baseline(
         // the decomposition stays exact. When the overall dominants
         // differ, agreement therefore falls back to the dominant stage
         // *with `channel` set aside*: where does the time go once the
-        // transaction has reached the cluster. The timer-driven
-        // protocols dominate `protocol` outright in both runs, so the
-        // fallback never weakens the headline claim.
+        // transaction has reached the cluster. A protocol that waits
+        // for its clock dominates `protocol` outright in both runs, so
+        // the fallback never weakens the headline claim.
         let channel_entry_stages = baseline
             .attribution
             .as_ref()

@@ -576,6 +576,130 @@ pub struct ServiceBaseline {
     pub entries: Vec<ServiceEntry>,
 }
 
+/// One metric of a [`BeforeAfter`] pair.
+#[derive(Clone, Debug, Serialize)]
+pub struct PairRow {
+    /// Baseline section the metric lives in (`service`, `attribution`,
+    /// `saturation`).
+    pub section: String,
+    /// The entry within the section, e.g. `2PC/uniform/clients8`.
+    pub key: String,
+    /// The metric, e.g. `p50_micros` or `share_pct.protocol`.
+    pub metric: String,
+    /// Its value in the `--before` baseline.
+    pub before: f64,
+    /// Its value in this baseline.
+    pub after: f64,
+}
+
+/// A claimed speed-up as a **before/after pair** (ROADMAP aim 1): the
+/// wall-clock sections of this baseline next to the same sweep measured
+/// at the parent commit *on the same box* (`repro saturate --before
+/// PATH`), so the committed file shows which stage moved without a
+/// cross-machine diff against git history. Rows exist only for entries
+/// both baselines carry.
+#[derive(Clone, Debug, Serialize)]
+pub struct BeforeAfter {
+    /// Where the "before" numbers came from (the `--before` path).
+    pub before: String,
+    /// The paired metrics, in section order.
+    pub rows: Vec<PairRow>,
+}
+
+impl BeforeAfter {
+    /// Pair every latency/throughput/stage-share metric `after` shares
+    /// with the serialized baseline `before`.
+    pub fn between(label: &str, before: &serde_json::Value, after: &BenchBaseline) -> BeforeAfter {
+        let after: serde_json::Value =
+            serde_json::from_str(&after.to_json()).expect("a baseline round-trips as JSON");
+        let empty = Vec::new();
+        let mut rows = Vec::new();
+        let mut pair = |section: &str,
+                        key: &str,
+                        metric: String,
+                        b: &serde_json::Value,
+                        a: &serde_json::Value| {
+            if let (Some(before), Some(after)) = (b.as_f64(), a.as_f64()) {
+                rows.push(PairRow {
+                    section: section.into(),
+                    key: key.into(),
+                    metric,
+                    before,
+                    after,
+                });
+            }
+        };
+        // (section, its entry list, identifying fields, scalar metrics)
+        let sections: [(&str, &str, &[&str], &[&str]); 3] = [
+            (
+                "service",
+                "entries",
+                &["protocol", "workload", "clients"],
+                &["p50_micros", "p99_micros", "throughput_tps"],
+            ),
+            (
+                "attribution",
+                "entries",
+                &["protocol", "transport"],
+                &["e2e_p50_micros"],
+            ),
+            ("saturation", "curves", &["protocol", "n", "clients"], &[]),
+        ];
+        for (section, list, key_fields, metrics) in sections {
+            let key_of = |e: &serde_json::Value| {
+                key_fields
+                    .iter()
+                    .map(|k| match e[*k].as_str() {
+                        Some(s) => s.to_string(),
+                        None => format!("{k}{}", e[*k].as_f64().unwrap_or(f64::NAN)),
+                    })
+                    .collect::<Vec<_>>()
+                    .join("/")
+            };
+            let befores = before[section][list].as_array().unwrap_or(&empty);
+            for a in after[section][list].as_array().unwrap_or(&empty) {
+                let key = key_of(a);
+                let Some(b) = befores.iter().find(|b| key_of(b) == key) else {
+                    continue;
+                };
+                for m in metrics {
+                    pair(section, &key, m.to_string(), &b[*m], &a[*m]);
+                }
+                // Attribution: the five stage shares (which one moved).
+                let b_stages = b["stages"].as_array().unwrap_or(&empty);
+                for sa in a["stages"].as_array().unwrap_or(&empty) {
+                    let stage = sa["stage"].as_str().unwrap_or("?");
+                    if let Some(sb) = b_stages
+                        .iter()
+                        .find(|sb| sb["stage"].as_str() == Some(stage))
+                    {
+                        pair(
+                            section,
+                            &key,
+                            format!("share_pct.{stage}"),
+                            &sb["share_pct"],
+                            &sa["share_pct"],
+                        );
+                    }
+                }
+                // Saturation: the top offered-load step of each curve.
+                if let (Some(sb), Some(sa)) = (
+                    b["steps"].as_array().and_then(|s| s.last()),
+                    a["steps"].as_array().and_then(|s| s.last()),
+                ) {
+                    for m in ["goodput_tps", "p50_sojourn_micros", "p99_sojourn_micros"] {
+                        pair(section, &key, format!("top_step.{m}"), &sb[m], &sa[m]);
+                    }
+                }
+            }
+        }
+        BeforeAfter {
+            before: label.into(),
+            rows,
+        }
+    }
+}
+
 /// The machine-readable bench baseline written to `BENCH_baseline.json`.
 ///
 /// This is the seed point of the repository's performance trajectory:
@@ -613,6 +737,9 @@ pub struct BenchBaseline {
     pub attribution: Option<AttributionBaseline>,
     /// Open-loop saturation curves with knee detection (schema v5).
     pub saturation: Option<SaturationBaseline>,
+    /// The before/after pair of a claimed speed-up (`repro … --before
+    /// PATH`); `null` otherwise. Not versioned: validators ignore it.
+    pub pair: Option<BeforeAfter>,
 }
 
 impl BenchBaseline {
@@ -1053,6 +1180,7 @@ mod tests {
             chaos: None,
             attribution: None,
             saturation: None,
+            pair: None,
         }
     }
 
@@ -1269,6 +1397,32 @@ mod tests {
             sat.curves[0].transport = "tcp".into();
         }
         assert_eq!(BenchBaseline::validate_json(&smoke.to_json()), Ok(()));
+    }
+
+    #[test]
+    fn before_after_pairs_the_shared_metrics_and_still_validates() {
+        let before = sample_v5_baseline();
+        let mut after = sample_v5_baseline();
+        // The claimed speed-up: one service entry got faster, and the
+        // `protocol` share of one attribution entry fell.
+        after.service.as_mut().unwrap().entries[0].p50_micros /= 100.0;
+        let protocol_stage = attribution_stage_names()
+            .iter()
+            .position(|s| *s == "protocol")
+            .unwrap();
+        after.attribution.as_mut().unwrap().entries[0].stages[protocol_stage].share_pct = 5.0;
+        let before_v: serde_json::Value = serde_json::from_str(&before.to_json()).unwrap();
+        let pair = BeforeAfter::between("parent.json", &before_v, &after);
+        let moved: Vec<&PairRow> = pair.rows.iter().filter(|r| r.before != r.after).collect();
+        assert_eq!(moved.len(), 2, "{moved:?}");
+        assert_eq!(
+            (moved[0].section.as_str(), moved[0].metric.as_str()),
+            ("service", "p50_micros")
+        );
+        assert_eq!(moved[1].metric, "share_pct.protocol");
+        assert!(pair.rows.iter().any(|r| r.section == "saturation"));
+        after.pair = Some(pair);
+        assert_eq!(BenchBaseline::validate_json(&after.to_json()), Ok(()));
     }
 
     #[test]

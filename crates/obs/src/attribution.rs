@@ -23,12 +23,14 @@
 //! coverage instead of skewing the breakdown.
 //!
 //! Interpretation: `protocol` is the commit protocol's own residency on
-//! the critical path — timer floors (2PC's 1U vote collection, INBAC's
-//! 2U deadline) plus vote/decision message waits; `channel` is inbox
-//! queueing ahead of dispatch; `wal`/`lock` are the storage seams; and
-//! `transport` is the decision's trip back to the client. The paper's
-//! claim that delay bounds dominate commit latency is checked by
-//! `protocol` carrying the dominant share for timer-driven protocols.
+//! the critical path — vote/decision message waits (the paper's message
+//! delays, as hand-offs), plus timer waits where a round is clocked by
+//! design or a message went missing; `channel` is inbox queueing ahead
+//! of dispatch; `wal`/`lock` are the storage seams; and `transport` is
+//! the decision's trip back to the client. A protocol whose timers only
+//! bound complete-able collections (2PC, 3PC, 1NBAC, INBAC since
+//! ISSUE-14) shows hand-offs here; a `protocol` share near 100 % means
+//! the run is waiting for a clock.
 
 use std::collections::HashMap;
 

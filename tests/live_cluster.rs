@@ -11,10 +11,14 @@
 //! Table-5 protocol with enough concurrent clients that multi-envelope
 //! drains, wakeup coalescing and early-envelope buffering all occur.
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use ac_cluster::{run_service, run_service_faulted, FaultSpec, ServiceConfig, TransportKind};
+use ac_cluster::{
+    run_service, run_service_faulted, Fate, FaultSpec, NetPolicy, ServiceConfig, TransportKind,
+};
 use ac_commit::protocols::ProtocolKind;
+use ac_obs::Stage;
 use ac_txn::workload::{Workload, WorkloadConfig};
 use ac_txn::Cluster;
 
@@ -129,7 +133,7 @@ fn live_decisions_match_the_simulator_for_every_table5_protocol() {
 
 /// The same agreement with every envelope on real sockets (ISSUE-6): the
 /// wire codec and the TCP transport must be decision-invisible. The four
-/// headline protocols cover the timer-driven (2PC), consensus-based
+/// headline protocols cover the coordinator-based (2PC), consensus-based
 /// (PaxosCommit), paper-main (INBAC) and logless one-phase (D1CC)
 /// families.
 #[test]
@@ -179,6 +183,100 @@ fn d1cc_forces_no_critical_path_wal_writes() {
     assert!(
         two_pc.wal_prepare_forces > 0,
         "the logging baseline must pay the Prepare force D1CC avoids"
+    );
+}
+
+/// Commit at message speed (ISSUE-14): a round timer bounds the wait for
+/// a message that may never come; it does not pace a round whose messages
+/// all came. With a deliberately huge `U` and one sequential client, the
+/// four protocols whose timers guard complete-able collections commit
+/// every transaction in a small fraction of **one** unit — 2PC and INBAC
+/// used to take `2·U`, 3PC `4·U` — and no protocol timer ever fires: each
+/// instance is decided, reported and closed long before its first
+/// deadline.
+#[test]
+fn complete_collections_commit_at_message_speed_and_fire_no_timer() {
+    let unit = Duration::from_millis(50);
+    for kind in [
+        ProtocolKind::TwoPc,
+        ProtocolKind::ThreePc,
+        ProtocolKind::Nbac1,
+        ProtocolKind::Inbac,
+    ] {
+        let cfg = base(kind)
+            .unit(unit)
+            .clients(1)
+            .txns_per_client(20)
+            .workload(Workload::Uniform { span: 2 })
+            .seed(41);
+        let out = run_service(&cfg);
+        assert_eq!(out.stalled, 0, "{}: stalled", kind.name());
+        assert!(out.is_safe(), "{}: {:?}", kind.name(), out.violations);
+        assert_eq!(out.committed, 20, "{}: every txn commits", kind.name());
+        let slowest = Duration::from_nanos(out.latency.max());
+        assert!(
+            slowest < unit / 4,
+            "{}: slowest commit took {slowest:?}, not a fraction of U = {unit:?}",
+            kind.name()
+        );
+        assert_eq!(
+            out.stage_meters.get(Stage::TimerFire).0,
+            0,
+            "{}: a protocol timer fired in a failure-free run",
+            kind.name()
+        );
+    }
+}
+
+/// Holds every envelope travelling from a lower to a higher node id —
+/// with two-shard transactions, exactly the participant's vote to its
+/// coordinator (the highest-ranked participant) — and nothing else.
+struct HoldVotes(Duration);
+
+impl NetPolicy for HoldVotes {
+    fn fate(&self, from: usize, to: usize, _elapsed: Duration, _seq: u64) -> Fate {
+        if from < to {
+            Fate::Delay(self.0)
+        } else {
+            Fate::Deliver
+        }
+    }
+}
+
+/// ... and the timer is still the failure detector: a vote held back
+/// longer than `U` makes the 2PC coordinator abort when its collect timer
+/// fires at `1·U` — not earlier (nothing completed the round) and not
+/// when the vote finally shows up at `3·U`.
+#[test]
+fn two_pc_still_aborts_at_one_unit_when_a_vote_is_late() {
+    let unit = Duration::from_millis(50);
+    let cfg = base(ProtocolKind::TwoPc)
+        .unit(unit)
+        .clients(1)
+        .txns_per_client(5)
+        .workload(Workload::Uniform { span: 2 })
+        .seed(41);
+    let spec = FaultSpec {
+        policy: Some(Arc::new(HoldVotes(3 * unit))),
+        ..FaultSpec::none(cfg.n)
+    };
+    let out = run_service_faulted(&cfg, &spec);
+    assert_eq!(out.stalled, 0);
+    assert!(out.is_safe(), "{:?}", out.violations);
+    assert_eq!(out.aborted, 5, "a missing vote at U aborts");
+    assert_eq!(out.delayed_messages, 5, "one held vote per transaction");
+    let (fastest, slowest) = (
+        Duration::from_nanos(out.latency.min()),
+        Duration::from_nanos(out.latency.max()),
+    );
+    assert!(
+        fastest >= unit && slowest < 2 * unit,
+        "aborts must land at about 1·U = {unit:?}, got {fastest:?}..{slowest:?}"
+    );
+    assert_eq!(
+        out.stage_meters.get(Stage::TimerFire).0,
+        5,
+        "exactly the coordinator's collect timer fires, once per transaction"
     );
 }
 
