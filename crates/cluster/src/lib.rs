@@ -46,7 +46,7 @@ pub use inline::InlineVec;
 pub use service::{
     participants_of, run_service, run_service_faulted, CrashWindow, Done, Fate, FaultSpec,
     NetPolicy, NodeRecord, ServiceConfig, ServiceOutcome, ToNode, TransportKind, TxnEvent,
-    ORPHAN_CAP,
+    GROUP_COMMIT_SIBLINGS, GROUP_COMMIT_UNIT_SHARE, ORPHAN_CAP,
 };
 pub use spec::ClusterSpec;
 pub use transport::{ChannelTransport, ClientRegistry, TcpNode, TcpTransport, Transport};

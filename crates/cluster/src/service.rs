@@ -108,6 +108,37 @@ const CLIENT_BATCH: usize = 64;
 /// renders).
 const SLOWEST_KEPT: usize = 5;
 
+/// Open instances at a node from which a staged WAL batch waits for
+/// company when no [`ServiceConfig::wal_flush_interval`] is configured
+/// (PostgreSQL's `commit_siblings`). Below it a drain batch already
+/// carries every record there is to group, and a hold would only add
+/// latency: an unloaded commit stays a few hand-offs. From it on, the
+/// records of that many transactions arrive spread over many drain
+/// batches, and a node forces at most once per
+/// `unit / `[`GROUP_COMMIT_UNIT_SHARE`].
+///
+/// What the window buys with the in-memory [`Wal`] is not CPU (a force
+/// is a `Vec` append) but a clock: since ISSUE-14 no round timer paces a
+/// failure-free 2PC/3PC/1NBAC/INBAC commit, so a durable node under a
+/// deep window of in-flight transactions would run as fast as the CPU
+/// of the minute lets it, and its throughput would read the host, not
+/// the service. With the window a loaded durable node is paced at
+/// `in flight / (k · window + ε)`, as a log device with a fixed force
+/// time would pace it (ROADMAP item 1a).
+pub const GROUP_COMMIT_SIBLINGS: usize = 32;
+
+/// The load-adaptive group-commit window is `unit / 5`: short enough
+/// that a vote held once at the participant and a decision held once at
+/// the coordinator still leave most of the `1·U` a round timer allows a
+/// message, long enough that a loaded node idles between forces.
+pub const GROUP_COMMIT_UNIT_SHARE: u32 = 5;
+
+/// The group-commit cap in force at a node with `open` instances: the
+/// configured interval, else the load-adaptive window.
+fn group_commit_cap(configured: Option<Duration>, unit: Duration, open: usize) -> Option<Duration> {
+    configured.or_else(|| (open >= GROUP_COMMIT_SIBLINGS).then(|| unit / GROUP_COMMIT_UNIT_SHARE))
+}
+
 /// Upper bound on protocol envelopes buffered per not-yet-opened
 /// instance (envelopes that outran their `Begin`). Any protocol round
 /// sends at most a handful of envelopes per peer, so a full buffer means
@@ -282,8 +313,12 @@ pub struct ServiceConfig {
     /// Time-based cap on WAL group commit: a node holds its staged
     /// record batch (and the envelopes/replies that depend on it) for at
     /// most this long before forcing, letting one force absorb appends
-    /// across *several* drain batches. `None` = force once per drain
-    /// batch that staged records (the default; no added latency).
+    /// across *several* drain batches. `None` (the default) = the
+    /// load-adaptive window: force once per drain batch that staged
+    /// records — no added latency — until [`GROUP_COMMIT_SIBLINGS`]
+    /// instances are open at the node, and from there on at most once
+    /// per `unit / `[`GROUP_COMMIT_UNIT_SHARE`]. A zero interval never
+    /// holds.
     pub wal_flush_interval: Option<Duration>,
     /// Which transport carries node-to-node envelopes.
     pub transport: TransportKind,
@@ -1413,7 +1448,7 @@ where
         }
         // A held-back staged WAL batch must force (and release the flush
         // it gates) no later than the time cap.
-        if let Some(iv) = wal_flush_interval {
+        if let Some(iv) = group_commit_cap(wal_flush_interval, unit, meta.len()) {
             if !wal_batch.is_empty() {
                 let at = last_force + iv;
                 wake_at = Some(wake_at.map_or(at, |x| x.min(at)));
@@ -1773,12 +1808,13 @@ where
         // 5a. Group commit: everything this iteration staged — Begin-path
         //     prepares and applied decisions — becomes durable in **one**
         //     force, strictly before any envelope or client reply that
-        //     depends on it leaves the node. The optional time cap holds
-        //     the force (and the flush it gates) back so a single force
+        //     depends on it leaves the node. The time cap (configured, or
+        //     the load-adaptive window, see `group_commit_cap`) holds the
+        //     force (and the flush it gates) back so a single force
         //     can absorb several drain batches; a held batch is volatile,
         //     so nothing staged may escape until it forces. Shutdown
         //     always forces: the post-run audit reads the WAL.
-        let hold = wal_flush_interval
+        let hold = group_commit_cap(wal_flush_interval, unit, meta.len())
             .is_some_and(|iv| !wal_batch.is_empty() && !shutdown && last_force.elapsed() < iv);
         if !wal_batch.is_empty() && !hold {
             if let Some(wal) = &wal {
@@ -2403,6 +2439,31 @@ mod tests {
             obs: NodeObs::new(),
             obs_pull: None,
         }
+    }
+
+    #[test]
+    fn group_commit_cap_is_the_configured_interval_or_the_load_adaptive_window() {
+        let unit = Duration::from_millis(5);
+        let ms = Duration::from_millis;
+        // No interval configured: no cap below the sibling threshold, a
+        // fifth of the unit from it on.
+        assert_eq!(group_commit_cap(None, unit, 0), None);
+        assert_eq!(
+            group_commit_cap(None, unit, GROUP_COMMIT_SIBLINGS - 1),
+            None
+        );
+        assert_eq!(
+            group_commit_cap(None, unit, GROUP_COMMIT_SIBLINGS),
+            Some(ms(1))
+        );
+        // A configured interval rules at any load; zero never holds
+        // (`elapsed < 0` is false), which switches the window off.
+        assert_eq!(group_commit_cap(Some(ms(2)), unit, 0), Some(ms(2)));
+        assert_eq!(group_commit_cap(Some(ms(2)), unit, 1000), Some(ms(2)));
+        assert_eq!(
+            group_commit_cap(Some(Duration::ZERO), unit, 1000),
+            Some(Duration::ZERO)
+        );
     }
 
     #[test]
