@@ -1,0 +1,317 @@
+//! The load generator's client loop (`client_main`): submit, await all
+//! participant decisions with bounded, retrying waits, record, repeat.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use ac_commit::problem::COMMIT;
+use ac_commit::CommitProtocol;
+use ac_obs::{LatencyHistogram, NodeObs, Stage};
+use ac_txn::workload::{ArrivalSchedule, WorkloadConfig};
+use ac_txn::Transaction;
+use crossbeam::channel::{Receiver, RecvTimeoutError};
+
+use crate::service::{participants_of, Done, ServiceConfig, ToNode, TxnEvent};
+use crate::transport::{Outbox, Transport};
+
+/// Upper bound on decision replies a client drains per iteration.
+const CLIENT_BATCH: usize = 64;
+
+/// Outcome of one client transaction as the client observed it.
+#[derive(Clone, Debug)]
+pub(crate) struct ClientRecord {
+    pub(crate) txn: Arc<Transaction>,
+    /// Decision reported by each participant, in participant-rank order
+    /// (None = never arrived before abandonment).
+    pub(crate) decisions: Vec<Option<u64>>,
+}
+
+pub(crate) struct ClientReturn {
+    pub(crate) records: Vec<ClientRecord>,
+    pub(crate) events: Vec<TxnEvent>,
+    pub(crate) latency: LatencyHistogram,
+    pub(crate) stalled: usize,
+    pub(crate) retries: usize,
+    pub(crate) reply_timeouts: usize,
+    /// Arrivals the schedule offered (submissions + sheds).
+    pub(crate) offered: usize,
+    /// Open-loop arrivals shed at a full in-flight window.
+    pub(crate) shed: usize,
+    /// Client-side observability (the `ClientQueueWait` seam and the
+    /// client transport's share of `TcpWrite`).
+    pub(crate) obs: NodeObs,
+}
+
+/// One outstanding transaction at a client.
+struct PendingTxn {
+    txn: Arc<Transaction>,
+    parts: Vec<usize>,
+    decisions: Vec<Option<u64>>,
+    got: usize,
+    t0: Instant,
+    retries: u32,
+    next_retry: Instant,
+    deadline: Instant,
+}
+
+/// Stage `txn`'s `Begin` for every participant.
+fn stage_begins<M>(outbox: &mut Outbox<M>, p: &PendingTxn, client: usize, retry: bool) {
+    for &q in &p.parts {
+        outbox.stage(
+            q,
+            ToNode::Begin {
+                txn: Arc::clone(&p.txn),
+                client,
+                retry,
+            },
+        );
+    }
+}
+
+/// One closed-loop client: submit, await all participant decisions with
+/// bounded, retrying waits, record, repeat. Unresolved transactions are
+/// parked (background retries) so a dead node blocks one transaction, not
+/// the whole load stream; abandonment at `txn_deadline` is the last resort
+/// and counts as a stall.
+///
+/// Egress follows the node loop's rule: `Begin`s, `End`s and retries are
+/// *staged* per destination and leave through one flush per loop turn,
+/// immediately before the client parks on its reply channel — so an
+/// `End` and the next `Begin` to the same node share one socket write.
+pub(crate) fn client_main<P>(
+    client: usize,
+    cfg: &ServiceConfig,
+    epoch: Instant,
+    mut transport: Box<dyn Transport<P::Msg>>,
+    rx: Receiver<Done>,
+) -> ClientReturn
+where
+    P: CommitProtocol,
+    P::Msg: Send + 'static,
+{
+    let mut gen = WorkloadConfig {
+        shards: cfg.n,
+        keys_per_shard: cfg.keys_per_shard,
+        workload: cfg.workload.clone(),
+        seed: cfg.client_seed(client),
+    }
+    .generator();
+
+    let total = cfg.txns_per_client;
+    let mut submitted = 0usize;
+    let mut outstanding: Vec<PendingTxn> = Vec::new();
+    let mut records = Vec::with_capacity(total);
+    let mut events: Vec<TxnEvent> = Vec::with_capacity(total);
+    let mut latency = LatencyHistogram::new();
+    let mut stalled = 0usize;
+    let mut retries = 0usize;
+    let mut reply_timeouts = 0usize;
+    let mut dbuf: Vec<Done> = Vec::with_capacity(CLIENT_BATCH);
+    let mut next_allowed = Instant::now();
+    let mut obs = NodeObs::new();
+    let mut outbox: Outbox<P::Msg> = Outbox::new(cfg.n);
+    // A fresh outstanding transaction, its Begins staged.
+    let submit = |t: Transaction, t0: Instant, outbox: &mut Outbox<P::Msg>| {
+        let txn = Arc::new(t);
+        let parts = participants_of(&txn, cfg.n);
+        let now = Instant::now();
+        let p = PendingTxn {
+            decisions: vec![None; parts.len()],
+            txn,
+            parts,
+            got: 0,
+            t0,
+            retries: 0,
+            next_retry: now + cfg.reply_timeout,
+            deadline: now + cfg.txn_deadline,
+        };
+        stage_begins(outbox, &p, client, false);
+        p
+    };
+    // The closed loop is open: every outstanding transaction is parked
+    // and there is room. (Pacing gates on top of it.)
+    let gate_open = |submitted: usize, outstanding: &[PendingTxn]| {
+        submitted < total
+            && outstanding.len() < cfg.max_outstanding
+            && outstanding.iter().all(|p| p.retries >= cfg.park_retries)
+    };
+    // `p`'s timeline as the client observed it; `decided` is its latency
+    // and outcome, `None` for an abandoned transaction.
+    let event = |p: &PendingTxn, decided: Option<(Duration, bool)>| {
+        let submitted_at = p.t0.saturating_duration_since(epoch);
+        TxnEvent {
+            id: p.txn.id,
+            client,
+            participants: p.parts.len(),
+            submitted_at,
+            decided_at: decided.map(|(lat, _)| submitted_at + lat),
+            committed: decided.map(|(_, committed)| committed),
+            retries: p.retries,
+            // Filled by `aggregate` from the merged flight events.
+            first_protocol_at: None,
+            votes_held_at: None,
+            journaled_at: None,
+        }
+    };
+
+    // Open loop: arrivals fire on a Poisson schedule regardless of
+    // completions; a full in-flight window sheds the arrival instead of
+    // back-pressuring the schedule. The arrival stream gets its own seed
+    // stream so it never aliases the workload draw.
+    let mut arrivals = cfg
+        .arrival_rate
+        .map(|rate| ArrivalSchedule::new(rate, cfg.client_seed(client) ^ 0x5eed_a221));
+    let mut offered = 0usize;
+    let mut shed = 0usize;
+    let mut next_arrival = Instant::now()
+        + arrivals
+            .as_mut()
+            .map_or(Duration::ZERO, ArrivalSchedule::next_gap);
+
+    loop {
+        if let Some(sched) = arrivals.as_mut() {
+            // Dispatch every arrival whose scheduled instant has passed.
+            // Sojourn time is measured from the *scheduled* arrival, so
+            // dispatch lag and queueing count against the system.
+            while offered < total && Instant::now() >= next_arrival {
+                let scheduled = next_arrival;
+                next_arrival += sched.next_gap();
+                let mut t = gen.next_txn();
+                t.id = ServiceConfig::txn_id(client, offered);
+                offered += 1;
+                if outstanding.len() >= cfg.max_outstanding {
+                    shed += 1;
+                    continue;
+                }
+                outstanding.push(submit(t, scheduled, &mut outbox));
+                submitted += 1;
+            }
+            if offered == total && outstanding.is_empty() {
+                break;
+            }
+        } else {
+            // Submit while the closed loop is open and pacing allows it.
+            loop {
+                let now = Instant::now();
+                if !gate_open(submitted, &outstanding) || now < next_allowed {
+                    break;
+                }
+                let mut t = gen.next_txn();
+                t.id = ServiceConfig::txn_id(client, submitted);
+                outstanding.push(submit(t, now, &mut outbox));
+                submitted += 1;
+                if let Some(p) = cfg.pacing {
+                    next_allowed = now + p;
+                }
+            }
+            if submitted == total && outstanding.is_empty() {
+                break;
+            }
+        }
+
+        // Park on the earliest deadline among: any outstanding retry or
+        // abandonment, and whatever gates the next submission — the
+        // arrival schedule (open loop) or the pacing gate (closed loop,
+        // only when it is what blocks submission).
+        let mut due: Option<Instant> = outstanding
+            .iter()
+            .map(|p| p.next_retry.min(p.deadline))
+            .min();
+        if arrivals.is_some() {
+            if offered < total {
+                due = Some(due.map_or(next_arrival, |d| d.min(next_arrival)));
+            }
+        } else if gate_open(submitted, &outstanding) {
+            due = Some(due.map_or(next_allowed, |d| d.min(next_allowed)));
+        }
+        // The turn's single write point: everything staged since the last
+        // park — the fold-in's Ends, the expiry pass's retried Begins,
+        // this turn's fresh Begins — leaves now, one batch per node.
+        outbox.flush(&mut *transport);
+        let wait = due
+            .expect("the loop only continues with work pending")
+            .saturating_duration_since(Instant::now());
+        let t0 = Instant::now();
+        match rx.recv_batch_timeout(&mut dbuf, CLIENT_BATCH, wait) {
+            Ok(_) => {}
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => {}
+        }
+        obs.record(Stage::ClientQueueWait, t0.elapsed());
+
+        // Fold in replies (duplicates from retries/recovery are ignored).
+        for d in dbuf.drain(..) {
+            let Some(i) = outstanding.iter().position(|p| p.txn.id == d.txn) else {
+                continue; // straggler of a completed or abandoned txn
+            };
+            let p = &mut outstanding[i];
+            if let Some(slot) = p.parts.iter().position(|&q| q == d.node) {
+                if p.decisions[slot].is_none() {
+                    p.decisions[slot] = Some(d.decision);
+                    p.got += 1;
+                }
+            }
+            if p.got == p.parts.len() {
+                let p = outstanding.swap_remove(i);
+                let lat = p.t0.elapsed();
+                latency.record_duration(lat);
+                let committed = p.decisions[0] == Some(COMMIT);
+                events.push(event(&p, Some((lat, committed))));
+                for &q in &p.parts {
+                    outbox.stage(q, ToNode::End { txn: p.txn.id });
+                }
+                records.push(ClientRecord {
+                    txn: p.txn,
+                    decisions: p.decisions,
+                });
+            }
+        }
+
+        // Expired waits: re-send Begin (bounded, counted) or abandon at
+        // the hard deadline.
+        let now = Instant::now();
+        let mut i = 0;
+        while i < outstanding.len() {
+            if now >= outstanding[i].deadline {
+                let p = outstanding.swap_remove(i);
+                stalled += 1;
+                reply_timeouts += 1;
+                events.push(event(&p, None));
+                records.push(ClientRecord {
+                    txn: p.txn,
+                    decisions: p.decisions,
+                });
+                continue;
+            }
+            if now >= outstanding[i].next_retry {
+                let p = &mut outstanding[i];
+                reply_timeouts += 1;
+                retries += 1;
+                p.retries += 1;
+                p.next_retry = now + cfg.reply_timeout;
+                stage_begins(&mut outbox, p, client, true);
+            }
+            i += 1;
+        }
+    }
+    // The loop breaks right after the fold-in staged the last Ends.
+    outbox.flush(&mut *transport);
+    // The client's half of the socket path (zero over channels).
+    let (writes, write_nanos) = transport.io_stats();
+    obs.meters.add_many(Stage::TcpWrite, writes, write_nanos);
+    ClientReturn {
+        records,
+        events,
+        latency,
+        stalled,
+        retries,
+        reply_timeouts,
+        offered: if arrivals.is_some() {
+            offered
+        } else {
+            submitted
+        },
+        shed,
+        obs,
+    }
+}

@@ -30,8 +30,10 @@
 
 #![deny(missing_docs)]
 
+mod client;
 pub mod codec;
 pub mod inline;
+mod node;
 pub mod proc;
 pub mod service;
 pub mod spec;

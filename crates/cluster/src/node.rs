@@ -1,0 +1,1378 @@
+//! One node of the live service: shard owner + instance demultiplexer, as
+//! an explicit state machine.
+//!
+//! A [`Node`] owns its host-provided environment ([`NodeEnv`]), the
+//! protocol engine ([`NodeLoop`]) and **one** table of transactions keyed
+//! by [`TxnId`]. A transaction's node-side state is its table entry
+//! ([`Txn`]): either *early* — protocol envelopes that outran the
+//! client's `Begin`, buffered — or *begun*, carrying the routing data
+//! ([`Route`]) and an explicit [`Phase`]:
+//!
+//! ```text
+//!            Net (seq above the client's Begin watermark)
+//!   (absent) ───────────────────────────────────────────► Early
+//!      │ Begin                                              │ Begin
+//!      ├──────────────────────────┬─────────────────────────┘
+//!      │ logless ∧ retried        │ otherwise: validate, vote, open
+//!      ▼                          ▼
+//!   Voteless ──┐                Open ◄── WAL recovery (in-flight, logged vote)
+//!      │       │ decision: the     │
+//!      │       │ instance's, or    │ a logless commit, no local yes-vote,
+//!      │       │ a peer's StatusA  │ a live transaction owns one of its locks
+//!      │       ▼                   ▼
+//!      │    Decided(v) ◄──────── Deferred      (retried whenever an apply
+//!      │       ▲    the owner released          releases a lock)
+//!      │       │
+//!      │       └── WAL recovery (decided before the crash)
+//!      ▼
+//!   End removes the entry from any phase (the decision still queued in the
+//!   same drained batch is applied first).
+//! ```
+//!
+//! | input     | Early        | Open             | Voteless  | Deferred  | Decided   |
+//! |-----------|--------------|------------------|-----------|-----------|-----------|
+//! | `Begin`   | vote, → Open | ask peers        | ask peers | ask peers | re-report |
+//! | `Net`     | buffer       | to the automaton | drop      | moot      | moot      |
+//! | `StatusQ` | silent       | silent           | silent    | silent    | answer    |
+//! | `StatusA` | ignore       | adopt            | adopt     | ignore    | ignore    |
+//! | `End`     | remove       | remove           | remove    | remove    | remove    |
+//!
+//! (*moot*: offered to the automaton if one still runs, which has decided
+//! or was never opened — nothing the node does changes.)
+//!
+//! The loop is [`Node::step`] until shutdown: five `&mut self` steps, each
+//! the single seam of its obs stamp.
+//!
+//! | step       | reads → writes                                             | obs stamp                         | attaches            |
+//! |------------|------------------------------------------------------------|-----------------------------------|---------------------|
+//! | `drain`    | inbox channel → `inbox` (parked on the exact next deadline)| —                                 | crash check, dark window, WAL recovery |
+//! | `dispatch` | `inbox` → table, engine, `decided`, outbox; self-sends and due timers to quiescence | `DrainGap`, `LockAcquire`, flight `Dispatch`/`LockAcquired` | — |
+//! | `apply`    | `decided` → shard, `log`, staged WAL records, staged `Done`s | `WalJournal`, flight `Decided`  | lock-steal guard (Deferred) |
+//! | `force`    | staged WAL records → WAL (one force, or held by the group-commit window) | `WalForce`, flight `WalForced` | durability-before-reply |
+//! | `flush`    | outbox → fault policy → transport; `Done`s → clients       | `Flush`                           | fault policy ([`NetPolicy`](crate::service::NetPolicy)) |
+
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use ac_commit::problem::COMMIT;
+use ac_commit::CommitProtocol;
+use ac_obs::{FlightStage, NodeObs, ObsExport, Stage};
+use ac_runtime::{NodeEvent, NodeLoop, Slab, UnitClock};
+use ac_sim::ProcessId;
+use ac_txn::{DecidedTxn, Shard, Transaction, TxnId, Wal, WalRecord};
+use crossbeam::channel::{Receiver, RecvError, RecvTimeoutError, Sender};
+
+use crate::inline::InlineVec;
+use crate::service::{
+    participants_of, CrashWindow, Done, Fate, NetPolicy, NodeRecord, ToNode, GROUP_COMMIT_SIBLINGS,
+    GROUP_COMMIT_UNIT_SHARE, ORPHAN_CAP,
+};
+use crate::transport::{Outbox, Transport};
+
+/// Upper bound on envelopes drained per node-loop iteration. Bounds the
+/// latency a long backlog can add to timer firing while still amortizing
+/// the channel lock across many messages.
+const NODE_BATCH: usize = 256;
+
+/// The group-commit cap in force at a node with `open` instances: the
+/// configured interval, else the load-adaptive window.
+fn group_commit_cap(configured: Option<Duration>, unit: Duration, open: usize) -> Option<Duration> {
+    configured.or_else(|| (open >= GROUP_COMMIT_SIBLINGS).then(|| unit / GROUP_COMMIT_UNIT_SHARE))
+}
+
+/// The submitting client encoded in a [`TxnId`] (inverse of
+/// [`ServiceConfig::txn_id`](crate::service::ServiceConfig::txn_id)).
+fn txn_client(id: TxnId) -> usize {
+    ((id >> 32) as usize).saturating_sub(1)
+}
+
+/// The per-client sequence number encoded in a [`TxnId`].
+fn txn_seq(id: TxnId) -> u64 {
+    id & 0xFFFF_FFFF
+}
+
+/// A node's audited decision log as its write-ahead log recovers it.
+fn node_records(decided: &[DecidedTxn]) -> Vec<NodeRecord> {
+    let record = |d: &DecidedTxn| NodeRecord {
+        txn: Arc::clone(&d.txn),
+        client: d.client,
+        vote: d.vote,
+        decision: d.value,
+    };
+    decided.iter().map(record).collect()
+}
+
+/// What a node counts over its lifetime (a crash does not reset it).
+#[derive(Default)]
+pub(crate) struct NodeCounts {
+    /// Wakeups that found neither a message nor a due timer.
+    pub(crate) spurious_wakeups: usize,
+    pub(crate) dropped_messages: usize,
+    pub(crate) delayed_messages: usize,
+    pub(crate) orphaned_envelopes: usize,
+    /// Prepare records staged on the Begin critical path (the records a
+    /// pre-group-commit node forced one by one).
+    pub(crate) wal_prepare_forces: usize,
+    /// WAL force operations this node issued (one per non-empty staged
+    /// batch).
+    pub(crate) wal_forces: usize,
+}
+
+pub(crate) struct NodeReturn {
+    pub(crate) shard: Shard,
+    pub(crate) log: Vec<NodeRecord>,
+    pub(crate) counts: NodeCounts,
+    /// Transactions still in the table at exit: never `End`ed.
+    #[cfg(test)]
+    pub(crate) open_instances: usize,
+    /// The thread's observability bundle (meters, stage histograms,
+    /// flight recorder), merged by `service::aggregate`.
+    pub(crate) obs: NodeObs,
+}
+
+/// Everything a host hands one node: identity, channels, transport, fault
+/// schedule, durable storage and instruments.
+pub(crate) struct NodeEnv<P: CommitProtocol> {
+    pub(crate) me: ProcessId,
+    pub(crate) n: usize,
+    pub(crate) f: usize,
+    pub(crate) unit: Duration,
+    pub(crate) epoch: Instant,
+    pub(crate) rx: Receiver<ToNode<P::Msg>>,
+    /// The node-to-node seam: everything the flush step emits goes
+    /// through here (`ChannelTransport` or `TcpTransport`).
+    pub(crate) transport: Box<dyn Transport<P::Msg>>,
+    pub(crate) done_txs: Vec<Sender<Done>>,
+    pub(crate) wire: Arc<AtomicUsize>,
+    pub(crate) policy: Option<Arc<dyn NetPolicy>>,
+    pub(crate) window: Option<CrashWindow>,
+    pub(crate) wal: Option<Arc<Mutex<Wal>>>,
+    /// Time-based group-commit cap (see
+    /// [`ServiceConfig::wal_flush_interval`](crate::service::ServiceConfig::wal_flush_interval)).
+    pub(crate) wal_flush_interval: Option<Duration>,
+    /// Logless protocol (`ProtocolKind::logless`): skip the Begin-path
+    /// Prepare force and journal the prepare alongside the decision
+    /// instead — the decision is reconstructible from peer votes, so
+    /// nothing needs to be durable before the vote leaves the node.
+    pub(crate) logless: bool,
+    /// The thread's observability bundle. Multi-process hosts pass
+    /// [`NodeObs::with_meters`] so a live `--metrics` endpoint can read
+    /// the shared registry; the in-process service uses a private one.
+    pub(crate) obs: NodeObs,
+    /// Where an [`ToNode::ObsPull`] answer goes: `(client, export)` —
+    /// the multi-process host forwards it as an `ObsDump` frame down the
+    /// requesting client's connection. `None` (the in-process service)
+    /// makes `ObsPull` a no-op.
+    pub(crate) obs_pull: Option<Sender<(usize, ObsExport)>>,
+}
+
+/// Routing data of a transaction begun at this node: body, client, the
+/// local vote and the participant group.
+struct Route {
+    txn: Arc<Transaction>,
+    client: usize,
+    vote: bool,
+    /// Participant shards, ascending; protocol rank = index here.
+    parts: Vec<usize>,
+    /// This node's rank within `parts`.
+    my_rank: usize,
+}
+
+/// Where a begun transaction's commit stands at this node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    /// Its protocol instance runs on the engine.
+    Open,
+    /// Re-joined without a vote and without an instance (the logless
+    /// ask-before-revote rule, see [`Node::begin`]); waits for a peer's
+    /// `StatusA`.
+    Voteless,
+    /// Commit known, but a live transaction owns one of its write locks
+    /// (see [`Node::apply_one`]); its decision stays queued in `decided`.
+    Deferred,
+    /// Applied to the shard, logged and reported; awaits `End`. Answers
+    /// `StatusQ`, deduplicates retried `Begin`s, and is what WAL recovery
+    /// rebuilds for a transaction decided before a crash.
+    Decided(u64),
+}
+
+/// One entry of the node's transaction table.
+enum Txn<M> {
+    /// Envelopes that outran their `Begin` (first few inline, no
+    /// allocation); senders recorded as global node ids.
+    Early(InlineVec<(ProcessId, M)>),
+    /// Begun here: by a client's `Begin` or by WAL recovery.
+    Begun(Route, Phase),
+}
+
+/// Everything a crash loses: the node's memory. Replaced wholesale by
+/// [`Node::crash`]; what survives lives in the WAL.
+struct Volatile<M> {
+    me: ProcessId,
+    n: usize,
+    shard: Shard,
+    txns: Slab<Txn<M>>,
+    /// Per-client Begin watermark: the highest per-client sequence number
+    /// this node has begun. Each client's control stream is FIFO (one
+    /// channel sender per client), so a protocol envelope whose seq is at
+    /// or below the watermark and whose transaction is not in the table
+    /// belongs to an *ended* (or crash-lost) transaction — a late
+    /// straggler to drop; the recovery path resolves crash-lost ones via
+    /// client retries.
+    begun: Vec<u64>,
+    log: Vec<NodeRecord>,
+    /// Decisions waiting for [`Node::apply`]: the engine's, adopted
+    /// `StatusA`s, and (re-queued after every call) the deferred commits.
+    decided: Vec<(TxnId, u64)>,
+    outbox: Outbox<M>,
+    /// Envelopes the fault policy has cleared for the wire (judged
+    /// `Deliver`, or delay-released), waiting for the flush point.
+    cleared: Outbox<M>,
+    done_out: Vec<Vec<Done>>,
+    /// Self-sends short-circuit through here and never touch a channel.
+    selfq: VecDeque<(TxnId, M)>,
+    /// Envelopes held back by `Fate::Delay`, keyed `(due, seq, to)`:
+    /// released in due order, per-destination FIFO among equals.
+    delayed: BTreeMap<(Instant, u64, ProcessId), ToNode<M>>,
+    /// Group-commit staging: records accumulated across dispatch and
+    /// apply (Begin prepares and applied decisions), forced into the
+    /// shared WAL **once** by [`Node::force`] — before any envelope or
+    /// reply that depends on them can leave the node. A crash loses the
+    /// unforced tail, which by construction only ever covers transactions
+    /// whose votes/replies were never sent (= unacknowledged).
+    wal_batch: Vec<WalRecord>,
+    /// Prepare txn ids staged in `wal_batch`, stamped `WalForced` when the
+    /// batch actually forces.
+    wal_stamp: Vec<TxnId>,
+}
+
+impl<M> Volatile<M> {
+    fn new(me: ProcessId, n: usize, clients: usize) -> Volatile<M> {
+        Volatile {
+            me,
+            n,
+            shard: Shard::new(me),
+            txns: Slab::new(),
+            begun: vec![0; clients],
+            log: Vec::new(),
+            decided: Vec::new(),
+            outbox: Outbox::new(n),
+            cleared: Outbox::new(n),
+            done_out: (0..clients).map(|_| Vec::new()).collect(),
+            selfq: VecDeque::new(),
+            delayed: BTreeMap::new(),
+            wal_batch: Vec::new(),
+            wal_stamp: Vec::new(),
+        }
+    }
+
+    /// `txn`'s routing data; `None` when this node is not a participant
+    /// (not ours to vote on).
+    fn route_of(&self, txn: Arc<Transaction>, client: usize, vote: bool) -> Option<Route> {
+        let parts = participants_of(&txn, self.n);
+        let my_rank = parts.iter().position(|&q| q == self.me)?;
+        Some(Route {
+            txn,
+            client,
+            vote,
+            parts,
+            my_rank,
+        })
+    }
+
+    /// Enter a transaction into the table as begun, advancing its
+    /// client's watermark; returns the envelopes that outran it.
+    fn enter(&mut self, route: Route, phase: Phase) -> InlineVec<(ProcessId, M)> {
+        let id = route.txn.id;
+        if let Some(w) = self.begun.get_mut(route.client) {
+            *w = (*w).max(txn_seq(id));
+        }
+        let entry = Txn::Begun(route, phase);
+        match self.txns.get_mut(id) {
+            Some(slot) => match std::mem::replace(slot, entry) {
+                Txn::Early(buf) => buf,
+                Txn::Begun(..) => unreachable!("txn {id} begun twice"),
+            },
+            None => {
+                self.txns.insert(id, entry);
+                InlineVec::new()
+            }
+        }
+    }
+
+    /// Cooperative termination: ask `id`'s other participants whether they
+    /// decided it.
+    fn ask_peers(&mut self, id: TxnId) {
+        let Some(Txn::Begun(route, _)) = self.txns.get(id) else {
+            return;
+        };
+        for &q in route.parts.iter().filter(|&&q| q != self.me) {
+            let from = self.me;
+            self.outbox.stage(q, ToNode::StatusQ { txn: id, from });
+        }
+    }
+
+    /// Stage a decision report for `client`.
+    fn report(&mut self, client: usize, txn: TxnId, decision: u64) {
+        if let Some(buf) = self.done_out.get_mut(client) {
+            let node = self.me;
+            buf.push(Done {
+                txn,
+                node,
+                decision,
+            });
+        }
+    }
+
+    /// Route one engine effect: remote sends are *staged* into the
+    /// per-peer outbox (flushed once per step as a batch, through the
+    /// fault policy), self-sends go through the in-memory queue, and
+    /// decisions are queued for [`Node::apply`]. `Send.to` is an
+    /// instance-local *rank*, translated to a global node id through the
+    /// transaction's route.
+    fn emit(&mut self, ev: NodeEvent<M>) {
+        match ev {
+            NodeEvent::Send { instance, to, msg } => {
+                let Some(Txn::Begun(route, _)) = self.txns.get(instance) else {
+                    return;
+                };
+                let Some(&global) = route.parts.get(to) else {
+                    return;
+                };
+                if global == self.me {
+                    self.selfq.push_back((instance, msg));
+                } else {
+                    let (txn, from) = (instance, self.me);
+                    self.outbox.stage(global, ToNode::Net { txn, from, msg });
+                }
+            }
+            NodeEvent::Decided { instance, value } => self.decided.push((instance, value)),
+        }
+    }
+}
+
+/// Whether the node is running or inside its crash window.
+enum Power {
+    /// Running; crashes at the instant, if one is (still) scheduled.
+    Up { crash_at: Option<Instant> },
+    /// Crashed: every envelope but `Shutdown` is lost until the restart
+    /// instant (`None` = it stays dead for the rest of the run).
+    Dark { up_at: Option<Instant> },
+}
+
+/// One node of the live service (see the module docs).
+pub(crate) struct Node<P: CommitProtocol> {
+    env: NodeEnv<P>,
+    engine: NodeLoop<P>,
+    vol: Volatile<P::Msg>,
+    power: Power,
+    /// The drained batch `dispatch` consumes (reused buffer).
+    inbox: Vec<ToNode<P::Msg>>,
+    /// Per-destination envelope counters feeding the policy's seeded RNG.
+    net_seq: Vec<u64>,
+    /// Last durability point, for the group-commit window.
+    last_force: Instant,
+    shutdown: bool,
+    counts: NodeCounts,
+}
+
+impl<P> Node<P>
+where
+    P: CommitProtocol,
+    P::Msg: Send + 'static,
+{
+    pub(crate) fn new(env: NodeEnv<P>) -> Node<P> {
+        Node {
+            engine: NodeLoop::new(env.me, env.n, UnitClock::new(env.unit)),
+            vol: Volatile::new(env.me, env.n, env.done_txs.len()),
+            power: Power::Up {
+                crash_at: env.window.map(|w| env.epoch + w.down_after),
+            },
+            inbox: Vec::with_capacity(NODE_BATCH),
+            net_seq: vec![0; env.n],
+            last_force: Instant::now(),
+            shutdown: false,
+            counts: NodeCounts::default(),
+            env,
+        }
+    }
+
+    /// Serve until shutdown, then report.
+    pub(crate) fn run(mut self) -> NodeReturn {
+        while self.step() {}
+        self.finish()
+    }
+
+    /// One loop turn; `false` once the node has shut down.
+    fn step(&mut self) -> bool {
+        let got = self.drain();
+        let fired = self.dispatch();
+        self.apply();
+        let forced = self.force();
+        let flushed = self.flush();
+        // A wakeup that moved nothing — no inbound batch, no fired timer,
+        // no WAL force, no outbound flush (the recovery turn flushes
+        // StatusQ/Done batches with got == 0, which is real work) — was
+        // spurious, unless it woke us for the scheduled crash the next
+        // drain handles.
+        let idle = got == 0 && !fired && !forced && flushed == 0;
+        if idle && !self.shutdown && !self.crash_due() {
+            self.counts.spurious_wakeups += 1;
+        }
+        !self.shutdown
+    }
+
+    fn crash_due(&self) -> bool {
+        matches!(self.power, Power::Up { crash_at: Some(at) } if Instant::now() >= at)
+    }
+
+    /// The group-commit window in force (see `group_commit_cap`).
+    fn cap(&self) -> Option<Duration> {
+        let open = self.engine.open_instances();
+        group_commit_cap(self.env.wal_flush_interval, self.env.unit, open)
+    }
+
+    fn stamp(&mut self, txn: TxnId, stage: FlightStage, at: Instant) {
+        let at = at.saturating_duration_since(self.env.epoch);
+        self.env
+            .obs
+            .flight
+            .record(txn, self.env.me as u32, stage, at);
+    }
+
+    /// Step 1. Park until the exact next deadline — earliest pending
+    /// timer, delayed-envelope release, held WAL force or scheduled crash;
+    /// or indefinitely when none is pending (an inbound envelope or
+    /// `Shutdown` wakes us) — then take the whole backlog in one lock
+    /// acquisition. A dark node parks on its restart instant and discards
+    /// what it drains.
+    fn drain(&mut self) -> usize {
+        if self.crash_due() {
+            self.crash();
+        }
+        let wake_at = match self.power {
+            Power::Dark { up_at } => up_at,
+            Power::Up { crash_at } => {
+                // A held-back staged WAL batch must force (and release the
+                // flush it gates) no later than the window's end.
+                let held = self
+                    .cap()
+                    .filter(|_| !self.vol.wal_batch.is_empty())
+                    .map(|iv| self.last_force + iv);
+                let due = self.vol.delayed.keys().next().map(|k| k.0);
+                [self.engine.next_due(), due, held, crash_at]
+                    .into_iter()
+                    .flatten()
+                    .min()
+            }
+        };
+        self.inbox.clear();
+        let (rx, inbox) = (&self.env.rx, &mut self.inbox);
+        let got = match wake_at {
+            Some(due) => {
+                let wait = due.saturating_duration_since(Instant::now());
+                match rx.recv_batch_timeout(inbox, NODE_BATCH, wait) {
+                    Ok(k) => k,
+                    Err(RecvTimeoutError::Timeout) => 0,
+                    Err(RecvTimeoutError::Disconnected) => {
+                        self.shutdown = true;
+                        0
+                    }
+                }
+            }
+            None => match rx.recv_batch(inbox, NODE_BATCH) {
+                Ok(k) => k,
+                Err(RecvError) => {
+                    self.shutdown = true;
+                    0
+                }
+            },
+        };
+        if let Power::Up { .. } = self.power {
+            return got;
+        }
+        // Dark: every envelope sent to a dead node is lost.
+        self.shutdown |= self.inbox.drain(..).any(|e| matches!(e, ToNode::Shutdown));
+        if got > 0 || self.shutdown {
+            return got;
+        }
+        // Timed out on an empty inbox: the restart instant. Recover, and
+        // poll instead of parking so the recovery traffic flushes at once.
+        self.recover();
+        self.env.rx.try_drain(&mut self.inbox, NODE_BATCH)
+    }
+
+    /// The scheduled crash: drop all volatile state and go dark. The
+    /// staged-but-unforced WAL tail is node memory and dies with it:
+    /// exactly the records whose dependent envelopes/replies never left
+    /// the node, so only unacknowledged transactions are lost.
+    fn crash(&mut self) {
+        let up_after = self.env.window.and_then(|w| w.up_after);
+        self.power = Power::Dark {
+            up_at: up_after.map(|u| self.env.epoch + u),
+        };
+        self.engine.reset();
+        self.vol = Volatile::new(self.env.me, self.env.n, self.env.done_txs.len());
+    }
+
+    /// Restart: rebuild from the write-ahead log what it can rebuild.
+    /// This is the only place an unconditional [`Shard::relock`] (inside
+    /// `replay`) is sound: it runs before any live traffic.
+    fn recover(&mut self) {
+        self.power = Power::Up { crash_at: None };
+        let Some(wal) = &self.env.wal else { return };
+        let rec = wal.lock().expect("wal poisoned").replay(self.env.me);
+        self.vol.shard = rec.shard;
+        self.vol.log = node_records(&rec.decided);
+        for d in rec.decided {
+            // Re-report: the pre-crash Done may never have been flushed
+            // (clients deduplicate).
+            self.vol.report(d.client, d.txn.id, d.value);
+            if let Some(route) = self.vol.route_of(d.txn, d.client, d.vote) {
+                self.vol.enter(route, Phase::Decided(d.value));
+            }
+        }
+        let now = Instant::now();
+        for p in rec.in_flight {
+            // Re-join the instance with the *logged* vote (never
+            // re-validated — peers may have acted on it), and ask the
+            // peers whether it decided while we were down.
+            let id = p.txn.id;
+            if let Some(route) = self.vol.route_of(p.txn, p.client, p.vote) {
+                self.open(route, now);
+                self.vol.ask_peers(id);
+            }
+        }
+    }
+
+    /// Step 2. Dispatch every drained envelope, then run self-deliveries
+    /// and due timers to quiescence. Returns whether a timer fired.
+    fn dispatch(&mut self) -> bool {
+        // One clock read serves the whole batch: dispatch takes
+        // microseconds against multi-millisecond virtual-time units, and
+        // timers set "in the past" fire below anyway.
+        let now = Instant::now();
+        let mut inbox = std::mem::take(&mut self.inbox);
+        let got = !inbox.is_empty();
+        for env in inbox.drain(..) {
+            self.handle(env, now);
+        }
+        self.inbox = inbox;
+        if got {
+            // Backlog residency: how long the drained batch sat between
+            // leaving the inbox and finishing protocol dispatch.
+            self.env.obs.record(Stage::DrainGap, now.elapsed());
+        }
+
+        // A delivery can set a timer already due, a fired timer can
+        // self-send. Timers fire **one at a time** with the self-queue
+        // drained between fires: a starved thread can owe a protocol both
+        // its 1U and 2U timers at once, and the 2U handler must see the
+        // self-sends the 1U handler produced (per-process causality — the
+        // split INBAC decisions of ISSUE-5's chaos bring-up came from
+        // firing them back to back).
+        let mut fired = false;
+        loop {
+            let now = Instant::now();
+            while let Some((txn, msg)) = self.vol.selfq.pop_front() {
+                // A miss means the transaction ended mid-batch; the
+                // message is then moot.
+                if let Some(Txn::Begun(route, _)) = self.vol.txns.get(txn) {
+                    let rank = route.my_rank;
+                    let sink = &mut |ev| self.vol.emit(ev);
+                    let _ = self.engine.deliver(txn, rank, msg, now, sink);
+                }
+            }
+            if self.engine.fire_next(now, &mut |ev| self.vol.emit(ev)) {
+                fired = true;
+            } else if self.vol.selfq.is_empty() {
+                return fired;
+            }
+        }
+    }
+
+    fn handle(&mut self, env: ToNode<P::Msg>, now: Instant) {
+        match env {
+            ToNode::Begin { txn, client, retry } => self.begin(txn, client, retry, now),
+            ToNode::Net { txn, from, msg } => self.net(txn, from, msg, now),
+            ToNode::StatusQ { txn, from } => {
+                // Undecided or unknown: stay silent; the querier keeps its
+                // own protocol instance (or its client's retries) as the
+                // fallback.
+                if let Some(Txn::Begun(_, Phase::Decided(value))) = self.vol.txns.get(txn) {
+                    if from < self.env.n && from != self.env.me {
+                        let value = *value;
+                        self.vol.outbox.stage(from, ToNode::StatusA { txn, value });
+                    }
+                }
+            }
+            ToNode::StatusA { txn, value } => {
+                // Adopt a peer's decision for an open, undecided instance —
+                // or for a voteless transaction that deliberately has no
+                // instance at all. Agreement makes adoption safe; closing
+                // the automaton (when one exists) keeps it from deciding a
+                // second time later.
+                if let Some(Txn::Begun(_, Phase::Open | Phase::Voteless)) = self.vol.txns.get(txn) {
+                    self.engine.close(txn);
+                    self.vol.decided.push((txn, value));
+                }
+            }
+            ToNode::End { txn } => {
+                // A decision for `txn` computed earlier in this same
+                // drained batch is still queued — apply it before dropping
+                // the entry, or the shard would keep its write locks
+                // forever.
+                self.apply();
+                self.engine.close(txn);
+                self.vol.txns.remove(txn);
+            }
+            ToNode::ObsPull { client } => {
+                // Snapshot what the thread has recorded so far. The bulk
+                // fold-ins of `finish` (lock residency, timer lag,
+                // socket-write time) land at node exit, so a mid-run pull
+                // sees the flight recorder and histograms — all
+                // attribution needs — with meters still accruing.
+                if let Some(tx) = &self.env.obs_pull {
+                    let export = ObsExport::snapshot(self.env.me as u32, &self.env.obs, None);
+                    let _ = tx.send((client, export));
+                }
+            }
+            ToNode::Shutdown => self.shutdown = true,
+        }
+    }
+
+    /// A client submits (or re-submits) `txn`.
+    fn begin(&mut self, txn: Arc<Transaction>, client: usize, retry: bool, now: Instant) {
+        let (id, me) = (txn.id, self.env.me);
+        debug_assert_eq!(txn_client(id), client, "TxnId encoding drifted");
+        match self.vol.txns.get(id) {
+            // A client retry of a decided transaction (possibly decided
+            // before a crash and recovered from the WAL): re-report.
+            Some(Txn::Begun(_, Phase::Decided(value))) => {
+                let value = *value;
+                return self.vol.report(client, id, value);
+            }
+            // Undecided: cooperative termination — ask the other
+            // participants whether they decided (a partition may have
+            // eaten the outcome; for 2PC this is the only way a blocked
+            // participant ever learns a decision the coordinator reached).
+            Some(Txn::Begun(..)) => return self.vol.ask_peers(id),
+            Some(Txn::Early(_)) | None => {}
+        }
+        let Some(mut route) = self.vol.route_of(txn, client, false) else {
+            return;
+        };
+        if self.env.logless && retry {
+            // Ask-before-revote (the Cornus recovery rule). A *retried*
+            // Begin with no local record means this node either crashed
+            // after voting — the logless vote was volatile and is gone —
+            // or was down when the original Begin arrived. Either way,
+            // validating afresh could broadcast a vote contradicting a
+            // pre-crash yes that peers already assembled into a commit: a
+            // split decision. So the node never re-votes. It re-joins the
+            // transaction voteless and with no protocol instance, asks
+            // the peers, and adopts whatever decision the surviving vote
+            // vectors produced (`StatusA`). Peers missing this node's vote
+            // timeout-abort on their own, so some peer always has an
+            // answer for a later retry round.
+            self.vol.enter(route, Phase::Voteless);
+            return self.vol.ask_peers(id);
+        }
+        self.stamp(id, FlightStage::Dispatch, now);
+        if route.txn.touches(me) {
+            let t0 = Instant::now();
+            route.vote = self.vol.shard.prepare(&route.txn);
+            self.env.obs.record(Stage::LockAcquire, t0.elapsed());
+        } else {
+            route.vote = true;
+        }
+        self.stamp(id, FlightStage::LockAcquired, Instant::now());
+        // The classic commit-latency tax: the vote must be durable before
+        // it can influence a decision. Group commit keeps the invariant
+        // but moves the cost: the prepare is *staged* here and forced —
+        // together with everything else this turn staged — by the force
+        // step, strictly before the vote envelope leaves the node. A
+        // logless protocol replicates the vote to its peers instead and
+        // skips even the staging — the prepare is journaled later,
+        // alongside the decision, off the critical path.
+        if !self.env.logless && self.env.wal.is_some() {
+            self.vol.wal_batch.push(WalRecord::Prepare {
+                txn: Arc::clone(&route.txn),
+                client,
+                vote: route.vote,
+            });
+            self.vol.wal_stamp.push(id);
+            self.counts.wal_prepare_forces += 1;
+        }
+        self.open(route, now);
+    }
+
+    /// Enter `route`'s transaction as open, start its protocol instance
+    /// and hand it the envelopes that outran it. Serves a fresh `Begin`
+    /// and the WAL recovery of an in-flight transaction alike.
+    fn open(&mut self, route: Route, now: Instant) {
+        let (id, rank, k) = (route.txn.id, route.my_rank, route.parts.len());
+        let automaton = P::new(rank, k, self.env.f.min(k - 1), route.vote);
+        let early = self.vol.enter(route, Phase::Open);
+        let sink = &mut |ev| self.vol.emit(ev);
+        self.engine.open_as(id, automaton, rank, k, now, sink);
+        for (from, msg) in early {
+            self.net(id, from, msg, now);
+        }
+    }
+
+    /// A protocol envelope from node `from`.
+    fn net(&mut self, txn: TxnId, from: ProcessId, msg: P::Msg, now: Instant) {
+        match self.vol.txns.get_mut(txn) {
+            Some(Txn::Begun(route, _)) => {
+                // Translate the sender's global id to its instance rank
+                // (not a participant: drop). A miss in the engine means
+                // the instance already concluded locally (a StatusA
+                // adoption closed it) or never existed (voteless) — the
+                // envelope is moot.
+                if let Some(rank) = route.parts.iter().position(|&q| q == from) {
+                    let sink = &mut |ev| self.vol.emit(ev);
+                    let _ = self.engine.offer(txn, rank, msg, now, sink);
+                }
+            }
+            // Bounded pre-open buffering: a flood of envelopes outrunning
+            // their Begin must not grow memory without limit.
+            Some(Txn::Early(buf)) if buf.len() >= ORPHAN_CAP => self.counts.orphaned_envelopes += 1,
+            Some(Txn::Early(buf)) => buf.push((from, msg)),
+            // Unknown: early when its seq is above the client's
+            // watermark (buffer it), else ended (drop it).
+            None => {
+                let watermark = self.vol.begun.get(txn_client(txn));
+                if watermark.is_none_or(|&w| txn_seq(txn) > w) {
+                    let mut buf = InlineVec::new();
+                    buf.push((from, msg));
+                    self.vol.txns.insert(txn, Txn::Early(buf));
+                }
+            }
+        }
+    }
+
+    /// Step 3. Apply every queued decision to the shard, the staged WAL
+    /// batch, the node log and the per-client reply batches. Also runs
+    /// before an `End` drops a transaction's entry (a decision and its
+    /// `End` can land in the same drained batch).
+    ///
+    /// Durability rides on group commit: records are **staged** here and
+    /// forced by the next step — before any `Done` staged here can leave
+    /// the node — so the durability-before-reply invariant holds while the
+    /// force cost is amortized.
+    fn apply(&mut self) {
+        while !self.vol.decided.is_empty() {
+            // `apply_one` re-queues a deferred commit behind this pass.
+            let pass = self.vol.decided.len();
+            let mut progress = false;
+            for i in 0..pass {
+                let (id, value) = self.vol.decided[i];
+                progress |= self.apply_one(id, value);
+            }
+            self.vol.decided.drain(..pass);
+            // An apply in this pass may have released the very lock a
+            // deferred commit waits on — retry until quiescent.
+            if !progress {
+                break;
+            }
+        }
+    }
+
+    /// Apply one decision; `false` when it was moot or had to be deferred.
+    ///
+    /// A logless commit for a crash-recovered transaction (no local
+    /// yes-vote, so no locks held) must re-take its write locks before the
+    /// writes can apply — but only when they are **free**. A different
+    /// live transaction may have prepared (voted yes, taken a lock) at
+    /// this node since the restart; overwriting its lock would make its
+    /// own later `finish` silently skip its writes — a lost update
+    /// diverging the live shard from the sequential replay. Such a commit
+    /// is [`Phase::Deferred`] until the owner decides and releases the
+    /// lock (every protocol in the suite terminates by timeout, so it
+    /// does): it stays queued and is re-examined ahead of every later
+    /// batch.
+    fn apply_one(&mut self, id: TxnId, value: u64) -> bool {
+        let Some(Txn::Begun(route, phase)) = self.vol.txns.get_mut(id) else {
+            return false; // ended
+        };
+        if let Phase::Decided(_) = phase {
+            return false; // duplicate (e.g. StatusA raced the protocol decide)
+        }
+        let logless = self.env.logless;
+        let commit = value == COMMIT;
+        // Logless vote reconstruction: a commit proves every participant
+        // voted yes (commit validity), so journal yes even if this node
+        // re-joined the transaction voteless after a crash — the protocol
+        // decided on the pre-crash yes its peers hold.
+        let rejoined = logless && commit && !route.vote;
+        let vote = route.vote || rejoined;
+        if rejoined {
+            // The pre-crash yes-vote's locks died with the crash and the
+            // re-joined transaction holds none.
+            if self.vol.shard.foreign_lock_owner(&route.txn).is_some() {
+                *phase = Phase::Deferred;
+                self.vol.decided.push((id, value));
+                return false;
+            }
+            self.vol.shard.relock(&route.txn);
+        }
+        *phase = Phase::Decided(value);
+        self.vol.shard.finish(&route.txn, commit);
+        let (txn, client) = (Arc::clone(&route.txn), route.client);
+        if self.env.wal.is_some() {
+            let (t0, batch) = (Instant::now(), &mut self.vol.wal_batch);
+            if logless {
+                // The deferred prepare record: staged together with the
+                // decision, after the outcome is known — a journal entry,
+                // not a critical-path force.
+                let txn = Arc::clone(&txn);
+                batch.push(WalRecord::Prepare { txn, client, vote });
+            }
+            batch.push(WalRecord::Decide { txn: id, value });
+            self.env.obs.record(Stage::WalJournal, t0.elapsed());
+        }
+        self.stamp(id, FlightStage::Decided, Instant::now());
+        self.vol.log.push(NodeRecord {
+            txn,
+            client,
+            vote,
+            decision: value,
+        });
+        self.vol.report(client, id, value);
+        true
+    }
+
+    /// Step 4. Group commit: everything this turn staged — Begin-path
+    /// prepares and applied decisions — becomes durable in **one** force,
+    /// strictly before any envelope or client reply that depends on it
+    /// leaves the node. The window (configured, or load-adaptive, see
+    /// `group_commit_cap`) holds the force (and the flush it gates) back
+    /// so a single force can absorb several drain batches. Shutdown always
+    /// forces: the post-run audit reads the WAL. Returns whether it forced.
+    fn force(&mut self) -> bool {
+        let Some(wal) = &self.env.wal else {
+            return false;
+        };
+        let held = !self.shutdown && self.cap().is_some_and(|iv| self.last_force.elapsed() < iv);
+        if self.vol.wal_batch.is_empty() || held {
+            return false;
+        }
+        let t0 = Instant::now();
+        wal.lock()
+            .expect("wal poisoned")
+            .force_batch(&mut self.vol.wal_batch);
+        self.env.obs.record(Stage::WalForce, t0.elapsed());
+        self.last_force = Instant::now();
+        let (at, me) = (self.last_force, self.env.me as u32);
+        let at = at.saturating_duration_since(self.env.epoch);
+        for id in self.vol.wal_stamp.drain(..) {
+            let stage = FlightStage::WalForced;
+            self.env.obs.flight.record(id, me, stage, at);
+        }
+        self.counts.wal_forces += 1;
+        true
+    }
+
+    /// Step 5. The single write point: one `send_batch` (one lock or
+    /// socket write, at most one wakeup) per destination with traffic.
+    /// Delay-released envelopes go first (already judged by the policy —
+    /// they bypass it; their dependent records were forced the turn that
+    /// staged them), then this turn's envelopes pass through the fault
+    /// policy. While the force step holds a staged batch back, that batch
+    /// is volatile, so nothing staged this turn may escape: only the
+    /// already-durable delayed releases go out. Returns how many envelopes
+    /// and replies left the node.
+    fn flush(&mut self) -> usize {
+        let now = Instant::now();
+        let vol = &mut self.vol;
+        while let Some(first) = vol.delayed.first_entry().filter(|e| e.key().0 <= now) {
+            let ((_, _, to), env) = first.remove_entry();
+            vol.cleared.stage(to, env);
+        }
+        let held = !vol.wal_batch.is_empty();
+        let transport = &mut *self.env.transport;
+        let mut flushed = 0;
+        if !held {
+            if let Some(policy) = &self.env.policy {
+                let elapsed = now.saturating_duration_since(self.env.epoch);
+                for (to, env) in vol.outbox.drain() {
+                    let seq = self.net_seq[to];
+                    self.net_seq[to] += 1;
+                    match policy.fate(self.env.me, to, elapsed, seq) {
+                        Fate::Deliver => vol.cleared.stage(to, env),
+                        Fate::Drop => self.counts.dropped_messages += 1,
+                        Fate::Delay(d) => {
+                            self.counts.delayed_messages += 1;
+                            vol.delayed.insert((now + d, seq, to), env);
+                        }
+                    }
+                }
+            }
+            flushed += vol.outbox.flush(transport);
+        }
+        flushed += vol.cleared.flush(transport);
+        self.env.wire.fetch_add(flushed, Ordering::Relaxed);
+        if !held {
+            for (client, batch) in vol.done_out.iter_mut().enumerate() {
+                if !batch.is_empty() {
+                    flushed += batch.len();
+                    let _ = self.env.done_txs[client].send_batch(batch.drain(..));
+                }
+            }
+        }
+        if flushed > 0 {
+            self.env.obs.record(Stage::Flush, now.elapsed());
+        }
+        flushed
+    }
+
+    /// The node's report at exit.
+    fn finish(mut self) -> NodeReturn {
+        // A node that dies without restarting still answers the audit with
+        // its durable state: what the WAL can rebuild *is* its state.
+        // In-flight yes-vote locks are durably recorded (a future restart
+        // would re-hold them) but are *released* in this final report:
+        // those transactions are already counted as stalled at the client,
+        // and the audit's lock-leak check is about resolved transactions,
+        // not ones a never-recovering node took to its grave.
+        if let (Power::Dark { .. }, Some(wal)) = (&self.power, &self.env.wal) {
+            let rec = wal.lock().expect("wal poisoned").replay(self.env.me);
+            self.vol.shard = rec.shard;
+            for p in &rec.in_flight {
+                self.vol.shard.finish(&p.txn, false);
+            }
+            self.vol.log = node_records(&rec.decided);
+        }
+        // Fold in the self-metered layers: lock residency from the shard,
+        // timer lag from the engine, socket-write time from the
+        // transport. These are bulk counters (no per-op histogram).
+        let obs = self.env.obs;
+        let (holds, hold_nanos) = self.vol.shard.lock_hold_stats();
+        obs.meters.add_many(Stage::LockHold, holds, hold_nanos);
+        let (fires, lag_nanos) = self.engine.timer_stats();
+        obs.meters.add_many(Stage::TimerFire, fires, lag_nanos);
+        let (writes, write_nanos) = self.env.transport.io_stats();
+        obs.meters.add_many(Stage::TcpWrite, writes, write_nanos);
+        NodeReturn {
+            shard: self.vol.shard,
+            log: self.vol.log,
+            counts: self.counts,
+            #[cfg(test)]
+            open_instances: self.vol.txns.len(),
+            obs,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::client_main;
+    use crate::service::ServiceConfig;
+    use crate::transport::ChannelTransport;
+    use ac_commit::protocols::{PaxosCommit, ProtocolKind};
+    use ac_txn::{Key, Version};
+    use crossbeam::channel::unbounded;
+
+    fn bare_env<P: CommitProtocol>(
+        me: ProcessId,
+        rx: Receiver<ToNode<P::Msg>>,
+        txs: Vec<Sender<ToNode<P::Msg>>>,
+        done_txs: Vec<Sender<Done>>,
+    ) -> NodeEnv<P>
+    where
+        P::Msg: Send + 'static,
+    {
+        NodeEnv {
+            me,
+            n: txs.len(),
+            f: 1,
+            unit: Duration::from_millis(5),
+            epoch: Instant::now(),
+            rx,
+            transport: Box::new(ChannelTransport::new(txs)),
+            done_txs,
+            wire: Arc::new(AtomicUsize::new(0)),
+            policy: None,
+            window: None,
+            wal: None,
+            wal_flush_interval: None,
+            logless: false,
+            obs: NodeObs::new(),
+            obs_pull: None,
+        }
+    }
+
+    /// Minimal commit protocol: announces itself to its peers on start and
+    /// decides COMMIT on the first message.
+    struct DecideOnMsg;
+    impl ac_sim::Automaton for DecideOnMsg {
+        type Msg = ();
+        fn on_start(&mut self, ctx: &mut ac_sim::Ctx<()>) {
+            ctx.broadcast_others(());
+        }
+        fn on_message(&mut self, _: ProcessId, _: (), ctx: &mut ac_sim::Ctx<()>) {
+            ctx.decide(COMMIT);
+        }
+        fn on_timer(&mut self, _: u32, _: &mut ac_sim::Ctx<()>) {}
+    }
+    impl CommitProtocol for DecideOnMsg {
+        const NAME: &'static str = "decide-on-msg";
+        fn new(_: ProcessId, _: usize, _: usize, _: bool) -> Self {
+            DecideOnMsg
+        }
+    }
+
+    /// Node 0 of a two-node, one-client cluster, driven by calling its
+    /// steps; `peer` and `done` are where its flushes land.
+    struct Rig {
+        node: Node<DecideOnMsg>,
+        tx: Sender<ToNode<()>>,
+        peer: Receiver<ToNode<()>>,
+        done: Receiver<Done>,
+    }
+
+    fn rig(logless: bool, wal: Option<Arc<Mutex<Wal>>>) -> Rig {
+        let (tx, rx) = unbounded();
+        let (peer_tx, peer) = unbounded();
+        let (done_tx, done) = unbounded();
+        let mut env = bare_env::<DecideOnMsg>(0, rx, vec![tx.clone(), peer_tx], vec![done_tx]);
+        env.logless = logless;
+        env.wal = wal;
+        let node = Node::new(env);
+        Rig {
+            node,
+            tx,
+            peer,
+            done,
+        }
+    }
+
+    impl Rig {
+        /// Hand the node `envs` as one drained batch and run the turn's
+        /// remaining steps. Returns what left the node, one letter each:
+        /// `N`et, Status`Q`, Status`A` to the peer, then `D`one to the
+        /// client.
+        fn turn(&mut self, envs: impl IntoIterator<Item = ToNode<()>>) -> String {
+            self.node.inbox.extend(envs);
+            self.node.dispatch();
+            self.node.apply();
+            self.node.force();
+            self.node.flush();
+            let mut buf = Vec::new();
+            self.peer.try_drain(&mut buf, usize::MAX);
+            let mut out: String = buf
+                .iter()
+                .map(|e| match e {
+                    ToNode::Net { .. } => 'N',
+                    ToNode::StatusQ { .. } => 'Q',
+                    ToNode::StatusA { .. } => 'A',
+                    _ => '?',
+                })
+                .collect();
+            let mut dones = Vec::new();
+            out.extend((0..self.done.try_drain(&mut dones, usize::MAX)).map(|_| 'D'));
+            out
+        }
+
+        fn phase(&self, id: TxnId) -> &'static str {
+            match self.node.vol.txns.get(id) {
+                None => "absent",
+                Some(Txn::Early(_)) => "early",
+                Some(Txn::Begun(_, Phase::Open)) => "open",
+                Some(Txn::Begun(_, Phase::Voteless)) => "voteless",
+                Some(Txn::Begun(_, Phase::Deferred)) => "deferred",
+                Some(Txn::Begun(_, Phase::Decided(_))) => "decided",
+            }
+        }
+    }
+
+    /// Client 0's `i`-th transaction, writing `value` to key 7 of shard 0.
+    fn write7(i: usize, value: i64) -> Arc<Transaction> {
+        let id = ServiceConfig::txn_id(0, i);
+        Arc::new(Transaction::new(id).with_write(Key::new(0, 7), value))
+    }
+
+    fn begin(txn: &Arc<Transaction>, retry: bool) -> ToNode<()> {
+        ToNode::Begin {
+            txn: Arc::clone(txn),
+            client: 0,
+            retry,
+        }
+    }
+
+    fn net(txn: TxnId) -> ToNode<()> {
+        ToNode::Net {
+            txn,
+            from: 1,
+            msg: (),
+        }
+    }
+
+    #[test]
+    fn group_commit_cap_is_the_configured_interval_or_the_load_adaptive_window() {
+        let unit = Duration::from_millis(5);
+        let ms = Duration::from_millis;
+        // No interval configured: no cap below the sibling threshold, a
+        // fifth of the unit from it on.
+        assert_eq!(group_commit_cap(None, unit, 0), None);
+        assert_eq!(
+            group_commit_cap(None, unit, GROUP_COMMIT_SIBLINGS - 1),
+            None
+        );
+        assert_eq!(
+            group_commit_cap(None, unit, GROUP_COMMIT_SIBLINGS),
+            Some(ms(1))
+        );
+        // A configured interval rules at any load; zero never holds
+        // (`elapsed < 0` is false), which switches the window off.
+        assert_eq!(group_commit_cap(Some(ms(2)), unit, 0), Some(ms(2)));
+        assert_eq!(group_commit_cap(Some(ms(2)), unit, 1000), Some(ms(2)));
+        assert_eq!(
+            group_commit_cap(Some(Duration::ZERO), unit, 1000),
+            Some(Duration::ZERO)
+        );
+    }
+
+    /// A decision and the `End` that garbage-collects its transaction can
+    /// land in the **same drained batch**. The decision must still be
+    /// applied — logged, reported, shard finished — before the entry goes
+    /// away.
+    #[test]
+    fn decision_and_end_in_one_drained_batch_still_applies_the_decision() {
+        let mut r = rig(false, None);
+        let txn = write7(0, 5);
+        assert_eq!(r.turn([begin(&txn, false)]), "N", "Begin processed alone");
+        assert_eq!(r.node.vol.shard.locked(), 1);
+        // The deciding message and the End arrive in one drained batch.
+        let out = r.turn([net(txn.id), ToNode::End { txn: txn.id }]);
+        assert_eq!(out, "D", "the batched decision must still reach the client");
+        assert_eq!(r.phase(txn.id), "absent");
+        assert_eq!(r.node.vol.log.len(), 1, "decision must be logged");
+        assert_eq!(r.node.vol.log[0].decision, COMMIT);
+        assert_eq!(r.node.vol.shard.locked(), 0, "no lock may leak");
+    }
+
+    /// A crash-recovered logless commit re-joined voteless holds no write
+    /// locks; if a **live** transaction prepared on one of its keys since
+    /// the restart, re-taking the lock unconditionally would let the live
+    /// owner's later `finish` silently skip its writes — a lost update.
+    /// The commit must instead wait, deferred, until the lock is free,
+    /// then apply.
+    #[test]
+    fn recovered_logless_commit_defers_instead_of_stealing_live_locks() {
+        let mut r = rig(true, None);
+        // Live txn B prepared here: voted yes, holds the lock on key 7.
+        let b = write7(2, 5);
+        r.turn([begin(&b, false)]);
+        // Txn A re-joins voteless after a crash (its pre-crash yes-vote's
+        // locks died with the process); a peer reports the Commit decided
+        // on the yes the peers still hold.
+        let a = write7(1, 9);
+        let (txn, value) = (a.id, COMMIT);
+        let out = r.turn([begin(&a, true), ToNode::StatusA { txn, value }]);
+        assert_eq!(out, "Q", "A asks its peers and reports nothing yet");
+        assert_eq!(r.phase(a.id), "deferred", "A must wait on B's lock");
+        assert!(r.node.vol.log.is_empty(), "a deferred commit is not logged");
+        assert_eq!(r.node.vol.shard.read(7), Version::default());
+
+        // B's own decision lands: it applies and releases the lock, and
+        // the same apply drains the deferred A behind it.
+        assert_eq!(r.turn([net(b.id)]), "DD");
+        assert_eq!((r.phase(a.id), r.phase(b.id)), ("decided", "decided"));
+        assert_eq!(
+            r.node.vol.log.iter().map(|l| l.txn.id).collect::<Vec<_>>(),
+            vec![b.id, a.id],
+            "apply order: the live owner first, the recovered commit after"
+        );
+        let both = Version {
+            value: 9,
+            version: 2,
+        };
+        assert_eq!(r.node.vol.shard.read(7), both, "neither update lost");
+        assert_eq!(r.node.vol.shard.locked(), 0, "no lock may leak");
+        assert!(r.node.vol.decided.is_empty());
+    }
+
+    /// Every input on every phase (and on an unknown id): the phase it
+    /// leaves the transaction in and what it made the node send.
+    #[test]
+    fn each_input_on_each_phase_moves_and_stages_what_the_table_says() {
+        let t = write7(1, 9);
+        let id = t.id;
+        type Input = fn(&Arc<Transaction>) -> ToNode<()>;
+        let inputs: [(&str, Input); 6] = [
+            ("Begin", |t| begin(t, false)),
+            ("Begin(retry)", |t| begin(t, true)),
+            ("Net", |t| net(t.id)),
+            ("StatusQ", |t| ToNode::StatusQ { txn: t.id, from: 1 }),
+            ("StatusA", |t| ToNode::StatusA {
+                txn: t.id,
+                value: COMMIT,
+            }),
+            ("End", |t| ToNode::End { txn: t.id }),
+        ];
+        // Rows in `inputs` order: (phase after, what left the node).
+        #[rustfmt::skip]
+        let table: [(&str, [(&str, &str); 6]); 6] = [
+            ("absent", [("open", "N"), ("voteless", "Q"), ("early", ""),
+                        ("absent", ""), ("absent", ""), ("absent", "")]),
+            // The buffered envelope is the deciding one: Begin opens the
+            // instance and hands it over.
+            ("early", [("decided", "ND"), ("voteless", "Q"), ("early", ""),
+                       ("early", ""), ("early", ""), ("absent", "")]),
+            ("open", [("open", "Q"), ("open", "Q"), ("decided", "D"),
+                      ("open", ""), ("decided", "D"), ("absent", "")]),
+            ("voteless", [("voteless", "Q"), ("voteless", "Q"), ("voteless", ""),
+                          ("voteless", ""), ("decided", "D"), ("absent", "")]),
+            ("deferred", [("deferred", "Q"), ("deferred", "Q"), ("deferred", ""),
+                          ("deferred", ""), ("deferred", ""), ("absent", "")]),
+            ("decided", [("decided", "D"), ("decided", "D"), ("decided", ""),
+                         ("decided", "A"), ("decided", ""), ("absent", "")]),
+        ];
+        for (phase, row) in table {
+            for ((name, input), (after, sent)) in inputs.iter().zip(row) {
+                // A logless node, so the voteless and deferred phases exist.
+                let mut r = rig(true, None);
+                let (txn, value) = (id, COMMIT);
+                match phase {
+                    "absent" => String::new(),
+                    "early" => r.turn([net(id)]),
+                    "open" => r.turn([begin(&t, false)]),
+                    "voteless" => r.turn([begin(&t, true)]),
+                    "deferred" => r.turn([
+                        begin(&write7(2, 5), false),
+                        begin(&t, true),
+                        ToNode::StatusA { txn, value },
+                    ]),
+                    _ => r.turn([begin(&t, false), net(id)]),
+                };
+                assert_eq!(r.phase(id), phase, "setting up {phase}");
+                let out = r.turn([input(&t)]);
+                assert_eq!(
+                    (r.phase(id), out.as_str()),
+                    (after, sent),
+                    "{name} on {phase}"
+                );
+            }
+        }
+        // An early buffer holds ORPHAN_CAP envelopes; the next one counts.
+        let mut r = rig(false, None);
+        r.turn((0..=ORPHAN_CAP).map(|_| net(id)));
+        assert_eq!(
+            (r.phase(id), r.node.counts.orphaned_envelopes),
+            ("early", 1)
+        );
+    }
+
+    /// The crash point between `apply` and `force`: the vote, the decision
+    /// record and the `Done` are all staged, none has left the node. A
+    /// node dropped there leaves no trace of the transaction — not on the
+    /// wire, not at the client, not in the WAL a successor recovers from.
+    #[test]
+    fn a_crash_before_force_leaves_no_trace_of_the_transaction() {
+        let wal = Arc::new(Mutex::new(Wal::new()));
+        let mut r = rig(false, Some(Arc::clone(&wal)));
+        let txn = write7(0, 5);
+        assert!(r.tx.send_batch([begin(&txn, false), net(txn.id)]).is_ok());
+        assert_eq!(r.node.drain(), 2);
+        r.node.dispatch();
+        r.node.apply();
+        assert_eq!(r.phase(txn.id), "decided");
+        assert_eq!(r.node.vol.wal_batch.len(), 2, "prepare + decide staged");
+        drop(r.node);
+        assert!(r.peer.is_empty() && r.done.is_empty(), "nothing escaped");
+        assert!(wal.lock().unwrap().is_empty(), "nothing was forced");
+
+        let mut successor = rig(false, Some(wal));
+        successor.node.recover();
+        assert_eq!(successor.phase(txn.id), "absent");
+        assert!(successor.node.vol.log.is_empty());
+        assert_eq!(successor.node.vol.shard.locked(), 0);
+        assert_eq!(successor.turn([]), "", "recovery has nothing to resend");
+    }
+
+    /// ISSUE-4 satellite: an idle service must perform **zero** spurious
+    /// wakeups — no housekeeping ticks, no idle polls. Four node threads
+    /// are left with no clients and no traffic for 50 ms; every node must
+    /// park the whole time.
+    #[test]
+    fn idle_nodes_perform_zero_spurious_wakeups_over_50ms() {
+        type P = PaxosCommit;
+        let n = 4;
+        let node_ch: Vec<_> = (0..n)
+            .map(|_| unbounded::<ToNode<<P as ac_sim::Automaton>::Msg>>())
+            .collect();
+        let (node_txs, node_rxs): (Vec<_>, Vec<_>) = node_ch.into_iter().unzip();
+        let handles: Vec<_> = node_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(me, rx)| {
+                let env = bare_env::<P>(me, rx, node_txs.clone(), Vec::new());
+                std::thread::spawn(move || Node::new(env).run())
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(50));
+        for tx in &node_txs {
+            let _ = tx.send(ToNode::Shutdown);
+        }
+        drop(node_txs);
+        let total: usize = handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .expect("node thread panicked")
+                    .counts
+                    .spurious_wakeups
+            })
+            .sum();
+        assert_eq!(total, 0, "idle nodes woke without work to do");
+    }
+
+    /// Every staged `End` leaves the client — including the ones the last
+    /// loop turn stages right before the loop breaks — so a windowed run
+    /// leaves no instance open at any node. (Over channels the clients'
+    /// final flush is FIFO-ahead of the `Shutdown` sent after they return,
+    /// so the check is exact.)
+    #[test]
+    fn windowed_clients_end_every_instance_they_began() {
+        type P = PaxosCommit;
+        let n = 4;
+        let cfg = ServiceConfig::new(n, 1, ProtocolKind::PaxosCommit)
+            .clients(1)
+            .txns_per_client(300)
+            .park_retries(0)
+            .max_outstanding(32);
+        let node_ch: Vec<_> = (0..n)
+            .map(|_| unbounded::<ToNode<<P as ac_sim::Automaton>::Msg>>())
+            .collect();
+        let (node_txs, node_rxs): (Vec<_>, Vec<_>) = node_ch.into_iter().unzip();
+        let (done_tx, done_rx) = unbounded::<Done>();
+        let handles: Vec<_> = node_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(me, rx)| {
+                let env = bare_env::<P>(me, rx, node_txs.clone(), vec![done_tx.clone()]);
+                std::thread::spawn(move || Node::new(env).run())
+            })
+            .collect();
+        let transport = Box::new(ChannelTransport::new(node_txs.clone()));
+        let ret = client_main::<P>(0, &cfg, Instant::now(), transport, done_rx);
+        assert_eq!((ret.records.len(), ret.stalled, ret.retries), (300, 0, 0));
+        for tx in &node_txs {
+            let _ = tx.send(ToNode::Shutdown);
+        }
+        let nodes: Vec<NodeReturn> = handles
+            .into_iter()
+            .map(|h| h.join().expect("node thread panicked"))
+            .collect();
+        let decided: usize = nodes.iter().map(|r| r.log.len()).sum();
+        assert_eq!(decided, 2 * 300, "two participants per transaction");
+        for (p, r) in nodes.iter().enumerate() {
+            assert_eq!(r.open_instances, 0, "node {p} was never told to end some");
+        }
+    }
+}

@@ -15,9 +15,9 @@
 //!   `Hello`'d client id, and a per-client forwarder thread frames the
 //!   `Done`s the node loop emits.
 //!
-//! The node and client loops themselves are the unchanged
-//! `service::node_main` / `service::client_main` — processes differ from
-//! threads only below the transport seam.
+//! The node and client loops themselves are the same `node::Node` and
+//! `client::client_main` the in-process service runs — processes differ
+//! from threads only below the transport seam.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -36,8 +36,10 @@ use ac_obs::{
 use ac_sim::Wire;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
+use crate::client::client_main;
 use crate::codec::{write_frame, AnyFrame, FrameDecoder};
-use crate::service::{client_main, node_main, with_protocol, Done, NodeEnv, ToNode};
+use crate::node::{Node, NodeEnv};
+use crate::service::{with_protocol, Done, ToNode};
 use crate::spec::ClusterSpec;
 use crate::transport::{
     read_frames, ClientRegistry, EchoResponder, NodeHooks, OnConnect, TcpNode, TcpTransport,
@@ -203,8 +205,8 @@ where
         },
         obs_pull: Some(obs_tx),
     };
-    let ret = node_main::<P>(env);
-    // node_main dropped its Done and ObsPull senders on return; the
+    let ret = Node::new(env).run();
+    // The node dropped its Done and ObsPull senders on return; the
     // forwarders drain what is left and exit.
     for h in forwarders {
         let _ = h.join();
@@ -216,7 +218,7 @@ where
         total: ret.shard.total(),
         locked: ret.shard.locked(),
         decided: ret.log.len(),
-        orphaned: ret.orphaned_envelopes,
+        orphaned: ret.counts.orphaned_envelopes,
     }
 }
 

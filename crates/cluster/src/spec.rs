@@ -101,7 +101,8 @@ impl ClusterSpec {
                     unit = Duration::from_millis(value.parse().map_err(|_| err("bad unit_ms"))?)
                 }
                 "keys_per_shard" => {
-                    keys_per_shard = value.parse().map_err(|_| err("bad keys_per_shard"))?
+                    let keys = value.parse().ok().filter(|&k: &u64| k > 0);
+                    keys_per_shard = keys.ok_or_else(|| err("keys_per_shard must be at least 1"))?
                 }
                 "clients" => clients = value.parse().map_err(|_| err("bad clients"))?,
                 "txns_per_client" => {
@@ -112,10 +113,15 @@ impl ClusterSpec {
                 }
                 "seed" => seed = value.parse().map_err(|_| err("bad seed"))?,
                 "arrival_rate" => {
-                    arrival_rate = Some(value.parse().map_err(|_| err("bad arrival_rate"))?)
+                    let rate = value.parse().ok();
+                    let rate = rate.filter(|&r: &f64| r.is_finite() && r > 0.0);
+                    arrival_rate =
+                        Some(rate.ok_or_else(|| err("arrival_rate must be positive and finite"))?)
                 }
                 "max_outstanding" => {
-                    max_outstanding = Some(value.parse().map_err(|_| err("bad max_outstanding"))?)
+                    let window = value.parse().ok().filter(|&m: &usize| m > 0);
+                    max_outstanding =
+                        Some(window.ok_or_else(|| err("max_outstanding must be at least 1"))?)
                 }
                 _ if key.starts_with("node") => {
                     let id: usize = key
@@ -307,5 +313,22 @@ node 1 = [::1]:7101
         assert!(ClusterSpec::parse(gap).unwrap_err().contains("contiguous"));
         let bad = "protocol = warp-drive\nnode 0 = 127.0.0.1:1\nnode 1 = 127.0.0.1:2\n";
         assert!(ClusterSpec::parse(bad).unwrap_err().contains("protocol"));
+        // Values that would panic a worker thread once the cluster runs:
+        // a window no submission fits in, an arrival schedule with no
+        // rate, an empty key range to draw from.
+        for line in [
+            "max_outstanding = 0",
+            "arrival_rate = 0",
+            "arrival_rate = -2.5",
+            "arrival_rate = NaN",
+            "arrival_rate = inf",
+            "keys_per_shard = 0",
+        ] {
+            let text =
+                format!("protocol = 2PC\n{line}\nnode 0 = 127.0.0.1:1\nnode 1 = 127.0.0.1:2\n");
+            let key = line.split(' ').next().unwrap();
+            let e = ClusterSpec::parse(&text).expect_err(line);
+            assert!(e.contains(key) && e.contains("line 2"), "{line}: {e}");
+        }
     }
 }

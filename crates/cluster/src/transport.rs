@@ -1,7 +1,7 @@
 //! The node-to-node transport seam and its two implementations.
 //!
-//! Both loops of [`crate::service`] — `node_main` and `client_main` —
-//! stage outbound envelopes per destination in an `Outbox` and hand each
+//! Both loops of [`crate::service`] — the node's `flush` step and
+//! `client_main` — stage outbound envelopes per destination in an `Outbox` and hand each
 //! destination's batch to a [`Transport`] at one flush point per loop
 //! turn: nothing writes a socket except a flush, and a flush writes each
 //! destination once. Everything above the seam — fault policy, delay

@@ -427,9 +427,9 @@ fn main() {
     if id == "bench" || id == "load" || id == "chaos" || id == "saturate" {
         let (report, mut baseline) = match id {
             "bench" => experiments::bench_baseline(jobs),
-            "load" => experiments::load_baseline_with(quick, jobs, transport),
-            "chaos" => experiments::chaos_baseline_with(quick, jobs, transport),
-            _ => experiments::saturate_baseline_with(quick, jobs, transport),
+            "load" => experiments::load_baseline(quick, jobs, transport),
+            "chaos" => experiments::chaos_baseline(quick, jobs, transport),
+            _ => experiments::saturate_baseline(quick, jobs, transport),
         };
         if let Some(path) = before {
             let parsed = std::fs::read_to_string(&path)

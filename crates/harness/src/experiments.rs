@@ -784,23 +784,20 @@ pub const SERVICE_UNIT: std::time::Duration = std::time::Duration::from_millis(5
 /// `quick` shrinks the sweep for CI smoke jobs; `jobs` is forwarded to the
 /// explorer leg of the baseline (the service spawns its own `n + c`
 /// threads per combination regardless).
-pub fn load_baseline(quick: bool, jobs: usize) -> (Report, BenchBaseline) {
-    load_baseline_with(quick, jobs, ac_cluster::TransportKind::Channel)
-}
-
-/// [`load_baseline`] with an explicit transport: `Channel` is the fast
-/// in-process path, `Tcp` routes every envelope through the wire codec
-/// and loopback sockets (`repro load --transport tcp`). The safety gate
-/// additionally requires zero orphaned envelopes — over any transport, a
-/// healthy run never overflows an instance's pre-open buffer.
-pub fn load_baseline_with(
+///
+/// `transport`: `Channel` is the fast in-process path, `Tcp` routes every
+/// envelope through the wire codec and loopback sockets (`repro load
+/// --transport tcp`). The safety gate additionally requires zero orphaned
+/// envelopes — over any transport, a healthy run never overflows an
+/// instance's pre-open buffer.
+pub fn load_baseline(
     quick: bool,
     jobs: usize,
     transport: ac_cluster::TransportKind,
 ) -> (Report, BenchBaseline) {
     use crate::report::{
-        attribution_stage_names, service_protocols, AttributionBaseline, AttributionEntry,
-        AttributionStageEntry, ServiceBaseline, ServiceEntry, SlowTxn, TimelineStep,
+        service_protocols, stage_entries, AttributionBaseline, AttributionEntry, ServiceBaseline,
+        ServiceEntry, SlowTxn, TimelineStep,
     };
     use ac_cluster::{run_service, ServiceConfig};
     use ac_txn::Workload;
@@ -987,16 +984,7 @@ pub fn load_baseline_with(
                 e2e_p999_micros: us(a.e2e.p999()),
                 dropped_events: a.dropped_events,
                 alignment_max_uncertainty_micros: None,
-                stages: attribution_stage_names()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| AttributionStageEntry {
-                        stage: s.to_string(),
-                        p50_micros: us(a.stages[i].p50()),
-                        p99_micros: us(a.stages[i].p99()),
-                        share_pct: a.share_pct(i),
-                    })
-                    .collect(),
+                stages: stage_entries(a),
                 slowest: a
                     .slowest
                     .iter()
@@ -1098,15 +1086,11 @@ fn chaos_plan(scenario: &str, n: usize) -> ac_chaos::ChaosPlan {
 /// **committing** through a single crash (availability > 0 inside the
 /// fault window), while 2PC reports blocked transactions under a crashed
 /// coordinator that only resolve after the restart.
-pub fn chaos_baseline(quick: bool, jobs: usize) -> (Report, BenchBaseline) {
-    chaos_baseline_with(quick, jobs, ac_cluster::TransportKind::Channel)
-}
-
-/// [`chaos_baseline`] with an explicit transport (`repro chaos
-/// --transport tcp`): the fault policy decides envelope fates *before*
-/// the transport sees them, so the same crash/partition/lossy plans run
-/// unchanged over sockets.
-pub fn chaos_baseline_with(
+///
+/// Any `transport` serves (`repro chaos --transport tcp`): the fault
+/// policy decides envelope fates *before* the transport sees them, so the
+/// same crash/partition/lossy plans run unchanged over sockets.
+pub fn chaos_baseline(
     quick: bool,
     jobs: usize,
     transport: ac_cluster::TransportKind,
@@ -1115,7 +1099,7 @@ pub fn chaos_baseline_with(
     use ac_chaos::{run_chaos, ChaosConfig};
 
     let (n, f) = CHAOS_GRID;
-    let (mut r, mut baseline) = load_baseline_with(quick, jobs, transport);
+    let (mut r, mut baseline) = load_baseline(quick, jobs, transport);
     r.id = "chaos".into();
 
     let mut t = Table::new(
@@ -1344,27 +1328,23 @@ pub(crate) fn detect_knee(steps: &[(f64, f64)]) -> (usize, bool) {
 /// section of a schema-v5 baseline on top of everything the chaos
 /// baseline carries. This is where group commit shows up as a counter:
 /// forces-per-txn falls below 1 once drained batches amortize the force.
-pub fn saturate_baseline(quick: bool, jobs: usize) -> (Report, BenchBaseline) {
-    saturate_baseline_with(quick, jobs, ac_cluster::TransportKind::Channel)
-}
-
-/// [`saturate_baseline`] with an explicit transport. The full sweep runs
-/// every Table-5 protocol at (n=4, c=16) plus 2PC scale cells at
+///
+/// The full sweep runs every Table-5 protocol at (n=4, c=16) plus 2PC scale cells at
 /// (n=8, c=32) and (n=16, c=128); `--quick` shrinks it to one 2PC curve
 /// (the CI smoke runs that over tcp).
-pub fn saturate_baseline_with(
+pub fn saturate_baseline(
     quick: bool,
     jobs: usize,
     transport: ac_cluster::TransportKind,
 ) -> (Report, BenchBaseline) {
     use crate::report::{
-        attribution_stage_names, AttributionStageEntry, SaturationBaseline, SaturationCurve,
-        SaturationKnee, SaturationStep,
+        dominant_stage, stage_entries, SaturationBaseline, SaturationCurve, SaturationKnee,
+        SaturationStep,
     };
     use ac_commit::protocols::ProtocolKind;
     use std::time::Duration;
 
-    let (mut r, mut baseline) = chaos_baseline_with(quick, jobs, transport);
+    let (mut r, mut baseline) = chaos_baseline(quick, jobs, transport);
     r.id = "saturate".into();
 
     // (protocol, n, clients) cells; every cell sweeps the same rate
@@ -1486,21 +1466,8 @@ pub fn saturate_baseline_with(
         }
         let (ki, detected) = detect_knee(&knee_inputs);
         let a = &attributions[ki];
-        let stage_shares: Vec<AttributionStageEntry> = attribution_stage_names()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| AttributionStageEntry {
-                stage: s.to_string(),
-                p50_micros: a.stages[i].p50() as f64 / 1e3,
-                p99_micros: a.stages[i].p99() as f64 / 1e3,
-                share_pct: a.share_pct(i),
-            })
-            .collect();
-        let dominant = stage_shares
-            .iter()
-            .max_by(|x, y| x.share_pct.total_cmp(&y.share_pct))
-            .map(|s| s.stage.clone())
-            .unwrap_or_default();
+        let stage_shares = stage_entries(a);
+        let dominant = dominant_stage(&stage_shares);
         // The knee itself is gated: attribution at the knee must still
         // telescope (its run was audited clean above).
         let knee_ok = a.covered > 0 && (a.share_sum_pct() - 100.0).abs() <= 5.0;
@@ -1649,7 +1616,7 @@ mod tests {
     #[test]
     fn chaos_baseline_quick_shows_the_blocking_contrast_and_validates_as_v4() {
         let _serial = live_sweep_lock();
-        let (r, baseline) = chaos_baseline(true, 2);
+        let (r, baseline) = chaos_baseline(true, 2, ac_cluster::TransportKind::Channel);
         assert!(r.all_matched(), "{}", r.render());
         assert_eq!(baseline.schema_version, 4);
         let chaos = baseline.chaos.as_ref().expect("chaos section present");
@@ -1678,7 +1645,7 @@ mod tests {
     #[test]
     fn saturate_baseline_quick_shows_the_group_commit_win_and_validates_as_v5() {
         let _serial = live_sweep_lock();
-        let (r, baseline) = saturate_baseline(true, 2);
+        let (r, baseline) = saturate_baseline(true, 2, ac_cluster::TransportKind::Channel);
         assert!(r.all_matched(), "{}", r.render());
         assert_eq!(baseline.schema_version, 5);
         let sat = baseline.saturation.as_ref().expect("saturation section");
@@ -1715,7 +1682,7 @@ mod tests {
     #[test]
     fn load_baseline_quick_is_safe_and_validates_as_v4() {
         let _serial = live_sweep_lock();
-        let (r, baseline) = load_baseline(true, 2);
+        let (r, baseline) = load_baseline(true, 2, ac_cluster::TransportKind::Channel);
         assert!(r.all_matched(), "{}", r.render());
         assert_eq!(baseline.schema_version, 4);
         // The p99.9 satellite: every fresh service entry carries the tail

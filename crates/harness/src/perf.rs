@@ -97,7 +97,7 @@ pub fn perf_compare(
         .as_u64()
         .ok_or("--against file has no schema_version")?;
 
-    let (_, current) = load_baseline(quick, jobs);
+    let (_, current) = load_baseline(quick, jobs, ac_cluster::TransportKind::Channel);
     let mut checks: Vec<PerfCheck> = Vec::new();
 
     // --- Counter-exact: simulator complexity per Table-5 protocol. ---
@@ -525,7 +525,7 @@ mod tests {
     #[test]
     fn quick_self_comparison_passes_the_gate() {
         let _serial = crate::experiments::live_sweep_lock();
-        let (_, baseline) = load_baseline(true, 2);
+        let (_, baseline) = load_baseline(true, 2, ac_cluster::TransportKind::Channel);
         let (report, comparison, _) =
             perf_compare(true, 2, &baseline.to_json()).expect("comparison runs");
         assert!(

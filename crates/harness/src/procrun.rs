@@ -30,7 +30,7 @@ use crate::experiments::{
     detect_knee, SATURATION_BASE_RATE, SATURATION_MAX_OUTSTANDING, SERVICE_GRID, SERVICE_UNIT,
 };
 use crate::report::{
-    attribution_stage_names, AttributionEntry, AttributionStageEntry, BenchBaseline,
+    dominant_stage, stage_entries, AttributionEntry, AttributionStageEntry, BenchBaseline,
     SaturationBaseline, SaturationCurve, SaturationKnee, SaturationStep, SlowTxn, TimelineStep,
 };
 use crate::{Report, Table};
@@ -299,27 +299,6 @@ fn trimmed_goodput_tps(dump: &ClusterDump) -> f64 {
     committed_in_window as f64 / ((hi - lo) as f64 / 1e9)
 }
 
-fn stage_entries(a: &ac_obs::Attribution) -> Vec<AttributionStageEntry> {
-    attribution_stage_names()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| AttributionStageEntry {
-            stage: s.to_string(),
-            p50_micros: a.stages[i].p50() as f64 / 1e3,
-            p99_micros: a.stages[i].p99() as f64 / 1e3,
-            share_pct: a.share_pct(i),
-        })
-        .collect()
-}
-
-fn dominant_stage(stages: &[AttributionStageEntry]) -> String {
-    stages
-        .iter()
-        .max_by(|x, y| x.share_pct.total_cmp(&y.share_pct))
-        .map(|s| s.stage.clone())
-        .unwrap_or_default()
-}
-
 /// **Proc baseline** — the multi-process sweep (`repro proc`): every
 /// Table-5 protocol served by real `ac-node`/`ac-client` processes over
 /// loopback TCP, attribution computed from the collected per-process
@@ -337,7 +316,8 @@ pub fn proc_baseline(
     bin_path("ac-node")?;
     bin_path("ac-client")?;
 
-    let (mut r, mut baseline) = crate::experiments::load_baseline(quick, jobs);
+    let (mut r, mut baseline) =
+        crate::experiments::load_baseline(quick, jobs, ac_cluster::TransportKind::Channel);
     r.id = "proc".into();
     let (n, f) = SERVICE_GRID;
 

@@ -387,6 +387,29 @@ pub struct AttributionStageEntry {
     pub share_pct: f64,
 }
 
+/// The stage rows of `a`, in telescoping order.
+pub fn stage_entries(a: &ac_cluster::Attribution) -> Vec<AttributionStageEntry> {
+    attribution_stage_names()
+        .iter()
+        .enumerate()
+        .map(|(i, s)| AttributionStageEntry {
+            stage: s.to_string(),
+            p50_micros: a.stages[i].p50() as f64 / 1e3,
+            p99_micros: a.stages[i].p99() as f64 / 1e3,
+            share_pct: a.share_pct(i),
+        })
+        .collect()
+}
+
+/// The stage holding the largest share of end-to-end time.
+pub fn dominant_stage(stages: &[AttributionStageEntry]) -> String {
+    stages
+        .iter()
+        .max_by(|x, y| x.share_pct.total_cmp(&y.share_pct))
+        .map(|s| s.stage.clone())
+        .unwrap_or_default()
+}
+
 /// One step of an embedded slowest-transaction timeline (the shape
 /// `repro trace` renders through `ac_sim`'s shared timeline renderer).
 #[derive(Clone, Debug, Serialize)]
