@@ -1,71 +1,70 @@
-//! `repro` — regenerate the paper's tables and figures.
+//! `repro` — regenerate the paper's tables and figures, and write, check
+//! and diff the bench baseline.
 //!
 //! ```text
-//! repro [--json] [--jobs N] [--out PATH] [--quick] [--transport channel|tcp] [--before PATH] \
-//!       [table1|table2|table3|table4|table5|fig1|ablations|exhaustive|bench|load|chaos|saturate|all]
-//! repro proc [--quick] [--json] [--jobs N] [--out PATH] [--dump-dir DIR] [--metrics PORT]
+//! repro [--json] [--jobs N] [table1|table2|table3|table4|table5|fig1|ablations|exhaustive|all]
+//! repro bench|load|chaos|saturate [--quick] [--json] [--jobs N] [--out PATH] \
+//!       [--transport channel|tcp] [--before PATH]
+//! repro proc [--quick] [--json] [--jobs N] [--out PATH] [--before PATH] \
+//!       [--dump-dir DIR] [--metrics PORT]
 //! repro bench-check <path>
 //! repro trace [<path>]
 //! repro perf --against <path> [--quick] [--json] [--jobs N] [--out PATH]
 //! ```
 //!
-//! With no argument, runs everything. `--json` emits machine-readable
-//! reports instead of aligned text. `--jobs N` sets the worker-thread count
-//! of the explorer-backed targets (`exhaustive`, `bench`, `load`, `chaos`,
-//! `all`); the default is 1 (sequential). `bench` additionally writes the
-//! machine-readable schema-v1 baseline to `--out` (default
-//! `BENCH_baseline.json`); `load` runs the live `ac-cluster` service sweep
-//! (protocol × workload × concurrency, `--quick` shrinks it for smoke
-//! jobs) and writes the schema-v2 baseline including the `service`
-//! section; `--transport tcp` routes the `load`/`chaos` sweeps through
-//! the real-socket transport (length-prefixed wire codec over loopback
-//! TCP) instead of in-process channels, and the baseline records which
-//! transport measured it; `chaos` additionally runs the availability-under-failure sweep
-//! ({2PC, Paxos-Commit, INBAC, D1CC} × {crash-coordinator, crash-participant,
-//! partition-heal, lossy-10} through `ac-chaos`, with safety audits on
-//! every faulted run) and writes the schema-v3 baseline including the
-//! `chaos` section; `saturate` additionally runs the open-loop saturation
-//! sweep (Poisson arrivals stepped ×1 → ×16 with durability + group
-//! commit on, goodput over the trimmed steady-state window, per-curve
-//! knee detection with the knee's per-stage attribution) and writes the
-//! schema-v5 baseline including the `saturation` section — `--quick`
-//! shrinks it to one 2PC curve for CI's saturate-smoke job (which runs it
-//! over tcp); since schema v4 the `load`/`chaos` baselines also
-//! carry the per-stage latency **attribution** section (every Table-5
-//! protocol on both transports, stage shares telescoping to end-to-end
-//! latency) with the slowest-transaction timelines embedded;
-//! `proc` runs the **multi-process** sweep: real `ac-node`/`ac-client`
-//! processes over loopback TCP, every node's observability export
-//! collected through the cross-process tracing path (clock alignment via
-//! echo round trips, `ObsPull`/`ObsDump` control frames, one binary
-//! cluster dump per run under `--dump-dir`, default `.`), attribution
-//! emitted as extra `"proc"` entries on the schema-v5 baseline plus an
-//! open-loop 2PC saturation curve; `--metrics PORT` additionally serves
-//! and scrapes node 0's Prometheus endpoint mid-run (a gated check);
-//! `trace [<path>]` renders those embedded straggler timelines (default
-//! path `BENCH_baseline.json`) through the same renderer the simulator's
-//! traces use — when `<path>` is a binary cluster dump written by
-//! `ac-client --obs-out` / `repro proc`, the attribution is recomputed
-//! from the per-process exports on the spot and rendered the same way;
-//! `bench-check <path>` validates a previously written
-//! baseline of any schema version — CI's bench-smoke, load-smoke,
-//! chaos-smoke and trace-smoke jobs run these. `perf --against <path>` re-measures the
-//! live sweep and diffs it against a committed baseline: counter-exact
-//! regressions (message counts, commit rates, safety/stall counters,
-//! explorer soundness, a dirty committed chaos section) fail the run,
-//! wall-clock drift only warns; the machine-readable comparison is written
-//! to `--out` (default `PERF_comparison.json`) — CI's perf-smoke job runs
-//! this. `--before PATH` (on `bench`/`load`/`chaos`/`saturate`) embeds a
-//! **before/after pair** in the written baseline: `PATH` is the same
-//! sweep measured at the parent commit on the same box, and every
-//! latency, throughput and stage-share metric both files carry is paired
-//! in the `pair` section — how a claimed speed-up lands in the committed
-//! baseline with the stage that moved.
+//! With no argument, runs `all`. `--json` emits machine-readable reports
+//! instead of aligned text; `--jobs N` sets the worker-thread count of the
+//! explorer-backed targets (default 1, sequential). Every subcommand exits
+//! 1 if a paper-vs-measured comparison, safety audit or gate fails, and 2
+//! on a usage error.
+//!
+//! The baseline-writing subcommands all write **one document** (`--out`,
+//! default `BENCH_baseline.json`): the simulator numbers (`protocols`,
+//! `explorer`) plus the live sections the subcommand measures, every
+//! other section `null` (`ac_harness::experiments::baseline_sections` is
+//! this table in code):
+//!
+//! | subcommand | live sections measured | what the sweep is |
+//! |---|---|---|
+//! | `bench` | — | Table-5 nice executions + explorer wall-clock |
+//! | `load` | `service`, `attribution` | closed-loop protocol × workload × concurrency sweep; per-stage latency attribution of every Table-5 protocol on both transports, slowest timelines embedded |
+//! | `chaos` | + `chaos` | {2PC, Paxos-Commit, INBAC, D1CC} × {crash-coordinator, crash-participant, partition-heal, lossy-10} through `ac-chaos`, safety audit on every faulted run |
+//! | `saturate` | + `saturation` | open-loop Poisson arrivals stepped ×1 → ×16, durability + group commit on, knee detection with the knee's stage shares |
+//! | `proc` | `load`'s, plus `"proc"` attribution entries and one `"proc"` saturation curve | real `ac-node`/`ac-client` processes over loopback TCP, exports collected through the cross-process tracing path |
+//!
+//! Flags of those subcommands: `--quick` shrinks the sweeps for CI smoke
+//! jobs; `--transport tcp` routes the service, chaos and saturation sweeps
+//! through the real-socket transport (length-prefixed wire codec over
+//! loopback TCP) instead of in-process channels, and the sections record
+//! which transport measured them; `--before PATH` embeds a **before/after
+//! pair**: `PATH` is the same sweep measured at the parent commit on the
+//! same box, and every latency, throughput and stage-share metric both
+//! files carry is paired in the `pair` section — how a claimed speed-up
+//! lands in the committed baseline with the stage that moved. `proc`
+//! writes one binary cluster dump per run under `--dump-dir` (default
+//! `.`), and `--metrics PORT` additionally serves and scrapes node 0's
+//! Prometheus endpoint mid-run (a gated check).
+//!
+//! The readers: `bench-check <path>` validates a written baseline (one
+//! schema; each non-`null` section against its rules) and lists the
+//! sections it found; `trace [<path>]` renders the slowest-transaction
+//! timelines embedded in a baseline's `attribution` section (default path
+//! `BENCH_baseline.json`) through the same renderer the simulator's traces
+//! use — when `<path>` is a binary cluster dump written by `ac-client
+//! --obs-out` / `repro proc`, the attribution is recomputed from the
+//! per-process exports on the spot and rendered the same way; `perf
+//! --against <path>` re-measures the simulator and service sections and
+//! diffs them against a committed baseline: counter-exact regressions
+//! (message counts, commit rates, safety/stall counters, explorer
+//! soundness, the two live gates, a committed baseline the validator
+//! rejects) fail the run, wall-clock drift only warns; the
+//! machine-readable comparison is written to `--out` (default
+//! `PERF_comparison.json`).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ac_harness::experiments;
-use ac_harness::report::BenchBaseline;
+use ac_harness::report::{AttributionEntry, BeforeAfter, BenchBaseline};
 use ac_harness::Report;
 
 fn run_one(id: &str, jobs: usize) -> Option<Vec<Report>> {
@@ -83,58 +82,12 @@ fn run_one(id: &str, jobs: usize) -> Option<Vec<Report>> {
     })
 }
 
-/// Render a binary cluster dump: the per-node clock-alignment summary,
-/// then the slowest-transaction timelines of the attribution recomputed
-/// from the dump's per-process exports.
-fn trace_dump(path: &str, dump: &ac_obs::ClusterDump) {
-    let a = dump.attribution(5);
-    println!(
-        "## {} over proc — {}: slowest {} of {} txns \
-         (n={}, f={}, coverage {:.0}%, e2e p50 {:.2} ms)",
-        dump.protocol,
-        path,
-        a.slowest.len(),
-        a.total,
-        dump.n,
-        dump.f,
-        a.coverage_pct(),
-        a.e2e.p50() as f64 / 1e6,
-    );
-    for al in &dump.alignments {
-        println!(
-            "node {}: clock offset {:+.3} ms \u{b1} {:.0} \u{b5}s \
-             (min RTT {:.0} \u{b5}s over {} echoes)",
-            al.node,
-            al.offset_nanos as f64 / 1e6,
-            al.uncertainty_nanos as f64 / 1e3,
-            al.rtt_nanos as f64 / 1e3,
-            al.samples,
-        );
-    }
-    for tl in &a.slowest {
-        println!(
-            "\ntxn {:#x}: {:.2} ms end-to-end (anchor node {})",
-            tl.txn,
-            tl.e2e_nanos() as f64 / 1e6,
-            tl.anchor,
-        );
-        let rows: Vec<ac_sim::TimelineRow> = tl
-            .steps()
-            .into_iter()
-            .map(|(at_nanos, actor, label)| {
-                ac_sim::TimelineRow::new(format!("{:.2}ms", at_nanos as f64 / 1e6), actor, label)
-            })
-            .collect();
-        print!("{}", ac_sim::render_timeline(&rows));
-    }
-    println!();
-}
-
 fn usage_exit() -> ! {
     eprintln!(
-        "usage: repro [--json] [--jobs N] [--out PATH] [--quick] [--transport channel|tcp] \
-         [--before PATH] [table1|table2|table3|table4|table5|fig1|ablations|exhaustive|bench|load|chaos|saturate|all]\n\
-         \x20      repro proc [--quick] [--json] [--jobs N] [--out PATH] [--dump-dir DIR] [--metrics PORT]\n\
+        "usage: repro [--json] [--jobs N] [table1|table2|table3|table4|table5|fig1|ablations|exhaustive|all]\n\
+         \x20      repro bench|load|chaos|saturate [--quick] [--json] [--jobs N] [--out PATH] \
+         [--transport channel|tcp] [--before PATH]\n\
+         \x20      repro proc [--quick] [--json] [--jobs N] [--out PATH] [--before PATH] [--dump-dir DIR] [--metrics PORT]\n\
          \x20      repro bench-check <path>\n\
          \x20      repro trace [<path>]\n\
          \x20      repro perf --against <path> [--quick] [--json] [--jobs N] [--out PATH]"
@@ -142,9 +95,136 @@ fn usage_exit() -> ! {
     std::process::exit(2);
 }
 
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
+fn read_text(path: &Path) -> String {
+    std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())))
+}
+
+/// The value following `flag`, parsed; a missing or malformed one is a
+/// usage error.
+fn flag_value<T>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> T {
+    args.next().as_deref().and_then(parse).unwrap_or_else(|| {
+        eprintln!("{flag} requires {what}");
+        usage_exit()
+    })
+}
+
+/// Print `reports`, write the artifact (`(path, JSON text, what it is)`)
+/// if the subcommand has one, and exit 1 with `failure` unless every
+/// comparison of every report matched.
+fn emit(json: bool, reports: &[Report], artifact: Option<(&Path, String, String)>, failure: &str) {
+    for r in reports {
+        println!("{}", if json { r.to_json() } else { r.render() });
+    }
+    if let Some((out, text, what)) = artifact {
+        if let Err(e) = std::fs::write(out, text + "\n") {
+            fail(format!("cannot write {}: {e}", out.display()));
+        }
+        eprintln!("wrote {} ({what})", out.display());
+    }
+    if !reports.iter().all(Report::all_matched) {
+        fail(failure);
+    }
+}
+
+/// Render the slowest-transaction timelines of one `attribution` entry —
+/// where every microsecond of the worst commits went, one line per
+/// lifecycle step, in the same format the simulator's protocol traces
+/// print.
+fn render_entry(e: &serde_json::Value) {
+    let empty = Vec::new();
+    let slowest = e["slowest"].as_array().unwrap_or(&empty);
+    println!(
+        "## {} over {} — slowest {} of {} txns \
+         (coverage {:.0}%, e2e p50 {:.2} ms)",
+        e["protocol"].as_str().unwrap_or("?"),
+        e["transport"].as_str().unwrap_or("?"),
+        slowest.len(),
+        e["txns"].as_u64().unwrap_or(0),
+        e["coverage_pct"].as_f64().unwrap_or(0.0),
+        e["e2e_p50_micros"].as_f64().unwrap_or(0.0) / 1e3,
+    );
+    for s in slowest {
+        println!(
+            "\ntxn {:#x}: {:.2} ms end-to-end",
+            s["txn"].as_u64().unwrap_or(0),
+            s["e2e_micros"].as_f64().unwrap_or(0.0) / 1e3,
+        );
+        let rows: Vec<ac_sim::TimelineRow> = s["steps"]
+            .as_array()
+            .unwrap_or(&empty)
+            .iter()
+            .map(|step| {
+                ac_sim::TimelineRow::new(
+                    format!("{:.2}ms", step["at_micros"].as_f64().unwrap_or(0.0) / 1e3),
+                    step["actor"].as_str().unwrap_or("?"),
+                    step["label"].as_str().unwrap_or("?"),
+                )
+            })
+            .collect();
+        print!("{}", ac_sim::render_timeline(&rows));
+    }
+    println!();
+}
+
+/// The `attribution` entries `repro trace` renders from the file at
+/// `path`: the embedded ones of a baseline, or — for a raw cluster dump
+/// (written by `ac-client --obs-out` / `repro proc`) — the one entry
+/// `repro proc` would embed, recomputed from the per-process exports the
+/// dump carries, after a per-node clock-alignment summary.
+fn trace_entries(path: &str) -> Vec<serde_json::Value> {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    let parse = |text: &str| -> serde_json::Value {
+        serde_json::from_str(text)
+            .unwrap_or_else(|e| fail(format!("{path}: not valid JSON: {e:?}")))
+    };
+    if bytes.starts_with(&ac_obs::DUMP_MAGIC) {
+        let dump = ac_obs::ClusterDump::from_bytes(&bytes)
+            .unwrap_or_else(|e| fail(format!("{path}: not a valid cluster dump: {e:?}")));
+        println!(
+            "# {path}: cluster dump of {} at n={}, f={}",
+            dump.protocol, dump.n, dump.f
+        );
+        for al in &dump.alignments {
+            println!(
+                "node {}: clock offset {:+.3} ms \u{b1} {:.0} \u{b5}s \
+                 (min RTT {:.0} \u{b5}s over {} echoes)",
+                al.node,
+                al.offset_nanos as f64 / 1e6,
+                al.uncertainty_nanos as f64 / 1e3,
+                al.rtt_nanos as f64 / 1e3,
+                al.samples,
+            );
+        }
+        let align_us = ac_obs::max_uncertainty_nanos(&dump.alignments) as f64 / 1e3;
+        let entry =
+            AttributionEntry::new(&dump.protocol, "proc", &dump.attribution(5), Some(align_us));
+        let entry = serde_json::to_string(&entry).expect("an entry serializes");
+        return vec![parse(&entry)];
+    }
+    let text = String::from_utf8(bytes).unwrap_or_else(|e| {
+        fail(format!(
+            "{path}: neither a cluster dump nor UTF-8 JSON: {e}"
+        ))
+    });
+    parse(&text)["attribution"]["entries"]
+        .as_array()
+        .cloned()
+        .unwrap_or_default()
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
+    let mut json = false;
     let mut jobs = 1usize;
     let mut quick = false;
     let mut transport = ac_cluster::TransportKind::Channel;
@@ -154,63 +234,33 @@ fn main() {
     let mut dump_dir = PathBuf::from(".");
     let mut metrics_port: Option<u16> = None;
     let mut targets: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    let path = |v: &str| Some(PathBuf::from(v));
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => {}
+            "--json" => json = true,
             "--quick" => quick = true,
-            "--dump-dir" => {
-                let Some(p) = it.next() else {
-                    eprintln!("--dump-dir requires a path");
-                    usage_exit();
-                };
-                dump_dir = PathBuf::from(p);
-            }
+            "--dump-dir" => dump_dir = flag_value(&mut args, &arg, "a path", path),
+            "--out" => out = Some(flag_value(&mut args, &arg, "a path", path)),
+            "--against" => against = Some(flag_value(&mut args, &arg, "a path", path)),
+            "--before" => before = Some(flag_value(&mut args, &arg, "a path", path)),
             "--metrics" => {
-                let Some(p) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--metrics requires a port number");
-                    usage_exit();
-                };
-                metrics_port = Some(p);
+                metrics_port = Some(flag_value(&mut args, &arg, "a port number", |v| {
+                    v.parse().ok()
+                }))
             }
             "--jobs" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0) else {
-                    eprintln!("--jobs requires a positive integer");
-                    usage_exit();
-                };
-                jobs = n;
-            }
-            "--out" => {
-                let Some(p) = it.next() else {
-                    eprintln!("--out requires a path");
-                    usage_exit();
-                };
-                out = Some(PathBuf::from(p));
+                jobs = flag_value(&mut args, &arg, "a positive integer", |v| {
+                    v.parse().ok().filter(|&n| n > 0)
+                })
             }
             "--transport" => {
-                let Some(t) = it
-                    .next()
-                    .as_deref()
-                    .and_then(ac_cluster::TransportKind::parse)
-                else {
-                    eprintln!("--transport requires `channel` or `tcp`");
-                    usage_exit();
-                };
-                transport = t;
-            }
-            "--against" => {
-                let Some(p) = it.next() else {
-                    eprintln!("--against requires a path");
-                    usage_exit();
-                };
-                against = Some(PathBuf::from(p));
-            }
-            "--before" => {
-                let Some(p) = it.next() else {
-                    eprintln!("--before requires a path");
-                    usage_exit();
-                };
-                before = Some(PathBuf::from(p));
+                transport = flag_value(
+                    &mut args,
+                    &arg,
+                    "`channel` or `tcp`",
+                    ac_cluster::TransportKind::parse,
+                )
             }
             _ if arg.starts_with("--") => {
                 eprintln!("unknown flag `{arg}`");
@@ -219,277 +269,108 @@ fn main() {
             _ => targets.push(arg),
         }
     }
-    let id = targets.first().map(|s| s.as_str()).unwrap_or("all");
-
-    // `perf --against <path>`: re-measure, diff, gate.
-    if id == "perf" {
-        let Some(against) = against else {
-            eprintln!("perf requires --against <baseline path>");
+    // One target; only `bench-check` and `trace` take a second positional
+    // (the file they read).
+    let (id, file) = match targets.as_slice() {
+        [] => ("all", None),
+        [id] => (id.as_str(), None),
+        [id, file] if matches!(id.as_str(), "bench-check" | "trace") => {
+            (id.as_str(), Some(file.as_str()))
+        }
+        [_, surplus, ..] => {
+            eprintln!("unexpected argument `{surplus}`");
             usage_exit();
-        };
-        let text = match std::fs::read_to_string(&against) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", against.display());
-                std::process::exit(1);
-            }
-        };
-        let (report, comparison, _) = match ac_harness::perf::perf_compare(quick, jobs, &text) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        };
-        if json {
-            println!("{}", report.to_json());
-        } else {
-            println!("{}", report.render());
         }
-        let out = out.unwrap_or_else(|| PathBuf::from("PERF_comparison.json"));
-        if let Err(e) = comparison.write(&out) {
-            eprintln!("cannot write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote {} ({} checks, {} failed)",
-            out.display(),
-            comparison.checks.len(),
-            comparison.failed
-        );
-        if !comparison.passed() {
-            eprintln!("counter-exact perf regression vs {}", against.display());
-            std::process::exit(1);
-        }
-        return;
-    }
-    let out = out.unwrap_or_else(|| PathBuf::from("BENCH_baseline.json"));
-
-    // `proc`: the multi-process sweep — spawn real node/client processes,
-    // collect their exports, emit the schema-v5 baseline with "proc"
-    // attribution entries and the open-loop proc saturation curve.
-    if id == "proc" {
-        let opts = ac_harness::procrun::ProcOptions {
-            quick,
-            dump_dir,
-            metrics_port,
-        };
-        let (report, baseline) = match ac_harness::procrun::proc_baseline(quick, jobs, &opts) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("proc sweep failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        if json {
-            println!("{}", report.to_json());
-        } else {
-            println!("{}", report.render());
-        }
-        if let Err(e) = baseline.write(&out) {
-            eprintln!("cannot write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote {} (schema v{})",
-            out.display(),
-            baseline.schema_version
-        );
-        if !report.all_matched() {
-            eprintln!("some comparisons or safety audits did not pass");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // `bench-check <path>`: validate a written baseline and exit.
-    if id == "bench-check" {
-        let Some(path) = targets.get(1) else {
-            eprintln!("bench-check requires the path of a baseline file");
-            usage_exit();
-        };
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match BenchBaseline::validate_json(&text) {
-            Ok(()) => {
-                println!(
-                    "{path}: valid bench baseline (all seven Table-5 protocols present; \
-                     schema v1-v5 with clean service/chaos/attribution/saturation sections)"
-                );
-                return;
-            }
-            Err(problems) => {
-                for p in problems {
-                    eprintln!("{path}: {p}");
-                }
-                std::process::exit(1);
-            }
-        }
-    }
-
-    // `trace [<path>]`: render the slowest-transaction timelines embedded
-    // in a schema-v4 baseline's attribution section — where every
-    // microsecond of the worst commits went, one line per lifecycle step,
-    // in the same format the simulator's protocol traces print.
-    if id == "trace" {
-        let default_path = "BENCH_baseline.json".to_string();
-        let path = targets.get(1).unwrap_or(&default_path);
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        // A raw cluster dump (written by `ac-client --obs-out` / `repro
-        // proc`) renders directly: recompute the clock-aligned
-        // attribution from the per-process exports it carries.
-        if bytes.starts_with(&ac_obs::DUMP_MAGIC) {
-            let dump = match ac_obs::ClusterDump::from_bytes(&bytes) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("{path}: not a valid cluster dump: {e:?}");
-                    std::process::exit(1);
-                }
-            };
-            trace_dump(path, &dump);
-            return;
-        }
-        let text = match String::from_utf8(bytes) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: neither a cluster dump nor UTF-8 JSON: {e}");
-                std::process::exit(1);
-            }
-        };
-        let v: serde_json::Value = match serde_json::from_str(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{path}: not valid JSON: {e:?}");
-                std::process::exit(1);
-            }
-        };
-        let empty = Vec::new();
-        let entries = v["attribution"]["entries"].as_array().unwrap_or(&empty);
-        if entries.is_empty() {
-            eprintln!(
-                "{path}: no attribution section (schema v4, written by \
-                 `repro load` / `repro chaos`) — nothing to trace"
-            );
-            std::process::exit(1);
-        }
-        for e in entries {
-            let protocol = e["protocol"].as_str().unwrap_or("?");
-            let transport = e["transport"].as_str().unwrap_or("?");
-            let slowest = e["slowest"].as_array().unwrap_or(&empty);
-            println!(
-                "## {protocol} over {transport} — slowest {} of {} txns \
-                 (coverage {:.0}%, e2e p50 {:.2} ms)",
-                slowest.len(),
-                e["txns"].as_u64().unwrap_or(0),
-                e["coverage_pct"].as_f64().unwrap_or(0.0),
-                e["e2e_p50_micros"].as_f64().unwrap_or(0.0) / 1e3,
-            );
-            for s in slowest {
-                println!(
-                    "\ntxn {:#x}: {:.2} ms end-to-end",
-                    s["txn"].as_u64().unwrap_or(0),
-                    s["e2e_micros"].as_f64().unwrap_or(0.0) / 1e3,
-                );
-                let rows: Vec<ac_sim::TimelineRow> = s["steps"]
-                    .as_array()
-                    .unwrap_or(&empty)
-                    .iter()
-                    .map(|step| {
-                        ac_sim::TimelineRow::new(
-                            format!("{:.2}ms", step["at_micros"].as_f64().unwrap_or(0.0) / 1e3),
-                            step["actor"].as_str().unwrap_or("?"),
-                            step["label"].as_str().unwrap_or("?"),
-                        )
-                    })
-                    .collect();
-                print!("{}", ac_sim::render_timeline(&rows));
-            }
-            println!();
-        }
-        return;
-    }
-
-    // `bench`: measure, print, and write the machine-readable baseline.
-    // `load`: additionally run the live service sweep (schema v2).
-    // `chaos`: additionally run the availability-under-failure sweep
-    // (schema v3).
-    if id == "bench" || id == "load" || id == "chaos" || id == "saturate" {
-        let (report, mut baseline) = match id {
-            "bench" => experiments::bench_baseline(jobs),
-            "load" => experiments::load_baseline(quick, jobs, transport),
-            "chaos" => experiments::chaos_baseline(quick, jobs, transport),
-            _ => experiments::saturate_baseline(quick, jobs, transport),
-        };
-        if let Some(path) = before {
-            let parsed = std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|t| serde_json::from_str(&t).map_err(|e| format!("{e:?}")));
-            match parsed {
-                Ok(v) => {
-                    baseline.pair = Some(ac_harness::report::BeforeAfter::between(
-                        &path.display().to_string(),
-                        &v,
-                        &baseline,
-                    ));
-                }
-                Err(e) => {
-                    eprintln!("cannot use --before {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        if json {
-            println!("{}", report.to_json());
-        } else {
-            println!("{}", report.render());
-        }
-        if let Err(e) = baseline.write(&out) {
-            eprintln!("cannot write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote {} (schema v{})",
-            out.display(),
-            baseline.schema_version
-        );
-        if !report.all_matched() {
-            eprintln!("some comparisons or safety audits did not pass");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let Some(reports) = run_one(id, jobs) else {
-        eprintln!(
-            "unknown experiment `{id}`; expected one of \
-             table1 table2 table3 table4 table5 fig1 ablations exhaustive bench load chaos \
-             saturate trace perf all"
-        );
-        std::process::exit(2);
     };
 
-    let mut failed = false;
-    for r in &reports {
-        if json {
-            println!("{}", r.to_json());
-        } else {
-            println!("{}", r.render());
+    match id {
+        // `perf --against <path>`: re-measure, diff, gate.
+        "perf" => {
+            let Some(against) = against else {
+                eprintln!("perf requires --against <baseline path>");
+                usage_exit();
+            };
+            let (report, comparison) =
+                ac_harness::perf::perf_compare(quick, jobs, &read_text(&against))
+                    .unwrap_or_else(|e| fail(e));
+            let out = out.unwrap_or_else(|| PathBuf::from("PERF_comparison.json"));
+            let what = format!(
+                "{} checks, {} failed",
+                comparison.checks.len(),
+                comparison.failed
+            );
+            emit(
+                json,
+                &[report],
+                Some((&out, comparison.to_json(), what)),
+                &format!("counter-exact perf regression vs {}", against.display()),
+            );
         }
-        failed |= !r.all_matched();
-    }
-    if failed {
-        eprintln!("some paper-vs-measured comparisons did not match");
-        std::process::exit(1);
+        // `bench-check <path>`: validate a written baseline.
+        "bench-check" => {
+            let Some(file) = file else {
+                eprintln!("bench-check requires the path of a baseline file");
+                usage_exit();
+            };
+            match BenchBaseline::validate_json(&read_text(Path::new(file))) {
+                Ok(sections) => println!(
+                    "{file}: valid bench baseline (all seven Table-5 protocols present, \
+                     clean explorer; live sections: {sections:?})"
+                ),
+                Err(problems) => {
+                    for p in problems {
+                        eprintln!("{file}: {p}");
+                    }
+                    std::process::exit(1);
+                }
+            }
+        }
+        // `trace [<path>]`: render embedded (or recomputed) timelines.
+        "trace" => {
+            let file = file.unwrap_or("BENCH_baseline.json");
+            let entries = trace_entries(file);
+            if entries.is_empty() {
+                fail(format!(
+                    "{file}: no attribution section (written by `repro load` / \
+                     `chaos` / `saturate` / `proc`) — nothing to trace"
+                ));
+            }
+            entries.iter().for_each(render_entry);
+        }
+        // The baseline writers (the subcommand table's rows): measure the
+        // subcommand's sections, pair them with `--before`, print, write.
+        // Anything else is a paper table or figure.
+        _ => {
+            let measured = if id == "proc" {
+                let measured =
+                    ac_harness::procrun::proc_baseline(quick, jobs, &dump_dir, metrics_port);
+                Some(measured.unwrap_or_else(|e| fail(format!("proc sweep failed: {e}"))))
+            } else {
+                experiments::baseline(id, quick, jobs, transport)
+            };
+            let Some((report, mut baseline)) = measured else {
+                let Some(reports) = run_one(id, jobs) else {
+                    eprintln!("unknown experiment `{id}`");
+                    usage_exit();
+                };
+                let failure = "some paper-vs-measured comparisons did not match";
+                return emit(json, &reports, None, failure);
+            };
+            if let Some(before) = before {
+                let parsed = serde_json::from_str(&read_text(&before)).unwrap_or_else(|e| {
+                    fail(format!("cannot use --before {}: {e:?}", before.display()))
+                });
+                let label = before.display().to_string();
+                baseline.pair = Some(BeforeAfter::between(&label, &parsed, &baseline));
+            }
+            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_baseline.json"));
+            let what = format!("schema v{}", baseline.schema_version);
+            emit(
+                json,
+                &[report],
+                Some((&out, baseline.to_json(), what)),
+                "some comparisons or safety audits did not pass",
+            );
+        }
     }
 }

@@ -1,18 +1,24 @@
 //! The experiments: one function per paper table/figure, plus the
 //! cross-cutting entries that are not a single paper artifact:
 //! [`exhaustive`] (the parallel small-model soundness sweep) and
-//! [`bench_baseline`] (the machine-readable performance seed point).
+//! [`baseline`] (the machine-readable performance seed point, composed
+//! from one function per section of the document).
 
 use std::time::Instant;
 
+use ac_cluster::{run_service, ServiceConfig, TransportKind};
 use ac_commit::explorer::{explore_jobs, ExplorerConfig};
 use ac_commit::protocols::{InbacUnbundledAck, ProtocolKind};
 use ac_commit::taxonomy::{Cell, PropSet};
 use ac_commit::{check, Scenario};
 use ac_net::DelayRule;
 use ac_sim::{Time, TraceKind, U};
+use ac_txn::Workload;
 
-use crate::report::{BenchBaseline, ExplorerBaseline, ProtocolBaseline, Report, Table};
+use crate::report::{
+    telescopes, AttributionBaseline, BenchBaseline, ChaosBaseline, ExplorerBaseline,
+    ProtocolBaseline, Report, SaturationBaseline, ServiceBaseline, Table, SCHEMA_VERSION,
+};
 
 /// Symbolic message bound of a Table-1 cell (mirrors
 /// `Cell::bounds`, in formula form).
@@ -666,13 +672,70 @@ pub fn baseline_explorer_config() -> ExplorerConfig {
     }
 }
 
-/// **Bench baseline** — measure the per-protocol nice-execution numbers and
-/// the explorer's sequential-vs-parallel wall-clock, producing both a
-/// human-readable [`Report`] and the machine-readable [`BenchBaseline`]
-/// written to `BENCH_baseline.json`.
-pub fn bench_baseline(jobs: usize) -> (Report, BenchBaseline) {
+/// The sections each baseline-measuring `repro` subcommand measures on
+/// top of the always-present simulator numbers, in measurement order
+/// (`None`: not such a subcommand). `proc` measures `load`'s sections and
+/// then adds its own `"proc"` attribution entries and saturation curve
+/// ([`crate::procrun::proc_baseline`]); `perf` writes no baseline but
+/// re-measures what it diffs ([`crate::perf::perf_compare`]).
+pub fn baseline_sections(subcommand: &str) -> Option<&'static [&'static str]> {
+    Some(match subcommand {
+        "bench" => &[],
+        "perf" => &["service"],
+        "load" | "proc" => &["service", "attribution"],
+        "chaos" => &["service", "attribution", "chaos"],
+        "saturate" => &["service", "attribution", "chaos", "saturation"],
+        _ => return None,
+    })
+}
+
+/// **Baseline** — measure the sections `subcommand` emits
+/// ([`baseline_sections`]), producing both a human-readable [`Report`] and
+/// the machine-readable [`BenchBaseline`] written to
+/// `BENCH_baseline.json`, unmeasured sections `null`.
+///
+/// `quick` shrinks the live sweeps for CI smoke jobs; `jobs` feeds the
+/// explorer leg (the service spawns its own `n + c` threads per run
+/// regardless); `transport` is what the service, chaos and saturation
+/// sweeps run over (`--transport tcp` routes every envelope through the
+/// wire codec and loopback sockets).
+pub fn baseline(
+    subcommand: &str,
+    quick: bool,
+    jobs: usize,
+    transport: TransportKind,
+) -> Option<(Report, BenchBaseline)> {
+    let sections = baseline_sections(subcommand)?;
+    let mut r = Report::new(subcommand);
+    let (protocols, explorer) = simulator_section(&mut r, jobs);
+    let mut b = BenchBaseline {
+        schema_version: SCHEMA_VERSION,
+        jobs,
+        protocols,
+        explorer,
+        service: None,
+        chaos: None,
+        attribution: None,
+        saturation: None,
+        pair: None,
+    };
+    for section in sections {
+        match *section {
+            "service" => b.service = Some(service_section(&mut r, quick, transport)),
+            "attribution" => b.attribution = Some(attribution_section(&mut r, quick)),
+            "chaos" => b.chaos = Some(chaos_section(&mut r, quick, transport)),
+            "saturation" => b.saturation = Some(saturation_section(&mut r, quick, transport)),
+            other => unreachable!("no section function for `{other}`"),
+        }
+    }
+    Some((r, b))
+}
+
+/// **Simulator section** — the per-protocol nice-execution numbers and
+/// the explorer's sequential-vs-parallel wall-clock (`protocols` and
+/// `explorer`, present in every baseline).
+pub fn simulator_section(r: &mut Report, jobs: usize) -> (Vec<ProtocolBaseline>, ExplorerBaseline) {
     let (n, f) = BASELINE_GRID;
-    let mut r = Report::new("bench_baseline");
 
     let mut pt = Table::new(
         format!("Per-protocol nice-execution baseline at n={n}, f={f}"),
@@ -744,28 +807,18 @@ pub fn bench_baseline(jobs: usize) -> (Report, BenchBaseline) {
          is byte-identical to sequential."
     ));
 
-    let baseline = BenchBaseline {
-        schema_version: 1,
+    let explorer = ExplorerBaseline {
+        protocol: ProtocolKind::Inbac.name().into(),
+        n: cfg.n,
+        f: cfg.f,
+        executions: seq.executions,
+        counterexamples: seq.counterexamples.len(),
+        sequential_millis,
+        parallel_millis,
         jobs,
-        protocols,
-        service: None,
-        chaos: None,
-        attribution: None,
-        saturation: None,
-        pair: None,
-        explorer: ExplorerBaseline {
-            protocol: ProtocolKind::Inbac.name().into(),
-            n: cfg.n,
-            f: cfg.f,
-            executions: seq.executions,
-            counterexamples: seq.counterexamples.len(),
-            sequential_millis,
-            parallel_millis,
-            jobs,
-            speedup,
-        },
+        speedup,
     };
-    (r, baseline)
+    (protocols, explorer)
 }
 
 /// The `(n, f)` grid and delay-unit length of the live-service sweep.
@@ -773,34 +826,14 @@ pub const SERVICE_GRID: (usize, usize) = (4, 1);
 /// Wall-clock length of one virtual delay unit in the live-service sweep.
 pub const SERVICE_UNIT: std::time::Duration = std::time::Duration::from_millis(5);
 
-/// **Load baseline** — the live `ac-cluster` transaction service measured
-/// under closed-loop load: protocol × workload × concurrency sweep with
-/// wall-clock throughput and latency percentiles (p50/p90/p99/p99.9),
-/// plus the per-stage latency **attribution** sweep (every Table-5
-/// protocol on both transports through the flight recorder), emitted as
-/// a schema-v4 [`BenchBaseline`] (simulator sections re-measured by
-/// [`bench_baseline`], so the emitted file is self-contained).
-///
-/// `quick` shrinks the sweep for CI smoke jobs; `jobs` is forwarded to the
-/// explorer leg of the baseline (the service spawns its own `n + c`
-/// threads per combination regardless).
-///
-/// `transport`: `Channel` is the fast in-process path, `Tcp` routes every
-/// envelope through the wire codec and loopback sockets (`repro load
-/// --transport tcp`). The safety gate additionally requires zero orphaned
-/// envelopes — over any transport, a healthy run never overflows an
-/// instance's pre-open buffer.
-pub fn load_baseline(
-    quick: bool,
-    jobs: usize,
-    transport: ac_cluster::TransportKind,
-) -> (Report, BenchBaseline) {
-    use crate::report::{
-        service_protocols, stage_entries, AttributionBaseline, AttributionEntry, ServiceBaseline,
-        ServiceEntry, SlowTxn, TimelineStep,
-    };
-    use ac_cluster::{run_service, ServiceConfig};
-    use ac_txn::Workload;
+/// **Service section** — the live `ac-cluster` transaction service
+/// measured under closed-loop load: protocol × workload × concurrency
+/// sweep with wall-clock throughput and latency percentiles
+/// (p50/p90/p99/p99.9). The safety gate additionally requires zero
+/// orphaned envelopes — over any transport, a healthy run never overflows
+/// an instance's pre-open buffer.
+pub fn service_section(r: &mut Report, quick: bool, transport: TransportKind) -> ServiceBaseline {
+    use crate::report::{service_protocols, ServiceEntry};
 
     let (n, f) = SERVICE_GRID;
     let protos = service_protocols();
@@ -816,11 +849,6 @@ pub fn load_baseline(
     ];
     let client_levels: &[usize] = if quick { &[2, 8] } else { &[2, 8, 16] };
     let txns_per_client = if quick { 15 } else { 40 };
-
-    // Simulator sections first (protocol formulas + explorer wall-clock):
-    // the v2 baseline carries everything v1 did.
-    let (mut r, mut baseline) = bench_baseline(jobs);
-    r.id = "load".into();
 
     let mut t = Table::new(
         format!(
@@ -880,12 +908,12 @@ pub fn load_baseline(
                     p50_micros: us(out.latency.p50()),
                     p90_micros: us(out.latency.p90()),
                     p99_micros: us(out.latency.p99()),
-                    p999_micros: Some(us(out.latency.p999())),
+                    p999_micros: us(out.latency.p999()),
                     max_micros: us(out.latency.max()),
                     safety_violations: out.violations.len(),
-                    wire_messages: Some(out.wire_messages),
-                    wire_per_txn: Some(out.wire_messages as f64 / out.txns.max(1) as f64),
-                    spurious_wakeups: Some(out.spurious_wakeups),
+                    wire_messages: out.wire_messages,
+                    wire_per_txn: out.wire_messages as f64 / out.txns.max(1) as f64,
+                    spurious_wakeups: out.spurious_wakeups,
                 });
             }
         }
@@ -904,20 +932,24 @@ pub fn load_baseline(
          no lock left held, no stalled client.",
     );
 
-    baseline.schema_version = 4;
-    baseline.service = Some(ServiceBaseline {
+    ServiceBaseline {
         n,
         f,
-        transport: Some(transport.name().into()),
+        transport: transport.name().into(),
         unit_micros: SERVICE_UNIT.as_micros() as u64,
         entries,
-    });
+    }
+}
 
-    // Attribution sweep: every Table-5 protocol on *both* transports
-    // (regardless of the main sweep's `--transport`), each run through
-    // the flight recorder's telescoping per-stage decomposition. Small
-    // fixed load per cell — the point is where the microseconds go, not
-    // how many transactions fit.
+/// **Attribution section** — every Table-5 protocol on *both* transports
+/// (regardless of the other sweeps' `--transport`), each run through the
+/// flight recorder's telescoping per-stage decomposition, slowest
+/// timelines embedded. Small fixed load per cell — the point is where the
+/// microseconds go, not how many transactions fit.
+pub fn attribution_section(r: &mut Report, quick: bool) -> AttributionBaseline {
+    use crate::report::AttributionEntry;
+
+    let (n, f) = SERVICE_GRID;
     let mut at = Table::new(
         format!(
             "Latency attribution at n={n}, f={f}, unit={}ms (share of end-to-end time per stage)",
@@ -938,11 +970,8 @@ pub fn load_baseline(
         ],
     );
     let mut attr_entries = Vec::new();
-    for kind in ac_commit::protocols::ProtocolKind::table5() {
-        for tk in [
-            ac_cluster::TransportKind::Channel,
-            ac_cluster::TransportKind::Tcp,
-        ] {
+    for kind in ProtocolKind::table5() {
+        for tk in [TransportKind::Channel, TransportKind::Tcp] {
             let cfg = ServiceConfig::new(n, f, kind)
                 .clients(2)
                 .txns_per_client(if quick { 8 } else { 15 })
@@ -954,16 +983,10 @@ pub fn load_baseline(
             let out = run_service(&cfg);
             let a = &out.attribution;
             // The acceptance gate: a clean run whose reconstructed stage
-            // shares telescope to the measured end-to-end latency within
-            // 5 % (exact per covered transaction by construction — the
-            // tolerance only absorbs coverage loss).
-            let ok = out.is_safe()
-                && out.stalled == 0
-                && out.orphaned_envelopes == 0
-                && a.covered > 0
-                && (a.share_sum_pct() - 100.0).abs() <= 5.0;
+            // shares telescope to the measured end-to-end latency.
+            let ok =
+                out.is_safe() && out.stalled == 0 && out.orphaned_envelopes == 0 && telescopes(a);
             let verdict = r.compare(ok).to_string();
-            let us = |v: u64| v as f64 / 1e3;
             let mut row = vec![
                 kind.name().into(),
                 tk.name().into(),
@@ -971,38 +994,10 @@ pub fn load_baseline(
             ];
             row.extend((0..5).map(|i| format!("{:.1}", a.share_pct(i))));
             row.push(format!("{:.1}", a.share_sum_pct()));
-            row.push(format!("{:.2}", us(a.e2e.p50()) / 1e3));
+            row.push(format!("{:.2}", a.e2e.p50() as f64 / 1e6));
             row.push(verdict);
             at.row(row);
-            attr_entries.push(AttributionEntry {
-                protocol: kind.name().into(),
-                transport: tk.name().into(),
-                txns: a.total,
-                coverage_pct: a.coverage_pct(),
-                share_sum_pct: a.share_sum_pct(),
-                e2e_p50_micros: us(a.e2e.p50()),
-                e2e_p999_micros: us(a.e2e.p999()),
-                dropped_events: a.dropped_events,
-                alignment_max_uncertainty_micros: None,
-                stages: stage_entries(a),
-                slowest: a
-                    .slowest
-                    .iter()
-                    .map(|tl| SlowTxn {
-                        txn: tl.txn,
-                        e2e_micros: tl.e2e_nanos() as f64 / 1e3,
-                        steps: tl
-                            .steps()
-                            .into_iter()
-                            .map(|(at_nanos, actor, label)| TimelineStep {
-                                at_micros: at_nanos as f64 / 1e3,
-                                actor,
-                                label,
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            });
+            attr_entries.push(AttributionEntry::new(kind.name(), tk.name(), a, None));
         }
     }
     r.table(at);
@@ -1018,13 +1013,12 @@ pub fn load_baseline(
          clocked by design. `repro trace` renders the embedded \
          slowest-transaction timelines.",
     );
-    baseline.attribution = Some(AttributionBaseline {
+    AttributionBaseline {
         n,
         f,
         unit_micros: SERVICE_UNIT.as_micros() as u64,
         entries: attr_entries,
-    });
-    (r, baseline)
+    }
 }
 
 /// The `(n, f)` grid of the chaos sweep (same cluster shape as the live
@@ -1034,16 +1028,13 @@ pub const CHAOS_GRID: (usize, usize) = (4, 1);
 
 /// Build the chaos service configuration: paced span-3 load with bounded,
 /// retrying reply waits (`quick` shrinks the stream for CI smoke jobs).
-fn chaos_service(
-    kind: ac_commit::protocols::ProtocolKind,
-    quick: bool,
-) -> ac_cluster::ServiceConfig {
+fn chaos_service(kind: ProtocolKind, quick: bool) -> ServiceConfig {
     use std::time::Duration;
     let (n, f) = CHAOS_GRID;
-    ac_cluster::ServiceConfig::new(n, f, kind)
+    ServiceConfig::new(n, f, kind)
         .clients(if quick { 3 } else { 4 })
         .txns_per_client(if quick { 14 } else { 24 })
-        .workload(ac_txn::Workload::Uniform { span: 3 })
+        .workload(Workload::Uniform { span: 3 })
         .unit(SERVICE_UNIT)
         .keys_per_shard(64)
         .seed(23)
@@ -1074,12 +1065,10 @@ fn chaos_plan(scenario: &str, n: usize) -> ac_chaos::ChaosPlan {
     }
 }
 
-/// **Chaos baseline** — the availability-under-failure sweep:
+/// **Chaos section** — the availability-under-failure sweep:
 /// {2PC, Paxos-Commit, INBAC, D1CC} × {crash-coordinator,
 /// crash-participant, partition-heal, lossy-10}, each run through
-/// `ac-chaos` with a post-run safety audit, emitted as the `chaos`
-/// section of a schema-v4 baseline on top of everything the load
-/// baseline carries (service sweep + attribution).
+/// `ac-chaos` with a post-run safety audit.
 ///
 /// The wall-clock face of the paper's trade-off, asserted as comparisons:
 /// the f-tolerant protocols (Paxos-Commit, INBAC, logless D1CC) keep
@@ -1090,18 +1079,11 @@ fn chaos_plan(scenario: &str, n: usize) -> ac_chaos::ChaosPlan {
 /// Any `transport` serves (`repro chaos --transport tcp`): the fault
 /// policy decides envelope fates *before* the transport sees them, so the
 /// same crash/partition/lossy plans run unchanged over sockets.
-pub fn chaos_baseline(
-    quick: bool,
-    jobs: usize,
-    transport: ac_cluster::TransportKind,
-) -> (Report, BenchBaseline) {
-    use crate::report::{chaos_scenario_names, service_protocols, ChaosBaseline, ChaosEntry};
+pub fn chaos_section(r: &mut Report, quick: bool, transport: TransportKind) -> ChaosBaseline {
+    use crate::report::{chaos_scenario_names, service_protocols, ChaosEntry};
     use ac_chaos::{run_chaos, ChaosConfig};
 
     let (n, f) = CHAOS_GRID;
-    let (mut r, mut baseline) = load_baseline(quick, jobs, transport);
-    r.id = "chaos".into();
-
     let mut t = Table::new(
         format!(
             "Chaos sweep at n={n}, f={f}, unit={}ms: fault window [{}U, {}U)",
@@ -1241,17 +1223,15 @@ pub fn chaos_baseline(
          and lossy-10 — the documented price of logless one-delay commit.",
     );
 
-    baseline.schema_version = 4;
-    baseline.chaos = Some(ChaosBaseline {
+    ChaosBaseline {
         n,
         f,
-        transport: Some(transport.name().into()),
+        transport: transport.name().into(),
         unit_micros: SERVICE_UNIT.as_micros() as u64,
         fault_from_units: CHAOS_WINDOW_UNITS.0,
         fault_until_units: CHAOS_WINDOW_UNITS.1,
         entries,
-    });
-    (r, baseline)
+    }
 }
 
 /// Per-client in-flight window of the saturation sweep: beyond it an
@@ -1275,12 +1255,23 @@ pub const SATURATION_BASE_RATE: f64 = 25.0;
 /// held past `1·U` is a timeout like any other late vote.
 pub const SATURATION_FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(2);
 
+/// The shape of a saturation curve: the multipliers of
+/// [`SATURATION_BASE_RATE`] it steps through, and how long each step
+/// offers load (`quick` shrinks both for CI smoke jobs).
+pub(crate) fn saturation_steps(quick: bool) -> (&'static [usize], std::time::Duration) {
+    if quick {
+        (&[1, 4, 16], std::time::Duration::from_millis(400))
+    } else {
+        (&[1, 2, 4, 8, 16], std::time::Duration::from_millis(1000))
+    }
+}
+
 /// One open-loop durable run of the saturation sweep: Poisson arrivals at
 /// `rate`/client for roughly `duration`, WAL + group commit on (the
 /// no-fault chaos path), shedding at [`SATURATION_MAX_OUTSTANDING`].
 pub(crate) fn saturate_cell(
-    kind: ac_commit::protocols::ProtocolKind,
-    transport: ac_cluster::TransportKind,
+    kind: ProtocolKind,
+    transport: TransportKind,
     n: usize,
     clients: usize,
     rate: f64,
@@ -1288,10 +1279,10 @@ pub(crate) fn saturate_cell(
 ) -> ac_cluster::ServiceOutcome {
     use ac_chaos::{run_chaos, ChaosConfig, ChaosPlan};
     let txns = ((rate * duration.as_secs_f64()).ceil() as usize).max(4);
-    let service = ac_cluster::ServiceConfig::new(n, 1, kind)
+    let service = ServiceConfig::new(n, 1, kind)
         .clients(clients)
         .txns_per_client(txns)
-        .workload(ac_txn::Workload::Uniform { span: 2 })
+        .workload(Workload::Uniform { span: 2 })
         .unit(SERVICE_UNIT)
         .keys_per_shard(64)
         .seed(31)
@@ -1306,46 +1297,23 @@ pub(crate) fn saturate_cell(
     .service
 }
 
-/// The knee criterion: first step whose goodput gain over the previous
-/// step is < 10 % while p99 sojourn at least doubles. Falls back to the
-/// last step (`detected = false`) when no step qualifies.
-pub(crate) fn detect_knee(steps: &[(f64, f64)]) -> (usize, bool) {
-    for i in 1..steps.len() {
-        let (g0, p0) = steps[i - 1];
-        let (g1, p1) = steps[i];
-        if g1 < g0 * 1.10 && p1 >= 2.0 * p0 && p0 > 0.0 {
-            return (i, true);
-        }
-    }
-    (steps.len().saturating_sub(1), false)
-}
-
-/// **Saturation baseline** — the open-loop offered-vs-goodput sweep
-/// (`repro saturate`): Poisson arrivals stepped ×1 → ×16 over each
-/// (protocol, n, clients) cell with durability on, goodput measured over
-/// the trimmed steady-state window, per-curve knee detection and the
-/// per-stage attribution of the knee step, emitted as the `saturation`
-/// section of a schema-v5 baseline on top of everything the chaos
-/// baseline carries. This is where group commit shows up as a counter:
-/// forces-per-txn falls below 1 once drained batches amortize the force.
+/// **Saturation section** — the open-loop offered-vs-goodput sweep:
+/// Poisson arrivals stepped ×1 → ×16 over each (protocol, n, clients)
+/// cell with durability on, goodput measured over the trimmed
+/// steady-state window, per-curve knee detection and the per-stage
+/// attribution of the knee step. This is where group commit shows up as a
+/// counter: forces-per-txn falls below 1 once drained batches amortize
+/// the force.
 ///
 /// The full sweep runs every Table-5 protocol at (n=4, c=16) plus 2PC scale cells at
 /// (n=8, c=32) and (n=16, c=128); `--quick` shrinks it to one 2PC curve
 /// (the CI smoke runs that over tcp).
-pub fn saturate_baseline(
+pub fn saturation_section(
+    r: &mut Report,
     quick: bool,
-    jobs: usize,
-    transport: ac_cluster::TransportKind,
-) -> (Report, BenchBaseline) {
-    use crate::report::{
-        dominant_stage, stage_entries, SaturationBaseline, SaturationCurve, SaturationKnee,
-        SaturationStep,
-    };
-    use ac_commit::protocols::ProtocolKind;
-    use std::time::Duration;
-
-    let (mut r, mut baseline) = chaos_baseline(quick, jobs, transport);
-    r.id = "saturate".into();
+    transport: TransportKind,
+) -> SaturationBaseline {
+    use crate::report::{dominant_stage, SaturationCurve, SaturationStep};
 
     // (protocol, n, clients) cells; every cell sweeps the same rate
     // multipliers so curves are comparable.
@@ -1360,12 +1328,7 @@ pub fn saturate_baseline(
         c.push((ProtocolKind::TwoPc, 16, 128));
         c
     };
-    let mults: &[usize] = if quick {
-        &[1, 4, 16]
-    } else {
-        &[1, 2, 4, 8, 16]
-    };
-    let duration = Duration::from_millis(if quick { 400 } else { 1000 });
+    let (mults, duration) = saturation_steps(quick);
 
     let mut t = Table::new(
         format!(
@@ -1408,7 +1371,6 @@ pub fn saturate_baseline(
     let mut curves = Vec::new();
     for (kind, n, clients) in cells {
         let mut steps = Vec::new();
-        let mut knee_inputs: Vec<(f64, f64)> = Vec::new();
         let mut attributions = Vec::new();
         for (i, &mult) in mults.iter().enumerate() {
             let rate = SATURATION_BASE_RATE * mult as f64;
@@ -1461,46 +1423,37 @@ pub fn saturate_baseline(
                 wire_per_txn: out.wire_messages as f64 / out.txns.max(1) as f64,
                 safety_violations: out.violations.len(),
             });
-            knee_inputs.push((goodput, us(out.latency.p99())));
             attributions.push(out.attribution);
         }
-        let (ki, detected) = detect_knee(&knee_inputs);
-        let a = &attributions[ki];
-        let stage_shares = stage_entries(a);
-        let dominant = dominant_stage(&stage_shares);
+        let curve = SaturationCurve::new(
+            kind.name(),
+            transport.name(),
+            n,
+            clients,
+            steps,
+            &attributions,
+        );
+        let knee = &curve.knee;
         // The knee itself is gated: attribution at the knee must still
         // telescope (its run was audited clean above).
-        let knee_ok = a.covered > 0 && (a.share_sum_pct() - 100.0).abs() <= 5.0;
-        let verdict = r.compare(knee_ok).to_string();
+        let verdict = r.compare(telescopes(&attributions[knee.step]));
         kt.row(vec![
             kind.name().into(),
             n.to_string(),
             clients.to_string(),
-            format!("x{}", mults[ki]),
-            if detected { "yes" } else { "no (last step)" }.into(),
-            format!("{:.0}", steps[ki].offered_tps),
-            format!("{:.0}", steps[ki].goodput_tps),
-            format!("{:.2}", steps[ki].p99_sojourn_micros / 1e3),
-            format!("{dominant} [{verdict}]"),
+            format!("x{}", mults[knee.step]),
+            if knee.detected {
+                "yes"
+            } else {
+                "no (last step)"
+            }
+            .into(),
+            format!("{:.0}", knee.offered_tps),
+            format!("{:.0}", knee.goodput_tps),
+            format!("{:.2}", knee.p99_sojourn_micros / 1e3),
+            format!("{} [{verdict}]", dominant_stage(&knee.stage_shares)),
         ]);
-        let knee = SaturationKnee {
-            step: ki,
-            detected,
-            offered_tps: steps[ki].offered_tps,
-            goodput_tps: knee_inputs[ki].0,
-            p99_sojourn_micros: knee_inputs[ki].1,
-            stage_shares,
-            share_sum_pct: a.share_sum_pct(),
-        };
-        curves.push(SaturationCurve {
-            protocol: kind.name().into(),
-            transport: transport.name().into(),
-            n,
-            clients,
-            max_outstanding: SATURATION_MAX_OUTSTANDING,
-            steps,
-            knee,
-        });
+        curves.push(curve);
     }
     r.table(t);
     r.table(kt);
@@ -1516,13 +1469,11 @@ pub fn saturate_baseline(
          batch instead of >= 2 per txn.",
     );
 
-    baseline.schema_version = 5;
-    baseline.saturation = Some(SaturationBaseline {
+    SaturationBaseline {
         f: 1,
         unit_micros: SERVICE_UNIT.as_micros() as u64,
         curves,
-    });
-    (r, baseline)
+    }
 }
 
 /// All experiments with default parameters; explorer-backed entries run
@@ -1603,23 +1554,57 @@ mod tests {
         assert!(r.all_matched(), "{}", r.render());
     }
 
+    /// What `repro bench` writes: the simulator numbers, every live
+    /// section `null`.
     #[test]
     fn bench_baseline_validates_and_covers_table5() {
-        let (r, baseline) = bench_baseline(2);
+        let (r, baseline) = baseline("bench", false, 2, TransportKind::Channel).unwrap();
         assert!(r.all_matched(), "{}", r.render());
         assert_eq!(
-            crate::report::BenchBaseline::validate_json(&baseline.to_json()),
-            Ok(())
+            BenchBaseline::validate_json(&baseline.to_json()),
+            Ok(vec![])
         );
     }
 
     #[test]
-    fn chaos_baseline_quick_shows_the_blocking_contrast_and_validates_as_v4() {
+    fn each_subcommand_measures_the_sections_it_always_has() {
+        let all = ["service", "attribution", "chaos", "saturation"];
+        for (subcommand, sections) in [
+            ("bench", &all[..0]),
+            ("perf", &all[..1]),
+            ("load", &all[..2]),
+            ("proc", &all[..2]),
+            ("chaos", &all[..3]),
+            ("saturate", &all[..]),
+        ] {
+            assert_eq!(baseline_sections(subcommand), Some(sections));
+        }
+        assert_eq!(baseline_sections("table1"), None);
+    }
+
+    /// The composition `repro saturate --quick` runs: every section
+    /// measured once, appended to one report, emitted as one document the
+    /// validator accepts with all four live sections found.
+    #[test]
+    fn saturate_quick_composes_every_section_into_one_valid_document() {
         let _serial = live_sweep_lock();
-        let (r, baseline) = chaos_baseline(true, 2, ac_cluster::TransportKind::Channel);
+        let (r, baseline) = baseline("saturate", true, 2, TransportKind::Channel).unwrap();
+        assert_eq!(r.id, "saturate");
+        assert_eq!(r.tables.len(), 7, "2 simulator + 1 + 1 + 1 + 2 saturation");
+        assert_eq!(
+            BenchBaseline::validate_json(&baseline.to_json()),
+            Ok(BenchBaseline::SECTIONS.to_vec()),
+            "{}",
+            r.render()
+        );
+    }
+
+    #[test]
+    fn chaos_section_quick_shows_the_blocking_contrast() {
+        let _serial = live_sweep_lock();
+        let mut r = Report::new("chaos");
+        let chaos = chaos_section(&mut r, true, TransportKind::Channel);
         assert!(r.all_matched(), "{}", r.render());
-        assert_eq!(baseline.schema_version, 4);
-        let chaos = baseline.chaos.as_ref().expect("chaos section present");
         assert_eq!(chaos.entries.len(), 16, "4 protocols x 4 scenarios");
         // The acceptance contrast, re-checked on the emitted numbers:
         // Paxos-Commit and logless D1CC commit through a participant
@@ -1636,19 +1621,14 @@ mod tests {
         assert!(find("2PC", "crash-coordinator").blocked > 0);
         assert!(chaos.entries.iter().all(|e| e.safety_violations == 0));
         assert!(chaos.entries.iter().all(|e| e.stalled == 0));
-        assert_eq!(
-            crate::report::BenchBaseline::validate_json(&baseline.to_json()),
-            Ok(())
-        );
     }
 
     #[test]
-    fn saturate_baseline_quick_shows_the_group_commit_win_and_validates_as_v5() {
+    fn saturation_section_quick_shows_the_group_commit_win() {
         let _serial = live_sweep_lock();
-        let (r, baseline) = saturate_baseline(true, 2, ac_cluster::TransportKind::Channel);
+        let mut r = Report::new("saturate");
+        let sat = saturation_section(&mut r, true, TransportKind::Channel);
         assert!(r.all_matched(), "{}", r.render());
-        assert_eq!(baseline.schema_version, 5);
-        let sat = baseline.saturation.as_ref().expect("saturation section");
         assert_eq!(sat.curves.len(), 1, "quick sweeps one 2PC curve");
         let c = &sat.curves[0];
         assert_eq!(c.protocol, "2PC");
@@ -1673,28 +1653,32 @@ mod tests {
             assert_eq!(s.safety_violations, 0);
             assert!(s.goodput_tps <= s.offered_tps * 1.10, "{s:?}");
         }
-        assert_eq!(
-            crate::report::BenchBaseline::validate_json(&baseline.to_json()),
-            Ok(())
-        );
     }
 
     #[test]
-    fn load_baseline_quick_is_safe_and_validates_as_v4() {
+    fn service_section_quick_is_safe_and_carries_the_tail_percentile() {
         let _serial = live_sweep_lock();
-        let (r, baseline) = load_baseline(true, 2, ac_cluster::TransportKind::Channel);
+        let mut r = Report::new("load");
+        let service = service_section(&mut r, true, TransportKind::Channel);
         assert!(r.all_matched(), "{}", r.render());
-        assert_eq!(baseline.schema_version, 4);
         // The p99.9 satellite: every fresh service entry carries the tail
         // percentile, ordered sanely against p99 and max.
-        let service = baseline.service.as_ref().expect("service section");
         for e in &service.entries {
-            let p999 = e.p999_micros.expect("fresh entries carry p99.9");
-            assert!(e.p99_micros <= p999 && p999 <= e.max_micros, "{e:?}");
+            assert!(
+                e.p99_micros <= e.p999_micros && e.p999_micros <= e.max_micros,
+                "{e:?}"
+            );
         }
+    }
+
+    #[test]
+    fn attribution_section_quick_covers_table5_on_both_transports() {
+        let _serial = live_sweep_lock();
+        let mut r = Report::new("load");
+        let attr = attribution_section(&mut r, true);
+        assert!(r.all_matched(), "{}", r.render());
         // The attribution tentpole: all seven Table-5 protocols on both
         // transports, each with positive coverage and telescoping shares.
-        let attr = baseline.attribution.as_ref().expect("attribution section");
         assert_eq!(attr.entries.len(), 14, "7 protocols x 2 transports");
         for e in &attr.entries {
             assert!(
@@ -1712,9 +1696,5 @@ mod tests {
             );
             assert!(!e.slowest.is_empty(), "slowest timelines embedded");
         }
-        assert_eq!(
-            crate::report::BenchBaseline::validate_json(&baseline.to_json()),
-            Ok(())
-        );
     }
 }

@@ -12,14 +12,23 @@
 //! | `fig1`   | Figure 1 — INBAC state transitions at 2U | [`experiments::fig1`] |
 //! | `ablations` | §5.2 fast abort, consensus engagement, ack bundling | [`experiments::ablations`] |
 //! | `exhaustive` | (cross-cutting) parallel small-model soundness sweep | [`experiments::exhaustive`] |
-//! | `bench` | (cross-cutting) machine-readable bench baseline | [`experiments::bench_baseline`] |
+//! | `bench` | (cross-cutting) bench baseline: the simulator numbers | [`experiments::baseline`] → [`experiments::simulator_section`] |
+//! | `load` | (cross-cutting) + the live-service sweep and its per-stage latency attribution | … + [`experiments::service_section`], [`experiments::attribution_section`] |
+//! | `chaos` | (cross-cutting) + availability under failure | … + [`experiments::chaos_section`] |
+//! | `saturate` | (cross-cutting) + open-loop saturation curves with knees | … + [`experiments::saturation_section`] |
+//! | `proc` | (cross-cutting) `load`'s sections + a real multi-process cluster's attribution and saturation curve | [`procrun::proc_baseline`] |
+//! | `perf` | (cross-cutting) re-measure simulator + service, diff a committed baseline | [`perf::perf_compare`] |
 //!
 //! Each experiment returns a [`report::Report`] that renders as aligned
 //! text (what `repro` prints and EXPERIMENTS.md records) and serializes to
 //! JSON for downstream tooling. Explorer-backed experiments take a `jobs`
-//! worker-thread count (the `repro` binary's `--jobs` flag); `bench`
-//! additionally emits the [`report::BenchBaseline`] snapshot written to
-//! `BENCH_baseline.json` and validated by `repro bench-check` in CI.
+//! worker-thread count (the `repro` binary's `--jobs` flag). The
+//! cross-cutting rows all write one document, the
+//! [`report::BenchBaseline`] snapshot (`BENCH_baseline.json`, validated by
+//! `repro bench-check` in CI): one function per section, composed by
+//! [`experiments::baseline`] from the subcommand → sections table
+//! [`experiments::baseline_sections`]; a section a subcommand does not
+//! measure is `null`.
 
 #![deny(missing_docs)]
 

@@ -3,8 +3,8 @@
 //! observability export through the cross-process tracing path (echo
 //! round trips for clock alignment, `ObsPull`/`ObsDump` control frames,
 //! a binary [`ClusterDump`] per run), and fold the results into the
-//! schema-v5 bench baseline as `"proc"`-transport attribution entries
-//! plus an open-loop saturation curve.
+//! bench baseline as `"proc"`-transport attribution entries plus an
+//! open-loop saturation curve.
 //!
 //! The point of this sweep is *fidelity*, not scale: the same protocols
 //! the in-process attribution sweep measures, but with each node's
@@ -17,7 +17,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -27,11 +27,11 @@ use ac_obs::{max_uncertainty_nanos, ClusterDump, Stage};
 use ac_txn::Workload;
 
 use crate::experiments::{
-    detect_knee, SATURATION_BASE_RATE, SATURATION_MAX_OUTSTANDING, SERVICE_GRID, SERVICE_UNIT,
+    saturation_steps, SATURATION_BASE_RATE, SATURATION_MAX_OUTSTANDING, SERVICE_GRID, SERVICE_UNIT,
 };
 use crate::report::{
-    dominant_stage, stage_entries, AttributionEntry, AttributionStageEntry, BenchBaseline,
-    SaturationBaseline, SaturationCurve, SaturationKnee, SaturationStep, SlowTxn, TimelineStep,
+    dominant_stage, telescopes, AttributionEntry, AttributionStageEntry, BenchBaseline,
+    SaturationBaseline, SaturationCurve, SaturationStep,
 };
 use crate::{Report, Table};
 
@@ -42,19 +42,6 @@ const SLOWEST_KEPT: usize = 5;
 /// Hard deadline for one spawned cluster run (same figure the
 /// `proc_smoke` integration test uses).
 const RUN_DEADLINE: Duration = Duration::from_secs(120);
-
-/// Options of the `repro proc` sweep.
-#[derive(Clone, Debug)]
-pub struct ProcOptions {
-    /// Shrink the sweep for CI smoke jobs.
-    pub quick: bool,
-    /// Directory the spec and dump files are written to.
-    pub dump_dir: PathBuf,
-    /// When set, node 0 of every spawned cluster serves Prometheus text
-    /// on this port and the harness scrapes it mid-run (the scrape is a
-    /// gated check).
-    pub metrics_port: Option<u16>,
-}
 
 /// Locate a sibling binary of the running `repro` executable (cargo
 /// puts every workspace binary in the same target directory).
@@ -133,13 +120,18 @@ struct RunArtifacts {
 /// and read back the client's `--obs-out` dump. When `metrics_port` is
 /// set, node 0 gets `--metrics` and a scraper thread polls the endpoint
 /// while the run is live.
-fn run_cluster(spec: &ClusterSpec, tag: &str, opts: &ProcOptions) -> Result<RunArtifacts, String> {
+fn run_cluster(
+    spec: &ClusterSpec,
+    tag: &str,
+    dump_dir: &Path,
+    metrics_port: Option<u16>,
+) -> Result<RunArtifacts, String> {
     let node_bin = bin_path("ac-node")?;
     let client_bin = bin_path("ac-client")?;
-    std::fs::create_dir_all(&opts.dump_dir)
-        .map_err(|e| format!("cannot create {}: {e}", opts.dump_dir.display()))?;
-    let spec_path = opts.dump_dir.join(format!("proc-{tag}.spec"));
-    let dump_path = opts.dump_dir.join(format!("proc-{tag}.dump"));
+    std::fs::create_dir_all(dump_dir)
+        .map_err(|e| format!("cannot create {}: {e}", dump_dir.display()))?;
+    let spec_path = dump_dir.join(format!("proc-{tag}.spec"));
+    let dump_path = dump_dir.join(format!("proc-{tag}.dump"));
     std::fs::write(&spec_path, spec.render())
         .map_err(|e| format!("cannot write {}: {e}", spec_path.display()))?;
 
@@ -154,7 +146,7 @@ fn run_cluster(spec: &ClusterSpec, tag: &str, opts: &ProcOptions) -> Result<RunA
             .stdout(Stdio::null())
             .stderr(Stdio::inherit());
         if id == 0 {
-            if let Some(port) = opts.metrics_port {
+            if let Some(port) = metrics_port {
                 cmd.arg("--metrics").arg(port.to_string());
             }
         }
@@ -171,7 +163,7 @@ fn run_cluster(spec: &ClusterSpec, tag: &str, opts: &ProcOptions) -> Result<RunA
         .map_err(|e| spawn_err("ac-client", e))?;
 
     // Scrape node 0's metrics endpoint while the run is in flight.
-    let scraper = opts.metrics_port.map(|port| {
+    let scraper = metrics_port.map(|port| {
         let addr = spec.metrics_addr(0, port);
         std::thread::spawn(move || scrape_prometheus(addr, Duration::from_secs(10)))
     });
@@ -303,22 +295,32 @@ fn trimmed_goodput_tps(dump: &ClusterDump) -> f64 {
 /// Table-5 protocol served by real `ac-node`/`ac-client` processes over
 /// loopback TCP, attribution computed from the collected per-process
 /// exports (clock-aligned), plus an open-loop 2PC saturation curve.
-/// Emitted on top of everything [`crate::experiments::load_baseline`]
-/// carries, as a schema-v5 baseline whose attribution section has
-/// `"proc"` entries riding along the required channel × tcp grid.
+/// Emitted on top of the sections `repro load` measures
+/// ([`crate::experiments::baseline_sections`]): the attribution section
+/// gains `"proc"` entries riding along the required channel × tcp grid.
+///
+/// The spec and dump files of every run are written to `dump_dir`. When
+/// `metrics_port` is set, node 0 of the spawned clusters serves Prometheus
+/// text on that port and the harness scrapes it mid-run, until one scrape
+/// has landed (the scrape is a gated check).
 pub fn proc_baseline(
     quick: bool,
     jobs: usize,
-    opts: &ProcOptions,
+    dump_dir: &Path,
+    metrics_port: Option<u16>,
 ) -> Result<(Report, BenchBaseline), String> {
     // Fail fast with a buildable message before burning time on the
     // in-process sections.
     bin_path("ac-node")?;
     bin_path("ac-client")?;
 
-    let (mut r, mut baseline) =
-        crate::experiments::load_baseline(quick, jobs, ac_cluster::TransportKind::Channel);
-    r.id = "proc".into();
+    let channel = ac_cluster::TransportKind::Channel;
+    let (mut r, mut baseline) = crate::experiments::baseline("proc", quick, jobs, channel)
+        .expect("`proc` has a row in the subcommand table");
+    let attribution = baseline
+        .attribution
+        .as_mut()
+        .expect("`proc` measures `load`'s sections");
     let (n, f) = SERVICE_GRID;
 
     let mut at = Table::new(
@@ -349,17 +351,14 @@ pub fn proc_baseline(
         let spec = attribution_spec(kind, quick, &ports);
         let tag = sanitize(kind.name());
         // Scrape once — keep trying on later clusters until one lands.
-        let mut run_opts = opts.clone();
-        if scrape.is_some() {
-            run_opts.metrics_port = None;
-        }
-        let art = run_cluster(&spec, &tag, &run_opts)?;
+        let port = metrics_port.filter(|_| scrape.is_none());
+        let art = run_cluster(&spec, &tag, dump_dir, port)?;
         scrape = scrape.or(art.scrape);
         let dump = art.dump;
         let a = dump.attribution(SLOWEST_KEPT);
         let align_us = max_uncertainty_nanos(&dump.alignments) as f64 / 1e3;
-        let stages = stage_entries(&a);
-        let dominant = dominant_stage(&stages);
+        let entry = AttributionEntry::new(kind.name(), "proc", &a, Some(align_us));
+        let dominant = dominant_stage(&entry.stages);
         // The cross-run agreement gate: the in-process channel entry of
         // the same protocol/seed/config must blame the same stage. The
         // `channel` stage (client submit -> node dispatch) is the one
@@ -373,32 +372,20 @@ pub fn proc_baseline(
         // transaction has reached the cluster. A protocol that waits
         // for its clock dominates `protocol` outright in both runs, so
         // the fallback never weakens the headline claim.
-        let channel_entry_stages = baseline
-            .attribution
-            .as_ref()
-            .and_then(|attr| {
-                attr.entries
-                    .iter()
-                    .find(|e| e.protocol == kind.name() && e.transport == "channel")
-            })
-            .map(|e| e.stages.clone())
-            .unwrap_or_default();
-        let channel_dominant = dominant_stage(&channel_entry_stages);
-        let sans_dispatch = |entries: &[AttributionStageEntry]| {
-            let kept: Vec<AttributionStageEntry> = entries
-                .iter()
-                .filter(|s| s.stage != "channel")
-                .cloned()
-                .collect();
-            dominant_stage(&kept)
+        let channel_stages = attribution
+            .entries
+            .iter()
+            .find(|e| e.protocol == kind.name() && e.transport == "channel")
+            .map_or(&[][..], |e| &e.stages);
+        let sans_dispatch = |stages: &[AttributionStageEntry]| {
+            dominant_stage(stages.iter().filter(|s| s.stage != "channel"))
         };
-        let dominant_agrees = dominant == channel_dominant
-            || sans_dispatch(&stages) == sans_dispatch(&channel_entry_stages);
+        let dominant_agrees = dominant == dominant_stage(channel_stages)
+            || sans_dispatch(&entry.stages) == sans_dispatch(channel_stages);
         let ok = dump.exports.len() == n
             && dump.alignments.len() == n
             && dump.stats.stalled == 0
-            && a.covered > 0
-            && (a.share_sum_pct() - 100.0).abs() <= 5.0
+            && telescopes(&a)
             && dominant_agrees;
         let verdict = r.compare(ok).to_string();
         let mut row = vec![kind.name().to_string(), format!("{:.0}%", a.coverage_pct())];
@@ -409,35 +396,7 @@ pub fn proc_baseline(
         row.push(dominant.clone());
         row.push(verdict);
         at.row(row);
-        proc_entries.push(AttributionEntry {
-            protocol: kind.name().into(),
-            transport: "proc".into(),
-            txns: a.total,
-            coverage_pct: a.coverage_pct(),
-            share_sum_pct: a.share_sum_pct(),
-            e2e_p50_micros: a.e2e.p50() as f64 / 1e3,
-            e2e_p999_micros: a.e2e.p999() as f64 / 1e3,
-            dropped_events: a.dropped_events,
-            alignment_max_uncertainty_micros: Some(align_us),
-            stages,
-            slowest: a
-                .slowest
-                .iter()
-                .map(|tl| SlowTxn {
-                    txn: tl.txn,
-                    e2e_micros: tl.e2e_nanos() as f64 / 1e3,
-                    steps: tl
-                        .steps()
-                        .into_iter()
-                        .map(|(at_nanos, actor, label)| TimelineStep {
-                            at_micros: at_nanos as f64 / 1e3,
-                            actor,
-                            label,
-                        })
-                        .collect(),
-                })
-                .collect(),
-        });
+        proc_entries.push(entry);
     }
     r.table(at);
     r.note(
@@ -456,19 +415,12 @@ pub fn proc_baseline(
          agree on where the time goes once the transaction reaches the \
          cluster).",
     );
-    if let Some(attr) = baseline.attribution.as_mut() {
-        attr.entries.extend(proc_entries);
-    }
+    attribution.entries.extend(proc_entries);
 
     // The open-loop face: a 2PC saturation curve over real processes
     // (arrival_rate/max_outstanding ride in the spec file).
-    let mults: &[usize] = if quick {
-        &[1, 4, 16]
-    } else {
-        &[1, 2, 4, 8, 16]
-    };
+    let (mults, duration) = saturation_steps(quick);
     let clients = 8usize;
-    let duration = Duration::from_millis(if quick { 400 } else { 1000 });
     let mut st = Table::new(
         format!(
             "Multi-process open-loop saturation (2PC, n={n}, f={f}, \
@@ -489,7 +441,6 @@ pub fn proc_baseline(
         ],
     );
     let mut steps = Vec::new();
-    let mut knee_inputs: Vec<(f64, f64)> = Vec::new();
     let mut attributions = Vec::new();
     for (i, &mult) in mults.iter().enumerate() {
         let rate = SATURATION_BASE_RATE * mult as f64;
@@ -501,11 +452,8 @@ pub fn proc_baseline(
         spec.txns_per_client = ((rate * duration.as_secs_f64()).ceil() as usize).max(4);
         spec.arrival_rate = Some(rate);
         spec.max_outstanding = Some(SATURATION_MAX_OUTSTANDING);
-        let mut run_opts = opts.clone();
-        if scrape.is_some() {
-            run_opts.metrics_port = None;
-        }
-        let art = run_cluster(&spec, &format!("sat-x{mult}"), &run_opts)?;
+        let port = metrics_port.filter(|_| scrape.is_none());
+        let art = run_cluster(&spec, &format!("sat-x{mult}"), dump_dir, port)?;
         scrape = scrape.or(art.scrape);
         let dump = art.dump;
         let a = dump.attribution(SLOWEST_KEPT);
@@ -545,33 +493,32 @@ pub fn proc_baseline(
             wire_per_txn: wire_frames_of(&dump) as f64 / txns.max(1) as f64,
             safety_violations: 0,
         });
-        knee_inputs.push((goodput, us(hist.p99())));
         attributions.push(a);
     }
-    let (ki, detected) = detect_knee(&knee_inputs);
-    let a = &attributions[ki];
-    let stage_shares = stage_entries(a);
-    let knee_ok = a.covered > 0 && (a.share_sum_pct() - 100.0).abs() <= 5.0;
-    let verdict = r.compare(knee_ok).to_string();
+    let curve = SaturationCurve::new(
+        ProtocolKind::TwoPc.name(),
+        "proc",
+        n,
+        clients,
+        steps,
+        &attributions,
+    );
+    let knee = &curve.knee;
+    let verdict = r.compare(telescopes(&attributions[knee.step]));
     r.note(format!(
         "saturation knee at x{} ({}): offered {:.0} t/s, goodput {:.0} t/s, \
          dominant stage {} [{}]",
-        mults[ki],
-        if detected { "detected" } else { "last step" },
-        steps[ki].offered_tps,
-        steps[ki].goodput_tps,
-        dominant_stage(&stage_shares),
+        mults[knee.step],
+        if knee.detected {
+            "detected"
+        } else {
+            "last step"
+        },
+        knee.offered_tps,
+        knee.goodput_tps,
+        dominant_stage(&knee.stage_shares),
         verdict,
     ));
-    let knee = SaturationKnee {
-        step: ki,
-        detected,
-        offered_tps: steps[ki].offered_tps,
-        goodput_tps: knee_inputs[ki].0,
-        p99_sojourn_micros: knee_inputs[ki].1,
-        stage_shares,
-        share_sum_pct: a.share_sum_pct(),
-    };
     r.table(st);
     r.note(
         "open-loop over real processes: the spec file carries \
@@ -581,34 +528,18 @@ pub fn proc_baseline(
          goodput over the trimmed steady-state window, frames/txn from \
          the per-peer transport counters in each node's export.",
     );
-    baseline.schema_version = 5;
     baseline.saturation = Some(SaturationBaseline {
         f,
         unit_micros: SERVICE_UNIT.as_micros() as u64,
-        curves: vec![SaturationCurve {
-            protocol: ProtocolKind::TwoPc.name().into(),
-            transport: "proc".into(),
-            n,
-            clients,
-            max_outstanding: SATURATION_MAX_OUTSTANDING,
-            steps,
-            knee,
-        }],
+        curves: vec![curve],
     });
 
     // The mid-run scrape is part of the acceptance surface: a live
     // multi-process cluster must expose both stage meters and transport
     // counters while serving.
-    if opts.metrics_port.is_some() {
-        let (got_stage, got_net) = scrape
-            .as_ref()
-            .map(|b| {
-                (
-                    b.contains("ac_stage_count"),
-                    b.contains("ac_net_bytes_out_total"),
-                )
-            })
-            .unwrap_or((false, false));
+    if metrics_port.is_some() {
+        let scraped = |metric: &str| scrape.as_deref().is_some_and(|body| body.contains(metric));
+        let (got_stage, got_net) = (scraped("ac_stage_count"), scraped("ac_net_bytes_out_total"));
         let verdict = r.compare(got_stage && got_net).to_string();
         r.note(format!(
             "mid-run Prometheus scrape of node 0: stage meters {}, transport \

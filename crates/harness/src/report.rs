@@ -214,7 +214,7 @@ pub struct ExplorerBaseline {
     pub speedup: f64,
 }
 
-/// The protocols the schema-v2 `service` section must cover: the
+/// The protocols the `service` section must cover: the
 /// head-to-head comparison of the live load (2PC vs Paxos-Commit vs INBAC
 /// vs D1CC — blocking baseline, consensus-upfront, indulgent fast-path,
 /// logless one-phase). The single source of truth for that list: the
@@ -263,25 +263,23 @@ pub struct ServiceEntry {
     /// 99th-percentile latency, microseconds.
     pub p99_micros: f64,
     /// 99.9th-percentile latency, microseconds — the straggler tail the
-    /// flight recorder explains (optional: baselines written before the
-    /// observability layer lack it).
-    pub p999_micros: Option<f64>,
+    /// flight recorder explains.
+    pub p999_micros: f64,
     /// Maximum latency, microseconds.
     pub max_micros: f64,
     /// Safety violations found by the post-run audit (must be 0).
     pub safety_violations: usize,
-    /// Protocol messages that crossed node boundaries (counter-exact;
-    /// optional — baselines written before the perf upgrade lack it).
-    pub wire_messages: Option<usize>,
+    /// Protocol messages that crossed node boundaries (counter-exact).
+    pub wire_messages: usize,
     /// `wire_messages / txns` — the per-transaction wire cost the perf
-    /// gate diffs (counter-backed, so gated strictly; optional as above).
-    pub wire_per_txn: Option<f64>,
+    /// gate diffs (counter-backed, so gated strictly).
+    pub wire_per_txn: f64,
     /// Node-loop wakeups that found no work (see
-    /// `ac_cluster::ServiceOutcome::spurious_wakeups`; optional as above).
-    pub spurious_wakeups: Option<usize>,
+    /// `ac_cluster::ServiceOutcome::spurious_wakeups`).
+    pub spurious_wakeups: usize,
 }
 
-/// The chaos scenarios a schema-v3 `chaos` section must cover, per
+/// The chaos scenarios a `chaos` section must cover, per
 /// protocol: the ISSUE-5 sweep axes. The single source of truth shared by
 /// the `repro chaos` emitter and the validator.
 pub fn chaos_scenario_names() -> [&'static str; 4] {
@@ -340,7 +338,7 @@ pub struct ChaosEntry {
     pub wire_messages: usize,
 }
 
-/// The schema-v3 `chaos` section: availability under failure, per
+/// The `chaos` section: availability under failure, per
 /// (protocol, scenario).
 #[derive(Clone, Debug, Serialize)]
 pub struct ChaosBaseline {
@@ -348,9 +346,8 @@ pub struct ChaosBaseline {
     pub n: usize,
     /// Crash-resilience parameter.
     pub f: usize,
-    /// Transport the sweep ran over (`"channel"` or `"tcp"`; `None` in
-    /// baselines written before the transport seam existed = channel).
-    pub transport: Option<String>,
+    /// Transport the sweep ran over (`"channel"` or `"tcp"`).
+    pub transport: String,
     /// Wall-clock length of one virtual delay unit, microseconds.
     pub unit_micros: u64,
     /// Fault window start, virtual units.
@@ -361,7 +358,7 @@ pub struct ChaosBaseline {
     pub entries: Vec<ChaosEntry>,
 }
 
-/// The transports the schema-v4 `attribution` section must cover for
+/// The transports the `attribution` section must cover for
 /// every Table-5 protocol.
 pub fn attribution_transport_names() -> [&'static str; 2] {
     ["channel", "tcp"]
@@ -401,10 +398,19 @@ pub fn stage_entries(a: &ac_cluster::Attribution) -> Vec<AttributionStageEntry> 
         .collect()
 }
 
+/// The gate every sweep applies before it embeds an attribution: at least
+/// one transaction was reconstructed and the stage shares sum to
+/// 100 ± 5 % of the measured end-to-end time (exact per covered
+/// transaction by construction — the tolerance only absorbs coverage
+/// loss).
+pub fn telescopes(a: &ac_cluster::Attribution) -> bool {
+    a.covered > 0 && (a.share_sum_pct() - 100.0).abs() <= 5.0
+}
+
 /// The stage holding the largest share of end-to-end time.
-pub fn dominant_stage(stages: &[AttributionStageEntry]) -> String {
+pub fn dominant_stage<'a>(stages: impl IntoIterator<Item = &'a AttributionStageEntry>) -> String {
     stages
-        .iter()
+        .into_iter()
         .max_by(|x, y| x.share_pct.total_cmp(&y.share_pct))
         .map(|s| s.stage.clone())
         .unwrap_or_default()
@@ -468,7 +474,49 @@ pub struct AttributionEntry {
     pub slowest: Vec<SlowTxn>,
 }
 
-/// The schema-v4 `attribution` section: per-stage latency decomposition
+impl AttributionEntry {
+    /// The baseline entry of one measured attribution, slowest timelines
+    /// embedded. `alignment_max_uncertainty_micros` is `Some` only for a
+    /// cross-process (`"proc"`) run.
+    pub fn new(
+        protocol: &str,
+        transport: &str,
+        a: &ac_cluster::Attribution,
+        alignment_max_uncertainty_micros: Option<f64>,
+    ) -> AttributionEntry {
+        AttributionEntry {
+            protocol: protocol.into(),
+            transport: transport.into(),
+            txns: a.total,
+            coverage_pct: a.coverage_pct(),
+            share_sum_pct: a.share_sum_pct(),
+            e2e_p50_micros: a.e2e.p50() as f64 / 1e3,
+            e2e_p999_micros: a.e2e.p999() as f64 / 1e3,
+            dropped_events: a.dropped_events,
+            alignment_max_uncertainty_micros,
+            stages: stage_entries(a),
+            slowest: a
+                .slowest
+                .iter()
+                .map(|tl| SlowTxn {
+                    txn: tl.txn,
+                    e2e_micros: tl.e2e_nanos() as f64 / 1e3,
+                    steps: tl
+                        .steps()
+                        .into_iter()
+                        .map(|(at_nanos, actor, label)| TimelineStep {
+                            at_micros: at_nanos as f64 / 1e3,
+                            actor,
+                            label,
+                        })
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// The `attribution` section: per-stage latency decomposition
 /// of every Table-5 protocol on both transports.
 #[derive(Clone, Debug, Serialize)]
 pub struct AttributionBaseline {
@@ -569,7 +617,49 @@ pub struct SaturationCurve {
     pub knee: SaturationKnee,
 }
 
-/// The schema-v5 `saturation` section: open-loop offered-vs-goodput
+impl SaturationCurve {
+    /// Assemble a curve from its measured steps and each step's
+    /// attribution (same order): detect the knee — the first step whose
+    /// goodput gain over the previous step is < 10 % while p99 sojourn at
+    /// least doubles, else the last step with `detected = false` — and
+    /// attach the knee step's stage shares.
+    pub fn new(
+        protocol: &str,
+        transport: &str,
+        n: usize,
+        clients: usize,
+        steps: Vec<SaturationStep>,
+        attributions: &[ac_cluster::Attribution],
+    ) -> SaturationCurve {
+        let detected = (1..steps.len()).find(|&i| {
+            let (prev, at) = (&steps[i - 1], &steps[i]);
+            at.goodput_tps < prev.goodput_tps * 1.10
+                && at.p99_sojourn_micros >= 2.0 * prev.p99_sojourn_micros
+                && prev.p99_sojourn_micros > 0.0
+        });
+        let step = detected.unwrap_or(steps.len().saturating_sub(1));
+        let knee = SaturationKnee {
+            step,
+            detected: detected.is_some(),
+            offered_tps: steps[step].offered_tps,
+            goodput_tps: steps[step].goodput_tps,
+            p99_sojourn_micros: steps[step].p99_sojourn_micros,
+            stage_shares: stage_entries(&attributions[step]),
+            share_sum_pct: attributions[step].share_sum_pct(),
+        };
+        SaturationCurve {
+            protocol: protocol.into(),
+            transport: transport.into(),
+            n,
+            clients,
+            max_outstanding: crate::experiments::SATURATION_MAX_OUTSTANDING,
+            steps,
+            knee,
+        }
+    }
+}
+
+/// The `saturation` section: open-loop offered-vs-goodput
 /// curves with per-curve knee detection and per-stage attribution at the
 /// knee.
 #[derive(Clone, Debug, Serialize)]
@@ -582,7 +672,7 @@ pub struct SaturationBaseline {
     pub curves: Vec<SaturationCurve>,
 }
 
-/// The schema-v2 `service` section: the live `ac-cluster` transaction
+/// The `service` section: the live `ac-cluster` transaction
 /// service measured under closed-loop load.
 #[derive(Clone, Debug, Serialize)]
 pub struct ServiceBaseline {
@@ -590,9 +680,8 @@ pub struct ServiceBaseline {
     pub n: usize,
     /// Crash-resilience parameter.
     pub f: usize,
-    /// Transport the sweep ran over (`"channel"` or `"tcp"`; `None` in
-    /// baselines written before the transport seam existed = channel).
-    pub transport: Option<String>,
+    /// Transport the sweep ran over (`"channel"` or `"tcp"`).
+    pub transport: String,
     /// Wall-clock length of one virtual delay unit, microseconds.
     pub unit_micros: u64,
     /// One entry per (protocol, workload, concurrency) combination.
@@ -723,6 +812,10 @@ impl BeforeAfter {
     }
 }
 
+/// The only layout `repro` writes and `bench-check` accepts; bump on a
+/// breaking layout change.
+pub const SCHEMA_VERSION: u32 = 5;
+
 /// The machine-readable bench baseline written to `BENCH_baseline.json`.
 ///
 /// This is the seed point of the repository's performance trajectory:
@@ -730,20 +823,14 @@ impl BeforeAfter {
 /// semantics are documented field-by-field in the README ("The bench
 /// baseline" section).
 ///
-/// Five schema versions exist: **v1** (`repro bench`) carries the
-/// simulator numbers only; **v2** (legacy `repro load`) additionally
-/// carries the live [`ServiceBaseline`]; **v3** (legacy `repro chaos`)
-/// additionally carries the [`ChaosBaseline`]
-/// availability-under-failure section; **v4** (current `repro load` /
-/// `repro chaos`) additionally carries the [`AttributionBaseline`]
-/// per-stage latency decomposition (the `chaos` section stays optional
-/// in v4 — `repro load` emits without it, `repro chaos` with it);
-/// **v5** (`repro saturate`) additionally carries the
-/// [`SaturationBaseline`] open-loop offered-vs-goodput curves with knee
-/// detection. The validator accepts all five.
+/// One document, one schema: the simulator numbers (`protocols`,
+/// `explorer`) are always present, and each of the four live sections
+/// ([`BenchBaseline::SECTIONS`]) is either measured or `null` — which
+/// ones a `repro` subcommand measures is
+/// [`crate::experiments::baseline_sections`]'s table.
 #[derive(Clone, Debug, Serialize)]
 pub struct BenchBaseline {
-    /// Format version; bump on breaking layout changes.
+    /// Format version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// Worker threads the harness was invoked with.
     pub jobs: usize,
@@ -751,62 +838,59 @@ pub struct BenchBaseline {
     pub protocols: Vec<ProtocolBaseline>,
     /// Explorer wall-clock numbers.
     pub explorer: ExplorerBaseline,
-    /// Live-service numbers (schema v2+; `None` serializes as `null` in a
-    /// v1 baseline).
+    /// Live-service numbers under closed-loop load.
     pub service: Option<ServiceBaseline>,
-    /// Availability-under-failure numbers (schema v3; optional in v4).
+    /// Availability-under-failure numbers.
     pub chaos: Option<ChaosBaseline>,
-    /// Per-stage latency attribution (schema v4).
+    /// Per-stage latency attribution.
     pub attribution: Option<AttributionBaseline>,
-    /// Open-loop saturation curves with knee detection (schema v5).
+    /// Open-loop saturation curves with knee detection.
     pub saturation: Option<SaturationBaseline>,
     /// The before/after pair of a claimed speed-up (`repro … --before
-    /// PATH`); `null` otherwise. Not versioned: validators ignore it.
+    /// PATH`); `null` otherwise. Validators ignore it.
     pub pair: Option<BeforeAfter>,
 }
 
 impl BenchBaseline {
+    /// The live sections, in document order. Each is `null` in a baseline
+    /// whose subcommand did not measure it.
+    pub const SECTIONS: [&'static str; 4] = ["service", "chaos", "attribution", "saturation"];
+
     /// Pretty-printed JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("baseline serialization cannot fail")
     }
 
-    /// Write the baseline to `path` (pretty JSON, trailing newline).
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json() + "\n")
-    }
-
-    /// Validate a serialized baseline: parses as JSON, carries a known
-    /// schema version (1–5), covers **all seven Table-5 protocols**,
-    /// and reports a non-empty, counterexample-free exploration. A v2+
-    /// baseline must additionally carry a `service` section covering every
-    /// [`service_protocol_names`] protocol at ≥ 2 concurrency levels with
-    /// zero safety violations and zero stalls. A v3 baseline must
-    /// additionally carry a `chaos` section covering every
-    /// (service protocol × [`chaos_scenario_names`] scenario) pair, each
-    /// with a clean safety audit and zero unresolved transactions. A v4
-    /// baseline must additionally carry an `attribution` section covering
-    /// every ([`table5_protocol_names`] ×
-    /// [`attribution_transport_names`]) pair with positive coverage and
-    /// stage shares summing to 100 ± 5 % (its `chaos` section is
-    /// optional but validated when present). A v5 baseline must
-    /// additionally carry a `saturation` section: non-empty curves, each
-    /// with ≥ 2 safety-clean steps whose goodput never exceeds the
-    /// offered load, a knee pointing into the steps, and knee stage
-    /// shares summing to 100 ± 5 %. Returns a list of problems
-    /// (empty = valid). This is what CI's bench-smoke, load-smoke,
-    /// chaos-smoke, saturate-smoke and trace-smoke jobs run via
-    /// `repro bench-check`.
-    pub fn validate_json(text: &str) -> Result<(), Vec<String>> {
+    /// Validate a serialized baseline. Always: parses as JSON, carries
+    /// [`SCHEMA_VERSION`], covers **all seven Table-5 protocols**, each
+    /// matching its paper formula, and reports a non-empty,
+    /// counterexample-free exploration. Then each non-`null` live section
+    /// must satisfy its own rules:
+    ///
+    /// * `service` — every [`service_protocol_names`] protocol at ≥ 2
+    ///   concurrency levels, zero safety violations, zero stalls;
+    /// * `chaos` — every (service protocol × [`chaos_scenario_names`]
+    ///   scenario) pair, each with a clean safety audit and zero
+    ///   unresolved transactions;
+    /// * `attribution` — every ([`table5_protocol_names`] ×
+    ///   [`attribution_transport_names`]) pair with positive coverage and
+    ///   stage shares summing to 100 ± 5 %;
+    /// * `saturation` — non-empty curves, each with ≥ 2 safety-clean steps
+    ///   whose goodput never exceeds the offered load, a knee pointing
+    ///   into the steps, and knee stage shares summing to 100 ± 5 %.
+    ///
+    /// Returns the names of the live sections found (and validated), or
+    /// the list of problems. This is what `repro bench-check` runs, and
+    /// what the perf gate runs on the committed baseline.
+    pub fn validate_json(text: &str) -> Result<Vec<&'static str>, Vec<String>> {
         let mut problems = Vec::new();
         let v: serde_json::Value = match serde_json::from_str(text) {
             Ok(v) => v,
             Err(e) => return Err(vec![format!("not valid JSON: {e:?}")]),
         };
-        let schema = v["schema_version"].as_u64();
-        if !matches!(schema, Some(1..=5)) {
+        if v["schema_version"].as_u64() != Some(u64::from(SCHEMA_VERSION)) {
             problems.push(format!(
-                "schema_version must be 1, 2, 3, 4 or 5, got {:?}",
+                "schema_version must be {SCHEMA_VERSION}, got {:?}",
                 v["schema_version"]
             ));
         }
@@ -846,45 +930,38 @@ impl BenchBaseline {
                 problems.push(format!("explorer.{key} must be a positive number"));
             }
         }
-        if matches!(schema, Some(2..=5)) {
-            Self::validate_service(&v["service"], &mut problems);
-        }
-        if schema == Some(3)
-            || (matches!(schema, Some(4) | Some(5))
-                && !matches!(v["chaos"], serde_json::Value::Null))
-        {
-            Self::validate_chaos(&v["chaos"], &mut problems);
-        }
-        if matches!(schema, Some(4) | Some(5)) {
-            Self::validate_attribution(&v["attribution"], &mut problems);
-        }
-        if schema == Some(5) {
-            Self::validate_saturation(&v["saturation"], &mut problems);
+        let section_rules: [fn(&serde_json::Value, &mut Vec<String>); 4] = [
+            Self::validate_service,
+            Self::validate_chaos,
+            Self::validate_attribution,
+            Self::validate_saturation,
+        ];
+        let mut found = Vec::new();
+        for (name, validate) in Self::SECTIONS.into_iter().zip(section_rules) {
+            if v[name] != serde_json::Value::Null {
+                validate(&v[name], &mut problems);
+                found.push(name);
+            }
         }
         if problems.is_empty() {
-            Ok(())
+            Ok(found)
         } else {
             Err(problems)
         }
     }
 
-    /// The optional `transport` marker: absent/null (legacy baselines,
-    /// meaning channel) or one of the known transport names —
-    /// `"channel"` (in-process channels), `"tcp"` (in-process sockets)
-    /// or `"proc"` (real multi-process cluster over sockets).
+    /// The `transport` marker: `"channel"` (in-process channels),
+    /// `"tcp"` (in-process sockets) or `"proc"` (real multi-process
+    /// cluster over sockets).
     fn check_transport(section: &str, t: &serde_json::Value, problems: &mut Vec<String>) {
-        if matches!(t, serde_json::Value::Null) {
-            return;
-        }
         if !matches!(t.as_str(), Some("channel") | Some("tcp") | Some("proc")) {
             problems.push(format!(
-                "{section}.transport must be \"channel\", \"tcp\" or \"proc\" when present, \
-                 got {t:?}"
+                "{section}.transport must be \"channel\", \"tcp\" or \"proc\", got {t:?}"
             ));
         }
     }
 
-    /// Schema-v4 `attribution` section rules (see
+    /// `attribution` section rules (see
     /// [`BenchBaseline::validate_json`]): full Table-5 × transport
     /// coverage, all five canonical stages per entry, positive timeline
     /// coverage, and stage shares summing to 100 ± 5 % of the measured
@@ -893,7 +970,7 @@ impl BenchBaseline {
         let empty = Vec::new();
         let entries = attr["entries"].as_array().unwrap_or(&empty);
         if entries.is_empty() {
-            problems.push("schema v4 requires a non-empty attribution.entries".into());
+            problems.push("attribution.entries must be non-empty".into());
             return;
         }
         for protocol in table5_protocol_names() {
@@ -948,7 +1025,7 @@ impl BenchBaseline {
         }
     }
 
-    /// Schema-v5 `saturation` section rules (see
+    /// `saturation` section rules (see
     /// [`BenchBaseline::validate_json`]): non-empty curves, each with at
     /// least two safety-clean steps, goodput bounded by the offered load,
     /// ordered sojourn percentiles, a knee pointing into the steps and
@@ -959,7 +1036,7 @@ impl BenchBaseline {
         let empty = Vec::new();
         let curves = sat["curves"].as_array().unwrap_or(&empty);
         if curves.is_empty() {
-            problems.push("schema v5 requires a non-empty saturation.curves".into());
+            problems.push("saturation.curves must be non-empty".into());
             return;
         }
         for c in curves {
@@ -1040,12 +1117,12 @@ impl BenchBaseline {
         }
     }
 
-    /// Schema-v3 `chaos` section rules (see [`BenchBaseline::validate_json`]).
+    /// `chaos` section rules (see [`BenchBaseline::validate_json`]).
     fn validate_chaos(chaos: &serde_json::Value, problems: &mut Vec<String>) {
         let empty = Vec::new();
         let entries = chaos["entries"].as_array().unwrap_or(&empty);
         if entries.is_empty() {
-            problems.push("schema v3 requires a non-empty chaos.entries".into());
+            problems.push("chaos.entries must be non-empty".into());
             return;
         }
         Self::check_transport("chaos", &chaos["transport"], problems);
@@ -1082,12 +1159,12 @@ impl BenchBaseline {
         }
     }
 
-    /// Schema-v2 `service` section rules (see [`BenchBaseline::validate_json`]).
+    /// `service` section rules (see [`BenchBaseline::validate_json`]).
     fn validate_service(service: &serde_json::Value, problems: &mut Vec<String>) {
         let empty = Vec::new();
         let entries = service["entries"].as_array().unwrap_or(&empty);
         if entries.is_empty() {
-            problems.push("schema v2 requires a non-empty service.entries".into());
+            problems.push("service.entries must be non-empty".into());
             return;
         }
         Self::check_transport("service", &service["transport"], problems);
@@ -1127,19 +1204,14 @@ impl BenchBaseline {
                     "{label}: p50_micros/p99_micros must be numbers with p50 <= p99"
                 )),
             }
-            // Optional perf fields (absent in pre-upgrade baselines): when
-            // present they must at least be well-formed non-negative
-            // numbers.
             for key in [
                 "wire_per_txn",
                 "wire_messages",
                 "spurious_wakeups",
                 "p999_micros",
             ] {
-                if let Some(x) = e[key].as_f64() {
-                    if x < 0.0 {
-                        problems.push(format!("{label}: {key} must be >= 0"));
-                    }
+                if e[key].as_f64().is_none_or(|x| x < 0.0) {
+                    problems.push(format!("{label}: {key} must be >= 0"));
                 }
             }
         }
@@ -1147,7 +1219,7 @@ impl BenchBaseline {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1170,9 +1242,154 @@ mod tests {
         assert!(r.render().contains("1/2"));
     }
 
-    fn sample_baseline() -> BenchBaseline {
+    fn sample_stages(p50_micros: f64, p99_micros: f64) -> Vec<AttributionStageEntry> {
+        attribution_stage_names()
+            .iter()
+            .map(|s| AttributionStageEntry {
+                stage: s.to_string(),
+                p50_micros,
+                p99_micros,
+                share_pct: 20.0,
+            })
+            .collect()
+    }
+
+    fn sample_attribution_entry(protocol: &str, transport: &str) -> AttributionEntry {
+        AttributionEntry {
+            protocol: protocol.to_string(),
+            transport: transport.to_string(),
+            txns: 16,
+            coverage_pct: 100.0,
+            share_sum_pct: 100.0,
+            e2e_p50_micros: 10_500.0,
+            e2e_p999_micros: 22_000.0,
+            dropped_events: 0,
+            alignment_max_uncertainty_micros: (transport == "proc").then_some(35.0),
+            stages: sample_stages(2_100.0, 4_400.0),
+            slowest: vec![SlowTxn {
+                txn: 0x42,
+                e2e_micros: 22_000.0,
+                steps: vec![
+                    TimelineStep {
+                        at_micros: 0.0,
+                        actor: "client".into(),
+                        label: "submit txn 0x42".into(),
+                    },
+                    TimelineStep {
+                        at_micros: 22_000.0,
+                        actor: "client".into(),
+                        label: "all replies in".into(),
+                    },
+                ],
+            }],
+        }
+    }
+
+    fn sample_saturation_step(step: usize, rate: f64) -> SaturationStep {
+        SaturationStep {
+            step,
+            arrival_rate_per_client: rate,
+            offered_tps: rate * 16.0,
+            offered: 400,
+            shed: if step > 2 { 40 } else { 0 },
+            committed: 300,
+            aborted: 50,
+            stalled: 0,
+            goodput_tps: rate * 16.0 * 0.8,
+            p50_sojourn_micros: 10_000.0 * (step + 1) as f64,
+            p99_sojourn_micros: 30_000.0 * (step + 1) as f64,
+            p999_sojourn_micros: 45_000.0 * (step + 1) as f64,
+            wal_forces: 120,
+            forces_per_txn: 0.4,
+            wire_per_txn: 10.0,
+            safety_violations: 0,
+        }
+    }
+
+    /// The full document — what `repro saturate` writes: simulator
+    /// numbers plus all four live sections. Shared with the perf gate's
+    /// fixture tests.
+    pub(crate) fn sample_baseline() -> BenchBaseline {
+        let mut service = Vec::new();
+        for name in service_protocol_names() {
+            for clients in [2usize, 8] {
+                service.push(ServiceEntry {
+                    protocol: name.to_string(),
+                    workload: "uniform".into(),
+                    clients,
+                    txns: 30,
+                    committed: 28,
+                    aborted: 2,
+                    stalled: 0,
+                    throughput_tps: 150.0,
+                    p50_micros: 10_000.0,
+                    p90_micros: 12_000.0,
+                    p99_micros: 15_000.0,
+                    p999_micros: 18_000.0,
+                    max_micros: 20_000.0,
+                    safety_violations: 0,
+                    wire_messages: 300,
+                    wire_per_txn: 10.0,
+                    spurious_wakeups: 0,
+                });
+            }
+        }
+        let mut chaos = Vec::new();
+        for protocol in service_protocol_names() {
+            for scenario in chaos_scenario_names() {
+                chaos.push(ChaosEntry {
+                    protocol: protocol.to_string(),
+                    scenario: scenario.to_string(),
+                    txns: 40,
+                    committed: 20,
+                    aborted: 20,
+                    stalled: 0,
+                    safety_violations: 0,
+                    submitted_during_fault: 12,
+                    decided_during_fault: 10,
+                    committed_during_fault: 3,
+                    committed_after_heal: 9,
+                    ops_during_fault: 15.0,
+                    ops_after_heal: 60.0,
+                    availability_pct: 83.3,
+                    blocked: if protocol == "2PC" { 5 } else { 0 },
+                    recovery_ms: 40.0,
+                    retries: 6,
+                    dropped_messages: 30,
+                    wire_messages: 900,
+                });
+            }
+        }
+        let mut attribution = Vec::new();
+        for protocol in table5_protocol_names() {
+            for transport in attribution_transport_names() {
+                attribution.push(sample_attribution_entry(protocol, transport));
+            }
+        }
+        let curves = table5_protocol_names()
+            .iter()
+            .map(|p| SaturationCurve {
+                protocol: p.to_string(),
+                transport: "channel".into(),
+                n: 4,
+                clients: 16,
+                max_outstanding: 32,
+                steps: (0..3)
+                    .map(|i| sample_saturation_step(i, 25.0 * (1 << i) as f64))
+                    .collect(),
+                knee: SaturationKnee {
+                    step: 2,
+                    detected: true,
+                    offered_tps: 1_600.0,
+                    goodput_tps: 1_280.0,
+                    p99_sojourn_micros: 90_000.0,
+                    stage_shares: sample_stages(2_000.0, 5_000.0),
+                    share_sum_pct: 100.0,
+                },
+            })
+            .collect();
         BenchBaseline {
-            schema_version: 1,
+            schema_version: SCHEMA_VERSION,
             jobs: 4,
             protocols: table5_protocol_names()
                 .iter()
@@ -1199,233 +1416,112 @@ mod tests {
                 jobs: 4,
                 speedup: 2.0,
             },
-            service: None,
-            chaos: None,
-            attribution: None,
-            saturation: None,
+            service: Some(ServiceBaseline {
+                n: 4,
+                f: 1,
+                transport: "channel".into(),
+                unit_micros: 5_000,
+                entries: service,
+            }),
+            chaos: Some(ChaosBaseline {
+                n: 4,
+                f: 1,
+                transport: "tcp".into(),
+                unit_micros: 5_000,
+                fault_from_units: 10,
+                fault_until_units: 50,
+                entries: chaos,
+            }),
+            attribution: Some(AttributionBaseline {
+                n: 4,
+                f: 1,
+                unit_micros: 5_000,
+                entries: attribution,
+            }),
+            saturation: Some(SaturationBaseline {
+                f: 1,
+                unit_micros: 5_000,
+                curves,
+            }),
             pair: None,
         }
     }
 
-    fn sample_v2_baseline() -> BenchBaseline {
-        let mut b = sample_baseline();
-        b.schema_version = 2;
-        let mut entries = Vec::new();
-        for name in service_protocol_names() {
-            for clients in [2usize, 8] {
-                entries.push(ServiceEntry {
-                    protocol: name.to_string(),
-                    workload: "uniform".into(),
-                    clients,
-                    txns: 30,
-                    committed: 28,
-                    aborted: 2,
-                    stalled: 0,
-                    throughput_tps: 150.0,
-                    p50_micros: 10_000.0,
-                    p90_micros: 12_000.0,
-                    p99_micros: 15_000.0,
-                    p999_micros: (clients == 2).then_some(18_000.0),
-                    max_micros: 20_000.0,
-                    safety_violations: 0,
-                    // One entry with perf fields, one without: both shapes
-                    // must validate (pre-upgrade baselines lack them).
-                    wire_messages: (clients == 2).then_some(300),
-                    wire_per_txn: (clients == 2).then_some(10.0),
-                    spurious_wakeups: (clients == 2).then_some(0),
-                });
-            }
+    /// `validate_json` must fail and name every `needle`.
+    fn assert_problems(b: &BenchBaseline, needles: &[&str]) {
+        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
+        for needle in needles {
+            assert!(
+                problems.iter().any(|p| p.contains(needle)),
+                "missing {needle:?} in {problems:?}"
+            );
         }
-        b.service = Some(ServiceBaseline {
-            n: 4,
-            f: 1,
-            // Legacy shape: pre-transport baselines carry no field here
-            // and must keep validating.
-            transport: None,
-            unit_micros: 5_000,
-            entries,
-        });
-        b
-    }
-
-    fn sample_v3_baseline() -> BenchBaseline {
-        let mut b = sample_v2_baseline();
-        b.schema_version = 3;
-        let mut entries = Vec::new();
-        for protocol in service_protocol_names() {
-            for scenario in chaos_scenario_names() {
-                entries.push(ChaosEntry {
-                    protocol: protocol.to_string(),
-                    scenario: scenario.to_string(),
-                    txns: 40,
-                    committed: 20,
-                    aborted: 20,
-                    stalled: 0,
-                    safety_violations: 0,
-                    submitted_during_fault: 12,
-                    decided_during_fault: 10,
-                    committed_during_fault: 3,
-                    committed_after_heal: 9,
-                    ops_during_fault: 15.0,
-                    ops_after_heal: 60.0,
-                    availability_pct: 83.3,
-                    blocked: if protocol == "2PC" { 5 } else { 0 },
-                    recovery_ms: 40.0,
-                    retries: 6,
-                    dropped_messages: 30,
-                    wire_messages: 900,
-                });
-            }
-        }
-        b.chaos = Some(ChaosBaseline {
-            n: 4,
-            f: 1,
-            transport: Some("tcp".into()),
-            unit_micros: 5_000,
-            fault_from_units: 10,
-            fault_until_units: 50,
-            entries,
-        });
-        b
-    }
-
-    fn sample_attribution_entry(protocol: &str, transport: &str) -> AttributionEntry {
-        AttributionEntry {
-            protocol: protocol.to_string(),
-            transport: transport.to_string(),
-            txns: 16,
-            coverage_pct: 100.0,
-            share_sum_pct: 100.0,
-            e2e_p50_micros: 10_500.0,
-            e2e_p999_micros: 22_000.0,
-            dropped_events: 0,
-            alignment_max_uncertainty_micros: (transport == "proc").then_some(35.0),
-            stages: attribution_stage_names()
-                .iter()
-                .map(|s| AttributionStageEntry {
-                    stage: s.to_string(),
-                    p50_micros: 2_100.0,
-                    p99_micros: 4_400.0,
-                    share_pct: 20.0,
-                })
-                .collect(),
-            slowest: vec![SlowTxn {
-                txn: 0x42,
-                e2e_micros: 22_000.0,
-                steps: vec![
-                    TimelineStep {
-                        at_micros: 0.0,
-                        actor: "client".into(),
-                        label: "submit txn 0x42".into(),
-                    },
-                    TimelineStep {
-                        at_micros: 22_000.0,
-                        actor: "client".into(),
-                        label: "all replies in".into(),
-                    },
-                ],
-            }],
-        }
-    }
-
-    fn sample_v4_baseline() -> BenchBaseline {
-        let mut b = sample_v3_baseline();
-        b.schema_version = 4;
-        let mut entries = Vec::new();
-        for protocol in table5_protocol_names() {
-            for transport in attribution_transport_names() {
-                entries.push(sample_attribution_entry(protocol, transport));
-            }
-        }
-        b.attribution = Some(AttributionBaseline {
-            n: 4,
-            f: 1,
-            unit_micros: 5_000,
-            entries,
-        });
-        b
-    }
-
-    fn sample_saturation_step(step: usize, rate: f64) -> SaturationStep {
-        SaturationStep {
-            step,
-            arrival_rate_per_client: rate,
-            offered_tps: rate * 16.0,
-            offered: 400,
-            shed: if step > 2 { 40 } else { 0 },
-            committed: 300,
-            aborted: 50,
-            stalled: 0,
-            goodput_tps: rate * 16.0 * 0.8,
-            p50_sojourn_micros: 10_000.0 * (step + 1) as f64,
-            p99_sojourn_micros: 30_000.0 * (step + 1) as f64,
-            p999_sojourn_micros: 45_000.0 * (step + 1) as f64,
-            wal_forces: 120,
-            forces_per_txn: 0.4,
-            wire_per_txn: 10.0,
-            safety_violations: 0,
-        }
-    }
-
-    fn sample_v5_baseline() -> BenchBaseline {
-        let mut b = sample_v4_baseline();
-        b.schema_version = 5;
-        let curves = table5_protocol_names()
-            .iter()
-            .map(|p| SaturationCurve {
-                protocol: p.to_string(),
-                transport: "channel".into(),
-                n: 4,
-                clients: 16,
-                max_outstanding: 32,
-                steps: (0..3)
-                    .map(|i| sample_saturation_step(i, 25.0 * (1 << i) as f64))
-                    .collect(),
-                knee: SaturationKnee {
-                    step: 2,
-                    detected: true,
-                    offered_tps: 1_600.0,
-                    goodput_tps: 1_280.0,
-                    p99_sojourn_micros: 90_000.0,
-                    stage_shares: attribution_stage_names()
-                        .iter()
-                        .map(|s| AttributionStageEntry {
-                            stage: s.to_string(),
-                            p50_micros: 2_000.0,
-                            p99_micros: 5_000.0,
-                            share_pct: 20.0,
-                        })
-                        .collect(),
-                    share_sum_pct: 100.0,
-                },
-            })
-            .collect();
-        b.saturation = Some(SaturationBaseline {
-            f: 1,
-            unit_micros: 5_000,
-            curves,
-        });
-        b
     }
 
     #[test]
-    fn v5_baseline_round_trips_and_validates() {
-        let b = sample_v5_baseline();
-        assert_eq!(BenchBaseline::validate_json(&b.to_json()), Ok(()));
+    fn full_baseline_round_trips_and_validates() {
+        let b = sample_baseline();
+        assert_eq!(
+            BenchBaseline::validate_json(&b.to_json()),
+            Ok(BenchBaseline::SECTIONS.to_vec())
+        );
         // The quick-smoke shape — a single tcp curve — is first-class.
-        let mut smoke = sample_v5_baseline();
+        let mut smoke = sample_baseline();
         {
             let sat = smoke.saturation.as_mut().unwrap();
             sat.curves.truncate(1);
             sat.curves[0].transport = "tcp".into();
         }
-        assert_eq!(BenchBaseline::validate_json(&smoke.to_json()), Ok(()));
+        assert!(BenchBaseline::validate_json(&smoke.to_json()).is_ok());
+    }
+
+    #[test]
+    fn a_null_section_is_skipped_and_an_empty_one_is_a_problem() {
+        // What `repro bench` writes: simulator numbers, every section null.
+        let mut bench = sample_baseline();
+        (bench.service, bench.chaos) = (None, None);
+        (bench.attribution, bench.saturation) = (None, None);
+        assert_eq!(BenchBaseline::validate_json(&bench.to_json()), Ok(vec![]));
+        // What `repro load` writes: service + attribution.
+        let mut load = sample_baseline();
+        (load.chaos, load.saturation) = (None, None);
+        assert_eq!(
+            BenchBaseline::validate_json(&load.to_json()),
+            Ok(vec!["service", "attribution"])
+        );
+        // A section that is present must carry data.
+        let mut b = sample_baseline();
+        b.service.as_mut().unwrap().entries.clear();
+        b.chaos.as_mut().unwrap().entries.clear();
+        b.attribution.as_mut().unwrap().entries.clear();
+        b.saturation.as_mut().unwrap().curves.clear();
+        assert_problems(
+            &b,
+            &[
+                "service.entries must be non-empty",
+                "chaos.entries must be non-empty",
+                "attribution.entries must be non-empty",
+                "saturation.curves must be non-empty",
+            ],
+        );
+    }
+
+    #[test]
+    fn any_schema_version_but_the_current_one_is_refused() {
+        for version in [1, 4, 6] {
+            let mut b = sample_baseline();
+            b.schema_version = version;
+            assert_problems(
+                &b,
+                &[&format!("schema_version must be 5, got Number({version}")],
+            );
+        }
     }
 
     #[test]
     fn before_after_pairs_the_shared_metrics_and_still_validates() {
-        let before = sample_v5_baseline();
-        let mut after = sample_v5_baseline();
+        let before = sample_baseline();
+        let mut after = sample_baseline();
         // The claimed speed-up: one service entry got faster, and the
         // `protocol` share of one attribution entry fell.
         after.service.as_mut().unwrap().entries[0].p50_micros /= 100.0;
@@ -1445,23 +1541,12 @@ mod tests {
         assert_eq!(moved[1].metric, "share_pct.protocol");
         assert!(pair.rows.iter().any(|r| r.section == "saturation"));
         after.pair = Some(pair);
-        assert_eq!(BenchBaseline::validate_json(&after.to_json()), Ok(()));
+        assert!(BenchBaseline::validate_json(&after.to_json()).is_ok());
     }
 
     #[test]
-    fn v5_requires_a_saturation_section() {
-        let mut b = sample_v5_baseline();
-        b.saturation = None;
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("saturation.curves")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn v5_gates_knee_goodput_and_step_shape() {
-        let mut b = sample_v5_baseline();
+    fn saturation_gates_knee_goodput_and_step_shape() {
+        let mut b = sample_baseline();
         {
             let sat = b.saturation.as_mut().unwrap();
             sat.curves[0].knee.step = 99; // out of range
@@ -1472,31 +1557,17 @@ mod tests {
             sat.curves[4].steps.truncate(1); // curve with no shape
             sat.curves[5].knee.stage_shares.remove(2); // drop "wal"
         }
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        for needle in [
-            "knee.step must index",
-            "sum to 100 ± 5",
-            "goodput_tps must be within",
-            "safety_violations must be 0",
-            ">= 2 offered-load steps",
-            "missing (or malformed) stage share wal",
-        ] {
-            assert!(
-                problems.iter().any(|p| p.contains(needle)),
-                "missing {needle:?} in {problems:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn v4_baseline_round_trips_and_validates() {
-        let b = sample_v4_baseline();
-        assert_eq!(BenchBaseline::validate_json(&b.to_json()), Ok(()));
-        // The `repro load` shape — attribution present, chaos absent —
-        // is a first-class v4 baseline too.
-        let mut load_shaped = sample_v4_baseline();
-        load_shaped.chaos = None;
-        assert_eq!(BenchBaseline::validate_json(&load_shaped.to_json()), Ok(()));
+        assert_problems(
+            &b,
+            &[
+                "knee.step must index",
+                "knee stage shares must sum to 100 ± 5",
+                "goodput_tps must be within",
+                "safety_violations must be 0",
+                ">= 2 offered-load steps",
+                "missing (or malformed) stage share wal",
+            ],
+        );
     }
 
     #[test]
@@ -1505,46 +1576,25 @@ mod tests {
         // top of the required channel × tcp grid: they validate like any
         // other entry, carry the alignment-uncertainty marker, and an
         // unknown transport name is rejected.
-        let mut b = sample_v4_baseline();
+        let mut b = sample_baseline();
         let attr = b.attribution.as_mut().unwrap();
         attr.entries.push(sample_attribution_entry("2PC", "proc"));
-        assert_eq!(BenchBaseline::validate_json(&b.to_json()), Ok(()));
+        assert!(BenchBaseline::validate_json(&b.to_json()).is_ok());
 
         let attr = b.attribution.as_mut().unwrap();
         attr.entries.last_mut().unwrap().transport = "carrier-pigeon".into();
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("carrier-pigeon")),
-            "{problems:?}"
-        );
+        assert_problems(&b, &["carrier-pigeon"]);
 
         let attr = b.attribution.as_mut().unwrap();
         let last = attr.entries.last_mut().unwrap();
         last.transport = "proc".into();
         last.alignment_max_uncertainty_micros = Some(-1.0);
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("alignment_max_uncertainty_micros")),
-            "{problems:?}"
-        );
+        assert_problems(&b, &["alignment_max_uncertainty_micros"]);
     }
 
     #[test]
-    fn v4_requires_an_attribution_section() {
-        let mut b = sample_v4_baseline();
-        b.attribution = None;
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("attribution.entries")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn v4_gates_coverage_shares_and_full_protocol_transport_grid() {
-        let mut b = sample_v4_baseline();
+    fn attribution_gates_coverage_shares_and_full_protocol_transport_grid() {
+        let mut b = sample_baseline();
         {
             let attr = b.attribution.as_mut().unwrap();
             attr.entries
@@ -1553,55 +1603,20 @@ mod tests {
             attr.entries[1].coverage_pct = 0.0;
             attr.entries[2].stages.remove(2); // drop the "wal" stage row
         }
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("INBAC") && p.contains("tcp")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("100 ± 5")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("coverage_pct")),
-            "{problems:?}"
-        );
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("missing (or malformed) stage wal")),
-            "{problems:?}"
+        assert_problems(
+            &b,
+            &[
+                "attribution must cover INBAC over tcp",
+                ": stage shares must sum to 100 ± 5",
+                "coverage_pct",
+                "missing (or malformed) stage wal",
+            ],
         );
     }
 
     #[test]
-    fn v4_still_validates_a_dirty_chaos_section_when_present() {
-        let mut b = sample_v4_baseline();
-        b.chaos.as_mut().unwrap().entries[0].safety_violations = 1;
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("safety audit")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn baseline_round_trips_and_validates() {
-        let b = sample_baseline();
-        assert_eq!(BenchBaseline::validate_json(&b.to_json()), Ok(()));
-    }
-
-    #[test]
-    fn v3_baseline_round_trips_and_validates() {
-        let b = sample_v3_baseline();
-        assert_eq!(BenchBaseline::validate_json(&b.to_json()), Ok(()));
-    }
-
-    #[test]
-    fn v3_requires_full_scenario_coverage_and_clean_audits() {
-        let mut b = sample_v3_baseline();
+    fn chaos_requires_full_scenario_coverage_and_clean_audits() {
+        let mut b = sample_baseline();
         {
             let chaos = b.chaos.as_mut().unwrap();
             chaos
@@ -1610,45 +1625,21 @@ mod tests {
             chaos.entries[0].safety_violations = 1;
             chaos.entries[1].stalled = 3;
         }
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("INBAC") && p.contains("partition-heal")),
-            "{problems:?}"
+        assert_problems(
+            &b,
+            &[
+                "chaos must measure INBAC under partition-heal",
+                "safety audit",
+                "resolve after the heal",
+            ],
         );
-        assert!(
-            problems.iter().any(|p| p.contains("safety audit")),
-            "{problems:?}"
-        );
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("resolve after the heal")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn v3_requires_a_chaos_section() {
-        let mut b = sample_v3_baseline();
-        b.chaos = None;
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("chaos.entries")),
-            "{problems:?}"
-        );
-        // ...while a v2 baseline without one stays valid.
-        let v2 = sample_v2_baseline();
-        assert_eq!(BenchBaseline::validate_json(&v2.to_json()), Ok(()));
     }
 
     #[test]
     fn baseline_validation_catches_missing_protocols() {
         let mut b = sample_baseline();
         b.protocols.retain(|p| p.protocol != "INBAC");
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(problems.iter().any(|p| p.contains("INBAC")), "{problems:?}");
+        assert_problems(&b, &["INBAC"]);
     }
 
     #[test]
@@ -1656,15 +1647,7 @@ mod tests {
         let mut b = sample_baseline();
         b.protocols[0].matches_formula = false;
         b.explorer.counterexamples = 3;
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("formula")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("counterexamples")),
-            "{problems:?}"
-        );
+        assert_problems(&b, &["formula", "counterexamples"]);
     }
 
     #[test]
@@ -1674,90 +1657,30 @@ mod tests {
     }
 
     #[test]
-    fn v2_baseline_round_trips_and_validates() {
-        let b = sample_v2_baseline();
-        assert_eq!(BenchBaseline::validate_json(&b.to_json()), Ok(()));
-    }
-
-    #[test]
-    fn v2_requires_a_service_section() {
-        let mut b = sample_v2_baseline();
-        b.service = None;
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("service.entries")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn v2_requires_two_concurrency_levels_per_protocol() {
-        let mut b = sample_v2_baseline();
+    fn service_requires_two_concurrency_levels_per_protocol() {
+        let mut b = sample_baseline();
         let svc = b.service.as_mut().unwrap();
         svc.entries
             .retain(|e| e.protocol != "INBAC" || e.clients == 2);
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("INBAC") && p.contains("concurrency")),
-            "{problems:?}"
-        );
+        assert_problems(&b, &["service must measure INBAC at >= 2 concurrency"]);
     }
 
     #[test]
-    fn v2_rejects_safety_violations_and_stalls() {
-        let mut b = sample_v2_baseline();
+    fn service_rejects_safety_violations_and_stalls() {
+        let mut b = sample_baseline();
         {
             let svc = b.service.as_mut().unwrap();
             svc.entries[0].safety_violations = 1;
             svc.entries[1].stalled = 2;
         }
-        let problems = BenchBaseline::validate_json(&b.to_json()).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("safety_violations")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("stalled")),
-            "{problems:?}"
-        );
+        assert_problems(&b, &["safety_violations must be 0", "stalled must be 0"]);
     }
 
     #[test]
-    fn v2_rejects_negative_perf_fields() {
-        let json = sample_v2_baseline().to_json();
-        // NB: the vendored serde_json prints `10.0_f64` as `10`.
-        let corrupted = json.replace("\"wire_per_txn\": 10", "\"wire_per_txn\": -3");
-        assert_ne!(corrupted, json, "fixture must carry a wire_per_txn");
-        let problems = BenchBaseline::validate_json(&corrupted).unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("wire_per_txn")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn v1_baselines_stay_valid_without_service() {
-        // The committed pre-upgrade format lacked the `service` (and now
-        // `chaos`) keys entirely (not `"…": null`, which is what
-        // serializing `None` produces) — strip them to validate the real
-        // shape.
-        let json = sample_baseline().to_json();
-        let stripped = json
-            .replace(",\n  \"service\": null", "")
-            .replace(",\n  \"chaos\": null", "")
-            .replace(",\n  \"attribution\": null", "");
-        assert!(
-            !stripped.contains("service")
-                && !stripped.contains("chaos")
-                && !stripped.contains("attribution")
-                && stripped != json,
-            "fixture no longer serializes null optional sections:\n{json}"
-        );
-        assert_eq!(BenchBaseline::validate_json(&stripped), Ok(()));
-        // `"service": null` (a freshly emitted v1) must also stay valid.
-        assert_eq!(BenchBaseline::validate_json(&json), Ok(()));
+    fn service_rejects_negative_perf_fields() {
+        let mut b = sample_baseline();
+        b.service.as_mut().unwrap().entries[0].wire_per_txn = -3.0;
+        assert_problems(&b, &["wire_per_txn must be >= 0"]);
     }
 
     #[test]
