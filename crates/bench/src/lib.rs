@@ -7,6 +7,7 @@
 //! tracks the simulator's own performance.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 use ac_commit::explorer::{explore_jobs, ExplorerConfig};
 use ac_commit::protocols::ProtocolKind;

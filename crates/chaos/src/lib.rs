@@ -25,6 +25,7 @@
 //! **committing** the transactions whose participants stayed up.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod plan;
 pub mod proxy;

@@ -19,6 +19,8 @@
 //! decision — both violate the service's safety/liveness contract on a
 //! healthy cluster.
 
+#![deny(unsafe_code)]
+
 use std::process::exit;
 
 use ac_cluster::spec::ClusterSpec;

@@ -17,6 +17,8 @@
 //! scraper can watch where the node's time and bytes go while the run
 //! is in flight.
 
+#![deny(unsafe_code)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::process::exit;

@@ -29,6 +29,7 @@
 //! [`ServiceOutcome::attribution`](service::ServiceOutcome)).
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 mod client;
 pub mod codec;

@@ -45,7 +45,7 @@
 //!
 //! | step       | reads → writes                                             | obs stamp                         | attaches            |
 //! |------------|------------------------------------------------------------|-----------------------------------|---------------------|
-//! | `drain`    | inbox channel → `inbox` (parked on the exact next deadline)| —                                 | crash check, dark window, WAL recovery |
+//! | `drain`    | [`Inbox`] (channel, or the node's own sockets: one readiness wait, one read per ready connection) → `inbox`, parked on the exact next deadline | — | crash check, dark window, WAL recovery |
 //! | `dispatch` | `inbox` → table, engine, `decided`, outbox; self-sends and due timers to quiescence | `DrainGap`, `LockAcquire`, flight `Dispatch`/`LockAcquired` | — |
 //! | `apply`    | `decided` → shard, `log`, staged WAL records, staged `Done`s | `WalJournal`, flight `Decided`  | lock-steal guard (Deferred) |
 //! | `force`    | staged WAL records → WAL (one force, or held by the group-commit window) | `WalForce`, flight `WalForced` | durability-before-reply |
@@ -60,20 +60,20 @@ use ac_commit::problem::COMMIT;
 use ac_commit::CommitProtocol;
 use ac_obs::{FlightStage, NodeObs, ObsExport, Stage};
 use ac_runtime::{NodeEvent, NodeLoop, Slab, UnitClock};
-use ac_sim::ProcessId;
+use ac_sim::{ProcessId, Wire};
 use ac_txn::{DecidedTxn, Shard, Transaction, TxnId, Wal, WalRecord};
-use crossbeam::channel::{Receiver, RecvError, RecvTimeoutError, Sender};
+use crossbeam::channel::Sender;
 
 use crate::inline::InlineVec;
 use crate::service::{
     participants_of, CrashWindow, Done, Fate, NetPolicy, NodeRecord, ToNode, GROUP_COMMIT_SIBLINGS,
     GROUP_COMMIT_UNIT_SHARE, ORPHAN_CAP,
 };
-use crate::transport::{Outbox, Transport};
+use crate::transport::{Inbox, Outbox, Transport};
 
 /// Upper bound on envelopes drained per node-loop iteration. Bounds the
 /// latency a long backlog can add to timer firing while still amortizing
-/// the channel lock across many messages.
+/// the channel lock (or the readiness wait) across many messages.
 const NODE_BATCH: usize = 256;
 
 /// The group-commit cap in force at a node with `open` instances: the
@@ -132,7 +132,7 @@ pub(crate) struct NodeReturn {
     pub(crate) obs: NodeObs,
 }
 
-/// Everything a host hands one node: identity, channels, transport, fault
+/// Everything a host hands one node: identity, inbox, transport, fault
 /// schedule, durable storage and instruments.
 pub(crate) struct NodeEnv<P: CommitProtocol> {
     pub(crate) me: ProcessId,
@@ -140,7 +140,9 @@ pub(crate) struct NodeEnv<P: CommitProtocol> {
     pub(crate) f: usize,
     pub(crate) unit: Duration,
     pub(crate) epoch: Instant,
-    pub(crate) rx: Receiver<ToNode<P::Msg>>,
+    /// The inbound seam: what the drain step waits on (a channel, or the
+    /// node's own sockets).
+    pub(crate) rx: Inbox<P::Msg>,
     /// The node-to-node seam: everything the flush step emits goes
     /// through here (`ChannelTransport` or `TcpTransport`).
     pub(crate) transport: Box<dyn Transport<P::Msg>>,
@@ -381,7 +383,7 @@ pub(crate) struct Node<P: CommitProtocol> {
 impl<P> Node<P>
 where
     P: CommitProtocol,
-    P::Msg: Send + 'static,
+    P::Msg: Wire + Send + 'static,
 {
     pub(crate) fn new(env: NodeEnv<P>) -> Node<P> {
         Node {
@@ -445,9 +447,10 @@ where
     /// Step 1. Park until the exact next deadline — earliest pending
     /// timer, delayed-envelope release, held WAL force or scheduled crash;
     /// or indefinitely when none is pending (an inbound envelope or
-    /// `Shutdown` wakes us) — then take the whole backlog in one lock
-    /// acquisition. A dark node parks on its restart instant and discards
-    /// what it drains.
+    /// `Shutdown` wakes us) — then take the whole backlog in one receive
+    /// call: one lock acquisition on a channel, one readiness wait and one
+    /// read per ready connection on sockets. A dark node parks on its
+    /// restart instant and discards what it drains.
     fn drain(&mut self) -> usize {
         if self.crash_due() {
             self.crash();
@@ -469,27 +472,7 @@ where
             }
         };
         self.inbox.clear();
-        let (rx, inbox) = (&self.env.rx, &mut self.inbox);
-        let got = match wake_at {
-            Some(due) => {
-                let wait = due.saturating_duration_since(Instant::now());
-                match rx.recv_batch_timeout(inbox, NODE_BATCH, wait) {
-                    Ok(k) => k,
-                    Err(RecvTimeoutError::Timeout) => 0,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.shutdown = true;
-                        0
-                    }
-                }
-            }
-            None => match rx.recv_batch(inbox, NODE_BATCH) {
-                Ok(k) => k,
-                Err(RecvError) => {
-                    self.shutdown = true;
-                    0
-                }
-            },
-        };
+        let got = self.receive(wake_at);
         if let Power::Up { .. } = self.power {
             return got;
         }
@@ -501,7 +484,16 @@ where
         // Timed out on an empty inbox: the restart instant. Recover, and
         // poll instead of parking so the recovery traffic flushes at once.
         self.recover();
-        self.env.rx.try_drain(&mut self.inbox, NODE_BATCH)
+        self.receive(Some(Instant::now()))
+    }
+
+    /// Take up to [`NODE_BATCH`] envelopes off the inbound seam, parked
+    /// until `until` at the latest (`None` = until something arrives). An
+    /// inbox nothing can reach any more shuts the node down.
+    fn receive(&mut self, until: Option<Instant>) -> usize {
+        let got = self.env.rx.recv(&mut self.inbox, NODE_BATCH, until);
+        self.shutdown |= got.is_err();
+        got.unwrap_or(0)
     }
 
     /// The scheduled crash: drop all volatile state and go dark. The
@@ -553,7 +545,7 @@ where
         // One clock read serves the whole batch: dispatch takes
         // microseconds against multi-millisecond virtual-time units, and
         // timers set "in the past" fire below anyway.
-        let now = Instant::now();
+        let mut now = Instant::now();
         let mut inbox = std::mem::take(&mut self.inbox);
         let got = !inbox.is_empty();
         for env in inbox.drain(..) {
@@ -563,7 +555,9 @@ where
         if got {
             // Backlog residency: how long the drained batch sat between
             // leaving the inbox and finishing protocol dispatch.
-            self.env.obs.record(Stage::DrainGap, now.elapsed());
+            let dispatched = Instant::now();
+            self.env.obs.record(Stage::DrainGap, dispatched - now);
+            now = dispatched;
         }
 
         // A delivery can set a timer already due, a fired timer can
@@ -575,7 +569,6 @@ where
         // firing them back to back).
         let mut fired = false;
         loop {
-            let now = Instant::now();
             while let Some((txn, msg)) = self.vol.selfq.pop_front() {
                 // A miss means the transaction ended mid-batch; the
                 // message is then moot.
@@ -590,6 +583,7 @@ where
             } else if self.vol.selfq.is_empty() {
                 return fired;
             }
+            now = Instant::now();
         }
     }
 
@@ -681,14 +675,16 @@ where
             return self.vol.ask_peers(id);
         }
         self.stamp(id, FlightStage::Dispatch, now);
+        let t0 = Instant::now();
+        let mut prepared = t0;
         if route.txn.touches(me) {
-            let t0 = Instant::now();
             route.vote = self.vol.shard.prepare(&route.txn);
-            self.env.obs.record(Stage::LockAcquire, t0.elapsed());
+            prepared = Instant::now();
+            self.env.obs.record(Stage::LockAcquire, prepared - t0);
         } else {
             route.vote = true;
         }
-        self.stamp(id, FlightStage::LockAcquired, Instant::now());
+        self.stamp(id, FlightStage::LockAcquired, prepared);
         // The classic commit-latency tax: the vote must be durable before
         // it can influence a decision. Group commit keeps the invariant
         // but moves the cost: the prepare is *staged* here and forced —
@@ -822,8 +818,9 @@ where
         *phase = Phase::Decided(value);
         self.vol.shard.finish(&route.txn, commit);
         let (txn, client) = (Arc::clone(&route.txn), route.client);
+        let mut decided = Instant::now();
         if self.env.wal.is_some() {
-            let (t0, batch) = (Instant::now(), &mut self.vol.wal_batch);
+            let (t0, batch) = (decided, &mut self.vol.wal_batch);
             if logless {
                 // The deferred prepare record: staged together with the
                 // decision, after the outcome is known — a journal entry,
@@ -832,9 +829,10 @@ where
                 batch.push(WalRecord::Prepare { txn, client, vote });
             }
             batch.push(WalRecord::Decide { txn: id, value });
-            self.env.obs.record(Stage::WalJournal, t0.elapsed());
+            decided = Instant::now();
+            self.env.obs.record(Stage::WalJournal, decided - t0);
         }
-        self.stamp(id, FlightStage::Decided, Instant::now());
+        self.stamp(id, FlightStage::Decided, decided);
         self.vol.log.push(NodeRecord {
             txn,
             client,
@@ -856,16 +854,19 @@ where
         let Some(wal) = &self.env.wal else {
             return false;
         };
-        let held = !self.shutdown && self.cap().is_some_and(|iv| self.last_force.elapsed() < iv);
-        if self.vol.wal_batch.is_empty() || held {
+        if self.vol.wal_batch.is_empty() {
             return false;
         }
         let t0 = Instant::now();
+        let since = t0.saturating_duration_since(self.last_force);
+        if !self.shutdown && self.cap().is_some_and(|iv| since < iv) {
+            return false;
+        }
         wal.lock()
             .expect("wal poisoned")
             .force_batch(&mut self.vol.wal_batch);
-        self.env.obs.record(Stage::WalForce, t0.elapsed());
         self.last_force = Instant::now();
+        self.env.obs.record(Stage::WalForce, self.last_force - t0);
         let (at, me) = (self.last_force, self.env.me as u32);
         let at = at.saturating_duration_since(self.env.epoch);
         for id in self.vol.wal_stamp.drain(..) {
@@ -975,7 +976,7 @@ mod tests {
     use crate::transport::ChannelTransport;
     use ac_commit::protocols::{PaxosCommit, ProtocolKind};
     use ac_txn::{Key, Version};
-    use crossbeam::channel::unbounded;
+    use crossbeam::channel::{unbounded, Receiver};
 
     fn bare_env<P: CommitProtocol>(
         me: ProcessId,
@@ -984,7 +985,7 @@ mod tests {
         done_txs: Vec<Sender<Done>>,
     ) -> NodeEnv<P>
     where
-        P::Msg: Send + 'static,
+        P::Msg: Wire + Send + 'static,
     {
         NodeEnv {
             me,
@@ -992,7 +993,7 @@ mod tests {
             f: 1,
             unit: Duration::from_millis(5),
             epoch: Instant::now(),
-            rx,
+            rx: Inbox::Channel(rx),
             transport: Box::new(ChannelTransport::new(txs)),
             done_txs,
             wire: Arc::new(AtomicUsize::new(0)),

@@ -11,16 +11,19 @@
 //!   frame naming the client and spawns a reader for the reverse
 //!   direction;
 //! * node→client `Done` reports travel back down the client's own
-//!   connection: the node's [`TcpNode`] records the write half under the
-//!   `Hello`'d client id, and a per-client forwarder thread frames the
-//!   `Done`s the node loop emits.
+//!   connection: the node's socket read point records the write half
+//!   under the `Hello`'d client id, and a per-client forwarder thread
+//!   frames the `Done`s the node loop emits.
 //!
 //! The node and client loops themselves are the same `node::Node` and
 //! `client::client_main` the in-process service runs — processes differ
-//! from threads only below the transport seam.
+//! from threads only below the transport seam. The node thread reads its
+//! own sockets (`transport::SocketIngress` behind `NodeEnv::rx`): an
+//! `ac-node` process runs the node thread, one `Done` forwarder per
+//! client and the `ObsDump` forwarder — no accept or reader thread.
 
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::ops::ControlFlow;
 use std::sync::atomic::AtomicUsize;
@@ -42,8 +45,8 @@ use crate::node::{Node, NodeEnv};
 use crate::service::{with_protocol, Done, ToNode};
 use crate::spec::ClusterSpec;
 use crate::transport::{
-    read_frames, ClientRegistry, EchoResponder, NodeHooks, OnConnect, TcpNode, TcpTransport,
-    Transport,
+    decode_chunk, ClientRegistry, EchoResponder, Inbox, NodeHooks, OnConnect, ReadOutcome,
+    SocketIngress, TcpTransport, Transport, READ_CHUNK,
 };
 
 /// Echo round trips per node for the clock-offset estimate (min-RTT
@@ -151,7 +154,6 @@ where
     // an echo can never observe a pre-epoch instant.
     let epoch = Instant::now();
     let net = net.unwrap_or_else(|| Arc::new(NetMeters::new(spec.n())));
-    let (inbox_tx, inbox_rx) = unbounded::<ToNode<P::Msg>>();
     let registry: ClientRegistry = Arc::new(Mutex::new(HashMap::new()));
     let hooks = NodeHooks {
         clients: Some(Arc::clone(&registry)),
@@ -161,7 +163,7 @@ where
             epoch,
         }),
     };
-    let tcp = TcpNode::bind_with(spec.nodes[me], inbox_tx, hooks)
+    let ingress = SocketIngress::bind(spec.nodes[me], hooks)
         .unwrap_or_else(|e| panic!("node {me}: cannot bind {}: {e}", spec.nodes[me]));
 
     // One Done-forwarder per client: drains the node loop's reply channel
@@ -190,7 +192,7 @@ where
         f: spec.f,
         unit: spec.unit,
         epoch,
-        rx: inbox_rx,
+        rx: Inbox::Socket(ingress),
         transport: Box::new(TcpTransport::new(spec.nodes.clone()).with_net(Arc::clone(&net))),
         done_txs,
         wire: Arc::new(AtomicUsize::new(0)),
@@ -212,7 +214,6 @@ where
         let _ = h.join();
     }
     let _ = obs_fwd.join();
-    tcp.shutdown();
     NodeSummary {
         me,
         total: ret.shard.total(),
@@ -289,14 +290,33 @@ fn done_forwarder(client: usize, rx: Receiver<Done>, reg: ClientRegistry) {
 }
 
 /// One client connection's read loop: forward the `Done`s (nodes send a
-/// client nothing else), one reply-channel hand-off per socket read.
-fn done_reader<M: Wire>(stream: TcpStream, out: Sender<Done>) {
-    read_frames::<M, _>(&stream, &out, None, |frame| {
-        ControlFlow::Continue(match frame {
-            AnyFrame::Done(d) => Some(d),
-            _ => None,
-        })
-    });
+/// client nothing else), one reply-channel hand-off per socket read —
+/// one lock and at most one wake-up of the client loop per read, not per
+/// frame. What a read decoded is handed over before the socket is looked
+/// at again, so `Done`s that arrived whole ahead of an EOF or a poisoned
+/// stream still reach the client.
+fn done_reader<M: Wire>(mut stream: TcpStream, out: Sender<Done>) {
+    let mut dec = FrameDecoder::new();
+    let mut chunk = vec![0u8; READ_CHUNK];
+    let mut batch: Vec<Done> = Vec::new();
+    loop {
+        let n = match ReadOutcome::of(stream.read(&mut chunk)) {
+            ReadOutcome::Data(n) => n,
+            ReadOutcome::Retry => continue,
+            ReadOutcome::Closed => return,
+        };
+        let open = decode_chunk::<M>(&mut dec, &chunk[..n], None, |frame| {
+            if let AnyFrame::Done(d) = frame {
+                batch.push(d);
+            }
+            ControlFlow::Continue(())
+        });
+        // Receiver gone: drop the connection.
+        let delivered = batch.is_empty() || out.send_batch(batch.drain(..)).is_ok();
+        if !(open && delivered) {
+            return;
+        }
+    }
 }
 
 /// Everything the run-end collector gathered from the live cluster:
@@ -465,7 +485,6 @@ fn collect_node(
     cid: usize,
     epoch: Instant,
 ) -> Option<(ClockAlignment, ObsExport)> {
-    use std::io::Read as _;
     let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).ok()?;
     let _ = stream.set_nodelay(true);
     stream

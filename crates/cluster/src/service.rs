@@ -73,8 +73,10 @@
 //! the *exact* next deadline (live timer, delayed-envelope release, held
 //! WAL force or scheduled crash; or indefinitely when idle — an idle node
 //! performs zero wakeups, see [`ServiceOutcome::spurious_wakeups`]) and
-//! takes its whole inbound backlog in one lock acquisition
-//! (`recv_batch_timeout`), `dispatch` runs every envelope through one
+//! takes its whole inbound backlog in one receive call — one lock
+//! acquisition over channels; over TCP one readiness wait on the node's
+//! **own** sockets and one read per ready connection, no thread between
+//! the socket and the loop — `dispatch` runs every envelope through one
 //! slab probe of the transaction table, `apply` and `force` stage and
 //! force the write-ahead log records, and only then `flush` writes the
 //! outputs — one `send_batch` per peer node and per client. Self-sends
@@ -100,7 +102,9 @@ use ac_obs::{
 
 use crate::client::{client_main, ClientReturn};
 use crate::node::{Node, NodeEnv, NodeReturn};
-use crate::transport::{ChannelTransport, TcpNode, TcpTransport, Transport};
+use crate::transport::{
+    ChannelTransport, Inbox, NodeHooks, SocketIngress, TcpTransport, Transport,
+};
 
 /// How many of the slowest reconstructed transaction timelines the run's
 /// [`Attribution`] keeps (the p99.9-straggler material `repro trace`
@@ -213,10 +217,11 @@ impl FaultSpec {
     }
 }
 
-/// Which transport carries node-to-node envelopes (see
-/// [`crate::transport`]). Client↔node control traffic stays in-process
-/// either way when the whole service runs in one process; the `ac-node`
-/// / `ac-client` binaries put it on TCP too.
+/// Which transport carries everything a node receives — node-to-node
+/// envelopes, the clients' `Begin`/`End` and teardown's `Shutdown` (see
+/// [`crate::transport`]). Decision replies (node→client) stay on
+/// in-process channels when the whole service runs in one process; the
+/// `ac-node` / `ac-client` binaries put them on TCP too.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum TransportKind {
     /// In-process crossbeam channels (the fast/test path).
@@ -824,36 +829,41 @@ where
     assert_eq!(spec.crashes.len(), cfg.n, "one crash slot per node");
     let n = cfg.n;
 
-    // Node inboxes (nodes and clients all hold senders) and per-client
-    // reply channels.
-    let node_ch: Vec<_> = (0..n).map(|_| unbounded::<ToNode<P::Msg>>()).collect();
-    let (node_txs, node_rxs): (Vec<_>, Vec<_>) = node_ch.into_iter().unzip();
-    let client_ch: Vec<_> = (0..cfg.clients).map(|_| unbounded::<Done>()).collect();
-    let (done_txs, done_rxs): (Vec<_>, Vec<_>) = client_ch.into_iter().unzip();
-    let wire = Arc::new(AtomicUsize::new(0));
-
-    // In TCP mode each node gets a loopback listener whose reader
-    // threads feed its ordinary inbox channel; senders dial the listener
-    // addresses. Decision replies (node→client) and `Shutdown` stay on
-    // in-process channels: the clients are the measurement harness, and
-    // teardown must reach a node even if its sockets are wedged. The
-    // `ac-node`/`ac-client` binaries put those on TCP too.
-    let tcp_nodes: Vec<TcpNode> = match cfg.transport {
-        TransportKind::Channel => Vec::new(),
-        TransportKind::Tcp => (0..n)
-            .map(|me| {
-                TcpNode::bind("127.0.0.1:0", node_txs[me].clone(), None)
-                    .expect("bind loopback listener")
-            })
-            .collect(),
-    };
-    let addrs: Vec<std::net::SocketAddr> = tcp_nodes.iter().map(|t| t.addr()).collect();
-    let make_transport = |_who: &str| -> Box<dyn Transport<P::Msg>> {
+    // Node inboxes. Over channels, nodes and clients all hold a sender
+    // per node. In TCP mode each node owns a loopback listener and reads
+    // its own sockets (no thread in between); senders dial the listener
+    // addresses, and so does teardown's `Shutdown`. Decision replies
+    // (node→client) stay on in-process channels: the clients are the
+    // measurement harness. The `ac-node`/`ac-client` binaries put those on
+    // TCP too.
+    let mut node_txs = Vec::new();
+    let mut addrs: Vec<std::net::SocketAddr> = Vec::new();
+    let mut inboxes: Vec<Inbox<P::Msg>> = Vec::new();
+    for _ in 0..n {
+        match cfg.transport {
+            TransportKind::Channel => {
+                let (tx, rx) = unbounded();
+                node_txs.push(tx);
+                inboxes.push(Inbox::Channel(rx));
+            }
+            TransportKind::Tcp => {
+                let ingress = SocketIngress::bind("127.0.0.1:0", NodeHooks::default())
+                    .expect("bind loopback listener");
+                addrs.push(ingress.addr().expect("listener address"));
+                inboxes.push(Inbox::Socket(ingress));
+            }
+        }
+    }
+    let make_transport = || -> Box<dyn Transport<P::Msg>> {
         match cfg.transport {
             TransportKind::Channel => Box::new(ChannelTransport::new(node_txs.clone())),
             TransportKind::Tcp => Box::new(TcpTransport::new(addrs.clone())),
         }
     };
+    // Per-client reply channels.
+    let client_ch: Vec<_> = (0..cfg.clients).map(|_| unbounded::<Done>()).collect();
+    let (done_txs, done_rxs): (Vec<_>, Vec<_>) = client_ch.into_iter().unzip();
+    let wire = Arc::new(AtomicUsize::new(0));
 
     // Write-ahead logs live *outside* the node threads — the in-process
     // stand-in for durable storage that survives a crash.
@@ -863,7 +873,7 @@ where
         .collect();
 
     let epoch = Instant::now();
-    let node_handles: Vec<_> = node_rxs
+    let node_handles: Vec<_> = inboxes
         .into_iter()
         .enumerate()
         .map(|(me, rx)| {
@@ -874,7 +884,7 @@ where
                 unit: cfg.unit,
                 epoch,
                 rx,
-                transport: make_transport("node"),
+                transport: make_transport(),
                 done_txs: done_txs.clone(),
                 wire: Arc::clone(&wire),
                 policy: spec.policy.clone(),
@@ -893,7 +903,7 @@ where
         .into_iter()
         .enumerate()
         .map(|(client, rx)| {
-            let transport = make_transport("client");
+            let transport = make_transport();
             let cfg = cfg.clone();
             std::thread::spawn(move || client_main::<P>(client, &cfg, epoch, transport, rx))
         })
@@ -905,17 +915,16 @@ where
         .collect();
     let elapsed = epoch.elapsed();
 
-    for tx in &node_txs {
-        let _ = tx.send(ToNode::Shutdown);
+    // Teardown travels like everything else: over TCP as a frame on a
+    // fresh connection, the way `proc::run_client` ends a cluster.
+    let mut teardown = make_transport();
+    for p in 0..n {
+        teardown.send(p, ToNode::Shutdown);
     }
-    drop(node_txs);
     let node_returns: Vec<NodeReturn> = node_handles
         .into_iter()
         .map(|h| h.join().expect("node thread panicked"))
         .collect();
-    for t in tcp_nodes {
-        t.shutdown();
-    }
 
     aggregate(cfg, client_returns, node_returns, elapsed, &wire)
 }

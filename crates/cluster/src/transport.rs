@@ -1,4 +1,5 @@
-//! The node-to-node transport seam and its two implementations.
+//! The node-to-node transport seam, its two implementations, and the
+//! ingress a node waits on.
 //!
 //! Both loops of [`crate::service`] — the node's `flush` step and
 //! `client_main` — stage outbound envelopes per destination in an `Outbox` and hand each
@@ -12,12 +13,41 @@
 //!   crossbeam channel per node, `send_batch` is one lock acquisition.
 //! * [`TcpTransport`] — a per-peer TCP connection manager: envelopes are
 //!   framed by [`crate::codec`] and written to a lazily-established
-//!   socket, with reconnect-on-failure. Its receiving counterpart is
-//!   [`TcpNode`]: a listener whose per-connection reader threads decode
-//!   frames and forward them into the node's ordinary inbox channel —
-//!   every frame one socket `read` delivered in **one** inbox hand-off
-//!   (`read_frames`) — so the node loop itself never knows which
-//!   transport fed it.
+//!   socket, with reconnect-on-failure.
+//!
+//! ## Ingress: a node reads its own sockets
+//!
+//! A node's `drain` step waits on an `Inbox` with exactly two sources:
+//! the crossbeam `Receiver` the channel transport feeds, or a
+//! `SocketIngress` — the node's listener, its accepted connections and
+//! one [`FrameDecoder`] per connection. The ingress offers one call,
+//! "move up to `max` envelopes into `buf`, waiting until a deadline or
+//! for ever", made of **one readiness wait** (`ppoll(2)`: its `timespec`
+//! keeps the loop's exact-deadline parking), then **one `read` per ready
+//! connection**, every complete frame decoded, and pending connections
+//! accepted. `Hello` registration, the inline `EchoReq` answer and the
+//! ingress meters happen at that read point. A wake that only accepted a
+//! connection or completed no node-bound frame waits again — the node
+//! never sees it — and `EINTR` is "look at the deadline, wait again". A
+//! TCP hop therefore costs one wake-up of the thread that dispatches the
+//! envelope; no thread sits between the socket and the node loop, and
+//! everything above `drain` stays byte-blind.
+//!
+//! Accepted sockets stay **blocking** and are read exactly once per
+//! readiness report: `O_NONBLOCK` lives on the open file description, so
+//! the write half a `Hello` registers by `try_clone` would inherit it and
+//! a `Done` forwarder's `write_all` would lose reports to `WouldBlock`
+//! under back-pressure. Only the listener is non-blocking.
+//!
+//! [`TcpNode`] is the *same ingress hosted on one thread* that forwards
+//! each wait's batch into a crossbeam channel with one `send_batch`, for
+//! callers that want a `Receiver` (the conformance suite, the benchmark
+//! probes). The service hosts ([`crate::service`], [`crate::proc`]) do not
+//! use it.
+//!
+//! The readiness wait is the workspace's only foreign call and is
+//! declared for Linux, the only platform CI builds; there is no second
+//! implementation for other platforms.
 //!
 //! ## Reconnect state machine (per peer)
 //!
@@ -38,17 +68,18 @@
 //! like a crashed process, which is precisely the fault domain the
 //! protocols are built for.
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::{HashMap, VecDeque};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::fd::AsRawFd;
+use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ac_obs::NetMeters;
 use ac_sim::{ProcessId, Wire};
-use crossbeam::channel::Sender;
+use crossbeam::channel::{unbounded, Receiver, RecvError, RecvTimeoutError, Sender};
 
 use crate::codec::{write_frame, AnyFrame, FrameDecoder};
 use crate::service::ToNode;
@@ -60,8 +91,8 @@ const RECONNECT_BACKOFF: Duration = Duration::from_millis(500);
 /// skew of a multi-process cluster.
 const INITIAL_ATTEMPTS: u32 = 30;
 const INITIAL_GAP: Duration = Duration::from_millis(100);
-/// Reader-thread receive buffer.
-const READ_CHUNK: usize = 64 * 1024;
+/// Receive buffer of one socket `read`.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// Where a node's outbound envelopes go. Implementations must preserve
 /// per-sender FIFO order on a healthy link and must never block
@@ -342,15 +373,15 @@ impl<M: Wire + Send> Transport<M> for TcpTransport {
     }
 }
 
-/// Write halves of client connections, keyed by client id — populated by
-/// [`TcpNode`] when a `Hello` frame arrives, read by the `Done`
-/// forwarders of a multi-process node.
+/// Write halves of client connections, keyed by client id — populated at
+/// a node's socket read point when a `Hello` frame arrives, read by the
+/// `Done` forwarders of a multi-process node.
 pub type ClientRegistry = Arc<Mutex<HashMap<usize, TcpStream>>>;
 
-/// Identity and epoch a node's reader threads use to answer clock-echo
-/// probes inline: the response is written straight back from the reader
-/// thread, off the node loop, so an echo round trip measures the
-/// network path and not the inbox backlog.
+/// Identity and epoch a node answers clock-echo probes with. The
+/// response is written straight back at the socket read point, ahead of
+/// the dispatch of the batch the read belongs to, so an echo waits behind
+/// at most one loop turn — not behind the backlog.
 #[derive(Clone)]
 pub struct EchoResponder {
     /// The answering node's id.
@@ -359,9 +390,9 @@ pub struct EchoResponder {
     pub epoch: Instant,
 }
 
-/// Optional per-connection behaviors of a [`TcpNode`]'s reader threads:
-/// the client registry (multi-process `Done` routing), ingress meters,
-/// and the clock-echo responder.
+/// Optional per-connection behaviors of a node's socket read point: the
+/// client registry (multi-process `Done` routing), ingress meters, and
+/// the clock-echo responder.
 #[derive(Clone, Default)]
 pub struct NodeHooks {
     /// Populated with the write half of every connection that `Hello`s.
@@ -372,15 +403,364 @@ pub struct NodeHooks {
     pub echo: Option<EchoResponder>,
 }
 
-/// The receiving side of the TCP transport: a listener plus per-connection
-/// reader threads that decode frames and forward node-inbox envelopes
-/// into an ordinary crossbeam channel. The node loop stays byte-blind.
+/// What one socket `read` returned, as a loop that owns the connection
+/// must treat it.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum ReadOutcome {
+    /// That many bytes arrived.
+    Data(usize),
+    /// Nothing was transferred and nothing is wrong: a signal interrupted
+    /// the call (`std`'s `read` does not retry `EINTR`), or a non-blocking
+    /// descriptor had nothing. The connection stays.
+    Retry,
+    /// End of stream or a real error: the connection is gone.
+    Closed,
+}
+
+impl ReadOutcome {
+    pub(crate) fn of(result: std::io::Result<usize>) -> ReadOutcome {
+        match result {
+            Ok(0) => ReadOutcome::Closed,
+            Ok(n) => ReadOutcome::Data(n),
+            Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {
+                ReadOutcome::Retry
+            }
+            Err(_) => ReadOutcome::Closed,
+        }
+    }
+}
+
+/// Feed one read's bytes to `dec` and hand every frame they complete to
+/// `sink`, metering into `net`. A malformed body skips that frame only.
+/// Returns `false` when the stream must be dropped — the frame boundary
+/// is lost (poisoned), or `sink` broke — with every frame ahead of that
+/// point already handed over.
+pub(crate) fn decode_chunk<M: Wire>(
+    dec: &mut FrameDecoder,
+    chunk: &[u8],
+    net: Option<&NetMeters>,
+    mut sink: impl FnMut(AnyFrame<M>) -> ControlFlow<()>,
+) -> bool {
+    if let Some(net) = net {
+        net.received(chunk.len() as u64);
+    }
+    dec.feed(chunk);
+    loop {
+        match dec.next_frame::<M>() {
+            Ok(Some(frame)) => {
+                if let Some(net) = net {
+                    net.frame_in();
+                }
+                if sink(frame).is_break() {
+                    return false;
+                }
+            }
+            Ok(None) => return true,
+            Err(_) => {
+                let poisoned = dec.is_poisoned();
+                if let Some(net) = net {
+                    if poisoned {
+                        net.resync();
+                    } else {
+                        net.decode_error();
+                    }
+                }
+                if poisoned {
+                    return false;
+                }
+            }
+        }
+    }
+}
+
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+/// `POLLIN` on Linux.
+const POLLIN: c_short = 0x001;
+
+/// Block until a descriptor of `fds` is readable, hung up or in error
+/// (`revents` says which), `timeout` elapses (`None` = for ever, returns
+/// `Ok(0)`), or a signal arrives (`ErrorKind::Interrupted`). The timeout
+/// is a `timespec`: a wait of 300 µs takes 300 µs, where `poll(2)`'s
+/// milliseconds would make it 0 or 1 000.
+#[allow(unsafe_code)]
+fn wait_readable(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<usize> {
+    /// `struct timespec` on Linux (both fields `long`).
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+    extern "C" {
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
+    }
+    let ts = timeout.map(|d| Timespec {
+        tv_sec: c_long::try_from(d.as_secs()).unwrap_or(c_long::MAX),
+        tv_nsec: c_long::from(d.subsec_nanos()),
+    });
+    let ts_ptr = ts.as_ref().map_or(std::ptr::null(), std::ptr::from_ref);
+    // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
+    // `pollfd`s and `nfds` is its length, so the kernel reads `fd`/`events`
+    // and writes `revents` inside it and nowhere else; `ts` lives on this
+    // frame past the call, and a null timeout / signal mask mean "no
+    // timeout" / "leave the mask alone". The slice and `ts` must outlive
+    // the call, and do: nothing is retained once it returns. A descriptor
+    // in `fds` that was closed meanwhile is reported (`POLLNVAL`), not
+    // dereferenced.
+    let rc = unsafe {
+        ppoll(
+            fds.as_mut_ptr(),
+            fds.len() as c_ulong,
+            ts_ptr,
+            std::ptr::null(),
+        )
+    };
+    usize::try_from(rc).map_err(|_| std::io::Error::last_os_error())
+}
+
+/// One accepted connection: the socket and its frame boundary state.
+struct Conn {
+    stream: TcpStream,
+    dec: FrameDecoder,
+}
+
+/// The receiving side of the TCP transport, waited on by the thread that
+/// dispatches what it delivers (see the module docs): a listener, its
+/// accepted connections, one decoder per connection, and the envelopes
+/// decoded but not yet taken.
+pub(crate) struct SocketIngress<M> {
+    listener: TcpListener,
+    hooks: NodeHooks,
+    conns: Vec<Conn>,
+    /// The readiness set of the wait in progress: the listener, then
+    /// `conns` in order (rebuilt per wait, allocation reused).
+    fds: Vec<PollFd>,
+    /// Node-bound envelopes in arrival order — per connection, stream
+    /// order. What a wait decoded beyond the caller's `max` stays here
+    /// and is served before any socket is touched again.
+    ready: VecDeque<ToNode<M>>,
+    chunk: Vec<u8>,
+    echo_buf: Vec<u8>,
+}
+
+impl<M: Wire> SocketIngress<M> {
+    /// Listen on `addr`. `hooks.clients`, when given, is populated with
+    /// the write half of every connection that announces itself with a
+    /// `Hello` frame.
+    pub(crate) fn bind<A: ToSocketAddrs>(
+        addr: A,
+        hooks: NodeHooks,
+    ) -> std::io::Result<SocketIngress<M>> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        Ok(SocketIngress {
+            listener,
+            hooks,
+            conns: Vec::new(),
+            fds: Vec::new(),
+            ready: VecDeque::new(),
+            chunk: vec![0u8; READ_CHUNK],
+            echo_buf: Vec::new(),
+        })
+    }
+
+    /// The bound address (useful with port 0).
+    pub(crate) fn addr(&self) -> std::io::Result<SocketAddr> {
+        self.listener.local_addr()
+    }
+
+    /// Move up to `max` envelopes into `buf` (appended), waiting until
+    /// at least one is there or `until` passes (`None` = for ever).
+    /// Returns how many moved; 0 means the deadline passed. A deadline
+    /// already behind still takes what is ready without blocking.
+    pub(crate) fn recv(
+        &mut self,
+        buf: &mut Vec<ToNode<M>>,
+        max: usize,
+        until: Option<Instant>,
+    ) -> usize {
+        while self.ready.is_empty() {
+            if !self.poll(until) {
+                return 0;
+            }
+        }
+        self.take(buf, max)
+    }
+
+    /// Move up to `max` already-decoded envelopes into `buf`.
+    fn take(&mut self, buf: &mut Vec<ToNode<M>>, max: usize) -> usize {
+        let k = self.ready.len().min(max);
+        buf.extend(self.ready.drain(..k));
+        k
+    }
+
+    /// One readiness wait, then one `read` per ready connection — every
+    /// frame it completed routed — then every pending connection
+    /// accepted. Returns `false` when `until` passed with nothing ready.
+    fn poll(&mut self, until: Option<Instant>) -> bool {
+        let SocketIngress {
+            listener,
+            hooks,
+            conns,
+            fds,
+            ready,
+            chunk,
+            echo_buf,
+        } = self;
+        let watch = |fd| PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        fds.clear();
+        fds.push(watch(listener.as_raw_fd()));
+        fds.extend(conns.iter().map(|c| watch(c.stream.as_raw_fd())));
+        loop {
+            let wait = until.map(|u| u.saturating_duration_since(Instant::now()));
+            match wait_readable(fds, wait) {
+                Ok(0) => return false,
+                Ok(_) => break,
+                // A signal is neither a timeout nor a dead socket: wait
+                // again for what is left of the deadline.
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => panic!("ppoll on {} descriptors: {e}", fds.len()),
+            }
+        }
+
+        let net = hooks.net.as_deref();
+        let mut polled = fds[1..].iter();
+        conns.retain_mut(|conn| {
+            let fd = polled.next().expect("one pollfd per connection");
+            if fd.revents == 0 {
+                return true;
+            }
+            let mut stream = &conn.stream;
+            match ReadOutcome::of(stream.read(chunk)) {
+                ReadOutcome::Data(n) => decode_chunk(&mut conn.dec, &chunk[..n], net, |frame| {
+                    route(frame, stream, hooks, echo_buf, ready)
+                }),
+                ReadOutcome::Retry => true,
+                ReadOutcome::Closed => false,
+            }
+        });
+
+        if fds[0].revents != 0 {
+            // Not in this wait's set: first looked at by the next one.
+            while let Ok((stream, _)) = listener.accept() {
+                let _ = stream.set_nodelay(true);
+                conns.push(Conn {
+                    stream,
+                    dec: FrameDecoder::new(),
+                });
+            }
+        }
+        true
+    }
+}
+
+/// Route one frame a node's connection delivered: protocol and control
+/// envelopes queue for the node, `Hello` registers the write half,
+/// `EchoReq` is answered inline (a failed write drops the connection).
+fn route<M: Wire>(
+    frame: AnyFrame<M>,
+    mut stream: &TcpStream,
+    hooks: &NodeHooks,
+    echo_buf: &mut Vec<u8>,
+    ready: &mut VecDeque<ToNode<M>>,
+) -> ControlFlow<()> {
+    match frame {
+        AnyFrame::Node(env) => ready.push_back(env),
+        AnyFrame::Hello { client } => {
+            if let (Some(reg), Ok(half)) = (&hooks.clients, stream.try_clone()) {
+                reg.lock().expect("registry poisoned").insert(client, half);
+            }
+        }
+        AnyFrame::EchoReq { seq, t0_nanos } => {
+            if let Some(echo) = &hooks.echo {
+                let elapsed = echo.epoch.elapsed().as_nanos();
+                echo_buf.clear();
+                write_frame::<M>(
+                    &AnyFrame::EchoResp {
+                        seq,
+                        t0_nanos,
+                        node: echo.node,
+                        node_nanos: u64::try_from(elapsed).unwrap_or(u64::MAX),
+                    },
+                    echo_buf,
+                );
+                if stream.write_all(echo_buf).is_err() {
+                    return ControlFlow::Break(());
+                }
+            }
+        }
+        // Not node-bound frames: a node never receives these.
+        AnyFrame::Done(_) | AnyFrame::EchoResp { .. } | AnyFrame::ObsDump { .. } => {}
+    }
+    ControlFlow::Continue(())
+}
+
+/// Where a node's `drain` step gets its envelopes: the seam with exactly
+/// two sources.
+pub(crate) enum Inbox<M> {
+    /// The in-process channel [`ChannelTransport`] sends into.
+    Channel(Receiver<ToNode<M>>),
+    /// The node's own sockets ([`TcpTransport`] dials them).
+    Socket(SocketIngress<M>),
+}
+
+impl<M: Wire> Inbox<M> {
+    /// Move up to `max` envelopes into `buf` (appended), waiting until at
+    /// least one is there or `until` passes (`None` = for ever); `Ok(0)`
+    /// means the deadline passed. A deadline already behind still takes
+    /// what is there without blocking. An error means every sender of a
+    /// channel inbox is gone: nothing can arrive any more.
+    pub(crate) fn recv(
+        &mut self,
+        buf: &mut Vec<ToNode<M>>,
+        max: usize,
+        until: Option<Instant>,
+    ) -> Result<usize, RecvError> {
+        match (self, until) {
+            (Inbox::Channel(rx), Some(due)) => {
+                let wait = due.saturating_duration_since(Instant::now());
+                match rx.recv_batch_timeout(buf, max, wait) {
+                    Ok(k) => Ok(k),
+                    Err(RecvTimeoutError::Timeout) => Ok(0),
+                    Err(RecvTimeoutError::Disconnected) => Err(RecvError),
+                }
+            }
+            (Inbox::Channel(rx), None) => rx.recv_batch(buf, max),
+            (Inbox::Socket(ingress), until) => Ok(ingress.recv(buf, max, until)),
+        }
+    }
+}
+
+/// What a [`TcpNode`] asks of its host thread.
+enum Ctl {
+    /// Forget every connection, then acknowledge.
+    DropConnections(Sender<()>),
+    Stop,
+}
+
+/// The socket ingress hosted on a thread of its own, forwarding what
+/// each wait decoded into an ordinary crossbeam channel with one
+/// `send_batch` — for a receiving loop that wants a `Receiver` rather
+/// than the ingress itself.
 pub struct TcpNode {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    ctl: Sender<Ctl>,
+    host: Option<std::thread::JoinHandle<()>>,
 }
 
 impl TcpNode {
@@ -417,44 +797,35 @@ impl TcpNode {
         M: Wire + Send + 'static,
         A: ToSocketAddrs,
     {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-
-        let accept_handle = {
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            let readers = Arc::clone(&readers);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
+        let mut ingress = SocketIngress::<M>::bind(addr, hooks)?;
+        let addr = ingress.addr()?;
+        let (ctl, asked) = unbounded::<Ctl>();
+        let host = std::thread::spawn(move || {
+            let mut batch = Vec::new();
+            loop {
+                ingress.poll(None);
+                while let Ok(ctl) = asked.try_recv() {
+                    match ctl {
+                        Ctl::DropConnections(done) => {
+                            // The listener and what is decoded stay.
+                            ingress.conns.clear();
+                            let _ = done.send(());
+                        }
+                        Ctl::Stop => return,
                     }
-                    let Ok(stream) = stream else { continue };
-                    let _ = stream.set_nodelay(true);
-                    conns
-                        .lock()
-                        .expect("conn list poisoned")
-                        .push(stream.try_clone().expect("stream clone"));
-                    let inbox = inbox.clone();
-                    let hooks = hooks.clone();
-                    let reader = std::thread::spawn(move || {
-                        read_loop::<M>(stream, inbox, hooks);
-                    });
-                    readers.lock().expect("reader list poisoned").push(reader);
                 }
-            })
-        };
-
+                // Receiver gone: nobody is left to read for.
+                if ingress.take(&mut batch, usize::MAX) > 0
+                    && inbox.send_batch(batch.drain(..)).is_err()
+                {
+                    return;
+                }
+            }
+        });
         Ok(TcpNode {
             addr,
-            stop,
-            accept_handle: Some(accept_handle),
-            conns,
-            readers,
+            ctl,
+            host: Some(host),
         })
     }
 
@@ -463,143 +834,214 @@ impl TcpNode {
         self.addr
     }
 
-    /// Forcibly close every accepted connection while keeping the
-    /// listener alive — the "link bounce" the conformance suite uses to
-    /// exercise sender reconnects.
-    pub fn drop_connections(&self) {
-        let mut conns = self.conns.lock().expect("conn list poisoned");
-        for c in conns.drain(..) {
-            let _ = c.shutdown(Shutdown::Both);
-        }
+    /// Hand `ctl` to the host thread and wake its readiness wait with a
+    /// throwaway connection.
+    fn ask(&self, ctl: Ctl) {
+        let _ = self.ctl.send(ctl);
+        let _ = TcpStream::connect(self.addr);
     }
 
-    /// Stop accepting, close every connection, join all threads.
+    /// Forcibly close every accepted connection while keeping the
+    /// listener alive — the "link bounce" the conformance suite uses to
+    /// exercise sender reconnects. Returns once they are closed.
+    pub fn drop_connections(&self) {
+        let (done, closed) = unbounded();
+        self.ask(Ctl::DropConnections(done));
+        // An error means the host thread is gone, and its sockets with it.
+        let _ = closed.recv();
+    }
+
+    /// Stop accepting, close every connection, join the host thread.
     pub fn shutdown(mut self) {
         self.teardown();
     }
 
     fn teardown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        self.drop_connections();
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        let readers = std::mem::take(&mut *self.readers.lock().expect("reader list poisoned"));
-        for h in readers {
-            let _ = h.join();
+        if let Some(host) = self.host.take() {
+            self.ask(Ctl::Stop);
+            let _ = host.join();
         }
     }
 }
 
 impl Drop for TcpNode {
     fn drop(&mut self) {
-        if self.accept_handle.is_some() {
-            self.teardown();
-        }
+        self.teardown();
     }
 }
 
-/// One connection's read loop, shared by the node-side readers and the
-/// multi-process client's `Done` readers: every complete frame a socket
-/// `read` delivered is decoded and offered to `route`, and the items it
-/// returned go to `out` with **one** `send_batch` — one lock and at most
-/// one wake-up of the receiving loop per read, not per frame. They are
-/// handed over before the socket is looked at again, so frames that
-/// arrived whole ahead of EOF, a read error, a poisoned stream or a
-/// `route` break (drop the connection) are still delivered. A malformed
-/// body skips that frame only; a poisoned stream (frame boundary lost)
-/// ends the loop — the peer reconnects with a fresh one.
-pub(crate) fn read_frames<M: Wire, T>(
-    mut stream: &TcpStream,
-    out: &Sender<T>,
-    net: Option<&NetMeters>,
-    mut route: impl FnMut(AnyFrame<M>) -> ControlFlow<(), Option<T>>,
-) {
-    let mut dec = FrameDecoder::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
-    let mut batch: Vec<T> = Vec::new();
-    let mut open = true;
-    while open {
-        let n = match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => n,
-        };
-        if let Some(net) = net {
-            net.received(n as u64);
-        }
-        dec.feed(&chunk[..n]);
-        while open {
-            match dec.next_frame::<M>() {
-                Ok(Some(frame)) => {
-                    if let Some(net) = net {
-                        net.frame_in();
-                    }
-                    match route(frame) {
-                        ControlFlow::Continue(item) => batch.extend(item),
-                        ControlFlow::Break(()) => open = false,
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    open = !dec.is_poisoned();
-                    if let Some(net) = net {
-                        if open {
-                            net.decode_error();
-                        } else {
-                            net.resync();
-                        }
-                    }
-                }
-            }
-        }
-        // Receiver gone: drop the connection.
-        open &= batch.is_empty() || out.send_batch(batch.drain(..)).is_ok();
-    }
-}
+#[cfg(test)]
+mod tests {
+    //! The ingress alone: real loopback sockets, no node, no thread.
 
-/// A node-side connection: protocol and control envelopes go to the inbox,
-/// `Hello` registers the write half, `EchoReq` is answered inline.
-fn read_loop<M: Wire + Send + 'static>(
-    stream: TcpStream,
-    inbox: Sender<ToNode<M>>,
-    hooks: NodeHooks,
-) {
-    let mut echo_buf = Vec::new();
-    read_frames::<M, _>(&stream, &inbox, hooks.net.as_deref(), |frame| {
-        match frame {
-            AnyFrame::Node(env) => return ControlFlow::Continue(Some(env)),
-            AnyFrame::Hello { client } => {
-                if let (Some(reg), Ok(half)) = (&hooks.clients, stream.try_clone()) {
-                    reg.lock().expect("registry poisoned").insert(client, half);
-                }
-            }
-            AnyFrame::EchoReq { seq, t0_nanos } => {
-                // Answer inline from the reader thread: the round trip
-                // then measures the network path, not the node loop's
-                // inbox backlog.
-                if let Some(echo) = &hooks.echo {
-                    let node_nanos =
-                        u64::try_from(echo.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    echo_buf.clear();
-                    write_frame::<M>(
-                        &AnyFrame::EchoResp {
-                            seq,
-                            t0_nanos,
-                            node: echo.node,
-                            node_nanos,
-                        },
-                        &mut echo_buf,
-                    );
-                    if (&stream).write_all(&echo_buf).is_err() {
-                        return ControlFlow::Break(());
-                    }
-                }
-            }
-            // Not node-bound frames: a node never receives these.
-            AnyFrame::Done(_) | AnyFrame::EchoResp { .. } | AnyFrame::ObsDump { .. } => {}
+    use super::*;
+
+    type M = u64;
+
+    fn ingress() -> (SocketIngress<M>, SocketAddr) {
+        let ingress =
+            SocketIngress::bind("127.0.0.1:0", NodeHooks::default()).expect("bind loopback");
+        let addr = ingress.addr().expect("listener address");
+        (ingress, addr)
+    }
+
+    fn net(p: usize, seq: u64) -> ToNode<M> {
+        ToNode::Net {
+            txn: p as u64 + 1,
+            from: p,
+            msg: seq,
         }
-        ControlFlow::Continue(None)
-    });
+    }
+
+    fn frames(p: usize, seqs: std::ops::Range<u64>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for s in seqs {
+            write_frame(&AnyFrame::Node(net(p, s)), &mut bytes);
+        }
+        bytes
+    }
+
+    /// `(from, msg)` of every envelope, in delivery order.
+    fn transcript(buf: &[ToNode<M>]) -> Vec<(usize, u64)> {
+        buf.iter()
+            .map(|env| match env {
+                ToNode::Net { from, msg, .. } => (*from, *msg),
+                other => panic!("unexpected envelope {other:?}"),
+            })
+            .collect()
+    }
+
+    fn within(wait: Duration) -> Option<Instant> {
+        Some(Instant::now() + wait)
+    }
+
+    const SOON: Duration = Duration::from_millis(100);
+    const PATIENT: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn a_read_result_is_data_or_try_again_or_closed() {
+        let of = ReadOutcome::of;
+        assert_eq!(of(Ok(7)), ReadOutcome::Data(7));
+        // A signal without `SA_RESTART`, or an empty non-blocking
+        // descriptor: the stream is healthy.
+        assert_eq!(of(Err(ErrorKind::Interrupted.into())), ReadOutcome::Retry);
+        assert_eq!(of(Err(ErrorKind::WouldBlock.into())), ReadOutcome::Retry);
+        assert_eq!(of(Ok(0)), ReadOutcome::Closed);
+        assert_eq!(
+            of(Err(ErrorKind::ConnectionReset.into())),
+            ReadOutcome::Closed
+        );
+    }
+
+    /// The property the gain rests on: what five senders wrote before
+    /// the wait comes out of **one** receive call — which also accepts
+    /// the five connections, a wake that is not handed to the caller —
+    /// in stream order per connection.
+    #[test]
+    fn one_receive_call_returns_what_five_connections_sent() {
+        let (mut ingress, addr) = ingress();
+        let mut senders: Vec<TcpTransport> =
+            (0..5).map(|_| TcpTransport::new(vec![addr])).collect();
+        for (p, t) in senders.iter_mut().enumerate() {
+            let mut batch: Vec<_> = (0..7).map(|s| net(p, s)).collect();
+            t.send_batch(0, &mut batch);
+        }
+        let mut buf = Vec::new();
+        let got = ingress.recv(&mut buf, usize::MAX, within(PATIENT));
+        assert_eq!(got, 5 * 7, "one wake must take every ready connection");
+        let seen = transcript(&buf);
+        for p in 0..5 {
+            let stream: Vec<u64> = seen.iter().filter(|e| e.0 == p).map(|e| e.1).collect();
+            assert_eq!(stream, (0..7).collect::<Vec<_>>(), "connection {p}");
+        }
+    }
+
+    /// Half a frame completes nothing — the wake it causes is not handed
+    /// to the caller — and the whole frame is delivered once.
+    #[test]
+    fn a_frame_split_across_two_writes_is_delivered_once_after_the_second() {
+        let (mut ingress, addr) = ingress();
+        let bytes = frames(0, 0..1);
+        let (head, tail) = bytes.split_at(bytes.len() / 2);
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut buf = Vec::new();
+
+        stream.write_all(head).expect("write head");
+        let t0 = Instant::now();
+        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(SOON)), 0);
+        assert!(t0.elapsed() >= SOON, "an incomplete frame ended the wait");
+
+        stream.write_all(tail).expect("write tail");
+        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(PATIENT)), 1);
+        assert_eq!(transcript(&buf), vec![(0, 0)]);
+        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(SOON)), 0);
+    }
+
+    /// What a read decoded beyond `max` is served by the next call ahead
+    /// of anything newer, without a socket being touched: bytes written
+    /// in between are still in the kernel when the surplus comes out.
+    #[test]
+    fn surplus_beyond_max_is_served_first_and_in_order() {
+        let (mut ingress, addr) = ingress();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(&frames(0, 0..10)).expect("write");
+        let mut buf = Vec::new();
+        assert_eq!(ingress.recv(&mut buf, 4, within(PATIENT)), 4);
+        stream.write_all(&frames(0, 10..13)).expect("write");
+        assert_eq!(
+            ingress.recv(&mut buf, usize::MAX, within(PATIENT)),
+            6,
+            "the surplus only: no read happened"
+        );
+        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(PATIENT)), 3);
+        let expect: Vec<_> = (0..13).map(|s| (0, s)).collect();
+        assert_eq!(transcript(&buf), expect);
+    }
+
+    /// The deadline is exact: a 300 µs wait takes 300 µs, not the 0 or
+    /// 1 000 µs a millisecond timeout would round it to.
+    #[test]
+    fn a_sub_millisecond_wait_is_neither_cut_short_nor_rounded_up() {
+        let (mut ingress, addr) = ingress();
+        // One accepted, idle connection, so the wait covers a socket.
+        let _idle = TcpStream::connect(addr).expect("connect");
+        let mut buf = Vec::new();
+        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(SOON)), 0);
+        assert_eq!(ingress.conns.len(), 1);
+
+        let wait = Duration::from_micros(300);
+        let mut fastest = Duration::MAX;
+        for _ in 0..20 {
+            let t0 = Instant::now();
+            assert_eq!(ingress.recv(&mut buf, usize::MAX, Some(t0 + wait)), 0);
+            let took = t0.elapsed();
+            assert!(took >= wait, "returned after {took:?}");
+            fastest = fastest.min(took);
+        }
+        // The scheduler may delay any one return; not all twenty.
+        assert!(
+            fastest < Duration::from_millis(1),
+            "fastest of 20 waits took {fastest:?}"
+        );
+    }
+
+    /// A peer that closes mid-frame after `j` whole frames yields exactly
+    /// those `j`, and the connection is forgotten.
+    #[test]
+    fn a_stream_cut_mid_frame_yields_the_whole_frames_and_is_forgotten() {
+        let (mut ingress, addr) = ingress();
+        for j in [0u64, 1, 9] {
+            let mut bytes = frames(0, 0..j);
+            let half = frames(0, j..j + 1);
+            bytes.extend_from_slice(&half[..half.len() / 2]);
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(&bytes).expect("write");
+            drop(stream);
+            let mut buf = Vec::new();
+            while ingress.recv(&mut buf, usize::MAX, within(SOON)) > 0 {}
+            let expect: Vec<_> = (0..j).map(|s| (0, s)).collect();
+            assert_eq!(transcript(&buf), expect, "cut after {j} whole frames");
+            assert!(ingress.conns.is_empty(), "closed connection kept");
+        }
+    }
 }

@@ -5,7 +5,13 @@
 //! channel transport does — clean audit, no stalls, no split decisions,
 //! zero orphaned envelopes, conserved transfers.
 
-use ac_cluster::{run_service, ServiceConfig, TransportKind};
+use std::sync::Arc;
+use std::time::Duration;
+
+use ac_cluster::{
+    run_service, run_service_faulted, Fate, FaultSpec, NetPolicy, ServiceConfig, Stage,
+    TransportKind,
+};
 use ac_commit::protocols::ProtocolKind;
 use ac_txn::workload::Workload;
 
@@ -108,5 +114,91 @@ fn windowed_paxos_commit_coalesces_socket_writes_on_both_ends() {
         per_txn < 2.0,
         "{writes} socket writes for {} transactions = {per_txn:.2} per txn",
         out.txns
+    );
+}
+
+/// A node reads its own sockets: parked in the readiness wait with no
+/// deadline it wakes for frames only — never for an accepted connection,
+/// half a frame or a `Hello` — so a message-driven run over TCP, light or
+/// windowed, counts no spurious wakeup and loses nothing.
+#[test]
+fn paxos_commit_over_tcp_wakes_a_node_for_frames_only() {
+    let light = ServiceConfig::new(4, 1, ProtocolKind::PaxosCommit)
+        .unit(Duration::from_millis(1))
+        .clients(2)
+        .txns_per_client(2000)
+        .workload(Workload::Uniform { span: 2 })
+        .keys_per_shard(1 << 20)
+        .seed(7)
+        .transport(TransportKind::Tcp);
+    let windowed = light.clone().park_retries(0).max_outstanding(32);
+    for (load, cfg) in [("light", light), ("windowed", windowed)] {
+        let out = run_service(&cfg);
+        assert!(
+            out.is_safe(),
+            "{load}: audit violations: {:?}",
+            out.violations
+        );
+        assert_eq!(out.txns, 2 * 2000, "{load}: lost transactions");
+        assert_eq!(
+            (out.stalled, out.retries, out.orphaned_envelopes),
+            (0, 0, 0),
+            "{load}: stalled / retried / orphaned"
+        );
+        assert_eq!(out.spurious_wakeups, 0, "{load}: a wake moved nothing");
+    }
+}
+
+/// Holds every envelope travelling from a lower to a higher node id —
+/// with two-shard transactions, exactly the participant's vote to its
+/// coordinator — and nothing else.
+struct HoldVotes(Duration);
+
+impl NetPolicy for HoldVotes {
+    fn fate(&self, from: usize, to: usize, _elapsed: Duration, _seq: u64) -> Fate {
+        if from < to {
+            Fate::Delay(self.0)
+        } else {
+            Fate::Deliver
+        }
+    }
+}
+
+/// The failure detector keeps its clock while the node is parked on
+/// sockets: a vote held `3·U` makes the 2PC coordinator abort when its
+/// collect timer fires at `1·U` — the readiness wait ends on the exact
+/// deadline, not on the next frame. The TCP twin of
+/// `tests/live_cluster.rs::two_pc_still_aborts_at_one_unit_when_a_vote_is_late`.
+#[test]
+fn two_pc_over_tcp_still_aborts_at_one_unit_when_a_vote_is_late() {
+    let unit = Duration::from_millis(50);
+    let cfg = ServiceConfig::new(4, 1, ProtocolKind::TwoPc)
+        .unit(unit)
+        .clients(1)
+        .txns_per_client(5)
+        .workload(Workload::Uniform { span: 2 })
+        .seed(41)
+        .transport(TransportKind::Tcp);
+    let spec = FaultSpec {
+        policy: Some(Arc::new(HoldVotes(3 * unit))),
+        ..FaultSpec::none(cfg.n)
+    };
+    let out = run_service_faulted(&cfg, &spec);
+    assert_eq!(out.stalled, 0);
+    assert!(out.is_safe(), "{:?}", out.violations);
+    assert_eq!(out.aborted, 5, "a missing vote at U aborts");
+    assert_eq!(out.delayed_messages, 5, "one held vote per transaction");
+    let (fastest, slowest) = (
+        Duration::from_nanos(out.latency.min()),
+        Duration::from_nanos(out.latency.max()),
+    );
+    assert!(
+        fastest >= unit && slowest < 2 * unit,
+        "aborts must land at about 1·U = {unit:?}, got {fastest:?}..{slowest:?}"
+    );
+    assert_eq!(
+        out.stage_meters.get(Stage::TimerFire).0,
+        5,
+        "exactly the coordinator's collect timer fires, once per transaction"
     );
 }

@@ -21,6 +21,7 @@
 //!   protocol and scenario.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod checker;
 pub mod explorer;

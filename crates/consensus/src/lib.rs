@@ -27,6 +27,7 @@
 //! seam precisely so another implementation can be dropped in.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod flooding;
 pub mod paxos;

@@ -61,6 +61,8 @@
 //! machine-readable comparison is written to `--out` (default
 //! `PERF_comparison.json`).
 
+#![deny(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 
 use ac_harness::experiments;

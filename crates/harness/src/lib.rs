@@ -31,6 +31,7 @@
 //! measure is `null`.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod experiments;
 pub mod perf;

@@ -18,6 +18,7 @@
 //! paper's two complexity measures.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod delay;
 pub mod fault;

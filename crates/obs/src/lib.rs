@@ -32,6 +32,7 @@
 //! instruments on, which is why they are always on.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod attribution;
 pub mod clock;

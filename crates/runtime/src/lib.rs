@@ -24,6 +24,7 @@
 //! of transaction-keyed instances per node.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod slab;
 

@@ -17,6 +17,7 @@
 //! real threads (`ac-runtime`).
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod automaton;
 pub mod event;

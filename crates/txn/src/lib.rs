@@ -21,6 +21,7 @@
 //!   service's crash/restart path (`ac-chaos`).
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod cluster;
 pub mod store;

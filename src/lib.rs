@@ -1,5 +1,8 @@
 //! Umbrella crate: re-exports the workspace for examples and integration
 //! tests. See README.md for the tour.
+
+#![deny(unsafe_code)]
+
 pub use ac_chaos as chaos;
 pub use ac_cluster as cluster;
 pub use ac_commit as commit;
