@@ -5,13 +5,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ac_commit::problem::COMMIT;
+use ac_commit::protocols::PerRank;
 use ac_commit::CommitProtocol;
-use ac_obs::{LatencyHistogram, NodeObs, Stage};
+use ac_obs::{FlightRecorder, LatencyHistogram, NodeObs, Stage};
 use ac_txn::workload::{ArrivalSchedule, WorkloadConfig};
 use ac_txn::Transaction;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 
-use crate::service::{participants_of, Done, ServiceConfig, ToNode, TxnEvent};
+use crate::service::{parts_of, Done, ServiceConfig, ToNode, TxnEvent};
 use crate::transport::{Outbox, Transport};
 
 /// Upper bound on decision replies a client drains per iteration.
@@ -23,7 +24,7 @@ pub(crate) struct ClientRecord {
     pub(crate) txn: Arc<Transaction>,
     /// Decision reported by each participant, in participant-rank order
     /// (None = never arrived before abandonment).
-    pub(crate) decisions: Vec<Option<u64>>,
+    pub(crate) decisions: PerRank<Option<u64>>,
 }
 
 pub(crate) struct ClientReturn {
@@ -45,8 +46,9 @@ pub(crate) struct ClientReturn {
 /// One outstanding transaction at a client.
 struct PendingTxn {
     txn: Arc<Transaction>,
-    parts: Vec<usize>,
-    decisions: Vec<Option<u64>>,
+    /// Participant shards, derived once at submission.
+    parts: PerRank<usize>,
+    decisions: PerRank<Option<u64>>,
     got: usize,
     t0: Instant,
     retries: u32,
@@ -108,15 +110,21 @@ where
     let mut reply_timeouts = 0usize;
     let mut dbuf: Vec<Done> = Vec::with_capacity(CLIENT_BATCH);
     let mut next_allowed = Instant::now();
-    let mut obs = NodeObs::new();
+    // Meters and histograms only: a client stamps no flight event, so it
+    // gets no ring to stamp them into.
+    let mut obs = NodeObs {
+        flight: FlightRecorder::new(0, 1),
+        meters: Default::default(),
+        hists: Default::default(),
+    };
     let mut outbox: Outbox<P::Msg> = Outbox::new(cfg.n);
     // A fresh outstanding transaction, its Begins staged.
     let submit = |t: Transaction, t0: Instant, outbox: &mut Outbox<P::Msg>| {
         let txn = Arc::new(t);
-        let parts = participants_of(&txn, cfg.n);
+        let parts = parts_of(&txn, cfg.n);
         let now = Instant::now();
         let p = PendingTxn {
-            decisions: vec![None; parts.len()],
+            decisions: PerRank::from_elem(None, parts.len()),
             txn,
             parts,
             got: 0,

@@ -97,8 +97,10 @@ pub enum AnyFrame<M> {
     ObsDump {
         /// The exporting node.
         node: u32,
-        /// The export payload.
-        export: ObsExport,
+        /// The export payload — boxed: it is cold and several times the
+        /// size of anything else here, and a frame is moved by value from
+        /// the decoder to the inbox, so every frame would pay for it.
+        export: Box<ObsExport>,
     },
 }
 
@@ -180,10 +182,11 @@ pub fn write_frame<M: Wire>(frame: &AnyFrame<M>, out: &mut Vec<u8>) {
 /// Decode one frame body (everything after the length prefix).
 ///
 /// Forced inline, with [`FrameDecoder::next_frame`]: the frame is returned
-/// by value and `AnyFrame` is as large as its `ObsDump` variant, so each
-/// out-of-line layer copies it once more per frame — the `acbench` decode
-/// probe read 25 → 52 ns per frame when the optimizer stopped inlining
-/// the pair on its own, 25 ns again with both attributes.
+/// by value through both, and each out-of-line layer copies it once more
+/// per frame. Boxing `ObsDump`'s payload took `AnyFrame<PcMsg>` from 152 to
+/// 56 bytes and the cost of a lost inline from 27 ns to 7 ns per frame
+/// (26 → 33 ns decoding PaxosCommit's envelopes without the attributes),
+/// which is still a quarter of the decode.
 #[inline(always)]
 pub fn decode_body<M: Wire>(mut body: &[u8]) -> Result<AnyFrame<M>, WireError> {
     let buf = &mut body;
@@ -233,7 +236,7 @@ pub fn decode_body<M: Wire>(mut body: &[u8]) -> Result<AnyFrame<M>, WireError> {
         },
         11 => AnyFrame::ObsDump {
             node: u32::decode(buf)?,
-            export: ObsExport::decode(buf)?,
+            export: Box::new(ObsExport::decode(buf)?),
         },
         _ => return Err(WireError::Invalid("frame tag")),
     };
@@ -419,7 +422,11 @@ mod tests {
         write_frame::<u64>(
             &AnyFrame::ObsDump {
                 node: 2,
-                export: ac_obs::ObsExport::snapshot(2, &ac_obs::NodeObs::new(), None),
+                export: Box::new(ac_obs::ObsExport::snapshot(
+                    2,
+                    &ac_obs::NodeObs::new(),
+                    None,
+                )),
             },
             &mut dump,
         );

@@ -33,7 +33,6 @@
 
 mod client;
 pub mod codec;
-pub mod inline;
 mod node;
 pub mod proc;
 pub mod service;
@@ -44,8 +43,8 @@ pub use ac_obs::{
     Attribution, LatencyHistogram, ObsMeters, Stage, StageHistograms, TxnTimeline,
     ATTRIBUTION_STAGES,
 };
+pub use ac_sim::inline::{self, InlineVec};
 pub use codec::{AnyFrame, FrameDecoder, MAX_FRAME};
-pub use inline::InlineVec;
 pub use service::{
     participants_of, run_service, run_service_faulted, CrashWindow, Done, Fate, FaultSpec,
     NetPolicy, NodeRecord, ServiceConfig, ServiceOutcome, ToNode, TransportKind, TxnEvent,

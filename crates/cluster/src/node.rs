@@ -57,16 +57,16 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ac_commit::problem::COMMIT;
+use ac_commit::protocols::PerRank;
 use ac_commit::CommitProtocol;
 use ac_obs::{FlightStage, NodeObs, ObsExport, Stage};
 use ac_runtime::{NodeEvent, NodeLoop, Slab, UnitClock};
-use ac_sim::{ProcessId, Wire};
+use ac_sim::{InlineVec, ProcessId, Wire};
 use ac_txn::{DecidedTxn, Shard, Transaction, TxnId, Wal, WalRecord};
 use crossbeam::channel::Sender;
 
-use crate::inline::InlineVec;
 use crate::service::{
-    participants_of, CrashWindow, Done, Fate, NetPolicy, NodeRecord, ToNode, GROUP_COMMIT_SIBLINGS,
+    parts_of, CrashWindow, Done, Fate, NetPolicy, NodeRecord, ToNode, GROUP_COMMIT_SIBLINGS,
     GROUP_COMMIT_UNIT_SHARE, ORPHAN_CAP,
 };
 use crate::transport::{Inbox, Outbox, Transport};
@@ -177,7 +177,8 @@ struct Route {
     client: usize,
     vote: bool,
     /// Participant shards, ascending; protocol rank = index here.
-    parts: Vec<usize>,
+    /// Derived once, when the route is built.
+    parts: PerRank<usize>,
     /// This node's rank within `parts`.
     my_rank: usize,
 }
@@ -273,7 +274,7 @@ impl<M> Volatile<M> {
     /// `txn`'s routing data; `None` when this node is not a participant
     /// (not ours to vote on).
     fn route_of(&self, txn: Arc<Transaction>, client: usize, vote: bool) -> Option<Route> {
-        let parts = participants_of(&txn, self.n);
+        let parts = parts_of(&txn, self.n);
         let my_rank = parts.iter().position(|&q| q == self.me)?;
         Some(Route {
             txn,

@@ -253,7 +253,7 @@ fn obs_forwarder(rx: Receiver<(usize, ObsExport)>, reg: ClientRegistry, net: Arc
             write_frame::<()>(
                 &AnyFrame::ObsDump {
                     node: export.node,
-                    export,
+                    export: Box::new(export),
                 },
                 &mut buf,
             );
@@ -554,5 +554,5 @@ fn collect_node(
     let Some(AnyFrame::ObsDump { export, .. }) = next(true, 0) else {
         return None;
     };
-    Some((align, export))
+    Some((align, *export))
 }

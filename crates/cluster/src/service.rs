@@ -83,14 +83,14 @@
 //! short-circuit through an in-memory queue and never touch a channel.
 //! Clients stage and flush the same way (see `client_main`).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ac_commit::problem::COMMIT;
-use ac_commit::protocols::ProtocolKind;
+use ac_commit::protocols::{PerRank, ProtocolKind};
 use ac_commit::CommitProtocol;
+use ac_runtime::Slab;
 use ac_sim::ProcessId;
 use ac_txn::workload::Workload;
 use ac_txn::{Shard, Transaction, TxnId, Wal};
@@ -148,7 +148,14 @@ pub const ORPHAN_CAP: usize = 128;
 /// cluster (protocols need `n ≥ 2`). Sorted ascending; a participant's
 /// instance-local rank is its index here.
 pub fn participants_of(txn: &Transaction, n: usize) -> Vec<usize> {
-    let parts: Vec<usize> = txn.shards().into_iter().filter(|&p| p < n).collect();
+    parts_of(txn, n).to_vec()
+}
+
+/// [`participants_of`] as each holder of the transaction (the client, every
+/// participant's route) derives it: once, in one pass over the sorted
+/// keys, into inline storage.
+pub(crate) fn parts_of(txn: &Transaction, n: usize) -> PerRank<usize> {
+    let parts: PerRank<usize> = txn.shard_iter().filter(|&p| p < n).collect();
     if parts.len() >= 2 {
         parts
     } else {
@@ -945,7 +952,7 @@ fn aggregate(
     let mut committed = 0;
     let mut aborted = 0;
     let mut violations = Vec::new();
-    let mut txn_events = Vec::new();
+    let mut txn_events = Vec::with_capacity(client_returns.iter().map(|r| r.events.len()).sum());
     let spurious_wakeups = node_returns.iter().map(|r| r.counts.spurious_wakeups).sum();
     let dropped_messages = node_returns.iter().map(|r| r.counts.dropped_messages).sum();
     let delayed_messages = node_returns.iter().map(|r| r.counts.delayed_messages).sum();
@@ -966,7 +973,8 @@ fn aggregate(
     // into one cross-node record.
     let stage_meters = ObsMeters::new();
     let mut stage_hists = StageHistograms::new();
-    let mut flight: Vec<FlightEvent> = Vec::new();
+    let recorded = |r: &NodeReturn| r.obs.flight.events().len();
+    let mut flight: Vec<FlightEvent> = Vec::with_capacity(node_returns.iter().map(recorded).sum());
     let mut dropped_events = 0u64;
     for r in &node_returns {
         stage_meters.merge(&r.obs.meters);
@@ -975,14 +983,27 @@ fn aggregate(
         flight.extend_from_slice(r.obs.flight.events());
     }
 
-    // Cross-node view: txn -> (votes, decisions) as logged by each node.
-    let mut by_txn: HashMap<TxnId, (Vec<bool>, Vec<u64>)> = HashMap::new();
-    for ret in &node_returns {
-        for rec in &ret.log {
-            let e = by_txn.entry(rec.txn.id).or_default();
-            e.0.push(rec.vote);
-            e.1.push(rec.decision);
-        }
+    // Cross-node view: what the nodes' logs say of each transaction,
+    // folded as the logs are read.
+    struct Logged {
+        /// Participants that logged a decision.
+        nodes: usize,
+        all_voted_yes: bool,
+        /// The first logged decision, and whether every other equals it.
+        decision: u64,
+        unanimous: bool,
+    }
+    let mut by_txn: Slab<Logged> = Slab::new();
+    for rec in node_returns.iter().flat_map(|ret| &ret.log) {
+        let l = by_txn.get_or_insert_with(rec.txn.id, || Logged {
+            nodes: 0,
+            all_voted_yes: true,
+            decision: rec.decision,
+            unanimous: true,
+        });
+        l.nodes += 1;
+        l.all_voted_yes &= rec.vote;
+        l.unanimous &= rec.decision == l.decision;
     }
 
     for cr in client_returns {
@@ -1003,36 +1024,36 @@ fn aggregate(
             // One decision slot per participant, sized by the client.
             let k = rec.decisions.len();
             txns += 1;
-            let mut vals: Vec<u64> = rec.decisions.iter().flatten().copied().collect();
-            vals.sort_unstable();
-            vals.dedup();
-            if vals.len() != 1 {
+            let mut seen = rec.decisions.iter().flatten().copied();
+            let first = seen.next();
+            let Some(decision) = first.filter(|&d| seen.all(|other| other == d)) else {
+                let mut vals: Vec<u64> = rec.decisions.iter().flatten().copied().collect();
+                vals.sort_unstable();
+                vals.dedup();
                 violations.push(format!("txn {}: split decision {vals:?}", rec.txn.id));
                 continue;
-            }
-            let commit = vals[0] == COMMIT;
+            };
+            let commit = decision == COMMIT;
             if commit {
                 committed += 1;
             } else {
                 aborted += 1;
             }
-            match by_txn.get(&rec.txn.id) {
-                Some((votes, decisions)) => {
-                    if votes.len() != k {
+            match by_txn.get(rec.txn.id) {
+                Some(logged) => {
+                    if logged.nodes != k {
                         violations.push(format!(
                             "txn {}: {} of {} participants logged a decision",
-                            rec.txn.id,
-                            votes.len(),
-                            k
+                            rec.txn.id, logged.nodes, k
                         ));
                     }
-                    if decisions.iter().any(|&d| d != vals[0]) {
+                    if !logged.unanimous || logged.decision != decision {
                         violations.push(format!(
                             "txn {}: node logs disagree with client view",
                             rec.txn.id
                         ));
                     }
-                    if commit && votes.iter().any(|&v| !v) {
+                    if commit && !logged.all_voted_yes {
                         violations.push(format!(
                             "txn {}: committed despite a missing yes-vote",
                             rec.txn.id
@@ -1165,6 +1186,19 @@ mod tests {
         assert_eq!(participants_of(&single, 4), vec![0, 1, 2, 3]);
         let empty = Transaction::new(3);
         assert_eq!(participants_of(&empty, 3), vec![0, 1, 2]);
+        // Reads count, shards the cluster does not have do not, and a
+        // span above the inline capacity spills and stays sorted.
+        let mixed = Transaction::new(4)
+            .with_write(Key::new(3, 0), 1)
+            .with_read(Key::new(1, 9), 0)
+            .with_read(Key::new(3, 2), 0)
+            .with_write(Key::new(7, 7), 2);
+        assert_eq!(participants_of(&mixed, 4), vec![1, 3]);
+        let wide = (0..6).fold(Transaction::new(5), |t, s| t.with_write(Key::new(s, 0), 1));
+        let parts = parts_of(&wide, 16);
+        assert!(parts.spilled());
+        assert_eq!(parts[..], [0, 1, 2, 3, 4, 5]);
+        assert!(parts_of(&single, 16).spilled(), "whole-cluster fallback");
     }
 
     #[test]

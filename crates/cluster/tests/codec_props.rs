@@ -173,7 +173,9 @@ fn pcmsg(r: &mut Rng) -> PcMsg {
             rm: r.below(64) as usize,
             vote: r.flag(),
         },
-        1 => PcMsg::Bundle0 { vals: r.votes() },
+        1 => PcMsg::Bundle0 {
+            vals: r.votes().into_iter().collect(),
+        },
         2 => PcMsg::Prepare { bal: r.next() },
         3 => PcMsg::Promise {
             bal: r.next(),

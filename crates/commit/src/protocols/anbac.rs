@@ -14,7 +14,7 @@
 
 use ac_sim::{Automaton, Ctx, ProcessId};
 
-use super::etime;
+use super::{etime, PerRank};
 use crate::problem::{decision_value, validate_params, CommitProtocol, Vote};
 
 const TAG_CHAIN: u32 = 1;
@@ -50,8 +50,8 @@ pub struct ANbac {
     // Overlay state.
     vote: bool,
     delivered_v: bool,
-    collection_v: Vec<bool>,
-    collection_b: Vec<bool>,
+    collection_v: PerRank<bool>,
+    collection_b: PerRank<bool>,
     noop: bool,
     phase0: u8,
 }
@@ -96,8 +96,8 @@ impl CommitProtocol for ANbac {
             echoed: false,
             vote,
             delivered_v: false,
-            collection_v: vec![false; n],
-            collection_b: vec![false; n],
+            collection_v: PerRank::from_elem(false, n),
+            collection_b: PerRank::from_elem(false, n),
             noop: false,
             phase0: 0,
         }

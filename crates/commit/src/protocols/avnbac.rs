@@ -15,7 +15,7 @@
 
 use ac_sim::{Automaton, Ctx, ProcessId, Time};
 
-use super::etime;
+use super::{etime, PerRank};
 use crate::problem::{decision_value, validate_params, CommitProtocol, Vote};
 
 const TAG: u32 = 1;
@@ -34,7 +34,7 @@ pub enum AvMsg {
 #[derive(Debug)]
 pub struct AvNbacDelayOpt {
     votes: bool,
-    got: Vec<bool>,
+    got: PerRank<bool>,
 }
 
 impl CommitProtocol for AvNbacDelayOpt {
@@ -42,7 +42,7 @@ impl CommitProtocol for AvNbacDelayOpt {
 
     fn new(me: ProcessId, n: usize, f: usize, vote: Vote) -> Self {
         validate_params(n, f);
-        let mut got = vec![false; n];
+        let mut got = PerRank::from_elem(false, n);
         got[me] = true;
         AvNbacDelayOpt { votes: vote, got }
     }
@@ -79,7 +79,7 @@ pub struct AvNbacMsgOpt {
     n: usize,
     votes: bool,
     received_b: bool,
-    got: Vec<bool>,
+    got: PerRank<bool>,
 }
 
 impl AvNbacMsgOpt {
@@ -93,7 +93,7 @@ impl CommitProtocol for AvNbacMsgOpt {
 
     fn new(me: ProcessId, n: usize, f: usize, vote: Vote) -> Self {
         validate_params(n, f);
-        let mut got = vec![false; n];
+        let mut got = PerRank::from_elem(false, n);
         got[me] = true;
         AvNbacMsgOpt {
             me,

@@ -38,6 +38,7 @@
 use ac_sim::{Automaton, Ctx, ProcessId, Time};
 
 use crate::problem::{decision_value, validate_params, CommitProtocol, Vote};
+use crate::protocols::PerRank;
 
 const TIMEOUT: u32 = 1;
 
@@ -57,7 +58,7 @@ pub struct D1cc {
     f: usize,
     decided: bool,
     decision: bool,
-    got: Vec<bool>,
+    got: PerRank<bool>,
 }
 
 impl CommitProtocol for D1cc {
@@ -69,7 +70,7 @@ impl CommitProtocol for D1cc {
             f,
             decided: false,
             decision: vote,
-            got: vec![false; n],
+            got: PerRank::from_elem(false, n),
         }
     }
 }

@@ -55,6 +55,12 @@ use crate::runner::Scenario;
 use crate::taxonomy::{Cell, PropSet};
 use ac_net::Outcome;
 
+/// One entry per rank of an instance's group — who voted, who
+/// acknowledged, what was accepted — inline for the two to four
+/// participants a transaction usually has (a larger group, e.g. the
+/// whole-cluster fallback at `n` = 16 or 64, spills to the heap).
+pub type PerRank<T> = ac_sim::SmallVec<T, 4>;
+
 /// Appendix-E timer convention: "set timer to time k" where the timer
 /// starts at time 1 when the first sending event happens — i.e. absolute
 /// virtual time `(k−1)·U`.

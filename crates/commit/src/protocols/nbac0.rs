@@ -18,6 +18,7 @@ use ac_consensus::{CtxHost, Paxos, PaxosMsg, CONS_TAG_BASE};
 use ac_sim::{Automaton, Ctx, ProcessId, Time};
 
 use crate::problem::{validate_params, CommitProtocol, Vote};
+use crate::protocols::PerRank;
 
 const TAG1: u32 = 1;
 const TAG2: u32 = 2;
@@ -39,7 +40,7 @@ pub enum Nbac0Msg {
 #[derive(Debug)]
 pub struct Nbac0 {
     myvote: bool,
-    myack: Vec<bool>,
+    myack: PerRank<bool>,
     decided: bool,
     zero: bool,
     phase: u8,
@@ -54,7 +55,7 @@ impl CommitProtocol for Nbac0 {
         validate_params(n, f);
         Nbac0 {
             myvote: vote,
-            myack: vec![false; n],
+            myack: PerRank::from_elem(false, n),
             decided: false,
             zero: false,
             phase: 0,

@@ -32,6 +32,7 @@ use ac_consensus::{CtxHost, Paxos, PaxosMsg, CONS_TAG_BASE};
 use ac_sim::{Automaton, Ctx, ProcessId, Time};
 
 use crate::problem::{decision_value, validate_params, CommitProtocol, Vote};
+use crate::protocols::PerRank;
 
 const TAG1: u32 = 1;
 const TAG2: u32 = 2;
@@ -53,7 +54,7 @@ pub struct Nbac1 {
     phase: u8,
     decided: bool,
     decision: bool,
-    collection0: Vec<bool>,
+    collection0: PerRank<bool>,
     collection1_any: bool,
     cons: Paxos,
 }
@@ -67,7 +68,7 @@ impl CommitProtocol for Nbac1 {
             phase: 0,
             decided: false,
             decision: vote,
-            collection0: vec![false; n],
+            collection0: PerRank::from_elem(false, n),
             collection1_any: false,
             cons: Paxos::with_tag_base(me, n, CONS_TAG_BASE),
         }

@@ -11,7 +11,7 @@
 
 use ac_sim::{Automaton, Ctx, ProcessId};
 
-use super::etime;
+use super::{etime, PerRank};
 use crate::problem::{decision_value, validate_params, CommitProtocol, Vote};
 
 const TAG: u32 = 1;
@@ -34,7 +34,7 @@ pub struct Nbac2n2 {
     votes: bool,
     received_b: bool,
     phase: u8,
-    got: Vec<bool>,
+    got: PerRank<bool>,
     /// Broadcast `[B,0]` at most once (see `ChainNbac` for the rationale of
     /// bounding the pseudocode's unconditional re-broadcast).
     sent_b0: bool,
@@ -58,7 +58,7 @@ impl CommitProtocol for Nbac2n2 {
 
     fn new(me: ProcessId, n: usize, f: usize, vote: Vote) -> Self {
         validate_params(n, f);
-        let mut got = vec![false; n];
+        let mut got = PerRank::from_elem(false, n);
         got[me] = true;
         Nbac2n2 {
             me,

@@ -19,15 +19,32 @@
 //! * **Faster PaxosCommit**: acceptors broadcast their bundles to everyone;
 //!   each process learns the outcome directly. 2 delays,
 //!   `2fn + 2n − 2f − 2` messages.
+//!
+//! Everything an instance keeps per rank — the acceptor's accepted values,
+//! the learner's verdict on each acceptor's bundle — and the ballot-0
+//! bundle itself ([`BundleVals`]) are small vectors: opening an instance
+//! allocates nothing for a group of up to four, sending and receiving a
+//! bundle nothing for a group of two. A learner keeps a received bundle as
+//! what it says (`Bundle`), not as the pairs that said it. The recovery-ballot
+//! messages and proposer state stay `Vec`s: a failure-free run never
+//! builds one.
 
-use ac_sim::{Automaton, Ctx, ProcessId, U};
+use ac_sim::{Automaton, Ctx, ProcessId, SmallVec, U};
 
 use crate::problem::{decision_value, validate_params, CommitProtocol, Vote};
+use crate::protocols::PerRank;
 
 /// Recovery-ballot timeout base/growth (see `ac_consensus` for rationale).
 const ROUND_TICKS: u64 = 8 * U;
 const ROUND_GROWTH: u64 = 4 * U;
 const TAG_ROUND_BASE: u32 = 16;
+
+/// The `(instance, vote)` pairs of a ballot-0 bundle: inline for the
+/// two-participant group most transactions have, which keeps [`PcMsg`] at
+/// the 40 bytes it had with a `Vec` here — every envelope of every
+/// transaction is moved by value at that size, a dozen times per hop — and
+/// spilled for a larger group.
+pub type BundleVals = SmallVec<(ProcessId, bool), 2>;
 
 /// PaxosCommit's message alphabet.
 #[derive(Clone, Debug)]
@@ -42,7 +59,7 @@ pub enum PcMsg {
     /// An acceptor's bundled ballot-0 phase 2b covering all instances.
     Bundle0 {
         /// `(instance, vote)` pairs the acceptor accepted at ballot 0.
-        vals: Vec<(ProcessId, bool)>,
+        vals: BundleVals,
     },
     /// Recovery phase 1a for all instances.
     Prepare {
@@ -89,6 +106,22 @@ enum LeaderPhase {
     },
 }
 
+/// What a learner knows of one active acceptor's ballot-0 bundle.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+enum Bundle {
+    /// Not received.
+    #[default]
+    Missing,
+    /// Received, but not covering all `n` instances: the fast path is
+    /// closed for good, recovery decides.
+    Partial,
+    /// Received and complete.
+    Complete {
+        /// Whether every instance's vote in it is yes.
+        all_yes: bool,
+    },
+}
+
 /// Shared machinery of both variants.
 #[derive(Debug)]
 pub struct PaxosCommitCore {
@@ -101,11 +134,11 @@ pub struct PaxosCommitCore {
     /// Highest promised recovery ballot (0 = only ballot 0 seen).
     promised: u64,
     /// Per RM instance: highest accepted (ballot, value).
-    accepted: Vec<Option<(u64, bool)>>,
+    accepted: PerRank<Option<(u64, bool)>>,
     sent_bundle: bool,
     // --- learner state ---
     /// Ballot-0 bundles received, by acceptor.
-    bundles: Vec<Option<Vec<(ProcessId, bool)>>>,
+    bundles: PerRank<Bundle>,
     decided: bool,
     /// The decided outcome, kept to short-circuit stragglers.
     outcome_cache: bool,
@@ -124,9 +157,9 @@ impl PaxosCommitCore {
             vote,
             faster,
             promised: 0,
-            accepted: vec![None; n],
+            accepted: PerRank::from_elem(None, n),
             sent_bundle: false,
-            bundles: vec![None; n],
+            bundles: PerRank::from_elem(Bundle::Missing, n),
             decided: false,
             outcome_cache: false,
             round: 0,
@@ -177,11 +210,9 @@ impl PaxosCommitCore {
         }
         let mut commit = true;
         for a in 0..self.active_count() {
-            match &self.bundles[a] {
-                Some(vals) if vals.len() == self.n => {
-                    commit &= vals.iter().all(|&(_, v)| v);
-                }
-                _ => return,
+            match self.bundles[a] {
+                Bundle::Complete { all_yes } => commit &= all_yes,
+                Bundle::Missing | Bundle::Partial => return,
             }
         }
         // Basic variant: the leader learnt; announce to everyone.
@@ -200,7 +231,7 @@ impl PaxosCommitCore {
             return;
         }
         self.sent_bundle = true;
-        let vals: Vec<(ProcessId, bool)> = self
+        let vals: BundleVals = self
             .accepted
             .iter()
             .enumerate()
@@ -254,8 +285,13 @@ impl PaxosCommitCore {
                 }
             }
             PcMsg::Bundle0 { vals } => {
-                if from < self.active_count() && self.bundles[from].is_none() {
-                    self.bundles[from] = Some(vals);
+                if from < self.active_count() && self.bundles[from] == Bundle::Missing {
+                    self.bundles[from] = if vals.len() == self.n {
+                        let all_yes = vals.iter().all(|&(_, v)| v);
+                        Bundle::Complete { all_yes }
+                    } else {
+                        Bundle::Partial
+                    };
                     if self.faster || self.me == 0 {
                         self.try_fast_learn(ctx);
                     }

@@ -34,6 +34,7 @@
 use ac_sim::{Automaton, Ctx, ProcessId, Time};
 
 use crate::problem::{decision_value, validate_params, CommitProtocol, Vote};
+use crate::protocols::PerRank;
 
 const TAG_COLLECT: u32 = 1;
 const TAG_ACKS: u32 = 2;
@@ -120,8 +121,8 @@ pub struct ThreePc {
     // Coordinator.
     round: Round,
     votes_all: bool,
-    got_vote: Vec<bool>,
-    acks: Vec<bool>,
+    got_vote: PerRank<bool>,
+    acks: PerRank<bool>,
     // Termination protocol.
     seen: StateMask,
     term_round: u64,
@@ -207,8 +208,8 @@ impl CommitProtocol for ThreePc {
             decided: false,
             round: Round::Votes,
             votes_all: true,
-            got_vote: vec![false; n],
-            acks: vec![false; n],
+            got_vote: PerRank::from_elem(false, n),
+            acks: PerRank::from_elem(false, n),
             seen: StateMask::default(),
             term_round: 0,
         }

@@ -23,10 +23,16 @@
 //! The coordinator's *own* `No` is acted on at the first incoming vote
 //! rather than at time 0, which keeps failure-free aborts at Table 5's
 //! two delays.
+//!
+//! The automaton is 48 bytes and owns no heap for a group of up to four:
+//! `got` is a [`PerRank`] small vector, so opening an instance — once per
+//! transaction and per participant in the live service — allocates
+//! nothing.
 
 use ac_sim::{Automaton, Ctx, ProcessId, Time};
 
 use crate::problem::{decision_value, validate_params, CommitProtocol, Vote};
+use crate::protocols::PerRank;
 
 /// 2PC's message alphabet.
 #[derive(Clone, Debug)]
@@ -48,7 +54,7 @@ pub struct TwoPc {
     /// Coordinator: AND of votes seen so far.
     votes_all: bool,
     /// Coordinator: processes whose vote arrived (self included).
-    got: Vec<bool>,
+    got: PerRank<bool>,
     /// Decided. For the coordinator this is also "the vote round is closed
     /// (outcome broadcast)": votes arriving afterwards are stragglers.
     decided: bool,
@@ -92,7 +98,7 @@ impl CommitProtocol for TwoPc {
             n,
             vote,
             votes_all: true,
-            got: vec![false; n],
+            got: PerRank::from_elem(false, n),
             decided: false,
         }
     }

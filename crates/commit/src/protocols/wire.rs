@@ -290,7 +290,7 @@ impl Wire for PcMsg {
                 vote: bool::decode(buf)?,
             }),
             1 => Ok(PcMsg::Bundle0 {
-                vals: Vec::decode(buf)?,
+                vals: Wire::decode(buf)?,
             }),
             2 => Ok(PcMsg::Prepare {
                 bal: u64::decode(buf)?,

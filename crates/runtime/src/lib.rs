@@ -26,8 +26,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod slab;
-
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -37,7 +35,7 @@ use ac_sim::{Action, Automaton, Ctx, ProcessId, Time, U};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
-pub use slab::Slab;
+pub use ac_sim::slab::{self, Slab};
 
 /// A message on a process's inbound channel: a protocol payload or a
 /// control nudge. `Wake` carries no data — it exists so the thread that
@@ -106,21 +104,32 @@ impl RtOutcome {
 pub struct UnitClock {
     /// Wall-clock duration of one virtual delay unit `U`.
     pub unit: Duration,
+    /// `unit` in nanoseconds, at least 1 and saturated at `u64::MAX`
+    /// (~584 years): [`UnitClock::virtual_now`] runs once per delivered
+    /// message and divides by this in 64 bits.
+    unit_nanos: u64,
+}
+
+/// `d` in whole nanoseconds, saturating at `u64::MAX`.
+fn nanos_u64(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl UnitClock {
     /// A clock mapping one delay unit to `unit` of wall time.
     pub fn new(unit: Duration) -> UnitClock {
-        UnitClock { unit }
+        UnitClock {
+            unit,
+            unit_nanos: nanos_u64(unit).max(1),
+        }
     }
 
     /// The virtual time of instant `at` for an instance started at `epoch`,
     /// rounded down to whole delay units (automata only compare times at
     /// unit granularity).
     pub fn virtual_now(&self, epoch: Instant, at: Instant) -> Time {
-        let elapsed = at.saturating_duration_since(epoch);
-        let units = elapsed.as_nanos() / self.unit.as_nanos().max(1);
-        Time(units as u64 * U)
+        let elapsed = nanos_u64(at.saturating_duration_since(epoch));
+        Time(elapsed / self.unit_nanos * U)
     }
 
     /// The wall-clock instant of virtual time `t` for an instance started
@@ -438,9 +447,9 @@ impl<A: Automaton> NodeLoop<A> {
                 continue; // stale timer of a closed instance
             };
             self.timer_fires += 1;
-            self.timer_lag_nanos = self.timer_lag_nanos.saturating_add(
-                u64::try_from(now.saturating_duration_since(t.due).as_nanos()).unwrap_or(u64::MAX),
-            );
+            self.timer_lag_nanos = self
+                .timer_lag_nanos
+                .saturating_add(nanos_u64(now.saturating_duration_since(t.due)));
             let mut ctx = Ctx::with_actions(
                 self.clock.virtual_now(slot.epoch, now),
                 slot.me,

@@ -21,12 +21,16 @@
 
 pub mod automaton;
 pub mod event;
+pub mod inline;
+pub mod slab;
 pub mod time;
 pub mod trace;
 pub mod wire;
 
 pub use automaton::{Action, Automaton, Ctx};
 pub use event::{Event, EventClass, EventKey, EventQueue, ScheduledEvent};
+pub use inline::{InlineVec, SmallVec};
+pub use slab::Slab;
 pub use time::{Time, U};
 pub use trace::{render_timeline, TimelineRow, TraceEntry, TraceKind};
 pub use wire::{Wire, WireError};

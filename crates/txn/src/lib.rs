@@ -6,10 +6,11 @@
 //! decides. This crate provides that surrounding system so the protocol
 //! library can be exercised on realistic workloads:
 //!
-//! * [`store`] — a versioned key-value store per shard with
+//! * [`store`] — a versioned, hash-indexed key-value store per shard with
 //!   optimistic-concurrency validation (each shard votes "yes" iff the
 //!   transaction's read-set is still current and its write locks are free);
-//! * [`txn`] — transactions (read/write sets over sharded keys);
+//! * [`txn`] — transactions (read/write sets over sharded keys, each one
+//!   sorted flat run of pairs);
 //! * [`workload`] — deterministic workload generators: uniform, skewed
 //!   (Zipf-like without external deps), Helios-style cross-datacenter
 //!   conflict patterns;
@@ -31,6 +32,6 @@ pub mod workload;
 
 pub use cluster::{Cluster, CommitStats};
 pub use store::{Shard, Version};
-pub use txn::{Key, Transaction, TxnId, WriteOp};
+pub use txn::{FlatMap, Key, Transaction, TxnId, WriteOp};
 pub use wal::{DecidedTxn, PreparedTxn, Recovery, Wal, WalRecord};
 pub use workload::{ArrivalSchedule, Workload, WorkloadConfig};

@@ -6,9 +6,18 @@
 //! locked by a concurrent prepared transaction. A yes-vote takes write
 //! locks (the shard is then *prepared* and must hold them until the commit
 //! protocol decides), exactly the structure 2PC/INBAC assume.
+//!
+//! Cells, locks and lock-hold stamps are three hash-indexed tables
+//! ([`ac_sim::Slab`]: dense storage behind a SplitMix64 open-addressing
+//! index — the table the node already resolves its instances with). A
+//! prepare or finish touches each key of the transaction a constant
+//! number of times, whatever the shard holds. Nothing here has an order
+//! any more: [`Shard::total`] is a sum and `Debug` prints in hash order.
+//! The tables grow by doubling; they are never pre-sized.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
+
+use ac_sim::Slab;
 
 use crate::txn::{Key, Transaction, TxnId, WriteOp};
 
@@ -26,13 +35,13 @@ pub struct Version {
 pub struct Shard {
     /// Owning process id.
     pub id: usize,
-    cells: BTreeMap<u64, Version>,
+    cells: Slab<Version>,
     /// Write locks held by prepared transactions: key -> owner txn.
-    locks: BTreeMap<u64, TxnId>,
+    locks: Slab<TxnId>,
     /// Lock-residency self-metering: when each live owner first took a
     /// lock here, plus the completed-hold accumulators (observability —
     /// "lock hold time" is a first-class latency stage).
-    lock_since: BTreeMap<TxnId, Instant>,
+    lock_since: Slab<Instant>,
     lock_holds: u64,
     lock_hold_nanos: u64,
 }
@@ -48,7 +57,7 @@ impl Shard {
 
     /// Current version of `k` (default zero-version for absent keys).
     pub fn read(&self, k: u64) -> Version {
-        self.cells.get(&k).copied().unwrap_or_default()
+        self.cells.get(k).copied().unwrap_or_default()
     }
 
     /// Validate `txn` and, if valid, take its write locks (prepare).
@@ -63,21 +72,11 @@ impl Shard {
         }
         // Lock check: no conflicting prepared writer (wound-free: just vote
         // no, the commit protocol aborts).
-        for key in txn.writes.keys().filter(|k| my(k)) {
-            if let Some(owner) = self.locks.get(&key.k) {
-                if *owner != txn.id {
-                    return false;
-                }
-            }
+        if self.foreign_lock_owner(txn).is_some() {
+            return false;
         }
-        let mut took = false;
-        for key in txn.writes.keys().filter(|k| my(k)) {
-            self.locks.insert(key.k, txn.id);
-            took = true;
-        }
-        if took {
-            self.lock_since.entry(txn.id).or_insert_with(Instant::now);
-        }
+        // Every lock is free or already ours: take them.
+        self.relock(txn);
         true
     }
 
@@ -85,10 +84,10 @@ impl Shard {
     pub fn finish(&mut self, txn: &Transaction, commit: bool) {
         let my = |key: &Key| key.shard == self.id;
         for (key, op) in txn.writes.iter().filter(|(k, _)| my(k)) {
-            if self.locks.get(&key.k) == Some(&txn.id) {
-                self.locks.remove(&key.k);
+            if self.locks.get(key.k) == Some(&txn.id) {
+                self.locks.remove(key.k);
                 if commit {
-                    let cell = self.cells.entry(key.k).or_default();
+                    let cell = self.cells.get_or_insert_with(key.k, Version::default);
                     match op {
                         WriteOp::Put(v) => cell.value = *v,
                         WriteOp::Add(d) => cell.value += *d,
@@ -97,7 +96,7 @@ impl Shard {
                 }
             }
         }
-        if let Some(t0) = self.lock_since.remove(&txn.id) {
+        if let Some(t0) = self.lock_since.remove(txn.id) {
             self.lock_holds += 1;
             self.lock_hold_nanos = self
                 .lock_hold_nanos
@@ -126,11 +125,11 @@ impl Shard {
         let my = |key: &Key| key.shard == self.id;
         let mut took = false;
         for key in txn.writes.keys().filter(|k| my(k)) {
-            self.locks.insert(key.k, txn.id);
+            *self.locks.get_or_insert_with(key.k, || txn.id) = txn.id;
             took = true;
         }
         if took {
-            self.lock_since.entry(txn.id).or_insert_with(Instant::now);
+            self.lock_since.get_or_insert_with(txn.id, Instant::now);
         }
     }
 
@@ -142,7 +141,7 @@ impl Shard {
         txn.writes
             .keys()
             .filter(|k| k.shard == self.id)
-            .find_map(|k| self.locks.get(&k.k).copied().filter(|&o| o != txn.id))
+            .find_map(|k| self.locks.get(k.k).copied().filter(|&o| o != txn.id))
     }
 
     /// Number of currently held locks (diagnostics).

@@ -72,6 +72,7 @@ impl WorkloadConfig {
             cfg: self.clone(),
             rng: StdRng::seed_from_u64(self.seed),
             next_id: 1,
+            picked: Vec::with_capacity(self.shards),
         }
     }
 }
@@ -81,6 +82,9 @@ pub struct WorkloadGen {
     cfg: WorkloadConfig,
     rng: StdRng,
     next_id: TxnId,
+    /// Scratch of [`WorkloadGen::pick_shards`], reused across
+    /// transactions.
+    picked: Vec<usize>,
 }
 
 impl WorkloadGen {
@@ -94,15 +98,19 @@ impl WorkloadGen {
         ((n * u.powf(exponent)) as u64).min(self.cfg.keys_per_shard - 1)
     }
 
-    fn distinct_shards(&mut self, span: usize) -> Vec<usize> {
+    /// Draw `span` distinct shards (capped at the shard count) into
+    /// `self.picked[..span]` — a partial Fisher–Yates shuffle of the
+    /// identity, restarted from the identity for every transaction so the
+    /// draws depend on the seed alone. Returns the capped span.
+    fn pick_shards(&mut self, span: usize) -> usize {
         let span = span.min(self.cfg.shards);
-        let mut shards: Vec<usize> = (0..self.cfg.shards).collect();
+        self.picked.clear();
+        self.picked.extend(0..self.cfg.shards);
         for i in 0..span {
-            let j = self.rng.gen_range(i..shards.len());
-            shards.swap(i, j);
+            let j = self.rng.gen_range(i..self.picked.len());
+            self.picked.swap(i, j);
         }
-        shards.truncate(span);
-        shards
+        span
     }
 
     /// Next transaction in the stream.
@@ -112,23 +120,25 @@ impl WorkloadGen {
         match self.cfg.workload.clone() {
             Workload::Uniform { span } => {
                 let mut t = Transaction::new(id);
-                for shard in self.distinct_shards(span) {
+                for i in 0..self.pick_shards(span) {
                     let k = self.rng.gen_range(0..self.cfg.keys_per_shard);
-                    t = t.with_write(Key::new(shard, k), self.rng.gen_range(-100..100));
+                    let key = Key::new(self.picked[i], k);
+                    t = t.with_write(key, self.rng.gen_range(-100..100));
                 }
                 t
             }
             Workload::Skewed { span, theta } => {
                 let mut t = Transaction::new(id);
-                for shard in self.distinct_shards(span) {
+                for i in 0..self.pick_shards(span) {
                     let k = self.zipf_key(theta);
-                    t = t.with_write(Key::new(shard, k), self.rng.gen_range(-100..100));
+                    let key = Key::new(self.picked[i], k);
+                    t = t.with_write(key, self.rng.gen_range(-100..100));
                 }
                 t
             }
             Workload::Transfer { amount } => {
-                let shards = self.distinct_shards(2);
-                let (a, b) = (shards[0], shards[1 % shards.len()]);
+                let span = self.pick_shards(2);
+                let (a, b) = (self.picked[0], self.picked[1 % span]);
                 let ka = self.rng.gen_range(0..self.cfg.keys_per_shard);
                 let kb = self.rng.gen_range(0..self.cfg.keys_per_shard);
                 Transaction::new(id)
