@@ -57,9 +57,8 @@ fn main() {
             exit(2);
         }
     };
-    let (summary, obs) = ac_cluster::proc::run_client(&spec);
+    let (summary, dump) = ac_cluster::proc::run_client(&spec);
     if let Some(path) = obs_out {
-        let dump = obs.into_dump(&spec);
         if dump.exports.len() < spec.n() {
             eprintln!(
                 "ac-client: collected {}/{} node exports (unreachable nodes degrade coverage)",

@@ -1,5 +1,10 @@
 //! The load generator's client loop (`client_main`): submit, await all
 //! participant decisions with bounded, retrying waits, record, repeat.
+//! The loop parks on a `ReplyInbox` — its per-client channel in the
+//! in-process service, the connections its own transport dialed in a
+//! multi-process cluster — so a decision report wakes exactly the thread
+//! that folds it in. [`ClientRecord::verdict`] is the one reading of what
+//! a client saw of a transaction.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,10 +15,9 @@ use ac_commit::CommitProtocol;
 use ac_obs::{FlightRecorder, LatencyHistogram, NodeObs, Stage};
 use ac_txn::workload::{ArrivalSchedule, WorkloadConfig};
 use ac_txn::Transaction;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 
 use crate::service::{parts_of, Done, ServiceConfig, ToNode, TxnEvent};
-use crate::transport::{Outbox, Transport};
+use crate::transport::{Outbox, ReplyInbox, Transport};
 
 /// Upper bound on decision replies a client drains per iteration.
 const CLIENT_BATCH: usize = 64;
@@ -25,6 +29,39 @@ pub(crate) struct ClientRecord {
     /// Decision reported by each participant, in participant-rank order
     /// (None = never arrived before abandonment).
     pub(crate) decisions: PerRank<Option<u64>>,
+}
+
+/// What a [`ClientRecord`] says of its transaction.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// Abandoned at its deadline with a participant's decision missing.
+    Stalled,
+    /// Participants reported different decisions (sorted, distinct) — an
+    /// atomic-commitment violation.
+    Split(Vec<u64>),
+    /// Every participant reported this decision.
+    Decided(u64),
+}
+
+impl ClientRecord {
+    /// Classify the record: the one client-side verdict the in-process
+    /// audit and the multi-process client summary both count by.
+    pub(crate) fn verdict(&self) -> Verdict {
+        if self.decisions.iter().any(|d| d.is_none()) {
+            return Verdict::Stalled;
+        }
+        let mut seen = self.decisions.iter().flatten().copied();
+        let first = seen.next();
+        match first.filter(|&d| seen.all(|other| other == d)) {
+            Some(decision) => Verdict::Decided(decision),
+            None => {
+                let mut vals: Vec<u64> = self.decisions.iter().flatten().copied().collect();
+                vals.sort_unstable();
+                vals.dedup();
+                Verdict::Split(vals)
+            }
+        }
+    }
 }
 
 pub(crate) struct ClientReturn {
@@ -78,14 +115,14 @@ fn stage_begins<M>(outbox: &mut Outbox<M>, p: &PendingTxn, client: usize, retry:
 ///
 /// Egress follows the node loop's rule: `Begin`s, `End`s and retries are
 /// *staged* per destination and leave through one flush per loop turn,
-/// immediately before the client parks on its reply channel — so an
+/// immediately before the client parks on its reply inbox — so an
 /// `End` and the next `Begin` to the same node share one socket write.
 pub(crate) fn client_main<P>(
     client: usize,
     cfg: &ServiceConfig,
     epoch: Instant,
     mut transport: Box<dyn Transport<P::Msg>>,
-    rx: Receiver<Done>,
+    mut rx: ReplyInbox,
 ) -> ClientReturn
 where
     P: CommitProtocol,
@@ -236,15 +273,9 @@ where
         // park — the fold-in's Ends, the expiry pass's retried Begins,
         // this turn's fresh Begins — leaves now, one batch per node.
         outbox.flush(&mut *transport);
-        let wait = due
-            .expect("the loop only continues with work pending")
-            .saturating_duration_since(Instant::now());
+        let due = due.expect("the loop only continues with work pending");
         let t0 = Instant::now();
-        match rx.recv_batch_timeout(&mut dbuf, CLIENT_BATCH, wait) {
-            Ok(_) => {}
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {}
-        }
+        rx.recv(&mut dbuf, CLIENT_BATCH, due);
         obs.record(Stage::ClientQueueWait, t0.elapsed());
 
         // Fold in replies (duplicates from retries/recovery are ignored).
@@ -321,5 +352,28 @@ where
         },
         shed,
         obs,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_record_reads_as_stalled_or_split_or_decided() {
+        let verdict = |decisions: &[Option<u64>]| {
+            let record = ClientRecord {
+                txn: Arc::new(Transaction::new(1)),
+                decisions: decisions.iter().copied().collect(),
+            };
+            record.verdict()
+        };
+        assert_eq!(verdict(&[Some(1), Some(1)]), Verdict::Decided(1));
+        assert_eq!(verdict(&[Some(0), Some(0), Some(0)]), Verdict::Decided(0));
+        assert_eq!(verdict(&[Some(1), None]), Verdict::Stalled);
+        // A missing decision outranks a disagreement among the others.
+        assert_eq!(verdict(&[Some(1), Some(0), None]), Verdict::Stalled);
+        let split = Verdict::Split(vec![0, 1]);
+        assert_eq!(verdict(&[Some(1), Some(0), Some(1)]), split);
     }
 }

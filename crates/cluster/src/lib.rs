@@ -51,4 +51,4 @@ pub use service::{
     GROUP_COMMIT_SIBLINGS, GROUP_COMMIT_UNIT_SHARE, ORPHAN_CAP,
 };
 pub use spec::ClusterSpec;
-pub use transport::{ChannelTransport, ClientRegistry, TcpNode, TcpTransport, Transport};
+pub use transport::{ChannelTransport, TcpNode, TcpTransport, Transport};

@@ -49,7 +49,7 @@
 //! | `dispatch` | `inbox` → table, engine, `decided`, outbox; self-sends and due timers to quiescence | `DrainGap`, `LockAcquire`, flight `Dispatch`/`LockAcquired` | — |
 //! | `apply`    | `decided` → shard, `log`, staged WAL records, staged `Done`s | `WalJournal`, flight `Decided`  | lock-steal guard (Deferred) |
 //! | `force`    | staged WAL records → WAL (one force, or held by the group-commit window) | `WalForce`, flight `WalForced` | durability-before-reply |
-//! | `flush`    | outbox → fault policy → transport; `Done`s → clients       | `Flush`                           | fault policy ([`NetPolicy`](crate::service::NetPolicy)) |
+//! | `flush`    | outbox → fault policy → transport; `Done`s → [`Replies`] (each client's channel, or one write down the connection it said `Hello` on) | `Flush` | fault policy ([`NetPolicy`](crate::service::NetPolicy)) |
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,12 +59,13 @@ use std::time::{Duration, Instant};
 use ac_commit::problem::COMMIT;
 use ac_commit::protocols::PerRank;
 use ac_commit::CommitProtocol;
-use ac_obs::{FlightStage, NodeObs, ObsExport, Stage};
+use ac_obs::{FlightStage, NetMeters, NodeObs, ObsExport, Stage};
 use ac_runtime::{NodeEvent, NodeLoop, Slab, UnitClock};
 use ac_sim::{InlineVec, ProcessId, Wire};
 use ac_txn::{DecidedTxn, Shard, Transaction, TxnId, Wal, WalRecord};
 use crossbeam::channel::Sender;
 
+use crate::codec::AnyFrame;
 use crate::service::{
     parts_of, CrashWindow, Done, Fate, NetPolicy, NodeRecord, ToNode, GROUP_COMMIT_SIBLINGS,
     GROUP_COMMIT_UNIT_SHARE, ORPHAN_CAP,
@@ -132,8 +133,33 @@ pub(crate) struct NodeReturn {
     pub(crate) obs: NodeObs,
 }
 
-/// Everything a host hands one node: identity, inbox, transport, fault
-/// schedule, durable storage and instruments.
+/// Where a node sends what it owes a client — decision reports at the
+/// `flush` step, the answer to an `ObsPull`: the outbound seam with exactly
+/// two sinks. A reply is written by the loop that decided, down the road
+/// the request took.
+pub(crate) enum Replies {
+    /// The in-process service: one reply channel per client. `ObsPull` is
+    /// a no-op (the host already holds every recorder).
+    Channel(Vec<Sender<Done>>),
+    /// A multi-process node: [`Inbox::reply`], down the connection the
+    /// client said `Hello` on, which the node's own socket ingress
+    /// ([`NodeEnv::rx`]) holds. `clients` counts the ids replies are
+    /// staged for; `net` is stamped into an `ObsPull` answer.
+    Connection { clients: usize, net: Arc<NetMeters> },
+}
+
+impl Replies {
+    /// How many client ids the node stages replies for.
+    fn clients(&self) -> usize {
+        match self {
+            Replies::Channel(txs) => txs.len(),
+            Replies::Connection { clients, .. } => *clients,
+        }
+    }
+}
+
+/// Everything a host hands one node: identity, inbox, transport, reply
+/// path, fault schedule, durable storage and instruments.
 pub(crate) struct NodeEnv<P: CommitProtocol> {
     pub(crate) me: ProcessId,
     pub(crate) n: usize,
@@ -146,7 +172,8 @@ pub(crate) struct NodeEnv<P: CommitProtocol> {
     /// The node-to-node seam: everything the flush step emits goes
     /// through here (`ChannelTransport` or `TcpTransport`).
     pub(crate) transport: Box<dyn Transport<P::Msg>>,
-    pub(crate) done_txs: Vec<Sender<Done>>,
+    /// The node-to-client seam (see [`Replies`]).
+    pub(crate) replies: Replies,
     pub(crate) wire: Arc<AtomicUsize>,
     pub(crate) policy: Option<Arc<dyn NetPolicy>>,
     pub(crate) window: Option<CrashWindow>,
@@ -163,11 +190,6 @@ pub(crate) struct NodeEnv<P: CommitProtocol> {
     /// [`NodeObs::with_meters`] so a live `--metrics` endpoint can read
     /// the shared registry; the in-process service uses a private one.
     pub(crate) obs: NodeObs,
-    /// Where an [`ToNode::ObsPull`] answer goes: `(client, export)` —
-    /// the multi-process host forwards it as an `ObsDump` frame down the
-    /// requesting client's connection. `None` (the in-process service)
-    /// makes `ObsPull` a no-op.
-    pub(crate) obs_pull: Option<Sender<(usize, ObsExport)>>,
 }
 
 /// Routing data of a transaction begun at this node: body, client, the
@@ -389,7 +411,7 @@ where
     pub(crate) fn new(env: NodeEnv<P>) -> Node<P> {
         Node {
             engine: NodeLoop::new(env.me, env.n, UnitClock::new(env.unit)),
-            vol: Volatile::new(env.me, env.n, env.done_txs.len()),
+            vol: Volatile::new(env.me, env.n, env.replies.clients()),
             power: Power::Up {
                 crash_at: env.window.map(|w| env.epoch + w.down_after),
             },
@@ -507,7 +529,7 @@ where
             up_at: up_after.map(|u| self.env.epoch + u),
         };
         self.engine.reset();
-        self.vol = Volatile::new(self.env.me, self.env.n, self.env.done_txs.len());
+        self.vol = Volatile::new(self.env.me, self.env.n, self.env.replies.clients());
     }
 
     /// Restart: rebuild from the write-ahead log what it can rebuild.
@@ -628,10 +650,13 @@ where
                 // fold-ins of `finish` (lock residency, timer lag,
                 // socket-write time) land at node exit, so a mid-run pull
                 // sees the flight recorder and histograms — all
-                // attribution needs — with meters still accruing.
-                if let Some(tx) = &self.env.obs_pull {
-                    let export = ObsExport::snapshot(self.env.me as u32, &self.env.obs, None);
-                    let _ = tx.send((client, export));
+                // attribution needs — with meters still accruing. One
+                // `ObsDump` frame down the collector's connection.
+                if let Replies::Connection { net, .. } = &self.env.replies {
+                    let (me, net) = (self.env.me as u32, net.snapshot());
+                    let export = Box::new(ObsExport::snapshot(me, &self.env.obs, Some(net)));
+                    let dump = AnyFrame::ObsDump { node: me, export };
+                    self.env.rx.reply(client, [dump]);
                 }
             }
             ToNode::Shutdown => self.shutdown = true,
@@ -879,7 +904,8 @@ where
     }
 
     /// Step 5. The single write point: one `send_batch` (one lock or
-    /// socket write, at most one wakeup) per destination with traffic.
+    /// socket write, at most one wakeup) per destination with traffic,
+    /// peer node and client alike.
     /// Delay-released envelopes go first (already judged by the policy —
     /// they bypass it; their dependent records were forced the turn that
     /// staged them), then this turn's envelopes pass through the fault
@@ -919,10 +945,18 @@ where
         self.env.wire.fetch_add(flushed, Ordering::Relaxed);
         if !held {
             for (client, batch) in vol.done_out.iter_mut().enumerate() {
-                if !batch.is_empty() {
-                    flushed += batch.len();
-                    let _ = self.env.done_txs[client].send_batch(batch.drain(..));
+                if batch.is_empty() {
+                    continue;
                 }
+                flushed += batch.len();
+                let reports = batch.drain(..);
+                // A client that is gone costs its reports, not the node.
+                let _delivered = match &self.env.replies {
+                    Replies::Channel(txs) => txs[client].send_batch(reports).is_ok(),
+                    Replies::Connection { .. } => {
+                        self.env.rx.reply(client, reports.map(AnyFrame::Done))
+                    }
+                };
             }
         }
         if flushed > 0 {
@@ -974,7 +1008,7 @@ mod tests {
     use super::*;
     use crate::client::client_main;
     use crate::service::ServiceConfig;
-    use crate::transport::ChannelTransport;
+    use crate::transport::{ChannelTransport, ReplyInbox};
     use ac_commit::protocols::{PaxosCommit, ProtocolKind};
     use ac_txn::{Key, Version};
     use crossbeam::channel::{unbounded, Receiver};
@@ -996,7 +1030,7 @@ mod tests {
             epoch: Instant::now(),
             rx: Inbox::Channel(rx),
             transport: Box::new(ChannelTransport::new(txs)),
-            done_txs,
+            replies: Replies::Channel(done_txs),
             wire: Arc::new(AtomicUsize::new(0)),
             policy: None,
             window: None,
@@ -1004,7 +1038,6 @@ mod tests {
             wal_flush_interval: None,
             logless: false,
             obs: NodeObs::new(),
-            obs_pull: None,
         }
     }
 
@@ -1297,6 +1330,89 @@ mod tests {
         assert_eq!(successor.turn([]), "", "recovery has nothing to resend");
     }
 
+    /// A socket-hosted node — what an `ac-node` process runs — answers down
+    /// the connection its client said `Hello` on, and only once the force
+    /// its reply depends on is no longer held: until then neither the vote
+    /// envelope nor the `Done` leaves, the peer is not even dialed.
+    #[test]
+    fn a_socket_hosted_node_answers_down_the_hello_connection_once_the_force_lets_go() {
+        use crate::codec::{write_frame, FrameDecoder};
+        use crate::transport::{NodeHooks, SocketIngress, TcpTransport};
+        use std::io::{ErrorKind, Read, Write};
+        use std::net::{TcpListener, TcpStream};
+
+        let ingress = SocketIngress::bind("127.0.0.1:0", NodeHooks::default()).expect("bind");
+        let me = ingress.addr().expect("listener address");
+        let peer = TcpListener::bind("127.0.0.1:0").expect("bind the peer");
+        let peer_addr = peer.local_addr().expect("peer address");
+        let (tx, rx) = unbounded();
+        let mut node = Node::new(NodeEnv {
+            rx: Inbox::Socket(ingress),
+            transport: Box::new(TcpTransport::new(vec![me, peer_addr])),
+            replies: Replies::Connection {
+                clients: 1,
+                net: Arc::new(NetMeters::new(2)),
+            },
+            wal: Some(Arc::new(Mutex::new(Wal::new()))),
+            wal_flush_interval: Some(Duration::from_secs(3600)),
+            ..bare_env::<DecideOnMsg>(0, rx, vec![tx.clone(), tx], Vec::new())
+        });
+
+        // One frame off `stream`, or `None` if nothing has arrived.
+        fn arrived(stream: &mut TcpStream) -> Option<AnyFrame<()>> {
+            let wait = Some(Duration::from_millis(50));
+            stream.set_read_timeout(wait).expect("read timeout");
+            let mut chunk = [0u8; 256];
+            match stream.read(&mut chunk) {
+                Ok(n) => {
+                    let mut dec = FrameDecoder::new();
+                    dec.feed(&chunk[..n]);
+                    dec.next_frame().expect("well-formed frame")
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => None,
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+
+        let mut client = TcpStream::connect(me).expect("connect");
+        let txn = write7(0, 5);
+        let mut bytes = Vec::new();
+        write_frame::<()>(&AnyFrame::Hello { client: 0 }, &mut bytes);
+        write_frame(&AnyFrame::Node(begin(&txn, false)), &mut bytes);
+        write_frame(&AnyFrame::Node(net(txn.id)), &mut bytes);
+        client.write_all(&bytes).expect("write");
+        assert_eq!(node.drain(), 2, "Hello is the ingress's, not the node's");
+        node.dispatch();
+        node.apply();
+
+        assert!(!node.force(), "the window holds the force");
+        assert_eq!(node.flush(), 0);
+        peer.set_nonblocking(true).expect("non-blocking");
+        let dialed = peer.accept().map(|_| ());
+        assert_eq!(dialed.map_err(|e| e.kind()), Err(ErrorKind::WouldBlock));
+        assert!(arrived(&mut client).is_none(), "a reply outran its force");
+
+        node.env.wal_flush_interval = Some(Duration::ZERO);
+        assert!(node.force());
+        assert_eq!(node.flush(), 2, "the vote envelope and the Done");
+        let reply = arrived(&mut client).expect("a reply down the Hello connection");
+        let done = Done {
+            txn: txn.id,
+            node: 0,
+            decision: COMMIT,
+        };
+        assert!(matches!(reply, AnyFrame::Done(d) if d == done), "{reply:?}");
+        peer.set_nonblocking(false).expect("blocking");
+        let (mut from_node, _) = peer.accept().expect("the node dialed its peer");
+        let vote = arrived(&mut from_node).expect("the vote envelope");
+        let from_me =
+            |env: &ToNode<()>| matches!(env, ToNode::Net { txn: t, from: 0, .. } if *t == txn.id);
+        assert!(
+            matches!(&vote, AnyFrame::Node(env) if from_me(env)),
+            "{vote:?}"
+        );
+    }
+
     /// ISSUE-4 satellite: an idle service must perform **zero** spurious
     /// wakeups — no housekeeping ticks, no idle polls. Four node threads
     /// are left with no clients and no traffic for 50 ms; every node must
@@ -1362,7 +1478,8 @@ mod tests {
             })
             .collect();
         let transport = Box::new(ChannelTransport::new(node_txs.clone()));
-        let ret = client_main::<P>(0, &cfg, Instant::now(), transport, done_rx);
+        let rx = ReplyInbox::Channel(done_rx);
+        let ret = client_main::<P>(0, &cfg, Instant::now(), transport, rx);
         assert_eq!((ret.records.len(), ret.stalled, ret.retries), (300, 0, 0));
         for tx in &node_txs {
             let _ = tx.send(ToNode::Shutdown);

@@ -100,10 +100,10 @@ use ac_obs::{
     lifecycles, Attribution, FlightEvent, LatencyHistogram, NodeObs, ObsMeters, StageHistograms,
 };
 
-use crate::client::{client_main, ClientReturn};
-use crate::node::{Node, NodeEnv, NodeReturn};
+use crate::client::{client_main, ClientReturn, Verdict};
+use crate::node::{Node, NodeEnv, NodeReturn, Replies};
 use crate::transport::{
-    ChannelTransport, Inbox, NodeHooks, SocketIngress, TcpTransport, Transport,
+    ChannelTransport, Inbox, NodeHooks, ReplyInbox, SocketIngress, TcpTransport, Transport,
 };
 
 /// How many of the slowest reconstructed transaction timelines the run's
@@ -718,13 +718,13 @@ pub enum ToNode<M> {
         txn: TxnId,
     },
     /// A collector asks for this node's observability export (flight
-    /// recorder, stage histograms, meters, transport counters). The
-    /// node answers through the `NodeEnv::obs_pull` channel; hosts
-    /// without that channel (the in-process service, whose recorders
-    /// are already local) ignore the request.
+    /// recorder, stage histograms, meters, transport counters). A
+    /// multi-process node answers with one `ObsDump` frame; the
+    /// in-process service, whose recorders are already local, ignores
+    /// the request.
     ObsPull {
-        /// The requesting collector's client id (routes the `ObsDump`
-        /// back down that client's registered connection).
+        /// The requesting collector's client id (the `ObsDump` goes back
+        /// down the connection that said `Hello` with it).
         client: usize,
     },
     /// Tear the node down (end of run).
@@ -892,7 +892,7 @@ where
                 epoch,
                 rx,
                 transport: make_transport(),
-                done_txs: done_txs.clone(),
+                replies: Replies::Channel(done_txs.clone()),
                 wire: Arc::clone(&wire),
                 policy: spec.policy.clone(),
                 window: spec.crashes[me],
@@ -900,7 +900,6 @@ where
                 wal_flush_interval: cfg.wal_flush_interval,
                 logless: cfg.kind.logless(),
                 obs: NodeObs::new(),
-                obs_pull: None,
             };
             std::thread::spawn(move || Node::new(env).run())
         })
@@ -912,6 +911,7 @@ where
         .map(|(client, rx)| {
             let transport = make_transport();
             let cfg = cfg.clone();
+            let rx = ReplyInbox::Channel(rx);
             std::thread::spawn(move || client_main::<P>(client, &cfg, epoch, transport, rx))
         })
         .collect();
@@ -1017,22 +1017,18 @@ fn aggregate(
         shed += cr.shed;
         txn_events.extend(cr.events);
         for rec in &cr.records {
-            let full = rec.decisions.iter().all(|d| d.is_some());
-            if !full {
-                continue; // counted in `stalled`
-            }
+            let decision = match rec.verdict() {
+                Verdict::Stalled => continue, // counted in `stalled`
+                Verdict::Split(vals) => {
+                    txns += 1;
+                    violations.push(format!("txn {}: split decision {vals:?}", rec.txn.id));
+                    continue;
+                }
+                Verdict::Decided(decision) => decision,
+            };
             // One decision slot per participant, sized by the client.
             let k = rec.decisions.len();
             txns += 1;
-            let mut seen = rec.decisions.iter().flatten().copied();
-            let first = seen.next();
-            let Some(decision) = first.filter(|&d| seen.all(|other| other == d)) else {
-                let mut vals: Vec<u64> = rec.decisions.iter().flatten().copied().collect();
-                vals.sort_unstable();
-                vals.dedup();
-                violations.push(format!("txn {}: split decision {vals:?}", rec.txn.id));
-                continue;
-            };
             let commit = decision == COMMIT;
             if commit {
                 committed += 1;

@@ -1,5 +1,5 @@
-//! The node-to-node transport seam, its two implementations, and the
-//! ingress a node waits on.
+//! The node-to-node transport seam, its two implementations, the ingress
+//! a node waits on, and the road a reply takes back.
 //!
 //! Both loops of [`crate::service`] — the node's `flush` step and
 //! `client_main` — stage outbound envelopes per destination in an `Outbox` and hand each
@@ -15,7 +15,7 @@
 //!   framed by [`crate::codec`] and written to a lazily-established
 //!   socket, with reconnect-on-failure.
 //!
-//! ## Ingress: a node reads its own sockets
+//! ## Ingress: a thread reads its own sockets
 //!
 //! A node's `drain` step waits on an `Inbox` with exactly two sources:
 //! the crossbeam `Receiver` the channel transport feeds, or a
@@ -33,17 +33,31 @@
 //! envelope; no thread sits between the socket and the node loop, and
 //! everything above `drain` stays byte-blind.
 //!
-//! Accepted sockets stay **blocking** and are read exactly once per
-//! readiness report: `O_NONBLOCK` lives on the open file description, so
-//! the write half a `Hello` registers by `try_clone` would inherit it and
-//! a `Done` forwarder's `write_all` would lose reports to `WouldBlock`
-//! under back-pressure. Only the listener is non-blocking.
+//! The wait-then-read pass is one piece of code (`Sockets::poll`) with
+//! two users: the node's `SocketIngress`, and the `ReplyIngress` a
+//! multi-process client reads its decision reports through.
+//!
+//! ## Replies: down the connection that asked
+//!
+//! A client of a multi-process cluster says `Hello` on every connection
+//! its [`TcpTransport`] dials, and the node's ingress remembers which
+//! connection said it. `SocketIngress::reply` frames what the node's
+//! `flush` step owes that client into one blocking `write_all` down that
+//! connection — the rule `TcpTransport` follows for node-to-node
+//! envelopes: a failed write forgets the connection and drops the batch,
+//! a client with no live `Hello`'d connection costs the reports, not the
+//! node. On the other end `client_main` waits on a `ReplyInbox` with
+//! exactly two sources: the `Receiver<Done>` of the in-process service,
+//! or a `ReplyIngress` over the read halves of the connections its own
+//! transport dialed (handed over at the dial, which happens in the
+//! client's own flush). A reply therefore costs one wake-up too — of the
+//! client thread that folds it in.
 //!
 //! [`TcpNode`] is the *same ingress hosted on one thread* that forwards
 //! each wait's batch into a crossbeam channel with one `send_batch`, for
 //! callers that want a `Receiver` (the conformance suite, the benchmark
-//! probes). The service hosts ([`crate::service`], [`crate::proc`]) do not
-//! use it.
+//! probes); it has no reply path. The service hosts ([`crate::service`],
+//! [`crate::proc`]) do not use it.
 //!
 //! The readiness wait is the workspace's only foreign call and is
 //! declared for Linux, the only platform CI builds; there is no second
@@ -68,13 +82,13 @@
 //! like a crashed process, which is precisely the fault domain the
 //! protocols are built for.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::ControlFlow;
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use ac_obs::NetMeters;
@@ -82,17 +96,17 @@ use ac_sim::{ProcessId, Wire};
 use crossbeam::channel::{unbounded, Receiver, RecvError, RecvTimeoutError, Sender};
 
 use crate::codec::{write_frame, AnyFrame, FrameDecoder};
-use crate::service::ToNode;
+use crate::service::{Done, ToNode};
 
 /// How long a peer stays in backoff after a failed (re)connect before
 /// the next send attempts again.
 const RECONNECT_BACKOFF: Duration = Duration::from_millis(500);
 /// First-contact patience: attempts × gap ≈ 3 s, covering the startup
 /// skew of a multi-process cluster.
-const INITIAL_ATTEMPTS: u32 = 30;
+pub(crate) const INITIAL_ATTEMPTS: u32 = 30;
 const INITIAL_GAP: Duration = Duration::from_millis(100);
 /// Receive buffer of one socket `read`.
-pub(crate) const READ_CHUNK: usize = 64 * 1024;
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Where a node's outbound envelopes go. Implementations must preserve
 /// per-sender FIFO order on a healthy link and must never block
@@ -187,10 +201,20 @@ impl<M> Outbox<M> {
     }
 }
 
-/// Called with `(peer, stream)` after every successful (re)connect,
-/// before any envelope is written. Multi-process clients use it to send
-/// their `Hello` handshake and spawn the `Done`-frame reader.
-pub type OnConnect = Arc<dyn Fn(ProcessId, &TcpStream) + Send + Sync>;
+/// Connect to `addr`, trying up to `attempts` times [`INITIAL_GAP`] apart
+/// ([`INITIAL_ATTEMPTS`] is first-contact patience, 1 a reconnect).
+pub(crate) fn connect(addr: SocketAddr, attempts: u32) -> Option<TcpStream> {
+    for i in 0..attempts {
+        if let Ok(s) = TcpStream::connect(addr) {
+            let _ = s.set_nodelay(true);
+            return Some(s);
+        }
+        if i + 1 < attempts {
+            std::thread::sleep(INITIAL_GAP);
+        }
+    }
+    None
+}
 
 enum PeerState {
     /// Never reached yet: first contact gets the long retry loop.
@@ -211,7 +235,10 @@ pub struct TcpTransport {
     scratch: Vec<u8>,
     /// Frames currently encoded into `scratch` (egress frame metering).
     scratch_frames: u64,
-    on_connect: Option<OnConnect>,
+    /// A multi-process client's handshake: the `Hello` frame it says on
+    /// every (re)connect, before any envelope is written, and where that
+    /// connection's read half goes (see [`TcpTransport::hello`]).
+    handshake: Option<(Vec<u8>, mpsc::Sender<TcpStream>)>,
     /// Per-peer socket counters (bytes/frames out, reconnects, dial
     /// failures, outbox high-water), shared with the process's metrics
     /// endpoint and its observability export. `None` meters nothing.
@@ -232,17 +259,29 @@ impl TcpTransport {
             state,
             scratch: Vec::new(),
             scratch_frames: 0,
-            on_connect: None,
+            handshake: None,
             net: None,
             io_writes: 0,
             io_nanos: 0,
         }
     }
 
-    /// Install a post-connect hook (builder style).
-    pub fn on_connect(mut self, hook: OnConnect) -> TcpTransport {
-        self.on_connect = Some(hook);
-        self
+    /// Make this the transport of multi-process client `client`: every
+    /// (re)connect says `Hello` first, so the node can route replies back
+    /// down that connection, and hands its read half to the returned
+    /// ingress — from inside the client's own flush, so it is adopted
+    /// before the wait that follows the dial.
+    pub(crate) fn hello(mut self, client: usize) -> (TcpTransport, ReplyIngress) {
+        let (halves, dialed) = mpsc::channel();
+        let mut frame = Vec::new();
+        write_frame::<()>(&AnyFrame::Hello { client }, &mut frame);
+        self.handshake = Some((frame, halves));
+        let ingress = ReplyIngress {
+            socks: Sockets::new(None),
+            dialed,
+            ready: VecDeque::new(),
+        };
+        (self, ingress)
     }
 
     /// Record egress into `meters` (builder style). The meters' peer
@@ -253,19 +292,15 @@ impl TcpTransport {
     }
 
     fn dial(&self, to: ProcessId, attempts: u32) -> Option<TcpStream> {
-        for i in 0..attempts {
-            if let Ok(s) = TcpStream::connect(self.peers[to]) {
-                let _ = s.set_nodelay(true);
-                if let Some(hook) = &self.on_connect {
-                    hook(to, &s);
-                }
-                return Some(s);
-            }
-            if i + 1 < attempts {
-                std::thread::sleep(INITIAL_GAP);
+        let s = connect(self.peers[to], attempts)?;
+        if let Some((hello, halves)) = &self.handshake {
+            let mut half = &s;
+            let _ = half.write_all(hello);
+            if let Ok(half) = s.try_clone() {
+                let _ = halves.send(half);
             }
         }
-        None
+        Some(s)
     }
 
     /// The connected stream for `to`, establishing it if the state
@@ -373,11 +408,6 @@ impl<M: Wire + Send> Transport<M> for TcpTransport {
     }
 }
 
-/// Write halves of client connections, keyed by client id — populated at
-/// a node's socket read point when a `Hello` frame arrives, read by the
-/// `Done` forwarders of a multi-process node.
-pub type ClientRegistry = Arc<Mutex<HashMap<usize, TcpStream>>>;
-
 /// Identity and epoch a node answers clock-echo probes with. The
 /// response is written straight back at the socket read point, ahead of
 /// the dispatch of the batch the read belongs to, so an echo waits behind
@@ -390,13 +420,10 @@ pub struct EchoResponder {
     pub epoch: Instant,
 }
 
-/// Optional per-connection behaviors of a node's socket read point: the
-/// client registry (multi-process `Done` routing), ingress meters, and
+/// Optional behaviors of a node's socket read point: ingress meters and
 /// the clock-echo responder.
 #[derive(Clone, Default)]
 pub struct NodeHooks {
-    /// Populated with the write half of every connection that `Hello`s.
-    pub clients: Option<ClientRegistry>,
     /// Ingress counters (bytes/frames in, decode errors, resyncs).
     pub net: Option<Arc<NetMeters>>,
     /// When set, `EchoReq` frames are answered inline.
@@ -529,10 +556,118 @@ fn wait_readable(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Resu
     usize::try_from(rc).map_err(|_| std::io::Error::last_os_error())
 }
 
-/// One accepted connection: the socket and its frame boundary state.
+/// One connection read by the thread that waits on it: the socket, its
+/// frame boundary state and, at a node, who said `Hello` on it.
 struct Conn {
     stream: TcpStream,
     dec: FrameDecoder,
+    client: Option<usize>,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            stream,
+            dec: FrameDecoder::new(),
+            client: None,
+        }
+    }
+}
+
+/// The sockets one thread reads, and the one way they are read: the
+/// wait-then-read pass under a node's [`SocketIngress`] and a
+/// multi-process client's [`ReplyIngress`] alike.
+struct Sockets {
+    /// Accepted from, non-blocking (a client has none: it dials).
+    listener: Option<TcpListener>,
+    /// In the order they were accepted (or dialed).
+    conns: Vec<Conn>,
+    /// The readiness set of the wait in progress: the listener's slot,
+    /// then `conns` in order (rebuilt per wait, allocation reused).
+    fds: Vec<PollFd>,
+    chunk: Vec<u8>,
+}
+
+impl Sockets {
+    fn new(listener: Option<TcpListener>) -> Sockets {
+        Sockets {
+            listener,
+            conns: Vec::new(),
+            fds: Vec::new(),
+            chunk: vec![0u8; READ_CHUNK],
+        }
+    }
+
+    /// One readiness wait over the listener and every connection, then
+    /// one `read` per ready connection — every frame it completed handed
+    /// to `route` with the connection's stream and `Hello` slot — then
+    /// every pending connection accepted. A connection at end of stream,
+    /// in error, past a lost frame boundary or whose `route` broke is
+    /// forgotten. Returns `false` when `until` passed with nothing ready.
+    fn poll<M: Wire>(
+        &mut self,
+        until: Option<Instant>,
+        net: Option<&NetMeters>,
+        mut route: impl FnMut(&TcpStream, &mut Option<usize>, AnyFrame<M>) -> ControlFlow<()>,
+    ) -> bool {
+        let watch = |fd| PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        let listener = self.listener.as_ref();
+        // The kernel skips a negative descriptor: no listener, an idle slot.
+        let accepting = listener.map_or(-1, AsRawFd::as_raw_fd);
+        let reading = self.conns.iter().map(|c| c.stream.as_raw_fd());
+        let watched = std::iter::once(accepting).chain(reading);
+        self.fds.clear();
+        self.fds.extend(watched.map(watch));
+        loop {
+            let wait = until.map(|u| u.saturating_duration_since(Instant::now()));
+            match wait_readable(&mut self.fds, wait) {
+                Ok(0) => return false,
+                Ok(_) => break,
+                // A signal is neither a timeout nor a dead socket: wait
+                // again for what is left of the deadline.
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => panic!("ppoll on {} descriptors: {e}", self.fds.len()),
+            }
+        }
+
+        let mut polled = self.fds[1..].iter();
+        self.conns.retain_mut(|conn| {
+            let fd = polled.next().expect("one pollfd per connection");
+            if fd.revents == 0 {
+                return true;
+            }
+            let mut half = &conn.stream;
+            match ReadOutcome::of(half.read(&mut self.chunk)) {
+                ReadOutcome::Data(n) => {
+                    decode_chunk(&mut conn.dec, &self.chunk[..n], net, |frame| {
+                        route(&conn.stream, &mut conn.client, frame)
+                    })
+                }
+                ReadOutcome::Retry => true,
+                ReadOutcome::Closed => false,
+            }
+        });
+
+        if self.fds[0].revents != 0 {
+            // Not in this wait's set: first looked at by the next one.
+            while let Some(Ok((stream, _))) = listener.map(TcpListener::accept) {
+                let _ = stream.set_nodelay(true);
+                self.conns.push(Conn::new(stream));
+            }
+        }
+        true
+    }
+}
+
+/// Move up to `max` of the items a wait decoded into `buf`.
+fn take<T>(ready: &mut VecDeque<T>, buf: &mut Vec<T>, max: usize) -> usize {
+    let k = ready.len().min(max);
+    buf.extend(ready.drain(..k));
+    k
 }
 
 /// The receiving side of the TCP transport, waited on by the thread that
@@ -540,24 +675,18 @@ struct Conn {
 /// accepted connections, one decoder per connection, and the envelopes
 /// decoded but not yet taken.
 pub(crate) struct SocketIngress<M> {
-    listener: TcpListener,
     hooks: NodeHooks,
-    conns: Vec<Conn>,
-    /// The readiness set of the wait in progress: the listener, then
-    /// `conns` in order (rebuilt per wait, allocation reused).
-    fds: Vec<PollFd>,
+    socks: Sockets,
     /// Node-bound envelopes in arrival order — per connection, stream
     /// order. What a wait decoded beyond the caller's `max` stays here
     /// and is served before any socket is touched again.
     ready: VecDeque<ToNode<M>>,
-    chunk: Vec<u8>,
-    echo_buf: Vec<u8>,
+    /// Frames the ingress writes itself: an echo answer, a reply.
+    out: Vec<u8>,
 }
 
 impl<M: Wire> SocketIngress<M> {
-    /// Listen on `addr`. `hooks.clients`, when given, is populated with
-    /// the write half of every connection that announces itself with a
-    /// `Hello` frame.
+    /// Listen on `addr`.
     pub(crate) fn bind<A: ToSocketAddrs>(
         addr: A,
         hooks: NodeHooks,
@@ -565,19 +694,17 @@ impl<M: Wire> SocketIngress<M> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         Ok(SocketIngress {
-            listener,
             hooks,
-            conns: Vec::new(),
-            fds: Vec::new(),
+            socks: Sockets::new(Some(listener)),
             ready: VecDeque::new(),
-            chunk: vec![0u8; READ_CHUNK],
-            echo_buf: Vec::new(),
+            out: Vec::new(),
         })
     }
 
     /// The bound address (useful with port 0).
     pub(crate) fn addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        let listener = self.socks.listener.as_ref().expect("bound in `bind`");
+        listener.local_addr()
     }
 
     /// Move up to `max` envelopes into `buf` (appended), waiting until
@@ -595,101 +722,70 @@ impl<M: Wire> SocketIngress<M> {
                 return 0;
             }
         }
-        self.take(buf, max)
+        take(&mut self.ready, buf, max)
     }
 
-    /// Move up to `max` already-decoded envelopes into `buf`.
-    fn take(&mut self, buf: &mut Vec<ToNode<M>>, max: usize) -> usize {
-        let k = self.ready.len().min(max);
-        buf.extend(self.ready.drain(..k));
-        k
-    }
-
-    /// One readiness wait, then one `read` per ready connection — every
-    /// frame it completed routed — then every pending connection
-    /// accepted. Returns `false` when `until` passed with nothing ready.
+    /// One wait-then-read pass, every frame it completed routed. Returns
+    /// `false` when `until` passed with nothing ready.
     fn poll(&mut self, until: Option<Instant>) -> bool {
-        let SocketIngress {
-            listener,
-            hooks,
-            conns,
-            fds,
-            ready,
-            chunk,
-            echo_buf,
-        } = self;
-        let watch = |fd| PollFd {
-            fd,
-            events: POLLIN,
-            revents: 0,
+        let net = self.hooks.net.as_deref();
+        self.socks.poll(until, net, |stream, client, frame| {
+            route(
+                frame,
+                stream,
+                client,
+                &self.hooks,
+                &mut self.out,
+                &mut self.ready,
+            )
+        })
+    }
+
+    /// Frame `frames` into one blocking `write_all` down the newest
+    /// connection that said `Hello` as `client`. `false` means they were
+    /// dropped: no live connection announced that id, or the write failed
+    /// — which forgets the connection (the client redials and says
+    /// `Hello` again).
+    pub(crate) fn reply(
+        &mut self,
+        client: usize,
+        frames: impl IntoIterator<Item = AnyFrame<M>>,
+    ) -> bool {
+        let conns = &mut self.socks.conns;
+        let Some(i) = conns.iter().rposition(|c| c.client == Some(client)) else {
+            return false;
         };
-        fds.clear();
-        fds.push(watch(listener.as_raw_fd()));
-        fds.extend(conns.iter().map(|c| watch(c.stream.as_raw_fd())));
-        loop {
-            let wait = until.map(|u| u.saturating_duration_since(Instant::now()));
-            match wait_readable(fds, wait) {
-                Ok(0) => return false,
-                Ok(_) => break,
-                // A signal is neither a timeout nor a dead socket: wait
-                // again for what is left of the deadline.
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => panic!("ppoll on {} descriptors: {e}", fds.len()),
-            }
+        self.out.clear();
+        for frame in frames {
+            write_frame(&frame, &mut self.out);
         }
-
-        let net = hooks.net.as_deref();
-        let mut polled = fds[1..].iter();
-        conns.retain_mut(|conn| {
-            let fd = polled.next().expect("one pollfd per connection");
-            if fd.revents == 0 {
-                return true;
-            }
-            let mut stream = &conn.stream;
-            match ReadOutcome::of(stream.read(chunk)) {
-                ReadOutcome::Data(n) => decode_chunk(&mut conn.dec, &chunk[..n], net, |frame| {
-                    route(frame, stream, hooks, echo_buf, ready)
-                }),
-                ReadOutcome::Retry => true,
-                ReadOutcome::Closed => false,
-            }
-        });
-
-        if fds[0].revents != 0 {
-            // Not in this wait's set: first looked at by the next one.
-            while let Ok((stream, _)) = listener.accept() {
-                let _ = stream.set_nodelay(true);
-                conns.push(Conn {
-                    stream,
-                    dec: FrameDecoder::new(),
-                });
-            }
+        let mut half = &conns[i].stream;
+        let sent = half.write_all(&self.out).is_ok();
+        if !sent {
+            conns.remove(i);
         }
-        true
+        sent
     }
 }
 
 /// Route one frame a node's connection delivered: protocol and control
-/// envelopes queue for the node, `Hello` registers the write half,
+/// envelopes queue for the node, `Hello` names the connection's client,
 /// `EchoReq` is answered inline (a failed write drops the connection).
 fn route<M: Wire>(
     frame: AnyFrame<M>,
     mut stream: &TcpStream,
+    client: &mut Option<usize>,
     hooks: &NodeHooks,
-    echo_buf: &mut Vec<u8>,
+    out: &mut Vec<u8>,
     ready: &mut VecDeque<ToNode<M>>,
 ) -> ControlFlow<()> {
     match frame {
         AnyFrame::Node(env) => ready.push_back(env),
-        AnyFrame::Hello { client } => {
-            if let (Some(reg), Ok(half)) = (&hooks.clients, stream.try_clone()) {
-                reg.lock().expect("registry poisoned").insert(client, half);
-            }
-        }
+        AnyFrame::Hello { client: id } => *client = Some(id),
         AnyFrame::EchoReq { seq, t0_nanos } => {
             if let Some(echo) = &hooks.echo {
                 let elapsed = echo.epoch.elapsed().as_nanos();
-                echo_buf.clear();
+                out.clear();
                 write_frame::<M>(
                     &AnyFrame::EchoResp {
                         seq,
@@ -697,9 +793,9 @@ fn route<M: Wire>(
                         node: echo.node,
                         node_nanos: u64::try_from(elapsed).unwrap_or(u64::MAX),
                     },
-                    echo_buf,
+                    out,
                 );
-                if stream.write_all(echo_buf).is_err() {
+                if stream.write_all(out).is_err() {
                     return ControlFlow::Break(());
                 }
             }
@@ -744,6 +840,77 @@ impl<M: Wire> Inbox<M> {
             (Inbox::Socket(ingress), until) => Ok(ingress.recv(buf, max, until)),
         }
     }
+
+    /// [`SocketIngress::reply`]: the road back to a client whose requests
+    /// arrive through this inbox. Nobody says `Hello` on a channel, so a
+    /// channel inbox drops every reply.
+    pub(crate) fn reply(
+        &mut self,
+        client: usize,
+        frames: impl IntoIterator<Item = AnyFrame<M>>,
+    ) -> bool {
+        match self {
+            Inbox::Channel(_) => false,
+            Inbox::Socket(ingress) => ingress.reply(client, frames),
+        }
+    }
+}
+
+/// The receiving side of a multi-process client: the read halves of the
+/// connections its own transport dialed ([`TcpTransport::hello`]), read
+/// by the client thread itself (see the module docs).
+pub(crate) struct ReplyIngress {
+    socks: Sockets,
+    /// Read halves of connections dialed since the last wait.
+    dialed: mpsc::Receiver<TcpStream>,
+    /// Reports decoded but not yet taken.
+    ready: VecDeque<Done>,
+}
+
+impl ReplyIngress {
+    /// Move up to `max` reports into `buf` (appended), waiting until at
+    /// least one is there or `until` passes; 0 means it passed. Nodes
+    /// send a client nothing else that it folds in; a read half at end of
+    /// stream is forgotten (the transport's next write redials).
+    pub(crate) fn recv(&mut self, buf: &mut Vec<Done>, max: usize, until: Instant) -> usize {
+        let dialed = self.dialed.try_iter();
+        self.socks.conns.extend(dialed.map(Conn::new));
+        while self.ready.is_empty() {
+            let polled = self.socks.poll::<()>(Some(until), None, |_, _, frame| {
+                if let AnyFrame::Done(d) = frame {
+                    self.ready.push_back(d);
+                }
+                ControlFlow::Continue(())
+            });
+            if !polled {
+                return 0;
+            }
+        }
+        take(&mut self.ready, buf, max)
+    }
+}
+
+/// Where `client_main` waits for decision reports: the seam with exactly
+/// two sources.
+pub(crate) enum ReplyInbox {
+    /// The in-process service's per-client reply channel.
+    Channel(Receiver<Done>),
+    /// The connections the client's own transport dialed.
+    Socket(ReplyIngress),
+}
+
+impl ReplyInbox {
+    /// Move up to `max` reports into `buf` (appended), waiting until at
+    /// least one is there or `until` passes. Returns how many moved.
+    pub(crate) fn recv(&mut self, buf: &mut Vec<Done>, max: usize, until: Instant) -> usize {
+        match self {
+            ReplyInbox::Channel(rx) => {
+                let wait = until.saturating_duration_since(Instant::now());
+                rx.recv_batch_timeout(buf, max, wait).unwrap_or(0)
+            }
+            ReplyInbox::Socket(ingress) => ingress.recv(buf, max, until),
+        }
+    }
 }
 
 /// What a [`TcpNode`] asks of its host thread.
@@ -764,40 +931,18 @@ pub struct TcpNode {
 }
 
 impl TcpNode {
-    /// Bind `addr` and start forwarding decoded envelopes into `inbox`.
-    /// `clients`, when given, is populated with the write half of every
-    /// connection that announces itself with a `Hello` frame.
+    /// Bind `addr` and start forwarding decoded envelopes into `inbox`,
+    /// with `hooks` (ingress meters, clock-echo responder) when given.
     pub fn bind<M, A>(
         addr: A,
         inbox: Sender<ToNode<M>>,
-        clients: Option<ClientRegistry>,
+        hooks: Option<NodeHooks>,
     ) -> std::io::Result<TcpNode>
     where
         M: Wire + Send + 'static,
         A: ToSocketAddrs,
     {
-        TcpNode::bind_with(
-            addr,
-            inbox,
-            NodeHooks {
-                clients,
-                ..NodeHooks::default()
-            },
-        )
-    }
-
-    /// [`TcpNode::bind`] with the full hook set: client registry,
-    /// ingress meters, and the clock-echo responder.
-    pub fn bind_with<M, A>(
-        addr: A,
-        inbox: Sender<ToNode<M>>,
-        hooks: NodeHooks,
-    ) -> std::io::Result<TcpNode>
-    where
-        M: Wire + Send + 'static,
-        A: ToSocketAddrs,
-    {
-        let mut ingress = SocketIngress::<M>::bind(addr, hooks)?;
+        let mut ingress = SocketIngress::<M>::bind(addr, hooks.unwrap_or_default())?;
         let addr = ingress.addr()?;
         let (ctl, asked) = unbounded::<Ctl>();
         let host = std::thread::spawn(move || {
@@ -808,14 +953,14 @@ impl TcpNode {
                     match ctl {
                         Ctl::DropConnections(done) => {
                             // The listener and what is decoded stay.
-                            ingress.conns.clear();
+                            ingress.socks.conns.clear();
                             let _ = done.send(());
                         }
                         Ctl::Stop => return,
                     }
                 }
                 // Receiver gone: nobody is left to read for.
-                if ingress.take(&mut batch, usize::MAX) > 0
+                if take(&mut ingress.ready, &mut batch, usize::MAX) > 0
                     && inbox.send_batch(batch.drain(..)).is_err()
                 {
                     return;
@@ -872,7 +1017,8 @@ impl Drop for TcpNode {
 
 #[cfg(test)]
 mod tests {
-    //! The ingress alone: real loopback sockets, no node, no thread.
+    //! The ingress, the reply path and the client's reply source alone:
+    //! real loopback sockets, no node, no thread.
 
     use super::*;
 
@@ -1007,7 +1153,7 @@ mod tests {
         let _idle = TcpStream::connect(addr).expect("connect");
         let mut buf = Vec::new();
         assert_eq!(ingress.recv(&mut buf, usize::MAX, within(SOON)), 0);
-        assert_eq!(ingress.conns.len(), 1);
+        assert_eq!(ingress.socks.conns.len(), 1);
 
         let wait = Duration::from_micros(300);
         let mut fastest = Duration::MAX;
@@ -1041,7 +1187,171 @@ mod tests {
             while ingress.recv(&mut buf, usize::MAX, within(SOON)) > 0 {}
             let expect: Vec<_> = (0..j).map(|s| (0, s)).collect();
             assert_eq!(transcript(&buf), expect, "cut after {j} whole frames");
-            assert!(ingress.conns.is_empty(), "closed connection kept");
+            assert!(ingress.socks.conns.is_empty(), "closed connection kept");
         }
+    }
+
+    fn done(txn: u64) -> Done {
+        Done {
+            txn,
+            node: 0,
+            decision: 1,
+        }
+    }
+
+    fn done_frames(txns: std::ops::Range<u64>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for t in txns {
+            write_frame::<M>(&AnyFrame::Done(done(t)), &mut bytes);
+        }
+        bytes
+    }
+
+    fn reports(txns: std::ops::Range<u64>) -> impl Iterator<Item = AnyFrame<M>> {
+        txns.map(|t| AnyFrame::Done(done(t)))
+    }
+
+    /// A connection that said `Hello` as `client`, taken in by `ingress`
+    /// (the marker envelope behind the `Hello` is what ends the wait).
+    fn hello(ingress: &mut SocketIngress<M>, addr: SocketAddr, client: usize) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut bytes = Vec::new();
+        write_frame::<M>(&AnyFrame::Hello { client }, &mut bytes);
+        bytes.extend(frames(client, 0..1));
+        stream.write_all(&bytes).expect("write");
+        let mut buf = Vec::new();
+        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(PATIENT)), 1);
+        stream
+    }
+
+    /// One blocking read: what the peer's last write put on the wire.
+    fn segment(stream: &mut TcpStream) -> Vec<u8> {
+        let mut got = vec![0u8; READ_CHUNK];
+        let n = stream.read(&mut got).expect("read");
+        got.truncate(n);
+        got
+    }
+
+    /// Whether nothing at all has reached `stream`.
+    fn silent(stream: &TcpStream) -> bool {
+        stream.set_nonblocking(true).expect("non-blocking");
+        let mut half = stream;
+        let got = half.read(&mut [0u8; 16]);
+        stream.set_nonblocking(false).expect("blocking");
+        matches!(got, Err(e) if e.kind() == ErrorKind::WouldBlock)
+    }
+
+    /// A reply call is one write: the connection that said `Hello` reads
+    /// exactly the frames of each call, in order, one segment per call.
+    #[test]
+    fn a_hello_connection_reads_each_reply_call_as_one_segment_in_order() {
+        let (mut ingress, addr) = ingress();
+        let mut client = hello(&mut ingress, addr, 7);
+        let bystander = hello(&mut ingress, addr, 8);
+        for txns in [0..3, 3..4, 4..9] {
+            assert!(ingress.reply(7, reports(txns.clone())));
+            assert_eq!(segment(&mut client), done_frames(txns));
+        }
+        assert!(silent(&bystander), "a reply reached another client");
+    }
+
+    /// The newest connection to say `Hello` with an id is where that id's
+    /// replies go (a client that redialed is reading the new one).
+    #[test]
+    fn a_second_hello_for_the_same_id_re_routes_the_replies() {
+        let (mut ingress, addr) = ingress();
+        let mut first = hello(&mut ingress, addr, 7);
+        assert!(ingress.reply(7, reports(0..1)));
+        assert_eq!(segment(&mut first), done_frames(0..1));
+        let mut second = hello(&mut ingress, addr, 7);
+        assert!(ingress.reply(7, reports(1..3)));
+        assert_eq!(segment(&mut second), done_frames(1..3));
+        assert!(silent(&first), "the replaced connection was written");
+    }
+
+    /// A reply nobody can receive is dropped, and the caller is told: an
+    /// id no connection announced, a connection that closed since, and any
+    /// reply through a channel inbox.
+    #[test]
+    fn a_reply_to_an_unknown_or_closed_client_is_dropped_and_says_so() {
+        let (mut ingress, addr) = ingress();
+        assert!(!ingress.reply(3, reports(0..1)), "nobody said Hello yet");
+        let client = hello(&mut ingress, addr, 3);
+        assert!(!ingress.reply(4, reports(0..1)), "nobody said Hello as 4");
+        assert!(ingress.reply(3, reports(0..1)));
+        drop(client);
+        // The end of stream is read, and the connection forgotten, by the
+        // next wait.
+        let mut buf = Vec::new();
+        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(SOON)), 0);
+        assert!(ingress.socks.conns.is_empty(), "closed connection kept");
+        assert!(!ingress.reply(3, reports(1..2)), "its Hello went with it");
+
+        let (_tx, rx) = unbounded::<ToNode<M>>();
+        assert!(!Inbox::Channel(rx).reply(3, reports(0..1)));
+    }
+
+    /// A multi-process client's end: its reply ingress, its transport
+    /// connected to a listener the test holds, and the accepted stream —
+    /// on which its `Hello` arrived ahead of everything else.
+    fn dialed(client: usize) -> (ReplyIngress, TcpTransport, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("listener address");
+        let (mut transport, replies) = TcpTransport::new(vec![addr]).hello(client);
+        transport.send(0, net(client, 0));
+        let (mut node_end, _) = listener.accept().expect("accept");
+        let mut said = Vec::new();
+        write_frame::<M>(&AnyFrame::Hello { client }, &mut said);
+        let mut got = vec![0u8; said.len()];
+        node_end.read_exact(&mut got).expect("read the handshake");
+        assert_eq!(got, said, "Hello must be the first frame on the wire");
+        (replies, transport, node_end)
+    }
+
+    /// The client-side source, same shape as the node's: half a `Done`
+    /// completes nothing, the whole one is delivered once, and a read half
+    /// at end of stream is forgotten.
+    #[test]
+    fn a_done_split_across_two_writes_reaches_the_client_once_after_the_second() {
+        let (mut replies, _transport, mut node_end) = dialed(5);
+        let bytes = done_frames(0..1);
+        let (head, tail) = bytes.split_at(bytes.len() / 2);
+        let mut buf = Vec::new();
+
+        node_end.write_all(head).expect("write head");
+        let t0 = Instant::now();
+        assert_eq!(replies.recv(&mut buf, usize::MAX, t0 + SOON), 0);
+        assert!(t0.elapsed() >= SOON, "an incomplete frame ended the wait");
+
+        node_end.write_all(tail).expect("write tail");
+        let patient = Instant::now() + PATIENT;
+        assert_eq!(replies.recv(&mut buf, usize::MAX, patient), 1);
+        assert_eq!(buf, vec![done(0)]);
+
+        drop(node_end);
+        assert_eq!(replies.recv(&mut buf, usize::MAX, Instant::now() + SOON), 0);
+        assert!(replies.socks.conns.is_empty(), "closed read half kept");
+    }
+
+    /// The arrival schedule parks on this wait: 300 µs must take 300 µs on
+    /// the client's end as well.
+    #[test]
+    fn a_sub_millisecond_reply_wait_is_neither_cut_short_nor_rounded_up() {
+        let (mut replies, _transport, _node_end) = dialed(5);
+        let mut buf = Vec::new();
+        let wait = Duration::from_micros(300);
+        let mut fastest = Duration::MAX;
+        for _ in 0..20 {
+            let t0 = Instant::now();
+            assert_eq!(replies.recv(&mut buf, usize::MAX, t0 + wait), 0);
+            let took = t0.elapsed();
+            assert!(took >= wait, "returned after {took:?}");
+            fastest = fastest.min(took);
+        }
+        assert_eq!(replies.socks.conns.len(), 1, "the wait covered a socket");
+        assert!(
+            fastest < Duration::from_millis(1),
+            "fastest of 20 waits took {fastest:?}"
+        );
     }
 }

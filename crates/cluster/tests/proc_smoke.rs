@@ -1,9 +1,9 @@
-//! Multi-process smoke test (ISSUE-6 satellite): a real cluster of four
-//! `ac-node` OS processes plus one `ac-client` process on loopback,
-//! driving a transfer workload over TCP end to end. The test parses each
-//! process's audit line and checks the global contract: value conserved
-//! across shards, no locks left, no orphaned envelopes, no stalls, no
-//! split decisions.
+//! Multi-process smoke tests: a real cluster of four `ac-node` OS
+//! processes plus one `ac-client` process on loopback, driven over TCP end
+//! to end. The tests parse each process's audit line and check the global
+//! contract: value conserved across shards, no locks left, no orphaned
+//! envelopes, no stalls, no split decisions — also when a node comes up
+//! after the client — and count the threads each process serves with.
 
 use std::collections::HashMap;
 use std::io::Read as _;
@@ -13,7 +13,6 @@ use std::time::{Duration, Instant};
 
 const N: usize = 4;
 const CLIENTS: usize = 2;
-const TXNS: usize = 15;
 
 /// Reserve `n` loopback ports by binding port 0 and dropping the
 /// listeners. A race with another process re-grabbing the port is
@@ -28,41 +27,23 @@ fn free_ports(n: usize) -> Vec<u16> {
         .collect()
 }
 
-fn spec_text(ports: &[u16]) -> String {
-    let mut s = format!(
-        "protocol = 2PC\nf = 1\nunit_ms = 5\nkeys_per_shard = 64\n\
-         clients = {CLIENTS}\ntxns_per_client = {TXNS}\n\
-         workload = transfer:5\nseed = 11\n"
-    );
-    for (i, p) in ports.iter().enumerate() {
-        s.push_str(&format!("node {i} = 127.0.0.1:{p}\n"));
-    }
-    s
+/// Threads of process `pid` right now (0 once it is gone).
+fn threads_of(pid: u32) -> usize {
+    std::fs::read_dir(format!("/proc/{pid}/task")).map_or(0, |tasks| tasks.count())
 }
 
-/// Wait for `child` with a deadline; kill it on expiry so a wedged
-/// process fails the test instead of hanging the suite.
-fn wait_with_deadline(child: &mut Child, what: &str, deadline: Instant) -> String {
-    loop {
-        match child.try_wait().expect("try_wait") {
-            Some(status) => {
-                let mut out = String::new();
-                child
-                    .stdout
-                    .take()
-                    .expect("stdout piped")
-                    .read_to_string(&mut out)
-                    .expect("read stdout");
-                assert!(status.success(), "{what} exited with {status}: {out}");
-                return out;
-            }
-            None if Instant::now() > deadline => {
-                let _ = child.kill();
-                panic!("{what} did not exit before the deadline");
-            }
-            None => std::thread::sleep(Duration::from_millis(50)),
-        }
-    }
+/// The exited `child`'s stdout; panics unless it succeeded.
+fn output_of(child: &mut Child, what: &str) -> String {
+    let status = child.wait().expect("wait");
+    let mut out = String::new();
+    child
+        .stdout
+        .take()
+        .expect("stdout piped")
+        .read_to_string(&mut out)
+        .expect("read stdout");
+    assert!(status.success(), "{what} exited with {status}: {out}");
+    out
 }
 
 /// Parse `key=value` pairs from an audit line tail.
@@ -73,67 +54,131 @@ fn fields(line: &str) -> HashMap<String, i64> {
         .collect()
 }
 
-#[test]
-fn four_process_cluster_serves_a_transfer_workload() {
-    let ports = free_ports(N);
-    let spec_path = std::env::temp_dir().join(format!("ac-proc-smoke-{}.spec", std::process::id()));
-    std::fs::write(&spec_path, spec_text(&ports)).expect("write spec");
+/// What one cluster run printed, and the most threads any `ac-node` /
+/// the `ac-client` was seen with while the client was running.
+struct Run {
+    client: HashMap<String, i64>,
+    nodes: Vec<HashMap<String, i64>>,
+    node_threads: usize,
+    client_threads: usize,
+}
 
-    let mut nodes: Vec<Child> = (0..N)
-        .map(|i| {
-            Command::new(env!("CARGO_BIN_EXE_ac-node"))
-                .arg("--spec")
-                .arg(&spec_path)
-                .arg("--id")
-                .arg(i.to_string())
-                .stdout(Stdio::piped())
-                .spawn()
-                .expect("spawn ac-node")
-        })
-        .collect();
+/// Boot the cluster `spec` describes (node addresses appended here) —
+/// the last `ac-node` only `last_node_late` after `ac-client` — and wait
+/// for every process, killing the lot at a deadline so a wedged process
+/// fails the test instead of hanging the suite.
+fn run_cluster(tag: &str, spec: &str, last_node_late: Duration) -> Run {
+    let mut spec = spec.to_string();
+    for (i, p) in free_ports(N).iter().enumerate() {
+        spec.push_str(&format!("node {i} = 127.0.0.1:{p}\n"));
+    }
+    let spec_path =
+        std::env::temp_dir().join(format!("ac-proc-smoke-{tag}-{}.spec", std::process::id()));
+    std::fs::write(&spec_path, spec).expect("write spec");
+    let node = |i: usize| {
+        Command::new(env!("CARGO_BIN_EXE_ac-node"))
+            .arg("--spec")
+            .arg(&spec_path)
+            .arg("--id")
+            .arg(i.to_string())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn ac-node")
+    };
+
+    let mut nodes: Vec<Child> = (0..N - 1).map(node).collect();
     let mut client = Command::new(env!("CARGO_BIN_EXE_ac-client"))
         .arg("--spec")
         .arg(&spec_path)
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn ac-client");
-
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let client_out = wait_with_deadline(&mut client, "ac-client", deadline);
+    let started = Instant::now();
+    let (mut node_threads, mut client_threads) = (0, 0);
+    while client.try_wait().expect("try_wait").is_none() {
+        if nodes.len() < N && started.elapsed() >= last_node_late {
+            nodes.push(node(N - 1));
+        }
+        client_threads = client_threads.max(threads_of(client.id()));
+        for n in &nodes {
+            node_threads = node_threads.max(threads_of(n.id()));
+        }
+        if started.elapsed() > Duration::from_secs(120) {
+            for child in nodes.iter_mut().chain([&mut client]) {
+                let _ = child.kill();
+            }
+            panic!("the cluster did not finish before the deadline");
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let client_out = output_of(&mut client, "ac-client");
     let node_outs: Vec<String> = nodes
         .iter_mut()
         .enumerate()
-        .map(|(i, n)| wait_with_deadline(n, &format!("ac-node {i}"), deadline))
+        .map(|(i, n)| output_of(n, &format!("ac-node {i}")))
         .collect();
     let _ = std::fs::remove_file(&spec_path);
 
-    // Client contract: every transaction decided, atomically.
-    let cline = client_out
-        .lines()
-        .find(|l| l.starts_with("client audit"))
-        .unwrap_or_else(|| panic!("no client audit line in: {client_out}"));
-    let c = fields(cline);
-    assert_eq!(c["stalled"], 0, "stalled transactions: {cline}");
-    assert_eq!(c["split"], 0, "split decisions: {cline}");
-    assert_eq!(
-        c["txns"],
-        (CLIENTS * TXNS) as i64,
-        "transactions lost: {cline}"
+    let audit = |out: &str, prefix: &str| {
+        let line = out.lines().find(|l| l.starts_with(prefix));
+        fields(line.unwrap_or_else(|| panic!("no `{prefix}` line in: {out}")))
+    };
+    Run {
+        client: audit(&client_out, "client audit"),
+        nodes: (0..N)
+            .map(|i| audit(&node_outs[i], &format!("node {i} audit")))
+            .collect(),
+        node_threads,
+        client_threads,
+    }
+}
+
+#[test]
+fn four_process_cluster_serves_a_transfer_workload() {
+    const TXNS: usize = 15;
+    let spec = format!(
+        "protocol = 2PC\nf = 1\nunit_ms = 5\nkeys_per_shard = 64\n\
+         clients = {CLIENTS}\ntxns_per_client = {TXNS}\n\
+         workload = transfer:5\nseed = 11\n"
     );
-    assert_eq!(c["committed"] + c["aborted"], c["txns"], "{cline}");
+    let run = run_cluster("transfer", &spec, Duration::ZERO);
+
+    // Client contract: every transaction decided, atomically.
+    let c = &run.client;
+    assert_eq!(c["stalled"], 0, "stalled transactions: {c:?}");
+    assert_eq!(c["split"], 0, "split decisions: {c:?}");
+    assert_eq!(c["txns"], (CLIENTS * TXNS) as i64, "transactions lost");
+    assert_eq!(c["committed"] + c["aborted"], c["txns"], "{c:?}");
 
     // Node contract: transfers conserve value across the cluster, all
     // locks released, nothing orphaned.
-    let mut grand_total = 0i64;
-    for (i, out) in node_outs.iter().enumerate() {
-        let line = out
-            .lines()
-            .find(|l| l.starts_with(&format!("node {i} audit")))
-            .unwrap_or_else(|| panic!("no audit line from node {i}: {out}"));
-        let f = fields(line);
-        grand_total += f["total"];
-        assert_eq!(f["locked"], 0, "node {i} left locks held: {line}");
-        assert_eq!(f["orphaned"], 0, "node {i} orphaned envelopes: {line}");
+    for (i, f) in run.nodes.iter().enumerate() {
+        assert_eq!(f["locked"], 0, "node {i} left locks held: {f:?}");
+        assert_eq!(f["orphaned"], 0, "node {i} orphaned envelopes: {f:?}");
     }
+    let grand_total: i64 = run.nodes.iter().map(|f| f["total"]).sum();
     assert_eq!(grand_total, 0, "transfer workload must conserve value");
+}
+
+/// The load starts when the cluster is up, not when `ac-client` is: with
+/// the last node 300 ms late, a client that let `Begin`s leave at once
+/// would sit in that node's first-contact dial while D1CC's other
+/// participant timed out to Abort and the late node, handed both votes
+/// on arrival, committed — a split. And while the load runs, an `ac-node`
+/// is one thread and `ac-client` its main thread plus one per client.
+#[test]
+fn a_node_that_comes_up_late_delays_the_load_instead_of_splitting_it() {
+    const TXNS: usize = 400;
+    let spec = format!(
+        "protocol = D1CC\nf = 1\nunit_ms = 5\nkeys_per_shard = 32\n\
+         clients = {CLIENTS}\ntxns_per_client = {TXNS}\n\
+         workload = uniform:2\nseed = 11\n"
+    );
+    let run = run_cluster("late-node", &spec, Duration::from_millis(300));
+    let c = &run.client;
+    assert_eq!((c["split"], c["stalled"]), (0, 0), "{c:?}");
+    assert_eq!(c["txns"], (CLIENTS * TXNS) as i64, "transactions lost");
+
+    assert_eq!(run.node_threads, 1, "a serving ac-node is its node loop");
+    assert_eq!(run.client_threads, 1 + CLIENTS, "main + one per client");
 }

@@ -298,15 +298,11 @@ fn metered_tcp_rig() -> (
 ) {
     let (tx, rx) = unbounded::<ToNode<M>>();
     let ingress = Arc::new(NetMeters::new(1));
-    let node = TcpNode::bind_with(
-        "127.0.0.1:0",
-        tx,
-        NodeHooks {
-            net: Some(Arc::clone(&ingress)),
-            ..NodeHooks::default()
-        },
-    )
-    .expect("bind loopback");
+    let hooks = NodeHooks {
+        net: Some(Arc::clone(&ingress)),
+        ..NodeHooks::default()
+    };
+    let node = TcpNode::bind("127.0.0.1:0", tx, Some(hooks)).expect("bind loopback");
     let addr = node.addr();
     let make = move || {
         let egress = Arc::new(NetMeters::new(1));

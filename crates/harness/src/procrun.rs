@@ -27,7 +27,8 @@ use ac_obs::{max_uncertainty_nanos, ClusterDump, Stage};
 use ac_txn::Workload;
 
 use crate::experiments::{
-    saturation_steps, SATURATION_BASE_RATE, SATURATION_MAX_OUTSTANDING, SERVICE_GRID, SERVICE_UNIT,
+    attribution_txns_per_client, saturation_steps, SATURATION_BASE_RATE,
+    SATURATION_MAX_OUTSTANDING, SERVICE_GRID, SERVICE_UNIT,
 };
 use crate::report::{
     dominant_stage, telescopes, AttributionEntry, AttributionStageEntry, BenchBaseline,
@@ -92,7 +93,7 @@ fn attribution_spec(kind: ProtocolKind, quick: bool, ports: &[u16]) -> ClusterSp
         unit: SERVICE_UNIT,
         keys_per_shard: 32,
         clients: 2,
-        txns_per_client: if quick { 8 } else { 15 },
+        txns_per_client: attribution_txns_per_client(kind, quick),
         workload: Workload::Uniform { span: 2 },
         seed: 11,
         arrival_rate: None,
