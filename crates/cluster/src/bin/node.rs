@@ -9,6 +9,11 @@
 //! node 2 audit total=0 locked=0 decided=50 orphaned=0
 //! ```
 //!
+//! Exits nonzero if a lock is still held or an early envelope was
+//! dropped — the node's half of the post-run audit, as `ac-client` exits
+//! nonzero on a stalled or split transaction: a cluster whose every
+//! process exited 0 is an audited-clean run.
+//!
 //! With `--metrics PORT` the node also listens on PORT — on the same
 //! host/address family the spec binds the node itself to — and answers
 //! every connection with a Prometheus text exposition of its live stage
@@ -133,4 +138,7 @@ fn main() {
     };
     let summary = ac_cluster::proc::run_node(&spec, id, meters, net);
     println!("{}", summary.render());
+    if summary.locked != 0 || summary.orphaned != 0 {
+        exit(1);
+    }
 }

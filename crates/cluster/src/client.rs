@@ -4,7 +4,8 @@
 //! in-process service, the connections its own transport dialed in a
 //! multi-process cluster — so a decision report wakes exactly the thread
 //! that folds it in. [`ClientRecord::verdict`] is the one reading of what
-//! a client saw of a transaction.
+//! a client saw of a transaction, and [`ClientFold`] the one fold of what
+//! a run's clients return, whichever host ran them.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,7 +13,7 @@ use std::time::{Duration, Instant};
 use ac_commit::problem::COMMIT;
 use ac_commit::protocols::PerRank;
 use ac_commit::CommitProtocol;
-use ac_obs::{FlightRecorder, LatencyHistogram, NodeObs, Stage};
+use ac_obs::{DumpTxn, FlightRecorder, LatencyHistogram, NodeObs, RunStats, Stage};
 use ac_txn::workload::{ArrivalSchedule, WorkloadConfig};
 use ac_txn::Transaction;
 
@@ -78,6 +79,58 @@ pub(crate) struct ClientReturn {
     /// Client-side observability (the `ClientQueueWait` seam and the
     /// client transport's share of `TcpWrite`).
     pub(crate) obs: NodeObs,
+}
+
+/// `d` in whole nanoseconds, saturating.
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// What a run's clients saw, folded: the in-process audit
+/// (`service::aggregate`) and the multi-process client (`proc::run_client`)
+/// count by this one pass.
+#[derive(Default)]
+pub(crate) struct ClientFold {
+    /// Offered, shed, committed, aborted and stalled, summed over the
+    /// clients folded in so far; `elapsed_nanos` is the host's to stamp.
+    pub(crate) stats: RunStats,
+    /// Transactions whose participants reported different decisions.
+    pub(crate) split: usize,
+    /// `Begin` re-sends.
+    pub(crate) retries: usize,
+    /// Every fully decided transaction, grouped by client, decision order.
+    pub(crate) decided: Vec<DumpTxn>,
+}
+
+impl ClientFold {
+    /// Fold one client's return in; `audit` sees each of its records with
+    /// the verdict it was counted by.
+    pub(crate) fn add(&mut self, cr: &ClientReturn, mut audit: impl FnMut(&ClientRecord, Verdict)) {
+        self.stats.offered += cr.offered as u64;
+        self.stats.shed += cr.shed as u64;
+        self.stats.stalled += cr.stalled as u64;
+        self.retries += cr.retries;
+        for e in &cr.events {
+            if let (Some(decided), Some(committed)) = (e.decided_at, e.committed) {
+                self.decided.push(DumpTxn {
+                    id: e.id,
+                    submitted_nanos: nanos(e.submitted_at),
+                    decided_nanos: nanos(decided),
+                    committed,
+                });
+            }
+        }
+        for rec in &cr.records {
+            let verdict = rec.verdict();
+            match verdict {
+                Verdict::Stalled => {} // counted by the client, in `stalled`
+                Verdict::Split(_) => self.split += 1,
+                Verdict::Decided(COMMIT) => self.stats.committed += 1,
+                Verdict::Decided(_) => self.stats.aborted += 1,
+            }
+            audit(rec, verdict);
+        }
+    }
 }
 
 /// One outstanding transaction at a client.

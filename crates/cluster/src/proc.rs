@@ -28,15 +28,13 @@ use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ac_commit::problem::COMMIT;
 use ac_commit::CommitProtocol;
 use ac_obs::{
-    ClockAlignment, ClockSample, ClusterDump, DumpTxn, NetMeters, NodeObs, ObsExport, ObsMeters,
-    RunStats,
+    ClockAlignment, ClockSample, ClusterDump, NetMeters, NodeObs, ObsExport, ObsMeters, RunStats,
 };
 use ac_sim::Wire;
 
-use crate::client::{client_main, Verdict};
+use crate::client::{client_main, nanos, ClientFold};
 use crate::codec::{write_frame, AnyFrame, FrameDecoder};
 use crate::node::{Node, NodeEnv, Replies};
 use crate::service::{with_protocol, ToNode};
@@ -123,7 +121,7 @@ pub fn run_node(
         "node id {me} out of range (n = {})",
         spec.n()
     );
-    with_protocol!(spec.kind, P => run_node_p::<P>(spec, me, meters, net))
+    with_protocol!(spec.service.kind, P => run_node_p::<P>(spec, me, meters, net))
 }
 
 fn run_node_p<P>(
@@ -151,16 +149,17 @@ where
     let ingress = SocketIngress::bind(spec.nodes[me], hooks)
         .unwrap_or_else(|e| panic!("node {me}: cannot bind {}: {e}", spec.nodes[me]));
 
+    let cfg = &spec.service;
     let env = NodeEnv::<P> {
         me,
         n: spec.n(),
-        f: spec.f,
-        unit: spec.unit,
+        f: cfg.f,
+        unit: cfg.unit,
         epoch,
         rx: Inbox::Socket(ingress),
         transport: Box::new(TcpTransport::new(spec.nodes.clone()).with_net(Arc::clone(&net))),
         replies: Replies::Connection {
-            clients: spec.clients,
+            clients: cfg.clients,
             net,
         },
         wire: Arc::new(AtomicUsize::new(0)),
@@ -168,7 +167,7 @@ where
         window: None,
         wal: None,
         wal_flush_interval: None,
-        logless: spec.kind.logless(),
+        logless: cfg.kind.logless(),
         obs: match meters {
             Some(m) => NodeObs::with_meters(m),
             None => NodeObs::new(),
@@ -184,17 +183,13 @@ where
     }
 }
 
-fn nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
 /// Run the spec'd client workload end-to-end, collect every node's
 /// observability export (with clock alignment), then shut the nodes
 /// down. The dump holds what the collector gathered: one export and one
 /// clock alignment per node it could reach, and the client-side record of
 /// every fully decided transaction, which the attribution anchors on.
 pub fn run_client(spec: &ClusterSpec) -> (ClientSummary, ClusterDump) {
-    with_protocol!(spec.kind, P => run_client_p::<P>(spec))
+    with_protocol!(spec.service.kind, P => run_client_p::<P>(spec))
 }
 
 fn run_client_p<P>(spec: &ClusterSpec) -> (ClientSummary, ClusterDump)
@@ -202,7 +197,7 @@ where
     P: CommitProtocol + Send + 'static,
     P::Msg: Wire + Send + 'static,
 {
-    let cfg = spec.service_config();
+    let cfg = &spec.service;
     // The load starts once the cluster is up: one echo round trip per
     // node, with first-contact patience, before the epoch is stamped or a
     // `Begin` can leave. A node answers an echo in its `drain` step, so
@@ -212,7 +207,7 @@ where
         let _ = Probe::dial(addr, INITIAL_ATTEMPTS).and_then(|mut p| p.echo(0, Instant::now()));
     }
     let epoch = Instant::now();
-    let handles: Vec<_> = (0..spec.clients)
+    let handles: Vec<_> = (0..cfg.clients)
         .map(|c| {
             let (transport, replies) = TcpTransport::new(spec.nodes.clone()).hello(c);
             let (cfg, rx) = (cfg.clone(), ReplyInbox::Socket(replies));
@@ -220,48 +215,23 @@ where
         })
         .collect();
 
-    let mut summary = ClientSummary::default();
-    let mut txns: Vec<DumpTxn> = Vec::new();
-    let mut offered = 0u64;
-    let mut shed = 0u64;
+    let mut fold = ClientFold::default();
     for h in handles {
-        let ret = h.join().expect("client thread panicked");
-        summary.stalled += ret.stalled;
-        summary.retries += ret.retries;
-        offered += ret.offered as u64;
-        shed += ret.shed as u64;
-        for e in &ret.events {
-            if let (Some(decided), Some(committed)) = (e.decided_at, e.committed) {
-                txns.push(DumpTxn {
-                    id: e.id,
-                    submitted_nanos: nanos(e.submitted_at),
-                    decided_nanos: nanos(decided),
-                    committed,
-                });
-            }
-        }
-        for rec in &ret.records {
-            match rec.verdict() {
-                Verdict::Stalled => {} // counted in `stalled`
-                Verdict::Split(_) => summary.split += 1,
-                Verdict::Decided(decision) => {
-                    summary.txns += 1;
-                    if decision == COMMIT {
-                        summary.committed += 1;
-                    } else {
-                        summary.aborted += 1;
-                    }
-                }
-            }
-        }
+        fold.add(&h.join().expect("client thread panicked"), |_, _| {});
     }
+    // The load phase ends here, as the in-process service's does: what
+    // follows is collection, not serving.
+    let stats = RunStats {
+        elapsed_nanos: nanos(epoch.elapsed()),
+        ..fold.stats
+    };
 
     // Collect before teardown: align each node's clock with echo round
     // trips, then pull its export. A node that cannot be reached (or
     // wedged past the read timeout) degrades coverage rather than
     // hanging the run. The collector says `Hello` one past the real
     // clients, so its `ObsDump` finds its connection and no `Done` does.
-    let cid = spec.clients;
+    let cid = cfg.clients;
     let mut alignments = Vec::new();
     let mut exports = Vec::new();
     for p in 0..spec.n() {
@@ -270,26 +240,26 @@ where
             exports.push(export);
         }
     }
-    let stats = RunStats {
-        offered,
-        shed,
-        committed: summary.committed as u64,
-        aborted: summary.aborted as u64,
-        stalled: summary.stalled as u64,
-        elapsed_nanos: nanos(epoch.elapsed()),
-    };
 
     // The run is over: tear the nodes down over the wire.
     let mut shut = TcpTransport::new(spec.nodes.clone());
     for p in 0..spec.n() {
         Transport::<P::Msg>::send(&mut shut, p, ToNode::Shutdown);
     }
+    let summary = ClientSummary {
+        txns: (stats.committed + stats.aborted) as usize,
+        committed: stats.committed as usize,
+        aborted: stats.aborted as usize,
+        stalled: stats.stalled as usize,
+        retries: fold.retries,
+        split: fold.split,
+    };
     let dump = ClusterDump {
-        protocol: spec.kind.name().to_string(),
+        protocol: cfg.kind.name().to_string(),
         n: spec.n() as u32,
-        f: spec.f as u32,
-        unit_micros: u64::try_from(spec.unit.as_micros()).unwrap_or(u64::MAX),
-        txns,
+        f: cfg.f as u32,
+        unit_micros: u64::try_from(cfg.unit.as_micros()).unwrap_or(u64::MAX),
+        txns: fold.decided,
         alignments,
         exports,
         stats,

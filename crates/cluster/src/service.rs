@@ -97,19 +97,20 @@ use ac_txn::{Shard, Transaction, TxnId, Wal};
 use crossbeam::channel::unbounded;
 
 use ac_obs::{
-    lifecycles, Attribution, FlightEvent, LatencyHistogram, NodeObs, ObsMeters, StageHistograms,
+    lifecycles, Attribution, DumpTxn, FlightEvent, LatencyHistogram, NodeObs, ObsMeters, RunStats,
+    StageHistograms,
 };
 
-use crate::client::{client_main, ClientReturn, Verdict};
+use crate::client::{client_main, nanos, ClientFold, ClientReturn, Verdict};
 use crate::node::{Node, NodeEnv, NodeReturn, Replies};
 use crate::transport::{
     ChannelTransport, Inbox, NodeHooks, ReplyInbox, SocketIngress, TcpTransport, Transport,
 };
 
-/// How many of the slowest reconstructed transaction timelines the run's
+/// How many of the slowest reconstructed transaction timelines a run's
 /// [`Attribution`] keeps (the p99.9-straggler material `repro trace`
-/// renders).
-const SLOWEST_KEPT: usize = 5;
+/// renders), whichever host served the run.
+pub const SLOWEST_KEPT: usize = 5;
 
 /// Open instances at a node from which a staged WAL batch waits for
 /// company when no [`ServiceConfig::wal_flush_interval`] is configured
@@ -135,6 +136,10 @@ pub const GROUP_COMMIT_SIBLINGS: usize = 32;
 /// the coordinator still leave most of the `1·U` a round timer allows a
 /// message, long enough that a loaded node idles between forces.
 pub const GROUP_COMMIT_UNIT_SHARE: u32 = 5;
+
+/// [`ServiceConfig::max_outstanding`] unless configured — also what a
+/// cluster-spec file without the key means.
+pub(crate) const DEFAULT_MAX_OUTSTANDING: usize = 16;
 
 /// Upper bound on protocol envelopes buffered per not-yet-opened
 /// instance (envelopes that outran their `Begin`). Any protocol round
@@ -257,7 +262,7 @@ impl TransportKind {
 }
 
 /// Configuration of one live service run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServiceConfig {
     /// Number of nodes (= processes = shards).
     pub n: usize,
@@ -347,7 +352,7 @@ impl ServiceConfig {
             txn_deadline: Duration::from_secs(10),
             reply_timeout: Duration::from_secs(1),
             park_retries: 3,
-            max_outstanding: 16,
+            max_outstanding: DEFAULT_MAX_OUTSTANDING,
             pacing: None,
             arrival_rate: None,
             wal_flush_interval: None,
@@ -575,6 +580,12 @@ pub struct ServiceOutcome {
     pub node_logs: Vec<Vec<NodeRecord>>,
     /// Per-transaction timelines, grouped by client, submission order.
     pub txn_events: Vec<TxnEvent>,
+    /// The client-side record of every fully decided transaction, in the
+    /// form a multi-process run's [`ac_obs::ClusterDump`] carries it.
+    pub decided: Vec<DumpTxn>,
+    /// The merged flight record of every node, on the service epoch's
+    /// clock — what [`ServiceOutcome::attribution`] was computed from.
+    pub flight: Vec<FlightEvent>,
     /// Per-stage seam meters (count, total nanos), merged across every
     /// node and client thread.
     pub stage_meters: ObsMeters,
@@ -599,31 +610,26 @@ impl ServiceOutcome {
         self.committed as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 
-    /// Committed transactions per second over the **trimmed
-    /// steady-state window**: commits whose decision landed in the
-    /// middle 80 % of the run (first and last 10 % of wall time
-    /// excluded), divided by that window's length. This removes the
-    /// measurement-window bias of [`ServiceOutcome::throughput_tps`] —
-    /// ramp-up (clients starting) and drain (stragglers completing after
-    /// the schedule ends) no longer dilute the rate — so open-loop
-    /// offered-vs-goodput curves compare like for like across load
-    /// steps.
-    pub fn goodput_tps(&self) -> f64 {
-        let total = self.elapsed;
-        let lo = total.mul_f64(0.1);
-        let hi = total.mul_f64(0.9);
-        let window = (hi - lo).as_secs_f64();
-        if window <= 0.0 {
-            return self.throughput_tps();
+    /// The run-level counters in the form a multi-process run's
+    /// [`ac_obs::ClusterDump`] carries them.
+    pub fn run_stats(&self) -> RunStats {
+        RunStats {
+            offered: self.offered as u64,
+            shed: self.shed as u64,
+            committed: self.committed as u64,
+            aborted: self.aborted as u64,
+            stalled: self.stalled as u64,
+            elapsed_nanos: nanos(self.elapsed),
         }
-        let in_window = self
-            .txn_events
-            .iter()
-            .filter(|e| e.committed == Some(true))
-            .filter_map(|e| e.decided_at)
-            .filter(|&d| d >= lo && d < hi)
-            .count();
-        in_window as f64 / window
+    }
+
+    /// Committed transactions per second over the **trimmed
+    /// steady-state window** — [`ac_obs::goodput_tps`], the one definition
+    /// for every host: unlike [`ServiceOutcome::throughput_tps`] it is not
+    /// diluted by ramp-up and drain, so open-loop offered-vs-goodput
+    /// curves compare like for like across load steps.
+    pub fn goodput_tps(&self) -> f64 {
+        ac_obs::goodput_tps(&self.run_stats(), &self.decided)
     }
 
     /// Whether the post-run safety audit found nothing.
@@ -945,12 +951,7 @@ fn aggregate(
     wire: &AtomicUsize,
 ) -> ServiceOutcome {
     let mut latency = LatencyHistogram::new();
-    let mut stalled = 0;
-    let mut retries = 0;
     let mut reply_timeouts = 0;
-    let mut txns = 0;
-    let mut committed = 0;
-    let mut aborted = 0;
     let mut violations = Vec::new();
     let mut txn_events = Vec::with_capacity(client_returns.iter().map(|r| r.events.len()).sum());
     let spurious_wakeups = node_returns.iter().map(|r| r.counts.spurious_wakeups).sum();
@@ -965,8 +966,6 @@ fn aggregate(
         .map(|r| r.counts.wal_prepare_forces)
         .sum();
     let wal_forces = node_returns.iter().map(|r| r.counts.wal_forces).sum();
-    let mut offered = 0;
-    let mut shed = 0;
 
     // Merge the observability bundles: meters and histograms fold exactly
     // (merge ≡ recording the concatenation); flight events concatenate
@@ -1006,59 +1005,42 @@ fn aggregate(
         l.unanimous &= rec.decision == l.decision;
     }
 
+    // The client-side fold counts; the audit holds each counted record
+    // against the nodes' logs in the same pass.
+    let mut fold = ClientFold::default();
     for cr in client_returns {
         latency.merge(&cr.latency);
         stage_meters.merge(&cr.obs.meters);
         stage_hists.merge(&cr.obs.hists);
-        stalled += cr.stalled;
-        retries += cr.retries;
         reply_timeouts += cr.reply_timeouts;
-        offered += cr.offered;
-        shed += cr.shed;
-        txn_events.extend(cr.events);
-        for rec in &cr.records {
-            let decision = match rec.verdict() {
-                Verdict::Stalled => continue, // counted in `stalled`
+        fold.add(&cr, |rec, verdict| {
+            let id = rec.txn.id;
+            let decision = match verdict {
+                Verdict::Stalled => return,
                 Verdict::Split(vals) => {
-                    txns += 1;
-                    violations.push(format!("txn {}: split decision {vals:?}", rec.txn.id));
-                    continue;
+                    return violations.push(format!("txn {id}: split decision {vals:?}"))
                 }
                 Verdict::Decided(decision) => decision,
             };
+            let Some(logged) = by_txn.get(id) else {
+                return violations.push(format!("txn {id}: no node logged it"));
+            };
             // One decision slot per participant, sized by the client.
             let k = rec.decisions.len();
-            txns += 1;
-            let commit = decision == COMMIT;
-            if commit {
-                committed += 1;
-            } else {
-                aborted += 1;
+            if logged.nodes != k {
+                violations.push(format!(
+                    "txn {id}: {} of {k} participants logged a decision",
+                    logged.nodes
+                ));
             }
-            match by_txn.get(rec.txn.id) {
-                Some(logged) => {
-                    if logged.nodes != k {
-                        violations.push(format!(
-                            "txn {}: {} of {} participants logged a decision",
-                            rec.txn.id, logged.nodes, k
-                        ));
-                    }
-                    if !logged.unanimous || logged.decision != decision {
-                        violations.push(format!(
-                            "txn {}: node logs disagree with client view",
-                            rec.txn.id
-                        ));
-                    }
-                    if commit && !logged.all_voted_yes {
-                        violations.push(format!(
-                            "txn {}: committed despite a missing yes-vote",
-                            rec.txn.id
-                        ));
-                    }
-                }
-                None => violations.push(format!("txn {}: no node logged it", rec.txn.id)),
+            if !logged.unanimous || logged.decision != decision {
+                violations.push(format!("txn {id}: node logs disagree with client view"));
             }
-        }
+            if decision == COMMIT && !logged.all_voted_yes {
+                violations.push(format!("txn {id}: committed despite a missing yes-vote"));
+            }
+        });
+        txn_events.extend(cr.events);
     }
     for (p, ret) in node_returns.iter().enumerate() {
         if ret.shard.locked() != 0 {
@@ -1074,7 +1056,6 @@ fn aggregate(
 
     // Per-txn lifecycle stamps and the five-stage attribution, from the
     // merged flight record plus the clients' submit/reply endpoints.
-    let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
     let lcs = lifecycles(&flight);
     for ev in &mut txn_events {
         if let Some(l) = lcs.get(&ev.id) {
@@ -1083,24 +1064,23 @@ fn aggregate(
             ev.journaled_at = l.journaled_nanos.map(Duration::from_nanos);
         }
     }
-    let decided_list: Vec<(u64, u64, u64)> = txn_events
-        .iter()
-        .filter_map(|e| {
-            e.decided_at
-                .map(|d| (e.id, nanos(e.submitted_at), nanos(d)))
-        })
-        .collect();
-    let attribution = Attribution::compute(&decided_list, &flight, SLOWEST_KEPT, dropped_events);
+    let attribution = Attribution::of_txns(&fold.decided, &flight, SLOWEST_KEPT, dropped_events);
 
+    let ClientFold {
+        stats,
+        split,
+        retries,
+        decided,
+    } = fold;
     ServiceOutcome {
         kind: cfg.kind,
         clients: cfg.clients,
-        txns,
-        committed,
-        aborted,
-        stalled,
-        offered,
-        shed,
+        txns: (stats.committed + stats.aborted) as usize + split,
+        committed: stats.committed as usize,
+        aborted: stats.aborted as usize,
+        stalled: stats.stalled as usize,
+        offered: stats.offered as usize,
+        shed: stats.shed as usize,
         elapsed,
         latency,
         wire_messages: wire.load(Ordering::Relaxed),
@@ -1115,6 +1095,8 @@ fn aggregate(
         shards,
         node_logs,
         txn_events,
+        decided,
+        flight,
         stage_meters,
         stage_hists,
         attribution,

@@ -30,51 +30,47 @@ use std::time::Duration;
 use ac_commit::protocols::ProtocolKind;
 use ac_txn::workload::Workload;
 
-use crate::service::{ServiceConfig, TransportKind};
+use crate::service::{ServiceConfig, TransportKind, DEFAULT_MAX_OUTSTANDING};
 
-/// A parsed cluster-spec file (see the module docs for the format).
+/// A cluster-spec file (see the module docs for the format): the service
+/// the cluster runs, and where its nodes listen.
 #[derive(Clone, Debug)]
 pub struct ClusterSpec {
-    /// The commit protocol serving the cluster.
-    pub kind: ProtocolKind,
-    /// Crash-resilience parameter.
-    pub f: usize,
-    /// Wall-clock length of one virtual delay unit.
-    pub unit: Duration,
-    /// Keys per shard.
-    pub keys_per_shard: u64,
-    /// Closed-loop client threads the `ac-client` process runs.
-    pub clients: usize,
-    /// Transactions per client.
-    pub txns_per_client: usize,
-    /// Workload shape.
-    pub workload: Workload,
-    /// Base seed.
-    pub seed: u64,
-    /// Open-loop arrival rate in txns/s per client (`None` = closed
-    /// loop). Spelled `arrival_rate = 25.0` in the file.
-    pub arrival_rate: Option<f64>,
-    /// In-flight cap per client when open-loop (`None` = the service
-    /// default). Spelled `max_outstanding = 64` in the file.
-    pub max_outstanding: Option<usize>,
+    /// What the `ac-node` processes serve and the `ac-client` process
+    /// drives — always over TCP, `n` being the number of `nodes`. Only
+    /// what the file has a key for can differ from [`ServiceConfig::new`].
+    pub service: ServiceConfig,
     /// One listen address per node, indexed by node id.
     pub nodes: Vec<SocketAddr>,
 }
 
 impl ClusterSpec {
+    /// The spec that runs `service` on `nodes`. A configuration the file
+    /// format cannot express — pacing, a reply timeout, park threshold or
+    /// deadline of its own, a flush interval, a transport other than TCP,
+    /// an `n` that is not the address count, a unit that is not whole
+    /// milliseconds — is an error: the processes read the file, so what
+    /// it cannot say they would silently not do.
+    pub fn new(service: ServiceConfig, nodes: Vec<SocketAddr>) -> Result<ClusterSpec, String> {
+        let spec = ClusterSpec { service, nodes };
+        let read_back = ClusterSpec::parse(&spec.render())?.service;
+        if read_back != spec.service {
+            return Err(format!(
+                "the spec file cannot express this service configuration: \
+                 {:?} would be read back as {read_back:?}",
+                spec.service
+            ));
+        }
+        Ok(spec)
+    }
+
     /// Parse a spec file's contents. Returns a human-readable error
     /// naming the offending line.
     pub fn parse(text: &str) -> Result<ClusterSpec, String> {
         let mut kind = None;
-        let mut f = 1usize;
-        let mut unit = Duration::from_millis(5);
-        let mut keys_per_shard = 64u64;
-        let mut clients = 1usize;
-        let mut txns_per_client = 25usize;
-        let mut workload = Workload::Uniform { span: 2 };
-        let mut seed = 1u64;
-        let mut arrival_rate = None;
-        let mut max_outstanding = None;
+        let mut cfg = ServiceConfig::new(0, 1, ProtocolKind::TwoPc)
+            .clients(1)
+            .transport(TransportKind::Tcp);
         let mut nodes: Vec<(usize, SocketAddr)> = Vec::new();
 
         for (lineno, raw) in text.lines().enumerate() {
@@ -96,32 +92,40 @@ impl ClusterSpec {
                             .ok_or_else(|| err("unknown protocol"))?,
                     );
                 }
-                "f" => f = value.parse().map_err(|_| err("bad f"))?,
+                "f" => cfg.f = value.parse().map_err(|_| err("bad f"))?,
+                // A zero unit would make every round's failure-detector
+                // timer due at once.
                 "unit_ms" => {
-                    unit = Duration::from_millis(value.parse().map_err(|_| err("bad unit_ms"))?)
+                    let ms = value.parse().ok().filter(|&ms: &u64| ms > 0);
+                    let ms = ms.ok_or_else(|| err("unit_ms must be at least 1"))?;
+                    cfg.unit = Duration::from_millis(ms)
                 }
                 "keys_per_shard" => {
                     let keys = value.parse().ok().filter(|&k: &u64| k > 0);
-                    keys_per_shard = keys.ok_or_else(|| err("keys_per_shard must be at least 1"))?
+                    cfg.keys_per_shard =
+                        keys.ok_or_else(|| err("keys_per_shard must be at least 1"))?
                 }
-                "clients" => clients = value.parse().map_err(|_| err("bad clients"))?,
+                "clients" => {
+                    let clients = value.parse().ok().filter(|&c: &usize| c > 0);
+                    cfg.clients = clients.ok_or_else(|| err("clients must be at least 1"))?
+                }
                 "txns_per_client" => {
-                    txns_per_client = value.parse().map_err(|_| err("bad txns_per_client"))?
+                    cfg.txns_per_client = value.parse().map_err(|_| err("bad txns_per_client"))?
                 }
                 "workload" => {
-                    workload = parse_workload(value).ok_or_else(|| err("bad workload"))?
+                    cfg.workload = parse_workload(value).ok_or_else(|| err("bad workload"))?
                 }
-                "seed" => seed = value.parse().map_err(|_| err("bad seed"))?,
+                "seed" => cfg.seed = value.parse().map_err(|_| err("bad seed"))?,
                 "arrival_rate" => {
                     let rate = value.parse().ok();
                     let rate = rate.filter(|&r: &f64| r.is_finite() && r > 0.0);
-                    arrival_rate =
+                    cfg.arrival_rate =
                         Some(rate.ok_or_else(|| err("arrival_rate must be positive and finite"))?)
                 }
                 "max_outstanding" => {
                     let window = value.parse().ok().filter(|&m: &usize| m > 0);
-                    max_outstanding =
-                        Some(window.ok_or_else(|| err("max_outstanding must be at least 1"))?)
+                    cfg.max_outstanding =
+                        window.ok_or_else(|| err("max_outstanding must be at least 1"))?
                 }
                 _ if key.starts_with("node") => {
                     let id: usize = key
@@ -137,7 +141,7 @@ impl ClusterSpec {
             }
         }
 
-        let kind = kind.ok_or("spec is missing `protocol`")?;
+        cfg.kind = kind.ok_or("spec is missing `protocol`")?;
         nodes.sort_by_key(|&(id, _)| id);
         if nodes.is_empty() {
             return Err("spec has no `node I = addr` lines".into());
@@ -151,20 +155,12 @@ impl ClusterSpec {
         if nodes.len() < 2 {
             return Err("a cluster needs at least 2 nodes".into());
         }
-        if f == 0 || f >= nodes.len() {
-            return Err(format!("f must satisfy 1 <= f < n, got f={f}"));
+        cfg.n = nodes.len();
+        if cfg.f == 0 || cfg.f >= cfg.n {
+            return Err(format!("f must satisfy 1 <= f < n, got f={}", cfg.f));
         }
         Ok(ClusterSpec {
-            kind,
-            f,
-            unit,
-            keys_per_shard,
-            clients,
-            txns_per_client,
-            workload,
-            seed,
-            arrival_rate,
-            max_outstanding,
+            service: cfg,
             nodes,
         })
     }
@@ -182,44 +178,27 @@ impl ClusterSpec {
         SocketAddr::new(self.nodes[id].ip(), port)
     }
 
-    /// The equivalent [`ServiceConfig`] (transport = TCP), used by the
-    /// client process's closed loop.
-    pub fn service_config(&self) -> ServiceConfig {
-        let mut cfg = ServiceConfig::new(self.n(), self.f, self.kind)
-            .unit(self.unit)
-            .clients(self.clients)
-            .txns_per_client(self.txns_per_client)
-            .workload(self.workload.clone())
-            .keys_per_shard(self.keys_per_shard)
-            .seed(self.seed)
-            .transport(TransportKind::Tcp);
-        if let Some(rate) = self.arrival_rate {
-            cfg = cfg.arrival_rate(rate);
-        }
-        if let Some(m) = self.max_outstanding {
-            cfg = cfg.max_outstanding(m);
-        }
-        cfg
-    }
-
     /// Render back to the file format (used by tests and by `repro` when
-    /// it materializes a spec for spawned processes).
+    /// it materializes a spec for spawned processes). The open-loop keys
+    /// appear only where they say something: `arrival_rate` when set,
+    /// `max_outstanding` when it is not the default window.
     pub fn render(&self) -> String {
         use std::fmt::Write;
+        let cfg = &self.service;
         let mut out = String::new();
-        let _ = writeln!(out, "protocol = {}", self.kind.name());
-        let _ = writeln!(out, "f = {}", self.f);
-        let _ = writeln!(out, "unit_ms = {}", self.unit.as_millis());
-        let _ = writeln!(out, "keys_per_shard = {}", self.keys_per_shard);
-        let _ = writeln!(out, "clients = {}", self.clients);
-        let _ = writeln!(out, "txns_per_client = {}", self.txns_per_client);
-        let _ = writeln!(out, "workload = {}", render_workload(&self.workload));
-        let _ = writeln!(out, "seed = {}", self.seed);
-        if let Some(rate) = self.arrival_rate {
+        let _ = writeln!(out, "protocol = {}", cfg.kind.name());
+        let _ = writeln!(out, "f = {}", cfg.f);
+        let _ = writeln!(out, "unit_ms = {}", cfg.unit.as_millis());
+        let _ = writeln!(out, "keys_per_shard = {}", cfg.keys_per_shard);
+        let _ = writeln!(out, "clients = {}", cfg.clients);
+        let _ = writeln!(out, "txns_per_client = {}", cfg.txns_per_client);
+        let _ = writeln!(out, "workload = {}", render_workload(&cfg.workload));
+        let _ = writeln!(out, "seed = {}", cfg.seed);
+        if let Some(rate) = cfg.arrival_rate {
             let _ = writeln!(out, "arrival_rate = {rate}");
         }
-        if let Some(m) = self.max_outstanding {
-            let _ = writeln!(out, "max_outstanding = {m}");
+        if cfg.max_outstanding != DEFAULT_MAX_OUTSTANDING {
+            let _ = writeln!(out, "max_outstanding = {}", cfg.max_outstanding);
         }
         for (i, a) in self.nodes.iter().enumerate() {
             let _ = writeln!(out, "node {i} = {a}");
@@ -275,8 +254,9 @@ node 0 = 127.0.0.1:7100
 ";
         let spec = ClusterSpec::parse(text).expect("parse");
         assert_eq!(spec.n(), 2);
-        assert_eq!(spec.kind.name(), "PaxosCommit");
-        assert_eq!(spec.unit, Duration::from_millis(7));
+        assert_eq!(spec.service.kind.name(), "PaxosCommit");
+        assert_eq!(spec.service.unit, Duration::from_millis(7));
+        assert_eq!((spec.service.n, spec.service.clients), (2, 3));
         assert_eq!(spec.nodes[1].port(), 7101);
         let again = ClusterSpec::parse(&spec.render()).expect("reparse");
         assert_eq!(again.render(), spec.render());
@@ -292,15 +272,62 @@ node 0 = [::1]:7100
 node 1 = [::1]:7101
 ";
         let spec = ClusterSpec::parse(text).expect("parse");
-        assert_eq!(spec.arrival_rate, Some(12.5));
-        assert_eq!(spec.max_outstanding, Some(8));
+        assert_eq!(spec.service.arrival_rate, Some(12.5));
+        assert_eq!(spec.service.max_outstanding, 8);
         // The metrics endpoint inherits the node's address family.
         let m = spec.metrics_addr(1, 9100);
         assert!(m.is_ipv6());
         assert_eq!(m.port(), 9100);
         let again = ClusterSpec::parse(&spec.render()).expect("reparse");
         assert_eq!(again.render(), spec.render());
-        assert_eq!(again.arrival_rate, Some(12.5));
+        assert_eq!(again.service.arrival_rate, Some(12.5));
+    }
+
+    /// A spec is a `ServiceConfig` plus addresses: what `new` accepts, the
+    /// file says in full — the processes that read it run `cfg` itself.
+    #[test]
+    fn a_service_config_survives_the_file_or_is_refused() {
+        let nodes = |n: u16| -> Vec<SocketAddr> {
+            (0..n)
+                .map(|i| SocketAddr::from(([127, 0, 0, 1], 7100 + i)))
+                .collect()
+        };
+        let closed = ServiceConfig::new(4, 1, ProtocolKind::Inbac)
+            .clients(2)
+            .txns_per_client(500)
+            .workload(Workload::Skewed {
+                span: 2,
+                theta: 0.9,
+            })
+            .unit(Duration::from_millis(5))
+            .keys_per_shard(32)
+            .seed(11)
+            .transport(TransportKind::Tcp);
+        let open = closed
+            .clone()
+            .arrival_rate(400.0)
+            .max_outstanding(32)
+            .workload(Workload::Uniform { span: 2 });
+        for cfg in [closed.clone(), open] {
+            let spec = ClusterSpec::new(cfg.clone(), nodes(4)).expect("expressible");
+            let read = ClusterSpec::parse(&spec.render()).expect("parse");
+            assert_eq!(read.service, cfg);
+            assert_eq!(read.nodes, spec.nodes);
+        }
+        for cfg in [
+            closed.clone().pacing(Duration::from_millis(7)),
+            closed.clone().reply_timeout(Duration::from_millis(60)),
+            closed.clone().wal_flush_interval(Duration::from_millis(2)),
+            closed.clone().transport(TransportKind::Channel),
+            closed.clone().unit(Duration::from_micros(2500)),
+        ] {
+            let e = ClusterSpec::new(cfg, nodes(4)).expect_err("inexpressible");
+            assert!(e.contains("cannot express"), "{e}");
+        }
+        // Not one address per node; a value the parser itself refuses.
+        assert!(ClusterSpec::new(closed.clone(), nodes(3)).is_err());
+        let e = ClusterSpec::new(closed.clients(0), nodes(4)).unwrap_err();
+        assert!(e.contains("clients must be at least 1"), "{e}");
     }
 
     #[test]
@@ -315,8 +342,11 @@ node 1 = [::1]:7101
         assert!(ClusterSpec::parse(bad).unwrap_err().contains("protocol"));
         // Values that would panic a worker thread once the cluster runs:
         // a window no submission fits in, an arrival schedule with no
-        // rate, an empty key range to draw from.
+        // rate, an empty key range to draw from, no client to serve, a
+        // delay unit of no length.
         for line in [
+            "clients = 0",
+            "unit_ms = 0",
             "max_outstanding = 0",
             "arrival_rate = 0",
             "arrival_rate = -2.5",

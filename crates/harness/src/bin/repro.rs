@@ -30,7 +30,16 @@
 //! | `load` | `service`, `attribution` | closed-loop protocol × workload × concurrency sweep; per-stage latency attribution of every Table-5 protocol on both transports, slowest timelines embedded |
 //! | `chaos` | + `chaos` | {2PC, Paxos-Commit, INBAC, D1CC} × {crash-coordinator, crash-participant, partition-heal, lossy-10} through `ac-chaos`, safety audit on every faulted run |
 //! | `saturate` | + `saturation` | open-loop Poisson arrivals stepped ×1 → ×16, durability + group commit on, knee detection with the knee's stage shares |
-//! | `proc` | `load`'s, plus `"proc"` attribution entries and one `"proc"` saturation curve | real `ac-node`/`ac-client` processes over loopback TCP, exports collected through the cross-process tracing path |
+//! | `proc` | `service`, `attribution`, `saturation` | `load`'s sweeps with the `proc` host added: a `"proc"` attribution entry per Table-5 protocol next to its `"channel"` and `"tcp"` ones, and one `"proc"` saturation curve — the same cells, served by real `ac-node`/`ac-client` processes over loopback TCP, exports collected through the cross-process tracing path |
+//!
+//! Three hosts serve a live cell — `channel` and `tcp` in this process,
+//! `proc` as spawned processes — and every row of the `attribution` and
+//! `saturation` sections is read off the one record a run leaves
+//! (`ac_harness::cell::Cell`) by the same code, whoever served it. A host
+//! that cannot measure a field says so in the field: a `"proc"` step's
+//! `wal_forces` and `forces_per_txn` are 0 (an `ac-node` has no log), and
+//! its `safety_violations` is 0 because a process that finds one exits
+//! non-zero and fails the sweep.
 //!
 //! Flags of those subcommands: `--quick` shrinks the sweeps for CI smoke
 //! jobs; `--transport tcp` routes the service, chaos and saturation sweeps
@@ -65,7 +74,9 @@
 
 use std::path::{Path, PathBuf};
 
+use ac_harness::cell::{Cell, Host};
 use ac_harness::experiments;
+use ac_harness::procrun::ProcHost;
 use ac_harness::report::{AttributionEntry, BeforeAfter, BenchBaseline};
 use ac_harness::Report;
 
@@ -208,9 +219,7 @@ fn trace_entries(path: &str) -> Vec<serde_json::Value> {
                 al.samples,
             );
         }
-        let align_us = ac_obs::max_uncertainty_nanos(&dump.alignments) as f64 / 1e3;
-        let entry =
-            AttributionEntry::new(&dump.protocol, "proc", &dump.attribution(5), Some(align_us));
+        let entry = AttributionEntry::new(&dump.protocol, "proc", &Cell::of_dump(&dump));
         let entry = serde_json::to_string(&entry).expect("an entry serializes");
         return vec![parse(&entry)];
     }
@@ -339,25 +348,28 @@ fn main() {
             }
             entries.iter().for_each(render_entry);
         }
-        // The baseline writers (the subcommand table's rows): measure the
-        // subcommand's sections, pair them with `--before`, print, write.
-        // Anything else is a paper table or figure.
+        // Anything without a row in the subcommand table is a paper table
+        // or figure.
+        _ if experiments::baseline_sections(id).is_none() => {
+            let Some(reports) = run_one(id, jobs) else {
+                eprintln!("unknown experiment `{id}`");
+                usage_exit();
+            };
+            let failure = "some paper-vs-measured comparisons did not match";
+            emit(json, &reports, None, failure);
+        }
+        // The baseline writers: measure the subcommand's sections on the
+        // host it names, pair them with `--before`, print, write.
         _ => {
-            let measured = if id == "proc" {
-                let measured =
-                    ac_harness::procrun::proc_baseline(quick, jobs, &dump_dir, metrics_port);
-                Some(measured.unwrap_or_else(|e| fail(format!("proc sweep failed: {e}"))))
+            let procs;
+            let host = if id == "proc" {
+                procs = ProcHost::new(dump_dir, metrics_port).unwrap_or_else(|e| fail(e));
+                Host::Proc(&procs)
             } else {
-                experiments::baseline(id, quick, jobs, transport)
+                Host::of(transport)
             };
-            let Some((report, mut baseline)) = measured else {
-                let Some(reports) = run_one(id, jobs) else {
-                    eprintln!("unknown experiment `{id}`");
-                    usage_exit();
-                };
-                let failure = "some paper-vs-measured comparisons did not match";
-                return emit(json, &reports, None, failure);
-            };
+            let (report, mut baseline) = experiments::baseline(id, quick, jobs, host)
+                .unwrap_or_else(|e| fail(format!("{id} sweep failed: {e}")));
             if let Some(before) = before {
                 let parsed = serde_json::from_str(&read_text(&before)).unwrap_or_else(|e| {
                     fail(format!("cannot use --before {}: {e:?}", before.display()))

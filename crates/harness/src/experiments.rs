@@ -15,6 +15,7 @@ use ac_net::DelayRule;
 use ac_sim::{Time, TraceKind, U};
 use ac_txn::Workload;
 
+use crate::cell::{run_cell, Host};
 use crate::report::{
     telescopes, AttributionBaseline, BenchBaseline, ChaosBaseline, ExplorerBaseline,
     ProtocolBaseline, Report, SaturationBaseline, ServiceBaseline, Table, SCHEMA_VERSION,
@@ -674,17 +675,16 @@ pub fn baseline_explorer_config() -> ExplorerConfig {
 
 /// The sections each baseline-measuring `repro` subcommand measures on
 /// top of the always-present simulator numbers, in measurement order
-/// (`None`: not such a subcommand). `proc` measures `load`'s sections and
-/// then adds its own `"proc"` attribution entries and saturation curve
-/// ([`crate::procrun::proc_baseline`]); `perf` writes no baseline but
+/// (`None`: not such a subcommand). `perf` writes no baseline but
 /// re-measures what it diffs ([`crate::perf::perf_compare`]).
 pub fn baseline_sections(subcommand: &str) -> Option<&'static [&'static str]> {
     Some(match subcommand {
         "bench" => &[],
         "perf" => &["service"],
-        "load" | "proc" => &["service", "attribution"],
+        "load" => &["service", "attribution"],
         "chaos" => &["service", "attribution", "chaos"],
         "saturate" => &["service", "attribution", "chaos", "saturation"],
+        "proc" => &["service", "attribution", "saturation"],
         _ => return None,
     })
 }
@@ -696,16 +696,21 @@ pub fn baseline_sections(subcommand: &str) -> Option<&'static [&'static str]> {
 ///
 /// `quick` shrinks the live sweeps for CI smoke jobs; `jobs` feeds the
 /// explorer leg (the service spawns its own `n + c` threads per run
-/// regardless); `transport` is what the service, chaos and saturation
-/// sweeps run over (`--transport tcp` routes every envelope through the
-/// wire codec and loopback sockets).
+/// regardless); `host` is who serves the sweep: what `--transport`
+/// selects, or the `proc` host for `repro proc`. The saturation sweep
+/// runs on it; the attribution sweep always covers both in-process hosts
+/// and adds the sweep's if it is neither; the closed-loop and chaos
+/// sweeps are in-process (a spec file carries no fault plan) — on the
+/// sweep's host if it is in-process, over channels otherwise. `Err` if
+/// `subcommand` has no row in the table or a `proc` cluster failed.
 pub fn baseline(
     subcommand: &str,
     quick: bool,
     jobs: usize,
-    transport: TransportKind,
-) -> Option<(Report, BenchBaseline)> {
-    let sections = baseline_sections(subcommand)?;
+    host: Host,
+) -> Result<(Report, BenchBaseline), String> {
+    let sections = baseline_sections(subcommand)
+        .ok_or_else(|| format!("`{subcommand}` measures no baseline"))?;
     let mut r = Report::new(subcommand);
     let (protocols, explorer) = simulator_section(&mut r, jobs);
     let mut b = BenchBaseline {
@@ -719,16 +724,29 @@ pub fn baseline(
         saturation: None,
         pair: None,
     };
+    let mut attribution_hosts = vec![Host::Channel, Host::Tcp];
+    let transport = match host {
+        Host::Proc(_) => {
+            attribution_hosts.push(host);
+            TransportKind::Channel
+        }
+        in_process => in_process.transport(),
+    };
     for section in sections {
         match *section {
             "service" => b.service = Some(service_section(&mut r, quick, transport)),
-            "attribution" => b.attribution = Some(attribution_section(&mut r, quick)),
+            "attribution" => {
+                b.attribution = Some(attribution_section(&mut r, quick, &attribution_hosts)?)
+            }
             "chaos" => b.chaos = Some(chaos_section(&mut r, quick, transport)),
-            "saturation" => b.saturation = Some(saturation_section(&mut r, quick, transport)),
+            "saturation" => b.saturation = Some(saturation_section(&mut r, quick, host)?),
             other => unreachable!("no section function for `{other}`"),
         }
     }
-    Some((r, b))
+    if let Host::Proc(procs) = host {
+        procs.scrape_check(&mut r);
+    }
+    Ok((r, b))
 }
 
 /// **Simulator section** — the per-protocol nice-execution numbers and
@@ -955,13 +973,20 @@ pub fn attribution_txns_per_client(kind: ProtocolKind, quick: bool) -> usize {
     }
 }
 
-/// **Attribution section** — every Table-5 protocol on *both* transports
-/// (regardless of the other sweeps' `--transport`), each run through the
-/// flight recorder's telescoping per-stage decomposition, slowest
-/// timelines embedded. Fixed light load per cell — the point is where the
-/// microseconds go, not how many transactions fit.
-pub fn attribution_section(r: &mut Report, quick: bool) -> AttributionBaseline {
-    use crate::report::AttributionEntry;
+/// **Attribution section** — every Table-5 protocol on each of `hosts`
+/// (both in-process ones at least, regardless of the other sweeps'
+/// `--transport`), each run through the flight recorder's telescoping
+/// per-stage decomposition, slowest timelines embedded. Fixed light load
+/// per cell, the same shape, seed and load on every host — the point is
+/// where the microseconds go, not how many transactions fit — so a
+/// `"proc"` row is comparable run-for-run with its channel row, and is
+/// gated on agreeing with it ([`crate::report::dominant_agrees`]).
+pub fn attribution_section(
+    r: &mut Report,
+    quick: bool,
+    hosts: &[Host],
+) -> Result<AttributionBaseline, String> {
+    use crate::report::{dominant_agrees, dominant_stage, AttributionEntry};
 
     let (n, f) = SERVICE_GRID;
     let mut at = Table::new(
@@ -971,7 +996,7 @@ pub fn attribution_section(r: &mut Report, quick: bool) -> AttributionBaseline {
         ),
         &[
             "protocol",
-            "transport",
+            "host",
             "cover%",
             "channel%",
             "lock%",
@@ -980,12 +1005,14 @@ pub fn attribution_section(r: &mut Report, quick: bool) -> AttributionBaseline {
             "transport%",
             "Σ%",
             "e2e p50 ms",
+            "clock ±µs",
+            "dominant",
             "ok",
         ],
     );
-    let mut attr_entries = Vec::new();
+    let mut entries: Vec<AttributionEntry> = Vec::new();
     for kind in ProtocolKind::table5() {
-        for tk in [TransportKind::Channel, TransportKind::Tcp] {
+        for &host in hosts {
             let cfg = ServiceConfig::new(n, f, kind)
                 .clients(2)
                 .txns_per_client(attribution_txns_per_client(kind, quick))
@@ -993,25 +1020,35 @@ pub fn attribution_section(r: &mut Report, quick: bool) -> AttributionBaseline {
                 .unit(SERVICE_UNIT)
                 .keys_per_shard(32)
                 .seed(11)
-                .transport(tk);
-            let out = run_service(&cfg);
-            let a = &out.attribution;
+                .transport(host.transport());
+            let cell = run_cell(host, &cfg, false)?;
+            let a = &cell.attribution;
+            let entry = AttributionEntry::new(kind.name(), host.name(), &cell);
             // The acceptance gate: a clean run whose reconstructed stage
-            // shares telescope to the measured end-to-end latency.
-            let ok =
-                out.is_safe() && out.stalled == 0 && out.orphaned_envelopes == 0 && telescopes(a);
+            // shares telescope to the measured end-to-end latency — and,
+            // across the process boundary, blame the stage the in-process
+            // channel run of this protocol blames.
+            let agrees = !matches!(host, Host::Proc(_))
+                || entries
+                    .iter()
+                    .find(|e| e.protocol == entry.protocol && e.transport == "channel")
+                    .is_some_and(|channel| dominant_agrees(&entry.stages, &channel.stages));
+            let ok = cell.audit_findings == 0 && cell.stats.stalled == 0 && telescopes(a) && agrees;
             let verdict = r.compare(ok).to_string();
             let mut row = vec![
                 kind.name().into(),
-                tk.name().into(),
+                host.name().into(),
                 format!("{:.0}%", a.coverage_pct()),
             ];
             row.extend((0..5).map(|i| format!("{:.1}", a.share_pct(i))));
             row.push(format!("{:.1}", a.share_sum_pct()));
             row.push(format!("{:.2}", a.e2e.p50() as f64 / 1e6));
+            let clock = cell.alignment_max_uncertainty_micros;
+            row.push(clock.map_or("-".into(), |us| format!("{us:.0}")));
+            row.push(dominant_stage(&entry.stages));
             row.push(verdict);
             at.row(row);
-            attr_entries.push(AttributionEntry::new(kind.name(), tk.name(), a, None));
+            entries.push(entry);
         }
     }
     r.table(at);
@@ -1027,12 +1064,30 @@ pub fn attribution_section(r: &mut Report, quick: bool) -> AttributionBaseline {
          clocked by design. `repro trace` renders the embedded \
          slowest-transaction timelines.",
     );
-    AttributionBaseline {
+    if hosts.iter().any(|h| matches!(h, Host::Proc(_))) {
+        r.note(
+            "each proc row is a real 4-process cluster: every node's flight \
+             recorder lives behind its own monotonic clock, exports travel as \
+             ObsDump control frames, and the collector re-stamps them through \
+             the per-node min-RTT clock alignment before merging. `clock ±µs` \
+             is the worst per-node alignment uncertainty; stage telescoping \
+             survives the merge exactly because alignment shifts whole \
+             exports, never individual events. `ok` additionally requires the \
+             in-process channel run of the same seed/config to agree on the \
+             dominant stage — outright, or with the `channel` stage set \
+             aside (client dispatch is the seam the transport swap itself \
+             replaces, so for the timer-free fast-path protocols it \
+             legitimately dominates over real sockets; the runs must still \
+             agree on where the time goes once the transaction reaches the \
+             cluster).",
+        );
+    }
+    Ok(AttributionBaseline {
         n,
         f,
         unit_micros: SERVICE_UNIT.as_micros() as u64,
-        entries: attr_entries,
-    }
+        entries,
+    })
 }
 
 /// The `(n, f)` grid of the chaos sweep (same cluster shape as the live
@@ -1269,31 +1324,20 @@ pub const SATURATION_BASE_RATE: f64 = 25.0;
 /// held past `1·U` is a timeout like any other late vote.
 pub const SATURATION_FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(2);
 
-/// The shape of a saturation curve: the multipliers of
-/// [`SATURATION_BASE_RATE`] it steps through, and how long each step
-/// offers load (`quick` shrinks both for CI smoke jobs).
-pub(crate) fn saturation_steps(quick: bool) -> (&'static [usize], std::time::Duration) {
-    if quick {
-        (&[1, 4, 16], std::time::Duration::from_millis(400))
-    } else {
-        (&[1, 2, 4, 8, 16], std::time::Duration::from_millis(1000))
-    }
-}
-
-/// One open-loop durable run of the saturation sweep: Poisson arrivals at
-/// `rate`/client for roughly `duration`, WAL + group commit on (the
-/// no-fault chaos path), shedding at [`SATURATION_MAX_OUTSTANDING`].
+/// One open-loop run of the saturation sweep: Poisson arrivals at
+/// `rate`/client for roughly `duration`, shedding at
+/// [`SATURATION_MAX_OUTSTANDING`] — with the WAL and the group-commit hold
+/// on wherever the host has a log ([`Host::durable`]).
 pub(crate) fn saturate_cell(
     kind: ProtocolKind,
-    transport: TransportKind,
+    host: Host,
     n: usize,
     clients: usize,
     rate: f64,
     duration: std::time::Duration,
-) -> ac_cluster::ServiceOutcome {
-    use ac_chaos::{run_chaos, ChaosConfig, ChaosPlan};
+) -> Result<crate::cell::Cell, String> {
     let txns = ((rate * duration.as_secs_f64()).ceil() as usize).max(4);
-    let service = ServiceConfig::new(n, 1, kind)
+    let mut service = ServiceConfig::new(n, 1, kind)
         .clients(clients)
         .txns_per_client(txns)
         .workload(Workload::Uniform { span: 2 })
@@ -1302,36 +1346,35 @@ pub(crate) fn saturate_cell(
         .seed(31)
         .arrival_rate(rate)
         .max_outstanding(SATURATION_MAX_OUTSTANDING)
-        .wal_flush_interval(SATURATION_FLUSH_INTERVAL)
-        .transport(transport);
-    run_chaos(&ChaosConfig {
-        service,
-        plan: ChaosPlan::none(n),
-    })
-    .service
+        .transport(host.transport());
+    if host.durable() {
+        service = service.wal_flush_interval(SATURATION_FLUSH_INTERVAL);
+    }
+    run_cell(host, &service, host.durable())
 }
 
 /// **Saturation section** — the open-loop offered-vs-goodput sweep:
 /// Poisson arrivals stepped ×1 → ×16 over each (protocol, n, clients)
-/// cell with durability on, goodput measured over the trimmed
-/// steady-state window, per-curve knee detection and the per-stage
-/// attribution of the knee step. This is where group commit shows up as a
-/// counter: forces-per-txn falls below 1 once drained batches amortize
-/// the force.
+/// cell, durability on where the host has a log, goodput measured over
+/// the trimmed steady-state window, per-curve knee detection and the
+/// per-stage attribution of the knee step. This is where group commit
+/// shows up as a counter: forces-per-txn falls below 1 once drained
+/// batches amortize the force.
 ///
 /// The full sweep runs every Table-5 protocol at (n=4, c=16) plus 2PC scale cells at
 /// (n=8, c=32) and (n=16, c=128); `--quick` shrinks it to one 2PC curve
-/// (the CI smoke runs that over tcp).
+/// (the CI smoke runs that over tcp), and so does the `proc` host, where
+/// every node of every step is a process to spawn.
 pub fn saturation_section(
     r: &mut Report,
     quick: bool,
-    transport: TransportKind,
-) -> SaturationBaseline {
-    use crate::report::{dominant_stage, SaturationCurve, SaturationStep};
+    host: Host,
+) -> Result<SaturationBaseline, String> {
+    use crate::report::{dominant_stage, SaturationCurve};
 
     // (protocol, n, clients) cells; every cell sweeps the same rate
     // multipliers so curves are comparable.
-    let cells: Vec<(ProtocolKind, usize, usize)> = if quick {
+    let cells: Vec<(ProtocolKind, usize, usize)> = if quick || matches!(host, Host::Proc(_)) {
         vec![(ProtocolKind::TwoPc, 4, 8)]
     } else {
         let mut c: Vec<_> = ProtocolKind::table5()
@@ -1342,15 +1385,22 @@ pub fn saturation_section(
         c.push((ProtocolKind::TwoPc, 16, 128));
         c
     };
-    let (mults, duration) = saturation_steps(quick);
+    // The shape of a curve: the multipliers of `SATURATION_BASE_RATE` it
+    // steps through, and how long each step offers load.
+    let (mults, duration): (&[usize], _) = if quick {
+        (&[1, 4, 16], std::time::Duration::from_millis(400))
+    } else {
+        (&[1, 2, 4, 8, 16], std::time::Duration::from_millis(1000))
+    };
 
     let mut t = Table::new(
         format!(
             "Open-loop saturation sweep, f=1, unit={}ms, window={} \
-             (Poisson arrivals, durable, {} transport)",
+             (Poisson arrivals, {}, {} host)",
             SERVICE_UNIT.as_millis(),
             SATURATION_MAX_OUTSTANDING,
-            transport.name()
+            if host.durable() { "durable" } else { "no log" },
+            host.name()
         ),
         &[
             "protocol",
@@ -1365,6 +1415,7 @@ pub fn saturation_section(
             "p99 ms",
             "p99.9 ms",
             "forces/txn",
+            "wire/txn",
             "ok",
         ],
     );
@@ -1384,20 +1435,18 @@ pub fn saturation_section(
     );
     let mut curves = Vec::new();
     for (kind, n, clients) in cells {
-        let mut steps = Vec::new();
-        let mut attributions = Vec::new();
-        for (i, &mult) in mults.iter().enumerate() {
+        let mut run = Vec::new();
+        for &mult in mults {
             let rate = SATURATION_BASE_RATE * mult as f64;
-            let out = saturate_cell(kind, transport, n, clients, rate, duration);
-            let goodput = out.goodput_tps();
-            let us = |v: u64| v as f64 / 1e3;
+            let cell = saturate_cell(kind, host, n, clients, rate, duration)?;
             let ms = |v: u64| v as f64 / 1e6;
-            let forces_per_txn = out.wal_forces as f64 / out.txns.max(1) as f64;
-            // Gates: a clean audit always; at the top multiplier the
-            // group-commit win itself — strictly fewer force operations
-            // than transactions (was ≥ 2 per txn with per-record forcing).
-            let mut ok = out.is_safe() && out.orphaned_envelopes == 0;
-            if mult == 16 {
+            let forces_per_txn = cell.per_txn(cell.wal_forces as f64);
+            // Gates: a clean audit and a reconstructed timeline always;
+            // at the top multiplier of a durable run the group-commit win
+            // itself — strictly fewer force operations than transactions
+            // (was ≥ 2 per txn with per-record forcing).
+            let mut ok = cell.audit_findings == 0 && cell.attribution.covered > 0;
+            if mult == 16 && host.durable() {
                 ok &= forces_per_txn < 1.0;
             }
             let verdict = r.compare(ok).to_string();
@@ -1407,50 +1456,23 @@ pub fn saturation_section(
                 clients.to_string(),
                 format!("x{mult}"),
                 format!("{:.0}", rate * clients as f64),
-                format!("{goodput:.0}"),
-                format!(
-                    "{:.0}%",
-                    100.0 * out.committed as f64 / out.txns.max(1) as f64
-                ),
-                out.shed.to_string(),
-                format!("{:.2}", ms(out.latency.p50())),
-                format!("{:.2}", ms(out.latency.p99())),
-                format!("{:.2}", ms(out.latency.p999())),
+                format!("{:.0}", cell.goodput_tps),
+                format!("{:.0}%", 100.0 * cell.per_txn(cell.stats.committed as f64)),
+                cell.stats.shed.to_string(),
+                format!("{:.2}", ms(cell.sojourn.p50())),
+                format!("{:.2}", ms(cell.sojourn.p99())),
+                format!("{:.2}", ms(cell.sojourn.p999())),
                 format!("{forces_per_txn:.2}"),
+                format!("{:.1}", cell.per_txn(cell.wire_messages as f64)),
                 verdict,
             ]);
-            steps.push(SaturationStep {
-                step: i,
-                arrival_rate_per_client: rate,
-                offered_tps: rate * clients as f64,
-                offered: out.offered,
-                shed: out.shed,
-                committed: out.committed,
-                aborted: out.aborted,
-                stalled: out.stalled,
-                goodput_tps: goodput,
-                p50_sojourn_micros: us(out.latency.p50()),
-                p99_sojourn_micros: us(out.latency.p99()),
-                p999_sojourn_micros: us(out.latency.p999()),
-                wal_forces: out.wal_forces,
-                forces_per_txn,
-                wire_per_txn: out.wire_messages as f64 / out.txns.max(1) as f64,
-                safety_violations: out.violations.len(),
-            });
-            attributions.push(out.attribution);
+            run.push((rate, cell));
         }
-        let curve = SaturationCurve::new(
-            kind.name(),
-            transport.name(),
-            n,
-            clients,
-            steps,
-            &attributions,
-        );
+        let curve = SaturationCurve::new(kind.name(), host.name(), n, clients, &run);
         let knee = &curve.knee;
         // The knee itself is gated: attribution at the knee must still
         // telescope (its run was audited clean above).
-        let verdict = r.compare(telescopes(&attributions[knee.step]));
+        let verdict = r.compare(telescopes(&run[knee.step].1.attribution));
         kt.row(vec![
             kind.name().into(),
             n.to_string(),
@@ -1478,16 +1500,18 @@ pub fn saturation_section(
          arrival -> all decisions, so queueing counts. goodput = committed \
          txns/s over the trimmed steady-state window (first/last 10% \
          excluded); shed arrivals (in-flight window full) are offered load \
-         the system refused. Durability is on: forces/txn < 1 at x16 is \
-         the group-commit win — one WAL force covers a whole drained \
-         batch instead of >= 2 per txn.",
+         the system refused. Where durability is on, forces/txn < 1 at x16 \
+         is the group-commit win — one WAL force covers a whole drained \
+         batch instead of >= 2 per txn; a host without a log reports 0 \
+         forces. Every figure is read off the same run record by the same \
+         code, whoever served the run.",
     );
 
-    SaturationBaseline {
+    Ok(SaturationBaseline {
         f: 1,
         unit_micros: SERVICE_UNIT.as_micros() as u64,
         curves,
-    }
+    })
 }
 
 /// All experiments with default parameters; explorer-backed entries run
@@ -1572,7 +1596,7 @@ mod tests {
     /// section `null`.
     #[test]
     fn bench_baseline_validates_and_covers_table5() {
-        let (r, baseline) = baseline("bench", false, 2, TransportKind::Channel).unwrap();
+        let (r, baseline) = baseline("bench", false, 2, Host::Channel).unwrap();
         assert!(r.all_matched(), "{}", r.render());
         assert_eq!(
             BenchBaseline::validate_json(&baseline.to_json()),
@@ -1587,13 +1611,14 @@ mod tests {
             ("bench", &all[..0]),
             ("perf", &all[..1]),
             ("load", &all[..2]),
-            ("proc", &all[..2]),
             ("chaos", &all[..3]),
             ("saturate", &all[..]),
+            ("proc", &["service", "attribution", "saturation"]),
         ] {
             assert_eq!(baseline_sections(subcommand), Some(sections));
         }
         assert_eq!(baseline_sections("table1"), None);
+        assert!(baseline("table1", true, 1, Host::Channel).is_err());
     }
 
     /// The composition `repro saturate --quick` runs: every section
@@ -1602,7 +1627,7 @@ mod tests {
     #[test]
     fn saturate_quick_composes_every_section_into_one_valid_document() {
         let _serial = live_sweep_lock();
-        let (r, baseline) = baseline("saturate", true, 2, TransportKind::Channel).unwrap();
+        let (r, baseline) = baseline("saturate", true, 2, Host::Channel).unwrap();
         assert_eq!(r.id, "saturate");
         assert_eq!(r.tables.len(), 7, "2 simulator + 1 + 1 + 1 + 2 saturation");
         assert_eq!(
@@ -1641,7 +1666,7 @@ mod tests {
     fn saturation_section_quick_shows_the_group_commit_win() {
         let _serial = live_sweep_lock();
         let mut r = Report::new("saturate");
-        let sat = saturation_section(&mut r, true, TransportKind::Channel);
+        let sat = saturation_section(&mut r, true, Host::Channel).unwrap();
         assert!(r.all_matched(), "{}", r.render());
         assert_eq!(sat.curves.len(), 1, "quick sweeps one 2PC curve");
         let c = &sat.curves[0];
@@ -1689,7 +1714,7 @@ mod tests {
     fn attribution_section_quick_covers_table5_on_both_transports() {
         let _serial = live_sweep_lock();
         let mut r = Report::new("load");
-        let attr = attribution_section(&mut r, true);
+        let attr = attribution_section(&mut r, true, &[Host::Channel, Host::Tcp]).unwrap();
         assert!(r.all_matched(), "{}", r.render());
         // The attribution tentpole: all seven Table-5 protocols on both
         // transports, each with positive coverage and telescoping shares.

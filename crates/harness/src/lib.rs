@@ -16,7 +16,7 @@
 //! | `load` | (cross-cutting) + the live-service sweep and its per-stage latency attribution | … + [`experiments::service_section`], [`experiments::attribution_section`] |
 //! | `chaos` | (cross-cutting) + availability under failure | … + [`experiments::chaos_section`] |
 //! | `saturate` | (cross-cutting) + open-loop saturation curves with knees | … + [`experiments::saturation_section`] |
-//! | `proc` | (cross-cutting) `load`'s sections + a real multi-process cluster's attribution and saturation curve | [`procrun::proc_baseline`] |
+//! | `proc` | (cross-cutting) `load`'s sections with a `"proc"` attribution row per protocol, and one `"proc"` saturation curve: the same cells served by real `ac-node` / `ac-client` processes | … on [`cell::Host::Proc`] ([`procrun::ProcHost`]) |
 //! | `perf` | (cross-cutting) re-measure simulator + service, diff a committed baseline | [`perf::perf_compare`] |
 //!
 //! Each experiment returns a [`report::Report`] that renders as aligned
@@ -28,11 +28,14 @@
 //! `repro bench-check` in CI): one function per section, composed by
 //! [`experiments::baseline`] from the subcommand → sections table
 //! [`experiments::baseline_sections`]; a section a subcommand does not
-//! measure is `null`.
+//! measure is `null`. Every live run of the attribution and saturation
+//! sweeps is one [`cell::run_cell`] call and every row is read off the
+//! [`cell::Cell`] it returns, whichever of the three hosts served it.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod cell;
 pub mod experiments;
 pub mod perf;
 pub mod procrun;

@@ -20,11 +20,11 @@
 
 use serde::Serialize;
 
+use crate::cell::Host;
 use crate::experiments::{
     baseline, saturate_cell, SATURATION_BASE_RATE, SERVICE_GRID, SERVICE_UNIT,
 };
 use crate::report::{table5_protocol_names, BenchBaseline, Report, Table};
-use ac_cluster::TransportKind;
 use ac_commit::protocols::ProtocolKind;
 
 /// Maximum tolerated drop in commit rate (percentage points) before the
@@ -100,8 +100,7 @@ pub fn perf_compare(
     jobs: usize,
     against_text: &str,
 ) -> Result<(Report, PerfComparison), String> {
-    let (_, fresh) = baseline("perf", quick, jobs, TransportKind::Channel)
-        .expect("`perf` has a row in the subcommand table");
+    let (_, fresh) = baseline("perf", quick, jobs, Host::Channel)?;
     diff(against_text, &fresh, live_gates(quick))
 }
 
@@ -113,18 +112,14 @@ pub fn live_gates(quick: bool) -> Vec<PerfCheck> {
     // Live WAL-force gate: a durable ×16 open-loop cell per WAL-forcing
     // protocol must show forces/txn < 1 — the group-commit invariant (one
     // force per drained batch instead of one per record, which cost ≥ 2
-    // per txn). Counter-exact: `wal_forces` counts force operations,
-    // `txns` fully served transactions.
+    // per txn). Counter-exact: `wal_forces` counts force operations, over
+    // fully served transactions.
     for kind in [ProtocolKind::TwoPc, ProtocolKind::PaxosCommit] {
-        let out = saturate_cell(
-            kind,
-            TransportKind::Channel,
-            4,
-            8,
-            16.0 * SATURATION_BASE_RATE,
-            std::time::Duration::from_millis(300),
-        );
-        let forces_per_txn = out.wal_forces as f64 / out.txns.max(1) as f64;
+        let rate = 16.0 * SATURATION_BASE_RATE;
+        let duration = std::time::Duration::from_millis(300);
+        let cell = saturate_cell(kind, Host::Channel, 4, 8, rate, duration)
+            .expect("an in-process host serves any configuration");
+        let forces_per_txn = cell.per_txn(cell.wal_forces as f64);
         checks.push(PerfCheck::exact(
             format!("{} durable x16 WAL forces/txn (must be < 1)", kind.name()),
             1.0,
@@ -134,8 +129,8 @@ pub fn live_gates(quick: bool) -> Vec<PerfCheck> {
         checks.push(PerfCheck::exact(
             format!("{} durable x16 safety violations", kind.name()),
             0.0,
-            out.violations.len() as f64,
-            out.violations.is_empty(),
+            cell.audit_findings as f64,
+            cell.audit_findings == 0,
         ));
     }
 
@@ -376,6 +371,7 @@ mod tests {
     use super::*;
     use crate::experiments::service_section;
     use crate::report::tests::sample_baseline;
+    use ac_cluster::TransportKind;
 
     /// The keys of the failed checks of `fresh` (no live gates) held
     /// against `committed`.

@@ -224,6 +224,22 @@ impl Attribution {
         keep_slowest: usize,
         dropped_events: u64,
     ) -> Attribution {
+        Attribution::fold(
+            decided.iter().copied(),
+            flight,
+            keep_slowest,
+            dropped_events,
+        )
+    }
+
+    /// [`Attribution::compute`] over any source of `(txn, submitted_nanos,
+    /// decided_nanos)` entries.
+    pub(crate) fn fold(
+        decided: impl Iterator<Item = (u64, u64, u64)>,
+        flight: &[FlightEvent],
+        keep_slowest: usize,
+        dropped_events: u64,
+    ) -> Attribution {
         // Index flight events: txn -> node -> lifecycle points. First
         // dispatch wins (a retried Begin re-dispatches; attribution
         // follows the copy that started the protocol), latest decision
@@ -255,16 +271,18 @@ impl Attribution {
             dropped_events,
             ..Attribution::default()
         };
-        for &(txn, submitted, decided_client) in decided {
+        for (txn, submitted, decided_client) in decided {
             out.total += 1;
-            // Anchor: the participant whose decision landed last.
+            // Anchor: the participant whose decision landed last (a tie
+            // goes to the higher node id, whatever order the map iterates
+            // in: equal inputs give equal attributions).
             let Some(nodes) = points.get(&txn) else {
                 continue;
             };
             let Some((&anchor, anchor_points)) = nodes
                 .iter()
                 .filter(|(_, p)| p.decided.is_some())
-                .max_by_key(|(_, p)| p.decided.unwrap_or(0))
+                .max_by_key(|(&node, p)| (p.decided, node))
             else {
                 continue;
             };

@@ -158,6 +158,18 @@ impl Wire for ObsExport {
 }
 
 impl Attribution {
+    /// [`Attribution::compute`] over a run's client-side record of decided
+    /// transactions, in the form a [`ClusterDump`] carries it.
+    pub fn of_txns(
+        txns: &[DumpTxn],
+        flight: &[FlightEvent],
+        keep_slowest: usize,
+        dropped_events: u64,
+    ) -> Attribution {
+        let spans = txns.iter().map(DumpTxn::span);
+        Attribution::fold(spans, flight, keep_slowest, dropped_events)
+    }
+
     /// Build the attribution from per-process exports: each export's
     /// flight events are mapped into the collector's timeline through
     /// its node's [`ClockAlignment`] (nodes without an alignment get the
@@ -212,6 +224,14 @@ pub struct DumpTxn {
     pub committed: bool,
 }
 
+impl DumpTxn {
+    /// `(txn, submitted, decided)` — the entry [`Attribution::compute`]
+    /// takes per decided transaction.
+    pub fn span(&self) -> (u64, u64, u64) {
+        (self.id, self.submitted_nanos, self.decided_nanos)
+    }
+}
+
 impl Wire for DumpTxn {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.id.encode(buf);
@@ -242,7 +262,8 @@ pub struct RunStats {
     pub aborted: u64,
     /// Transactions abandoned at their deadline.
     pub stalled: u64,
-    /// Wall-clock run duration on the collector's clock.
+    /// Wall-clock length of the load phase on the collector's clock:
+    /// epoch (just before the first submit) to the last client done.
     pub elapsed_nanos: u64,
 }
 
@@ -265,6 +286,36 @@ impl Wire for RunStats {
             elapsed_nanos: u64::decode(buf)?,
         })
     }
+}
+
+/// Sojourn-time histogram of a run's decided transactions: submit (the
+/// scheduled arrival, in an open loop) to all replies in.
+pub fn sojourn_times(txns: &[DumpTxn]) -> LatencyHistogram {
+    let mut h = LatencyHistogram::new();
+    for t in txns {
+        h.record(t.decided_nanos.saturating_sub(t.submitted_nanos));
+    }
+    h
+}
+
+/// Committed transactions per second over the **trimmed steady-state
+/// window**: commits whose decision landed in the middle 80 % of the
+/// run's elapsed time (the first and last 10 % excluded, the window
+/// half-open), divided by that window's length. Ramp-up (clients
+/// starting) and drain (stragglers completing after the schedule ends)
+/// do not dilute the rate, so offered-vs-goodput curves compare like for
+/// like across load steps — and across hosts: this is the one definition
+/// every saturation step is computed by. Zero for an empty window.
+pub fn goodput_tps(stats: &RunStats, txns: &[DumpTxn]) -> f64 {
+    let lo = stats.elapsed_nanos / 10;
+    let hi = stats.elapsed_nanos - lo;
+    if hi <= lo {
+        return 0.0;
+    }
+    let commits = txns
+        .iter()
+        .filter(|t| t.committed && (lo..hi).contains(&t.decided_nanos));
+    commits.count() as f64 / ((hi - lo) as f64 / 1e9)
 }
 
 /// Leading magic of a serialized [`ClusterDump`] ("AC obs dump v1") —
@@ -299,10 +350,7 @@ impl ClusterDump {
     /// The decided-transaction list [`Attribution::from_exports`] wants:
     /// `(txn, submitted, decided)` for every decided transaction.
     pub fn decided(&self) -> Vec<(u64, u64, u64)> {
-        self.txns
-            .iter()
-            .map(|t| (t.id, t.submitted_nanos, t.decided_nanos))
-            .collect()
+        self.txns.iter().map(DumpTxn::span).collect()
     }
 
     /// Compute the cross-process attribution of this dump.
@@ -492,6 +540,33 @@ mod tests {
         assert_eq!(tl.dispatch_nanos, 100);
         assert_eq!(tl.stage_nanos().iter().sum::<u64>(), tl.e2e_nanos());
         assert_eq!(max_uncertainty_nanos(&[align]), 300);
+    }
+
+    #[test]
+    fn goodput_counts_commits_in_the_half_open_middle_of_the_run() {
+        let txn = |decided_nanos: u64, committed: bool| DumpTxn {
+            id: decided_nanos,
+            submitted_nanos: decided_nanos.saturating_sub(40),
+            decided_nanos,
+            committed,
+        };
+        let stats = RunStats {
+            elapsed_nanos: 1_000,
+            ..RunStats::default()
+        };
+        // Window [100, 900): 99 and 900 are outside, 100 and 899 inside,
+        // an abort never counts.
+        let txns = [
+            txn(99, true),
+            txn(100, true),
+            txn(500, false),
+            txn(899, true),
+            txn(900, true),
+        ];
+        assert_eq!(goodput_tps(&stats, &txns), 2.0 / 800e-9);
+        assert_eq!(goodput_tps(&RunStats::default(), &txns), 0.0);
+        let h = sojourn_times(&txns);
+        assert_eq!((h.count(), h.min(), h.max()), (5, 40, 40));
     }
 
     #[test]

@@ -43,7 +43,10 @@ pub mod stage;
 
 pub use attribution::{lifecycles, Attribution, Lifecycle, TxnTimeline, ATTRIBUTION_STAGES};
 pub use clock::{ClockAlignment, ClockSample};
-pub use export::{max_uncertainty_nanos, ClusterDump, DumpTxn, ObsExport, RunStats, DUMP_MAGIC};
+pub use export::{
+    goodput_tps, max_uncertainty_nanos, sojourn_times, ClusterDump, DumpTxn, ObsExport, RunStats,
+    DUMP_MAGIC,
+};
 pub use histogram::LatencyHistogram;
 pub use net::{NetMeters, NetSnapshot, PeerNet};
 pub use stage::{

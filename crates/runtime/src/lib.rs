@@ -1,105 +1,37 @@
-//! # ac-runtime — a real-thread runtime for the same protocol automata
+//! # ac-runtime — the real-time engine for the same protocol automata
 //!
 //! The protocols in `ac-commit` are written against `ac_sim`'s [`Automaton`]
-//! interface, which is runtime-agnostic: this crate executes them on real
-//! OS threads connected by crossbeam channels, with virtual-time timers
-//! mapped onto the wall clock. It exists to demonstrate that the library is
-//! a protocol implementation, not a simulation artifact: the same INBAC
+//! interface, which is runtime-agnostic: this crate is the half of a real
+//! host that is not I/O — virtual-time timers mapped onto the wall clock,
+//! and many automata multiplexed over one timer heap. The same INBAC
 //! automaton that is metered in the discrete-event world commits
-//! transactions over real channels here (the calibration hint's "tokio
-//! channels fit" — realized with threads + crossbeam, which keeps the
-//! dependency set in the approved list).
+//! transactions over real channels and sockets on top of it.
 //!
-//! One virtual delay unit `U` maps to [`RtConfig::unit`] of wall time.
-//! Channel delivery latency is microseconds, far below any realistic
-//! `unit`, so executions behave like synchronous runs with small delays —
-//! decisions must therefore match the simulator's failure-free executions,
-//! which the integration tests assert.
-//!
-//! The core of the runtime is [`NodeLoop`]: one node's event engine,
+//! One virtual delay unit `U` maps to a configured `unit` of wall time
+//! ([`UnitClock`]). The core is [`NodeLoop`]: one node's event engine,
 //! multiplexing **many concurrent protocol instances** (each with its own
 //! automaton, virtual-time epoch and timer set) over a single timer heap.
-//! [`run_threads`] is the thin single-instance wrapper the original
-//! demonstration used; `ac-cluster` drives the same engine with thousands
-//! of transaction-keyed instances per node.
+//! It owns no thread and no channel: its one host, `ac-cluster`'s node
+//! loop, feeds it events and routes its effects, with thousands of
+//! transaction-keyed instances per node.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ac_sim::{Action, Automaton, Ctx, ProcessId, Time, U};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 
 pub use ac_sim::slab::{self, Slab};
-
-/// A message on a process's inbound channel: a protocol payload or a
-/// control nudge. `Wake` carries no data — it exists so the thread that
-/// observes global completion can rouse peers parked on **exact** timer
-/// deadlines (there is no idle-poll tick to notice completion anymore).
-enum Inbound<M> {
-    /// A protocol message from `ProcessId`.
-    Msg(ProcessId, M),
-    /// Re-check the loop's exit conditions.
-    Wake,
-}
-/// One process's endpoint pair.
-type Endpoint<M> = (Sender<Inbound<M>>, Receiver<Inbound<M>>);
 
 /// Identifier of one multiplexed protocol instance on a [`NodeLoop`]
 /// (`ac-cluster` uses the transaction id).
 pub type InstanceId = u64;
 
-/// Wall-clock mapping and limits for a threaded run.
-#[derive(Clone, Debug)]
-pub struct RtConfig {
-    /// Wall-clock duration of one virtual delay unit `U`.
-    pub unit: Duration,
-    /// Hard deadline for the whole run.
-    pub deadline: Duration,
-}
-
-impl Default for RtConfig {
-    fn default() -> Self {
-        RtConfig {
-            unit: Duration::from_millis(5),
-            deadline: Duration::from_secs(5),
-        }
-    }
-}
-
-/// Result of a threaded run.
-#[derive(Clone, Debug)]
-pub struct RtOutcome {
-    /// Decision of each process, if reached before the deadline.
-    pub decisions: Vec<Option<u64>>,
-    /// Inter-process messages actually sent over channels.
-    pub messages: usize,
-    /// Wall time until the last decision (or the deadline).
-    pub elapsed: Duration,
-}
-
-impl RtOutcome {
-    /// Distinct decided values.
-    pub fn decided_values(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.decisions.iter().flatten().copied().collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-}
-
-/// The wall-clock ↔ virtual-time mapping shared by every runtime on top of
-/// this crate: one virtual delay unit `U` equals `unit` of wall time,
-/// measured from a per-instance `epoch` (the instant the instance started).
-///
-/// Extracting this into one place removes the duplicated mapping logic that
-/// used to live inline in the thread loop — `run_threads` and the
-/// `ac-cluster` node threads now share it verbatim.
+/// The wall-clock ↔ virtual-time mapping: one virtual delay unit `U`
+/// equals `unit` of wall time, measured from a per-instance `epoch` (the
+/// instant the instance started).
 #[derive(Copy, Clone, Debug)]
 pub struct UnitClock {
     /// Wall-clock duration of one virtual delay unit `U`.
@@ -420,7 +352,7 @@ impl<A: Automaton> NodeLoop<A> {
     /// once, and a 2U handler must see the self-broadcast its 1U handler
     /// sent). Hosts that route self-sends through their own queue should
     /// use [`NodeLoop::fire_next`] and interleave deliveries between
-    /// fires — `ac-cluster`'s node loop and [`run_threads`] both do.
+    /// fires — `ac-cluster`'s node loop does.
     pub fn fire_due(&mut self, now: Instant, sink: &mut impl FnMut(NodeEvent<A::Msg>)) -> usize {
         let mut fired = 0;
         while self.fire_next(now, sink) {
@@ -522,120 +454,6 @@ impl<A: Automaton> NodeLoop<A> {
     }
 }
 
-/// Run `n` automata (built by `make`) on threads. Returns when every
-/// process decided or the deadline passes.
-///
-/// This is the single-instance wrapper over [`NodeLoop`]: each thread runs
-/// one instance (id 0) whose epoch is the common start instant, so the
-/// wall-clock behaviour is exactly the pre-refactor runtime's.
-pub fn run_threads<A, F>(n: usize, make: F, cfg: RtConfig) -> RtOutcome
-where
-    A: Automaton + Send + 'static,
-    A::Msg: Send + 'static,
-    F: Fn(ProcessId) -> A,
-{
-    let channels: Vec<Endpoint<A::Msg>> = (0..n).map(|_| unbounded()).collect();
-    let (txs, rxs): (Vec<_>, Vec<_>) = channels.into_iter().unzip();
-    let decisions: Arc<Mutex<Vec<Option<u64>>>> = Arc::new(Mutex::new(vec![None; n]));
-    let decided_count = Arc::new(AtomicUsize::new(0));
-    let wire_count = Arc::new(AtomicUsize::new(0));
-    let start = Instant::now();
-    let deadline = start + cfg.deadline;
-
-    let mut handles = Vec::with_capacity(n);
-    for (me, rx) in rxs.into_iter().enumerate() {
-        let automaton = make(me);
-        let txs = txs.clone();
-        let decisions = Arc::clone(&decisions);
-        let decided_count = Arc::clone(&decided_count);
-        let wire_count = Arc::clone(&wire_count);
-        let clock = UnitClock::new(cfg.unit);
-
-        handles.push(std::thread::spawn(move || {
-            let mut node: NodeLoop<A> = NodeLoop::new(me, n, clock);
-            // Self-sends go through the node's own channel, like any other
-            // message (they are not counted as wire messages). The thread
-            // whose decision completes the run nudges every parked peer
-            // awake — waits below are deadline-exact, so nobody polls.
-            let mut sink = |ev: NodeEvent<A::Msg>| match ev {
-                NodeEvent::Send { to, msg, .. } => {
-                    if to != me {
-                        wire_count.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // A send can only fail if the peer finished — then the
-                    // message is moot.
-                    let _ = txs[to].send(Inbound::Msg(me, msg));
-                }
-                NodeEvent::Decided { value, .. } => {
-                    let mut d = decisions.lock();
-                    if d[me].is_none() {
-                        d[me] = Some(value);
-                        if decided_count.fetch_add(1, Ordering::SeqCst) + 1 == n {
-                            for (p, tx) in txs.iter().enumerate() {
-                                if p != me {
-                                    let _ = tx.send(Inbound::Wake);
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-            node.open(0, automaton, start, &mut sink);
-
-            loop {
-                if decided_count.load(Ordering::SeqCst) == n {
-                    return;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return;
-                }
-                // Fire at most one due timer per iteration: self-sends
-                // travel through this process's own channel, and a later
-                // timer of the same process must see the messages an
-                // earlier one produced (per-process causality; a starved
-                // thread can owe several phase timers at once). Then park
-                // until the exact next deadline: the earliest pending
-                // timer or the run's hard stop, whichever is sooner — a
-                // still-due timer makes the wait zero, so the drain below
-                // picks up any self-send first and the next iteration
-                // fires the next timer. No idle-poll tick — an inbound
-                // message or the completion Wake interrupts the wait.
-                node.fire_next(now, &mut sink);
-                // A timer we just fired may have been the run's last
-                // decision (ours); re-check before parking — no peer will
-                // wake us, the Wake fan-out goes to the *others*.
-                if decided_count.load(Ordering::SeqCst) == n {
-                    return;
-                }
-                let next_due = node.next_due().unwrap_or(deadline);
-                let wait = next_due.min(deadline).saturating_duration_since(now);
-                match rx.recv_timeout(wait) {
-                    Ok(Inbound::Msg(from, msg)) => {
-                        node.deliver(0, from, msg, Instant::now(), &mut sink);
-                    }
-                    Ok(Inbound::Wake) => {}
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            }
-        }));
-    }
-    drop(txs);
-
-    for h in handles {
-        h.join().expect("protocol thread panicked");
-    }
-    let decisions = Arc::try_unwrap(decisions)
-        .expect("all threads joined")
-        .into_inner();
-    RtOutcome {
-        decisions,
-        messages: wire_count.load(Ordering::Relaxed),
-        elapsed: start.elapsed().min(cfg.deadline),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,32 +477,6 @@ mod tests {
         fn on_timer(&mut self, _tag: u32, ctx: &mut Ctx<u64>) {
             ctx.decide(42);
         }
-    }
-
-    #[test]
-    fn echo_decides_everywhere() {
-        let out = run_threads(4, |me| Echo { me }, RtConfig::default());
-        assert_eq!(out.decided_values(), vec![42]);
-        assert_eq!(out.messages, 3);
-    }
-
-    #[test]
-    fn deadline_bounds_stuck_runs() {
-        struct Mute;
-        impl Automaton for Mute {
-            type Msg = ();
-            fn on_start(&mut self, _: &mut Ctx<()>) {}
-            fn on_message(&mut self, _: ProcessId, _: (), _: &mut Ctx<()>) {}
-            fn on_timer(&mut self, _: u32, _: &mut Ctx<()>) {}
-        }
-        let cfg = RtConfig {
-            unit: Duration::from_millis(1),
-            deadline: Duration::from_millis(50),
-        };
-        let t0 = Instant::now();
-        let out = run_threads(3, |_| Mute, cfg);
-        assert!(out.decisions.iter().all(|d| d.is_none()));
-        assert!(t0.elapsed() < Duration::from_secs(2));
     }
 
     #[test]
@@ -801,8 +593,7 @@ mod tests {
         }
         assert_eq!(sends, vec![1], "rank 0 of 2 must address exactly rank 1");
 
-        // The unscoped open keeps the loop's identity (single-instance
-        // hosts like run_threads rely on it).
+        // The unscoped open keeps the loop's identity.
         let mut sends = Vec::new();
         {
             let mut sink = |ev: NodeEvent<u64>| {

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use crate::txn::{Key, Transaction, TxnId};
 
 /// Workload shape.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Workload {
     /// Each transaction writes `span` keys on distinct shards, keys drawn
     /// uniformly from `keys_per_shard`.

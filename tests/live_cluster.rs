@@ -377,6 +377,14 @@ fn every_protocol_kind_can_serve_live_traffic() {
             out.violations
         );
         assert_eq!(out.txns, 8, "{}", kind.name());
+        // 0NBAC's yes-votes are implicit. One closed-loop client overlaps
+        // no two transactions, so every vote is yes — and a failure-free
+        // all-yes run puts zero protocol messages on the wire.
+        if kind == ProtocolKind::Nbac0 {
+            let nice = run_service(&cfg.clients(1));
+            assert_eq!((nice.committed, nice.stalled), (4, 0));
+            assert_eq!(nice.wire_messages, 0, "0NBAC is silent in nice runs");
+        }
     }
 }
 
