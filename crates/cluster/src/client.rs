@@ -1,11 +1,11 @@
 //! The load generator's client loop (`client_main`): submit, await all
 //! participant decisions with bounded, retrying waits, record, repeat.
-//! The loop parks on a `ReplyInbox` — its per-client channel in the
-//! in-process service, the connections its own transport dialed in a
-//! multi-process cluster — so a decision report wakes exactly the thread
-//! that folds it in. [`ClientRecord::verdict`] is the one reading of what
-//! a client saw of a transaction, and [`ClientFold`] the one fold of what
-//! a run's clients return, whichever host ran them.
+//! The loop writes to and parks on one `ClientLink` — a transport and its
+//! per-client reply channel in the in-process service, the connections it
+//! dialed in a multi-process cluster — so a decision report wakes exactly
+//! the thread that folds it in. [`ClientRecord::verdict`] is the one
+//! reading of what a client saw of a transaction, and [`ClientFold`] the
+//! one fold of what a run's clients return, whichever host ran them.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,7 +18,7 @@ use ac_txn::workload::{ArrivalSchedule, WorkloadConfig};
 use ac_txn::Transaction;
 
 use crate::service::{parts_of, Done, ServiceConfig, ToNode, TxnEvent};
-use crate::transport::{Outbox, ReplyInbox, Transport};
+use crate::transport::{ClientLink, Outbox};
 
 /// Upper bound on decision replies a client drains per iteration.
 const CLIENT_BATCH: usize = 64;
@@ -168,18 +168,17 @@ fn stage_begins<M>(outbox: &mut Outbox<M>, p: &PendingTxn, client: usize, retry:
 ///
 /// Egress follows the node loop's rule: `Begin`s, `End`s and retries are
 /// *staged* per destination and leave through one flush per loop turn,
-/// immediately before the client parks on its reply inbox — so an
+/// immediately before the client parks on its link — so an
 /// `End` and the next `Begin` to the same node share one socket write.
 pub(crate) fn client_main<P>(
     client: usize,
     cfg: &ServiceConfig,
     epoch: Instant,
-    mut transport: Box<dyn Transport<P::Msg>>,
-    mut rx: ReplyInbox,
+    mut link: ClientLink<P::Msg>,
 ) -> ClientReturn
 where
     P: CommitProtocol,
-    P::Msg: Send + 'static,
+    P::Msg: ac_sim::Wire + Send + 'static,
 {
     let mut gen = WorkloadConfig {
         shards: cfg.n,
@@ -325,10 +324,10 @@ where
         // The turn's single write point: everything staged since the last
         // park — the fold-in's Ends, the expiry pass's retried Begins,
         // this turn's fresh Begins — leaves now, one batch per node.
-        outbox.flush(&mut *transport);
+        outbox.flush(|to, batch| link.send_batch(to, batch));
         let due = due.expect("the loop only continues with work pending");
         let t0 = Instant::now();
-        rx.recv(&mut dbuf, CLIENT_BATCH, due);
+        link.recv(&mut dbuf, CLIENT_BATCH, due);
         obs.record(Stage::ClientQueueWait, t0.elapsed());
 
         // Fold in replies (duplicates from retries/recovery are ignored).
@@ -387,9 +386,9 @@ where
         }
     }
     // The loop breaks right after the fold-in staged the last Ends.
-    outbox.flush(&mut *transport);
+    outbox.flush(|to, batch| link.send_batch(to, batch));
     // The client's half of the socket path (zero over channels).
-    let (writes, write_nanos) = transport.io_stats();
+    let (writes, write_nanos) = link.io_stats();
     obs.meters.add_many(Stage::TcpWrite, writes, write_nanos);
     ClientReturn {
         records,

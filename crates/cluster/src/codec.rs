@@ -19,15 +19,17 @@
 //!   9  EchoReq  seq: u32, t0_nanos: u64
 //!  10  EchoResp seq: u32, t0_nanos: u64, node: u32, node_nanos: u64
 //!  11  ObsDump  node: u32, export: ObsExport
+//!  12  Peer     node: u64
 //! ```
 //!
 //! One tag space covers both directions: tags 0–5 and 8 are the node
 //! inbox alphabet ([`crate::service::ToNode`], including the
 //! WAL-recovery `StatusQ`/`StatusA` traffic and the observability
 //! collector's `ObsPull`), tag 6 is the node→client decision report and
-//! tag 7 is the client's connection handshake (a client announces its
-//! id so the node can route `Done` frames back down the same
-//! connection). Tags 9–11 are the cross-process tracing frames: a
+//! tags 7 and 12 are what the dialing end says first on a connection — a
+//! client its id (`Hello`), a node its own (`Peer`) — so the accepting
+//! node can answer that client, or write to that peer, down the same
+//! connection. Tags 9–11 are the cross-process tracing frames: a
 //! collector's clock-echo round trip (answered at the node's socket
 //! read point in `drain`, ahead of the dispatch of the batch the read
 //! belongs to, so the echo waits behind at most one loop turn and not
@@ -59,8 +61,8 @@ use crate::service::{Done, ToNode};
 pub const MAX_FRAME: usize = 1 << 24;
 
 /// Anything that can arrive on a service socket: a node-inbox envelope,
-/// a decision report, a client handshake, or the cross-process tracing
-/// traffic (clock echoes and observability dumps).
+/// a decision report, the dialing end's introduction, or the
+/// cross-process tracing traffic (clock echoes and observability dumps).
 #[derive(Debug)]
 pub enum AnyFrame<M> {
     /// A node-inbox envelope (tags 0–5, 8).
@@ -71,6 +73,12 @@ pub enum AnyFrame<M> {
     Hello {
         /// The client id.
         client: usize,
+    },
+    /// A node announcing its id on a connection it dialed to another node
+    /// (tag 12): the pair's one connection, written from both ends.
+    Peer {
+        /// The dialing node.
+        node: usize,
     },
     /// A collector's clock-echo probe (tag 9), answered inline at the
     /// receiving node's socket read point.
@@ -151,6 +159,10 @@ pub fn write_frame<M: Wire>(frame: &AnyFrame<M>, out: &mut Vec<u8>) {
         AnyFrame::Hello { client } => {
             out.push(7);
             client.encode(out);
+        }
+        AnyFrame::Peer { node } => {
+            out.push(12);
+            node.encode(out);
         }
         AnyFrame::EchoReq { seq, t0_nanos } => {
             out.push(9);
@@ -237,6 +249,9 @@ pub fn decode_body<M: Wire>(mut body: &[u8]) -> Result<AnyFrame<M>, WireError> {
         11 => AnyFrame::ObsDump {
             node: u32::decode(buf)?,
             export: Box::new(ObsExport::decode(buf)?),
+        },
+        12 => AnyFrame::Peer {
+            node: usize::decode(buf)?,
         },
         _ => return Err(WireError::Invalid("frame tag")),
     };
@@ -393,6 +408,21 @@ mod tests {
         dec.feed(&u32::MAX.to_le_bytes());
         assert!(dec.next_frame::<u64>().is_err());
         assert!(dec.next_frame::<u64>().is_err(), "stays poisoned");
+    }
+
+    #[test]
+    fn introductions_round_trip_with_the_tags_the_table_gives_them() {
+        let mut bytes = Vec::new();
+        write_frame::<u64>(&AnyFrame::Hello { client: 5 }, &mut bytes);
+        write_frame::<u64>(&AnyFrame::Peer { node: 3 }, &mut bytes);
+        assert_eq!((bytes[4], bytes[bytes.len() / 2 + 4]), (7, 12));
+        let mut dec = FrameDecoder::new();
+        dec.feed(&bytes);
+        let hello = dec.next_frame::<u64>().unwrap();
+        assert!(matches!(hello, Some(AnyFrame::Hello { client: 5 })));
+        let peer = dec.next_frame::<u64>().unwrap();
+        assert!(matches!(peer, Some(AnyFrame::Peer { node: 3 })));
+        assert_eq!(dec.pending(), 0);
     }
 
     #[test]

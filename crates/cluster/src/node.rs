@@ -45,11 +45,11 @@
 //!
 //! | step       | reads → writes                                             | obs stamp                         | attaches            |
 //! |------------|------------------------------------------------------------|-----------------------------------|---------------------|
-//! | `drain`    | [`Inbox`] (channel, or the node's own sockets: one readiness wait, one read per ready connection) → `inbox`, parked on the exact next deadline | — | crash check, dark window, WAL recovery |
+//! | `drain`    | [`Link`] (the node's channel, or its own sockets: one readiness wait, one read per ready connection — peers' and clients' alike) → `inbox`, parked on the exact next deadline | — | crash check, dark window, WAL recovery |
 //! | `dispatch` | `inbox` → table, engine, `decided`, outbox; self-sends and due timers to quiescence | `DrainGap`, `LockAcquire`, flight `Dispatch`/`LockAcquired` | — |
 //! | `apply`    | `decided` → shard, `log`, staged WAL records, staged `Done`s | `WalJournal`, flight `Decided`  | lock-steal guard (Deferred) |
 //! | `force`    | staged WAL records → WAL (one force, or held by the group-commit window) | `WalForce`, flight `WalForced` | durability-before-reply |
-//! | `flush`    | outbox → fault policy → transport; `Done`s → [`Replies`] (each client's channel, or one write down the connection it said `Hello` on) | `Flush` | fault policy ([`NetPolicy`](crate::service::NetPolicy)) |
+//! | `flush`    | outbox → fault policy → the same [`Link`] (a sender per node, or one write to each peer down the connection that peer is read from); `Done`s → [`Replies`] (each client's channel, or one write down the connection it said `Hello` on) | `Flush` | fault policy ([`NetPolicy`](crate::service::NetPolicy)) |
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,7 +70,7 @@ use crate::service::{
     parts_of, CrashWindow, Done, Fate, NetPolicy, NodeRecord, ToNode, GROUP_COMMIT_SIBLINGS,
     GROUP_COMMIT_UNIT_SHARE, ORPHAN_CAP,
 };
-use crate::transport::{Inbox, Outbox, Transport};
+use crate::transport::{Link, Outbox};
 
 /// Upper bound on envelopes drained per node-loop iteration. Bounds the
 /// latency a long backlog can add to timer firing while still amortizing
@@ -141,9 +141,9 @@ pub(crate) enum Replies {
     /// The in-process service: one reply channel per client. `ObsPull` is
     /// a no-op (the host already holds every recorder).
     Channel(Vec<Sender<Done>>),
-    /// A multi-process node: [`Inbox::reply`], down the connection the
-    /// client said `Hello` on, which the node's own socket ingress
-    /// ([`NodeEnv::rx`]) holds. `clients` counts the ids replies are
+    /// A multi-process node: [`Link::reply`], down the connection the
+    /// client said `Hello` on, which the node's own sockets
+    /// ([`NodeEnv::link`]) hold. `clients` counts the ids replies are
     /// staged for; `net` is stamped into an `ObsPull` answer.
     Connection { clients: usize, net: Arc<NetMeters> },
 }
@@ -158,20 +158,19 @@ impl Replies {
     }
 }
 
-/// Everything a host hands one node: identity, inbox, transport, reply
-/// path, fault schedule, durable storage and instruments.
+/// Everything a host hands one node: identity, its link to the other
+/// nodes, reply path, fault schedule, durable storage and instruments.
 pub(crate) struct NodeEnv<P: CommitProtocol> {
     pub(crate) me: ProcessId,
     pub(crate) n: usize,
     pub(crate) f: usize,
     pub(crate) unit: Duration,
     pub(crate) epoch: Instant,
-    /// The inbound seam: what the drain step waits on (a channel, or the
-    /// node's own sockets).
-    pub(crate) rx: Inbox<P::Msg>,
-    /// The node-to-node seam: everything the flush step emits goes
-    /// through here (`ChannelTransport` or `TcpTransport`).
-    pub(crate) transport: Box<dyn Transport<P::Msg>>,
+    /// The node-to-node seam, both ways: what the drain step waits on and
+    /// where the flush step writes (channels, or the node's own sockets —
+    /// which also carry its clients' requests and, in a multi-process
+    /// cluster, their replies).
+    pub(crate) link: Link<P::Msg>,
     /// The node-to-client seam (see [`Replies`]).
     pub(crate) replies: Replies,
     pub(crate) wire: Arc<AtomicUsize>,
@@ -514,7 +513,7 @@ where
     /// until `until` at the latest (`None` = until something arrives). An
     /// inbox nothing can reach any more shuts the node down.
     fn receive(&mut self, until: Option<Instant>) -> usize {
-        let got = self.env.rx.recv(&mut self.inbox, NODE_BATCH, until);
+        let got = self.env.link.recv(&mut self.inbox, NODE_BATCH, until);
         self.shutdown |= got.is_err();
         got.unwrap_or(0)
     }
@@ -656,7 +655,7 @@ where
                     let (me, net) = (self.env.me as u32, net.snapshot());
                     let export = Box::new(ObsExport::snapshot(me, &self.env.obs, Some(net)));
                     let dump = AnyFrame::ObsDump { node: me, export };
-                    self.env.rx.reply(client, [dump]);
+                    self.env.link.reply(client, [dump]);
                 }
             }
             ToNode::Shutdown => self.shutdown = true,
@@ -905,7 +904,8 @@ where
 
     /// Step 5. The single write point: one `send_batch` (one lock or
     /// socket write, at most one wakeup) per destination with traffic,
-    /// peer node and client alike.
+    /// peer node and client alike — over sockets, each down the connection
+    /// that destination's own traffic arrives on.
     /// Delay-released envelopes go first (already judged by the policy —
     /// they bypass it; their dependent records were forced the turn that
     /// staged them), then this turn's envelopes pass through the fault
@@ -921,7 +921,7 @@ where
             vol.cleared.stage(to, env);
         }
         let held = !vol.wal_batch.is_empty();
-        let transport = &mut *self.env.transport;
+        let link = &mut self.env.link;
         let mut flushed = 0;
         if !held {
             if let Some(policy) = &self.env.policy {
@@ -939,9 +939,9 @@ where
                     }
                 }
             }
-            flushed += vol.outbox.flush(transport);
+            flushed += vol.outbox.flush(|to, batch| link.send_batch(to, batch));
         }
-        flushed += vol.cleared.flush(transport);
+        flushed += vol.cleared.flush(|to, batch| link.send_batch(to, batch));
         self.env.wire.fetch_add(flushed, Ordering::Relaxed);
         if !held {
             for (client, batch) in vol.done_out.iter_mut().enumerate() {
@@ -953,9 +953,7 @@ where
                 // A client that is gone costs its reports, not the node.
                 let _delivered = match &self.env.replies {
                     Replies::Channel(txs) => txs[client].send_batch(reports).is_ok(),
-                    Replies::Connection { .. } => {
-                        self.env.rx.reply(client, reports.map(AnyFrame::Done))
-                    }
+                    Replies::Connection { .. } => link.reply(client, reports.map(AnyFrame::Done)),
                 };
             }
         }
@@ -990,7 +988,7 @@ where
         obs.meters.add_many(Stage::LockHold, holds, hold_nanos);
         let (fires, lag_nanos) = self.engine.timer_stats();
         obs.meters.add_many(Stage::TimerFire, fires, lag_nanos);
-        let (writes, write_nanos) = self.env.transport.io_stats();
+        let (writes, write_nanos) = self.env.link.io_stats();
         obs.meters.add_many(Stage::TcpWrite, writes, write_nanos);
         NodeReturn {
             shard: self.vol.shard,
@@ -1008,7 +1006,7 @@ mod tests {
     use super::*;
     use crate::client::client_main;
     use crate::service::ServiceConfig;
-    use crate::transport::{ChannelTransport, ReplyInbox};
+    use crate::transport::{ChannelTransport, ClientLink, NodeHooks, SocketLink};
     use ac_commit::protocols::{PaxosCommit, ProtocolKind};
     use ac_txn::{Key, Version};
     use crossbeam::channel::{unbounded, Receiver};
@@ -1028,8 +1026,7 @@ mod tests {
             f: 1,
             unit: Duration::from_millis(5),
             epoch: Instant::now(),
-            rx: Inbox::Channel(rx),
-            transport: Box::new(ChannelTransport::new(txs)),
+            link: Link::Channel(rx, ChannelTransport::new(txs)),
             replies: Replies::Channel(done_txs),
             wire: Arc::new(AtomicUsize::new(0)),
             policy: None,
@@ -1330,49 +1327,66 @@ mod tests {
         assert_eq!(successor.turn([]), "", "recovery has nothing to resend");
     }
 
+    /// Node `me` of two, hosted on its own sockets.
+    fn socket_env(me: ProcessId, link: SocketLink<()>) -> NodeEnv<DecideOnMsg> {
+        let (tx, rx) = unbounded();
+        NodeEnv {
+            link: Link::Sockets(link),
+            ..bare_env::<DecideOnMsg>(me, rx, vec![tx.clone(), tx], Vec::new())
+        }
+    }
+
+    fn bound() -> (SocketLink<()>, std::net::SocketAddr) {
+        let link = SocketLink::bind("127.0.0.1:0", NodeHooks::default()).expect("bind");
+        let addr = link.addr().expect("listener address");
+        (link, addr)
+    }
+
+    /// One frame off `stream`, or `None` if nothing has arrived.
+    fn arrived(stream: &mut std::net::TcpStream) -> Option<AnyFrame<()>> {
+        use std::io::Read;
+        let wait = Some(Duration::from_millis(50));
+        stream.set_read_timeout(wait).expect("read timeout");
+        let mut chunk = [0u8; 256];
+        match stream.read(&mut chunk) {
+            Ok(n) => {
+                let mut dec = crate::codec::FrameDecoder::new();
+                dec.feed(&chunk[..n]);
+                dec.next_frame().expect("well-formed frame")
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
+            Err(e) => panic!("read: {e}"),
+        }
+    }
+
     /// A socket-hosted node — what an `ac-node` process runs — answers down
     /// the connection its client said `Hello` on, and only once the force
     /// its reply depends on is no longer held: until then neither the vote
-    /// envelope nor the `Done` leaves, the peer is not even dialed.
+    /// envelope nor the `Done` leaves.
     #[test]
     fn a_socket_hosted_node_answers_down_the_hello_connection_once_the_force_lets_go() {
-        use crate::codec::{write_frame, FrameDecoder};
-        use crate::transport::{NodeHooks, SocketIngress, TcpTransport};
-        use std::io::{ErrorKind, Read, Write};
+        use crate::codec::write_frame;
+        use std::io::Write;
         use std::net::{TcpListener, TcpStream};
 
-        let ingress = SocketIngress::bind("127.0.0.1:0", NodeHooks::default()).expect("bind");
-        let me = ingress.addr().expect("listener address");
+        let (mut link, me) = bound();
         let peer = TcpListener::bind("127.0.0.1:0").expect("bind the peer");
-        let peer_addr = peer.local_addr().expect("peer address");
-        let (tx, rx) = unbounded();
+        link.mesh(0, vec![me, peer.local_addr().expect("peer address")]);
+        let (mut from_node, _) = peer.accept().expect("the node dialed its peer");
+        let greeting = arrived(&mut from_node).expect("an introduction");
+        assert!(
+            matches!(greeting, AnyFrame::Peer { node: 0 }),
+            "{greeting:?}"
+        );
         let mut node = Node::new(NodeEnv {
-            rx: Inbox::Socket(ingress),
-            transport: Box::new(TcpTransport::new(vec![me, peer_addr])),
             replies: Replies::Connection {
                 clients: 1,
                 net: Arc::new(NetMeters::new(2)),
             },
             wal: Some(Arc::new(Mutex::new(Wal::new()))),
             wal_flush_interval: Some(Duration::from_secs(3600)),
-            ..bare_env::<DecideOnMsg>(0, rx, vec![tx.clone(), tx], Vec::new())
+            ..socket_env(0, link)
         });
-
-        // One frame off `stream`, or `None` if nothing has arrived.
-        fn arrived(stream: &mut TcpStream) -> Option<AnyFrame<()>> {
-            let wait = Some(Duration::from_millis(50));
-            stream.set_read_timeout(wait).expect("read timeout");
-            let mut chunk = [0u8; 256];
-            match stream.read(&mut chunk) {
-                Ok(n) => {
-                    let mut dec = FrameDecoder::new();
-                    dec.feed(&chunk[..n]);
-                    dec.next_frame().expect("well-formed frame")
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => None,
-                Err(e) => panic!("read: {e}"),
-            }
-        }
 
         let mut client = TcpStream::connect(me).expect("connect");
         let txn = write7(0, 5);
@@ -1381,15 +1395,13 @@ mod tests {
         write_frame(&AnyFrame::Node(begin(&txn, false)), &mut bytes);
         write_frame(&AnyFrame::Node(net(txn.id)), &mut bytes);
         client.write_all(&bytes).expect("write");
-        assert_eq!(node.drain(), 2, "Hello is the ingress's, not the node's");
+        assert_eq!(node.drain(), 2, "Hello is the link's, not the node's");
         node.dispatch();
         node.apply();
 
         assert!(!node.force(), "the window holds the force");
         assert_eq!(node.flush(), 0);
-        peer.set_nonblocking(true).expect("non-blocking");
-        let dialed = peer.accept().map(|_| ());
-        assert_eq!(dialed.map_err(|e| e.kind()), Err(ErrorKind::WouldBlock));
+        assert!(arrived(&mut from_node).is_none(), "a vote outran its force");
         assert!(arrived(&mut client).is_none(), "a reply outran its force");
 
         node.env.wal_flush_interval = Some(Duration::ZERO);
@@ -1402,8 +1414,6 @@ mod tests {
             decision: COMMIT,
         };
         assert!(matches!(reply, AnyFrame::Done(d) if d == done), "{reply:?}");
-        peer.set_nonblocking(false).expect("blocking");
-        let (mut from_node, _) = peer.accept().expect("the node dialed its peer");
         let vote = arrived(&mut from_node).expect("the vote envelope");
         let from_me =
             |env: &ToNode<()>| matches!(env, ToNode::Net { txn: t, from: 0, .. } if *t == txn.id);
@@ -1411,6 +1421,51 @@ mod tests {
             matches!(&vote, AnyFrame::Node(env) if from_me(env)),
             "{vote:?}"
         );
+    }
+
+    /// Two socket-hosted nodes and one connection between them: the lower
+    /// id dialed it while joining, a request goes up it and the answer
+    /// comes back down it — nobody dials or accepts again.
+    #[test]
+    fn two_socket_hosted_nodes_ask_and_answer_over_one_connection() {
+        let ((low, low_addr), (high, high_addr)) = (bound(), bound());
+        let (mut links, nodes) = (vec![low, high], vec![low_addr, high_addr]);
+        for (me, link) in links.iter_mut().enumerate() {
+            link.mesh(me, nodes.clone());
+        }
+        let mut high = Node::new(socket_env(1, links.pop().expect("two links")));
+        let mut low = Node::new(socket_env(0, links.pop().expect("two links")));
+        let connections = |node: &Node<DecideOnMsg>| match &node.env.link {
+            Link::Sockets(link) => link.connections(),
+            Link::Channel(..) => unreachable!("socket-hosted"),
+        };
+        assert_eq!((connections(&low), connections(&high)), (1, 1));
+
+        // The request: the lower node begins and announces itself.
+        let txn = write7(0, 5);
+        low.inbox.push(begin(&txn, false));
+        low.dispatch();
+        assert_eq!(low.flush(), 1);
+        assert_eq!(high.drain(), 1, "read off the one accepted connection");
+        // The answer: begun in turn, the higher node announces itself and,
+        // handed the envelope that outran its Begin, decides.
+        high.inbox.push(begin(&txn, false));
+        high.dispatch();
+        high.apply();
+        assert_eq!(high.flush(), 1);
+        assert_eq!(low.drain(), 1, "read off the connection it wrote on");
+        low.dispatch();
+        low.apply();
+        let decided = |node: &Node<DecideOnMsg>| node.vol.log.iter().map(|l| l.decision).collect();
+        assert_eq!(
+            (decided(&low), decided(&high)),
+            (vec![COMMIT], vec![COMMIT])
+        );
+
+        // A last look at both listeners: nothing was waiting to be accepted.
+        let soon = Some(Instant::now() + Duration::from_millis(50));
+        assert_eq!((low.receive(soon), high.receive(soon)), (0, 0));
+        assert_eq!((connections(&low), connections(&high)), (1, 1));
     }
 
     /// ISSUE-4 satellite: an idle service must perform **zero** spurious
@@ -1478,8 +1533,8 @@ mod tests {
             })
             .collect();
         let transport = Box::new(ChannelTransport::new(node_txs.clone()));
-        let rx = ReplyInbox::Channel(done_rx);
-        let ret = client_main::<P>(0, &cfg, Instant::now(), transport, rx);
+        let link = ClientLink::InProcess(transport, done_rx);
+        let ret = client_main::<P>(0, &cfg, Instant::now(), link);
         assert_eq!((ret.records.len(), ret.stalled, ret.retries), (300, 0, 0));
         for tx in &node_txs {
             let _ = tx.send(ToNode::Shutdown);

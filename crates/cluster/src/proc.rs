@@ -4,15 +4,15 @@
 //! A real cluster is `n` `ac-node` processes plus one `ac-client`
 //! process, all reading the same [`ClusterSpec`] file. Every hop is TCP:
 //!
-//! * node→node protocol traffic uses [`TcpTransport`] exactly as the
-//!   in-process TCP mode does;
-//! * client→node control traffic (`Begin`/`End`, final `Shutdown`) uses
-//!   a [`TcpTransport`] that first says `Hello`, naming the client, on
-//!   every connection it dials and keeps that connection's read half;
+//! * node→node protocol traffic travels exactly as in the in-process TCP
+//!   mode: one connection per pair of nodes, dialed at start-up by the
+//!   lower id (which says `Peer`), read and written by both ends;
+//! * client→node control traffic (`Begin`/`End`) goes down connections
+//!   the client thread dials, saying `Hello` with its id first;
 //! * node→client `Done` reports take the road the request took: the
 //!   node's `flush` step writes them down the connection the client said
-//!   `Hello` on (its own socket ingress holds it), and the client thread
-//!   reads them off the connections it dialed.
+//!   `Hello` on, and the client thread reads them off the connections it
+//!   dialed; the final `Shutdown` rides a write-only [`TcpTransport`].
 //!
 //! The node and client loops themselves are the same `node::Node` and
 //! `client::client_main` the in-process service runs — processes differ
@@ -40,7 +40,7 @@ use crate::node::{Node, NodeEnv, Replies};
 use crate::service::{with_protocol, ToNode};
 use crate::spec::ClusterSpec;
 use crate::transport::{
-    connect, EchoResponder, Inbox, NodeHooks, ReplyInbox, SocketIngress, TcpTransport, Transport,
+    ClientLink, EchoResponder, Link, NodeHooks, SocketLink, Sockets, TcpTransport, Transport,
     INITIAL_ATTEMPTS,
 };
 
@@ -146,8 +146,9 @@ where
             epoch,
         }),
     };
-    let ingress = SocketIngress::bind(spec.nodes[me], hooks)
+    let mut link = SocketLink::bind(spec.nodes[me], hooks)
         .unwrap_or_else(|e| panic!("node {me}: cannot bind {}: {e}", spec.nodes[me]));
+    link.mesh(me, spec.nodes.clone());
 
     let cfg = &spec.service;
     let env = NodeEnv::<P> {
@@ -156,8 +157,7 @@ where
         f: cfg.f,
         unit: cfg.unit,
         epoch,
-        rx: Inbox::Socket(ingress),
-        transport: Box::new(TcpTransport::new(spec.nodes.clone()).with_net(Arc::clone(&net))),
+        link: Link::Sockets(link),
         replies: Replies::Connection {
             clients: cfg.clients,
             net,
@@ -209,9 +209,8 @@ where
     let epoch = Instant::now();
     let handles: Vec<_> = (0..cfg.clients)
         .map(|c| {
-            let (transport, replies) = TcpTransport::new(spec.nodes.clone()).hello(c);
-            let (cfg, rx) = (cfg.clone(), ReplyInbox::Socket(replies));
-            std::thread::spawn(move || client_main::<P>(c, &cfg, epoch, Box::new(transport), rx))
+            let (cfg, link) = (cfg.clone(), ClientLink::dialing(c, spec.nodes.clone()));
+            std::thread::spawn(move || client_main::<P>(c, &cfg, epoch, link))
         })
         .collect();
 
@@ -281,7 +280,7 @@ impl Probe {
     /// Connect within `attempts` tries. A node that wedges later fails the
     /// read it wedged, at the timeout, rather than hanging the run.
     fn dial(addr: SocketAddr, attempts: u32) -> Option<Probe> {
-        let stream = connect(addr, attempts)?;
+        let stream = Sockets::connect(addr, attempts)?;
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .ok()?;

@@ -104,7 +104,7 @@ use ac_obs::{
 use crate::client::{client_main, nanos, ClientFold, ClientReturn, Verdict};
 use crate::node::{Node, NodeEnv, NodeReturn, Replies};
 use crate::transport::{
-    ChannelTransport, Inbox, NodeHooks, ReplyInbox, SocketIngress, TcpTransport, Transport,
+    ChannelTransport, ClientLink, Link, NodeHooks, SocketLink, TcpTransport, Transport,
 };
 
 /// How many of the slowest reconstructed transaction timelines a run's
@@ -842,28 +842,32 @@ where
     assert_eq!(spec.crashes.len(), cfg.n, "one crash slot per node");
     let n = cfg.n;
 
-    // Node inboxes. Over channels, nodes and clients all hold a sender
-    // per node. In TCP mode each node owns a loopback listener and reads
-    // its own sockets (no thread in between); senders dial the listener
-    // addresses, and so does teardown's `Shutdown`. Decision replies
-    // (node→client) stay on in-process channels: the clients are the
-    // measurement harness. The `ac-node`/`ac-client` binaries put those on
-    // TCP too.
-    let mut node_txs = Vec::new();
-    let mut addrs: Vec<std::net::SocketAddr> = Vec::new();
-    let mut inboxes: Vec<Inbox<P::Msg>> = Vec::new();
-    for _ in 0..n {
-        match cfg.transport {
-            TransportKind::Channel => {
-                let (tx, rx) = unbounded();
-                node_txs.push(tx);
-                inboxes.push(Inbox::Channel(rx));
-            }
-            TransportKind::Tcp => {
-                let ingress = SocketIngress::bind("127.0.0.1:0", NodeHooks::default())
-                    .expect("bind loopback listener");
-                addrs.push(ingress.addr().expect("listener address"));
-                inboxes.push(Inbox::Socket(ingress));
+    // Node links. Over channels, nodes and clients all hold a sender per
+    // node. In TCP mode each node owns a loopback listener and its own
+    // sockets (no thread in between): one connection per pair of nodes,
+    // dialed by the lower id, read and written by both; clients dial the
+    // listener addresses, and so does teardown's `Shutdown`. Decision
+    // replies (node→client) stay on in-process channels: the clients are
+    // the measurement harness. The `ac-node`/`ac-client` binaries put
+    // those on TCP too.
+    let (mut node_txs, mut addrs) = (Vec::new(), Vec::<std::net::SocketAddr>::new());
+    let mut links: Vec<Link<P::Msg>> = Vec::new();
+    match cfg.transport {
+        TransportKind::Channel => {
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+            let link = |rx| Link::Channel(rx, ChannelTransport::new(txs.clone()));
+            links.extend(rxs.into_iter().map(link));
+            node_txs = txs;
+        }
+        TransportKind::Tcp => {
+            let bind = |_| SocketLink::bind("127.0.0.1:0", NodeHooks::default());
+            let bound: std::io::Result<Vec<_>> = (0..n).map(bind).collect();
+            let bound = bound.expect("bind loopback listeners");
+            addrs.extend(bound.iter().map(|l| l.addr().expect("listener address")));
+            // Ascending: every lower id has dialed by the time a node looks.
+            for (me, mut link) in bound.into_iter().enumerate() {
+                link.mesh(me, addrs.clone());
+                links.push(Link::Sockets(link));
             }
         }
     }
@@ -886,18 +890,17 @@ where
         .collect();
 
     let epoch = Instant::now();
-    let node_handles: Vec<_> = inboxes
+    let node_handles: Vec<_> = links
         .into_iter()
         .enumerate()
-        .map(|(me, rx)| {
+        .map(|(me, link)| {
             let env = NodeEnv::<P> {
                 me,
                 n,
                 f: cfg.f,
                 unit: cfg.unit,
                 epoch,
-                rx,
-                transport: make_transport(),
+                link,
                 replies: Replies::Channel(done_txs.clone()),
                 wire: Arc::clone(&wire),
                 policy: spec.policy.clone(),
@@ -915,10 +918,9 @@ where
         .into_iter()
         .enumerate()
         .map(|(client, rx)| {
-            let transport = make_transport();
+            let link = ClientLink::InProcess(make_transport(), rx);
             let cfg = cfg.clone();
-            let rx = ReplyInbox::Channel(rx);
-            std::thread::spawn(move || client_main::<P>(client, &cfg, epoch, transport, rx))
+            std::thread::spawn(move || client_main::<P>(client, &cfg, epoch, link))
         })
         .collect();
 

@@ -1,86 +1,78 @@
-//! The node-to-node transport seam, its two implementations, the ingress
-//! a node waits on, and the road a reply takes back.
+//! How envelopes move between the threads of a cluster: the send seam, its
+//! two implementations, and the one owner of every socket a thread has.
 //!
 //! Both loops of [`crate::service`] — the node's `flush` step and
-//! `client_main` — stage outbound envelopes per destination in an `Outbox` and hand each
-//! destination's batch to a [`Transport`] at one flush point per loop
+//! `client_main` — stage outbound envelopes per destination in an `Outbox`
+//! and hand each destination's batch over at one flush point per loop
 //! turn: nothing writes a socket except a flush, and a flush writes each
-//! destination once. Everything above the seam — fault policy, delay
-//! heap, wire counters, batching — is transport-agnostic; everything
-//! below is how bytes (or in-process values) actually move:
+//! destination once. Everything above that point — fault policy, delay
+//! heap, wire counters, batching — is transport-agnostic; below it bytes
+//! (or in-process values) move one of two ways:
 //!
-//! * [`ChannelTransport`] — the original fast path: one unbounded
-//!   crossbeam channel per node, `send_batch` is one lock acquisition.
-//! * [`TcpTransport`] — a per-peer TCP connection manager: envelopes are
-//!   framed by [`crate::codec`] and written to a lazily-established
-//!   socket, with reconnect-on-failure.
+//! * over unbounded crossbeam channels ([`ChannelTransport`]: one per
+//!   node, `send_batch` is one lock acquisition), or
+//! * over TCP, framed by [`crate::codec`], through `Sockets`.
 //!
-//! ## Ingress: a thread reads its own sockets
+//! ## `Sockets`: one owner per socket, one socket per pair
 //!
-//! A node's `drain` step waits on an `Inbox` with exactly two sources:
-//! the crossbeam `Receiver` the channel transport feeds, or a
-//! `SocketIngress` — the node's listener, its accepted connections and
-//! one [`FrameDecoder`] per connection. The ingress offers one call,
-//! "move up to `max` envelopes into `buf`, waiting until a deadline or
-//! for ever", made of **one readiness wait** (`ppoll(2)`: its `timespec`
-//! keeps the loop's exact-deadline parking), then **one `read` per ready
-//! connection**, every complete frame decoded, and pending connections
-//! accepted. `Hello` registration, the inline `EchoReq` answer and the
-//! ingress meters happen at that read point. A wake that only accepted a
-//! connection or completed no node-bound frame waits again — the node
-//! never sees it — and `EINTR` is "look at the deadline, wait again". A
-//! TCP hop therefore costs one wake-up of the thread that dispatches the
-//! envelope; no thread sits between the socket and the node loop, and
-//! everything above `drain` stays byte-blind.
+//! `Sockets` holds every connection a thread has — dialed or accepted —
+//! and is the only code that dials, accepts, reads or writes one. It
+//! offers two calls. **`poll`** is one readiness wait (`ppoll(2)`: its
+//! `timespec` keeps the loops' exact-deadline parking) over the listener
+//! and every connection, then one `read` per ready connection, every
+//! complete frame decoded and handed on, then every pending connection
+//! accepted; a wake that completed no frame is not handed to the caller,
+//! and `EINTR` is "look at the deadline, wait again". **`send`** frames a
+//! batch into one blocking `write_all` down the connection to its
+//! destination. A hop therefore costs one wake-up — of the thread that
+//! acts on the envelope — and no thread sits between a socket and a loop.
 //!
-//! The wait-then-read pass is one piece of code (`Sockets::poll`) with
-//! two users: the node's `SocketIngress`, and the `ReplyIngress` a
-//! multi-process client reads its decision reports through.
+//! A connection records who is on its far end: the dialing end knows, and
+//! says so first — a client `Hello{client}`, a node `Peer{node}` — and the
+//! accepting end notes it at the read point (an id out of range forgets
+//! the connection). Everything then travels **down the connection that
+//! asked**: a node writes a client's decision reports down the newest
+//! connection that said `Hello` with its id, and writes to peer `p` on the
+//! connection it reads `p` from. At start-up (`SocketLink::mesh`) a node
+//! dials every higher id with first-contact patience and waits as long for
+//! every lower id's `Peer`, so a failure-free cluster of `n` has
+//! `n·(n − 1)/2` node-to-node connections, each carrying data both ways —
+//! an answer has something to piggy-back its acknowledgement on. After a
+//! loss either end may redial; a sender keeps to its oldest live
+//! connection to a peer, so per-sender FIFO holds even while two exist.
 //!
-//! ## Replies: down the connection that asked
-//!
-//! A client of a multi-process cluster says `Hello` on every connection
-//! its [`TcpTransport`] dials, and the node's ingress remembers which
-//! connection said it. `SocketIngress::reply` frames what the node's
-//! `flush` step owes that client into one blocking `write_all` down that
-//! connection — the rule `TcpTransport` follows for node-to-node
-//! envelopes: a failed write forgets the connection and drops the batch,
-//! a client with no live `Hello`'d connection costs the reports, not the
-//! node. On the other end `client_main` waits on a `ReplyInbox` with
-//! exactly two sources: the `Receiver<Done>` of the in-process service,
-//! or a `ReplyIngress` over the read halves of the connections its own
-//! transport dialed (handed over at the dial, which happens in the
-//! client's own flush). A reply therefore costs one wake-up too — of the
-//! client thread that folds it in.
-//!
-//! [`TcpNode`] is the *same ingress hosted on one thread* that forwards
-//! each wait's batch into a crossbeam channel with one `send_batch`, for
-//! callers that want a `Receiver` (the conformance suite, the benchmark
-//! probes); it has no reply path. The service hosts ([`crate::service`],
-//! [`crate::proc`]) do not use it.
+//! Three users share it: the node's `Link` (channel | sockets: `recv`,
+//! `send_batch`, `reply`), a multi-process client's `ClientLink` (it says
+//! `Hello` on what it dials and reads its reports off the same
+//! connections), and the public write-only [`TcpTransport`] (no listener,
+//! never polls: in-process clients, teardown, probes). [`TcpNode`] is a
+//! node's socket link *hosted on one thread* that forwards each wait's
+//! batch into a crossbeam channel, for callers that want a `Receiver` (the
+//! conformance suite, the benchmark probes); the service hosts
+//! ([`crate::service`], [`crate::proc`]) do not use it.
 //!
 //! The readiness wait is the workspace's only foreign call and is
-//! declared for Linux, the only platform CI builds; there is no second
-//! implementation for other platforms.
+//! declared for Linux, the only platform CI builds.
 //!
-//! ## Reconnect state machine (per peer)
+//! ## Dialing a peer (per peer, whoever dials)
 //!
 //! ```text
-//!            connect ok                   write error
-//! Unconnected ────────────► Connected ─────────────────┐
-//!     ▲  │ connect fails        ▲                      │
-//!     │  ▼                      │ reconnect ok         ▼
-//!   Backoff (500 ms) ◄────────── ─────────────── Reconnecting
-//!                                 reconnect fails: envelope dropped,
-//!                                 peer enters Backoff
+//!         dial ok (30 × 100 ms)           write fails / end of stream:
+//!  Fresh ───────────────────────► Reached  connection forgotten, batch
+//!    │ every attempt fails         │   ▲   dropped; the next write finds
+//!    ▼                             │   │   none and dials once
+//!  Backoff (500 ms) ◄──────────────┘   │
+//!    │    that one dial fails          │
+//!    └─────────────────────────────────┘
+//!         next write after the backoff dials once: ok
 //! ```
 //!
-//! The *first* connection attempt to a peer retries for several seconds
-//! (multi-process clusters start their nodes concurrently); once a peer
-//! has been reached, a failed send performs exactly one reconnect
-//! attempt and otherwise **drops the envelope** — a down peer behaves
-//! like a crashed process, which is precisely the fault domain the
-//! protocols are built for.
+//! First contact retries for seconds (a multi-process cluster starts its
+//! nodes concurrently); a peer's `Peer` arriving on an accepted connection
+//! counts as reaching it. A failed write never retries in place — frames
+//! ahead of the failure point may have been delivered, and the contract is
+//! at-most-once — so a down peer costs the batch, exactly like a crashed
+//! process: the fault domain the protocols are built for.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -88,7 +80,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::ControlFlow;
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ac_obs::NetMeters;
@@ -107,8 +99,11 @@ pub(crate) const INITIAL_ATTEMPTS: u32 = 30;
 const INITIAL_GAP: Duration = Duration::from_millis(100);
 /// Receive buffer of one socket `read`.
 const READ_CHUNK: usize = 64 * 1024;
+/// Client ids a `Hello` may announce: an id is the high half of a
+/// [`TxnId`](ac_txn::TxnId), less one.
+const CLIENT_IDS: usize = u32::MAX as usize;
 
-/// Where a node's outbound envelopes go. Implementations must preserve
+/// Where a sender's outbound envelopes go. Implementations must preserve
 /// per-sender FIFO order on a healthy link and must never block
 /// indefinitely; delivery is at-most-once (loss on a broken link is the
 /// crash fault domain, duplication is never allowed).
@@ -188,223 +183,19 @@ impl<M> Outbox<M> {
     }
 
     /// The flush point: one `send_batch` per destination with traffic.
-    /// Returns how many envelopes were handed to the transport.
-    pub(crate) fn flush(&mut self, transport: &mut dyn Transport<M>) -> usize {
+    /// Returns how many envelopes were handed over.
+    pub(crate) fn flush(
+        &mut self,
+        mut send_batch: impl FnMut(ProcessId, &mut Vec<ToNode<M>>),
+    ) -> usize {
         let mut sent = 0;
         for (to, batch) in self.staged.iter_mut().enumerate() {
             if !batch.is_empty() {
                 sent += batch.len();
-                transport.send_batch(to, batch);
+                send_batch(to, batch);
             }
         }
         sent
-    }
-}
-
-/// Connect to `addr`, trying up to `attempts` times [`INITIAL_GAP`] apart
-/// ([`INITIAL_ATTEMPTS`] is first-contact patience, 1 a reconnect).
-pub(crate) fn connect(addr: SocketAddr, attempts: u32) -> Option<TcpStream> {
-    for i in 0..attempts {
-        if let Ok(s) = TcpStream::connect(addr) {
-            let _ = s.set_nodelay(true);
-            return Some(s);
-        }
-        if i + 1 < attempts {
-            std::thread::sleep(INITIAL_GAP);
-        }
-    }
-    None
-}
-
-enum PeerState {
-    /// Never reached yet: first contact gets the long retry loop.
-    Fresh,
-    Connected(TcpStream),
-    /// Unreachable; do not retry before the stored instant.
-    Backoff(Instant),
-    /// Was reachable before; next send makes one reconnect attempt.
-    Lost,
-}
-
-/// The socket transport: one lazily-connected TCP stream per peer,
-/// frames encoded by [`crate::codec`], reconnect-on-failure (see the
-/// module docs for the state machine).
-pub struct TcpTransport {
-    peers: Vec<SocketAddr>,
-    state: Vec<PeerState>,
-    scratch: Vec<u8>,
-    /// Frames currently encoded into `scratch` (egress frame metering).
-    scratch_frames: u64,
-    /// A multi-process client's handshake: the `Hello` frame it says on
-    /// every (re)connect, before any envelope is written, and where that
-    /// connection's read half goes (see [`TcpTransport::hello`]).
-    handshake: Option<(Vec<u8>, mpsc::Sender<TcpStream>)>,
-    /// Per-peer socket counters (bytes/frames out, reconnects, dial
-    /// failures, outbox high-water), shared with the process's metrics
-    /// endpoint and its observability export. `None` meters nothing.
-    net: Option<Arc<NetMeters>>,
-    /// Socket-write self-metering: `write_all` calls and their summed
-    /// duration (connection establishment is deliberately excluded — a
-    /// first-contact dial retries for seconds and is not write time).
-    io_writes: u64,
-    io_nanos: u64,
-}
-
-impl TcpTransport {
-    /// A transport that will dial `peers[to]` for destination `to`.
-    pub fn new(peers: Vec<SocketAddr>) -> TcpTransport {
-        let state = peers.iter().map(|_| PeerState::Fresh).collect();
-        TcpTransport {
-            peers,
-            state,
-            scratch: Vec::new(),
-            scratch_frames: 0,
-            handshake: None,
-            net: None,
-            io_writes: 0,
-            io_nanos: 0,
-        }
-    }
-
-    /// Make this the transport of multi-process client `client`: every
-    /// (re)connect says `Hello` first, so the node can route replies back
-    /// down that connection, and hands its read half to the returned
-    /// ingress — from inside the client's own flush, so it is adopted
-    /// before the wait that follows the dial.
-    pub(crate) fn hello(mut self, client: usize) -> (TcpTransport, ReplyIngress) {
-        let (halves, dialed) = mpsc::channel();
-        let mut frame = Vec::new();
-        write_frame::<()>(&AnyFrame::Hello { client }, &mut frame);
-        self.handshake = Some((frame, halves));
-        let ingress = ReplyIngress {
-            socks: Sockets::new(None),
-            dialed,
-            ready: VecDeque::new(),
-        };
-        (self, ingress)
-    }
-
-    /// Record egress into `meters` (builder style). The meters' peer
-    /// table should match this transport's peer count.
-    pub fn with_net(mut self, meters: Arc<NetMeters>) -> TcpTransport {
-        self.net = Some(meters);
-        self
-    }
-
-    fn dial(&self, to: ProcessId, attempts: u32) -> Option<TcpStream> {
-        let s = connect(self.peers[to], attempts)?;
-        if let Some((hello, halves)) = &self.handshake {
-            let mut half = &s;
-            let _ = half.write_all(hello);
-            if let Ok(half) = s.try_clone() {
-                let _ = halves.send(half);
-            }
-        }
-        Some(s)
-    }
-
-    /// The connected stream for `to`, establishing it if the state
-    /// machine allows an attempt now.
-    fn conn(&mut self, to: ProcessId) -> Option<&mut TcpStream> {
-        let (attempts, was_reached) = match &self.state[to] {
-            PeerState::Connected(_) => {
-                // Reborrow dance: checked above, return below.
-                match &mut self.state[to] {
-                    PeerState::Connected(s) => return Some(s),
-                    _ => unreachable!(),
-                }
-            }
-            PeerState::Fresh => (INITIAL_ATTEMPTS, false),
-            // Lost/Backoff both mean the peer was reached before: a
-            // successful dial from here is a *reconnect* (first contact
-            // from Fresh is not).
-            PeerState::Lost => (1, true),
-            PeerState::Backoff(until) => {
-                if Instant::now() < *until {
-                    return None;
-                }
-                (1, true)
-            }
-        };
-        match self.dial(to, attempts) {
-            Some(s) => {
-                if was_reached {
-                    if let Some(net) = &self.net {
-                        net.reconnected(to);
-                    }
-                }
-                self.state[to] = PeerState::Connected(s);
-                match &mut self.state[to] {
-                    PeerState::Connected(s) => Some(s),
-                    _ => unreachable!(),
-                }
-            }
-            None => {
-                if let Some(net) = &self.net {
-                    net.dial_failed(to);
-                }
-                self.state[to] = PeerState::Backoff(Instant::now() + RECONNECT_BACKOFF);
-                None
-            }
-        }
-    }
-
-    /// Write the scratch buffer to `to`, with one reconnect-and-retry on
-    /// a write error. Returns whether the bytes were handed to the OS.
-    fn flush_scratch(&mut self, to: ProcessId) -> bool {
-        let scratch = std::mem::take(&mut self.scratch);
-        let frames = std::mem::take(&mut self.scratch_frames);
-        let mut sent = false;
-        for _ in 0..2 {
-            let Some(s) = self.conn(to) else { break };
-            let t0 = Instant::now();
-            let ok = s.write_all(&scratch).is_ok();
-            self.io_writes += 1;
-            self.io_nanos = self
-                .io_nanos
-                .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            if ok {
-                sent = true;
-                break;
-            }
-            // Broken pipe: drop the stream, allow one immediate retry.
-            self.state[to] = PeerState::Lost;
-        }
-        if sent {
-            if let Some(net) = &self.net {
-                net.sent(to, frames, scratch.len() as u64);
-            }
-        }
-        self.scratch = scratch;
-        sent
-    }
-}
-
-impl<M: Wire + Send> Transport<M> for TcpTransport {
-    fn send(&mut self, to: ProcessId, env: ToNode<M>) {
-        self.scratch.clear();
-        write_frame(&AnyFrame::Node(env), &mut self.scratch);
-        self.scratch_frames = 1;
-        if let Some(net) = &self.net {
-            net.outbox_depth(to, 1);
-        }
-        self.flush_scratch(to);
-    }
-
-    fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
-        self.scratch.clear();
-        self.scratch_frames = batch.len() as u64;
-        if let Some(net) = &self.net {
-            net.outbox_depth(to, self.scratch_frames);
-        }
-        for env in batch.drain(..) {
-            write_frame(&AnyFrame::Node(env), &mut self.scratch);
-        }
-        self.flush_scratch(to);
-    }
-
-    fn io_stats(&self) -> (u64, u64) {
-        (self.io_writes, self.io_nanos)
     }
 }
 
@@ -420,11 +211,13 @@ pub struct EchoResponder {
     pub epoch: Instant,
 }
 
-/// Optional behaviors of a node's socket read point: ingress meters and
-/// the clock-echo responder.
+/// Optional behaviors of a node's sockets: transport meters and the
+/// clock-echo responder.
 #[derive(Clone, Default)]
 pub struct NodeHooks {
-    /// Ingress counters (bytes/frames in, decode errors, resyncs).
+    /// Socket counters: bytes/frames in, decode errors, resyncs — and,
+    /// per peer the node writes to, bytes/frames out, reconnects, dial
+    /// failures, outbox high-water.
     pub net: Option<Arc<NetMeters>>,
     /// When set, `EchoReq` frames are answered inline.
     pub echo: Option<EchoResponder>,
@@ -433,7 +226,7 @@ pub struct NodeHooks {
 /// What one socket `read` returned, as a loop that owns the connection
 /// must treat it.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum ReadOutcome {
+enum ReadOutcome {
     /// That many bytes arrived.
     Data(usize),
     /// Nothing was transferred and nothing is wrong: a signal interrupted
@@ -445,7 +238,7 @@ pub(crate) enum ReadOutcome {
 }
 
 impl ReadOutcome {
-    pub(crate) fn of(result: std::io::Result<usize>) -> ReadOutcome {
+    fn of(result: std::io::Result<usize>) -> ReadOutcome {
         match result {
             Ok(0) => ReadOutcome::Closed,
             Ok(n) => ReadOutcome::Data(n),
@@ -462,7 +255,7 @@ impl ReadOutcome {
 /// Returns `false` when the stream must be dropped — the frame boundary
 /// is lost (poisoned), or `sink` broke — with every frame ahead of that
 /// point already handed over.
-pub(crate) fn decode_chunk<M: Wire>(
+fn decode_chunk<M: Wire>(
     dec: &mut FrameDecoder,
     chunk: &[u8],
     net: Option<&NetMeters>,
@@ -556,59 +349,126 @@ fn wait_readable(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Resu
     usize::try_from(rc).map_err(|_| std::io::Error::last_os_error())
 }
 
-/// One connection read by the thread that waits on it: the socket, its
-/// frame boundary state and, at a node, who said `Hello` on it.
+/// Who is on the far end of a connection.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Far {
+    /// The client that said `Hello` with this id.
+    Client(usize),
+    /// A node: the one dialed, or the one that said `Peer` with this id.
+    Peer(ProcessId),
+}
+
+/// How dialing a peer stands (see the module docs for the diagram).
+/// Whether it is connected right now is whether a connection to it lives.
+enum PeerState {
+    /// Never reached yet: first contact gets the long retry loop.
+    Fresh,
+    /// Reached before: a write that finds no connection dials once.
+    Reached,
+    /// Unreachable; do not dial before the stored instant.
+    Backoff(Instant),
+}
+
+/// One connection: the socket, its frame boundary state and, once known,
+/// who is on its far end.
 struct Conn {
     stream: TcpStream,
     dec: FrameDecoder,
-    client: Option<usize>,
+    far: Option<Far>,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            dec: FrameDecoder::new(),
-            client: None,
-        }
-    }
-}
-
-/// The sockets one thread reads, and the one way they are read: the
-/// wait-then-read pass under a node's [`SocketIngress`] and a
-/// multi-process client's [`ReplyIngress`] alike.
-struct Sockets {
-    /// Accepted from, non-blocking (a client has none: it dials).
+/// Every socket one thread has, and the only code that dials, accepts,
+/// reads or writes one (see the module docs). Nothing of it is visible
+/// outside this module but its name.
+pub(crate) struct Sockets {
+    /// Accepted from, non-blocking (only a node has one).
     listener: Option<TcpListener>,
-    /// In the order they were accepted (or dialed).
+    /// In the order they were accepted or dialed.
     conns: Vec<Conn>,
     /// The readiness set of the wait in progress: the listener's slot,
     /// then `conns` in order (rebuilt per wait, allocation reused).
     fds: Vec<PollFd>,
     chunk: Vec<u8>,
+    /// Where each peer listens and how dialing it stands.
+    peers: Vec<(SocketAddr, PeerState)>,
+    /// What this end says first on every connection it dials.
+    greeting: Vec<u8>,
+    /// The frames of the write in progress.
+    out: Vec<u8>,
+    net: Option<Arc<NetMeters>>,
+    /// Socket-write self-metering: `write_all` calls of `send` and their
+    /// summed nanoseconds (connection establishment is deliberately
+    /// excluded — a first-contact dial retries for seconds and is not
+    /// write time).
+    io: (u64, u64),
 }
 
 impl Sockets {
-    fn new(listener: Option<TcpListener>) -> Sockets {
-        Sockets {
-            listener,
+    /// Sockets that dial `peers[to]` for destination `to`, saying
+    /// `greeting` (if any) first.
+    fn new(peers: Vec<SocketAddr>, greeting: Option<AnyFrame<()>>) -> Sockets {
+        let mut socks = Sockets {
+            listener: None,
             conns: Vec::new(),
             fds: Vec::new(),
             chunk: vec![0u8; READ_CHUNK],
+            peers: Vec::new(),
+            greeting: Vec::new(),
+            out: Vec::new(),
+            net: None,
+            io: (0, 0),
+        };
+        socks.dials(peers, greeting);
+        socks
+    }
+
+    /// Sockets that accept on `addr` (and dial nobody yet).
+    fn listen<A: ToSocketAddrs>(addr: A, net: Option<Arc<NetMeters>>) -> std::io::Result<Sockets> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        Ok(Sockets {
+            listener: Some(listener),
+            net,
+            ..Sockets::new(Vec::new(), None)
+        })
+    }
+
+    /// Connect to `addr`, trying up to `attempts` times [`INITIAL_GAP`]
+    /// apart ([`INITIAL_ATTEMPTS`] is first-contact patience, 1 a
+    /// reconnect): the one dial, also of `proc`'s blocking control probe.
+    pub(crate) fn connect(addr: SocketAddr, attempts: u32) -> Option<TcpStream> {
+        for i in 0..attempts {
+            if let Ok(s) = TcpStream::connect(addr) {
+                let _ = s.set_nodelay(true);
+                return Some(s);
+            }
+            if i + 1 < attempts {
+                std::thread::sleep(INITIAL_GAP);
+            }
+        }
+        None
+    }
+
+    fn dials(&mut self, peers: Vec<SocketAddr>, greeting: Option<AnyFrame<()>>) {
+        self.peers = peers.into_iter().map(|a| (a, PeerState::Fresh)).collect();
+        self.greeting.clear();
+        if let Some(frame) = greeting {
+            write_frame(&frame, &mut self.greeting);
         }
     }
 
     /// One readiness wait over the listener and every connection, then
-    /// one `read` per ready connection — every frame it completed handed
-    /// to `route` with the connection's stream and `Hello` slot — then
-    /// every pending connection accepted. A connection at end of stream,
-    /// in error, past a lost frame boundary or whose `route` broke is
-    /// forgotten. Returns `false` when `until` passed with nothing ready.
+    /// one `read` per ready connection — `Hello` / `Peer` noted on the
+    /// connection, every other frame it completed handed to `route`, and
+    /// what `route` wrote into its answer buffer written back in one
+    /// `write_all` — then every pending connection accepted. A connection
+    /// at end of stream, in error, past a lost frame boundary, announcing
+    /// an id out of range or not taking its answer is forgotten. Returns
+    /// `false` when `until` passed with nothing ready.
     fn poll<M: Wire>(
         &mut self,
         until: Option<Instant>,
-        net: Option<&NetMeters>,
-        mut route: impl FnMut(&TcpStream, &mut Option<usize>, AnyFrame<M>) -> ControlFlow<()>,
+        mut route: impl FnMut(AnyFrame<M>, &mut Vec<u8>),
     ) -> bool {
         let watch = |fd| PollFd {
             fd,
@@ -634,32 +494,137 @@ impl Sockets {
             }
         }
 
+        let (chunk, out, peers) = (&mut self.chunk, &mut self.out, &mut self.peers);
+        let net = self.net.as_deref();
         let mut polled = self.fds[1..].iter();
         self.conns.retain_mut(|conn| {
             let fd = polled.next().expect("one pollfd per connection");
             if fd.revents == 0 {
                 return true;
             }
-            let mut half = &conn.stream;
-            match ReadOutcome::of(half.read(&mut self.chunk)) {
-                ReadOutcome::Data(n) => {
-                    decode_chunk(&mut conn.dec, &self.chunk[..n], net, |frame| {
-                        route(&conn.stream, &mut conn.client, frame)
-                    })
+            let Conn { stream, dec, far } = conn;
+            let mut stream = &*stream;
+            let n = match ReadOutcome::of(stream.read(chunk)) {
+                ReadOutcome::Data(n) => n,
+                ReadOutcome::Retry => return true,
+                ReadOutcome::Closed => return false,
+            };
+            out.clear();
+            let whole = decode_chunk(dec, &chunk[..n], net, |frame| {
+                let said = match frame {
+                    AnyFrame::Hello { client } => {
+                        (client < CLIENT_IDS).then_some(Far::Client(client))
+                    }
+                    AnyFrame::Peer { node } => (node < peers.len()).then_some(Far::Peer(node)),
+                    frame => {
+                        route(frame, out);
+                        return ControlFlow::Continue(());
+                    }
+                };
+                match (said, net) {
+                    (Some(Far::Peer(p)), _) => peers[p].1 = PeerState::Reached,
+                    (None, Some(net)) => net.decode_error(),
+                    _ => {}
                 }
-                ReadOutcome::Retry => true,
-                ReadOutcome::Closed => false,
-            }
+                *far = said;
+                // An id out of range: refused, not indexed.
+                said.map_or(ControlFlow::Break(()), |_| ControlFlow::Continue(()))
+            });
+            whole && (out.is_empty() || stream.write_all(out).is_ok())
         });
 
         if self.fds[0].revents != 0 {
             // Not in this wait's set: first looked at by the next one.
             while let Some(Ok((stream, _))) = listener.map(TcpListener::accept) {
                 let _ = stream.set_nodelay(true);
-                self.conns.push(Conn::new(stream));
+                self.conns.push(Conn {
+                    stream,
+                    dec: FrameDecoder::new(),
+                    far: None,
+                });
             }
         }
         true
+    }
+
+    /// The connection to write `to` on. A client's is the newest that
+    /// said `Hello` with its id (a client that redialed reads the new
+    /// one); a peer's is the oldest that lives — a sender never switches
+    /// while it does, so its frames stay in order — and, when none does,
+    /// one dialed now if the peer's state allows an attempt.
+    fn conn_to(&mut self, to: Far) -> Option<usize> {
+        let is_to = |c: &Conn| c.far == Some(to);
+        let p = match to {
+            Far::Client(_) => return self.conns.iter().rposition(is_to),
+            Far::Peer(p) => p,
+        };
+        if let Some(i) = self.conns.iter().position(is_to) {
+            return Some(i);
+        }
+        let (addr, state) = &mut self.peers[p];
+        let (attempts, reached) = match *state {
+            PeerState::Fresh => (INITIAL_ATTEMPTS, false),
+            PeerState::Backoff(until) if Instant::now() < until => return None,
+            // Reached once, or given up on once: a successful dial from
+            // here is a *reconnect* (first contact from Fresh is not).
+            PeerState::Reached | PeerState::Backoff(_) => (1, true),
+        };
+        let Some(stream) = Sockets::connect(*addr, attempts) else {
+            *state = PeerState::Backoff(Instant::now() + RECONNECT_BACKOFF);
+            if let Some(net) = &self.net {
+                net.dial_failed(p);
+            }
+            return None;
+        };
+        *state = PeerState::Reached;
+        if let (true, Some(net)) = (reached, &self.net) {
+            net.reconnected(p);
+        }
+        let _ = (&stream).write_all(&self.greeting);
+        self.conns.push(Conn {
+            stream,
+            dec: FrameDecoder::new(),
+            far: Some(to),
+        });
+        Some(self.conns.len() - 1)
+    }
+
+    /// Frame `frames` into one blocking `write_all` down the connection
+    /// to `to`. `false` means they were dropped: no connection (an id no
+    /// live connection announced, a peer in backoff or refusing the dial),
+    /// or the write failed — which forgets the connection and sends
+    /// nothing again: frames ahead of the failure may have arrived. The
+    /// next write to that peer redials; a client redials itself.
+    fn send<M: Wire>(&mut self, to: Far, frames: impl IntoIterator<Item = AnyFrame<M>>) -> bool {
+        self.out.clear();
+        let mut count = 0;
+        for frame in frames {
+            write_frame(&frame, &mut self.out);
+            count += 1;
+        }
+        if let Some((net, p)) = self.peer_meters(to) {
+            net.outbox_depth(p, count);
+        }
+        let Some(i) = self.conn_to(to) else {
+            return false;
+        };
+        let t0 = Instant::now();
+        let sent = (&self.conns[i].stream).write_all(&self.out).is_ok();
+        self.io = (self.io.0 + 1, self.io.1 + t0.elapsed().as_nanos() as u64);
+        if !sent {
+            self.conns.remove(i);
+        } else if let Some((net, p)) = self.peer_meters(to) {
+            net.sent(p, count, self.out.len() as u64);
+        }
+        sent
+    }
+
+    /// The per-peer egress counters a write to `to` is metered into.
+    fn peer_meters(&self, to: Far) -> Option<(&NetMeters, ProcessId)> {
+        match (to, &self.net) {
+            (Far::Peer(p), Some(net)) => Some((net, p)),
+            _ => None,
+        }
     }
 }
 
@@ -670,34 +635,25 @@ fn take<T>(ready: &mut VecDeque<T>, buf: &mut Vec<T>, max: usize) -> usize {
     k
 }
 
-/// The receiving side of the TCP transport, waited on by the thread that
-/// dispatches what it delivers (see the module docs): a listener, its
-/// accepted connections, one decoder per connection, and the envelopes
-/// decoded but not yet taken.
-pub(crate) struct SocketIngress<M> {
-    hooks: NodeHooks,
+/// A node's end of the TCP transport, waited on and written by the thread
+/// that dispatches what it delivers (see the module docs): its
+/// [`Sockets`] and the envelopes decoded but not yet taken.
+pub(crate) struct SocketLink<M> {
     socks: Sockets,
+    echo: Option<EchoResponder>,
     /// Node-bound envelopes in arrival order — per connection, stream
     /// order. What a wait decoded beyond the caller's `max` stays here
     /// and is served before any socket is touched again.
     ready: VecDeque<ToNode<M>>,
-    /// Frames the ingress writes itself: an echo answer, a reply.
-    out: Vec<u8>,
 }
 
-impl<M: Wire> SocketIngress<M> {
+impl<M: Wire> SocketLink<M> {
     /// Listen on `addr`.
-    pub(crate) fn bind<A: ToSocketAddrs>(
-        addr: A,
-        hooks: NodeHooks,
-    ) -> std::io::Result<SocketIngress<M>> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(SocketIngress {
-            hooks,
-            socks: Sockets::new(Some(listener)),
+    pub(crate) fn bind<A: ToSocketAddrs>(addr: A, hooks: NodeHooks) -> std::io::Result<Self> {
+        Ok(SocketLink {
+            socks: Sockets::listen(addr, hooks.net)?,
+            echo: hooks.echo,
             ready: VecDeque::new(),
-            out: Vec::new(),
         })
     }
 
@@ -705,6 +661,21 @@ impl<M: Wire> SocketIngress<M> {
     pub(crate) fn addr(&self) -> std::io::Result<SocketAddr> {
         let listener = self.socks.listener.as_ref().expect("bound in `bind`");
         listener.local_addr()
+    }
+
+    /// Join the cluster as node `me` of `nodes`: dial every higher id,
+    /// saying `Peer`, then take what arrives until every lower id has said
+    /// its own — each with first-contact patience. One connection per pair
+    /// results; a peer that missed its turn is dialed by the first write
+    /// that wants it.
+    pub(crate) fn mesh(&mut self, me: ProcessId, nodes: Vec<SocketAddr>) {
+        self.socks.dials(nodes, Some(AnyFrame::Peer { node: me }));
+        for p in me + 1..self.socks.peers.len() {
+            self.socks.conn_to(Far::Peer(p));
+        }
+        let patience = Instant::now() + INITIAL_ATTEMPTS * INITIAL_GAP;
+        let met = |s: &Sockets, p| s.conns.iter().any(|c| c.far == Some(Far::Peer(p)));
+        while !(0..me).all(|p| met(&self.socks, p)) && self.poll(Some(patience)) {}
     }
 
     /// Move up to `max` envelopes into `buf` (appended), waiting until
@@ -725,97 +696,62 @@ impl<M: Wire> SocketIngress<M> {
         take(&mut self.ready, buf, max)
     }
 
-    /// One wait-then-read pass, every frame it completed routed. Returns
-    /// `false` when `until` passed with nothing ready.
+    /// One wait-then-read pass: protocol and control envelopes queue for
+    /// the node, an `EchoReq` is answered inline, and what a node never
+    /// receives is ignored. `false` when `until` passed with nothing ready.
     fn poll(&mut self, until: Option<Instant>) -> bool {
-        let net = self.hooks.net.as_deref();
-        self.socks.poll(until, net, |stream, client, frame| {
-            route(
-                frame,
-                stream,
-                client,
-                &self.hooks,
-                &mut self.out,
-                &mut self.ready,
-            )
+        let (echo, ready) = (&self.echo, &mut self.ready);
+        self.socks.poll(until, |frame, answer| match frame {
+            AnyFrame::Node(env) => ready.push_back(env),
+            AnyFrame::EchoReq { seq, t0_nanos } => {
+                if let Some(echo) = echo {
+                    let resp = AnyFrame::EchoResp {
+                        seq,
+                        t0_nanos,
+                        node: echo.node,
+                        node_nanos: echo.epoch.elapsed().as_nanos() as u64,
+                    };
+                    write_frame::<M>(&resp, answer);
+                }
+            }
+            _ => {}
         })
     }
 
-    /// Frame `frames` into one blocking `write_all` down the newest
-    /// connection that said `Hello` as `client`. `false` means they were
-    /// dropped: no live connection announced that id, or the write failed
-    /// — which forgets the connection (the client redials and says
-    /// `Hello` again).
+    /// How many connections the link holds, dialed and accepted.
+    #[cfg(test)]
+    pub(crate) fn connections(&self) -> usize {
+        self.socks.conns.len()
+    }
+
+    /// One write to peer `to`, down the pair's connection.
+    pub(crate) fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
+        let frames = batch.drain(..).map(AnyFrame::Node);
+        self.socks.send(Far::Peer(to), frames);
+    }
+
+    /// One write to `client`, down the connection it said `Hello` on;
+    /// `false` means the frames were dropped.
     pub(crate) fn reply(
         &mut self,
         client: usize,
         frames: impl IntoIterator<Item = AnyFrame<M>>,
     ) -> bool {
-        let conns = &mut self.socks.conns;
-        let Some(i) = conns.iter().rposition(|c| c.client == Some(client)) else {
-            return false;
-        };
-        self.out.clear();
-        for frame in frames {
-            write_frame(&frame, &mut self.out);
-        }
-        let mut half = &conns[i].stream;
-        let sent = half.write_all(&self.out).is_ok();
-        if !sent {
-            conns.remove(i);
-        }
-        sent
+        self.socks.send(Far::Client(client), frames)
     }
 }
 
-/// Route one frame a node's connection delivered: protocol and control
-/// envelopes queue for the node, `Hello` names the connection's client,
-/// `EchoReq` is answered inline (a failed write drops the connection).
-fn route<M: Wire>(
-    frame: AnyFrame<M>,
-    mut stream: &TcpStream,
-    client: &mut Option<usize>,
-    hooks: &NodeHooks,
-    out: &mut Vec<u8>,
-    ready: &mut VecDeque<ToNode<M>>,
-) -> ControlFlow<()> {
-    match frame {
-        AnyFrame::Node(env) => ready.push_back(env),
-        AnyFrame::Hello { client: id } => *client = Some(id),
-        AnyFrame::EchoReq { seq, t0_nanos } => {
-            if let Some(echo) = &hooks.echo {
-                let elapsed = echo.epoch.elapsed().as_nanos();
-                out.clear();
-                write_frame::<M>(
-                    &AnyFrame::EchoResp {
-                        seq,
-                        t0_nanos,
-                        node: echo.node,
-                        node_nanos: u64::try_from(elapsed).unwrap_or(u64::MAX),
-                    },
-                    out,
-                );
-                if stream.write_all(out).is_err() {
-                    return ControlFlow::Break(());
-                }
-            }
-        }
-        // Not node-bound frames: a node never receives these.
-        AnyFrame::Done(_) | AnyFrame::EchoResp { .. } | AnyFrame::ObsDump { .. } => {}
-    }
-    ControlFlow::Continue(())
+/// What ties a node to the rest of the cluster — where its `drain` step
+/// gets envelopes and its `flush` step puts them: the seam with exactly
+/// two arms.
+pub(crate) enum Link<M> {
+    /// In process: the node's inbox and a sender per node.
+    Channel(Receiver<ToNode<M>>, ChannelTransport<M>),
+    /// The node's own sockets.
+    Sockets(SocketLink<M>),
 }
 
-/// Where a node's `drain` step gets its envelopes: the seam with exactly
-/// two sources.
-pub(crate) enum Inbox<M> {
-    /// The in-process channel [`ChannelTransport`] sends into.
-    Channel(Receiver<ToNode<M>>),
-    /// The node's own sockets ([`TcpTransport`] dials them).
-    Socket(SocketIngress<M>),
-}
-
-impl<M: Wire> Inbox<M> {
+impl<M: Wire + Send> Link<M> {
     /// Move up to `max` envelopes into `buf` (appended), waiting until at
     /// least one is there or `until` passes (`None` = for ever); `Ok(0)`
     /// means the deadline passed. A deadline already behind still takes
@@ -828,7 +764,7 @@ impl<M: Wire> Inbox<M> {
         until: Option<Instant>,
     ) -> Result<usize, RecvError> {
         match (self, until) {
-            (Inbox::Channel(rx), Some(due)) => {
+            (Link::Channel(rx, _), Some(due)) => {
                 let wait = due.saturating_duration_since(Instant::now());
                 match rx.recv_batch_timeout(buf, max, wait) {
                     Ok(k) => Ok(k),
@@ -836,80 +772,139 @@ impl<M: Wire> Inbox<M> {
                     Err(RecvTimeoutError::Disconnected) => Err(RecvError),
                 }
             }
-            (Inbox::Channel(rx), None) => rx.recv_batch(buf, max),
-            (Inbox::Socket(ingress), until) => Ok(ingress.recv(buf, max, until)),
+            (Link::Channel(rx, _), None) => rx.recv_batch(buf, max),
+            (Link::Sockets(link), until) => Ok(link.recv(buf, max, until)),
         }
     }
 
-    /// [`SocketIngress::reply`]: the road back to a client whose requests
-    /// arrive through this inbox. Nobody says `Hello` on a channel, so a
-    /// channel inbox drops every reply.
+    /// Hand `batch` to node `to`: one lock, or one socket write.
+    pub(crate) fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
+        match self {
+            Link::Channel(_, txs) => txs.send_batch(to, batch),
+            Link::Sockets(link) => link.send_batch(to, batch),
+        }
+    }
+
+    /// [`SocketLink::reply`]: the road back to a client whose requests
+    /// arrive through this link. Nobody says `Hello` on a channel, so a
+    /// channel link drops every reply.
     pub(crate) fn reply(
         &mut self,
         client: usize,
         frames: impl IntoIterator<Item = AnyFrame<M>>,
     ) -> bool {
         match self {
-            Inbox::Channel(_) => false,
-            Inbox::Socket(ingress) => ingress.reply(client, frames),
+            Link::Channel(..) => false,
+            Link::Sockets(link) => link.reply(client, frames),
+        }
+    }
+
+    /// `(writes, nanoseconds)` spent in socket writes (zero on channels).
+    pub(crate) fn io_stats(&self) -> (u64, u64) {
+        match self {
+            Link::Channel(..) => (0, 0),
+            Link::Sockets(link) => link.socks.io,
         }
     }
 }
 
-/// The receiving side of a multi-process client: the read halves of the
-/// connections its own transport dialed ([`TcpTransport::hello`]), read
-/// by the client thread itself (see the module docs).
-pub(crate) struct ReplyIngress {
-    socks: Sockets,
-    /// Read halves of connections dialed since the last wait.
-    dialed: mpsc::Receiver<TcpStream>,
-    /// Reports decoded but not yet taken.
-    ready: VecDeque<Done>,
+/// What ties `client_main` to the nodes — where its flush puts `Begin`s
+/// and `End`s and where it waits for decision reports: the seam with
+/// exactly two arms.
+pub(crate) enum ClientLink<M> {
+    /// The in-process service: a write-only transport out, the client's
+    /// reply channel in.
+    InProcess(Box<dyn Transport<M>>, Receiver<Done>),
+    /// A multi-process client: sockets that say `Hello` on every
+    /// connection they dial, and the reports read off them but not yet
+    /// taken.
+    Sockets(Sockets, VecDeque<Done>),
 }
 
-impl ReplyIngress {
-    /// Move up to `max` reports into `buf` (appended), waiting until at
-    /// least one is there or `until` passes; 0 means it passed. Nodes
-    /// send a client nothing else that it folds in; a read half at end of
-    /// stream is forgotten (the transport's next write redials).
-    pub(crate) fn recv(&mut self, buf: &mut Vec<Done>, max: usize, until: Instant) -> usize {
-        let dialed = self.dialed.try_iter();
-        self.socks.conns.extend(dialed.map(Conn::new));
-        while self.ready.is_empty() {
-            let polled = self.socks.poll::<()>(Some(until), None, |_, _, frame| {
-                if let AnyFrame::Done(d) = frame {
-                    self.ready.push_back(d);
-                }
-                ControlFlow::Continue(())
-            });
-            if !polled {
-                return 0;
-            }
-        }
-        take(&mut self.ready, buf, max)
+impl<M: Wire> ClientLink<M> {
+    /// The link of multi-process client `client` to the nodes at `nodes`.
+    pub(crate) fn dialing(client: usize, nodes: Vec<SocketAddr>) -> ClientLink<M> {
+        let socks = Sockets::new(nodes, Some(AnyFrame::Hello { client }));
+        ClientLink::Sockets(socks, VecDeque::new())
     }
-}
 
-/// Where `client_main` waits for decision reports: the seam with exactly
-/// two sources.
-pub(crate) enum ReplyInbox {
-    /// The in-process service's per-client reply channel.
-    Channel(Receiver<Done>),
-    /// The connections the client's own transport dialed.
-    Socket(ReplyIngress),
-}
-
-impl ReplyInbox {
     /// Move up to `max` reports into `buf` (appended), waiting until at
-    /// least one is there or `until` passes. Returns how many moved.
+    /// least one is there or `until` passes. Returns how many moved. Nodes
+    /// send a client nothing else that it folds in; a connection at end of
+    /// stream is forgotten (the next write to that node redials).
     pub(crate) fn recv(&mut self, buf: &mut Vec<Done>, max: usize, until: Instant) -> usize {
         match self {
-            ReplyInbox::Channel(rx) => {
+            ClientLink::InProcess(_, rx) => {
                 let wait = until.saturating_duration_since(Instant::now());
                 rx.recv_batch_timeout(buf, max, wait).unwrap_or(0)
             }
-            ReplyInbox::Socket(ingress) => ingress.recv(buf, max, until),
+            ClientLink::Sockets(socks, ready) => {
+                while ready.is_empty() {
+                    let polled = socks.poll::<M>(Some(until), |frame, _| {
+                        if let AnyFrame::Done(d) = frame {
+                            ready.push_back(d);
+                        }
+                    });
+                    if !polled {
+                        return 0;
+                    }
+                }
+                take(ready, buf, max)
+            }
         }
+    }
+
+    /// Hand `batch` to node `to`.
+    pub(crate) fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
+        match self {
+            ClientLink::InProcess(transport, _) => transport.send_batch(to, batch),
+            ClientLink::Sockets(socks, _) => {
+                socks.send(Far::Peer(to), batch.drain(..).map(AnyFrame::Node));
+            }
+        }
+    }
+
+    /// `(writes, nanoseconds)` spent in socket writes.
+    pub(crate) fn io_stats(&self) -> (u64, u64) {
+        match self {
+            ClientLink::InProcess(transport, _) => transport.io_stats(),
+            ClientLink::Sockets(socks, _) => socks.io,
+        }
+    }
+}
+
+/// The write-only socket transport: `Sockets` with no listener that
+/// never polls — one lazily dialed connection per peer, nothing said
+/// first, nothing read. For senders that are answered some other way (an
+/// in-process client, teardown, a probe).
+pub struct TcpTransport(Sockets);
+
+impl TcpTransport {
+    /// A transport that will dial `peers[to]` for destination `to`.
+    pub fn new(peers: Vec<SocketAddr>) -> TcpTransport {
+        TcpTransport(Sockets::new(peers, None))
+    }
+
+    /// Record egress into `meters` (builder style). The meters' peer
+    /// table should match this transport's peer count.
+    pub fn with_net(mut self, meters: Arc<NetMeters>) -> TcpTransport {
+        self.0.net = Some(meters);
+        self
+    }
+}
+
+impl<M: Wire + Send> Transport<M> for TcpTransport {
+    fn send(&mut self, to: ProcessId, env: ToNode<M>) {
+        self.0.send(Far::Peer(to), [AnyFrame::Node(env)]);
+    }
+
+    fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
+        let frames = batch.drain(..).map(AnyFrame::Node);
+        self.0.send(Far::Peer(to), frames);
+    }
+
+    fn io_stats(&self) -> (u64, u64) {
+        self.0.io
     }
 }
 
@@ -920,10 +915,10 @@ enum Ctl {
     Stop,
 }
 
-/// The socket ingress hosted on a thread of its own, forwarding what
+/// A node's socket link hosted on a thread of its own, forwarding what
 /// each wait decoded into an ordinary crossbeam channel with one
 /// `send_batch` — for a receiving loop that wants a `Receiver` rather
-/// than the ingress itself.
+/// than the link itself.
 pub struct TcpNode {
     addr: SocketAddr,
     ctl: Sender<Ctl>,
@@ -942,25 +937,25 @@ impl TcpNode {
         M: Wire + Send + 'static,
         A: ToSocketAddrs,
     {
-        let mut ingress = SocketIngress::<M>::bind(addr, hooks.unwrap_or_default())?;
-        let addr = ingress.addr()?;
+        let mut link = SocketLink::<M>::bind(addr, hooks.unwrap_or_default())?;
+        let addr = link.addr()?;
         let (ctl, asked) = unbounded::<Ctl>();
         let host = std::thread::spawn(move || {
             let mut batch = Vec::new();
             loop {
-                ingress.poll(None);
+                link.poll(None);
                 while let Ok(ctl) = asked.try_recv() {
                     match ctl {
                         Ctl::DropConnections(done) => {
                             // The listener and what is decoded stay.
-                            ingress.socks.conns.clear();
+                            link.socks.conns.clear();
                             let _ = done.send(());
                         }
                         Ctl::Stop => return,
                     }
                 }
                 // Receiver gone: nobody is left to read for.
-                if take(&mut ingress.ready, &mut batch, usize::MAX) > 0
+                if take(&mut link.ready, &mut batch, usize::MAX) > 0
                     && inbox.send_batch(batch.drain(..)).is_err()
                 {
                     return;
@@ -983,7 +978,7 @@ impl TcpNode {
     /// throwaway connection.
     fn ask(&self, ctl: Ctl) {
         let _ = self.ctl.send(ctl);
-        let _ = TcpStream::connect(self.addr);
+        let _ = Sockets::connect(self.addr, 1);
     }
 
     /// Forcibly close every accepted connection while keeping the
@@ -995,13 +990,11 @@ impl TcpNode {
         // An error means the host thread is gone, and its sockets with it.
         let _ = closed.recv();
     }
+}
 
+impl Drop for TcpNode {
     /// Stop accepting, close every connection, join the host thread.
-    pub fn shutdown(mut self) {
-        self.teardown();
-    }
-
-    fn teardown(&mut self) {
+    fn drop(&mut self) {
         if let Some(host) = self.host.take() {
             self.ask(Ctl::Stop);
             let _ = host.join();
@@ -1009,26 +1002,21 @@ impl TcpNode {
     }
 }
 
-impl Drop for TcpNode {
-    fn drop(&mut self) {
-        self.teardown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    //! The ingress, the reply path and the client's reply source alone:
-    //! real loopback sockets, no node, no thread.
+    //! A node's socket link and a multi-process client's alone: real
+    //! loopback sockets, no node, no thread.
 
     use super::*;
 
     type M = u64;
 
-    fn ingress() -> (SocketIngress<M>, SocketAddr) {
-        let ingress =
-            SocketIngress::bind("127.0.0.1:0", NodeHooks::default()).expect("bind loopback");
-        let addr = ingress.addr().expect("listener address");
-        (ingress, addr)
+    fn link() -> (SocketLink<M>, SocketAddr) {
+        let net = Some(Arc::new(NetMeters::new(2)));
+        let hooks = NodeHooks { net, echo: None };
+        let link = SocketLink::bind("127.0.0.1:0", hooks).expect("bind loopback");
+        let addr = link.addr().expect("listener address");
+        (link, addr)
     }
 
     fn net(p: usize, seq: u64) -> ToNode<M> {
@@ -1055,6 +1043,13 @@ mod tests {
                 other => panic!("unexpected envelope {other:?}"),
             })
             .collect()
+    }
+
+    /// What `link` receives within `wait`, as a [`transcript`].
+    fn received(link: &mut SocketLink<M>, wait: Duration) -> Vec<(usize, u64)> {
+        let mut buf = Vec::new();
+        link.recv(&mut buf, usize::MAX, within(wait));
+        transcript(&buf)
     }
 
     fn within(wait: Duration) -> Option<Instant> {
@@ -1085,17 +1080,15 @@ mod tests {
     /// in stream order per connection.
     #[test]
     fn one_receive_call_returns_what_five_connections_sent() {
-        let (mut ingress, addr) = ingress();
+        let (mut link, addr) = link();
         let mut senders: Vec<TcpTransport> =
             (0..5).map(|_| TcpTransport::new(vec![addr])).collect();
         for (p, t) in senders.iter_mut().enumerate() {
             let mut batch: Vec<_> = (0..7).map(|s| net(p, s)).collect();
             t.send_batch(0, &mut batch);
         }
-        let mut buf = Vec::new();
-        let got = ingress.recv(&mut buf, usize::MAX, within(PATIENT));
-        assert_eq!(got, 5 * 7, "one wake must take every ready connection");
-        let seen = transcript(&buf);
+        let seen = received(&mut link, PATIENT);
+        assert_eq!(seen.len(), 5 * 7, "one wake must take every connection");
         for p in 0..5 {
             let stream: Vec<u64> = seen.iter().filter(|e| e.0 == p).map(|e| e.1).collect();
             assert_eq!(stream, (0..7).collect::<Vec<_>>(), "connection {p}");
@@ -1106,21 +1099,19 @@ mod tests {
     /// to the caller — and the whole frame is delivered once.
     #[test]
     fn a_frame_split_across_two_writes_is_delivered_once_after_the_second() {
-        let (mut ingress, addr) = ingress();
+        let (mut link, addr) = link();
         let bytes = frames(0, 0..1);
         let (head, tail) = bytes.split_at(bytes.len() / 2);
         let mut stream = TcpStream::connect(addr).expect("connect");
-        let mut buf = Vec::new();
 
         stream.write_all(head).expect("write head");
         let t0 = Instant::now();
-        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(SOON)), 0);
+        assert_eq!(received(&mut link, SOON), vec![]);
         assert!(t0.elapsed() >= SOON, "an incomplete frame ended the wait");
 
         stream.write_all(tail).expect("write tail");
-        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(PATIENT)), 1);
-        assert_eq!(transcript(&buf), vec![(0, 0)]);
-        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(SOON)), 0);
+        assert_eq!(received(&mut link, PATIENT), vec![(0, 0)]);
+        assert_eq!(received(&mut link, SOON), vec![]);
     }
 
     /// What a read decoded beyond `max` is served by the next call ahead
@@ -1128,40 +1119,33 @@ mod tests {
     /// in between are still in the kernel when the surplus comes out.
     #[test]
     fn surplus_beyond_max_is_served_first_and_in_order() {
-        let (mut ingress, addr) = ingress();
+        let (mut link, addr) = link();
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.write_all(&frames(0, 0..10)).expect("write");
         let mut buf = Vec::new();
-        assert_eq!(ingress.recv(&mut buf, 4, within(PATIENT)), 4);
+        assert_eq!(link.recv(&mut buf, 4, within(PATIENT)), 4);
         stream.write_all(&frames(0, 10..13)).expect("write");
         assert_eq!(
-            ingress.recv(&mut buf, usize::MAX, within(PATIENT)),
+            link.recv(&mut buf, usize::MAX, within(PATIENT)),
             6,
             "the surplus only: no read happened"
         );
-        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(PATIENT)), 3);
+        assert_eq!(link.recv(&mut buf, usize::MAX, within(PATIENT)), 3);
         let expect: Vec<_> = (0..13).map(|s| (0, s)).collect();
         assert_eq!(transcript(&buf), expect);
     }
 
-    /// The deadline is exact: a 300 µs wait takes 300 µs, not the 0 or
-    /// 1 000 µs a millisecond timeout would round it to.
-    #[test]
-    fn a_sub_millisecond_wait_is_neither_cut_short_nor_rounded_up() {
-        let (mut ingress, addr) = ingress();
-        // One accepted, idle connection, so the wait covers a socket.
-        let _idle = TcpStream::connect(addr).expect("connect");
-        let mut buf = Vec::new();
-        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(SOON)), 0);
-        assert_eq!(ingress.socks.conns.len(), 1);
-
-        let wait = Duration::from_micros(300);
+    /// The fastest of 20 waits of 300 µs through `wait`: none may be cut
+    /// short, and not all twenty may be rounded up to the 1 000 µs a
+    /// millisecond timeout would make of them.
+    fn assert_exact_deadline(mut wait: impl FnMut(Instant) -> usize) {
+        let patience = Duration::from_micros(300);
         let mut fastest = Duration::MAX;
         for _ in 0..20 {
             let t0 = Instant::now();
-            assert_eq!(ingress.recv(&mut buf, usize::MAX, Some(t0 + wait)), 0);
+            assert_eq!(wait(t0 + patience), 0);
             let took = t0.elapsed();
-            assert!(took >= wait, "returned after {took:?}");
+            assert!(took >= patience, "returned after {took:?}");
             fastest = fastest.min(took);
         }
         // The scheduler may delay any one return; not all twenty.
@@ -1171,11 +1155,22 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_sub_millisecond_wait_is_neither_cut_short_nor_rounded_up() {
+        let (mut link, addr) = link();
+        // One accepted, idle connection, so the wait covers a socket.
+        let _idle = TcpStream::connect(addr).expect("connect");
+        assert_eq!(received(&mut link, SOON), vec![]);
+        assert_eq!(link.socks.conns.len(), 1);
+        let mut buf = Vec::new();
+        assert_exact_deadline(|until| link.recv(&mut buf, usize::MAX, Some(until)));
+    }
+
     /// A peer that closes mid-frame after `j` whole frames yields exactly
     /// those `j`, and the connection is forgotten.
     #[test]
     fn a_stream_cut_mid_frame_yields_the_whole_frames_and_is_forgotten() {
-        let (mut ingress, addr) = ingress();
+        let (mut link, addr) = link();
         for j in [0u64, 1, 9] {
             let mut bytes = frames(0, 0..j);
             let half = frames(0, j..j + 1);
@@ -1184,10 +1179,10 @@ mod tests {
             stream.write_all(&bytes).expect("write");
             drop(stream);
             let mut buf = Vec::new();
-            while ingress.recv(&mut buf, usize::MAX, within(SOON)) > 0 {}
+            while link.recv(&mut buf, usize::MAX, within(SOON)) > 0 {}
             let expect: Vec<_> = (0..j).map(|s| (0, s)).collect();
             assert_eq!(transcript(&buf), expect, "cut after {j} whole frames");
-            assert!(ingress.socks.conns.is_empty(), "closed connection kept");
+            assert!(link.socks.conns.is_empty(), "closed connection kept");
         }
     }
 
@@ -1211,17 +1206,26 @@ mod tests {
         txns.map(|t| AnyFrame::Done(done(t)))
     }
 
-    /// A connection that said `Hello` as `client`, taken in by `ingress`
-    /// (the marker envelope behind the `Hello` is what ends the wait).
-    fn hello(ingress: &mut SocketIngress<M>, addr: SocketAddr, client: usize) -> TcpStream {
+    /// A connection to `addr` that introduces itself with `first` (a
+    /// `Hello` or a `Peer`) and a marker envelope behind it.
+    fn introduce(addr: SocketAddr, first: AnyFrame<M>) -> TcpStream {
         let mut stream = TcpStream::connect(addr).expect("connect");
         let mut bytes = Vec::new();
-        write_frame::<M>(&AnyFrame::Hello { client }, &mut bytes);
-        bytes.extend(frames(client, 0..1));
+        write_frame(&first, &mut bytes);
+        bytes.extend(frames(9, 0..1));
         stream.write_all(&bytes).expect("write");
-        let mut buf = Vec::new();
-        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(PATIENT)), 1);
         stream
+    }
+
+    /// [`introduce`], taken in by `link` (the marker ends the wait).
+    fn introduced(link: &mut SocketLink<M>, addr: SocketAddr, first: AnyFrame<M>) -> TcpStream {
+        let stream = introduce(addr, first);
+        assert_eq!(received(link, PATIENT), vec![(9, 0)]);
+        stream
+    }
+
+    fn hello(link: &mut SocketLink<M>, addr: SocketAddr, client: usize) -> TcpStream {
+        introduced(link, addr, AnyFrame::Hello { client })
     }
 
     /// One blocking read: what the peer's last write put on the wire.
@@ -1245,11 +1249,11 @@ mod tests {
     /// exactly the frames of each call, in order, one segment per call.
     #[test]
     fn a_hello_connection_reads_each_reply_call_as_one_segment_in_order() {
-        let (mut ingress, addr) = ingress();
-        let mut client = hello(&mut ingress, addr, 7);
-        let bystander = hello(&mut ingress, addr, 8);
+        let (mut link, addr) = link();
+        let mut client = hello(&mut link, addr, 7);
+        let bystander = hello(&mut link, addr, 8);
         for txns in [0..3, 3..4, 4..9] {
-            assert!(ingress.reply(7, reports(txns.clone())));
+            assert!(link.reply(7, reports(txns.clone())));
             assert_eq!(segment(&mut client), done_frames(txns));
         }
         assert!(silent(&bystander), "a reply reached another client");
@@ -1259,99 +1263,175 @@ mod tests {
     /// replies go (a client that redialed is reading the new one).
     #[test]
     fn a_second_hello_for_the_same_id_re_routes_the_replies() {
-        let (mut ingress, addr) = ingress();
-        let mut first = hello(&mut ingress, addr, 7);
-        assert!(ingress.reply(7, reports(0..1)));
+        let (mut link, addr) = link();
+        let mut first = hello(&mut link, addr, 7);
+        assert!(link.reply(7, reports(0..1)));
         assert_eq!(segment(&mut first), done_frames(0..1));
-        let mut second = hello(&mut ingress, addr, 7);
-        assert!(ingress.reply(7, reports(1..3)));
+        let mut second = hello(&mut link, addr, 7);
+        assert!(link.reply(7, reports(1..3)));
         assert_eq!(segment(&mut second), done_frames(1..3));
         assert!(silent(&first), "the replaced connection was written");
     }
 
     /// A reply nobody can receive is dropped, and the caller is told: an
     /// id no connection announced, a connection that closed since, and any
-    /// reply through a channel inbox.
+    /// reply through a channel link.
     #[test]
     fn a_reply_to_an_unknown_or_closed_client_is_dropped_and_says_so() {
-        let (mut ingress, addr) = ingress();
-        assert!(!ingress.reply(3, reports(0..1)), "nobody said Hello yet");
-        let client = hello(&mut ingress, addr, 3);
-        assert!(!ingress.reply(4, reports(0..1)), "nobody said Hello as 4");
-        assert!(ingress.reply(3, reports(0..1)));
+        let (mut link, addr) = link();
+        assert!(!link.reply(3, reports(0..1)), "nobody said Hello yet");
+        let client = hello(&mut link, addr, 3);
+        assert!(!link.reply(4, reports(0..1)), "nobody said Hello as 4");
+        assert!(link.reply(3, reports(0..1)));
         drop(client);
         // The end of stream is read, and the connection forgotten, by the
         // next wait.
-        let mut buf = Vec::new();
-        assert_eq!(ingress.recv(&mut buf, usize::MAX, within(SOON)), 0);
-        assert!(ingress.socks.conns.is_empty(), "closed connection kept");
-        assert!(!ingress.reply(3, reports(1..2)), "its Hello went with it");
+        assert_eq!(received(&mut link, SOON), vec![]);
+        assert!(link.socks.conns.is_empty(), "closed connection kept");
+        assert!(!link.reply(3, reports(1..2)), "its Hello went with it");
 
         let (_tx, rx) = unbounded::<ToNode<M>>();
-        assert!(!Inbox::Channel(rx).reply(3, reports(0..1)));
+        let mut over_channels = Link::Channel(rx, ChannelTransport::new(Vec::new()));
+        assert!(!over_channels.reply(3, reports(0..1)));
     }
 
-    /// A multi-process client's end: its reply ingress, its transport
-    /// connected to a listener the test holds, and the accepted stream —
-    /// on which its `Hello` arrived ahead of everything else.
-    fn dialed(client: usize) -> (ReplyIngress, TcpTransport, TcpStream) {
+    /// An introduction whose id the link could not have handed out — a
+    /// `Peer` beyond the cluster, a `Hello` beyond what a transaction id
+    /// encodes — is refused where it is read: counted, the connection
+    /// forgotten with whatever followed on it, nothing indexed by it.
+    #[test]
+    fn an_introduction_with_an_id_out_of_range_forgets_the_connection() {
+        let (mut link, addr) = link();
+        link.mesh(0, vec![addr]);
+        let refused = [
+            AnyFrame::Peer { node: 1 },
+            AnyFrame::Peer { node: usize::MAX },
+            AnyFrame::Hello { client: CLIENT_IDS },
+        ];
+        for (i, first) in refused.into_iter().enumerate() {
+            let _stream = introduce(addr, first);
+            assert_eq!(received(&mut link, SOON), vec![], "served a refused peer");
+            assert!(link.socks.conns.is_empty(), "refused connection kept");
+            let errors = link.socks.net.as_ref().expect("metered").snapshot();
+            assert_eq!(errors.decode_errors, i as u64 + 1);
+        }
+    }
+
+    /// Two nodes, one connection: the lower id dials and says `Peer`, the
+    /// higher finds it while joining, and each writes to the other on it.
+    #[test]
+    fn a_pair_of_nodes_shares_the_one_connection_the_lower_id_dialed() {
+        let ((mut low, low_addr), (mut high, high_addr)) = (link(), link());
+        let nodes = vec![low_addr, high_addr];
+        low.mesh(0, nodes.clone());
+        high.mesh(1, nodes);
+        for round in 0..3 {
+            low.send_batch(1, &mut vec![net(0, round)]);
+            assert_eq!(received(&mut high, PATIENT), vec![(0, round)]);
+            high.send_batch(0, &mut vec![net(1, round)]);
+            assert_eq!(received(&mut low, PATIENT), vec![(1, round)]);
+        }
+        // Nothing is left to accept at either end, and neither dialed again.
+        assert_eq!(received(&mut low, SOON), vec![]);
+        assert_eq!(received(&mut high, SOON), vec![]);
+        assert_eq!((low.socks.conns.len(), high.socks.conns.len()), (1, 1));
+        let egress = high.socks.net.as_ref().expect("metered").snapshot();
+        assert_eq!(
+            egress.peers[0].frames_out, 3,
+            "answers are metered per peer"
+        );
+        assert_eq!(egress.peers[0].reconnects, 0);
+    }
+
+    /// After a loss both ends may redial, and for a while two connections
+    /// join a pair. A sender keeps to the oldest that lives — switching
+    /// could overtake its own frames — and moves on only when that one is
+    /// gone; a failed write drops its batch and the next one redials.
+    #[test]
+    fn a_sender_keeps_to_its_oldest_live_connection_to_a_peer() {
+        let (mut high, addr) = link();
+        let peer = TcpListener::bind("127.0.0.1:0").expect("bind the peer");
+        // Joining waits for the lower id's `Peer`: have it there already.
+        let mut first = introduce(addr, AnyFrame::Peer { node: 0 });
+        high.mesh(1, vec![peer.local_addr().expect("peer address"), addr]);
+        assert_eq!(received(&mut high, PATIENT), vec![(9, 0)]);
+        let mut second = introduced(&mut high, addr, AnyFrame::Peer { node: 0 });
+        high.send_batch(0, &mut vec![net(1, 0)]);
+        assert_eq!(segment(&mut first), frames(1, 0..1));
+        assert!(silent(&second), "switched while the older one lived");
+
+        drop(first);
+        assert_eq!(received(&mut high, SOON), vec![], "the end of stream");
+        high.send_batch(0, &mut vec![net(1, 1)]);
+        assert_eq!(segment(&mut second), frames(1, 1..2));
+
+        // With none left the next write dials — once, as a reconnect.
+        drop(second);
+        assert_eq!(received(&mut high, SOON), vec![]);
+        high.send_batch(0, &mut vec![net(1, 2)]);
+        let (mut redialed, _) = peer.accept().expect("the node dialed its peer");
+        let mut said = Vec::new();
+        write_frame::<M>(&AnyFrame::Peer { node: 1 }, &mut said);
+        said.extend(frames(1, 2..3));
+        let mut got = vec![0u8; said.len()];
+        redialed.read_exact(&mut got).expect("read");
+        assert_eq!(got, said, "Peer must be the first frame on the wire");
+        let egress = high.socks.net.as_ref().expect("metered").snapshot();
+        assert_eq!(egress.peers[0].reconnects, 1);
+    }
+
+    /// A multi-process client's link connected to a listener the test
+    /// holds, and the accepted stream — on which its `Hello` arrived ahead
+    /// of everything else.
+    fn dialed(client: usize) -> (ClientLink<M>, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("listener address");
-        let (mut transport, replies) = TcpTransport::new(vec![addr]).hello(client);
-        transport.send(0, net(client, 0));
+        let mut link = ClientLink::dialing(client, vec![addr]);
+        link.send_batch(0, &mut vec![net(client, 0)]);
         let (mut node_end, _) = listener.accept().expect("accept");
         let mut said = Vec::new();
         write_frame::<M>(&AnyFrame::Hello { client }, &mut said);
         let mut got = vec![0u8; said.len()];
         node_end.read_exact(&mut got).expect("read the handshake");
         assert_eq!(got, said, "Hello must be the first frame on the wire");
-        (replies, transport, node_end)
+        (link, node_end)
     }
 
-    /// The client-side source, same shape as the node's: half a `Done`
-    /// completes nothing, the whole one is delivered once, and a read half
-    /// at end of stream is forgotten.
+    /// The client's end, same shape as the node's: half a `Done` completes
+    /// nothing, the whole one is delivered once — read off the connection
+    /// the request was written on — and a connection at end of stream is
+    /// forgotten.
     #[test]
     fn a_done_split_across_two_writes_reaches_the_client_once_after_the_second() {
-        let (mut replies, _transport, mut node_end) = dialed(5);
+        let (mut link, mut node_end) = dialed(5);
         let bytes = done_frames(0..1);
         let (head, tail) = bytes.split_at(bytes.len() / 2);
         let mut buf = Vec::new();
 
         node_end.write_all(head).expect("write head");
         let t0 = Instant::now();
-        assert_eq!(replies.recv(&mut buf, usize::MAX, t0 + SOON), 0);
+        assert_eq!(link.recv(&mut buf, usize::MAX, t0 + SOON), 0);
         assert!(t0.elapsed() >= SOON, "an incomplete frame ended the wait");
 
         node_end.write_all(tail).expect("write tail");
         let patient = Instant::now() + PATIENT;
-        assert_eq!(replies.recv(&mut buf, usize::MAX, patient), 1);
+        assert_eq!(link.recv(&mut buf, usize::MAX, patient), 1);
         assert_eq!(buf, vec![done(0)]);
 
         drop(node_end);
-        assert_eq!(replies.recv(&mut buf, usize::MAX, Instant::now() + SOON), 0);
-        assert!(replies.socks.conns.is_empty(), "closed read half kept");
+        assert_eq!(link.recv(&mut buf, usize::MAX, Instant::now() + SOON), 0);
+        let ClientLink::Sockets(socks, _) = link else {
+            unreachable!("built by `dialing`")
+        };
+        assert!(socks.conns.is_empty(), "closed connection kept");
     }
 
     /// The arrival schedule parks on this wait: 300 µs must take 300 µs on
     /// the client's end as well.
     #[test]
     fn a_sub_millisecond_reply_wait_is_neither_cut_short_nor_rounded_up() {
-        let (mut replies, _transport, _node_end) = dialed(5);
+        let (mut link, _node_end) = dialed(5);
         let mut buf = Vec::new();
-        let wait = Duration::from_micros(300);
-        let mut fastest = Duration::MAX;
-        for _ in 0..20 {
-            let t0 = Instant::now();
-            assert_eq!(replies.recv(&mut buf, usize::MAX, t0 + wait), 0);
-            let took = t0.elapsed();
-            assert!(took >= wait, "returned after {took:?}");
-            fastest = fastest.min(took);
-        }
-        assert_eq!(replies.socks.conns.len(), 1, "the wait covered a socket");
-        assert!(
-            fastest < Duration::from_millis(1),
-            "fastest of 20 waits took {fastest:?}"
-        );
+        assert_exact_deadline(|until| link.recv(&mut buf, usize::MAX, until));
     }
 }

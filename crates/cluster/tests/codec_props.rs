@@ -321,8 +321,8 @@ proptest! {
     }
 
     /// Every control envelope (Begin with a full transaction body, Net,
-    /// StatusQ/StatusA, End, Shutdown) plus the client-side Done/Hello
-    /// frames survive framing — whether the decoder is fed byte by byte
+    /// StatusQ/StatusA, End, Shutdown) plus the client-side Done frame and
+    /// both introductions (a client's Hello, a node's Peer) survive framing — whether the decoder is fed byte by byte
     /// or everything concatenated at once.
     #[test]
     fn control_frames_round_trip_under_any_fragmentation(
@@ -332,7 +332,7 @@ proptest! {
         let r = &mut Rng(seed);
         let mut frames: Vec<AnyFrame<InbacMsg>> = Vec::new();
         for _ in 0..6 {
-            frames.push(match r.below(3) {
+            frames.push(match r.below(4) {
                 0 => {
                     let msg = inbac(r);
                     AnyFrame::Node(envelope(r, msg))
@@ -342,7 +342,9 @@ proptest! {
                     node: r.below(64) as usize,
                     decision: r.next(),
                 }),
-                _ => AnyFrame::Hello { client: r.below(64) as usize },
+                2 => AnyFrame::Hello { client: r.below(64) as usize },
+                // Any id frames; which ids a link accepts is the link's call.
+                _ => AnyFrame::Peer { node: r.next() as usize },
             });
         }
         frames_roundtrip(&frames, step)?;      // fragmented

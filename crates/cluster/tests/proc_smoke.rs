@@ -2,8 +2,9 @@
 //! processes plus one `ac-client` process on loopback, driven over TCP end
 //! to end. The tests parse each process's audit line and check the global
 //! contract: value conserved across shards, no locks left, no orphaned
-//! envelopes, no stalls, no split decisions — also when a node comes up
-//! after the client — and count the threads each process serves with.
+//! envelopes, no stalls, no split decisions — also when a node, the one
+//! that dials or the one that is dialed, comes up after the client — and
+//! count the threads and the sockets each process serves with.
 
 use std::collections::HashMap;
 use std::io::Read as _;
@@ -32,6 +33,18 @@ fn threads_of(pid: u32) -> usize {
     std::fs::read_dir(format!("/proc/{pid}/task")).map_or(0, |tasks| tasks.count())
 }
 
+/// Socket descriptors process `pid` holds right now: its listener and
+/// every connection it dialed or accepted (an `ac-node` is started with
+/// no socket among its standard streams).
+fn sockets_of(pid: u32) -> usize {
+    let Ok(fds) = std::fs::read_dir(format!("/proc/{pid}/fd")) else {
+        return 0;
+    };
+    let target = |fd: std::io::Result<std::fs::DirEntry>| std::fs::read_link(fd.ok()?.path()).ok();
+    let is_socket = |to: &std::path::PathBuf| to.to_string_lossy().starts_with("socket:");
+    fds.filter_map(target).filter(is_socket).count()
+}
+
 /// The exited `child`'s stdout; panics unless it succeeded.
 fn output_of(child: &mut Child, what: &str) -> String {
     let status = child.wait().expect("wait");
@@ -55,19 +68,21 @@ fn fields(line: &str) -> HashMap<String, i64> {
 }
 
 /// What one cluster run printed, and the most threads any `ac-node` /
-/// the `ac-client` was seen with while the client was running.
+/// the `ac-client`, and the most sockets each `ac-node`, was seen with
+/// while the client was running.
 struct Run {
     client: HashMap<String, i64>,
     nodes: Vec<HashMap<String, i64>>,
     node_threads: usize,
     client_threads: usize,
+    node_sockets: Vec<usize>,
 }
 
 /// Boot the cluster `spec` describes (node addresses appended here) —
-/// the last `ac-node` only `last_node_late` after `ac-client` — and wait
+/// `ac-node` number `late.0` only `late.1` after `ac-client` — and wait
 /// for every process, killing the lot at a deadline so a wedged process
 /// fails the test instead of hanging the suite.
-fn run_cluster(tag: &str, spec: &str, last_node_late: Duration) -> Run {
+fn run_cluster(tag: &str, spec: &str, late: (usize, Duration)) -> Run {
     let mut spec = spec.to_string();
     for (i, p) in free_ports(N).iter().enumerate() {
         spec.push_str(&format!("node {i} = 127.0.0.1:{p}\n"));
@@ -81,12 +96,14 @@ fn run_cluster(tag: &str, spec: &str, last_node_late: Duration) -> Run {
             .arg(&spec_path)
             .arg("--id")
             .arg(i.to_string())
+            .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .spawn()
             .expect("spawn ac-node")
     };
 
-    let mut nodes: Vec<Child> = (0..N - 1).map(node).collect();
+    let on_time = (0..N).filter(|&i| i != late.0);
+    let mut nodes: Vec<(usize, Child)> = on_time.map(|i| (i, node(i))).collect();
     let mut client = Command::new(env!("CARGO_BIN_EXE_ac-client"))
         .arg("--spec")
         .arg(&spec_path)
@@ -95,16 +112,18 @@ fn run_cluster(tag: &str, spec: &str, last_node_late: Duration) -> Run {
         .expect("spawn ac-client");
     let started = Instant::now();
     let (mut node_threads, mut client_threads) = (0, 0);
+    let mut node_sockets = vec![0; N];
     while client.try_wait().expect("try_wait").is_none() {
-        if nodes.len() < N && started.elapsed() >= last_node_late {
-            nodes.push(node(N - 1));
+        if nodes.len() < N && started.elapsed() >= late.1 {
+            nodes.push((late.0, node(late.0)));
         }
         client_threads = client_threads.max(threads_of(client.id()));
-        for n in &nodes {
+        for (i, n) in &nodes {
             node_threads = node_threads.max(threads_of(n.id()));
+            node_sockets[*i] = node_sockets[*i].max(sockets_of(n.id()));
         }
         if started.elapsed() > Duration::from_secs(120) {
-            for child in nodes.iter_mut().chain([&mut client]) {
+            for child in nodes.iter_mut().map(|n| &mut n.1).chain([&mut client]) {
                 let _ = child.kill();
             }
             panic!("the cluster did not finish before the deadline");
@@ -112,9 +131,9 @@ fn run_cluster(tag: &str, spec: &str, last_node_late: Duration) -> Run {
         std::thread::sleep(Duration::from_millis(1));
     }
     let client_out = output_of(&mut client, "ac-client");
+    nodes.sort_by_key(|n| n.0);
     let node_outs: Vec<String> = nodes
         .iter_mut()
-        .enumerate()
         .map(|(i, n)| output_of(n, &format!("ac-node {i}")))
         .collect();
     let _ = std::fs::remove_file(&spec_path);
@@ -130,6 +149,7 @@ fn run_cluster(tag: &str, spec: &str, last_node_late: Duration) -> Run {
             .collect(),
         node_threads,
         client_threads,
+        node_sockets,
     }
 }
 
@@ -141,7 +161,7 @@ fn four_process_cluster_serves_a_transfer_workload() {
          clients = {CLIENTS}\ntxns_per_client = {TXNS}\n\
          workload = transfer:5\nseed = 11\n"
     );
-    let run = run_cluster("transfer", &spec, Duration::ZERO);
+    let run = run_cluster("transfer", &spec, (N - 1, Duration::ZERO));
 
     // Client contract: every transaction decided, atomically.
     let c = &run.client;
@@ -161,11 +181,15 @@ fn four_process_cluster_serves_a_transfer_workload() {
 }
 
 /// The load starts when the cluster is up, not when `ac-client` is: with
-/// the last node 300 ms late, a client that let `Begin`s leave at once
-/// would sit in that node's first-contact dial while D1CC's other
-/// participant timed out to Abort and the late node, handed both votes
-/// on arrival, committed — a split. And while the load runs, an `ac-node`
-/// is one thread and `ac-client` its main thread plus one per client.
+/// one node 300 ms late, a client that let `Begin`s leave at once would
+/// sit in that node's first-contact dial while D1CC's other participant
+/// timed out to Abort and the late node, handed both votes on arrival,
+/// committed — a split. The late node is the highest id (every pair it
+/// is in dials it, and waits) or the lowest (it dials every pair it is
+/// in, and is waited for). And while the load runs, an `ac-node` is one
+/// thread and `ac-client` its main thread plus one per client; a node
+/// holds its listener, one connection per other node — `n·(n − 1)/2`
+/// across the cluster, each seen from both ends — and one per client.
 #[test]
 fn a_node_that_comes_up_late_delays_the_load_instead_of_splitting_it() {
     const TXNS: usize = 400;
@@ -174,11 +198,25 @@ fn a_node_that_comes_up_late_delays_the_load_instead_of_splitting_it() {
          clients = {CLIENTS}\ntxns_per_client = {TXNS}\n\
          workload = uniform:2\nseed = 11\n"
     );
-    let run = run_cluster("late-node", &spec, Duration::from_millis(300));
-    let c = &run.client;
-    assert_eq!((c["split"], c["stalled"]), (0, 0), "{c:?}");
-    assert_eq!(c["txns"], (CLIENTS * TXNS) as i64, "transactions lost");
+    for late in [N - 1, 0] {
+        let tag = format!("late-node-{late}");
+        let run = run_cluster(&tag, &spec, (late, Duration::from_millis(300)));
+        let c = &run.client;
+        assert_eq!(
+            (c["split"], c["stalled"]),
+            (0, 0),
+            "node {late} late: {c:?}"
+        );
+        assert_eq!(c["txns"], (CLIENTS * TXNS) as i64, "transactions lost");
 
-    assert_eq!(run.node_threads, 1, "a serving ac-node is its node loop");
-    assert_eq!(run.client_threads, 1 + CLIENTS, "main + one per client");
+        assert_eq!(run.node_threads, 1, "a serving ac-node is its node loop");
+        assert_eq!(run.client_threads, 1 + CLIENTS, "main + one per client");
+        let per_node = 1 + (N - 1) + CLIENTS;
+        assert_eq!(
+            run.node_sockets,
+            vec![per_node; N],
+            "node {late} late: a listener, {} peers, {CLIENTS} clients each",
+            N - 1
+        );
+    }
 }

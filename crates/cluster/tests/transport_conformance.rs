@@ -5,7 +5,9 @@
 //!
 //! * per-sender FIFO under concurrent producers,
 //! * `send_batch` observationally equivalent to a sequence of `send`s,
-//! * no loss and no duplication on a clean link,
+//! * no loss and no duplication on a clean link — and when the peer drops
+//!   every connection mid-stream, loss but still neither duplication nor
+//!   reordering (a failed write is never sent again),
 //! * delivery resumes after the peer drops every connection (the
 //!   channel impl treats the bounce as a no-op and must be unaffected),
 //! * one `send_batch` is one inbox hand-off: its envelopes become visible
@@ -111,7 +113,14 @@ fn drain(rx: &Receiver<ToNode<M>>, want: usize, deadline: Duration) -> Vec<(u64,
 /// `counts[p]` envelopes from each of `counts.len()` concurrent
 /// producers (each with its own endpoint), all to node 0, batched in
 /// `chunk`-sized `send_batch` calls (`chunk == 1` uses plain `send`).
-fn pump(rig: &Rig, counts: &[u32], chunk: u32) -> Vec<(u64, usize, u64)> {
+/// With `bounce_after`, node 0 drops every connection once that many
+/// envelopes arrived; the transcript is then whatever still got through.
+fn pump(
+    rig: &Rig,
+    counts: &[u32],
+    chunk: u32,
+    bounce_after: Option<usize>,
+) -> Vec<(u64, usize, u64)> {
     let total: usize = counts.iter().map(|&c| c as usize).sum();
     let handles: Vec<_> = counts
         .iter()
@@ -134,10 +143,28 @@ fn pump(rig: &Rig, counts: &[u32], chunk: u32) -> Vec<(u64, usize, u64)> {
             })
         })
         .collect();
-    let got = drain(&rig.rxs[0], total, Duration::from_secs(20));
+    let Some(bounce_after) = bounce_after else {
+        let got = drain(&rig.rxs[0], total, Duration::from_secs(20));
+        for h in handles {
+            h.join().unwrap();
+        }
+        return got;
+    };
+    let mut got = drain(
+        &rig.rxs[0],
+        bounce_after.min(total),
+        Duration::from_secs(20),
+    );
+    (rig.bounce)();
     for h in handles {
         h.join().unwrap();
     }
+    // Every write has returned: what was not lost is in flight at most.
+    got.extend(drain(
+        &rig.rxs[0],
+        total - got.len(),
+        Duration::from_millis(200),
+    ));
     got
 }
 
@@ -155,19 +182,27 @@ proptest! {
     /// Concurrent producers, arbitrary batching: every envelope arrives
     /// exactly once (no loss, no duplication on a clean link) and each
     /// producer's stream is delivered in FIFO order, on both transports.
+    /// When the receiver drops every connection mid-pump, envelopes may be
+    /// lost — never delivered twice, never out of order.
     #[test]
     fn per_sender_fifo_no_loss_no_dup_under_concurrent_producers(
         counts in proptest::collection::vec(0u32..60, 2..4),
         chunk in 1u32..9,
+        bounce in 0usize..120,
     ) {
+        // Half the cases bounce, after up to 59 arrivals.
+        let bounce_after = (bounce < 60).then_some(bounce);
         for rig in rigs(1) {
-            let got = pump(&rig, &counts, chunk);
+            let got = pump(&rig, &counts, chunk, bounce_after);
+            let clean = bounce_after.is_none() || rig.name == "channel";
             let total: usize = counts.iter().map(|&c| c as usize).sum();
-            prop_assert_eq!(got.len(), total, "{}: lost or duplicated envelopes", rig.name);
+            prop_assert!(got.len() <= total, "{}: duplicated envelopes", rig.name);
+            prop_assert!(!clean || got.len() == total, "{}: lost envelopes", rig.name);
             for (p, &count) in counts.iter().enumerate() {
                 let stream: Vec<u64> = got.iter().filter(|e| e.1 == p).map(|e| e.2).collect();
-                let expect: Vec<u64> = (0..count as u64).collect();
-                prop_assert_eq!(&stream, &expect, "{}: producer {} out of FIFO", rig.name, p);
+                let in_order = stream.windows(2).all(|w| w[0] < w[1]);
+                prop_assert!(in_order, "{}: producer {} out of FIFO: {:?}", rig.name, p, stream);
+                prop_assert!(stream.iter().all(|&s| s < count as u64));
             }
         }
     }
@@ -181,8 +216,8 @@ proptest! {
         chunk in 2u32..17,
     ) {
         for rig in rigs(1) {
-            let batched = pump(&rig, &[count], chunk);
-            let plain = pump(&rig, &[count], 1);
+            let batched = pump(&rig, &[count], chunk, None);
+            let plain = pump(&rig, &[count], 1, None);
             prop_assert_eq!(&batched, &plain, "{}: batching changed the transcript", rig.name);
         }
     }
@@ -286,6 +321,49 @@ fn delivery_resumes_after_peer_reconnect() {
             last = e.2;
         }
     }
+}
+
+/// Every `Net` sequence number `stream` delivers until its end.
+fn sequence_numbers(stream: &mut std::net::TcpStream) -> Vec<u64> {
+    use std::io::Read as _;
+    let mut dec = ac_cluster::FrameDecoder::new();
+    let (mut chunk, mut seqs) = (vec![0u8; 64 * 1024], Vec::new());
+    while let Ok(n @ 1..) = stream.read(&mut chunk) {
+        dec.feed(&chunk[..n]);
+        while let Ok(Some(frame)) = dec.next_frame::<M>() {
+            if let AnyFrame::Node(ToNode::Net { msg, .. }) = frame {
+                seqs.push(msg);
+            }
+        }
+    }
+    seqs
+}
+
+/// Delivery is at most once even when a write fails part way: the batch
+/// here is larger than the socket buffers, so the kernel has taken its
+/// head when the receiver cuts the connection, and what was taken may
+/// have been delivered. The transport drops the rest — it cannot know
+/// where the cut fell — and the next send redials and carries only itself.
+#[test]
+fn a_batch_whose_write_failed_part_way_is_never_sent_again() {
+    use std::io::Read as _;
+    const BATCH: u32 = 400_000;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("listener address");
+    let sender = std::thread::spawn(move || {
+        let mut t = TcpTransport::new(vec![addr]);
+        let mut batch: Vec<ToNode<M>> = (0..BATCH).map(|s| net(0, s)).collect();
+        t.send_batch(0, &mut batch);
+        t.send(0, net(0, BATCH));
+    });
+    let (mut cut, _) = listener.accept().expect("first contact");
+    cut.read_exact(&mut [0u8; 4096])
+        .expect("the head of the batch");
+    drop(cut);
+    let (mut redialed, _) = listener.accept().expect("the next send redials");
+    // Read to the end of the stream: the sender hangs up when it is done.
+    assert_eq!(sequence_numbers(&mut redialed), vec![u64::from(BATCH)]);
+    sender.join().expect("sender");
 }
 
 /// A metered single-node TCP rig: ingress meters on the node's reader
