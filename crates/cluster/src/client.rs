@@ -15,7 +15,7 @@ use ac_commit::protocols::PerRank;
 use ac_commit::CommitProtocol;
 use ac_obs::{DumpTxn, FlightRecorder, LatencyHistogram, NodeObs, RunStats, Stage};
 use ac_txn::workload::{ArrivalSchedule, WorkloadConfig};
-use ac_txn::Transaction;
+use ac_txn::{Transaction, TxnId};
 
 use crate::service::{parts_of, Done, ServiceConfig, ToNode, TxnEvent};
 use crate::transport::{ClientLink, Outbox};
@@ -135,6 +135,9 @@ impl ClientFold {
 
 /// One outstanding transaction at a client.
 struct PendingTxn {
+    /// `txn.id`, inline: every reply is matched against every outstanding
+    /// entry.
+    id: TxnId,
     txn: Arc<Transaction>,
     /// Participant shards, derived once at submission.
     parts: PerRank<usize>,
@@ -214,6 +217,7 @@ where
         let now = Instant::now();
         let p = PendingTxn {
             decisions: PerRank::from_elem(None, parts.len()),
+            id: txn.id,
             txn,
             parts,
             got: 0,
@@ -225,19 +229,21 @@ where
         stage_begins(outbox, &p, client, false);
         p
     };
+    // Parked: retried often enough that the closed loop stops waiting for
+    // it. `unparked` counts the outstanding transactions that are not.
+    let parked = |p: &PendingTxn| p.retries >= cfg.park_retries;
+    let mut unparked = 0usize;
     // The closed loop is open: every outstanding transaction is parked
     // and there is room. (Pacing gates on top of it.)
-    let gate_open = |submitted: usize, outstanding: &[PendingTxn]| {
-        submitted < total
-            && outstanding.len() < cfg.max_outstanding
-            && outstanding.iter().all(|p| p.retries >= cfg.park_retries)
+    let gate_open = |submitted: usize, outstanding: usize, unparked: usize| {
+        submitted < total && outstanding < cfg.max_outstanding && unparked == 0
     };
     // `p`'s timeline as the client observed it; `decided` is its latency
     // and outcome, `None` for an abandoned transaction.
     let event = |p: &PendingTxn, decided: Option<(Duration, bool)>| {
         let submitted_at = p.t0.saturating_duration_since(epoch);
         TxnEvent {
-            id: p.txn.id,
+            id: p.id,
             client,
             participants: p.parts.len(),
             submitted_at,
@@ -266,6 +272,7 @@ where
             .map_or(Duration::ZERO, ArrivalSchedule::next_gap);
 
     loop {
+        debug_assert_eq!(unparked, outstanding.iter().filter(|p| !parked(p)).count());
         if let Some(sched) = arrivals.as_mut() {
             // Dispatch every arrival whose scheduled instant has passed.
             // Sojourn time is measured from the *scheduled* arrival, so
@@ -280,7 +287,9 @@ where
                     shed += 1;
                     continue;
                 }
-                outstanding.push(submit(t, scheduled, &mut outbox));
+                let p = submit(t, scheduled, &mut outbox);
+                unparked += usize::from(!parked(&p));
+                outstanding.push(p);
                 submitted += 1;
             }
             if offered == total && outstanding.is_empty() {
@@ -290,12 +299,14 @@ where
             // Submit while the closed loop is open and pacing allows it.
             loop {
                 let now = Instant::now();
-                if !gate_open(submitted, &outstanding) || now < next_allowed {
+                if !gate_open(submitted, outstanding.len(), unparked) || now < next_allowed {
                     break;
                 }
                 let mut t = gen.next_txn();
                 t.id = ServiceConfig::txn_id(client, submitted);
-                outstanding.push(submit(t, now, &mut outbox));
+                let p = submit(t, now, &mut outbox);
+                unparked += usize::from(!parked(&p));
+                outstanding.push(p);
                 submitted += 1;
                 if let Some(p) = cfg.pacing {
                     next_allowed = now + p;
@@ -318,7 +329,7 @@ where
             if offered < total {
                 due = Some(due.map_or(next_arrival, |d| d.min(next_arrival)));
             }
-        } else if gate_open(submitted, &outstanding) {
+        } else if gate_open(submitted, outstanding.len(), unparked) {
             due = Some(due.map_or(next_allowed, |d| d.min(next_allowed)));
         }
         // The turn's single write point: everything staged since the last
@@ -332,7 +343,7 @@ where
 
         // Fold in replies (duplicates from retries/recovery are ignored).
         for d in dbuf.drain(..) {
-            let Some(i) = outstanding.iter().position(|p| p.txn.id == d.txn) else {
+            let Some(i) = outstanding.iter().position(|p| p.id == d.txn) else {
                 continue; // straggler of a completed or abandoned txn
             };
             let p = &mut outstanding[i];
@@ -344,12 +355,13 @@ where
             }
             if p.got == p.parts.len() {
                 let p = outstanding.swap_remove(i);
+                unparked -= usize::from(!parked(&p));
                 let lat = p.t0.elapsed();
                 latency.record_duration(lat);
                 let committed = p.decisions[0] == Some(COMMIT);
                 events.push(event(&p, Some((lat, committed))));
                 for &q in &p.parts {
-                    outbox.stage(q, ToNode::End { txn: p.txn.id });
+                    outbox.stage(q, ToNode::End { txn: p.id });
                 }
                 records.push(ClientRecord {
                     txn: p.txn,
@@ -365,6 +377,7 @@ where
         while i < outstanding.len() {
             if now >= outstanding[i].deadline {
                 let p = outstanding.swap_remove(i);
+                unparked -= usize::from(!parked(&p));
                 stalled += 1;
                 reply_timeouts += 1;
                 events.push(event(&p, None));
@@ -379,6 +392,7 @@ where
                 reply_timeouts += 1;
                 retries += 1;
                 p.retries += 1;
+                unparked -= usize::from(p.retries == cfg.park_retries);
                 p.next_retry = now + cfg.reply_timeout;
                 stage_begins(&mut outbox, p, client, true);
             }

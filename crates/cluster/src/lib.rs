@@ -48,7 +48,7 @@ pub use codec::{AnyFrame, FrameDecoder, MAX_FRAME};
 pub use service::{
     participants_of, run_service, run_service_faulted, CrashWindow, Done, Fate, FaultSpec,
     NetPolicy, NodeRecord, ServiceConfig, ServiceOutcome, ToNode, TransportKind, TxnEvent,
-    GROUP_COMMIT_SIBLINGS, GROUP_COMMIT_UNIT_SHARE, ORPHAN_CAP, SLOWEST_KEPT,
+    ORPHAN_CAP, SLOWEST_KEPT,
 };
 pub use spec::ClusterSpec;
 pub use transport::{ChannelTransport, TcpNode, TcpTransport, Transport};

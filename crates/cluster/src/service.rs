@@ -112,31 +112,6 @@ use crate::transport::{
 /// renders), whichever host served the run.
 pub const SLOWEST_KEPT: usize = 5;
 
-/// Open instances at a node from which a staged WAL batch waits for
-/// company when no [`ServiceConfig::wal_flush_interval`] is configured
-/// (PostgreSQL's `commit_siblings`). Below it a drain batch already
-/// carries every record there is to group, and a hold would only add
-/// latency: an unloaded commit stays a few hand-offs. From it on, the
-/// records of that many transactions arrive spread over many drain
-/// batches, and a node forces at most once per
-/// `unit / `[`GROUP_COMMIT_UNIT_SHARE`].
-///
-/// What the window buys with the in-memory [`Wal`] is not CPU (a force
-/// is a `Vec` append) but a clock: since ISSUE-14 no round timer paces a
-/// failure-free 2PC/3PC/1NBAC/INBAC commit, so a durable node under a
-/// deep window of in-flight transactions would run as fast as the CPU
-/// of the minute lets it, and its throughput would read the host, not
-/// the service. With the window a loaded durable node is paced at
-/// `in flight / (k · window + ε)`, as a log device with a fixed force
-/// time would pace it (ROADMAP item 1a).
-pub const GROUP_COMMIT_SIBLINGS: usize = 32;
-
-/// The load-adaptive group-commit window is `unit / 5`: short enough
-/// that a vote held once at the participant and a decision held once at
-/// the coordinator still leave most of the `1·U` a round timer allows a
-/// message, long enough that a loaded node idles between forces.
-pub const GROUP_COMMIT_UNIT_SHARE: u32 = 5;
-
 /// [`ServiceConfig::max_outstanding`] unless configured — also what a
 /// cluster-spec file without the key means.
 pub(crate) const DEFAULT_MAX_OUTSTANDING: usize = 16;
@@ -323,12 +298,11 @@ pub struct ServiceConfig {
     /// Time-based cap on WAL group commit: a node holds its staged
     /// record batch (and the envelopes/replies that depend on it) for at
     /// most this long before forcing, letting one force absorb appends
-    /// across *several* drain batches. `None` (the default) = the
-    /// load-adaptive window: force once per drain batch that staged
-    /// records — no added latency — until [`GROUP_COMMIT_SIBLINGS`]
-    /// instances are open at the node, and from there on at most once
-    /// per `unit / `[`GROUP_COMMIT_UNIT_SHARE`]. A zero interval never
-    /// holds.
+    /// across *several* drain batches. `None` (the default) = no hold
+    /// at any load: a node forces once per loop turn that staged records,
+    /// before that turn's flush, and the batch is whatever the turn's
+    /// drain found — a busier node drains a deeper backlog and forces a
+    /// larger batch. A zero interval never holds either.
     pub wal_flush_interval: Option<Duration>,
     /// Which transport carries node-to-node envelopes.
     pub transport: TransportKind,

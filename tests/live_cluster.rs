@@ -16,7 +16,6 @@ use std::time::Duration;
 
 use ac_cluster::{
     run_service, run_service_faulted, Fate, FaultSpec, NetPolicy, ServiceConfig, TransportKind,
-    GROUP_COMMIT_SIBLINGS, GROUP_COMMIT_UNIT_SHARE,
 };
 use ac_commit::protocols::ProtocolKind;
 use ac_obs::Stage;
@@ -483,20 +482,17 @@ fn flush_interval_hold_amortizes_wal_forces_below_one_per_txn() {
     );
 }
 
-/// The load-adaptive group-commit window (no `wal_flush_interval`
-/// configured). Below `GROUP_COMMIT_SIBLINGS` open instances a durable
-/// node forces per drain batch, so an unloaded durable commit is still a
-/// few hand-offs — no transaction ever waits out a window. Under a deep
-/// closed-loop window a node forces at most once per `U / 5`: every
-/// commit is held at least once (its median is a window or more), none
-/// is held long enough to miss a `1·U` round timer (everything commits,
-/// no protocol timer fires), and the run is paced by that clock — the
-/// forces of a whole run fit in its length divided by the window, plus
-/// the per-drain ones of the ramps at both ends.
+/// Group commit with no `wal_flush_interval` configured is
+/// work-conserving: a durable node forces what a loop turn staged before
+/// that turn's flush, at every load. Under a deep closed-loop window no
+/// commit waits for a clock — the median stays far below a fifth of the
+/// unit (the hold a loaded node once kept), everything commits and no
+/// protocol timer fires — and the forces still batch, because a busy
+/// node's drain finds a backlog: fewer forces cluster-wide than
+/// transactions, though each transaction stages 8 records.
 #[test]
-fn group_commit_window_paces_a_durable_node_only_under_a_deep_window() {
+fn a_deep_window_batches_a_durable_nodes_forces_without_holding_a_commit() {
     let unit = Duration::from_millis(50);
-    let window = unit / GROUP_COMMIT_UNIT_SHARE;
     let durable = FaultSpec {
         durable: true,
         ..FaultSpec::none(4)
@@ -505,42 +501,27 @@ fn group_commit_window_paces_a_durable_node_only_under_a_deep_window() {
         .unit(unit)
         .workload(Workload::Uniform { span: 4 })
         .keys_per_shard(1 << 20)
-        .seed(43);
-
-    let unloaded = run_service_faulted(&cfg.clone().clients(1).txns_per_client(20), &durable);
-    assert!(unloaded.is_safe(), "{:?}", unloaded.violations);
-    assert_eq!(unloaded.committed, 20);
-    let slowest = Duration::from_nanos(unloaded.latency.max());
-    assert!(
-        slowest < window,
-        "an unloaded durable commit took {slowest:?}: held for the {window:?} window"
-    );
-
-    let deep_cfg = cfg
+        // No two of this seed's 800 transactions share a key, so none can
+        // abort on a conflict however far one client runs ahead.
+        .seed(47)
         .clients(2)
         .txns_per_client(400)
         .park_retries(0)
-        .max_outstanding(2 * GROUP_COMMIT_SIBLINGS);
-    let deep = run_service_faulted(&deep_cfg, &durable);
+        .max_outstanding(64);
+    let deep = run_service_faulted(&cfg, &durable);
     assert_eq!(deep.stalled, 0);
     assert!(deep.is_safe(), "{:?}", deep.violations);
     assert_eq!(deep.committed, 800, "no vote may miss its round timer");
     assert_eq!(deep.stage_meters.get(Stage::TimerFire).0, 0);
     let median = Duration::from_nanos(deep.latency.p50());
     assert!(
-        median >= window && median < unit,
-        "a commit under a deep window waits out a {window:?} window or more, \
-         never a round timer ({unit:?}): median {median:?}"
+        median < unit / 5,
+        "a commit under a deep window waited for something: median {median:?}"
     );
-    // Per node: one force per window of the run, plus the per-drain
-    // forces while fewer than GROUP_COMMIT_SIBLINGS instances are open
-    // (ramp-up and ramp-down: two records per transaction at most).
-    let windows = (deep.elapsed.as_nanos() / window.as_nanos()) as usize + 1;
-    let ramps = 2 * 2 * GROUP_COMMIT_SIBLINGS;
     assert!(
-        deep.wal_forces <= 4 * (windows + ramps),
-        "{} forces in {:?}: more than one per {window:?} window and node",
+        deep.wal_forces < deep.txns,
+        "{} forces for {} transactions: a loaded node's drain no longer batches",
         deep.wal_forces,
-        deep.elapsed
+        deep.txns
     );
 }
