@@ -48,7 +48,7 @@
 //! | `drain`    | [`Link`] (the node's channel, or its own sockets: one readiness wait, one read per ready connection — peers' and clients' alike) → `inbox`, parked on the exact next deadline | — | crash check, dark window, WAL recovery |
 //! | `dispatch` | `inbox` → table, engine, `decided`, outbox; self-sends and due timers to quiescence | `DrainGap`, `LockAcquire`, flight `Dispatch`/`LockAcquired` | — |
 //! | `apply`    | `decided` → shard, `log`, staged WAL records, staged `Done`s | `WalJournal`, flight `Decided`  | lock-steal guard (Deferred) |
-//! | `force`    | staged WAL records → WAL (one force per turn that staged any, or held by a configured flush interval) | `WalForce`, flight `WalForced` | durability-before-reply |
+//! | `force`    | staged WAL records → WAL (one force per turn that staged any) | `WalForce`, flight `WalForced` | durability-before-reply |
 //! | `flush`    | outbox → fault policy → the same [`Link`] (a sender per node, or one write to each peer down the connection that peer is read from); `Done`s → [`Replies`] (each client's channel, or one write down the connection it said `Hello` on) | `Flush` | fault policy ([`NetPolicy`](crate::service::NetPolicy)) |
 
 use std::collections::{BTreeMap, VecDeque};
@@ -170,10 +170,6 @@ pub(crate) struct NodeEnv<P: CommitProtocol> {
     pub(crate) policy: Option<Arc<dyn NetPolicy>>,
     pub(crate) window: Option<CrashWindow>,
     pub(crate) wal: Option<Arc<Mutex<Wal>>>,
-    /// Time-based group-commit cap (see
-    /// [`ServiceConfig::wal_flush_interval`](crate::service::ServiceConfig::wal_flush_interval)).
-    /// `None` = force every turn that staged records.
-    pub(crate) wal_flush_interval: Option<Duration>,
     /// Logless protocol (`ProtocolKind::logless`): skip the Begin-path
     /// Prepare force and journal the prepare alongside the decision
     /// instead — the decision is reconstructible from peer votes, so
@@ -257,9 +253,8 @@ struct Volatile<M> {
     /// Group-commit staging: records accumulated across dispatch and
     /// apply (Begin prepares and applied decisions), forced into the
     /// shared WAL **once** by [`Node::force`] — before any envelope or
-    /// reply that depends on them can leave the node. A crash loses the
-    /// unforced tail, which by construction only ever covers transactions
-    /// whose votes/replies were never sent (= unacknowledged).
+    /// reply that depends on them can leave the node. Empty between
+    /// turns: the turn that staged a record forces it.
     wal_batch: Vec<WalRecord>,
     /// Prepare txn ids staged in `wal_batch`, stamped `WalForced` when the
     /// batch actually forces.
@@ -390,8 +385,6 @@ pub(crate) struct Node<P: CommitProtocol> {
     inbox: Vec<ToNode<P::Msg>>,
     /// Per-destination envelope counters feeding the policy's seeded RNG.
     net_seq: Vec<u64>,
-    /// Last durability point, for a configured flush interval.
-    last_force: Instant,
     shutdown: bool,
     counts: NodeCounts,
 }
@@ -410,7 +403,6 @@ where
             },
             inbox: Vec::with_capacity(NODE_BATCH),
             net_seq: vec![0; env.n],
-            last_force: Instant::now(),
             shutdown: false,
             counts: NodeCounts::default(),
             env,
@@ -455,12 +447,12 @@ where
     }
 
     /// Step 1. Park until the exact next deadline — earliest pending
-    /// timer, delayed-envelope release, held WAL force or scheduled crash;
-    /// or indefinitely when none is pending (an inbound envelope or
-    /// `Shutdown` wakes us) — then take the whole backlog in one receive
-    /// call: one lock acquisition on a channel, one readiness wait and one
-    /// read per ready connection on sockets. A dark node parks on its
-    /// restart instant and discards what it drains.
+    /// timer, delayed-envelope release or scheduled crash; or indefinitely
+    /// when none is pending (an inbound envelope or `Shutdown` wakes us) —
+    /// then take the whole backlog in one receive call: one lock
+    /// acquisition on a channel, one readiness wait and one read per ready
+    /// connection on sockets. A dark node parks on its restart instant and
+    /// discards what it drains.
     fn drain(&mut self) -> usize {
         if self.crash_due() {
             self.crash();
@@ -468,16 +460,8 @@ where
         let wake_at = match self.power {
             Power::Dark { up_at } => up_at,
             Power::Up { crash_at } => {
-                // A held-back staged WAL batch must force (and release the
-                // flush it gates) no later than the configured interval's
-                // end.
-                let held = self
-                    .env
-                    .wal_flush_interval
-                    .filter(|_| !self.vol.wal_batch.is_empty())
-                    .map(|iv| self.last_force + iv);
                 let due = self.vol.delayed.keys().next().map(|k| k.0);
-                [self.engine.next_due(), due, held, crash_at]
+                [self.engine.next_due(), due, crash_at]
                     .into_iter()
                     .flatten()
                     .min()
@@ -508,11 +492,12 @@ where
         got.unwrap_or(0)
     }
 
-    /// The scheduled crash: drop all volatile state and go dark. The
-    /// staged-but-unforced WAL tail is node memory and dies with it:
-    /// exactly the records whose dependent envelopes/replies never left
-    /// the node, so only unacknowledged transactions are lost.
+    /// The scheduled crash: drop all volatile state and go dark. It is
+    /// taken at `drain`, between two turns, where the staged WAL tail is
+    /// empty by construction (the turn that staged a record forced it), so
+    /// the log a restart replays covers everything that ever left the node.
     fn crash(&mut self) {
+        debug_assert!(self.vol.wal_batch.is_empty(), "a crash inside a turn");
         let up_after = self.env.window.and_then(|w| w.up_after);
         self.power = Power::Dark {
             up_at: up_after.map(|u| self.env.epoch + u),
@@ -863,11 +848,8 @@ where
     /// strictly before any envelope or client reply that depends on it
     /// leaves the node. The batch is whatever `drain` found: a slower
     /// force or a busier CPU means a deeper backlog and a larger batch,
-    /// and nobody waits for company. Only a configured
-    /// [`NodeEnv::wal_flush_interval`] holds the force (and the flush it
-    /// gates) back so a single force can absorb several drain batches.
-    /// Shutdown always forces: the post-run audit reads the WAL. Returns
-    /// whether it forced.
+    /// and nobody waits for company. Afterwards nothing is staged.
+    /// Returns whether it forced.
     fn force(&mut self) -> bool {
         let Some(wal) = &self.env.wal else {
             return false;
@@ -876,18 +858,13 @@ where
             return false;
         }
         let t0 = Instant::now();
-        let since = t0.saturating_duration_since(self.last_force);
-        let interval = self.env.wal_flush_interval;
-        if !self.shutdown && interval.is_some_and(|iv| since < iv) {
-            return false;
-        }
         wal.lock()
             .expect("wal poisoned")
             .force_batch(&mut self.vol.wal_batch);
-        self.last_force = Instant::now();
-        self.env.obs.record(Stage::WalForce, self.last_force - t0);
-        let (at, me) = (self.last_force, self.env.me as u32);
-        let at = at.saturating_duration_since(self.env.epoch);
+        let forced = Instant::now();
+        self.env.obs.record(Stage::WalForce, forced - t0);
+        let me = self.env.me as u32;
+        let at = forced.saturating_duration_since(self.env.epoch);
         for id in self.vol.wal_stamp.drain(..) {
             let stage = FlightStage::WalForced;
             self.env.obs.flight.record(id, me, stage, at);
@@ -903,53 +880,47 @@ where
     /// Delay-released envelopes go first (already judged by the policy —
     /// they bypass it; their dependent records were forced the turn that
     /// staged them), then this turn's envelopes pass through the fault
-    /// policy. While the force step holds a staged batch back, that batch
-    /// is volatile, so nothing staged this turn may escape: only the
-    /// already-durable delayed releases go out. Returns how many envelopes
-    /// and replies left the node.
+    /// policy. Durability-before-reply is the order of [`Node::step`]:
+    /// `force` ran and left nothing staged. Returns how many envelopes and
+    /// replies left the node.
     fn flush(&mut self) -> usize {
         let now = Instant::now();
         let vol = &mut self.vol;
+        debug_assert!(vol.wal_batch.is_empty(), "flush before force");
         while let Some(first) = vol.delayed.first_entry().filter(|e| e.key().0 <= now) {
             let ((_, _, to), env) = first.remove_entry();
             vol.cleared.stage(to, env);
         }
-        let held = !vol.wal_batch.is_empty();
         let link = &mut self.env.link;
-        let mut flushed = 0;
-        if !held {
-            if let Some(policy) = &self.env.policy {
-                let elapsed = now.saturating_duration_since(self.env.epoch);
-                for (to, env) in vol.outbox.drain() {
-                    let seq = self.net_seq[to];
-                    self.net_seq[to] += 1;
-                    match policy.fate(self.env.me, to, elapsed, seq) {
-                        Fate::Deliver => vol.cleared.stage(to, env),
-                        Fate::Drop => self.counts.dropped_messages += 1,
-                        Fate::Delay(d) => {
-                            self.counts.delayed_messages += 1;
-                            vol.delayed.insert((now + d, seq, to), env);
-                        }
+        if let Some(policy) = &self.env.policy {
+            let elapsed = now.saturating_duration_since(self.env.epoch);
+            for (to, env) in vol.outbox.drain() {
+                let seq = self.net_seq[to];
+                self.net_seq[to] += 1;
+                match policy.fate(self.env.me, to, elapsed, seq) {
+                    Fate::Deliver => vol.cleared.stage(to, env),
+                    Fate::Drop => self.counts.dropped_messages += 1,
+                    Fate::Delay(d) => {
+                        self.counts.delayed_messages += 1;
+                        vol.delayed.insert((now + d, seq, to), env);
                     }
                 }
             }
-            flushed += vol.outbox.flush(|to, batch| link.send_batch(to, batch));
         }
+        let mut flushed = vol.outbox.flush(|to, batch| link.send_batch(to, batch));
         flushed += vol.cleared.flush(|to, batch| link.send_batch(to, batch));
         self.env.wire.fetch_add(flushed, Ordering::Relaxed);
-        if !held {
-            for (client, batch) in vol.done_out.iter_mut().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                flushed += batch.len();
-                let reports = batch.drain(..);
-                // A client that is gone costs its reports, not the node.
-                let _delivered = match &self.env.replies {
-                    Replies::Channel(txs) => txs[client].send_batch(reports).is_ok(),
-                    Replies::Connection { .. } => link.reply(client, reports.map(AnyFrame::Done)),
-                };
+        for (client, batch) in vol.done_out.iter_mut().enumerate() {
+            if batch.is_empty() {
+                continue;
             }
+            flushed += batch.len();
+            let reports = batch.drain(..);
+            // A client that is gone costs its reports, not the node.
+            let _delivered = match &self.env.replies {
+                Replies::Channel(txs) => txs[client].send_batch(reports).is_ok(),
+                Replies::Connection { .. } => link.reply(client, reports.map(AnyFrame::Done)),
+            };
         }
         if flushed > 0 {
             self.env.obs.record(Stage::Flush, now.elapsed());
@@ -1026,7 +997,6 @@ mod tests {
             policy: None,
             window: None,
             wal: None,
-            wal_flush_interval: None,
             logless: false,
             obs: NodeObs::new(),
         }
@@ -1138,11 +1108,9 @@ mod tests {
         }
     }
 
-    /// No interval configured: however many instances are open, a step
-    /// forces the prepares it staged and its votes leave in that step's
-    /// flush — the batch is what the drain found, and nothing waits for
-    /// company. (The configured hold is covered by the 3 600 s and zero
-    /// cases of the socket-hosted test below.)
+    /// However many instances are open, a step forces the prepares it
+    /// staged and its votes leave in that step's flush — the batch is what
+    /// the drain found, and nothing waits for company.
     #[test]
     fn a_loaded_node_forces_what_a_step_staged_and_its_votes_leave_in_that_step() {
         let (tx, rx) = unbounded();
@@ -1333,6 +1301,48 @@ mod tests {
         assert_eq!(successor.turn([]), "", "recovery has nothing to resend");
     }
 
+    /// The next crash point, between `force` and `flush` (a participant
+    /// that crashes after its yes is durable): the forced records survive
+    /// although nothing reached the peer or the client. A successor
+    /// rebuilds the transaction as decided from the log alone, holds no
+    /// lock for it, and answers a retried `Begin` with the logged decision.
+    #[test]
+    fn a_crash_after_force_before_flush_recovers_the_logged_decision() {
+        let wal = Arc::new(Mutex::new(Wal::new()));
+        let mut r = rig(false, Some(Arc::clone(&wal)));
+        let txn = write7(0, 5);
+        assert!(r.tx.send_batch([begin(&txn, false), net(txn.id)]).is_ok());
+        assert_eq!(r.node.drain(), 2);
+        r.node.dispatch();
+        r.node.apply();
+        assert!(r.node.force());
+        drop(r.node);
+        assert!(r.peer.is_empty() && r.done.is_empty(), "nothing escaped");
+        assert_eq!(wal.lock().unwrap().len(), 2, "prepare + decide survive");
+
+        let mut successor = rig(false, Some(wal));
+        successor.node.recover();
+        assert_eq!(successor.phase(txn.id), "decided");
+        let logged = |r: &Rig| {
+            r.node
+                .vol
+                .log
+                .iter()
+                .map(|l| l.decision)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(logged(&successor), vec![COMMIT]);
+        assert_eq!(successor.node.vol.shard.locked(), 0);
+        let committed = Version {
+            value: 5,
+            version: 1,
+        };
+        assert_eq!(successor.node.vol.shard.read(7), committed);
+        assert_eq!(successor.turn([]), "D", "the report the crash swallowed");
+        assert_eq!(successor.turn([begin(&txn, true)]), "D", "and again, asked");
+        assert_eq!(logged(&successor), vec![COMMIT], "decided once");
+    }
+
     /// Node `me` of two, hosted on its own sockets.
     fn socket_env(me: ProcessId, link: SocketLink<()>) -> NodeEnv<DecideOnMsg> {
         let (tx, rx) = unbounded();
@@ -1366,9 +1376,9 @@ mod tests {
     }
 
     /// A socket-hosted node — what an `ac-node` process runs — answers down
-    /// the connection its client said `Hello` on, and only once the force
-    /// its reply depends on is no longer held: until then neither the vote
-    /// envelope nor the `Done` leaves.
+    /// the connection its client said `Hello` on, and only after the force
+    /// its reply depends on: until `flush`, which follows `force`, neither
+    /// the vote envelope nor the `Done` leaves.
     #[test]
     fn a_socket_hosted_node_answers_down_the_hello_connection_once_the_force_lets_go() {
         use crate::codec::write_frame;
@@ -1384,13 +1394,13 @@ mod tests {
             matches!(greeting, AnyFrame::Peer { node: 0 }),
             "{greeting:?}"
         );
+        let wal = Arc::new(Mutex::new(Wal::new()));
         let mut node = Node::new(NodeEnv {
             replies: Replies::Connection {
                 clients: 1,
                 net: Arc::new(NetMeters::new(2)),
             },
-            wal: Some(Arc::new(Mutex::new(Wal::new()))),
-            wal_flush_interval: Some(Duration::from_secs(3600)),
+            wal: Some(Arc::clone(&wal)),
             ..socket_env(0, link)
         });
 
@@ -1405,13 +1415,14 @@ mod tests {
         node.dispatch();
         node.apply();
 
-        assert!(!node.force(), "the window holds the force");
-        assert_eq!(node.flush(), 0);
         assert!(arrived(&mut from_node).is_none(), "a vote outran its force");
         assert!(arrived(&mut client).is_none(), "a reply outran its force");
+        assert!(wal.lock().unwrap().is_empty(), "staged, not yet forced");
 
-        node.env.wal_flush_interval = Some(Duration::ZERO);
         assert!(node.force());
+        assert_eq!(wal.lock().unwrap().len(), 2, "prepare + decide");
+        assert!(arrived(&mut from_node).is_none(), "only flush writes");
+        assert!(arrived(&mut client).is_none(), "only flush writes");
         assert_eq!(node.flush(), 2, "the vote envelope and the Done");
         let reply = arrived(&mut client).expect("a reply down the Hello connection");
         let done = Done {

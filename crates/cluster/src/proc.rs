@@ -166,7 +166,6 @@ where
         policy: None,
         window: None,
         wal: None,
-        wal_flush_interval: None,
         logless: cfg.kind.logless(),
         obs: match meters {
             Some(m) => NodeObs::with_meters(m),

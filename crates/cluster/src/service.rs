@@ -70,9 +70,9 @@
 //! ## The hot path (batched since ISSUE-4)
 //!
 //! Both loops are **drain-then-dispatch**: a node's `drain` step blocks on
-//! the *exact* next deadline (live timer, delayed-envelope release, held
-//! WAL force or scheduled crash; or indefinitely when idle — an idle node
-//! performs zero wakeups, see [`ServiceOutcome::spurious_wakeups`]) and
+//! the *exact* next deadline (live timer, delayed-envelope release or
+//! scheduled crash; or indefinitely when idle — an idle node performs
+//! zero wakeups, see [`ServiceOutcome::spurious_wakeups`]) and
 //! takes its whole inbound backlog in one receive call — one lock
 //! acquisition over channels; over TCP one readiness wait on the node's
 //! **own** sockets and one read per ready connection, no thread between
@@ -295,15 +295,6 @@ pub struct ServiceConfig {
     /// *scheduled* arrival instant — sojourn time (queue wait + commit),
     /// the quantity an offered-vs-goodput saturation curve needs.
     pub arrival_rate: Option<f64>,
-    /// Time-based cap on WAL group commit: a node holds its staged
-    /// record batch (and the envelopes/replies that depend on it) for at
-    /// most this long before forcing, letting one force absorb appends
-    /// across *several* drain batches. `None` (the default) = no hold
-    /// at any load: a node forces once per loop turn that staged records,
-    /// before that turn's flush, and the batch is whatever the turn's
-    /// drain found — a busier node drains a deeper backlog and forces a
-    /// larger batch. A zero interval never holds either.
-    pub wal_flush_interval: Option<Duration>,
     /// Which transport carries node-to-node envelopes.
     pub transport: TransportKind,
 }
@@ -329,7 +320,6 @@ impl ServiceConfig {
             max_outstanding: DEFAULT_MAX_OUTSTANDING,
             pacing: None,
             arrival_rate: None,
-            wal_flush_interval: None,
             transport: TransportKind::Channel,
         }
     }
@@ -398,12 +388,6 @@ impl ServiceConfig {
     /// transactions/second per client (builder style).
     pub fn arrival_rate(mut self, rate: f64) -> ServiceConfig {
         self.arrival_rate = Some(rate);
-        self
-    }
-
-    /// Set the time-based group-commit cap (builder style).
-    pub fn wal_flush_interval(mut self, iv: Duration) -> ServiceConfig {
-        self.wal_flush_interval = Some(iv);
         self
     }
 
@@ -880,7 +864,6 @@ where
                 policy: spec.policy.clone(),
                 window: spec.crashes[me],
                 wal: wals[me].clone(),
-                wal_flush_interval: cfg.wal_flush_interval,
                 logless: cfg.kind.logless(),
                 obs: NodeObs::new(),
             };

@@ -47,10 +47,10 @@ pub struct ClusterSpec {
 impl ClusterSpec {
     /// The spec that runs `service` on `nodes`. A configuration the file
     /// format cannot express — pacing, a reply timeout, park threshold or
-    /// deadline of its own, a flush interval, a transport other than TCP,
-    /// an `n` that is not the address count, a unit that is not whole
-    /// milliseconds — is an error: the processes read the file, so what
-    /// it cannot say they would silently not do.
+    /// deadline of its own, a transport other than TCP, an `n` that is
+    /// not the address count, a unit that is not whole milliseconds — is
+    /// an error: the processes read the file, so what it cannot say they
+    /// would silently not do.
     pub fn new(service: ServiceConfig, nodes: Vec<SocketAddr>) -> Result<ClusterSpec, String> {
         let spec = ClusterSpec { service, nodes };
         let read_back = ClusterSpec::parse(&spec.render())?.service;
@@ -317,7 +317,6 @@ node 1 = [::1]:7101
         for cfg in [
             closed.clone().pacing(Duration::from_millis(7)),
             closed.clone().reply_timeout(Duration::from_millis(60)),
-            closed.clone().wal_flush_interval(Duration::from_millis(2)),
             closed.clone().transport(TransportKind::Channel),
             closed.clone().unit(Duration::from_micros(2500)),
         ] {

@@ -586,8 +586,8 @@ pub struct SaturationStep {
     /// WAL force operations across all nodes (counter-exact; 0 on a host
     /// without a log — every `"proc"` curve).
     pub wal_forces: usize,
-    /// `wal_forces / (committed + aborted)` — below 1 once group commit
-    /// amortizes a force over a drained batch.
+    /// `wal_forces / (committed + aborted)`: one force covers what a loop
+    /// turn's drain staged, so it falls as a node's backlog deepens.
     pub forces_per_txn: f64,
     /// `wire_messages / txns` at this load level.
     pub wire_per_txn: f64,
@@ -843,7 +843,12 @@ impl BeforeAfter {
                     b["steps"].as_array().and_then(|s| s.last()),
                     a["steps"].as_array().and_then(|s| s.last()),
                 ) {
-                    for m in ["goodput_tps", "p50_sojourn_micros", "p99_sojourn_micros"] {
+                    for m in [
+                        "goodput_tps",
+                        "p50_sojourn_micros",
+                        "p99_sojourn_micros",
+                        "forces_per_txn",
+                    ] {
                         pair(section, &key, format!("top_step.{m}"), &sb[m], &sa[m]);
                     }
                 }
@@ -1583,7 +1588,13 @@ pub(crate) mod tests {
             ("service", "p50_micros")
         );
         assert_eq!(moved[1].metric, "share_pct.protocol");
-        assert!(pair.rows.iter().any(|r| r.section == "saturation"));
+        let top_step = |m: &str| {
+            let metric = format!("top_step.{m}");
+            pair.rows
+                .iter()
+                .any(|r| r.section == "saturation" && r.metric == metric)
+        };
+        assert!(top_step("p50_sojourn_micros") && top_step("forces_per_txn"));
         after.pair = Some(pair);
         assert!(BenchBaseline::validate_json(&after.to_json()).is_ok());
     }

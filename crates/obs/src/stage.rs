@@ -32,7 +32,8 @@ pub enum Stage {
     /// Write-lock residency: first lock taken at prepare until release at
     /// `Shard::finish` (reported by the shard's own self-metering).
     LockHold = 2,
-    /// WAL `Prepare` force on the `Begin` critical path.
+    /// One group force of the node loop's force step: every record the
+    /// turn staged, `Prepare`s and decisions alike.
     WalForce = 3,
     /// WAL `Decide` journaling in the apply step (for logless protocols
     /// this slot carries the single deferred prepare+decide append).

@@ -491,54 +491,6 @@ fn recovered_node_rebuilds_its_decision_log_from_the_wal() {
     }
 }
 
-/// Group commit under chaos (ISSUE-9 tentpole): with `wal_flush_interval`
-/// holding records across loop iterations, a node crash lands mid-batch —
-/// the staged-but-unforced WAL tail is lost with the node's memory.
-/// Recovery replays only the forced prefix, and because no envelope
-/// leaves the node and no client reply is sent before the records it
-/// depends on are forced, the crash loses only *unacknowledged*
-/// transactions: the audit stays clean, everything resolves after the
-/// restart, and the recovered node's shard still replays sequentially
-/// from its (WAL-rebuilt) commit log.
-#[test]
-fn crash_mid_batch_under_group_commit_loses_only_unacknowledged_txns() {
-    let service = chaos_cfg(ProtocolKind::TwoPc)
-        .txns_per_client(16)
-        .wal_flush_interval(Duration::from_millis(2));
-    let cfg = ChaosConfig {
-        service,
-        // Crash late enough that node 2 decided (and forced) a batch
-        // before dying with whatever was still staged.
-        plan: ChaosPlan::none(4).crash(2, 30, Some(60)),
-    };
-    let out = run_chaos(&cfg);
-    assert!(
-        out.service.is_safe(),
-        "audit failed: {:?}",
-        out.service.violations
-    );
-    assert_eq!(
-        out.service.stalled, 0,
-        "restart + retry must resolve everything the crash interrupted"
-    );
-    assert!(
-        out.service.wal_forces > 0,
-        "the durable run must have forced batches"
-    );
-    assert!(
-        !out.service.node_logs[2].is_empty(),
-        "node 2's forced decisions must survive the mid-batch crash"
-    );
-    let rebuilt = out.service.replay();
-    for k in 0..cfg.service.keys_per_shard {
-        assert_eq!(
-            out.service.shards[2].read(k),
-            rebuilt[2].read(k),
-            "key {k} diverged across a mid-batch crash recovery"
-        );
-    }
-}
-
 /// A retried `Begin` is staged by the client's expiry pass and must leave
 /// in that same turn's flush, before the client parks again — not one
 /// reply wait later. Node 1 is dead for the first 50 ms, so it misses the

@@ -430,66 +430,14 @@ fn open_loop_offers_the_full_schedule_and_sheds_only_at_a_full_window() {
     assert_eq!(out.stalled, 0, "submitted txns still all resolve");
 }
 
-/// The group-commit hold (ISSUE-9 tentpole): with `wal_flush_interval`
-/// set, records staged across loop iterations share one durability point,
-/// so a durable 2PC run under batched open-loop load needs *fewer* WAL
-/// forces than the same run forcing every drain batch — and fewer than
-/// one force per transaction, the saturation harness's gated win.
-#[test]
-fn flush_interval_hold_amortizes_wal_forces_below_one_per_txn() {
-    let run = |hold: Option<Duration>| {
-        let mut cfg = base(ProtocolKind::TwoPc)
-            .clients(8)
-            .txns_per_client(40)
-            .workload(Workload::Uniform { span: 2 })
-            .unit(Duration::from_millis(5))
-            .keys_per_shard(64)
-            .seed(7)
-            .arrival_rate(400.0)
-            .max_outstanding(32);
-        if let Some(iv) = hold {
-            cfg = cfg.wal_flush_interval(iv);
-        }
-        let spec = FaultSpec {
-            policy: None,
-            crashes: vec![None; 4],
-            durable: true,
-        };
-        run_service_faulted(&cfg, &spec)
-    };
-    let held = run(Some(Duration::from_millis(2)));
-    let per_drain = run(None);
-    for (label, out) in [("held", &held), ("per-drain", &per_drain)] {
-        assert!(
-            out.is_safe(),
-            "{label}: safety audit failed: {:?}",
-            out.violations
-        );
-        assert!(out.wal_forces > 0, "{label}: durable 2PC must force");
-    }
-    assert!(
-        held.wal_forces < per_drain.wal_forces,
-        "the hold must amortize: {} forces held vs {} per drain batch",
-        held.wal_forces,
-        per_drain.wal_forces
-    );
-    assert!(
-        (held.wal_forces as f64) < held.txns as f64,
-        "group commit under x16 load must force less than once per txn: \
-         {} forces / {} txns",
-        held.wal_forces,
-        held.txns
-    );
-}
-
-/// Group commit with no `wal_flush_interval` configured is
-/// work-conserving: a durable node forces what a loop turn staged before
-/// that turn's flush, at every load. Under a deep closed-loop window no
-/// commit waits for a clock — the median stays far below a fifth of the
-/// unit (the hold a loaded node once kept), everything commits and no
-/// protocol timer fires — and the forces still batch, because a busy
-/// node's drain finds a backlog: fewer forces cluster-wide than
-/// transactions, though each transaction stages 8 records.
+/// Group commit is work-conserving: a durable node forces what a loop
+/// turn staged before that turn's flush, at every load. Under a deep
+/// closed-loop window no commit waits for a clock — the median stays far
+/// below a fifth of the unit (the hold a loaded node once kept),
+/// everything commits and no protocol timer fires — and the forces still
+/// batch, because a busy node's drain finds a backlog: fewer forces
+/// cluster-wide than transactions, though each transaction stages 8
+/// records.
 #[test]
 fn a_deep_window_batches_a_durable_nodes_forces_without_holding_a_commit() {
     let unit = Duration::from_millis(50);
