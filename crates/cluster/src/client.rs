@@ -26,7 +26,7 @@ const CLIENT_BATCH: usize = 64;
 /// Outcome of one client transaction as the client observed it.
 #[derive(Clone, Debug)]
 pub(crate) struct ClientRecord {
-    pub(crate) txn: Arc<Transaction>,
+    pub(crate) id: TxnId,
     /// Decision reported by each participant, in participant-rank order
     /// (None = never arrived before abandonment).
     pub(crate) decisions: PerRank<Option<u64>>,
@@ -364,7 +364,7 @@ where
                     outbox.stage(q, ToNode::End { txn: p.id });
                 }
                 records.push(ClientRecord {
-                    txn: p.txn,
+                    id: p.id,
                     decisions: p.decisions,
                 });
             }
@@ -382,7 +382,7 @@ where
                 reply_timeouts += 1;
                 events.push(event(&p, None));
                 records.push(ClientRecord {
-                    txn: p.txn,
+                    id: p.id,
                     decisions: p.decisions,
                 });
                 continue;
@@ -429,7 +429,7 @@ mod tests {
     fn a_record_reads_as_stalled_or_split_or_decided() {
         let verdict = |decisions: &[Option<u64>]| {
             let record = ClientRecord {
-                txn: Arc::new(Transaction::new(1)),
+                id: 1,
                 decisions: decisions.iter().copied().collect(),
             };
             record.verdict()

@@ -90,6 +90,7 @@ fn txn_seq(id: TxnId) -> u64 {
 /// A node's audited decision log as its write-ahead log recovers it.
 fn node_records(decided: &[DecidedTxn]) -> Vec<NodeRecord> {
     let record = |d: &DecidedTxn| NodeRecord {
+        id: d.txn.id,
         txn: Arc::clone(&d.txn),
         client: d.client,
         vote: d.vote,
@@ -834,6 +835,7 @@ where
         }
         self.stamp(id, FlightStage::Decided, decided);
         self.vol.log.push(NodeRecord {
+            id,
             txn,
             client,
             vote,

@@ -97,7 +97,7 @@ use ac_txn::{Shard, Transaction, TxnId, Wal};
 use crossbeam::channel::unbounded;
 
 use ac_obs::{
-    lifecycles, Attribution, DumpTxn, FlightEvent, LatencyHistogram, NodeObs, ObsMeters, RunStats,
+    Attribution, DumpTxn, FlightEvent, FlightIndex, LatencyHistogram, NodeObs, ObsMeters, RunStats,
     StageHistograms,
 };
 
@@ -421,6 +421,8 @@ impl ServiceConfig {
 /// A recovered node rebuilds this log from its write-ahead log.
 #[derive(Clone, Debug)]
 pub struct NodeRecord {
+    /// `txn.id`, inline: the audit reads it for every record.
+    pub id: TxnId,
     /// The transaction.
     pub txn: Arc<Transaction>,
     /// The submitting client.
@@ -953,7 +955,7 @@ fn aggregate(
     }
     let mut by_txn: Slab<Logged> = Slab::new();
     for rec in node_returns.iter().flat_map(|ret| &ret.log) {
-        let l = by_txn.get_or_insert_with(rec.txn.id, || Logged {
+        let l = by_txn.get_or_insert_with(rec.id, || Logged {
             nodes: 0,
             all_voted_yes: true,
             decision: rec.decision,
@@ -973,7 +975,7 @@ fn aggregate(
         stage_hists.merge(&cr.obs.hists);
         reply_timeouts += cr.reply_timeouts;
         fold.add(&cr, |rec, verdict| {
-            let id = rec.txn.id;
+            let id = rec.id;
             let decision = match verdict {
                 Verdict::Stalled => return,
                 Verdict::Split(vals) => {
@@ -1013,17 +1015,18 @@ fn aggregate(
     let (shards, node_logs): (Vec<Shard>, Vec<Vec<NodeRecord>>) =
         node_returns.into_iter().map(|r| (r.shard, r.log)).unzip();
 
-    // Per-txn lifecycle stamps and the five-stage attribution, from the
-    // merged flight record plus the clients' submit/reply endpoints.
-    let lcs = lifecycles(&flight);
+    // Per-txn lifecycle stamps and the five-stage attribution, from one
+    // index of the merged flight record plus the clients' submit/reply
+    // endpoints.
+    let index = FlightIndex::new(&flight);
     for ev in &mut txn_events {
-        if let Some(l) = lcs.get(&ev.id) {
-            ev.first_protocol_at = l.first_protocol_nanos.map(Duration::from_nanos);
-            ev.votes_held_at = l.votes_held_nanos.map(Duration::from_nanos);
-            ev.journaled_at = l.journaled_nanos.map(Duration::from_nanos);
-        }
+        let l = index.lifecycle(ev.id);
+        ev.first_protocol_at = l.first_protocol_nanos.map(Duration::from_nanos);
+        ev.votes_held_at = l.votes_held_nanos.map(Duration::from_nanos);
+        ev.journaled_at = l.journaled_nanos.map(Duration::from_nanos);
     }
-    let attribution = Attribution::of_txns(&fold.decided, &flight, SLOWEST_KEPT, dropped_events);
+    let spans = fold.decided.iter().map(DumpTxn::span);
+    let attribution = Attribution::fold(spans, &index, SLOWEST_KEPT, dropped_events);
 
     let ClientFold {
         stats,

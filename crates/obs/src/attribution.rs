@@ -32,7 +32,9 @@
 //! ISSUE-14) shows hand-offs here; a `protocol` share near 100 % means
 //! the run is waiting for a clock.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+
+use ac_sim::Slab;
 
 use crate::histogram::LatencyHistogram;
 use crate::stage::{FlightEvent, FlightStage};
@@ -40,13 +42,42 @@ use crate::stage::{FlightEvent, FlightStage};
 /// The five canonical attribution stages, in telescoping order.
 pub const ATTRIBUTION_STAGES: [&str; 5] = ["channel", "lock", "wal", "protocol", "transport"];
 
-/// Lifecycle points of one node for one transaction (nanos past epoch).
-#[derive(Copy, Clone, Debug, Default)]
+/// A point that was not recorded. A real stamp never reaches it (584
+/// years past the run epoch); one that does reads as missing.
+const NONE: u64 = u64::MAX;
+
+/// The end of a transaction's record chain.
+const END: u32 = u32::MAX;
+
+/// `Some(at)` unless `at` is [`NONE`].
+fn point(at: u64) -> Option<u64> {
+    (at != NONE).then_some(at)
+}
+
+/// The later of two points, either of which may be [`NONE`].
+fn later(a: u64, b: u64) -> u64 {
+    match (a, b) {
+        (NONE, x) | (x, NONE) => x,
+        _ => a.max(b),
+    }
+}
+
+/// Lifecycle points of one node for one transaction (nanos past epoch,
+/// [`NONE`] when not recorded). First dispatch wins (a retried `Begin`
+/// re-dispatches; attribution follows the copy that started the
+/// protocol), latest decision wins (re-votes re-apply).
+#[derive(Copy, Clone)]
 struct NodePoints {
-    dispatch: Option<u64>,
-    lock: Option<u64>,
-    wal: Option<u64>,
-    decided: Option<u64>,
+    node: u32,
+    /// The transaction's next record in [`FlightIndex::points`], or [`END`].
+    next: u32,
+    dispatch: u64,
+    /// Earliest lock acquisition: the anchor's lock point.
+    lock: u64,
+    /// Latest lock acquisition: the votes-held stamp.
+    lock_last: u64,
+    wal: u64,
+    decided: u64,
 }
 
 /// Cross-participant lifecycle summary of one transaction, used to fill
@@ -63,28 +94,94 @@ pub struct Lifecycle {
     pub journaled_nanos: Option<u64>,
 }
 
-/// Fold flight events into per-transaction [`Lifecycle`] summaries.
-pub fn lifecycles(flight: &[FlightEvent]) -> HashMap<u64, Lifecycle> {
-    let mut out: HashMap<u64, Lifecycle> = HashMap::new();
-    for ev in flight {
-        let l = out.entry(ev.txn).or_default();
-        match ev.stage {
-            FlightStage::Dispatch => {
-                l.first_protocol_nanos = Some(match l.first_protocol_nanos {
-                    Some(cur) => cur.min(ev.at_nanos),
-                    None => ev.at_nanos,
-                });
+/// A run's flight events, read once: each transaction maps to a chain of
+/// flat per-(transaction, node) point records in one `Vec`, which both
+/// [`FlightIndex::lifecycle`] and [`Attribution::fold`] read.
+#[derive(Default)]
+pub struct FlightIndex {
+    /// Transaction → its newest record in `points`.
+    heads: Slab<u32>,
+    points: Vec<NodePoints>,
+}
+
+impl FlightIndex {
+    /// Index `flight` in one pass.
+    pub fn new(flight: &[FlightEvent]) -> FlightIndex {
+        let mut index = FlightIndex::default();
+        // The record the previous event landed in: a node stamps one
+        // transaction's points back to back (dispatch, then locks held).
+        let mut last = None;
+        for ev in flight {
+            let i = match last {
+                Some((txn, node, i)) if (txn, node) == (ev.txn, ev.node) => i,
+                _ => index.record(ev.txn, ev.node),
+            };
+            last = Some((ev.txn, ev.node, i));
+            let (p, at) = (&mut index.points[i], ev.at_nanos);
+            match ev.stage {
+                FlightStage::Dispatch => p.dispatch = p.dispatch.min(at),
+                FlightStage::LockAcquired => {
+                    p.lock = p.lock.min(at);
+                    p.lock_last = later(p.lock_last, at);
+                }
+                FlightStage::WalForced => p.wal = p.wal.min(at),
+                FlightStage::Decided => p.decided = later(p.decided, at),
             }
-            FlightStage::LockAcquired => {
-                l.votes_held_nanos = Some(l.votes_held_nanos.unwrap_or(0).max(ev.at_nanos));
+        }
+        index
+    }
+
+    /// `(txn, node)`'s record, put at the head of `txn`'s chain if new.
+    fn record(&mut self, txn: u64, node: u32) -> usize {
+        let head = self.heads.get_or_insert_with(txn, || END);
+        let mut i = *head;
+        while i != END {
+            let p = &self.points[i as usize];
+            if p.node == node {
+                return i as usize;
             }
-            FlightStage::Decided => {
-                l.journaled_nanos = Some(l.journaled_nanos.unwrap_or(0).max(ev.at_nanos));
-            }
-            FlightStage::WalForced => {}
+            i = p.next;
+        }
+        let fresh = u32::try_from(self.points.len())
+            .ok()
+            .filter(|&i| i != END)
+            .expect("fewer than u32::MAX records");
+        self.points.push(NodePoints {
+            node,
+            next: std::mem::replace(head, fresh),
+            dispatch: NONE,
+            lock: NONE,
+            lock_last: NONE,
+            wal: NONE,
+            decided: NONE,
+        });
+        fresh as usize
+    }
+
+    /// `txn`'s records, one per node that stamped it.
+    fn chain(&self, txn: u64) -> impl Iterator<Item = &NodePoints> {
+        let mut i = self.heads.get(txn).copied().unwrap_or(END);
+        std::iter::from_fn(move || {
+            let p = self.points.get(i as usize)?;
+            i = p.next;
+            Some(p)
+        })
+    }
+
+    /// `txn`'s cross-participant stamps (all `None` when no event names it).
+    pub fn lifecycle(&self, txn: u64) -> Lifecycle {
+        let (mut first, mut held, mut journaled) = (NONE, NONE, NONE);
+        for p in self.chain(txn) {
+            first = first.min(p.dispatch);
+            held = later(held, p.lock_last);
+            journaled = later(journaled, p.decided);
+        }
+        Lifecycle {
+            first_protocol_nanos: point(first),
+            votes_held_nanos: point(held),
+            journaled_nanos: point(journaled),
         }
     }
-    out
 }
 
 /// One reconstructed transaction timeline: the monotone-clamped
@@ -224,49 +321,23 @@ impl Attribution {
         keep_slowest: usize,
         dropped_events: u64,
     ) -> Attribution {
+        let index = FlightIndex::new(flight);
         Attribution::fold(
             decided.iter().copied(),
-            flight,
+            &index,
             keep_slowest,
             dropped_events,
         )
     }
 
-    /// [`Attribution::compute`] over any source of `(txn, submitted_nanos,
-    /// decided_nanos)` entries.
-    pub(crate) fn fold(
+    /// [`Attribution::compute`] over an index already built and any
+    /// source of `(txn, submitted_nanos, decided_nanos)` entries.
+    pub fn fold(
         decided: impl Iterator<Item = (u64, u64, u64)>,
-        flight: &[FlightEvent],
+        index: &FlightIndex,
         keep_slowest: usize,
         dropped_events: u64,
     ) -> Attribution {
-        // Index flight events: txn -> node -> lifecycle points. First
-        // dispatch wins (a retried Begin re-dispatches; attribution
-        // follows the copy that started the protocol), latest decision
-        // wins (re-votes re-apply).
-        let mut points: HashMap<u64, HashMap<u32, NodePoints>> = HashMap::new();
-        for ev in flight {
-            let p = points
-                .entry(ev.txn)
-                .or_default()
-                .entry(ev.node)
-                .or_default();
-            match ev.stage {
-                FlightStage::Dispatch => {
-                    p.dispatch = Some(p.dispatch.map_or(ev.at_nanos, |c| c.min(ev.at_nanos)));
-                }
-                FlightStage::LockAcquired => {
-                    p.lock = Some(p.lock.map_or(ev.at_nanos, |c| c.min(ev.at_nanos)));
-                }
-                FlightStage::WalForced => {
-                    p.wal = Some(p.wal.map_or(ev.at_nanos, |c| c.min(ev.at_nanos)));
-                }
-                FlightStage::Decided => {
-                    p.decided = Some(p.decided.map_or(ev.at_nanos, |c| c.max(ev.at_nanos)));
-                }
-            }
-        }
-
         let mut out = Attribution {
             dropped_events,
             ..Attribution::default()
@@ -274,36 +345,29 @@ impl Attribution {
         for (txn, submitted, decided_client) in decided {
             out.total += 1;
             // Anchor: the participant whose decision landed last (a tie
-            // goes to the higher node id, whatever order the map iterates
+            // goes to the higher node id, whatever order the chain runs
             // in: equal inputs give equal attributions).
-            let Some(nodes) = points.get(&txn) else {
-                continue;
-            };
-            let Some((&anchor, anchor_points)) = nodes
-                .iter()
-                .filter(|(_, p)| p.decided.is_some())
-                .max_by_key(|(&node, p)| (p.decided, node))
+            let Some(anchor) = index
+                .chain(txn)
+                .filter(|p| p.decided != NONE)
+                .max_by_key(|p| (p.decided, p.node))
             else {
                 continue;
             };
-            let (Some(dispatch), Some(lock), Some(decided_node)) = (
-                anchor_points.dispatch,
-                anchor_points.lock,
-                anchor_points.decided,
-            ) else {
+            if anchor.dispatch == NONE || anchor.lock == NONE {
                 continue; // incomplete timeline: excluded, not guessed
-            };
+            }
             // Monotone clamp so every stage is non-negative and the
             // telescoping sum is exact even under point reordering.
             let p0 = submitted;
-            let p1 = dispatch.max(p0);
-            let p2 = lock.max(p1);
-            let p3 = anchor_points.wal.map(|w| w.max(p2));
-            let p4 = decided_node.max(p3.unwrap_or(p2));
+            let p1 = anchor.dispatch.max(p0);
+            let p2 = anchor.lock.max(p1);
+            let p3 = point(anchor.wal).map(|w| w.max(p2));
+            let p4 = anchor.decided.max(p3.unwrap_or(p2));
             let p5 = decided_client.max(p4);
             let tl = TxnTimeline {
                 txn,
-                anchor,
+                anchor: anchor.node,
                 submitted_nanos: p0,
                 dispatch_nanos: p1,
                 lock_nanos: p2,
@@ -319,16 +383,21 @@ impl Attribution {
             out.slowest.push(tl);
             if out.slowest.len() > keep_slowest.max(1) * 4 {
                 // Amortized truncation: keep the working set small.
-                out.slowest
-                    .sort_unstable_by(|a, b| b.e2e_nanos().cmp(&a.e2e_nanos()));
+                out.slowest.sort_unstable_by(slower_first);
                 out.slowest.truncate(keep_slowest);
             }
         }
-        out.slowest
-            .sort_unstable_by(|a, b| b.e2e_nanos().cmp(&a.e2e_nanos()));
+        out.slowest.sort_unstable_by(slower_first);
         out.slowest.truncate(keep_slowest);
         out
     }
+}
+
+/// Descending end-to-end latency, ties by ascending transaction id: a
+/// total order on distinct transactions, so which timelines survive a
+/// truncation does not depend on the order they were decided in.
+fn slower_first(a: &TxnTimeline, b: &TxnTimeline) -> Ordering {
+    b.e2e_nanos().cmp(&a.e2e_nanos()).then(a.txn.cmp(&b.txn))
 }
 
 #[cfg(test)]
@@ -435,9 +504,30 @@ mod tests {
     }
 
     #[test]
-    fn lifecycles_summarize_across_participants() {
-        let ls = lifecycles(&full_txn(9, 0));
-        let l = ls[&9];
+    fn slowest_does_not_depend_on_decided_order_among_ties() {
+        // Twenty equal-latency transactions: the kept three are the
+        // lowest ids however the decided list is permuted, through the
+        // amortized truncations too.
+        let mut flight = Vec::new();
+        let mut decided = Vec::new();
+        for txn in 1..=20u64 {
+            flight.extend(full_txn(txn, 0));
+            decided.push((txn, 0u64, 2_000u64));
+        }
+        let slowest = |decided: &[(u64, u64, u64)]| {
+            let a = Attribution::compute(decided, &flight, 3, 0);
+            a.slowest.iter().map(|t| t.txn).collect::<Vec<_>>()
+        };
+        assert_eq!(slowest(&decided), [1, 2, 3]);
+        decided.reverse();
+        assert_eq!(slowest(&decided), [1, 2, 3]);
+        decided.rotate_left(7);
+        assert_eq!(slowest(&decided), [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_lifecycle_summarizes_every_participant() {
+        let l = FlightIndex::new(&full_txn(9, 0)).lifecycle(9);
         assert_eq!(l.first_protocol_nanos, Some(100));
         assert_eq!(l.votes_held_nanos, Some(260));
         assert_eq!(l.journaled_nanos, Some(1_200));

@@ -158,18 +158,6 @@ impl Wire for ObsExport {
 }
 
 impl Attribution {
-    /// [`Attribution::compute`] over a run's client-side record of decided
-    /// transactions, in the form a [`ClusterDump`] carries it.
-    pub fn of_txns(
-        txns: &[DumpTxn],
-        flight: &[FlightEvent],
-        keep_slowest: usize,
-        dropped_events: u64,
-    ) -> Attribution {
-        let spans = txns.iter().map(DumpTxn::span);
-        Attribution::fold(spans, flight, keep_slowest, dropped_events)
-    }
-
     /// Build the attribution from per-process exports: each export's
     /// flight events are mapped into the collector's timeline through
     /// its node's [`ClockAlignment`] (nodes without an alignment get the

@@ -15,7 +15,9 @@
 //! * [`attribution`] — the per-transaction telescoping decomposition of
 //!   end-to-end latency into channel / lock / WAL / protocol / transport
 //!   stages, exact by construction (stages sum to the measured latency
-//!   per transaction, so shares sum to 100 %);
+//!   per transaction, so shares sum to 100 %), read off one
+//!   [`FlightIndex`] that also gives each transaction's cross-participant
+//!   [`Lifecycle`] stamps;
 //! * [`export`] — the cross-process story: a compact `Wire`-encoded
 //!   [`ObsExport`] of one process's recorder state, the collector-side
 //!   [`ClusterDump`] file format, and [`Attribution::from_exports`];
@@ -41,7 +43,7 @@ pub mod histogram;
 pub mod net;
 pub mod stage;
 
-pub use attribution::{lifecycles, Attribution, Lifecycle, TxnTimeline, ATTRIBUTION_STAGES};
+pub use attribution::{Attribution, FlightIndex, Lifecycle, TxnTimeline, ATTRIBUTION_STAGES};
 pub use clock::{ClockAlignment, ClockSample};
 pub use export::{
     goodput_tps, max_uncertainty_nanos, sojourn_times, ClusterDump, DumpTxn, ObsExport, RunStats,
