@@ -210,11 +210,11 @@ where
         hists: Default::default(),
     };
     let mut outbox: Outbox<P::Msg> = Outbox::new(cfg.n);
-    // A fresh outstanding transaction, its Begins staged.
-    let submit = |t: Transaction, t0: Instant, outbox: &mut Outbox<P::Msg>| {
+    // A fresh outstanding transaction, its Begins staged: submitted at
+    // `t0`, its waits counted from `now`, the reading that let it in.
+    let submit = |t: Transaction, t0: Instant, now: Instant, outbox: &mut Outbox<P::Msg>| {
         let txn = Arc::new(t);
         let parts = parts_of(&txn, cfg.n);
-        let now = Instant::now();
         let p = PendingTxn {
             decisions: PerRank::from_elem(None, parts.len()),
             id: txn.id,
@@ -277,7 +277,11 @@ where
             // Dispatch every arrival whose scheduled instant has passed.
             // Sojourn time is measured from the *scheduled* arrival, so
             // dispatch lag and queueing count against the system.
-            while offered < total && Instant::now() >= next_arrival {
+            while offered < total {
+                let now = Instant::now();
+                if now < next_arrival {
+                    break;
+                }
                 let scheduled = next_arrival;
                 next_arrival += sched.next_gap();
                 let mut t = gen.next_txn();
@@ -287,7 +291,7 @@ where
                     shed += 1;
                     continue;
                 }
-                let p = submit(t, scheduled, &mut outbox);
+                let p = submit(t, scheduled, now, &mut outbox);
                 unparked += usize::from(!parked(&p));
                 outstanding.push(p);
                 submitted += 1;
@@ -297,14 +301,14 @@ where
             }
         } else {
             // Submit while the closed loop is open and pacing allows it.
-            loop {
+            while gate_open(submitted, outstanding.len(), unparked) {
                 let now = Instant::now();
-                if !gate_open(submitted, outstanding.len(), unparked) || now < next_allowed {
+                if now < next_allowed {
                     break;
                 }
                 let mut t = gen.next_txn();
                 t.id = ServiceConfig::txn_id(client, submitted);
-                let p = submit(t, now, &mut outbox);
+                let p = submit(t, now, now, &mut outbox);
                 unparked += usize::from(!parked(&p));
                 outstanding.push(p);
                 submitted += 1;
@@ -339,7 +343,10 @@ where
         let due = due.expect("the loop only continues with work pending");
         let t0 = Instant::now();
         link.recv(&mut dbuf, CLIENT_BATCH, due);
-        obs.record(Stage::ClientQueueWait, t0.elapsed());
+        // One reading stamps the whole received batch: only bookkeeping
+        // lies between it and each reply's fold-in, or the expiry pass.
+        let now = Instant::now();
+        obs.record(Stage::ClientQueueWait, now - t0);
 
         // Fold in replies (duplicates from retries/recovery are ignored).
         for d in dbuf.drain(..) {
@@ -356,7 +363,7 @@ where
             if p.got == p.parts.len() {
                 let p = outstanding.swap_remove(i);
                 unparked -= usize::from(!parked(&p));
-                let lat = p.t0.elapsed();
+                let lat = now.saturating_duration_since(p.t0);
                 latency.record_duration(lat);
                 let committed = p.decisions[0] == Some(COMMIT);
                 events.push(event(&p, Some((lat, committed))));
@@ -372,7 +379,6 @@ where
 
         // Expired waits: re-send Begin (bounded, counted) or abandon at
         // the hard deadline.
-        let now = Instant::now();
         let mut i = 0;
         while i < outstanding.len() {
             if now >= outstanding[i].deadline {

@@ -113,6 +113,18 @@ pub(crate) struct NodeCounts {
     /// WAL force operations this node issued (one per non-empty staged
     /// batch).
     pub(crate) wal_forces: usize,
+    /// Write-lock holds released and their summed length
+    /// ([`Stage::LockHold`], folded into the meters at exit).
+    lock_holds: u64,
+    lock_hold_nanos: u64,
+}
+
+impl NodeCounts {
+    /// One released write-lock hold that lasted `d`.
+    fn hold(&mut self, d: Duration) {
+        self.lock_holds += 1;
+        self.lock_hold_nanos += u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+    }
 }
 
 pub(crate) struct NodeReturn {
@@ -193,6 +205,16 @@ struct Route {
     parts: PerRank<usize>,
     /// This node's rank within `parts`.
     my_rank: usize,
+    /// When this node's shard took the transaction's write locks: the
+    /// `LockAcquired` reading, or the recovery reading of a relocked
+    /// in-flight yes-vote. `None` while it holds none.
+    locked_at: Option<Instant>,
+}
+
+/// Whether `vote` on `txn` holds write locks at shard `me`: a yes on a
+/// transaction that writes there.
+fn holds_locks(txn: &Transaction, vote: bool, me: ProcessId) -> bool {
+    vote && txn.writes.keys().any(|k| k.shard == me)
 }
 
 /// Where a begun transaction's commit stands at this node.
@@ -293,6 +315,7 @@ impl<M> Volatile<M> {
             vote,
             parts,
             my_rank,
+            locked_at: None,
         })
     }
 
@@ -422,13 +445,13 @@ where
         let fired = self.dispatch();
         self.apply();
         let forced = self.force();
-        let flushed = self.flush();
+        let flushed = self.flush(forced);
         // A wakeup that moved nothing — no inbound batch, no fired timer,
         // no WAL force, no outbound flush (the recovery turn flushes
         // StatusQ/Done batches with got == 0, which is real work) — was
         // spurious, unless it woke us for the scheduled crash the next
         // drain handles.
-        let idle = got == 0 && !fired && !forced && flushed == 0;
+        let idle = got == 0 && !fired && forced.is_none() && flushed == 0;
         if idle && !self.shutdown && !self.crash_due() {
             self.counts.spurious_wakeups += 1;
         }
@@ -528,9 +551,11 @@ where
         for p in rec.in_flight {
             // Re-join the instance with the *logged* vote (never
             // re-validated — peers may have acted on it), and ask the
-            // peers whether it decided while we were down.
+            // peers whether it decided while we were down. The replay
+            // re-took a yes-vote's locks: its hold starts over now.
             let id = p.txn.id;
-            if let Some(route) = self.vol.route_of(p.txn, p.client, p.vote) {
+            if let Some(mut route) = self.vol.route_of(p.txn, p.client, p.vote) {
+                route.locked_at = holds_locks(&route.txn, route.vote, self.env.me).then_some(now);
                 self.open(route, now);
                 self.vol.ask_peers(id);
             }
@@ -675,7 +700,6 @@ where
             self.vol.enter(route, Phase::Voteless);
             return self.vol.ask_peers(id);
         }
-        self.stamp(id, FlightStage::Dispatch, now);
         let t0 = Instant::now();
         let mut prepared = t0;
         if route.txn.touches(me) {
@@ -685,6 +709,11 @@ where
         } else {
             route.vote = true;
         }
+        route.locked_at = holds_locks(&route.txn, route.vote, me).then_some(prepared);
+        // Dispatch is stamped at the reading the lock stage starts from,
+        // not at the batch's first: the envelopes dispatched ahead of this
+        // one in the batch are `channel` time, not `lock` time.
+        self.stamp(id, FlightStage::Dispatch, t0);
         self.stamp(id, FlightStage::LockAcquired, prepared);
         // The classic commit-latency tax: the vote must be durable before
         // it can influence a decision. Group commit keeps the invariant
@@ -818,10 +847,11 @@ where
         }
         *phase = Phase::Decided(value);
         self.vol.shard.finish(&route.txn, commit);
-        let (txn, client) = (Arc::clone(&route.txn), route.client);
-        let mut decided = Instant::now();
+        let (txn, client, locked_at) = (Arc::clone(&route.txn), route.client, route.locked_at);
+        let finished = Instant::now();
+        let mut decided = finished;
         if self.env.wal.is_some() {
-            let (t0, batch) = (decided, &mut self.vol.wal_batch);
+            let batch = &mut self.vol.wal_batch;
             if logless {
                 // The deferred prepare record: staged together with the
                 // decision, after the outcome is known — a journal entry,
@@ -831,7 +861,13 @@ where
             }
             batch.push(WalRecord::Decide { txn: id, value });
             decided = Instant::now();
-            self.env.obs.record(Stage::WalJournal, decided - t0);
+            self.env.obs.record(Stage::WalJournal, decided - finished);
+        }
+        // The hold `finish` released ends at `finished`. A rejoin's
+        // relock was released in the same breath: a hold of no length.
+        let relocked = holds_locks(&txn, rejoined, self.env.me);
+        if let Some(since) = locked_at.or(relocked.then_some(finished)) {
+            self.counts.hold(finished - since);
         }
         self.stamp(id, FlightStage::Decided, decided);
         self.vol.log.push(NodeRecord {
@@ -851,13 +887,11 @@ where
     /// leaves the node. The batch is whatever `drain` found: a slower
     /// force or a busier CPU means a deeper backlog and a larger batch,
     /// and nobody waits for company. Afterwards nothing is staged.
-    /// Returns whether it forced.
-    fn force(&mut self) -> bool {
-        let Some(wal) = &self.env.wal else {
-            return false;
-        };
+    /// Returns the reading it ended at, if it forced.
+    fn force(&mut self) -> Option<Instant> {
+        let wal = self.env.wal.as_ref()?;
         if self.vol.wal_batch.is_empty() {
-            return false;
+            return None;
         }
         let t0 = Instant::now();
         wal.lock()
@@ -872,7 +906,7 @@ where
             self.env.obs.flight.record(id, me, stage, at);
         }
         self.counts.wal_forces += 1;
-        true
+        Some(forced)
     }
 
     /// Step 5. The single write point: one `send_batch` (one lock or
@@ -883,10 +917,12 @@ where
     /// they bypass it; their dependent records were forced the turn that
     /// staged them), then this turn's envelopes pass through the fault
     /// policy. Durability-before-reply is the order of [`Node::step`]:
-    /// `force` ran and left nothing staged. Returns how many envelopes and
-    /// replies left the node.
-    fn flush(&mut self) -> usize {
-        let now = Instant::now();
+    /// `force` ran and left nothing staged. `forced` is the reading a
+    /// force that just ran ended at: only bookkeeping lies between it and
+    /// this step, so the step starts from it. Returns how many envelopes
+    /// and replies left the node.
+    fn flush(&mut self, forced: Option<Instant>) -> usize {
+        let now = forced.unwrap_or_else(Instant::now);
         let vol = &mut self.vol;
         debug_assert!(vol.wal_batch.is_empty(), "flush before force");
         while let Some(first) = vol.delayed.first_entry().filter(|e| e.key().0 <= now) {
@@ -938,21 +974,28 @@ where
         // would re-hold them) but are *released* in this final report:
         // those transactions are already counted as stalled at the client,
         // and the audit's lock-leak check is about resolved transactions,
-        // not ones a never-recovering node took to its grave.
+        // not ones a never-recovering node took to its grave. Each such
+        // release ends a hold the crash left open; the node kept no
+        // instant for it, so the hold counts with no length.
         if let (Power::Dark { .. }, Some(wal)) = (&self.power, &self.env.wal) {
-            let rec = wal.lock().expect("wal poisoned").replay(self.env.me);
+            let me = self.env.me;
+            let rec = wal.lock().expect("wal poisoned").replay(me);
             self.vol.shard = rec.shard;
             for p in &rec.in_flight {
                 self.vol.shard.finish(&p.txn, false);
+                if holds_locks(&p.txn, p.vote, me) {
+                    self.counts.hold(Duration::ZERO);
+                }
             }
             self.vol.log = node_records(&rec.decided);
         }
-        // Fold in the self-metered layers: lock residency from the shard,
-        // timer lag from the engine, socket-write time from the
-        // transport. These are bulk counters (no per-op histogram).
+        // Fold in the bulk counters (no per-op histogram): lock residency
+        // from the node's own count, timer lag from the engine,
+        // socket-write time from the transport.
         let obs = self.env.obs;
-        let (holds, hold_nanos) = self.vol.shard.lock_hold_stats();
-        obs.meters.add_many(Stage::LockHold, holds, hold_nanos);
+        let counts = &self.counts;
+        obs.meters
+            .add_many(Stage::LockHold, counts.lock_holds, counts.lock_hold_nanos);
         let (fires, lag_nanos) = self.engine.timer_stats();
         obs.meters.add_many(Stage::TimerFire, fires, lag_nanos);
         let (writes, write_nanos) = self.env.link.io_stats();
@@ -1058,8 +1101,8 @@ mod tests {
             self.node.inbox.extend(envs);
             self.node.dispatch();
             self.node.apply();
-            self.node.force();
-            self.node.flush();
+            let forced = self.node.force();
+            self.node.flush(forced);
             let mut buf = Vec::new();
             self.peer.try_drain(&mut buf, usize::MAX);
             let mut out: String = buf
@@ -1317,7 +1360,7 @@ mod tests {
         assert_eq!(r.node.drain(), 2);
         r.node.dispatch();
         r.node.apply();
-        assert!(r.node.force());
+        assert!(r.node.force().is_some());
         drop(r.node);
         assert!(r.peer.is_empty() && r.done.is_empty(), "nothing escaped");
         assert_eq!(wal.lock().unwrap().len(), 2, "prepare + decide survive");
@@ -1343,6 +1386,96 @@ mod tests {
         assert_eq!(successor.turn([]), "D", "the report the crash swallowed");
         assert_eq!(successor.turn([begin(&txn, true)]), "D", "and again, asked");
         assert_eq!(logged(&successor), vec![COMMIT], "decided once");
+    }
+
+    /// In one drained batch of `Begin`s, each `Dispatch` is stamped at the
+    /// reading its lock stage starts from — never before the previous
+    /// `Begin`'s locks were held — so the envelopes ahead of it in the
+    /// batch count as `channel`, not `lock`.
+    #[test]
+    fn a_begin_deep_in_a_batch_is_dispatched_after_the_begins_ahead_of_it() {
+        let mut r = rig(false, None);
+        let txns: Vec<_> = (0..8)
+            .map(|i| {
+                let id = ServiceConfig::txn_id(0, i);
+                Arc::new(Transaction::new(id).with_write(Key::new(0, i as u64), 1))
+            })
+            .collect();
+        r.turn(txns.iter().map(|t| begin(t, false)));
+        let at = |txn: TxnId, stage| {
+            let events = r.node.env.obs.flight.events();
+            let ev = events.iter().find(|e| e.txn == txn && e.stage == stage);
+            ev.expect("stamped").at_nanos
+        };
+        for pair in txns.windows(2) {
+            let held = at(pair[0].id, FlightStage::LockAcquired);
+            let dispatched = at(pair[1].id, FlightStage::Dispatch);
+            assert!(
+                dispatched >= held,
+                "txn {} dispatched before its predecessor locked",
+                pair[1].id
+            );
+            assert!(at(pair[1].id, FlightStage::LockAcquired) >= dispatched);
+        }
+    }
+
+    /// `(count, nanos)` of the `LockHold` meter a node reports at exit.
+    fn holds_at_exit(node: Node<DecideOnMsg>) -> (u64, u64) {
+        node.finish().obs.meters.get(Stage::LockHold)
+    }
+
+    /// Recovery path one, a WAL-replayed in-flight yes-vote: the replay
+    /// re-takes its locks and its hold restarts at recovery; the decision
+    /// that releases them closes it. A transaction decided before the
+    /// crash was counted then, and its replay adds no second hold.
+    #[test]
+    fn a_replayed_in_flight_yes_vote_holds_from_recovery_to_its_decision() {
+        let wal = Arc::new(Mutex::new(Wal::new()));
+        let mut r = rig(false, Some(wal));
+        let (a, b) = (write7(0, 5), write7(1, 6));
+        assert_eq!(r.turn([begin(&a, false), net(a.id)]), "ND");
+        assert_eq!(r.turn([begin(&b, false)]), "N");
+        assert_eq!(r.node.counts.lock_holds, 1, "a released, b still held");
+        r.node.crash();
+        r.node.recover();
+        assert_eq!((r.phase(a.id), r.phase(b.id)), ("decided", "open"));
+        assert_eq!(r.node.vol.shard.locked(), 1, "b's lock re-taken");
+        assert_eq!(r.node.counts.lock_holds, 1, "replay closes no hold");
+        r.turn([net(b.id)]);
+        assert_eq!(r.node.vol.shard.locked(), 0);
+        let (holds, nanos) = holds_at_exit(r.node);
+        assert_eq!(holds, 2);
+        assert!(nanos > 0, "b held its lock from recovery to its decision");
+    }
+
+    /// Recovery path two, a logless rejoin: the commit a voteless
+    /// transaction adopts re-takes its locks and releases them at once —
+    /// one hold, of no length.
+    #[test]
+    fn a_logless_rejoin_relock_is_one_hold_of_no_length() {
+        let mut r = rig(true, None);
+        let a = write7(1, 9);
+        let (txn, value) = (a.id, COMMIT);
+        r.turn([begin(&a, true), ToNode::StatusA { txn, value }]);
+        assert_eq!(r.phase(a.id), "decided");
+        assert_eq!(r.node.vol.shard.read(7).value, 9);
+        assert_eq!(holds_at_exit(r.node), (1, 0));
+    }
+
+    /// Recovery path three, a node dark for good: its final report
+    /// releases the in-flight yes-vote's locks the log re-takes, which
+    /// ends the hold the crash left open. The node kept no instant for it.
+    #[test]
+    fn a_dark_nodes_final_report_closes_its_in_flight_holds() {
+        let wal = Arc::new(Mutex::new(Wal::new()));
+        let mut r = rig(false, Some(wal));
+        let b = write7(0, 6);
+        assert_eq!(r.turn([begin(&b, false)]), "N");
+        r.node.crash();
+        assert!(matches!(r.node.power, Power::Dark { up_at: None }));
+        let ret = r.node.finish();
+        assert_eq!(ret.shard.locked(), 0, "released in the final report");
+        assert_eq!(ret.obs.meters.get(Stage::LockHold), (1, 0));
     }
 
     /// Node `me` of two, hosted on its own sockets.
@@ -1421,11 +1554,12 @@ mod tests {
         assert!(arrived(&mut client).is_none(), "a reply outran its force");
         assert!(wal.lock().unwrap().is_empty(), "staged, not yet forced");
 
-        assert!(node.force());
+        let forced = node.force();
+        assert!(forced.is_some());
         assert_eq!(wal.lock().unwrap().len(), 2, "prepare + decide");
         assert!(arrived(&mut from_node).is_none(), "only flush writes");
         assert!(arrived(&mut client).is_none(), "only flush writes");
-        assert_eq!(node.flush(), 2, "the vote envelope and the Done");
+        assert_eq!(node.flush(forced), 2, "the vote envelope and the Done");
         let reply = arrived(&mut client).expect("a reply down the Hello connection");
         let done = Done {
             txn: txn.id,
@@ -1464,14 +1598,14 @@ mod tests {
         let txn = write7(0, 5);
         low.inbox.push(begin(&txn, false));
         low.dispatch();
-        assert_eq!(low.flush(), 1);
+        assert_eq!(low.flush(None), 1);
         assert_eq!(high.drain(), 1, "read off the one accepted connection");
         // The answer: begun in turn, the higher node announces itself and,
         // handed the envelope that outran its Begin, decides.
         high.inbox.push(begin(&txn, false));
         high.dispatch();
         high.apply();
-        assert_eq!(high.flush(), 1);
+        assert_eq!(high.flush(None), 1);
         assert_eq!(low.drain(), 1, "read off the connection it wrote on");
         low.dispatch();
         low.apply();

@@ -1191,4 +1191,35 @@ mod tests {
         assert_eq!(out.stage_meters.get(Stage::WalForce).0, 0, "no WAL here");
         assert!(out.stage_hists.get(Stage::DrainGap).count() > 0);
     }
+
+    /// The node meters every write-lock hold it releases: in a durable,
+    /// failure-free run with conflicts, `LockHold` counts exactly the
+    /// node-log records that voted yes on a transaction writing to that
+    /// node's shard — no-votes and read-only participants hold nothing.
+    #[test]
+    fn lock_hold_counts_each_logged_yes_vote_that_wrote_there() {
+        let cfg = quick(ProtocolKind::TwoPc)
+            .clients(3)
+            .txns_per_client(40)
+            .keys_per_shard(8);
+        let spec = FaultSpec {
+            durable: true,
+            ..FaultSpec::none(cfg.n)
+        };
+        let out = run_service_faulted(&cfg, &spec);
+        assert!(out.is_safe(), "{:?}", out.violations);
+        assert_eq!(out.stalled, 0);
+        let wrote_there =
+            |p: usize| move |r: &&NodeRecord| r.txn.writes.keys().any(|k| k.shard == p);
+        let held: usize = (out.node_logs.iter().enumerate())
+            .map(|(p, log)| log.iter().filter(|r| r.vote).filter(wrote_there(p)).count())
+            .sum();
+        assert!(
+            held > 0 && out.aborted > 0,
+            "the run must both hold and conflict"
+        );
+        let (holds, nanos) = out.stage_meters.get(Stage::LockHold);
+        assert_eq!(holds, held as u64);
+        assert!(nanos > 0);
+    }
 }

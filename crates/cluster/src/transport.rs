@@ -764,14 +764,11 @@ impl<M: Wire + Send> Link<M> {
         until: Option<Instant>,
     ) -> Result<usize, RecvError> {
         match (self, until) {
-            (Link::Channel(rx, _), Some(due)) => {
-                let wait = due.saturating_duration_since(Instant::now());
-                match rx.recv_batch_timeout(buf, max, wait) {
-                    Ok(k) => Ok(k),
-                    Err(RecvTimeoutError::Timeout) => Ok(0),
-                    Err(RecvTimeoutError::Disconnected) => Err(RecvError),
-                }
-            }
+            (Link::Channel(rx, _), Some(due)) => match rx.recv_batch_deadline(buf, max, due) {
+                Ok(k) => Ok(k),
+                Err(RecvTimeoutError::Timeout) => Ok(0),
+                Err(RecvTimeoutError::Disconnected) => Err(RecvError),
+            },
             (Link::Channel(rx, _), None) => rx.recv_batch(buf, max),
             (Link::Sockets(link), until) => Ok(link.recv(buf, max, until)),
         }
@@ -834,10 +831,7 @@ impl<M: Wire> ClientLink<M> {
     /// stream is forgotten (the next write to that node redials).
     pub(crate) fn recv(&mut self, buf: &mut Vec<Done>, max: usize, until: Instant) -> usize {
         match self {
-            ClientLink::InProcess(_, rx) => {
-                let wait = until.saturating_duration_since(Instant::now());
-                rx.recv_batch_timeout(buf, max, wait).unwrap_or(0)
-            }
+            ClientLink::InProcess(_, rx) => rx.recv_batch_deadline(buf, max, until).unwrap_or(0),
             ClientLink::Sockets(socks, ready) => {
                 while ready.is_empty() {
                     let polled = socks.poll::<M>(Some(until), |frame, _| {

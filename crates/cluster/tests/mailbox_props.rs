@@ -3,8 +3,12 @@
 //! and `send_batch` is observationally equivalent to a sequence of
 //! `send`s — same delivered messages, same per-sender order — under
 //! concurrent producers (and *identical total order* for one producer).
+//! On one thread the mailbox is a `VecDeque`: any script of sends, batch
+//! sends and bounded drains moves the same messages in the same order,
+//! however the bursts straddle the mailbox's internal blocks.
 
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use proptest::prelude::*;
@@ -15,7 +19,7 @@ type Msg = (usize, u32);
 /// Drive `senders.len()` producer threads; producer `p` sends its
 /// sequence `0..counts[p]` split into `chunks[p]`-sized `send_batch`
 /// bursts (chunk size 1 uses plain `send`). The consumer drains with
-/// `recv_batch_timeout` using `max` messages per lock. Returns the
+/// `recv_batch_deadline` using `max` messages per lock. Returns the
 /// delivered stream.
 fn pump(counts: &[u32], chunks: &[u32], max: usize) -> Vec<Msg> {
     let (tx, rx) = unbounded::<Msg>();
@@ -45,7 +49,8 @@ fn pump(counts: &[u32], chunks: &[u32], max: usize) -> Vec<Msg> {
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        match rx.recv_batch_timeout(&mut buf, max.max(1), Duration::from_secs(5)) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        match rx.recv_batch_deadline(&mut buf, max.max(1), deadline) {
             Ok(_) => got.extend(buf.iter().copied()),
             Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => panic!("producers stalled"),
@@ -118,5 +123,50 @@ proptest! {
             per_sender(&all_plain, 2),
             "per-sender streams must not depend on the batching strategy"
         );
+    }
+
+    /// One thread against a `VecDeque` model: single sends and bursts of
+    /// up to three mailbox blocks, drained `max` at a time (a deadline
+    /// already behind, so never parked), move the same messages in the
+    /// same order, and the queued count agrees after every step.
+    #[test]
+    fn bursts_across_blocks_drain_like_a_vecdeque(
+        script in proptest::collection::vec((0u8..3, 1usize..200), 1..40),
+    ) {
+        let (tx, rx) = unbounded::<u32>();
+        let mut model = VecDeque::new();
+        let (mut next, mut buf) = (0u32, Vec::new());
+        let past = Instant::now();
+        for (step, &(what, n)) in script.iter().enumerate() {
+            match what {
+                0 => {
+                    tx.send(next).unwrap();
+                    model.push_back(next);
+                    next += 1;
+                }
+                1 => {
+                    let burst = next..next + n as u32;
+                    prop_assert_eq!(tx.send_batch(burst.clone()).unwrap(), n);
+                    model.extend(burst);
+                    next += n as u32;
+                }
+                _ => {
+                    buf.clear();
+                    let want = n.min(model.len());
+                    let got = match rx.recv_batch_deadline(&mut buf, n, past) {
+                        Ok(k) => k,
+                        Err(RecvTimeoutError::Timeout) => 0,
+                        Err(RecvTimeoutError::Disconnected) => unreachable!("a sender lives"),
+                    };
+                    let expect: Vec<u32> = model.drain(..want).collect();
+                    prop_assert_eq!(got, want, "count at step {}", step);
+                    prop_assert_eq!(&buf, &expect, "order at step {}", step);
+                }
+            }
+            prop_assert_eq!(rx.len(), model.len(), "queued at step {}", step);
+        }
+        buf.clear();
+        prop_assert_eq!(rx.try_drain(&mut buf, usize::MAX), model.len());
+        prop_assert_eq!(buf, Vec::from(model));
     }
 }

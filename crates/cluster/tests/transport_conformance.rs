@@ -91,12 +91,8 @@ fn drain(rx: &Receiver<ToNode<M>>, want: usize, deadline: Duration) -> Vec<(u64,
     let mut got = Vec::new();
     let mut buf = Vec::new();
     while got.len() < want {
-        let now = Instant::now();
-        if now >= end {
-            break;
-        }
         buf.clear();
-        match rx.recv_batch_timeout(&mut buf, 64, end - now) {
+        match rx.recv_batch_deadline(&mut buf, 64, end) {
             Ok(_) => {
                 for env in buf.drain(..) {
                     if let ToNode::Net { txn, from, msg } = env {

@@ -29,8 +29,10 @@ pub enum Stage {
     /// `Shard::prepare` call time on the `Begin` path (read validation +
     /// write-lock acquisition; wound-free, so this is pure CPU).
     LockAcquire = 1,
-    /// Write-lock residency: first lock taken at prepare until release at
-    /// `Shard::finish` (reported by the shard's own self-metering).
+    /// Write-lock residency of a yes-vote, metered by the node (the shard
+    /// reads no clock): from the reading its locks were taken at — the
+    /// `LockAcquired` stamp, or a recovery relock — to the reading after
+    /// `Shard::finish` released them. One count per release.
     LockHold = 2,
     /// One group force of the node loop's force step: every record the
     /// turn staged, `Prepare`s and decisions alike.
@@ -117,7 +119,7 @@ impl ObsMeters {
     }
 
     /// Bulk-add `count` operations totalling `nanos` (used to fold in
-    /// self-metered layers like the shard's lock-hold tracker).
+    /// counters kept outside the meters, like a node's lock holds).
     #[inline]
     pub fn add_many(&self, stage: Stage, count: u64, nanos: u64) {
         if count > 0 {

@@ -7,15 +7,17 @@
 //! locks (the shard is then *prepared* and must hold them until the commit
 //! protocol decides), exactly the structure 2PC/INBAC assume.
 //!
-//! Cells, locks and lock-hold stamps are three hash-indexed tables
-//! ([`ac_sim::Slab`]: dense storage behind a SplitMix64 open-addressing
-//! index — the table the node already resolves its instances with). A
-//! prepare or finish touches each key of the transaction a constant
-//! number of times, whatever the shard holds. Nothing here has an order
-//! any more: [`Shard::total`] is a sum and `Debug` prints in hash order.
-//! The tables grow by doubling; they are never pre-sized.
-
-use std::time::Instant;
+//! Cells and locks are two hash-indexed tables ([`ac_sim::Slab`]: dense
+//! storage behind a SplitMix64 open-addressing index — the table the node
+//! already resolves its instances with). A prepare or finish touches each
+//! key of the transaction a constant number of times, whatever the shard
+//! holds. Nothing here has an order any more: [`Shard::total`] is a sum
+//! and `Debug` prints in hash order. The tables grow by doubling; they are
+//! never pre-sized.
+//!
+//! The shard reads no clock. How long a transaction holds its locks is
+//! the node's to meter: it already reads the instants a hold starts and
+//! ends at.
 
 use ac_sim::Slab;
 
@@ -38,12 +40,6 @@ pub struct Shard {
     cells: Slab<Version>,
     /// Write locks held by prepared transactions: key -> owner txn.
     locks: Slab<TxnId>,
-    /// Lock-residency self-metering: when each live owner first took a
-    /// lock here, plus the completed-hold accumulators (observability —
-    /// "lock hold time" is a first-class latency stage).
-    lock_since: Slab<Instant>,
-    lock_holds: u64,
-    lock_hold_nanos: u64,
 }
 
 impl Shard {
@@ -96,12 +92,6 @@ impl Shard {
                 }
             }
         }
-        if let Some(t0) = self.lock_since.remove(txn.id) {
-            self.lock_holds += 1;
-            self.lock_hold_nanos = self
-                .lock_hold_nanos
-                .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
     }
 
     /// Re-take `txn`'s write locks **without validation** (recovery path).
@@ -123,13 +113,8 @@ impl Shard {
     /// and its writes dropped at [`Shard::finish`].
     pub fn relock(&mut self, txn: &Transaction) {
         let my = |key: &Key| key.shard == self.id;
-        let mut took = false;
         for key in txn.writes.keys().filter(|k| my(k)) {
             *self.locks.get_or_insert_with(key.k, || txn.id) = txn.id;
-            took = true;
-        }
-        if took {
-            self.lock_since.get_or_insert_with(txn.id, Instant::now);
         }
     }
 
@@ -147,13 +132,6 @@ impl Shard {
     /// Number of currently held locks (diagnostics).
     pub fn locked(&self) -> usize {
         self.locks.len()
-    }
-
-    /// `(completed holds, total held nanoseconds)` of released write
-    /// locks: prepare (or relock) until [`Shard::finish`], first lock per
-    /// transaction. Still-held locks are not counted until released.
-    pub fn lock_hold_stats(&self) -> (u64, u64) {
-        (self.lock_holds, self.lock_hold_nanos)
     }
 
     /// Sum of all values in this shard (used by the bank example to check
@@ -243,28 +221,6 @@ mod tests {
         let elsewhere = txn_writing(3, 5, 9, 7);
         assert!(s.prepare(&b));
         assert_eq!(s.foreign_lock_owner(&elsewhere), None);
-    }
-
-    #[test]
-    fn lock_hold_stats_count_released_holds_only() {
-        let mut s = Shard::new(0);
-        let a = txn_writing(1, 0, 9, 1);
-        assert!(s.prepare(&a));
-        assert_eq!(s.lock_hold_stats(), (0, 0), "live holds are not counted");
-        s.finish(&a, true);
-        let (holds, nanos) = s.lock_hold_stats();
-        assert_eq!(holds, 1);
-        assert!(nanos > 0, "a real hold takes nonzero time");
-        // A read-only (no locks here) transaction contributes nothing.
-        let ro = Transaction::new(2).with_read(Key::new(0, 9), 1);
-        assert!(s.prepare(&ro));
-        s.finish(&ro, true);
-        assert_eq!(s.lock_hold_stats().0, 1);
-        // Recovery relocks count as holds once released.
-        let b = txn_writing(3, 0, 4, 2);
-        s.relock(&b);
-        s.finish(&b, false);
-        assert_eq!(s.lock_hold_stats().0, 2);
     }
 
     #[test]

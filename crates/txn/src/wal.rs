@@ -105,18 +105,15 @@ pub struct Recovery {
 #[derive(Clone, Debug, Default)]
 pub struct Wal {
     records: Vec<WalRecord>,
-    /// Append self-metering: forced appends and the time they took
-    /// (observability — the WAL force is a first-class latency stage;
-    /// with the in-process log this is pure copy/allocation cost, i.e.
-    /// the floor a durable backend would add its fsync to).
+    /// Records the typed appenders and [`Wal::force_batch`] wrote. The
+    /// log reads no clock: the node times its force step around
+    /// [`Wal::force_batch`].
     appends: u64,
-    append_nanos: u64,
-    /// Force self-metering: durability points and the time they took. A
-    /// legacy typed append (`log_prepare`/`log_decide`) is one append +
-    /// one force; [`Wal::force_batch`] amortizes one force over many
-    /// appends — the group-commit win the saturation harness gates on.
+    /// Durability points. A typed single-record append
+    /// (`log_prepare`/`log_decide`) is one append and one force;
+    /// [`Wal::force_batch`] amortizes one force over many appends — the
+    /// group-commit win the saturation harness gates on.
     forces: u64,
-    force_nanos: u64,
 }
 
 impl Wal {
@@ -143,16 +140,19 @@ impl Wal {
 
     /// Log a prepare: `txn` validated locally with verdict `vote`.
     pub fn log_prepare(&mut self, txn: Arc<Transaction>, client: usize, vote: bool) {
-        let t0 = std::time::Instant::now();
-        self.records.push(WalRecord::Prepare { txn, client, vote });
-        self.meter(t0);
+        self.log_one(WalRecord::Prepare { txn, client, vote });
     }
 
     /// Log an applied decision.
     pub fn log_decide(&mut self, txn: TxnId, value: u64) {
-        let t0 = std::time::Instant::now();
-        self.records.push(WalRecord::Decide { txn, value });
-        self.meter(t0);
+        self.log_one(WalRecord::Decide { txn, value });
+    }
+
+    /// A typed single-record append is its own durability point.
+    fn log_one(&mut self, rec: WalRecord) {
+        self.records.push(rec);
+        self.appends += 1;
+        self.forces += 1;
     }
 
     /// Group commit: append every staged record and force **once**. The
@@ -163,36 +163,22 @@ impl Wal {
         if batch.is_empty() {
             return;
         }
-        let t0 = std::time::Instant::now();
-        let n = batch.len() as u64;
+        self.appends += batch.len() as u64;
         self.records.append(batch);
-        let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.appends += n;
-        self.append_nanos = self.append_nanos.saturating_add(nanos);
         self.forces += 1;
-        self.force_nanos = self.force_nanos.saturating_add(nanos);
     }
 
-    fn meter(&mut self, t0: std::time::Instant) {
-        let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.appends += 1;
-        self.append_nanos = self.append_nanos.saturating_add(nanos);
-        // A typed single-record append is its own durability point.
-        self.forces += 1;
-        self.force_nanos = self.force_nanos.saturating_add(nanos);
+    /// Records appended through the typed appenders and
+    /// [`Wal::force_batch`] (raw [`Wal::append`] is not counted).
+    pub fn appends(&self) -> u64 {
+        self.appends
     }
 
-    /// `(appends, total append nanoseconds)` of the typed appenders.
-    pub fn io_stats(&self) -> (u64, u64) {
-        (self.appends, self.append_nanos)
-    }
-
-    /// `(forces, total force nanoseconds)`: how many durability points
-    /// the log saw and what they cost. `forces < appends` is the
-    /// group-commit signature; the legacy per-record appenders keep the
-    /// two counters equal.
-    pub fn force_stats(&self) -> (u64, u64) {
-        (self.forces, self.force_nanos)
+    /// Durability points the log saw. `forces < appends` is the
+    /// group-commit signature; the per-record appenders keep the two
+    /// counters equal.
+    pub fn forces(&self) -> u64 {
+        self.forces
     }
 
     /// The raw record sequence.
@@ -349,17 +335,15 @@ mod tests {
     }
 
     #[test]
-    fn io_stats_meter_typed_appends() {
+    fn typed_appends_are_counted() {
         let mut wal = Wal::new();
-        assert_eq!(wal.io_stats(), (0, 0));
+        assert_eq!((wal.appends(), wal.forces()), (0, 0));
         wal.log_prepare(write_txn(1, 0, 2, 9), 0, true);
         wal.log_decide(1, COMMIT);
-        let (appends, nanos) = wal.io_stats();
-        assert_eq!(appends, 2);
-        assert!(nanos < u64::MAX);
-        // Raw `append` (tests/conversions) is unmetered.
+        assert_eq!((wal.appends(), wal.forces()), (2, 2));
+        // Raw `append` (tests/conversions) is not counted.
         wal.append(WalRecord::Decide { txn: 2, value: 0 });
-        assert_eq!(wal.io_stats().0, 2);
+        assert_eq!(wal.appends(), 2);
     }
 
     #[test]
@@ -376,16 +360,15 @@ mod tests {
         }
         wal.force_batch(&mut batch);
         assert!(batch.is_empty(), "the staging buffer is drained");
-        assert_eq!(wal.io_stats().0, 8, "every record appended");
-        assert_eq!(wal.force_stats().0, 1, "one durability point");
+        assert_eq!(wal.appends(), 8, "every record appended");
+        assert_eq!(wal.forces(), 1, "one durability point");
         assert_eq!(wal.len(), 8);
         // An empty batch charges nothing.
         wal.force_batch(&mut batch);
-        assert_eq!(wal.force_stats().0, 1);
-        // Legacy appenders keep forces == appends.
+        assert_eq!(wal.forces(), 1);
+        // Per-record appenders keep forces == appends.
         wal.log_decide(1, COMMIT);
-        assert_eq!(wal.io_stats().0, 9);
-        assert_eq!(wal.force_stats().0, 2);
+        assert_eq!((wal.appends(), wal.forces()), (9, 2));
     }
 
     #[test]

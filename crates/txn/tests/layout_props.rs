@@ -124,15 +124,13 @@ fn decode_refuses_an_absurd_length_and_survives_a_lying_one() {
     );
 }
 
-/// The shard as it was before ISSUE-19: three ordered maps. Same code, same
-/// comments dropped; the lock-hold clock is reduced to its count.
+/// The shard as it was before the hash-indexed layout: ordered maps.
+/// Same code, comments dropped.
 #[derive(Default)]
 struct BTreeShard {
     id: usize,
     cells: BTreeMap<u64, Version>,
     locks: BTreeMap<u64, TxnId>,
-    lock_since: BTreeMap<TxnId, ()>,
-    lock_holds: u64,
 }
 
 impl BTreeShard {
@@ -154,13 +152,8 @@ impl BTreeShard {
                 }
             }
         }
-        let mut took = false;
         for key in txn.writes.keys().filter(|k| my(k)) {
             self.locks.insert(key.k, txn.id);
-            took = true;
-        }
-        if took {
-            self.lock_since.entry(txn.id).or_insert(());
         }
         true
     }
@@ -180,19 +173,11 @@ impl BTreeShard {
                 }
             }
         }
-        if self.lock_since.remove(&txn.id).is_some() {
-            self.lock_holds += 1;
-        }
     }
 
     fn relock(&mut self, txn: &Transaction) {
-        let mut took = false;
         for key in txn.writes.keys().filter(|k| k.shard == self.id) {
             self.locks.insert(key.k, txn.id);
-            took = true;
-        }
-        if took {
-            self.lock_since.entry(txn.id).or_insert(());
         }
     }
 
@@ -275,7 +260,6 @@ proptest! {
             }
             prop_assert_eq!(shard.locked(), model.locks.len(), "locked() at step {step}");
             prop_assert_eq!(shard.total(), model.cells.values().map(|v| v.value).sum::<i64>());
-            prop_assert_eq!(shard.lock_hold_stats().0, model.lock_holds, "holds at step {step}");
         }
         // A clone is a second shard, not a view of the first.
         let frozen = shard.clone();

@@ -152,7 +152,7 @@ proptest! {
             let mut staged = chunk.to_vec();
             grouped.force_batch(&mut staged);
         }
-        prop_assert_eq!(grouped.force_stats().0 as usize, k, "one force per batch");
+        prop_assert_eq!(grouped.forces() as usize, k, "one force per batch");
 
         let mut per_record = Wal::new();
         for rec in &all[..(k * batch).min(all.len())] {

@@ -5,7 +5,7 @@
 //! every Table-5 protocol.
 //!
 //! Since ISSUE-4 the service's only transport is the **batched** hot path
-//! (segmented mailboxes, `send_batch`/`recv_batch_timeout`, slab demux),
+//! (segmented mailboxes, `send_batch`/`recv_batch_deadline`, slab demux),
 //! so every test here exercises it; `batched_path_stays_safe_under_
 //! concurrency_for_every_table5_protocol` additionally drives each
 //! Table-5 protocol with enough concurrent clients that multi-envelope
