@@ -301,19 +301,20 @@ where
             }
         } else {
             // Submit while the closed loop is open and pacing allows it.
-            while gate_open(submitted, outstanding.len(), unparked) {
+            // One reading stamps every submission of the turn: only
+            // bookkeeping lies between one and the next.
+            if gate_open(submitted, outstanding.len(), unparked) {
                 let now = Instant::now();
-                if now < next_allowed {
-                    break;
-                }
-                let mut t = gen.next_txn();
-                t.id = ServiceConfig::txn_id(client, submitted);
-                let p = submit(t, now, now, &mut outbox);
-                unparked += usize::from(!parked(&p));
-                outstanding.push(p);
-                submitted += 1;
-                if let Some(p) = cfg.pacing {
-                    next_allowed = now + p;
+                while now >= next_allowed && gate_open(submitted, outstanding.len(), unparked) {
+                    let mut t = gen.next_txn();
+                    t.id = ServiceConfig::txn_id(client, submitted);
+                    let p = submit(t, now, now, &mut outbox);
+                    unparked += usize::from(!parked(&p));
+                    outstanding.push(p);
+                    submitted += 1;
+                    if let Some(p) = cfg.pacing {
+                        next_allowed = now + p;
+                    }
                 }
             }
             if submitted == total && outstanding.is_empty() {

@@ -47,7 +47,7 @@
 //! |------------|------------------------------------------------------------|-----------------------------------|---------------------|
 //! | `drain`    | [`Link`] (the node's channel, or its own sockets: one readiness wait, one read per ready connection — peers' and clients' alike) → `inbox`, parked on the exact next deadline | — | crash check, dark window, WAL recovery |
 //! | `dispatch` | `inbox` → table, engine, `decided`, outbox; self-sends and due timers to quiescence | `DrainGap`, `LockAcquire`, flight `Dispatch`/`LockAcquired` | — |
-//! | `apply`    | `decided` → shard, `log`, staged WAL records, staged `Done`s | `WalJournal`, flight `Decided`  | lock-steal guard (Deferred) |
+//! | `apply`    | `decided` → shard, `log`, staged `Done`s, then staged WAL records, a pass at a time | `LockHold`, `WalJournal`, flight `Decided` (per pass) | lock-steal guard (Deferred) |
 //! | `force`    | staged WAL records → WAL (one force per turn that staged any) | `WalForce`, flight `WalForced` | durability-before-reply |
 //! | `flush`    | outbox → fault policy → the same [`Link`] (a sender per node, or one write to each peer down the connection that peer is read from); `Done`s → [`Replies`] (each client's channel, or one write down the connection it said `Hello` on) | `Flush` | fault policy ([`NetPolicy`](crate::service::NetPolicy)) |
 
@@ -65,6 +65,7 @@ use ac_sim::{InlineVec, ProcessId, Wire};
 use ac_txn::{DecidedTxn, Shard, Transaction, TxnId, Wal, WalRecord};
 use crossbeam::channel::Sender;
 
+use crate::client::nanos;
 use crate::codec::AnyFrame;
 use crate::service::{
     parts_of, CrashWindow, Done, Fate, NetPolicy, NodeRecord, ToNode, ORPHAN_CAP,
@@ -123,7 +124,7 @@ impl NodeCounts {
     /// One released write-lock hold that lasted `d`.
     fn hold(&mut self, d: Duration) {
         self.lock_holds += 1;
-        self.lock_hold_nanos += u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.lock_hold_nanos += nanos(d);
     }
 }
 
@@ -407,6 +408,9 @@ pub(crate) struct Node<P: CommitProtocol> {
     power: Power,
     /// The drained batch `dispatch` consumes (reused buffer).
     inbox: Vec<ToNode<P::Msg>>,
+    /// Where each write-lock hold the current apply pass released started
+    /// (reused buffer): closed at the reading that ends the pass.
+    released: Vec<Instant>,
     /// Per-destination envelope counters feeding the policy's seeded RNG.
     net_seq: Vec<u64>,
     shutdown: bool,
@@ -426,6 +430,7 @@ where
                 crash_at: env.window.map(|w| env.epoch + w.down_after),
             },
             inbox: Vec::with_capacity(NODE_BATCH),
+            released: Vec::new(),
             net_seq: vec![0; env.n],
             shutdown: false,
             counts: NodeCounts::default(),
@@ -789,25 +794,71 @@ where
     /// forced by the next step — before any `Done` staged here can leave
     /// the node — so the durability-before-reply invariant holds while the
     /// force cost is amortized.
+    ///
+    /// Each pass over the queue finishes its decisions first and journals
+    /// them after ([`Node::close_pass`]), so the clock is read once or
+    /// twice per pass, never per decision.
     fn apply(&mut self) {
         while !self.vol.decided.is_empty() {
             // `apply_one` re-queues a deferred commit behind this pass.
             let pass = self.vol.decided.len();
-            let mut progress = false;
+            let logged = self.vol.log.len();
             for i in 0..pass {
                 let (id, value) = self.vol.decided[i];
-                progress |= self.apply_one(id, value);
+                self.apply_one(id, value);
             }
             self.vol.decided.drain(..pass);
-            // An apply in this pass may have released the very lock a
-            // deferred commit waits on — retry until quiescent.
-            if !progress {
+            // Every decision left was moot or deferred.
+            if self.vol.log.len() == logged {
                 break;
             }
+            self.close_pass(logged);
+            // An apply in this pass may have released the very lock a
+            // deferred commit waits on — retry until quiescent.
         }
     }
 
-    /// Apply one decision; `false` when it was moot or had to be deferred.
+    /// End an apply pass, whose decisions are the node log's records from
+    /// `logged` on. One reading closes every write-lock hold the pass
+    /// released. With a WAL, the pass's records are then staged in apply
+    /// order — a logless protocol's deferred `Prepare` right before its
+    /// `Decide`, a journal entry rather than a critical-path force — and a
+    /// second reading ends the pass's one `WalJournal` sample. The last
+    /// reading stamps every decision of the pass `Decided`.
+    fn close_pass(&mut self, logged: usize) {
+        let finished = Instant::now();
+        for since in self.released.drain(..) {
+            self.counts.hold(finished - since);
+        }
+        let applied = &self.vol.log[logged..];
+        let mut decided = finished;
+        if self.env.wal.is_some() {
+            let batch = &mut self.vol.wal_batch;
+            for r in applied {
+                if self.env.logless {
+                    let (txn, client, vote) = (Arc::clone(&r.txn), r.client, r.vote);
+                    batch.push(WalRecord::Prepare { txn, client, vote });
+                }
+                let (txn, value) = (r.id, r.decision);
+                batch.push(WalRecord::Decide { txn, value });
+            }
+            decided = Instant::now();
+            let took = nanos(decided - finished);
+            let obs = &mut self.env.obs;
+            obs.meters
+                .add_many(Stage::WalJournal, applied.len() as u64, took);
+            obs.hists.record(Stage::WalJournal, took);
+        }
+        let me = self.env.me as u32;
+        let at = decided.saturating_duration_since(self.env.epoch);
+        let flight = &mut self.env.obs.flight;
+        for r in applied {
+            flight.record(r.id, me, FlightStage::Decided, at);
+        }
+    }
+
+    /// Apply one decision — shard, node log, staged `Done` — reading no
+    /// clock: its lock hold and its journal wait for the end of the pass.
     ///
     /// A logless commit for a crash-recovered transaction (no local
     /// yes-vote, so no locks held) must re-take its write locks before the
@@ -820,12 +871,12 @@ where
     /// lock (every protocol in the suite terminates by timeout, so it
     /// does): it stays queued and is re-examined ahead of every later
     /// batch.
-    fn apply_one(&mut self, id: TxnId, value: u64) -> bool {
+    fn apply_one(&mut self, id: TxnId, value: u64) {
         let Some(Txn::Begun(route, phase)) = self.vol.txns.get_mut(id) else {
-            return false; // ended
+            return; // ended
         };
         if let Phase::Decided(_) = phase {
-            return false; // duplicate (e.g. StatusA raced the protocol decide)
+            return; // duplicate (e.g. StatusA raced the protocol decide)
         }
         let logless = self.env.logless;
         let commit = value == COMMIT;
@@ -841,35 +892,21 @@ where
             if self.vol.shard.foreign_lock_owner(&route.txn).is_some() {
                 *phase = Phase::Deferred;
                 self.vol.decided.push((id, value));
-                return false;
+                return;
             }
             self.vol.shard.relock(&route.txn);
         }
         *phase = Phase::Decided(value);
         self.vol.shard.finish(&route.txn, commit);
-        let (txn, client, locked_at) = (Arc::clone(&route.txn), route.client, route.locked_at);
-        let finished = Instant::now();
-        let mut decided = finished;
-        if self.env.wal.is_some() {
-            let batch = &mut self.vol.wal_batch;
-            if logless {
-                // The deferred prepare record: staged together with the
-                // decision, after the outcome is known — a journal entry,
-                // not a critical-path force.
-                let txn = Arc::clone(&txn);
-                batch.push(WalRecord::Prepare { txn, client, vote });
-            }
-            batch.push(WalRecord::Decide { txn: id, value });
-            decided = Instant::now();
-            self.env.obs.record(Stage::WalJournal, decided - finished);
+        // The hold `finish` released ends at the pass's reading. A
+        // rejoin's relock was released in the same breath: a hold of no
+        // length.
+        if let Some(since) = route.locked_at {
+            self.released.push(since);
+        } else if holds_locks(&route.txn, rejoined, self.env.me) {
+            self.counts.hold(Duration::ZERO);
         }
-        // The hold `finish` released ends at `finished`. A rejoin's
-        // relock was released in the same breath: a hold of no length.
-        let relocked = holds_locks(&txn, rejoined, self.env.me);
-        if let Some(since) = locked_at.or(relocked.then_some(finished)) {
-            self.counts.hold(finished - since);
-        }
-        self.stamp(id, FlightStage::Decided, decided);
+        let (txn, client) = (Arc::clone(&route.txn), route.client);
         self.vol.log.push(NodeRecord {
             id,
             txn,
@@ -878,7 +915,6 @@ where
             decision: value,
         });
         self.vol.report(client, id, value);
-        true
     }
 
     /// Step 4. Group commit: everything this turn staged — Begin-path
@@ -1416,6 +1452,49 @@ mod tests {
                 pair[1].id
             );
             assert!(at(pair[1].id, FlightStage::LockAcquired) >= dispatched);
+        }
+    }
+
+    /// Decisions applied in one pass share its readings: one closes their
+    /// lock holds, one ends their journal and stamps them `Decided`. The
+    /// WAL still holds, in order, the records one decision at a time staged
+    /// — a logless node's deferred `Prepare` right before its `Decide`.
+    #[test]
+    fn the_decisions_of_one_apply_pass_share_its_readings() {
+        for (logless, order) in [(false, "P0 P1 P2 D0 D1 D2"), (true, "P0 D0 P1 D1 P2 D2")] {
+            let wal = Arc::new(Mutex::new(Wal::new()));
+            let mut r = rig(logless, Some(Arc::clone(&wal)));
+            let txns: Vec<_> = (0..3)
+                .map(|i| {
+                    let id = ServiceConfig::txn_id(0, i);
+                    Arc::new(Transaction::new(id).with_write(Key::new(0, i as u64), 1))
+                })
+                .collect();
+            let begins = txns.iter().map(|t| begin(t, false));
+            let decides = txns.iter().map(|t| net(t.id));
+            assert_eq!(r.turn(begins.chain(decides)), "NNNDDD");
+
+            let index = |id: TxnId| txns.iter().position(|t| t.id == id).expect("ours");
+            let journaled: Vec<_> = (wal.lock().unwrap().records().iter())
+                .map(|rec| match rec {
+                    WalRecord::Prepare { txn, .. } => format!("P{}", index(txn.id)),
+                    WalRecord::Decide { txn, .. } => format!("D{}", index(*txn)),
+                })
+                .collect();
+            assert_eq!(journaled.join(" "), order, "logless: {logless}");
+
+            let obs = &r.node.env.obs;
+            let at = |stage| {
+                let events = obs.flight.events().iter();
+                events.filter(move |e| e.stage == stage).map(|e| e.at_nanos)
+            };
+            let decided: Vec<_> = at(FlightStage::Decided).collect();
+            assert_eq!(decided.len(), 3);
+            assert!(decided.iter().all(|&d| d == decided[0]), "{decided:?}");
+            assert!(at(FlightStage::LockAcquired).all(|l| l < decided[0]));
+            assert_eq!(obs.meters.get(Stage::WalJournal).0, 3, "one per decision");
+            assert_eq!(obs.hists.get(Stage::WalJournal).count(), 1, "one per pass");
+            assert_eq!(r.node.counts.lock_holds, 3);
         }
     }
 

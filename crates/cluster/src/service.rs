@@ -1153,6 +1153,33 @@ mod tests {
         }
     }
 
+    /// The closed-loop gate reads the clock once per turn: the window a
+    /// client opens on its first turn is submitted at one instant, and no
+    /// transaction is decided before it was submitted.
+    #[test]
+    fn a_client_submits_its_first_window_at_one_instant() {
+        let w = 16;
+        let cfg = quick(ProtocolKind::PaxosCommit)
+            .clients(1)
+            .txns_per_client(4 * w)
+            .park_retries(0)
+            .max_outstanding(w);
+        let out = run_service(&cfg);
+        assert!(out.is_safe(), "{:?}", out.violations);
+        assert_eq!(out.txn_events.len(), 4 * w);
+        let submitted_at = |i| {
+            let id = ServiceConfig::txn_id(0, i);
+            let ev = out.txn_events.iter().find(|e| e.id == id);
+            ev.expect("an event per transaction").submitted_at
+        };
+        let window: Vec<_> = (0..w).map(submitted_at).collect();
+        assert!(window.iter().all(|&s| s == window[0]), "{window:?}");
+        for ev in &out.txn_events {
+            let decided = ev.decided_at.expect("decided");
+            assert!(decided >= ev.submitted_at, "txn {}", ev.id);
+        }
+    }
+
     /// The tentpole's end-to-end check at unit scale: a healthy run must
     /// attribute (nearly) every transaction, the five stage shares must
     /// telescope to ~100 % of end-to-end p50, the lifecycle stamps must

@@ -363,13 +363,8 @@ fn a_batch_whose_write_failed_part_way_is_never_sent_again() {
 }
 
 /// A metered single-node TCP rig: ingress meters on the node's reader
-/// threads, a factory for egress-metered sender endpoints.
-fn metered_tcp_rig() -> (
-    Receiver<ToNode<M>>,
-    TcpNode,
-    Arc<NetMeters>,
-    impl Fn() -> (TcpTransport, Arc<NetMeters>),
-) {
+/// threads.
+fn metered_tcp_rig() -> (Receiver<ToNode<M>>, TcpNode, Arc<NetMeters>) {
     let (tx, rx) = unbounded::<ToNode<M>>();
     let ingress = Arc::new(NetMeters::new(1));
     let hooks = NodeHooks {
@@ -377,13 +372,14 @@ fn metered_tcp_rig() -> (
         ..NodeHooks::default()
     };
     let node = TcpNode::bind("127.0.0.1:0", tx, Some(hooks)).expect("bind loopback");
-    let addr = node.addr();
-    let make = move || {
-        let egress = Arc::new(NetMeters::new(1));
-        let t = TcpTransport::new(vec![addr]).with_net(Arc::clone(&egress));
-        (t, egress)
-    };
-    (rx, node, ingress, make)
+    (rx, node, ingress)
+}
+
+/// A fresh egress-metered sender endpoint to `node`.
+fn metered_sender(node: &TcpNode) -> (TcpTransport, Arc<NetMeters>) {
+    let egress = Arc::new(NetMeters::new(1));
+    let t = TcpTransport::new(vec![node.addr()]).with_net(Arc::clone(&egress));
+    (t, egress)
 }
 
 /// The per-peer reconnect counter is exact: a link severed once and
@@ -391,8 +387,8 @@ fn metered_tcp_rig() -> (
 /// reconnect), and a clean loopback dial never counts a dial failure.
 #[test]
 fn severed_then_healed_link_records_exactly_one_reconnect() {
-    let (rx, node, _ingress, make) = metered_tcp_rig();
-    let (mut t, egress) = make();
+    let (rx, node, _ingress) = metered_tcp_rig();
+    let (mut t, egress) = metered_sender(&node);
 
     t.send(0, net(0, 0));
     assert_eq!(drain(&rx, 1, Duration::from_secs(10)).len(), 1);
@@ -444,8 +440,8 @@ fn severed_then_healed_link_records_exactly_one_reconnect() {
 /// transcript. The outbox high-water mark records the deepest batch.
 #[test]
 fn byte_and_frame_counters_match_the_frame_log_on_both_sides() {
-    let (rx, _node, ingress, make) = metered_tcp_rig();
-    let (mut t, egress) = make();
+    let (rx, node, ingress) = metered_tcp_rig();
+    let (mut t, egress) = metered_sender(&node);
 
     // A known transcript: 5 plain sends and batches of 2, 3 and 7. The
     // `net` helper is deterministic in `seq`, so the frame log can be

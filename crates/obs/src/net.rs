@@ -139,7 +139,9 @@ impl NetMeters {
         let snap = self.snapshot();
         let sep = if labels.is_empty() { "" } else { "," };
         let mut out = String::new();
-        let families: [(&str, &str, fn(&PeerNet) -> u64); 5] = [
+        // (metric name, help text, the per-peer counter it reads)
+        type Family = (&'static str, &'static str, fn(&PeerNet) -> u64);
+        let families: [Family; 5] = [
             ("ac_net_bytes_out_total", "Bytes written per peer.", |p| {
                 p.bytes_out
             }),

@@ -23,22 +23,27 @@ use crate::histogram::LatencyHistogram;
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
-    /// Client-side closed-loop wait: blocked time between submitting a
-    /// transaction and draining its replies from the done channel.
+    /// Client-side park: how long one client loop turn sat in its receive
+    /// call, waiting for replies or its next deadline. One sample per
+    /// receive call, not per transaction.
     ClientQueueWait = 0,
     /// `Shard::prepare` call time on the `Begin` path (read validation +
     /// write-lock acquisition; wound-free, so this is pure CPU).
     LockAcquire = 1,
     /// Write-lock residency of a yes-vote, metered by the node (the shard
     /// reads no clock): from the reading its locks were taken at — the
-    /// `LockAcquired` stamp, or a recovery relock — to the reading after
-    /// `Shard::finish` released them. One count per release.
+    /// `LockAcquired` stamp, or a recovery relock — to the reading that
+    /// ends the apply pass whose `Shard::finish` released them, so a hold
+    /// also covers the finishes after it in that pass. One count per
+    /// release.
     LockHold = 2,
     /// One group force of the node loop's force step: every record the
     /// turn staged, `Prepare`s and decisions alike.
     WalForce = 3,
-    /// WAL `Decide` journaling in the apply step (for logless protocols
-    /// this slot carries the single deferred prepare+decide append).
+    /// WAL journaling in the apply step: staging one pass's `Decide`
+    /// records (for logless protocols, each with its deferred `Prepare`).
+    /// One histogram sample per pass; the meter counts one per decision
+    /// journaled.
     WalJournal = 4,
     /// Per-peer `send_batch` flush in the node loop's flush step.
     Flush = 5,
@@ -226,7 +231,9 @@ pub enum FlightStage {
     LockAcquired,
     /// This node forced the WAL `Prepare` record.
     WalForced,
-    /// This node applied the decision (and journaled it, when logging).
+    /// This node applied the decision (and journaled it, when logging):
+    /// the reading that ends its apply pass, which every decision of the
+    /// pass shares.
     Decided,
 }
 
@@ -301,7 +308,7 @@ impl FlightRecorder {
     /// Whether `txn` is in the sample.
     #[inline]
     pub fn sampled(&self, txn: u64) -> bool {
-        txn % self.sample_mod == 0
+        txn.is_multiple_of(self.sample_mod)
     }
 
     /// Record `txn` reaching `stage` on `node` at `at` past the epoch.

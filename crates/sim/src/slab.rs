@@ -405,8 +405,8 @@ mod tests {
             let id = next() % 512; // small key space -> heavy churn
             match next() % 3 {
                 0 => {
-                    if !model.contains_key(&id) {
-                        model.insert(id, id * 3);
+                    if let std::collections::hash_map::Entry::Vacant(e) = model.entry(id) {
+                        e.insert(id * 3);
                         s.insert(id, id * 3);
                     }
                 }

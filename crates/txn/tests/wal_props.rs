@@ -24,7 +24,7 @@ fn txn_universe(seed: u64, count: usize) -> Vec<Arc<Transaction>> {
             let mut t = Transaction::new(i as u64 + 1);
             t.writes
                 .insert(Key::new(SHARD, s % KEYS), WriteOp::Put((s % 100) as i64));
-            if s % 3 == 0 {
+            if s.is_multiple_of(3) {
                 t.writes.insert(
                     Key::new(SHARD, (s / 7) % KEYS),
                     WriteOp::Add((s % 13) as i64 - 6),
@@ -45,10 +45,10 @@ fn wal_from_script(txns: &[Arc<Transaction>], script: &[(u8, u8)]) -> Wal {
     let mut wal = Wal::new();
     for &(which, op) in script {
         let txn = &txns[which as usize % txns.len()];
-        if op % 2 == 0 {
-            wal.log_prepare(Arc::clone(txn), 0, txn.id % 3 != 0);
+        if op.is_multiple_of(2) {
+            wal.log_prepare(Arc::clone(txn), 0, !txn.id.is_multiple_of(3));
         } else {
-            wal.log_decide(txn.id, u64::from(txn.id % 2 != 0));
+            wal.log_decide(txn.id, u64::from(!txn.id.is_multiple_of(2)));
         }
     }
     wal

@@ -207,7 +207,8 @@ fn sim_and_live_agree_under_the_same_crash_schedule() {
     ] {
         // Survivor decision maps and final totals per transport, compared
         // at the end: the wire must not change any outcome.
-        let mut modes: Vec<(&'static str, Vec<(u64, u64)>, i64)> = Vec::new();
+        type Mode = (&'static str, Vec<(u64, u64)>, i64);
+        let mut modes: Vec<Mode> = Vec::new();
         for transport in [TransportKind::Channel, TransportKind::Tcp] {
             let service = ServiceConfig::new(n, 1, kind)
                 .clients(1)
