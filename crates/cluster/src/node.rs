@@ -52,8 +52,7 @@
 //! | `flush`    | outbox → fault policy → the same [`Link`] (a sender per node, or one write to each peer down the connection that peer is read from); `Done`s → [`Replies`] (each client's channel, or one write down the connection it said `Hello` on) | `Flush` | fault policy ([`NetPolicy`](crate::service::NetPolicy)) |
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ac_commit::problem::COMMIT;
@@ -100,11 +99,15 @@ fn node_records(decided: &[DecidedTxn]) -> Vec<NodeRecord> {
     decided.iter().map(record).collect()
 }
 
-/// What a node counts over its lifetime (a crash does not reset it).
+/// What a node counts over its lifetime (a crash does not reset it),
+/// summed over the nodes by `service::aggregate`.
 #[derive(Default)]
 pub(crate) struct NodeCounts {
     /// Wakeups that found neither a message nor a due timer.
     pub(crate) spurious_wakeups: usize,
+    /// Protocol envelopes this node handed its link to another node
+    /// (self-sends and client replies are not wire messages).
+    pub(crate) wire_messages: usize,
     pub(crate) dropped_messages: usize,
     pub(crate) delayed_messages: usize,
     pub(crate) orphaned_envelopes: usize,
@@ -165,14 +168,51 @@ impl Replies {
     }
 }
 
-/// Everything a host hands one node: identity, its link to the other
-/// nodes, reply path, fault schedule, durable storage and instruments.
+/// Where a node's every reading comes from, and the host's epoch that its
+/// flight stamps, crash windows and fault-policy times count from. Both
+/// hosts read the monotonic clock; `node::tests` substitute a stepping
+/// one that counts its readings.
+pub(crate) struct Clock {
+    epoch: Instant,
+    read: fn() -> Instant,
+}
+
+impl Clock {
+    /// The monotonic clock, counting from `epoch`: the instant the host's
+    /// other stamps (the clients', the echo responder's) count from too.
+    pub(crate) fn monotonic(epoch: Instant) -> Clock {
+        Clock {
+            epoch,
+            read: Instant::now,
+        }
+    }
+
+    /// One reading.
+    fn now(&self) -> Instant {
+        (self.read)()
+    }
+
+    /// How far `at` lies past the epoch (zero before it).
+    fn since_epoch(&self, at: Instant) -> Duration {
+        at.saturating_duration_since(self.epoch)
+    }
+
+    /// The instant `offset` past the epoch.
+    fn at(&self, offset: Duration) -> Instant {
+        self.epoch + offset
+    }
+}
+
+/// Everything a host hands one node: identity, its clock, its link to the
+/// other nodes, reply path, fault schedule, its log and instruments. It
+/// shares its link, its reply path, the fault policy it only reads and a
+/// multi-process node's live meters with its host; the rest it owns.
 pub(crate) struct NodeEnv<P: CommitProtocol> {
     pub(crate) me: ProcessId,
     pub(crate) n: usize,
     pub(crate) f: usize,
     pub(crate) unit: Duration,
-    pub(crate) epoch: Instant,
+    pub(crate) clock: Clock,
     /// The node-to-node seam, both ways: what the drain step waits on and
     /// where the flush step writes (channels, or the node's own sockets —
     /// which also carry its clients' requests and, in a multi-process
@@ -180,10 +220,12 @@ pub(crate) struct NodeEnv<P: CommitProtocol> {
     pub(crate) link: Link<P::Msg>,
     /// The node-to-client seam (see [`Replies`]).
     pub(crate) replies: Replies,
-    pub(crate) wire: Arc<AtomicUsize>,
     pub(crate) policy: Option<Arc<dyn NetPolicy>>,
     pub(crate) window: Option<CrashWindow>,
-    pub(crate) wal: Option<Arc<Mutex<Wal>>>,
+    /// The write-ahead log, `None` on a node without one. A scheduled crash
+    /// loses the node's memory, not its environment, so the log outlives
+    /// it and `recover` replays it.
+    pub(crate) wal: Option<Wal>,
     /// Logless protocol (`ProtocolKind::logless`): skip the Begin-path
     /// Prepare force and journal the prepare alongside the decision
     /// instead — the decision is reconstructible from peer votes, so
@@ -276,7 +318,7 @@ struct Volatile<M> {
     delayed: BTreeMap<(Instant, u64, ProcessId), ToNode<M>>,
     /// Group-commit staging: records accumulated across dispatch and
     /// apply (Begin prepares and applied decisions), forced into the
-    /// shared WAL **once** by [`Node::force`] — before any envelope or
+    /// node's WAL **once** by [`Node::force`] — before any envelope or
     /// reply that depends on them can leave the node. Empty between
     /// turns: the turn that staged a record forces it.
     wal_batch: Vec<WalRecord>,
@@ -427,7 +469,7 @@ where
             engine: NodeLoop::new(env.me, env.n, UnitClock::new(env.unit)),
             vol: Volatile::new(env.me, env.n, env.replies.clients()),
             power: Power::Up {
-                crash_at: env.window.map(|w| env.epoch + w.down_after),
+                crash_at: env.window.map(|w| env.clock.at(w.down_after)),
             },
             inbox: Vec::with_capacity(NODE_BATCH),
             released: Vec::new(),
@@ -464,15 +506,12 @@ where
     }
 
     fn crash_due(&self) -> bool {
-        matches!(self.power, Power::Up { crash_at: Some(at) } if Instant::now() >= at)
+        matches!(self.power, Power::Up { crash_at: Some(at) } if self.env.clock.now() >= at)
     }
 
     fn stamp(&mut self, txn: TxnId, stage: FlightStage, at: Instant) {
-        let at = at.saturating_duration_since(self.env.epoch);
-        self.env
-            .obs
-            .flight
-            .record(txn, self.env.me as u32, stage, at);
+        let (me, at) = (self.env.me as u32, self.env.clock.since_epoch(at));
+        self.env.obs.flight.record(txn, me, stage, at);
     }
 
     /// Step 1. Park until the exact next deadline — earliest pending
@@ -509,7 +548,7 @@ where
         // Timed out on an empty inbox: the restart instant. Recover, and
         // poll instead of parking so the recovery traffic flushes at once.
         self.recover();
-        self.receive(Some(Instant::now()))
+        self.receive(Some(self.env.clock.now()))
     }
 
     /// Take up to [`NODE_BATCH`] envelopes off the inbound seam, parked
@@ -529,7 +568,7 @@ where
         debug_assert!(self.vol.wal_batch.is_empty(), "a crash inside a turn");
         let up_after = self.env.window.and_then(|w| w.up_after);
         self.power = Power::Dark {
-            up_at: up_after.map(|u| self.env.epoch + u),
+            up_at: up_after.map(|u| self.env.clock.at(u)),
         };
         self.engine.reset();
         self.vol = Volatile::new(self.env.me, self.env.n, self.env.replies.clients());
@@ -541,7 +580,7 @@ where
     fn recover(&mut self) {
         self.power = Power::Up { crash_at: None };
         let Some(wal) = &self.env.wal else { return };
-        let rec = wal.lock().expect("wal poisoned").replay(self.env.me);
+        let rec = wal.replay(self.env.me);
         self.vol.shard = rec.shard;
         self.vol.log = node_records(&rec.decided);
         for d in rec.decided {
@@ -552,7 +591,7 @@ where
                 self.vol.enter(route, Phase::Decided(d.value));
             }
         }
-        let now = Instant::now();
+        let now = self.env.clock.now();
         for p in rec.in_flight {
             // Re-join the instance with the *logged* vote (never
             // re-validated — peers may have acted on it), and ask the
@@ -573,7 +612,7 @@ where
         // One clock read serves the whole batch: dispatch takes
         // microseconds against multi-millisecond virtual-time units, and
         // timers set "in the past" fire below anyway.
-        let mut now = Instant::now();
+        let mut now = self.env.clock.now();
         let mut inbox = std::mem::take(&mut self.inbox);
         let got = !inbox.is_empty();
         for env in inbox.drain(..) {
@@ -583,7 +622,7 @@ where
         if got {
             // Backlog residency: how long the drained batch sat between
             // leaving the inbox and finishing protocol dispatch.
-            let dispatched = Instant::now();
+            let dispatched = self.env.clock.now();
             self.env.obs.record(Stage::DrainGap, dispatched - now);
             now = dispatched;
         }
@@ -611,7 +650,7 @@ where
             } else if self.vol.selfq.is_empty() {
                 return fired;
             }
-            now = Instant::now();
+            now = self.env.clock.now();
         }
     }
 
@@ -705,11 +744,11 @@ where
             self.vol.enter(route, Phase::Voteless);
             return self.vol.ask_peers(id);
         }
-        let t0 = Instant::now();
+        let t0 = self.env.clock.now();
         let mut prepared = t0;
         if route.txn.touches(me) {
             route.vote = self.vol.shard.prepare(&route.txn);
-            prepared = Instant::now();
+            prepared = self.env.clock.now();
             self.env.obs.record(Stage::LockAcquire, prepared - t0);
         } else {
             route.vote = true;
@@ -826,7 +865,7 @@ where
     /// second reading ends the pass's one `WalJournal` sample. The last
     /// reading stamps every decision of the pass `Decided`.
     fn close_pass(&mut self, logged: usize) {
-        let finished = Instant::now();
+        let finished = self.env.clock.now();
         for since in self.released.drain(..) {
             self.counts.hold(finished - since);
         }
@@ -842,7 +881,7 @@ where
                 let (txn, value) = (r.id, r.decision);
                 batch.push(WalRecord::Decide { txn, value });
             }
-            decided = Instant::now();
+            decided = self.env.clock.now();
             let took = nanos(decided - finished);
             let obs = &mut self.env.obs;
             obs.meters
@@ -850,7 +889,7 @@ where
             obs.hists.record(Stage::WalJournal, took);
         }
         let me = self.env.me as u32;
-        let at = decided.saturating_duration_since(self.env.epoch);
+        let at = self.env.clock.since_epoch(decided);
         let flight = &mut self.env.obs.flight;
         for r in applied {
             flight.record(r.id, me, FlightStage::Decided, at);
@@ -925,18 +964,14 @@ where
     /// and nobody waits for company. Afterwards nothing is staged.
     /// Returns the reading it ended at, if it forced.
     fn force(&mut self) -> Option<Instant> {
-        let wal = self.env.wal.as_ref()?;
-        if self.vol.wal_batch.is_empty() {
-            return None;
-        }
-        let t0 = Instant::now();
-        wal.lock()
-            .expect("wal poisoned")
-            .force_batch(&mut self.vol.wal_batch);
-        let forced = Instant::now();
+        let staged = !self.vol.wal_batch.is_empty();
+        let wal = self.env.wal.as_mut().filter(|_| staged)?;
+        let t0 = self.env.clock.now();
+        wal.force_batch(&mut self.vol.wal_batch);
+        let forced = self.env.clock.now();
         self.env.obs.record(Stage::WalForce, forced - t0);
         let me = self.env.me as u32;
-        let at = forced.saturating_duration_since(self.env.epoch);
+        let at = self.env.clock.since_epoch(forced);
         for id in self.vol.wal_stamp.drain(..) {
             let stage = FlightStage::WalForced;
             self.env.obs.flight.record(id, me, stage, at);
@@ -958,7 +993,7 @@ where
     /// this step, so the step starts from it. Returns how many envelopes
     /// and replies left the node.
     fn flush(&mut self, forced: Option<Instant>) -> usize {
-        let now = forced.unwrap_or_else(Instant::now);
+        let now = forced.unwrap_or_else(|| self.env.clock.now());
         let vol = &mut self.vol;
         debug_assert!(vol.wal_batch.is_empty(), "flush before force");
         while let Some(first) = vol.delayed.first_entry().filter(|e| e.key().0 <= now) {
@@ -967,7 +1002,7 @@ where
         }
         let link = &mut self.env.link;
         if let Some(policy) = &self.env.policy {
-            let elapsed = now.saturating_duration_since(self.env.epoch);
+            let elapsed = self.env.clock.since_epoch(now);
             for (to, env) in vol.outbox.drain() {
                 let seq = self.net_seq[to];
                 self.net_seq[to] += 1;
@@ -983,7 +1018,7 @@ where
         }
         let mut flushed = vol.outbox.flush(|to, batch| link.send_batch(to, batch));
         flushed += vol.cleared.flush(|to, batch| link.send_batch(to, batch));
-        self.env.wire.fetch_add(flushed, Ordering::Relaxed);
+        self.counts.wire_messages += flushed;
         for (client, batch) in vol.done_out.iter_mut().enumerate() {
             if batch.is_empty() {
                 continue;
@@ -997,7 +1032,8 @@ where
             };
         }
         if flushed > 0 {
-            self.env.obs.record(Stage::Flush, now.elapsed());
+            let took = self.env.clock.now() - now;
+            self.env.obs.record(Stage::Flush, took);
         }
         flushed
     }
@@ -1015,7 +1051,7 @@ where
         // instant for it, so the hold counts with no length.
         if let (Power::Dark { .. }, Some(wal)) = (&self.power, &self.env.wal) {
             let me = self.env.me;
-            let rec = wal.lock().expect("wal poisoned").replay(me);
+            let rec = wal.replay(me);
             self.vol.shard = rec.shard;
             for p in &rec.in_flight {
                 self.vol.shard.finish(&p.txn, false);
@@ -1056,6 +1092,38 @@ mod tests {
     use ac_commit::protocols::{PaxosCommit, ProtocolKind};
     use ac_txn::{Key, Version};
     use crossbeam::channel::{unbounded, Receiver};
+    use std::cell::Cell;
+
+    /// How far apart two readings of the test clock lie.
+    const STEP: Duration = Duration::from_micros(1);
+
+    thread_local! {
+        static ORIGIN: Instant = Instant::now();
+        static READINGS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// The test clock's reading: one [`STEP`] past the previous one on this
+    /// thread, counted.
+    fn stepping() -> Instant {
+        let n = READINGS.with(|r| {
+            r.set(r.get() + 1);
+            r.get()
+        });
+        ORIGIN.with(|&o| o + STEP * n)
+    }
+
+    /// How often this thread has read the test clock.
+    fn readings() -> u32 {
+        READINGS.with(Cell::get)
+    }
+
+    /// A clock that reads [`stepping`], counting from its origin.
+    fn test_clock() -> Clock {
+        Clock {
+            epoch: ORIGIN.with(|&o| o),
+            read: stepping,
+        }
+    }
 
     fn bare_env<P: CommitProtocol>(
         me: ProcessId,
@@ -1071,10 +1139,9 @@ mod tests {
             n: txs.len(),
             f: 1,
             unit: Duration::from_millis(5),
-            epoch: Instant::now(),
+            clock: Clock::monotonic(Instant::now()),
             link: Link::Channel(rx, ChannelTransport::new(txs)),
             replies: Replies::Channel(done_txs),
-            wire: Arc::new(AtomicUsize::new(0)),
             policy: None,
             window: None,
             wal: None,
@@ -1103,8 +1170,8 @@ mod tests {
         }
     }
 
-    /// Node 0 of a two-node, one-client cluster, driven by calling its
-    /// steps; `peer` and `done` are where its flushes land.
+    /// Node 0 of a two-node, one-client cluster on the test clock, driven
+    /// by calling its steps; `peer` and `done` are where its flushes land.
     struct Rig {
         node: Node<DecideOnMsg>,
         tx: Sender<ToNode<()>>,
@@ -1112,11 +1179,12 @@ mod tests {
         done: Receiver<Done>,
     }
 
-    fn rig(logless: bool, wal: Option<Arc<Mutex<Wal>>>) -> Rig {
+    fn rig(logless: bool, wal: Option<Wal>) -> Rig {
         let (tx, rx) = unbounded();
         let (peer_tx, peer) = unbounded();
         let (done_tx, done) = unbounded();
         let mut env = bare_env::<DecideOnMsg>(0, rx, vec![tx.clone(), peer_tx], vec![done_tx]);
+        env.clock = test_clock();
         env.logless = logless;
         env.wal = wal;
         let node = Node::new(env);
@@ -1155,6 +1223,11 @@ mod tests {
             out
         }
 
+        /// The node's write-ahead log.
+        fn wal(&self) -> &Wal {
+            self.node.env.wal.as_ref().expect("a durable node")
+        }
+
         fn phase(&self, id: TxnId) -> &'static str {
             match self.node.vol.txns.get(id) {
                 None => "absent",
@@ -1171,6 +1244,14 @@ mod tests {
     fn write7(i: usize, value: i64) -> Arc<Transaction> {
         let id = ServiceConfig::txn_id(0, i);
         Arc::new(Transaction::new(id).with_write(Key::new(0, 7), value))
+    }
+
+    /// Client 0's first `k` transactions, each writing a key of shard 0 of
+    /// its own.
+    fn distinct(k: usize) -> Vec<Arc<Transaction>> {
+        let txn =
+            |i| Transaction::new(ServiceConfig::txn_id(0, i)).with_write(Key::new(0, i as u64), 1);
+        (0..k).map(|i| Arc::new(txn(i))).collect()
     }
 
     fn begin(txn: &Arc<Transaction>, retry: bool) -> ToNode<()> {
@@ -1194,34 +1275,26 @@ mod tests {
     /// the drain found, and nothing waits for company.
     #[test]
     fn a_loaded_node_forces_what_a_step_staged_and_its_votes_leave_in_that_step() {
-        let (tx, rx) = unbounded();
-        let (peer_tx, peer) = unbounded();
-        let wal = Arc::new(Mutex::new(Wal::new()));
-        let mut node = Node::new(NodeEnv {
-            // Any hold derived from the unit would outlast the test.
-            unit: Duration::from_secs(3600),
-            wal: Some(Arc::clone(&wal)),
-            ..bare_env::<DecideOnMsg>(0, rx, vec![tx.clone(), peer_tx], Vec::new())
-        });
+        let mut r = rig(false, Some(Wal::new()));
         let per_step = 64;
         let mut votes = Vec::new();
         for step in 0..2 {
             let begins = (0..per_step).map(|i| begin(&write7(step * per_step + i, 5), false));
-            assert!(tx.send_batch(begins).is_ok());
-            assert!(node.step());
+            assert!(r.tx.send_batch(begins).is_ok());
+            assert!(r.node.step());
             assert_eq!(
-                (wal.lock().unwrap().len(), node.vol.wal_batch.len()),
+                (r.wal().len(), r.node.vol.wal_batch.len()),
                 ((step + 1) * per_step, 0),
                 "step {step}: every staged prepare forced in the step that staged it"
             );
             assert_eq!(
-                peer.try_drain(&mut votes, usize::MAX),
+                r.peer.try_drain(&mut votes, usize::MAX),
                 per_step,
                 "step {step}: the votes left in that step's flush"
             );
         }
-        assert_eq!(node.engine.open_instances(), 2 * per_step);
-        assert_eq!(node.counts.wal_forces, 2, "one force per step");
+        assert_eq!(r.node.engine.open_instances(), 2 * per_step);
+        assert_eq!(r.node.counts.wal_forces, 2, "one force per step");
     }
 
     /// A decision and the `End` that garbage-collects its transaction can
@@ -1361,8 +1434,7 @@ mod tests {
     /// wire, not at the client, not in the WAL a successor recovers from.
     #[test]
     fn a_crash_before_force_leaves_no_trace_of_the_transaction() {
-        let wal = Arc::new(Mutex::new(Wal::new()));
-        let mut r = rig(false, Some(Arc::clone(&wal)));
+        let mut r = rig(false, Some(Wal::new()));
         let txn = write7(0, 5);
         assert!(r.tx.send_batch([begin(&txn, false), net(txn.id)]).is_ok());
         assert_eq!(r.node.drain(), 2);
@@ -1370,9 +1442,11 @@ mod tests {
         r.node.apply();
         assert_eq!(r.phase(txn.id), "decided");
         assert_eq!(r.node.vol.wal_batch.len(), 2, "prepare + decide staged");
+        // The log is all that outlives the node.
+        let wal = r.node.env.wal.take().expect("a durable node");
         drop(r.node);
         assert!(r.peer.is_empty() && r.done.is_empty(), "nothing escaped");
-        assert!(wal.lock().unwrap().is_empty(), "nothing was forced");
+        assert!(wal.is_empty(), "nothing was forced");
 
         let mut successor = rig(false, Some(wal));
         successor.node.recover();
@@ -1389,17 +1463,17 @@ mod tests {
     /// lock for it, and answers a retried `Begin` with the logged decision.
     #[test]
     fn a_crash_after_force_before_flush_recovers_the_logged_decision() {
-        let wal = Arc::new(Mutex::new(Wal::new()));
-        let mut r = rig(false, Some(Arc::clone(&wal)));
+        let mut r = rig(false, Some(Wal::new()));
         let txn = write7(0, 5);
         assert!(r.tx.send_batch([begin(&txn, false), net(txn.id)]).is_ok());
         assert_eq!(r.node.drain(), 2);
         r.node.dispatch();
         r.node.apply();
         assert!(r.node.force().is_some());
+        let wal = r.node.env.wal.take().expect("a durable node");
         drop(r.node);
         assert!(r.peer.is_empty() && r.done.is_empty(), "nothing escaped");
-        assert_eq!(wal.lock().unwrap().len(), 2, "prepare + decide survive");
+        assert_eq!(wal.len(), 2, "prepare + decide survive");
 
         let mut successor = rig(false, Some(wal));
         successor.node.recover();
@@ -1431,12 +1505,7 @@ mod tests {
     #[test]
     fn a_begin_deep_in_a_batch_is_dispatched_after_the_begins_ahead_of_it() {
         let mut r = rig(false, None);
-        let txns: Vec<_> = (0..8)
-            .map(|i| {
-                let id = ServiceConfig::txn_id(0, i);
-                Arc::new(Transaction::new(id).with_write(Key::new(0, i as u64), 1))
-            })
-            .collect();
+        let txns = distinct(8);
         r.turn(txns.iter().map(|t| begin(t, false)));
         let at = |txn: TxnId, stage| {
             let events = r.node.env.obs.flight.events();
@@ -1462,20 +1531,14 @@ mod tests {
     #[test]
     fn the_decisions_of_one_apply_pass_share_its_readings() {
         for (logless, order) in [(false, "P0 P1 P2 D0 D1 D2"), (true, "P0 D0 P1 D1 P2 D2")] {
-            let wal = Arc::new(Mutex::new(Wal::new()));
-            let mut r = rig(logless, Some(Arc::clone(&wal)));
-            let txns: Vec<_> = (0..3)
-                .map(|i| {
-                    let id = ServiceConfig::txn_id(0, i);
-                    Arc::new(Transaction::new(id).with_write(Key::new(0, i as u64), 1))
-                })
-                .collect();
+            let mut r = rig(logless, Some(Wal::new()));
+            let txns = distinct(3);
             let begins = txns.iter().map(|t| begin(t, false));
             let decides = txns.iter().map(|t| net(t.id));
             assert_eq!(r.turn(begins.chain(decides)), "NNNDDD");
 
             let index = |id: TxnId| txns.iter().position(|t| t.id == id).expect("ours");
-            let journaled: Vec<_> = (wal.lock().unwrap().records().iter())
+            let journaled: Vec<_> = (r.wal().records().iter())
                 .map(|rec| match rec {
                     WalRecord::Prepare { txn, .. } => format!("P{}", index(txn.id)),
                     WalRecord::Decide { txn, .. } => format!("D{}", index(*txn)),
@@ -1498,6 +1561,31 @@ mod tests {
         }
     }
 
+    /// The reading budget of a turn: `k` `Begin`s and the messages that
+    /// decide them read the clock twice per `Begin` (its lock stage) and a
+    /// fixed number of times besides — the batch start and the dispatch
+    /// end, the apply pass's one reading (two with a log), the force's two
+    /// and the flush's end (and, with no force to start from, its start).
+    /// One reading more per transaction or per decision fails it.
+    #[test]
+    fn a_turn_reads_the_clock_twice_per_begin_plus_seven_or_five_without_a_log() {
+        for k in [1, 8, 64] {
+            for (durable, fixed) in [(true, 7), (false, 5)] {
+                let mut r = rig(false, durable.then(Wal::new));
+                let txns = distinct(k);
+                let begins = txns.iter().map(|t| begin(t, false));
+                let decides = txns.iter().map(|t| net(t.id));
+                let before = readings();
+                assert_eq!(
+                    r.turn(begins.chain(decides)),
+                    "N".repeat(k) + &"D".repeat(k)
+                );
+                let read = readings() - before;
+                assert_eq!(read as usize, fixed + 2 * k, "k = {k}, durable: {durable}");
+            }
+        }
+    }
+
     /// `(count, nanos)` of the `LockHold` meter a node reports at exit.
     fn holds_at_exit(node: Node<DecideOnMsg>) -> (u64, u64) {
         node.finish().obs.meters.get(Stage::LockHold)
@@ -1509,12 +1597,15 @@ mod tests {
     /// crash was counted then, and its replay adds no second hold.
     #[test]
     fn a_replayed_in_flight_yes_vote_holds_from_recovery_to_its_decision() {
-        let wal = Arc::new(Mutex::new(Wal::new()));
-        let mut r = rig(false, Some(wal));
+        let mut r = rig(false, Some(Wal::new()));
         let (a, b) = (write7(0, 5), write7(1, 6));
         assert_eq!(r.turn([begin(&a, false), net(a.id)]), "ND");
         assert_eq!(r.turn([begin(&b, false)]), "N");
-        assert_eq!(r.node.counts.lock_holds, 1, "a released, b still held");
+        // a held from its `LockAcquired` reading across the dispatch-end
+        // reading to its pass's first.
+        let step = nanos(STEP);
+        let a_held = (r.node.counts.lock_holds, r.node.counts.lock_hold_nanos);
+        assert_eq!(a_held, (1, 2 * step), "a released, b still held");
         r.node.crash();
         r.node.recover();
         assert_eq!((r.phase(a.id), r.phase(b.id)), ("decided", "open"));
@@ -1522,9 +1613,9 @@ mod tests {
         assert_eq!(r.node.counts.lock_holds, 1, "replay closes no hold");
         r.turn([net(b.id)]);
         assert_eq!(r.node.vol.shard.locked(), 0);
-        let (holds, nanos) = holds_at_exit(r.node);
-        assert_eq!(holds, 2);
-        assert!(nanos > 0, "b held its lock from recovery to its decision");
+        // b held from the recovery reading across its deciding turn's batch
+        // start and dispatch end to its pass's first reading.
+        assert_eq!(holds_at_exit(r.node), (2, (2 + 3) * step));
     }
 
     /// Recovery path two, a logless rejoin: the commit a voteless
@@ -1546,8 +1637,7 @@ mod tests {
     /// ends the hold the crash left open. The node kept no instant for it.
     #[test]
     fn a_dark_nodes_final_report_closes_its_in_flight_holds() {
-        let wal = Arc::new(Mutex::new(Wal::new()));
-        let mut r = rig(false, Some(wal));
+        let mut r = rig(false, Some(Wal::new()));
         let b = write7(0, 6);
         assert_eq!(r.turn([begin(&b, false)]), "N");
         r.node.crash();
@@ -1608,15 +1698,15 @@ mod tests {
             matches!(greeting, AnyFrame::Peer { node: 0 }),
             "{greeting:?}"
         );
-        let wal = Arc::new(Mutex::new(Wal::new()));
         let mut node = Node::new(NodeEnv {
             replies: Replies::Connection {
                 clients: 1,
                 net: Arc::new(NetMeters::new(2)),
             },
-            wal: Some(Arc::clone(&wal)),
+            wal: Some(Wal::new()),
             ..socket_env(0, link)
         });
+        let logged = |node: &Node<DecideOnMsg>| node.env.wal.as_ref().map_or(0, Wal::len);
 
         let mut client = TcpStream::connect(me).expect("connect");
         let txn = write7(0, 5);
@@ -1631,11 +1721,11 @@ mod tests {
 
         assert!(arrived(&mut from_node).is_none(), "a vote outran its force");
         assert!(arrived(&mut client).is_none(), "a reply outran its force");
-        assert!(wal.lock().unwrap().is_empty(), "staged, not yet forced");
+        assert_eq!(logged(&node), 0, "staged, not yet forced");
 
         let forced = node.force();
         assert!(forced.is_some());
-        assert_eq!(wal.lock().unwrap().len(), 2, "prepare + decide");
+        assert_eq!(logged(&node), 2, "prepare + decide");
         assert!(arrived(&mut from_node).is_none(), "only flush writes");
         assert!(arrived(&mut client).is_none(), "only flush writes");
         assert_eq!(node.flush(forced), 2, "the vote envelope and the Done");

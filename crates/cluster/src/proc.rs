@@ -24,7 +24,6 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,7 +35,7 @@ use ac_sim::Wire;
 
 use crate::client::{client_main, nanos, ClientFold};
 use crate::codec::{write_frame, AnyFrame, FrameDecoder};
-use crate::node::{Node, NodeEnv, Replies};
+use crate::node::{Clock, Node, NodeEnv, Replies};
 use crate::service::{with_protocol, ToNode};
 use crate::spec::ClusterSpec;
 use crate::transport::{
@@ -135,8 +134,10 @@ where
     P::Msg: Wire + Send + 'static,
 {
     // The process epoch: every flight-event and echo stamp this process
-    // produces counts from here — established *before* the listener so
-    // an echo can never observe a pre-epoch instant.
+    // produces counts from here (the node's clock and the echo responder
+    // share it, or the clock alignment would not hold) — established
+    // *before* the listener so an echo can never observe a pre-epoch
+    // instant.
     let epoch = Instant::now();
     let net = net.unwrap_or_else(|| Arc::new(NetMeters::new(spec.n())));
     let hooks = NodeHooks {
@@ -156,21 +157,17 @@ where
         n: spec.n(),
         f: cfg.f,
         unit: cfg.unit,
-        epoch,
+        clock: Clock::monotonic(epoch),
         link: Link::Sockets(link),
         replies: Replies::Connection {
             clients: cfg.clients,
             net,
         },
-        wire: Arc::new(AtomicUsize::new(0)),
         policy: None,
         window: None,
         wal: None,
         logless: cfg.kind.logless(),
-        obs: match meters {
-            Some(m) => NodeObs::with_meters(m),
-            None => NodeObs::new(),
-        },
+        obs: meters.map_or_else(NodeObs::new, NodeObs::with_meters),
     };
     let ret = Node::new(env).run();
     NodeSummary {

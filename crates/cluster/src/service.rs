@@ -83,8 +83,7 @@
 //! short-circuit through an in-memory queue and never touch a channel.
 //! Clients stage and flush the same way (see `client_main`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ac_commit::problem::COMMIT;
@@ -102,7 +101,7 @@ use ac_obs::{
 };
 
 use crate::client::{client_main, nanos, ClientFold, ClientReturn, Verdict};
-use crate::node::{Node, NodeEnv, NodeReturn, Replies};
+use crate::node::{Clock, Node, NodeCounts, NodeEnv, NodeReturn, Replies};
 use crate::transport::{
     ChannelTransport, ClientLink, Link, NodeHooks, SocketLink, TcpTransport, Transport,
 };
@@ -840,15 +839,8 @@ where
     // Per-client reply channels.
     let client_ch: Vec<_> = (0..cfg.clients).map(|_| unbounded::<Done>()).collect();
     let (done_txs, done_rxs): (Vec<_>, Vec<_>) = client_ch.into_iter().unzip();
-    let wire = Arc::new(AtomicUsize::new(0));
 
-    // Write-ahead logs live *outside* the node threads — the in-process
-    // stand-in for durable storage that survives a crash.
-    let durable = spec.durable || spec.any_crash();
-    let wals: Vec<Option<Arc<Mutex<Wal>>>> = (0..n)
-        .map(|_| durable.then(|| Arc::new(Mutex::new(Wal::new()))))
-        .collect();
-
+    // Nodes and clients stamp against one epoch.
     let epoch = Instant::now();
     let node_handles: Vec<_> = links
         .into_iter()
@@ -859,13 +851,14 @@ where
                 n,
                 f: cfg.f,
                 unit: cfg.unit,
-                epoch,
+                clock: Clock::monotonic(epoch),
                 link,
                 replies: Replies::Channel(done_txs.clone()),
-                wire: Arc::clone(&wire),
                 policy: spec.policy.clone(),
                 window: spec.crashes[me],
-                wal: wals[me].clone(),
+                // Each node owns its log. A scheduled crash resets the
+                // node's memory, not the log, which its restart replays.
+                wal: (spec.durable || spec.any_crash()).then(Wal::new),
                 logless: cfg.kind.logless(),
                 obs: NodeObs::new(),
             };
@@ -900,7 +893,7 @@ where
         .map(|h| h.join().expect("node thread panicked"))
         .collect();
 
-    aggregate(cfg, client_returns, node_returns, elapsed, &wire)
+    aggregate(cfg, client_returns, node_returns, elapsed)
 }
 
 /// Merge per-thread results and audit safety.
@@ -909,24 +902,22 @@ fn aggregate(
     client_returns: Vec<ClientReturn>,
     node_returns: Vec<NodeReturn>,
     elapsed: Duration,
-    wire: &AtomicUsize,
 ) -> ServiceOutcome {
     let mut latency = LatencyHistogram::new();
     let mut reply_timeouts = 0;
     let mut violations = Vec::new();
     let mut txn_events = Vec::with_capacity(client_returns.iter().map(|r| r.events.len()).sum());
-    let spurious_wakeups = node_returns.iter().map(|r| r.counts.spurious_wakeups).sum();
-    let dropped_messages = node_returns.iter().map(|r| r.counts.dropped_messages).sum();
-    let delayed_messages = node_returns.iter().map(|r| r.counts.delayed_messages).sum();
-    let orphaned_envelopes = node_returns
-        .iter()
-        .map(|r| r.counts.orphaned_envelopes)
-        .sum();
-    let wal_prepare_forces = node_returns
-        .iter()
-        .map(|r| r.counts.wal_prepare_forces)
-        .sum();
-    let wal_forces = node_returns.iter().map(|r| r.counts.wal_forces).sum();
+    // Each node's lifetime counts, summed over the nodes.
+    let total = |count: fn(&NodeCounts) -> usize| -> usize {
+        node_returns.iter().map(|r| count(&r.counts)).sum()
+    };
+    let spurious_wakeups = total(|c| c.spurious_wakeups);
+    let wire_messages = total(|c| c.wire_messages);
+    let dropped_messages = total(|c| c.dropped_messages);
+    let delayed_messages = total(|c| c.delayed_messages);
+    let orphaned_envelopes = total(|c| c.orphaned_envelopes);
+    let wal_prepare_forces = total(|c| c.wal_prepare_forces);
+    let wal_forces = total(|c| c.wal_forces);
 
     // Merge the observability bundles: meters and histograms fold exactly
     // (merge ≡ recording the concatenation); flight events concatenate
@@ -1045,7 +1036,7 @@ fn aggregate(
         shed: stats.shed as usize,
         elapsed,
         latency,
-        wire_messages: wire.load(Ordering::Relaxed),
+        wire_messages,
         dropped_messages,
         delayed_messages,
         retries,

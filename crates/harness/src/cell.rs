@@ -55,8 +55,8 @@ impl Host<'_> {
     }
 
     /// Whether a cell can run with the write-ahead log on. An `ac-node`
-    /// has no log: the spec file cannot carry a path for one (ROADMAP
-    /// item 1).
+    /// has no log: its log would have to outlive the process, in a file
+    /// the spec cannot name yet.
     pub fn durable(&self) -> bool {
         !matches!(self, Host::Proc(_))
     }

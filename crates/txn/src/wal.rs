@@ -8,9 +8,9 @@
 //! in-flight (prepared, undecided) transactions, and the decision list in
 //! apply order. "To Vote Before Decide" motivates exactly this cost as a
 //! first-class metric of a commit protocol; here the log is an in-process
-//! structure that survives the node *thread* (the service keeps it outside
-//! the thread's lost state), which models durable storage without touching
-//! the filesystem.
+//! structure that survives the node's crash (the node keeps it outside the
+//! volatile state a crash drops), which models durable storage without
+//! touching the filesystem.
 //!
 //! Replay is **idempotent and order-insensitive per transaction**: records
 //! are first deduplicated (first prepare and first decision of a
