@@ -14,10 +14,14 @@
 //! * [`proxy`] — [`FaultProxy`], the [`ac_cluster::NetPolicy`] wrapping
 //!   every per-peer mailbox with a deterministic per-envelope fate
 //!   (deliver / drop / delay);
-//! * [`run`] — [`run_chaos`]: execute a service run under a plan (WAL
-//!   durability on, crash windows scheduled) and bucket the per-transaction
-//!   timelines into [`FaultStats`]: availability and committed-ops/s during
-//!   the fault vs after the heal, blocked transactions and time-to-unblock.
+//! * [`run`] — [`run_chaos`], a composition of two steps any host can
+//!   take apart: serve the service under the plan's fault specification
+//!   ([`ChaosPlan::spec`]: WAL durability on, crash windows scheduled, the
+//!   proxy on every envelope), then bucket the per-transaction timelines
+//!   into [`FaultStats`] ([`ChaosConfig::fault_stats`]): availability and
+//!   committed-ops/s during the fault vs after the heal, blocked
+//!   transactions and time-to-unblock. The harness's chaos section takes
+//!   the two steps through its cell runner.
 //!
 //! The headline result this layer shows live: 2PC *blocks* on a
 //! coordinator crash (stalled transactions until restart + recovery) while

@@ -2,13 +2,16 @@
 //! schedule is written in **virtual delay units**, so the same plan drives
 //! the discrete-event simulator (via [`ChaosPlan::to_fault_plan`] /
 //! [`ChaosPlan::from_fault_plan`]) and the live service (via
-//! [`ChaosPlan::crash_windows`] + `FaultProxy`).
+//! [`ChaosPlan::spec`]: crash windows plus a `FaultProxy`).
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use ac_cluster::CrashWindow;
+use ac_cluster::{CrashWindow, FaultSpec};
 use ac_net::{Crash, FaultPlan};
 use ac_sim::{Time, U};
+
+use crate::proxy::FaultProxy;
 
 /// A scheduled crash (and optional restart) of one node, in virtual units.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,6 +222,20 @@ impl ChaosPlan {
                 })
             })
             .collect()
+    }
+
+    /// The live service's fault specification at `unit`: the
+    /// [`FaultProxy`] deciding every node-to-node
+    /// envelope's fate (none for a failure-free plan), the crash windows,
+    /// and the write-ahead log on, so a crashed node recovers from it.
+    pub fn spec(&self, unit: Duration) -> FaultSpec {
+        FaultSpec {
+            policy: self
+                .any()
+                .then(|| Arc::new(FaultProxy::new(self.clone(), unit)) as _),
+            crashes: self.crash_windows(unit),
+            durable: true,
+        }
     }
 
     /// The fault window `[from, until)` in virtual units: the earliest

@@ -3,13 +3,11 @@
 //! live, who merely keeps *deciding*, who blocks, and how long recovery
 //! takes after the heal.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use ac_cluster::{run_service_faulted, FaultSpec, ServiceConfig, ServiceOutcome, TxnEvent};
+use ac_cluster::{run_service_faulted, ServiceConfig, ServiceOutcome, TxnEvent};
 
 use crate::plan::ChaosPlan;
-use crate::proxy::FaultProxy;
 
 /// One chaos experiment: a service configuration plus the fault schedule.
 #[derive(Clone, Debug)]
@@ -132,34 +130,32 @@ pub struct ChaosOutcome {
     pub stats: FaultStats,
 }
 
-/// Run the service under the plan: the [`FaultProxy`] wraps every per-peer
-/// mailbox, crash windows are scheduled from the plan, durability (WAL) is
-/// always on so crashed nodes can recover, and the transaction timelines
-/// are bucketed against the fault window afterwards.
+impl ChaosConfig {
+    /// Bucket a run of this experiment — its transaction timelines
+    /// `events` over a load phase of length `run` — against the plan's
+    /// fault window, scaled by the service's unit. A transaction counts as
+    /// blocked once the client parked it (`park_retries`, at least one).
+    pub fn fault_stats(&self, events: &[TxnEvent], run: Duration) -> FaultStats {
+        let unit = self.service.unit;
+        let (from_u, until_u) = self.plan.fault_window_units().unwrap_or((0, 0));
+        let scale = |u: u64| {
+            unit.checked_mul(u32::try_from(u).unwrap_or(u32::MAX))
+                .unwrap_or(Duration::MAX)
+        };
+        let park_retries = self.service.park_retries.max(1);
+        FaultStats::measure(events, scale(from_u), scale(until_u), run, park_retries)
+    }
+}
+
+/// Run the service under the plan ([`ChaosPlan::spec`]: the
+/// [`crate::FaultProxy`] on every node-to-node envelope, crash windows
+/// scheduled, the write-ahead log on so crashed nodes can recover) and
+/// bucket the transaction timelines against the fault window
+/// ([`ChaosConfig::fault_stats`]).
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     assert_eq!(cfg.plan.n, cfg.service.n, "plan and service disagree on n");
-    let unit = cfg.service.unit;
-    let spec = FaultSpec {
-        policy: cfg
-            .plan
-            .any()
-            .then(|| Arc::new(FaultProxy::new(cfg.plan.clone(), unit)) as _),
-        crashes: cfg.plan.crash_windows(unit),
-        durable: true,
-    };
-    let service = run_service_faulted(&cfg.service, &spec);
-    let (from_u, until_u) = cfg.plan.fault_window_units().unwrap_or((0, 0));
-    let scale = |u: u64| {
-        unit.checked_mul(u32::try_from(u).unwrap_or(u32::MAX))
-            .unwrap_or(Duration::MAX)
-    };
-    let stats = FaultStats::measure(
-        &service.txn_events,
-        scale(from_u),
-        scale(until_u),
-        service.elapsed,
-        cfg.service.park_retries.max(1),
-    );
+    let service = run_service_faulted(&cfg.service, &cfg.plan.spec(cfg.service.unit));
+    let stats = cfg.fault_stats(&service.txn_events, service.elapsed);
     ChaosOutcome { service, stats }
 }
 

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use ac_commit::problem::COMMIT;
 use ac_commit::protocols::PerRank;
 use ac_commit::CommitProtocol;
-use ac_obs::{DumpTxn, FlightRecorder, LatencyHistogram, NodeObs, RunStats, Stage};
+use ac_obs::{DumpTxn, FlightRecorder, NodeObs, RunStats, Stage};
 use ac_txn::workload::{ArrivalSchedule, WorkloadConfig};
 use ac_txn::{Transaction, TxnId};
 
@@ -68,7 +68,6 @@ impl ClientRecord {
 pub(crate) struct ClientReturn {
     pub(crate) records: Vec<ClientRecord>,
     pub(crate) events: Vec<TxnEvent>,
-    pub(crate) latency: LatencyHistogram,
     pub(crate) stalled: usize,
     pub(crate) retries: usize,
     pub(crate) reply_timeouts: usize,
@@ -196,7 +195,6 @@ where
     let mut outstanding: Vec<PendingTxn> = Vec::new();
     let mut records = Vec::with_capacity(total);
     let mut events: Vec<TxnEvent> = Vec::with_capacity(total);
-    let mut latency = LatencyHistogram::new();
     let mut stalled = 0usize;
     let mut retries = 0usize;
     let mut reply_timeouts = 0usize;
@@ -365,7 +363,6 @@ where
                 let p = outstanding.swap_remove(i);
                 unparked -= usize::from(!parked(&p));
                 let lat = now.saturating_duration_since(p.t0);
-                latency.record_duration(lat);
                 let committed = p.decisions[0] == Some(COMMIT);
                 events.push(event(&p, Some((lat, committed))));
                 for &q in &p.parts {
@@ -414,7 +411,6 @@ where
     ClientReturn {
         records,
         events,
-        latency,
         stalled,
         retries,
         reply_timeouts,

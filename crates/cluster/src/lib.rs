@@ -24,7 +24,8 @@
 //!
 //! Latency reporting uses `ac-obs`: the log-bucketed
 //! [`LatencyHistogram`] (p50/p90/p99/p99.9/max, exact merge semantics,
-//! re-exported here for compatibility), per-stage meters and the per-txn
+//! re-exported here for compatibility) that [`ac_obs::sojourn_times`]
+//! folds a run's decided transactions into, per-stage meters and the per-txn
 //! flight recorder every node thread carries (see
 //! [`ServiceOutcome::attribution`](service::ServiceOutcome)).
 

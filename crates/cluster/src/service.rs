@@ -25,9 +25,9 @@
 //! 3. When a participant's instance decides, the node applies the decision
 //!    to its shard (install writes + release locks on commit, release on
 //!    abort), logs it, and reports `Done` to the submitting client.
-//! 4. The client measures wall-clock latency submit → all `k` decisions,
-//!    then broadcasts `End` so participants can garbage-collect the
-//!    instance.
+//! 4. The client records the transaction once, submit → all `k`
+//!    decisions ([`ServiceOutcome::decided`]), then broadcasts `End` so
+//!    participants can garbage-collect the instance.
 //!
 //! Envelopes for instances a node has not opened yet are buffered in the
 //! transaction's table entry (phase *early*: a peer's vote can outrun the
@@ -96,8 +96,7 @@ use ac_txn::{Shard, Transaction, TxnId, Wal};
 use crossbeam::channel::unbounded;
 
 use ac_obs::{
-    Attribution, DumpTxn, FlightEvent, FlightIndex, LatencyHistogram, NodeObs, ObsMeters, RunStats,
-    StageHistograms,
+    Attribution, DumpTxn, FlightEvent, FlightIndex, NodeObs, ObsMeters, RunStats, StageHistograms,
 };
 
 use crate::client::{client_main, nanos, ClientFold, ClientReturn, Verdict};
@@ -492,8 +491,6 @@ pub struct ServiceOutcome {
     pub shed: usize,
     /// Wall-clock of the whole load phase (first submit → last reply).
     pub elapsed: Duration,
-    /// Per-transaction wall-clock latency (submit → all decisions).
-    pub latency: LatencyHistogram,
     /// Protocol messages that crossed node boundaries (including recovery
     /// `StatusQ`/`StatusA` traffic).
     pub wire_messages: usize,
@@ -559,16 +556,6 @@ pub struct ServiceOutcome {
 }
 
 impl ServiceOutcome {
-    /// Committed transactions per second of the load phase.
-    ///
-    /// Divides by the **full** wall time, ramp-up and drain included —
-    /// fine for comparing closed-loop runs of identical shape, but it
-    /// flatters nothing and understates steady-state rates. Saturation
-    /// curves use [`ServiceOutcome::goodput_tps`] instead.
-    pub fn throughput_tps(&self) -> f64 {
-        self.committed as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
     /// The run-level counters in the form a multi-process run's
     /// [`ac_obs::ClusterDump`] carries them.
     pub fn run_stats(&self) -> RunStats {
@@ -580,15 +567,6 @@ impl ServiceOutcome {
             stalled: self.stalled as u64,
             elapsed_nanos: nanos(self.elapsed),
         }
-    }
-
-    /// Committed transactions per second over the **trimmed
-    /// steady-state window** — [`ac_obs::goodput_tps`], the one definition
-    /// for every host: unlike [`ServiceOutcome::throughput_tps`] it is not
-    /// diluted by ramp-up and drain, so open-loop offered-vs-goodput
-    /// curves compare like for like across load steps.
-    pub fn goodput_tps(&self) -> f64 {
-        ac_obs::goodput_tps(&self.run_stats(), &self.decided)
     }
 
     /// Whether the post-run safety audit found nothing.
@@ -903,7 +881,6 @@ fn aggregate(
     node_returns: Vec<NodeReturn>,
     elapsed: Duration,
 ) -> ServiceOutcome {
-    let mut latency = LatencyHistogram::new();
     let mut reply_timeouts = 0;
     let mut violations = Vec::new();
     let mut txn_events = Vec::with_capacity(client_returns.iter().map(|r| r.events.len()).sum());
@@ -961,7 +938,6 @@ fn aggregate(
     // against the nodes' logs in the same pass.
     let mut fold = ClientFold::default();
     for cr in client_returns {
-        latency.merge(&cr.latency);
         stage_meters.merge(&cr.obs.meters);
         stage_hists.merge(&cr.obs.hists);
         reply_timeouts += cr.reply_timeouts;
@@ -1035,7 +1011,6 @@ fn aggregate(
         offered: stats.offered as usize,
         shed: stats.shed as usize,
         elapsed,
-        latency,
         wire_messages,
         dropped_messages,
         delayed_messages,
@@ -1076,7 +1051,7 @@ mod tests {
         assert_eq!(out.txns, 10);
         assert!(out.is_safe(), "{:?}", out.violations);
         assert!(out.committed + out.aborted == 10);
-        assert_eq!(out.latency.count(), 10);
+        assert_eq!(ac_obs::sojourn_times(&out.decided).count(), 10);
         assert!(out.wire_messages > 0);
         assert_eq!(out.retries, 0, "healthy runs never need Begin retries");
         assert_eq!(out.reply_timeouts, 0);

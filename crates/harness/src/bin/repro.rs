@@ -29,17 +29,19 @@
 //! | `bench` | — | Table-5 nice executions + explorer wall-clock |
 //! | `load` | `service`, `attribution` | closed-loop protocol × workload × concurrency sweep; per-stage latency attribution of every Table-5 protocol on both transports, slowest timelines embedded |
 //! | `chaos` | + `chaos` | {2PC, Paxos-Commit, INBAC, D1CC} × {crash-coordinator, crash-participant, partition-heal, lossy-10} through `ac-chaos`, safety audit on every faulted run |
-//! | `saturate` | + `saturation` | open-loop Poisson arrivals stepped ×1 → ×16, durability + group commit on, knee detection with the knee's stage shares |
+//! | `saturate` | + `saturation` | open-loop Poisson arrivals stepped ×1 → ×16, the write-ahead log on wherever the host has one, knee detection with the knee's stage shares |
 //! | `proc` | `service`, `attribution`, `saturation` | `load`'s sweeps with the `proc` host added: a `"proc"` attribution entry per Table-5 protocol next to its `"channel"` and `"tcp"` ones, and one `"proc"` saturation curve — the same cells, served by real `ac-node`/`ac-client` processes over loopback TCP, exports collected through the cross-process tracing path |
 //!
 //! Three hosts serve a live cell — `channel` and `tcp` in this process,
-//! `proc` as spawned processes — and every row of the `attribution` and
-//! `saturation` sections is read off the one record a run leaves
+//! `proc` as spawned processes — and every row of every live section
+//! (`service`, `chaos`, `attribution`, `saturation`) and of `perf`'s live
+//! gates is read off the one record a run leaves
 //! (`ac_harness::cell::Cell`) by the same code, whoever served it. A host
 //! that cannot measure a field says so in the field: a `"proc"` step's
 //! `wal_forces` and `forces_per_txn` are 0 (an `ac-node` has no log), and
 //! its `safety_violations` is 0 because a process that finds one exits
-//! non-zero and fails the sweep.
+//! non-zero and fails the sweep. The `proc` host injects no fault, so
+//! the `chaos` section runs in process.
 //!
 //! Flags of those subcommands: `--quick` shrinks the sweeps for CI smoke
 //! jobs; `--transport tcp` routes the service, chaos and saturation sweeps

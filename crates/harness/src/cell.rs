@@ -1,16 +1,18 @@
 //! One run, one record: a [`Cell`] is what every live sweep reads its row
-//! from, and [`run_cell`] serves one [`ServiceConfig`] on one of exactly
-//! three [`Host`]s — in-process over channels, in-process over loopback
-//! TCP (both [`ac_cluster::run_service_faulted`]), or real `ac-node` /
-//! `ac-client` processes ([`ProcHost`]). Whoever served the run, a field
-//! of the record is computed by the same function from the same inputs —
-//! the run-level counters, the client-side list of decided transactions
-//! and the nodes' flight events — so a baseline row means the same thing
-//! in a `"channel"`, a `"tcp"` and a `"proc"` entry.
+//! from, and [`run_cell`] serves one [`ServiceConfig`] under one
+//! [`FaultSpec`] on one of exactly three [`Host`]s — in-process over
+//! channels, in-process over loopback TCP (both
+//! [`ac_cluster::run_service_faulted`]), or real `ac-node` / `ac-client`
+//! processes ([`ProcHost`]). Whoever served the run, a field of the record
+//! is computed by the same function from the same inputs — the run-level
+//! counters, the client-side list of decided transactions and the nodes'
+//! flight events — so a baseline row means the same thing in a
+//! `"channel"`, a `"tcp"` and a `"proc"` entry. A field a host cannot
+//! measure says so in its documentation, and reads 0 (or empty) there.
 
 use ac_cluster::{
     run_service_faulted, Attribution, FaultSpec, LatencyHistogram, ServiceConfig, ServiceOutcome,
-    TransportKind, SLOWEST_KEPT,
+    Stage, TransportKind, TxnEvent, SLOWEST_KEPT,
 };
 use ac_obs::{goodput_tps, max_uncertainty_nanos, sojourn_times, ClusterDump, DumpTxn, RunStats};
 
@@ -62,8 +64,9 @@ impl Host<'_> {
     }
 }
 
-/// The record of one served run.
-#[derive(Clone, Debug)]
+/// The record of one served run (by default, of a run in which nothing
+/// happened).
+#[derive(Clone, Debug, Default)]
 pub struct Cell {
     /// Offered, shed, committed, aborted, stalled; the length of the load
     /// phase.
@@ -81,11 +84,33 @@ pub struct Cell {
     /// node's flush hands them to the transport in-process, node-to-node
     /// frames of every node's transport counters on the `proc` host.
     pub wire_messages: u64,
-    /// Findings of the post-run audit, orphaned envelopes included. In
-    /// process, `service::aggregate` counts them. On the `proc` host each
-    /// process audits its own half and exits non-zero on a finding, which
-    /// fails the run before a cell is built — so there it is 0, measured.
+    /// Findings of the post-run audit, orphaned envelopes and split
+    /// decisions included. In process, `service::aggregate` counts them.
+    /// On the `proc` host each process audits its own half and exits
+    /// non-zero on a finding, which fails the run before a cell is built —
+    /// so there it is 0, measured.
     pub audit_findings: usize,
+    /// Fully answered transactions whose participants reported different
+    /// decisions; each is also one audit finding. 0, measured, on the
+    /// `proc` host: `ac-client` exits non-zero on a split.
+    pub split: usize,
+    /// Protocol round timers the node loops fired ([`Stage::TimerFire`]):
+    /// from the merged stage meters in process, summed over every node's
+    /// exported meters on the `proc` host.
+    pub timer_fires: u64,
+    /// Node-loop wakeups that found no work; 0 on the `proc` host, whose
+    /// nodes do not export the count.
+    pub spurious_wakeups: usize,
+    /// Client `Begin` re-sends; 0 on the `proc` host, whose dump does not
+    /// carry the count.
+    pub retries: usize,
+    /// Envelopes the fault policy dropped; 0 on the `proc` host, which
+    /// serves no fault policy ([`run_cell`]).
+    pub dropped_messages: usize,
+    /// Every transaction's client-side timeline, abandoned ones included
+    /// — what a fault window is bucketed against. Empty on the `proc`
+    /// host, whose dump carries only the decided transactions.
+    pub txn_events: Vec<TxnEvent>,
     /// The five-stage telescoping decomposition of every covered commit.
     pub attribution: Attribution,
     /// Worst per-node clock-alignment uncertainty, microseconds: `None`
@@ -94,53 +119,55 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// The one fold: everything a host can say about a run, in.
-    fn new(
-        stats: RunStats,
-        decided: &[DumpTxn],
-        attribution: Attribution,
-        wal_forces: usize,
-        wire_messages: u64,
-        audit_findings: usize,
-        alignment_max_uncertainty_micros: Option<f64>,
-    ) -> Cell {
+    /// The one fold of what every host says of a run: its counters, its
+    /// decided transactions and their attribution. Every other field
+    /// starts at 0, which is what a host that cannot measure it reports.
+    fn new(stats: RunStats, decided: &[DumpTxn], attribution: Attribution) -> Cell {
         Cell {
             stats,
             sojourn: sojourn_times(decided),
             goodput_tps: goodput_tps(&stats, decided),
-            wal_forces,
-            wire_messages,
-            audit_findings,
             attribution,
-            alignment_max_uncertainty_micros,
+            ..Cell::default()
         }
     }
 
     /// The record of an in-process run.
     pub fn of_outcome(out: ServiceOutcome) -> Cell {
-        Cell::new(
-            out.run_stats(),
-            &out.decided,
-            out.attribution,
-            out.wal_forces,
-            out.wire_messages as u64,
-            out.violations.len() + out.orphaned_envelopes,
-            None,
-        )
+        let record = Cell::new(out.run_stats(), &out.decided, out.attribution);
+        Cell {
+            wal_forces: out.wal_forces,
+            wire_messages: out.wire_messages as u64,
+            audit_findings: out.violations.len() + out.orphaned_envelopes,
+            // `txns` counts a split transaction, `committed` and `aborted` do not.
+            split: out.txns - out.committed - out.aborted,
+            timer_fires: out.stage_meters.get(Stage::TimerFire).0,
+            spurious_wakeups: out.spurious_wakeups,
+            retries: out.retries,
+            dropped_messages: out.dropped_messages,
+            txn_events: out.txn_events,
+            ..record
+        }
     }
 
     /// The record of a multi-process run, from the dump its client
     /// collected (which exists only if every process exited clean).
     pub fn of_dump(dump: &ClusterDump) -> Cell {
-        Cell::new(
-            dump.stats,
-            &dump.txns,
-            dump.attribution(SLOWEST_KEPT),
-            0,
-            dump.exports.iter().map(|e| e.net.frames_out()).sum(),
-            0,
-            Some(max_uncertainty_nanos(&dump.alignments) as f64 / 1e3),
-        )
+        let fires =
+            |meters: &[(u64, u64)]| meters.get(Stage::TimerFire as usize).map_or(0, |m| m.0);
+        Cell {
+            wire_messages: dump.exports.iter().map(|e| e.net.frames_out()).sum(),
+            timer_fires: dump.exports.iter().map(|e| fires(&e.meters)).sum(),
+            alignment_max_uncertainty_micros: Some(
+                max_uncertainty_nanos(&dump.alignments) as f64 / 1e3,
+            ),
+            ..Cell::new(dump.stats, &dump.txns, dump.attribution(SLOWEST_KEPT))
+        }
+    }
+
+    /// Transactions fully answered: committed, aborted or split.
+    pub fn txns(&self) -> usize {
+        (self.stats.committed + self.stats.aborted) as usize + self.split
     }
 
     /// `count` per fully served transaction.
@@ -149,22 +176,19 @@ impl Cell {
     }
 }
 
-/// Serve `cfg` on `host` — with the write-ahead log and group commit on
-/// if `durable` — and return the run's record. `cfg.transport` must be
-/// the host's. `Err` only from the `proc` host: a configuration its spec
-/// file cannot express, a durable run, a process that could not be
-/// spawned or did not exit clean.
-pub fn run_cell(host: Host, cfg: &ServiceConfig, durable: bool) -> Result<Cell, String> {
+/// Serve `cfg` on `host` under `faults` — its write-ahead log, crash
+/// windows and fault policy — and return the run's record. `cfg.transport`
+/// must be the host's. `Err` only from the `proc` host: a configuration
+/// its spec file cannot express, a fault spec with a log, a crash or a
+/// policy (an `ac-node` has none of the three), a process that could not
+/// be spawned or did not exit clean.
+pub fn run_cell(host: Host, cfg: &ServiceConfig, faults: &FaultSpec) -> Result<Cell, String> {
     assert_eq!(cfg.transport, host.transport(), "{} host", host.name());
     match host {
-        Host::Channel | Host::Tcp => {
-            let faults = FaultSpec {
-                durable,
-                ..FaultSpec::none(cfg.n)
-            };
-            Ok(Cell::of_outcome(run_service_faulted(cfg, &faults)))
+        Host::Channel | Host::Tcp => Ok(Cell::of_outcome(run_service_faulted(cfg, faults))),
+        Host::Proc(_) if faults.durable || faults.any_crash() || faults.policy.is_some() => {
+            Err("the proc host has no write-ahead log and injects no fault".into())
         }
-        Host::Proc(_) if durable => Err("the proc host has no write-ahead log".into()),
         Host::Proc(procs) => Ok(Cell::of_dump(&procs.run(cfg)?)),
     }
 }
@@ -178,8 +202,9 @@ mod tests {
     /// The hosts agree by construction: the record of an in-process run
     /// and the record of the cluster dump a multi-process client would
     /// have written of that same run — its client-side list, its
-    /// counters, each node's flight events as that node's export, clocks
-    /// already aligned — are the same record.
+    /// counters, each node's flight events as that node's export (node 0's
+    /// carrying the run's meters), clocks already aligned — are the same
+    /// record.
     #[test]
     fn an_in_process_run_and_its_cluster_dump_read_as_the_same_cell() {
         let n = 4;
@@ -192,6 +217,10 @@ mod tests {
         let out = run_service_faulted(&cfg, &FaultSpec::none(n));
         assert!(out.is_safe(), "{:?}", out.violations);
         let nodes = 0..n as u32;
+        let meters: Vec<_> = Stage::ALL
+            .iter()
+            .map(|&s| out.stage_meters.get(s))
+            .collect();
         let dump = ClusterDump {
             protocol: cfg.kind.name().into(),
             n: n as u32,
@@ -203,7 +232,11 @@ mod tests {
                 .map(|node| ObsExport {
                     node,
                     dropped_events: 0,
-                    meters: Vec::new(),
+                    meters: if node == 0 {
+                        meters.clone()
+                    } else {
+                        Vec::new()
+                    },
                     hists: Vec::new(),
                     flight: out
                         .flight
@@ -216,7 +249,6 @@ mod tests {
                 .collect(),
             stats: out.run_stats(),
         };
-        let client_side = out.latency.clone();
         let (proc, here) = (Cell::of_dump(&dump), Cell::of_outcome(out));
 
         assert_eq!(here.stats, proc.stats);
@@ -225,8 +257,6 @@ mod tests {
         assert_eq!(here.goodput_tps, proc.goodput_tps);
         for q in [0.5, 0.99, 0.999] {
             assert_eq!(here.sojourn.percentile(q), proc.sojourn.percentile(q));
-            // …and is what the clients' own histograms merge to.
-            assert_eq!(here.sojourn.percentile(q), client_side.percentile(q));
         }
         assert_eq!(here.attribution.covered, proc.attribution.covered);
         for stage in 0..5 {
@@ -239,5 +269,12 @@ mod tests {
             "no log, no force"
         );
         assert_eq!((here.audit_findings, proc.audit_findings), (0, 0));
+        // Timer fires: every node's exported `TimerFire` slot counts.
+        assert_eq!(here.timer_fires, proc.timer_fires);
+        let mut fired = dump;
+        fired.exports[3].meters = meters;
+        fired.exports[3].meters[Stage::TimerFire as usize].0 += 2;
+        let twice = 2 * here.timer_fires + 2;
+        assert_eq!(Cell::of_dump(&fired).timer_fires, twice);
     }
 }

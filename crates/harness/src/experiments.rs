@@ -4,9 +4,9 @@
 //! [`baseline`] (the machine-readable performance seed point, composed
 //! from one function per section of the document).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use ac_cluster::{run_service, ServiceConfig, TransportKind};
+use ac_cluster::{FaultSpec, ServiceConfig};
 use ac_commit::explorer::{explore_jobs, ExplorerConfig};
 use ac_commit::protocols::{InbacUnbundledAck, ProtocolKind};
 use ac_commit::taxonomy::{Cell, PropSet};
@@ -17,7 +17,7 @@ use ac_txn::Workload;
 
 use crate::cell::{run_cell, Host};
 use crate::report::{
-    telescopes, AttributionBaseline, BenchBaseline, ChaosBaseline, ExplorerBaseline,
+    telescopes, AttributionBaseline, BenchBaseline, ChaosBaseline, ChaosEntry, ExplorerBaseline,
     ProtocolBaseline, Report, SaturationBaseline, ServiceBaseline, Table, SCHEMA_VERSION,
 };
 
@@ -697,12 +697,13 @@ pub fn baseline_sections(subcommand: &str) -> Option<&'static [&'static str]> {
 /// `quick` shrinks the live sweeps for CI smoke jobs; `jobs` feeds the
 /// explorer leg (the service spawns its own `n + c` threads per run
 /// regardless); `host` is who serves the sweep: what `--transport`
-/// selects, or the `proc` host for `repro proc`. The saturation sweep
-/// runs on it; the attribution sweep always covers both in-process hosts
-/// and adds the sweep's if it is neither; the closed-loop and chaos
-/// sweeps are in-process (a spec file carries no fault plan) — on the
-/// sweep's host if it is in-process, over channels otherwise. `Err` if
-/// `subcommand` has no row in the table or a `proc` cluster failed.
+/// selects, or the `proc` host for `repro proc`. Every section runs its
+/// cells on hosts through [`run_cell`]. The saturation sweep runs on
+/// `host`; the attribution sweep always covers both in-process hosts and
+/// adds `host` if it is neither; the closed-loop and chaos sweeps run on
+/// `host` if it is in-process, over channels otherwise (the `proc` host
+/// injects no fault). `Err` if `subcommand` has no row in the table or a
+/// `proc` cluster failed.
 pub fn baseline(
     subcommand: &str,
     quick: bool,
@@ -725,20 +726,20 @@ pub fn baseline(
         pair: None,
     };
     let mut attribution_hosts = vec![Host::Channel, Host::Tcp];
-    let transport = match host {
+    let in_process = match host {
         Host::Proc(_) => {
             attribution_hosts.push(host);
-            TransportKind::Channel
+            Host::Channel
         }
-        in_process => in_process.transport(),
+        in_process => in_process,
     };
     for section in sections {
         match *section {
-            "service" => b.service = Some(service_section(&mut r, quick, transport)),
+            "service" => b.service = Some(service_section(&mut r, quick, in_process)?),
             "attribution" => {
                 b.attribution = Some(attribution_section(&mut r, quick, &attribution_hosts)?)
             }
-            "chaos" => b.chaos = Some(chaos_section(&mut r, quick, transport)),
+            "chaos" => b.chaos = Some(chaos_section(&mut r, quick, in_process)?),
             "saturation" => b.saturation = Some(saturation_section(&mut r, quick, host)?),
             other => unreachable!("no section function for `{other}`"),
         }
@@ -845,16 +846,15 @@ pub const SERVICE_GRID: (usize, usize) = (4, 1);
 pub const SERVICE_UNIT: std::time::Duration = std::time::Duration::from_millis(5);
 
 /// **Service section** — the live `ac-cluster` transaction service
-/// measured under closed-loop load: protocol × workload × concurrency
-/// sweep with wall-clock throughput and latency percentiles
-/// (p50/p90/p99/p99.9). The safety gate additionally requires zero
-/// orphaned envelopes — over any transport, a healthy run never overflows
-/// an instance's pre-open buffer.
-pub fn service_section(r: &mut Report, quick: bool, transport: TransportKind) -> ServiceBaseline {
+/// measured under closed-loop load on `host`: protocol × workload ×
+/// concurrency sweep with wall-clock throughput and sojourn percentiles
+/// (p50/p90/p99/p99.9). The safety gate is a clean audit, zero orphaned
+/// envelopes included — over any transport, a healthy run never overflows
+/// an instance's pre-open buffer — and no stalled client.
+pub fn service_section(r: &mut Report, quick: bool, host: Host) -> Result<ServiceBaseline, String> {
     use crate::report::{service_protocols, ServiceEntry};
 
     let (n, f) = SERVICE_GRID;
-    let protos = service_protocols();
     let workloads: [(&str, Workload); 2] = [
         ("uniform", Workload::Uniform { span: 2 }),
         (
@@ -873,7 +873,7 @@ pub fn service_section(r: &mut Report, quick: bool, transport: TransportKind) ->
             "Live service sweep at n={n}, f={f}, unit={}ms ({} txns/client, closed loop, {} transport)",
             SERVICE_UNIT.as_millis(),
             txns_per_client,
-            transport.name()
+            host.name()
         ),
         &[
             "protocol", "workload", "clients", "txns", "commit%", "tput t/s", "p50 ms", "p90 ms",
@@ -881,7 +881,7 @@ pub fn service_section(r: &mut Report, quick: bool, transport: TransportKind) ->
         ],
     );
     let mut entries = Vec::new();
-    for kind in protos {
+    for kind in service_protocols() {
         for (wname, workload) in &workloads {
             for &clients in client_levels {
                 let cfg = ServiceConfig::new(n, f, kind)
@@ -891,48 +891,26 @@ pub fn service_section(r: &mut Report, quick: bool, transport: TransportKind) ->
                     .unit(SERVICE_UNIT)
                     .keys_per_shard(32)
                     .seed(7)
-                    .transport(transport);
-                let out = run_service(&cfg);
-                let ok = out.is_safe() && out.stalled == 0 && out.orphaned_envelopes == 0;
-                let verdict = r.compare(ok).to_string();
-                let ms = |v: u64| v as f64 / 1e6;
+                    .transport(host.transport());
+                let cell = run_cell(host, &cfg, &FaultSpec::none(n))?;
+                let e = ServiceEntry::new(kind.name(), wname, clients, &cell);
+                let verdict = r.compare(e.safety_violations == 0 && e.stalled == 0);
+                let ms = |us: f64| format!("{:.2}", us / 1e3);
                 t.row(vec![
-                    kind.name().into(),
-                    (*wname).into(),
+                    e.protocol.clone(),
+                    e.workload.clone(),
                     clients.to_string(),
-                    out.txns.to_string(),
-                    format!(
-                        "{:.0}%",
-                        100.0 * out.committed as f64 / out.txns.max(1) as f64
-                    ),
-                    format!("{:.0}", out.throughput_tps()),
-                    format!("{:.2}", ms(out.latency.p50())),
-                    format!("{:.2}", ms(out.latency.p90())),
-                    format!("{:.2}", ms(out.latency.p99())),
-                    format!("{:.2}", ms(out.latency.p999())),
-                    format!("{:.2}", ms(out.latency.max())),
-                    verdict,
+                    e.txns.to_string(),
+                    commit_pct(e.committed, e.txns),
+                    format!("{:.0}", e.throughput_tps),
+                    ms(e.p50_micros),
+                    ms(e.p90_micros),
+                    ms(e.p99_micros),
+                    ms(e.p999_micros),
+                    ms(e.max_micros),
+                    verdict.into(),
                 ]);
-                let us = |v: u64| v as f64 / 1e3;
-                entries.push(ServiceEntry {
-                    protocol: kind.name().into(),
-                    workload: (*wname).into(),
-                    clients,
-                    txns: out.txns,
-                    committed: out.committed,
-                    aborted: out.aborted,
-                    stalled: out.stalled,
-                    throughput_tps: out.throughput_tps(),
-                    p50_micros: us(out.latency.p50()),
-                    p90_micros: us(out.latency.p90()),
-                    p99_micros: us(out.latency.p99()),
-                    p999_micros: us(out.latency.p999()),
-                    max_micros: us(out.latency.max()),
-                    safety_violations: out.violations.len(),
-                    wire_messages: out.wire_messages,
-                    wire_per_txn: out.wire_messages as f64 / out.txns.max(1) as f64,
-                    spurious_wakeups: out.spurious_wakeups,
-                });
+                entries.push(e);
             }
         }
     }
@@ -950,13 +928,19 @@ pub fn service_section(r: &mut Report, quick: bool, transport: TransportKind) ->
          no lock left held, no stalled client.",
     );
 
-    ServiceBaseline {
+    Ok(ServiceBaseline {
         n,
         f,
-        transport: transport.name().into(),
+        transport: host.name().into(),
         unit_micros: SERVICE_UNIT.as_micros() as u64,
         entries,
-    }
+    })
+}
+
+/// `committed` of `txns` as a whole percentage, the way the service and
+/// chaos tables print it.
+fn commit_pct(committed: usize, txns: usize) -> String {
+    format!("{:.0}%", 100.0 * committed as f64 / txns.max(1) as f64)
 }
 
 /// Transactions each of an attribution cell's two clients submits,
@@ -1021,7 +1005,7 @@ pub fn attribution_section(
                 .keys_per_shard(32)
                 .seed(11)
                 .transport(host.transport());
-            let cell = run_cell(host, &cfg, false)?;
+            let cell = run_cell(host, &cfg, &FaultSpec::none(n))?;
             let a = &cell.attribution;
             let entry = AttributionEntry::new(kind.name(), host.name(), &cell);
             // The acceptance gate: a clean run whose reconstructed stage
@@ -1098,7 +1082,6 @@ pub const CHAOS_GRID: (usize, usize) = (4, 1);
 /// Build the chaos service configuration: paced span-3 load with bounded,
 /// retrying reply waits (`quick` shrinks the stream for CI smoke jobs).
 fn chaos_service(kind: ProtocolKind, quick: bool) -> ServiceConfig {
-    use std::time::Duration;
     let (n, f) = CHAOS_GRID;
     ServiceConfig::new(n, f, kind)
         .clients(if quick { 3 } else { 4 })
@@ -1134,10 +1117,41 @@ fn chaos_plan(scenario: &str, n: usize) -> ac_chaos::ChaosPlan {
     }
 }
 
-/// **Chaos section** — the availability-under-failure sweep:
+/// The gate of one chaos row. Universal: a clean audit (read by the
+/// protocol's Table-1 cell, [`ChaosEntry::new`]) and nothing stalled. When
+/// a crash or partition parked transactions, the service must also show
+/// throughput recovering after the heal. Two faults legitimately drain a
+/// short stream inside the window instead: a lossy link (parks resolve
+/// via in-window retries), and a never-blocking protocol (logless D1CC
+/// timeout-aborts straight through a partition, so nothing is left to
+/// recover) — scoped to logless protocols only: a blocking protocol that
+/// unexpectedly parked nothing must still demonstrate post-heal commits.
+/// Then the paper-facing contrast, asserted where it is robust: the
+/// f-tolerant protocols keep committing through a single crash, and 2PC
+/// blocks under a crashed coordinator.
+fn chaos_row_passes(kind: ProtocolKind, e: &ChaosEntry) -> bool {
+    let clean = e.safety_violations == 0 && e.stalled == 0;
+    let recovered = e.scenario == "lossy-10"
+        || (kind.logless() && e.blocked == 0)
+        || e.committed_after_heal > 0;
+    let contrast = match (kind.name(), e.scenario.as_str()) {
+        ("PaxosCommit" | "INBAC" | "D1CC", "crash-participant" | "crash-coordinator") => {
+            e.committed_during_fault > 0
+        }
+        ("2PC", "crash-coordinator") => e.blocked > 0,
+        (_, "lossy-10") => e.committed_during_fault > 0,
+        _ => true,
+    };
+    clean && recovered && contrast
+}
+
+/// **Chaos section** — the availability-under-failure sweep on `host`:
 /// {2PC, Paxos-Commit, INBAC, D1CC} × {crash-coordinator,
-/// crash-participant, partition-heal, lossy-10}, each run through
-/// `ac-chaos` with a post-run safety audit.
+/// crash-participant, partition-heal, lossy-10}, each cell the plan's
+/// fault specification ([`ac_chaos::ChaosPlan::spec`]) served through
+/// [`run_cell`], its timelines bucketed against the fault window
+/// ([`ac_chaos::ChaosConfig::fault_stats`]), its row gated
+/// (`chaos_row_passes`).
 ///
 /// The wall-clock face of the paper's trade-off, asserted as comparisons:
 /// the f-tolerant protocols (Paxos-Commit, INBAC, logless D1CC) keep
@@ -1145,12 +1159,13 @@ fn chaos_plan(scenario: &str, n: usize) -> ac_chaos::ChaosPlan {
 /// fault window), while 2PC reports blocked transactions under a crashed
 /// coordinator that only resolve after the restart.
 ///
-/// Any `transport` serves (`repro chaos --transport tcp`): the fault
-/// policy decides envelope fates *before* the transport sees them, so the
-/// same crash/partition/lossy plans run unchanged over sockets.
-pub fn chaos_section(r: &mut Report, quick: bool, transport: TransportKind) -> ChaosBaseline {
-    use crate::report::{chaos_scenario_names, service_protocols, ChaosEntry};
-    use ac_chaos::{run_chaos, ChaosConfig};
+/// Either in-process host serves (`repro chaos --transport tcp`): the
+/// fault policy decides envelope fates *before* the transport sees them,
+/// so the same crash/partition/lossy plans run unchanged over sockets.
+/// The `proc` host injects no fault: its cells are `Err`.
+pub fn chaos_section(r: &mut Report, quick: bool, host: Host) -> Result<ChaosBaseline, String> {
+    use crate::report::{chaos_scenario_names, service_protocols};
+    use ac_chaos::ChaosConfig;
 
     let (n, f) = CHAOS_GRID;
     let mut t = Table::new(
@@ -1177,103 +1192,29 @@ pub fn chaos_section(r: &mut Report, quick: bool, transport: TransportKind) -> C
     let mut entries = Vec::new();
     for kind in service_protocols() {
         for scenario in chaos_scenario_names() {
-            let cfg = ChaosConfig {
-                service: chaos_service(kind, quick).transport(transport),
+            let chaos = ChaosConfig {
+                service: chaos_service(kind, quick).transport(host.transport()),
                 plan: chaos_plan(scenario, n),
             };
-            let out = run_chaos(&cfg);
-            let s = &out.stats;
-            let svc = &out.service;
-            // Universal gates: clean audit, everything resolved. When a
-            // crash or partition parked transactions, the service must
-            // additionally show throughput recovering after the heal. Two
-            // faults legitimately drain a short stream inside the window
-            // instead: a lossy link (parks resolve via in-window retries),
-            // and a never-blocking protocol (logless D1CC timeout-aborts
-            // straight through a partition, so nothing is left to
-            // recover). The no-blocking exemption is scoped to logless
-            // protocols only: a blocking protocol that unexpectedly
-            // parked nothing must still demonstrate post-heal commits.
-            //
-            // The audit itself follows the protocol's Table-1 cell, like
-            // the simulator's checker does: partition-heal and lossy-10
-            // are *network-failure* executions, and a cell without
-            // NF-agreement (D1CC's (AVT, VT)) documents that deciders may
-            // split when the fault lands mid-vote-broadcast — one side
-            // assembles all n votes and commits while the cut-off side
-            // times out to Abort (see `ac_commit::protocols::d1cc`; the
-            // explorer produces the same counterexamples). Exempting the
-            // split-decision finding for exactly those cells keeps every
-            // other audit (no lost locks, log/client agreement, no commit
-            // against a missing yes-vote) and keeps full agreement gating
-            // for every crash-failure scenario and every NF-agreement
-            // protocol. The window is microseconds wide, so most runs
-            // still show zero splits — the exemption only stops a
-            // documented protocol property from failing the sweep.
-            let network_failure = matches!(scenario, "partition-heal" | "lossy-10");
-            let split_exempt = network_failure && !kind.cell().nf.has_agreement();
-            let audited_violations = svc
-                .violations
-                .iter()
-                .filter(|v| !(split_exempt && v.contains("split decision")))
-                .count();
-            let clean = audited_violations == 0 && svc.stalled == 0 && s.unresolved == 0;
-            let recovered = scenario == "lossy-10"
-                || (kind.logless() && s.blocked == 0)
-                || s.committed_after_heal > 0;
-            // The paper-facing contrast, asserted where it is robust:
-            // f-tolerant protocols keep committing through a single
-            // crash; 2PC blocks under a crashed coordinator (and its
-            // blocked txns resolve only after the restart).
-            let contrast = match (kind.name(), scenario) {
-                ("PaxosCommit" | "INBAC" | "D1CC", "crash-participant" | "crash-coordinator") => {
-                    s.committed_during_fault > 0
-                }
-                ("2PC", "crash-coordinator") => s.blocked > 0,
-                ("2PC" | "PaxosCommit" | "INBAC" | "D1CC", "lossy-10") => {
-                    s.committed_during_fault > 0
-                }
-                _ => true,
-            };
-            let ok = clean && recovered && contrast;
-            let verdict = r.compare(ok).to_string();
+            let cell = run_cell(host, &chaos.service, &chaos.plan.spec(chaos.service.unit))?;
+            let run = Duration::from_nanos(cell.stats.elapsed_nanos);
+            let stats = chaos.fault_stats(&cell.txn_events, run);
+            let e = ChaosEntry::new(kind, scenario, &cell, &stats);
+            let verdict = r.compare(chaos_row_passes(kind, &e));
             t.row(vec![
-                kind.name().into(),
-                scenario.into(),
-                svc.txns.to_string(),
-                format!(
-                    "{:.0}%",
-                    100.0 * svc.committed as f64 / svc.txns.max(1) as f64
-                ),
-                format!("{:.0}%", s.availability_pct),
-                s.committed_during_fault.to_string(),
-                format!("{:.0}", s.ops_during_fault),
-                format!("{:.0}", s.ops_after_heal),
-                s.blocked.to_string(),
-                format!("{:.1}", s.time_to_unblock.as_secs_f64() * 1e3),
-                verdict,
+                e.protocol.clone(),
+                e.scenario.clone(),
+                e.txns.to_string(),
+                commit_pct(e.committed, e.txns),
+                format!("{:.0}%", e.availability_pct),
+                e.committed_during_fault.to_string(),
+                format!("{:.0}", e.ops_during_fault),
+                format!("{:.0}", e.ops_after_heal),
+                e.blocked.to_string(),
+                format!("{:.1}", e.recovery_ms),
+                verdict.into(),
             ]);
-            entries.push(ChaosEntry {
-                protocol: kind.name().into(),
-                scenario: scenario.into(),
-                txns: svc.txns,
-                committed: svc.committed,
-                aborted: svc.aborted,
-                stalled: svc.stalled,
-                safety_violations: audited_violations,
-                submitted_during_fault: s.submitted_during_fault,
-                decided_during_fault: s.decided_during_fault,
-                committed_during_fault: s.committed_during_fault,
-                committed_after_heal: s.committed_after_heal,
-                ops_during_fault: s.ops_during_fault,
-                ops_after_heal: s.ops_after_heal,
-                availability_pct: s.availability_pct,
-                blocked: s.blocked,
-                recovery_ms: s.time_to_unblock.as_secs_f64() * 1e3,
-                retries: svc.retries,
-                dropped_messages: svc.dropped_messages,
-                wire_messages: svc.wire_messages,
-            });
+            entries.push(e);
         }
     }
     r.table(t);
@@ -1292,15 +1233,15 @@ pub fn chaos_section(r: &mut Report, quick: bool, transport: TransportKind) -> C
          and lossy-10 — the documented price of logless one-delay commit.",
     );
 
-    ChaosBaseline {
+    Ok(ChaosBaseline {
         n,
         f,
-        transport: transport.name().into(),
+        transport: host.name().into(),
         unit_micros: SERVICE_UNIT.as_micros() as u64,
         fault_from_units: CHAOS_WINDOW_UNITS.0,
         fault_until_units: CHAOS_WINDOW_UNITS.1,
         entries,
-    }
+    })
 }
 
 /// Per-client in-flight window of the saturation sweep: beyond it an
@@ -1312,32 +1253,6 @@ pub const SATURATION_MAX_OUTSTANDING: usize = 32;
 /// transactions/second. Chosen so the ×1 step idles well below capacity
 /// (λ × p50 ≪ 1 in-flight per client) and the ×16 step is far past it.
 pub const SATURATION_BASE_RATE: f64 = 25.0;
-
-/// One open-loop run of the saturation sweep: Poisson arrivals at
-/// `rate`/client for roughly `duration`, shedding at
-/// [`SATURATION_MAX_OUTSTANDING`] — with the WAL on wherever the host has
-/// a log ([`Host::durable`]).
-fn saturate_cell(
-    kind: ProtocolKind,
-    host: Host,
-    n: usize,
-    clients: usize,
-    rate: f64,
-    duration: std::time::Duration,
-) -> Result<crate::cell::Cell, String> {
-    let txns = ((rate * duration.as_secs_f64()).ceil() as usize).max(4);
-    let service = ServiceConfig::new(n, 1, kind)
-        .clients(clients)
-        .txns_per_client(txns)
-        .workload(Workload::Uniform { span: 2 })
-        .unit(SERVICE_UNIT)
-        .keys_per_shard(64)
-        .seed(31)
-        .arrival_rate(rate)
-        .max_outstanding(SATURATION_MAX_OUTSTANDING)
-        .transport(host.transport());
-    run_cell(host, &service, host.durable())
-}
 
 /// **Saturation section** — the open-loop offered-vs-goodput sweep:
 /// Poisson arrivals stepped ×1 → ×16 over each (protocol, n, clients)
@@ -1421,10 +1336,28 @@ pub fn saturation_section(
     );
     let mut curves = Vec::new();
     for (kind, n, clients) in cells {
+        // The WAL on wherever the host has a log.
+        let faults = FaultSpec {
+            durable: host.durable(),
+            ..FaultSpec::none(n)
+        };
         let mut run = Vec::new();
         for &mult in mults {
+            // Poisson arrivals at `rate`/client for roughly `duration`,
+            // shedding at a full window.
             let rate = SATURATION_BASE_RATE * mult as f64;
-            let cell = saturate_cell(kind, host, n, clients, rate, duration)?;
+            let txns = ((rate * duration.as_secs_f64()).ceil() as usize).max(4);
+            let cfg = ServiceConfig::new(n, 1, kind)
+                .clients(clients)
+                .txns_per_client(txns)
+                .workload(Workload::Uniform { span: 2 })
+                .unit(SERVICE_UNIT)
+                .keys_per_shard(64)
+                .seed(31)
+                .arrival_rate(rate)
+                .max_outstanding(SATURATION_MAX_OUTSTANDING)
+                .transport(host.transport());
+            let cell = run_cell(host, &cfg, &faults)?;
             let ms = |v: u64| v as f64 / 1e6;
             let forces_per_txn = cell.per_txn(cell.wal_forces as f64);
             // Gates: a clean audit and a reconstructed timeline.
@@ -1621,7 +1554,7 @@ mod tests {
     fn chaos_section_quick_shows_the_blocking_contrast() {
         let _serial = live_sweep_lock();
         let mut r = Report::new("chaos");
-        let chaos = chaos_section(&mut r, true, TransportKind::Channel);
+        let chaos = chaos_section(&mut r, true, Host::Channel).unwrap();
         assert!(r.all_matched(), "{}", r.render());
         assert_eq!(chaos.entries.len(), 16, "4 protocols x 4 scenarios");
         // The acceptance contrast, re-checked on the emitted numbers:
@@ -1639,6 +1572,66 @@ mod tests {
         assert!(find("2PC", "crash-coordinator").blocked > 0);
         assert!(chaos.entries.iter().all(|e| e.safety_violations == 0));
         assert!(chaos.entries.iter().all(|e| e.stalled == 0));
+    }
+
+    /// The chaos row's gate on constructed inputs. A D1CC split under a
+    /// network failure is the documented price of its Table-1 cell and is
+    /// not counted; under a crash, or for a protocol with NF-agreement, it
+    /// is. A clean row still fails when it does not recover after the
+    /// heal or misses its contrast.
+    #[test]
+    fn the_chaos_gate_exempts_only_a_network_failure_split_without_nf_agreement() {
+        use crate::cell::Cell;
+        use ac_chaos::FaultStats;
+        use ac_commit::protocols::ProtocolKind::{D1cc, Inbac, TwoPc};
+
+        let zero = Duration::ZERO;
+        let healthy = FaultStats {
+            committed_during_fault: 3,
+            committed_after_heal: 5,
+            blocked: 2,
+            ..FaultStats::measure(&[], zero, zero, zero, 1)
+        };
+        let clean = Cell::default();
+        let split = Cell {
+            split: 1,
+            audit_findings: 1,
+            ..clean.clone()
+        };
+        let row = |kind, scenario, cell: &Cell, stats: &FaultStats| {
+            let e = ChaosEntry::new(kind, scenario, cell, stats);
+            (e.safety_violations, chaos_row_passes(kind, &e))
+        };
+        for scenario in ["partition-heal", "lossy-10"] {
+            assert_eq!(
+                row(D1cc, scenario, &split, &healthy),
+                (0, true),
+                "{scenario}"
+            );
+        }
+        assert_eq!(row(D1cc, "crash-coordinator", &split, &healthy), (1, false));
+        assert_eq!(row(Inbac, "partition-heal", &split, &healthy), (1, false));
+
+        assert_eq!(row(Inbac, "partition-heal", &clean, &healthy), (0, true));
+        assert_eq!(row(TwoPc, "crash-coordinator", &clean, &healthy), (0, true));
+        let stuck = FaultStats {
+            committed_after_heal: 0,
+            ..healthy.clone()
+        };
+        assert!(
+            !row(Inbac, "partition-heal", &clean, &stuck).1,
+            "not recovered"
+        );
+        let unavailable = FaultStats {
+            committed_during_fault: 0,
+            ..healthy.clone()
+        };
+        assert!(!row(Inbac, "crash-participant", &clean, &unavailable).1);
+        let unblocked = FaultStats {
+            blocked: 0,
+            ..healthy.clone()
+        };
+        assert!(!row(TwoPc, "crash-coordinator", &clean, &unblocked).1);
     }
 
     #[test]
@@ -1669,7 +1662,7 @@ mod tests {
     fn service_section_quick_is_safe_and_carries_the_tail_percentile() {
         let _serial = live_sweep_lock();
         let mut r = Report::new("load");
-        let service = service_section(&mut r, true, TransportKind::Channel);
+        let service = service_section(&mut r, true, Host::Channel).unwrap();
         assert!(r.all_matched(), "{}", r.render());
         // The p99.9 satellite: every fresh service entry carries the tail
         // percentile, ordered sanely against p99 and max.

@@ -28,9 +28,10 @@
 //! `repro bench-check` in CI): one function per section, composed by
 //! [`experiments::baseline`] from the subcommand → sections table
 //! [`experiments::baseline_sections`]; a section a subcommand does not
-//! measure is `null`. Every live run of the attribution and saturation
-//! sweeps is one [`cell::run_cell`] call and every row is read off the
-//! [`cell::Cell`] it returns, whichever of the three hosts served it.
+//! measure is `null`. Every live run of the four live sections (service,
+//! chaos, attribution, saturation) and of `perf`'s live gates is one
+//! [`cell::run_cell`] call, and every row is read off the [`cell::Cell`]
+//! it returns, whichever of the three hosts served it.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -23,6 +23,7 @@ use serde::Serialize;
 use crate::cell::{run_cell, Host};
 use crate::experiments::{baseline, SERVICE_GRID, SERVICE_UNIT};
 use crate::report::{table5_protocol_names, BenchBaseline, Report, Table};
+use ac_cluster::{FaultSpec, ServiceConfig};
 use ac_commit::protocols::ProtocolKind;
 
 /// Maximum tolerated drop in commit rate (percentage points) before the
@@ -115,21 +116,29 @@ pub fn live_gates(quick: bool) -> Vec<PerfCheck> {
     // `wal_forces` counts force operations, over fully served
     // transactions.
     let (n, f) = SERVICE_GRID;
-    // Both gates: two closed-loop clients, uniform two-shard transactions.
+    // Both gates: two closed-loop clients, uniform two-shard transactions,
+    // each one cell on the channel host.
     let two_clients = |kind, txns| {
-        ac_cluster::ServiceConfig::new(n, f, kind)
+        ServiceConfig::new(n, f, kind)
             .clients(2)
             .txns_per_client(txns)
             .unit(SERVICE_UNIT)
             .seed(7)
+    };
+    let serve = |service: ServiceConfig, durable| {
+        let faults = FaultSpec {
+            durable,
+            ..FaultSpec::none(n)
+        };
+        run_cell(Host::Channel, &service, &faults)
+            .expect("an in-process host serves any configuration")
     };
     for kind in [ProtocolKind::TwoPc, ProtocolKind::PaxosCommit] {
         let service = two_clients(kind, 400)
             .keys_per_shard(1 << 20)
             .park_retries(0)
             .max_outstanding(64);
-        let cell = run_cell(Host::Channel, &service, true)
-            .expect("an in-process host serves any configuration");
+        let cell = serve(service, true);
         let forces_per_txn = cell.per_txn(cell.wal_forces as f64);
         let name = kind.name();
         checks.push(PerfCheck::exact(
@@ -153,7 +162,8 @@ pub fn live_gates(quick: bool) -> Vec<PerfCheck> {
     // `1·U`) and a protocol timer firing on at most 1 % of transactions
     // (a fire means an instance was still open at its deadline — a
     // scheduling stall, never the normal path). Counter-backed:
-    // `Stage::TimerFire` counts live timers the node loops fired.
+    // `Cell::timer_fires` counts live timers the node loops fired; the run
+    // must also be clean by the audit every other gate reads.
     let unit_micros = SERVICE_UNIT.as_micros() as f64;
     for kind in [
         ProtocolKind::TwoPc,
@@ -162,9 +172,8 @@ pub fn live_gates(quick: bool) -> Vec<PerfCheck> {
         ProtocolKind::Inbac,
     ] {
         let txns = if quick { 50 } else { 100 };
-        let out = ac_cluster::run_service(&two_clients(kind, txns).keys_per_shard(32));
-        let fires = out.stage_meters.get(ac_cluster::Stage::TimerFire).0;
-        let fires_pct = 100.0 * fires as f64 / out.txns.max(1) as f64;
+        let cell = serve(two_clients(kind, txns).keys_per_shard(32), false);
+        let fires_pct = 100.0 * cell.timer_fires as f64 / cell.txns().max(1) as f64;
         checks.push(PerfCheck::exact(
             format!(
                 "{} closed-loop timer fires per 100 txns (must be ≤ 1)",
@@ -172,9 +181,9 @@ pub fn live_gates(quick: bool) -> Vec<PerfCheck> {
             ),
             1.0,
             fires_pct,
-            out.is_safe() && out.stalled == 0 && fires_pct <= 1.0,
+            cell.audit_findings == 0 && cell.stats.stalled == 0 && fires_pct <= 1.0,
         ));
-        let p50_micros = out.latency.p50() as f64 / 1e3;
+        let p50_micros = cell.sojourn.p50() as f64 / 1e3;
         checks.push(PerfCheck::exact(
             format!("{} closed-loop p50 µs (must be < U)", kind.name()),
             unit_micros,
@@ -375,7 +384,6 @@ mod tests {
     use super::*;
     use crate::experiments::service_section;
     use crate::report::tests::sample_baseline;
-    use ac_cluster::TransportKind;
 
     /// The keys of the failed checks of `fresh` (no live gates) held
     /// against `committed`.
@@ -476,7 +484,7 @@ mod tests {
     fn quick_self_comparison_passes_every_diffed_and_safety_check() {
         let _serial = crate::experiments::live_sweep_lock();
         let mut scratch = Report::new("perf");
-        let service = service_section(&mut scratch, true, TransportKind::Channel);
+        let service = service_section(&mut scratch, true, Host::Channel).unwrap();
         let fresh = BenchBaseline {
             service: Some(service),
             ..sample_baseline()

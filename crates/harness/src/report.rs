@@ -3,6 +3,8 @@
 //! ([`BenchBaseline`]) that seeds the repository's performance
 //! trajectory (`BENCH_baseline.json`).
 
+use ac_chaos::FaultStats;
+use ac_commit::protocols::ProtocolKind;
 use serde::Serialize;
 
 use crate::cell::Cell;
@@ -164,7 +166,7 @@ impl Report {
 /// [`ac_commit::protocols::ProtocolKind::table5`] list so a protocol
 /// rename cannot desynchronize the emitter from the validator.
 pub fn table5_protocol_names() -> [&'static str; 7] {
-    ac_commit::protocols::ProtocolKind::table5().map(|k| k.name())
+    ProtocolKind::table5().map(|k| k.name())
 }
 
 /// Per-protocol baseline numbers: the paper's two complexity measures of a
@@ -222,8 +224,7 @@ pub struct ExplorerBaseline {
 /// logless one-phase). The single source of truth for that list: the
 /// `load` sweep emitter, the chaos sweep emitter and the validator all
 /// derive from it, so they cannot desynchronize.
-pub fn service_protocols() -> [ac_commit::protocols::ProtocolKind; 4] {
-    use ac_commit::protocols::ProtocolKind;
+pub fn service_protocols() -> [ProtocolKind; 4] {
     [
         ProtocolKind::TwoPc,
         ProtocolKind::PaxosCommit,
@@ -256,7 +257,8 @@ pub struct ServiceEntry {
     pub aborted: usize,
     /// Transactions that hit the client stall alarm (must be 0).
     pub stalled: usize,
-    /// Committed transactions per second of the load phase.
+    /// Committed transactions per second of the load phase
+    /// ([`ac_obs::RunStats::throughput_tps`]).
     pub throughput_tps: f64,
     /// Median latency, microseconds (submit → all `n` decisions).
     pub p50_micros: f64,
@@ -269,16 +271,44 @@ pub struct ServiceEntry {
     pub p999_micros: f64,
     /// Maximum latency, microseconds.
     pub max_micros: f64,
-    /// Safety violations found by the post-run audit (must be 0).
+    /// Findings of the post-run audit, orphaned envelopes included
+    /// ([`Cell::audit_findings`]; must be 0).
     pub safety_violations: usize,
     /// Protocol messages that crossed node boundaries (counter-exact).
     pub wire_messages: usize,
     /// `wire_messages / txns` — the per-transaction wire cost the perf
     /// gate diffs (counter-backed, so gated strictly).
     pub wire_per_txn: f64,
-    /// Node-loop wakeups that found no work (see
-    /// `ac_cluster::ServiceOutcome::spurious_wakeups`).
+    /// Node-loop wakeups that found no work ([`Cell::spurious_wakeups`]).
     pub spurious_wakeups: usize,
+}
+
+impl ServiceEntry {
+    /// The baseline entry of one closed-loop cell: `protocol` on
+    /// `workload` at `clients` concurrency.
+    pub fn new(protocol: &str, workload: &str, clients: usize, cell: &Cell) -> ServiceEntry {
+        let us = |v: u64| v as f64 / 1e3;
+        let txns = cell.txns();
+        ServiceEntry {
+            protocol: protocol.into(),
+            workload: workload.into(),
+            clients,
+            txns,
+            committed: cell.stats.committed as usize,
+            aborted: cell.stats.aborted as usize,
+            stalled: cell.stats.stalled as usize,
+            throughput_tps: cell.stats.throughput_tps(),
+            p50_micros: us(cell.sojourn.p50()),
+            p90_micros: us(cell.sojourn.p90()),
+            p99_micros: us(cell.sojourn.p99()),
+            p999_micros: us(cell.sojourn.p999()),
+            max_micros: us(cell.sojourn.max()),
+            safety_violations: cell.audit_findings,
+            wire_messages: cell.wire_messages as usize,
+            wire_per_txn: cell.wire_messages as f64 / txns.max(1) as f64,
+            spurious_wakeups: cell.spurious_wakeups,
+        }
+    }
 }
 
 /// The chaos scenarios a `chaos` section must cover, per
@@ -311,8 +341,9 @@ pub struct ChaosEntry {
     /// Transactions never resolved (must be 0: every fault in the sweep
     /// heals and recovery must drain the backlog).
     pub stalled: usize,
-    /// Safety violations found by the post-run audit (must be 0 — the
-    /// audit runs on every faulted execution).
+    /// Findings of the post-run audit (must be 0 — the audit runs on
+    /// every faulted execution), read by the protocol's Table-1 cell
+    /// ([`ChaosEntry::new`]).
     pub safety_violations: usize,
     /// Transactions first submitted inside the fault window.
     pub submitted_during_fault: usize,
@@ -338,6 +369,49 @@ pub struct ChaosEntry {
     pub dropped_messages: usize,
     /// Protocol messages that crossed node boundaries.
     pub wire_messages: usize,
+}
+
+impl ChaosEntry {
+    /// The baseline entry of `kind` under `scenario`: its run record and
+    /// that run bucketed against the fault window.
+    ///
+    /// The safety count is the cell's audit, read as the simulator's
+    /// checker reads an execution: by the protocol's Table-1 cell.
+    /// Partition-heal and lossy-10 are *network-failure* executions, and a
+    /// cell without NF-agreement (D1CC's (AVT, VT)) documents that deciders
+    /// may split when the fault lands mid-vote-broadcast — one side
+    /// assembles all n votes and commits while the cut-off side times out
+    /// to Abort (see `ac_commit::protocols::d1cc`; the explorer produces
+    /// the same counterexamples). For exactly those cells the split
+    /// transactions are not counted; every other finding is (no lost
+    /// locks, log/client agreement, no commit against a missing yes-vote),
+    /// and so is a split under any crash scenario or NF-agreement protocol.
+    /// The window is microseconds wide, so most runs show no split.
+    pub fn new(kind: ProtocolKind, scenario: &str, cell: &Cell, s: &FaultStats) -> ChaosEntry {
+        let network_failure = matches!(scenario, "partition-heal" | "lossy-10");
+        let exempt = network_failure && !kind.cell().nf.has_agreement();
+        ChaosEntry {
+            protocol: kind.name().into(),
+            scenario: scenario.into(),
+            txns: cell.txns(),
+            committed: cell.stats.committed as usize,
+            aborted: cell.stats.aborted as usize,
+            stalled: cell.stats.stalled as usize,
+            safety_violations: cell.audit_findings - if exempt { cell.split } else { 0 },
+            submitted_during_fault: s.submitted_during_fault,
+            decided_during_fault: s.decided_during_fault,
+            committed_during_fault: s.committed_during_fault,
+            committed_after_heal: s.committed_after_heal,
+            ops_during_fault: s.ops_during_fault,
+            ops_after_heal: s.ops_after_heal,
+            availability_pct: s.availability_pct,
+            blocked: s.blocked,
+            recovery_ms: s.time_to_unblock.as_secs_f64() * 1e3,
+            retries: cell.retries,
+            dropped_messages: cell.dropped_messages,
+            wire_messages: cell.wire_messages as usize,
+        }
+    }
 }
 
 /// The `chaos` section: availability under failure, per
@@ -554,8 +628,8 @@ pub struct AttributionBaseline {
 
 /// One offered-load level of a saturation curve: the service run
 /// open-loop (Poisson arrivals, bounded in-flight window, shedding) at a
-/// fixed per-client arrival rate, with durability (WAL + group commit)
-/// on.
+/// fixed per-client arrival rate, with the write-ahead log on wherever
+/// the host has one (not on the `"proc"` host: see `wal_forces`).
 #[derive(Clone, Debug, Serialize)]
 pub struct SaturationStep {
     /// Step index within the curve (0-based, ascending offered load).
@@ -1736,6 +1810,49 @@ pub(crate) mod tests {
         let mut b = sample_baseline();
         b.service.as_mut().unwrap().entries[0].wire_per_txn = -3.0;
         assert_problems(&b, &["wire_per_txn must be >= 0"]);
+    }
+
+    /// The schema pin: each section and each entry type serializes to
+    /// exactly the field names the committed `BENCH_baseline.json` carries
+    /// for it. The validator reads only some fields (not `p90_micros`,
+    /// `max_micros`, `decided_during_fault` or `dropped_messages`, say), so
+    /// without this a dropped or renamed field would pass every gate.
+    #[test]
+    fn every_entry_serializes_the_fields_of_the_committed_baseline() {
+        use serde_json::Value;
+        let committed = include_str!("../../../BENCH_baseline.json");
+        let committed = serde_json::from_str(committed).expect("the committed baseline parses");
+        let fresh = serde_json::from_str(&sample_baseline().to_json()).unwrap();
+        let fields = |v: &Value| -> std::collections::BTreeSet<String> {
+            match v {
+                Value::Object(members) => members.iter().map(|(k, _)| k.clone()).collect(),
+                other => panic!("not an object: {other:?}"),
+            }
+        };
+        type Pick = fn(&Value) -> &Value;
+        let picks: [(&str, Pick); 12] = [
+            ("service", |b| &b["service"]),
+            ("service entry", |b| &b["service"]["entries"][0]),
+            ("chaos", |b| &b["chaos"]),
+            ("chaos entry", |b| &b["chaos"]["entries"][0]),
+            ("attribution", |b| &b["attribution"]),
+            ("attribution entry", |b| &b["attribution"]["entries"][0]),
+            ("attribution stage", |b| {
+                &b["attribution"]["entries"][0]["stages"][0]
+            }),
+            ("slowest txn", |b| {
+                &b["attribution"]["entries"][0]["slowest"][0]
+            }),
+            ("saturation", |b| &b["saturation"]),
+            ("saturation curve", |b| &b["saturation"]["curves"][0]),
+            ("saturation step", |b| {
+                &b["saturation"]["curves"][0]["steps"][0]
+            }),
+            ("saturation knee", |b| &b["saturation"]["curves"][0]["knee"]),
+        ];
+        for (what, pick) in picks {
+            assert_eq!(fields(pick(&fresh)), fields(pick(&committed)), "{what}");
+        }
     }
 
     #[test]

@@ -255,6 +255,16 @@ pub struct RunStats {
     pub elapsed_nanos: u64,
 }
 
+impl RunStats {
+    /// Committed transactions per second of the load phase. Divides by
+    /// the **full** wall time, ramp-up and drain included — fine for
+    /// comparing closed-loop runs of identical shape, but it understates
+    /// steady-state rates, which [`goodput_tps`] measures instead.
+    pub fn throughput_tps(&self) -> f64 {
+        self.committed as f64 / (self.elapsed_nanos as f64 / 1e9).max(1e-9)
+    }
+}
+
 impl Wire for RunStats {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.offered.encode(buf);

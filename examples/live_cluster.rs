@@ -47,10 +47,13 @@ fn main() {
     );
     println!(
         "throughput: {:.0} committed txns/s ({} protocol messages on the wire)",
-        out.throughput_tps(),
+        out.run_stats().throughput_tps(),
         out.wire_messages
     );
-    println!("latency: {}", out.latency.summary_millis());
+    println!(
+        "latency: {}",
+        ac_obs::sojourn_times(&out.decided).summary_millis()
+    );
     println!(
         "safety audit: {}",
         if out.is_safe() {

@@ -18,7 +18,7 @@ use ac_cluster::{
     run_service, run_service_faulted, Fate, FaultSpec, NetPolicy, ServiceConfig, TransportKind,
 };
 use ac_commit::protocols::ProtocolKind;
-use ac_obs::Stage;
+use ac_obs::{goodput_tps, sojourn_times, Stage};
 use ac_txn::workload::{Workload, WorkloadConfig};
 use ac_txn::Cluster;
 
@@ -43,7 +43,7 @@ fn transfer_load_conserves_total_value() {
         "concurrent transfers must conserve money"
     );
     assert!(out.committed > 0, "some transfers must get through");
-    assert_eq!(out.latency.count() as usize, out.txns);
+    assert_eq!(sojourn_times(&out.decided).count() as usize, out.txns);
 }
 
 #[test]
@@ -213,7 +213,7 @@ fn complete_collections_commit_at_message_speed_and_fire_no_timer() {
         assert_eq!(out.stalled, 0, "{}: stalled", kind.name());
         assert!(out.is_safe(), "{}: {:?}", kind.name(), out.violations);
         assert_eq!(out.committed, 20, "{}: every txn commits", kind.name());
-        let slowest = Duration::from_nanos(out.latency.max());
+        let slowest = Duration::from_nanos(sojourn_times(&out.decided).max());
         assert!(
             slowest < unit / 4,
             "{}: slowest commit took {slowest:?}, not a fraction of U = {unit:?}",
@@ -265,9 +265,10 @@ fn two_pc_still_aborts_at_one_unit_when_a_vote_is_late() {
     assert!(out.is_safe(), "{:?}", out.violations);
     assert_eq!(out.aborted, 5, "a missing vote at U aborts");
     assert_eq!(out.delayed_messages, 5, "one held vote per transaction");
+    let sojourn = sojourn_times(&out.decided);
     let (fastest, slowest) = (
-        Duration::from_nanos(out.latency.min()),
-        Duration::from_nanos(out.latency.max()),
+        Duration::from_nanos(sojourn.min()),
+        Duration::from_nanos(sojourn.max()),
     );
     assert!(
         fastest >= unit && slowest < 2 * unit,
@@ -408,7 +409,7 @@ fn open_loop_offers_the_full_schedule_and_sheds_only_at_a_full_window() {
     assert_eq!(out.txns, 20);
     assert_eq!(out.stalled, 0);
     assert!(
-        out.goodput_tps() > 0.0,
+        goodput_tps(&out.run_stats(), &out.decided) > 0.0,
         "trimmed steady-state goodput must be measurable"
     );
 
@@ -461,7 +462,7 @@ fn a_deep_window_batches_a_durable_nodes_forces_without_holding_a_commit() {
     assert!(deep.is_safe(), "{:?}", deep.violations);
     assert_eq!(deep.committed, 800, "no vote may miss its round timer");
     assert_eq!(deep.stage_meters.get(Stage::TimerFire).0, 0);
-    let median = Duration::from_nanos(deep.latency.p50());
+    let median = Duration::from_nanos(sojourn_times(&deep.decided).p50());
     assert!(
         median < unit / 5,
         "a commit under a deep window waited for something: median {median:?}"
