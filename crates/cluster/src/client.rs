@@ -148,9 +148,29 @@ struct PendingTxn {
     deadline: Instant,
 }
 
-/// Stage `txn`'s `Begin` for every participant.
-fn stage_begins<M>(outbox: &mut Outbox<M>, p: &PendingTxn, client: usize, retry: bool) {
+/// Stage the `End`s waiting for node `to` — every one of them, provided at
+/// least `at_least` wait. The one place a client stages an `End`: ahead of
+/// its next `Begin` to that node (`at_least` 0), at a turn's write point
+/// once `max_outstanding` wait, and at exit (0).
+fn stage_ends<M>(outbox: &mut Outbox<M>, ends: &mut [Vec<TxnId>], to: usize, at_least: usize) {
+    if ends[to].len() >= at_least {
+        for txn in ends[to].drain(..) {
+            outbox.stage(to, ToNode::End { txn });
+        }
+    }
+}
+
+/// Stage `txn`'s `Begin` for every participant, each right behind the
+/// `End`s waiting for that node.
+fn stage_begins<M>(
+    outbox: &mut Outbox<M>,
+    ends: &mut [Vec<TxnId>],
+    p: &PendingTxn,
+    client: usize,
+    retry: bool,
+) {
     for &q in &p.parts {
+        stage_ends(outbox, ends, q, 0);
         outbox.stage(
             q,
             ToNode::Begin {
@@ -168,10 +188,13 @@ fn stage_begins<M>(outbox: &mut Outbox<M>, p: &PendingTxn, client: usize, retry:
 /// the whole load stream; abandonment at `txn_deadline` is the last resort
 /// and counts as a stall.
 ///
-/// Egress follows the node loop's rule: `Begin`s, `End`s and retries are
-/// *staged* per destination and leave through one flush per loop turn,
-/// immediately before the client parks on its link — so an
-/// `End` and the next `Begin` to the same node share one socket write.
+/// Egress follows the node loop's rule: `Begin`s and retries are *staged*
+/// per destination and leave through one flush per loop turn, immediately
+/// before the client parks on its link. A finished transaction's `End`s
+/// wait, per participant, for the client's next `Begin` to that node and
+/// are staged right ahead of it, so an `End` never costs a write of its
+/// own. They leave without one only once `max_outstanding` wait for a node
+/// at a turn's write point, and at exit.
 pub(crate) fn client_main<P>(
     client: usize,
     cfg: &ServiceConfig,
@@ -208,9 +231,15 @@ where
         hists: Default::default(),
     };
     let mut outbox: Outbox<P::Msg> = Outbox::new(cfg.n);
+    // Per node, the finished transactions whose `End`s wait there.
+    let mut ends: Vec<Vec<TxnId>> = vec![Vec::new(); cfg.n];
     // A fresh outstanding transaction, its Begins staged: submitted at
     // `t0`, its waits counted from `now`, the reading that let it in.
-    let submit = |t: Transaction, t0: Instant, now: Instant, outbox: &mut Outbox<P::Msg>| {
+    let submit = |t: Transaction,
+                  t0: Instant,
+                  now: Instant,
+                  outbox: &mut Outbox<P::Msg>,
+                  ends: &mut [Vec<TxnId>]| {
         let txn = Arc::new(t);
         let parts = parts_of(&txn, cfg.n);
         let p = PendingTxn {
@@ -224,7 +253,7 @@ where
             next_retry: now + cfg.reply_timeout,
             deadline: now + cfg.txn_deadline,
         };
-        stage_begins(outbox, &p, client, false);
+        stage_begins(outbox, ends, &p, client, false);
         p
     };
     // Parked: retried often enough that the closed loop stops waiting for
@@ -289,7 +318,7 @@ where
                     shed += 1;
                     continue;
                 }
-                let p = submit(t, scheduled, now, &mut outbox);
+                let p = submit(t, scheduled, now, &mut outbox, &mut ends);
                 unparked += usize::from(!parked(&p));
                 outstanding.push(p);
                 submitted += 1;
@@ -306,7 +335,7 @@ where
                 while now >= next_allowed && gate_open(submitted, outstanding.len(), unparked) {
                     let mut t = gen.next_txn();
                     t.id = ServiceConfig::txn_id(client, submitted);
-                    let p = submit(t, now, now, &mut outbox);
+                    let p = submit(t, now, now, &mut outbox, &mut ends);
                     unparked += usize::from(!parked(&p));
                     outstanding.push(p);
                     submitted += 1;
@@ -336,8 +365,14 @@ where
             due = Some(due.map_or(next_allowed, |d| d.min(next_allowed)));
         }
         // The turn's single write point: everything staged since the last
-        // park — the fold-in's Ends, the expiry pass's retried Begins,
-        // this turn's fresh Begins — leaves now, one batch per node.
+        // park — the expiry pass's retried Begins and this turn's fresh
+        // ones, each behind the Ends waiting for its node, and the Ends
+        // of any node `max_outstanding` of them wait for — leaves now,
+        // one batch per node.
+        for to in 0..cfg.n {
+            stage_ends(&mut outbox, &mut ends, to, cfg.max_outstanding);
+        }
+        debug_assert!(ends.iter().all(|e| e.len() < cfg.max_outstanding));
         outbox.flush(|to, batch| link.send_batch(to, batch));
         let due = due.expect("the loop only continues with work pending");
         let t0 = Instant::now();
@@ -366,7 +401,7 @@ where
                 let committed = p.decisions[0] == Some(COMMIT);
                 events.push(event(&p, Some((lat, committed))));
                 for &q in &p.parts {
-                    outbox.stage(q, ToNode::End { txn: p.id });
+                    ends[q].push(p.id);
                 }
                 records.push(ClientRecord {
                     id: p.id,
@@ -398,12 +433,15 @@ where
                 p.retries += 1;
                 unparked -= usize::from(p.retries == cfg.park_retries);
                 p.next_retry = now + cfg.reply_timeout;
-                stage_begins(&mut outbox, p, client, true);
+                stage_begins(&mut outbox, &mut ends, p, client, true);
             }
             i += 1;
         }
     }
-    // The loop breaks right after the fold-in staged the last Ends.
+    // No Begin is left for the last Ends to ride: every one leaves now.
+    for to in 0..cfg.n {
+        stage_ends(&mut outbox, &mut ends, to, 0);
+    }
     outbox.flush(|to, batch| link.send_batch(to, batch));
     // The client's half of the socket path (zero over channels).
     let (writes, write_nanos) = link.io_stats();
@@ -426,7 +464,182 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use ac_commit::protocols::{PaxosCommit, ProtocolKind};
+    use ac_txn::workload::Workload;
+    use crossbeam::channel::{unbounded, Sender};
+
     use super::*;
+    use crate::transport::Transport;
+
+    /// One envelope of a client write, as its node reads it.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Sent {
+        Begin(TxnId),
+        End(TxnId),
+    }
+
+    /// The nodes, played by the transport itself: each batch is recorded
+    /// as one write to its node, and each `Begin` is answered at once with
+    /// that participant's commit `Done` — no node thread, no clock.
+    struct Answering {
+        writes: Sender<(usize, Vec<Sent>)>,
+        replies: Sender<Done>,
+    }
+
+    impl<M: Send> Transport<M> for Answering {
+        fn send(&mut self, to: usize, env: ToNode<M>) {
+            self.send_batch(to, &mut vec![env]);
+        }
+
+        fn send_batch(&mut self, to: usize, batch: &mut Vec<ToNode<M>>) {
+            let write = batch.drain(..).map(|env| match env {
+                ToNode::Begin { txn, .. } => {
+                    let done = Done {
+                        txn: txn.id,
+                        node: to,
+                        decision: COMMIT,
+                    };
+                    self.replies.send(done).expect("the client is parked on it");
+                    Sent::Begin(txn.id)
+                }
+                ToNode::End { txn } => Sent::End(txn),
+                _ => unreachable!("a client sends only Begin and End"),
+            });
+            let write = write.collect();
+            self.writes.send((to, write)).expect("the test holds it");
+        }
+    }
+
+    /// Client 0's writes under `cfg`, in order, against [`Answering`]
+    /// nodes.
+    fn writes_of(cfg: &ServiceConfig) -> Vec<(usize, Vec<Sent>)> {
+        let (writes, written) = unbounded();
+        let (replies, rx) = unbounded();
+        let link = ClientLink::InProcess(Box::new(Answering { writes, replies }), rx);
+        let ret = client_main::<PaxosCommit>(0, cfg, Instant::now(), link);
+        let all = (cfg.txns_per_client, 0, 0);
+        assert_eq!((ret.records.len(), ret.stalled, ret.retries), all);
+        std::iter::from_fn(|| written.try_recv().ok()).collect()
+    }
+
+    /// The rule an `End` travels by, read off the writes alone: (a) a
+    /// write that carries an `End` carries a `Begin` too, unless it is a
+    /// cap flush (at least `max_outstanding` `End`s) or part of the exit
+    /// flush (after the last `Begin`, one write per node); (b) each
+    /// transaction's `End` reaches each of its participants exactly once,
+    /// after every write that drew one of its `Done`s, on the first write
+    /// to that node since then that carries a `Begin` — unless a cap flush
+    /// took it first; (c) no `End` follows a `Begin` in a write. Returns
+    /// the cap flushes seen. (d), the bound on what waits while the client
+    /// parks, is the `debug_assert!` in front of its write point.
+    ///
+    /// (b) reads "since then" as "in a later flush": it holds because the
+    /// nodes answer at once and no window here outruns the replies one
+    /// turn folds in (`CLIENT_BATCH`).
+    fn check_the_end_rule(cfg: &ServiceConfig, writes: &[(usize, Vec<Sent>)]) -> usize {
+        let is_begin = |s: &Sent| matches!(s, Sent::Begin(_));
+        let last_begin = writes.iter().rposition(|(_, w)| w.iter().any(is_begin));
+        let last_begin = last_begin.expect("the client submitted");
+        let (mut cap_flushes, mut exit_flush) = (0, Vec::new());
+        // Per transaction: where its Begins went, and the last write of one.
+        let mut begun: HashMap<TxnId, (Vec<usize>, usize)> = HashMap::new();
+        let mut ended: HashMap<TxnId, Vec<usize>> = HashMap::new();
+        // Per node: the last write to it that carried a Begin.
+        let mut begun_at = vec![0; cfg.n];
+        for (i, (to, write)) in writes.iter().enumerate() {
+            let ends = write.iter().take_while(|s| !is_begin(s)).count();
+            assert!(
+                write[ends..].iter().all(is_begin),
+                "(c) write {i}: {write:?}"
+            );
+            if ends > 0 && ends == write.len() {
+                if i < last_begin {
+                    assert!(ends >= cfg.max_outstanding, "(a) write {i}: {write:?}");
+                    cap_flushes += 1;
+                } else {
+                    assert!(!exit_flush.contains(to), "(a) exit writes node {to} twice");
+                    exit_flush.push(*to);
+                }
+            }
+            for s in write {
+                match *s {
+                    Sent::Begin(id) => {
+                        let (parts, last) = begun.entry(id).or_default();
+                        parts.push(*to);
+                        *last = i;
+                    }
+                    Sent::End(id) => {
+                        let (parts, last) = &begun[&id];
+                        let rode_the_next = begun_at[*to] <= *last;
+                        assert!(parts.contains(to) && *last < i, "(b) End {id} to {to}");
+                        assert!(rode_the_next, "(b) End {id} missed a Begin to {to}");
+                        ended.entry(id).or_default().push(*to);
+                    }
+                }
+            }
+            if ends < write.len() {
+                begun_at[*to] = i;
+            }
+        }
+        assert_eq!(begun.len(), cfg.txns_per_client);
+        for (id, (parts, _)) in &begun {
+            let mut to = ended.remove(id).unwrap_or_default();
+            to.sort_unstable();
+            assert_eq!(&to, parts, "(b) the Ends of {id}");
+        }
+        cap_flushes
+    }
+
+    fn cluster(span: usize) -> ServiceConfig {
+        ServiceConfig::new(4, 1, ProtocolKind::PaxosCommit)
+            .clients(1)
+            .txns_per_client(300)
+            .workload(Workload::Uniform { span })
+            .keys_per_shard(1 << 20)
+    }
+
+    #[test]
+    fn no_end_travels_alone_but_in_a_cap_or_the_exit_flush() {
+        let light = cluster(2);
+        check_the_end_rule(&light, &writes_of(&light));
+        let windowed = light.park_retries(0).max_outstanding(32);
+        check_the_end_rule(&windowed, &writes_of(&windowed));
+        // One transaction in flight leaves at most one `End` waiting per
+        // node, and a window of 32 rarely leaves 32: a window of 2 makes
+        // the cap flushes happen.
+        let capped = windowed.max_outstanding(2);
+        assert!(check_the_end_rule(&capped, &writes_of(&capped)) > 0);
+    }
+
+    /// With every node a participant of every transaction, each write is
+    /// what the client staged before `End`s waited: the `End` of the
+    /// transaction the last turn finished, then the next `Begin` — and
+    /// the last `End` at exit.
+    #[test]
+    fn spanning_every_node_changes_no_write() {
+        let cfg = cluster(4);
+        let writes = writes_of(&cfg);
+        assert_eq!(check_the_end_rule(&cfg, &writes), 0);
+        let id = |i| ServiceConfig::txn_id(0, i);
+        let total = cfg.txns_per_client;
+        for q in 0..cfg.n {
+            let to_q: Vec<&Vec<Sent>> = writes
+                .iter()
+                .filter(|(to, _)| *to == q)
+                .map(|(_, w)| w)
+                .collect();
+            let mut staged: Vec<Vec<Sent>> = (0..total)
+                .map(|i| match i {
+                    0 => vec![Sent::Begin(id(0))],
+                    _ => vec![Sent::End(id(i - 1)), Sent::Begin(id(i))],
+                })
+                .collect();
+            staged.push(vec![Sent::End(id(total - 1))]);
+            assert_eq!(to_q, staged.iter().collect::<Vec<_>>(), "node {q}");
+        }
+    }
 
     #[test]
     fn a_record_reads_as_stalled_or_split_or_decided() {

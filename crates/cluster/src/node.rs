@@ -26,7 +26,9 @@
 //!      │       └── WAL recovery (decided before the crash)
 //!      ▼
 //!   End removes the entry from any phase (the decision still queued in the
-//!   same drained batch is applied first).
+//!   same drained batch is applied first). It may arrive any number of
+//!   turns after the decision: it rides the client's next `Begin` to this
+//!   node, so a decided instance stays open, its timers armed, until then.
 //! ```
 //!
 //! | input     | Early        | Open             | Voteless  | Deferred  | Decided   |
@@ -1827,8 +1829,8 @@ mod tests {
         assert_eq!(total, 0, "idle nodes woke without work to do");
     }
 
-    /// Every staged `End` leaves the client — including the ones the last
-    /// loop turn stages right before the loop breaks — so a windowed run
+    /// Every `End` leaves the client — including the ones still waiting
+    /// for a `Begin` to ride when the loop breaks — so a windowed run
     /// leaves no instance open at any node. (Over channels the clients'
     /// final flush is FIFO-ahead of the `Shutdown` sent after they return,
     /// so the check is exact.)

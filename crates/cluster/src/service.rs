@@ -26,8 +26,9 @@
 //!    to its shard (install writes + release locks on commit, release on
 //!    abort), logs it, and reports `Done` to the submitting client.
 //! 4. The client records the transaction once, submit → all `k`
-//!    decisions ([`ServiceOutcome::decided`]), then broadcasts `End` so
-//!    participants can garbage-collect the instance.
+//!    decisions ([`ServiceOutcome::decided`]), then owes each participant
+//!    an `End` so it can garbage-collect the instance; the `End` rides the
+//!    client's next `Begin` to that participant.
 //!
 //! Envelopes for instances a node has not opened yet are buffered in the
 //! transaction's table entry (phase *early*: a peer's vote can outrun the
@@ -655,7 +656,11 @@ pub enum ToNode<M> {
         value: u64,
     },
     /// The submitting client saw every participant decision; the
-    /// instance can be garbage-collected.
+    /// instance can be garbage-collected. It does not leave when the last
+    /// `Done` arrives: it waits at the client and rides, right ahead of
+    /// it, the client's next `Begin` to this node. It leaves without one
+    /// only when [`ServiceConfig::max_outstanding`] `End`s wait for the
+    /// node at a client's write point, and at the client's exit.
     End {
         /// The finished transaction.
         txn: TxnId,

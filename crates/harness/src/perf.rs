@@ -23,7 +23,7 @@ use serde::Serialize;
 use crate::cell::{run_cell, Host};
 use crate::experiments::{baseline, SERVICE_GRID, SERVICE_UNIT};
 use crate::report::{table5_protocol_names, BenchBaseline, Report, Table};
-use ac_cluster::{FaultSpec, ServiceConfig};
+use ac_cluster::{FaultSpec, ServiceConfig, TransportKind};
 use ac_commit::protocols::ProtocolKind;
 
 /// Maximum tolerated drop in commit rate (percentage points) before the
@@ -117,7 +117,8 @@ pub fn live_gates(quick: bool) -> Vec<PerfCheck> {
     // transactions.
     let (n, f) = SERVICE_GRID;
     // Both gates: two closed-loop clients, uniform two-shard transactions,
-    // each one cell on the channel host.
+    // each one cell on the channel host (the message-speed gate's last row
+    // excepted).
     let two_clients = |kind, txns| {
         ServiceConfig::new(n, f, kind)
             .clients(2)
@@ -191,6 +192,26 @@ pub fn live_gates(quick: bool) -> Vec<PerfCheck> {
             p50_micros < unit_micros,
         ));
     }
+
+    // The same gate, one row, on `acbench`'s `paxos_tcp` light cell. A
+    // decided instance stays open until the client's next `Begin` to its
+    // node carries its `End`, so an `End` held too long shows as a round
+    // timer firing on a decided instance. 2 × 1 000 transactions outlast
+    // PaxosCommit's first round timer (8·U) several times over.
+    let service = two_clients(ProtocolKind::PaxosCommit, 1000)
+        .keys_per_shard(1 << 20)
+        .transport(TransportKind::Tcp);
+    let cell = run_cell(Host::Tcp, &service, &FaultSpec::none(n))
+        .expect("an in-process host serves any configuration");
+    let fires_pct = 100.0 * cell.timer_fires as f64 / cell.txns().max(1) as f64;
+    let p50_micros = cell.sojourn.p50() as f64 / 1e3;
+    let clean = cell.audit_findings == 0 && cell.stats.stalled == 0;
+    checks.push(PerfCheck::exact(
+        "PaxosCommit over tcp closed-loop timer fires per 100 txns (must be ≤ 1, p50 < U)".into(),
+        1.0,
+        fires_pct,
+        clean && fires_pct <= 1.0 && p50_micros < unit_micros,
+    ));
     checks
 }
 
@@ -498,6 +519,9 @@ mod tests {
             .filter(|c| !c.ok && !live_gate(c))
             .collect();
         assert!(failed.is_empty(), "{failed:?}\n{}", report.render());
-        assert_eq!(comparison.checks.iter().filter(live_gate).count(), 2 + 8);
+        assert_eq!(
+            comparison.checks.iter().filter(live_gate).count(),
+            2 + 8 + 1
+        );
     }
 }
