@@ -12,13 +12,21 @@
 //! Neither requires termination when a failure occurs; both preserve
 //! agreement and validity in every execution, because any decision equals
 //! the AND of all `n` votes.
+//!
+//! Both act on arrival and arm no timer. The paper's process acts at the
+//! end of a delay iff the messages it waits for have arrived; in a nice
+//! execution every one of them arrives by then, so acting on the last
+//! arrival is the paper's decision at the same instant. Off the unit grid
+//! a late message still triggers a decision, and that is safe: the (AV,
+//! AV) cell promises no termination to take back, and whatever is decided
+//! is still the AND of all `n` votes. [`AvNbacDelayOpt`] decides on its
+//! `n`-th vote; [`AvNbacMsgOpt`]'s hub broadcasts `B` and decides on its
+//! `n`-th vote, and every other process decides when `B` arrives.
 
-use ac_sim::{Automaton, Ctx, ProcessId, Time};
+use ac_sim::{Automaton, Ctx, ProcessId};
 
-use super::{etime, PerRank};
+use super::PerRank;
 use crate::problem::{decision_value, validate_params, CommitProtocol, Vote};
-
-const TAG: u32 = 1;
 
 /// avNBAC's message alphabet.
 #[derive(Clone, Debug)]
@@ -29,8 +37,8 @@ pub enum AvMsg {
     B(bool),
 }
 
-/// Delay-optimal avNBAC (§4.1): decide after one message delay iff all
-/// votes arrived.
+/// Delay-optimal avNBAC (§4.1): decide on the last of the `n` votes, one
+/// message delay in a nice execution.
 #[derive(Debug)]
 pub struct AvNbacDelayOpt {
     votes: bool,
@@ -53,23 +61,21 @@ impl Automaton for AvNbacDelayOpt {
 
     fn on_start(&mut self, ctx: &mut Ctx<AvMsg>) {
         ctx.broadcast_others(AvMsg::V(self.votes));
-        ctx.set_timer(Time::units(1), TAG);
     }
 
-    fn on_message(&mut self, from: ProcessId, msg: AvMsg, _ctx: &mut Ctx<AvMsg>) {
+    fn on_message(&mut self, from: ProcessId, msg: AvMsg, ctx: &mut Ctx<AvMsg>) {
         if let AvMsg::V(v) = msg {
             self.votes &= v;
             self.got[from] = true;
+            // Without every vote, never decide (no termination is
+            // promised on failure).
+            if self.got.iter().all(|&g| g) {
+                ctx.decide(decision_value(self.votes));
+            }
         }
     }
 
-    fn on_timer(&mut self, _tag: u32, ctx: &mut Ctx<AvMsg>) {
-        // Decide iff every vote arrived within the synchrony bound;
-        // otherwise never decide (no termination is promised on failure).
-        if self.got.iter().all(|&g| g) {
-            ctx.decide(decision_value(self.votes));
-        }
-    }
+    fn on_timer(&mut self, _tag: u32, _ctx: &mut Ctx<AvMsg>) {}
 }
 
 /// Message-optimal avNBAC (Appendix E.5): star topology through `Pn`.
@@ -78,7 +84,6 @@ pub struct AvNbacMsgOpt {
     me: ProcessId,
     n: usize,
     votes: bool,
-    received_b: bool,
     got: PerRank<bool>,
 }
 
@@ -99,7 +104,6 @@ impl CommitProtocol for AvNbacMsgOpt {
             me,
             n,
             votes: vote,
-            received_b: false,
             got,
         }
     }
@@ -109,46 +113,50 @@ impl Automaton for AvNbacMsgOpt {
     type Msg = AvMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<AvMsg>) {
-        if self.is_hub() {
-            ctx.set_timer(etime(2), TAG);
-        } else {
+        if !self.is_hub() {
             ctx.send(self.n - 1, AvMsg::V(self.votes));
-            ctx.set_timer(etime(3), TAG);
         }
     }
 
-    fn on_message(&mut self, from: ProcessId, msg: AvMsg, _ctx: &mut Ctx<AvMsg>) {
+    fn on_message(&mut self, from: ProcessId, msg: AvMsg, ctx: &mut Ctx<AvMsg>) {
         match msg {
             AvMsg::V(v) => {
                 self.votes &= v;
                 self.got[from] = true;
+                if self.got.iter().all(|&g| g) {
+                    ctx.broadcast_others(AvMsg::B(self.votes));
+                    ctx.decide(decision_value(self.votes));
+                }
             }
-            AvMsg::B(v) => {
-                self.received_b = true;
-                self.votes = v;
-            }
+            AvMsg::B(v) => ctx.decide(decision_value(v)),
         }
     }
 
-    fn on_timer(&mut self, _tag: u32, ctx: &mut Ctx<AvMsg>) {
-        if self.is_hub() {
-            if self.got.iter().all(|&g| g) {
-                ctx.broadcast_others(AvMsg::B(self.votes));
-                ctx.decide(decision_value(self.votes));
-            }
-        } else if self.received_b {
-            ctx.decide(decision_value(self.votes));
-        }
-    }
+    fn on_timer(&mut self, _tag: u32, _ctx: &mut Ctx<AvMsg>) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checker::check;
+    use crate::protocols::message_speed::Run;
     use crate::protocols::ProtocolKind;
     use crate::runner::{nice_complexity, Scenario};
     use ac_net::Crash;
+
+    #[test]
+    fn both_decide_at_message_speed_with_no_timer() {
+        let n = 5;
+        for votes in [vec![true; n], vec![true, true, false, true, true]] {
+            let want = u64::from(votes.iter().all(|&v| v));
+            let delay = Run::<AvNbacDelayOpt>::start(&votes, 1);
+            assert!(delay.all_decided(want), "{votes:?}");
+            assert_eq!(delay.wire, n * n - n);
+            let msg = Run::<AvNbacMsgOpt>::start(&votes, 1);
+            assert!(msg.all_decided(want), "{votes:?}");
+            assert_eq!(msg.wire, 2 * n - 2);
+        }
+    }
 
     #[test]
     fn delay_opt_is_one_delay_n2_messages() {

@@ -13,7 +13,10 @@
 //! the acknowledgements) is a failure detector: the round's one closing
 //! function runs from `on_message` the moment the collection is
 //! complete, and from the timer only if the round is still open, so a
-//! nice execution costs message hand-offs, not timer periods. A timer
+//! nice execution costs message hand-offs, not timer periods. The two
+//! avNBAC variants keep no timer at all: their collections (all `n`
+//! votes; the hub's votes, then its `B`) close on arrival, and the (AV,
+//! AV) cell promises no termination for a timer to deliver. A timer
 //! whose trigger is **silence** (0NBAC's "heard nothing", the chain and
 //! star protocols' noop windows and time slots, INBAC's `2·U` help
 //! serving, every watchdog and consensus timer) stays clock-driven,

@@ -156,35 +156,26 @@ fn emit(json: bool, reports: &[Report], artifact: Option<(&Path, String, String)
 /// where every microsecond of the worst commits went, one line per
 /// lifecycle step, in the same format the simulator's protocol traces
 /// print.
-fn render_entry(e: &serde_json::Value) {
-    let empty = Vec::new();
-    let slowest = e["slowest"].as_array().unwrap_or(&empty);
+fn render_entry(e: &AttributionEntry) {
     println!(
         "## {} over {} — slowest {} of {} txns \
          (coverage {:.0}%, e2e p50 {:.2} ms)",
-        e["protocol"].as_str().unwrap_or("?"),
-        e["transport"].as_str().unwrap_or("?"),
-        slowest.len(),
-        e["txns"].as_u64().unwrap_or(0),
-        e["coverage_pct"].as_f64().unwrap_or(0.0),
-        e["e2e_p50_micros"].as_f64().unwrap_or(0.0) / 1e3,
+        e.protocol,
+        e.transport,
+        e.slowest.len(),
+        e.txns,
+        e.coverage_pct,
+        e.e2e_p50_micros / 1e3,
     );
-    for s in slowest {
-        println!(
-            "\ntxn {:#x}: {:.2} ms end-to-end",
-            s["txn"].as_u64().unwrap_or(0),
-            s["e2e_micros"].as_f64().unwrap_or(0.0) / 1e3,
-        );
-        let rows: Vec<ac_sim::TimelineRow> = s["steps"]
-            .as_array()
-            .unwrap_or(&empty)
+    for s in &e.slowest {
+        let ms = s.e2e_micros / 1e3;
+        println!("\ntxn {:#x}: {ms:.2} ms end-to-end", s.txn);
+        let rows: Vec<ac_sim::TimelineRow> = s
+            .steps
             .iter()
             .map(|step| {
-                ac_sim::TimelineRow::new(
-                    format!("{:.2}ms", step["at_micros"].as_f64().unwrap_or(0.0) / 1e3),
-                    step["actor"].as_str().unwrap_or("?"),
-                    step["label"].as_str().unwrap_or("?"),
-                )
+                let at = format!("{:.2}ms", step.at_micros / 1e3);
+                ac_sim::TimelineRow::new(at, &step.actor, &step.label)
             })
             .collect();
         print!("{}", ac_sim::render_timeline(&rows));
@@ -197,12 +188,8 @@ fn render_entry(e: &serde_json::Value) {
 /// (written by `ac-client --obs-out` / `repro proc`) — the one entry
 /// `repro proc` would embed, recomputed from the per-process exports the
 /// dump carries, after a per-node clock-alignment summary.
-fn trace_entries(path: &str) -> Vec<serde_json::Value> {
+fn trace_entries(path: &str) -> Vec<AttributionEntry> {
     let bytes = std::fs::read(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
-    let parse = |text: &str| -> serde_json::Value {
-        serde_json::from_str(text)
-            .unwrap_or_else(|e| fail(format!("{path}: not valid JSON: {e:?}")))
-    };
     if bytes.starts_with(&ac_obs::DUMP_MAGIC) {
         let dump = ac_obs::ClusterDump::from_bytes(&bytes)
             .unwrap_or_else(|e| fail(format!("{path}: not a valid cluster dump: {e:?}")));
@@ -221,19 +208,24 @@ fn trace_entries(path: &str) -> Vec<serde_json::Value> {
                 al.samples,
             );
         }
-        let entry = AttributionEntry::new(&dump.protocol, "proc", &Cell::of_dump(&dump));
-        let entry = serde_json::to_string(&entry).expect("an entry serializes");
-        return vec![parse(&entry)];
+        let cell = Cell::of_dump(&dump);
+        return vec![AttributionEntry::new(&dump.protocol, "proc", &cell)];
     }
-    let text = String::from_utf8(bytes).unwrap_or_else(|e| {
-        fail(format!(
-            "{path}: neither a cluster dump nor UTF-8 JSON: {e}"
-        ))
-    });
-    parse(&text)["attribution"]["entries"]
-        .as_array()
-        .cloned()
-        .unwrap_or_default()
+    read_baseline(path)
+        .attribution
+        .map_or_else(Vec::new, |a| a.entries)
+}
+
+/// Exit 1, naming every problem of the file at `path`.
+fn refuse(path: &str, problems: Vec<String>) -> ! {
+    let lines: Vec<String> = problems.iter().map(|p| format!("{path}: {p}")).collect();
+    fail(lines.join("\n"))
+}
+
+/// The baseline in the file at `path`; a file that does not read back as
+/// one is refused with every problem it has.
+fn read_baseline(path: &str) -> BenchBaseline {
+    BenchBaseline::from_json(&read_text(Path::new(path))).unwrap_or_else(|p| refuse(path, p))
 }
 
 fn main() {
@@ -325,18 +317,12 @@ fn main() {
                 eprintln!("bench-check requires the path of a baseline file");
                 usage_exit();
             };
-            match BenchBaseline::validate_json(&read_text(Path::new(file))) {
-                Ok(sections) => println!(
-                    "{file}: valid bench baseline (all seven Table-5 protocols present, \
-                     clean explorer; live sections: {sections:?})"
-                ),
-                Err(problems) => {
-                    for p in problems {
-                        eprintln!("{file}: {p}");
-                    }
-                    std::process::exit(1);
-                }
-            }
+            let sections = read_baseline(file).validate();
+            let sections = sections.unwrap_or_else(|p| refuse(file, p));
+            println!(
+                "{file}: valid bench baseline (all seven Table-5 protocols present, \
+                 clean explorer; live sections: {sections:?})"
+            );
         }
         // `trace [<path>]`: render embedded (or recomputed) timelines.
         "trace" => {
@@ -373,10 +359,8 @@ fn main() {
             let (report, mut baseline) = experiments::baseline(id, quick, jobs, host)
                 .unwrap_or_else(|e| fail(format!("{id} sweep failed: {e}")));
             if let Some(before) = before {
-                let parsed = serde_json::from_str(&read_text(&before)).unwrap_or_else(|e| {
-                    fail(format!("cannot use --before {}: {e:?}", before.display()))
-                });
                 let label = before.display().to_string();
+                let parsed = read_baseline(&label);
                 baseline.pair = Some(BeforeAfter::between(&label, &parsed, &baseline));
             }
             let out = out.unwrap_or_else(|| PathBuf::from("BENCH_baseline.json"));

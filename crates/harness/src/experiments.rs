@@ -17,7 +17,7 @@ use ac_txn::Workload;
 
 use crate::cell::{run_cell, Host};
 use crate::report::{
-    telescopes, AttributionBaseline, BenchBaseline, ChaosBaseline, ChaosEntry, ExplorerBaseline,
+    AttributionBaseline, BenchBaseline, ChaosBaseline, ChaosEntry, ExplorerBaseline,
     ProtocolBaseline, Report, SaturationBaseline, ServiceBaseline, Table, SCHEMA_VERSION,
 };
 
@@ -894,7 +894,7 @@ pub fn service_section(r: &mut Report, quick: bool, host: Host) -> Result<Servic
                     .transport(host.transport());
                 let cell = run_cell(host, &cfg, &FaultSpec::none(n))?;
                 let e = ServiceEntry::new(kind.name(), wname, clients, &cell);
-                let verdict = r.compare(e.safety_violations == 0 && e.stalled == 0);
+                let verdict = r.compare(e.problems().is_empty());
                 let ms = |us: f64| format!("{:.2}", us / 1e3);
                 t.row(vec![
                     e.protocol.clone(),
@@ -1017,7 +1017,8 @@ pub fn attribution_section(
                     .iter()
                     .find(|e| e.protocol == entry.protocol && e.transport == "channel")
                     .is_some_and(|channel| dominant_agrees(&entry.stages, &channel.stages));
-            let ok = cell.audit_findings == 0 && cell.stats.stalled == 0 && telescopes(a) && agrees;
+            let clean = cell.audit_findings == 0 && cell.stats.stalled == 0;
+            let ok = clean && agrees && entry.problems().is_empty();
             let verdict = r.compare(ok).to_string();
             let mut row = vec![
                 kind.name().into(),
@@ -1130,7 +1131,7 @@ fn chaos_plan(scenario: &str, n: usize) -> ac_chaos::ChaosPlan {
 /// f-tolerant protocols keep committing through a single crash, and 2PC
 /// blocks under a crashed coordinator.
 fn chaos_row_passes(kind: ProtocolKind, e: &ChaosEntry) -> bool {
-    let clean = e.safety_violations == 0 && e.stalled == 0;
+    let clean = e.problems().is_empty();
     let recovered = e.scenario == "lossy-10"
         || (kind.logless() && e.blocked == 0)
         || e.committed_after_heal > 0;
@@ -1357,35 +1358,36 @@ pub fn saturation_section(
                 .arrival_rate(rate)
                 .max_outstanding(SATURATION_MAX_OUTSTANDING)
                 .transport(host.transport());
-            let cell = run_cell(host, &cfg, &faults)?;
-            let ms = |v: u64| v as f64 / 1e6;
-            let forces_per_txn = cell.per_txn(cell.wal_forces as f64);
-            // Gates: a clean audit and a reconstructed timeline.
-            let ok = cell.audit_findings == 0 && cell.attribution.covered > 0;
+            run.push((rate, run_cell(host, &cfg, &faults)?));
+        }
+        let curve = SaturationCurve::new(kind.name(), host.name(), n, clients, &run);
+        for ((mult, (_, cell)), step) in mults.iter().zip(&run).zip(&curve.steps) {
+            // Gates: the step's rules and a reconstructed timeline.
+            let ok = cell.attribution.covered > 0 && step.problems().is_empty();
             let verdict = r.compare(ok).to_string();
+            let ms = |us: f64| format!("{:.2}", us / 1e3);
+            let served = (step.committed + step.aborted).max(1);
             t.row(vec![
                 kind.name().into(),
                 n.to_string(),
                 clients.to_string(),
                 format!("x{mult}"),
-                format!("{:.0}", rate * clients as f64),
-                format!("{:.0}", cell.goodput_tps),
-                format!("{:.0}%", 100.0 * cell.per_txn(cell.stats.committed as f64)),
-                cell.stats.shed.to_string(),
-                format!("{:.2}", ms(cell.sojourn.p50())),
-                format!("{:.2}", ms(cell.sojourn.p99())),
-                format!("{:.2}", ms(cell.sojourn.p999())),
-                format!("{forces_per_txn:.2}"),
-                format!("{:.1}", cell.per_txn(cell.wire_messages as f64)),
+                format!("{:.0}", step.offered_tps),
+                format!("{:.0}", step.goodput_tps),
+                format!("{:.0}%", 100.0 * step.committed as f64 / served as f64),
+                step.shed.to_string(),
+                ms(step.p50_sojourn_micros),
+                ms(step.p99_sojourn_micros),
+                ms(step.p999_sojourn_micros),
+                format!("{:.2}", step.forces_per_txn),
+                format!("{:.1}", step.wire_per_txn),
                 verdict,
             ]);
-            run.push((rate, cell));
         }
-        let curve = SaturationCurve::new(kind.name(), host.name(), n, clients, &run);
         let knee = &curve.knee;
-        // The knee itself is gated: attribution at the knee must still
-        // telescope (its run was audited clean above).
-        let verdict = r.compare(telescopes(&run[knee.step].1.attribution));
+        // The knee row gates the curve: its steps, and a knee whose stage
+        // shares telescope.
+        let verdict = r.compare(curve.problems().is_empty());
         kt.row(vec![
             kind.name().into(),
             n.to_string(),
@@ -1592,7 +1594,9 @@ mod tests {
             blocked: 2,
             ..FaultStats::measure(&[], zero, zero, zero, 1)
         };
-        let clean = Cell::default();
+        // A cell that served transactions: a row of none fails its rules.
+        let mut clean = Cell::default();
+        clean.stats.committed = 8;
         let split = Cell {
             split: 1,
             audit_findings: 1,

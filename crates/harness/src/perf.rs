@@ -22,7 +22,7 @@ use serde::Serialize;
 
 use crate::cell::{run_cell, Host};
 use crate::experiments::{baseline, SERVICE_GRID, SERVICE_UNIT};
-use crate::report::{table5_protocol_names, BenchBaseline, Report, Table};
+use crate::report::{table5_protocol_names, BenchBaseline, Report, ServiceEntry, Table};
 use ac_cluster::{FaultSpec, ServiceConfig, TransportKind};
 use ac_commit::protocols::ProtocolKind;
 
@@ -224,88 +224,71 @@ pub fn diff(
     fresh: &BenchBaseline,
     live: Vec<PerfCheck>,
 ) -> Result<(Report, PerfComparison), String> {
-    let against: serde_json::Value = serde_json::from_str(against_text)
-        .map_err(|e| format!("--against file is not valid JSON: {e:?}"))?;
-    let service = fresh
-        .service
-        .as_ref()
-        .ok_or("the fresh side carries no service section")?;
-    let mut checks: Vec<PerfCheck> = Vec::new();
+    let no_service = "the fresh side carries no service section";
+    let service = fresh.service.as_ref().ok_or(no_service)?;
 
     // --- The committed baseline itself: one rule set, the validator's.
-    // The chaos, attribution and saturation numbers are not re-measured
-    // here (`repro saturate` owns that), but a baseline whose faulted
-    // runs were not clean, whose stage shares do not telescope or whose
-    // goodput exceeds its offered load must never pass the gate — nor one
-    // that dropped a live section. ---
-    let problems = match BenchBaseline::validate_json(against_text) {
-        Err(problems) => problems,
-        Ok(found) => BenchBaseline::SECTIONS
-            .iter()
+    // A file that does not read back as a baseline fails the gate with
+    // its problems, and nothing is diffed. The chaos, attribution and
+    // saturation numbers are not re-measured here (`repro saturate` owns
+    // that), but a baseline whose faulted runs were not clean, whose stage
+    // shares do not telescope or whose goodput exceeds its offered load
+    // must never pass the gate — nor one that dropped a live section. ---
+    let against = BenchBaseline::from_json(against_text);
+    let problems = match against.as_ref().map(BenchBaseline::validate) {
+        Err(problems) => problems.clone(),
+        Ok(Err(problems)) => problems,
+        Ok(Ok(found)) => (BenchBaseline::SECTIONS.iter())
             .filter(|s| !found.contains(s))
             .map(|s| format!("a committed baseline must carry the {s} section"))
             .collect(),
     };
-    for problem in problems {
-        let key = format!("committed baseline: {problem}");
-        checks.push(PerfCheck::exact(key, 0.0, 1.0, false));
-    }
+    let committed = |p| PerfCheck::exact(format!("committed baseline: {p}"), 0.0, 1.0, false);
+    let mut checks: Vec<PerfCheck> = problems.into_iter().map(committed).collect();
+    let Ok(against) = against else {
+        checks.extend(live);
+        return Ok(render(checks));
+    };
     // Not a validator rule — a `--quick` file legitimately carries one
     // curve — but the committed (full) baseline must cover all seven
     // Table-5 protocols on the channel transport.
-    let empty = Vec::new();
-    let curves = against["saturation"]["curves"].as_array().unwrap_or(&empty);
     for protocol in table5_protocol_names() {
-        let covered = curves.iter().any(|c| {
-            c["protocol"].as_str() == Some(protocol) && c["transport"].as_str() == Some("channel")
-        });
+        let mut curves = against.saturation.iter().flat_map(|s| &s.curves);
+        let covered = curves.any(|c| c.protocol == protocol && c.transport == "channel");
         let key = format!("saturation covers {protocol} on channel (committed)");
         checks.push(PerfCheck::exact(key, 1.0, f64::from(covered), covered));
     }
 
     // --- Counter-exact: simulator complexity per Table-5 protocol. ---
-    let against_protocols = against["protocols"].as_array().unwrap_or(&empty);
     for p in &fresh.protocols {
-        let base = against_protocols
-            .iter()
-            .find(|b| b["protocol"].as_str() == Some(p.protocol.as_str()));
-        let Some(base) = base else {
+        let Some(base) = against.protocols.iter().find(|b| b.protocol == p.protocol) else {
             continue; // protocol added since the baseline: nothing to diff
         };
-        for (metric, cur) in [("delays", p.delays), ("messages", p.messages)] {
-            if let Some(b) = base[metric].as_f64() {
-                let key = format!("{} nice-execution {metric}", p.protocol);
-                checks.push(PerfCheck::exact(key, b, cur as f64, cur as f64 == b));
-            }
+        for (metric, b, cur) in [
+            ("delays", base.delays, p.delays),
+            ("messages", base.messages, p.messages),
+        ] {
+            let key = format!("{} nice-execution {metric}", p.protocol);
+            checks.push(PerfCheck::exact(key, b as f64, cur as f64, cur == b));
         }
-        if let Some(b) = base["nice_run_micros"].as_f64() {
-            let key = format!("{} µs/run", p.protocol);
-            checks.push(PerfCheck::warn(key, b, p.nice_run_micros));
-        }
+        let (key, b) = (format!("{} µs/run", p.protocol), base.nice_run_micros);
+        checks.push(PerfCheck::warn(key, b, p.nice_run_micros));
     }
 
     // --- Counter-exact: explorer soundness and space size. ---
-    let (explorer, base) = (&fresh.explorer, &against["explorer"]);
-    checks.push(PerfCheck::exact(
-        "explorer counterexamples".into(),
-        base["counterexamples"].as_f64().unwrap_or(0.0),
-        explorer.counterexamples as f64,
-        explorer.counterexamples == 0,
-    ));
-    if let Some(b) = base["executions"].as_f64() {
-        let (key, cur) = ("explorer executions", explorer.executions as f64);
-        checks.push(PerfCheck::exact(key.into(), b, cur, cur == b));
-    }
-    checks.push(PerfCheck::warn(
-        "explorer sequential ms".into(),
-        base["sequential_millis"].as_f64().unwrap_or(0.0),
-        explorer.sequential_millis,
-    ));
+    let (e, b) = (&fresh.explorer, &against.explorer);
+    let (bc, cc) = (b.counterexamples as f64, e.counterexamples as f64);
+    let (bx, cx) = (b.executions as f64, e.executions as f64);
+    let (bs, cs) = (b.sequential_millis, e.sequential_millis);
+    checks.extend([
+        PerfCheck::exact("explorer counterexamples".into(), bc, cc, cc == 0.0),
+        PerfCheck::exact("explorer executions".into(), bx, cx, cx == bx),
+        PerfCheck::warn("explorer sequential ms".into(), bs, cs),
+    ]);
 
     checks.extend(live);
 
     // --- Service entries: match on (protocol, workload, clients). ---
-    let against_entries = against["service"]["entries"].as_array().unwrap_or(&empty);
     for e in &service.entries {
         let label = format!("{}/{}/c{}", e.protocol, e.workload, e.clients);
         // Unconditional counter gates: the fresh run must be clean.
@@ -316,51 +299,38 @@ pub fn diff(
             let key = format!("{label} {what}");
             checks.push(PerfCheck::exact(key, 0.0, count as f64, count == 0));
         }
-        let base = against_entries.iter().find(|b| {
-            b["protocol"].as_str() == Some(e.protocol.as_str())
-                && b["workload"].as_str() == Some(e.workload.as_str())
-                && b["clients"].as_u64() == Some(e.clients as u64)
-        });
-        let Some(base) = base else {
+        let mut bases = against.service.iter().flat_map(|s| &s.entries);
+        let Some(base) = bases.find(|b| b.key() == e.key()) else {
             continue; // concurrency level not in the baseline (quick vs full)
         };
         // Commit rate: counter-backed, gated with a noise tolerance.
-        let cur_rate = 100.0 * e.committed as f64 / (e.txns.max(1)) as f64;
-        if let (Some(bc), Some(bt)) = (base["committed"].as_f64(), base["txns"].as_f64()) {
-            let base_rate = 100.0 * bc / bt.max(1.0);
-            checks.push(PerfCheck::exact(
-                format!("{label} commit rate (±{COMMIT_RATE_TOLERANCE_PP}pp)"),
-                base_rate,
-                cur_rate,
-                cur_rate >= base_rate - COMMIT_RATE_TOLERANCE_PP,
-            ));
-        }
+        let rate = |e: &ServiceEntry| 100.0 * e.committed as f64 / e.txns.max(1) as f64;
+        let (br, cr) = (rate(base), rate(e));
+        let rate_key = format!("{label} commit rate (±{COMMIT_RATE_TOLERANCE_PP}pp)");
         // Wire cost per transaction: counter-backed, bounded growth.
-        if let Some(bw) = base["wire_per_txn"].as_f64() {
-            checks.push(PerfCheck::exact(
-                format!("{label} wire msgs/txn (≤{WIRE_PER_TXN_TOLERANCE}x)"),
-                bw,
-                e.wire_per_txn,
-                e.wire_per_txn <= bw * WIRE_PER_TXN_TOLERANCE,
-            ));
-        }
+        let (bw, cw) = (base.wire_per_txn, e.wire_per_txn);
+        let wire_key = format!("{label} wire msgs/txn (≤{WIRE_PER_TXN_TOLERANCE}x)");
+        checks.extend([
+            PerfCheck::exact(rate_key, br, cr, cr >= br - COMMIT_RATE_TOLERANCE_PP),
+            PerfCheck::exact(wire_key, bw, cw, cw <= bw * WIRE_PER_TXN_TOLERANCE),
+        ]);
         // Wall-clock drift: informational.
-        for (metric, cur, field) in [
-            ("throughput t/s", e.throughput_tps, "throughput_tps"),
-            ("p50 µs", e.p50_micros, "p50_micros"),
-            ("p99 µs", e.p99_micros, "p99_micros"),
-            ("p99.9 µs", e.p999_micros, "p999_micros"),
+        for (metric, b, cur) in [
+            ("throughput t/s", base.throughput_tps, e.throughput_tps),
+            ("p50 µs", base.p50_micros, e.p50_micros),
+            ("p99 µs", base.p99_micros, e.p99_micros),
+            ("p99.9 µs", base.p999_micros, e.p999_micros),
         ] {
-            if let Some(b) = base[field].as_f64() {
-                checks.push(PerfCheck::warn(format!("{label} {metric}"), b, cur));
-            }
+            checks.push(PerfCheck::warn(format!("{label} {metric}"), b, cur));
         }
     }
+    Ok(render(checks))
+}
 
+/// The report and the comparison of `checks`.
+fn render(checks: Vec<PerfCheck>) -> (Report, PerfComparison) {
+    let exact = checks.iter().filter(|c| c.gate == "exact").count();
     let failed = checks.iter().filter(|c| !c.ok).count();
-    let comparison = PerfComparison { checks, failed };
-
-    // Render the report.
     let mut r = Report::new("perf");
     let mut gate = Table::new(
         "Counter-exact gates (a regression fails the run)",
@@ -370,7 +340,7 @@ pub fn diff(
         "Wall-clock drift (informational; refresh the committed baseline to move the trajectory)",
         &["metric", "baseline", "current", "ratio"],
     );
-    for c in &comparison.checks {
+    for c in &checks {
         let (table, verdict) = if c.gate == "exact" {
             (&mut gate, r.compare(c.ok).to_string())
         } else if c.against > 0.0 {
@@ -378,26 +348,16 @@ pub fn diff(
         } else {
             (&mut drift, "-".into())
         };
-        table.row(vec![
-            c.key.clone(),
-            format!("{:.2}", c.against),
-            format!("{:.2}", c.current),
-            verdict,
-        ]);
+        let (against, current) = (format!("{:.2}", c.against), format!("{:.2}", c.current));
+        table.row(vec![c.key.clone(), against, current, verdict]);
     }
     r.table(gate);
     r.table(drift);
     r.note(format!(
-        "{} counter-exact check(s), {} failed; commit-rate tolerance \
-         {COMMIT_RATE_TOLERANCE_PP}pp, wire-cost tolerance {WIRE_PER_TXN_TOLERANCE}x.",
-        comparison
-            .checks
-            .iter()
-            .filter(|c| c.gate == "exact")
-            .count(),
-        comparison.failed,
+        "{exact} counter-exact check(s), {failed} failed; commit-rate tolerance \
+         {COMMIT_RATE_TOLERANCE_PP}pp, wire-cost tolerance {WIRE_PER_TXN_TOLERANCE}x."
     ));
-    Ok((r, comparison))
+    (r, PerfComparison { checks, failed })
 }
 
 #[cfg(test)]
@@ -409,8 +369,12 @@ mod tests {
     /// The keys of the failed checks of `fresh` (no live gates) held
     /// against `committed`.
     fn failed_keys(committed: &BenchBaseline, fresh: &BenchBaseline) -> Vec<String> {
-        let (report, comparison) =
-            diff(&committed.to_json(), fresh, Vec::new()).expect("comparison runs");
+        failed_keys_of(&committed.to_json(), fresh)
+    }
+
+    /// [`failed_keys`] against a committed file's text.
+    fn failed_keys_of(committed: &str, fresh: &BenchBaseline) -> Vec<String> {
+        let (report, comparison) = diff(committed, fresh, Vec::new()).expect("comparison runs");
         let failed: Vec<String> = comparison
             .checks
             .iter()
@@ -491,8 +455,16 @@ mod tests {
     }
 
     #[test]
-    fn garbage_against_file_is_rejected() {
-        assert!(diff("not json", &sample_baseline(), Vec::new()).is_err());
+    fn an_against_file_that_does_not_read_fails_the_gate_with_its_problems() {
+        let garbage = failed_keys_of("not json", &sample_baseline());
+        assert_eq!(garbage.len(), 1);
+        assert!(garbage[0].starts_with("committed baseline: JSON error at byte 0"));
+        let text = sample_baseline()
+            .to_json()
+            .replace("\"p90_micros\": 12000", "\"p90_micros\": \"x\"");
+        let mistyped = failed_keys_of(&text, &sample_baseline());
+        assert_eq!(mistyped.len(), 8, "one per service entry: {mistyped:?}");
+        assert!(mistyped[7].ends_with("service.entries[7].p90_micros: expected a number"));
     }
 
     /// A live self-comparison: measure the service section once, put it

@@ -2,10 +2,20 @@
 //! results, plus the machine-readable bench baseline
 //! ([`BenchBaseline`]) that seeds the repository's performance
 //! trajectory (`BENCH_baseline.json`).
+//!
+//! One schema describes the baseline, both ways: every type here derives
+//! `Serialize` to write it and `Deserialize` to read it back
+//! ([`BenchBaseline::from_json`]), so every reader — `bench-check`, the
+//! perf gate, `--before`, `repro trace` — reads typed fields, and a
+//! missing or mistyped field is a problem named by its path. Each row
+//! type carries its rules once (`problems()` on [`ServiceEntry`],
+//! [`ChaosEntry`], [`AttributionEntry`], [`SaturationCurve`] and
+//! [`SaturationStep`]): its section's `ok` column and
+//! [`BenchBaseline::validate`] both call them.
 
 use ac_chaos::FaultStats;
 use ac_commit::protocols::ProtocolKind;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::cell::Cell;
 
@@ -171,7 +181,7 @@ pub fn table5_protocol_names() -> [&'static str; 7] {
 
 /// Per-protocol baseline numbers: the paper's two complexity measures of a
 /// nice execution plus the simulator's wall-clock cost of producing it.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ProtocolBaseline {
     /// Display name of the protocol ([`table5_protocol_names`]).
     pub protocol: String,
@@ -195,7 +205,7 @@ pub struct ProtocolBaseline {
 
 /// Explorer wall-clock baseline: the same exhaustive space explored
 /// sequentially and with the parallel engine.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ExplorerBaseline {
     /// Protocol whose schedule space was explored.
     pub protocol: String,
@@ -233,15 +243,10 @@ pub fn service_protocols() -> [ProtocolKind; 4] {
     ]
 }
 
-/// Display names of [`service_protocols`] (what the validator matches on).
-pub fn service_protocol_names() -> [&'static str; 4] {
-    service_protocols().map(|k| k.name())
-}
-
 /// One measured cell of the live-service sweep: a (protocol, workload,
 /// concurrency) combination served end-to-end by `ac-cluster`, reported in
 /// wall-clock throughput and latency percentiles.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServiceEntry {
     /// Protocol display name.
     pub protocol: String,
@@ -309,6 +314,107 @@ impl ServiceEntry {
             spurious_wakeups: cell.spurious_wakeups,
         }
     }
+
+    /// The entry's key in a pair and in `bench-check`'s problems, e.g.
+    /// `2PC/uniform/clients8`.
+    pub fn key(&self) -> String {
+        let (p, w, c) = (&self.protocol, &self.workload, self.clients);
+        format!("{p}/{w}/clients{c}")
+    }
+
+    /// The rules of a served cell, which its row of the `service` table
+    /// and `bench-check` both apply: a clean audit, nothing stalled,
+    /// positive throughput, `p50 <= p99`, and no negative cost or tail.
+    pub fn problems(&self) -> Vec<String> {
+        let ordered = self.p50_micros <= self.p99_micros;
+        Rules::default()
+            .zero("safety_violations", self.safety_violations)
+            .zero("stalled", self.stalled)
+            .positive("throughput_tps", self.throughput_tps)
+            .need(ordered, "p50_micros must be <= p99_micros")
+            .at_least_0("wire_per_txn", self.wire_per_txn)
+            .at_least_0("p999_micros", self.p999_micros)
+            .0
+    }
+}
+
+/// The problems a row's rules found, in rule order.
+#[derive(Default)]
+struct Rules(Vec<String>);
+
+impl Rules {
+    /// Record `problem` unless `holds`.
+    fn need(mut self, holds: bool, problem: impl Into<String>) -> Rules {
+        if !holds {
+            self.0.push(problem.into());
+        }
+        self
+    }
+
+    /// `name`'s count is 0.
+    fn zero(self, name: &str, count: usize) -> Rules {
+        self.need(count == 0, format!("{name} must be 0"))
+    }
+
+    /// `name`'s value is positive.
+    fn positive(self, name: &str, value: f64) -> Rules {
+        self.need(value > 0.0, format!("{name} must be positive"))
+    }
+
+    /// `name`'s value is not negative.
+    fn at_least_0(self, name: &str, value: f64) -> Rules {
+        self.need(value >= 0.0, format!("{name} must be >= 0"))
+    }
+
+    /// The transport (`at` names where) is `"channel"` (in-process
+    /// channels), `"tcp"` (in-process sockets) or `"proc"` (a
+    /// multi-process cluster).
+    fn transport(self, at: &str, t: &str) -> Rules {
+        let known = matches!(t, "channel" | "tcp" | "proc");
+        let problem = format!("{at}transport must be \"channel\", \"tcp\" or \"proc\"");
+        self.need(known, format!("{problem}, got {t:?}"))
+    }
+
+    /// Every canonical stage is in `stages`, with a non-negative share
+    /// and p50, and the shares telescope: they sum to 100 ± 5 % of the
+    /// measured end-to-end time (exact per covered transaction by
+    /// construction — the tolerance only absorbs coverage loss).
+    fn stages(mut self, what: &str, stages: &[AttributionStageEntry], sum: f64) -> Rules {
+        for want in attribution_stage_names() {
+            let ok = |s: &AttributionStageEntry| s.share_pct >= 0.0 && s.p50_micros >= 0.0;
+            let found = stages.iter().any(|s| s.stage == want && ok(s));
+            self = self.need(found, format!("missing (or malformed) {what} {want}"));
+        }
+        let telescopes = (95.0..=105.0).contains(&sum);
+        let problem = format!("{what} shares must sum to 100 ± 5 % of the end-to-end time");
+        self.need(telescopes, format!("{problem}, got {sum}"))
+    }
+
+    /// A section's list of rows is non-empty, and each row meets its
+    /// rules: its `problems`, under the row's path and key.
+    fn rows(
+        mut self,
+        list: &str,
+        keys: &[String],
+        rows: impl Iterator<Item = Vec<String>>,
+    ) -> Rules {
+        for (i, (key, row)) in keys.iter().zip(rows).enumerate() {
+            let at = format!("{list}[{i}] ({key})");
+            self.0.extend(row.iter().map(|p| format!("{at}: {p}")));
+        }
+        self.need(!keys.is_empty(), format!("{list} must be non-empty"))
+    }
+
+    /// Every `{protocol}/{x}` key of the grid is among `keys`.
+    fn grid(mut self, keys: &[String], protocols: &[&str], xs: &[&str], must: &str) -> Rules {
+        for p in protocols {
+            for x in xs {
+                let key = format!("{p}/{x}");
+                self = self.need(keys.contains(&key), format!("{must} {key}"));
+            }
+        }
+        self
+    }
 }
 
 /// The chaos scenarios a `chaos` section must cover, per
@@ -326,7 +432,7 @@ pub fn chaos_scenario_names() -> [&'static str; 4] {
 /// One measured cell of the chaos sweep: a (protocol, scenario) pair run
 /// through `ac-chaos` with availability bucketing against the fault
 /// window.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ChaosEntry {
     /// Protocol display name.
     pub protocol: String,
@@ -412,11 +518,33 @@ impl ChaosEntry {
             wire_messages: cell.wire_messages as usize,
         }
     }
+
+    /// The entry's key in `bench-check`'s problems, e.g. `2PC/lossy-10`.
+    pub fn key(&self) -> String {
+        format!("{}/{}", self.protocol, self.scenario)
+    }
+
+    /// The rules every faulted cell meets, whatever its protocol and
+    /// scenario: a clean audit, every transaction resolved after the heal,
+    /// and a measured, non-negative availability. The chaos table's `ok`
+    /// column adds the recovery and contrast clauses, which read the
+    /// protocol.
+    pub fn problems(&self) -> Vec<String> {
+        let clean = "safety audit must be clean on every faulted run";
+        let resolved = "every transaction must resolve after the heal";
+        Rules::default()
+            .need(self.safety_violations == 0, clean)
+            .need(self.stalled == 0, resolved)
+            .at_least_0("availability_pct", self.availability_pct)
+            .at_least_0("ops_after_heal", self.ops_after_heal)
+            .need(self.txns > 0, "txns must be > 0")
+            .0
+    }
 }
 
 /// The `chaos` section: availability under failure, per
 /// (protocol, scenario).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ChaosBaseline {
     /// Number of nodes (= shards).
     pub n: usize,
@@ -448,7 +576,7 @@ pub fn attribution_stage_names() -> [&'static str; 5] {
 
 /// One stage row of an attribution entry: where this slice of every
 /// commit's end-to-end latency went.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AttributionStageEntry {
     /// Stage name ([`attribution_stage_names`]).
     pub stage: String,
@@ -472,15 +600,6 @@ pub fn stage_entries(a: &ac_cluster::Attribution) -> Vec<AttributionStageEntry> 
             share_pct: a.share_pct(i),
         })
         .collect()
-}
-
-/// The gate every sweep applies before it embeds an attribution: at least
-/// one transaction was reconstructed and the stage shares sum to
-/// 100 ± 5 % of the measured end-to-end time (exact per covered
-/// transaction by construction — the tolerance only absorbs coverage
-/// loss).
-pub fn telescopes(a: &ac_cluster::Attribution) -> bool {
-    a.covered > 0 && (a.share_sum_pct() - 100.0).abs() <= 5.0
 }
 
 /// The stage holding the largest share of end-to-end time.
@@ -518,7 +637,7 @@ pub fn dominant_agrees(
 
 /// One step of an embedded slowest-transaction timeline (the shape
 /// `repro trace` renders through `ac_sim`'s shared timeline renderer).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TimelineStep {
     /// Microseconds past the run epoch.
     pub at_micros: f64,
@@ -530,7 +649,7 @@ pub struct TimelineStep {
 
 /// One reconstructed straggler: a slowest-covered transaction's full
 /// lifecycle timeline, embedded in the baseline for `repro trace`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SlowTxn {
     /// Transaction id.
     pub txn: u64,
@@ -545,7 +664,7 @@ pub struct SlowTxn {
 /// the end-to-end latency exactly per transaction, so `share_sum_pct`
 /// is 100 by construction whenever coverage is complete — the validator
 /// gates it to ±5 %.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AttributionEntry {
     /// Protocol display name ([`table5_protocol_names`]).
     pub protocol: String,
@@ -609,11 +728,35 @@ impl AttributionEntry {
                 .collect(),
         }
     }
+
+    /// The entry's key in a pair and in `bench-check`'s problems, e.g.
+    /// `2PC/tcp`.
+    pub fn key(&self) -> String {
+        format!("{}/{}", self.protocol, self.transport)
+    }
+
+    /// The rules of an attributed cell, which its row of the attribution
+    /// table and `bench-check` both apply: a known transport, a
+    /// non-negative clock uncertainty, positive coverage and e2e p50, and
+    /// all five stages, telescoping. The table's `ok` column adds what the
+    /// entry does not carry: the run's audit and stalls, and for a
+    /// `"proc"` row the channel row's agreement.
+    pub fn problems(&self) -> Vec<String> {
+        // In process there is one clock, nothing to align.
+        let uncertainty = self.alignment_max_uncertainty_micros.unwrap_or(0.0);
+        Rules::default()
+            .transport("", &self.transport)
+            .at_least_0("alignment_max_uncertainty_micros", uncertainty)
+            .positive("coverage_pct", self.coverage_pct)
+            .positive("e2e_p50_micros", self.e2e_p50_micros)
+            .stages("stage", &self.stages, self.share_sum_pct)
+            .0
+    }
 }
 
 /// The `attribution` section: per-stage latency decomposition
 /// of every Table-5 protocol on both transports.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AttributionBaseline {
     /// Number of nodes (= shards).
     pub n: usize,
@@ -630,7 +773,7 @@ pub struct AttributionBaseline {
 /// open-loop (Poisson arrivals, bounded in-flight window, shedding) at a
 /// fixed per-client arrival rate, with the write-ahead log on wherever
 /// the host has one (not on the `"proc"` host: see `wal_forces`).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SaturationStep {
     /// Step index within the curve (0-based, ascending offered load).
     pub step: usize,
@@ -673,7 +816,7 @@ pub struct SaturationStep {
 /// gain over the previous step is < 10 % while p99 sojourn at least
 /// doubles. When no step qualifies, the last step is recorded with
 /// `detected = false` (the curve never saturated at the swept loads).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SaturationKnee {
     /// Index into the curve's `steps`.
     pub step: usize,
@@ -695,7 +838,7 @@ pub struct SaturationKnee {
 
 /// One saturation curve: offered load stepped over a fixed
 /// (protocol, transport, n, clients) cell.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SaturationCurve {
     /// Protocol display name.
     pub protocol: String,
@@ -775,12 +918,63 @@ impl SaturationCurve {
             knee,
         }
     }
+
+    /// The curve's key in a pair and in `bench-check`'s problems, e.g.
+    /// `2PC/n4/clients16`.
+    pub fn key(&self) -> String {
+        format!("{}/n{}/clients{}", self.protocol, self.n, self.clients)
+    }
+
+    /// The rules of a curve, which its knee's row of the knee table and
+    /// `bench-check` both apply: a known transport, at least two steps to
+    /// show a shape, each step's rules, and a knee that points into the
+    /// steps with all five stage shares, telescoping.
+    pub fn problems(&self) -> Vec<String> {
+        let (knee, steps) = (&self.knee, self.steps.len());
+        let mut rules = Rules::default()
+            .transport("", &self.transport)
+            .need(steps >= 2, "a curve needs >= 2 steps to show a shape")
+            .need(
+                knee.step < steps,
+                "knee.step must index into the curve's steps",
+            )
+            .stages("knee stage", &knee.stage_shares, knee.share_sum_pct);
+        for (i, step) in self.steps.iter().enumerate() {
+            for problem in step.problems() {
+                rules.0.push(format!("steps[{i}]: {problem}"));
+            }
+        }
+        rules.0
+    }
+}
+
+impl SaturationStep {
+    /// The rules of one offered-load level, which its row of the
+    /// saturation table and `bench-check` both apply: a clean audit,
+    /// offered load, goodput within 1.1 × the nominal offered rate (Poisson
+    /// draws can nudge the trimmed-window goodput past it on an
+    /// unsaturated step), ordered sojourn percentiles and non-negative
+    /// forces. The table's `ok` column adds a reconstructed timeline.
+    pub fn problems(&self) -> Vec<String> {
+        let (offered, goodput) = (self.offered_tps, self.goodput_tps);
+        let bounded = offered > 0.0 && (0.0..=offered * 1.10).contains(&goodput);
+        let bound = format!("goodput_tps must be within [0, 1.1 × offered_tps], got {goodput}");
+        let (p50, p99) = (self.p50_sojourn_micros, self.p99_sojourn_micros);
+        let ordered = p50 <= p99 && p99 <= self.p999_sojourn_micros;
+        Rules::default()
+            .zero("safety_violations", self.safety_violations)
+            .need(self.offered > 0, "offered must be > 0")
+            .need(bounded, bound)
+            .need(ordered, "sojourn percentiles must be ordered")
+            .at_least_0("forces_per_txn", self.forces_per_txn)
+            .0
+    }
 }
 
 /// The `saturation` section: open-loop offered-vs-goodput
 /// curves with per-curve knee detection and per-stage attribution at the
 /// knee.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SaturationBaseline {
     /// Crash-resilience parameter of every curve.
     pub f: usize,
@@ -792,7 +986,7 @@ pub struct SaturationBaseline {
 
 /// The `service` section: the live `ac-cluster` transaction
 /// service measured under closed-loop load.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServiceBaseline {
     /// Number of nodes (= shards).
     pub n: usize,
@@ -807,7 +1001,7 @@ pub struct ServiceBaseline {
 }
 
 /// One metric of a [`BeforeAfter`] pair.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PairRow {
     /// Baseline section the metric lives in (`service`, `attribution`,
     /// `saturation`).
@@ -828,7 +1022,7 @@ pub struct PairRow {
 /// PATH`), so the committed file shows which stage moved without a
 /// cross-machine diff against git history. Rows exist only for entries
 /// both baselines carry.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BeforeAfter {
     /// Where the "before" numbers came from (the `--before` path).
     pub before: String,
@@ -837,94 +1031,47 @@ pub struct BeforeAfter {
 }
 
 impl BeforeAfter {
-    /// Pair every latency/throughput/stage-share metric `after` shares
-    /// with the serialized baseline `before`.
-    pub fn between(label: &str, before: &serde_json::Value, after: &BenchBaseline) -> BeforeAfter {
-        let after: serde_json::Value =
-            serde_json::from_str(&after.to_json()).expect("a baseline round-trips as JSON");
-        let empty = Vec::new();
+    /// Pair every latency/throughput/stage-share metric of `after` with
+    /// the same metric of the entry `before` carries under the same key.
+    pub fn between(label: &str, before: &BenchBaseline, after: &BenchBaseline) -> BeforeAfter {
         let mut rows = Vec::new();
-        let mut pair = |section: &str,
-                        key: &str,
-                        metric: String,
-                        b: &serde_json::Value,
-                        a: &serde_json::Value| {
-            if let (Some(before), Some(after)) = (b.as_f64(), a.as_f64()) {
+        let mut pair = |section: &str, key: &str, metric: String, before: f64, after: f64| {
+            // What serializes as `null` has no value to pair.
+            if before.is_finite() && after.is_finite() {
+                let (section, key) = (section.into(), key.into());
                 rows.push(PairRow {
-                    section: section.into(),
-                    key: key.into(),
+                    section,
+                    key,
                     metric,
                     before,
                     after,
                 });
             }
         };
-        // (section, its entry list, identifying fields, scalar metrics)
-        let sections: [(&str, &str, &[&str], &[&str]); 3] = [
-            (
-                "service",
-                "entries",
-                &["protocol", "workload", "clients"],
-                &["p50_micros", "p99_micros", "throughput_tps"],
-            ),
-            (
-                "attribution",
-                "entries",
-                &["protocol", "transport"],
-                &["e2e_p50_micros"],
-            ),
-            ("saturation", "curves", &["protocol", "n", "clients"], &[]),
-        ];
-        for (section, list, key_fields, metrics) in sections {
-            let key_of = |e: &serde_json::Value| {
-                key_fields
-                    .iter()
-                    .map(|k| match e[*k].as_str() {
-                        Some(s) => s.to_string(),
-                        None => format!("{k}{}", e[*k].as_f64().unwrap_or(f64::NAN)),
-                    })
-                    .collect::<Vec<_>>()
-                    .join("/")
-            };
-            let befores = before[section][list].as_array().unwrap_or(&empty);
-            for a in after[section][list].as_array().unwrap_or(&empty) {
-                let key = key_of(a);
-                let Some(b) = befores.iter().find(|b| key_of(b) == key) else {
-                    continue;
-                };
-                for m in metrics {
-                    pair(section, &key, m.to_string(), &b[*m], &a[*m]);
+        let (b, a) = (&before.service, &after.service);
+        for (key, b, a) in keyed(b, a, |s| &s.entries, ServiceEntry::key) {
+            for (metric, f) in SERVICE_PAIRED {
+                pair("service", &key, metric.into(), f(b), f(a));
+            }
+        }
+        let (b, a) = (&before.attribution, &after.attribution);
+        for (key, b, a) in keyed(b, a, |s| &s.entries, AttributionEntry::key) {
+            let (e2e_b, e2e_a) = (b.e2e_p50_micros, a.e2e_p50_micros);
+            pair("attribution", &key, "e2e_p50_micros".into(), e2e_b, e2e_a);
+            // The five stage shares: which one moved.
+            for sa in &a.stages {
+                if let Some(sb) = b.stages.iter().find(|sb| sb.stage == sa.stage) {
+                    let metric = format!("share_pct.{}", sa.stage);
+                    pair("attribution", &key, metric, sb.share_pct, sa.share_pct);
                 }
-                // Attribution: the five stage shares (which one moved).
-                let b_stages = b["stages"].as_array().unwrap_or(&empty);
-                for sa in a["stages"].as_array().unwrap_or(&empty) {
-                    let stage = sa["stage"].as_str().unwrap_or("?");
-                    if let Some(sb) = b_stages
-                        .iter()
-                        .find(|sb| sb["stage"].as_str() == Some(stage))
-                    {
-                        pair(
-                            section,
-                            &key,
-                            format!("share_pct.{stage}"),
-                            &sb["share_pct"],
-                            &sa["share_pct"],
-                        );
-                    }
-                }
-                // Saturation: the top offered-load step of each curve.
-                if let (Some(sb), Some(sa)) = (
-                    b["steps"].as_array().and_then(|s| s.last()),
-                    a["steps"].as_array().and_then(|s| s.last()),
-                ) {
-                    for m in [
-                        "goodput_tps",
-                        "p50_sojourn_micros",
-                        "p99_sojourn_micros",
-                        "forces_per_txn",
-                    ] {
-                        pair(section, &key, format!("top_step.{m}"), &sb[m], &sa[m]);
-                    }
+            }
+        }
+        let (b, a) = (&before.saturation, &after.saturation);
+        for (key, b, a) in keyed(b, a, |s| &s.curves, SaturationCurve::key) {
+            // The top offered-load step of each curve.
+            if let (Some(b), Some(a)) = (b.steps.last(), a.steps.last()) {
+                for (metric, f) in TOP_STEP_PAIRED {
+                    pair("saturation", &key, format!("top_step.{metric}"), f(b), f(a));
                 }
             }
         }
@@ -933,6 +1080,42 @@ impl BeforeAfter {
             rows,
         }
     }
+}
+
+/// A metric a pair holds of a row `T`: its name and its value.
+type Paired<T> = (&'static str, fn(&T) -> f64);
+
+/// The metrics a pair holds of each service entry.
+const SERVICE_PAIRED: [Paired<ServiceEntry>; 3] = [
+    ("p50_micros", |e| e.p50_micros),
+    ("p99_micros", |e| e.p99_micros),
+    ("throughput_tps", |e| e.throughput_tps),
+];
+
+/// The metrics a pair holds of each curve's top offered-load step.
+const TOP_STEP_PAIRED: [Paired<SaturationStep>; 4] = [
+    ("goodput_tps", |s| s.goodput_tps),
+    ("p50_sojourn_micros", |s| s.p50_sojourn_micros),
+    ("p99_sojourn_micros", |s| s.p99_sojourn_micros),
+    ("forces_per_txn", |s| s.forces_per_txn),
+];
+
+/// Each row of section `after` under its `key`, with the first row of
+/// section `before` under the same key; a row (or a section) only one
+/// side has is skipped.
+fn keyed<'a, S, T: 'a>(
+    before: &'a Option<S>,
+    after: &'a Option<S>,
+    rows: fn(&S) -> &Vec<T>,
+    key: fn(&T) -> String,
+) -> impl Iterator<Item = (String, &'a T, &'a T)> {
+    let rows = |section: &'a Option<S>| section.as_ref().map_or(&[][..], |s| &rows(s)[..]);
+    let before = rows(before);
+    rows(after).iter().filter_map(move |a| {
+        let k = key(a);
+        let b = before.iter().find(|b| key(b) == k)?;
+        Some((k, b, a))
+    })
 }
 
 /// The only layout `repro` writes and `bench-check` accepts; bump on a
@@ -951,7 +1134,7 @@ pub const SCHEMA_VERSION: u32 = 5;
 /// ([`BenchBaseline::SECTIONS`]) is either measured or `null` — which
 /// ones a `repro` subcommand measures is
 /// [`crate::experiments::baseline_sections`]'s table.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BenchBaseline {
     /// Format version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -984,359 +1167,109 @@ impl BenchBaseline {
         serde_json::to_string_pretty(self).expect("baseline serialization cannot fail")
     }
 
-    /// Validate a serialized baseline. Always: parses as JSON, carries
+    /// Read a serialized baseline back: one problem per missing or
+    /// mistyped field, named by its path
+    /// (`service.entries[3].p50_micros: expected a number`). Keys this
+    /// schema does not name are ignored.
+    pub fn from_json(text: &str) -> Result<BenchBaseline, Vec<String>> {
+        let problems = |e: serde_json::Error| e.problems();
+        serde_json::from_value(serde_json::from_str(text).map_err(problems)?).map_err(problems)
+    }
+
+    /// Validate a serialized baseline: it reads back as a
+    /// [`BenchBaseline`] ([`BenchBaseline::from_json`]), carries
     /// [`SCHEMA_VERSION`], covers **all seven Table-5 protocols**, each
     /// matching its paper formula, and reports a non-empty,
     /// counterexample-free exploration. Then each non-`null` live section
-    /// must satisfy its own rules:
+    /// must cover its grid, and each of its rows must meet that row's
+    /// rules — the ones its section's `ok` column applies:
     ///
-    /// * `service` — every [`service_protocol_names`] protocol at ≥ 2
-    ///   concurrency levels, zero safety violations, zero stalls;
+    /// * `service` — every [`service_protocols`] protocol at ≥ 2
+    ///   concurrency levels, each entry [`ServiceEntry::problems`]-free;
     /// * `chaos` — every (service protocol × [`chaos_scenario_names`]
-    ///   scenario) pair, each with a clean safety audit and zero
-    ///   unresolved transactions;
+    ///   scenario) pair, each entry [`ChaosEntry::problems`]-free;
     /// * `attribution` — every ([`table5_protocol_names`] ×
-    ///   [`attribution_transport_names`]) pair with positive coverage and
-    ///   stage shares summing to 100 ± 5 %;
-    /// * `saturation` — non-empty curves, each with ≥ 2 safety-clean steps
-    ///   whose goodput never exceeds the offered load, a knee pointing
-    ///   into the steps, and knee stage shares summing to 100 ± 5 %.
+    ///   [`attribution_transport_names`]) pair, each entry
+    ///   [`AttributionEntry::problems`]-free;
+    /// * `saturation` — non-empty curves, each
+    ///   [`SaturationCurve::problems`]-free. Protocol coverage is not gated
+    ///   here — the `--quick` smoke legitimately sweeps one protocol; the
+    ///   perf gate checks the committed baseline's full coverage.
     ///
     /// Returns the names of the live sections found (and validated), or
     /// the list of problems. This is what `repro bench-check` runs, and
     /// what the perf gate runs on the committed baseline.
     pub fn validate_json(text: &str) -> Result<Vec<&'static str>, Vec<String>> {
-        let mut problems = Vec::new();
-        let v: serde_json::Value = match serde_json::from_str(text) {
-            Ok(v) => v,
-            Err(e) => return Err(vec![format!("not valid JSON: {e:?}")]),
-        };
-        if v["schema_version"].as_u64() != Some(u64::from(SCHEMA_VERSION)) {
-            problems.push(format!(
-                "schema_version must be {SCHEMA_VERSION}, got {:?}",
-                v["schema_version"]
-            ));
-        }
-        let empty = Vec::new();
-        let protocols = v["protocols"].as_array().unwrap_or(&empty);
+        Self::from_json(text)?.validate()
+    }
+
+    /// [`BenchBaseline::validate_json`]'s rules on a baseline already read.
+    pub fn validate(&self) -> Result<Vec<&'static str>, Vec<String>> {
+        let (version, explorer) = (self.schema_version, &self.explorer);
+        let mut rules = Rules::default()
+            .need(
+                version == SCHEMA_VERSION,
+                format!("schema_version must be {SCHEMA_VERSION}, got {version}"),
+            )
+            .need(explorer.executions > 0, "explorer.executions must be > 0")
+            .zero("explorer.counterexamples", explorer.counterexamples)
+            .positive("explorer.sequential_millis", explorer.sequential_millis)
+            .positive("explorer.parallel_millis", explorer.parallel_millis)
+            .positive("explorer.speedup", explorer.speedup);
         for want in table5_protocol_names() {
-            let found = protocols.iter().any(|p| {
-                p["protocol"].as_str() == Some(want)
-                    && p["delays"].as_u64().is_some()
-                    && p["messages"].as_u64().is_some()
-                    && p["nice_run_micros"].as_f64().is_some()
-            });
-            if !found {
-                problems.push(format!(
-                    "missing (or incomplete) Table-5 protocol entry: {want}"
-                ));
-            }
+            let found = self.protocols.iter().any(|p| p.protocol == want);
+            rules = rules.need(found, format!("missing Table-5 protocol entry: {want}"));
         }
-        for p in protocols {
-            if p["matches_formula"].as_bool() != Some(true) {
-                problems.push(format!(
-                    "protocol {:?} does not match its paper formula",
-                    p["protocol"]
-                ));
-            }
+        for p in &self.protocols {
+            let problem = format!("protocol {:?} does not match its paper formula", p.protocol);
+            rules = rules.need(p.matches_formula, problem);
         }
-        let explorer = &v["explorer"];
-        match explorer["executions"].as_u64() {
-            Some(0) | None => problems.push("explorer.executions must be > 0".into()),
-            Some(_) => {}
-        }
-        if explorer["counterexamples"].as_u64() != Some(0) {
-            problems.push("explorer.counterexamples must be 0".into());
-        }
-        for key in ["sequential_millis", "parallel_millis", "speedup"] {
-            if explorer[key].as_f64().is_none_or(|x| x <= 0.0) {
-                problems.push(format!("explorer.{key} must be a positive number"));
-            }
-        }
-        let section_rules: [fn(&serde_json::Value, &mut Vec<String>); 4] = [
-            Self::validate_service,
-            Self::validate_chaos,
-            Self::validate_attribution,
-            Self::validate_saturation,
-        ];
+        // Each live section: its rows' rules, then its grid.
         let mut found = Vec::new();
-        for (name, validate) in Self::SECTIONS.into_iter().zip(section_rules) {
-            if v[name] != serde_json::Value::Null {
-                validate(&v[name], &mut problems);
-                found.push(name);
+        if let Some(s) = &self.service {
+            let keys: Vec<String> = s.entries.iter().map(ServiceEntry::key).collect();
+            let problems = s.entries.iter().map(ServiceEntry::problems);
+            rules = rules.rows("service.entries", &keys, problems);
+            rules = rules.transport("service.", &s.transport);
+            for want in service_protocols().map(|k| k.name()) {
+                let of_want = s.entries.iter().filter(|e| e.protocol == want);
+                let levels: std::collections::BTreeSet<usize> =
+                    of_want.map(|e| e.clients).collect();
+                let problem = format!("service must measure {want} at >= 2 concurrency levels");
+                rules = rules.need(levels.len() >= 2, format!("{problem}, got {levels:?}"));
             }
+            found.push("service");
         }
-        if problems.is_empty() {
+        if let Some(s) = &self.chaos {
+            let keys: Vec<String> = s.entries.iter().map(ChaosEntry::key).collect();
+            let problems = s.entries.iter().map(ChaosEntry::problems);
+            let (protocols, scenarios) = (
+                service_protocols().map(|k| k.name()),
+                chaos_scenario_names(),
+            );
+            rules = rules.rows("chaos.entries", &keys, problems);
+            rules = rules.transport("chaos.", &s.transport);
+            rules = rules.grid(&keys, &protocols, &scenarios, "chaos must measure");
+            found.push("chaos");
+        }
+        if let Some(s) = &self.attribution {
+            let keys: Vec<String> = s.entries.iter().map(AttributionEntry::key).collect();
+            let problems = s.entries.iter().map(AttributionEntry::problems);
+            let (protocols, transports) = (table5_protocol_names(), attribution_transport_names());
+            rules = rules.rows("attribution.entries", &keys, problems);
+            rules = rules.grid(&keys, &protocols, &transports, "attribution must cover");
+            found.push("attribution");
+        }
+        if let Some(s) = &self.saturation {
+            let keys: Vec<String> = s.curves.iter().map(SaturationCurve::key).collect();
+            let problems = s.curves.iter().map(SaturationCurve::problems);
+            rules = rules.rows("saturation.curves", &keys, problems);
+            found.push("saturation");
+        }
+        if rules.0.is_empty() {
             Ok(found)
         } else {
-            Err(problems)
-        }
-    }
-
-    /// The `transport` marker: `"channel"` (in-process channels),
-    /// `"tcp"` (in-process sockets) or `"proc"` (real multi-process
-    /// cluster over sockets).
-    fn check_transport(section: &str, t: &serde_json::Value, problems: &mut Vec<String>) {
-        if !matches!(t.as_str(), Some("channel") | Some("tcp") | Some("proc")) {
-            problems.push(format!(
-                "{section}.transport must be \"channel\", \"tcp\" or \"proc\", got {t:?}"
-            ));
-        }
-    }
-
-    /// `attribution` section rules (see
-    /// [`BenchBaseline::validate_json`]): full Table-5 × transport
-    /// coverage, all five canonical stages per entry, positive timeline
-    /// coverage, and stage shares summing to 100 ± 5 % of the measured
-    /// end-to-end time.
-    fn validate_attribution(attr: &serde_json::Value, problems: &mut Vec<String>) {
-        let empty = Vec::new();
-        let entries = attr["entries"].as_array().unwrap_or(&empty);
-        if entries.is_empty() {
-            problems.push("attribution.entries must be non-empty".into());
-            return;
-        }
-        for protocol in table5_protocol_names() {
-            for transport in attribution_transport_names() {
-                if !entries.iter().any(|e| {
-                    e["protocol"].as_str() == Some(protocol)
-                        && e["transport"].as_str() == Some(transport)
-                }) {
-                    problems.push(format!(
-                        "attribution must cover {protocol} over {transport}"
-                    ));
-                }
-            }
-        }
-        for e in entries {
-            let label = format!("attribution entry {:?}/{:?}", e["protocol"], e["transport"]);
-            Self::check_transport("attribution", &e["transport"], problems);
-            if let Some(u) = e["alignment_max_uncertainty_micros"].as_f64() {
-                if u < 0.0 {
-                    problems.push(format!(
-                        "{label}: alignment_max_uncertainty_micros must be >= 0"
-                    ));
-                }
-            }
-            match e["share_sum_pct"].as_f64() {
-                Some(s) if (95.0..=105.0).contains(&s) => {}
-                other => problems.push(format!(
-                    "{label}: stage shares must sum to 100 ± 5 % of the \
-                     end-to-end time, got {other:?}"
-                )),
-            }
-            if e["coverage_pct"].as_f64().is_none_or(|c| c <= 0.0) {
-                problems.push(format!(
-                    "{label}: coverage_pct must be positive (no transaction \
-                     reconstructed means nothing was attributed)"
-                ));
-            }
-            if e["e2e_p50_micros"].as_f64().is_none_or(|x| x <= 0.0) {
-                problems.push(format!("{label}: e2e_p50_micros must be positive"));
-            }
-            let stage_rows = e["stages"].as_array().unwrap_or(&empty);
-            for want in attribution_stage_names() {
-                let found = stage_rows.iter().any(|s| {
-                    s["stage"].as_str() == Some(want)
-                        && s["share_pct"].as_f64().is_some_and(|x| x >= 0.0)
-                        && s["p50_micros"].as_f64().is_some_and(|x| x >= 0.0)
-                });
-                if !found {
-                    problems.push(format!("{label}: missing (or malformed) stage {want}"));
-                }
-            }
-        }
-    }
-
-    /// `saturation` section rules (see
-    /// [`BenchBaseline::validate_json`]): non-empty curves, each with at
-    /// least two safety-clean steps, goodput bounded by the offered load,
-    /// ordered sojourn percentiles, a knee pointing into the steps and
-    /// knee stage shares summing to 100 ± 5 %. Protocol coverage is not
-    /// gated here — the `--quick` smoke legitimately sweeps one protocol;
-    /// the perf gate checks the committed baseline's full coverage.
-    fn validate_saturation(sat: &serde_json::Value, problems: &mut Vec<String>) {
-        let empty = Vec::new();
-        let curves = sat["curves"].as_array().unwrap_or(&empty);
-        if curves.is_empty() {
-            problems.push("saturation.curves must be non-empty".into());
-            return;
-        }
-        for c in curves {
-            let label = format!(
-                "saturation curve {:?}/{:?}/n{:?}/c{:?}",
-                c["protocol"], c["transport"], c["n"], c["clients"]
-            );
-            Self::check_transport("saturation", &c["transport"], problems);
-            let steps = c["steps"].as_array().unwrap_or(&empty);
-            if steps.len() < 2 {
-                problems.push(format!(
-                    "{label}: a curve needs >= 2 offered-load steps to show a shape"
-                ));
-                continue;
-            }
-            for s in steps {
-                let at = format!("{label} step {:?}", s["step"]);
-                if s["safety_violations"].as_u64() != Some(0) {
-                    problems.push(format!("{at}: safety_violations must be 0"));
-                }
-                if s["offered"].as_u64().is_none_or(|x| x == 0) {
-                    problems.push(format!("{at}: offered must be > 0"));
-                }
-                let offered_tps = s["offered_tps"].as_f64();
-                let goodput = s["goodput_tps"].as_f64();
-                match (offered_tps, goodput) {
-                    // Small multiplicative slack: the nominal offered rate
-                    // is clients × λ while goodput is measured over the
-                    // trimmed window, so Poisson draws can nudge it past
-                    // the nominal figure on an unsaturated step.
-                    (Some(o), Some(g)) if o > 0.0 && g >= 0.0 && g <= o * 1.10 => {}
-                    other => problems.push(format!(
-                        "{at}: goodput_tps must be within [0, 1.1 × offered_tps], got {other:?}"
-                    )),
-                }
-                let p50 = s["p50_sojourn_micros"].as_f64();
-                let p99 = s["p99_sojourn_micros"].as_f64();
-                let p999 = s["p999_sojourn_micros"].as_f64();
-                match (p50, p99, p999) {
-                    (Some(a), Some(b), Some(c)) if a <= b && b <= c => {}
-                    other => problems.push(format!(
-                        "{at}: sojourn percentiles must be numbers with p50 <= p99 <= p99.9, \
-                         got {other:?}"
-                    )),
-                }
-                if s["forces_per_txn"].as_f64().is_none_or(|x| x < 0.0) {
-                    problems.push(format!("{at}: forces_per_txn must be >= 0"));
-                }
-            }
-            let knee = &c["knee"];
-            match knee["step"].as_u64() {
-                Some(k) if (k as usize) < steps.len() => {}
-                other => problems.push(format!(
-                    "{label}: knee.step must index into the curve's steps, got {other:?}"
-                )),
-            }
-            if knee["detected"].as_bool().is_none() {
-                problems.push(format!("{label}: knee.detected must be a boolean"));
-            }
-            match knee["share_sum_pct"].as_f64() {
-                Some(s) if (95.0..=105.0).contains(&s) => {}
-                other => problems.push(format!(
-                    "{label}: knee stage shares must sum to 100 ± 5 %, got {other:?}"
-                )),
-            }
-            let shares = knee["stage_shares"].as_array().unwrap_or(&empty);
-            for want in attribution_stage_names() {
-                let found = shares.iter().any(|s| {
-                    s["stage"].as_str() == Some(want)
-                        && s["share_pct"].as_f64().is_some_and(|x| x >= 0.0)
-                });
-                if !found {
-                    problems.push(format!(
-                        "{label}: knee missing (or malformed) stage share {want}"
-                    ));
-                }
-            }
-        }
-    }
-
-    /// `chaos` section rules (see [`BenchBaseline::validate_json`]).
-    fn validate_chaos(chaos: &serde_json::Value, problems: &mut Vec<String>) {
-        let empty = Vec::new();
-        let entries = chaos["entries"].as_array().unwrap_or(&empty);
-        if entries.is_empty() {
-            problems.push("chaos.entries must be non-empty".into());
-            return;
-        }
-        Self::check_transport("chaos", &chaos["transport"], problems);
-        for protocol in service_protocol_names() {
-            for scenario in chaos_scenario_names() {
-                if !entries.iter().any(|e| {
-                    e["protocol"].as_str() == Some(protocol)
-                        && e["scenario"].as_str() == Some(scenario)
-                }) {
-                    problems.push(format!("chaos must measure {protocol} under {scenario}"));
-                }
-            }
-        }
-        for e in entries {
-            let label = format!("chaos entry {:?}/{:?}", e["protocol"], e["scenario"]);
-            if e["safety_violations"].as_u64() != Some(0) {
-                problems.push(format!(
-                    "{label}: safety audit must be clean on every faulted run"
-                ));
-            }
-            if e["stalled"].as_u64() != Some(0) {
-                problems.push(format!(
-                    "{label}: every transaction must resolve after the heal"
-                ));
-            }
-            for key in ["availability_pct", "ops_after_heal"] {
-                if e[key].as_f64().is_none_or(|x| x < 0.0) {
-                    problems.push(format!("{label}: {key} must be a non-negative number"));
-                }
-            }
-            if e["txns"].as_u64().is_none_or(|x| x == 0) {
-                problems.push(format!("{label}: txns must be > 0"));
-            }
-        }
-    }
-
-    /// `service` section rules (see [`BenchBaseline::validate_json`]).
-    fn validate_service(service: &serde_json::Value, problems: &mut Vec<String>) {
-        let empty = Vec::new();
-        let entries = service["entries"].as_array().unwrap_or(&empty);
-        if entries.is_empty() {
-            problems.push("service.entries must be non-empty".into());
-            return;
-        }
-        Self::check_transport("service", &service["transport"], problems);
-        for want in service_protocol_names() {
-            let mut clients: Vec<u64> = entries
-                .iter()
-                .filter(|e| e["protocol"].as_str() == Some(want))
-                .filter_map(|e| e["clients"].as_u64())
-                .collect();
-            clients.sort_unstable();
-            clients.dedup();
-            if clients.len() < 2 {
-                problems.push(format!(
-                    "service must measure {want} at >= 2 concurrency levels, got {clients:?}"
-                ));
-            }
-        }
-        for e in entries {
-            let label = format!(
-                "service entry {:?}/{:?}/c{:?}",
-                e["protocol"], e["workload"], e["clients"]
-            );
-            if e["safety_violations"].as_u64() != Some(0) {
-                problems.push(format!("{label}: safety_violations must be 0"));
-            }
-            if e["stalled"].as_u64() != Some(0) {
-                problems.push(format!("{label}: stalled must be 0"));
-            }
-            if e["throughput_tps"].as_f64().is_none_or(|x| x <= 0.0) {
-                problems.push(format!("{label}: throughput_tps must be positive"));
-            }
-            let p50 = e["p50_micros"].as_f64();
-            let p99 = e["p99_micros"].as_f64();
-            match (p50, p99) {
-                (Some(a), Some(b)) if a <= b => {}
-                _ => problems.push(format!(
-                    "{label}: p50_micros/p99_micros must be numbers with p50 <= p99"
-                )),
-            }
-            for key in [
-                "wire_per_txn",
-                "wire_messages",
-                "spurious_wakeups",
-                "p999_micros",
-            ] {
-                if e[key].as_f64().is_none_or(|x| x < 0.0) {
-                    problems.push(format!("{label}: {key} must be >= 0"));
-                }
-            }
+            Err(rules.0)
         }
     }
 }
@@ -1434,7 +1367,7 @@ pub(crate) mod tests {
     /// fixture tests.
     pub(crate) fn sample_baseline() -> BenchBaseline {
         let mut service = Vec::new();
-        for name in service_protocol_names() {
+        for name in service_protocols().map(|k| k.name()) {
             for clients in [2usize, 8] {
                 service.push(ServiceEntry {
                     protocol: name.to_string(),
@@ -1458,7 +1391,7 @@ pub(crate) mod tests {
             }
         }
         let mut chaos = Vec::new();
-        for protocol in service_protocol_names() {
+        for protocol in service_protocols().map(|k| k.name()) {
             for scenario in chaos_scenario_names() {
                 chaos.push(ChaosEntry {
                     protocol: protocol.to_string(),
@@ -1634,10 +1567,7 @@ pub(crate) mod tests {
         for version in [1, 4, 6] {
             let mut b = sample_baseline();
             b.schema_version = version;
-            assert_problems(
-                &b,
-                &[&format!("schema_version must be 5, got Number({version}")],
-            );
+            assert_problems(&b, &[&format!("schema_version must be 5, got {version}")]);
         }
     }
 
@@ -1653,8 +1583,7 @@ pub(crate) mod tests {
             .position(|s| *s == "protocol")
             .unwrap();
         after.attribution.as_mut().unwrap().entries[0].stages[protocol_stage].share_pct = 5.0;
-        let before_v: serde_json::Value = serde_json::from_str(&before.to_json()).unwrap();
-        let pair = BeforeAfter::between("parent.json", &before_v, &after);
+        let pair = BeforeAfter::between("parent.json", &before, &after);
         let moved: Vec<&PairRow> = pair.rows.iter().filter(|r| r.before != r.after).collect();
         assert_eq!(moved.len(), 2, "{moved:?}");
         assert_eq!(
@@ -1693,8 +1622,8 @@ pub(crate) mod tests {
                 "knee stage shares must sum to 100 ± 5",
                 "goodput_tps must be within",
                 "safety_violations must be 0",
-                ">= 2 offered-load steps",
-                "missing (or malformed) stage share wal",
+                ">= 2 steps to show a shape",
+                "missing (or malformed) knee stage wal",
             ],
         );
     }
@@ -1735,7 +1664,7 @@ pub(crate) mod tests {
         assert_problems(
             &b,
             &[
-                "attribution must cover INBAC over tcp",
+                "attribution must cover INBAC/tcp",
                 ": stage shares must sum to 100 ± 5",
                 "coverage_pct",
                 "missing (or malformed) stage wal",
@@ -1757,7 +1686,7 @@ pub(crate) mod tests {
         assert_problems(
             &b,
             &[
-                "chaos must measure INBAC under partition-heal",
+                "chaos must measure INBAC/partition-heal",
                 "safety audit",
                 "resolve after the heal",
             ],
@@ -1812,46 +1741,53 @@ pub(crate) mod tests {
         assert_problems(&b, &["wire_per_txn must be >= 0"]);
     }
 
-    /// The schema pin: each section and each entry type serializes to
-    /// exactly the field names the committed `BENCH_baseline.json` carries
-    /// for it. The validator reads only some fields (not `p90_micros`,
-    /// `max_micros`, `decided_during_fault` or `dropped_messages`, say), so
-    /// without this a dropped or renamed field would pass every gate.
+    /// The committed baseline, as `repro saturate` wrote it.
+    const COMMITTED: &str = include_str!("../../../BENCH_baseline.json");
+
+    /// The schema pin: the committed `BENCH_baseline.json` reads back as a
+    /// [`BenchBaseline`] and writes back byte for byte. A field added to an
+    /// entry is missing from the file, and a field dropped or renamed no
+    /// longer writes what the file carries — either way the schema change
+    /// lands together with a regenerated baseline.
     #[test]
-    fn every_entry_serializes_the_fields_of_the_committed_baseline() {
-        use serde_json::Value;
-        let committed = include_str!("../../../BENCH_baseline.json");
-        let committed = serde_json::from_str(committed).expect("the committed baseline parses");
-        let fresh = serde_json::from_str(&sample_baseline().to_json()).unwrap();
-        let fields = |v: &Value| -> std::collections::BTreeSet<String> {
-            match v {
-                Value::Object(members) => members.iter().map(|(k, _)| k.clone()).collect(),
-                other => panic!("not an object: {other:?}"),
-            }
-        };
-        type Pick = fn(&Value) -> &Value;
-        let picks: [(&str, Pick); 12] = [
-            ("service", |b| &b["service"]),
-            ("service entry", |b| &b["service"]["entries"][0]),
-            ("chaos", |b| &b["chaos"]),
-            ("chaos entry", |b| &b["chaos"]["entries"][0]),
-            ("attribution", |b| &b["attribution"]),
-            ("attribution entry", |b| &b["attribution"]["entries"][0]),
-            ("attribution stage", |b| {
-                &b["attribution"]["entries"][0]["stages"][0]
-            }),
-            ("slowest txn", |b| {
-                &b["attribution"]["entries"][0]["slowest"][0]
-            }),
-            ("saturation", |b| &b["saturation"]),
-            ("saturation curve", |b| &b["saturation"]["curves"][0]),
-            ("saturation step", |b| {
-                &b["saturation"]["curves"][0]["steps"][0]
-            }),
-            ("saturation knee", |b| &b["saturation"]["curves"][0]["knee"]),
+    fn the_committed_baseline_round_trips_typed() {
+        let committed = BenchBaseline::from_json(COMMITTED).expect("the committed baseline reads");
+        assert_eq!(committed.to_json() + "\n", COMMITTED);
+        assert_eq!(committed.validate(), Ok(BenchBaseline::SECTIONS.to_vec()));
+    }
+
+    /// A rule that only the validator applied before now fails the row's
+    /// own rules — which its section's `ok` column calls — and
+    /// `validate_json` alike, with the same text.
+    #[test]
+    fn a_row_rule_fails_the_row_and_the_validator_alike() {
+        let mut b = sample_baseline();
+        let service = &mut b.service.as_mut().unwrap().entries[0];
+        service.p50_micros = service.p99_micros + 1.0;
+        let chaos = &mut b.chaos.as_mut().unwrap().entries[0];
+        chaos.availability_pct = -1.0;
+        b.attribution.as_mut().unwrap().entries[0].e2e_p50_micros = 0.0;
+        let curve = &mut b.saturation.as_mut().unwrap().curves[0];
+        curve.steps[1].goodput_tps = curve.steps[1].offered_tps * 1.2;
+        let rows = [
+            b.service.as_ref().unwrap().entries[0].problems(),
+            b.chaos.as_ref().unwrap().entries[0].problems(),
+            b.attribution.as_ref().unwrap().entries[0].problems(),
+            b.saturation.as_ref().unwrap().curves[0].steps[1].problems(),
         ];
-        for (what, pick) in picks {
-            assert_eq!(fields(pick(&fresh)), fields(pick(&committed)), "{what}");
+        let problems = b.validate().unwrap_err();
+        assert_eq!(problems.len(), 4, "{problems:?}");
+        for (row, (problem, needle)) in rows.iter().zip(problems.iter().zip([
+            "p50_micros must be <= p99_micros",
+            "availability_pct must be >= 0",
+            "e2e_p50_micros must be positive",
+            "goodput_tps must be within",
+        ])) {
+            assert_eq!(row.len(), 1, "{row:?}");
+            assert!(
+                row[0].contains(needle) && problem.ends_with(&row[0]),
+                "{problem}"
+            );
         }
     }
 
