@@ -88,7 +88,6 @@ pub(crate) fn nanos(d: Duration) -> u64 {
 /// What a run's clients saw, folded: the in-process audit
 /// (`service::aggregate`) and the multi-process client (`proc::run_client`)
 /// count by this one pass.
-#[derive(Default)]
 pub(crate) struct ClientFold {
     /// Offered, shed, committed, aborted and stalled, summed over the
     /// clients folded in so far; `elapsed_nanos` is the host's to stamp.
@@ -102,6 +101,17 @@ pub(crate) struct ClientFold {
 }
 
 impl ClientFold {
+    /// An empty fold with room for the `txns` transactions a run's
+    /// clients submit at most.
+    pub(crate) fn new(txns: usize) -> ClientFold {
+        ClientFold {
+            stats: RunStats::default(),
+            split: 0,
+            retries: 0,
+            decided: Vec::with_capacity(txns),
+        }
+    }
+
     /// Fold one client's return in; `audit` sees each of its records with
     /// the verdict it was counted by.
     pub(crate) fn add(&mut self, cr: &ClientReturn, mut audit: impl FnMut(&ClientRecord, Verdict)) {
@@ -109,16 +119,8 @@ impl ClientFold {
         self.stats.shed += cr.shed as u64;
         self.stats.stalled += cr.stalled as u64;
         self.retries += cr.retries;
-        for e in &cr.events {
-            if let (Some(decided), Some(committed)) = (e.decided_at, e.committed) {
-                self.decided.push(DumpTxn {
-                    id: e.id,
-                    submitted_nanos: nanos(e.submitted_at),
-                    decided_nanos: nanos(decided),
-                    committed,
-                });
-            }
-        }
+        self.decided
+            .extend(cr.events.iter().filter_map(TxnEvent::decided));
         for rec in &cr.records {
             let verdict = rec.verdict();
             match verdict {

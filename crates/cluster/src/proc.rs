@@ -210,7 +210,7 @@ where
         })
         .collect();
 
-    let mut fold = ClientFold::default();
+    let mut fold = ClientFold::new(cfg.clients * cfg.txns_per_client);
     for h in handles {
         fold.add(&h.join().expect("client thread panicked"), |_, _| {});
     }

@@ -90,17 +90,17 @@ use std::time::{Duration, Instant};
 use ac_commit::problem::COMMIT;
 use ac_commit::protocols::{PerRank, ProtocolKind};
 use ac_commit::CommitProtocol;
-use ac_runtime::Slab;
 use ac_sim::ProcessId;
 use ac_txn::workload::Workload;
 use ac_txn::{Shard, Transaction, TxnId, Wal};
 use crossbeam::channel::unbounded;
 
 use ac_obs::{
-    Attribution, DumpTxn, FlightEvent, FlightIndex, NodeObs, ObsMeters, RunStats, StageHistograms,
+    Attribution, DumpTxn, FlightEvent, FlightIndex, NodeObs, ObsMeters, RunStats, SlotBox,
+    StageHistograms,
 };
 
-use crate::client::{client_main, nanos, ClientFold, ClientReturn, Verdict};
+use crate::client::{client_main, nanos, ClientFold, ClientRecord, ClientReturn, Verdict};
 use crate::node::{Clock, Node, NodeCounts, NodeEnv, NodeReturn, Replies};
 use crate::transport::{
     ChannelTransport, ClientLink, Link, NodeHooks, SocketLink, TcpTransport, Transport,
@@ -409,9 +409,10 @@ impl ServiceConfig {
             .wrapping_add((client as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// The globally unique id of client `client`'s `i`-th transaction.
+    /// The globally unique id of client `client`'s `i`-th transaction:
+    /// a [`SlotBox`] of `clients × txns_per_client` slots holds it.
     pub fn txn_id(client: usize, i: usize) -> TxnId {
-        ((client as u64 + 1) << 32) | (i as u64 + 1)
+        SlotBox::txn_id(client, i)
     }
 }
 
@@ -462,6 +463,20 @@ pub struct TxnEvent {
     /// Latest participant decision apply (the decision is journaled at
     /// every participant from this point).
     pub journaled_at: Option<Duration>,
+}
+
+impl TxnEvent {
+    /// The transaction as a run's record of a fully decided one (`None`
+    /// when it was abandoned).
+    pub(crate) fn decided(&self) -> Option<DumpTxn> {
+        let (decided, committed) = (self.decided_at?, self.committed?);
+        Some(DumpTxn {
+            id: self.id,
+            submitted_nanos: nanos(self.submitted_at),
+            decided_nanos: nanos(decided),
+            committed,
+        })
+    }
 }
 
 /// Aggregated result of a [`run_service`] run.
@@ -535,14 +550,16 @@ pub struct ServiceOutcome {
     pub shards: Vec<Shard>,
     /// Each node's apply log, in its local apply order.
     pub node_logs: Vec<Vec<NodeRecord>>,
-    /// Per-transaction timelines, grouped by client, submission order.
+    /// Per-transaction timelines, grouped by client, each client's in the
+    /// order it finished them: decided or abandoned at its deadline.
     pub txn_events: Vec<TxnEvent>,
     /// The client-side record of every fully decided transaction, in the
     /// form a multi-process run's [`ac_obs::ClusterDump`] carries it.
     pub decided: Vec<DumpTxn>,
-    /// The merged flight record of every node, on the service epoch's
-    /// clock — what [`ServiceOutcome::attribution`] was computed from.
-    pub flight: Vec<FlightEvent>,
+    /// Each node's flight record, indexed by node id, on the service
+    /// epoch's clock (unordered where the ring wrapped) — what
+    /// [`ServiceOutcome::attribution`] was computed from.
+    pub flight: Vec<Vec<FlightEvent>>,
     /// Per-stage seam meters (count, total nanos), merged across every
     /// node and client thread.
     pub stage_meters: ObsMeters,
@@ -879,6 +896,88 @@ where
     aggregate(cfg, client_returns, node_returns, elapsed)
 }
 
+/// What the nodes' logs say of one transaction, folded into its slot of
+/// the post-run table as the logs are read.
+#[derive(Copy, Clone, Debug, Default)]
+struct Logged {
+    /// Participants that logged a decision.
+    nodes: u32,
+    /// The first logged decision.
+    decision: u64,
+    /// A participant logged a no-vote.
+    missing_yes: bool,
+    /// A participant logged a decision other than the first.
+    split: bool,
+}
+
+impl Logged {
+    /// Fold one node's record of the transaction in.
+    fn add(&mut self, rec: &NodeRecord) {
+        if self.nodes == 0 {
+            self.decision = rec.decision;
+        }
+        self.nodes += 1;
+        self.missing_yes |= !rec.vote;
+        self.split |= rec.decision != self.decision;
+    }
+}
+
+/// The audit of one client record, read with the `verdict` it was counted
+/// by, against what the nodes logged of its transaction: agreement (one
+/// decision, at the client and in every participant's log) and validity
+/// (no commit without every yes-vote).
+fn audit(rec: &ClientRecord, verdict: Verdict, logged: Option<&Logged>, out: &mut Vec<String>) {
+    let id = rec.id;
+    let decision = match verdict {
+        Verdict::Stalled => return,
+        Verdict::Split(vals) => return out.push(format!("txn {id}: split decision {vals:?}")),
+        Verdict::Decided(decision) => decision,
+    };
+    let Some(logged) = logged.filter(|l| l.nodes > 0) else {
+        return out.push(format!("txn {id}: no node logged it"));
+    };
+    // One decision slot per participant, sized by the client.
+    let k = rec.decisions.len();
+    if logged.nodes as usize != k {
+        out.push(format!(
+            "txn {id}: {} of {k} participants logged a decision",
+            logged.nodes
+        ));
+    }
+    if logged.split || logged.decision != decision {
+        out.push(format!("txn {id}: node logs disagree with client view"));
+    }
+    if decision == COMMIT && logged.missing_yes {
+        out.push(format!("txn {id}: committed despite a missing yes-vote"));
+    }
+}
+
+/// The audit of shard `p` after the run: it holds no lock.
+fn audit_locks(p: usize, shard: &Shard, out: &mut Vec<String>) {
+    if shard.locked() != 0 {
+        out.push(format!(
+            "shard {p}: {} lock(s) still held after the run",
+            shard.locked()
+        ));
+    }
+}
+
+/// The post-run table: a slot per transaction, holding what every node's
+/// flight ring (read where it lies) and log (as it is read) say of it.
+/// Every id the service names is a slot of `slots` (see
+/// [`ServiceConfig::txn_id`]), so no id is probed for.
+fn table(slots: SlotBox, nodes: &[NodeReturn]) -> FlightIndex<Logged> {
+    let events = nodes.iter().map(|r| r.obs.flight.events().len()).sum();
+    let mut table = FlightIndex::<Logged>::with_slots(slots, events);
+    for r in nodes {
+        table.add(r.obs.flight.events().iter().copied());
+        for rec in &r.log {
+            table.tag_mut(rec.id).add(rec);
+        }
+    }
+    table
+}
+
 /// Merge per-thread results and audit safety.
 fn aggregate(
     cfg: &ServiceConfig,
@@ -888,7 +987,7 @@ fn aggregate(
 ) -> ServiceOutcome {
     let mut reply_timeouts = 0;
     let mut violations = Vec::new();
-    let mut txn_events = Vec::with_capacity(client_returns.iter().map(|r| r.events.len()).sum());
+    let mut txn_events = Vec::new();
     // Each node's lifetime counts, summed over the nodes.
     let total = |count: fn(&NodeCounts) -> usize| -> usize {
         node_returns.iter().map(|r| count(&r.counts)).sum()
@@ -902,103 +1001,59 @@ fn aggregate(
     let wal_forces = total(|c| c.wal_forces);
 
     // Merge the observability bundles: meters and histograms fold exactly
-    // (merge ≡ recording the concatenation); flight events concatenate
-    // into one cross-node record.
+    // (merge ≡ recording the concatenation).
     let stage_meters = ObsMeters::new();
     let mut stage_hists = StageHistograms::new();
-    let recorded = |r: &NodeReturn| r.obs.flight.events().len();
-    let mut flight: Vec<FlightEvent> = Vec::with_capacity(node_returns.iter().map(recorded).sum());
     let mut dropped_events = 0u64;
     for r in &node_returns {
         stage_meters.merge(&r.obs.meters);
         stage_hists.merge(&r.obs.hists);
         dropped_events += r.obs.flight.dropped();
-        flight.extend_from_slice(r.obs.flight.events());
     }
+    let slots = SlotBox::new(cfg.clients, cfg.txns_per_client);
+    let table = table(slots, &node_returns);
 
-    // Cross-node view: what the nodes' logs say of each transaction,
-    // folded as the logs are read.
-    struct Logged {
-        /// Participants that logged a decision.
-        nodes: usize,
-        all_voted_yes: bool,
-        /// The first logged decision, and whether every other equals it.
-        decision: u64,
-        unanimous: bool,
-    }
-    let mut by_txn: Slab<Logged> = Slab::new();
-    for rec in node_returns.iter().flat_map(|ret| &ret.log) {
-        let l = by_txn.get_or_insert_with(rec.id, || Logged {
-            nodes: 0,
-            all_voted_yes: true,
-            decision: rec.decision,
-            unanimous: true,
-        });
-        l.nodes += 1;
-        l.all_voted_yes &= rec.vote;
-        l.unanimous &= rec.decision == l.decision;
-    }
-
-    // The client-side fold counts; the audit holds each counted record
-    // against the nodes' logs in the same pass.
-    let mut fold = ClientFold::default();
-    for cr in client_returns {
+    // The client-side fold counts, and the audit holds each counted record
+    // against its slot. Then one walk of each transaction's chain stamps
+    // its event where it lies and, if it was decided, times its
+    // attribution. The first client's events become the run's where they
+    // lie, and the others are appended to them.
+    let mut fold = ClientFold::new(cfg.clients * cfg.txns_per_client);
+    let mut attribution = Attribution {
+        dropped_events,
+        ..Attribution::default()
+    };
+    for mut cr in client_returns {
         stage_meters.merge(&cr.obs.meters);
         stage_hists.merge(&cr.obs.hists);
         reply_timeouts += cr.reply_timeouts;
         fold.add(&cr, |rec, verdict| {
-            let id = rec.id;
-            let decision = match verdict {
-                Verdict::Stalled => return,
-                Verdict::Split(vals) => {
-                    return violations.push(format!("txn {id}: split decision {vals:?}"))
-                }
-                Verdict::Decided(decision) => decision,
-            };
-            let Some(logged) = by_txn.get(id) else {
-                return violations.push(format!("txn {id}: no node logged it"));
-            };
-            // One decision slot per participant, sized by the client.
-            let k = rec.decisions.len();
-            if logged.nodes != k {
-                violations.push(format!(
-                    "txn {id}: {} of {k} participants logged a decision",
-                    logged.nodes
-                ));
-            }
-            if !logged.unanimous || logged.decision != decision {
-                violations.push(format!("txn {id}: node logs disagree with client view"));
-            }
-            if decision == COMMIT && !logged.all_voted_yes {
-                violations.push(format!("txn {id}: committed despite a missing yes-vote"));
-            }
+            audit(rec, verdict, table.tag(rec.id), &mut violations)
         });
-        txn_events.extend(cr.events);
-    }
-    for (p, ret) in node_returns.iter().enumerate() {
-        if ret.shard.locked() != 0 {
-            violations.push(format!(
-                "shard {p}: {} lock(s) still held after the run",
-                ret.shard.locked()
-            ));
+        for ev in &mut cr.events {
+            let walk = table.walk(ev.id);
+            let l = walk.lifecycle;
+            ev.first_protocol_at = l.first_protocol_nanos.map(Duration::from_nanos);
+            ev.votes_held_at = l.votes_held_nanos.map(Duration::from_nanos);
+            ev.journaled_at = l.journaled_nanos.map(Duration::from_nanos);
+            if let Some(d) = ev.decided() {
+                attribution.add(d.span(), &walk, SLOWEST_KEPT);
+            }
+        }
+        if txn_events.is_empty() {
+            txn_events = cr.events;
+        } else {
+            txn_events.append(&mut cr.events);
         }
     }
 
-    let (shards, node_logs): (Vec<Shard>, Vec<Vec<NodeRecord>>) =
-        node_returns.into_iter().map(|r| (r.shard, r.log)).unzip();
-
-    // Per-txn lifecycle stamps and the five-stage attribution, from one
-    // index of the merged flight record plus the clients' submit/reply
-    // endpoints.
-    let index = FlightIndex::new(&flight);
-    for ev in &mut txn_events {
-        let l = index.lifecycle(ev.id);
-        ev.first_protocol_at = l.first_protocol_nanos.map(Duration::from_nanos);
-        ev.votes_held_at = l.votes_held_nanos.map(Duration::from_nanos);
-        ev.journaled_at = l.journaled_nanos.map(Duration::from_nanos);
+    let (mut shards, mut node_logs, mut flight) = (Vec::new(), Vec::new(), Vec::new());
+    for (p, r) in node_returns.into_iter().enumerate() {
+        audit_locks(p, &r.shard, &mut violations);
+        shards.push(r.shard);
+        node_logs.push(r.log);
+        flight.push(r.obs.flight.into_events());
     }
-    let spans = fold.decided.iter().map(DumpTxn::span);
-    let attribution = Attribution::fold(spans, &index, SLOWEST_KEPT, dropped_events);
 
     let ClientFold {
         stats,
@@ -1121,6 +1176,185 @@ mod tests {
             assert!(ev.decided_at.unwrap() >= ev.submitted_at);
             assert_eq!(ev.retries, 0);
             assert!(ev.participants >= 2);
+        }
+        // Grouped by client, each client's in the order it decided them.
+        for w in out.txn_events.windows(2) {
+            let key = |e: &TxnEvent| (e.client, e.decided_at);
+            assert!(key(&w[0]) <= key(&w[1]), "{} before {}", w[0].id, w[1].id);
+        }
+    }
+
+    /// The audit over node logs (one per node) and client records, as
+    /// `aggregate` runs it: the table, each record's rules with the
+    /// verdict it was counted by, then each shard's lock rule.
+    fn audited(
+        logs: Vec<Vec<(TxnId, bool, u64)>>,
+        records: &[(TxnId, &[Option<u64>])],
+    ) -> Vec<String> {
+        let nodes: Vec<NodeReturn> = (logs.into_iter().enumerate())
+            .map(|(p, log)| NodeReturn {
+                shard: Shard::new(p),
+                log: (log.into_iter())
+                    .map(|(id, vote, decision)| NodeRecord {
+                        id,
+                        txn: Arc::new(Transaction::new(id)),
+                        client: 0,
+                        vote,
+                        decision,
+                    })
+                    .collect(),
+                counts: NodeCounts::default(),
+                open_instances: 0,
+                obs: NodeObs::new(),
+            })
+            .collect();
+        let table = table(SlotBox::new(1, 8), &nodes);
+        let mut out = Vec::new();
+        for &(id, decisions) in records {
+            let rec = ClientRecord {
+                id,
+                decisions: decisions.iter().copied().collect(),
+            };
+            audit(&rec, rec.verdict(), table.tag(id), &mut out);
+        }
+        for (p, r) in nodes.iter().enumerate() {
+            audit_locks(p, &r.shard, &mut out);
+        }
+        out
+    }
+
+    /// Every rule of the audit fires, worded as the run reports it, for a
+    /// transaction of the slot box and for one outside it alike.
+    #[test]
+    fn every_audit_rule_fires() {
+        const C: u64 = COMMIT;
+        const A: u64 = 1 - COMMIT;
+        for id in [ServiceConfig::txn_id(0, 3), 7] {
+            let yes = |d| (id, true, d);
+            let both = [Some(C), Some(C)];
+            let clean = audited(vec![vec![yes(C)], vec![yes(C)]], &[(id, &both)]);
+            assert_eq!(clean, Vec::<String>::new());
+            let stalled = audited(vec![vec![yes(C)], vec![]], &[(id, &[Some(C), None])]);
+            assert_eq!(
+                stalled,
+                Vec::<String>::new(),
+                "a stalled record is not audited"
+            );
+
+            let split = audited(
+                vec![vec![yes(C)], vec![yes(A)]],
+                &[(id, &[Some(C), Some(A)])],
+            );
+            assert_eq!(split, [format!("txn {id}: split decision [0, 1]")]);
+            let unlogged = audited(vec![vec![], vec![]], &[(id, &both)]);
+            assert_eq!(unlogged, [format!("txn {id}: no node logged it")]);
+            let partial = audited(vec![vec![yes(C)], vec![]], &[(id, &both)]);
+            assert_eq!(
+                partial,
+                [format!("txn {id}: 1 of 2 participants logged a decision")]
+            );
+            let disagree = format!("txn {id}: node logs disagree with client view");
+            let other = audited(vec![vec![yes(A)], vec![yes(A)]], &[(id, &both)]);
+            assert_eq!(
+                other,
+                std::slice::from_ref(&disagree),
+                "logs agree on another decision"
+            );
+            let split_logs = audited(vec![vec![yes(C)], vec![yes(A)]], &[(id, &both)]);
+            assert_eq!(
+                split_logs,
+                [disagree],
+                "logs split, the first as the client"
+            );
+            let no_vote = audited(vec![vec![yes(C)], vec![(id, false, C)]], &[(id, &both)]);
+            assert_eq!(
+                no_vote,
+                [format!("txn {id}: committed despite a missing yes-vote")]
+            );
+            let aborted = audited(
+                vec![vec![yes(A)], vec![(id, false, A)]],
+                &[(id, &[Some(A); 2])],
+            );
+            assert_eq!(aborted, Vec::<String>::new(), "a no-vote may abort");
+        }
+
+        let mut shard = Shard::new(0);
+        let w = Transaction::new(1).with_write(ac_txn::Key::new(0, 5), 1);
+        assert!(shard.prepare(&w));
+        let mut leaked = Vec::new();
+        audit_locks(0, &shard, &mut leaked);
+        assert_eq!(leaked, ["shard 0: 1 lock(s) still held after the run"]);
+    }
+
+    /// The service's fold — an explicit slot box, each node's ring read in
+    /// place, the audit in the same table, one walk per transaction —
+    /// equals `Attribution::compute` and an index with no slots at all
+    /// over the flattened rings, on a windowed TCP run and a durable
+    /// channel run.
+    #[test]
+    fn the_slot_table_folds_like_the_generic_index() {
+        let windowed = |kind| {
+            quick(kind)
+                .clients(2)
+                .txns_per_client(300)
+                .max_outstanding(16)
+                .park_retries(0)
+                .keys_per_shard(1 << 16)
+                .workload(Workload::Uniform { span: 2 })
+        };
+        let tcp = windowed(ProtocolKind::PaxosCommit).transport(TransportKind::Tcp);
+        let durable = FaultSpec {
+            durable: true,
+            ..FaultSpec::none(4)
+        };
+        let runs = [
+            (tcp, FaultSpec::none(4)),
+            (windowed(ProtocolKind::TwoPc), durable),
+        ];
+        let shape = |h: &ac_obs::LatencyHistogram| (h.count(), h.sum(), h.max(), h.p50(), h.p99());
+        for (cfg, spec) in runs {
+            let out = run_service_faulted(&cfg, &spec);
+            assert!(out.is_safe(), "{:?}", out.violations);
+            assert_eq!(out.flight.len(), cfg.n);
+            for (p, ring) in out.flight.iter().enumerate() {
+                assert!(ring.iter().all(|e| e.node as usize == p), "node {p}'s ring");
+            }
+            let flat = out.flight.concat();
+            let spans: Vec<_> = out.decided.iter().map(DumpTxn::span).collect();
+            let got = &out.attribution;
+            assert!(got.covered > 0 && got.covered == got.total);
+
+            let mut stray = FlightIndex::<()>::with_slots(SlotBox::default(), flat.len());
+            stray.add(flat.iter().copied());
+            let mut generic = Attribution::default();
+            for &span in &spans {
+                generic.add(span, &stray.walk(span.0), SLOWEST_KEPT);
+            }
+            let compute = Attribution::compute(&spans, &flat, SLOWEST_KEPT, 0);
+            for want in [&generic, &compute] {
+                assert_eq!((got.covered, got.total), (want.covered, want.total));
+                assert_eq!(shape(&got.e2e), shape(&want.e2e));
+                for i in 0..5 {
+                    assert_eq!(shape(&got.stages[i]), shape(&want.stages[i]), "stage {i}");
+                }
+                assert_eq!(got.slowest, want.slowest);
+            }
+
+            let derived = FlightIndex::new(&flat);
+            for ev in &out.txn_events {
+                for index in [&stray, &derived] {
+                    let l = index.lifecycle(ev.id);
+                    let at = |n: Option<u64>| n.map(Duration::from_nanos);
+                    assert_eq!(
+                        ev.first_protocol_at,
+                        at(l.first_protocol_nanos),
+                        "{}",
+                        ev.id
+                    );
+                    assert_eq!(ev.votes_held_at, at(l.votes_held_nanos), "{}", ev.id);
+                    assert_eq!(ev.journaled_at, at(l.journaled_nanos), "{}", ev.id);
+                }
+            }
         }
     }
 

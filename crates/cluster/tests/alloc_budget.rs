@@ -104,7 +104,9 @@ fn a_commit_stays_inside_its_allocation_budget() {
     run_service_faulted(&paxos.clone().txns_per_client(200), &volatile);
 
     // (workload, config, faults, allocation budget, byte budget); the
-    // code measures 2.1 / 2 430 and 2.3 / 4 750 since the post-run fold
+    // code measures 2.1 / 1 980 and 2.3 / 4 000 since the post-run fold
+    // reads each node's ring and log in place into one slot table, and
+    // read 2.1 / 2 430 and 2.3 / 4 750 when the post-run fold first
     // reads one flat index (ISSUE-25), 3.1 / 2 890 and 4.3 / 5 570 with a
     // map per transaction in it, 18.0 / 4 230 and 20.0 / 7 470 before the
     // layout (ISSUE-19).

@@ -238,12 +238,7 @@ mod tests {
                         Vec::new()
                     },
                     hists: Vec::new(),
-                    flight: out
-                        .flight
-                        .iter()
-                        .filter(|e| e.node == node)
-                        .copied()
-                        .collect(),
+                    flight: out.flight[node as usize].clone(),
                     net: NetSnapshot::default(),
                 })
                 .collect(),

@@ -66,7 +66,7 @@ fn later(a: u64, b: u64) -> u64 {
 /// [`NONE`] when not recorded). First dispatch wins (a retried `Begin`
 /// re-dispatches; attribution follows the copy that started the
 /// protocol), latest decision wins (re-votes re-apply).
-#[derive(Copy, Clone)]
+#[derive(Copy, Clone, Debug)]
 struct NodePoints {
     node: u32,
     /// The transaction's next record in [`FlightIndex::points`], or [`END`].
@@ -94,30 +94,133 @@ pub struct Lifecycle {
     pub journaled_nanos: Option<u64>,
 }
 
-/// A run's flight events, read once: each transaction maps to a chain of
-/// flat per-(transaction, node) point records in one `Vec`, which both
-/// [`FlightIndex::lifecycle`] and [`Attribution::fold`] read.
-#[derive(Default)]
-pub struct FlightIndex {
-    /// Transaction → its newest record in `points`.
-    heads: Slab<u32>,
+/// The client-encoded transaction ids that find their slot by arithmetic.
+/// A service names client `c`'s `i`-th transaction
+/// [`SlotBox::txn_id`]`(c, i)`, so for `c < clients` and `i < per_client`
+/// that transaction's slot is `c · per_client + i`: no probe.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct SlotBox {
+    clients: u64,
+    per_client: u64,
+}
+
+impl SlotBox {
+    /// The id of client `client`'s `i`-th transaction: `(client + 1) << 32
+    /// | (i + 1)`, unique across clients, never 0.
+    pub fn txn_id(client: usize, i: usize) -> u64 {
+        ((client as u64 + 1) << 32) | (i as u64 + 1)
+    }
+
+    /// The box of `clients` clients with `per_client` transactions each.
+    pub fn new(clients: usize, per_client: usize) -> SlotBox {
+        SlotBox {
+            clients: clients as u64,
+            per_client: per_client as u64,
+        }
+    }
+
+    /// The smallest box around the client-encoded ids among `ids` (both
+    /// halves in `1..=ids.len()`), or the empty box when that would hold
+    /// more than four slots per id: ids scattered over the space are
+    /// cheaper to probe than to slot.
+    pub fn around(ids: impl ExactSizeIterator<Item = u64>) -> SlotBox {
+        let n = ids.len() as u64;
+        let mut b = SlotBox::default();
+        for id in ids {
+            let (c, i) = (id >> 32, id & u64::from(u32::MAX));
+            if (1..=n).contains(&c) && (1..=n).contains(&i) {
+                b.clients = b.clients.max(c);
+                b.per_client = b.per_client.max(i);
+            }
+        }
+        if b.clients.saturating_mul(b.per_client) <= n.saturating_mul(4) {
+            b
+        } else {
+            SlotBox::default()
+        }
+    }
+
+    /// How many slots the box holds.
+    fn slots(&self) -> usize {
+        (self.clients * self.per_client) as usize
+    }
+
+    /// `txn`'s slot, if the box holds it.
+    fn slot(&self, txn: u64) -> Option<usize> {
+        let c = (txn >> 32).wrapping_sub(1);
+        let i = (txn & u64::from(u32::MAX)).wrapping_sub(1);
+        (c < self.clients && i < self.per_client).then(|| (c * self.per_client + i) as usize)
+    }
+}
+
+/// One transaction's entry in [`FlightIndex::table`].
+#[derive(Clone)]
+struct Slot<T> {
+    /// The transaction's newest record in `points`, or [`END`].
+    head: u32,
+    /// What the caller folds in beside the flight events.
+    tag: T,
+}
+
+/// A run's flight events, read once, in one table with a slot per
+/// transaction: each slot heads a chain of flat per-(transaction, node)
+/// point records in one `Vec`, and carries a caller's `T` (the service's
+/// audit keeps what the nodes logged there). The ids of a [`SlotBox`]
+/// find their slot by arithmetic; any other id gets one appended, through
+/// the one probe the index has. [`FlightIndex::walk`] reads a
+/// transaction's chain once for both its [`Lifecycle`] and its
+/// attribution.
+pub struct FlightIndex<T = ()> {
+    slots: SlotBox,
+    /// The box's slots in slot order, then one per stray id.
+    table: Vec<Slot<T>>,
+    /// Stray id → its slot in `table`.
+    strays: Slab<u32>,
     points: Vec<NodePoints>,
 }
 
 impl FlightIndex {
-    /// Index `flight` in one pass.
+    /// Index `flight` in one pass, slotting the ids it clusters around
+    /// ([`SlotBox::around`]).
     pub fn new(flight: &[FlightEvent]) -> FlightIndex {
-        let mut index = FlightIndex::default();
+        let slots = SlotBox::around(flight.iter().map(|ev| ev.txn));
+        let mut index = FlightIndex::with_slots(slots, flight.len());
+        index.add(flight.iter().copied());
+        index
+    }
+}
+
+impl<T: Clone + Default> FlightIndex<T> {
+    /// An empty index with a slot (tagged `T::default()`) for every id of
+    /// `slots`, and room for the records of `events` flight events: a
+    /// third as many, since a participant stamps dispatch, locks held and
+    /// decided of each transaction it decides. Only points lost (to ring
+    /// wrap-around, or a crash) can make the index grow.
+    pub fn with_slots(slots: SlotBox, events: usize) -> FlightIndex<T> {
+        let empty = Slot {
+            head: END,
+            tag: T::default(),
+        };
+        FlightIndex {
+            slots,
+            table: vec![empty; slots.slots()],
+            strays: Slab::new(),
+            points: Vec::with_capacity(events.div_ceil(3)),
+        }
+    }
+
+    /// Index `events`: one node's ring, read where it lies, or any stream.
+    pub fn add(&mut self, events: impl IntoIterator<Item = FlightEvent>) {
         // The record the previous event landed in: a node stamps one
         // transaction's points back to back (dispatch, then locks held).
         let mut last = None;
-        for ev in flight {
+        for ev in events {
             let i = match last {
                 Some((txn, node, i)) if (txn, node) == (ev.txn, ev.node) => i,
-                _ => index.record(ev.txn, ev.node),
+                _ => self.record(ev.txn, ev.node),
             };
             last = Some((ev.txn, ev.node, i));
-            let (p, at) = (&mut index.points[i], ev.at_nanos);
+            let (p, at) = (&mut self.points[i], ev.at_nanos);
             match ev.stage {
                 FlightStage::Dispatch => p.dispatch = p.dispatch.min(at),
                 FlightStage::LockAcquired => {
@@ -128,13 +231,34 @@ impl FlightIndex {
                 FlightStage::Decided => p.decided = later(p.decided, at),
             }
         }
-        index
+    }
+
+    /// `txn`'s tag, its slot made if it has none.
+    pub fn tag_mut(&mut self, txn: u64) -> &mut T {
+        let slot = self.slot_mut(txn);
+        &mut self.table[slot].tag
+    }
+
+    /// `txn`'s slot, appended for a stray id the index has not seen.
+    fn slot_mut(&mut self, txn: u64) -> usize {
+        if let Some(slot) = self.slots.slot(txn) {
+            return slot;
+        }
+        let fresh = u32::try_from(self.table.len()).expect("fewer than u32::MAX slots");
+        let slot = *self.strays.get_or_insert_with(txn, || fresh);
+        if slot == fresh {
+            self.table.push(Slot {
+                head: END,
+                tag: T::default(),
+            });
+        }
+        slot as usize
     }
 
     /// `(txn, node)`'s record, put at the head of `txn`'s chain if new.
     fn record(&mut self, txn: u64, node: u32) -> usize {
-        let head = self.heads.get_or_insert_with(txn, || END);
-        let mut i = *head;
+        let slot = self.slot_mut(txn);
+        let mut i = self.table[slot].head;
         while i != END {
             let p = &self.points[i as usize];
             if p.node == node {
@@ -148,7 +272,7 @@ impl FlightIndex {
             .expect("fewer than u32::MAX records");
         self.points.push(NodePoints {
             node,
-            next: std::mem::replace(head, fresh),
+            next: std::mem::replace(&mut self.table[slot].head, fresh),
             dispatch: NONE,
             lock: NONE,
             lock_last: NONE,
@@ -157,31 +281,64 @@ impl FlightIndex {
         });
         fresh as usize
     }
+}
 
-    /// `txn`'s records, one per node that stamped it.
-    fn chain(&self, txn: u64) -> impl Iterator<Item = &NodePoints> {
-        let mut i = self.heads.get(txn).copied().unwrap_or(END);
-        std::iter::from_fn(move || {
-            let p = self.points.get(i as usize)?;
+impl<T> FlightIndex<T> {
+    /// `txn`'s slot, if it has one.
+    fn slot(&self, txn: u64) -> Option<&Slot<T>> {
+        let slot = self.slots.slot(txn);
+        let slot = slot.or_else(|| self.strays.get(txn).map(|&s| s as usize))?;
+        Some(&self.table[slot])
+    }
+
+    /// `txn`'s tag (`None` for a stray id the index never saw).
+    pub fn tag(&self, txn: u64) -> Option<&T> {
+        self.slot(txn).map(|s| &s.tag)
+    }
+
+    /// One walk of `txn`'s chain: its lifecycle, and the anchor its
+    /// attribution is timed by.
+    pub fn walk(&self, txn: u64) -> Walk {
+        let (mut first, mut held, mut journaled) = (NONE, NONE, NONE);
+        let mut anchor: Option<NodePoints> = None;
+        let mut i = self.slot(txn).map_or(END, |s| s.head);
+        while let Some(p) = self.points.get(i as usize) {
+            first = first.min(p.dispatch);
+            held = later(held, p.lock_last);
+            journaled = later(journaled, p.decided);
+            // The participant whose decision landed last (a tie goes to
+            // the higher node id, whatever order the chain runs in: equal
+            // inputs give equal attributions).
+            if p.decided != NONE && anchor.is_none_or(|a| (p.decided, p.node) > (a.decided, a.node))
+            {
+                anchor = Some(*p);
+            }
             i = p.next;
-            Some(p)
-        })
+        }
+        Walk {
+            lifecycle: Lifecycle {
+                first_protocol_nanos: point(first),
+                votes_held_nanos: point(held),
+                journaled_nanos: point(journaled),
+            },
+            anchor,
+        }
     }
 
     /// `txn`'s cross-participant stamps (all `None` when no event names it).
     pub fn lifecycle(&self, txn: u64) -> Lifecycle {
-        let (mut first, mut held, mut journaled) = (NONE, NONE, NONE);
-        for p in self.chain(txn) {
-            first = first.min(p.dispatch);
-            held = later(held, p.lock_last);
-            journaled = later(journaled, p.decided);
-        }
-        Lifecycle {
-            first_protocol_nanos: point(first),
-            votes_held_nanos: point(held),
-            journaled_nanos: point(journaled),
-        }
+        self.walk(txn).lifecycle
     }
+}
+
+/// What one walk of a transaction's chain found: its cross-participant
+/// [`Lifecycle`], and its anchor's points for [`Attribution::add`].
+#[derive(Copy, Clone, Debug)]
+pub struct Walk {
+    /// The transaction's cross-participant stamps.
+    pub lifecycle: Lifecycle,
+    /// The last-deciding participant's points, if any participant decided.
+    anchor: Option<NodePoints>,
 }
 
 /// One reconstructed transaction timeline: the monotone-clamped
@@ -314,27 +471,24 @@ impl Attribution {
     /// transactions (`(txn, submitted_nanos, decided_nanos)`) and the
     /// merged flight events of every node, keeping the `keep_slowest`
     /// worst timelines. `dropped_events` is the nodes' summed ring
-    /// overflow, carried through for honest coverage reporting.
+    /// overflow, carried through for honest coverage reporting. The index
+    /// slots the ids `decided` clusters around ([`SlotBox::around`]).
     pub fn compute(
         decided: &[(u64, u64, u64)],
         flight: &[FlightEvent],
         keep_slowest: usize,
         dropped_events: u64,
     ) -> Attribution {
-        let index = FlightIndex::new(flight);
-        Attribution::fold(
-            decided.iter().copied(),
-            &index,
-            keep_slowest,
-            dropped_events,
-        )
+        let slots = SlotBox::around(decided.iter().map(|d| d.0));
+        let mut index = FlightIndex::<()>::with_slots(slots, flight.len());
+        index.add(flight.iter().copied());
+        Attribution::fold(decided, &index, keep_slowest, dropped_events)
     }
 
-    /// [`Attribution::compute`] over an index already built and any
-    /// source of `(txn, submitted_nanos, decided_nanos)` entries.
-    pub fn fold(
-        decided: impl Iterator<Item = (u64, u64, u64)>,
-        index: &FlightIndex,
+    /// [`Attribution::compute`] over an index already built.
+    pub(crate) fn fold<T>(
+        decided: &[(u64, u64, u64)],
+        index: &FlightIndex<T>,
         keep_slowest: usize,
         dropped_events: u64,
     ) -> Attribution {
@@ -342,54 +496,58 @@ impl Attribution {
             dropped_events,
             ..Attribution::default()
         };
-        for (txn, submitted, decided_client) in decided {
-            out.total += 1;
-            // Anchor: the participant whose decision landed last (a tie
-            // goes to the higher node id, whatever order the chain runs
-            // in: equal inputs give equal attributions).
-            let Some(anchor) = index
-                .chain(txn)
-                .filter(|p| p.decided != NONE)
-                .max_by_key(|p| (p.decided, p.node))
-            else {
-                continue;
-            };
-            if anchor.dispatch == NONE || anchor.lock == NONE {
-                continue; // incomplete timeline: excluded, not guessed
-            }
-            // Monotone clamp so every stage is non-negative and the
-            // telescoping sum is exact even under point reordering.
-            let p0 = submitted;
-            let p1 = anchor.dispatch.max(p0);
-            let p2 = anchor.lock.max(p1);
-            let p3 = point(anchor.wal).map(|w| w.max(p2));
-            let p4 = anchor.decided.max(p3.unwrap_or(p2));
-            let p5 = decided_client.max(p4);
-            let tl = TxnTimeline {
-                txn,
-                anchor: anchor.node,
-                submitted_nanos: p0,
-                dispatch_nanos: p1,
-                lock_nanos: p2,
-                wal_nanos: p3,
-                decided_node_nanos: p4,
-                decided_client_nanos: p5,
-            };
-            out.covered += 1;
-            out.e2e.record(tl.e2e_nanos());
-            for (h, v) in out.stages.iter_mut().zip(tl.stage_nanos()) {
-                h.record(v);
-            }
-            out.slowest.push(tl);
-            if out.slowest.len() > keep_slowest.max(1) * 4 {
-                // Amortized truncation: keep the working set small.
-                out.slowest.sort_unstable_by(slower_first);
-                out.slowest.truncate(keep_slowest);
-            }
+        for &span in decided {
+            out.add(span, &index.walk(span.0), keep_slowest);
         }
-        out.slowest.sort_unstable_by(slower_first);
-        out.slowest.truncate(keep_slowest);
         out
+    }
+
+    /// Count one client-decided transaction `(txn, submitted_nanos,
+    /// decided_nanos)` in, timed by `walk` of its chain, keeping the
+    /// `keep_slowest` worst timelines.
+    pub fn add(&mut self, span: (u64, u64, u64), walk: &Walk, keep_slowest: usize) {
+        let (txn, submitted, decided_client) = span;
+        self.total += 1;
+        let Some(anchor) = walk.anchor else {
+            return;
+        };
+        if anchor.dispatch == NONE || anchor.lock == NONE {
+            return; // incomplete timeline: excluded, not guessed
+        }
+        // Monotone clamp so every stage is non-negative and the
+        // telescoping sum is exact even under point reordering.
+        let p0 = submitted;
+        let p1 = anchor.dispatch.max(p0);
+        let p2 = anchor.lock.max(p1);
+        let p3 = point(anchor.wal).map(|w| w.max(p2));
+        let p4 = anchor.decided.max(p3.unwrap_or(p2));
+        let p5 = decided_client.max(p4);
+        let tl = TxnTimeline {
+            txn,
+            anchor: anchor.node,
+            submitted_nanos: p0,
+            dispatch_nanos: p1,
+            lock_nanos: p2,
+            wal_nanos: p3,
+            decided_node_nanos: p4,
+            decided_client_nanos: p5,
+        };
+        self.covered += 1;
+        self.e2e.record(tl.e2e_nanos());
+        for (h, v) in self.stages.iter_mut().zip(tl.stage_nanos()) {
+            h.record(v);
+        }
+        // Bounded insertion: `slowest` stays sorted and never holds more
+        // than `keep_slowest`.
+        let at = self
+            .slowest
+            .partition_point(|kept| slower_first(kept, &tl) == Ordering::Less);
+        if at < keep_slowest {
+            if self.slowest.len() == keep_slowest {
+                self.slowest.pop();
+            }
+            self.slowest.insert(at, tl);
+        }
     }
 }
 
@@ -531,6 +689,56 @@ mod tests {
         assert_eq!(l.first_protocol_nanos, Some(100));
         assert_eq!(l.votes_held_nanos, Some(260));
         assert_eq!(l.journaled_nanos, Some(1_200));
+    }
+
+    #[test]
+    fn a_slot_box_slots_client_encoded_ids_by_arithmetic() {
+        let b = SlotBox::new(3, 4);
+        assert_eq!(b.slots(), 12);
+        assert_eq!(b.slot(SlotBox::txn_id(0, 0)), Some(0));
+        assert_eq!(b.slot(SlotBox::txn_id(2, 1)), Some(9));
+        assert_eq!(b.slot(SlotBox::txn_id(2, 3)), Some(11));
+        for outside in [
+            0,
+            7,
+            SlotBox::txn_id(3, 0),
+            SlotBox::txn_id(0, 4),
+            1 << 32,
+            u64::MAX,
+        ] {
+            assert_eq!(b.slot(outside), None, "{outside:#x}");
+        }
+        // Derived: the box around the encoded ids, unless they are too
+        // sparse for slots to pay.
+        let ids = [
+            SlotBox::txn_id(1, 0),
+            SlotBox::txn_id(0, 2),
+            0x9E37_79B9_7F4A_7C15,
+        ];
+        assert_eq!(SlotBox::around(ids.into_iter()), SlotBox::new(2, 3));
+        let sparse = [SlotBox::txn_id(4, 0), SlotBox::txn_id(0, 4), 7, 8, 9];
+        assert_eq!(SlotBox::around(sparse.into_iter()), SlotBox::default());
+    }
+
+    #[test]
+    fn slotted_and_stray_ids_share_one_table() {
+        let mut index = FlightIndex::<u32>::with_slots(SlotBox::new(1, 2), 0);
+        let (slotted, stray) = (SlotBox::txn_id(0, 1), 77);
+        index.add(full_txn(slotted, 0));
+        index.add(full_txn(stray, 10));
+        *index.tag_mut(stray) += 2;
+        *index.tag_mut(slotted) += 1;
+        assert_eq!(index.tag(slotted), Some(&1));
+        assert_eq!(index.tag(stray), Some(&2));
+        assert_eq!(
+            index.tag(SlotBox::txn_id(0, 0)),
+            Some(&0),
+            "every box slot exists"
+        );
+        assert_eq!(index.tag(78), None);
+        assert_eq!(index.lifecycle(slotted).journaled_nanos, Some(1_200));
+        assert_eq!(index.lifecycle(stray).journaled_nanos, Some(1_210));
+        assert_eq!(index.lifecycle(78), Lifecycle::default());
     }
 
     #[test]

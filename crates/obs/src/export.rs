@@ -6,8 +6,8 @@
 //! compact [`Wire`]-encoded snapshot a node ships over its existing
 //! client connection when asked (`ObsPull` → `ObsDump` in the cluster
 //! codec); [`Attribution::from_exports`] re-stamps every export's
-//! flight events through its node's [`ClockAlignment`] and feeds the
-//! merged stream to the ordinary [`Attribution::compute`], so the
+//! flight events through its node's [`ClockAlignment`] and indexes them
+//! where they lie, folding them as [`Attribution::compute`] does, so the
 //! telescoping exactness (stages sum to measured end-to-end latency per
 //! transaction) survives the process boundary untouched — alignment
 //! error shifts *where* a stage boundary falls, never the total.
@@ -19,7 +19,7 @@
 
 use ac_sim::{Wire, WireError};
 
-use crate::attribution::Attribution;
+use crate::attribution::{Attribution, FlightIndex, SlotBox};
 use crate::clock::ClockAlignment;
 use crate::histogram::LatencyHistogram;
 use crate::net::NetSnapshot;
@@ -125,14 +125,14 @@ impl ObsExport {
 
     /// The flight events mapped into the collector's timeline through
     /// `align` (which must be this node's alignment).
-    pub fn aligned_flight(&self, align: &ClockAlignment) -> Vec<FlightEvent> {
-        self.flight
-            .iter()
-            .map(|ev| FlightEvent {
-                at_nanos: align.apply(ev.at_nanos),
-                ..*ev
-            })
-            .collect()
+    pub fn aligned_flight<'a>(
+        &'a self,
+        align: &'a ClockAlignment,
+    ) -> impl Iterator<Item = FlightEvent> + 'a {
+        self.flight.iter().map(|ev| FlightEvent {
+            at_nanos: align.apply(ev.at_nanos),
+            ..*ev
+        })
     }
 }
 
@@ -162,16 +162,19 @@ impl Attribution {
     /// flight events are mapped into the collector's timeline through
     /// its node's [`ClockAlignment`] (nodes without an alignment get the
     /// identity — e.g. recorders that already share the collector's
-    /// epoch), then the merged stream feeds [`Attribution::compute`].
-    /// With zero-offset alignments this is *identical* to computing over
-    /// the single merged in-process recorder.
+    /// epoch) and indexed where they lie, as [`Attribution::compute`]
+    /// indexes its one stream. With zero-offset alignments this is
+    /// *identical* to computing over the single merged in-process
+    /// recorder.
     pub fn from_exports(
         decided: &[(u64, u64, u64)],
         exports: &[ObsExport],
         alignments: &[ClockAlignment],
         keep_slowest: usize,
     ) -> Attribution {
-        let mut flight = Vec::with_capacity(exports.iter().map(|e| e.flight.len()).sum());
+        let slots = SlotBox::around(decided.iter().map(|d| d.0));
+        let events = exports.iter().map(|e| e.flight.len()).sum();
+        let mut index = FlightIndex::<()>::with_slots(slots, events);
         let mut dropped = 0u64;
         for ex in exports {
             let align = alignments
@@ -179,10 +182,10 @@ impl Attribution {
                 .find(|a| a.node == ex.node)
                 .copied()
                 .unwrap_or_else(|| ClockAlignment::identity(ex.node));
-            flight.extend(ex.aligned_flight(&align));
+            index.add(ex.aligned_flight(&align));
             dropped += ex.dropped_events;
         }
-        Attribution::compute(decided, &flight, keep_slowest, dropped)
+        Attribution::fold(decided, &index, keep_slowest, dropped)
     }
 }
 

@@ -16,8 +16,9 @@
 //!   end-to-end latency into channel / lock / WAL / protocol / transport
 //!   stages, exact by construction (stages sum to the measured latency
 //!   per transaction, so shares sum to 100 %), read off one
-//!   [`FlightIndex`] that also gives each transaction's cross-participant
-//!   [`Lifecycle`] stamps;
+//!   [`FlightIndex`] — a slot per transaction, by arithmetic for the ids a
+//!   [`SlotBox`] holds — whose one [`Walk`] of a transaction also gives
+//!   its cross-participant [`Lifecycle`] stamps;
 //! * [`export`] — the cross-process story: a compact `Wire`-encoded
 //!   [`ObsExport`] of one process's recorder state, the collector-side
 //!   [`ClusterDump`] file format, and [`Attribution::from_exports`];
@@ -43,7 +44,9 @@ pub mod histogram;
 pub mod net;
 pub mod stage;
 
-pub use attribution::{Attribution, FlightIndex, Lifecycle, TxnTimeline, ATTRIBUTION_STAGES};
+pub use attribution::{
+    Attribution, FlightIndex, Lifecycle, SlotBox, TxnTimeline, Walk, ATTRIBUTION_STAGES,
+};
 pub use clock::{ClockAlignment, ClockSample};
 pub use export::{
     goodput_tps, max_uncertainty_nanos, sojourn_times, ClusterDump, DumpTxn, ObsExport, RunStats,

@@ -1,13 +1,16 @@
 //! The flight index against the folds it replaced (ISSUE-25): on random
 //! event streams — any order, duplicate stamps, missing points, one to six
-//! nodes per transaction, decided transactions no event names — the
-//! index-based [`Attribution`] and [`FlightIndex::lifecycle`] equal the
-//! nested-map fold and the `lifecycles` map `ac-obs` ran before.
+//! nodes per transaction, decided transactions no event names, ids a
+//! service encodes per client mixed with ids scattered over the space —
+//! the index-based [`Attribution`] and [`FlightIndex::lifecycle`] equal
+//! the nested-map fold and the `lifecycles` map `ac-obs` ran before,
+//! whether an id finds its slot by arithmetic or by probe.
 
 use std::collections::HashMap;
 
 use ac_obs::{
-    Attribution, FlightEvent, FlightIndex, FlightStage, LatencyHistogram, Lifecycle, TxnTimeline,
+    Attribution, FlightEvent, FlightIndex, FlightStage, LatencyHistogram, Lifecycle, SlotBox,
+    TxnTimeline,
 };
 use proptest::prelude::*;
 
@@ -116,9 +119,15 @@ fn shape(h: &LatencyHistogram) -> (u64, u128, u64, u64, u64) {
     (h.count(), h.sum(), h.max(), h.p50(), h.p99())
 }
 
-/// A sparse transaction id: nothing may assume ids are dense.
-fn txn_id(i: usize) -> u64 {
-    (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+/// Transaction `i`'s id: client-encoded as a service names it (client
+/// `i % 3`'s `i / 3`-th, the ids a slot box holds) where bit `i % 64` of
+/// `encoded` is set, else sparse — nothing may assume ids are dense.
+fn txn_id(encoded: u64, i: usize) -> u64 {
+    if encoded >> (i % 64) & 1 == 1 {
+        SlotBox::txn_id(i % 3, i / 3)
+    } else {
+        (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
 }
 
 /// Deterministic Fisher–Yates from `seed` (xorshift64).
@@ -160,13 +169,14 @@ proptest! {
         unstamped in 0usize..6,
         keep in 0usize..6,
         order in any::<u64>(),
+        encoded in any::<u64>(),
     ) {
         let mut flight: Vec<FlightEvent> = txns
             .iter()
             .enumerate()
             .flat_map(|(i, evs)| {
                 evs.iter().map(move |&(node, s, at)| FlightEvent {
-                    txn: txn_id(i),
+                    txn: txn_id(encoded, i),
                     node,
                     stage: STAGES[s as usize],
                     at_nanos: at,
@@ -184,7 +194,7 @@ proptest! {
             .filter(|&i| i >= txns.len() || client[i].0 != 0)
             .map(|i| {
                 let (_, submitted, steps) = client[i];
-                (txn_id(i), submitted, submitted + 5_000 + steps * 700)
+                (txn_id(encoded, i), submitted, submitted + 5_000 + steps * 700)
             })
             .collect();
         shuffle(&mut decided, order.rotate_left(17));
@@ -202,8 +212,9 @@ proptest! {
         let index = FlightIndex::new(&flight);
         let lifecycles = reference_lifecycles(&flight);
         for i in 0..txns.len() + unstamped {
-            let want = lifecycles.get(&txn_id(i)).copied().unwrap_or_default();
-            prop_assert_eq!(index.lifecycle(txn_id(i)), want, "txn {}", i);
+            let id = txn_id(encoded, i);
+            let want = lifecycles.get(&id).copied().unwrap_or_default();
+            prop_assert_eq!(index.lifecycle(id), want, "txn {}", i);
         }
     }
 }
