@@ -11,7 +11,7 @@
 //! ```
 //!
 //! With `--obs-out PATH` the collected cluster dump (per-node flight
-//! recorders, histograms, transport counters, clock alignments, and the
+//! recorders, meters, transport counters, clock alignments, and the
 //! client-side transaction record) is written to PATH in the binary
 //! dump format `repro trace` and `repro proc` consume.
 //!

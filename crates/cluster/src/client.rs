@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use ac_commit::problem::COMMIT;
 use ac_commit::protocols::PerRank;
 use ac_commit::CommitProtocol;
-use ac_obs::{DumpTxn, FlightRecorder, NodeObs, RunStats, Stage};
+use ac_obs::{DumpTxn, ObsMeters, RunStats, Stage};
 use ac_txn::workload::{ArrivalSchedule, WorkloadConfig};
 use ac_txn::{Transaction, TxnId};
 
@@ -75,9 +75,9 @@ pub(crate) struct ClientReturn {
     pub(crate) offered: usize,
     /// Open-loop arrivals shed at a full in-flight window.
     pub(crate) shed: usize,
-    /// Client-side observability (the `ClientQueueWait` seam and the
-    /// client transport's share of `TcpWrite`).
-    pub(crate) obs: NodeObs,
+    /// Client-side seam meters (`ClientQueueWait` and the client
+    /// transport's share of `TcpWrite`).
+    pub(crate) meters: ObsMeters,
 }
 
 /// `d` in whole nanoseconds, saturating.
@@ -225,13 +225,8 @@ where
     let mut reply_timeouts = 0usize;
     let mut dbuf: Vec<Done> = Vec::with_capacity(CLIENT_BATCH);
     let mut next_allowed = Instant::now();
-    // Meters and histograms only: a client stamps no flight event, so it
-    // gets no ring to stamp them into.
-    let mut obs = NodeObs {
-        flight: FlightRecorder::new(0, 1),
-        meters: Default::default(),
-        hists: Default::default(),
-    };
+    // Meters only: a client stamps no flight event.
+    let meters = ObsMeters::new();
     let mut outbox: Outbox<P::Msg> = Outbox::new(cfg.n);
     // Per node, the finished transactions whose `End`s wait there.
     let mut ends: Vec<Vec<TxnId>> = vec![Vec::new(); cfg.n];
@@ -382,7 +377,7 @@ where
         // One reading stamps the whole received batch: only bookkeeping
         // lies between it and each reply's fold-in, or the expiry pass.
         let now = Instant::now();
-        obs.record(Stage::ClientQueueWait, now - t0);
+        meters.add(Stage::ClientQueueWait, nanos(now - t0));
 
         // Fold in replies (duplicates from retries/recovery are ignored).
         for d in dbuf.drain(..) {
@@ -447,7 +442,7 @@ where
     outbox.flush(|to, batch| link.send_batch(to, batch));
     // The client's half of the socket path (zero over channels).
     let (writes, write_nanos) = link.io_stats();
-    obs.meters.add_many(Stage::TcpWrite, writes, write_nanos);
+    meters.add_many(Stage::TcpWrite, writes, write_nanos);
     ClientReturn {
         records,
         events,
@@ -460,7 +455,7 @@ where
             submitted
         },
         shed,
-        obs,
+        meters,
     }
 }
 

@@ -23,10 +23,10 @@
 //!   bounded, retrying reply waits instead of blocking on dead nodes.
 //!
 //! Latency reporting uses `ac-obs`: the log-bucketed
-//! [`LatencyHistogram`] (p50/p90/p99/p99.9/max, exact merge semantics,
-//! re-exported here for compatibility) that [`ac_obs::sojourn_times`]
-//! folds a run's decided transactions into, per-stage meters and the per-txn
-//! flight recorder every node thread carries (see
+//! [`LatencyHistogram`] (p50/p90/p99/p99.9/max, re-exported here for
+//! compatibility) that [`ac_obs::sojourn_times`] folds a run's decided
+//! transactions into, the per-stage meters every node and client thread
+//! carries, and the per-txn flight recorder every node thread carries (see
 //! [`ServiceOutcome::attribution`](service::ServiceOutcome)).
 
 #![deny(missing_docs)]
@@ -41,8 +41,7 @@ pub mod spec;
 pub mod transport;
 
 pub use ac_obs::{
-    Attribution, LatencyHistogram, ObsMeters, Stage, StageHistograms, TxnTimeline,
-    ATTRIBUTION_STAGES,
+    Attribution, LatencyHistogram, ObsMeters, Stage, TxnTimeline, ATTRIBUTION_STAGES,
 };
 pub use ac_sim::inline::{self, InlineVec};
 pub use codec::{AnyFrame, FrameDecoder, MAX_FRAME};

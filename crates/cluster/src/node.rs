@@ -116,9 +116,6 @@ pub(crate) struct NodeCounts {
     /// Prepare records staged on the Begin critical path (the records a
     /// pre-group-commit node forced one by one).
     pub(crate) wal_prepare_forces: usize,
-    /// WAL force operations this node issued (one per non-empty staged
-    /// batch).
-    pub(crate) wal_forces: usize,
     /// Write-lock holds released and their summed length
     /// ([`Stage::LockHold`], folded into the meters at exit).
     lock_holds: u64,
@@ -140,8 +137,8 @@ pub(crate) struct NodeReturn {
     /// Transactions still in the table at exit: never `End`ed.
     #[cfg(test)]
     pub(crate) open_instances: usize,
-    /// The thread's observability bundle (meters, stage histograms,
-    /// flight recorder), merged by `service::aggregate`.
+    /// The thread's observability bundle (meters, flight recorder),
+    /// merged by `service::aggregate`.
     pub(crate) obs: NodeObs,
 }
 
@@ -695,9 +692,9 @@ where
                 // Snapshot what the thread has recorded so far. The bulk
                 // fold-ins of `finish` (lock residency, timer lag,
                 // socket-write time) land at node exit, so a mid-run pull
-                // sees the flight recorder and histograms — all
-                // attribution needs — with meters still accruing. One
-                // `ObsDump` frame down the collector's connection.
+                // sees the flight recorder — all attribution needs — with
+                // meters still accruing. One `ObsDump` frame down the
+                // collector's connection.
                 if let Replies::Connection { net, .. } = &self.env.replies {
                     let (me, net) = (self.env.me as u32, net.snapshot());
                     let export = Box::new(ObsExport::snapshot(me, &self.env.obs, Some(net)));
@@ -885,10 +882,8 @@ where
             }
             decided = self.env.clock.now();
             let took = nanos(decided - finished);
-            let obs = &mut self.env.obs;
-            obs.meters
-                .add_many(Stage::WalJournal, applied.len() as u64, took);
-            obs.hists.record(Stage::WalJournal, took);
+            let meters = &self.env.obs.meters;
+            meters.add_many(Stage::WalJournal, applied.len() as u64, took);
         }
         let me = self.env.me as u32;
         let at = self.env.clock.since_epoch(decided);
@@ -978,7 +973,6 @@ where
             let stage = FlightStage::WalForced;
             self.env.obs.flight.record(id, me, stage, at);
         }
-        self.counts.wal_forces += 1;
         Some(forced)
     }
 
@@ -1063,9 +1057,9 @@ where
             }
             self.vol.log = node_records(&rec.decided);
         }
-        // Fold in the bulk counters (no per-op histogram): lock residency
-        // from the node's own count, timer lag from the engine,
-        // socket-write time from the transport.
+        // Fold in the bulk counters: lock residency from the node's own
+        // count, timer lag from the engine, socket-write time from the
+        // transport.
         let obs = self.env.obs;
         let counts = &self.counts;
         obs.meters
@@ -1296,7 +1290,8 @@ mod tests {
             );
         }
         assert_eq!(r.node.engine.open_instances(), 2 * per_step);
-        assert_eq!(r.node.counts.wal_forces, 2, "one force per step");
+        let (forces, _) = r.node.env.obs.meters.get(Stage::WalForce);
+        assert_eq!(forces, 2, "one force per step");
     }
 
     /// A decision and the `End` that garbage-collects its transaction can
@@ -1558,7 +1553,6 @@ mod tests {
             assert!(decided.iter().all(|&d| d == decided[0]), "{decided:?}");
             assert!(at(FlightStage::LockAcquired).all(|l| l < decided[0]));
             assert_eq!(obs.meters.get(Stage::WalJournal).0, 3, "one per decision");
-            assert_eq!(obs.hists.get(Stage::WalJournal).count(), 1, "one per pass");
             assert_eq!(r.node.counts.lock_holds, 3);
         }
     }

@@ -36,7 +36,7 @@ use ac_sim::Wire;
 use crate::client::{client_main, nanos, ClientFold};
 use crate::codec::{write_frame, AnyFrame, FrameDecoder};
 use crate::node::{Clock, Node, NodeEnv, Replies};
-use crate::service::{with_protocol, ToNode};
+use crate::service::ToNode;
 use crate::spec::ClusterSpec;
 use crate::transport::{
     ClientLink, EchoResponder, Link, NodeHooks, SocketLink, Sockets, TcpTransport, Transport,
@@ -120,7 +120,7 @@ pub fn run_node(
         "node id {me} out of range (n = {})",
         spec.n()
     );
-    with_protocol!(spec.service.kind, P => run_node_p::<P>(spec, me, meters, net))
+    ac_commit::with_protocol!(spec.service.kind, P => run_node_p::<P>(spec, me, meters, net))
 }
 
 fn run_node_p<P>(
@@ -185,7 +185,7 @@ where
 /// clock alignment per node it could reach, and the client-side record of
 /// every fully decided transaction, which the attribution anchors on.
 pub fn run_client(spec: &ClusterSpec) -> (ClientSummary, ClusterDump) {
-    with_protocol!(spec.service.kind, P => run_client_p::<P>(spec))
+    ac_commit::with_protocol!(spec.service.kind, P => run_client_p::<P>(spec))
 }
 
 fn run_client_p<P>(spec: &ClusterSpec) -> (ClientSummary, ClusterDump)

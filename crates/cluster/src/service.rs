@@ -96,8 +96,7 @@ use ac_txn::{Shard, Transaction, TxnId, Wal};
 use crossbeam::channel::unbounded;
 
 use ac_obs::{
-    Attribution, DumpTxn, FlightEvent, FlightIndex, NodeObs, ObsMeters, RunStats, SlotBox,
-    StageHistograms,
+    Attribution, DumpTxn, FlightEvent, FlightIndex, NodeObs, ObsMeters, RunStats, SlotBox, Stage,
 };
 
 use crate::client::{client_main, nanos, ClientFold, ClientRecord, ClientReturn, Verdict};
@@ -454,8 +453,8 @@ pub struct TxnEvent {
     /// `Begin` re-sends this transaction needed.
     pub retries: u32,
     /// Earliest `Begin` dispatch at any participant — the first protocol
-    /// event (from the flight recorder; `None` when the transaction was
-    /// unsampled or its events were lost to ring wrap-around).
+    /// event (from the flight recorder; `None` when its events were lost
+    /// to ring wrap-around).
     pub first_protocol_at: Option<Duration>,
     /// Latest participant lock acquisition: every vote cast, all write
     /// locks of yes-votes held.
@@ -537,7 +536,8 @@ pub struct ServiceOutcome {
     /// a drain batch, so under batched load this is far below the record
     /// count — `wal_forces / txns < 1` is the gated group-commit win
     /// (per-record forcing puts it at ≥ 2: one prepare + one decide per
-    /// participant). Zero when the run has no WAL.
+    /// participant). Read off the merged [`Stage::WalForce`] meter. Zero
+    /// when the run has no WAL.
     pub wal_forces: usize,
     /// Early protocol envelopes (arrived before their `Begin`) dropped
     /// because an instance's bounded pre-open buffer was full. 0 in any
@@ -563,9 +563,6 @@ pub struct ServiceOutcome {
     /// Per-stage seam meters (count, total nanos), merged across every
     /// node and client thread.
     pub stage_meters: ObsMeters,
-    /// Per-stage seam latency histograms, merged across every thread
-    /// (merge ≡ recording the concatenation).
-    pub stage_hists: StageHistograms,
     /// Per-transaction latency attribution: the five-stage telescoping
     /// decomposition of every covered commit (see [`ac_obs::Attribution`]).
     pub attribution: Attribution,
@@ -683,10 +680,9 @@ pub enum ToNode<M> {
         txn: TxnId,
     },
     /// A collector asks for this node's observability export (flight
-    /// recorder, stage histograms, meters, transport counters). A
-    /// multi-process node answers with one `ObsDump` frame; the
-    /// in-process service, whose recorders are already local, ignores
-    /// the request.
+    /// recorder, meters, transport counters). A multi-process node
+    /// answers with one `ObsDump` frame; the in-process service, whose
+    /// recorders are already local, ignores the request.
     ObsPull {
         /// The requesting collector's client id (the `ObsDump` goes back
         /// down the connection that said `Hello` with it).
@@ -712,83 +708,11 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceOutcome {
     run_service_faulted(cfg, &FaultSpec::none(cfg.n))
 }
 
-/// Dispatch on a [`ProtocolKind`] to monomorphized code: `$p` is bound
-/// to the protocol type inside `$body`. Shared by the in-process engine
-/// and the `ac-node`/`ac-client` process drivers.
-macro_rules! with_protocol {
-    ($kind:expr, $p:ident => $body:expr) => {{
-        use ac_commit::protocols::*;
-        match $kind {
-            ProtocolKind::Inbac => {
-                type $p = Inbac;
-                $body
-            }
-            ProtocolKind::InbacFastAbort => {
-                type $p = InbacFastAbort;
-                $body
-            }
-            ProtocolKind::Nbac1 => {
-                type $p = Nbac1;
-                $body
-            }
-            ProtocolKind::D1cc => {
-                type $p = D1cc;
-                $body
-            }
-            ProtocolKind::Nbac0 => {
-                type $p = Nbac0;
-                $body
-            }
-            ProtocolKind::ANbac => {
-                type $p = ANbac;
-                $body
-            }
-            ProtocolKind::AvNbacDelayOpt => {
-                type $p = AvNbacDelayOpt;
-                $body
-            }
-            ProtocolKind::AvNbacMsgOpt => {
-                type $p = AvNbacMsgOpt;
-                $body
-            }
-            ProtocolKind::ChainNbac => {
-                type $p = ChainNbac;
-                $body
-            }
-            ProtocolKind::Nbac2n2 => {
-                type $p = Nbac2n2;
-                $body
-            }
-            ProtocolKind::Nbac2n2f => {
-                type $p = Nbac2n2f;
-                $body
-            }
-            ProtocolKind::TwoPc => {
-                type $p = TwoPc;
-                $body
-            }
-            ProtocolKind::ThreePc => {
-                type $p = ThreePc;
-                $body
-            }
-            ProtocolKind::PaxosCommit => {
-                type $p = PaxosCommit;
-                $body
-            }
-            ProtocolKind::FasterPaxosCommit => {
-                type $p = FasterPaxosCommit;
-                $body
-            }
-        }
-    }};
-}
-pub(crate) use with_protocol;
-
 /// Run the configured service under a fault specification (see the module
 /// docs' "Failure injection" section). Dispatches on `cfg.kind` to the
 /// generic engine — any protocol of the suite can serve.
 pub fn run_service_faulted(cfg: &ServiceConfig, spec: &FaultSpec) -> ServiceOutcome {
-    with_protocol!(cfg.kind, P => serve::<P>(cfg, spec))
+    ac_commit::with_protocol!(cfg.kind, P => serve::<P>(cfg, spec))
 }
 
 fn serve<P>(cfg: &ServiceConfig, spec: &FaultSpec) -> ServiceOutcome
@@ -998,16 +922,12 @@ fn aggregate(
     let delayed_messages = total(|c| c.delayed_messages);
     let orphaned_envelopes = total(|c| c.orphaned_envelopes);
     let wal_prepare_forces = total(|c| c.wal_prepare_forces);
-    let wal_forces = total(|c| c.wal_forces);
 
-    // Merge the observability bundles: meters and histograms fold exactly
-    // (merge ≡ recording the concatenation).
+    // Merge the observability bundles: the meters fold exactly.
     let stage_meters = ObsMeters::new();
-    let mut stage_hists = StageHistograms::new();
     let mut dropped_events = 0u64;
     for r in &node_returns {
         stage_meters.merge(&r.obs.meters);
-        stage_hists.merge(&r.obs.hists);
         dropped_events += r.obs.flight.dropped();
     }
     let slots = SlotBox::new(cfg.clients, cfg.txns_per_client);
@@ -1024,8 +944,7 @@ fn aggregate(
         ..Attribution::default()
     };
     for mut cr in client_returns {
-        stage_meters.merge(&cr.obs.meters);
-        stage_hists.merge(&cr.obs.hists);
+        stage_meters.merge(&cr.meters);
         reply_timeouts += cr.reply_timeouts;
         fold.add(&cr, |rec, verdict| {
             audit(rec, verdict, table.tag(rec.id), &mut violations)
@@ -1079,14 +998,13 @@ fn aggregate(
         spurious_wakeups,
         orphaned_envelopes,
         wal_prepare_forces,
-        wal_forces,
+        wal_forces: stage_meters.get(Stage::WalForce).0 as usize,
         shards,
         node_logs,
         txn_events,
         decided,
         flight,
         stage_meters,
-        stage_hists,
         attribution,
         violations,
     }
@@ -1095,7 +1013,6 @@ fn aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ac_obs::Stage;
 
     fn quick(kind: ProtocolKind) -> ServiceConfig {
         ServiceConfig::new(4, 1, kind)
@@ -1421,7 +1338,7 @@ mod tests {
         assert!(out.stage_meters.get(Stage::ClientQueueWait).0 > 0);
         assert!(out.stage_meters.get(Stage::Flush).0 > 0);
         assert_eq!(out.stage_meters.get(Stage::WalForce).0, 0, "no WAL here");
-        assert!(out.stage_hists.get(Stage::DrainGap).count() > 0);
+        assert!(out.stage_meters.get(Stage::DrainGap).0 > 0);
     }
 
     /// The node meters every write-lock hold it releases: in a durable,

@@ -1,9 +1,8 @@
-//! ISSUE-8 satellite: the observability layer must be free where it
-//! matters. The always-on meters, per-stage histograms and flight
-//! recorder ride the PR-4 hot path (drain-then-dispatch, batched
-//! flushes, zero idle wakeups) — these guards pin that the instruments
-//! did not buy their data with wakeups, stalls or lost counter
-//! exactness. The idle half of the invariant (zero spurious wakeups
+//! The observability layer must be free where it matters. The always-on
+//! seam meters and flight recorder ride the hot path (drain-then-dispatch,
+//! batched flushes, zero idle wakeups) — these guards pin that the
+//! instruments did not buy their data with wakeups, stalls or lost
+//! counter exactness. The idle half of the invariant (zero spurious wakeups
 //! with instruments armed and nothing to measure) is pinned by
 //! `service::tests::idle_nodes_perform_zero_spurious_wakeups_over_50ms`;
 //! the long-run half (ended transactions leave no timer behind to wake a
@@ -17,9 +16,9 @@ use ac_txn::Workload;
 
 /// The PaxosCommit ×16 hot path: a protocol with no timer on its path, at
 /// the sweep's highest concurrency, fully instrumented. The run must
-/// stay safe, stall-free and wakeup-free, and the flight recorder must
-/// reconstruct (at test scale, 100 % sampling) every decided
-/// transaction with stage shares telescoping to the measured latency.
+/// stay safe, stall-free and wakeup-free, and the flight recorder, which
+/// records every transaction, must reconstruct every decided one with
+/// stage shares telescoping to the measured latency.
 #[test]
 fn instrumented_hot_path_stays_wakeup_free_and_fully_attributed() {
     let cfg = ServiceConfig::new(4, 1, ProtocolKind::PaxosCommit)
@@ -47,7 +46,7 @@ fn instrumented_hot_path_stays_wakeup_free_and_fully_attributed() {
     // full coverage makes the sum 100 % by construction).
     let a = &out.attribution;
     assert_eq!(a.total, out.txns);
-    assert_eq!(a.covered, a.total, "100% sampling at test scale");
+    assert_eq!(a.covered, a.total, "every decided txn reconstructed");
     assert_eq!(a.dropped_events, 0, "ring must not wrap at test scale");
     assert!(
         (a.share_sum_pct() - 100.0).abs() < 1e-6,

@@ -73,6 +73,86 @@ pub(crate) fn etime(k: u64) -> Time {
     Time::units(k - 1)
 }
 
+/// Dispatch on a [`ProtocolKind`] to monomorphized code: `$p` is bound
+/// to the protocol type inside `$body`. The one match over the suite:
+/// [`ProtocolKind::name`], [`ProtocolKind::run`], the live service and the
+/// `ac-node` / `ac-client` process drivers all dispatch through it.
+///
+/// ```
+/// use ac_commit::protocols::ProtocolKind;
+/// use ac_commit::CommitProtocol;
+///
+/// let name = ac_commit::with_protocol!(ProtocolKind::TwoPc, P => P::NAME);
+/// assert_eq!(name, "2PC");
+/// ```
+#[macro_export]
+macro_rules! with_protocol {
+    ($kind:expr, $p:ident => $body:expr) => {{
+        match $kind {
+            $crate::protocols::ProtocolKind::Inbac => {
+                type $p = $crate::protocols::Inbac;
+                $body
+            }
+            $crate::protocols::ProtocolKind::InbacFastAbort => {
+                type $p = $crate::protocols::InbacFastAbort;
+                $body
+            }
+            $crate::protocols::ProtocolKind::Nbac1 => {
+                type $p = $crate::protocols::Nbac1;
+                $body
+            }
+            $crate::protocols::ProtocolKind::D1cc => {
+                type $p = $crate::protocols::D1cc;
+                $body
+            }
+            $crate::protocols::ProtocolKind::Nbac0 => {
+                type $p = $crate::protocols::Nbac0;
+                $body
+            }
+            $crate::protocols::ProtocolKind::ANbac => {
+                type $p = $crate::protocols::ANbac;
+                $body
+            }
+            $crate::protocols::ProtocolKind::AvNbacDelayOpt => {
+                type $p = $crate::protocols::AvNbacDelayOpt;
+                $body
+            }
+            $crate::protocols::ProtocolKind::AvNbacMsgOpt => {
+                type $p = $crate::protocols::AvNbacMsgOpt;
+                $body
+            }
+            $crate::protocols::ProtocolKind::ChainNbac => {
+                type $p = $crate::protocols::ChainNbac;
+                $body
+            }
+            $crate::protocols::ProtocolKind::Nbac2n2 => {
+                type $p = $crate::protocols::Nbac2n2;
+                $body
+            }
+            $crate::protocols::ProtocolKind::Nbac2n2f => {
+                type $p = $crate::protocols::Nbac2n2f;
+                $body
+            }
+            $crate::protocols::ProtocolKind::TwoPc => {
+                type $p = $crate::protocols::TwoPc;
+                $body
+            }
+            $crate::protocols::ProtocolKind::ThreePc => {
+                type $p = $crate::protocols::ThreePc;
+                $body
+            }
+            $crate::protocols::ProtocolKind::PaxosCommit => {
+                type $p = $crate::protocols::PaxosCommit;
+                $body
+            }
+            $crate::protocols::ProtocolKind::FasterPaxosCommit => {
+                type $p = $crate::protocols::FasterPaxosCommit;
+                $body
+            }
+        }
+    }};
+}
+
 /// Every protocol in the suite, for uniform dispatch by harness/benches.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
@@ -151,23 +231,7 @@ impl ProtocolKind {
 
     /// The paper's display name for this protocol.
     pub fn name(self) -> &'static str {
-        match self {
-            ProtocolKind::Inbac => Inbac::NAME,
-            ProtocolKind::InbacFastAbort => InbacFastAbort::NAME,
-            ProtocolKind::Nbac1 => Nbac1::NAME,
-            ProtocolKind::D1cc => D1cc::NAME,
-            ProtocolKind::Nbac0 => Nbac0::NAME,
-            ProtocolKind::ANbac => ANbac::NAME,
-            ProtocolKind::AvNbacDelayOpt => AvNbacDelayOpt::NAME,
-            ProtocolKind::AvNbacMsgOpt => AvNbacMsgOpt::NAME,
-            ProtocolKind::ChainNbac => ChainNbac::NAME,
-            ProtocolKind::Nbac2n2 => Nbac2n2::NAME,
-            ProtocolKind::Nbac2n2f => Nbac2n2f::NAME,
-            ProtocolKind::TwoPc => TwoPc::NAME,
-            ProtocolKind::ThreePc => ThreePc::NAME,
-            ProtocolKind::PaxosCommit => PaxosCommit::NAME,
-            ProtocolKind::FasterPaxosCommit => FasterPaxosCommit::NAME,
-        }
+        with_protocol!(self, P => P::NAME)
     }
 
     /// The Table-1 cell whose guarantees this protocol provides.
@@ -188,22 +252,6 @@ impl ProtocolKind {
                 Cell::new(P::AVT, P::AVT)
             }
         }
-    }
-
-    /// Whether the protocol's termination guarantee leans on the consensus
-    /// module (and therefore on a correct majority), as the paper notes in
-    /// Appendix B.
-    pub fn needs_majority_for_termination(self) -> bool {
-        matches!(
-            self,
-            ProtocolKind::Inbac
-                | ProtocolKind::InbacFastAbort
-                | ProtocolKind::Nbac1
-                | ProtocolKind::Nbac0
-                | ProtocolKind::Nbac2n2f
-                | ProtocolKind::PaxosCommit
-                | ProtocolKind::FasterPaxosCommit
-        )
     }
 
     /// Whether the protocol is **logless**: the decision is reconstructable
@@ -264,23 +312,7 @@ impl ProtocolKind {
 
     /// Run `scenario` under this protocol.
     pub fn run(self, scenario: &Scenario) -> Outcome {
-        match self {
-            ProtocolKind::Inbac => scenario.run::<Inbac>(),
-            ProtocolKind::InbacFastAbort => scenario.run::<InbacFastAbort>(),
-            ProtocolKind::Nbac1 => scenario.run::<Nbac1>(),
-            ProtocolKind::D1cc => scenario.run::<D1cc>(),
-            ProtocolKind::Nbac0 => scenario.run::<Nbac0>(),
-            ProtocolKind::ANbac => scenario.run::<ANbac>(),
-            ProtocolKind::AvNbacDelayOpt => scenario.run::<AvNbacDelayOpt>(),
-            ProtocolKind::AvNbacMsgOpt => scenario.run::<AvNbacMsgOpt>(),
-            ProtocolKind::ChainNbac => scenario.run::<ChainNbac>(),
-            ProtocolKind::Nbac2n2 => scenario.run::<Nbac2n2>(),
-            ProtocolKind::Nbac2n2f => scenario.run::<Nbac2n2f>(),
-            ProtocolKind::TwoPc => scenario.run::<TwoPc>(),
-            ProtocolKind::ThreePc => scenario.run::<ThreePc>(),
-            ProtocolKind::PaxosCommit => scenario.run::<PaxosCommit>(),
-            ProtocolKind::FasterPaxosCommit => scenario.run::<FasterPaxosCommit>(),
-        }
+        with_protocol!(self, P => scenario.run::<P>())
     }
 }
 

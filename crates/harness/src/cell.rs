@@ -237,7 +237,6 @@ mod tests {
                     } else {
                         Vec::new()
                     },
-                    hists: Vec::new(),
                     flight: out.flight[node as usize].clone(),
                     net: NetSnapshot::default(),
                 })

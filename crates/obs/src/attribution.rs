@@ -19,7 +19,7 @@
 //! measured end-to-end latency **exactly, per transaction** — and
 //! therefore the share-of-total percentages sum to 100 % by
 //! construction. Transactions with incomplete timelines (ring
-//! wrap-around, sampling, stalls) are excluded and reported as reduced
+//! wrap-around, stalls) are excluded and reported as reduced
 //! coverage instead of skewing the breakdown.
 //!
 //! Interpretation: `protocol` is the commit protocol's own residency on

@@ -1,11 +1,11 @@
 //! Cross-process export of a node's observability state, and the
 //! cluster-level dump a collector assembles from them.
 //!
-//! A multi-process cluster strands each node's flight recorder, stage
-//! histograms, and meters in its own process. [`ObsExport`] is the
-//! compact [`Wire`]-encoded snapshot a node ships over its existing
-//! client connection when asked (`ObsPull` → `ObsDump` in the cluster
-//! codec); [`Attribution::from_exports`] re-stamps every export's
+//! A multi-process cluster strands each node's flight recorder and meters
+//! in its own process. [`ObsExport`] is the compact [`Wire`]-encoded
+//! snapshot a node ships over its existing client connection when asked
+//! (`ObsPull` → `ObsDump` in the cluster codec);
+//! [`Attribution::from_exports`] re-stamps every export's
 //! flight events through its node's [`ClockAlignment`] and indexes them
 //! where they lie, folding them as [`Attribution::compute`] does, so the
 //! telescoping exactness (stages sum to measured end-to-end latency per
@@ -63,33 +63,9 @@ impl Wire for FlightEvent {
     }
 }
 
-impl Wire for LatencyHistogram {
-    /// Sparse form: non-empty `(bucket, count)` pairs plus the exact
-    /// side-cars (`sum` split into high/low `u64` halves — the wire
-    /// format has no `u128`).
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.nonzero_buckets().encode(buf);
-        let sum = self.sum();
-        ((sum >> 64) as u64).encode(buf);
-        (sum as u64).encode(buf);
-        self.min().encode(buf);
-        self.max().encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let buckets = Vec::<(u32, u64)>::decode(buf)?;
-        let hi = u64::decode(buf)?;
-        let lo = u64::decode(buf)?;
-        let sum = (u128::from(hi) << 64) | u128::from(lo);
-        let min = u64::decode(buf)?;
-        let max = u64::decode(buf)?;
-        LatencyHistogram::from_parts(&buckets, sum, min, max)
-            .ok_or(WireError::Invalid("inconsistent histogram parts"))
-    }
-}
-
 /// One process's full observability state, snapshotted for shipping:
-/// flight-recorder ring, per-stage histograms, per-stage meters, and
-/// the transport-layer counters.
+/// flight-recorder ring, per-stage meters, and the transport-layer
+/// counters.
 #[derive(Clone, Debug)]
 pub struct ObsExport {
     /// The exporting node.
@@ -98,8 +74,6 @@ pub struct ObsExport {
     pub dropped_events: u64,
     /// `(count, total_nanos)` per [`Stage`], slot order.
     pub meters: Vec<(u64, u64)>,
-    /// Per-[`Stage`] latency histograms, slot order.
-    pub hists: Vec<LatencyHistogram>,
     /// The retained flight events, timestamps on this node's clock.
     pub flight: Vec<FlightEvent>,
     /// Transport-layer counters at snapshot time.
@@ -114,10 +88,6 @@ impl ObsExport {
             node,
             dropped_events: obs.flight.dropped(),
             meters: Stage::ALL.iter().map(|&s| obs.meters.get(s)).collect(),
-            hists: Stage::ALL
-                .iter()
-                .map(|&s| obs.hists.get(s).clone())
-                .collect(),
             flight: obs.flight.events().to_vec(),
             net: net.unwrap_or_default(),
         }
@@ -141,7 +111,6 @@ impl Wire for ObsExport {
         self.node.encode(buf);
         self.dropped_events.encode(buf);
         self.meters.encode(buf);
-        self.hists.encode(buf);
         self.flight.encode(buf);
         self.net.encode(buf);
     }
@@ -150,7 +119,6 @@ impl Wire for ObsExport {
             node: u32::decode(buf)?,
             dropped_events: u64::decode(buf)?,
             meters: Vec::decode(buf)?,
-            hists: Vec::decode(buf)?,
             flight: Vec::decode(buf)?,
             net: NetSnapshot::decode(buf)?,
         })
@@ -319,9 +287,11 @@ pub fn goodput_tps(stats: &RunStats, txns: &[DumpTxn]) -> f64 {
     commits.count() as f64 / ((hi - lo) as f64 / 1e9)
 }
 
-/// Leading magic of a serialized [`ClusterDump`] ("AC obs dump v1") —
-/// lets `repro trace` sniff a dump file apart from a JSON baseline.
-pub const DUMP_MAGIC: [u8; 8] = *b"ACOBSDV1";
+/// Leading magic of a serialized [`ClusterDump`] ("AC obs dump v2") —
+/// lets `repro trace` sniff a dump file apart from a JSON baseline. v2
+/// exports carry no per-stage histograms, so a v1 dump is refused rather
+/// than misparsed.
+pub const DUMP_MAGIC: [u8; 8] = *b"ACOBSDV2";
 
 /// Everything a collector gathered from one multi-process run: the
 /// client-observed outcomes, every node's export, every node's clock
@@ -427,33 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_wire_round_trip_preserves_percentiles() {
-        let mut h = LatencyHistogram::new();
-        for v in [1u64, 50, 50, 800, 12_345, 900_000] {
-            h.record(v);
-        }
-        let back = LatencyHistogram::from_wire(&h.to_wire()).unwrap();
-        assert_eq!(back.count(), h.count());
-        assert_eq!(back.sum(), h.sum());
-        assert_eq!((back.min(), back.max()), (h.min(), h.max()));
-        for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(back.percentile(q), h.percentile(q), "q={q}");
-        }
-        let empty = LatencyHistogram::from_wire(&LatencyHistogram::new().to_wire()).unwrap();
-        assert_eq!(empty.count(), 0);
-    }
-
-    #[test]
-    fn histogram_decode_rejects_corrupt_parts() {
-        // Bucket index out of range.
-        assert!(LatencyHistogram::from_parts(&[(100_000, 1)], 5, 5, 5).is_none());
-        // Non-empty claims with min > max.
-        assert!(LatencyHistogram::from_parts(&[(3, 1)], 3, 9, 2).is_none());
-        // "Empty" with a non-zero sum.
-        assert!(LatencyHistogram::from_parts(&[], 7, 0, 0).is_none());
-    }
-
-    #[test]
     fn export_snapshot_round_trips() {
         let obs = sample_obs();
         let ex = ObsExport::snapshot(2, &obs, None);
@@ -465,10 +408,6 @@ mod tests {
         assert_eq!(back.node, ex.node);
         assert_eq!(back.meters, ex.meters);
         assert_eq!(back.flight, ex.flight);
-        assert_eq!(
-            back.hists[Stage::WalForce as usize].count(),
-            ex.hists[Stage::WalForce as usize].count()
-        );
     }
 
     #[test]
@@ -602,6 +541,13 @@ mod tests {
         assert_eq!(back.stats, dump.stats);
         assert_eq!(back.decided(), vec![(8, 10, 1_200)]);
         assert!(ClusterDump::from_bytes(b"garbage").is_err());
+        // A v1 dump (its exports carried histograms) is refused by its
+        // magic, not misparsed.
+        let mut v1 = bytes.clone();
+        v1[..8].copy_from_slice(b"ACOBSDV1");
+        assert!(!ClusterDump::sniff(&v1));
+        let err = ClusterDump::from_bytes(&v1).unwrap_err();
+        assert!(matches!(err, WireError::Invalid(m) if m.contains("bad magic")));
         // The dump's own attribution path works end to end.
         let attr = back.attribution(3);
         assert_eq!(attr.total, 1);

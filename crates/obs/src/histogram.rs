@@ -1,14 +1,11 @@
 //! A dependency-free log-bucketed latency histogram.
 //!
 //! Systems papers report tail latency as percentiles (p50/p90/p99/p99.9/
-//! max); storing every sample is wasteful and merging per-thread
-//! recordings becomes O(samples). This histogram keeps HDR-style log
-//! buckets — 16 linear sub-buckets per power of two, i.e. ≤ 6.25 %
+//! max); storing every sample is wasteful. This histogram keeps HDR-style
+//! log buckets — 16 linear sub-buckets per power of two, i.e. ≤ 6.25 %
 //! relative error — over the full `u64` nanosecond range, in a fixed
-//! 976-slot table. Recording is O(1), merging is a vector add, and
-//! percentile queries are exact functions of the bucket counts (so
-//! `merge(a, b)` reports exactly the percentiles of recording the
-//! concatenated samples).
+//! 976-slot table. Recording is O(1), and percentile queries are exact
+//! functions of the bucket counts.
 
 use std::time::Duration;
 
@@ -182,60 +179,6 @@ impl LatencyHistogram {
         self.percentile(0.999)
     }
 
-    /// The non-empty buckets as `(index, count)` pairs, ascending index —
-    /// the sparse form the cross-process [`crate::export`] encoding ships
-    /// (latency distributions are far sparser than the 976-slot table).
-    pub fn nonzero_buckets(&self) -> Vec<(u32, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u32, c))
-            .collect()
-    }
-
-    /// Rebuild a histogram from its sparse-bucket form plus the exact
-    /// side-cars, the inverse of [`LatencyHistogram::nonzero_buckets`].
-    /// Returns `None` when the parts are inconsistent (bucket index out
-    /// of range, or side-cars that no sample stream could produce) — the
-    /// decode-side guard for untrusted export bytes.
-    pub fn from_parts(
-        buckets: &[(u32, u64)],
-        sum: u128,
-        min: u64,
-        max: u64,
-    ) -> Option<LatencyHistogram> {
-        let mut h = LatencyHistogram::new();
-        for &(i, c) in buckets {
-            let slot = h.counts.get_mut(i as usize)?;
-            *slot = slot.checked_add(c)?;
-            h.count = h.count.checked_add(c)?;
-        }
-        if h.count == 0 {
-            // Empty histogram: side-cars must be the canonical empties.
-            return (sum == 0 && max == 0).then_some(h);
-        }
-        if min > max {
-            return None;
-        }
-        h.sum = sum;
-        h.min = min;
-        h.max = max;
-        Some(h)
-    }
-
-    /// Fold `other` into `self`. Exactly equivalent to having recorded the
-    /// concatenation of both sample streams into one histogram.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// One-line human-readable summary with all values in milliseconds.
     pub fn summary_millis(&self) -> String {
         let ms = |v: u64| v as f64 / 1e6;
@@ -332,30 +275,6 @@ mod tests {
         }
         assert!(h.p99() < 200, "p99={}", h.p99());
         assert!(h.p999() >= 900_000, "p999={}", h.p999());
-    }
-
-    #[test]
-    fn merge_equals_concatenated_recording() {
-        let xs = [1u64, 50, 50, 800, 12_345];
-        let ys = [2u64, 900_000, 17];
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut whole = LatencyHistogram::new();
-        for &v in &xs {
-            a.record(v);
-            whole.record(v);
-        }
-        for &v in &ys {
-            b.record(v);
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!((a.min(), a.max()), (whole.min(), whole.max()));
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(a.percentile(q), whole.percentile(q), "q={q}");
-        }
-        assert_eq!(a.counts, whole.counts);
     }
 
     #[test]

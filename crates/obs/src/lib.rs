@@ -6,11 +6,11 @@
 //! measurement layer that turns the claim into data:
 //!
 //! * [`histogram`] — the dependency-free log-bucketed
-//!   [`LatencyHistogram`] (p50/p90/p99/p99.9/max) with exact merge
-//!   semantics, shared by every layer that reports latency;
+//!   [`LatencyHistogram`] (p50/p90/p99/p99.9/max), shared by every layer
+//!   that reports a latency distribution;
 //! * [`stage`] — the per-thread instruments: a fixed-slot atomic
-//!   [`ObsMeters`] registry (what a live `--metrics` endpoint reads),
-//!   per-[`Stage`] histograms, and the bounded per-node
+//!   [`ObsMeters`] registry, one `(count, nanos)` meter per [`Stage`]
+//!   (what a live `--metrics` endpoint reads), and the bounded per-node
 //!   [`FlightRecorder`] of `(txn, stage, timestamp)` lifecycle events;
 //! * [`attribution`] — the per-transaction telescoping decomposition of
 //!   end-to-end latency into channel / lock / WAL / protocol / transport
@@ -54,7 +54,4 @@ pub use export::{
 };
 pub use histogram::LatencyHistogram;
 pub use net::{NetMeters, NetSnapshot, PeerNet};
-pub use stage::{
-    FlightEvent, FlightRecorder, FlightStage, NodeObs, ObsMeters, Stage, StageHistograms,
-    FLIGHT_CAP,
-};
+pub use stage::{FlightEvent, FlightRecorder, FlightStage, NodeObs, ObsMeters, Stage, FLIGHT_CAP};

@@ -1,20 +1,16 @@
-//! The always-on per-thread instruments: fixed-slot atomic stage meters,
-//! per-stage latency histograms, and the bounded per-txn flight recorder.
+//! The always-on per-thread instruments: fixed-slot atomic stage meters
+//! and the bounded per-txn flight recorder.
 //!
-//! Every node (and client) thread owns one [`NodeObs`]. Recording is
-//! allocation-free on the hot path: meters are two relaxed atomic adds,
-//! histograms are an O(1) bucket increment, and the flight recorder
-//! writes into a pre-allocated ring. The shared [`ObsMeters`] handle is
-//! what a `--metrics` exposition endpoint reads while the run is live;
-//! histograms and flight events are thread-local and merged at run end
-//! (merge ≡ recording the concatenation, see
-//! [`LatencyHistogram::merge`]).
+//! Every node thread owns one [`NodeObs`]; a client thread keeps the
+//! meters alone. Recording is allocation-free on the hot path: a meter is
+//! two relaxed atomic adds, and the flight recorder writes into a
+//! pre-allocated ring. The shared [`ObsMeters`] handle is what a
+//! `--metrics` exposition endpoint reads while the run is live; flight
+//! events are thread-local and read at run end.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-use crate::histogram::LatencyHistogram;
 
 /// The instrumented stages of the service stack, one fixed meter slot
 /// each. These are the *seam meters* (how long did each pass through a
@@ -42,8 +38,8 @@ pub enum Stage {
     WalForce = 3,
     /// WAL journaling in the apply step: staging one pass's `Decide`
     /// records (for logless protocols, each with its deferred `Prepare`).
-    /// One histogram sample per pass; the meter counts one per decision
-    /// journaled.
+    /// The meter counts one per decision journaled, with the pass's
+    /// nanoseconds.
     WalJournal = 4,
     /// Per-peer `send_batch` flush in the node loop's flush step.
     Flush = 5,
@@ -181,46 +177,6 @@ impl ObsMeters {
     }
 }
 
-/// One [`LatencyHistogram`] per [`Stage`], thread-local (no atomics on
-/// the recording path).
-#[derive(Clone, Debug)]
-pub struct StageHistograms {
-    hists: Vec<LatencyHistogram>,
-}
-
-impl Default for StageHistograms {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StageHistograms {
-    /// Empty histograms for every stage.
-    pub fn new() -> StageHistograms {
-        StageHistograms {
-            hists: (0..Stage::COUNT).map(|_| LatencyHistogram::new()).collect(),
-        }
-    }
-
-    /// Record one `nanos` sample into `stage`'s histogram.
-    #[inline]
-    pub fn record(&mut self, stage: Stage, nanos: u64) {
-        self.hists[stage as usize].record(nanos);
-    }
-
-    /// The histogram of one stage.
-    pub fn get(&self, stage: Stage) -> &LatencyHistogram {
-        &self.hists[stage as usize]
-    }
-
-    /// Fold `other` in (exact, see [`LatencyHistogram::merge`]).
-    pub fn merge(&mut self, other: &StageHistograms) {
-        for (a, b) in self.hists.iter_mut().zip(&other.hists) {
-            a.merge(b);
-        }
-    }
-}
-
 /// Lifecycle points the flight recorder captures, node-side. (Client-side
 /// submit/reply timestamps already live on the service's `TxnEvent`.)
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -265,12 +221,9 @@ pub struct FlightEvent {
 
 /// A bounded per-node ring buffer of [`FlightEvent`]s.
 ///
-/// Sampling is keyed on the transaction id (`txn % sample_mod == 0`) so
-/// every node records the *same* transactions and their timelines stay
-/// reconstructible end-to-end; `sample_mod = 1` (the default) records
-/// everything, which is what test- and baseline-scale runs use. When the
-/// ring wraps, the oldest events are overwritten and counted in
-/// [`FlightRecorder::dropped`].
+/// Every transaction is recorded, on every node, so its timeline stays
+/// reconstructible end-to-end. When the ring wraps, the oldest events are
+/// overwritten and counted in [`FlightRecorder::dropped`].
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
     events: Vec<FlightEvent>,
@@ -278,7 +231,6 @@ pub struct FlightRecorder {
     next: usize,
     wrapped: bool,
     dropped: u64,
-    sample_mod: u64,
 }
 
 /// Default ring capacity: 64k events ≈ 1.5 MiB per node, enough for
@@ -287,37 +239,25 @@ pub const FLIGHT_CAP: usize = 65_536;
 
 impl Default for FlightRecorder {
     fn default() -> Self {
-        Self::new(FLIGHT_CAP, 1)
+        Self::new(FLIGHT_CAP)
     }
 }
 
 impl FlightRecorder {
-    /// A recorder holding at most `cap` events, sampling transactions
-    /// whose id is divisible by `sample_mod` (0 is treated as 1).
-    pub fn new(cap: usize, sample_mod: u64) -> FlightRecorder {
+    /// A recorder holding at most `cap` events (0 is treated as 1).
+    pub fn new(cap: usize) -> FlightRecorder {
         FlightRecorder {
             events: Vec::with_capacity(cap),
             cap: cap.max(1),
             next: 0,
             wrapped: false,
             dropped: 0,
-            sample_mod: sample_mod.max(1),
         }
-    }
-
-    /// Whether `txn` is in the sample.
-    #[inline]
-    pub fn sampled(&self, txn: u64) -> bool {
-        txn.is_multiple_of(self.sample_mod)
     }
 
     /// Record `txn` reaching `stage` on `node` at `at` past the epoch.
-    /// No-op for unsampled transactions.
     #[inline]
     pub fn record(&mut self, txn: u64, node: u32, stage: FlightStage, at: Duration) {
-        if !self.sampled(txn) {
-            return;
-        }
         let ev = FlightEvent {
             txn,
             node,
@@ -351,22 +291,19 @@ impl FlightRecorder {
     }
 }
 
-/// The per-thread observability bundle: shared atomic meters, local
-/// stage histograms, local flight recorder. One per node thread and one
-/// per client thread; merged by the service at run end.
+/// A node thread's observability bundle: shared atomic meters and a
+/// local flight recorder, merged by the service at run end.
 #[derive(Debug, Default)]
 pub struct NodeObs {
     /// Shared meter slots (live exposition reads these).
     pub meters: Arc<ObsMeters>,
-    /// Thread-local per-stage histograms.
-    pub hists: StageHistograms,
     /// Thread-local flight recorder.
     pub flight: FlightRecorder,
 }
 
 impl NodeObs {
-    /// A fresh bundle with its own meters and a default-capacity,
-    /// sample-everything recorder.
+    /// A fresh bundle with its own meters and a default-capacity
+    /// recorder.
     pub fn new() -> NodeObs {
         NodeObs::default()
     }
@@ -380,13 +317,12 @@ impl NodeObs {
         }
     }
 
-    /// Record one completed `stage` operation of duration `d` into both
-    /// the shared meter and the local histogram.
+    /// Record one completed `stage` operation of duration `d` into the
+    /// shared meter.
     #[inline]
     pub fn record(&mut self, stage: Stage, d: Duration) {
         let nanos = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         self.meters.add(stage, nanos);
-        self.hists.record(stage, nanos);
     }
 }
 
@@ -430,32 +366,31 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_samples_by_txn_id_and_wraps() {
-        let mut r = FlightRecorder::new(4, 2);
-        for txn in 0..6u64 {
+    fn flight_recorder_keeps_every_txn_and_counts_what_wraps_out() {
+        let mut r = FlightRecorder::new(4);
+        for txn in 0..3u64 {
             r.record(txn, 0, FlightStage::Dispatch, Duration::from_nanos(txn));
         }
-        // Only even txns sampled: 0, 2, 4 -> 3 events, no wrap.
+        // Every txn recorded: 0, 1, 2 -> 3 events, no wrap.
         assert_eq!(r.events().len(), 3);
         assert_eq!(r.dropped(), 0);
-        for txn in 6..12u64 {
+        for txn in 3..6u64 {
             r.record(txn, 1, FlightStage::Decided, Duration::from_nanos(txn));
         }
-        // 3 more sampled events (6, 8, 10) into a 4-slot ring: wraps.
+        // 3 more events (3, 4, 5) into a 4-slot ring: the oldest two go.
         assert_eq!(r.events().len(), 4);
         assert_eq!(r.dropped(), 2);
-        assert!(r.events().iter().any(|e| e.txn == 10));
-        assert!(!r.sampled(11));
+        let mut kept: Vec<u64> = r.events().iter().map(|e| e.txn).collect();
+        kept.sort_unstable();
+        assert_eq!(kept, [2, 3, 4, 5]);
     }
 
     #[test]
-    fn node_obs_records_into_meter_and_histogram() {
+    fn node_obs_records_into_its_meter() {
         let mut obs = NodeObs::new();
         obs.record(Stage::DrainGap, Duration::from_nanos(500));
         obs.record(Stage::DrainGap, Duration::from_nanos(700));
         assert_eq!(obs.meters.get(Stage::DrainGap), (2, 1200));
-        assert_eq!(obs.hists.get(Stage::DrainGap).count(), 2);
-        assert_eq!(obs.hists.get(Stage::DrainGap).max(), 700);
-        assert_eq!(obs.hists.get(Stage::LockHold).count(), 0);
+        assert_eq!(obs.meters.get(Stage::LockHold), (0, 0));
     }
 }

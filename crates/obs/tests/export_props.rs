@@ -1,13 +1,12 @@
 //! Property-based coverage for the cross-process export path (ISSUE-10
 //! satellite): (1) attribution over N per-process exports with zero-skew
 //! alignments is *identical* to attribution over the single merged
-//! in-process recorder; (2) wire round trips are lossless; (3) the
+//! in-process recorder; (2) export wire round trips are lossless; (3) the
 //! min-RTT offset estimator recovers an injected skew within its own
 //! reported uncertainty bound.
 
 use ac_obs::{
-    Attribution, ClockAlignment, ClockSample, FlightEvent, FlightStage, LatencyHistogram, NodeObs,
-    ObsExport,
+    Attribution, ClockAlignment, ClockSample, FlightEvent, FlightStage, NodeObs, ObsExport,
 };
 use ac_sim::Wire;
 use proptest::prelude::*;
@@ -88,15 +87,15 @@ proptest! {
     }
 
     /// Export wire round trips are lossless for the attribution-relevant
-    /// state (flight events, drop counter, meters, histograms).
+    /// state (flight events, drop counter, meters).
     #[test]
     fn export_wire_round_trip_is_lossless(
         raw in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u32>()), 0..60),
-        samples in proptest::collection::vec(any::<u64>(), 0..60),
+        samples in proptest::collection::vec(any::<u32>(), 0..60),
     ) {
         let mut obs = obs_from(3, &raw);
         for &v in &samples {
-            obs.hists.record(ac_obs::Stage::Flush, v);
+            obs.record(ac_obs::Stage::Flush, Duration::from_nanos(u64::from(v)));
         }
         let ex = ObsExport::snapshot(3, &obs, None);
         let back = ObsExport::from_wire(&ex.to_wire()).unwrap();
@@ -104,29 +103,6 @@ proptest! {
         prop_assert_eq!(back.flight, ex.flight);
         prop_assert_eq!(back.dropped_events, ex.dropped_events);
         prop_assert_eq!(back.meters, ex.meters);
-        let f = ac_obs::Stage::Flush as usize;
-        prop_assert_eq!(back.hists[f].count(), ex.hists[f].count());
-        prop_assert_eq!(back.hists[f].sum(), ex.hists[f].sum());
-        for q in [0.5, 0.9, 0.99, 0.999] {
-            prop_assert_eq!(back.hists[f].percentile(q), ex.hists[f].percentile(q));
-        }
-    }
-
-    /// Histogram sparse encoding round-trips every percentile exactly.
-    #[test]
-    fn histogram_wire_round_trip(samples in proptest::collection::vec(any::<u64>(), 0..150)) {
-        let mut h = LatencyHistogram::new();
-        for &v in &samples {
-            h.record(v);
-        }
-        let back = LatencyHistogram::from_wire(&h.to_wire()).unwrap();
-        prop_assert_eq!(back.count(), h.count());
-        prop_assert_eq!(back.sum(), h.sum());
-        prop_assert_eq!(back.min(), h.min());
-        prop_assert_eq!(back.max(), h.max());
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            prop_assert_eq!(back.percentile(q), h.percentile(q), "q={}", q);
-        }
     }
 
     /// Skew recovery: inject a known per-process offset into synthetic
