@@ -215,8 +215,7 @@ impl ProtocolKind {
 
     /// The seven protocols of Table 5's head-to-head sweep, in
     /// presentation order. The single source of truth for that list: the
-    /// harness's bench baseline, its validator and `ac-bench` all derive
-    /// from it.
+    /// harness's bench baseline and its validator both derive from it.
     pub fn table5() -> [ProtocolKind; 7] {
         [
             ProtocolKind::Nbac1,

@@ -11,9 +11,7 @@
 //! of scenarios out over it. The exhaustive [`crate::explorer`] builds its
 //! parallel engine on these primitives.
 
-use ac_net::{
-    Crash, DelayRule, FaultPlan, FixedDelay, GstDelay, Outcome, RuleDelay, World, WorldConfig,
-};
+use ac_net::{Crash, DelayRule, FaultPlan, GstDelay, Outcome, RuleDelay, World, WorldConfig};
 use ac_sim::{ProcessId, Time, U};
 
 use crate::problem::{CommitProtocol, Vote};
@@ -297,13 +295,6 @@ where
 pub fn run_all(kind: ProtocolKind, scenarios: Vec<Scenario>, jobs: usize) -> Vec<Outcome> {
     fan_out(scenarios, jobs, |sc| kind.run(&sc))
 }
-
-// Re-exported for scenario construction ergonomics.
-pub use ac_net::Crash as CrashSpec;
-
-/// The delay model used by `Scenario` when no chaos is configured. Exposed
-/// for documentation: rules over exact-unit delays.
-pub type ScenarioDelay = RuleDelay<FixedDelay>;
 
 #[cfg(test)]
 mod tests {

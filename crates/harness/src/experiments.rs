@@ -1507,7 +1507,9 @@ mod tests {
     }
 
     /// What `repro bench` writes: the simulator numbers, every live
-    /// section `null`.
+    /// section `null`, and the simulator's two timings: each Table-5
+    /// protocol's nice run, and the explorer at the `--jobs` it was given
+    /// against one worker.
     #[test]
     fn bench_baseline_validates_and_covers_table5() {
         let (r, baseline) = baseline("bench", false, 2, Host::Channel).unwrap();
@@ -1516,6 +1518,14 @@ mod tests {
             BenchBaseline::validate_json(&baseline.to_json()),
             Ok(vec![])
         );
+        assert_eq!(baseline.explorer.jobs, 2);
+        let timed: Vec<&str> = baseline
+            .protocols
+            .iter()
+            .filter(|p| p.nice_run_micros > 0.0)
+            .map(|p| p.protocol.as_str())
+            .collect();
+        assert_eq!(timed, crate::report::table5_protocol_names());
     }
 
     #[test]

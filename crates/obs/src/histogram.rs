@@ -7,8 +7,6 @@
 //! 976-slot table. Recording is O(1), and percentile queries are exact
 //! functions of the bucket counts.
 
-use std::time::Duration;
-
 /// Sub-bucket precision: 2^4 = 16 linear sub-buckets per octave.
 const PRECISION_BITS: u32 = 4;
 const SUBBUCKETS: usize = 1 << PRECISION_BITS;
@@ -94,11 +92,6 @@ impl LatencyHistogram {
         self.sum += u128::from(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Record a [`Duration`] in nanoseconds (saturating at `u64::MAX`).
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Number of recorded samples.
@@ -280,7 +273,7 @@ mod tests {
     #[test]
     fn durations_record_in_nanos() {
         let mut h = LatencyHistogram::new();
-        h.record_duration(Duration::from_micros(10));
+        h.record(10_000);
         assert_eq!(h.max(), 10_000);
     }
 }

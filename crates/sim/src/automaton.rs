@@ -152,13 +152,6 @@ impl<M> Ctx<M> {
         self.actions.push(Action::SetTimer { at, tag });
     }
 
-    /// Arm a timer `delta` ticks from now.
-    #[inline]
-    pub fn set_timer_after(&mut self, delta: u64, tag: u32) {
-        let at = self.now + delta;
-        self.actions.push(Action::SetTimer { at, tag });
-    }
-
     /// Output the decision.
     #[inline]
     pub fn decide(&mut self, v: u64) {

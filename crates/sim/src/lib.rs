@@ -38,8 +38,3 @@ pub use wire::{Wire, WireError};
 /// Identifier of a process. Internally processes are `0..n`; the paper's
 /// `P1..Pn` correspond to ids `0..n-1` (display helpers add 1).
 pub type ProcessId = usize;
-
-/// Display helper: the paper's 1-based name for a process id.
-pub fn pname(p: ProcessId) -> String {
-    format!("P{}", p + 1)
-}

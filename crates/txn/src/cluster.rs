@@ -103,49 +103,10 @@ impl Cluster {
         &self.stats
     }
 
-    /// Execute one transaction end-to-end (failure-free commit round).
-    /// Returns whether it committed.
+    /// Execute one transaction end-to-end (failure-free commit round):
+    /// a batch of one. Returns whether it committed.
     pub fn execute(&mut self, txn: &Transaction) -> bool {
-        let n = self.n();
-        // 1. Local validation at every touched shard -> votes. Untouched
-        //    processes have nothing to object to and vote 1.
-        let votes: Vec<bool> = (0..n)
-            .map(|p| {
-                if txn.touches(p) {
-                    self.shards[p].prepare(txn)
-                } else {
-                    true
-                }
-            })
-            .collect();
-
-        // 2. One run of the commit protocol.
-        let sc = Scenario::nice(n, self.f).votes(&votes);
-        let out = self.kind.run(&sc);
-        let decided = out.decided_values();
-        assert_eq!(
-            decided.len(),
-            1,
-            "{}: failure-free commit round must agree on one value",
-            self.kind.name()
-        );
-        let commit = decided[0] == 1;
-
-        // 3. Apply everywhere.
-        for shard in &mut self.shards {
-            shard.finish(txn, commit);
-        }
-
-        // 4. Account.
-        let m = out.metrics();
-        if commit {
-            self.stats.committed += 1;
-        } else {
-            self.stats.aborted += 1;
-        }
-        self.stats.total_delays += m.delays.unwrap_or(0);
-        self.stats.total_messages += m.messages as u64;
-        commit
+        self.execute_concurrent(std::slice::from_ref(txn))[0]
     }
 
     /// Execute a batch; returns the stats snapshot after the batch.
