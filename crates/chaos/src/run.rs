@@ -28,7 +28,7 @@ pub struct FaultStats {
     pub fault_until: Duration,
     /// Transactions first submitted inside the window.
     pub submitted_during_fault: usize,
-    /// Of those, fully decided before the heal.
+    /// Of those, the ones whose outcome the client learned before the heal.
     pub decided_during_fault: usize,
     /// Transactions whose decision completed inside the window **and**
     /// committed — the paper-facing availability signal.
@@ -42,9 +42,11 @@ pub struct FaultStats {
     /// `100 · decided_during_fault / submitted_during_fault` (100 when
     /// nothing was submitted in the window).
     pub availability_pct: f64,
-    /// Transactions the client had to *park* (its closed-loop wait gave up
-    /// after `park_retries` bounded timeouts) — 2PC's blocked transactions
-    /// under a crashed coordinator land here.
+    /// Transactions whose outcome the client did not learn before its
+    /// park point — the time its closed loop stops waiting for one
+    /// (`park_retries` bounded reply waits) — or never learned: 2PC's
+    /// transactions under a crashed coordinator land here, while a
+    /// protocol whose survivors decide reports them before it parks.
     pub blocked: usize,
     /// Worst time from the heal to a blocked transaction's decision (zero
     /// when nothing blocked or nothing recovered) — the time-to-unblock.
@@ -54,13 +56,15 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Bucket `events` against the fault window `[from, until)`.
+    /// Bucket `events` against the fault window `[from, until)`; a
+    /// transaction decided `park` or more after its submission, or never,
+    /// counts as blocked.
     pub fn measure(
         events: &[TxnEvent],
         from: Duration,
         until: Duration,
         run: Duration,
-        park_retries: u32,
+        park: Duration,
     ) -> FaultStats {
         let until = until.min(run).max(from);
         let mut submitted_during_fault = 0;
@@ -76,7 +80,10 @@ impl FaultStats {
                 submitted_during_fault += 1;
             }
             match ev.decided_at {
-                None => unresolved += 1,
+                None => {
+                    unresolved += 1;
+                    blocked += 1;
+                }
                 Some(at) => {
                     let committed = ev.committed == Some(true);
                     if in_window && at < until {
@@ -88,14 +95,11 @@ impl FaultStats {
                     if committed && at >= until {
                         committed_after_heal += 1;
                     }
-                    if ev.retries >= park_retries {
+                    if at.saturating_sub(ev.submitted_at) >= park {
                         blocked += 1;
                         time_to_unblock = time_to_unblock.max(at.saturating_sub(until));
                     }
                 }
-            }
-            if ev.decided_at.is_none() && ev.retries >= park_retries {
-                blocked += 1;
             }
         }
         let window_secs = (until.saturating_sub(from)).as_secs_f64();
@@ -134,7 +138,8 @@ impl ChaosConfig {
     /// Bucket a run of this experiment — its transaction timelines
     /// `events` over a load phase of length `run` — against the plan's
     /// fault window, scaled by the service's unit. A transaction counts as
-    /// blocked once the client parked it (`park_retries`, at least one).
+    /// blocked when the client learned its outcome no sooner than it would
+    /// park it: `park_retries` (at least one) reply waits.
     pub fn fault_stats(&self, events: &[TxnEvent], run: Duration) -> FaultStats {
         let unit = self.service.unit;
         let (from_u, until_u) = self.plan.fault_window_units().unwrap_or((0, 0));
@@ -142,8 +147,8 @@ impl ChaosConfig {
             unit.checked_mul(u32::try_from(u).unwrap_or(u32::MAX))
                 .unwrap_or(Duration::MAX)
         };
-        let park_retries = self.service.park_retries.max(1);
-        FaultStats::measure(events, scale(from_u), scale(until_u), run, park_retries)
+        let park = self.service.reply_timeout * self.service.park_retries.max(1);
+        FaultStats::measure(events, scale(from_u), scale(until_u), run, park)
     }
 }
 
@@ -203,7 +208,7 @@ mod tests {
             Duration::from_millis(100),
             Duration::from_millis(300),
             Duration::from_millis(600),
-            2,
+            Duration::from_millis(120),
         );
         assert_eq!(s.submitted_during_fault, 4);
         assert_eq!(s.decided_during_fault, 2);
@@ -216,6 +221,27 @@ mod tests {
         assert!(s.ops_during_fault > 0.0);
     }
 
+    /// Blocked is read off when the client learned the outcome, not off
+    /// its retries: a transaction reported early counts as free however
+    /// often its other participants needed a re-sent `Begin`.
+    #[test]
+    fn an_early_reported_transaction_is_not_blocked_by_its_retries() {
+        let park = Duration::from_millis(120);
+        let measure = |events: &[TxnEvent]| {
+            let (from, until) = (Duration::from_millis(100), Duration::from_millis(300));
+            FaultStats::measure(events, from, until, Duration::from_millis(600), park)
+        };
+        // Reported 20 ms after submission, settled after 4 re-sends.
+        let early = measure(&[ev(1, 150, Some(170), Some(true), 4)]);
+        assert_eq!((early.blocked, early.committed_during_fault), (0, 1));
+        assert_eq!(early.time_to_unblock, Duration::ZERO);
+        // Reported at the park point exactly: blocked.
+        let parked = measure(&[ev(2, 150, Some(270), Some(true), 0)]);
+        assert_eq!(parked.blocked, 1);
+        // Never reported: blocked whatever its retries.
+        assert_eq!(measure(&[ev(3, 150, None, None, 0)]).blocked, 1);
+    }
+
     #[test]
     fn empty_window_reads_fully_available() {
         let s = FaultStats::measure(
@@ -223,7 +249,7 @@ mod tests {
             Duration::from_millis(500),
             Duration::from_millis(600),
             Duration::from_millis(700),
-            2,
+            Duration::from_millis(120),
         );
         assert_eq!(s.submitted_during_fault, 0);
         assert_eq!(s.availability_pct, 100.0);

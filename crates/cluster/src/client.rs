@@ -1,5 +1,14 @@
-//! The load generator's client loop (`client_main`): submit, await all
-//! participant decisions with bounded, retrying waits, record, repeat.
+//! The load generator's client loop (`client_main`): submit, learn each
+//! outcome with bounded, retrying waits, record, repeat. Where the
+//! protocol's Table-1 cell has agreement in both failure models
+//! ([`ac_commit::taxonomy::Cell::always_agrees`]), a participant's `Done`
+//! is every participant's outcome: every participant persists its decision
+//! before it answers, and none can decide otherwise. So the client
+//! *reports* the transaction on its first `Done` there, on its last one
+//! elsewhere, and frees its window slot. It *settles* the transaction,
+//! building its [`ClientRecord`], only once every participant has answered
+//! or the deadline passed, so the audit still reads every participant's
+//! decision.
 //! The loop writes to and parks on one `ClientLink` — a transport and its
 //! per-client reply channel in the in-process service, the connections it
 //! dialed in a multi-process cluster — so a decision report wakes exactly
@@ -96,7 +105,8 @@ pub(crate) struct ClientFold {
     pub(crate) split: usize,
     /// `Begin` re-sends.
     pub(crate) retries: usize,
-    /// Every fully decided transaction, grouped by client, decision order.
+    /// Every transaction a client reported and settled, grouped by client,
+    /// in the order it reported them.
     pub(crate) decided: Vec<DumpTxn>,
 }
 
@@ -148,6 +158,9 @@ struct PendingTxn {
     retries: u32,
     next_retry: Instant,
     deadline: Instant,
+    /// Its event's index in the client's `events` once the client has
+    /// reported its outcome; `None` while it waits for a `Done` to report.
+    reported: Option<usize>,
 }
 
 /// Stage the `End`s waiting for node `to` — every one of them, provided at
@@ -184,11 +197,21 @@ fn stage_begins<M>(
     }
 }
 
-/// One closed-loop client: submit, await all participant decisions with
-/// bounded, retrying waits, record, repeat. Unresolved transactions are
-/// parked (background retries) so a dead node blocks one transaction, not
-/// the whole load stream; abandonment at `txn_deadline` is the last resort
-/// and counts as a stall.
+/// One closed-loop client: submit, learn the outcome with bounded,
+/// retrying waits, record, repeat. Unresolved transactions are parked
+/// (background retries) so a dead node blocks one transaction, not the
+/// whole load stream; abandonment at `txn_deadline` is the last resort and
+/// counts as a stall.
+///
+/// A transaction is *reported* — its event stamped with the outcome, its
+/// window slot freed, the closed loop unblocked — on the first `Done` when
+/// the protocol's cell always agrees and fewer than `max_outstanding`
+/// reported transactions wait to settle, else on its last `Done`. It stays
+/// outstanding, retrying, until it *settles*: every participant answered
+/// (its record is built, its `End`s queued) or its deadline passed (a
+/// stall, reported or not). The gate admits a submission while fewer than
+/// `max_outstanding` transactions are unreported, so at most twice that
+/// many are open at the nodes.
 ///
 /// Egress follows the node loop's rule: `Begin`s and retries are *staged*
 /// per destination and leave through one flush per loop turn, immediately
@@ -249,18 +272,24 @@ where
             retries: 0,
             next_retry: now + cfg.reply_timeout,
             deadline: now + cfg.txn_deadline,
+            reported: None,
         };
         stage_begins(outbox, ends, &p, client, false);
         p
     };
-    // Parked: retried often enough that the closed loop stops waiting for
-    // it. `unparked` counts the outstanding transactions that are not.
-    let parked = |p: &PendingTxn| p.retries >= cfg.park_retries;
+    // The first `Done` is the outcome wherever the cell always agrees.
+    let first_done_reports = cfg.kind.cell().always_agrees();
+    // Outstanding transactions not yet reported: they hold the window.
+    let mut unreported = 0usize;
+    // The closed loop waits for a transaction until it is reported or
+    // parked (retried often enough that the loop stops waiting for it).
+    // `unparked` counts the outstanding transactions it waits for.
+    let waited_for = |p: &PendingTxn| p.reported.is_none() && p.retries < cfg.park_retries;
     let mut unparked = 0usize;
-    // The closed loop is open: every outstanding transaction is parked
-    // and there is room. (Pacing gates on top of it.)
-    let gate_open = |submitted: usize, outstanding: usize, unparked: usize| {
-        submitted < total && outstanding < cfg.max_outstanding && unparked == 0
+    // The closed loop is open: it waits for no transaction and the window
+    // has room. (Pacing gates on top of it.)
+    let gate_open = |submitted: usize, unreported: usize, unparked: usize| {
+        submitted < total && unreported < cfg.max_outstanding && unparked == 0
     };
     // `p`'s timeline as the client observed it; `decided` is its latency
     // and outcome, `None` for an abandoned transaction.
@@ -296,7 +325,15 @@ where
             .map_or(Duration::ZERO, ArrivalSchedule::next_gap);
 
     loop {
-        debug_assert_eq!(unparked, outstanding.iter().filter(|p| !parked(p)).count());
+        debug_assert_eq!(
+            unparked,
+            outstanding.iter().filter(|p| waited_for(p)).count()
+        );
+        debug_assert_eq!(
+            unreported,
+            outstanding.iter().filter(|p| p.reported.is_none()).count()
+        );
+        debug_assert!(outstanding.len() - unreported <= cfg.max_outstanding);
         if let Some(sched) = arrivals.as_mut() {
             // Dispatch every arrival whose scheduled instant has passed.
             // Sojourn time is measured from the *scheduled* arrival, so
@@ -311,12 +348,13 @@ where
                 let mut t = gen.next_txn();
                 t.id = ServiceConfig::txn_id(client, offered);
                 offered += 1;
-                if outstanding.len() >= cfg.max_outstanding {
+                if unreported >= cfg.max_outstanding {
                     shed += 1;
                     continue;
                 }
                 let p = submit(t, scheduled, now, &mut outbox, &mut ends);
-                unparked += usize::from(!parked(&p));
+                unparked += usize::from(waited_for(&p));
+                unreported += 1;
                 outstanding.push(p);
                 submitted += 1;
             }
@@ -327,13 +365,14 @@ where
             // Submit while the closed loop is open and pacing allows it.
             // One reading stamps every submission of the turn: only
             // bookkeeping lies between one and the next.
-            if gate_open(submitted, outstanding.len(), unparked) {
+            if gate_open(submitted, unreported, unparked) {
                 let now = Instant::now();
-                while now >= next_allowed && gate_open(submitted, outstanding.len(), unparked) {
+                while now >= next_allowed && gate_open(submitted, unreported, unparked) {
                     let mut t = gen.next_txn();
                     t.id = ServiceConfig::txn_id(client, submitted);
                     let p = submit(t, now, now, &mut outbox, &mut ends);
-                    unparked += usize::from(!parked(&p));
+                    unparked += usize::from(waited_for(&p));
+                    unreported += 1;
                     outstanding.push(p);
                     submitted += 1;
                     if let Some(p) = cfg.pacing {
@@ -358,7 +397,7 @@ where
             if offered < total {
                 due = Some(due.map_or(next_arrival, |d| d.min(next_arrival)));
             }
-        } else if gate_open(submitted, outstanding.len(), unparked) {
+        } else if gate_open(submitted, unreported, unparked) {
             due = Some(due.map_or(next_allowed, |d| d.min(next_allowed)));
         }
         // The turn's single write point: everything staged since the last
@@ -382,21 +421,31 @@ where
         // Fold in replies (duplicates from retries/recovery are ignored).
         for d in dbuf.drain(..) {
             let Some(i) = outstanding.iter().position(|p| p.id == d.txn) else {
-                continue; // straggler of a completed or abandoned txn
+                continue; // straggler of a settled txn
             };
+            let reported = outstanding.len() - unreported;
             let p = &mut outstanding[i];
-            if let Some(slot) = p.parts.iter().position(|&q| q == d.node) {
-                if p.decisions[slot].is_none() {
-                    p.decisions[slot] = Some(d.decision);
-                    p.got += 1;
-                }
+            let Some(slot) = p.parts.iter().position(|&q| q == d.node) else {
+                continue;
+            };
+            if p.decisions[slot].is_some() {
+                continue;
             }
-            if p.got == p.parts.len() {
-                let p = outstanding.swap_remove(i);
-                unparked -= usize::from(!parked(&p));
+            p.decisions[slot] = Some(d.decision);
+            p.got += 1;
+            let settled = p.got == p.parts.len();
+            let first = first_done_reports && reported < cfg.max_outstanding;
+            if p.reported.is_none() && (settled || first) {
+                unparked -= usize::from(waited_for(p));
+                unreported -= 1;
+                p.reported = Some(events.len());
                 let lat = now.saturating_duration_since(p.t0);
-                let committed = p.decisions[0] == Some(COMMIT);
-                events.push(event(&p, Some((lat, committed))));
+                events.push(event(p, Some((lat, d.decision == COMMIT))));
+            }
+            if settled {
+                let p = outstanding.swap_remove(i);
+                let at = p.reported.expect("reported by its last Done at the latest");
+                events[at].retries = p.retries;
                 for &q in &p.parts {
                     ends[q].push(p.id);
                 }
@@ -408,15 +457,20 @@ where
         }
 
         // Expired waits: re-send Begin (bounded, counted) or abandon at
-        // the hard deadline.
+        // the hard deadline — reported or not, an abandoned transaction's
+        // event reads as abandoned.
         let mut i = 0;
         while i < outstanding.len() {
             if now >= outstanding[i].deadline {
                 let p = outstanding.swap_remove(i);
-                unparked -= usize::from(!parked(&p));
+                unparked -= usize::from(waited_for(&p));
+                unreported -= usize::from(p.reported.is_none());
                 stalled += 1;
                 reply_timeouts += 1;
-                events.push(event(&p, None));
+                match p.reported {
+                    Some(at) => events[at] = event(&p, None),
+                    None => events.push(event(&p, None)),
+                }
                 records.push(ClientRecord {
                     id: p.id,
                     decisions: p.decisions,
@@ -428,7 +482,7 @@ where
                 reply_timeouts += 1;
                 retries += 1;
                 p.retries += 1;
-                unparked -= usize::from(p.retries == cfg.park_retries);
+                unparked -= usize::from(p.reported.is_none() && p.retries == cfg.park_retries);
                 p.next_retry = now + cfg.reply_timeout;
                 stage_begins(&mut outbox, &mut ends, p, client, true);
             }
@@ -463,7 +517,7 @@ where
 mod tests {
     use std::collections::HashMap;
 
-    use ac_commit::protocols::{PaxosCommit, ProtocolKind};
+    use ac_commit::protocols::{D1cc, PaxosCommit, ProtocolKind};
     use ac_txn::workload::Workload;
     use crossbeam::channel::{unbounded, Sender};
 
@@ -636,6 +690,193 @@ mod tests {
             staged.push(vec![Sent::End(id(total - 1))]);
             assert_eq!(to_q, staged.iter().collect::<Vec<_>>(), "node {q}");
         }
+    }
+
+    /// What passed the client's link, in order: a write to a node, or a
+    /// participant's `Done` sent back to the client.
+    #[derive(Debug)]
+    enum Seen {
+        Write(usize, Vec<Sent>),
+        Done(TxnId, usize),
+    }
+
+    /// Nodes that answer each `Begin` at once, as [`Answering`] does, but
+    /// for the highest-ranked participant: its `Done` waits for the
+    /// client's next write. A client that waits for every participant
+    /// therefore has nothing to write until a retry; one that reports on
+    /// the first `Done` submits the next transaction in the write that
+    /// releases the last `Done` of the one before.
+    struct Holding {
+        n: usize,
+        seen: Sender<Seen>,
+        replies: Sender<Done>,
+        held: Vec<Done>,
+    }
+
+    impl Holding {
+        fn answer(&self, done: Done) {
+            let seen = Seen::Done(done.txn, done.node);
+            self.seen.send(seen).expect("the test holds it");
+            self.replies.send(done).expect("the client is parked on it");
+        }
+    }
+
+    impl<M: Send> Transport<M> for Holding {
+        fn send(&mut self, to: usize, env: ToNode<M>) {
+            self.send_batch(to, &mut vec![env]);
+        }
+
+        fn send_batch(&mut self, to: usize, batch: &mut Vec<ToNode<M>>) {
+            let (mut write, mut answers) = (Vec::new(), Vec::new());
+            for env in batch.drain(..) {
+                match env {
+                    ToNode::Begin { txn, .. } => {
+                        write.push(Sent::Begin(txn.id));
+                        let last = *parts_of(&txn, self.n).last().expect("a participant");
+                        let done = Done {
+                            txn: txn.id,
+                            node: to,
+                            decision: COMMIT,
+                        };
+                        answers.push((done, to == last));
+                    }
+                    ToNode::End { txn } => write.push(Sent::End(txn)),
+                    _ => unreachable!("a client sends only Begin and End"),
+                }
+            }
+            self.seen
+                .send(Seen::Write(to, write))
+                .expect("the test holds it");
+            for done in std::mem::take(&mut self.held) {
+                self.answer(done);
+            }
+            for (done, hold) in answers {
+                if hold {
+                    self.held.push(done);
+                } else {
+                    self.answer(done);
+                }
+            }
+        }
+    }
+
+    /// What passed client 0's link in a run under `cfg` against
+    /// [`Holding`] nodes, in which every transaction settles committed.
+    fn timeline_of<P>(cfg: &ServiceConfig) -> Vec<Seen>
+    where
+        P: CommitProtocol,
+        P::Msg: ac_sim::Wire + Send + 'static,
+    {
+        let (seen, timeline) = unbounded();
+        let (replies, rx) = unbounded();
+        let nodes = Holding {
+            n: cfg.n,
+            seen,
+            replies,
+            held: Vec::new(),
+        };
+        let link = ClientLink::InProcess(Box::new(nodes), rx);
+        let ret = client_main::<P>(0, cfg, Instant::now(), link);
+        let total = cfg.txns_per_client;
+        assert_eq!((ret.records.len(), ret.stalled), (total, 0), "records");
+        assert!(ret
+            .records
+            .iter()
+            .all(|r| r.verdict() == Verdict::Decided(COMMIT)));
+        std::iter::from_fn(|| timeline.try_recv().ok()).collect()
+    }
+
+    /// Per transaction `i` of a run whose transactions span every node:
+    /// where on `timeline` its first `Begin` was written, and where its
+    /// last participant's first `Done` was sent; and the most transactions
+    /// begun and not fully answered when a write leaves. Checks on the way
+    /// that no `End` reaches a node before that node's `Done`.
+    fn begins_and_last_dones(
+        cfg: &ServiceConfig,
+        timeline: &[Seen],
+    ) -> (Vec<(usize, usize)>, usize) {
+        let total = cfg.txns_per_client;
+        let slot = |id: TxnId| (0..total).find(|&i| ServiceConfig::txn_id(0, i) == id);
+        let mut begun = vec![None; total];
+        let mut answered: Vec<Vec<usize>> = vec![Vec::new(); total];
+        let mut last_done = vec![None; total];
+        let mut most_open = 0;
+        for (at, seen) in timeline.iter().enumerate() {
+            match seen {
+                Seen::Write(to, write) => {
+                    for s in write {
+                        match *s {
+                            Sent::Begin(id) => {
+                                let i = slot(id).expect("a client-0 id");
+                                begun[i].get_or_insert(at);
+                            }
+                            Sent::End(id) => {
+                                let i = slot(id).expect("a client-0 id");
+                                assert!(answered[i].contains(to), "End {id} reached {to} first");
+                            }
+                        }
+                    }
+                    let open = (0..total)
+                        .filter(|&i| begun[i].is_some() && last_done[i].is_none())
+                        .count();
+                    most_open = most_open.max(open);
+                }
+                Seen::Done(id, node) => {
+                    let i = slot(*id).expect("a client-0 id");
+                    if !answered[i].contains(node) {
+                        answered[i].push(*node);
+                    }
+                    if answered[i].len() == cfg.n {
+                        last_done[i].get_or_insert(at);
+                    }
+                }
+            }
+        }
+        let at = |v: Vec<Option<usize>>| v.into_iter().map(|a| a.expect("seen"));
+        (at(begun).zip(at(last_done)).collect(), most_open)
+    }
+
+    /// The report rule at the client, read off its link: where the cell
+    /// always agrees, the next transaction leaves before the last `Done` of
+    /// the one before arrives, and a window refills past itself (up to
+    /// twice its size open at once, at most its size reported and
+    /// unsettled — that bound is the `debug_assert!` at the top of the
+    /// client's loop, which the window drives to equality). Where the
+    /// cell can split (D1CC), the client waits for every `Done`. No `End`
+    /// reaches a node before that node's `Done`, and every transaction
+    /// settles with its record.
+    #[test]
+    fn the_first_done_reports_only_where_the_cell_always_agrees() {
+        let light = cluster(4)
+            .txns_per_client(40)
+            .reply_timeout(Duration::from_millis(2));
+        let (order, most_open) = begins_and_last_dones(&light, &timeline_of::<PaxosCommit>(&light));
+        for (i, pair) in order.windows(2).enumerate() {
+            let ((_, last_done), (next_begun, _)) = (pair[0], pair[1]);
+            assert!(next_begun < last_done, "txn {} waited for txn {i}", i + 1);
+        }
+        assert_eq!(most_open, 2, "one reported, one fresh");
+
+        let w = 3;
+        let windowed = light.clone().park_retries(0).max_outstanding(w);
+        let timeline = timeline_of::<PaxosCommit>(&windowed);
+        let (_, most_open) = begins_and_last_dones(&windowed, &timeline);
+        assert!(w < most_open && most_open <= 2 * w, "{most_open} open");
+
+        let d1cc = ServiceConfig {
+            kind: ProtocolKind::D1cc,
+            ..light
+        };
+        let (order, most_open) = begins_and_last_dones(&d1cc, &timeline_of::<D1cc>(&d1cc));
+        for (i, pair) in order.windows(2).enumerate() {
+            let ((_, last_done), (next_begun, _)) = (pair[0], pair[1]);
+            assert!(
+                next_begun > last_done,
+                "txn {} left before txn {i} settled",
+                i + 1
+            );
+        }
+        assert_eq!(most_open, 1);
     }
 
     #[test]

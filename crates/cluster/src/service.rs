@@ -25,10 +25,13 @@
 //! 3. When a participant's instance decides, the node applies the decision
 //!    to its shard (install writes + release locks on commit, release on
 //!    abort), logs it, and reports `Done` to the submitting client.
-//! 4. The client records the transaction once, submit → all `k`
-//!    decisions ([`ServiceOutcome::decided`]), then owes each participant
-//!    an `End` so it can garbage-collect the instance; the `End` rides the
-//!    client's next `Begin` to that participant.
+//! 4. The client reports the outcome on the first `Done` where the
+//!    protocol's Table-1 cell has agreement in both failure models, on the
+//!    last one elsewhere ([`TxnEvent::decided_at`]). Once every
+//!    participant has answered it records the transaction
+//!    ([`ServiceOutcome::decided`]) and owes each participant an `End` so
+//!    it can garbage-collect the instance; the `End` rides the client's
+//!    next `Begin` to that participant.
 //!
 //! Envelopes for instances a node has not opened yet are buffered in the
 //! transaction's table entry (phase *early*: a peer's vote can outrun the
@@ -276,8 +279,12 @@ pub struct ServiceConfig {
     /// submits the next transaction (how availability stays measurable
     /// while 2PC blocks on a crashed coordinator).
     pub park_retries: u32,
-    /// Upper bound on simultaneously outstanding (parked + active)
-    /// transactions per client; reaching it blocks submission.
+    /// The per-client window: submission blocks, and an open-loop arrival
+    /// is shed, while this many transactions (parked or active) wait for
+    /// their outcome to be reported. A reported transaction leaves the
+    /// window but stays open until every participant has answered; at most
+    /// this many wait that way, so a client has at most twice the window
+    /// open.
     pub max_outstanding: usize,
     /// Minimum gap between submissions (`None` = pure closed loop). Chaos
     /// runs pace the load so the stream is still flowing when the fault
@@ -445,12 +452,16 @@ pub struct TxnEvent {
     pub participants: usize,
     /// First submission, relative to the service epoch.
     pub submitted_at: Duration,
-    /// When the client held all participant decisions (`None` =
-    /// abandoned/stalled).
+    /// When the client knew the outcome: its first participant decision
+    /// where the protocol's cell always agrees, its last elsewhere (`None`
+    /// = abandoned at its deadline, reported or not). Other participants
+    /// may still be deciding, so [`TxnEvent::journaled_at`] may come after
+    /// it.
     pub decided_at: Option<Duration>,
-    /// The agreed outcome (`None` = never fully decided at the client).
+    /// The outcome the client reported (`None` = abandoned).
     pub committed: Option<bool>,
-    /// `Begin` re-sends this transaction needed.
+    /// `Begin` re-sends this transaction needed, reported or not, until
+    /// every participant answered.
     pub retries: u32,
     /// Earliest `Begin` dispatch at any participant — the first protocol
     /// event (from the flight recorder; `None` when its events were lost
@@ -465,8 +476,8 @@ pub struct TxnEvent {
 }
 
 impl TxnEvent {
-    /// The transaction as a run's record of a fully decided one (`None`
-    /// when it was abandoned).
+    /// The transaction as a run's record of a reported and settled one
+    /// (`None` when it was abandoned).
     pub(crate) fn decided(&self) -> Option<DumpTxn> {
         let (decided, committed) = (self.decided_at?, self.committed?);
         Some(DumpTxn {
@@ -551,7 +562,7 @@ pub struct ServiceOutcome {
     /// Each node's apply log, in its local apply order.
     pub node_logs: Vec<Vec<NodeRecord>>,
     /// Per-transaction timelines, grouped by client, each client's in the
-    /// order it finished them: decided or abandoned at its deadline.
+    /// order it reported them or abandoned them at their deadline.
     pub txn_events: Vec<TxnEvent>,
     /// The client-side record of every fully decided transaction, in the
     /// form a multi-process run's [`ac_obs::ClusterDump`] carries it.
@@ -669,7 +680,8 @@ pub enum ToNode<M> {
         /// The decided value (1 = commit).
         value: u64,
     },
-    /// The submitting client saw every participant decision; the
+    /// The submitting client saw every participant decision — this
+    /// node's included, so no `End` reaches an undecided participant; the
     /// instance can be garbage-collected. It does not leave when the last
     /// `Done` arrives: it waits at the client and rides, right ahead of
     /// it, the client's next `Begin` to this node. It leaves without one
@@ -950,12 +962,13 @@ fn aggregate(
             audit(rec, verdict, table.tag(rec.id), &mut violations)
         });
         for ev in &mut cr.events {
-            let walk = table.walk(ev.id);
+            let decided = ev.decided();
+            let walk = table.walk(ev.id, decided.map(|d| d.decided_nanos));
             let l = walk.lifecycle;
             ev.first_protocol_at = l.first_protocol_nanos.map(Duration::from_nanos);
             ev.votes_held_at = l.votes_held_nanos.map(Duration::from_nanos);
             ev.journaled_at = l.journaled_nanos.map(Duration::from_nanos);
-            if let Some(d) = ev.decided() {
+            if let Some(d) = decided {
                 attribution.add(d.span(), &walk, SLOWEST_KEPT);
             }
         }
@@ -1245,7 +1258,7 @@ mod tests {
             stray.add(flat.iter().copied());
             let mut generic = Attribution::default();
             for &span in &spans {
-                generic.add(span, &stray.walk(span.0), SLOWEST_KEPT);
+                generic.add(span, &stray.walk(span.0, Some(span.2)), SLOWEST_KEPT);
             }
             let compute = Attribution::compute(&spans, &flat, SLOWEST_KEPT, 0);
             for want in [&generic, &compute] {
@@ -1304,12 +1317,22 @@ mod tests {
 
     /// The tentpole's end-to-end check at unit scale: a healthy run must
     /// attribute (nearly) every transaction, the five stage shares must
-    /// telescope to ~100 % of end-to-end p50, the lifecycle stamps must
-    /// be filled and ordered, and the seam meters must have seen the
-    /// load.
+    /// telescope to ~100 % of end-to-end p50, every timeline must end
+    /// where its client knew the outcome, the lifecycle stamps must be
+    /// filled and ordered, and the seam meters must have seen the load.
     #[test]
     fn attribution_telescopes_and_lifecycle_stamps_fill_on_a_live_run() {
-        let out = run_service(&quick(ProtocolKind::PaxosCommit));
+        attribution_telescopes_on(ProtocolKind::PaxosCommit);
+    }
+
+    /// The same on a protocol whose client waits for every `Done`.
+    #[test]
+    fn attribution_telescopes_and_lifecycle_stamps_fill_on_a_live_d1cc_run() {
+        attribution_telescopes_on(ProtocolKind::D1cc);
+    }
+
+    fn attribution_telescopes_on(kind: ProtocolKind) {
+        let out = run_service(&quick(kind));
         assert!(out.is_safe(), "{:?}", out.violations);
         let a = &out.attribution;
         assert_eq!(a.total, 10);
@@ -1325,6 +1348,17 @@ mod tests {
         assert!(a.slowest[0].e2e_nanos() >= a.slowest[a.slowest.len() - 1].e2e_nanos());
         // No WAL in a healthy run: the wal stage carries zero time.
         assert_eq!(a.stages[2].sum(), 0);
+        // Every covered timeline, kept: each anchors at a participant that
+        // decided by the client's stamp, so none is clamped past it.
+        let spans: Vec<_> = out.decided.iter().map(DumpTxn::span).collect();
+        let every = Attribution::compute(&spans, &out.flight.concat(), spans.len(), 0);
+        assert_eq!(every.slowest.len(), a.covered);
+        for tl in &every.slowest {
+            let ev = out.txn_events.iter().find(|e| e.id == tl.txn);
+            let ev = ev.expect("an event per timeline");
+            let waited = ev.decided_at.expect("decided") - ev.submitted_at;
+            assert_eq!(tl.e2e_nanos(), nanos(waited), "txn {}", tl.txn);
+        }
         for ev in &out.txn_events {
             let first = ev.first_protocol_at.expect("dispatch stamp");
             let held = ev.votes_held_at.expect("votes-held stamp");

@@ -151,6 +151,13 @@ impl Cell {
         nf: PropSet::EMPTY,
     };
 
+    /// Whether agreement holds in every execution the cell covers, crash-
+    /// and network-failure alike: then any one process's decision is every
+    /// process's, and a client may take its outcome from the first reply.
+    pub fn always_agrees(self) -> bool {
+        self.cf.has_agreement() && self.nf.has_agreement()
+    }
+
     /// Whether this cell is non-empty in Table 1 (`nf ⊆ cf`).
     pub fn is_canonical(self) -> bool {
         self.cf.contains(self.nf)
@@ -358,6 +365,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Ten of the fifteen protocols agree in both failure models; the five
+    /// whose network-failure column lacks agreement may split there.
+    #[test]
+    fn always_agrees_splits_the_suite_ten_to_five() {
+        use crate::protocols::ProtocolKind::{self, *};
+        let (agree, split): (Vec<ProtocolKind>, Vec<ProtocolKind>) = ProtocolKind::all()
+            .into_iter()
+            .partition(|k| k.cell().always_agrees());
+        assert_eq!(
+            agree,
+            [
+                Inbac,
+                InbacFastAbort,
+                Nbac0,
+                ANbac,
+                AvNbacDelayOpt,
+                AvNbacMsgOpt,
+                Nbac2n2f,
+                TwoPc,
+                PaxosCommit,
+                FasterPaxosCommit,
+            ]
+        );
+        assert_eq!(split, [Nbac1, D1cc, ChainNbac, Nbac2n2, ThreePc]);
+        assert!(!Cell::new(PropSet::A, PropSet::EMPTY).always_agrees());
+        assert!(!Cell::new(PropSet::T, PropSet::A).always_agrees());
     }
 
     #[test]

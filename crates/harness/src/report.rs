@@ -265,7 +265,8 @@ pub struct ServiceEntry {
     /// Committed transactions per second of the load phase
     /// ([`ac_obs::RunStats::throughput_tps`]).
     pub throughput_tps: f64,
-    /// Median latency, microseconds (submit → all `n` decisions).
+    /// Median latency, microseconds (submit → the client knows the
+    /// outcome).
     pub p50_micros: f64,
     /// 90th-percentile latency, microseconds.
     pub p90_micros: f64,
@@ -453,7 +454,7 @@ pub struct ChaosEntry {
     pub safety_violations: usize,
     /// Transactions first submitted inside the fault window.
     pub submitted_during_fault: usize,
-    /// Of those, fully decided before the heal.
+    /// Of those, the ones whose outcome the client learned before the heal.
     pub decided_during_fault: usize,
     /// Transactions committed inside the window — the availability signal.
     pub committed_during_fault: usize,
@@ -465,7 +466,8 @@ pub struct ChaosEntry {
     pub ops_after_heal: f64,
     /// `100 · decided/submitted` within the window (100 if idle).
     pub availability_pct: f64,
-    /// Transactions the client parked (blocked past its closed-loop wait).
+    /// Transactions whose outcome the client learned no sooner than its
+    /// closed loop would park them, or never.
     pub blocked: usize,
     /// Worst heal→decision gap of a blocked transaction, milliseconds.
     pub recovery_ms: f64,
@@ -1334,7 +1336,7 @@ pub(crate) mod tests {
                     TimelineStep {
                         at_micros: 22_000.0,
                         actor: "client".into(),
-                        label: "all replies in".into(),
+                        label: "outcome known".into(),
                     },
                 ],
             }],

@@ -2,10 +2,14 @@
 //! events plus the client's submit/reply timestamps into a telescoping
 //! five-stage decomposition of every commit's end-to-end latency.
 //!
-//! The decomposition is anchored at the transaction's **last-deciding
-//! participant** (the node whose `Decided` flight event is latest — the
-//! node the client was really waiting for) and telescopes through the
-//! lifecycle points recorded on that node:
+//! The decomposition is anchored at a participant the client waited for:
+//! the **latest decider by the client's decision stamp** (the node whose
+//! `Decided` flight event is latest among those not after the moment the
+//! client knew the outcome — the last decider when the client waits for
+//! every participant, possibly an earlier one when it reports on the
+//! first `Done`; the earliest decider if every `Decided` is stamped
+//! later) — and telescopes through the lifecycle points recorded on that
+//! node:
 //!
 //! ```text
 //! submitted ── channel ──> dispatched ── lock ──> locks-held
@@ -297,21 +301,30 @@ impl<T> FlightIndex<T> {
     }
 
     /// One walk of `txn`'s chain: its lifecycle, and the anchor its
-    /// attribution is timed by.
-    pub fn walk(&self, txn: u64) -> Walk {
+    /// attribution is timed by — the latest participant to decide by
+    /// `by`, the moment the client knew the outcome (any time when
+    /// `None`), or the earliest to decide if none did by then.
+    pub fn walk(&self, txn: u64, by: Option<u64>) -> Walk {
+        let by = by.unwrap_or(NONE);
         let (mut first, mut held, mut journaled) = (NONE, NONE, NONE);
-        let mut anchor: Option<NodePoints> = None;
+        // `(decided, node, record)` of the latest decider by `by` and of
+        // the earliest. Ties go to the higher node id for the latest and
+        // the lower for the earliest, whatever order the chain runs in:
+        // equal inputs give equal attributions.
+        let (mut latest, mut earliest) = (None, None);
         let mut i = self.slot(txn).map_or(END, |s| s.head);
         while let Some(p) = self.points.get(i as usize) {
             first = first.min(p.dispatch);
             held = later(held, p.lock_last);
             journaled = later(journaled, p.decided);
-            // The participant whose decision landed last (a tie goes to
-            // the higher node id, whatever order the chain runs in: equal
-            // inputs give equal attributions).
-            if p.decided != NONE && anchor.is_none_or(|a| (p.decided, p.node) > (a.decided, a.node))
-            {
-                anchor = Some(*p);
+            if p.decided != NONE {
+                let at = (p.decided, p.node, i);
+                if p.decided <= by && latest.is_none_or(|l| at > l) {
+                    latest = Some(at);
+                }
+                if earliest.is_none_or(|e| at < e) {
+                    earliest = Some(at);
+                }
             }
             i = p.next;
         }
@@ -321,13 +334,13 @@ impl<T> FlightIndex<T> {
                 votes_held_nanos: point(held),
                 journaled_nanos: point(journaled),
             },
-            anchor,
+            anchor: latest.or(earliest).map(|(_, _, i)| self.points[i as usize]),
         }
     }
 
     /// `txn`'s cross-participant stamps (all `None` when no event names it).
     pub fn lifecycle(&self, txn: u64) -> Lifecycle {
-        self.walk(txn).lifecycle
+        self.walk(txn, None).lifecycle
     }
 }
 
@@ -337,19 +350,20 @@ impl<T> FlightIndex<T> {
 pub struct Walk {
     /// The transaction's cross-participant stamps.
     pub lifecycle: Lifecycle,
-    /// The last-deciding participant's points, if any participant decided.
+    /// The anchor participant's points, if any participant decided.
     anchor: Option<NodePoints>,
 }
 
 /// One reconstructed transaction timeline: the monotone-clamped
-/// lifecycle points of the anchor (last-deciding) participant, plus the
+/// lifecycle points of the anchor participant, plus the
 /// client's submit/reply endpoints. All values are nanoseconds past the
 /// run epoch.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TxnTimeline {
     /// Transaction id.
     pub txn: u64,
-    /// Anchor participant (the node the client waited for last).
+    /// Anchor participant: the latest to decide by the time the client
+    /// knew the outcome.
     pub anchor: u32,
     /// Client handed the transaction to the service.
     pub submitted_nanos: u64,
@@ -361,7 +375,7 @@ pub struct TxnTimeline {
     pub wal_nanos: Option<u64>,
     /// Anchor applied the decision.
     pub decided_node_nanos: u64,
-    /// Client observed the full decision (all replies in).
+    /// Client knew the outcome.
     pub decided_client_nanos: u64,
 }
 
@@ -416,7 +430,7 @@ impl TxnTimeline {
         rows.push((
             self.decided_client_nanos,
             "client".to_string(),
-            "all replies in".to_string(),
+            "outcome known".to_string(),
         ));
         rows
     }
@@ -497,14 +511,14 @@ impl Attribution {
             ..Attribution::default()
         };
         for &span in decided {
-            out.add(span, &index.walk(span.0), keep_slowest);
+            out.add(span, &index.walk(span.0, Some(span.2)), keep_slowest);
         }
         out
     }
 
     /// Count one client-decided transaction `(txn, submitted_nanos,
-    /// decided_nanos)` in, timed by `walk` of its chain, keeping the
-    /// `keep_slowest` worst timelines.
+    /// decided_nanos)` in, timed by `walk` of its chain by `decided_nanos`,
+    /// keeping the `keep_slowest` worst timelines.
     pub fn add(&mut self, span: (u64, u64, u64), walk: &Walk, keep_slowest: usize) {
         let (txn, submitted, decided_client) = span;
         self.total += 1;
@@ -601,6 +615,26 @@ mod tests {
         // channel=150, lock=110, wal=140, protocol=800, transport=300.
         assert_eq!(tl.stage_nanos(), [150, 110, 140, 800, 300]);
         assert!((a.share_sum_pct() - 100.0).abs() < 1e-9);
+    }
+
+    /// A client that knew the outcome between the two decisions waited
+    /// for node 0 only: the timeline anchors there and ends at the
+    /// client's stamp. One that knew it before any decision was stamped
+    /// (clocks apart) anchors at the earliest decider.
+    #[test]
+    fn the_anchor_is_the_latest_decider_by_the_clients_stamp() {
+        let flight = full_txn(7, 0);
+        let a = Attribution::compute(&[(7, 0, 1_100)], &flight, 5, 0);
+        let tl = a.slowest[0];
+        assert_eq!(tl.anchor, 0);
+        assert_eq!(tl.e2e_nanos(), 1_100);
+        // channel=100, lock=100, wal=100, protocol=700, transport=100.
+        assert_eq!(tl.stage_nanos(), [100, 100, 100, 700, 100]);
+        let at = |by| FlightIndex::new(&flight).walk(7, by).anchor.map(|p| p.node);
+        assert_eq!(at(Some(1_000)), Some(0), "a stamp equal to a decision");
+        assert_eq!(at(Some(1_200)), Some(1));
+        assert_eq!(at(Some(999)), Some(0), "none by then: the earliest");
+        assert_eq!(at(None), Some(1), "no stamp: the last decider");
     }
 
     #[test]

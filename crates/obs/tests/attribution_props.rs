@@ -32,6 +32,8 @@ struct NodePoints {
 /// `Attribution::compute` as it was before the index: a `HashMap` of
 /// per-node `HashMap`s. Its slowest list is sorted once, at the end, in
 /// the (e2e desc, txn asc) order ISSUE-25 fixed.
+/// Its anchor is the latest decider not after the client's stamp, else the
+/// earliest decider.
 fn reference(decided: &[(u64, u64, u64)], flight: &[FlightEvent], keep: usize) -> Attribution {
     let mut points: HashMap<u64, HashMap<u32, NodePoints>> = HashMap::new();
     for ev in flight {
@@ -54,11 +56,12 @@ fn reference(decided: &[(u64, u64, u64)], flight: &[FlightEvent], keep: usize) -
         let Some(nodes) = points.get(&txn) else {
             continue;
         };
-        let Some((&anchor, a)) = nodes
-            .iter()
-            .filter(|(_, p)| p.decided.is_some())
-            .max_by_key(|(&node, p)| (p.decided, node))
-        else {
+        let deciders = || nodes.iter().filter(|(_, p)| p.decided.is_some());
+        let by_client = deciders()
+            .filter(|(_, p)| p.decided <= Some(decided_client))
+            .max_by_key(|(&node, p)| (p.decided, node));
+        let earliest = || deciders().min_by_key(|(&node, p)| (p.decided, node));
+        let Some((&anchor, a)) = by_client.or_else(earliest) else {
             continue;
         };
         let (Some(dispatch), Some(lock), Some(decided_node)) = (a.dispatch, a.lock, a.decided)
@@ -164,7 +167,8 @@ proptest! {
     fn the_index_folds_exactly_like_the_nested_maps(
         txns in proptest::collection::vec(txn_events(), 0..24),
         // Per transaction: decided at the client?, submit, e2e in coarse
-        // steps (ties between transactions are common).
+        // steps (ties between transactions are common; the client's stamp
+        // falls before, among and after the nodes' decisions).
         client in proptest::collection::vec((0u8..4, 0u64..2_000, 0u64..8), 30),
         unstamped in 0usize..6,
         keep in 0usize..6,
@@ -194,7 +198,7 @@ proptest! {
             .filter(|&i| i >= txns.len() || client[i].0 != 0)
             .map(|i| {
                 let (_, submitted, steps) = client[i];
-                (txn_id(encoded, i), submitted, submitted + 5_000 + steps * 700)
+                (txn_id(encoded, i), submitted, submitted + steps * 700)
             })
             .collect();
         shuffle(&mut decided, order.rotate_left(17));

@@ -124,11 +124,15 @@ fn inbac_decides_through_a_participant_crash_and_recovers() {
     );
 }
 
+/// Forty paced transactions per client keep submitting past the heal at
+/// `UP` (fourteen all end inside the window once no client waits for a
+/// cut-off participant), so `committed_after_heal` counts throughput that
+/// came back, not transactions that were blocked.
 #[test]
 fn partition_heals_and_every_transaction_resolves() {
     for kind in [ProtocolKind::PaxosCommit, ProtocolKind::TwoPc] {
         let cfg = ChaosConfig {
-            service: chaos_cfg(kind),
+            service: chaos_cfg(kind).txns_per_client(40),
             plan: ChaosPlan::none(4).partition(vec![0, 1], DOWN, UP, true),
         };
         let out = run_chaos(&cfg);
@@ -309,20 +313,21 @@ fn sim_and_live_agree_under_the_same_crash_schedule() {
     }
 }
 
-/// The ISSUE-7 chaos contrast: D1CC keeps **committing** through a single
-/// participant crash (transactions avoiding the dead shard decide in one
-/// delay; ones touching it abort at the f+1 timeout instead of blocking),
-/// and its in-window availability is no worse than Paxos-Commit's under
-/// the identical crash schedules — the consensus protocol needs extra
-/// rounds to resolve the dead participant's vote, the logless one only
-/// its timeout. Wall-clock fault windows make single runs noisy (one
-/// in-window transaction swings availability by several points when the
-/// test suite contends for cores), so both protocols run the same three
-/// seeded schedules and the comparison is on means with a 5-point
-/// tolerance; the committed regenerated `BENCH_baseline.json` chaos
+/// The chaos contrast the Table-1 cells predict under a participant crash.
+/// Both keep **committing** (transactions avoiding the dead shard decide;
+/// ones touching it abort instead of blocking). But Paxos-Commit's cell,
+/// (AVT, AVT), has agreement in both failure models, so its client takes
+/// the survivors' outcome from the first `Done`; D1CC's, (AVT, VT), may
+/// split under a network failure, so its client waits for every
+/// participant — the crashed one included, until it restarts. So
+/// Paxos-Commit's in-window availability is higher. Wall-clock fault
+/// windows make single runs noisy (one in-window transaction swings
+/// availability by several points when the test suite contends for
+/// cores), so both protocols run the same three seeded schedules and the
+/// comparison is on means; the committed `BENCH_baseline.json` chaos
 /// section carries the gate-checked cells.
 #[test]
-fn d1cc_commits_through_a_crash_at_least_as_available_as_paxos_commit() {
+fn paxos_commit_reports_through_a_crash_more_available_than_d1cc() {
     const SEEDS: [u64; 3] = [23, 24, 25];
     let run = |kind: ProtocolKind, seed: u64| {
         let cfg = ChaosConfig {
@@ -371,9 +376,9 @@ fn d1cc_commits_through_a_crash_at_least_as_available_as_paxos_commit() {
          a D1CC Prepare on the critical path"
     );
     assert!(
-        d1cc_avail + 5.0 >= pc_avail,
-        "D1CC mean in-window availability ({d1cc_avail:.1}%) fell behind \
-         Paxos-Commit's ({pc_avail:.1}%) over seeds {SEEDS:?}"
+        pc_avail > d1cc_avail,
+        "Paxos-Commit mean in-window availability ({pc_avail:.1}%) is not \
+         above D1CC's ({d1cc_avail:.1}%) over seeds {SEEDS:?}"
     );
     // Serializability holds across the crash/recovery.
     let rebuilt = d1cc.service.replay();
