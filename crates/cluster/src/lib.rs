@@ -7,10 +7,11 @@
 //! commits over real channels**, measured in wall-clock throughput and
 //! tail latency.
 //!
-//! * [`service`] — `n` long-lived node threads, each owning one
-//!   [`ac_txn::Shard`] plus an [`ac_runtime::NodeLoop`] demultiplexer
-//!   running many concurrent protocol instances (messages travel as
-//!   `(TxnId, Msg)` envelopes over crossbeam channels, scoped to each
+//! * [`service`] — `n` long-lived nodes on host threads (one per node over
+//!   channels, one per core over TCP), each owning one [`ac_txn::Shard`]
+//!   plus an [`ac_runtime::NodeLoop`] demultiplexer running many
+//!   concurrent protocol instances (messages travel as `(TxnId, Msg)`
+//!   envelopes over crossbeam channels or loopback TCP, scoped to each
 //!   transaction's participant shards), and a closed-loop load generator
 //!   of `c` client threads driving `ac-txn` workloads end-to-end:
 //!   prepare/vote at the shards, one live protocol run per transaction
@@ -26,7 +27,7 @@
 //! [`LatencyHistogram`] (p50/p90/p99/p99.9/max, re-exported here for
 //! compatibility) that [`ac_obs::sojourn_times`] folds a run's decided
 //! transactions into, the per-stage meters every node and client thread
-//! carries, and the per-txn flight recorder every node thread carries (see
+//! carries, and the per-txn flight recorder every node carries (see
 //! [`ServiceOutcome::attribution`](service::ServiceOutcome)).
 
 #![deny(missing_docs)]
@@ -34,6 +35,7 @@
 
 mod client;
 pub mod codec;
+mod host;
 mod node;
 pub mod proc;
 pub mod service;

@@ -42,12 +42,14 @@
 //! (*moot*: offered to the automaton if one still runs, which has decided
 //! or was never opened — nothing the node does changes.)
 //!
-//! The loop is [`Node::step`] until shutdown: five `&mut self` steps, each
-//! the single seam of its obs stamp.
+//! A turn ([`Node::turn`]) takes what is ready and never blocks: five
+//! `&mut self` steps, each the single seam of its obs stamp. The park
+//! between turns belongs to the node's host ([`crate::host`]), which may
+//! run several socket-linked nodes on one thread.
 //!
 //! | step       | reads → writes                                             | obs stamp                         | attaches            |
 //! |------------|------------------------------------------------------------|-----------------------------------|---------------------|
-//! | `drain`    | [`Link`] (the node's channel, or its own sockets: one readiness wait, one read per ready connection — peers' and clients' alike) → `inbox`, parked on the exact next deadline | — | crash check, dark window, WAL recovery |
+//! | `drain`    | [`Link`] → `inbox` without waiting (the batch the host's park took off the node's channel, or one read per connection of its own sockets the host's wait found ready — peers' and clients' alike) | — | crash check, dark window, WAL recovery |
 //! | `dispatch` | `inbox` → table, engine, `decided`, outbox; self-sends and due timers to quiescence | `DrainGap`, `LockAcquire`, flight `Dispatch`/`LockAcquired` | — |
 //! | `apply`    | `decided` → shard, `log`, staged `Done`s, then staged WAL records, a pass at a time | `LockHold`, `WalJournal`, flight `Decided` (per pass) | lock-steal guard (Deferred) |
 //! | `force`    | staged WAL records → WAL (one force per turn that staged any) | `WalForce`, flight `WalForced` | durability-before-reply |
@@ -71,7 +73,7 @@ use crate::codec::AnyFrame;
 use crate::service::{
     parts_of, CrashWindow, Done, Fate, NetPolicy, NodeRecord, ToNode, ORPHAN_CAP,
 };
-use crate::transport::{Link, Outbox};
+use crate::transport::{Link, Outbox, PollFd, SocketLink};
 
 /// Upper bound on envelopes drained per node-loop iteration. Bounds the
 /// latency a long backlog can add to timer firing while still amortizing
@@ -105,8 +107,6 @@ fn node_records(decided: &[DecidedTxn]) -> Vec<NodeRecord> {
 /// summed over the nodes by `service::aggregate`.
 #[derive(Default)]
 pub(crate) struct NodeCounts {
-    /// Wakeups that found neither a message nor a due timer.
-    pub(crate) spurious_wakeups: usize,
     /// Protocol envelopes this node handed its link to another node
     /// (self-sends and client replies are not wire messages).
     pub(crate) wire_messages: usize,
@@ -479,29 +479,78 @@ where
         }
     }
 
-    /// Serve until shutdown, then report.
-    pub(crate) fn run(mut self) -> NodeReturn {
-        while self.step() {}
-        self.finish()
+    /// Whether the node still serves: no `Shutdown` has reached it and its
+    /// inbox still has a sender.
+    pub(crate) fn serving(&self) -> bool {
+        !self.shutdown
     }
 
-    /// One loop turn; `false` once the node has shut down.
-    fn step(&mut self) -> bool {
-        let got = self.drain();
+    /// The sockets its host's wait covers for the node: none on a channel,
+    /// and none once it has shut down.
+    pub(crate) fn sockets(&self) -> Option<&SocketLink<P::Msg>> {
+        self.env.link.sockets().filter(|_| !self.shutdown)
+    }
+
+    /// When the node next needs a turn if nothing arrives: its earliest
+    /// pending timer, delayed-envelope release or scheduled crash while up,
+    /// its restart instant while dark, and the epoch — at once — while
+    /// envelopes a read decoded wait beyond a batch. `None`: only an
+    /// arrival (or never, once it has shut down).
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        if self.shutdown {
+            return None;
+        }
+        if self.env.link.sockets().is_some_and(SocketLink::pending) {
+            return Some(self.env.clock.at(Duration::ZERO));
+        }
+        match self.power {
+            Power::Dark { up_at } => up_at,
+            Power::Up { crash_at } => {
+                let due = self.vol.delayed.keys().next().map(|k| k.0);
+                [self.engine.next_due(), due, crash_at]
+                    .into_iter()
+                    .flatten()
+                    .min()
+            }
+        }
+    }
+
+    /// One reading of the node's clock.
+    pub(crate) fn now(&self) -> Instant {
+        self.env.clock.now()
+    }
+
+    /// Whether a turn would find anything, read at `now`: a slot of
+    /// `ready` (the node's slots of its host's wait) is ready, its park
+    /// took a batch, or its deadline has come.
+    pub(crate) fn due(&self, ready: &[PollFd], now: Instant) -> bool {
+        !self.shutdown
+            && (!self.inbox.is_empty()
+                || ready.iter().any(PollFd::is_ready)
+                || self.deadline().is_some_and(|at| at <= now))
+    }
+
+    /// The park of a channel-linked node, which is its host's one member:
+    /// until an envelope arrives or `until` passes (`None` = until
+    /// something arrives), taking up to [`NODE_BATCH`] envelopes for the
+    /// next turn. An inbox nothing can reach any more shuts the node down.
+    pub(crate) fn park(&mut self, until: Option<Instant>) {
+        let got = self.env.link.park(&mut self.inbox, NODE_BATCH, until);
+        self.shutdown |= got.is_err();
+    }
+
+    /// One turn, which never blocks: take what is ready, dispatch, apply,
+    /// force, flush. `ready` is the node's slots of its host's wait (empty
+    /// on a channel, whose park took the batch). Returns whether the turn
+    /// moved anything — an envelope in or out, a socket read, a timer, a
+    /// force, a crash or a restart.
+    pub(crate) fn turn(&mut self, ready: &[PollFd]) -> bool {
+        let drained = self.drain(ready);
         let fired = self.dispatch();
         self.apply();
         let forced = self.force();
         let flushed = self.flush(forced);
-        // A wakeup that moved nothing — no inbound batch, no fired timer,
-        // no WAL force, no outbound flush (the recovery turn flushes
-        // StatusQ/Done batches with got == 0, which is real work) — was
-        // spurious, unless it woke us for the scheduled crash the next
-        // drain handles.
-        let idle = got == 0 && !fired && forced.is_none() && flushed == 0;
-        if idle && !self.shutdown && !self.crash_due() {
-            self.counts.spurious_wakeups += 1;
-        }
-        !self.shutdown
+        drained || fired || forced.is_some() || flushed > 0
     }
 
     fn crash_due(&self) -> bool {
@@ -513,56 +562,38 @@ where
         self.env.obs.flight.record(txn, me, stage, at);
     }
 
-    /// Step 1. Park until the exact next deadline — earliest pending
-    /// timer, delayed-envelope release or scheduled crash; or indefinitely
-    /// when none is pending (an inbound envelope or `Shutdown` wakes us) —
-    /// then take the whole backlog in one receive call: one lock
-    /// acquisition on a channel, one readiness wait and one read per ready
-    /// connection on sockets. A dark node parks on its restart instant and
-    /// discards what it drains.
-    fn drain(&mut self) -> usize {
-        if self.crash_due() {
+    /// Step 1. Take the scheduled crash if it is due, then what is ready
+    /// without waiting: on sockets one read per connection the host's wait
+    /// found ready, then up to [`NODE_BATCH`] of what they decoded; on a
+    /// channel the batch the park took. A dark node discards what it took
+    /// and restarts once its restart instant has passed. Returns whether
+    /// anything moved.
+    fn drain(&mut self, ready: &[PollFd]) -> bool {
+        let crashed = self.crash_due();
+        if crashed {
             self.crash();
         }
-        let wake_at = match self.power {
-            Power::Dark { up_at } => up_at,
-            Power::Up { crash_at } => {
-                let due = self.vol.delayed.keys().next().map(|k| k.0);
-                [self.engine.next_due(), due, crash_at]
-                    .into_iter()
-                    .flatten()
-                    .min()
-            }
+        let read = self.env.link.take(ready, &mut self.inbox, NODE_BATCH);
+        let moved = crashed || read || !self.inbox.is_empty();
+        let Power::Dark { up_at } = self.power else {
+            return moved;
         };
-        self.inbox.clear();
-        let got = self.receive(wake_at);
-        if let Power::Up { .. } = self.power {
-            return got;
-        }
         // Dark: every envelope sent to a dead node is lost.
         self.shutdown |= self.inbox.drain(..).any(|e| matches!(e, ToNode::Shutdown));
-        if got > 0 || self.shutdown {
-            return got;
+        let restart = !self.shutdown && up_at.is_some_and(|at| self.env.clock.now() >= at);
+        if restart {
+            // The restart instant. Recover; this turn's flush sends the
+            // recovery traffic at once.
+            self.recover();
         }
-        // Timed out on an empty inbox: the restart instant. Recover, and
-        // poll instead of parking so the recovery traffic flushes at once.
-        self.recover();
-        self.receive(Some(self.env.clock.now()))
-    }
-
-    /// Take up to [`NODE_BATCH`] envelopes off the inbound seam, parked
-    /// until `until` at the latest (`None` = until something arrives). An
-    /// inbox nothing can reach any more shuts the node down.
-    fn receive(&mut self, until: Option<Instant>) -> usize {
-        let got = self.env.link.recv(&mut self.inbox, NODE_BATCH, until);
-        self.shutdown |= got.is_err();
-        got.unwrap_or(0)
+        moved || restart
     }
 
     /// The scheduled crash: drop all volatile state and go dark. It is
-    /// taken at `drain`, between two turns, where the staged WAL tail is
-    /// empty by construction (the turn that staged a record forced it), so
-    /// the log a restart replays covers everything that ever left the node.
+    /// taken at `drain`, before a turn takes anything, where the staged WAL
+    /// tail is empty by construction (the turn that staged a record forced
+    /// it), so the log a restart replays covers everything that ever left
+    /// the node.
     fn crash(&mut self) {
         debug_assert!(self.vol.wal_batch.is_empty(), "a crash inside a turn");
         let up_after = self.env.window.and_then(|w| w.up_after);
@@ -747,6 +778,13 @@ where
         let mut prepared = t0;
         if route.txn.touches(me) {
             route.vote = self.vol.shard.prepare(&route.txn);
+            if !route.vote && !self.vol.decided.is_empty() {
+                // A decision this batch already delivered may release
+                // the lock the vote ran into: apply it first, as a node
+                // that had read it a turn earlier would have.
+                self.apply();
+                route.vote = self.vol.shard.prepare(&route.txn);
+            }
             prepared = self.env.clock.now();
             self.env.obs.record(Stage::LockAcquire, prepared - t0);
         } else {
@@ -1035,7 +1073,7 @@ where
     }
 
     /// The node's report at exit.
-    fn finish(mut self) -> NodeReturn {
+    pub(crate) fn finish(mut self) -> NodeReturn {
         // A node that dies without restarting still answers the audit with
         // its durable state: what the WAL can rebuild *is* its state.
         // In-flight yes-vote locks are durably recorded (a future restart
@@ -1083,8 +1121,9 @@ where
 mod tests {
     use super::*;
     use crate::client::client_main;
+    use crate::host::host;
     use crate::service::ServiceConfig;
-    use crate::transport::{ChannelTransport, ClientLink, NodeHooks, SocketLink};
+    use crate::transport::{ChannelTransport, ClientLink, NodeHooks, Readiness, SocketLink};
     use ac_commit::protocols::{PaxosCommit, ProtocolKind};
     use ac_txn::{Key, Version};
     use crossbeam::channel::{unbounded, Receiver};
@@ -1236,6 +1275,46 @@ mod tests {
         }
     }
 
+    /// A lone node's host short of the turn: the park (a channel already
+    /// holds what the test sent) or waits on the node's own sockets, then
+    /// the drain, until it took something — or, on sockets, for at most a
+    /// patient while (the test wrote its frames before). Returns how many
+    /// envelopes the drain took.
+    fn drained<P>(node: &mut Node<P>) -> usize
+    where
+        P: CommitProtocol,
+        P::Msg: Wire + Send + 'static,
+    {
+        let patience = Instant::now() + Duration::from_secs(5);
+        let mut wait = Readiness::default();
+        while node.inbox.is_empty() {
+            match node.sockets() {
+                None => node.park(Some(Instant::now())),
+                Some(link) => {
+                    if !wait.wait([Some(link)], Some(patience)) {
+                        break;
+                    }
+                }
+            }
+            node.drain(wait.of(0));
+            if node.sockets().is_none() {
+                break;
+            }
+        }
+        node.inbox.len()
+    }
+
+    /// One round of a lone channel-linked node's host, on what the test
+    /// already sent: the park, then the turn.
+    fn round<P>(node: &mut Node<P>) -> bool
+    where
+        P: CommitProtocol,
+        P::Msg: Wire + Send + 'static,
+    {
+        node.park(Some(Instant::now()));
+        node.turn(&[])
+    }
+
     /// Client 0's `i`-th transaction, writing `value` to key 7 of shard 0.
     fn write7(i: usize, value: i64) -> Arc<Transaction> {
         let id = ServiceConfig::txn_id(0, i);
@@ -1277,7 +1356,7 @@ mod tests {
         for step in 0..2 {
             let begins = (0..per_step).map(|i| begin(&write7(step * per_step + i, 5), false));
             assert!(r.tx.send_batch(begins).is_ok());
-            assert!(r.node.step());
+            assert!(round(&mut r.node));
             assert_eq!(
                 (r.wal().len(), r.node.vol.wal_batch.len()),
                 ((step + 1) * per_step, 0),
@@ -1311,6 +1390,29 @@ mod tests {
         assert_eq!(r.node.vol.log.len(), 1, "decision must be logged");
         assert_eq!(r.node.vol.log[0].decision, COMMIT);
         assert_eq!(r.node.vol.shard.locked(), 0, "no lock may leak");
+    }
+
+    /// The decision that releases a lock and the next `Begin` on that key
+    /// can land in the **same drained batch** (a co-hosted coordinator's
+    /// decision and the client's next request read in one pass). The
+    /// decision comes first in the batch, so the `Begin` must vote as if it
+    /// had been applied: yes, not a conflict with a lock already let go.
+    #[test]
+    fn a_begin_behind_the_decision_that_frees_its_lock_votes_yes() {
+        let mut r = rig(false, None);
+        let (first, next) = (write7(0, 5), write7(1, 6));
+        assert_eq!(r.turn([begin(&first, false)]), "N");
+        assert_eq!(r.turn([net(first.id), begin(&next, false)]), "ND");
+        assert_eq!(r.node.vol.log.len(), 1, "the first is decided");
+        let voted = |r: &Rig, id| match r.node.vol.txns.get(id) {
+            Some(Txn::Begun(route, Phase::Open)) => route.vote,
+            _ => panic!("txn {id} is not open"),
+        };
+        assert!(
+            voted(&r, next.id),
+            "the next Begin voted against a freed lock"
+        );
+        assert_eq!(r.node.vol.shard.locked(), 1, "the next holds the key");
     }
 
     /// A crash-recovered logless commit re-joined voteless holds no write
@@ -1434,7 +1536,7 @@ mod tests {
         let mut r = rig(false, Some(Wal::new()));
         let txn = write7(0, 5);
         assert!(r.tx.send_batch([begin(&txn, false), net(txn.id)]).is_ok());
-        assert_eq!(r.node.drain(), 2);
+        assert_eq!(drained(&mut r.node), 2);
         r.node.dispatch();
         r.node.apply();
         assert_eq!(r.phase(txn.id), "decided");
@@ -1463,7 +1565,7 @@ mod tests {
         let mut r = rig(false, Some(Wal::new()));
         let txn = write7(0, 5);
         assert!(r.tx.send_batch([begin(&txn, false), net(txn.id)]).is_ok());
-        assert_eq!(r.node.drain(), 2);
+        assert_eq!(drained(&mut r.node), 2);
         r.node.dispatch();
         r.node.apply();
         assert!(r.node.force().is_some());
@@ -1711,7 +1813,7 @@ mod tests {
         write_frame(&AnyFrame::Node(begin(&txn, false)), &mut bytes);
         write_frame(&AnyFrame::Node(net(txn.id)), &mut bytes);
         client.write_all(&bytes).expect("write");
-        assert_eq!(node.drain(), 2, "Hello is the link's, not the node's");
+        assert_eq!(drained(&mut node), 2, "Hello is the link's, not the node's");
         node.dispatch();
         node.apply();
 
@@ -1764,14 +1866,18 @@ mod tests {
         low.inbox.push(begin(&txn, false));
         low.dispatch();
         assert_eq!(low.flush(None), 1);
-        assert_eq!(high.drain(), 1, "read off the one accepted connection");
+        assert_eq!(
+            drained(&mut high),
+            1,
+            "read off the one accepted connection"
+        );
         // The answer: begun in turn, the higher node announces itself and,
         // handed the envelope that outran its Begin, decides.
         high.inbox.push(begin(&txn, false));
         high.dispatch();
         high.apply();
         assert_eq!(high.flush(None), 1);
-        assert_eq!(low.drain(), 1, "read off the connection it wrote on");
+        assert_eq!(drained(&mut low), 1, "read off the connection it wrote on");
         low.dispatch();
         low.apply();
         let decided = |node: &Node<DecideOnMsg>| node.vol.log.iter().map(|l| l.decision).collect();
@@ -1780,16 +1886,18 @@ mod tests {
             (vec![COMMIT], vec![COMMIT])
         );
 
-        // A last look at both listeners: nothing was waiting to be accepted.
+        // A last look at both listeners, in one wait: nothing was waiting
+        // to be accepted.
         let soon = Some(Instant::now() + Duration::from_millis(50));
-        assert_eq!((low.receive(soon), high.receive(soon)), (0, 0));
+        let mut wait = Readiness::default();
+        assert!(!wait.wait([low.sockets(), high.sockets()], soon));
         assert_eq!((connections(&low), connections(&high)), (1, 1));
     }
 
     /// ISSUE-4 satellite: an idle service must perform **zero** spurious
-    /// wakeups — no housekeeping ticks, no idle polls. Four node threads
-    /// are left with no clients and no traffic for 50 ms; every node must
-    /// park the whole time.
+    /// wakeups — no housekeeping ticks, no idle polls. Four channel-linked
+    /// nodes, each its host's one member, are left with no clients and no
+    /// traffic for 50 ms; every host must park the whole time.
     #[test]
     fn idle_nodes_perform_zero_spurious_wakeups_over_50ms() {
         type P = PaxosCommit;
@@ -1803,7 +1911,7 @@ mod tests {
             .enumerate()
             .map(|(me, rx)| {
                 let env = bare_env::<P>(me, rx, node_txs.clone(), Vec::new());
-                std::thread::spawn(move || Node::new(env).run())
+                std::thread::spawn(move || host(vec![Node::new(env)]))
             })
             .collect();
         std::thread::sleep(Duration::from_millis(50));
@@ -1813,14 +1921,55 @@ mod tests {
         drop(node_txs);
         let total: usize = handles
             .into_iter()
-            .map(|h| {
-                h.join()
-                    .expect("node thread panicked")
-                    .counts
-                    .spurious_wakeups
-            })
+            .map(|h| h.join().expect("host thread panicked").spurious_wakeups)
             .sum();
         assert_eq!(total, 0, "idle nodes woke without work to do");
+    }
+
+    /// The same for four socket-linked nodes on one host: its one wait
+    /// covers every member's listener and connections, and an idle cluster
+    /// leaves it parked for the whole 50 ms. Teardown's connections and
+    /// `Shutdown` frames move something in a member at every wake.
+    #[test]
+    fn an_idle_four_member_host_performs_zero_spurious_wakeups_over_50ms() {
+        type P = PaxosCommit;
+        let n = 4;
+        let mut links = Vec::new();
+        let mut addrs = Vec::new();
+        for _ in 0..n {
+            let link = SocketLink::<<P as ac_sim::Automaton>::Msg>::bind(
+                "127.0.0.1:0",
+                NodeHooks::default(),
+            )
+            .expect("bind");
+            addrs.push(link.addr().expect("listener address"));
+            links.push(link);
+        }
+        let members: Vec<_> = links
+            .into_iter()
+            .enumerate()
+            .map(|(me, mut link)| {
+                link.mesh(me, addrs.clone());
+                let (tx, rx) = unbounded();
+                Node::new(NodeEnv {
+                    link: Link::Sockets(link),
+                    ..bare_env::<P>(me, rx, vec![tx; n], Vec::new())
+                })
+            })
+            .collect();
+        let hosted = std::thread::spawn(move || host(members));
+        std::thread::sleep(Duration::from_millis(50));
+        let mut teardown = crate::transport::TcpTransport::new(addrs);
+        for p in 0..n {
+            crate::transport::Transport::<<P as ac_sim::Automaton>::Msg>::send(
+                &mut teardown,
+                p,
+                ToNode::Shutdown,
+            );
+        }
+        let ret = hosted.join().expect("host thread panicked");
+        assert_eq!(ret.nodes.len(), n);
+        assert_eq!(ret.spurious_wakeups, 0, "an idle host woke without work");
     }
 
     /// Every `End` leaves the client — including the ones still waiting
@@ -1847,7 +1996,7 @@ mod tests {
             .enumerate()
             .map(|(me, rx)| {
                 let env = bare_env::<P>(me, rx, node_txs.clone(), vec![done_tx.clone()]);
-                std::thread::spawn(move || Node::new(env).run())
+                std::thread::spawn(move || host(vec![Node::new(env)]))
             })
             .collect();
         let transport = Box::new(ChannelTransport::new(node_txs.clone()));
@@ -1859,7 +2008,7 @@ mod tests {
         }
         let nodes: Vec<NodeReturn> = handles
             .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
+            .flat_map(|h| h.join().expect("host thread panicked").nodes)
             .collect();
         let decided: usize = nodes.iter().map(|r| r.log.len()).sum();
         assert_eq!(decided, 2 * 300, "two participants per transaction");

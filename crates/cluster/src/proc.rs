@@ -18,9 +18,9 @@
 //! `client::client_main` the in-process service runs — processes differ
 //! from threads only below the transport seam, and every hop, replies
 //! included, costs one wake-up of the thread that acts on it. A serving
-//! `ac-node` is **one thread** (the node reads its own sockets and writes
-//! its own replies; `--metrics` adds the endpoint's); `ac-client` is its
-//! main thread plus one per client.
+//! `ac-node` is **one thread**, the one-member host (the node reads its
+//! own sockets and writes its own replies; `--metrics` adds the
+//! endpoint's); `ac-client` is its main thread plus one per client.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -35,6 +35,7 @@ use ac_sim::Wire;
 
 use crate::client::{client_main, nanos, ClientFold};
 use crate::codec::{write_frame, AnyFrame, FrameDecoder};
+use crate::host::host;
 use crate::node::{Clock, Node, NodeEnv, Replies};
 use crate::service::ToNode;
 use crate::spec::ClusterSpec;
@@ -169,7 +170,7 @@ where
         logless: cfg.kind.logless(),
         obs: meters.map_or_else(NodeObs::new, NodeObs::with_meters),
     };
-    let ret = Node::new(env).run();
+    let ret = host(vec![Node::new(env)]).nodes.pop().expect("one member");
     NodeSummary {
         me,
         total: ret.shard.total(),

@@ -1,12 +1,13 @@
-//! The live transaction service: `n` long-lived node threads, each owning a
+//! The live transaction service: `n` long-lived nodes, each owning a
 //! [`Shard`] and an [`ac_runtime::NodeLoop`] demultiplexer running many
-//! concurrent commit-protocol instances, plus a closed-loop load generator
-//! of `c` client threads. This module holds the configuration, the
-//! message alphabet, the in-process host (`serve`) and the post-run audit;
-//! the node itself is the step-wise `Node` of `node.rs` (one transaction
-//! table with an explicit per-transaction phase, five steps per loop
-//! turn — its module docs carry the phase diagram and the step table), and
-//! the client loop is `client.rs`.
+//! concurrent commit-protocol instances, run by host threads (`host.rs`:
+//! one per node over channels, one per core over TCP), plus a closed-loop
+//! load generator of `c` client threads. This module holds the
+//! configuration, the message alphabet, the in-process runner (`serve`)
+//! and the post-run audit; the node itself is the step-wise `Node` of
+//! `node.rs` (one transaction table with an explicit per-transaction
+//! phase, five steps per turn — its module docs carry the phase diagram
+//! and the step table), and the client loop is `client.rs`.
 //!
 //! ## Lifecycle of one transaction
 //!
@@ -73,19 +74,21 @@
 //!
 //! ## The hot path (batched since ISSUE-4)
 //!
-//! Both loops are **drain-then-dispatch**: a node's `drain` step blocks on
-//! the *exact* next deadline (live timer, delayed-envelope release or
-//! scheduled crash; or indefinitely when idle — an idle node performs
-//! zero wakeups, see [`ServiceOutcome::spurious_wakeups`]) and
-//! takes its whole inbound backlog in one receive call — one lock
-//! acquisition over channels; over TCP one readiness wait on the node's
-//! **own** sockets and one read per ready connection, no thread between
-//! the socket and the loop — `dispatch` runs every envelope through one
-//! slab probe of the transaction table, `apply` and `force` stage and
-//! force the write-ahead log records, and only then `flush` writes the
-//! outputs — one `send_batch` per peer node and per client. Self-sends
-//! short-circuit through an in-memory queue and never touch a channel.
-//! Clients stage and flush the same way (see `client_main`).
+//! Both loops are **drain-then-dispatch**: a node's host parks on the
+//! *exact* next deadline of its members (live timer, delayed-envelope
+//! release, scheduled crash or restart; or indefinitely when idle — an
+//! idle host performs zero wakeups, see
+//! [`ServiceOutcome::spurious_wakeups`]); a node's `drain` step then takes
+//! its whole inbound backlog without waiting — the batch the park took
+//! under one lock over channels; over TCP one read per connection of the
+//! node's **own** sockets that the host's one readiness wait found ready,
+//! no thread between the socket and the loop — `dispatch` runs every
+//! envelope through one slab probe of the transaction table, `apply` and
+//! `force` stage and force the write-ahead log records, and only then
+//! `flush` writes the outputs — one `send_batch` per peer node and per
+//! client. Self-sends short-circuit through an in-memory queue and never
+//! touch a channel. Clients stage and flush the same way (see
+//! `client_main`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -99,10 +102,12 @@ use ac_txn::{Shard, Transaction, TxnId, Wal};
 use crossbeam::channel::unbounded;
 
 use ac_obs::{
-    Attribution, DumpTxn, FlightEvent, FlightIndex, NodeObs, ObsMeters, RunStats, SlotBox, Stage,
+    Attribution, ClockAlignment, ClusterDump, DumpTxn, FlightEvent, FlightIndex, NetSnapshot,
+    NodeObs, ObsExport, ObsMeters, RunStats, SlotBox, Stage,
 };
 
 use crate::client::{client_main, nanos, ClientFold, ClientRecord, ClientReturn, Verdict};
+use crate::host::{deal, gather, host, hosts_for, HostReturn};
 use crate::node::{Clock, Node, NodeCounts, NodeEnv, NodeReturn, Replies};
 use crate::transport::{
     ChannelTransport, ClientLink, Link, NodeHooks, SocketLink, TcpTransport, Transport,
@@ -529,8 +534,11 @@ pub struct ServiceOutcome {
     pub retries: usize,
     /// Bounded reply waits that expired (retries + abandonments).
     pub reply_timeouts: usize,
-    /// Node-loop wakeups that found neither a message nor a due timer
-    /// (0 = every wakeup did useful work; idle nodes park indefinitely).
+    /// Host threads that ran the nodes: one per node over channels,
+    /// `min(cores, n)` over TCP (cores this process may run on).
+    pub node_threads: usize,
+    /// Host wakeups that moved nothing in any of the host's nodes (0 =
+    /// every wakeup did useful work; idle hosts park indefinitely).
     pub spurious_wakeups: usize,
     /// Prepare records staged for the write-ahead log on the `Begin`
     /// critical path, across all nodes (the records a pre-group-commit
@@ -592,6 +600,43 @@ impl ServiceOutcome {
             aborted: self.aborted as u64,
             stalled: self.stalled as u64,
             elapsed_nanos: nanos(self.elapsed),
+        }
+    }
+
+    /// The run as a multi-process collector would have gathered it of
+    /// `cfg`'s cluster — the form `repro trace` reads: the client-side
+    /// list, the counters, each node's flight record as that node's export
+    /// (node 0's carrying the run's merged meters and lost-event count),
+    /// and clocks already aligned, since every recorder shared one epoch.
+    pub fn cluster_dump(&self, cfg: &ServiceConfig) -> ClusterDump {
+        let meters: Vec<_> = Stage::ALL
+            .iter()
+            .map(|&s| self.stage_meters.get(s))
+            .collect();
+        let nodes = 0..self.flight.len() as u32;
+        let export = |(node, flight): (u32, &Vec<FlightEvent>)| {
+            let first = node == 0;
+            ObsExport {
+                node,
+                dropped_events: if first {
+                    self.attribution.dropped_events
+                } else {
+                    0
+                },
+                meters: if first { meters.clone() } else { Vec::new() },
+                flight: flight.clone(),
+                net: NetSnapshot::default(),
+            }
+        };
+        ClusterDump {
+            protocol: self.kind.name().into(),
+            n: cfg.n as u32,
+            f: cfg.f as u32,
+            unit_micros: cfg.unit.as_micros() as u64,
+            txns: self.decided.clone(),
+            alignments: nodes.clone().map(ClockAlignment::identity).collect(),
+            exports: nodes.zip(&self.flight).map(export).collect(),
+            stats: self.run_stats(),
         }
     }
 
@@ -724,10 +769,16 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceOutcome {
 /// docs' "Failure injection" section). Dispatches on `cfg.kind` to the
 /// generic engine — any protocol of the suite can serve.
 pub fn run_service_faulted(cfg: &ServiceConfig, spec: &FaultSpec) -> ServiceOutcome {
-    ac_commit::with_protocol!(cfg.kind, P => serve::<P>(cfg, spec))
+    run_hosted(cfg, spec, hosts_for(cfg.n))
 }
 
-fn serve<P>(cfg: &ServiceConfig, spec: &FaultSpec) -> ServiceOutcome
+/// [`run_service_faulted`] with socket-linked nodes dealt onto `hosts`
+/// host threads (a channel-linked node always gets one of its own).
+pub(crate) fn run_hosted(cfg: &ServiceConfig, spec: &FaultSpec, hosts: usize) -> ServiceOutcome {
+    ac_commit::with_protocol!(cfg.kind, P => serve::<P>(cfg, spec, hosts))
+}
+
+fn serve<P>(cfg: &ServiceConfig, spec: &FaultSpec, hosts: usize) -> ServiceOutcome
 where
     P: CommitProtocol + Send + 'static,
     P::Msg: ac_sim::Wire + Send + 'static,
@@ -738,13 +789,16 @@ where
     let n = cfg.n;
 
     // Node links. Over channels, nodes and clients all hold a sender per
-    // node. In TCP mode each node owns a loopback listener and its own
-    // sockets (no thread in between): one connection per pair of nodes,
-    // dialed by the lower id, read and written by both; clients dial the
-    // listener addresses, and so does teardown's `Shutdown`. Decision
-    // replies (node→client) stay on in-process channels: the clients are
-    // the measurement harness. The `ac-node`/`ac-client` binaries put
-    // those on TCP too.
+    // node, and each node runs on a host thread of its own: an inbox
+    // cannot join a readiness wait. In TCP mode each node owns a loopback
+    // listener and its own sockets (no thread in between): one connection
+    // per pair of nodes, dialed by the lower id, read and written by both,
+    // co-hosted pairs included — node `p` runs on host `p mod hosts`,
+    // whose one wait covers every member's sockets, so a write to a
+    // co-hosted peer wakes no thread. Clients dial the listener addresses,
+    // and so does teardown's `Shutdown`. Decision replies (node→client)
+    // stay on in-process channels: the clients are the measurement
+    // harness. The `ac-node`/`ac-client` binaries put those on TCP too.
     let (mut node_txs, mut addrs) = (Vec::new(), Vec::<std::net::SocketAddr>::new());
     let mut links: Vec<Link<P::Msg>> = Vec::new();
     match cfg.transport {
@@ -778,28 +832,33 @@ where
 
     // Nodes and clients stamp against one epoch.
     let epoch = Instant::now();
-    let node_handles: Vec<_> = links
+    let envs: Vec<_> = links
         .into_iter()
         .enumerate()
-        .map(|(me, link)| {
-            let env = NodeEnv::<P> {
-                me,
-                n,
-                f: cfg.f,
-                unit: cfg.unit,
-                clock: Clock::monotonic(epoch),
-                link,
-                replies: Replies::Channel(done_txs.clone()),
-                policy: spec.policy.clone(),
-                window: spec.crashes[me],
-                // Each node owns its log. A scheduled crash resets the
-                // node's memory, not the log, which its restart replays.
-                wal: (spec.durable || spec.any_crash()).then(Wal::new),
-                logless: cfg.kind.logless(),
-                obs: NodeObs::new(),
-            };
-            std::thread::spawn(move || Node::new(env).run())
+        .map(|(me, link)| NodeEnv::<P> {
+            me,
+            n,
+            f: cfg.f,
+            unit: cfg.unit,
+            clock: Clock::monotonic(epoch),
+            link,
+            replies: Replies::Channel(done_txs.clone()),
+            policy: spec.policy.clone(),
+            window: spec.crashes[me],
+            // Each node owns its log. A scheduled crash resets the
+            // node's memory, not the log, which its restart replays.
+            wal: (spec.durable || spec.any_crash()).then(Wal::new),
+            logless: cfg.kind.logless(),
+            obs: NodeObs::new(),
         })
+        .collect();
+    let hosts = match cfg.transport {
+        TransportKind::Channel => n,
+        TransportKind::Tcp => hosts,
+    };
+    let host_handles: Vec<_> = deal(envs, hosts)
+        .into_iter()
+        .map(|envs| std::thread::spawn(move || host(envs.into_iter().map(Node::new).collect())))
         .collect();
 
     let client_handles: Vec<_> = done_rxs
@@ -824,12 +883,12 @@ where
     for p in 0..n {
         teardown.send(p, ToNode::Shutdown);
     }
-    let node_returns: Vec<NodeReturn> = node_handles
+    let host_returns: Vec<HostReturn> = host_handles
         .into_iter()
-        .map(|h| h.join().expect("node thread panicked"))
+        .map(|h| h.join().expect("host thread panicked"))
         .collect();
 
-    aggregate(cfg, client_returns, node_returns, elapsed)
+    aggregate(cfg, client_returns, host_returns, elapsed)
 }
 
 /// What the nodes' logs say of one transaction, folded into its slot of
@@ -918,9 +977,12 @@ fn table(slots: SlotBox, nodes: &[NodeReturn]) -> FlightIndex<Logged> {
 fn aggregate(
     cfg: &ServiceConfig,
     client_returns: Vec<ClientReturn>,
-    node_returns: Vec<NodeReturn>,
+    host_returns: Vec<HostReturn>,
     elapsed: Duration,
 ) -> ServiceOutcome {
+    let node_threads = host_returns.len();
+    let spurious_wakeups = host_returns.iter().map(|h| h.spurious_wakeups).sum();
+    let node_returns: Vec<NodeReturn> = gather(host_returns.into_iter().map(|h| h.nodes).collect());
     let mut reply_timeouts = 0;
     let mut violations = Vec::new();
     let mut txn_events = Vec::new();
@@ -928,7 +990,6 @@ fn aggregate(
     let total = |count: fn(&NodeCounts) -> usize| -> usize {
         node_returns.iter().map(|r| count(&r.counts)).sum()
     };
-    let spurious_wakeups = total(|c| c.spurious_wakeups);
     let wire_messages = total(|c| c.wire_messages);
     let dropped_messages = total(|c| c.dropped_messages);
     let delayed_messages = total(|c| c.delayed_messages);
@@ -1008,6 +1069,7 @@ fn aggregate(
         delayed_messages,
         retries,
         reply_timeouts,
+        node_threads,
         spurious_wakeups,
         orphaned_envelopes,
         wal_prepare_forces,
@@ -1404,5 +1466,110 @@ mod tests {
         let (holds, nanos) = out.stage_meters.get(Stage::LockHold);
         assert_eq!(holds, held as u64);
         assert!(nanos > 0);
+    }
+
+    /// Every shard's final state is what replaying its log sequentially
+    /// rebuilds.
+    fn assert_replays(out: &ServiceOutcome, keys: u64, what: &str) {
+        for (live, replayed) in out.shards.iter().zip(out.replay()) {
+            for k in 0..keys {
+                assert_eq!(
+                    live.read(k),
+                    replayed.read(k),
+                    "{what}: shard {} key {k}",
+                    live.id
+                );
+            }
+        }
+    }
+
+    /// Socket-linked nodes share one host thread per core this process
+    /// may run on (one under a single-CPU pin), never more than there are
+    /// nodes; a channel-linked node keeps a thread of its own.
+    #[test]
+    fn socket_linked_nodes_run_on_one_host_thread_per_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let cfg = quick(ProtocolKind::PaxosCommit);
+        let tcp = run_service(&cfg.clone().transport(TransportKind::Tcp));
+        assert!(tcp.is_safe(), "{:?}", tcp.violations);
+        assert_eq!(tcp.node_threads, cores.min(cfg.n));
+        assert_eq!(run_service(&cfg).node_threads, cfg.n);
+    }
+
+    /// The tcp service with its nodes dealt onto 1, 2 and `n` hosts: every
+    /// grouping gives a clean audit, shards that replay from their logs,
+    /// and a light PaxosCommit transaction's four wire messages — a
+    /// co-hosted peer is written to like any other.
+    #[test]
+    fn the_tcp_service_serves_alike_on_one_two_and_n_hosts() {
+        let n = 4;
+        let cfg = ServiceConfig::new(n, 1, ProtocolKind::PaxosCommit)
+            .clients(2)
+            .txns_per_client(100)
+            .workload(Workload::Uniform { span: 2 })
+            .keys_per_shard(1 << 20)
+            .unit(Duration::from_millis(50))
+            .seed(7)
+            .transport(TransportKind::Tcp);
+        for hosts in [1, 2, n] {
+            let out = run_hosted(&cfg, &FaultSpec::none(n), hosts);
+            assert_eq!(out.node_threads, hosts);
+            assert!(out.is_safe(), "{hosts} hosts: {:?}", out.violations);
+            assert_eq!((out.txns, out.stalled, out.retries), (200, 0, 0));
+            assert_replays(&out, 64, &format!("{hosts} hosts"));
+            assert_eq!(out.wire_messages, 4 * out.txns, "{hosts} hosts");
+        }
+    }
+
+    /// A crash window on one member of a four-member host: the member goes
+    /// dark — it dispatches nothing inside the window — while the host
+    /// keeps serving its peers, restarts from its log, and shuts down with
+    /// the others; the audit is clean, nothing stalls and every shard
+    /// replays.
+    #[test]
+    fn a_member_of_a_shared_host_crashes_recovers_from_its_log_and_shuts_down() {
+        let n = 4;
+        let cfg = ServiceConfig::new(n, 1, ProtocolKind::PaxosCommit)
+            .clients(3)
+            .txns_per_client(14)
+            .workload(Workload::Uniform { span: 3 })
+            .unit(Duration::from_millis(5))
+            .keys_per_shard(64)
+            .seed(23)
+            .pacing(Duration::from_millis(8))
+            .reply_timeout(Duration::from_millis(60))
+            .park_retries(1)
+            .txn_deadline(Duration::from_secs(6))
+            .transport(TransportKind::Tcp);
+        let (down, up) = (Duration::from_millis(50), Duration::from_millis(250));
+        let mut spec = FaultSpec::none(n);
+        spec.crashes[1] = Some(CrashWindow {
+            down_after: down,
+            up_after: Some(up),
+        });
+        let out = run_hosted(&cfg, &spec, 1);
+        assert_eq!(out.node_threads, 1);
+        assert!(out.is_safe(), "{:?}", out.violations);
+        assert_eq!(out.stalled, 0);
+        assert!(out.retries > 0, "the dark member cost its clients retries");
+        let dispatched: Vec<_> = out.flight[1]
+            .iter()
+            .filter(|e| e.stage == ac_obs::FlightStage::Dispatch)
+            .map(|e| Duration::from_nanos(e.at_nanos))
+            .collect();
+        let dark = down + Duration::from_millis(1)..up;
+        assert!(
+            dispatched.iter().all(|at| !dark.contains(at)),
+            "dispatched while dark"
+        );
+        assert!(
+            dispatched.iter().any(|at| *at >= up),
+            "never served after the restart"
+        );
+        assert!(
+            dispatched.iter().any(|at| *at < down),
+            "never served before the crash"
+        );
+        assert_replays(&out, cfg.keys_per_shard, "crash");
     }
 }

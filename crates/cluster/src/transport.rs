@@ -15,17 +15,21 @@
 //!
 //! ## `Sockets`: one owner per socket, one socket per pair
 //!
-//! `Sockets` holds every connection a thread has — dialed or accepted —
-//! and is the only code that dials, accepts, reads or writes one. It
-//! offers two calls. **`poll`** is one readiness wait (`ppoll(2)`: its
-//! `timespec` keeps the loops' exact-deadline parking) over the listener
-//! and every connection, then one `read` per ready connection, every
-//! complete frame decoded and handed on, then every pending connection
-//! accepted; a wake that completed no frame is not handed to the caller,
-//! and `EINTR` is "look at the deadline, wait again". **`send`** frames a
+//! `Sockets` holds every connection one node or client has — dialed or
+//! accepted — and is the only code that dials, accepts, reads or writes
+//! one. **`watch`** adds its listener and every connection to a readiness
+//! set, and **`read`** is the pass after the wait (`ppoll(2)`: its
+//! `timespec` keeps exact-deadline parking): one `read` per connection the
+//! wait found ready, every complete frame decoded and handed on, then
+//! every pending connection accepted. A host thread makes **one** wait
+//! over every member node's sockets (`Readiness`) and hands each member
+//! its slots; a client waits on its own (**`poll`**: watch, wait, read),
+//! and a wake that completed no frame is not handed to it; `EINTR` is
+//! "look at the deadline, wait again". **`send`** frames a
 //! batch into one blocking `write_all` down the connection to its
-//! destination. A hop therefore costs one wake-up — of the thread that
-//! acts on the envelope — and no thread sits between a socket and a loop.
+//! destination. A hop therefore costs at most one wake-up — of the host
+//! or client thread that acts on the envelope, none when that host is
+//! already running — and no thread sits between a socket and a loop.
 //!
 //! A connection records who is on its far end: the dialing end knows, and
 //! says so first — a client `Hello{client}`, a node `Peer{node}` — and the
@@ -41,8 +45,8 @@
 //! loss either end may redial; a sender keeps to its oldest live
 //! connection to a peer, so per-sender FIFO holds even while two exist.
 //!
-//! Three users share it: the node's `Link` (channel | sockets: `recv`,
-//! `send_batch`, `reply`), a multi-process client's `ClientLink` (it says
+//! Three users share it: the node's `Link` (channel | sockets: `park`,
+//! `take`, `send_batch`, `reply`), a multi-process client's `ClientLink` (it says
 //! `Hello` on what it dials and reads its reports off the same
 //! connections), and the public write-only [`TcpTransport`] (no listener,
 //! never polls: in-process clients, teardown, probes). [`TcpNode`] is a
@@ -293,16 +297,39 @@ fn decode_chunk<M: Wire>(
     }
 }
 
-/// `struct pollfd` of `poll(2)`.
+/// `struct pollfd` of `poll(2)`: one descriptor's slot of a readiness
+/// wait.
 #[repr(C)]
-struct PollFd {
+pub(crate) struct PollFd {
     fd: c_int,
     events: c_short,
     revents: c_short,
 }
 
+impl PollFd {
+    /// Whether the wait found the descriptor readable, hung up or in
+    /// error.
+    pub(crate) fn is_ready(&self) -> bool {
+        self.revents != 0
+    }
+}
+
 /// `POLLIN` on Linux.
 const POLLIN: c_short = 0x001;
+
+/// One readiness wait over `fds`: `false` when `until` passed with
+/// nothing ready (`None` = wait for ever). A signal is neither a timeout
+/// nor a dead socket: the wait resumes for what is left of the deadline.
+fn wait(fds: &mut [PollFd], until: Option<Instant>) -> bool {
+    loop {
+        let timeout = until.map(|u| u.saturating_duration_since(Instant::now()));
+        match wait_readable(fds, timeout) {
+            Ok(ready) => return ready > 0,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => panic!("ppoll on {} descriptors: {e}", fds.len()),
+        }
+    }
+}
 
 /// Block until a descriptor of `fds` is readable, hung up or in error
 /// (`revents` says which), `timeout` elapses (`None` = for ever, returns
@@ -457,51 +484,66 @@ impl Sockets {
         }
     }
 
-    /// One readiness wait over the listener and every connection, then
-    /// one `read` per ready connection — `Hello` / `Peer` noted on the
-    /// connection, every other frame it completed handed to `route`, and
-    /// what `route` wrote into its answer buffer written back in one
-    /// `write_all` — then every pending connection accepted. A connection
-    /// at end of stream, in error, past a lost frame boundary, announcing
-    /// an id out of range or not taking its answer is forgotten. Returns
-    /// `false` when `until` passed with nothing ready.
-    fn poll<M: Wire>(
-        &mut self,
-        until: Option<Instant>,
-        mut route: impl FnMut(AnyFrame<M>, &mut Vec<u8>),
-    ) -> bool {
+    /// Append this end's slots to a readiness set: the listener's (an
+    /// idle slot without one), then every connection's, in order.
+    fn watch(&self, fds: &mut Vec<PollFd>) {
+        // The kernel skips a negative descriptor: no listener, an idle slot.
+        let accepting = self.listener.as_ref().map_or(-1, AsRawFd::as_raw_fd);
+        let reading = self.conns.iter().map(|c| c.stream.as_raw_fd());
         let watch = |fd| PollFd {
             fd,
             events: POLLIN,
             revents: 0,
         };
-        let listener = self.listener.as_ref();
-        // The kernel skips a negative descriptor: no listener, an idle slot.
-        let accepting = listener.map_or(-1, AsRawFd::as_raw_fd);
-        let reading = self.conns.iter().map(|c| c.stream.as_raw_fd());
-        let watched = std::iter::once(accepting).chain(reading);
-        self.fds.clear();
-        self.fds.extend(watched.map(watch));
-        loop {
-            let wait = until.map(|u| u.saturating_duration_since(Instant::now()));
-            match wait_readable(&mut self.fds, wait) {
-                Ok(0) => return false,
-                Ok(_) => break,
-                // A signal is neither a timeout nor a dead socket: wait
-                // again for what is left of the deadline.
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => panic!("ppoll on {} descriptors: {e}", self.fds.len()),
-            }
-        }
+        fds.extend(std::iter::once(accepting).chain(reading).map(watch));
+    }
 
+    /// One readiness wait over the listener and every connection, then
+    /// the read pass over what it found ready. Returns `false` when
+    /// `until` passed with nothing ready.
+    fn poll<M: Wire>(
+        &mut self,
+        until: Option<Instant>,
+        route: impl FnMut(AnyFrame<M>, &mut Vec<u8>),
+    ) -> bool {
+        let mut fds = std::mem::take(&mut self.fds);
+        fds.clear();
+        self.watch(&mut fds);
+        let woke = wait(&mut fds, until);
+        if woke {
+            self.read(&fds, route);
+        }
+        self.fds = fds;
+        woke
+    }
+
+    /// The read pass over `ready`, this end's slots of a wait that has
+    /// returned ([`Sockets::watch`]'s order): one `read` per ready
+    /// connection — `Hello` / `Peer` noted on the connection, every other
+    /// frame it completed handed to `route`, and what `route` wrote into
+    /// its answer buffer written back in one `write_all` — then every
+    /// pending connection accepted. A connection at end of stream, in
+    /// error, past a lost frame boundary, announcing an id out of range or
+    /// not taking its answer is forgotten. Returns whether any slot was
+    /// ready: bytes, an end of stream or a connection moved.
+    fn read<M: Wire>(
+        &mut self,
+        ready: &[PollFd],
+        mut route: impl FnMut(AnyFrame<M>, &mut Vec<u8>),
+    ) -> bool {
+        let Some((accept, polled)) = ready.split_first() else {
+            return false;
+        };
         let (chunk, out, peers) = (&mut self.chunk, &mut self.out, &mut self.peers);
         let net = self.net.as_deref();
-        let mut polled = self.fds[1..].iter();
+        let mut polled = polled.iter();
+        let mut touched = false;
         self.conns.retain_mut(|conn| {
-            let fd = polled.next().expect("one pollfd per connection");
-            if fd.revents == 0 {
+            // A connection the wait did not watch is looked at next time.
+            if !polled.next().is_some_and(PollFd::is_ready) {
                 return true;
             }
+            touched = true;
             let Conn { stream, dec, far } = conn;
             let mut stream = &*stream;
             let n = match ReadOutcome::of(stream.read(chunk)) {
@@ -533,8 +575,10 @@ impl Sockets {
             whole && (out.is_empty() || stream.write_all(out).is_ok())
         });
 
-        if self.fds[0].revents != 0 {
+        if accept.is_ready() {
+            touched = true;
             // Not in this wait's set: first looked at by the next one.
+            let listener = self.listener.as_ref();
             while let Some(Ok((stream, _))) = listener.map(TcpListener::accept) {
                 let _ = stream.set_nodelay(true);
                 self.conns.push(Conn {
@@ -544,7 +588,7 @@ impl Sockets {
                 });
             }
         }
-        true
+        touched
     }
 
     /// The connection to write `to` on. A client's is the newest that
@@ -635,6 +679,75 @@ fn take<T>(ready: &mut VecDeque<T>, buf: &mut Vec<T>, max: usize) -> usize {
     k
 }
 
+/// Where a node's read pass puts one frame: protocol and control
+/// envelopes queue for the node, an `EchoReq` is answered inline, and what
+/// a node never receives is ignored.
+fn route<M: Wire>(
+    echo: &Option<EchoResponder>,
+    ready: &mut VecDeque<ToNode<M>>,
+    frame: AnyFrame<M>,
+    answer: &mut Vec<u8>,
+) {
+    match frame {
+        AnyFrame::Node(env) => ready.push_back(env),
+        AnyFrame::EchoReq { seq, t0_nanos } => {
+            if let Some(echo) = echo {
+                let resp = AnyFrame::EchoResp {
+                    seq,
+                    t0_nanos,
+                    node: echo.node,
+                    node_nanos: echo.epoch.elapsed().as_nanos() as u64,
+                };
+                write_frame::<M>(&resp, answer);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The one readiness wait of a host thread: every slot of every member's
+/// sockets in one `ppoll(2)`, each member's slots kept apart so that its
+/// read pass ([`SocketLink::take`]) reads what the wait found ready and
+/// waits for nothing.
+#[derive(Default)]
+pub(crate) struct Readiness {
+    /// The set of the last wait, member after member (allocation reused).
+    fds: Vec<PollFd>,
+    /// Where each member's slots start in `fds`, then where the last ends.
+    starts: Vec<usize>,
+}
+
+impl Readiness {
+    /// Wait until a slot of `links` is ready or `until` passes (`None` =
+    /// for ever); a member given as `None` watches nothing. `false` when
+    /// `until` passed with nothing ready.
+    pub(crate) fn wait<'a, M: 'a>(
+        &mut self,
+        links: impl IntoIterator<Item = Option<&'a SocketLink<M>>>,
+        until: Option<Instant>,
+    ) -> bool {
+        self.fds.clear();
+        self.starts.clear();
+        for link in links {
+            self.starts.push(self.fds.len());
+            if let Some(link) = link {
+                link.socks.watch(&mut self.fds);
+            }
+        }
+        self.starts.push(self.fds.len());
+        wait(&mut self.fds, until)
+    }
+
+    /// Member `i`'s slots of the last wait (none for a member it did not
+    /// cover).
+    pub(crate) fn of(&self, i: usize) -> &[PollFd] {
+        match self.starts.get(i..i + 2) {
+            Some(&[from, to]) => &self.fds[from..to],
+            _ => &[],
+        }
+    }
+}
+
 /// A node's end of the TCP transport, waited on and written by the thread
 /// that dispatches what it delivers (see the module docs): its
 /// [`Sockets`] and the envelopes decoded but not yet taken.
@@ -678,44 +791,36 @@ impl<M: Wire> SocketLink<M> {
         while !(0..me).all(|p| met(&self.socks, p)) && self.poll(Some(patience)) {}
     }
 
-    /// Move up to `max` envelopes into `buf` (appended), waiting until
-    /// at least one is there or `until` passes (`None` = for ever).
-    /// Returns how many moved; 0 means the deadline passed. A deadline
-    /// already behind still takes what is ready without blocking.
-    pub(crate) fn recv(
-        &mut self,
-        buf: &mut Vec<ToNode<M>>,
-        max: usize,
-        until: Option<Instant>,
-    ) -> usize {
-        while self.ready.is_empty() {
-            if !self.poll(until) {
-                return 0;
-            }
-        }
-        take(&mut self.ready, buf, max)
+    /// Take without waiting: the read pass over `ready`, this link's
+    /// slots of its host's wait — unless envelopes a previous pass decoded
+    /// still wait, which are served before any socket is touched again —
+    /// then up to `max` of the decoded envelopes into `buf` (appended).
+    /// Returns whether a slot was ready (see [`Sockets::read`]).
+    pub(crate) fn take(&mut self, ready: &[PollFd], buf: &mut Vec<ToNode<M>>, max: usize) -> bool {
+        let touched = self.ready.is_empty() && self.read(ready);
+        take(&mut self.ready, buf, max);
+        touched
     }
 
-    /// One wait-then-read pass: protocol and control envelopes queue for
-    /// the node, an `EchoReq` is answered inline, and what a node never
-    /// receives is ignored. `false` when `until` passed with nothing ready.
+    /// Whether envelopes a read decoded wait beyond what was taken: the
+    /// host must not park on them.
+    pub(crate) fn pending(&self) -> bool {
+        !self.ready.is_empty()
+    }
+
+    /// One wait of this link alone, then its read pass. `false` when
+    /// `until` passed with nothing ready.
     fn poll(&mut self, until: Option<Instant>) -> bool {
         let (echo, ready) = (&self.echo, &mut self.ready);
-        self.socks.poll(until, |frame, answer| match frame {
-            AnyFrame::Node(env) => ready.push_back(env),
-            AnyFrame::EchoReq { seq, t0_nanos } => {
-                if let Some(echo) = echo {
-                    let resp = AnyFrame::EchoResp {
-                        seq,
-                        t0_nanos,
-                        node: echo.node,
-                        node_nanos: echo.epoch.elapsed().as_nanos() as u64,
-                    };
-                    write_frame::<M>(&resp, answer);
-                }
-            }
-            _ => {}
-        })
+        self.socks
+            .poll(until, |frame, answer| route(echo, ready, frame, answer))
+    }
+
+    /// The read pass over `ready` (see [`SocketLink::take`]).
+    fn read(&mut self, ready: &[PollFd]) -> bool {
+        let (echo, queue) = (&self.echo, &mut self.ready);
+        self.socks
+            .read(ready, |frame, answer| route(echo, queue, frame, answer))
     }
 
     /// How many connections the link holds, dialed and accepted.
@@ -752,12 +857,14 @@ pub(crate) enum Link<M> {
 }
 
 impl<M: Wire + Send> Link<M> {
-    /// Move up to `max` envelopes into `buf` (appended), waiting until at
-    /// least one is there or `until` passes (`None` = for ever); `Ok(0)`
-    /// means the deadline passed. A deadline already behind still takes
-    /// what is there without blocking. An error means every sender of a
-    /// channel inbox is gone: nothing can arrive any more.
-    pub(crate) fn recv(
+    /// The park of a channel-linked node, which is its host's one member:
+    /// wait until an envelope is there or `until` passes (`None` = for
+    /// ever), then move up to `max` into `buf` (appended) under one lock.
+    /// A deadline already behind still takes what is there. An error
+    /// means every sender is gone: nothing can arrive any more. A socket
+    /// link takes nothing here: its host's [`Readiness`] wait parks for it
+    /// and [`Link::take`] reads it.
+    pub(crate) fn park(
         &mut self,
         buf: &mut Vec<ToNode<M>>,
         max: usize,
@@ -770,7 +877,25 @@ impl<M: Wire + Send> Link<M> {
                 Err(RecvTimeoutError::Disconnected) => Err(RecvError),
             },
             (Link::Channel(rx, _), None) => rx.recv_batch(buf, max),
-            (Link::Sockets(link), until) => Ok(link.recv(buf, max, until)),
+            (Link::Sockets(_), _) => Ok(0),
+        }
+    }
+
+    /// Take what is ready without waiting: [`SocketLink::take`] over
+    /// `ready`, this link's slots of its host's wait. A channel's batch
+    /// came with its park, so a channel link takes nothing here.
+    pub(crate) fn take(&mut self, ready: &[PollFd], buf: &mut Vec<ToNode<M>>, max: usize) -> bool {
+        match self {
+            Link::Channel(..) => false,
+            Link::Sockets(link) => link.take(ready, buf, max),
+        }
+    }
+
+    /// The sockets a host's wait covers for this link (none on a channel).
+    pub(crate) fn sockets(&self) -> Option<&SocketLink<M>> {
+        match self {
+            Link::Channel(..) => None,
+            Link::Sockets(link) => Some(link),
         }
     }
 
@@ -1004,6 +1129,25 @@ mod tests {
     use super::*;
 
     type M = u64;
+
+    impl SocketLink<M> {
+        /// A lone member's host short of the node: wait on the link's
+        /// sockets until a read pass decoded something or `until` passes
+        /// (`None` = for ever), then take up to `max` into `buf`. Returns
+        /// how many moved; 0 means the deadline passed.
+        fn recv(&mut self, buf: &mut Vec<ToNode<M>>, max: usize, until: Option<Instant>) -> usize {
+            let mut wait = Readiness::default();
+            while !self.pending() {
+                if !wait.wait([Some(&*self)], until) {
+                    return 0;
+                }
+                self.read(wait.of(0));
+            }
+            let before = buf.len();
+            self.take(&[], buf, max);
+            buf.len() - before
+        }
+    }
 
     fn link() -> (SocketLink<M>, SocketAddr) {
         let net = Some(Arc::new(NetMeters::new(2)));

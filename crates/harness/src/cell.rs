@@ -98,7 +98,7 @@ pub struct Cell {
     /// from the merged stage meters in process, summed over every node's
     /// exported meters on the `proc` host.
     pub timer_fires: u64,
-    /// Node-loop wakeups that found no work; 0 on the `proc` host, whose
+    /// Host wakeups that found no work; 0 on the `proc` host, whose
     /// nodes do not export the count.
     pub spurious_wakeups: usize,
     /// Client `Begin` re-sends; 0 on the `proc` host, whose dump does not
@@ -197,7 +197,6 @@ pub fn run_cell(host: Host, cfg: &ServiceConfig, faults: &FaultSpec) -> Result<C
 mod tests {
     use super::*;
     use ac_commit::protocols::ProtocolKind;
-    use ac_obs::{ClockAlignment, NetSnapshot, ObsExport};
 
     /// The hosts agree by construction: the record of an in-process run
     /// and the record of the cluster dump a multi-process client would
@@ -216,33 +215,7 @@ mod tests {
             .max_outstanding(4);
         let out = run_service_faulted(&cfg, &FaultSpec::none(n));
         assert!(out.is_safe(), "{:?}", out.violations);
-        let nodes = 0..n as u32;
-        let meters: Vec<_> = Stage::ALL
-            .iter()
-            .map(|&s| out.stage_meters.get(s))
-            .collect();
-        let dump = ClusterDump {
-            protocol: cfg.kind.name().into(),
-            n: n as u32,
-            f: 1,
-            unit_micros: cfg.unit.as_micros() as u64,
-            txns: out.decided.clone(),
-            alignments: nodes.clone().map(ClockAlignment::identity).collect(),
-            exports: nodes
-                .map(|node| ObsExport {
-                    node,
-                    dropped_events: 0,
-                    meters: if node == 0 {
-                        meters.clone()
-                    } else {
-                        Vec::new()
-                    },
-                    flight: out.flight[node as usize].clone(),
-                    net: NetSnapshot::default(),
-                })
-                .collect(),
-            stats: out.run_stats(),
-        };
+        let dump = out.cluster_dump(&cfg);
         let (proc, here) = (Cell::of_dump(&dump), Cell::of_outcome(out));
 
         assert_eq!(here.stats, proc.stats);
@@ -266,7 +239,7 @@ mod tests {
         // Timer fires: every node's exported `TimerFire` slot counts.
         assert_eq!(here.timer_fires, proc.timer_fires);
         let mut fired = dump;
-        fired.exports[3].meters = meters;
+        fired.exports[3].meters = fired.exports[0].meters.clone();
         fired.exports[3].meters[Stage::TimerFire as usize].0 += 2;
         let twice = 2 * here.timer_fires + 2;
         assert_eq!(Cell::of_dump(&fired).timer_fires, twice);

@@ -285,7 +285,7 @@ pub struct ServiceEntry {
     /// `wire_messages / txns` — the per-transaction wire cost the perf
     /// gate diffs (counter-backed, so gated strictly).
     pub wire_per_txn: f64,
-    /// Node-loop wakeups that found no work ([`Cell::spurious_wakeups`]).
+    /// Host wakeups that found no work ([`Cell::spurious_wakeups`]).
     pub spurious_wakeups: usize,
 }
 

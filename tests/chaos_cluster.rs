@@ -12,12 +12,16 @@ use std::time::Duration;
 
 use ac_chaos::{run_chaos, ChaosConfig, ChaosPlan};
 use ac_cluster::{
-    participants_of, run_service_faulted, CrashWindow, FaultSpec, ServiceConfig, TransportKind,
+    participants_of, run_service_faulted, CrashWindow, Fate, FaultSpec, NetPolicy, ServiceConfig,
+    TransportKind,
 };
 use ac_commit::protocols::ProtocolKind;
 use ac_commit::Scenario;
 use ac_net::{Crash, FaultPlan};
 use ac_txn::workload::{Workload, WorkloadConfig};
+
+mod support;
+use support::audited;
 
 /// A chaos-tuned service: span-3 transactions on 4 shards (so 1 in 4 draws
 /// avoids any given node), paced submission, bounded retrying waits.
@@ -46,14 +50,12 @@ fn paxos_commit_keeps_committing_through_a_participant_crash() {
         plan: ChaosPlan::none(4).crash(1, DOWN, Some(UP)),
     };
     let out = run_chaos(&cfg);
-    assert!(
-        out.service.is_safe(),
-        "audit failed: {:?}",
-        out.service.violations
-    );
-    assert_eq!(
-        out.service.stalled, 0,
-        "everything must resolve after the restart"
+    // Everything must resolve after the restart.
+    audited(
+        "paxos_commit_participant_crash",
+        &cfg.service,
+        &out.service,
+        |s| s == 0,
     );
     assert!(
         out.stats.committed_during_fault > 0,
@@ -79,19 +81,17 @@ fn two_pc_blocks_on_coordinator_crash_until_restart_unblocks_it() {
         plan: ChaosPlan::none(4).crash(3, DOWN, Some(UP)),
     };
     let out = run_chaos(&cfg);
-    assert!(
-        out.service.is_safe(),
-        "audit failed: {:?}",
-        out.service.violations
+    // Restart + retry must eventually unblock every blocked txn.
+    audited(
+        "two_pc_coordinator_crash",
+        &cfg.service,
+        &out.service,
+        |s| s == 0,
     );
     assert!(
         out.stats.blocked > 0,
         "2PC must report blocked txns under a crashed coordinator: {:?}",
         out.stats
-    );
-    assert_eq!(
-        out.service.stalled, 0,
-        "restart + retry must eventually unblock every blocked txn"
     );
     assert!(
         out.stats.time_to_unblock > Duration::ZERO,
@@ -111,12 +111,9 @@ fn inbac_decides_through_a_participant_crash_and_recovers() {
         plan: ChaosPlan::none(4).crash(1, DOWN, Some(UP)),
     };
     let out = run_chaos(&cfg);
-    assert!(
-        out.service.is_safe(),
-        "audit failed: {:?}",
-        out.service.violations
-    );
-    assert_eq!(out.service.stalled, 0);
+    audited("inbac_participant_crash", &cfg.service, &out.service, |s| {
+        s == 0
+    });
     assert!(
         out.stats.committed_during_fault > 0,
         "INBAC's f-tolerant path keeps committing: {:?}",
@@ -136,18 +133,9 @@ fn partition_heals_and_every_transaction_resolves() {
             plan: ChaosPlan::none(4).partition(vec![0, 1], DOWN, UP, true),
         };
         let out = run_chaos(&cfg);
-        assert!(
-            out.service.is_safe(),
-            "{}: audit failed: {:?}",
-            kind.name(),
-            out.service.violations
-        );
-        assert_eq!(
-            out.service.stalled,
-            0,
-            "{}: post-heal retries must resolve",
-            kind.name()
-        );
+        // Post-heal retries must resolve.
+        let label = format!("partition_heals_{}", kind.name());
+        audited(&label, &cfg.service, &out.service, |s| s == 0);
         assert!(
             out.stats.committed_after_heal > 0,
             "{}: the service must recover throughput after the heal: {:?}",
@@ -169,12 +157,7 @@ fn lossy_links_degrade_but_never_corrupt() {
         plan: ChaosPlan::none(4).lossy(0, 10_000, 100).seed(5),
     };
     let out = run_chaos(&cfg);
-    assert!(
-        out.service.is_safe(),
-        "audit failed: {:?}",
-        out.service.violations
-    );
-    assert_eq!(out.service.stalled, 0);
+    audited("lossy_links", &cfg.service, &out.service, |s| s == 0);
     assert!(out.service.committed > 0);
     assert!(out.service.dropped_messages > 0, "10% loss must bite");
 }
@@ -231,15 +214,11 @@ fn sim_and_live_agree_under_the_same_crash_schedule() {
             };
             let out = run_chaos(&cfg);
             let label = format!("{}/{}", kind.name(), transport.name());
-            assert!(
-                out.service.is_safe(),
-                "{label}: audit failed: {:?}",
-                out.service.violations
-            );
             // Node 1 is dead for the whole run and never restarts, so every
             // transaction misses one decision and is abandoned at its
             // deadline — the *survivors'* decisions are what must agree.
-            assert_eq!(out.service.stalled, 2, "{label}");
+            let kept = format!("sim_and_live_{label}");
+            audited(&kept, &service, &out.service, |s| s == 2);
 
             // Reconstruct the submitted stream and run the simulator under
             // the *original* FaultPlan with the survivors' actual votes.
@@ -336,15 +315,8 @@ fn paxos_commit_reports_through_a_crash_more_available_than_d1cc() {
         };
         let out = run_chaos(&cfg);
         let label = kind.name();
-        assert!(
-            out.service.is_safe(),
-            "{label} seed {seed}: audit failed: {:?}",
-            out.service.violations
-        );
-        assert_eq!(
-            out.service.stalled, 0,
-            "{label} seed {seed}: all must resolve"
-        );
+        let kept = format!("reports_through_a_crash_{label}");
+        audited(&kept, &cfg.service, &out.service, |s| s == 0);
         assert_eq!(out.stats.unresolved, 0, "{label} seed {seed}");
         out
     };
@@ -409,12 +381,8 @@ fn d1cc_restart_reconstructs_decisions_from_peer_votes() {
         plan: ChaosPlan::none(4).crash(2, 30, Some(60)),
     };
     let out = run_chaos(&cfg);
-    assert!(
-        out.service.is_safe(),
-        "audit failed: {:?}",
-        out.service.violations
-    );
-    assert_eq!(out.service.stalled, 0, "peer votes must resolve everything");
+    // Peer votes must resolve everything.
+    audited("d1cc_restart", &cfg.service, &out.service, |s| s == 0);
     assert_eq!(
         out.service.wal_prepare_forces, 0,
         "recovery must not reintroduce critical-path Prepare forces"
@@ -435,6 +403,51 @@ fn d1cc_restart_reconstructs_decisions_from_peer_votes() {
     }
 }
 
+/// Holds every envelope to node 1 for a while, and delivers the rest.
+struct SlowTowardsNodeOne(Duration);
+
+impl NetPolicy for SlowTowardsNodeOne {
+    fn fate(&self, _from: usize, to: usize, _elapsed: Duration, _seq: u64) -> Fate {
+        if to == 1 {
+            Fate::Delay(self.0)
+        } else {
+            Fate::Deliver
+        }
+    }
+}
+
+/// The lost-volatile-vote case of the ask-before-revote rule, forced. D1CC
+/// node 1 votes yes and its vote reaches its peers, which commit; the
+/// peers' votes and decision to node 1 are held 30 ms, and node 1 crashes
+/// at 10 ms, before learning anything — its logless vote dies with it.
+/// The client's retried `Begin` reaches the restarted node with no record
+/// of the transaction: it re-joins voteless, asks its peers, and adopts
+/// their commit (`StatusA`), so the client hears one outcome from all four.
+#[test]
+fn a_logless_restart_asks_its_peers_instead_of_voting_again() {
+    let cfg = ServiceConfig::new(4, 1, ProtocolKind::D1cc)
+        .clients(1)
+        .txns_per_client(1)
+        .workload(Workload::Uniform { span: 4 })
+        .unit(Duration::from_millis(50))
+        .reply_timeout(Duration::from_millis(150))
+        .park_retries(4)
+        .txn_deadline(Duration::from_secs(3));
+    let mut spec = FaultSpec::none(4);
+    spec.policy = Some(std::sync::Arc::new(SlowTowardsNodeOne(
+        Duration::from_millis(30),
+    )));
+    spec.crashes[1] = Some(CrashWindow {
+        down_after: Duration::from_millis(10),
+        up_after: Some(Duration::from_millis(60)),
+    });
+    let out = run_service_faulted(&cfg, &spec);
+    audited("logless_restart_asks", &cfg, &out, |s| s == 0);
+    let ev = &out.txn_events[0];
+    assert_eq!(ev.committed, Some(true), "the peers committed");
+    assert!(ev.retries > 0, "node 1 answered only a retry");
+}
+
 /// A node that crashes and **never restarts** must still leave a clean
 /// audit: its durable (WAL-rebuilt) state answers for it, transactions it
 /// took to its grave are counted stalled — not as lock leaks — and the
@@ -448,15 +461,11 @@ fn crash_without_restart_keeps_the_audit_clean() {
         plan: ChaosPlan::none(4).crash(1, DOWN, None),
     };
     let out = run_chaos(&cfg);
-    assert!(
-        out.service.is_safe(),
-        "a dead-forever node must not fail the audit: {:?}",
-        out.service.violations
-    );
-    assert!(
-        out.service.stalled > 0,
-        "txns waiting on the dead node are abandoned, not hung"
-    );
+    // A dead-forever node must not fail the audit, and the txns waiting on
+    // it are abandoned, not hung.
+    audited("crash_without_restart", &cfg.service, &out.service, |s| {
+        s > 0
+    });
     assert!(
         out.service.committed > 0,
         "txns avoiding the dead shard keep committing"
@@ -476,12 +485,7 @@ fn recovered_node_rebuilds_its_decision_log_from_the_wal() {
         plan: ChaosPlan::none(4).crash(2, 30, Some(60)),
     };
     let out = run_chaos(&cfg);
-    assert!(
-        out.service.is_safe(),
-        "audit failed: {:?}",
-        out.service.violations
-    );
-    assert_eq!(out.service.stalled, 0);
+    audited("recovered_node_wal", &cfg.service, &out.service, |s| s == 0);
     assert!(
         !out.service.node_logs[2].is_empty(),
         "node 2's audit log must survive the crash via the WAL"
@@ -520,8 +524,7 @@ fn retried_begins_leave_in_the_turn_that_staged_them() {
         up_after: Some(Duration::from_millis(50)),
     });
     let out = run_service_faulted(&cfg, &spec);
-    assert!(out.is_safe(), "audit failed: {:?}", out.violations);
-    assert_eq!(out.stalled, 0);
+    audited("retried_begins", &cfg, &out, |s| s == 0);
     let ev = &out.txn_events[0];
     assert_eq!(ev.committed, Some(false), "node 1 never voted in time");
     assert_eq!(ev.retries, 2, "re-open, then cooperative termination");
@@ -546,8 +549,7 @@ fn durable_failure_free_run_matches_the_default_path() {
         durable: true,
     };
     let out = run_service_faulted(&cfg, &spec);
-    assert!(out.is_safe(), "{:?}", out.violations);
-    assert_eq!(out.stalled, 0);
+    audited("durable_failure_free", &cfg, &out, |s| s == 0);
     assert_eq!(out.txns, 12);
     assert_eq!(out.retries, 0);
 }

@@ -22,6 +22,9 @@ use ac_obs::{goodput_tps, sojourn_times, Stage};
 use ac_txn::workload::{Workload, WorkloadConfig};
 use ac_txn::Cluster;
 
+mod support;
+use support::audited;
+
 fn base(kind: ProtocolKind) -> ServiceConfig {
     ServiceConfig::new(4, 1, kind).unit(Duration::from_millis(10))
 }
@@ -34,8 +37,7 @@ fn transfer_load_conserves_total_value() {
         .workload(Workload::Transfer { amount: 5 })
         .keys_per_shard(8); // few keys -> real write-write conflicts
     let out = run_service(&cfg);
-    assert_eq!(out.stalled, 0, "no transaction may stall");
-    assert!(out.is_safe(), "safety audit failed: {:?}", out.violations);
+    audited("transfer_load", &cfg, &out, |s| s == 0);
     assert_eq!(out.txns, 40);
     assert_eq!(
         out.total_value(),
@@ -60,8 +62,7 @@ fn committed_log_replays_to_the_final_shard_state() {
         })
         .keys_per_shard(4); // tiny key space -> write-write conflicts
     let out = run_service(&cfg);
-    assert_eq!(out.stalled, 0);
-    assert!(out.is_safe(), "safety audit failed: {:?}", out.violations);
+    audited("committed_log_replays", &cfg, &out, |s| s == 0);
     // Aborts are overwhelmingly likely here but depend on thread
     // interleaving, so they are not asserted — the replay equality below
     // is the property under test and holds with or without them.
@@ -92,13 +93,9 @@ fn batched_path_stays_safe_under_concurrency_for_every_table5_protocol() {
             .keys_per_shard(4) // tiny key space -> conflicts + aborts
             .seed(29);
         let out = run_service(&cfg);
-        assert_eq!(out.stalled, 0, "{}: stalled", kind.name());
-        assert!(
-            out.is_safe(),
-            "{}: safety audit failed: {:?}",
-            kind.name(),
-            out.violations
-        );
+        audited(&format!("batched_path_{}", kind.name()), &cfg, &out, |s| {
+            s == 0
+        });
         assert_eq!(out.txns, 32, "{}", kind.name());
         let rebuilt = out.replay();
         for (live, replayed) in out.shards.iter().zip(&rebuilt) {
@@ -166,8 +163,7 @@ fn d1cc_forces_no_critical_path_wal_writes() {
     let cfg = |kind| base(kind).clients(3).txns_per_client(8).seed(17);
 
     let d1cc = run_service_faulted(&cfg(ProtocolKind::D1cc), &durable);
-    assert!(d1cc.is_safe(), "D1CC audit failed: {:?}", d1cc.violations);
-    assert_eq!(d1cc.stalled, 0);
+    audited("d1cc_durable", &cfg(ProtocolKind::D1cc), &d1cc, |s| s == 0);
     assert!(d1cc.committed > 0, "some transactions must commit");
     assert_eq!(
         d1cc.wal_prepare_forces, 0,
@@ -175,11 +171,9 @@ fn d1cc_forces_no_critical_path_wal_writes() {
     );
 
     let two_pc = run_service_faulted(&cfg(ProtocolKind::TwoPc), &durable);
-    assert!(
-        two_pc.is_safe(),
-        "2PC audit failed: {:?}",
-        two_pc.violations
-    );
+    audited("two_pc_durable", &cfg(ProtocolKind::TwoPc), &two_pc, |_| {
+        true
+    });
     assert!(
         two_pc.wal_prepare_forces > 0,
         "the logging baseline must pay the Prepare force D1CC avoids"
@@ -210,8 +204,9 @@ fn complete_collections_commit_at_message_speed_and_fire_no_timer() {
             .workload(Workload::Uniform { span: 2 })
             .seed(41);
         let out = run_service(&cfg);
-        assert_eq!(out.stalled, 0, "{}: stalled", kind.name());
-        assert!(out.is_safe(), "{}: {:?}", kind.name(), out.violations);
+        audited(&format!("message_speed_{}", kind.name()), &cfg, &out, |s| {
+            s == 0
+        });
         assert_eq!(out.committed, 20, "{}: every txn commits", kind.name());
         let slowest = Duration::from_nanos(sojourn_times(&out.decided).max());
         assert!(
@@ -261,8 +256,7 @@ fn two_pc_still_aborts_at_one_unit_when_a_vote_is_late() {
         ..FaultSpec::none(cfg.n)
     };
     let out = run_service_faulted(&cfg, &spec);
-    assert_eq!(out.stalled, 0);
-    assert!(out.is_safe(), "{:?}", out.violations);
+    audited("late_vote", &cfg, &out, |s| s == 0);
     assert_eq!(out.aborted, 5, "a missing vote at U aborts");
     assert_eq!(out.delayed_messages, 5, "one held vote per transaction");
     let sojourn = sojourn_times(&out.decided);
@@ -296,13 +290,8 @@ fn check_live_matches_sim(kind: ProtocolKind, transport: TransportKind) {
             .seed(13)
             .transport(transport);
         let out = run_service(&cfg);
-        assert_eq!(out.stalled, 0, "{}: stalled", kind.name());
-        assert!(
-            out.is_safe(),
-            "{}: safety audit failed: {:?}",
-            kind.name(),
-            out.violations
-        );
+        let label = format!("live_matches_sim_{}_{}", kind.name(), transport.name());
+        audited(&label, &cfg, &out, |s| s == 0);
 
         // Reconstruct exactly the stream client 0 submitted.
         let mut gen = WorkloadConfig {
@@ -369,20 +358,18 @@ fn every_protocol_kind_can_serve_live_traffic() {
     ] {
         let cfg = base(kind).clients(2).txns_per_client(4);
         let out = run_service(&cfg);
-        assert_eq!(out.stalled, 0, "{}: stalled", kind.name());
-        assert!(
-            out.is_safe(),
-            "{}: safety audit failed: {:?}",
-            kind.name(),
-            out.violations
-        );
+        audited(&format!("every_kind_{}", kind.name()), &cfg, &out, |s| {
+            s == 0
+        });
         assert_eq!(out.txns, 8, "{}", kind.name());
         // 0NBAC's yes-votes are implicit. One closed-loop client overlaps
         // no two transactions, so every vote is yes — and a failure-free
         // all-yes run puts zero protocol messages on the wire.
         if kind == ProtocolKind::Nbac0 {
-            let nice = run_service(&cfg.clients(1));
-            assert_eq!((nice.committed, nice.stalled), (4, 0));
+            let nice_cfg = cfg.clients(1);
+            let nice = run_service(&nice_cfg);
+            audited("every_kind_0NBAC_nice", &nice_cfg, &nice, |s| s == 0);
+            assert_eq!(nice.committed, 4);
             assert_eq!(nice.wire_messages, 0, "0NBAC is silent in nice runs");
         }
     }
@@ -403,11 +390,10 @@ fn open_loop_offers_the_full_schedule_and_sheds_only_at_a_full_window() {
         .arrival_rate(200.0)
         .max_outstanding(16);
     let out = run_service(&cfg);
-    assert!(out.is_safe(), "safety audit failed: {:?}", out.violations);
+    audited("open_loop_roomy", &cfg, &out, |s| s == 0);
     assert_eq!(out.offered, 20, "the schedule is offered in full");
     assert_eq!(out.shed, 0, "a roomy window sheds nothing");
     assert_eq!(out.txns, 20);
-    assert_eq!(out.stalled, 0);
     assert!(
         goodput_tps(&out.run_stats(), &out.decided) > 0.0,
         "trimmed steady-state goodput must be measurable"
@@ -420,7 +406,8 @@ fn open_loop_offers_the_full_schedule_and_sheds_only_at_a_full_window() {
         .arrival_rate(5_000.0)
         .max_outstanding(1);
     let out = run_service(&cfg);
-    assert!(out.is_safe(), "safety audit failed: {:?}", out.violations);
+    // Submitted txns still all resolve.
+    audited("open_loop_overload", &cfg, &out, |s| s == 0);
     assert_eq!(out.offered, 100, "overload must not slow the schedule down");
     assert!(out.shed > 0, "a window of 1 under x25 overload must shed");
     assert_eq!(
@@ -428,7 +415,6 @@ fn open_loop_offers_the_full_schedule_and_sheds_only_at_a_full_window() {
         out.offered,
         "every arrival is either submitted or counted shed"
     );
-    assert_eq!(out.stalled, 0, "submitted txns still all resolve");
 }
 
 /// Group commit is work-conserving: a durable node forces what a loop
@@ -458,8 +444,7 @@ fn a_deep_window_batches_a_durable_nodes_forces_without_holding_a_commit() {
         .park_retries(0)
         .max_outstanding(64);
     let deep = run_service_faulted(&cfg, &durable);
-    assert_eq!(deep.stalled, 0);
-    assert!(deep.is_safe(), "{:?}", deep.violations);
+    audited("deep_window_durable", &cfg, &deep, |s| s == 0);
     assert_eq!(deep.committed, 800, "no vote may miss its round timer");
     assert_eq!(deep.stage_meters.get(Stage::TimerFire).0, 0);
     let median = Duration::from_nanos(sojourn_times(&deep.decided).p50());
