@@ -1,6 +1,6 @@
-//! The load generator's client loop (`client_main`): submit, learn each
-//! outcome with bounded, retrying waits, record, repeat. Where the
-//! protocol's Table-1 cell has agreement in both failure models
+//! The load generator's client: submit, learn each outcome with bounded,
+//! retrying waits, record, repeat. Where the protocol's Table-1 cell has
+//! agreement in both failure models
 //! ([`ac_commit::taxonomy::Cell::always_agrees`]), a participant's `Done`
 //! is every participant's outcome: every participant persists its decision
 //! before it answers, and none can decide otherwise. So the client
@@ -9,10 +9,19 @@
 //! building its [`ClientRecord`], only once every participant has answered
 //! or the deadline passed, so the audit still reads every participant's
 //! decision.
-//! The loop writes to and parks on one `ClientLink` — a transport and its
+//!
+//! A [`Client`] is split the way a node is: [`Client::turn`] takes the
+//! replies already queued on its `ClientLink` — a transport and its
 //! per-client reply channel in the in-process service, the connections it
-//! dialed in a multi-process cluster — so a decision report wakes exactly
-//! the thread that folds it in. [`ClientRecord::verdict`] is the one
+//! dialed in a multi-process cluster — folds them in, re-sends or abandons
+//! what expired, submits and flushes once, and never blocks;
+//! [`Client::deadline`] says when it next needs a turn. The park between
+//! turns belongs to whoever runs it. [`client_main`] is the one-member
+//! client host: a thread of its own that parks on the link, so a decision
+//! report wakes exactly the thread that folds it in (channel links,
+//! `ac-client`, a tcp cluster on more than one host). Where one host runs
+//! every node, the clients run on that host's thread, turned after its
+//! nodes in every round (`host.rs`). [`ClientRecord::verdict`] is the one
 //! reading of what a client saw of a transaction, and [`ClientFold`] the
 //! one fold of what a run's clients return, whichever host ran them.
 
@@ -23,7 +32,8 @@ use ac_commit::problem::COMMIT;
 use ac_commit::protocols::PerRank;
 use ac_commit::CommitProtocol;
 use ac_obs::{DumpTxn, ObsMeters, RunStats, Stage};
-use ac_txn::workload::{ArrivalSchedule, WorkloadConfig};
+use ac_sim::Wire;
+use ac_txn::workload::{ArrivalSchedule, WorkloadConfig, WorkloadGen};
 use ac_txn::{Transaction, TxnId};
 
 use crate::service::{parts_of, Done, ServiceConfig, ToNode, TxnEvent};
@@ -75,6 +85,8 @@ impl ClientRecord {
 }
 
 pub(crate) struct ClientReturn {
+    /// The client's id.
+    pub(crate) client: usize,
     pub(crate) records: Vec<ClientRecord>,
     pub(crate) events: Vec<TxnEvent>,
     pub(crate) stalled: usize,
@@ -163,6 +175,33 @@ struct PendingTxn {
     reported: Option<usize>,
 }
 
+impl PendingTxn {
+    /// Whether the closed loop waits for it: it is neither reported nor
+    /// parked (retried `park_retries` times, so the loop stopped waiting).
+    fn waited_for(&self, park_retries: u32) -> bool {
+        self.reported.is_none() && self.retries < park_retries
+    }
+
+    /// Its timeline as `client` observed it; `decided` is its latency and
+    /// outcome, `None` for an abandoned transaction.
+    fn event(&self, client: usize, epoch: Instant, decided: Option<(Duration, bool)>) -> TxnEvent {
+        let submitted_at = self.t0.saturating_duration_since(epoch);
+        TxnEvent {
+            id: self.id,
+            client,
+            participants: self.parts.len(),
+            submitted_at,
+            decided_at: decided.map(|(lat, _)| submitted_at + lat),
+            committed: decided.map(|(_, committed)| committed),
+            retries: self.retries,
+            // Filled by `aggregate` from the merged flight events.
+            first_protocol_at: None,
+            votes_held_at: None,
+            journaled_at: None,
+        }
+    }
+}
+
 /// Stage the `End`s waiting for node `to` — every one of them, provided at
 /// least `at_least` wait. The one place a client stages an `End`: ahead of
 /// its next `Begin` to that node (`at_least` 0), at a turn's write point
@@ -197,11 +236,12 @@ fn stage_begins<M>(
     }
 }
 
-/// One closed-loop client: submit, learn the outcome with bounded,
-/// retrying waits, record, repeat. Unresolved transactions are parked
-/// (background retries) so a dead node blocks one transaction, not the
-/// whole load stream; abandonment at `txn_deadline` is the last resort and
-/// counts as a stall.
+/// One client of the load generator: submit, learn each outcome with
+/// bounded, retrying waits, record, repeat. Unresolved transactions are
+/// parked (background retries) so a dead node blocks one transaction, not
+/// the whole load stream; abandonment at `txn_deadline` is the last resort
+/// and counts as a stall. [`Client::turn`] never blocks: the park between
+/// turns belongs to whoever runs the client (see the module docs).
 ///
 /// A transaction is *reported* — its event stamped with the outcome, its
 /// window slot freed, the closed loop unblocked — on the first `Done` when
@@ -213,218 +253,235 @@ fn stage_begins<M>(
 /// `max_outstanding` transactions are unreported, so at most twice that
 /// many are open at the nodes.
 ///
-/// Egress follows the node loop's rule: `Begin`s and retries are *staged*
-/// per destination and leave through one flush per loop turn, immediately
-/// before the client parks on its link. A finished transaction's `End`s
-/// wait, per participant, for the client's next `Begin` to that node and
-/// are staged right ahead of it, so an `End` never costs a write of its
-/// own. They leave without one only once `max_outstanding` wait for a node
-/// at a turn's write point, and at exit.
-pub(crate) fn client_main<P>(
+/// Egress follows the node's rule: `Begin`s and retries are *staged* per
+/// destination and leave through one flush per turn, its last step. A
+/// finished transaction's `End`s wait, per participant, for the client's
+/// next `Begin` to that node and are staged right ahead of it, so an `End`
+/// never costs a write of its own. They leave without one only once
+/// `max_outstanding` wait for a node at a turn's write point, and at exit.
+pub(crate) struct Client<M> {
     client: usize,
-    cfg: &ServiceConfig,
+    cfg: ServiceConfig,
     epoch: Instant,
-    mut link: ClientLink<P::Msg>,
-) -> ClientReturn
-where
-    P: CommitProtocol,
-    P::Msg: ac_sim::Wire + Send + 'static,
-{
-    let mut gen = WorkloadConfig {
-        shards: cfg.n,
-        keys_per_shard: cfg.keys_per_shard,
-        workload: cfg.workload.clone(),
-        seed: cfg.client_seed(client),
-    }
-    .generator();
+    link: ClientLink<M>,
+    gen: WorkloadGen,
+    /// The first `Done` is the outcome wherever the cell always agrees.
+    first_done_reports: bool,
+    /// Open loop: arrivals fire on a Poisson schedule regardless of
+    /// completions, and a full in-flight window sheds the arrival instead
+    /// of back-pressuring the schedule.
+    arrivals: Option<ArrivalSchedule>,
+    next_arrival: Instant,
+    /// Closed loop: the pacing gate.
+    next_allowed: Instant,
+    submitted: usize,
+    /// Submissions plus open-loop sheds.
+    offered: usize,
+    shed: usize,
+    outstanding: Vec<PendingTxn>,
+    /// Outstanding transactions not yet reported: they hold the window.
+    unreported: usize,
+    /// Outstanding transactions the closed loop waits for
+    /// ([`PendingTxn::waited_for`]).
+    unparked: usize,
+    records: Vec<ClientRecord>,
+    events: Vec<TxnEvent>,
+    stalled: usize,
+    retries: usize,
+    reply_timeouts: usize,
+    /// Replies taken off the link, folded in by the next turn.
+    replies: Vec<Done>,
+    /// Meters only: a client stamps no flight event.
+    meters: ObsMeters,
+    outbox: Outbox<M>,
+    /// Per node, the finished transactions whose `End`s wait there.
+    ends: Vec<Vec<TxnId>>,
+    /// The reading after the last flush: the next turn meters the gap.
+    flushed_at: Option<Instant>,
+    /// The exit flush has left: the client wants no more turns.
+    exited: bool,
+}
 
-    let total = cfg.txns_per_client;
-    let mut submitted = 0usize;
-    let mut outstanding: Vec<PendingTxn> = Vec::new();
-    let mut records = Vec::with_capacity(total);
-    let mut events: Vec<TxnEvent> = Vec::with_capacity(total);
-    let mut stalled = 0usize;
-    let mut retries = 0usize;
-    let mut reply_timeouts = 0usize;
-    let mut dbuf: Vec<Done> = Vec::with_capacity(CLIENT_BATCH);
-    let mut next_allowed = Instant::now();
-    // Meters only: a client stamps no flight event.
-    let meters = ObsMeters::new();
-    let mut outbox: Outbox<P::Msg> = Outbox::new(cfg.n);
-    // Per node, the finished transactions whose `End`s wait there.
-    let mut ends: Vec<Vec<TxnId>> = vec![Vec::new(); cfg.n];
-    // A fresh outstanding transaction, its Begins staged: submitted at
-    // `t0`, its waits counted from `now`, the reading that let it in.
-    let submit = |t: Transaction,
-                  t0: Instant,
-                  now: Instant,
-                  outbox: &mut Outbox<P::Msg>,
-                  ends: &mut [Vec<TxnId>]| {
-        let txn = Arc::new(t);
-        let parts = parts_of(&txn, cfg.n);
-        let p = PendingTxn {
-            decisions: PerRank::from_elem(None, parts.len()),
-            id: txn.id,
-            txn,
-            parts,
-            got: 0,
-            t0,
-            retries: 0,
-            next_retry: now + cfg.reply_timeout,
-            deadline: now + cfg.txn_deadline,
-            reported: None,
-        };
-        stage_begins(outbox, ends, &p, client, false);
-        p
-    };
-    // The first `Done` is the outcome wherever the cell always agrees.
-    let first_done_reports = cfg.kind.cell().always_agrees();
-    // Outstanding transactions not yet reported: they hold the window.
-    let mut unreported = 0usize;
-    // The closed loop waits for a transaction until it is reported or
-    // parked (retried often enough that the loop stops waiting for it).
-    // `unparked` counts the outstanding transactions it waits for.
-    let waited_for = |p: &PendingTxn| p.reported.is_none() && p.retries < cfg.park_retries;
-    let mut unparked = 0usize;
-    // The closed loop is open: it waits for no transaction and the window
-    // has room. (Pacing gates on top of it.)
-    let gate_open = |submitted: usize, unreported: usize, unparked: usize| {
-        submitted < total && unreported < cfg.max_outstanding && unparked == 0
-    };
-    // `p`'s timeline as the client observed it; `decided` is its latency
-    // and outcome, `None` for an abandoned transaction.
-    let event = |p: &PendingTxn, decided: Option<(Duration, bool)>| {
-        let submitted_at = p.t0.saturating_duration_since(epoch);
-        TxnEvent {
-            id: p.id,
-            client,
-            participants: p.parts.len(),
-            submitted_at,
-            decided_at: decided.map(|(lat, _)| submitted_at + lat),
-            committed: decided.map(|(_, committed)| committed),
-            retries: p.retries,
-            // Filled by `aggregate` from the merged flight events.
-            first_protocol_at: None,
-            votes_held_at: None,
-            journaled_at: None,
+impl<M: Wire + Send + 'static> Client<M> {
+    /// Client `client` of `cfg`'s load, stamping against `epoch`, writing
+    /// to and reading replies off `link`.
+    pub(crate) fn new(
+        client: usize,
+        cfg: &ServiceConfig,
+        epoch: Instant,
+        link: ClientLink<M>,
+    ) -> Client<M> {
+        let gen = WorkloadConfig {
+            shards: cfg.n,
+            keys_per_shard: cfg.keys_per_shard,
+            workload: cfg.workload.clone(),
+            seed: cfg.client_seed(client),
         }
-    };
-
-    // Open loop: arrivals fire on a Poisson schedule regardless of
-    // completions; a full in-flight window sheds the arrival instead of
-    // back-pressuring the schedule. The arrival stream gets its own seed
-    // stream so it never aliases the workload draw.
-    let mut arrivals = cfg
-        .arrival_rate
-        .map(|rate| ArrivalSchedule::new(rate, cfg.client_seed(client) ^ 0x5eed_a221));
-    let mut offered = 0usize;
-    let mut shed = 0usize;
-    let mut next_arrival = Instant::now()
-        + arrivals
+        .generator();
+        // The arrival stream gets its own seed stream so it never aliases
+        // the workload draw.
+        let mut arrivals = cfg
+            .arrival_rate
+            .map(|rate| ArrivalSchedule::new(rate, cfg.client_seed(client) ^ 0x5eed_a221));
+        let now = Instant::now();
+        let first_gap = arrivals
             .as_mut()
             .map_or(Duration::ZERO, ArrivalSchedule::next_gap);
-
-    loop {
-        debug_assert_eq!(
-            unparked,
-            outstanding.iter().filter(|p| waited_for(p)).count()
-        );
-        debug_assert_eq!(
-            unreported,
-            outstanding.iter().filter(|p| p.reported.is_none()).count()
-        );
-        debug_assert!(outstanding.len() - unreported <= cfg.max_outstanding);
-        if let Some(sched) = arrivals.as_mut() {
-            // Dispatch every arrival whose scheduled instant has passed.
-            // Sojourn time is measured from the *scheduled* arrival, so
-            // dispatch lag and queueing count against the system.
-            while offered < total {
-                let now = Instant::now();
-                if now < next_arrival {
-                    break;
-                }
-                let scheduled = next_arrival;
-                next_arrival += sched.next_gap();
-                let mut t = gen.next_txn();
-                t.id = ServiceConfig::txn_id(client, offered);
-                offered += 1;
-                if unreported >= cfg.max_outstanding {
-                    shed += 1;
-                    continue;
-                }
-                let p = submit(t, scheduled, now, &mut outbox, &mut ends);
-                unparked += usize::from(waited_for(&p));
-                unreported += 1;
-                outstanding.push(p);
-                submitted += 1;
-            }
-            if offered == total && outstanding.is_empty() {
-                break;
-            }
+        let total = cfg.txns_per_client;
+        // The first client keeps room for every client's events: the
+        // in-process run appends the others' onto its vector, which so
+        // never moves, wherever the allocator put the vectors.
+        let events = if client == 0 {
+            cfg.clients * total
         } else {
-            // Submit while the closed loop is open and pacing allows it.
-            // One reading stamps every submission of the turn: only
-            // bookkeeping lies between one and the next.
-            if gate_open(submitted, unreported, unparked) {
-                let now = Instant::now();
-                while now >= next_allowed && gate_open(submitted, unreported, unparked) {
-                    let mut t = gen.next_txn();
-                    t.id = ServiceConfig::txn_id(client, submitted);
-                    let p = submit(t, now, now, &mut outbox, &mut ends);
-                    unparked += usize::from(waited_for(&p));
-                    unreported += 1;
-                    outstanding.push(p);
-                    submitted += 1;
-                    if let Some(p) = cfg.pacing {
-                        next_allowed = now + p;
-                    }
-                }
-            }
-            if submitted == total && outstanding.is_empty() {
-                break;
-            }
+            total
+        };
+        Client {
+            client,
+            cfg: cfg.clone(),
+            epoch,
+            link,
+            gen,
+            first_done_reports: cfg.kind.cell().always_agrees(),
+            arrivals,
+            next_arrival: now + first_gap,
+            next_allowed: now,
+            submitted: 0,
+            offered: 0,
+            shed: 0,
+            outstanding: Vec::new(),
+            unreported: 0,
+            unparked: 0,
+            records: Vec::with_capacity(total),
+            events: Vec::with_capacity(events),
+            stalled: 0,
+            retries: 0,
+            reply_timeouts: 0,
+            replies: Vec::with_capacity(CLIENT_BATCH),
+            meters: ObsMeters::new(),
+            outbox: Outbox::new(cfg.n),
+            ends: vec![Vec::new(); cfg.n],
+            flushed_at: None,
+            exited: false,
         }
+    }
 
-        // Park on the earliest deadline among: any outstanding retry or
-        // abandonment, and whatever gates the next submission — the
-        // arrival schedule (open loop) or the pacing gate (closed loop,
-        // only when it is what blocks submission).
-        let mut due: Option<Instant> = outstanding
+    /// When the client next needs a turn: at once while replies wait on
+    /// its link or once it has nothing left but its exit flush, else the
+    /// earliest outstanding retry or abandonment and whatever gates the
+    /// next submission — the arrival schedule (open loop) or the pacing
+    /// gate (closed loop, only when it is what blocks submission). `None`
+    /// once it has exited.
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        if self.exited {
+            return None;
+        }
+        if self.finished() || self.link.pending() {
+            return Some(self.epoch);
+        }
+        let gate = match self.arrivals {
+            Some(_) => (self.offered < self.cfg.txns_per_client).then_some(self.next_arrival),
+            None => self.gate_open().then_some(self.next_allowed),
+        };
+        let waits = self
+            .outstanding
             .iter()
-            .map(|p| p.next_retry.min(p.deadline))
-            .min();
-        if arrivals.is_some() {
-            if offered < total {
-                due = Some(due.map_or(next_arrival, |d| d.min(next_arrival)));
-            }
-        } else if gate_open(submitted, unreported, unparked) {
-            due = Some(due.map_or(next_allowed, |d| d.min(next_allowed)));
-        }
-        // The turn's single write point: everything staged since the last
-        // park — the expiry pass's retried Begins and this turn's fresh
-        // ones, each behind the Ends waiting for its node, and the Ends
-        // of any node `max_outstanding` of them wait for — leaves now,
-        // one batch per node.
-        for to in 0..cfg.n {
-            stage_ends(&mut outbox, &mut ends, to, cfg.max_outstanding);
-        }
-        debug_assert!(ends.iter().all(|e| e.len() < cfg.max_outstanding));
-        outbox.flush(|to, batch| link.send_batch(to, batch));
-        let due = due.expect("the loop only continues with work pending");
-        let t0 = Instant::now();
-        link.recv(&mut dbuf, CLIENT_BATCH, due);
-        // One reading stamps the whole received batch: only bookkeeping
-        // lies between it and each reply's fold-in, or the expiry pass.
-        let now = Instant::now();
-        meters.add(Stage::ClientQueueWait, nanos(now - t0));
+            .map(|p| p.next_retry.min(p.deadline));
+        waits.chain(gate).min()
+    }
 
-        // Fold in replies (duplicates from retries/recovery are ignored).
-        for d in dbuf.drain(..) {
-            let Some(i) = outstanding.iter().position(|p| p.id == d.txn) else {
+    /// Whether its exit flush has left: it wants no more turns.
+    pub(crate) fn exited(&self) -> bool {
+        self.exited
+    }
+
+    /// The park of a client that runs on a thread of its own: until a
+    /// reply is there or `until` passes, taking up to [`CLIENT_BATCH`]
+    /// replies for the next turn.
+    pub(crate) fn park(&mut self, until: Instant) {
+        self.link.recv(&mut self.replies, CLIENT_BATCH, until);
+    }
+
+    /// One turn, which never blocks, at the reading `now`: take the
+    /// replies already queued on the link, fold them in, re-send or
+    /// abandon what expired, submit what the closed loop, pacing or the
+    /// arrival schedule admits, and flush once — the exit flush, with
+    /// every waiting `End`, once nothing is left to submit or learn.
+    /// Returns whether the turn moved anything.
+    pub(crate) fn turn(&mut self, now: Instant) -> bool {
+        debug_assert!(!self.exited, "a turn after the exit flush");
+        let park_retries = self.cfg.park_retries;
+        debug_assert_eq!(
+            self.unparked,
+            self.outstanding
+                .iter()
+                .filter(|p| p.waited_for(park_retries))
+                .count()
+        );
+        debug_assert_eq!(
+            self.unreported,
+            (self.outstanding.iter())
+                .filter(|p| p.reported.is_none())
+                .count()
+        );
+        debug_assert!(self.outstanding.len() - self.unreported <= self.cfg.max_outstanding);
+        if let Some(at) = self.flushed_at.take() {
+            self.meters.add(
+                Stage::ClientQueueWait,
+                nanos(now.saturating_duration_since(at)),
+            );
+        }
+        let room = CLIENT_BATCH.saturating_sub(self.replies.len());
+        self.link.take(&mut self.replies, room);
+        let folded = !self.replies.is_empty();
+        self.fold(now);
+        let expired = self.expire(now);
+        let submitted = self.submit(now);
+        self.exited = self.finished();
+
+        // The turn's single write point: everything staged this turn — the
+        // expiry pass's retried Begins and the fresh ones, each behind the
+        // Ends waiting for its node, and the Ends of any node
+        // `max_outstanding` of them wait for (all of them at exit) —
+        // leaves now, one batch per node.
+        let at_least = if self.exited {
+            0
+        } else {
+            self.cfg.max_outstanding
+        };
+        for to in 0..self.cfg.n {
+            stage_ends(&mut self.outbox, &mut self.ends, to, at_least);
+        }
+        debug_assert!(self.ends.iter().all(|e| e.len() < self.cfg.max_outstanding));
+        let link = &mut self.link;
+        self.outbox.flush(|to, batch| link.send_batch(to, batch));
+        self.flushed_at = Some(Instant::now());
+        folded || expired || submitted || self.exited
+    }
+
+    /// Whether everything was offered and nothing is outstanding.
+    fn finished(&self) -> bool {
+        self.offered == self.cfg.txns_per_client && self.outstanding.is_empty()
+    }
+
+    /// The closed loop is open: it waits for no transaction and the window
+    /// has room. (Pacing gates on top of it.)
+    fn gate_open(&self) -> bool {
+        self.submitted < self.cfg.txns_per_client
+            && self.unreported < self.cfg.max_outstanding
+            && self.unparked == 0
+    }
+
+    /// Fold the taken replies in, each stamped with `now` (duplicates from
+    /// retries or recovery are ignored).
+    fn fold(&mut self, now: Instant) {
+        let park_retries = self.cfg.park_retries;
+        for d in self.replies.drain(..) {
+            let Some(i) = self.outstanding.iter().position(|p| p.id == d.txn) else {
                 continue; // straggler of a settled txn
             };
-            let reported = outstanding.len() - unreported;
-            let p = &mut outstanding[i];
+            let reported = self.outstanding.len() - self.unreported;
+            let p = &mut self.outstanding[i];
             let Some(slot) = p.parts.iter().position(|&q| q == d.node) else {
                 continue;
             };
@@ -434,82 +491,181 @@ where
             p.decisions[slot] = Some(d.decision);
             p.got += 1;
             let settled = p.got == p.parts.len();
-            let first = first_done_reports && reported < cfg.max_outstanding;
+            let first = self.first_done_reports && reported < self.cfg.max_outstanding;
             if p.reported.is_none() && (settled || first) {
-                unparked -= usize::from(waited_for(p));
-                unreported -= 1;
-                p.reported = Some(events.len());
+                self.unparked -= usize::from(p.waited_for(park_retries));
+                self.unreported -= 1;
+                p.reported = Some(self.events.len());
                 let lat = now.saturating_duration_since(p.t0);
-                events.push(event(p, Some((lat, d.decision == COMMIT))));
+                let ev = p.event(self.client, self.epoch, Some((lat, d.decision == COMMIT)));
+                self.events.push(ev);
             }
             if settled {
-                let p = outstanding.swap_remove(i);
+                let p = self.outstanding.swap_remove(i);
                 let at = p.reported.expect("reported by its last Done at the latest");
-                events[at].retries = p.retries;
+                self.events[at].retries = p.retries;
                 for &q in &p.parts {
-                    ends[q].push(p.id);
+                    self.ends[q].push(p.id);
                 }
-                records.push(ClientRecord {
+                self.records.push(ClientRecord {
                     id: p.id,
                     decisions: p.decisions,
                 });
             }
         }
+    }
 
-        // Expired waits: re-send Begin (bounded, counted) or abandon at
-        // the hard deadline — reported or not, an abandoned transaction's
-        // event reads as abandoned.
+    /// Expired waits: re-send `Begin` (bounded, counted) or abandon at the
+    /// hard deadline — reported or not, an abandoned transaction's event
+    /// reads as abandoned. Returns whether any wait expired.
+    fn expire(&mut self, now: Instant) -> bool {
+        let park_retries = self.cfg.park_retries;
+        let before = self.reply_timeouts;
         let mut i = 0;
-        while i < outstanding.len() {
-            if now >= outstanding[i].deadline {
-                let p = outstanding.swap_remove(i);
-                unparked -= usize::from(waited_for(&p));
-                unreported -= usize::from(p.reported.is_none());
-                stalled += 1;
-                reply_timeouts += 1;
+        while i < self.outstanding.len() {
+            if now >= self.outstanding[i].deadline {
+                let p = self.outstanding.swap_remove(i);
+                self.unparked -= usize::from(p.waited_for(park_retries));
+                self.unreported -= usize::from(p.reported.is_none());
+                self.stalled += 1;
+                self.reply_timeouts += 1;
+                let ev = p.event(self.client, self.epoch, None);
                 match p.reported {
-                    Some(at) => events[at] = event(&p, None),
-                    None => events.push(event(&p, None)),
+                    Some(at) => self.events[at] = ev,
+                    None => self.events.push(ev),
                 }
-                records.push(ClientRecord {
+                self.records.push(ClientRecord {
                     id: p.id,
                     decisions: p.decisions,
                 });
                 continue;
             }
-            if now >= outstanding[i].next_retry {
-                let p = &mut outstanding[i];
-                reply_timeouts += 1;
-                retries += 1;
+            if now >= self.outstanding[i].next_retry {
+                let p = &mut self.outstanding[i];
+                self.reply_timeouts += 1;
+                self.retries += 1;
                 p.retries += 1;
-                unparked -= usize::from(p.reported.is_none() && p.retries == cfg.park_retries);
-                p.next_retry = now + cfg.reply_timeout;
-                stage_begins(&mut outbox, &mut ends, p, client, true);
+                self.unparked -= usize::from(p.reported.is_none() && p.retries == park_retries);
+                p.next_retry = now + self.cfg.reply_timeout;
+                stage_begins(&mut self.outbox, &mut self.ends, p, self.client, true);
             }
             i += 1;
         }
+        self.reply_timeouts > before
     }
-    // No Begin is left for the last Ends to ride: every one leaves now.
-    for to in 0..cfg.n {
-        stage_ends(&mut outbox, &mut ends, to, 0);
-    }
-    outbox.flush(|to, batch| link.send_batch(to, batch));
-    // The client's half of the socket path (zero over channels).
-    let (writes, write_nanos) = link.io_stats();
-    meters.add_many(Stage::TcpWrite, writes, write_nanos);
-    ClientReturn {
-        records,
-        events,
-        stalled,
-        retries,
-        reply_timeouts,
-        offered: if arrivals.is_some() {
-            offered
+
+    /// Submit what may leave at `now`: in the open loop every arrival
+    /// whose scheduled instant has passed (sojourn time is measured from
+    /// the *scheduled* arrival, so dispatch lag and queueing count against
+    /// the system; a full window sheds it), in the closed loop while the
+    /// loop is open and pacing allows it. One reading stamps every
+    /// submission of the turn: only bookkeeping lies between one and the
+    /// next. Returns whether anything was offered.
+    fn submit(&mut self, now: Instant) -> bool {
+        let total = self.cfg.txns_per_client;
+        let mut any = false;
+        if self.arrivals.is_some() {
+            while self.offered < total && now >= self.next_arrival {
+                let scheduled = self.next_arrival;
+                let sched = self.arrivals.as_mut().expect("the open loop");
+                self.next_arrival += sched.next_gap();
+                // A shed arrival still draws its transaction.
+                let t = self.draw(self.offered);
+                self.offered += 1;
+                any = true;
+                if self.unreported >= self.cfg.max_outstanding {
+                    self.shed += 1;
+                    continue;
+                }
+                self.open(t, scheduled, now);
+            }
         } else {
-            submitted
-        },
-        shed,
-        meters,
+            while now >= self.next_allowed && self.gate_open() {
+                let t = self.draw(self.submitted);
+                self.open(t, now, now);
+                self.offered += 1;
+                any = true;
+                if let Some(p) = self.cfg.pacing {
+                    self.next_allowed = now + p;
+                }
+            }
+        }
+        any
+    }
+
+    /// The client's `i`-th transaction off its workload stream.
+    fn draw(&mut self, i: usize) -> Transaction {
+        let mut t = self.gen.next_txn();
+        t.id = ServiceConfig::txn_id(self.client, i);
+        t
+    }
+
+    /// Open transaction `t`, its `Begin`s staged: submitted at `t0`, its
+    /// waits counted from `now`, the reading that let it in.
+    fn open(&mut self, t: Transaction, t0: Instant, now: Instant) {
+        let txn = Arc::new(t);
+        let parts = parts_of(&txn, self.cfg.n);
+        let p = PendingTxn {
+            decisions: PerRank::from_elem(None, parts.len()),
+            id: txn.id,
+            txn,
+            parts,
+            got: 0,
+            t0,
+            retries: 0,
+            next_retry: now + self.cfg.reply_timeout,
+            deadline: now + self.cfg.txn_deadline,
+            reported: None,
+        };
+        stage_begins(&mut self.outbox, &mut self.ends, &p, self.client, false);
+        self.unparked += usize::from(p.waited_for(self.cfg.park_retries));
+        self.unreported += 1;
+        self.outstanding.push(p);
+        self.submitted += 1;
+    }
+
+    /// What the client returns once it has exited.
+    pub(crate) fn finish(self) -> ClientReturn {
+        debug_assert!(self.exited, "finished before its exit flush");
+        // The client's half of the socket path (zero over channels).
+        let (writes, write_nanos) = self.link.io_stats();
+        self.meters.add_many(Stage::TcpWrite, writes, write_nanos);
+        ClientReturn {
+            client: self.client,
+            records: self.records,
+            events: self.events,
+            stalled: self.stalled,
+            retries: self.retries,
+            reply_timeouts: self.reply_timeouts,
+            offered: self.offered,
+            shed: self.shed,
+            meters: self.meters,
+        }
+    }
+}
+
+/// The one-member client host: a client on a thread of its own (channel
+/// links, `ac-client`, a tcp cluster on more than one host), parked on its
+/// link between turns.
+pub(crate) fn client_main<P>(
+    client: usize,
+    cfg: &ServiceConfig,
+    epoch: Instant,
+    link: ClientLink<P::Msg>,
+) -> ClientReturn
+where
+    P: CommitProtocol,
+    P::Msg: Wire + Send + 'static,
+{
+    let mut c = Client::new(client, cfg, epoch, link);
+    let mut now = Instant::now();
+    loop {
+        c.turn(now);
+        let Some(until) = c.deadline() else {
+            return c.finish();
+        };
+        c.park(until);
+        now = Instant::now();
     }
 }
 

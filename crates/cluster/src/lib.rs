@@ -13,7 +13,8 @@
 //!   concurrent protocol instances (messages travel as `(TxnId, Msg)`
 //!   envelopes over crossbeam channels or loopback TCP, scoped to each
 //!   transaction's participant shards), and a closed-loop load generator
-//!   of `c` client threads driving `ac-txn` workloads end-to-end:
+//!   of `c` clients (threads of their own, or the thread of the one host
+//!   that runs every tcp node) driving `ac-txn` workloads end-to-end:
 //!   prepare/vote at the shards, one live protocol run per transaction
 //!   (any [`ac_commit::protocols::ProtocolKind`]), apply/release, with a
 //!   post-run safety audit. Since ISSUE-5 the service is also the
@@ -26,7 +27,7 @@
 //! Latency reporting uses `ac-obs`: the log-bucketed
 //! [`LatencyHistogram`] (p50/p90/p99/p99.9/max, re-exported here for
 //! compatibility) that [`ac_obs::sojourn_times`] folds a run's decided
-//! transactions into, the per-stage meters every node and client thread
+//! transactions into, the per-stage meters every node and client
 //! carries, and the per-txn flight recorder every node carries (see
 //! [`ServiceOutcome::attribution`](service::ServiceOutcome)).
 

@@ -1120,10 +1120,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::client_main;
+    use crate::client::{client_main, Client};
     use crate::host::host;
     use crate::service::ServiceConfig;
-    use crate::transport::{ChannelTransport, ClientLink, NodeHooks, Readiness, SocketLink};
+    use crate::transport::{
+        ChannelTransport, ClientLink, NodeHooks, Readiness, SocketLink, TcpTransport, Transport,
+    };
     use ac_commit::protocols::{PaxosCommit, ProtocolKind};
     use ac_txn::{Key, Version};
     use crossbeam::channel::{unbounded, Receiver};
@@ -1911,7 +1913,7 @@ mod tests {
             .enumerate()
             .map(|(me, rx)| {
                 let env = bare_env::<P>(me, rx, node_txs.clone(), Vec::new());
-                std::thread::spawn(move || host(vec![Node::new(env)]))
+                std::thread::spawn(move || host(vec![Node::new(env)], Vec::new(), drop))
             })
             .collect();
         std::thread::sleep(Duration::from_millis(50));
@@ -1929,47 +1931,71 @@ mod tests {
     /// The same for four socket-linked nodes on one host: its one wait
     /// covers every member's listener and connections, and an idle cluster
     /// leaves it parked for the whole 50 ms. Teardown's connections and
-    /// `Shutdown` frames move something in a member at every wake.
+    /// `Shutdown` frames move something in a member at every wake. With two
+    /// co-hosted clients that wait behind a pacing gate between their
+    /// transactions, the host parks until a gate opens, so every wake
+    /// still moves something.
     #[test]
     fn an_idle_four_member_host_performs_zero_spurious_wakeups_over_50ms() {
         type P = PaxosCommit;
+        type M = <P as ac_sim::Automaton>::Msg;
         let n = 4;
-        let mut links = Vec::new();
-        let mut addrs = Vec::new();
-        for _ in 0..n {
-            let link = SocketLink::<<P as ac_sim::Automaton>::Msg>::bind(
-                "127.0.0.1:0",
-                NodeHooks::default(),
-            )
-            .expect("bind");
-            addrs.push(link.addr().expect("listener address"));
-            links.push(link);
-        }
-        let members: Vec<_> = links
-            .into_iter()
-            .enumerate()
-            .map(|(me, mut link)| {
-                link.mesh(me, addrs.clone());
-                let (tx, rx) = unbounded();
-                Node::new(NodeEnv {
-                    link: Link::Sockets(link),
-                    ..bare_env::<P>(me, rx, vec![tx; n], Vec::new())
+        let paced = ServiceConfig::new(n, 1, ProtocolKind::PaxosCommit)
+            .clients(2)
+            .txns_per_client(5)
+            .pacing(Duration::from_millis(10));
+        for clients in [0, paced.clients] {
+            let mut links = Vec::new();
+            let mut addrs = Vec::new();
+            for _ in 0..n {
+                let link =
+                    SocketLink::<M>::bind("127.0.0.1:0", NodeHooks::default()).expect("bind");
+                addrs.push(link.addr().expect("listener address"));
+                links.push(link);
+            }
+            let (done_txs, done_rxs): (Vec<_>, Vec<_>) =
+                (0..clients).map(|_| unbounded::<Done>()).unzip();
+            let members: Vec<_> = links
+                .into_iter()
+                .enumerate()
+                .map(|(me, mut link)| {
+                    link.mesh(me, addrs.clone());
+                    let (tx, rx) = unbounded();
+                    Node::new(NodeEnv {
+                        link: Link::Sockets(link),
+                        ..bare_env::<P>(me, rx, vec![tx; n], done_txs.clone())
+                    })
                 })
-            })
-            .collect();
-        let hosted = std::thread::spawn(move || host(members));
-        std::thread::sleep(Duration::from_millis(50));
-        let mut teardown = crate::transport::TcpTransport::new(addrs);
-        for p in 0..n {
-            crate::transport::Transport::<<P as ac_sim::Automaton>::Msg>::send(
-                &mut teardown,
-                p,
-                ToNode::Shutdown,
+                .collect();
+            let epoch = Instant::now();
+            let guests: Vec<Client<M>> = (done_rxs.into_iter().enumerate())
+                .map(|(c, rx)| {
+                    let nodes = Box::new(TcpTransport::new(addrs.clone()));
+                    Client::new(c, &paced, epoch, ClientLink::InProcess(nodes, rx))
+                })
+                .collect();
+            let (exits, exited) = unbounded();
+            let hosted = std::thread::spawn(move || {
+                host(members, guests, |ret| {
+                    let _ = exits.send(ret);
+                })
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            for _ in 0..clients {
+                let ret = exited.recv().expect("a client returns");
+                assert_eq!((ret.records.len(), ret.stalled, ret.retries), (5, 0, 0));
+            }
+            let mut teardown = TcpTransport::new(addrs);
+            for p in 0..n {
+                Transport::<M>::send(&mut teardown, p, ToNode::Shutdown);
+            }
+            let ret = hosted.join().expect("host thread panicked");
+            assert_eq!(ret.nodes.len(), n);
+            assert_eq!(
+                ret.spurious_wakeups, 0,
+                "a host with {clients} clients woke without work"
             );
         }
-        let ret = hosted.join().expect("host thread panicked");
-        assert_eq!(ret.nodes.len(), n);
-        assert_eq!(ret.spurious_wakeups, 0, "an idle host woke without work");
     }
 
     /// Every `End` leaves the client — including the ones still waiting
@@ -1996,7 +2022,7 @@ mod tests {
             .enumerate()
             .map(|(me, rx)| {
                 let env = bare_env::<P>(me, rx, node_txs.clone(), vec![done_tx.clone()]);
-                std::thread::spawn(move || host(vec![Node::new(env)]))
+                std::thread::spawn(move || host(vec![Node::new(env)], Vec::new(), drop))
             })
             .collect();
         let transport = Box::new(ChannelTransport::new(node_txs.clone()));

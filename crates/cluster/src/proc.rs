@@ -170,7 +170,8 @@ where
         logless: cfg.kind.logless(),
         obs: meters.map_or_else(NodeObs::new, NodeObs::with_meters),
     };
-    let ret = host(vec![Node::new(env)]).nodes.pop().expect("one member");
+    let ret = host(vec![Node::new(env)], Vec::new(), drop).nodes.pop();
+    let ret = ret.expect("one member");
     NodeSummary {
         me,
         total: ret.shard.total(),

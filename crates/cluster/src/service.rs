@@ -2,12 +2,13 @@
 //! [`Shard`] and an [`ac_runtime::NodeLoop`] demultiplexer running many
 //! concurrent commit-protocol instances, run by host threads (`host.rs`:
 //! one per node over channels, one per core over TCP), plus a closed-loop
-//! load generator of `c` client threads. This module holds the
+//! load generator of `c` clients, on threads of their own or, where one
+//! host runs every tcp node, on that host's thread. This module holds the
 //! configuration, the message alphabet, the in-process runner (`serve`)
 //! and the post-run audit; the node itself is the step-wise `Node` of
 //! `node.rs` (one transaction table with an explicit per-transaction
 //! phase, five steps per turn — its module docs carry the phase diagram
-//! and the step table), and the client loop is `client.rs`.
+//! and the step table), and the client is `client.rs`.
 //!
 //! ## Lifecycle of one transaction
 //!
@@ -88,7 +89,7 @@
 //! `flush` writes the outputs — one `send_batch` per peer node and per
 //! client. Self-sends short-circuit through an in-memory queue and never
 //! touch a channel. Clients stage and flush the same way (see
-//! `client_main`).
+//! `Client::turn`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -106,7 +107,7 @@ use ac_obs::{
     NodeObs, ObsExport, ObsMeters, RunStats, SlotBox, Stage,
 };
 
-use crate::client::{client_main, nanos, ClientFold, ClientRecord, ClientReturn, Verdict};
+use crate::client::{client_main, nanos, Client, ClientFold, ClientRecord, ClientReturn, Verdict};
 use crate::host::{deal, gather, host, hosts_for, HostReturn};
 use crate::node::{Clock, Node, NodeCounts, NodeEnv, NodeReturn, Replies};
 use crate::transport::{
@@ -260,7 +261,7 @@ pub struct ServiceConfig {
     /// does not pace a failure-free run: rounds close when their
     /// collection is complete.
     pub unit: Duration,
-    /// Number of closed-loop client threads (the concurrency level).
+    /// Number of closed-loop clients (the concurrency level).
     pub clients: usize,
     /// Transactions each client submits.
     pub txns_per_client: usize,
@@ -499,7 +500,7 @@ impl TxnEvent {
 pub struct ServiceOutcome {
     /// The protocol that served the run.
     pub kind: ProtocolKind,
-    /// Closed-loop client threads.
+    /// Closed-loop clients.
     pub clients: usize,
     /// Transactions fully served (all participant decisions reached the
     /// client).
@@ -537,6 +538,9 @@ pub struct ServiceOutcome {
     /// Host threads that ran the nodes: one per node over channels,
     /// `min(cores, n)` over TCP (cores this process may run on).
     pub node_threads: usize,
+    /// Threads that ran clients: one per client, none where one host ran
+    /// every node over TCP (the clients then ran on that host's thread).
+    pub client_threads: usize,
     /// Host wakeups that moved nothing in any of the host's nodes (0 =
     /// every wakeup did useful work; idle hosts park indefinitely).
     pub spurious_wakeups: usize,
@@ -580,7 +584,7 @@ pub struct ServiceOutcome {
     /// [`ServiceOutcome::attribution`] was computed from.
     pub flight: Vec<Vec<FlightEvent>>,
     /// Per-stage seam meters (count, total nanos), merged across every
-    /// node and client thread.
+    /// node and client.
     pub stage_meters: ObsMeters,
     /// Per-transaction latency attribution: the five-stage telescoping
     /// decomposition of every covered commit (see [`ac_obs::Attribution`]).
@@ -856,26 +860,56 @@ where
         TransportKind::Channel => n,
         TransportKind::Tcp => hosts,
     };
-    let host_handles: Vec<_> = deal(envs, hosts)
-        .into_iter()
-        .map(|envs| std::thread::spawn(move || host(envs.into_iter().map(Node::new).collect())))
+    let dealt = deal(envs, hosts);
+    let mut client_links: Vec<_> = (done_rxs.into_iter())
+        .map(|rx| ClientLink::InProcess(make_transport(), rx))
         .collect();
-
-    let client_handles: Vec<_> = done_rxs
-        .into_iter()
-        .enumerate()
-        .map(|(client, rx)| {
-            let link = ClientLink::InProcess(make_transport(), rx);
-            let cfg = cfg.clone();
-            std::thread::spawn(move || client_main::<P>(client, &cfg, epoch, link))
+    // Where one host runs every (socket-linked) node, the clients run on
+    // it too, after its members each round; elsewhere each client has a
+    // thread of its own. Either way a client's return comes back here as
+    // it exits, so the load phase ends at the last client's last reply.
+    let (exits, exited) = unbounded::<ClientReturn>();
+    let cohost = dealt.len() == 1 && cfg.transport == TransportKind::Tcp;
+    let host_handles: Vec<_> = (dealt.into_iter())
+        .map(|envs| {
+            let nodes = move || envs.into_iter().map(Node::new).collect();
+            if !cohost {
+                return std::thread::spawn(move || host(nodes(), Vec::new(), drop));
+            }
+            let (cfg, exits, links) = (
+                cfg.clone(),
+                exits.clone(),
+                std::mem::take(&mut client_links),
+            );
+            std::thread::spawn(move || {
+                let clients = (links.into_iter().enumerate())
+                    .map(|(client, link)| Client::new(client, &cfg, epoch, link))
+                    .collect();
+                host(nodes(), clients, |ret| {
+                    let _ = exits.send(ret);
+                })
+            })
         })
         .collect();
-
-    let client_returns: Vec<ClientReturn> = client_handles
-        .into_iter()
-        .map(|h| h.join().expect("client thread panicked"))
+    let client_threads = client_links.len();
+    let client_handles: Vec<_> = (client_links.into_iter().enumerate())
+        .map(|(client, link)| {
+            let (cfg, exits) = (cfg.clone(), exits.clone());
+            std::thread::spawn(move || {
+                let _ = exits.send(client_main::<P>(client, &cfg, epoch, link));
+            })
+        })
         .collect();
+    drop(exits);
+
+    let mut client_returns: Vec<ClientReturn> = (0..cfg.clients)
+        .map(|_| exited.recv().expect("a client thread or its host panicked"))
+        .collect();
+    for h in client_handles {
+        h.join().expect("client thread panicked");
+    }
     let elapsed = epoch.elapsed();
+    client_returns.sort_unstable_by_key(|ret| ret.client);
 
     // Teardown travels like everything else: over TCP as a frame on a
     // fresh connection, the way `proc::run_client` ends a cluster.
@@ -888,7 +922,7 @@ where
         .map(|h| h.join().expect("host thread panicked"))
         .collect();
 
-    aggregate(cfg, client_returns, host_returns, elapsed)
+    aggregate(cfg, client_returns, client_threads, host_returns, elapsed)
 }
 
 /// What the nodes' logs say of one transaction, folded into its slot of
@@ -977,6 +1011,7 @@ fn table(slots: SlotBox, nodes: &[NodeReturn]) -> FlightIndex<Logged> {
 fn aggregate(
     cfg: &ServiceConfig,
     client_returns: Vec<ClientReturn>,
+    client_threads: usize,
     host_returns: Vec<HostReturn>,
     elapsed: Duration,
 ) -> ServiceOutcome {
@@ -1010,7 +1045,8 @@ fn aggregate(
     // against its slot. Then one walk of each transaction's chain stamps
     // its event where it lies and, if it was decided, times its
     // attribution. The first client's events become the run's where they
-    // lie, and the others are appended to them.
+    // lie, and the others are appended to them, inside the room the first
+    // client kept for them.
     let mut fold = ClientFold::new(cfg.clients * cfg.txns_per_client);
     let mut attribution = Attribution {
         dropped_events,
@@ -1070,6 +1106,7 @@ fn aggregate(
         retries,
         reply_timeouts,
         node_threads,
+        client_threads,
         spurious_wakeups,
         orphaned_envelopes,
         wal_prepare_forces,
@@ -1486,6 +1523,9 @@ mod tests {
     /// Socket-linked nodes share one host thread per core this process
     /// may run on (one under a single-CPU pin), never more than there are
     /// nodes; a channel-linked node keeps a thread of its own.
+    /// Clients run on that host too where it is the only one (one core),
+    /// else on threads of their own, as they do beside channel-linked
+    /// nodes.
     #[test]
     fn socket_linked_nodes_run_on_one_host_thread_per_core() {
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
@@ -1493,7 +1533,13 @@ mod tests {
         let tcp = run_service(&cfg.clone().transport(TransportKind::Tcp));
         assert!(tcp.is_safe(), "{:?}", tcp.violations);
         assert_eq!(tcp.node_threads, cores.min(cfg.n));
-        assert_eq!(run_service(&cfg).node_threads, cfg.n);
+        let hosted = if cores == 1 { 0 } else { cfg.clients };
+        assert_eq!(tcp.client_threads, hosted);
+        let channel = run_service(&cfg);
+        assert_eq!(
+            (channel.node_threads, channel.client_threads),
+            (cfg.n, cfg.clients)
+        );
     }
 
     /// The tcp service with its nodes dealt onto 1, 2 and `n` hosts: every
@@ -1514,6 +1560,8 @@ mod tests {
         for hosts in [1, 2, n] {
             let out = run_hosted(&cfg, &FaultSpec::none(n), hosts);
             assert_eq!(out.node_threads, hosts);
+            let client_threads = if hosts == 1 { 0 } else { cfg.clients };
+            assert_eq!(out.client_threads, client_threads, "{hosts} hosts");
             assert!(out.is_safe(), "{hosts} hosts: {:?}", out.violations);
             assert_eq!((out.txns, out.stalled, out.retries), (200, 0, 0));
             assert_replays(&out, 64, &format!("{hosts} hosts"));
@@ -1521,11 +1569,41 @@ mod tests {
         }
     }
 
-    /// A crash window on one member of a four-member host: the member goes
-    /// dark — it dispatches nothing inside the window — while the host
-    /// keeps serving its peers, restarts from its log, and shuts down with
-    /// the others; the audit is clean, nothing stalls and every shard
-    /// replays.
+    /// The clients of a tcp cluster on one host run on that host's thread,
+    /// light, windowed and open-loop alike: one thread serves the run, the
+    /// audit is clean, the shards replay, nothing stalls, and each
+    /// decided transaction costs its four wire messages.
+    #[test]
+    fn hosted_clients_serve_light_windowed_and_open_loop_loads_on_one_thread() {
+        let n = 4;
+        let light = ServiceConfig::new(n, 1, ProtocolKind::PaxosCommit)
+            .clients(2)
+            .txns_per_client(300)
+            .workload(Workload::Uniform { span: 2 })
+            .keys_per_shard(1 << 20)
+            .unit(Duration::from_millis(50))
+            .seed(11)
+            .transport(TransportKind::Tcp);
+        let windowed = light.clone().park_retries(0).max_outstanding(32);
+        let open = light.clone().arrival_rate(5_000.0);
+        for (load, cfg) in [("light", light), ("windowed", windowed), ("open", open)] {
+            let out = run_hosted(&cfg, &FaultSpec::none(n), 1);
+            assert_eq!((out.node_threads, out.client_threads), (1, 0), "{load}");
+            assert!(out.is_safe(), "{load}: {:?}", out.violations);
+            assert_eq!((out.stalled, out.retries), (0, 0), "{load}");
+            assert_eq!(out.offered, 2 * 300, "{load}");
+            assert_eq!(out.txns + out.shed, out.offered, "{load}");
+            assert_eq!(out.wire_messages, 4 * out.txns, "{load}");
+            assert_replays(&out, 64, load);
+        }
+    }
+
+    /// A crash window on one member of a four-member host that runs the
+    /// clients too: the member goes dark — it dispatches nothing inside
+    /// the window — while the host keeps serving its peers, a client's
+    /// reply timeout wakes the host and retries, the member restarts from
+    /// its log, and shuts down with the others; the audit is clean,
+    /// nothing stalls and every shard replays.
     #[test]
     fn a_member_of_a_shared_host_crashes_recovers_from_its_log_and_shuts_down() {
         let n = 4;
@@ -1548,7 +1626,7 @@ mod tests {
             up_after: Some(up),
         });
         let out = run_hosted(&cfg, &spec, 1);
-        assert_eq!(out.node_threads, 1);
+        assert_eq!((out.node_threads, out.client_threads), (1, 0));
         assert!(out.is_safe(), "{:?}", out.violations);
         assert_eq!(out.stalled, 0);
         assert!(out.retries > 0, "the dark member cost its clients retries");

@@ -1,9 +1,9 @@
 //! How envelopes move between the threads of a cluster: the send seam, its
 //! two implementations, and the one owner of every socket a thread has.
 //!
-//! Both loops of [`crate::service`] — the node's `flush` step and
-//! `client_main` — stage outbound envelopes per destination in an `Outbox`
-//! and hand each destination's batch over at one flush point per loop
+//! Both turns of [`crate::service`] — the node's `flush` step and the
+//! client's — stage outbound envelopes per destination in an `Outbox`
+//! and hand each destination's batch over at one flush point per
 //! turn: nothing writes a socket except a flush, and a flush writes each
 //! destination once. Everything above that point — fault policy, delay
 //! heap, wire counters, batching — is transport-agnostic; below it bytes
@@ -930,9 +930,9 @@ impl<M: Wire + Send> Link<M> {
     }
 }
 
-/// What ties `client_main` to the nodes — where its flush puts `Begin`s
-/// and `End`s and where it waits for decision reports: the seam with
-/// exactly two arms.
+/// What ties a client to the nodes — where its flush puts `Begin`s and
+/// `End`s, where its turn takes decision reports and where a client on a
+/// thread of its own parks for them: the seam with exactly two arms.
 pub(crate) enum ClientLink<M> {
     /// The in-process service: a write-only transport out, the client's
     /// reply channel in.
@@ -970,6 +970,25 @@ impl<M: Wire> ClientLink<M> {
                 }
                 take(ready, buf, max)
             }
+        }
+    }
+
+    /// Move up to `max` of the reports already queued into `buf`
+    /// (appended), without waiting: what the reply channel holds, or what
+    /// a [`ClientLink::recv`] read off the sockets beyond its `max`.
+    pub(crate) fn take(&mut self, buf: &mut Vec<Done>, max: usize) -> usize {
+        match self {
+            ClientLink::InProcess(_, rx) => rx.try_drain(buf, max),
+            ClientLink::Sockets(_, ready) => take(ready, buf, max),
+        }
+    }
+
+    /// Whether reports are queued that [`ClientLink::take`] would move:
+    /// whoever runs the client must not park on them.
+    pub(crate) fn pending(&self) -> bool {
+        match self {
+            ClientLink::InProcess(_, rx) => !rx.is_empty(),
+            ClientLink::Sockets(_, ready) => !ready.is_empty(),
         }
     }
 

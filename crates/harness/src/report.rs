@@ -252,7 +252,7 @@ pub struct ServiceEntry {
     pub protocol: String,
     /// Workload name (`uniform`, `skewed`, `transfer`).
     pub workload: String,
-    /// Closed-loop client threads (the concurrency level).
+    /// Closed-loop clients (the concurrency level).
     pub clients: usize,
     /// Transactions fully served.
     pub txns: usize,

@@ -1,9 +1,9 @@
 //! The always-on per-thread instruments: fixed-slot atomic stage meters
 //! and the bounded per-txn flight recorder.
 //!
-//! Every node thread owns one [`NodeObs`]; a client thread keeps the
-//! meters alone. Recording is allocation-free on the hot path: a meter is
-//! two relaxed atomic adds, and the flight recorder writes into a
+//! Every node owns one [`NodeObs`]; a client keeps the meters alone.
+//! Recording is allocation-free on the hot path: a meter is two relaxed
+//! atomic adds, and the flight recorder writes into a
 //! pre-allocated ring. The shared [`ObsMeters`] handle is what a
 //! `--metrics` exposition endpoint reads while the run is live; flight
 //! events are thread-local and read at run end.
@@ -19,9 +19,11 @@ use std::time::Duration;
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
-    /// Client-side park: how long one client loop turn sat in its receive
-    /// call, waiting for replies or its next deadline. One sample per
-    /// receive call, not per transaction.
+    /// Client-side wait: the gap between a client's flush and its next
+    /// turn — for a client on a thread of its own, its park on its link
+    /// for replies or its next deadline; for a client its node host runs,
+    /// the rest of that host's round and its park. One sample per turn
+    /// after the first, not per transaction.
     ClientQueueWait = 0,
     /// `Shard::prepare` call time on the `Begin` path (read validation +
     /// write-lock acquisition; wound-free, so this is pure CPU).
