@@ -10,34 +10,33 @@
 //! or the deadline passed, so the audit still reads every participant's
 //! decision.
 //!
-//! A [`Client`] is split the way a node is: [`Client::turn`] takes the
-//! replies already queued on its `ClientLink` — a transport and its
-//! per-client reply channel in the in-process service, the connections it
-//! dialed in a multi-process cluster — folds them in, re-sends or abandons
-//! what expired, submits and flushes once, and never blocks;
-//! [`Client::deadline`] says when it next needs a turn. The park between
-//! turns belongs to whoever runs it. [`client_main`] is the one-member
-//! client host: a thread of its own that parks on the link, so a decision
-//! report wakes exactly the thread that folds it in (channel links,
-//! `ac-client`, a tcp cluster on more than one host). Where one host runs
-//! every node, the clients run on that host's thread, turned after its
-//! nodes in every round (`host.rs`). [`ClientRecord::verdict`] is the one
-//! reading of what a client saw of a transaction, and [`ClientFold`] the
-//! one fold of what a run's clients return, whichever host ran them.
+//! A [`Client`] is split the way a node is: [`Client::turn`] takes what
+//! is ready on its `ClientLink` — its per-client reply channel in the
+//! in-process service, its slots of its host's readiness wait over the
+//! connections it dialed in a multi-process cluster — folds it in,
+//! re-sends or abandons what expired, submits and flushes once, and never
+//! blocks; [`Client::deadline`] says when it next needs a turn. The park
+//! between turns belongs to its host (`host.rs`), the one loop that runs
+//! nodes and clients alike: a lone in-process client's host parks on its
+//! reply channel, where one host runs every tcp node the clients are
+//! turned after its nodes in every round, and `ac-client`'s one host
+//! waits on every client's connections at once.
+//! [`ClientRecord::verdict`] is the one reading of what a client saw of a
+//! transaction, and [`ClientFold`] the one fold of what a run's clients
+//! return, whichever host ran them.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ac_commit::problem::COMMIT;
 use ac_commit::protocols::PerRank;
-use ac_commit::CommitProtocol;
 use ac_obs::{DumpTxn, ObsMeters, RunStats, Stage};
 use ac_sim::Wire;
 use ac_txn::workload::{ArrivalSchedule, WorkloadConfig, WorkloadGen};
 use ac_txn::{Transaction, TxnId};
 
 use crate::service::{parts_of, Done, ServiceConfig, ToNode, TxnEvent};
-use crate::transport::{ClientLink, Outbox};
+use crate::transport::{ClientLink, Outbox, PollFd, Sockets};
 
 /// Upper bound on decision replies a client drains per iteration.
 const CLIENT_BATCH: usize = 64;
@@ -241,7 +240,7 @@ fn stage_begins<M>(
 /// parked (background retries) so a dead node blocks one transaction, not
 /// the whole load stream; abandonment at `txn_deadline` is the last resort
 /// and counts as a stall. [`Client::turn`] never blocks: the park between
-/// turns belongs to whoever runs the client (see the module docs).
+/// turns belongs to the host that runs the client (see the module docs).
 ///
 /// A transaction is *reported* — its event stamped with the outcome, its
 /// window slot freed, the closed loop unblocked — on the first `Done` when
@@ -395,20 +394,38 @@ impl<M: Wire + Send + 'static> Client<M> {
         self.exited
     }
 
-    /// The park of a client that runs on a thread of its own: until a
-    /// reply is there or `until` passes, taking up to [`CLIENT_BATCH`]
-    /// replies for the next turn.
-    pub(crate) fn park(&mut self, until: Instant) {
-        self.link.recv(&mut self.replies, CLIENT_BATCH, until);
+    /// The sockets its host's wait covers for the client: the connections
+    /// it dialed (none in process).
+    pub(crate) fn sockets(&self) -> Option<&Sockets> {
+        self.link.sockets()
     }
 
-    /// One turn, which never blocks, at the reading `now`: take the
-    /// replies already queued on the link, fold them in, re-send or
-    /// abandon what expired, submit what the closed loop, pacing or the
-    /// arrival schedule admits, and flush once — the exit flush, with
-    /// every waiting `End`, once nothing is left to submit or learn.
-    /// Returns whether the turn moved anything.
-    pub(crate) fn turn(&mut self, now: Instant) -> bool {
+    /// Whether a turn would find anything, read at `now`: a slot of
+    /// `ready` (its slots of its host's wait) is ready or its deadline has
+    /// come.
+    pub(crate) fn due(&self, ready: &[PollFd], now: Instant) -> bool {
+        ready.iter().any(PollFd::is_ready) || self.deadline().is_some_and(|at| at <= now)
+    }
+
+    /// The park of an in-process client, which is its host's one
+    /// participant: until a reply is there or `until` passes, taking up to
+    /// [`CLIENT_BATCH`] replies for the next turn. The host turns it after
+    /// every park: what the park took is in hand, off the link.
+    pub(crate) fn park(&mut self, until: Option<Instant>) {
+        if let Some(until) = until {
+            self.link.park(&mut self.replies, CLIENT_BATCH, until);
+        }
+    }
+
+    /// One turn, which never blocks, at the reading `now`: take what is
+    /// ready on the link (`ready` is the client's slots of its host's
+    /// wait, empty in process), fold it in, re-send or abandon what
+    /// expired, submit what the closed loop, pacing or the arrival
+    /// schedule admits, and flush once — the exit flush, with every
+    /// waiting `End`, once nothing is left to submit or learn. Returns
+    /// whether the turn moved anything: a socket read, a reply, an expiry,
+    /// a submission or the exit.
+    pub(crate) fn turn(&mut self, now: Instant, ready: &[PollFd]) -> bool {
         debug_assert!(!self.exited, "a turn after the exit flush");
         let park_retries = self.cfg.park_retries;
         debug_assert_eq!(
@@ -432,8 +449,8 @@ impl<M: Wire + Send + 'static> Client<M> {
             );
         }
         let room = CLIENT_BATCH.saturating_sub(self.replies.len());
-        self.link.take(&mut self.replies, room);
-        let folded = !self.replies.is_empty();
+        let read = self.link.take(ready, &mut self.replies, room);
+        let folded = read || !self.replies.is_empty();
         self.fold(now);
         let expired = self.expire(now);
         let submitted = self.submit(now);
@@ -644,41 +661,31 @@ impl<M: Wire + Send + 'static> Client<M> {
     }
 }
 
-/// The one-member client host: a client on a thread of its own (channel
-/// links, `ac-client`, a tcp cluster on more than one host), parked on its
-/// link between turns.
-pub(crate) fn client_main<P>(
-    client: usize,
-    cfg: &ServiceConfig,
-    epoch: Instant,
-    link: ClientLink<P::Msg>,
-) -> ClientReturn
-where
-    P: CommitProtocol,
-    P::Msg: Wire + Send + 'static,
-{
-    let mut c = Client::new(client, cfg, epoch, link);
-    let mut now = Instant::now();
-    loop {
-        c.turn(now);
-        let Some(until) = c.deadline() else {
-            return c.finish();
-        };
-        c.park(until);
-        now = Instant::now();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
 
     use ac_commit::protocols::{D1cc, PaxosCommit, ProtocolKind};
+    use ac_commit::CommitProtocol;
     use ac_txn::workload::Workload;
     use crossbeam::channel::{unbounded, Sender};
 
     use super::*;
+    use crate::host::host;
     use crate::transport::Transport;
+
+    /// Client 0 of `cfg` over `link`, run to its exit on a one-client host
+    /// on this thread.
+    fn hosted<P>(cfg: &ServiceConfig, link: ClientLink<P::Msg>) -> ClientReturn
+    where
+        P: CommitProtocol,
+        P::Msg: Wire + Send + 'static,
+    {
+        let mut ret = None;
+        let client = Client::new(0, cfg, Instant::now(), link);
+        host::<P>(Vec::new(), vec![client], |r| ret = Some(r));
+        ret.expect("the client exited")
+    }
 
     /// One envelope of a client write, as its node reads it.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -725,7 +732,7 @@ mod tests {
         let (writes, written) = unbounded();
         let (replies, rx) = unbounded();
         let link = ClientLink::InProcess(Box::new(Answering { writes, replies }), rx);
-        let ret = client_main::<PaxosCommit>(0, cfg, Instant::now(), link);
+        let ret = hosted::<PaxosCommit>(cfg, link);
         let all = (cfg.txns_per_client, 0, 0);
         assert_eq!((ret.records.len(), ret.stalled, ret.retries), all);
         std::iter::from_fn(|| written.try_recv().ok()).collect()
@@ -932,7 +939,7 @@ mod tests {
             held: Vec::new(),
         };
         let link = ClientLink::InProcess(Box::new(nodes), rx);
-        let ret = client_main::<P>(0, cfg, Instant::now(), link);
+        let ret = hosted::<P>(cfg, link);
         let total = cfg.txns_per_client;
         assert_eq!((ret.records.len(), ret.stalled), (total, 0), "records");
         assert!(ret

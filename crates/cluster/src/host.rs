@@ -1,32 +1,38 @@
-//! The thread that runs nodes: a [`Node`] turn takes what is ready and
-//! never blocks, and the park between turns belongs to the host.
+//! The one loop that serves: a [`Node`] or [`Client`] turn takes what is
+//! ready and never blocks, and the park between turns belongs to the
+//! host. Every serving thread of the crate runs it — in process, in
+//! `ac-node` and in `ac-client`.
 //!
-//! A host owns a set of nodes — and, where one host runs every node of an
-//! in-process tcp cluster, the clients too — and, each round:
+//! A host owns a set of nodes (its members) and clients, and, each round:
 //!
 //! 1. parks once, until the earliest member or client deadline (timer,
 //!    delayed-envelope release, crash or restart instant; a client's
-//!    retry, abandonment, pacing or arrival instant) or an arrival.
-//!    Socket-linked members share **one** readiness wait over the union of
-//!    their listeners and connections ([`Readiness`]). A channel-linked
-//!    node's inbox cannot join that wait, so such a node is its host's one
-//!    member and parks on its channel;
+//!    retry, abandonment, pacing or arrival instant) or an arrival. A
+//!    channel's inbox cannot join a readiness wait, so a channel-linked
+//!    node or in-process client is its host's one participant and parks
+//!    on its channel. Every other host makes **one** readiness wait over
+//!    the union of its members' listeners and connections and its dialing
+//!    clients' connections ([`Readiness`]);
 //! 2. turns every member the park found something for (readiness in its
 //!    slots, a batch, or a deadline come), handing it its slots of the
 //!    wait, so its read pass waits for nothing;
-//! 3. turns every client that is due, after the members, so it folds the
-//!    replies this round's turns queued for it: a reply is a push onto the
-//!    client's channel and wakes no thread. A client writes its `Begin`s
-//!    and `End`s once per round, after every member flushed.
+//! 3. turns every client that is due the same way, after the members, so
+//!    it folds the replies this round's turns queued for it: where one
+//!    host runs every tcp node, its in-process clients share it, and a
+//!    reply is a push onto the client's channel that wakes no thread. A
+//!    client writes its `Begin`s and `End`s once per round, after every
+//!    member flushed.
 //!
-//! A member with decoded envelopes beyond its batch, or a client with
-//! replies queued, is due at once, so the host never parks on them. A
+//! A lone participant is due whenever its host wakes: its park took what
+//! it wants into its own hands (a node's inbox, a client's replies). A
+//! member with decoded envelopes beyond its batch, or a client with
+//! reports queued, is due at once, so the host never parks on them. A
 //! round that moved nothing in any member or client is a spurious wakeup,
 //! counted per host. Crash windows, recovery and `Shutdown` stay per
 //! member: a dark member's sockets stay in the wait and its drain
-//! discards. An exited client's return goes back at once, through
-//! `exited`. The host returns once every member has shut down, then
-//! finishes each one.
+//! discards. An exited client leaves the set at the end of its round, its
+//! return handed to `exited` at once. The host returns once every member
+//! has shut down and every client has exited, then finishes each member.
 //!
 //! Co-hosted nodes still talk through their pair's loopback connection, and
 //! co-hosted clients write to them through theirs, so a hop to a co-hosted
@@ -42,7 +48,8 @@ use crate::client::{Client, ClientReturn};
 use crate::node::{Node, NodeReturn};
 use crate::transport::Readiness;
 
-/// What a host reports when its last member has shut down.
+/// What a host reports when its last member has shut down and its last
+/// client has exited.
 pub(crate) struct HostReturn {
     /// Each member's report, in the order the members were given.
     pub(crate) nodes: Vec<NodeReturn>,
@@ -51,9 +58,11 @@ pub(crate) struct HostReturn {
 }
 
 /// Run `members`, and `clients` after them, on the calling thread until
-/// every member has shut down; each client's return goes to `exited` as
-/// it exits. More than one member, or any client, requires every member to
-/// be socket-linked.
+/// every member has shut down and every client has exited; each client's
+/// return goes to `exited` as it exits. A channel-linked node or an
+/// in-process client must be its host's only participant — except that
+/// in-process clients may share the host that runs every node they write
+/// to, whose turns queue their replies.
 pub(crate) fn host<P>(
     mut members: Vec<Node<P>>,
     mut clients: Vec<Client<P::Msg>>,
@@ -69,19 +78,20 @@ where
         let until = (members.iter().filter_map(Node::deadline))
             .chain(clients.iter().filter_map(Client::deadline))
             .min();
-        match &mut members[..] {
-            [node] if node.sockets().is_none() => {
-                debug_assert!(clients.is_empty(), "a client beside a channel member");
-                node.park(until);
-            }
-            all => {
-                debug_assert!(all.iter().all(|m| m.sockets().is_some() || !m.serving()));
-                wait.wait(all.iter().map(Node::sockets), until);
+        match (&mut members[..], &mut clients[..]) {
+            ([node], []) if node.sockets().is_none() => node.park(until),
+            ([], [client]) if client.sockets().is_none() => client.park(until),
+            (nodes, guests) => {
+                debug_assert!(nodes.iter().all(|m| m.sockets().is_some() || !m.serving()));
+                let socks =
+                    (nodes.iter().map(Node::sockets)).chain(guests.iter().map(Client::sockets));
+                wait.wait(socks, until);
             }
         }
-        // A lone member is due whenever its host wakes; among several,
-        // one reading decides who is.
-        let now = (members.len() > 1).then(|| members[0].now());
+        // A lone participant is due whenever its host wakes; among several,
+        // one reading decides which members are.
+        let lone = members.len() + clients.len() == 1;
+        let now = members.first().filter(|_| !lone).map(Node::now);
         let mut moved = false;
         for (i, node) in members.iter_mut().enumerate() {
             let ready = wait.of(i);
@@ -90,29 +100,23 @@ where
             }
         }
         // Each client reads the clock for itself: its reading stamps the
-        // replies it folds and the transactions it submits.
-        let mut i = 0;
-        while i < clients.len() {
-            let now = Instant::now();
-            let client = &mut clients[i];
-            if client.deadline().is_some_and(|at| at <= now) {
-                moved |= client.turn(now);
-            }
-            if client.exited() {
-                exited(clients.swap_remove(i).finish());
-            } else {
-                i += 1;
+        // replies it folds and the transactions it submits. Its slots
+        // follow the members'.
+        for (j, client) in clients.iter_mut().enumerate() {
+            let (ready, now) = (wait.of(members.len() + j), Instant::now());
+            if lone || client.due(ready, now) {
+                moved |= client.turn(now, ready);
             }
         }
-        if !members.iter().any(Node::serving) {
+        // Leaving only now keeps every client on its own slots above.
+        while let Some(j) = clients.iter().position(Client::exited) {
+            exited(clients.swap_remove(j).finish());
+        }
+        if clients.is_empty() && !members.iter().any(Node::serving) {
             break;
         }
         spurious_wakeups += usize::from(!moved);
     }
-    debug_assert!(
-        clients.is_empty(),
-        "members shut down before a client exited"
-    );
     HostReturn {
         nodes: members.into_iter().map(Node::finish).collect(),
         spurious_wakeups,

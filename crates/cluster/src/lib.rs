@@ -13,8 +13,9 @@
 //!   concurrent protocol instances (messages travel as `(TxnId, Msg)`
 //!   envelopes over crossbeam channels or loopback TCP, scoped to each
 //!   transaction's participant shards), and a closed-loop load generator
-//!   of `c` clients (threads of their own, or the thread of the one host
-//!   that runs every tcp node) driving `ac-txn` workloads end-to-end:
+//!   of `c` clients (a host each, or the one host that runs every tcp
+//!   node; every serving thread runs the same `host` loop) driving
+//!   `ac-txn` workloads end-to-end:
 //!   prepare/vote at the shards, one live protocol run per transaction
 //!   (any [`ac_commit::protocols::ProtocolKind`]), apply/release, with a
 //!   post-run safety audit. Since ISSUE-5 the service is also the

@@ -73,7 +73,7 @@ use crate::codec::AnyFrame;
 use crate::service::{
     parts_of, CrashWindow, Done, Fate, NetPolicy, NodeRecord, ToNode, ORPHAN_CAP,
 };
-use crate::transport::{Link, Outbox, PollFd, SocketLink};
+use crate::transport::{Link, Outbox, PollFd, Sockets};
 
 /// Upper bound on envelopes drained per node-loop iteration. Bounds the
 /// latency a long backlog can add to timer firing while still amortizing
@@ -487,7 +487,7 @@ where
 
     /// The sockets its host's wait covers for the node: none on a channel,
     /// and none once it has shut down.
-    pub(crate) fn sockets(&self) -> Option<&SocketLink<P::Msg>> {
+    pub(crate) fn sockets(&self) -> Option<&Sockets> {
         self.env.link.sockets().filter(|_| !self.shutdown)
     }
 
@@ -500,7 +500,7 @@ where
         if self.shutdown {
             return None;
         }
-        if self.env.link.sockets().is_some_and(SocketLink::pending) {
+        if self.env.link.pending() {
             return Some(self.env.clock.at(Duration::ZERO));
         }
         match self.power {
@@ -1120,7 +1120,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{client_main, Client};
+    use crate::client::Client;
     use crate::host::host;
     use crate::service::ServiceConfig;
     use crate::transport::{
@@ -1998,6 +1998,71 @@ mod tests {
         }
     }
 
+    /// A host with no node, as `ac-client` runs one: two paced clients
+    /// that dial four one-member socket hosts and read their reports off
+    /// the connections they dialed. Its one wait covers both clients'
+    /// connections and hands each its own slots, so every wake moves
+    /// something in the client it woke for, and every transaction comes
+    /// back without a retry.
+    #[test]
+    fn a_node_less_host_serves_two_dialing_clients_without_a_spurious_wakeup() {
+        type P = PaxosCommit;
+        type M = <P as ac_sim::Automaton>::Msg;
+        let n = 4;
+        let paced = ServiceConfig::new(n, 1, ProtocolKind::PaxosCommit)
+            .clients(2)
+            .txns_per_client(5)
+            .pacing(Duration::from_millis(10));
+        let bound: Vec<_> = (0..n)
+            .map(|_| SocketLink::<M>::bind("127.0.0.1:0", NodeHooks::default()).expect("bind"))
+            .collect();
+        let addrs: Vec<_> = bound.iter().map(|l| l.addr().expect("address")).collect();
+        let node_hosts: Vec<_> = (bound.into_iter().enumerate())
+            .map(|(me, mut link)| {
+                link.mesh(me, addrs.clone());
+                let (tx, rx) = unbounded();
+                let replies = Replies::Connection {
+                    clients: paced.clients,
+                    net: Arc::new(NetMeters::new(n)),
+                };
+                let env = NodeEnv {
+                    link: Link::Sockets(link),
+                    replies,
+                    ..bare_env::<P>(me, rx, vec![tx; n], Vec::new())
+                };
+                std::thread::spawn(move || host(vec![Node::new(env)], Vec::new(), drop))
+            })
+            .collect();
+        let epoch = Instant::now();
+        let clients = (0..paced.clients)
+            .map(|c| Client::new(c, &paced, epoch, ClientLink::dialing(c, addrs.clone())))
+            .collect();
+        let mut exits = Vec::new();
+        let hosted = host::<P>(Vec::new(), clients, |ret| exits.push(ret));
+        assert_eq!(exits.len(), paced.clients);
+        for ret in &exits {
+            let c = ret.client;
+            assert_eq!(
+                (ret.records.len(), ret.stalled, ret.retries),
+                (5, 0, 0),
+                "client {c}"
+            );
+        }
+        assert!(hosted.nodes.is_empty());
+        assert_eq!(
+            hosted.spurious_wakeups, 0,
+            "the client host woke without work"
+        );
+
+        let mut teardown = TcpTransport::new(addrs);
+        for p in 0..n {
+            Transport::<M>::send(&mut teardown, p, ToNode::Shutdown);
+        }
+        for h in node_hosts {
+            assert_eq!(h.join().expect("host thread panicked").nodes.len(), 1);
+        }
+    }
+
     /// Every `End` leaves the client — including the ones still waiting
     /// for a `Begin` to ride when the loop breaks — so a windowed run
     /// leaves no instance open at any node. (Over channels the clients'
@@ -2027,7 +2092,10 @@ mod tests {
             .collect();
         let transport = Box::new(ChannelTransport::new(node_txs.clone()));
         let link = ClientLink::InProcess(transport, done_rx);
-        let ret = client_main::<P>(0, &cfg, Instant::now(), link);
+        let client = Client::new(0, &cfg, Instant::now(), link);
+        let mut ret = None;
+        host::<P>(Vec::new(), vec![client], |r| ret = Some(r));
+        let ret = ret.expect("the client exited");
         assert_eq!((ret.records.len(), ret.stalled, ret.retries), (300, 0, 0));
         for tx in &node_txs {
             let _ = tx.send(ToNode::Shutdown);

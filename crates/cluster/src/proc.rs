@@ -8,19 +8,21 @@
 //!   mode: one connection per pair of nodes, dialed at start-up by the
 //!   lower id (which says `Peer`), read and written by both ends;
 //! * client→node control traffic (`Begin`/`End`) goes down connections
-//!   the client thread dials, saying `Hello` with its id first;
+//!   each client dials, saying `Hello` with its id first;
 //! * node→client `Done` reports take the road the request took: the
 //!   node's `flush` step writes them down the connection the client said
-//!   `Hello` on, and the client thread reads them off the connections it
-//!   dialed; the final `Shutdown` rides a write-only [`TcpTransport`].
+//!   `Hello` on, and the client reads them off the connections it dialed;
+//!   the final `Shutdown` rides a write-only [`TcpTransport`].
 //!
-//! The node and client loops themselves are the same `node::Node` and
-//! `client::client_main` the in-process service runs — processes differ
-//! from threads only below the transport seam, and every hop, replies
-//! included, costs one wake-up of the thread that acts on it. A serving
-//! `ac-node` is **one thread**, the one-member host (the node reads its
-//! own sockets and writes its own replies; `--metrics` adds the
-//! endpoint's); `ac-client` is its main thread plus one per client.
+//! Both processes serve with the one loop the in-process service runs,
+//! `host::host`, over the same `node::Node` and `client::Client` —
+//! processes differ from threads only below the transport seam, and every
+//! hop, replies included, costs one wake-up of the thread that acts on
+//! it. A serving `ac-node` is **one thread**, the one-member host (the
+//! node reads its own sockets and writes its own replies; `--metrics`
+//! adds the endpoint's); `ac-client` is **one thread** too, its main
+//! thread hosting every client, one readiness wait over all their
+//! connections.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -33,7 +35,7 @@ use ac_obs::{
 };
 use ac_sim::Wire;
 
-use crate::client::{client_main, nanos, ClientFold};
+use crate::client::{nanos, Client, ClientFold};
 use crate::codec::{write_frame, AnyFrame, FrameDecoder};
 use crate::host::host;
 use crate::node::{Clock, Node, NodeEnv, Replies};
@@ -204,18 +206,19 @@ where
     for &addr in &spec.nodes {
         let _ = Probe::dial(addr, INITIAL_ATTEMPTS).and_then(|mut p| p.echo(0, Instant::now()));
     }
+    // Every client runs on this thread: one host, one wait over all their
+    // connections. A client dials a node on its first write there, with
+    // first-contact patience, and that dial holds every client on the
+    // thread. The barrier above is why that is enough: a node that
+    // answered its echo accepts at the first attempt. A node that never
+    // answered costs each client's first dial there its full patience,
+    // one client after another.
     let epoch = Instant::now();
-    let handles: Vec<_> = (0..cfg.clients)
-        .map(|c| {
-            let (cfg, link) = (cfg.clone(), ClientLink::dialing(c, spec.nodes.clone()));
-            std::thread::spawn(move || client_main::<P>(c, &cfg, epoch, link))
-        })
+    let clients = (0..cfg.clients)
+        .map(|c| Client::new(c, cfg, epoch, ClientLink::dialing(c, spec.nodes.clone())))
         .collect();
-
     let mut fold = ClientFold::new(cfg.clients * cfg.txns_per_client);
-    for h in handles {
-        fold.add(&h.join().expect("client thread panicked"), |_, _| {});
-    }
+    host::<P>(Vec::new(), clients, |ret| fold.add(&ret, |_, _| {}));
     // The load phase ends here, as the in-process service's does: what
     // follows is collection, not serving.
     let stats = RunStats {

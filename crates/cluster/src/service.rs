@@ -1,9 +1,10 @@
 //! The live transaction service: `n` long-lived nodes, each owning a
 //! [`Shard`] and an [`ac_runtime::NodeLoop`] demultiplexer running many
-//! concurrent commit-protocol instances, run by host threads (`host.rs`:
-//! one per node over channels, one per core over TCP), plus a closed-loop
-//! load generator of `c` clients, on threads of their own or, where one
-//! host runs every tcp node, on that host's thread. This module holds the
+//! concurrent commit-protocol instances, plus a closed-loop load
+//! generator of `c` clients, all run by one loop on host threads
+//! (`host.rs`): one per node over channels, one per core over TCP, and one
+//! per client — except where one host runs every tcp node, which runs the
+//! clients too. This module holds the
 //! configuration, the message alphabet, the in-process runner (`serve`)
 //! and the post-run audit; the node itself is the step-wise `Node` of
 //! `node.rs` (one transaction table with an explicit per-transaction
@@ -91,6 +92,7 @@
 //! touch a channel. Clients stage and flush the same way (see
 //! `Client::turn`).
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -107,7 +109,7 @@ use ac_obs::{
     NodeObs, ObsExport, ObsMeters, RunStats, SlotBox, Stage,
 };
 
-use crate::client::{client_main, nanos, Client, ClientFold, ClientRecord, ClientReturn, Verdict};
+use crate::client::{nanos, Client, ClientFold, ClientRecord, ClientReturn, Verdict};
 use crate::host::{deal, gather, host, hosts_for, HostReturn};
 use crate::node::{Clock, Node, NodeCounts, NodeEnv, NodeReturn, Replies};
 use crate::transport::{
@@ -538,11 +540,12 @@ pub struct ServiceOutcome {
     /// Host threads that ran the nodes: one per node over channels,
     /// `min(cores, n)` over TCP (cores this process may run on).
     pub node_threads: usize,
-    /// Threads that ran clients: one per client, none where one host ran
-    /// every node over TCP (the clients then ran on that host's thread).
+    /// Hosts that ran clients alone: one per client, none where one host
+    /// ran every node over TCP (the clients then ran on that host).
     pub client_threads: usize,
-    /// Host wakeups that moved nothing in any of the host's nodes (0 =
-    /// every wakeup did useful work; idle hosts park indefinitely).
+    /// Host wakeups that moved nothing in any of the host's nodes or
+    /// clients (0 = every wakeup did useful work; idle hosts park
+    /// indefinitely).
     pub spurious_wakeups: usize,
     /// Prepare records staged for the write-ahead log on the `Begin`
     /// critical path, across all nodes (the records a pre-group-commit
@@ -642,6 +645,26 @@ impl ServiceOutcome {
             exports: nodes.zip(&self.flight).map(export).collect(),
             stats: self.run_stats(),
         }
+    }
+
+    /// Keep the run as evidence: its [`ServiceOutcome::cluster_dump`] as
+    /// `dir/<stem>.dump` (what `repro trace` renders) and its violations,
+    /// one a line, as `dir/<stem>.violations`, where every character of
+    /// `stem` but an ASCII letter, digit or `-` becomes `_`. `dir` is
+    /// created if need be. Returns the dump's path.
+    pub fn keep(&self, cfg: &ServiceConfig, dir: &Path, stem: &str) -> std::io::Result<PathBuf> {
+        let safe = |c: char| match c {
+            'a'..='z' | 'A'..='Z' | '0'..='9' | '-' => c,
+            _ => '_',
+        };
+        let stem: String = stem.chars().map(safe).collect();
+        std::fs::create_dir_all(dir)?;
+        let dump = dir.join(format!("{stem}.dump"));
+        std::fs::write(&dump, self.cluster_dump(cfg).to_bytes())?;
+        let mut violations = self.violations.join("\n");
+        violations.push('\n');
+        std::fs::write(dir.join(format!("{stem}.violations")), violations)?;
+        Ok(dump)
     }
 
     /// Whether the post-run safety audit found nothing.
@@ -860,54 +883,42 @@ where
         TransportKind::Channel => n,
         TransportKind::Tcp => hosts,
     };
-    let dealt = deal(envs, hosts);
-    let mut client_links: Vec<_> = (done_rxs.into_iter())
-        .map(|rx| ClientLink::InProcess(make_transport(), rx))
+    // Placement: where one host runs every (socket-linked) node, the
+    // clients run on it too, after its members each round; otherwise each
+    // client gets a host of its own, parked on its reply channel. Either
+    // way a client's return comes back here as it exits, so the load phase
+    // ends at the last client's last reply.
+    let links = (done_rxs.into_iter().enumerate())
+        .map(|(c, rx)| (c, ClientLink::InProcess(make_transport(), rx)));
+    let mut placed: Vec<_> = (deal(envs, hosts).into_iter())
+        .map(|envs| (envs, Vec::new()))
         .collect();
-    // Where one host runs every (socket-linked) node, the clients run on
-    // it too, after its members each round; elsewhere each client has a
-    // thread of its own. Either way a client's return comes back here as
-    // it exits, so the load phase ends at the last client's last reply.
+    let node_hosts = placed.len();
+    if node_hosts == 1 && cfg.transport == TransportKind::Tcp {
+        placed[0].1.extend(links);
+    } else {
+        placed.extend(links.map(|link| (Vec::new(), vec![link])));
+    }
     let (exits, exited) = unbounded::<ClientReturn>();
-    let cohost = dealt.len() == 1 && cfg.transport == TransportKind::Tcp;
-    let host_handles: Vec<_> = (dealt.into_iter())
-        .map(|envs| {
-            let nodes = move || envs.into_iter().map(Node::new).collect();
-            if !cohost {
-                return std::thread::spawn(move || host(nodes(), Vec::new(), drop));
-            }
-            let (cfg, exits, links) = (
-                cfg.clone(),
-                exits.clone(),
-                std::mem::take(&mut client_links),
-            );
-            std::thread::spawn(move || {
-                let clients = (links.into_iter().enumerate())
-                    .map(|(client, link)| Client::new(client, &cfg, epoch, link))
-                    .collect();
-                host(nodes(), clients, |ret| {
-                    let _ = exits.send(ret);
-                })
-            })
-        })
-        .collect();
-    let client_threads = client_links.len();
-    let client_handles: Vec<_> = (client_links.into_iter().enumerate())
-        .map(|(client, link)| {
+    let handles: Vec<_> = (placed.into_iter())
+        .map(|(envs, links)| {
             let (cfg, exits) = (cfg.clone(), exits.clone());
             std::thread::spawn(move || {
-                let _ = exits.send(client_main::<P>(client, &cfg, epoch, link));
+                let clients = (links.into_iter())
+                    .map(|(c, link)| Client::new(c, &cfg, epoch, link))
+                    .collect();
+                let nodes = envs.into_iter().map(Node::new).collect();
+                host(nodes, clients, |ret| {
+                    let _ = exits.send(ret);
+                })
             })
         })
         .collect();
     drop(exits);
 
     let mut client_returns: Vec<ClientReturn> = (0..cfg.clients)
-        .map(|_| exited.recv().expect("a client thread or its host panicked"))
+        .map(|_| exited.recv().expect("a host panicked"))
         .collect();
-    for h in client_handles {
-        h.join().expect("client thread panicked");
-    }
     let elapsed = epoch.elapsed();
     client_returns.sort_unstable_by_key(|ret| ret.client);
 
@@ -917,12 +928,12 @@ where
     for p in 0..n {
         teardown.send(p, ToNode::Shutdown);
     }
-    let host_returns: Vec<HostReturn> = host_handles
+    let mut host_returns: Vec<HostReturn> = handles
         .into_iter()
         .map(|h| h.join().expect("host thread panicked"))
         .collect();
-
-    aggregate(cfg, client_returns, client_threads, host_returns, elapsed)
+    let client_hosts = host_returns.split_off(node_hosts);
+    aggregate(cfg, client_returns, client_hosts, host_returns, elapsed)
 }
 
 /// What the nodes' logs say of one transaction, folded into its slot of
@@ -1007,16 +1018,19 @@ fn table(slots: SlotBox, nodes: &[NodeReturn]) -> FlightIndex<Logged> {
     table
 }
 
-/// Merge per-thread results and audit safety.
+/// Merge per-host results and audit safety: `client_hosts` ran clients
+/// alone, `host_returns` ran the nodes (dealt by [`deal`]).
 fn aggregate(
     cfg: &ServiceConfig,
     client_returns: Vec<ClientReturn>,
-    client_threads: usize,
+    client_hosts: Vec<HostReturn>,
     host_returns: Vec<HostReturn>,
     elapsed: Duration,
 ) -> ServiceOutcome {
-    let node_threads = host_returns.len();
-    let spurious_wakeups = host_returns.iter().map(|h| h.spurious_wakeups).sum();
+    let (node_threads, client_threads) = (host_returns.len(), client_hosts.len());
+    let spurious_wakeups = (host_returns.iter().chain(&client_hosts))
+        .map(|h| h.spurious_wakeups)
+        .sum();
     let node_returns: Vec<NodeReturn> = gather(host_returns.into_iter().map(|h| h.nodes).collect());
     let mut reply_timeouts = 0;
     let mut violations = Vec::new();

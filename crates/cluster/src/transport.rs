@@ -22,14 +22,15 @@
 //! `timespec` keeps exact-deadline parking): one `read` per connection the
 //! wait found ready, every complete frame decoded and handed on, then
 //! every pending connection accepted. A host thread makes **one** wait
-//! over every member node's sockets (`Readiness`) and hands each member
-//! its slots; a client waits on its own (**`poll`**: watch, wait, read),
-//! and a wake that completed no frame is not handed to it; `EINTR` is
-//! "look at the deadline, wait again". **`send`** frames a
-//! batch into one blocking `write_all` down the connection to its
-//! destination. A hop therefore costs at most one wake-up — of the host
-//! or client thread that acts on the envelope, none when that host is
-//! already running — and no thread sits between a socket and a loop.
+//! over the sockets of every node and dialing client it runs
+//! (`Readiness`) and hands each its slots; only a node joining the mesh
+//! and [`TcpNode`]'s forwarder wait on one link alone, through a
+//! `Readiness` of their own. `EINTR` is "look at the deadline, wait
+//! again". **`send`** frames a batch into one blocking `write_all` down
+//! the connection to its destination. A hop therefore costs at most one
+//! wake-up — of the host thread that acts on the envelope, none when that
+//! host is already running — and no thread sits between a socket and a
+//! loop.
 //!
 //! A connection records who is on its far end: the dialing end knows, and
 //! says so first — a client `Hello{client}`, a node `Peer{node}` — and the
@@ -46,10 +47,11 @@
 //! connection to a peer, so per-sender FIFO holds even while two exist.
 //!
 //! Three users share it: the node's `Link` (channel | sockets: `park`,
-//! `take`, `send_batch`, `reply`), a multi-process client's `ClientLink` (it says
-//! `Hello` on what it dials and reads its reports off the same
-//! connections), and the public write-only [`TcpTransport`] (no listener,
-//! never polls: in-process clients, teardown, probes). [`TcpNode`] is a
+//! `take`, `send_batch`, `reply`), the client's `ClientLink` (the same
+//! shape; over sockets it says `Hello` on what it dials and reads its
+//! reports off the same connections), and the public write-only
+//! [`TcpTransport`] (no listener, never polls: in-process clients,
+//! teardown, probes). [`TcpNode`] is a
 //! node's socket link *hosted on one thread* that forwards each wait's
 //! batch into a crossbeam channel, for callers that want a `Receiver` (the
 //! conformance suite, the benchmark probes); the service hosts
@@ -412,9 +414,6 @@ pub(crate) struct Sockets {
     listener: Option<TcpListener>,
     /// In the order they were accepted or dialed.
     conns: Vec<Conn>,
-    /// The readiness set of the wait in progress: the listener's slot,
-    /// then `conns` in order (rebuilt per wait, allocation reused).
-    fds: Vec<PollFd>,
     chunk: Vec<u8>,
     /// Where each peer listens and how dialing it stands.
     peers: Vec<(SocketAddr, PeerState)>,
@@ -437,7 +436,6 @@ impl Sockets {
         let mut socks = Sockets {
             listener: None,
             conns: Vec::new(),
-            fds: Vec::new(),
             chunk: vec![0u8; READ_CHUNK],
             peers: Vec::new(),
             greeting: Vec::new(),
@@ -496,25 +494,6 @@ impl Sockets {
             revents: 0,
         };
         fds.extend(std::iter::once(accepting).chain(reading).map(watch));
-    }
-
-    /// One readiness wait over the listener and every connection, then
-    /// the read pass over what it found ready. Returns `false` when
-    /// `until` passed with nothing ready.
-    fn poll<M: Wire>(
-        &mut self,
-        until: Option<Instant>,
-        route: impl FnMut(AnyFrame<M>, &mut Vec<u8>),
-    ) -> bool {
-        let mut fds = std::mem::take(&mut self.fds);
-        fds.clear();
-        self.watch(&mut fds);
-        let woke = wait(&mut fds, until);
-        if woke {
-            self.read(&fds, route);
-        }
-        self.fds = fds;
-        woke
     }
 
     /// The read pass over `ready`, this end's slots of a wait that has
@@ -705,40 +684,42 @@ fn route<M: Wire>(
     }
 }
 
-/// The one readiness wait of a host thread: every slot of every member's
-/// sockets in one `ppoll(2)`, each member's slots kept apart so that its
-/// read pass ([`SocketLink::take`]) reads what the wait found ready and
-/// waits for nothing.
+/// The one readiness wait of a host thread: every slot of every
+/// participant's sockets in one `ppoll(2)`, each participant's slots kept
+/// apart so that its read pass ([`SocketLink::take`], [`ClientLink::take`])
+/// reads what the wait found ready and waits for nothing.
 #[derive(Default)]
 pub(crate) struct Readiness {
-    /// The set of the last wait, member after member (allocation reused).
+    /// The set of the last wait, participant after participant
+    /// (allocation reused).
     fds: Vec<PollFd>,
-    /// Where each member's slots start in `fds`, then where the last ends.
+    /// Where each participant's slots start in `fds`, then where the last
+    /// ends.
     starts: Vec<usize>,
 }
 
 impl Readiness {
-    /// Wait until a slot of `links` is ready or `until` passes (`None` =
-    /// for ever); a member given as `None` watches nothing. `false` when
-    /// `until` passed with nothing ready.
-    pub(crate) fn wait<'a, M: 'a>(
+    /// Wait until a slot of `socks` is ready or `until` passes (`None` =
+    /// for ever); a participant given as `None` watches nothing. `false`
+    /// when `until` passed with nothing ready.
+    pub(crate) fn wait<'a>(
         &mut self,
-        links: impl IntoIterator<Item = Option<&'a SocketLink<M>>>,
+        socks: impl IntoIterator<Item = Option<&'a Sockets>>,
         until: Option<Instant>,
     ) -> bool {
         self.fds.clear();
         self.starts.clear();
-        for link in links {
+        for socks in socks {
             self.starts.push(self.fds.len());
-            if let Some(link) = link {
-                link.socks.watch(&mut self.fds);
+            if let Some(socks) = socks {
+                socks.watch(&mut self.fds);
             }
         }
         self.starts.push(self.fds.len());
         wait(&mut self.fds, until)
     }
 
-    /// Member `i`'s slots of the last wait (none for a member it did not
+    /// Participant `i`'s slots of the last wait (none for one it did not
     /// cover).
     pub(crate) fn of(&self, i: usize) -> &[PollFd] {
         match self.starts.get(i..i + 2) {
@@ -787,8 +768,9 @@ impl<M: Wire> SocketLink<M> {
             self.socks.conn_to(Far::Peer(p));
         }
         let patience = Instant::now() + INITIAL_ATTEMPTS * INITIAL_GAP;
+        let mut wait = Readiness::default();
         let met = |s: &Sockets, p| s.conns.iter().any(|c| c.far == Some(Far::Peer(p)));
-        while !(0..me).all(|p| met(&self.socks, p)) && self.poll(Some(patience)) {}
+        while !(0..me).all(|p| met(&self.socks, p)) && self.poll(&mut wait, Some(patience)) {}
     }
 
     /// Take without waiting: the read pass over `ready`, this link's
@@ -808,12 +790,14 @@ impl<M: Wire> SocketLink<M> {
         !self.ready.is_empty()
     }
 
-    /// One wait of this link alone, then its read pass. `false` when
-    /// `until` passed with nothing ready.
-    fn poll(&mut self, until: Option<Instant>) -> bool {
-        let (echo, ready) = (&self.echo, &mut self.ready);
-        self.socks
-            .poll(until, |frame, answer| route(echo, ready, frame, answer))
+    /// One wait of this link alone, through `wait`, then its read pass.
+    /// `false` when `until` passed with nothing ready.
+    fn poll(&mut self, wait: &mut Readiness, until: Option<Instant>) -> bool {
+        let woke = wait.wait([Some(&self.socks)], until);
+        if woke {
+            self.read(wait.of(0));
+        }
+        woke
     }
 
     /// The read pass over `ready` (see [`SocketLink::take`]).
@@ -892,11 +876,17 @@ impl<M: Wire + Send> Link<M> {
     }
 
     /// The sockets a host's wait covers for this link (none on a channel).
-    pub(crate) fn sockets(&self) -> Option<&SocketLink<M>> {
+    pub(crate) fn sockets(&self) -> Option<&Sockets> {
         match self {
             Link::Channel(..) => None,
-            Link::Sockets(link) => Some(link),
+            Link::Sockets(link) => Some(&link.socks),
         }
+    }
+
+    /// Whether envelopes a read decoded wait beyond what was taken
+    /// ([`SocketLink::pending`]; never on a channel).
+    pub(crate) fn pending(&self) -> bool {
+        matches!(self, Link::Sockets(link) if link.pending())
     }
 
     /// Hand `batch` to node `to`: one lock, or one socket write.
@@ -931,8 +921,8 @@ impl<M: Wire + Send> Link<M> {
 }
 
 /// What ties a client to the nodes — where its flush puts `Begin`s and
-/// `End`s, where its turn takes decision reports and where a client on a
-/// thread of its own parks for them: the seam with exactly two arms.
+/// `End`s and where its turn takes decision reports: the seam with exactly
+/// two arms, shaped like [`Link`].
 pub(crate) enum ClientLink<M> {
     /// The in-process service: a write-only transport out, the client's
     /// reply channel in.
@@ -950,45 +940,57 @@ impl<M: Wire> ClientLink<M> {
         ClientLink::Sockets(socks, VecDeque::new())
     }
 
-    /// Move up to `max` reports into `buf` (appended), waiting until at
-    /// least one is there or `until` passes. Returns how many moved. Nodes
-    /// send a client nothing else that it folds in; a connection at end of
-    /// stream is forgotten (the next write to that node redials).
-    pub(crate) fn recv(&mut self, buf: &mut Vec<Done>, max: usize, until: Instant) -> usize {
+    /// The park of a channel-linked client, which is its host's one
+    /// participant: wait until a report is there or `until` passes, then
+    /// move up to `max` into `buf` (appended). A socket link takes nothing
+    /// here: its host's [`Readiness`] wait parks for it and
+    /// [`ClientLink::take`] reads it.
+    pub(crate) fn park(&mut self, buf: &mut Vec<Done>, max: usize, until: Instant) {
+        if let ClientLink::InProcess(_, rx) = self {
+            let _ = rx.recv_batch_deadline(buf, max, until);
+        }
+    }
+
+    /// Take without waiting: what the reply channel holds, or the read
+    /// pass over `ready`, this link's slots of its host's wait — unless
+    /// reports a previous pass decoded still wait — then up to `max` of
+    /// the decoded reports, into `buf` (appended). Nodes send a client
+    /// nothing else that it folds in; a connection at end of stream is
+    /// forgotten (the next write to that node redials). Returns whether a
+    /// slot was ready (see [`Sockets::read`]).
+    pub(crate) fn take(&mut self, ready: &[PollFd], buf: &mut Vec<Done>, max: usize) -> bool {
         match self {
-            ClientLink::InProcess(_, rx) => rx.recv_batch_deadline(buf, max, until).unwrap_or(0),
-            ClientLink::Sockets(socks, ready) => {
-                while ready.is_empty() {
-                    let polled = socks.poll::<M>(Some(until), |frame, _| {
+            ClientLink::InProcess(_, rx) => {
+                rx.try_drain(buf, max);
+                false
+            }
+            ClientLink::Sockets(socks, queue) => {
+                let touched = queue.is_empty()
+                    && socks.read::<M>(ready, |frame, _| {
                         if let AnyFrame::Done(d) = frame {
-                            ready.push_back(d);
+                            queue.push_back(d);
                         }
                     });
-                    if !polled {
-                        return 0;
-                    }
-                }
-                take(ready, buf, max)
+                take(queue, buf, max);
+                touched
             }
         }
     }
 
-    /// Move up to `max` of the reports already queued into `buf`
-    /// (appended), without waiting: what the reply channel holds, or what
-    /// a [`ClientLink::recv`] read off the sockets beyond its `max`.
-    pub(crate) fn take(&mut self, buf: &mut Vec<Done>, max: usize) -> usize {
-        match self {
-            ClientLink::InProcess(_, rx) => rx.try_drain(buf, max),
-            ClientLink::Sockets(_, ready) => take(ready, buf, max),
-        }
-    }
-
     /// Whether reports are queued that [`ClientLink::take`] would move:
-    /// whoever runs the client must not park on them.
+    /// the host must not park on them.
     pub(crate) fn pending(&self) -> bool {
         match self {
             ClientLink::InProcess(_, rx) => !rx.is_empty(),
-            ClientLink::Sockets(_, ready) => !ready.is_empty(),
+            ClientLink::Sockets(_, queue) => !queue.is_empty(),
+        }
+    }
+
+    /// The sockets a host's wait covers for this link (none in process).
+    pub(crate) fn sockets(&self) -> Option<&Sockets> {
+        match self {
+            ClientLink::InProcess(..) => None,
+            ClientLink::Sockets(socks, _) => Some(socks),
         }
     }
 
@@ -1079,9 +1081,9 @@ impl TcpNode {
         let addr = link.addr()?;
         let (ctl, asked) = unbounded::<Ctl>();
         let host = std::thread::spawn(move || {
-            let mut batch = Vec::new();
+            let (mut batch, mut wait) = (Vec::new(), Readiness::default());
             loop {
-                link.poll(None);
+                link.poll(&mut wait, None);
                 while let Ok(ctl) = asked.try_recv() {
                     match ctl {
                         Ctl::DropConnections(done) => {
@@ -1142,8 +1144,9 @@ impl Drop for TcpNode {
 
 #[cfg(test)]
 mod tests {
-    //! A node's socket link and a multi-process client's alone: real
-    //! loopback sockets, no node, no thread.
+    //! A node's socket link and a multi-process client's alone, each
+    //! waited on through a host's `Readiness`: real loopback sockets, no
+    //! node, no thread.
 
     use super::*;
 
@@ -1157,13 +1160,27 @@ mod tests {
         fn recv(&mut self, buf: &mut Vec<ToNode<M>>, max: usize, until: Option<Instant>) -> usize {
             let mut wait = Readiness::default();
             while !self.pending() {
-                if !wait.wait([Some(&*self)], until) {
+                if !wait.wait([Some(&self.socks)], until) {
                     return 0;
                 }
                 self.read(wait.of(0));
             }
             let before = buf.len();
             self.take(&[], buf, max);
+            buf.len() - before
+        }
+    }
+
+    impl ClientLink<M> {
+        /// A lone dialing client's host short of the client: wait on the
+        /// link's sockets and take what the read pass decoded, until a
+        /// report moved or `until` passed, taking up to `max` into `buf`.
+        /// Returns how many moved; 0 means the deadline passed.
+        fn recv(&mut self, buf: &mut Vec<Done>, max: usize, until: Instant) -> usize {
+            let (before, mut wait) = (buf.len(), Readiness::default());
+            while buf.len() == before && wait.wait([self.sockets()], Some(until)) {
+                self.take(wait.of(0), buf, max);
+            }
             buf.len() - before
         }
     }

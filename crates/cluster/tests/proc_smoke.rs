@@ -187,7 +187,7 @@ fn four_process_cluster_serves_a_transfer_workload() {
 /// committed — a split. The late node is the highest id (every pair it
 /// is in dials it, and waits) or the lowest (it dials every pair it is
 /// in, and is waited for). And while the load runs, an `ac-node` is one
-/// thread and `ac-client` its main thread plus one per client; a node
+/// thread and so is `ac-client`, whose main thread runs every client; a node
 /// holds its listener, one connection per other node — `n·(n − 1)/2`
 /// across the cluster, each seen from both ends — and one per client.
 #[test]
@@ -210,7 +210,7 @@ fn a_node_that_comes_up_late_delays_the_load_instead_of_splitting_it() {
         assert_eq!(c["txns"], (CLIENTS * TXNS) as i64, "transactions lost");
 
         assert_eq!(run.node_threads, 1, "a serving ac-node is its node loop");
-        assert_eq!(run.client_threads, 1 + CLIENTS, "main + one per client");
+        assert_eq!(run.client_threads, 1, "main runs every client");
         let per_node = 1 + (N - 1) + CLIENTS;
         assert_eq!(
             run.node_sockets,

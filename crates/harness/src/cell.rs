@@ -15,13 +15,19 @@ use ac_cluster::{
     Stage, TransportKind, TxnEvent, SLOWEST_KEPT,
 };
 use ac_obs::{goodput_tps, max_uncertainty_nanos, sojourn_times, ClusterDump, DumpTxn, RunStats};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::procrun::ProcHost;
+
+/// Where [`run_cell`] keeps a failed in-process run: the workspace's
+/// `target/ac-failures/`, beside the runs the live suites keep.
+const FAILURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/ac-failures");
 
 /// Who serves a cell.
 #[derive(Copy, Clone)]
 pub enum Host<'a> {
-    /// Node and client threads of this process, in-process channels.
+    /// Host threads of this process, in-process channels.
     Channel,
     /// The same threads, every envelope through the wire codec and a
     /// loopback socket.
@@ -178,14 +184,29 @@ impl Cell {
 
 /// Serve `cfg` on `host` under `faults` — its write-ahead log, crash
 /// windows and fault policy — and return the run's record. `cfg.transport`
-/// must be the host's. `Err` only from the `proc` host: a configuration
-/// its spec file cannot express, a fault spec with a log, a crash or a
-/// policy (an `ac-node` has none of the three), a process that could not
-/// be spawned or did not exit clean.
+/// must be the host's. An in-process run whose audit found something or
+/// whose transactions stalled is kept first ([`ServiceOutcome::keep`]) in
+/// the workspace's `target/ac-failures/` as
+/// `<protocol>-<host>-c<clients>-s<seed>-<k>`, the `k`-th run this process
+/// kept. `Err` only from the `proc` host: a configuration its spec file
+/// cannot express, a fault spec with a log, a crash or a policy (an
+/// `ac-node` has none of the three), a process that could not be spawned
+/// or did not exit clean.
 pub fn run_cell(host: Host, cfg: &ServiceConfig, faults: &FaultSpec) -> Result<Cell, String> {
     assert_eq!(cfg.transport, host.transport(), "{} host", host.name());
     match host {
-        Host::Channel | Host::Tcp => Ok(Cell::of_outcome(run_service_faulted(cfg, faults))),
+        Host::Channel | Host::Tcp => {
+            let out = run_service_faulted(cfg, faults);
+            if !out.is_safe() || out.stalled > 0 {
+                static KEPT: AtomicUsize = AtomicUsize::new(0);
+                let k = KEPT.fetch_add(1, Ordering::Relaxed);
+                let (kind, clients, seed) = (cfg.kind.name(), cfg.clients, cfg.seed);
+                let stem = format!("{kind}-{}-c{clients}-s{seed}-{k}", host.name());
+                // Evidence only: a run that cannot be kept is still measured.
+                let _ = out.keep(cfg, Path::new(FAILURES), &stem);
+            }
+            Ok(Cell::of_outcome(out))
+        }
         Host::Proc(_) if faults.durable || faults.any_crash() || faults.policy.is_some() => {
             Err("the proc host has no write-ahead log and injects no fault".into())
         }
@@ -196,7 +217,57 @@ pub fn run_cell(host: Host, cfg: &ServiceConfig, faults: &FaultSpec) -> Result<C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ac_cluster::CrashWindow;
     use ac_commit::protocols::ProtocolKind;
+    use std::time::Duration;
+
+    /// A cell whose transactions stall — node 3 dark for good from the
+    /// start — is kept in [`FAILURES`], and its dump reads back as the
+    /// run that stalled.
+    #[test]
+    fn a_stalled_in_process_cell_is_kept_as_a_cluster_dump() {
+        let n = 4;
+        let cfg = ServiceConfig::new(n, 1, ProtocolKind::TwoPc)
+            .clients(2)
+            .txns_per_client(8)
+            .seed(4_040)
+            .txn_deadline(Duration::from_millis(60));
+        let mut faults = FaultSpec::none(n);
+        faults.crashes[3] = Some(CrashWindow {
+            down_after: Duration::ZERO,
+            up_after: None,
+        });
+        // This cell's runs, kept by this run or by an earlier one.
+        let kept = || -> Vec<_> {
+            let Ok(dir) = std::fs::read_dir(FAILURES) else {
+                return Vec::new();
+            };
+            (dir.map(|e| e.expect("an entry").path()))
+                .filter(|p| {
+                    let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+                    name.starts_with("2PC-channel-c2-s4040-")
+                })
+                .collect()
+        };
+        for stale in kept() {
+            std::fs::remove_file(stale).expect("remove an earlier run's file");
+        }
+        let cell = run_cell(Host::Channel, &cfg, &faults).expect("in process");
+        assert!(
+            cell.stats.stalled > 0,
+            "node 3 takes part in some transaction"
+        );
+        let dumps: Vec<_> = kept()
+            .into_iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "dump"))
+            .collect();
+        assert_eq!(dumps.len(), 1, "one dump of the stalled run: {dumps:?}");
+        let bytes = std::fs::read(&dumps[0]).expect("read the dump");
+        let dump = ClusterDump::from_bytes(&bytes).expect("a cluster dump");
+        assert_eq!(dump.protocol, "2PC");
+        assert_eq!(dump.stats, cell.stats);
+        assert_eq!(Cell::of_dump(&dump).stats.stalled, cell.stats.stalled);
+    }
 
     /// The hosts agree by construction: the record of an in-process run
     /// and the record of the cluster dump a multi-process client would

@@ -20,10 +20,10 @@ use std::time::Duration;
 #[repr(usize)]
 pub enum Stage {
     /// Client-side wait: the gap between a client's flush and its next
-    /// turn — for a client on a thread of its own, its park on its link
-    /// for replies or its next deadline; for a client its node host runs,
-    /// the rest of that host's round and its park. One sample per turn
-    /// after the first, not per transaction.
+    /// turn — its host's park for replies or the next deadline, and the
+    /// rest of the host's round where the client shares its host with
+    /// nodes or other clients. One sample per turn after the first, not
+    /// per transaction.
     ClientQueueWait = 0,
     /// `Shard::prepare` call time on the `Begin` path (read validation +
     /// write-lock acquisition; wound-free, so this is pure CPU).
