@@ -11,15 +11,14 @@
 //! decision.
 //!
 //! A [`Client`] is split the way a node is: [`Client::turn`] takes what
-//! is ready on its `ClientLink` — its per-client reply channel in the
-//! in-process service, its slots of its host's readiness wait over the
-//! connections it dialed in a multi-process cluster — folds it in,
-//! re-sends or abandons what expired, submits and flushes once, and never
-//! blocks; [`Client::deadline`] says when it next needs a turn. The park
-//! between turns belongs to its host (`host.rs`), the one loop that runs
-//! nodes and clients alike: a lone in-process client's host parks on its
-//! reply channel, where one host runs every tcp node the clients are
-//! turned after its nodes in every round, and `ac-client`'s one host
+//! is ready on its `ClientLink` — its mailbox in the in-process service,
+//! its slots of its host's readiness wait over the connections it dialed
+//! in a multi-process cluster — folds it in, re-sends or abandons what
+//! expired, submits and flushes once, and never blocks;
+//! [`Client::deadline`] says when it next needs a turn. The park between
+//! turns belongs to its host (`host.rs`), the one loop that runs nodes
+//! and clients alike: in process the clients ride the node hosts and are
+//! turned after the nodes in every round, and `ac-client`'s one host
 //! waits on every client's connections at once.
 //! [`ClientRecord::verdict`] is the one reading of what a client saw of a
 //! transaction, and [`ClientFold`] the one fold of what a run's clients
@@ -365,8 +364,9 @@ impl<M: Wire + Send + 'static> Client<M> {
         }
     }
 
-    /// When the client next needs a turn: at once while replies wait on
-    /// its link or once it has nothing left but its exit flush, else the
+    /// When the client next needs a turn: at once while replies wait in
+    /// its mailbox or on its link, or once it has nothing left but its
+    /// exit flush, else the
     /// earliest outstanding retry or abandonment and whatever gates the
     /// next submission — the arrival schedule (open loop) or the pacing
     /// gate (closed loop, only when it is what blocks submission). `None`
@@ -407,19 +407,9 @@ impl<M: Wire + Send + 'static> Client<M> {
         ready.iter().any(PollFd::is_ready) || self.deadline().is_some_and(|at| at <= now)
     }
 
-    /// The park of an in-process client, which is its host's one
-    /// participant: until a reply is there or `until` passes, taking up to
-    /// [`CLIENT_BATCH`] replies for the next turn. The host turns it after
-    /// every park: what the park took is in hand, off the link.
-    pub(crate) fn park(&mut self, until: Option<Instant>) {
-        if let Some(until) = until {
-            self.link.park(&mut self.replies, CLIENT_BATCH, until);
-        }
-    }
-
     /// One turn, which never blocks, at the reading `now`: take what is
-    /// ready on the link (`ready` is the client's slots of its host's
-    /// wait, empty in process), fold it in, re-send or abandon what
+    /// ready on the link (its mailbox, or `ready`, the client's slots of
+    /// its host's wait), fold it in, re-send or abandon what
     /// expired, submit what the closed loop, pacing or the arrival
     /// schedule admits, and flush once — the exit flush, with every
     /// waiting `End`, once nothing is left to submit or learn. Returns
@@ -644,7 +634,7 @@ impl<M: Wire + Send + 'static> Client<M> {
     /// What the client returns once it has exited.
     pub(crate) fn finish(self) -> ClientReturn {
         debug_assert!(self.exited, "finished before its exit flush");
-        // The client's half of the socket path (zero over channels).
+        // The client's half of the socket path (zero in a channel run).
         let (writes, write_nanos) = self.link.io_stats();
         self.meters.add_many(Stage::TcpWrite, writes, write_nanos);
         ClientReturn {
@@ -668,22 +658,29 @@ mod tests {
     use ac_commit::protocols::{D1cc, PaxosCommit, ProtocolKind};
     use ac_commit::CommitProtocol;
     use ac_txn::workload::Workload;
-    use crossbeam::channel::{unbounded, Sender};
+    use std::sync::mpsc::{channel, Sender};
 
     use super::*;
     use crate::host::host;
-    use crate::transport::Transport;
+    use crate::transport::{Bell, Mailbox, Transport};
 
-    /// Client 0 of `cfg` over `link`, run to its exit on a one-client host
-    /// on this thread.
-    fn hosted<P>(cfg: &ServiceConfig, link: ClientLink<P::Msg>) -> ClientReturn
+    /// Client 0 of `cfg` writing to `nodes`, run to its exit on a
+    /// one-client host on this thread; `nodes` answers into the mailbox it
+    /// is handed.
+    fn hosted<P>(
+        cfg: &ServiceConfig,
+        nodes: impl FnOnce(Arc<Mailbox<Done>>) -> Box<dyn Transport<P::Msg>>,
+    ) -> ClientReturn
     where
         P: CommitProtocol,
         P::Msg: Wire + Send + 'static,
     {
+        let bell = Bell::new();
+        let inbox = Mailbox::new(&bell);
+        let link = ClientLink::InProcess(nodes(Arc::clone(&inbox)), inbox);
         let mut ret = None;
         let client = Client::new(0, cfg, Instant::now(), link);
-        host::<P>(Vec::new(), vec![client], |r| ret = Some(r));
+        host::<P>(Some(&bell), Vec::new(), vec![client], |r| ret = Some(r));
         ret.expect("the client exited")
     }
 
@@ -699,14 +696,10 @@ mod tests {
     /// that participant's commit `Done` — no node thread, no clock.
     struct Answering {
         writes: Sender<(usize, Vec<Sent>)>,
-        replies: Sender<Done>,
+        replies: Arc<Mailbox<Done>>,
     }
 
     impl<M: Send> Transport<M> for Answering {
-        fn send(&mut self, to: usize, env: ToNode<M>) {
-            self.send_batch(to, &mut vec![env]);
-        }
-
         fn send_batch(&mut self, to: usize, batch: &mut Vec<ToNode<M>>) {
             let write = batch.drain(..).map(|env| match env {
                 ToNode::Begin { txn, .. } => {
@@ -715,7 +708,7 @@ mod tests {
                         node: to,
                         decision: COMMIT,
                     };
-                    self.replies.send(done).expect("the client is parked on it");
+                    self.replies.post(&mut vec![done]);
                     Sent::Begin(txn.id)
                 }
                 ToNode::End { txn } => Sent::End(txn),
@@ -729,10 +722,8 @@ mod tests {
     /// Client 0's writes under `cfg`, in order, against [`Answering`]
     /// nodes.
     fn writes_of(cfg: &ServiceConfig) -> Vec<(usize, Vec<Sent>)> {
-        let (writes, written) = unbounded();
-        let (replies, rx) = unbounded();
-        let link = ClientLink::InProcess(Box::new(Answering { writes, replies }), rx);
-        let ret = hosted::<PaxosCommit>(cfg, link);
+        let (writes, written) = channel();
+        let ret = hosted::<PaxosCommit>(cfg, |replies| Box::new(Answering { writes, replies }));
         let all = (cfg.txns_per_client, 0, 0);
         assert_eq!((ret.records.len(), ret.stalled, ret.retries), all);
         std::iter::from_fn(|| written.try_recv().ok()).collect()
@@ -872,7 +863,7 @@ mod tests {
     struct Holding {
         n: usize,
         seen: Sender<Seen>,
-        replies: Sender<Done>,
+        replies: Arc<Mailbox<Done>>,
         held: Vec<Done>,
     }
 
@@ -880,15 +871,11 @@ mod tests {
         fn answer(&self, done: Done) {
             let seen = Seen::Done(done.txn, done.node);
             self.seen.send(seen).expect("the test holds it");
-            self.replies.send(done).expect("the client is parked on it");
+            self.replies.post(&mut vec![done]);
         }
     }
 
     impl<M: Send> Transport<M> for Holding {
-        fn send(&mut self, to: usize, env: ToNode<M>) {
-            self.send_batch(to, &mut vec![env]);
-        }
-
         fn send_batch(&mut self, to: usize, batch: &mut Vec<ToNode<M>>) {
             let (mut write, mut answers) = (Vec::new(), Vec::new());
             for env in batch.drain(..) {
@@ -930,16 +917,16 @@ mod tests {
         P: CommitProtocol,
         P::Msg: ac_sim::Wire + Send + 'static,
     {
-        let (seen, timeline) = unbounded();
-        let (replies, rx) = unbounded();
-        let nodes = Holding {
-            n: cfg.n,
-            seen,
-            replies,
-            held: Vec::new(),
+        let (seen, timeline) = channel();
+        let nodes = |replies| -> Box<dyn Transport<P::Msg>> {
+            Box::new(Holding {
+                n: cfg.n,
+                seen,
+                replies,
+                held: Vec::new(),
+            })
         };
-        let link = ClientLink::InProcess(Box::new(nodes), rx);
-        let ret = hosted::<P>(cfg, link);
+        let ret = hosted::<P>(cfg, nodes);
         let total = cfg.txns_per_client;
         assert_eq!((ret.records.len(), ret.stalled), (total, 0), "records");
         assert!(ret

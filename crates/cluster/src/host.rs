@@ -3,41 +3,41 @@
 //! host. Every serving thread of the crate runs it — in process, in
 //! `ac-node` and in `ac-client`.
 //!
-//! A host owns a set of nodes (its members) and clients, and, each round:
+//! A host owns a set of nodes (its members) and clients, the [`Bell`] their
+//! mailboxes ring, if any, and, each round:
 //!
-//! 1. parks once, until the earliest member or client deadline (timer,
+//! 1. arms its bell, reads the earliest member or client deadline (timer,
 //!    delayed-envelope release, crash or restart instant; a client's
-//!    retry, abandonment, pacing or arrival instant) or an arrival. A
-//!    channel's inbox cannot join a readiness wait, so a channel-linked
-//!    node or in-process client is its host's one participant and parks
-//!    on its channel. Every other host makes **one** readiness wait over
-//!    the union of its members' listeners and connections and its dialing
-//!    clients' connections ([`Readiness`]);
-//! 2. turns every member the park found something for (readiness in its
-//!    slots, a batch, or a deadline come), handing it its slots of the
-//!    wait, so its read pass waits for nothing;
+//!    retry, abandonment, pacing or arrival instant; at once where a
+//!    mailbox holds something), and parks once, until that deadline, a
+//!    ring or an arrival: **one** readiness wait over the bell and the
+//!    union of its members' listeners and connections and its dialing
+//!    clients' connections ([`Readiness`]). A post to the mailbox of an
+//!    in-process participant rings the bell only while it is armed, and
+//!    every post the deadlines missed finds it armed, so no post is left
+//!    waiting and a post to a running host costs no wake-up;
+//! 2. turns every member the park found something for (a post, readiness
+//!    in its slots, or a deadline come), handing it its slots of the wait,
+//!    so its read pass waits for nothing;
 //! 3. turns every client that is due the same way, after the members, so
-//!    it folds the replies this round's turns queued for it: where one
-//!    host runs every tcp node, its in-process clients share it, and a
-//!    reply is a push onto the client's channel that wakes no thread. A
-//!    client writes its `Begin`s and `End`s once per round, after every
-//!    member flushed.
+//!    it folds the replies this round's turns posted to it. A client
+//!    writes its `Begin`s and `End`s once per round, after every member
+//!    flushed.
 //!
-//! A lone participant is due whenever its host wakes: its park took what
-//! it wants into its own hands (a node's inbox, a client's replies). A
-//! member with decoded envelopes beyond its batch, or a client with
-//! reports queued, is due at once, so the host never parks on them. A
-//! round that moved nothing in any member or client is a spurious wakeup,
-//! counted per host. Crash windows, recovery and `Shutdown` stay per
-//! member: a dark member's sockets stay in the wait and its drain
+//! A member with a post or decoded envelopes beyond its batch, or a
+//! client with reports queued, is due at once, so the host never parks on
+//! them. A round that moved nothing in any member or client is a spurious
+//! wakeup, counted per host. Crash windows, recovery and `Shutdown` stay
+//! per member: a dark member's sockets stay in the wait and its drain
 //! discards. An exited client leaves the set at the end of its round, its
 //! return handed to `exited` at once. The host returns once every member
 //! has shut down and every client has exited, then finishes each member.
 //!
-//! Co-hosted nodes still talk through their pair's loopback connection, and
-//! co-hosted clients write to them through theirs, so a hop to a co-hosted
-//! peer costs a write and a read but no thread wake-up: the host is
-//! already running.
+//! In process, co-hosted nodes and clients post to each other's mailboxes
+//! without a syscall. Socket-linked nodes still talk through their pair's
+//! loopback connection, and co-hosted clients write to them through
+//! theirs, so a hop to a co-hosted peer costs a write and a read but no
+//! thread wake-up: the host is already running.
 
 use std::time::Instant;
 
@@ -46,7 +46,7 @@ use ac_sim::Wire;
 
 use crate::client::{Client, ClientReturn};
 use crate::node::{Node, NodeReturn};
-use crate::transport::Readiness;
+use crate::transport::{Bell, Readiness};
 
 /// What a host reports when its last member has shut down and its last
 /// client has exited.
@@ -59,11 +59,11 @@ pub(crate) struct HostReturn {
 
 /// Run `members`, and `clients` after them, on the calling thread until
 /// every member has shut down and every client has exited; each client's
-/// return goes to `exited` as it exits. A channel-linked node or an
-/// in-process client must be its host's only participant — except that
-/// in-process clients may share the host that runs every node they write
-/// to, whose turns queue their replies.
+/// return goes to `exited` as it exits. `bell` is the one every mailbox
+/// of a member or client rings (none where nothing posts to them: they
+/// are all socket-linked, as in `ac-node` and `ac-client`).
 pub(crate) fn host<P>(
+    bell: Option<&Bell>,
     mut members: Vec<Node<P>>,
     mut clients: Vec<Client<P::Msg>>,
     mut exited: impl FnMut(ClientReturn),
@@ -75,27 +75,21 @@ where
     let mut wait = Readiness::default();
     let mut spurious_wakeups = 0;
     loop {
+        // Armed before the deadlines are read: a post they miss rings.
+        if let Some(bell) = bell {
+            bell.arm();
+        }
         let until = (members.iter().filter_map(Node::deadline))
             .chain(clients.iter().filter_map(Client::deadline))
             .min();
-        match (&mut members[..], &mut clients[..]) {
-            ([node], []) if node.sockets().is_none() => node.park(until),
-            ([], [client]) if client.sockets().is_none() => client.park(until),
-            (nodes, guests) => {
-                debug_assert!(nodes.iter().all(|m| m.sockets().is_some() || !m.serving()));
-                let socks =
-                    (nodes.iter().map(Node::sockets)).chain(guests.iter().map(Client::sockets));
-                wait.wait(socks, until);
-            }
-        }
-        // A lone participant is due whenever its host wakes; among several,
-        // one reading decides which members are.
-        let lone = members.len() + clients.len() == 1;
-        let now = members.first().filter(|_| !lone).map(Node::now);
+        let socks = (members.iter().map(Node::sockets)).chain(clients.iter().map(Client::sockets));
+        wait.wait(bell, socks, until);
+        // One reading decides which members are due.
+        let now = members.first().map(Node::now);
         let mut moved = false;
         for (i, node) in members.iter_mut().enumerate() {
             let ready = wait.of(i);
-            if now.is_none_or(|now| node.due(ready, now)) {
+            if now.is_some_and(|now| node.due(ready, now)) {
                 moved |= node.turn(ready);
             }
         }
@@ -104,7 +98,7 @@ where
         // follow the members'.
         for (j, client) in clients.iter_mut().enumerate() {
             let (ready, now) = (wait.of(members.len() + j), Instant::now());
-            if lone || client.due(ready, now) {
+            if client.due(ready, now) {
                 moved |= client.turn(now, ready);
             }
         }
@@ -145,8 +139,9 @@ pub(crate) fn gather<T>(dealt: Vec<Vec<T>>) -> Vec<T> {
         .collect()
 }
 
-/// How many hosts serve `n` socket-linked nodes: one per core this process
-/// may run on (which honours a CPU pin), and no more than there are nodes.
+/// How many hosts serve `n` in-process nodes, socket-linked or not, and
+/// the clients beside them: one per core this process may run on (which
+/// honours a CPU pin), and no more than there are nodes.
 pub(crate) fn hosts_for(n: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     cores.min(n)

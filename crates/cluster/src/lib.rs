@@ -4,18 +4,17 @@
 //! discrete-event simulator and reports latency in *message delays*. This
 //! crate answers the paper's question — how fast can a distributed
 //! transaction commit? — the way systems papers do: **many concurrent
-//! commits over real channels**, measured in wall-clock throughput and
+//! commits over real links**, measured in wall-clock throughput and
 //! tail latency.
 //!
-//! * [`service`] — `n` long-lived nodes on host threads (one per node over
-//!   channels, one per core over TCP), each owning one [`ac_txn::Shard`]
+//! * [`service`] — `n` long-lived nodes on host threads (one per core,
+//!   never more than there are nodes), each owning one [`ac_txn::Shard`]
 //!   plus an [`ac_runtime::NodeLoop`] demultiplexer running many
 //!   concurrent protocol instances (messages travel as `(TxnId, Msg)`
-//!   envelopes over crossbeam channels or loopback TCP, scoped to each
-//!   transaction's participant shards), and a closed-loop load generator
-//!   of `c` clients (a host each, or the one host that runs every tcp
-//!   node; every serving thread runs the same `host` loop) driving
-//!   `ac-txn` workloads end-to-end:
+//!   envelopes through host-owned mailboxes or loopback TCP, scoped to
+//!   each transaction's participant shards), and a closed-loop load
+//!   generator of `c` clients riding the same hosts (every serving thread
+//!   runs the same `host` loop) driving `ac-txn` workloads end-to-end:
 //!   prepare/vote at the shards, one live protocol run per transaction
 //!   (any [`ac_commit::protocols::ProtocolKind`]), apply/release, with a
 //!   post-run safety audit. Since ISSUE-5 the service is also the
@@ -55,4 +54,4 @@ pub use service::{
     ORPHAN_CAP, SLOWEST_KEPT,
 };
 pub use spec::ClusterSpec;
-pub use transport::{ChannelTransport, TcpNode, TcpTransport, Transport};
+pub use transport::{mailboxes, Bell, Mailbox, Mailboxes, TcpNode, TcpTransport, Transport};

@@ -45,15 +45,15 @@
 //! A turn ([`Node::turn`]) takes what is ready and never blocks: five
 //! `&mut self` steps, each the single seam of its obs stamp. The park
 //! between turns belongs to the node's host ([`crate::host`]), which may
-//! run several socket-linked nodes on one thread.
+//! run several nodes, and clients beside them, on one thread.
 //!
 //! | step       | reads → writes                                             | obs stamp                         | attaches            |
 //! |------------|------------------------------------------------------------|-----------------------------------|---------------------|
-//! | `drain`    | [`Link`] → `inbox` without waiting (the batch the host's park took off the node's channel, or one read per connection of its own sockets the host's wait found ready — peers' and clients' alike) | — | crash check, dark window, WAL recovery |
+//! | `drain`    | [`Link`] → `inbox` without waiting (what the node's mailbox holds, or one read per connection of its own sockets the host's wait found ready — peers' and clients' alike) | — | crash check, dark window, WAL recovery |
 //! | `dispatch` | `inbox` → table, engine, `decided`, outbox; self-sends and due timers to quiescence | `DrainGap`, `LockAcquire`, flight `Dispatch`/`LockAcquired` | — |
 //! | `apply`    | `decided` → shard, `log`, staged `Done`s, then staged WAL records, a pass at a time | `LockHold`, `WalJournal`, flight `Decided` (per pass) | lock-steal guard (Deferred) |
 //! | `force`    | staged WAL records → WAL (one force per turn that staged any) | `WalForce`, flight `WalForced` | durability-before-reply |
-//! | `flush`    | outbox → fault policy → the same [`Link`] (a sender per node, or one write to each peer down the connection that peer is read from); `Done`s → [`Replies`] (each client's channel, or one write down the connection it said `Hello` on) | `Flush` | fault policy ([`NetPolicy`](crate::service::NetPolicy)) |
+//! | `flush`    | outbox → fault policy → the same [`Link`] (one post to each peer's mailbox, or one write to each peer down the connection that peer is read from); `Done`s → [`Replies`] (one post to each client's mailbox, or one write down the connection it said `Hello` on) | `Flush` | fault policy ([`NetPolicy`](crate::service::NetPolicy)) |
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -66,18 +66,17 @@ use ac_obs::{FlightStage, NetMeters, NodeObs, ObsExport, Stage};
 use ac_runtime::{NodeEvent, NodeLoop, Slab, UnitClock};
 use ac_sim::{InlineVec, ProcessId, Wire};
 use ac_txn::{DecidedTxn, Shard, Transaction, TxnId, Wal, WalRecord};
-use crossbeam::channel::Sender;
 
 use crate::client::nanos;
 use crate::codec::AnyFrame;
 use crate::service::{
     parts_of, CrashWindow, Done, Fate, NetPolicy, NodeRecord, ToNode, ORPHAN_CAP,
 };
-use crate::transport::{Link, Outbox, PollFd, Sockets};
+use crate::transport::{Link, Mailboxes, Outbox, PollFd, Sockets};
 
 /// Upper bound on envelopes drained per node-loop iteration. Bounds the
 /// latency a long backlog can add to timer firing while still amortizing
-/// the channel lock (or the readiness wait) across many messages.
+/// the mailbox lock (or the readiness wait) across many messages.
 const NODE_BATCH: usize = 256;
 
 /// The submitting client encoded in a [`TxnId`] (inverse of
@@ -147,9 +146,9 @@ pub(crate) struct NodeReturn {
 /// two sinks. A reply is written by the loop that decided, down the road
 /// the request took.
 pub(crate) enum Replies {
-    /// The in-process service: one reply channel per client. `ObsPull` is
-    /// a no-op (the host already holds every recorder).
-    Channel(Vec<Sender<Done>>),
+    /// The in-process service: every client's mailbox. `ObsPull` is a
+    /// no-op (the host already holds every recorder).
+    Mailbox(Mailboxes<Done>),
     /// A multi-process node: [`Link::reply`], down the connection the
     /// client said `Hello` on, which the node's own sockets
     /// ([`NodeEnv::link`]) hold. `clients` counts the ids replies are
@@ -161,7 +160,7 @@ impl Replies {
     /// How many client ids the node stages replies for.
     fn clients(&self) -> usize {
         match self {
-            Replies::Channel(txs) => txs.len(),
+            Replies::Mailbox(clients) => clients.len(),
             Replies::Connection { clients, .. } => *clients,
         }
     }
@@ -212,10 +211,10 @@ pub(crate) struct NodeEnv<P: CommitProtocol> {
     pub(crate) f: usize,
     pub(crate) unit: Duration,
     pub(crate) clock: Clock,
-    /// The node-to-node seam, both ways: what the drain step waits on and
-    /// where the flush step writes (channels, or the node's own sockets —
-    /// which also carry its clients' requests and, in a multi-process
-    /// cluster, their replies).
+    /// The node-to-node seam, both ways: what the drain step takes from
+    /// and where the flush step writes (mailboxes, or the node's own
+    /// sockets — which also carry its clients' requests and, in a
+    /// multi-process cluster, their replies).
     pub(crate) link: Link<P::Msg>,
     /// The node-to-client seam (see [`Replies`]).
     pub(crate) replies: Replies,
@@ -295,11 +294,11 @@ struct Volatile<M> {
     txns: Slab<Txn<M>>,
     /// Per-client Begin watermark: the highest per-client sequence number
     /// this node has begun. Each client's control stream is FIFO (one
-    /// channel sender per client), so a protocol envelope whose seq is at
-    /// or below the watermark and whose transaction is not in the table
-    /// belongs to an *ended* (or crash-lost) transaction — a late
-    /// straggler to drop; the recovery path resolves crash-lost ones via
-    /// client retries.
+    /// sender per client, posting or writing in order), so a protocol
+    /// envelope whose seq is at or below the watermark and whose
+    /// transaction is not in the table belongs to an *ended* (or
+    /// crash-lost) transaction — a late straggler to drop; the recovery
+    /// path resolves crash-lost ones via client retries.
     begun: Vec<u64>,
     log: Vec<NodeRecord>,
     /// Decisions waiting for [`Node::apply`]: the engine's, adopted
@@ -310,7 +309,7 @@ struct Volatile<M> {
     /// `Deliver`, or delay-released), waiting for the flush point.
     cleared: Outbox<M>,
     done_out: Vec<Vec<Done>>,
-    /// Self-sends short-circuit through here and never touch a channel.
+    /// Self-sends short-circuit through here and never touch the link.
     selfq: VecDeque<(TxnId, M)>,
     /// Envelopes held back by `Fate::Delay`, keyed `(due, seq, to)`:
     /// released in due order, per-destination FIFO among equals.
@@ -479,13 +478,12 @@ where
         }
     }
 
-    /// Whether the node still serves: no `Shutdown` has reached it and its
-    /// inbox still has a sender.
+    /// Whether the node still serves: no `Shutdown` has reached it.
     pub(crate) fn serving(&self) -> bool {
         !self.shutdown
     }
 
-    /// The sockets its host's wait covers for the node: none on a channel,
+    /// The sockets its host's wait covers for the node: none in process,
     /// and none once it has shut down.
     pub(crate) fn sockets(&self) -> Option<&Sockets> {
         self.env.link.sockets().filter(|_| !self.shutdown)
@@ -494,8 +492,8 @@ where
     /// When the node next needs a turn if nothing arrives: its earliest
     /// pending timer, delayed-envelope release or scheduled crash while up,
     /// its restart instant while dark, and the epoch — at once — while
-    /// envelopes a read decoded wait beyond a batch. `None`: only an
-    /// arrival (or never, once it has shut down).
+    /// envelopes wait in its mailbox or beyond a batch a read decoded.
+    /// `None`: only an arrival (or never, once it has shut down).
     pub(crate) fn deadline(&self) -> Option<Instant> {
         if self.shutdown {
             return None;
@@ -521,29 +519,17 @@ where
     }
 
     /// Whether a turn would find anything, read at `now`: a slot of
-    /// `ready` (the node's slots of its host's wait) is ready, its park
-    /// took a batch, or its deadline has come.
+    /// `ready` (the node's slots of its host's wait) is ready, or its
+    /// deadline has come — a post waiting in its mailbox among them.
     pub(crate) fn due(&self, ready: &[PollFd], now: Instant) -> bool {
         !self.shutdown
-            && (!self.inbox.is_empty()
-                || ready.iter().any(PollFd::is_ready)
-                || self.deadline().is_some_and(|at| at <= now))
-    }
-
-    /// The park of a channel-linked node, which is its host's one member:
-    /// until an envelope arrives or `until` passes (`None` = until
-    /// something arrives), taking up to [`NODE_BATCH`] envelopes for the
-    /// next turn. An inbox nothing can reach any more shuts the node down.
-    pub(crate) fn park(&mut self, until: Option<Instant>) {
-        let got = self.env.link.park(&mut self.inbox, NODE_BATCH, until);
-        self.shutdown |= got.is_err();
+            && (ready.iter().any(PollFd::is_ready) || self.deadline().is_some_and(|at| at <= now))
     }
 
     /// One turn, which never blocks: take what is ready, dispatch, apply,
     /// force, flush. `ready` is the node's slots of its host's wait (empty
-    /// on a channel, whose park took the batch). Returns whether the turn
-    /// moved anything — an envelope in or out, a socket read, a timer, a
-    /// force, a crash or a restart.
+    /// in process). Returns whether the turn moved anything — an envelope
+    /// in or out, a socket read, a timer, a force, a crash or a restart.
     pub(crate) fn turn(&mut self, ready: &[PollFd]) -> bool {
         let drained = self.drain(ready);
         let fired = self.dispatch();
@@ -563,11 +549,11 @@ where
     }
 
     /// Step 1. Take the scheduled crash if it is due, then what is ready
-    /// without waiting: on sockets one read per connection the host's wait
-    /// found ready, then up to [`NODE_BATCH`] of what they decoded; on a
-    /// channel the batch the park took. A dark node discards what it took
-    /// and restarts once its restart instant has passed. Returns whether
-    /// anything moved.
+    /// without waiting: up to [`NODE_BATCH`] envelopes of its mailbox, or,
+    /// on sockets, one read per connection the host's wait found ready,
+    /// then up to as many of what they decoded. A dark node discards what
+    /// it took and restarts once its restart instant has passed. Returns
+    /// whether anything moved.
     fn drain(&mut self, ready: &[PollFd]) -> bool {
         let crashed = self.crash_due();
         if crashed {
@@ -1014,7 +1000,7 @@ where
         Some(forced)
     }
 
-    /// Step 5. The single write point: one `send_batch` (one lock or
+    /// Step 5. The single write point: one `send_batch` (one post or
     /// socket write, at most one wakeup) per destination with traffic,
     /// peer node and client alike — over sockets, each down the connection
     /// that destination's own traffic arrives on.
@@ -1058,12 +1044,13 @@ where
                 continue;
             }
             flushed += batch.len();
-            let reports = batch.drain(..);
-            // A client that is gone costs its reports, not the node.
-            let _delivered = match &self.env.replies {
-                Replies::Channel(txs) => txs[client].send_batch(reports).is_ok(),
-                Replies::Connection { .. } => link.reply(client, reports.map(AnyFrame::Done)),
-            };
+            match &self.env.replies {
+                Replies::Mailbox(clients) => clients[client].post(batch),
+                // A client that is gone costs its reports, not the node.
+                Replies::Connection { .. } => {
+                    link.reply(client, batch.drain(..).map(AnyFrame::Done));
+                }
+            }
         }
         if flushed > 0 {
             let took = self.env.clock.now() - now;
@@ -1124,12 +1111,13 @@ mod tests {
     use crate::host::host;
     use crate::service::ServiceConfig;
     use crate::transport::{
-        ChannelTransport, ClientLink, NodeHooks, Readiness, SocketLink, TcpTransport, Transport,
+        mailboxes, Bell, ClientLink, Mailbox, NodeHooks, Readiness, SocketLink, TcpTransport,
+        Transport,
     };
     use ac_commit::protocols::{PaxosCommit, ProtocolKind};
     use ac_txn::{Key, Version};
-    use crossbeam::channel::{unbounded, Receiver};
     use std::cell::Cell;
+    use std::sync::mpsc::channel;
 
     /// How far apart two readings of the test clock lie.
     const STEP: Duration = Duration::from_micros(1);
@@ -1162,23 +1150,24 @@ mod tests {
         }
     }
 
+    /// Node `me` of the nodes whose mailboxes are `nodes`, replying to
+    /// `clients`' mailboxes.
     fn bare_env<P: CommitProtocol>(
         me: ProcessId,
-        rx: Receiver<ToNode<P::Msg>>,
-        txs: Vec<Sender<ToNode<P::Msg>>>,
-        done_txs: Vec<Sender<Done>>,
+        nodes: Mailboxes<ToNode<P::Msg>>,
+        clients: Mailboxes<Done>,
     ) -> NodeEnv<P>
     where
         P::Msg: Wire + Send + 'static,
     {
         NodeEnv {
             me,
-            n: txs.len(),
+            n: nodes.len(),
             f: 1,
             unit: Duration::from_millis(5),
             clock: Clock::monotonic(Instant::now()),
-            link: Link::Channel(rx, ChannelTransport::new(txs)),
-            replies: Replies::Channel(done_txs),
+            link: Link::Mailbox(me, nodes),
+            replies: Replies::Mailbox(clients),
             policy: None,
             window: None,
             wal: None,
@@ -1208,32 +1197,40 @@ mod tests {
     }
 
     /// Node 0 of a two-node, one-client cluster on the test clock, driven
-    /// by calling its steps; `peer` and `done` are where its flushes land.
+    /// by calling its steps; node 1's mailbox and the client's are where
+    /// its flushes land.
     struct Rig {
         node: Node<DecideOnMsg>,
-        tx: Sender<ToNode<()>>,
-        peer: Receiver<ToNode<()>>,
-        done: Receiver<Done>,
+        nodes: Mailboxes<ToNode<()>>,
+        done: Arc<Mailbox<Done>>,
     }
 
     fn rig(logless: bool, wal: Option<Wal>) -> Rig {
-        let (tx, rx) = unbounded();
-        let (peer_tx, peer) = unbounded();
-        let (done_tx, done) = unbounded();
-        let mut env = bare_env::<DecideOnMsg>(0, rx, vec![tx.clone(), peer_tx], vec![done_tx]);
+        let bell = [Bell::new()];
+        let (nodes, clients) = (mailboxes(2, &bell), mailboxes(1, &bell));
+        let mut env = bare_env::<DecideOnMsg>(0, nodes.clone(), clients.clone());
         env.clock = test_clock();
         env.logless = logless;
         env.wal = wal;
         let node = Node::new(env);
         Rig {
             node,
-            tx,
-            peer,
-            done,
+            nodes,
+            done: Arc::clone(&clients[0]),
         }
     }
 
     impl Rig {
+        /// Post `envs` to the node as one batch.
+        fn post(&self, envs: impl IntoIterator<Item = ToNode<()>>) {
+            self.nodes[0].post(&mut envs.into_iter().collect());
+        }
+
+        /// Node 1's mailbox: where the node's envelopes land.
+        fn peer(&self) -> &Mailbox<ToNode<()>> {
+            &self.nodes[1]
+        }
+
         /// Hand the node `envs` as one drained batch and run the turn's
         /// remaining steps. Returns what left the node, one letter each:
         /// `N`et, Status`Q`, Status`A` to the peer, then `D`one to the
@@ -1245,7 +1242,7 @@ mod tests {
             let forced = self.node.force();
             self.node.flush(forced);
             let mut buf = Vec::new();
-            self.peer.try_drain(&mut buf, usize::MAX);
+            self.peer().take(&mut buf, usize::MAX);
             let mut out: String = buf
                 .iter()
                 .map(|e| match e {
@@ -1256,7 +1253,7 @@ mod tests {
                 })
                 .collect();
             let mut dones = Vec::new();
-            out.extend((0..self.done.try_drain(&mut dones, usize::MAX)).map(|_| 'D'));
+            out.extend((0..self.done.take(&mut dones, usize::MAX)).map(|_| 'D'));
             out
         }
 
@@ -1277,11 +1274,10 @@ mod tests {
         }
     }
 
-    /// A lone node's host short of the turn: the park (a channel already
-    /// holds what the test sent) or waits on the node's own sockets, then
-    /// the drain, until it took something — or, on sockets, for at most a
-    /// patient while (the test wrote its frames before). Returns how many
-    /// envelopes the drain took.
+    /// A lone node's host short of the turn: the drain of what the test
+    /// posted, or waits on the node's own sockets and drains until it took
+    /// something — for at most a patient while (the test wrote its frames
+    /// before). Returns how many envelopes the drain took.
     fn drained<P>(node: &mut Node<P>) -> usize
     where
         P: CommitProtocol,
@@ -1290,31 +1286,16 @@ mod tests {
         let patience = Instant::now() + Duration::from_secs(5);
         let mut wait = Readiness::default();
         while node.inbox.is_empty() {
-            match node.sockets() {
-                None => node.park(Some(Instant::now())),
-                Some(link) => {
-                    if !wait.wait([Some(link)], Some(patience)) {
-                        break;
-                    }
-                }
-            }
-            node.drain(wait.of(0));
-            if node.sockets().is_none() {
+            let Some(link) = node.sockets() else {
+                node.drain(&[]);
+                break;
+            };
+            if !wait.wait(None, [Some(link)], Some(patience)) {
                 break;
             }
+            node.drain(wait.of(0));
         }
         node.inbox.len()
-    }
-
-    /// One round of a lone channel-linked node's host, on what the test
-    /// already sent: the park, then the turn.
-    fn round<P>(node: &mut Node<P>) -> bool
-    where
-        P: CommitProtocol,
-        P::Msg: Wire + Send + 'static,
-    {
-        node.park(Some(Instant::now()));
-        node.turn(&[])
     }
 
     /// Client 0's `i`-th transaction, writing `value` to key 7 of shard 0.
@@ -1357,15 +1338,15 @@ mod tests {
         let mut votes = Vec::new();
         for step in 0..2 {
             let begins = (0..per_step).map(|i| begin(&write7(step * per_step + i, 5), false));
-            assert!(r.tx.send_batch(begins).is_ok());
-            assert!(round(&mut r.node));
+            r.post(begins);
+            assert!(r.node.turn(&[]));
             assert_eq!(
                 (r.wal().len(), r.node.vol.wal_batch.len()),
                 ((step + 1) * per_step, 0),
                 "step {step}: every staged prepare forced in the step that staged it"
             );
             assert_eq!(
-                r.peer.try_drain(&mut votes, usize::MAX),
+                r.peer().take(&mut votes, usize::MAX),
                 per_step,
                 "step {step}: the votes left in that step's flush"
             );
@@ -1537,7 +1518,7 @@ mod tests {
     fn a_crash_before_force_leaves_no_trace_of_the_transaction() {
         let mut r = rig(false, Some(Wal::new()));
         let txn = write7(0, 5);
-        assert!(r.tx.send_batch([begin(&txn, false), net(txn.id)]).is_ok());
+        r.post([begin(&txn, false), net(txn.id)]);
         assert_eq!(drained(&mut r.node), 2);
         r.node.dispatch();
         r.node.apply();
@@ -1545,8 +1526,9 @@ mod tests {
         assert_eq!(r.node.vol.wal_batch.len(), 2, "prepare + decide staged");
         // The log is all that outlives the node.
         let wal = r.node.env.wal.take().expect("a durable node");
-        drop(r.node);
-        assert!(r.peer.is_empty() && r.done.is_empty(), "nothing escaped");
+        let Rig { node, nodes, done } = r;
+        drop(node);
+        assert!(!nodes[1].pending() && !done.pending(), "nothing escaped");
         assert!(wal.is_empty(), "nothing was forced");
 
         let mut successor = rig(false, Some(wal));
@@ -1566,14 +1548,15 @@ mod tests {
     fn a_crash_after_force_before_flush_recovers_the_logged_decision() {
         let mut r = rig(false, Some(Wal::new()));
         let txn = write7(0, 5);
-        assert!(r.tx.send_batch([begin(&txn, false), net(txn.id)]).is_ok());
+        r.post([begin(&txn, false), net(txn.id)]);
         assert_eq!(drained(&mut r.node), 2);
         r.node.dispatch();
         r.node.apply();
         assert!(r.node.force().is_some());
         let wal = r.node.env.wal.take().expect("a durable node");
-        drop(r.node);
-        assert!(r.peer.is_empty() && r.done.is_empty(), "nothing escaped");
+        let Rig { node, nodes, done } = r;
+        drop(node);
+        assert!(!nodes[1].pending() && !done.pending(), "nothing escaped");
         assert_eq!(wal.len(), 2, "prepare + decide survive");
 
         let mut successor = rig(false, Some(wal));
@@ -1749,10 +1732,23 @@ mod tests {
 
     /// Node `me` of two, hosted on its own sockets.
     fn socket_env(me: ProcessId, link: SocketLink<()>) -> NodeEnv<DecideOnMsg> {
-        let (tx, rx) = unbounded();
+        socket_node(me, 2, link, mailboxes(0, &[]))
+    }
+
+    /// Node `me` of `n` socket-linked nodes, replying to `clients`'
+    /// mailboxes.
+    fn socket_node<P: CommitProtocol>(
+        me: ProcessId,
+        n: usize,
+        link: SocketLink<P::Msg>,
+        clients: Mailboxes<Done>,
+    ) -> NodeEnv<P>
+    where
+        P::Msg: Wire + Send + 'static,
+    {
         NodeEnv {
             link: Link::Sockets(link),
-            ..bare_env::<DecideOnMsg>(me, rx, vec![tx.clone(), tx], Vec::new())
+            ..bare_env::<P>(me, mailboxes(n, &[Bell::new()]), clients)
         }
     }
 
@@ -1859,7 +1855,7 @@ mod tests {
         let mut low = Node::new(socket_env(0, links.pop().expect("two links")));
         let connections = |node: &Node<DecideOnMsg>| match &node.env.link {
             Link::Sockets(link) => link.connections(),
-            Link::Channel(..) => unreachable!("socket-hosted"),
+            Link::Mailbox(..) => unreachable!("socket-hosted"),
         };
         assert_eq!((connections(&low), connections(&high)), (1, 1));
 
@@ -1892,35 +1888,33 @@ mod tests {
         // to be accepted.
         let soon = Some(Instant::now() + Duration::from_millis(50));
         let mut wait = Readiness::default();
-        assert!(!wait.wait([low.sockets(), high.sockets()], soon));
+        assert!(!wait.wait(None, [low.sockets(), high.sockets()], soon));
         assert_eq!((connections(&low), connections(&high)), (1, 1));
     }
 
     /// ISSUE-4 satellite: an idle service must perform **zero** spurious
-    /// wakeups — no housekeeping ticks, no idle polls. Four channel-linked
+    /// wakeups — no housekeeping ticks, no idle polls. Four in-process
     /// nodes, each its host's one member, are left with no clients and no
-    /// traffic for 50 ms; every host must park the whole time.
+    /// traffic for 50 ms; every host must park the whole time, and the
+    /// `Shutdown` posted to it then must reach it through its bell.
     #[test]
     fn idle_nodes_perform_zero_spurious_wakeups_over_50ms() {
         type P = PaxosCommit;
         let n = 4;
-        let node_ch: Vec<_> = (0..n)
-            .map(|_| unbounded::<ToNode<<P as ac_sim::Automaton>::Msg>>())
-            .collect();
-        let (node_txs, node_rxs): (Vec<_>, Vec<_>) = node_ch.into_iter().unzip();
-        let handles: Vec<_> = node_rxs
-            .into_iter()
-            .enumerate()
-            .map(|(me, rx)| {
-                let env = bare_env::<P>(me, rx, node_txs.clone(), Vec::new());
-                std::thread::spawn(move || host(vec![Node::new(env)], Vec::new(), drop))
+        let bells: Vec<_> = (0..n).map(|_| Bell::new()).collect();
+        let nodes = mailboxes(n, &bells);
+        let handles: Vec<_> = (bells.into_iter().enumerate())
+            .map(|(me, bell)| {
+                let env = bare_env::<P>(me, nodes.clone(), mailboxes(0, &[]));
+                std::thread::spawn(move || {
+                    host(Some(&bell), vec![Node::new(env)], Vec::new(), drop)
+                })
             })
             .collect();
         std::thread::sleep(Duration::from_millis(50));
-        for tx in &node_txs {
-            let _ = tx.send(ToNode::Shutdown);
+        for p in 0..n {
+            nodes[p].post(&mut vec![ToNode::Shutdown]);
         }
-        drop(node_txs);
         let total: usize = handles
             .into_iter()
             .map(|h| h.join().expect("host thread panicked").spurious_wakeups)
@@ -1953,30 +1947,27 @@ mod tests {
                 addrs.push(link.addr().expect("listener address"));
                 links.push(link);
             }
-            let (done_txs, done_rxs): (Vec<_>, Vec<_>) =
-                (0..clients).map(|_| unbounded::<Done>()).unzip();
+            let bell = Bell::new();
+            let inboxes = mailboxes(clients, &[Arc::clone(&bell)]);
             let members: Vec<_> = links
                 .into_iter()
                 .enumerate()
                 .map(|(me, mut link)| {
                     link.mesh(me, addrs.clone());
-                    let (tx, rx) = unbounded();
-                    Node::new(NodeEnv {
-                        link: Link::Sockets(link),
-                        ..bare_env::<P>(me, rx, vec![tx; n], done_txs.clone())
-                    })
+                    Node::new(socket_node::<P>(me, n, link, inboxes.clone()))
                 })
                 .collect();
             let epoch = Instant::now();
-            let guests: Vec<Client<M>> = (done_rxs.into_iter().enumerate())
-                .map(|(c, rx)| {
+            let guests: Vec<Client<M>> = (0..clients)
+                .map(|c| {
                     let nodes = Box::new(TcpTransport::new(addrs.clone()));
-                    Client::new(c, &paced, epoch, ClientLink::InProcess(nodes, rx))
+                    let link = ClientLink::InProcess(nodes, Arc::clone(&inboxes[c]));
+                    Client::new(c, &paced, epoch, link)
                 })
                 .collect();
-            let (exits, exited) = unbounded();
+            let (exits, exited) = channel();
             let hosted = std::thread::spawn(move || {
-                host(members, guests, |ret| {
+                host(Some(&bell), members, guests, |ret| {
                     let _ = exits.send(ret);
                 })
             });
@@ -2020,17 +2011,18 @@ mod tests {
         let node_hosts: Vec<_> = (bound.into_iter().enumerate())
             .map(|(me, mut link)| {
                 link.mesh(me, addrs.clone());
-                let (tx, rx) = unbounded();
                 let replies = Replies::Connection {
                     clients: paced.clients,
                     net: Arc::new(NetMeters::new(n)),
                 };
                 let env = NodeEnv {
-                    link: Link::Sockets(link),
                     replies,
-                    ..bare_env::<P>(me, rx, vec![tx; n], Vec::new())
+                    ..socket_node::<P>(me, n, link, mailboxes(0, &[]))
                 };
-                std::thread::spawn(move || host(vec![Node::new(env)], Vec::new(), drop))
+                let bell = Bell::new();
+                std::thread::spawn(move || {
+                    host(Some(&bell), vec![Node::new(env)], Vec::new(), drop)
+                })
             })
             .collect();
         let epoch = Instant::now();
@@ -2038,7 +2030,7 @@ mod tests {
             .map(|c| Client::new(c, &paced, epoch, ClientLink::dialing(c, addrs.clone())))
             .collect();
         let mut exits = Vec::new();
-        let hosted = host::<P>(Vec::new(), clients, |ret| exits.push(ret));
+        let hosted = host::<P>(None, Vec::new(), clients, |ret| exits.push(ret));
         assert_eq!(exits.len(), paced.clients);
         for ret in &exits {
             let c = ret.client;
@@ -2065,8 +2057,8 @@ mod tests {
 
     /// Every `End` leaves the client — including the ones still waiting
     /// for a `Begin` to ride when the loop breaks — so a windowed run
-    /// leaves no instance open at any node. (Over channels the clients'
-    /// final flush is FIFO-ahead of the `Shutdown` sent after they return,
+    /// leaves no instance open at any node. (In process the clients' final
+    /// flush is posted ahead of the `Shutdown` posted after they return,
     /// so the check is exact.)
     #[test]
     fn windowed_clients_end_every_instance_they_began() {
@@ -2077,28 +2069,25 @@ mod tests {
             .txns_per_client(300)
             .park_retries(0)
             .max_outstanding(32);
-        let node_ch: Vec<_> = (0..n)
-            .map(|_| unbounded::<ToNode<<P as ac_sim::Automaton>::Msg>>())
-            .collect();
-        let (node_txs, node_rxs): (Vec<_>, Vec<_>) = node_ch.into_iter().unzip();
-        let (done_tx, done_rx) = unbounded::<Done>();
-        let handles: Vec<_> = node_rxs
-            .into_iter()
-            .enumerate()
-            .map(|(me, rx)| {
-                let env = bare_env::<P>(me, rx, node_txs.clone(), vec![done_tx.clone()]);
-                std::thread::spawn(move || host(vec![Node::new(env)], Vec::new(), drop))
+        let bells: Vec<_> = (0..=n).map(|_| Bell::new()).collect();
+        let nodes = mailboxes(n, &bells[..n]);
+        let clients = mailboxes(1, &bells[n..]);
+        let handles: Vec<_> = (bells[..n].iter().cloned().enumerate())
+            .map(|(me, bell)| {
+                let env = bare_env::<P>(me, nodes.clone(), clients.clone());
+                std::thread::spawn(move || {
+                    host(Some(&bell), vec![Node::new(env)], Vec::new(), drop)
+                })
             })
             .collect();
-        let transport = Box::new(ChannelTransport::new(node_txs.clone()));
-        let link = ClientLink::InProcess(transport, done_rx);
+        let link = ClientLink::InProcess(Box::new(nodes.clone()), Arc::clone(&clients[0]));
         let client = Client::new(0, &cfg, Instant::now(), link);
         let mut ret = None;
-        host::<P>(Vec::new(), vec![client], |r| ret = Some(r));
+        host::<P>(Some(&bells[n]), Vec::new(), vec![client], |r| ret = Some(r));
         let ret = ret.expect("the client exited");
         assert_eq!((ret.records.len(), ret.stalled, ret.retries), (300, 0, 0));
-        for tx in &node_txs {
-            let _ = tx.send(ToNode::Shutdown);
+        for p in 0..n {
+            nodes[p].post(&mut vec![ToNode::Shutdown]);
         }
         let nodes: Vec<NodeReturn> = handles
             .into_iter()

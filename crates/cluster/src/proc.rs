@@ -172,7 +172,9 @@ where
         logless: cfg.kind.logless(),
         obs: meters.map_or_else(NodeObs::new, NodeObs::with_meters),
     };
-    let ret = host(vec![Node::new(env)], Vec::new(), drop).nodes.pop();
+    let ret = host(None, vec![Node::new(env)], Vec::new(), drop)
+        .nodes
+        .pop();
     let ret = ret.expect("one member");
     NodeSummary {
         me,
@@ -218,7 +220,7 @@ where
         .map(|c| Client::new(c, cfg, epoch, ClientLink::dialing(c, spec.nodes.clone())))
         .collect();
     let mut fold = ClientFold::new(cfg.clients * cfg.txns_per_client);
-    host::<P>(Vec::new(), clients, |ret| fold.add(&ret, |_, _| {}));
+    host::<P>(None, Vec::new(), clients, |ret| fold.add(&ret, |_, _| {}));
     // The load phase ends here, as the in-process service's does: what
     // follows is collection, not serving.
     let stats = RunStats {

@@ -2,14 +2,13 @@
 //! [`Shard`] and an [`ac_runtime::NodeLoop`] demultiplexer running many
 //! concurrent commit-protocol instances, plus a closed-loop load
 //! generator of `c` clients, all run by one loop on host threads
-//! (`host.rs`): one per node over channels, one per core over TCP, and one
-//! per client — except where one host runs every tcp node, which runs the
-//! clients too. This module holds the
-//! configuration, the message alphabet, the in-process runner (`serve`)
-//! and the post-run audit; the node itself is the step-wise `Node` of
-//! `node.rs` (one transaction table with an explicit per-transaction
-//! phase, five steps per turn — its module docs carry the phase diagram
-//! and the step table), and the client is `client.rs`.
+//! (`host.rs`): one per core on either transport, never more than there
+//! are nodes, the clients riding the hosts of the nodes. This module
+//! holds the configuration, the message alphabet, the in-process runner
+//! (`serve`) and the post-run audit; the node itself is the step-wise
+//! `Node` of `node.rs` (one transaction table with an explicit
+//! per-transaction phase, five steps per turn — its module docs carry the
+//! phase diagram and the step table), and the client is `client.rs`.
 //!
 //! ## Lifecycle of one transaction
 //!
@@ -81,19 +80,19 @@
 //! release, scheduled crash or restart; or indefinitely when idle — an
 //! idle host performs zero wakeups, see
 //! [`ServiceOutcome::spurious_wakeups`]); a node's `drain` step then takes
-//! its whole inbound backlog without waiting — the batch the park took
-//! under one lock over channels; over TCP one read per connection of the
+//! its whole inbound backlog without waiting — what its mailbox holds,
+//! under one lock, in process; over TCP one read per connection of the
 //! node's **own** sockets that the host's one readiness wait found ready,
 //! no thread between the socket and the loop — `dispatch` runs every
 //! envelope through one slab probe of the transaction table, `apply` and
 //! `force` stage and force the write-ahead log records, and only then
 //! `flush` writes the outputs — one `send_batch` per peer node and per
 //! client. Self-sends short-circuit through an in-memory queue and never
-//! touch a channel. Clients stage and flush the same way (see
+//! touch a link. Clients stage and flush the same way (see
 //! `Client::turn`).
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use ac_commit::problem::COMMIT;
@@ -102,7 +101,6 @@ use ac_commit::CommitProtocol;
 use ac_sim::ProcessId;
 use ac_txn::workload::Workload;
 use ac_txn::{Shard, Transaction, TxnId, Wal};
-use crossbeam::channel::unbounded;
 
 use ac_obs::{
     Attribution, ClockAlignment, ClusterDump, DumpTxn, FlightEvent, FlightIndex, NetSnapshot,
@@ -113,7 +111,7 @@ use crate::client::{nanos, Client, ClientFold, ClientRecord, ClientReturn, Verdi
 use crate::host::{deal, gather, host, hosts_for, HostReturn};
 use crate::node::{Clock, Node, NodeCounts, NodeEnv, NodeReturn, Replies};
 use crate::transport::{
-    ChannelTransport, ClientLink, Link, NodeHooks, SocketLink, TcpTransport, Transport,
+    mailboxes, Bell, ClientLink, Link, NodeHooks, SocketLink, TcpTransport, Transport,
 };
 
 /// How many of the slowest reconstructed transaction timelines a run's
@@ -215,12 +213,12 @@ impl FaultSpec {
 
 /// Which transport carries everything a node receives — node-to-node
 /// envelopes, the clients' `Begin`/`End` and teardown's `Shutdown` (see
-/// [`crate::transport`]). Decision replies (node→client) stay on
-/// in-process channels when the whole service runs in one process; the
+/// [`crate::transport`]). Decision replies (node→client) are posts to
+/// the clients' mailboxes when the whole service runs in one process; the
 /// `ac-node` / `ac-client` binaries put them on TCP too.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process crossbeam channels (the fast/test path).
+    /// In-process mailboxes on host threads (the fast/test path).
     Channel,
     /// Real TCP sockets on loopback, framed by [`crate::codec`].
     Tcp,
@@ -537,11 +535,13 @@ pub struct ServiceOutcome {
     pub retries: usize,
     /// Bounded reply waits that expired (retries + abandonments).
     pub reply_timeouts: usize,
-    /// Host threads that ran the nodes: one per node over channels,
-    /// `min(cores, n)` over TCP (cores this process may run on).
+    /// Host threads that ran the nodes, and the clients beside them:
+    /// `min(cores, n)` on either transport (cores this process may run
+    /// on), or the `hosts` a test asked for.
     pub node_threads: usize,
-    /// Hosts that ran clients alone: one per client, none where one host
-    /// ran every node over TCP (the clients then ran on that host).
+    /// Host threads that ran clients alone: none, since the clients ride
+    /// the node hosts. `node_threads + client_threads` counts every
+    /// serving thread of the run.
     pub client_threads: usize,
     /// Host wakeups that moved nothing in any of the host's nodes or
     /// clients (0 = every wakeup did useful work; idle hosts park
@@ -799,8 +799,8 @@ pub fn run_service_faulted(cfg: &ServiceConfig, spec: &FaultSpec) -> ServiceOutc
     run_hosted(cfg, spec, hosts_for(cfg.n))
 }
 
-/// [`run_service_faulted`] with socket-linked nodes dealt onto `hosts`
-/// host threads (a channel-linked node always gets one of its own).
+/// [`run_service_faulted`] with the nodes, and the clients beside them,
+/// dealt onto `hosts` host threads, on either transport.
 pub(crate) fn run_hosted(cfg: &ServiceConfig, spec: &FaultSpec, hosts: usize) -> ServiceOutcome {
     ac_commit::with_protocol!(cfg.kind, P => serve::<P>(cfg, spec, hosts))
 }
@@ -815,47 +815,44 @@ where
     assert_eq!(spec.crashes.len(), cfg.n, "one crash slot per node");
     let n = cfg.n;
 
-    // Node links. Over channels, nodes and clients all hold a sender per
-    // node, and each node runs on a host thread of its own: an inbox
-    // cannot join a readiness wait. In TCP mode each node owns a loopback
-    // listener and its own sockets (no thread in between): one connection
-    // per pair of nodes, dialed by the lower id, read and written by both,
-    // co-hosted pairs included — node `p` runs on host `p mod hosts`,
-    // whose one wait covers every member's sockets, so a write to a
+    // Placement: node `p` runs on host `p mod h` and client `c` on host
+    // `c mod h`, after that host's nodes each round. Every node and client
+    // has a mailbox that rings its host's bell. Over channels the nodes
+    // post to each other's mailboxes, and the clients to theirs. In TCP
+    // mode each node owns a loopback listener and its own sockets (no
+    // thread in between): one connection per pair of nodes, dialed by the
+    // lower id, read and written by both, co-hosted pairs included — a
+    // host's one wait covers every member's sockets, so a write to a
     // co-hosted peer wakes no thread. Clients dial the listener addresses,
-    // and so does teardown's `Shutdown`. Decision replies (node→client)
-    // stay on in-process channels: the clients are the measurement
-    // harness. The `ac-node`/`ac-client` binaries put those on TCP too.
-    let (mut node_txs, mut addrs) = (Vec::new(), Vec::<std::net::SocketAddr>::new());
-    let mut links: Vec<Link<P::Msg>> = Vec::new();
-    match cfg.transport {
-        TransportKind::Channel => {
-            let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-            let link = |rx| Link::Channel(rx, ChannelTransport::new(txs.clone()));
-            links.extend(rxs.into_iter().map(link));
-            node_txs = txs;
-        }
+    // and so does teardown's `Shutdown`. Either way decision replies
+    // (node→client) are posts to the clients' mailboxes: the clients are
+    // the measurement harness. The `ac-node`/`ac-client` binaries put
+    // those on TCP too.
+    let h = hosts.clamp(1, n);
+    let bells: Vec<Arc<Bell>> = (0..h).map(|_| Bell::new()).collect();
+    let (nodes, clients) = (mailboxes(n, &bells), mailboxes::<Done>(cfg.clients, &bells));
+    let mut addrs = Vec::<std::net::SocketAddr>::new();
+    let links: Vec<Link<P::Msg>> = match cfg.transport {
+        TransportKind::Channel => (0..n).map(|me| Link::Mailbox(me, nodes.clone())).collect(),
         TransportKind::Tcp => {
             let bind = |_| SocketLink::bind("127.0.0.1:0", NodeHooks::default());
             let bound: std::io::Result<Vec<_>> = (0..n).map(bind).collect();
             let bound = bound.expect("bind loopback listeners");
             addrs.extend(bound.iter().map(|l| l.addr().expect("listener address")));
             // Ascending: every lower id has dialed by the time a node looks.
-            for (me, mut link) in bound.into_iter().enumerate() {
+            let mesh = |(me, mut link): (usize, SocketLink<_>)| {
                 link.mesh(me, addrs.clone());
-                links.push(Link::Sockets(link));
-            }
+                Link::Sockets(link)
+            };
+            bound.into_iter().enumerate().map(mesh).collect()
         }
-    }
+    };
     let make_transport = || -> Box<dyn Transport<P::Msg>> {
         match cfg.transport {
-            TransportKind::Channel => Box::new(ChannelTransport::new(node_txs.clone())),
+            TransportKind::Channel => Box::new(nodes.clone()),
             TransportKind::Tcp => Box::new(TcpTransport::new(addrs.clone())),
         }
     };
-    // Per-client reply channels.
-    let client_ch: Vec<_> = (0..cfg.clients).map(|_| unbounded::<Done>()).collect();
-    let (done_txs, done_rxs): (Vec<_>, Vec<_>) = client_ch.into_iter().unzip();
 
     // Nodes and clients stamp against one epoch.
     let epoch = Instant::now();
@@ -869,7 +866,7 @@ where
             unit: cfg.unit,
             clock: Clock::monotonic(epoch),
             link,
-            replies: Replies::Channel(done_txs.clone()),
+            replies: Replies::Mailbox(clients.clone()),
             policy: spec.policy.clone(),
             window: spec.crashes[me],
             // Each node owns its log. A scheduled crash resets the
@@ -879,36 +876,22 @@ where
             obs: NodeObs::new(),
         })
         .collect();
-    let hosts = match cfg.transport {
-        TransportKind::Channel => n,
-        TransportKind::Tcp => hosts,
-    };
-    // Placement: where one host runs every (socket-linked) node, the
-    // clients run on it too, after its members each round; otherwise each
-    // client gets a host of its own, parked on its reply channel. Either
-    // way a client's return comes back here as it exits, so the load phase
+    let link = |c| ClientLink::InProcess(make_transport(), Arc::clone(&clients[c]));
+    // A client's return comes back here as it exits, so the load phase
     // ends at the last client's last reply.
-    let links = (done_rxs.into_iter().enumerate())
-        .map(|(c, rx)| (c, ClientLink::InProcess(make_transport(), rx)));
-    let mut placed: Vec<_> = (deal(envs, hosts).into_iter())
-        .map(|envs| (envs, Vec::new()))
-        .collect();
-    let node_hosts = placed.len();
-    if node_hosts == 1 && cfg.transport == TransportKind::Tcp {
-        placed[0].1.extend(links);
-    } else {
-        placed.extend(links.map(|link| (Vec::new(), vec![link])));
-    }
-    let (exits, exited) = unbounded::<ClientReturn>();
-    let handles: Vec<_> = (placed.into_iter())
-        .map(|(envs, links)| {
+    let (exits, exited) = mpsc::channel::<ClientReturn>();
+    let handles: Vec<_> = (deal(envs, h).into_iter().zip(bells).enumerate())
+        .map(|(i, (envs, bell))| {
+            let links: Vec<_> = (i..cfg.clients).step_by(h).map(|c| (c, link(c))).collect();
             let (cfg, exits) = (cfg.clone(), exits.clone());
             std::thread::spawn(move || {
+                // A host builds what it runs: nodes and clients built on
+                // the calling thread left the post-run fold slower.
                 let clients = (links.into_iter())
                     .map(|(c, link)| Client::new(c, &cfg, epoch, link))
                     .collect();
                 let nodes = envs.into_iter().map(Node::new).collect();
-                host(nodes, clients, |ret| {
+                host(Some(&bell), nodes, clients, |ret| {
                     let _ = exits.send(ret);
                 })
             })
@@ -922,18 +905,18 @@ where
     let elapsed = epoch.elapsed();
     client_returns.sort_unstable_by_key(|ret| ret.client);
 
-    // Teardown travels like everything else: over TCP as a frame on a
-    // fresh connection, the way `proc::run_client` ends a cluster.
+    // Teardown travels like everything else: a post that rings each
+    // host's bell, or over TCP a frame on a fresh connection, the way
+    // `proc::run_client` ends a cluster.
     let mut teardown = make_transport();
     for p in 0..n {
         teardown.send(p, ToNode::Shutdown);
     }
-    let mut host_returns: Vec<HostReturn> = handles
+    let host_returns: Vec<HostReturn> = handles
         .into_iter()
         .map(|h| h.join().expect("host thread panicked"))
         .collect();
-    let client_hosts = host_returns.split_off(node_hosts);
-    aggregate(cfg, client_returns, client_hosts, host_returns, elapsed)
+    aggregate(cfg, client_returns, host_returns, elapsed)
 }
 
 /// What the nodes' logs say of one transaction, folded into its slot of
@@ -1018,19 +1001,16 @@ fn table(slots: SlotBox, nodes: &[NodeReturn]) -> FlightIndex<Logged> {
     table
 }
 
-/// Merge per-host results and audit safety: `client_hosts` ran clients
-/// alone, `host_returns` ran the nodes (dealt by [`deal`]).
+/// Merge per-host results and audit safety: `host_returns` ran the nodes
+/// (dealt by [`deal`]) and the clients beside them.
 fn aggregate(
     cfg: &ServiceConfig,
     client_returns: Vec<ClientReturn>,
-    client_hosts: Vec<HostReturn>,
     host_returns: Vec<HostReturn>,
     elapsed: Duration,
 ) -> ServiceOutcome {
-    let (node_threads, client_threads) = (host_returns.len(), client_hosts.len());
-    let spurious_wakeups = (host_returns.iter().chain(&client_hosts))
-        .map(|h| h.spurious_wakeups)
-        .sum();
+    let node_threads = host_returns.len();
+    let spurious_wakeups = host_returns.iter().map(|h| h.spurious_wakeups).sum();
     let node_returns: Vec<NodeReturn> = gather(host_returns.into_iter().map(|h| h.nodes).collect());
     let mut reply_timeouts = 0;
     let mut violations = Vec::new();
@@ -1120,7 +1100,7 @@ fn aggregate(
         retries,
         reply_timeouts,
         node_threads,
-        client_threads,
+        client_threads: 0,
         spurious_wakeups,
         orphaned_envelopes,
         wal_prepare_forces,
@@ -1534,26 +1514,47 @@ mod tests {
         }
     }
 
-    /// Socket-linked nodes share one host thread per core this process
-    /// may run on (one under a single-CPU pin), never more than there are
-    /// nodes; a channel-linked node keeps a thread of its own.
-    /// Clients run on that host too where it is the only one (one core),
-    /// else on threads of their own, as they do beside channel-linked
-    /// nodes.
+    /// In-process nodes share one host thread per core this process may
+    /// run on (one under a single-CPU pin), never more than there are
+    /// nodes, on either transport, and the clients ride those hosts: a
+    /// run spends `hosts_for(n)` serving threads in all.
     #[test]
     fn socket_linked_nodes_run_on_one_host_thread_per_core() {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
         let cfg = quick(ProtocolKind::PaxosCommit);
-        let tcp = run_service(&cfg.clone().transport(TransportKind::Tcp));
-        assert!(tcp.is_safe(), "{:?}", tcp.violations);
-        assert_eq!(tcp.node_threads, cores.min(cfg.n));
-        let hosted = if cores == 1 { 0 } else { cfg.clients };
-        assert_eq!(tcp.client_threads, hosted);
-        let channel = run_service(&cfg);
-        assert_eq!(
-            (channel.node_threads, channel.client_threads),
-            (cfg.n, cfg.clients)
-        );
+        for transport in [TransportKind::Tcp, TransportKind::Channel] {
+            let out = run_service(&cfg.clone().transport(transport));
+            assert!(out.is_safe(), "{transport:?}: {:?}", out.violations);
+            let threads = out.node_threads + out.client_threads;
+            assert_eq!(threads, hosts_for(cfg.n), "{transport:?}");
+        }
+    }
+
+    /// The channel service with its nodes and clients dealt onto two
+    /// hosts, so that every hop between the hosts is a post that rings a
+    /// parked host's bell: every record is there, the audit is clean, the
+    /// shards replay from their logs, a light PaxosCommit transaction
+    /// costs its four wire messages, and no host wakes without work.
+    #[test]
+    fn the_channel_service_serves_on_two_hosts_without_a_spurious_wakeup() {
+        let n = 4;
+        let cfg = ServiceConfig::new(n, 1, ProtocolKind::PaxosCommit)
+            .clients(2)
+            .txns_per_client(200)
+            .workload(Workload::Uniform { span: 2 })
+            .keys_per_shard(1 << 20)
+            .unit(Duration::from_millis(50))
+            .seed(5);
+        let out = run_hosted(&cfg, &FaultSpec::none(n), 2);
+        assert_eq!((out.node_threads, out.client_threads), (2, 0));
+        assert!(out.is_safe(), "{:?}", out.violations);
+        assert_eq!((out.txns, out.stalled, out.retries), (400, 0, 0));
+        assert_eq!(out.txn_events.len(), 400);
+        assert_eq!(out.decided.len(), 400);
+        let logged: usize = out.node_logs.iter().map(Vec::len).sum();
+        assert_eq!(logged, 2 * 400, "a record per participant");
+        assert_replays(&out, 64, "two hosts");
+        assert_eq!(out.wire_messages, 4 * out.txns);
+        assert_eq!(out.spurious_wakeups, 0);
     }
 
     /// The tcp service with its nodes dealt onto 1, 2 and `n` hosts: every
@@ -1573,9 +1574,7 @@ mod tests {
             .transport(TransportKind::Tcp);
         for hosts in [1, 2, n] {
             let out = run_hosted(&cfg, &FaultSpec::none(n), hosts);
-            assert_eq!(out.node_threads, hosts);
-            let client_threads = if hosts == 1 { 0 } else { cfg.clients };
-            assert_eq!(out.client_threads, client_threads, "{hosts} hosts");
+            assert_eq!((out.node_threads, out.client_threads), (hosts, 0));
             assert!(out.is_safe(), "{hosts} hosts: {:?}", out.violations);
             assert_eq!((out.txns, out.stalled, out.retries), (200, 0, 0));
             assert_replays(&out, 64, &format!("{hosts} hosts"));

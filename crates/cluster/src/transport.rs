@@ -9,9 +9,28 @@
 //! heap, wire counters, batching — is transport-agnostic; below it bytes
 //! (or in-process values) move one of two ways:
 //!
-//! * over unbounded crossbeam channels ([`ChannelTransport`]: one per
-//!   node, `send_batch` is one lock acquisition), or
+//! * into host-owned mailboxes ([`Mailbox`]: one per in-process node and
+//!   client, a post is one lock acquisition), or
 //! * over TCP, framed by [`crate::codec`], through `Sockets`.
+//!
+//! ## Mailboxes: one lock per post, one byte per park
+//!
+//! Every in-process node and client has a [`Mailbox`] — a
+//! `Mutex<VecDeque>` — that knows the host draining it by that host's
+//! [`Bell`], a `UnixStream` pair whose hearing end is one slot of the
+//! host's readiness wait. A post appends its batch under the lock and
+//! writes one byte to the bell only if the host has armed it: the host
+//! arms it before it reads its participants' deadlines (a mailbox that
+//! holds something makes its owner due at once) and disarms it after its
+//! wait, taking the byte. A post either lands before a deadline reads its
+//! mailbox, or finds the bell armed; so nothing posted is left waiting,
+//! and a post to a host that is running — every post between co-hosted
+//! nodes and clients — is a push with no syscall and no wake-up. A hop
+//! between two hosts costs a post and at most one byte per park. Nobody
+//! says `Hello` to a mailbox, so node→client replies of the in-process
+//! service are posts to the client's mailbox on either transport;
+//! [`Mailboxes`] is the [`Transport`] of the in-process channel run,
+//! teardown's `Shutdown` included.
 //!
 //! ## `Sockets`: one owner per socket, one socket per pair
 //!
@@ -22,7 +41,7 @@
 //! `timespec` keeps exact-deadline parking): one `read` per connection the
 //! wait found ready, every complete frame decoded and handed on, then
 //! every pending connection accepted. A host thread makes **one** wait
-//! over the sockets of every node and dialing client it runs
+//! over its bell and the sockets of every node and dialing client it runs
 //! (`Readiness`) and hands each its slots; only a node joining the mesh
 //! and [`TcpNode`]'s forwarder wait on one link alone, through a
 //! `Readiness` of their own. `EINTR` is "look at the deadline, wait
@@ -46,12 +65,12 @@
 //! loss either end may redial; a sender keeps to its oldest live
 //! connection to a peer, so per-sender FIFO holds even while two exist.
 //!
-//! Three users share it: the node's `Link` (channel | sockets: `park`,
-//! `take`, `send_batch`, `reply`), the client's `ClientLink` (the same
+//! Three users share it: the node's `Link` (mailbox | sockets: `take`,
+//! `pending`, `send_batch`, `reply`), the client's `ClientLink` (the same
 //! shape; over sockets it says `Hello` on what it dials and reads its
 //! reports off the same connections), and the public write-only
-//! [`TcpTransport`] (no listener, never polls: in-process clients,
-//! teardown, probes). [`TcpNode`] is a
+//! [`TcpTransport`] (no listener, never polls: in-process clients of a
+//! tcp run, teardown, probes). [`TcpNode`] is a
 //! node's socket link *hosted on one thread* that forwards each wait's
 //! batch into a crossbeam channel, for callers that want a `Receiver` (the
 //! conformance suite, the benchmark probes); the service hosts
@@ -86,12 +105,14 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::ControlFlow;
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
-use std::sync::Arc;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ac_obs::NetMeters;
 use ac_sim::{ProcessId, Wire};
-use crossbeam::channel::{unbounded, Receiver, RecvError, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Sender};
 
 use crate::codec::{write_frame, AnyFrame, FrameDecoder};
 use crate::service::{Done, ToNode};
@@ -114,46 +135,138 @@ const CLIENT_IDS: usize = u32::MAX as usize;
 /// indefinitely; delivery is at-most-once (loss on a broken link is the
 /// crash fault domain, duplication is never allowed).
 pub trait Transport<M>: Send {
-    /// Send one envelope to node `to`.
-    fn send(&mut self, to: ProcessId, env: ToNode<M>);
-
-    /// Send a batch to node `to`, equivalent to sending each envelope in
-    /// order (implementations may amortize: one lock, one syscall).
-    fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
-        for env in batch.drain(..) {
-            self.send(to, env);
-        }
+    /// Send one envelope to node `to`: a batch of one.
+    fn send(&mut self, to: ProcessId, env: ToNode<M>) {
+        self.send_batch(to, &mut vec![env]);
     }
 
+    /// Send a batch to node `to`, equivalent to sending each envelope in
+    /// order (implementations amortize: one lock, one syscall).
+    fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>);
+
     /// `(writes, total nanoseconds)` this transport spent handing bytes
-    /// to the OS. The TCP transport times every socket `write_all`; the
-    /// channel transport is a lock handoff and reports zero (observability
-    /// — the `tcp_write` seam meter).
+    /// to the OS. The TCP transport times every socket `write_all`; a
+    /// post to a mailbox is a lock handoff and reports zero
+    /// (observability — the `tcp_write` seam meter).
     fn io_stats(&self) -> (u64, u64) {
         (0, 0)
     }
 }
 
-/// The in-process transport: envelopes move over unbounded crossbeam
-/// channels, exactly as the service always worked.
-pub struct ChannelTransport<M> {
-    txs: Vec<Sender<ToNode<M>>>,
+/// A host's bell: a connected `UnixStream` pair whose hearing end joins
+/// the host's readiness wait, so that a post to any mailbox the host
+/// drains can end its park. The host arms the bell before it reads its
+/// participants' deadlines and disarms it after its wait; in between, the
+/// first post that finds it armed disarms it and writes one byte, which
+/// the host's disarm reads. So a park costs at most one byte, and a post
+/// to a running host — a co-hosted peer's above all — costs no syscall.
+pub struct Bell {
+    ring: UnixStream,
+    hear: UnixStream,
+    /// Set from arm to disarm: the host is parked or about to park.
+    armed: AtomicBool,
 }
 
-impl<M> ChannelTransport<M> {
-    /// A transport over the given per-node inbox senders.
-    pub fn new(txs: Vec<Sender<ToNode<M>>>) -> ChannelTransport<M> {
-        ChannelTransport { txs }
+impl Bell {
+    /// A bell for one host.
+    pub fn new() -> Arc<Bell> {
+        let (ring, hear) = UnixStream::pair().expect("a Unix socket pair for a host's bell");
+        let armed = AtomicBool::new(false);
+        Arc::new(Bell { ring, hear, armed })
+    }
+
+    /// The host is about to read its deadlines and park: from now on a
+    /// post rings. Every post a deadline misses sees the bell armed.
+    pub(crate) fn arm(&self) {
+        self.armed.store(true, Ordering::SeqCst);
+    }
+
+    /// A post's half: ring if the host is parked or about to park.
+    fn ring(&self) {
+        if self.armed.load(Ordering::SeqCst) && self.armed.swap(false, Ordering::SeqCst) {
+            let _ = (&self.ring).write_all(&[1]);
+        }
+    }
+
+    /// The host's wait is over: disarm, and take the byte of a post that
+    /// disarmed the bell first (a write it is about to make, if need be).
+    fn disarm(&self) {
+        if !self.armed.swap(false, Ordering::SeqCst) {
+            let _ = (&self.hear).read_exact(&mut [0]);
+        }
     }
 }
 
-impl<M: Send> Transport<M> for ChannelTransport<M> {
-    fn send(&mut self, to: ProcessId, env: ToNode<M>) {
-        let _ = self.txs[to].send(env);
+/// One in-process participant's inbox, node or client: a queue under a
+/// lock, and the bell of the host that drains it. A post is one lock
+/// acquisition, and a ring only where that host is parked.
+pub struct Mailbox<T> {
+    queue: Mutex<VecDeque<T>>,
+    bell: Arc<Bell>,
+}
+
+impl<T> Mailbox<T> {
+    /// An empty mailbox drained by the host that `bell` wakes.
+    pub fn new(bell: &Arc<Bell>) -> Arc<Mailbox<T>> {
+        let (queue, bell) = (Mutex::default(), Arc::clone(bell));
+        Arc::new(Mailbox { queue, bell })
     }
 
+    /// The queue, locked. A poisoned lock is taken as it stands: a post
+    /// or a take leaves the queue whole.
+    fn queue(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append `batch`, in order and under one lock — its drainer takes
+    /// all of it or none — then ring the drainer's bell if it is parked.
+    pub fn post(&self, batch: &mut Vec<T>) {
+        self.queue().extend(batch.drain(..));
+        self.bell.ring();
+    }
+
+    /// Move up to `max` of what waits into `buf` (appended), oldest
+    /// first, without waiting. Returns how many moved.
+    pub fn take(&self, buf: &mut Vec<T>, max: usize) -> usize {
+        take(&mut self.queue(), buf, max)
+    }
+
+    /// Whether anything waits: its host must not park on it.
+    pub fn pending(&self) -> bool {
+        !self.queue().is_empty()
+    }
+
+    /// Wait, as a host whose one participant this mailbox is, until
+    /// something waits or `until` passes (`None` = for ever), then
+    /// [`Mailbox::take`]. Returns how many moved; 0 means `until` passed.
+    pub fn recv(&self, buf: &mut Vec<T>, max: usize, until: Option<Instant>) -> usize {
+        let mut wait = Readiness::default();
+        loop {
+            self.bell.arm();
+            let now = self.pending().then(Instant::now);
+            wait.wait(Some(&self.bell), [], now.or(until));
+            let k = self.take(buf, max);
+            if k > 0 || until.is_some_and(|u| Instant::now() >= u) {
+                return k;
+            }
+        }
+    }
+}
+
+/// Every in-process node's mailbox, or every client's, by id: what the
+/// service's in-process senders post to — one post per destination and
+/// flush.
+pub type Mailboxes<T> = Arc<[Arc<Mailbox<T>>]>;
+
+/// `count` empty mailboxes, id `i`'s drained by the host that
+/// `bells[i mod bells.len()]` wakes.
+pub fn mailboxes<T>(count: usize, bells: &[Arc<Bell>]) -> Mailboxes<T> {
+    bells.iter().cycle().take(count).map(Mailbox::new).collect()
+}
+
+impl<M: Send> Transport<M> for Mailboxes<ToNode<M>> {
     fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
-        let _ = self.txs[to].send_batch(batch.drain(..));
+        self[to].post(batch);
     }
 }
 
@@ -309,6 +422,15 @@ pub(crate) struct PollFd {
 }
 
 impl PollFd {
+    /// The slot that waits for `fd` to turn readable.
+    fn watching(fd: c_int) -> PollFd {
+        PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        }
+    }
+
     /// Whether the wait found the descriptor readable, hung up or in
     /// error.
     pub(crate) fn is_ready(&self) -> bool {
@@ -488,12 +610,8 @@ impl Sockets {
         // The kernel skips a negative descriptor: no listener, an idle slot.
         let accepting = self.listener.as_ref().map_or(-1, AsRawFd::as_raw_fd);
         let reading = self.conns.iter().map(|c| c.stream.as_raw_fd());
-        let watch = |fd| PollFd {
-            fd,
-            events: POLLIN,
-            revents: 0,
-        };
-        fds.extend(std::iter::once(accepting).chain(reading).map(watch));
+        let slots = std::iter::once(accepting).chain(reading);
+        fds.extend(slots.map(PollFd::watching));
     }
 
     /// The read pass over `ready`, this end's slots of a wait that has
@@ -684,14 +802,15 @@ fn route<M: Wire>(
     }
 }
 
-/// The one readiness wait of a host thread: every slot of every
-/// participant's sockets in one `ppoll(2)`, each participant's slots kept
-/// apart so that its read pass ([`SocketLink::take`], [`ClientLink::take`])
-/// reads what the wait found ready and waits for nothing.
+/// The one readiness wait of a host thread: its bell and every slot of
+/// every participant's sockets in one `ppoll(2)`, each participant's
+/// slots kept apart so that its read pass ([`SocketLink::take`],
+/// [`ClientLink::take`]) reads what the wait found ready and waits for
+/// nothing.
 #[derive(Default)]
 pub(crate) struct Readiness {
-    /// The set of the last wait, participant after participant
-    /// (allocation reused).
+    /// The set of the last wait: the bell's slot, if any, then
+    /// participant after participant (allocation reused).
     fds: Vec<PollFd>,
     /// Where each participant's slots start in `fds`, then where the last
     /// ends.
@@ -699,16 +818,21 @@ pub(crate) struct Readiness {
 }
 
 impl Readiness {
-    /// Wait until a slot of `socks` is ready or `until` passes (`None` =
-    /// for ever); a participant given as `None` watches nothing. `false`
-    /// when `until` passed with nothing ready.
+    /// Wait until `bell` (armed by the caller) rings, a slot of `socks`
+    /// is ready or `until` passes (`None` = for ever), then disarm the
+    /// bell; a participant given as `None` watches nothing. With no
+    /// socket to look at, a deadline already behind makes no syscall.
+    /// `false` when `until` passed with nothing ready.
     pub(crate) fn wait<'a>(
         &mut self,
+        bell: Option<&Bell>,
         socks: impl IntoIterator<Item = Option<&'a Sockets>>,
         until: Option<Instant>,
     ) -> bool {
         self.fds.clear();
         self.starts.clear();
+        let rung = bell.map(|b| PollFd::watching(b.hear.as_raw_fd()));
+        self.fds.extend(rung);
         for socks in socks {
             self.starts.push(self.fds.len());
             if let Some(socks) = socks {
@@ -716,7 +840,13 @@ impl Readiness {
             }
         }
         self.starts.push(self.fds.len());
-        wait(&mut self.fds, until)
+        let socketless = self.fds.len() == usize::from(bell.is_some());
+        let due = socketless && until.is_some_and(|u| u <= Instant::now());
+        let woke = !due && wait(&mut self.fds, until);
+        if let Some(bell) = bell {
+            bell.disarm();
+        }
+        woke
     }
 
     /// Participant `i`'s slots of the last wait (none for one it did not
@@ -784,16 +914,10 @@ impl<M: Wire> SocketLink<M> {
         touched
     }
 
-    /// Whether envelopes a read decoded wait beyond what was taken: the
-    /// host must not park on them.
-    pub(crate) fn pending(&self) -> bool {
-        !self.ready.is_empty()
-    }
-
     /// One wait of this link alone, through `wait`, then its read pass.
     /// `false` when `until` passed with nothing ready.
     fn poll(&mut self, wait: &mut Readiness, until: Option<Instant>) -> bool {
-        let woke = wait.wait([Some(&self.socks)], until);
+        let woke = wait.wait(None, [Some(&self.socks)], until);
         if woke {
             self.read(wait.of(0));
         }
@@ -818,105 +942,75 @@ impl<M: Wire> SocketLink<M> {
         let frames = batch.drain(..).map(AnyFrame::Node);
         self.socks.send(Far::Peer(to), frames);
     }
-
-    /// One write to `client`, down the connection it said `Hello` on;
-    /// `false` means the frames were dropped.
-    pub(crate) fn reply(
-        &mut self,
-        client: usize,
-        frames: impl IntoIterator<Item = AnyFrame<M>>,
-    ) -> bool {
-        self.socks.send(Far::Client(client), frames)
-    }
 }
 
 /// What ties a node to the rest of the cluster — where its `drain` step
 /// gets envelopes and its `flush` step puts them: the seam with exactly
 /// two arms.
 pub(crate) enum Link<M> {
-    /// In process: the node's inbox and a sender per node.
-    Channel(Receiver<ToNode<M>>, ChannelTransport<M>),
+    /// In process: node `.0`'s place among every node's mailbox (`.1`).
+    /// Its host drains its own, and it posts to the others.
+    Mailbox(ProcessId, Mailboxes<ToNode<M>>),
     /// The node's own sockets.
     Sockets(SocketLink<M>),
 }
 
 impl<M: Wire + Send> Link<M> {
-    /// The park of a channel-linked node, which is its host's one member:
-    /// wait until an envelope is there or `until` passes (`None` = for
-    /// ever), then move up to `max` into `buf` (appended) under one lock.
-    /// A deadline already behind still takes what is there. An error
-    /// means every sender is gone: nothing can arrive any more. A socket
-    /// link takes nothing here: its host's [`Readiness`] wait parks for it
-    /// and [`Link::take`] reads it.
-    pub(crate) fn park(
-        &mut self,
-        buf: &mut Vec<ToNode<M>>,
-        max: usize,
-        until: Option<Instant>,
-    ) -> Result<usize, RecvError> {
-        match (self, until) {
-            (Link::Channel(rx, _), Some(due)) => match rx.recv_batch_deadline(buf, max, due) {
-                Ok(k) => Ok(k),
-                Err(RecvTimeoutError::Timeout) => Ok(0),
-                Err(RecvTimeoutError::Disconnected) => Err(RecvError),
-            },
-            (Link::Channel(rx, _), None) => rx.recv_batch(buf, max),
-            (Link::Sockets(_), _) => Ok(0),
-        }
-    }
-
-    /// Take what is ready without waiting: [`SocketLink::take`] over
-    /// `ready`, this link's slots of its host's wait. A channel's batch
-    /// came with its park, so a channel link takes nothing here.
+    /// Take what is ready without waiting: up to `max` of what waits in
+    /// the node's mailbox, or [`SocketLink::take`] over `ready`, this
+    /// link's slots of its host's wait, into `buf` (appended). Returns
+    /// whether anything moved or a slot was ready.
     pub(crate) fn take(&mut self, ready: &[PollFd], buf: &mut Vec<ToNode<M>>, max: usize) -> bool {
         match self {
-            Link::Channel(..) => false,
+            Link::Mailbox(me, nodes) => nodes[*me].take(buf, max) > 0,
             Link::Sockets(link) => link.take(ready, buf, max),
         }
     }
 
-    /// The sockets a host's wait covers for this link (none on a channel).
+    /// The sockets a host's wait covers for this link (none in process).
     pub(crate) fn sockets(&self) -> Option<&Sockets> {
         match self {
-            Link::Channel(..) => None,
+            Link::Mailbox(..) => None,
             Link::Sockets(link) => Some(&link.socks),
         }
     }
 
-    /// Whether envelopes a read decoded wait beyond what was taken
-    /// ([`SocketLink::pending`]; never on a channel).
+    /// Whether envelopes wait beyond what was taken — in the mailbox, or
+    /// decoded by a read but beyond a batch: the host must not park on
+    /// them.
     pub(crate) fn pending(&self) -> bool {
-        matches!(self, Link::Sockets(link) if link.pending())
+        match self {
+            Link::Mailbox(me, nodes) => nodes[*me].pending(),
+            Link::Sockets(link) => !link.ready.is_empty(),
+        }
     }
 
-    /// Hand `batch` to node `to`: one lock, or one socket write.
+    /// Hand `batch` to node `to`: one post, or one socket write.
     pub(crate) fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
         match self {
-            Link::Channel(_, txs) => txs.send_batch(to, batch),
+            Link::Mailbox(_, nodes) => nodes[to].post(batch),
             Link::Sockets(link) => link.send_batch(to, batch),
         }
     }
 
-    /// [`SocketLink::reply`]: the road back to a client whose requests
-    /// arrive through this link. Nobody says `Hello` on a channel, so a
-    /// channel link drops every reply.
+    /// One write to `client`, down the connection it said `Hello` on: the
+    /// road back to a client whose requests arrive through this link.
+    /// `false` means the frames were dropped. Nobody says `Hello` to a
+    /// mailbox, so a mailbox link drops every reply.
     pub(crate) fn reply(
         &mut self,
         client: usize,
         frames: impl IntoIterator<Item = AnyFrame<M>>,
     ) -> bool {
         match self {
-            Link::Channel(..) => false,
-            Link::Sockets(link) => link.reply(client, frames),
+            Link::Mailbox(..) => false,
+            Link::Sockets(link) => link.socks.send(Far::Client(client), frames),
         }
     }
 
-    /// `(writes, nanoseconds)` spent in socket writes (zero on channels).
+    /// `(writes, nanoseconds)` spent in socket writes (zero in process).
     pub(crate) fn io_stats(&self) -> (u64, u64) {
-        match self {
-            Link::Channel(..) => (0, 0),
-            Link::Sockets(link) => link.socks.io,
-        }
+        self.sockets().map_or((0, 0), |socks| socks.io)
     }
 }
 
@@ -924,9 +1018,9 @@ impl<M: Wire + Send> Link<M> {
 /// `End`s and where its turn takes decision reports: the seam with exactly
 /// two arms, shaped like [`Link`].
 pub(crate) enum ClientLink<M> {
-    /// The in-process service: a write-only transport out, the client's
-    /// reply channel in.
-    InProcess(Box<dyn Transport<M>>, Receiver<Done>),
+    /// In process: a write-only transport out (the nodes' mailboxes, or
+    /// sockets to a tcp cluster), the client's own mailbox in.
+    InProcess(Box<dyn Transport<M>>, Arc<Mailbox<Done>>),
     /// A multi-process client: sockets that say `Hello` on every
     /// connection they dial, and the reports read off them but not yet
     /// taken.
@@ -940,30 +1034,16 @@ impl<M: Wire> ClientLink<M> {
         ClientLink::Sockets(socks, VecDeque::new())
     }
 
-    /// The park of a channel-linked client, which is its host's one
-    /// participant: wait until a report is there or `until` passes, then
-    /// move up to `max` into `buf` (appended). A socket link takes nothing
-    /// here: its host's [`Readiness`] wait parks for it and
-    /// [`ClientLink::take`] reads it.
-    pub(crate) fn park(&mut self, buf: &mut Vec<Done>, max: usize, until: Instant) {
-        if let ClientLink::InProcess(_, rx) = self {
-            let _ = rx.recv_batch_deadline(buf, max, until);
-        }
-    }
-
-    /// Take without waiting: what the reply channel holds, or the read
-    /// pass over `ready`, this link's slots of its host's wait — unless
-    /// reports a previous pass decoded still wait — then up to `max` of
-    /// the decoded reports, into `buf` (appended). Nodes send a client
-    /// nothing else that it folds in; a connection at end of stream is
-    /// forgotten (the next write to that node redials). Returns whether a
-    /// slot was ready (see [`Sockets::read`]).
+    /// Take without waiting: what the mailbox holds, or the read pass over
+    /// `ready`, this link's slots of its host's wait — unless reports a
+    /// previous pass decoded still wait — then up to `max` of the decoded
+    /// reports, into `buf` (appended). Nodes send a client nothing else
+    /// that it folds in; a connection at end of stream is forgotten (the
+    /// next write to that node redials). Returns whether a report moved or
+    /// a slot was ready (see [`Sockets::read`]).
     pub(crate) fn take(&mut self, ready: &[PollFd], buf: &mut Vec<Done>, max: usize) -> bool {
         match self {
-            ClientLink::InProcess(_, rx) => {
-                rx.try_drain(buf, max);
-                false
-            }
+            ClientLink::InProcess(_, inbox) => inbox.take(buf, max) > 0,
             ClientLink::Sockets(socks, queue) => {
                 let touched = queue.is_empty()
                     && socks.read::<M>(ready, |frame, _| {
@@ -981,7 +1061,7 @@ impl<M: Wire> ClientLink<M> {
     /// the host must not park on them.
     pub(crate) fn pending(&self) -> bool {
         match self {
-            ClientLink::InProcess(_, rx) => !rx.is_empty(),
+            ClientLink::InProcess(_, inbox) => inbox.pending(),
             ClientLink::Sockets(_, queue) => !queue.is_empty(),
         }
     }
@@ -1034,10 +1114,6 @@ impl TcpTransport {
 }
 
 impl<M: Wire + Send> Transport<M> for TcpTransport {
-    fn send(&mut self, to: ProcessId, env: ToNode<M>) {
-        self.0.send(Far::Peer(to), [AnyFrame::Node(env)]);
-    }
-
     fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>) {
         let frames = batch.drain(..).map(AnyFrame::Node);
         self.0.send(Far::Peer(to), frames);
@@ -1153,14 +1229,19 @@ mod tests {
     type M = u64;
 
     impl SocketLink<M> {
+        /// [`Link::reply`] on this link alone.
+        fn reply(&mut self, client: usize, frames: impl IntoIterator<Item = AnyFrame<M>>) -> bool {
+            self.socks.send(Far::Client(client), frames)
+        }
+
         /// A lone member's host short of the node: wait on the link's
         /// sockets until a read pass decoded something or `until` passes
         /// (`None` = for ever), then take up to `max` into `buf`. Returns
         /// how many moved; 0 means the deadline passed.
         fn recv(&mut self, buf: &mut Vec<ToNode<M>>, max: usize, until: Option<Instant>) -> usize {
             let mut wait = Readiness::default();
-            while !self.pending() {
-                if !wait.wait([Some(&self.socks)], until) {
+            while self.ready.is_empty() {
+                if !wait.wait(None, [Some(&self.socks)], until) {
                     return 0;
                 }
                 self.read(wait.of(0));
@@ -1178,7 +1259,7 @@ mod tests {
         /// Returns how many moved; 0 means the deadline passed.
         fn recv(&mut self, buf: &mut Vec<Done>, max: usize, until: Instant) -> usize {
             let (before, mut wait) = (buf.len(), Readiness::default());
-            while buf.len() == before && wait.wait([self.sockets()], Some(until)) {
+            while buf.len() == before && wait.wait(None, [self.sockets()], Some(until)) {
                 self.take(wait.of(0), buf, max);
             }
             buf.len() - before
@@ -1449,7 +1530,7 @@ mod tests {
 
     /// A reply nobody can receive is dropped, and the caller is told: an
     /// id no connection announced, a connection that closed since, and any
-    /// reply through a channel link.
+    /// reply through a mailbox link.
     #[test]
     fn a_reply_to_an_unknown_or_closed_client_is_dropped_and_says_so() {
         let (mut link, addr) = link();
@@ -1464,9 +1545,8 @@ mod tests {
         assert!(link.socks.conns.is_empty(), "closed connection kept");
         assert!(!link.reply(3, reports(1..2)), "its Hello went with it");
 
-        let (_tx, rx) = unbounded::<ToNode<M>>();
-        let mut over_channels = Link::Channel(rx, ChannelTransport::new(Vec::new()));
-        assert!(!over_channels.reply(3, reports(0..1)));
+        let mut in_process = Link::<M>::Mailbox(0, mailboxes(0, &[]));
+        assert!(!in_process.reply(3, reports(0..1)));
     }
 
     /// An introduction whose id the link could not have handed out — a

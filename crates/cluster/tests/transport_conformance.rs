@@ -1,7 +1,9 @@
 //! Transport-conformance battery (ISSUE-6 satellite): the same property
-//! suite runs against BOTH `Transport` implementations — the in-process
-//! [`ChannelTransport`] and the real-socket [`TcpTransport`] — so the
-//! fast path and the wire path are held to one contract:
+//! suite runs against BOTH ways an envelope reaches a node — the
+//! in-process mailbox link ([`mailboxes`] posting to a [`Mailbox`] whose
+//! drainer parks on its host's [`Bell`]) and the real-socket
+//! [`TcpTransport`] into a [`TcpNode`] — so the fast path and the wire
+//! path are held to one contract:
 //!
 //! * per-sender FIFO under concurrent producers,
 //! * `send_batch` observationally equivalent to a sequence of `send`s,
@@ -9,10 +11,12 @@
 //!   every connection mid-stream, loss but still neither duplication nor
 //!   reordering (a failed write is never sent again),
 //! * delivery resumes after the peer drops every connection (the
-//!   channel impl treats the bounce as a no-op and must be unaffected),
+//!   mailbox link treats the bounce as a no-op and must be unaffected),
 //! * one `send_batch` is one inbox hand-off: its envelopes become visible
 //!   to the receiving loop together and in order, and a stream cut
 //!   mid-frame still delivers every whole frame ahead of the cut,
+//! * a post to a parked host's mailbox — teardown's `Shutdown` among
+//!   them — rings its bell and ends the park,
 //! * the transport-layer meters tell the truth: a severed-then-healed
 //!   link records exactly one reconnect, and the bytes/frames counters
 //!   on both sides match the frame log.
@@ -22,20 +26,41 @@ use std::time::{Duration, Instant};
 
 use ac_cluster::codec::{write_frame, AnyFrame};
 use ac_cluster::transport::NodeHooks;
-use ac_cluster::{ChannelTransport, TcpNode, TcpTransport, ToNode, Transport};
+use ac_cluster::{mailboxes, Bell, Mailbox, TcpNode, TcpTransport, ToNode, Transport};
 use ac_obs::NetMeters;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver};
 use proptest::prelude::*;
 
 /// Test messages are plain `u64`s; an envelope is tagged with its
 /// producer in `from` and its per-producer sequence number in `msg`.
 type M = u64;
 
+/// Where a node's envelopes land: a mailbox, drained the way its host
+/// drains it, or the channel a [`TcpNode`] forwards into.
+enum Inbox {
+    Mailbox(Arc<Mailbox<ToNode<M>>>),
+    Tcp(Receiver<ToNode<M>>),
+}
+
+impl Inbox {
+    /// Wait until something is there or `until` passes (`None` = for
+    /// ever), then take up to `max` into `buf`. Returns how many moved; 0
+    /// means `until` passed.
+    fn recv(&self, buf: &mut Vec<ToNode<M>>, max: usize, until: Option<Instant>) -> usize {
+        match (self, until) {
+            (Inbox::Mailbox(inbox), _) => inbox.recv(buf, max, until),
+            // Timed out, or every sender gone: nothing moved.
+            (Inbox::Tcp(rx), Some(end)) => rx.recv_batch_deadline(buf, max, end).unwrap_or(0),
+            (Inbox::Tcp(rx), None) => rx.recv_batch(buf, max).expect("sender alive"),
+        }
+    }
+}
+
 /// One transport under test: a cluster of `n` inboxes, a factory for
 /// fresh sender-side endpoints, and a link-bounce hook.
 struct Rig {
     name: &'static str,
-    rxs: Vec<Receiver<ToNode<M>>>,
+    rxs: Vec<Inbox>,
     make: Box<dyn Fn() -> Box<dyn Transport<M>> + Send + Sync>,
     bounce: Box<dyn Fn()>,
     // Keeps the TCP listeners (and their reader threads) alive; their
@@ -43,12 +68,16 @@ struct Rig {
     _nodes: Arc<Vec<TcpNode>>,
 }
 
-fn channel_rig(n: usize) -> Rig {
-    let (txs, rxs): (Vec<Sender<ToNode<M>>>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+/// `n` mailboxes, each drained by a host of its own.
+fn mailbox_rig(n: usize) -> Rig {
+    let bells: Vec<_> = (0..n).map(|_| Bell::new()).collect();
+    let nodes = mailboxes(n, &bells);
     Rig {
-        name: "channel",
-        rxs,
-        make: Box::new(move || Box::new(ChannelTransport::new(txs.clone()))),
+        name: "mailbox",
+        rxs: (0..n)
+            .map(|p| Inbox::Mailbox(Arc::clone(&nodes[p])))
+            .collect(),
+        make: Box::new(move || Box::new(nodes.clone())),
         bounce: Box::new(|| {}),
         _nodes: Arc::new(Vec::new()),
     }
@@ -60,7 +89,7 @@ fn tcp_rig(n: usize) -> Rig {
     for _ in 0..n {
         let (tx, rx) = unbounded::<ToNode<M>>();
         let node = TcpNode::bind("127.0.0.1:0", tx, None).expect("bind loopback");
-        rxs.push(rx);
+        rxs.push(Inbox::Tcp(rx));
         nodes.push(node);
     }
     let addrs: Vec<_> = nodes.iter().map(|t| t.addr()).collect();
@@ -80,27 +109,25 @@ fn tcp_rig(n: usize) -> Rig {
 }
 
 fn rigs(n: usize) -> Vec<Rig> {
-    vec![channel_rig(n), tcp_rig(n)]
+    vec![mailbox_rig(n), tcp_rig(n)]
 }
 
 /// Drain inbox `rx` until `want` protocol envelopes arrived or the
 /// deadline passes; returns the `(txn, from, msg)` transcript in
 /// delivery order.
-fn drain(rx: &Receiver<ToNode<M>>, want: usize, deadline: Duration) -> Vec<(u64, usize, u64)> {
+fn drain(rx: &Inbox, want: usize, deadline: Duration) -> Vec<(u64, usize, u64)> {
     let end = Instant::now() + deadline;
     let mut got = Vec::new();
     let mut buf = Vec::new();
     while got.len() < want {
         buf.clear();
-        match rx.recv_batch_deadline(&mut buf, 64, end) {
-            Ok(_) => {
-                for env in buf.drain(..) {
-                    if let ToNode::Net { txn, from, msg } = env {
-                        got.push((txn, from, msg));
-                    }
-                }
+        if rx.recv(&mut buf, 64, Some(end)) == 0 {
+            break;
+        }
+        for env in buf.drain(..) {
+            if let ToNode::Net { txn, from, msg } = env {
+                got.push((txn, from, msg));
             }
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     got
@@ -190,7 +217,7 @@ proptest! {
         let bounce_after = (bounce < 60).then_some(bounce);
         for rig in rigs(1) {
             let got = pump(&rig, &counts, chunk, bounce_after);
-            let clean = bounce_after.is_none() || rig.name == "channel";
+            let clean = bounce_after.is_none() || rig.name == "mailbox";
             let total: usize = counts.iter().map(|&c| c as usize).sum();
             prop_assert!(got.len() <= total, "{}: duplicated envelopes", rig.name);
             prop_assert!(!clean || got.len() == total, "{}: lost envelopes", rig.name);
@@ -220,9 +247,10 @@ proptest! {
 }
 
 /// Egress coalescing meets ingress batching: the `k` envelopes of one
-/// `send_batch` travel as one segment and are handed to the inbox under
-/// one lock, so the receiving loop's first `recv_batch` sees all `k`, in
-/// order — never a prefix (one wake-up per read, not per frame).
+/// `send_batch` are posted under one lock, or travel as one segment and
+/// are handed to the inbox under one lock, so the receiving loop's first
+/// take sees all `k`, in order — never a prefix (one wake-up per post or
+/// read, not per envelope).
 #[test]
 fn one_send_batch_arrives_in_order_as_one_inbox_batch() {
     for rig in rigs(1) {
@@ -233,9 +261,7 @@ fn one_send_batch_arrives_in_order_as_one_inbox_batch() {
             let mut batch: Vec<_> = (next..next + k).map(|s| net(0, s)).collect();
             t.send_batch(0, &mut batch);
             let mut got = Vec::new();
-            rig.rxs[0]
-                .recv_batch(&mut got, usize::MAX)
-                .expect("sender alive");
+            rig.rxs[0].recv(&mut got, usize::MAX, None);
             let seqs: Vec<u64> = got
                 .iter()
                 .map(|env| match env {
@@ -261,6 +287,7 @@ fn stream_cut_mid_frame_still_delivers_the_whole_frames_before_it() {
     use std::io::Write as _;
     let (tx, rx) = unbounded::<ToNode<M>>();
     let node = TcpNode::bind("127.0.0.1:0", tx, None).expect("bind loopback");
+    let rx = Inbox::Tcp(rx);
     for j in [0u32, 1, 9] {
         let mut bytes = Vec::new();
         for s in 0..j {
@@ -278,10 +305,53 @@ fn stream_cut_mid_frame_still_delivers_the_whole_frames_before_it() {
     }
 }
 
+/// A host parked on its mailbox with nothing due — teardown's case: the
+/// clients have exited and the nodes wait for their `Shutdown` — stays
+/// parked until a post rings its bell, and the post ends the park at
+/// once. Posts to a host that is not parked ring nothing and are taken
+/// by its next look, in order.
+#[test]
+fn a_shutdown_reaches_a_parked_host_through_its_bell() {
+    let rig = mailbox_rig(1);
+    let Inbox::Mailbox(inbox) = &rig.rxs[0] else {
+        unreachable!("a mailbox rig")
+    };
+    for round in 0..3 {
+        let parked = {
+            let inbox = Arc::clone(inbox);
+            std::thread::spawn(move || {
+                let mut got = Vec::new();
+                inbox.recv(&mut got, usize::MAX, None);
+                (got, Instant::now())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        let posted = Instant::now();
+        (rig.make)().send(0, ToNode::Shutdown);
+        let (got, woke) = parked.join().expect("the parked host");
+        assert!(
+            matches!(got[..], [ToNode::Shutdown]),
+            "round {round}: {got:?}"
+        );
+        assert!(woke >= posted, "round {round}: woke before the post");
+    }
+    // Nobody parked: the posts wait, whole and in order, for the next look.
+    let mut t = (rig.make)();
+    t.send_batch(0, &mut (0..3).map(|s| net(0, s)).collect());
+    t.send(0, ToNode::Shutdown);
+    let mut got = Vec::new();
+    assert_eq!(
+        rig.rxs[0].recv(&mut got, usize::MAX, Some(Instant::now())),
+        4
+    );
+    assert!(matches!(got[3], ToNode::Shutdown));
+    assert_eq!(drain(&rig.rxs[0], 1, Duration::from_millis(20)), vec![]);
+}
+
 /// After the receiver drops every live connection mid-stream, a sender
 /// endpoint must re-establish the link and later envelopes must arrive.
 /// (In-flight envelopes may be lost — that is the crash fault model —
-/// but the link must heal.) The channel rig's bounce is a no-op and the
+/// but the link must heal.) The mailbox rig's bounce is a no-op and the
 /// same probe must trivially succeed.
 #[test]
 fn delivery_resumes_after_peer_reconnect() {
@@ -364,7 +434,7 @@ fn a_batch_whose_write_failed_part_way_is_never_sent_again() {
 
 /// A metered single-node TCP rig: ingress meters on the node's reader
 /// threads.
-fn metered_tcp_rig() -> (Receiver<ToNode<M>>, TcpNode, Arc<NetMeters>) {
+fn metered_tcp_rig() -> (Inbox, TcpNode, Arc<NetMeters>) {
     let (tx, rx) = unbounded::<ToNode<M>>();
     let ingress = Arc::new(NetMeters::new(1));
     let hooks = NodeHooks {
@@ -372,7 +442,7 @@ fn metered_tcp_rig() -> (Receiver<ToNode<M>>, TcpNode, Arc<NetMeters>) {
         ..NodeHooks::default()
     };
     let node = TcpNode::bind("127.0.0.1:0", tx, Some(hooks)).expect("bind loopback");
-    (rx, node, ingress)
+    (Inbox::Tcp(rx), node, ingress)
 }
 
 /// A fresh egress-metered sender endpoint to `node`.

@@ -139,8 +139,8 @@ impl Cell {
     }
 
     /// The record of an in-process run.
-    pub fn of_outcome(out: ServiceOutcome) -> Cell {
-        let record = Cell::new(out.run_stats(), &out.decided, out.attribution);
+    pub fn of_outcome(out: &ServiceOutcome) -> Cell {
+        let record = Cell::new(out.run_stats(), &out.decided, out.attribution.clone());
         Cell {
             wal_forces: out.wal_forces,
             wire_messages: out.wire_messages as u64,
@@ -151,7 +151,7 @@ impl Cell {
             spurious_wakeups: out.spurious_wakeups,
             retries: out.retries,
             dropped_messages: out.dropped_messages,
-            txn_events: out.txn_events,
+            txn_events: out.txn_events.clone(),
             ..record
         }
     }
@@ -193,25 +193,49 @@ impl Cell {
 /// `ac-node` has none of the three), a process that could not be spawned
 /// or did not exit clean.
 pub fn run_cell(host: Host, cfg: &ServiceConfig, faults: &FaultSpec) -> Result<Cell, String> {
+    run_judged_cell(host, cfg, faults, |_| None)
+}
+
+/// [`run_cell`], whose record `judge` reads into the row a section
+/// renders of it, returning that row when it fails. A run whose row
+/// failed is kept as an unsafe or stalled one is, with the row beside it
+/// as `<stem>.row`. Of a `proc` run only the row is kept: its client
+/// leaves the dump it collected in the working directory (`proc-*.dump`).
+pub fn run_judged_cell(
+    host: Host,
+    cfg: &ServiceConfig,
+    faults: &FaultSpec,
+    judge: impl FnOnce(&Cell) -> Option<String>,
+) -> Result<Cell, String> {
     assert_eq!(cfg.transport, host.transport(), "{} host", host.name());
-    match host {
+    let (cell, out) = match host {
         Host::Channel | Host::Tcp => {
             let out = run_service_faulted(cfg, faults);
-            if !out.is_safe() || out.stalled > 0 {
-                static KEPT: AtomicUsize = AtomicUsize::new(0);
-                let k = KEPT.fetch_add(1, Ordering::Relaxed);
-                let (kind, clients, seed) = (cfg.kind.name(), cfg.clients, cfg.seed);
-                let stem = format!("{kind}-{}-c{clients}-s{seed}-{k}", host.name());
-                // Evidence only: a run that cannot be kept is still measured.
-                let _ = out.keep(cfg, Path::new(FAILURES), &stem);
-            }
-            Ok(Cell::of_outcome(out))
+            (Cell::of_outcome(&out), Some(out))
         }
         Host::Proc(_) if faults.durable || faults.any_crash() || faults.policy.is_some() => {
-            Err("the proc host has no write-ahead log and injects no fault".into())
+            return Err("the proc host has no write-ahead log and injects no fault".into());
         }
-        Host::Proc(procs) => Ok(Cell::of_dump(&procs.run(cfg)?)),
+        Host::Proc(procs) => (Cell::of_dump(&procs.run(cfg)?), None),
+    };
+    let failed = judge(&cell);
+    let unclean = out.as_ref().is_some_and(|o| !o.is_safe() || o.stalled > 0);
+    if unclean || failed.is_some() {
+        static KEPT: AtomicUsize = AtomicUsize::new(0);
+        let k = KEPT.fetch_add(1, Ordering::Relaxed);
+        let (kind, clients, seed) = (cfg.kind.name(), cfg.clients, cfg.seed);
+        let stem = format!("{kind}-{}-c{clients}-s{seed}-{k}", host.name());
+        // Evidence only: a run that cannot be kept is still measured.
+        let dir = Path::new(FAILURES);
+        let _ = std::fs::create_dir_all(dir);
+        if let Some(out) = out {
+            let _ = out.keep(cfg, dir, &stem);
+        }
+        if let Some(row) = failed {
+            let _ = std::fs::write(dir.join(format!("{stem}.row")), row + "\n");
+        }
     }
+    Ok(cell)
 }
 
 #[cfg(test)]
@@ -269,6 +293,62 @@ mod tests {
         assert_eq!(Cell::of_dump(&dump).stats.stalled, cell.stats.stalled);
     }
 
+    /// This cell's files in [`FAILURES`] (their names start with
+    /// `prefix`), kept by this run or by an earlier one.
+    fn kept(prefix: &str) -> Vec<std::path::PathBuf> {
+        let Ok(dir) = std::fs::read_dir(FAILURES) else {
+            return Vec::new();
+        };
+        (dir.map(|e| e.expect("an entry").path()))
+            .filter(|p| {
+                let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+                name.starts_with(prefix)
+            })
+            .collect()
+    }
+
+    /// A clean run whose row a section marks MISMATCH is kept all the
+    /// same: the rendered row as `<stem>.row`, beside the run's dump. A
+    /// row that passes keeps nothing.
+    #[test]
+    fn a_mismatched_row_is_kept_beside_its_runs_dump() {
+        let n = 4;
+        let cfg = ServiceConfig::new(n, 1, ProtocolKind::PaxosCommit)
+            .clients(2)
+            .txns_per_client(10)
+            .seed(4_041);
+        let prefix = "PaxosCommit-channel-c2-s4041-";
+        for stale in kept(prefix) {
+            std::fs::remove_file(stale).expect("remove an earlier run's file");
+        }
+        let passed = run_judged_cell(Host::Channel, &cfg, &FaultSpec::none(n), |_| None);
+        assert_eq!(passed.expect("in process").audit_findings, 0);
+        assert_eq!(kept(prefix), Vec::<std::path::PathBuf>::new());
+
+        let row = "| PaxosCommit | channel | MISMATCH |";
+        let mut judged = 0;
+        let cell = run_judged_cell(Host::Channel, &cfg, &FaultSpec::none(n), |cell| {
+            judged = cell.stats.committed + cell.stats.aborted;
+            Some(row.to_string())
+        });
+        assert_eq!(cell.expect("in process").audit_findings, 0, "a clean run");
+        assert_eq!(judged, 20, "the judge read the run's record");
+        let files = kept(prefix);
+        let with = |ext: &str| {
+            let found = files
+                .iter()
+                .filter(|p| p.extension().is_some_and(|e| e == ext));
+            found.collect::<Vec<_>>()
+        };
+        let (rows, dumps) = (with("row"), with("dump"));
+        assert_eq!((rows.len(), dumps.len()), (1, 1), "{files:?}");
+        assert_eq!(rows[0].with_extension("dump"), *dumps[0], "one stem");
+        let kept_row = std::fs::read_to_string(rows[0]).expect("read the row");
+        assert_eq!(kept_row, format!("{row}\n"));
+        let dump = ClusterDump::from_bytes(&std::fs::read(dumps[0]).expect("read the dump"));
+        assert_eq!(dump.expect("a cluster dump").txns.len(), 20);
+    }
+
     /// The hosts agree by construction: the record of an in-process run
     /// and the record of the cluster dump a multi-process client would
     /// have written of that same run — its client-side list, its
@@ -287,7 +367,7 @@ mod tests {
         let out = run_service_faulted(&cfg, &FaultSpec::none(n));
         assert!(out.is_safe(), "{:?}", out.violations);
         let dump = out.cluster_dump(&cfg);
-        let (proc, here) = (Cell::of_dump(&dump), Cell::of_outcome(out));
+        let (proc, here) = (Cell::of_dump(&dump), Cell::of_outcome(&out));
 
         assert_eq!(here.stats, proc.stats);
         assert_eq!(here.stats.offered, 480);

@@ -15,7 +15,7 @@ use ac_net::DelayRule;
 use ac_sim::{Time, TraceKind, U};
 use ac_txn::Workload;
 
-use crate::cell::{run_cell, Host};
+use crate::cell::{run_cell, run_judged_cell, Host};
 use crate::report::{
     AttributionBaseline, BenchBaseline, ChaosBaseline, ChaosEntry, ExplorerBaseline,
     ProtocolBaseline, Report, SaturationBaseline, ServiceBaseline, Table, SCHEMA_VERSION,
@@ -1007,33 +1007,40 @@ pub fn attribution_section(
                 .keys_per_shard(32)
                 .seed(11)
                 .transport(host.transport());
-            let cell = run_cell(host, &cfg, &FaultSpec::none(n))?;
-            let a = &cell.attribution;
-            let entry = AttributionEntry::new(kind.name(), host.name(), &cell);
             // The acceptance gate: a clean run whose reconstructed stage
             // shares telescope to the measured end-to-end latency — and,
             // across the process boundary, blame the stage the in-process
-            // channel run of this protocol blames.
-            let agrees = !matches!(host, Host::Proc(_))
-                || entries
-                    .iter()
-                    .find(|e| e.protocol == entry.protocol && e.transport == "channel")
-                    .is_some_and(|channel| dominant_agrees(&entry.stages, &channel.stages));
-            let clean = cell.audit_findings == 0 && cell.stats.stalled == 0;
-            let ok = clean && agrees && entry.problems().is_empty();
-            let verdict = r.compare(ok).to_string();
-            let mut row = vec![
-                kind.name().into(),
-                host.name().into(),
-                format!("{:.0}%", a.coverage_pct()),
-            ];
-            row.extend((0..5).map(|i| format!("{:.1}", a.share_pct(i))));
-            row.push(format!("{:.1}", a.share_sum_pct()));
-            row.push(format!("{:.2}", a.e2e.p50() as f64 / 1e6));
-            let clock = cell.alignment_max_uncertainty_micros;
-            row.push(clock.map_or("-".into(), |us| format!("{us:.0}")));
-            row.push(dominant_stage(&entry.stages));
-            row.push(verdict);
+            // channel run of this protocol blames. A row that fails it is
+            // kept with its run.
+            let mut judged = None;
+            run_judged_cell(host, &cfg, &FaultSpec::none(n), |cell| {
+                let a = &cell.attribution;
+                let entry = AttributionEntry::new(kind.name(), host.name(), cell);
+                let agrees = !matches!(host, Host::Proc(_))
+                    || entries
+                        .iter()
+                        .find(|e| e.protocol == entry.protocol && e.transport == "channel")
+                        .is_some_and(|channel| dominant_agrees(&entry.stages, &channel.stages));
+                let clean = cell.audit_findings == 0 && cell.stats.stalled == 0;
+                let ok = clean && agrees && entry.problems().is_empty();
+                let verdict = r.compare(ok).to_string();
+                let mut row = vec![
+                    kind.name().into(),
+                    host.name().into(),
+                    format!("{:.0}%", a.coverage_pct()),
+                ];
+                row.extend((0..5).map(|i| format!("{:.1}", a.share_pct(i))));
+                row.push(format!("{:.1}", a.share_sum_pct()));
+                row.push(format!("{:.2}", a.e2e.p50() as f64 / 1e6));
+                let clock = cell.alignment_max_uncertainty_micros;
+                row.push(clock.map_or("-".into(), |us| format!("{us:.0}")));
+                row.push(dominant_stage(&entry.stages));
+                row.push(verdict);
+                let failed = (!ok).then(|| [&at.header, &row].map(|r| r.join(" | ")).join("\n"));
+                judged = Some((entry, row));
+                failed
+            })?;
+            let (entry, row) = judged.expect("every run is judged");
             at.row(row);
             entries.push(entry);
         }
