@@ -535,14 +535,11 @@ pub struct ServiceOutcome {
     pub retries: usize,
     /// Bounded reply waits that expired (retries + abandonments).
     pub reply_timeouts: usize,
-    /// Host threads that ran the nodes, and the clients beside them:
-    /// `min(cores, n)` on either transport (cores this process may run
-    /// on), or the `hosts` a test asked for.
+    /// Host threads that ran the nodes, and the clients beside them —
+    /// every serving thread of the run: `min(cores, n)` on either
+    /// transport (cores this process may run on), or the `hosts` a test
+    /// asked for.
     pub node_threads: usize,
-    /// Host threads that ran clients alone: none, since the clients ride
-    /// the node hosts. `node_threads + client_threads` counts every
-    /// serving thread of the run.
-    pub client_threads: usize,
     /// Host wakeups that moved nothing in any of the host's nodes or
     /// clients (0 = every wakeup did useful work; idle hosts park
     /// indefinitely).
@@ -1100,7 +1097,6 @@ fn aggregate(
         retries,
         reply_timeouts,
         node_threads,
-        client_threads: 0,
         spurious_wakeups,
         orphaned_envelopes,
         wal_prepare_forces,
@@ -1524,8 +1520,7 @@ mod tests {
         for transport in [TransportKind::Tcp, TransportKind::Channel] {
             let out = run_service(&cfg.clone().transport(transport));
             assert!(out.is_safe(), "{transport:?}: {:?}", out.violations);
-            let threads = out.node_threads + out.client_threads;
-            assert_eq!(threads, hosts_for(cfg.n), "{transport:?}");
+            assert_eq!(out.node_threads, hosts_for(cfg.n), "{transport:?}");
         }
     }
 
@@ -1545,7 +1540,7 @@ mod tests {
             .unit(Duration::from_millis(50))
             .seed(5);
         let out = run_hosted(&cfg, &FaultSpec::none(n), 2);
-        assert_eq!((out.node_threads, out.client_threads), (2, 0));
+        assert_eq!(out.node_threads, 2);
         assert!(out.is_safe(), "{:?}", out.violations);
         assert_eq!((out.txns, out.stalled, out.retries), (400, 0, 0));
         assert_eq!(out.txn_events.len(), 400);
@@ -1574,7 +1569,7 @@ mod tests {
             .transport(TransportKind::Tcp);
         for hosts in [1, 2, n] {
             let out = run_hosted(&cfg, &FaultSpec::none(n), hosts);
-            assert_eq!((out.node_threads, out.client_threads), (hosts, 0));
+            assert_eq!(out.node_threads, hosts);
             assert!(out.is_safe(), "{hosts} hosts: {:?}", out.violations);
             assert_eq!((out.txns, out.stalled, out.retries), (200, 0, 0));
             assert_replays(&out, 64, &format!("{hosts} hosts"));
@@ -1601,7 +1596,7 @@ mod tests {
         let open = light.clone().arrival_rate(5_000.0);
         for (load, cfg) in [("light", light), ("windowed", windowed), ("open", open)] {
             let out = run_hosted(&cfg, &FaultSpec::none(n), 1);
-            assert_eq!((out.node_threads, out.client_threads), (1, 0), "{load}");
+            assert_eq!(out.node_threads, 1, "{load}");
             assert!(out.is_safe(), "{load}: {:?}", out.violations);
             assert_eq!((out.stalled, out.retries), (0, 0), "{load}");
             assert_eq!(out.offered, 2 * 300, "{load}");
@@ -1639,7 +1634,7 @@ mod tests {
             up_after: Some(up),
         });
         let out = run_hosted(&cfg, &spec, 1);
-        assert_eq!((out.node_threads, out.client_threads), (1, 0));
+        assert_eq!(out.node_threads, 1);
         assert!(out.is_safe(), "{:?}", out.violations);
         assert_eq!(out.stalled, 0);
         assert!(out.retries > 0, "the dark member cost its clients retries");

@@ -1,4 +1,4 @@
-//! Wire-codec property battery (ISSUE-6 satellite).
+//! Wire-codec property battery and golden bytes.
 //!
 //! Coverage map — every one of the 15 [`ProtocolKind`]s resolves to one
 //! of the twelve message alphabets (plus the embedded [`PaxosMsg`]):
@@ -25,6 +25,16 @@
 //! truncated tails park cleanly; arbitrary garbage never panics — the
 //! decoder either resynchronizes via the length prefix or poisons the
 //! stream and stays poisoned.
+//!
+//! Golden bytes: every layout is declared once (`wire_enum!` /
+//! `wire_struct!`), so encode and decode cannot disagree — but a tag or a
+//! field order changed in the one table still round-trips.
+//! `every_layout_encodes_to_its_pinned_bytes` holds one value of every
+//! variant of every alphabet, of `PaxosMsg` and of a transaction, and one
+//! frame of each codec tag 0–12, to hex written by the encoders the
+//! declarations replaced: a frame written before that change decodes after
+//! it. Fix the code, never the hex, unless the wire format is meant to
+//! change.
 
 use std::sync::Arc;
 
@@ -471,4 +481,247 @@ proptest! {
             prop_assert!(dec.next_frame::<TwoPcMsg>().is_err(), "poisoned decoder resumed");
         }
     }
+}
+
+/// Lowercase hex of `bytes`.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The frame `f` as written to a socket, length prefix included.
+fn frame<M: Wire>(f: AnyFrame<M>) -> Vec<u8> {
+    let mut out = Vec::new();
+    ac_cluster::codec::write_frame(&f, &mut out);
+    out
+}
+
+/// Compare each case's bytes against its pinned hex, and report every
+/// mismatch (with the bytes the encoder wrote) before failing.
+fn assert_pinned(cases: &[(&str, Vec<u8>, &str)]) {
+    let wrong: Vec<String> = cases
+        .iter()
+        .filter(|(_, got, want)| hex(got) != *want)
+        .map(|(what, got, _)| format!("{what}: {}", hex(got)))
+        .collect();
+    assert!(wrong.is_empty(), "encodings moved:\n{}", wrong.join("\n"));
+}
+
+/// Golden bytes: one fixed value of every variant of every protocol
+/// alphabet, of `PaxosMsg` and of a transaction, and one frame of each
+/// codec tag 0–12, against hex written by the hand-coded encoders these
+/// declarations replaced. Distinct field values make a swapped field
+/// move the bytes, and fixed bytes catch a tag renumbered on both sides,
+/// which no round trip can.
+#[test]
+fn every_layout_encodes_to_its_pinned_bytes() {
+    let paxos = [
+        PaxosMsg::Prepare { bal: 1 },
+        PaxosMsg::Promise {
+            bal: 2,
+            accepted: Some((3, 4)),
+        },
+        PaxosMsg::Accept { bal: 5, val: 6 },
+        PaxosMsg::Accepted { bal: 7, val: 8 },
+        PaxosMsg::Decide { val: 9 },
+    ];
+    let cons = || PaxosMsg::Accept { bal: 10, val: 11 };
+    let txn = Transaction::new(0x77)
+        .with_read(Key::new(1, 2), 3)
+        .with_write(Key::new(0, 4), -5);
+    let mut txn2 = txn.clone();
+    txn2.writes.insert(Key::new(2, 6), WriteOp::Add(7));
+    let export = ac_obs::ObsExport {
+        node: 1,
+        dropped_events: 2,
+        meters: vec![(3, 4)],
+        flight: vec![ac_obs::FlightEvent {
+            txn: 5,
+            node: 1,
+            stage: ac_obs::FlightStage::WalForced,
+            at_nanos: 6,
+        }],
+        net: ac_obs::NetSnapshot {
+            peers: vec![ac_obs::PeerNet {
+                bytes_out: 7,
+                frames_out: 8,
+                reconnects: 9,
+                dial_failures: 10,
+                outbox_hiwater: 11,
+            }],
+            bytes_in: 12,
+            frames_in: 13,
+            decode_errors: 14,
+            resyncs: 15,
+        },
+    };
+    let vote2a = || PcMsg::Vote2a { rm: 3, vote: true };
+    let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+        ("PaxosMsg::Prepare", paxos[0].to_wire(), "000100000000000000"),
+        ("PaxosMsg::Promise", paxos[1].to_wire(), "0102000000000000000103000000000000000400000000000000"),
+        ("PaxosMsg::Accept", paxos[2].to_wire(), "0205000000000000000600000000000000"),
+        ("PaxosMsg::Accepted", paxos[3].to_wire(), "0307000000000000000800000000000000"),
+        ("PaxosMsg::Decide", paxos[4].to_wire(), "040900000000000000"),
+        ("InbacMsg::V", InbacMsg::V(true).to_wire(), "0001"),
+        ("InbacMsg::C", InbacMsg::C(vec![(1, true), (2, false)]).to_wire(), "0102000000010000000000000001020000000000000000"),
+        ("InbacMsg::Help", InbacMsg::Help.to_wire(), "02"),
+        ("InbacMsg::Helped", InbacMsg::Helped(vec![(3, false)]).to_wire(), "0301000000030000000000000000"),
+        ("InbacMsg::Abort0", InbacMsg::Abort0.to_wire(), "04"),
+        ("InbacMsg::Cons", InbacMsg::Cons(cons()).to_wire(), "05020a000000000000000b00000000000000"),
+        ("ANbacMsg::Chain", ANbacMsg::Chain(true).to_wire(), "0001"),
+        ("ANbacMsg::V0", ANbacMsg::V0.to_wire(), "01"),
+        ("ANbacMsg::B0", ANbacMsg::B0.to_wire(), "02"),
+        ("ANbacMsg::AckV", ANbacMsg::AckV.to_wire(), "03"),
+        ("ANbacMsg::AckB", ANbacMsg::AckB.to_wire(), "04"),
+        ("AvMsg::V", AvMsg::V(true).to_wire(), "0001"),
+        ("AvMsg::B", AvMsg::B(false).to_wire(), "0100"),
+        ("ChainMsg", ChainMsg(true).to_wire(), "01"),
+        ("D1ccMsg::V", D1ccMsg::V(true).to_wire(), "0001"),
+        ("D1ccMsg::D", D1ccMsg::D(false).to_wire(), "0100"),
+        ("Nbac0Msg::V0", Nbac0Msg::V0.to_wire(), "00"),
+        ("Nbac0Msg::B0", Nbac0Msg::B0.to_wire(), "01"),
+        ("Nbac0Msg::Ack", Nbac0Msg::Ack.to_wire(), "02"),
+        ("Nbac0Msg::Cons", Nbac0Msg::Cons(cons()).to_wire(), "03020a000000000000000b00000000000000"),
+        ("Nbac1Msg::V", Nbac1Msg::V(true).to_wire(), "0001"),
+        ("Nbac1Msg::D", Nbac1Msg::D(false).to_wire(), "0100"),
+        ("Nbac1Msg::Cons", Nbac1Msg::Cons(cons()).to_wire(), "02020a000000000000000b00000000000000"),
+        ("B2n2Msg::V", B2n2Msg::V(true).to_wire(), "0001"),
+        ("B2n2Msg::B", B2n2Msg::B(false).to_wire(), "0100"),
+        ("C2n2fMsg::V", C2n2fMsg::V(true).to_wire(), "0001"),
+        ("C2n2fMsg::B", C2n2fMsg::B(false).to_wire(), "0100"),
+        ("C2n2fMsg::Z", C2n2fMsg::Z(true).to_wire(), "0201"),
+        ("C2n2fMsg::Help", C2n2fMsg::Help.to_wire(), "03"),
+        ("C2n2fMsg::Helped", C2n2fMsg::Helped(false).to_wire(), "0400"),
+        ("C2n2fMsg::Cons", C2n2fMsg::Cons(cons()).to_wire(), "05020a000000000000000b00000000000000"),
+        ("PcMsg::Vote2a", vote2a().to_wire(), "00030000000000000001"),
+        (
+            "PcMsg::Bundle0",
+            PcMsg::Bundle0 {
+                vals: [(1, true), (2, false)].into_iter().collect(),
+            }
+            .to_wire(),
+            "0102000000010000000000000001020000000000000000",
+        ),
+        ("PcMsg::Prepare", PcMsg::Prepare { bal: 12 }.to_wire(), "020c00000000000000"),
+        (
+            "PcMsg::Promise",
+            PcMsg::Promise {
+                bal: 13,
+                accepted: vec![(1, 14, true)],
+            }
+            .to_wire(),
+            "030d000000000000000100000001000000000000000e0000000000000001",
+        ),
+        (
+            "PcMsg::Accept",
+            PcMsg::Accept {
+                bal: 15,
+                vals: vec![(2, false)],
+            }
+            .to_wire(),
+            "040f0000000000000001000000020000000000000000",
+        ),
+        ("PcMsg::Accepted", PcMsg::Accepted { bal: 16 }.to_wire(), "051000000000000000"),
+        ("PcMsg::Outcome", PcMsg::Outcome { commit: true }.to_wire(), "0601"),
+        ("ThreePcMsg::V", ThreePcMsg::V(true).to_wire(), "0001"),
+        ("ThreePcMsg::PreCommit", ThreePcMsg::PreCommit.to_wire(), "01"),
+        ("ThreePcMsg::AckPc", ThreePcMsg::AckPc.to_wire(), "02"),
+        ("ThreePcMsg::DoCommit", ThreePcMsg::DoCommit.to_wire(), "03"),
+        ("ThreePcMsg::DoAbort", ThreePcMsg::DoAbort.to_wire(), "04"),
+        ("ThreePcMsg::States", ThreePcMsg::States(0b101).to_wire(), "0505"),
+        ("TwoPcMsg::V", TwoPcMsg::V(true).to_wire(), "0001"),
+        ("TwoPcMsg::D", TwoPcMsg::D(false).to_wire(), "0100"),
+        ("Transaction", txn2.to_wire(), "770000000000000001000000010000000000000002000000000000000300000000000000020000000000000000000000040000000000000000fbffffffffffffff02000000000000000600000000000000010700000000000000"),
+        (
+            "frame 0 Begin",
+            frame::<PcMsg>(AnyFrame::Node(ToNode::Begin {
+                txn: Arc::new(txn),
+                client: 2,
+                retry: true,
+            })),
+            "4b00000000770000000000000001000000010000000000000002000000000000000300000000000000010000000000000000000000040000000000000000fbffffffffffffff020000000000000001",
+        ),
+        (
+            "frame 1 Net",
+            frame(AnyFrame::Node(ToNode::Net {
+                txn: 0x10,
+                from: 1,
+                msg: vote2a(),
+            })),
+            "1b000000011000000000000000010000000000000000030000000000000001",
+        ),
+        (
+            "frame 2 StatusQ",
+            frame::<PcMsg>(AnyFrame::Node(ToNode::StatusQ { txn: 0x11, from: 2 })),
+            "110000000211000000000000000200000000000000",
+        ),
+        (
+            "frame 3 StatusA",
+            frame::<PcMsg>(AnyFrame::Node(ToNode::StatusA {
+                txn: 0x12,
+                value: 1,
+            })),
+            "110000000312000000000000000100000000000000",
+        ),
+        (
+            "frame 4 End",
+            frame::<PcMsg>(AnyFrame::Node(ToNode::End { txn: 0x13 })),
+            "09000000041300000000000000",
+        ),
+        (
+            "frame 5 Shutdown",
+            frame::<PcMsg>(AnyFrame::Node(ToNode::Shutdown)),
+            "0100000005",
+        ),
+        (
+            "frame 6 Done",
+            frame::<PcMsg>(AnyFrame::Done(Done {
+                txn: 0x14,
+                node: 3,
+                decision: 1,
+            })),
+            "1900000006140000000000000003000000000000000100000000000000",
+        ),
+        (
+            "frame 7 Hello",
+            frame::<PcMsg>(AnyFrame::Hello { client: 4 }),
+            "09000000070400000000000000",
+        ),
+        (
+            "frame 8 ObsPull",
+            frame::<PcMsg>(AnyFrame::Node(ToNode::ObsPull { client: 5 })),
+            "09000000080500000000000000",
+        ),
+        (
+            "frame 9 EchoReq",
+            frame::<PcMsg>(AnyFrame::EchoReq {
+                seq: 6,
+                t0_nanos: 7,
+            }),
+            "0d00000009060000000700000000000000",
+        ),
+        (
+            "frame 10 EchoResp",
+            frame::<PcMsg>(AnyFrame::EchoResp {
+                seq: 8,
+                t0_nanos: 9,
+                node: 1,
+                node_nanos: 10,
+            }),
+            "190000000a080000000900000000000000010000000a00000000000000",
+        ),
+        (
+            "frame 11 ObsDump",
+            frame::<PcMsg>(AnyFrame::ObsDump {
+                node: 1,
+                export: Box::new(export),
+            }),
+            "8a0000000b01000000010000000200000000000000010000000300000000000000040000000000000001000000050000000000000001000000020600000000000000010000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f00000000000000",
+        ),
+        (
+            "frame 12 Peer",
+            frame::<PcMsg>(AnyFrame::Peer { node: 2 }),
+            "090000000c0200000000000000",
+        ),
+    ];
+    assert_pinned(&cases);
 }

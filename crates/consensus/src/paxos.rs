@@ -1,6 +1,6 @@
 //! Single-decree Paxos with a rotating coordinator.
 
-use ac_sim::{Ctx, ProcessId, Time, Wire, WireError, U};
+use ac_sim::{wire_enum, Ctx, ProcessId, Time, U};
 
 /// Timer tags at or above this value belong to the consensus sub-automaton;
 /// embedding protocols must keep their own tags below it.
@@ -51,59 +51,13 @@ pub enum PaxosMsg {
     },
 }
 
-impl Wire for PaxosMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            PaxosMsg::Prepare { bal } => {
-                buf.push(0);
-                bal.encode(buf);
-            }
-            PaxosMsg::Promise { bal, accepted } => {
-                buf.push(1);
-                bal.encode(buf);
-                accepted.encode(buf);
-            }
-            PaxosMsg::Accept { bal, val } => {
-                buf.push(2);
-                bal.encode(buf);
-                val.encode(buf);
-            }
-            PaxosMsg::Accepted { bal, val } => {
-                buf.push(3);
-                bal.encode(buf);
-                val.encode(buf);
-            }
-            PaxosMsg::Decide { val } => {
-                buf.push(4);
-                val.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(PaxosMsg::Prepare {
-                bal: u64::decode(buf)?,
-            }),
-            1 => Ok(PaxosMsg::Promise {
-                bal: u64::decode(buf)?,
-                accepted: Option::decode(buf)?,
-            }),
-            2 => Ok(PaxosMsg::Accept {
-                bal: u64::decode(buf)?,
-                val: u64::decode(buf)?,
-            }),
-            3 => Ok(PaxosMsg::Accepted {
-                bal: u64::decode(buf)?,
-                val: u64::decode(buf)?,
-            }),
-            4 => Ok(PaxosMsg::Decide {
-                val: u64::decode(buf)?,
-            }),
-            _ => Err(WireError::Invalid("PaxosMsg tag")),
-        }
-    }
-}
+wire_enum!(PaxosMsg {
+    0 => Prepare { bal },
+    1 => Promise { bal, accepted },
+    2 => Accept { bal, val },
+    3 => Accepted { bal, val },
+    4 => Decide { val },
+});
 
 /// The effect interface the consensus module needs from its host.
 ///

@@ -309,7 +309,8 @@ mod tests {
 
     /// A clean run whose row a section marks MISMATCH is kept all the
     /// same: the rendered row as `<stem>.row`, beside the run's dump. A
-    /// row that passes keeps nothing.
+    /// row that passes keeps nothing. So is a faulted run's, as a chaos
+    /// row's is: node 3 down for the first 20 ms, then back from its log.
     #[test]
     fn a_mismatched_row_is_kept_beside_its_runs_dump() {
         let n = 4;
@@ -333,6 +334,32 @@ mod tests {
         });
         assert_eq!(cell.expect("in process").audit_findings, 0, "a clean run");
         assert_eq!(judged, 20, "the judge read the run's record");
+        let dump = kept_row_and_dump(prefix, row);
+        assert_eq!(dump.txns.len(), 20);
+
+        let prefix = "PaxosCommit-channel-c2-s4042-";
+        for stale in kept(prefix) {
+            std::fs::remove_file(stale).expect("remove an earlier run's file");
+        }
+        let mut faults = FaultSpec::none(n);
+        faults.durable = true;
+        faults.crashes[3] = Some(CrashWindow {
+            down_after: Duration::ZERO,
+            up_after: Some(Duration::from_millis(20)),
+        });
+        let cfg = cfg.seed(4_042).reply_timeout(Duration::from_millis(10));
+        let cell = run_judged_cell(Host::Channel, &cfg, &faults, |_| Some(row.to_string()));
+        let elapsed = Duration::from_nanos(cell.expect("in process").stats.elapsed_nanos);
+        assert!(
+            elapsed >= Duration::from_millis(20),
+            "the run outlived the crash"
+        );
+        kept_row_and_dump(prefix, row);
+    }
+
+    /// The one `<stem>.row` (holding `row`) and the one `<stem>.dump` kept
+    /// under `prefix`, the dump read back.
+    fn kept_row_and_dump(prefix: &str, row: &str) -> ClusterDump {
         let files = kept(prefix);
         let with = |ext: &str| {
             let found = files
@@ -346,7 +373,7 @@ mod tests {
         let kept_row = std::fs::read_to_string(rows[0]).expect("read the row");
         assert_eq!(kept_row, format!("{row}\n"));
         let dump = ClusterDump::from_bytes(&std::fs::read(dumps[0]).expect("read the dump"));
-        assert_eq!(dump.expect("a cluster dump").txns.len(), 20);
+        dump.expect("a cluster dump")
     }
 
     /// The hosts agree by construction: the record of an in-process run

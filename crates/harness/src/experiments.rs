@@ -1155,9 +1155,9 @@ fn chaos_row_passes(kind: ProtocolKind, e: &ChaosEntry) -> bool {
 /// {2PC, Paxos-Commit, INBAC, D1CC} × {crash-coordinator,
 /// crash-participant, partition-heal, lossy-10}, each cell the plan's
 /// fault specification ([`ac_chaos::ChaosPlan::spec`]) served through
-/// [`run_cell`], its timelines bucketed against the fault window
+/// [`run_judged_cell`], its timelines bucketed against the fault window
 /// ([`ac_chaos::ChaosConfig::fault_stats`]), its row gated
-/// (`chaos_row_passes`).
+/// (`chaos_row_passes`); a row that fails is kept beside its run.
 ///
 /// The wall-clock face of the paper's trade-off, asserted as comparisons:
 /// the f-tolerant protocols (Paxos-Commit, INBAC, logless D1CC) keep
@@ -1202,24 +1202,33 @@ pub fn chaos_section(r: &mut Report, quick: bool, host: Host) -> Result<ChaosBas
                 service: chaos_service(kind, quick).transport(host.transport()),
                 plan: chaos_plan(scenario, n),
             };
-            let cell = run_cell(host, &chaos.service, &chaos.plan.spec(chaos.service.unit))?;
-            let run = Duration::from_nanos(cell.stats.elapsed_nanos);
-            let stats = chaos.fault_stats(&cell.txn_events, run);
-            let e = ChaosEntry::new(kind, scenario, &cell, &stats);
-            let verdict = r.compare(chaos_row_passes(kind, &e));
-            t.row(vec![
-                e.protocol.clone(),
-                e.scenario.clone(),
-                e.txns.to_string(),
-                commit_pct(e.committed, e.txns),
-                format!("{:.0}%", e.availability_pct),
-                e.committed_during_fault.to_string(),
-                format!("{:.0}", e.ops_during_fault),
-                format!("{:.0}", e.ops_after_heal),
-                e.blocked.to_string(),
-                format!("{:.1}", e.recovery_ms),
-                verdict.into(),
-            ]);
+            // A row that fails its gate is kept with its run.
+            let mut judged = None;
+            let faults = chaos.plan.spec(chaos.service.unit);
+            run_judged_cell(host, &chaos.service, &faults, |cell| {
+                let run = Duration::from_nanos(cell.stats.elapsed_nanos);
+                let stats = chaos.fault_stats(&cell.txn_events, run);
+                let e = ChaosEntry::new(kind, scenario, cell, &stats);
+                let ok = chaos_row_passes(kind, &e);
+                let row = vec![
+                    e.protocol.clone(),
+                    e.scenario.clone(),
+                    e.txns.to_string(),
+                    commit_pct(e.committed, e.txns),
+                    format!("{:.0}%", e.availability_pct),
+                    e.committed_during_fault.to_string(),
+                    format!("{:.0}", e.ops_during_fault),
+                    format!("{:.0}", e.ops_after_heal),
+                    e.blocked.to_string(),
+                    format!("{:.1}", e.recovery_ms),
+                    r.compare(ok).into(),
+                ];
+                let failed = (!ok).then(|| [&t.header, &row].map(|r| r.join(" | ")).join("\n"));
+                judged = Some((e, row));
+                failed
+            })?;
+            let (e, row) = judged.expect("every run is judged");
+            t.row(row);
             entries.push(e);
         }
     }

@@ -28,7 +28,7 @@
 //! every cross-process breakdown so a reader knows how much of a
 //! microsecond-scale stage could be alignment error rather than work.
 
-use ac_sim::{Wire, WireError};
+use ac_sim::wire_struct;
 
 /// One echo round trip's raw timestamps, all in nanoseconds: `t0`/`t1`
 /// on the collector's clock, `t_node` on the echoed node's clock.
@@ -112,28 +112,18 @@ impl ClockAlignment {
     }
 }
 
-impl Wire for ClockAlignment {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.node.encode(buf);
-        self.offset_nanos.encode(buf);
-        self.uncertainty_nanos.encode(buf);
-        self.rtt_nanos.encode(buf);
-        self.samples.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ClockAlignment {
-            node: u32::decode(buf)?,
-            offset_nanos: i64::decode(buf)?,
-            uncertainty_nanos: u64::decode(buf)?,
-            rtt_nanos: u64::decode(buf)?,
-            samples: u32::decode(buf)?,
-        })
-    }
-}
+wire_struct!(ClockAlignment {
+    node,
+    offset_nanos,
+    uncertainty_nanos,
+    rtt_nanos,
+    samples
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ac_sim::Wire;
 
     /// Build the echo samples a node with true offset `off` (collector −
     /// node) would produce, with per-sample one-way delays.

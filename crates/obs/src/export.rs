@@ -17,7 +17,7 @@
 //! alignment (with its uncertainty), behind an 8-byte magic so tools
 //! can sniff dump files apart from JSON baselines.
 
-use ac_sim::{Wire, WireError};
+use ac_sim::{wire_enum, wire_struct, Wire, WireError};
 
 use crate::attribution::{Attribution, FlightIndex, SlotBox};
 use crate::clock::ClockAlignment;
@@ -25,43 +25,14 @@ use crate::histogram::LatencyHistogram;
 use crate::net::NetSnapshot;
 use crate::stage::{FlightEvent, FlightStage, NodeObs, Stage};
 
-impl Wire for FlightStage {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            FlightStage::Dispatch => 0,
-            FlightStage::LockAcquired => 1,
-            FlightStage::WalForced => 2,
-            FlightStage::Decided => 3,
-        };
-        tag.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => FlightStage::Dispatch,
-            1 => FlightStage::LockAcquired,
-            2 => FlightStage::WalForced,
-            3 => FlightStage::Decided,
-            _ => return Err(WireError::Invalid("flight stage tag")),
-        })
-    }
-}
+wire_enum!(FlightStage { 0 => Dispatch, 1 => LockAcquired, 2 => WalForced, 3 => Decided });
 
-impl Wire for FlightEvent {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.txn.encode(buf);
-        self.node.encode(buf);
-        self.stage.encode(buf);
-        self.at_nanos.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(FlightEvent {
-            txn: u64::decode(buf)?,
-            node: u32::decode(buf)?,
-            stage: FlightStage::decode(buf)?,
-            at_nanos: u64::decode(buf)?,
-        })
-    }
-}
+wire_struct!(FlightEvent {
+    txn,
+    node,
+    stage,
+    at_nanos
+});
 
 /// One process's full observability state, snapshotted for shipping:
 /// flight-recorder ring, per-stage meters, and the transport-layer
@@ -106,24 +77,13 @@ impl ObsExport {
     }
 }
 
-impl Wire for ObsExport {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.node.encode(buf);
-        self.dropped_events.encode(buf);
-        self.meters.encode(buf);
-        self.flight.encode(buf);
-        self.net.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ObsExport {
-            node: u32::decode(buf)?,
-            dropped_events: u64::decode(buf)?,
-            meters: Vec::decode(buf)?,
-            flight: Vec::decode(buf)?,
-            net: NetSnapshot::decode(buf)?,
-        })
-    }
-}
+wire_struct!(ObsExport {
+    node,
+    dropped_events,
+    meters,
+    flight,
+    net
+});
 
 impl Attribution {
     /// Build the attribution from per-process exports: each export's
@@ -191,22 +151,12 @@ impl DumpTxn {
     }
 }
 
-impl Wire for DumpTxn {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.submitted_nanos.encode(buf);
-        self.decided_nanos.encode(buf);
-        self.committed.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(DumpTxn {
-            id: u64::decode(buf)?,
-            submitted_nanos: u64::decode(buf)?,
-            decided_nanos: u64::decode(buf)?,
-            committed: bool::decode(buf)?,
-        })
-    }
-}
+wire_struct!(DumpTxn {
+    id,
+    submitted_nanos,
+    decided_nanos,
+    committed
+});
 
 /// Run-level counters the collector knows without any export.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -236,26 +186,14 @@ impl RunStats {
     }
 }
 
-impl Wire for RunStats {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.offered.encode(buf);
-        self.shed.encode(buf);
-        self.committed.encode(buf);
-        self.aborted.encode(buf);
-        self.stalled.encode(buf);
-        self.elapsed_nanos.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(RunStats {
-            offered: u64::decode(buf)?,
-            shed: u64::decode(buf)?,
-            committed: u64::decode(buf)?,
-            aborted: u64::decode(buf)?,
-            stalled: u64::decode(buf)?,
-            elapsed_nanos: u64::decode(buf)?,
-        })
-    }
-}
+wire_struct!(RunStats {
+    offered,
+    shed,
+    committed,
+    aborted,
+    stalled,
+    elapsed_nanos
+});
 
 /// Sojourn-time histogram of a run's decided transactions: submit (the
 /// scheduled arrival, in an open loop) to all replies in.
@@ -355,30 +293,16 @@ impl ClusterDump {
     }
 }
 
-impl Wire for ClusterDump {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.protocol.encode(buf);
-        self.n.encode(buf);
-        self.f.encode(buf);
-        self.unit_micros.encode(buf);
-        self.txns.encode(buf);
-        self.alignments.encode(buf);
-        self.exports.encode(buf);
-        self.stats.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ClusterDump {
-            protocol: String::decode(buf)?,
-            n: u32::decode(buf)?,
-            f: u32::decode(buf)?,
-            unit_micros: u64::decode(buf)?,
-            txns: Vec::decode(buf)?,
-            alignments: Vec::decode(buf)?,
-            exports: Vec::decode(buf)?,
-            stats: RunStats::decode(buf)?,
-        })
-    }
-}
+wire_struct!(ClusterDump {
+    protocol,
+    n,
+    f,
+    unit_micros,
+    txns,
+    alignments,
+    exports,
+    stats
+});
 
 #[cfg(test)]
 mod tests {

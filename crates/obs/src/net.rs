@@ -12,7 +12,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ac_sim::{Wire, WireError};
+use ac_sim::wire_struct;
 
 /// Per-peer egress slots (one row per dialable peer).
 #[derive(Debug, Default)]
@@ -218,24 +218,13 @@ pub struct PeerNet {
     pub outbox_hiwater: u64,
 }
 
-impl Wire for PeerNet {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.bytes_out.encode(buf);
-        self.frames_out.encode(buf);
-        self.reconnects.encode(buf);
-        self.dial_failures.encode(buf);
-        self.outbox_hiwater.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(PeerNet {
-            bytes_out: u64::decode(buf)?,
-            frames_out: u64::decode(buf)?,
-            reconnects: u64::decode(buf)?,
-            dial_failures: u64::decode(buf)?,
-            outbox_hiwater: u64::decode(buf)?,
-        })
-    }
-}
+wire_struct!(PeerNet {
+    bytes_out,
+    frames_out,
+    reconnects,
+    dial_failures,
+    outbox_hiwater
+});
 
 /// A point-in-time copy of one process's [`NetMeters`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -264,28 +253,18 @@ impl NetSnapshot {
     }
 }
 
-impl Wire for NetSnapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.peers.encode(buf);
-        self.bytes_in.encode(buf);
-        self.frames_in.encode(buf);
-        self.decode_errors.encode(buf);
-        self.resyncs.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(NetSnapshot {
-            peers: Vec::decode(buf)?,
-            bytes_in: u64::decode(buf)?,
-            frames_in: u64::decode(buf)?,
-            decode_errors: u64::decode(buf)?,
-            resyncs: u64::decode(buf)?,
-        })
-    }
-}
+wire_struct!(NetSnapshot {
+    peers,
+    bytes_in,
+    frames_in,
+    decode_errors,
+    resyncs
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ac_sim::Wire;
 
     #[test]
     fn counters_accumulate_per_peer() {

@@ -1,12 +1,15 @@
-//! Property-based coverage for the cross-process export path (ISSUE-10
-//! satellite): (1) attribution over N per-process exports with zero-skew
-//! alignments is *identical* to attribution over the single merged
-//! in-process recorder; (2) export wire round trips are lossless; (3) the
-//! min-RTT offset estimator recovers an injected skew within its own
-//! reported uncertainty bound.
+//! Property-based coverage for the cross-process export path: (1)
+//! attribution over N per-process exports with zero-skew alignments is
+//! *identical* to attribution over the single merged in-process recorder;
+//! (2) export wire round trips are lossless; (3) the min-RTT offset
+//! estimator recovers an injected skew within its own reported
+//! uncertainty bound; (4) a cluster dump carrying every obs record
+//! encodes to pinned bytes, so a dump file written before a layout
+//! change still reads after it.
 
 use ac_obs::{
-    Attribution, ClockAlignment, ClockSample, FlightEvent, FlightStage, NodeObs, ObsExport,
+    Attribution, ClockAlignment, ClockSample, ClusterDump, DumpTxn, FlightEvent, FlightStage,
+    NetSnapshot, NodeObs, ObsExport, PeerNet, RunStats,
 };
 use ac_sim::Wire;
 use proptest::prelude::*;
@@ -144,4 +147,89 @@ proptest! {
         let mapped = est.apply(node_stamp);
         prop_assert!(mapped.abs_diff(collector_true) <= est.uncertainty_nanos);
     }
+}
+
+/// Golden bytes: one [`ClusterDump`] that carries every obs record —
+/// each [`FlightStage`], a [`FlightEvent`], an [`ObsExport`] with its
+/// [`NetSnapshot`] and a [`PeerNet`], a [`DumpTxn`], a [`ClockAlignment`]
+/// with a negative offset, and [`RunStats`] — against the hex that the
+/// hand-coded encoders these declarations replaced wrote. A dump file
+/// written before the change must read back after it.
+#[test]
+fn a_cluster_dump_encodes_to_its_pinned_bytes() {
+    let flight = STAGES
+        .iter()
+        .zip(1u64..)
+        .map(|(&stage, i)| FlightEvent {
+            txn: 0x10 + i,
+            node: 1,
+            stage,
+            at_nanos: 0x20 + i,
+        })
+        .collect();
+    let dump = ClusterDump {
+        protocol: "2PC".to_string(),
+        n: 4,
+        f: 1,
+        unit_micros: 5_000,
+        txns: vec![DumpTxn {
+            id: 0x30,
+            submitted_nanos: 0x31,
+            decided_nanos: 0x32,
+            committed: true,
+        }],
+        alignments: vec![ClockAlignment {
+            node: 1,
+            offset_nanos: -0x40,
+            uncertainty_nanos: 0x41,
+            rtt_nanos: 0x42,
+            samples: 16,
+        }],
+        exports: vec![ObsExport {
+            node: 1,
+            dropped_events: 0x50,
+            meters: vec![(0x51, 0x52), (0x53, 0x54)],
+            flight,
+            net: NetSnapshot {
+                peers: vec![PeerNet {
+                    bytes_out: 0x60,
+                    frames_out: 0x61,
+                    reconnects: 0x62,
+                    dial_failures: 0x63,
+                    outbox_hiwater: 0x64,
+                }],
+                bytes_in: 0x65,
+                frames_in: 0x66,
+                decode_errors: 0x67,
+                resyncs: 0x68,
+            },
+        }],
+        stats: RunStats {
+            offered: 0x70,
+            shed: 0x71,
+            committed: 0x72,
+            aborted: 0x73,
+            stalled: 0x74,
+            elapsed_nanos: 0x75,
+        },
+    };
+    let bytes = dump.to_bytes();
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    let want = concat!(
+        "41434f4253445632030000003250430400000001000000881300000000000001",
+        "0000003000000000000000310000000000000032000000000000000101000000",
+        "01000000c0ffffffffffffff4100000000000000420000000000000010000000",
+        "0100000001000000500000000000000002000000510000000000000052000000",
+        "0000000053000000000000005400000000000000040000001100000000000000",
+        "0100000000210000000000000012000000000000000100000001220000000000",
+        "0000130000000000000001000000022300000000000000140000000000000001",
+        "0000000324000000000000000100000060000000000000006100000000000000",
+        "6200000000000000630000000000000064000000000000006500000000000000",
+        "6600000000000000670000000000000068000000000000007000000000000000",
+        "7100000000000000720000000000000073000000000000007400000000000000",
+        "7500000000000000",
+    );
+    assert_eq!(hex, want, "the dump's encoding moved");
+    let back = ClusterDump::from_bytes(&bytes).unwrap();
+    assert_eq!(back.to_bytes(), bytes);
 }

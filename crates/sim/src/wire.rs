@@ -11,16 +11,50 @@
 //! * `Vec<T>` is a `u32` element count followed by the elements;
 //! * enums are a leading tag byte followed by the variant's fields.
 //!
+//! A message, record or struct declares its layout once, with
+//! [`wire_enum!`](crate::wire_enum) (a tag per variant, then the
+//! variant's fields) or [`wire_struct!`](crate::wire_struct) (the
+//! fields, no tag). The one table yields both directions of the impl, so
+//! `encode` and `decode` cannot disagree on a tag or on the order of the
+//! fields:
+//!
+//! ```
+//! #[derive(Debug, PartialEq)]
+//! enum Msg {
+//!     Ping,
+//!     Vote(u64, bool),
+//!     Ack { seq: u32 },
+//! }
+//! ac_sim::wire_enum!(Msg { 0 => Ping, 1 => Vote(txn, yes), 2 => Ack { seq } });
+//!
+//! #[derive(Debug, PartialEq)]
+//! struct Hop { from: u64, msg: Msg }
+//! ac_sim::wire_struct!(Hop { from, msg });
+//!
+//! use ac_sim::Wire;
+//! let hop = Hop { from: 3, msg: Msg::Vote(7, true) };
+//! assert_eq!(&hop.to_wire()[8..], &[1, 7, 0, 0, 0, 0, 0, 0, 0, 1]);
+//! assert_eq!(Hop::from_wire(&hop.to_wire()), Ok(hop));
+//! ```
+//!
+//! A tuple variant or tuple struct names its fields positionally
+//! (`Vote(txn, yes)`, `wire_struct!(Wrapper(inner))`); the names only
+//! bind the fields inside the generated impl. Tags are part of the wire
+//! contract: never renumber one (append-only). Hand-write an impl only
+//! where decoding does more than read the fields back (`FlatMap`
+//! canonicalizes) or the type is generic.
+//!
 //! Decoding consumes from the front of a `&[u8]` slice and never panics:
 //! short input yields [`WireError::Truncated`], out-of-range tags or
 //! malformed payloads yield [`WireError::Invalid`]. Framing (length
 //! prefixes, partial reads, resynchronization) is the transport's job —
 //! this module only defines the body encoding.
 //!
-//! The trait lives here, at the bottom of the crate graph, so that each
-//! crate can implement it for the message types it owns (`ac-consensus`
-//! for `PaxosMsg`, `ac-commit` for the protocol messages, `ac-txn` for
-//! transactions) without orphan-rule friction.
+//! The trait and the two macros live here, at the bottom of the crate
+//! graph, so that each crate can declare the layouts of the types it owns
+//! (`ac-consensus` for `PaxosMsg`, `ac-commit` for the protocol messages,
+//! `ac-txn` for transactions, `ac-obs` for flight events and cluster
+//! dumps) without orphan-rule friction.
 
 use std::fmt;
 
@@ -107,6 +141,70 @@ macro_rules! int_wire {
 }
 
 int_wire!(u8, u16, u32, u64, i64);
+
+/// Implement [`Wire`] for an enum from one table of `tag => variant`
+/// entries: `encode` pushes the tag byte, then each field in the listed
+/// order; `decode` reads them back in the same order (field types are
+/// inferred), and an unlisted tag is `WireError::Invalid("<T> tag")`.
+/// Variants may be unit (`0 => Help`), tuple (`1 => V(vote)`, one name
+/// per field) or struct (`2 => Accept { bal, val }`). See the
+/// [module docs](crate::wire) for an example.
+#[macro_export]
+macro_rules! wire_enum {
+    ($t:ident { $($tag:literal => $v:ident $(($($a:ident),*))? $({ $($f:ident),* })?),* $(,)? }) => {
+        impl $crate::Wire for $t {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($t::$v $(($($a),*))? $({ $($f),* })? => {
+                        buf.push($tag);
+                        $($($crate::Wire::encode($a, buf);)*)?
+                        $($($crate::Wire::encode($f, buf);)*)?
+                    })*
+                }
+            }
+            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::WireError> {
+                match <u8 as $crate::Wire>::decode(buf)? {
+                    $($tag => {
+                        $($(let $a = $crate::Wire::decode(buf)?;)*)?
+                        Ok($t::$v $(($($a),*))? $({ $($f: $crate::Wire::decode(buf)?),* })?)
+                    })*
+                    _ => Err($crate::WireError::Invalid(concat!(stringify!($t), " tag"))),
+                }
+            }
+        }
+    };
+}
+
+/// Implement [`Wire`] for a struct from its field list: the fields in the
+/// listed order, no tag. `wire_struct!(T { f, g })` for named fields,
+/// `wire_struct!(T(a))` for a tuple struct (one name per field). See the
+/// [module docs](crate::wire) for an example.
+#[macro_export]
+macro_rules! wire_struct {
+    ($t:ident { $($f:ident),* $(,)? }) => {
+        impl $crate::Wire for $t {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $($crate::Wire::encode(&self.$f, buf);)*
+            }
+            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::WireError> {
+                // A struct expression evaluates its fields in the order written.
+                Ok($t { $($f: $crate::Wire::decode(buf)?),* })
+            }
+        }
+    };
+    ($t:ident ($($a:ident),* $(,)?)) => {
+        impl $crate::Wire for $t {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                let $t($($a),*) = self;
+                $($crate::Wire::encode($a, buf);)*
+            }
+            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::WireError> {
+                $(let $a = $crate::Wire::decode(buf)?;)*
+                Ok($t($($a),*))
+            }
+        }
+    };
+}
 
 impl Wire for usize {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -262,6 +360,87 @@ mod tests {
             Vec::<u64>::decode(&mut s),
             Err(WireError::Invalid(_))
         ));
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Unit,
+        Tuple(u8, bool),
+        Struct { f: u64, g: Option<u32> },
+    }
+    crate::wire_enum!(Shape { 0 => Unit, 1 => Tuple(a, b), 7 => Struct { f, g } });
+
+    #[derive(Debug, PartialEq)]
+    struct Named {
+        f: u16,
+        g: Vec<u8>,
+    }
+    crate::wire_struct!(Named { f, g });
+
+    #[derive(Debug, PartialEq)]
+    struct Wrapped(i64, Shape);
+    crate::wire_struct!(Wrapped(a, b));
+
+    #[test]
+    fn declared_layouts_round_trip_in_table_order() {
+        let cases: [(Shape, &[u8]); 3] = [
+            (Shape::Unit, &[0]),
+            (Shape::Tuple(5, true), &[1, 5, 1]),
+            (
+                Shape::Struct { f: 2, g: Some(3) },
+                &[7, 2, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0, 0, 0],
+            ),
+        ];
+        for (v, bytes) in cases {
+            assert_eq!(v.to_wire(), bytes);
+            assert_eq!(Shape::from_wire(bytes), Ok(v));
+        }
+        let named = Named {
+            f: 0x0201,
+            g: vec![9],
+        };
+        assert_eq!(named.to_wire(), [1, 2, 1, 0, 0, 0, 9]);
+        assert_eq!(Named::from_wire(&named.to_wire()), Ok(named));
+        let wrapped = Wrapped(-1, Shape::Tuple(4, false));
+        assert_eq!(
+            wrapped.to_wire(),
+            [255, 255, 255, 255, 255, 255, 255, 255, 1, 4, 0]
+        );
+        assert_eq!(Wrapped::from_wire(&wrapped.to_wire()), Ok(wrapped));
+    }
+
+    #[test]
+    fn a_declared_enum_names_itself_on_an_unknown_tag() {
+        for tag in [2u8, 6, 8, 255] {
+            assert_eq!(
+                Shape::from_wire(&[tag]),
+                Err(WireError::Invalid("Shape tag"))
+            );
+        }
+    }
+
+    /// Every strict prefix of `v`'s encoding decodes as `Truncated`.
+    fn assert_cut_short_is_truncated<T: Wire + fmt::Debug + PartialEq>(v: T) {
+        let bytes = v.to_wire();
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                T::from_wire(&bytes[..cut]),
+                Err(WireError::Truncated),
+                "{v:?} cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_declared_layout_cut_short_is_truncated() {
+        assert_cut_short_is_truncated(Shape::Unit);
+        assert_cut_short_is_truncated(Shape::Tuple(5, true));
+        assert_cut_short_is_truncated(Shape::Struct { f: 2, g: Some(3) });
+        assert_cut_short_is_truncated(Named {
+            f: 1,
+            g: vec![2, 3],
+        });
+        assert_cut_short_is_truncated(Wrapped(7, Shape::Unit));
     }
 
     #[test]

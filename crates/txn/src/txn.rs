@@ -11,7 +11,7 @@
 //! ([`Transaction::shard_iter`]).
 
 use ac_sim::wire::MAX_WIRE_ELEMS;
-use ac_sim::{Wire, WireError};
+use ac_sim::{wire_enum, wire_struct, Wire, WireError};
 
 /// A key: `(shard, key-within-shard)`. Sharding is explicit so workloads can
 //  control cross-shard spans precisely.
@@ -251,56 +251,12 @@ impl Transaction {
     }
 }
 
-impl Wire for Key {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.shard.encode(buf);
-        self.k.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Key {
-            shard: usize::decode(buf)?,
-            k: u64::decode(buf)?,
-        })
-    }
-}
+wire_struct!(Key { shard, k });
 
-impl Wire for WriteOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            WriteOp::Put(v) => {
-                buf.push(0);
-                v.encode(buf);
-            }
-            WriteOp::Add(d) => {
-                buf.push(1);
-                d.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(WriteOp::Put(i64::decode(buf)?)),
-            1 => Ok(WriteOp::Add(i64::decode(buf)?)),
-            _ => Err(WireError::Invalid("WriteOp tag")),
-        }
-    }
-}
+wire_enum!(WriteOp { 0 => Put(v), 1 => Add(d) });
 
-impl Wire for Transaction {
-    // The maps are sorted, so equal transactions encode to equal bytes.
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.reads.encode(buf);
-        self.writes.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Transaction {
-            id: TxnId::decode(buf)?,
-            reads: FlatMap::decode(buf)?,
-            writes: FlatMap::decode(buf)?,
-        })
-    }
-}
+// The maps are sorted, so equal transactions encode to equal bytes.
+wire_struct!(Transaction { id, reads, writes });
 
 #[cfg(test)]
 mod tests {
