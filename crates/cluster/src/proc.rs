@@ -14,6 +14,12 @@
 //!   `Hello` on, and the client reads them off the connections it dialed;
 //!   the final `Shutdown` rides a write-only [`TcpTransport`].
 //!
+//! * the start barrier (one echo per node before the load) and the
+//!   run-end collector (echo rounds for the clock alignment, then each
+//!   node's export) are control exchanges (`transport::Control`): the
+//!   same `Sockets` that carry the load dial, write and read them, so
+//!   this module names no stream, decoder or frame writer.
+//!
 //! Both processes serve with the one loop the in-process service runs,
 //! `host::host`, over the same `node::Node` and `client::Client` —
 //! processes differ from threads only below the transport seam, and every
@@ -24,8 +30,7 @@
 //! thread hosting every client, one readiness wait over all their
 //! connections.
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,13 +41,13 @@ use ac_obs::{
 use ac_sim::Wire;
 
 use crate::client::{nanos, Client, ClientFold};
-use crate::codec::{write_frame, AnyFrame, FrameDecoder};
+use crate::codec::AnyFrame;
 use crate::host::host;
 use crate::node::{Clock, Node, NodeEnv, Replies};
 use crate::service::ToNode;
 use crate::spec::ClusterSpec;
 use crate::transport::{
-    ClientLink, EchoResponder, Link, NodeHooks, SocketLink, Sockets, TcpTransport, Transport,
+    ClientLink, Control, EchoResponder, Link, NodeHooks, SocketLink, TcpTransport, Transport,
     INITIAL_ATTEMPTS,
 };
 
@@ -50,6 +55,11 @@ use crate::transport::{
 /// selection wants several candidates; 16 keeps the collection phase
 /// under a millisecond per node on loopback).
 const ECHO_ROUNDS: u32 = 16;
+
+/// How long the start barrier and the collector wait for one answer. A
+/// node that wedges fails the answer it owes at this bound, rather than
+/// hanging the run.
+const ANSWER_PATIENCE: Duration = Duration::from_secs(10);
 
 /// What a node process reports when it exits (printed as the audit line
 /// the multi-process smoke test parses).
@@ -206,7 +216,8 @@ where
     // the answer proves its loop runs, not just that its port is bound. A
     // node that never answers is left to the run's own bounded waits.
     for &addr in &spec.nodes {
-        let _ = Probe::dial(addr, INITIAL_ATTEMPTS).and_then(|mut p| p.echo(0, Instant::now()));
+        let _ = Control::dial(addr, INITIAL_ATTEMPTS, None)
+            .and_then(|mut control| echo(&mut control, 0, Instant::now()));
     }
     // Every client runs on this thread: one host, one wait over all their
     // connections. A client dials a node on its first write there, with
@@ -269,98 +280,42 @@ where
     (summary, dump)
 }
 
-/// A control connection to one node: the start barrier's and the run-end
-/// collector's. All frames here are `M = ()` — the control-plane tags
-/// carry no protocol payload.
-struct Probe {
-    stream: TcpStream,
-    dec: FrameDecoder,
-    chunk: Vec<u8>,
-    buf: Vec<u8>,
-}
-
-impl Probe {
-    /// Connect within `attempts` tries. A node that wedges later fails the
-    /// read it wedged, at the timeout, rather than hanging the run.
-    fn dial(addr: SocketAddr, attempts: u32) -> Option<Probe> {
-        let stream = Sockets::connect(addr, attempts)?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .ok()?;
-        Some(Probe {
-            stream,
-            dec: FrameDecoder::new(),
-            chunk: vec![0u8; 64 * 1024],
-            buf: Vec::new(),
-        })
-    }
-
-    fn send(&mut self, frame: &AnyFrame<()>) -> Option<()> {
-        self.buf.clear();
-        write_frame(frame, &mut self.buf);
-        self.stream.write_all(&self.buf).ok()
-    }
-
-    /// The next frame `want` accepts, skipping anything else (e.g. a
-    /// straggling echo answer after a lost round).
-    fn next<T>(&mut self, mut want: impl FnMut(AnyFrame<()>) -> Option<T>) -> Option<T> {
-        loop {
-            match self.dec.next_frame::<()>() {
-                Ok(Some(frame)) => {
-                    if let Some(wanted) = want(frame) {
-                        return Some(wanted);
-                    }
-                }
-                Ok(None) => {
-                    let n = self.stream.read(&mut self.chunk).ok()?;
-                    if n == 0 {
-                        return None;
-                    }
-                    self.dec.feed(&self.chunk[..n]);
-                }
-                Err(_) if self.dec.is_poisoned() => return None,
-                Err(_) => {}
-            }
-        }
-    }
-
-    /// One echo round trip, stamped on `epoch`'s timeline.
-    fn echo(&mut self, seq: u32, epoch: Instant) -> Option<ClockSample> {
-        let t0_nanos = nanos(epoch.elapsed());
-        self.send(&AnyFrame::EchoReq { seq, t0_nanos })?;
-        let node_nanos = self.next(|frame| match frame {
-            AnyFrame::EchoResp {
-                seq: answered,
-                node_nanos,
-                ..
-            } if answered == seq => Some(node_nanos),
-            _ => None,
-        })?;
-        Some(ClockSample {
-            t0_nanos,
+/// One echo round trip over `control`, stamped on `epoch`'s timeline.
+fn echo(control: &mut Control, seq: u32, epoch: Instant) -> Option<ClockSample> {
+    let t0_nanos = nanos(epoch.elapsed());
+    let request = AnyFrame::EchoReq { seq, t0_nanos };
+    let node_nanos = control.ask(request, ANSWER_PATIENCE, |frame| match frame {
+        AnyFrame::EchoResp {
+            seq: answered,
             node_nanos,
-            t1_nanos: nanos(epoch.elapsed()),
-        })
-    }
+            ..
+        } if answered == seq => Some(node_nanos),
+        _ => None,
+    })?;
+    Some(ClockSample {
+        t0_nanos,
+        node_nanos,
+        t1_nanos: nanos(epoch.elapsed()),
+    })
 }
 
-/// One node's collection pass: connect, `Hello` as the collector,
-/// [`ECHO_ROUNDS`] echo round trips for the clock-offset estimate, then
-/// an `ObsPull` answered by an `ObsDump` on the same stream.
+/// One node's collection pass: connect at the first attempt, `Hello` as
+/// the collector, [`ECHO_ROUNDS`] echo round trips for the clock-offset
+/// estimate, then an `ObsPull` answered by an `ObsDump` on the same
+/// connection.
 fn collect_node(
     addr: SocketAddr,
     node: u32,
     cid: usize,
     epoch: Instant,
 ) -> Option<(ClockAlignment, ObsExport)> {
-    let mut probe = Probe::dial(addr, 1)?;
-    probe.send(&AnyFrame::Hello { client: cid })?;
+    let mut control = Control::dial(addr, 1, Some(AnyFrame::Hello { client: cid }))?;
     let samples: Vec<ClockSample> = (0..ECHO_ROUNDS)
-        .map(|seq| probe.echo(seq, epoch))
+        .map(|seq| echo(&mut control, seq, epoch))
         .collect::<Option<_>>()?;
     let align = ClockAlignment::estimate(node, &samples)?;
-    probe.send(&AnyFrame::Node(ToNode::ObsPull { client: cid }))?;
-    let export = probe.next(|frame| match frame {
+    let pull = AnyFrame::Node(ToNode::ObsPull { client: cid });
+    let export = control.ask(pull, ANSWER_PATIENCE, |frame| match frame {
         AnyFrame::ObsDump { export, .. } => Some(export),
         _ => None,
     })?;

@@ -42,10 +42,10 @@
 //! wait found ready, every complete frame decoded and handed on, then
 //! every pending connection accepted. A host thread makes **one** wait
 //! over its bell and the sockets of every node and dialing client it runs
-//! (`Readiness`) and hands each its slots; only a node joining the mesh
-//! and [`TcpNode`]'s forwarder wait on one link alone, through a
-//! `Readiness` of their own. `EINTR` is "look at the deadline, wait
-//! again". **`send`** frames a batch into one blocking `write_all` down
+//! (`Readiness`) and hands each its slots; only a node joining the mesh,
+//! [`TcpNode`]'s forwarder and a control exchange wait on one link
+//! alone, through a `Readiness` of their own. `EINTR` is "look at the
+//! deadline, wait again". **`send`** frames a batch into one blocking `write_all` down
 //! the connection to its destination. A hop therefore costs at most one
 //! wake-up — of the host thread that acts on the envelope, none when that
 //! host is already running — and no thread sits between a socket and a
@@ -65,12 +65,17 @@
 //! loss either end may redial; a sender keeps to its oldest live
 //! connection to a peer, so per-sender FIFO holds even while two exist.
 //!
-//! Three users share it: the node's `Link` (mailbox | sockets: `take`,
+//! Four users share it: the node's `Link` (mailbox | sockets: `take`,
 //! `pending`, `send_batch`, `reply`), the client's `ClientLink` (the same
 //! shape; over sockets it says `Hello` on what it dials and reads its
-//! reports off the same connections), and the public write-only
+//! reports off the same connections), the public write-only
 //! [`TcpTransport`] (no listener, never polls: in-process clients of a
-//! tcp run, teardown, probes). [`TcpNode`] is a
+//! tcp run, teardown, probes), and `Control`, the control exchange of a
+//! multi-process run's start barrier and run-end collector: one dialed
+//! connection, one frame written, the answer waited for through a
+//! `Readiness` of its own up to a deadline. So the collector, too, owns
+//! no socket of its own, and nothing outside this module dials, reads or
+//! writes one. [`TcpNode`] is a
 //! node's socket link *hosted on one thread* that forwards each wait's
 //! batch into a crossbeam channel, for callers that want a `Receiver` (the
 //! conformance suite, the benchmark probes); the service hosts
@@ -582,8 +587,8 @@ impl Sockets {
 
     /// Connect to `addr`, trying up to `attempts` times [`INITIAL_GAP`]
     /// apart ([`INITIAL_ATTEMPTS`] is first-contact patience, 1 a
-    /// reconnect): the one dial, also of `proc`'s blocking control probe.
-    pub(crate) fn connect(addr: SocketAddr, attempts: u32) -> Option<TcpStream> {
+    /// reconnect): the one dial.
+    fn connect(addr: SocketAddr, attempts: u32) -> Option<TcpStream> {
         for i in 0..attempts {
             if let Ok(s) = TcpStream::connect(addr) {
                 let _ = s.set_nodelay(true);
@@ -702,14 +707,21 @@ impl Sockets {
         if let Some(i) = self.conns.iter().position(is_to) {
             return Some(i);
         }
-        let (addr, state) = &mut self.peers[p];
-        let (attempts, reached) = match *state {
-            PeerState::Fresh => (INITIAL_ATTEMPTS, false),
+        let attempts = match self.peers[p].1 {
+            PeerState::Fresh => INITIAL_ATTEMPTS,
             PeerState::Backoff(until) if Instant::now() < until => return None,
-            // Reached once, or given up on once: a successful dial from
-            // here is a *reconnect* (first contact from Fresh is not).
-            PeerState::Reached | PeerState::Backoff(_) => (1, true),
+            PeerState::Reached | PeerState::Backoff(_) => 1,
         };
+        self.dial(p, attempts)
+    }
+
+    /// Dial peer `p` within `attempts` tries and say this end's greeting
+    /// first: the new connection's index, or `None` with the peer in
+    /// backoff. A peer reached once, or given up on once, is metered as a
+    /// *reconnect* (first contact is not).
+    fn dial(&mut self, p: ProcessId, attempts: u32) -> Option<usize> {
+        let (addr, state) = &mut self.peers[p];
+        let reached = !matches!(state, PeerState::Fresh);
         let Some(stream) = Sockets::connect(*addr, attempts) else {
             *state = PeerState::Backoff(Instant::now() + RECONNECT_BACKOFF);
             if let Some(net) = &self.net {
@@ -725,7 +737,7 @@ impl Sockets {
         self.conns.push(Conn {
             stream,
             dec: FrameDecoder::new(),
-            far: Some(to),
+            far: Some(Far::Peer(p)),
         });
         Some(self.conns.len() - 1)
     }
@@ -1121,6 +1133,50 @@ impl<M: Wire + Send> Transport<M> for TcpTransport {
 
     fn io_stats(&self) -> (u64, u64) {
         self.0.io
+    }
+}
+
+/// A control exchange with one node, beside the serving path: the start
+/// barrier's and the run-end collector's (`crate::proc`). Its `Sockets`
+/// dial the node and say `Hello` first if asked; each [`Control::ask`]
+/// writes one frame and waits through a [`Readiness`] of its own for the
+/// answer. Every frame here is `M = ()`: the control tags carry no
+/// protocol payload.
+pub(crate) struct Control(Sockets);
+
+impl Control {
+    /// Dial the node at `addr` within `attempts` tries, saying `greeting`
+    /// first when given.
+    pub(crate) fn dial(
+        addr: SocketAddr,
+        attempts: u32,
+        greeting: Option<AnyFrame<()>>,
+    ) -> Option<Control> {
+        let mut socks = Sockets::new(vec![addr], greeting);
+        socks.dial(0, attempts).map(|_| Control(socks))
+    }
+
+    /// Write `frame`, then wait for the first frame `want` accepts,
+    /// skipping anything else (a straggling echo answer after a lost
+    /// round), up to `patience`. The exchange is lockstep, so what arrives
+    /// behind the accepted frame in the same read is dropped. `None` when
+    /// the write failed, the connection closed or `patience` ran out.
+    pub(crate) fn ask<T>(
+        &mut self,
+        frame: AnyFrame<()>,
+        patience: Duration,
+        mut want: impl FnMut(AnyFrame<()>) -> Option<T>,
+    ) -> Option<T> {
+        let (socks, mut wait, mut found) = (&mut self.0, Readiness::default(), None);
+        let until = Some(Instant::now() + patience);
+        let mut open = socks.send(Far::Peer(0), [frame]);
+        while open && found.is_none() && wait.wait(None, [Some(&*socks)], until) {
+            socks.read::<()>(wait.of(0), |frame, _| {
+                found = found.take().or_else(|| want(frame));
+            });
+            open = !socks.conns.is_empty();
+        }
+        found
     }
 }
 

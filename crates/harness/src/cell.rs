@@ -241,6 +241,11 @@ pub fn run_judged_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{
+        judged, saturation_row, service_row, SATURATION_BASE_RATE, SATURATION_COLUMNS,
+        SERVICE_COLUMNS,
+    };
+    use crate::Report;
     use ac_cluster::CrashWindow;
     use ac_commit::protocols::ProtocolKind;
     use std::time::Duration;
@@ -355,6 +360,45 @@ mod tests {
             "the run outlived the crash"
         );
         kept_row_and_dump(prefix, row);
+
+        // A service row and a saturation step fail on a cluster whose
+        // every node is dark for good: the service row's transactions
+        // stall, and the step reconstructs no timeline. Each is kept, as
+        // the sections judge it, beside its run.
+        let mut dark = FaultSpec::none(n);
+        dark.crashes.fill(Some(CrashWindow {
+            down_after: Duration::ZERO,
+            up_after: None,
+        }));
+        let cfg = cfg.txn_deadline(Duration::from_millis(60));
+        let kind = ProtocolKind::PaxosCommit;
+        let header = SERVICE_COLUMNS.map(String::from);
+        let cfg = cfg.seed(4_043);
+        let judge = |cell: &Cell| service_row(kind, "uniform", 2, cell);
+        kept_failed_row(&header, &cfg, &dark, judge);
+        let header = SATURATION_COLUMNS.map(String::from);
+        let open = cfg.seed(4_044).arrival_rate(SATURATION_BASE_RATE);
+        let judge = |cell: &Cell| saturation_row(kind, n, 2, 0, 1, cell);
+        kept_failed_row(&header, &open, &dark, judge);
+    }
+
+    /// Serve `cfg` under `faults` as a section does, through
+    /// [`judged`]: the row `judge` fails is kept beside the run's dump.
+    fn kept_failed_row<E>(
+        header: &[String],
+        cfg: &ServiceConfig,
+        faults: &FaultSpec,
+        judge: impl FnOnce(&Cell) -> (E, Vec<String>, bool),
+    ) {
+        let prefix = format!("{}-channel-c2-s{}-", cfg.kind.name(), cfg.seed);
+        for stale in kept(&prefix) {
+            std::fs::remove_file(stale).expect("remove an earlier run's file");
+        }
+        let mut r = Report::new("judged");
+        let judged = judged(&mut r, header, Host::Channel, cfg, faults, judge);
+        let (_, _, row) = judged.expect("in process");
+        assert_eq!(row.last().map(String::as_str), Some("MISMATCH"));
+        kept_row_and_dump(&prefix, &[header.join(" | "), row.join(" | ")].join("\n"));
     }
 
     /// The one `<stem>.row` (holding `row`) and the one `<stem>.dump` kept

@@ -15,10 +15,11 @@ use ac_net::DelayRule;
 use ac_sim::{Time, TraceKind, U};
 use ac_txn::Workload;
 
-use crate::cell::{run_cell, run_judged_cell, Host};
+use crate::cell::{run_judged_cell, Cell as Record, Host};
 use crate::report::{
     AttributionBaseline, BenchBaseline, ChaosBaseline, ChaosEntry, ExplorerBaseline,
-    ProtocolBaseline, Report, SaturationBaseline, ServiceBaseline, Table, SCHEMA_VERSION,
+    ProtocolBaseline, Report, SaturationBaseline, SaturationStep, ServiceBaseline, ServiceEntry,
+    Table, SCHEMA_VERSION,
 };
 
 /// Symbolic message bound of a Table-1 cell (mirrors
@@ -138,37 +139,26 @@ pub fn table1(n: usize, f: usize) -> Report {
         let cell = kind.cell();
         let b = cell.bounds(n, f);
         let (d, m) = measure(kind, n, f);
-        let (bound_s, meas_s, ok) = match axis {
-            "delay" => {
-                // Delay-optimal protocols also meet the message optimum
-                // *given* that delay (Theorem 5 for the 2-delay group).
-                let ok = d == b.delays && m == b.messages_at_optimal_delay;
-                (
-                    format!("d={}, m@d={}", b.delays, b.messages_at_optimal_delay),
-                    format!("d={d}, m={m}"),
-                    ok,
-                )
-            }
-            "message" => {
-                let ok = m == b.messages;
-                (format!("m={}", b.messages), format!("d={d}, m={m}"), ok)
-            }
-            _ => {
-                let ok = d == b.delays && m == b.messages;
-                (
-                    format!("d={}, m={}", b.delays, b.messages),
-                    format!("d={d}, m={m}"),
-                    ok,
-                )
-            }
+        // Delay-optimal protocols also meet the message optimum *given*
+        // that delay (Theorem 5 for the 2-delay group).
+        let (bound, ok) = match axis {
+            "delay" => (
+                format!("d={}, m@d={}", b.delays, b.messages_at_optimal_delay),
+                d == b.delays && m == b.messages_at_optimal_delay,
+            ),
+            "message" => (format!("m={}", b.messages), m == b.messages),
+            _ => (
+                format!("d={}, m={}", b.delays, b.messages),
+                d == b.delays && m == b.messages,
+            ),
         };
         let verdict = r.compare(ok).to_string();
         verify.row(vec![
             kind.name().into(),
             format!("{cell:?}"),
             axis.into(),
-            bound_s,
-            meas_s,
+            bound,
+            format!("d={d}, m={m}"),
             verdict,
         ]);
     }
@@ -176,158 +166,124 @@ pub fn table1(n: usize, f: usize) -> Report {
     r
 }
 
-/// **Table 2** — delay-optimal protocols.
-pub fn table2() -> Report {
-    let mut r = Report::new("table2");
-    let mut t = Table::new(
-        "Table 2: delay-optimal protocols (bound / measured delays in nice executions)",
-        &[
-            "cell",
-            "protocol",
-            "n",
-            "f",
-            "bound d",
-            "measured d",
-            "match",
-        ],
-    );
-    let protos = [
-        ProtocolKind::AvNbacDelayOpt,
-        ProtocolKind::Nbac0,
-        ProtocolKind::Nbac1,
-        ProtocolKind::Inbac,
-    ];
-    for kind in protos {
+/// One coordinate of a nice execution's `(delays, messages)`: [`delays`]
+/// or [`messages`].
+type Coordinate = fn((u64, u64)) -> u64;
+
+/// The delays of a nice execution's `(delays, messages)`.
+fn delays((d, _): (u64, u64)) -> u64 {
+    d
+}
+
+/// The messages of a nice execution's `(delays, messages)`.
+fn messages((_, m): (u64, u64)) -> u64 {
+    m
+}
+
+/// **Tables 2 and 3** — protocols optimal in one measure: each of
+/// `protocols` at four `(n, f)` points, its cell's bound on the measure
+/// `coordinate` picks (column letter `symbol`) against the measured nice
+/// execution.
+fn optimal_protocols(
+    id: &str,
+    title: &str,
+    (symbol, coordinate): (&str, Coordinate),
+    protocols: &[ProtocolKind],
+) -> Report {
+    let mut r = Report::new(id);
+    let (bound, measured) = (format!("bound {symbol}"), format!("measured {symbol}"));
+    let header = ["cell", "protocol", "n", "f", &bound, &measured, "match"];
+    let mut t = Table::new(title, &header);
+    for &kind in protocols {
         for (n, f) in [(3, 1), (5, 2), (7, 3), (8, 7)] {
-            let bound = kind.cell().bounds(n, f).delays;
-            let (d, _) = measure(kind, n, f);
-            let verdict = r.compare(d == bound).to_string();
+            let b = kind.cell().bounds(n, f);
+            let bound = coordinate((b.delays, b.messages));
+            let measured = coordinate(measure(kind, n, f));
+            let verdict = r.compare(measured == bound).to_string();
             t.row(vec![
                 format!("{:?}", kind.cell()),
                 kind.name().into(),
                 n.to_string(),
                 f.to_string(),
                 bound.to_string(),
-                d.to_string(),
+                measured.to_string(),
                 verdict,
             ]);
         }
     }
     r.table(t);
     r
+}
+
+/// **Table 2** — delay-optimal protocols.
+pub fn table2() -> Report {
+    optimal_protocols(
+        "table2",
+        "Table 2: delay-optimal protocols (bound / measured delays in nice executions)",
+        ("d", delays),
+        &[
+            ProtocolKind::AvNbacDelayOpt,
+            ProtocolKind::Nbac0,
+            ProtocolKind::Nbac1,
+            ProtocolKind::Inbac,
+        ],
+    )
 }
 
 /// **Table 3** — message-optimal protocols.
 pub fn table3() -> Report {
-    let mut r = Report::new("table3");
-    let mut t = Table::new(
+    optimal_protocols(
+        "table3",
         "Table 3: message-optimal protocols (bound / measured messages in nice executions)",
+        ("m", messages),
         &[
-            "cell",
-            "protocol",
-            "n",
-            "f",
-            "bound m",
-            "measured m",
-            "match",
+            ProtocolKind::Nbac0,
+            ProtocolKind::ANbac,
+            ProtocolKind::ChainNbac,
+            ProtocolKind::AvNbacMsgOpt,
+            ProtocolKind::Nbac2n2,
+            ProtocolKind::Nbac2n2f,
         ],
-    );
-    let protos = [
-        ProtocolKind::Nbac0,
-        ProtocolKind::ANbac,
-        ProtocolKind::ChainNbac,
-        ProtocolKind::AvNbacMsgOpt,
-        ProtocolKind::Nbac2n2,
-        ProtocolKind::Nbac2n2f,
-    ];
-    for kind in protos {
-        for (n, f) in [(3, 1), (5, 2), (7, 3), (8, 7)] {
-            let bound = kind.cell().bounds(n, f).messages;
-            let (_, m) = measure(kind, n, f);
-            let verdict = r.compare(m == bound).to_string();
-            t.row(vec![
-                format!("{:?}", kind.cell()),
-                kind.name().into(),
-                n.to_string(),
-                f.to_string(),
-                bound.to_string(),
-                m.to_string(),
-                verdict,
-            ]);
-        }
-    }
-    r.table(t);
-    r
+    )
 }
 
 /// **Table 4** — complexity of indulgent atomic commit and synchronous NBAC
 /// with `f` crashes.
+///
+/// One row per bound: problem, metric, the paper column (`{}` standing
+/// for the bound), the bound at `(n, f)`, the protocol that meets it, the
+/// resilience it runs at and the coordinate compared. The `2n − 2 + f`
+/// messages bound is met by (2n−2+f)NBAC, while INBAC trades messages
+/// (`2fn`) for optimal delay; Dwork–Skeen's classic `2n − 2` is the
+/// chain's `f = n − 1` specialization.
 pub fn table4(n: usize, f: usize) -> Report {
+    use ProtocolKind as K;
+    #[rustfmt::skip]
+    let rows: [(&str, &str, &str, usize, K, usize, Coordinate); 6] = [
+        ("indulgent AC", "#delays", "{}", 2, K::Inbac, f, delays),
+        ("indulgent AC", "#messages", "2n-2+f = {} (f>=2)", 2 * n - 2 + f, K::Nbac2n2f, f, messages),
+        ("indulgent AC", "#messages @ 2 delays", "2fn = {}", 2 * f * n, K::Inbac, f, messages),
+        ("sync NBAC", "#delays", "{}", 1, K::Nbac1, f, delays),
+        ("sync NBAC", "#messages", "n-1+f = {}", n - 1 + f, K::ChainNbac, f, messages),
+        ("sync NBAC (f=n-1)", "#messages", "2n-2 = {} [Dwork-Skeen]", 2 * n - 2, K::ChainNbac,
+         n - 1, messages),
+    ];
     let mut r = Report::new("table4");
     let mut t = Table::new(
         format!("Table 4 at n={n}, f={f}: indulgent atomic commit vs synchronous NBAC"),
         &["problem", "metric", "paper", "measured (protocol)", "match"],
     );
-
-    let (d_inbac, m_inbac) = measure(ProtocolKind::Inbac, n, f);
-    let verdict = r.compare(d_inbac == 2).to_string();
-    t.row(vec![
-        "indulgent AC".into(),
-        "#delays".into(),
-        "2".into(),
-        format!("{d_inbac} (INBAC)"),
-        verdict,
-    ]);
-    // The 2n−2+f messages bound is met by (2n−2+f)NBAC; INBAC trades
-    // messages (2fn) for optimal delay.
-    let (_, m_2n2f) = measure(ProtocolKind::Nbac2n2f, n, f);
-    let bound = (2 * n - 2 + f) as u64;
-    let verdict = r.compare(m_2n2f == bound).to_string();
-    t.row(vec![
-        "indulgent AC".into(),
-        "#messages".into(),
-        format!("2n-2+f = {bound} (f>=2)"),
-        format!("{m_2n2f} ((2n-2+f)NBAC)"),
-        verdict,
-    ]);
-    let verdict = r.compare(m_inbac == (2 * f * n) as u64).to_string();
-    t.row(vec![
-        "indulgent AC".into(),
-        "#messages @ 2 delays".into(),
-        format!("2fn = {}", 2 * f * n),
-        format!("{m_inbac} (INBAC)"),
-        verdict,
-    ]);
-
-    let (d_1nbac, _) = measure(ProtocolKind::Nbac1, n, f);
-    let verdict = r.compare(d_1nbac == 1).to_string();
-    t.row(vec![
-        "sync NBAC".into(),
-        "#delays".into(),
-        "1".into(),
-        format!("{d_1nbac} (1NBAC)"),
-        verdict,
-    ]);
-    let (_, m_chain) = measure(ProtocolKind::ChainNbac, n, f);
-    let bound = (n - 1 + f) as u64;
-    let verdict = r.compare(m_chain == bound).to_string();
-    t.row(vec![
-        "sync NBAC".into(),
-        "#messages".into(),
-        format!("n-1+f = {bound}"),
-        format!("{m_chain} ((n-1+f)NBAC)"),
-        verdict,
-    ]);
-    // Dwork–Skeen's classic 2n−2 is the f = n−1 specialization.
-    let (_, m_ds) = measure(ProtocolKind::ChainNbac, n, n - 1);
-    let verdict = r.compare(m_ds == (2 * n - 2) as u64).to_string();
-    t.row(vec![
-        "sync NBAC (f=n-1)".into(),
-        "#messages".into(),
-        format!("2n-2 = {} [Dwork-Skeen]", 2 * n - 2),
-        format!("{m_ds} ((n-1+f)NBAC)"),
-        verdict,
-    ]);
+    for (problem, metric, paper, bound, kind, resilience, coordinate) in rows {
+        let measured = coordinate(measure(kind, n, resilience));
+        let verdict = r.compare(measured == bound as u64).to_string();
+        t.row(vec![
+            problem.into(),
+            metric.into(),
+            paper.replace("{}", &bound.to_string()),
+            format!("{measured} ({})", kind.name()),
+            verdict,
+        ]);
+    }
     r.table(t);
     r
 }
@@ -478,16 +434,14 @@ pub fn fig1() -> Report {
                 _ => None,
             })
             .collect();
-        let branch = if notes.iter().any(|s| s.contains("decide")) {
-            "decide AND"
-        } else if notes.iter().any(|s| s.contains("HELP")) {
-            "HELP"
-        } else if notes.iter().any(|s| s.contains("cons-propose 1")) {
-            "cons-propose 1"
-        } else if notes.iter().any(|s| s.contains("cons-propose 0")) {
-            "cons-propose 0"
-        } else {
-            "?"
+        // The first exit whose trace note the watched process wrote.
+        let exits = ["decide", "HELP", "cons-propose 1", "cons-propose 0"];
+        let found = exits
+            .into_iter()
+            .find(|x| notes.iter().any(|s| s.contains(x)));
+        let branch = match found {
+            Some("decide") => "decide AND",
+            found => found.unwrap_or("?"),
         };
         let decision = out
             .decision_of(case.watched)
@@ -698,8 +652,9 @@ pub fn baseline_sections(subcommand: &str) -> Option<&'static [&'static str]> {
 /// explorer leg (the service spawns its own `n + c` threads per run
 /// regardless); `host` is who serves the sweep: what `--transport`
 /// selects, or the `proc` host for `repro proc`. Every section runs its
-/// cells on hosts through [`run_cell`]. The saturation sweep runs on
-/// `host`; the attribution sweep always covers both in-process hosts and
+/// cells on hosts through [`run_judged_cell`], and a row that fails is
+/// kept beside its run. The saturation sweep runs on `host`; the
+/// attribution sweep always covers both in-process hosts and
 /// adds `host` if it is neither; the closed-loop and chaos sweeps run on
 /// `host` if it is in-process, over channels otherwise (the `proc` host
 /// injects no fault). `Err` if `subcommand` has no row in the table or a
@@ -852,7 +807,7 @@ pub const SERVICE_UNIT: std::time::Duration = std::time::Duration::from_millis(5
 /// envelopes included — over any transport, a healthy run never overflows
 /// an instance's pre-open buffer — and no stalled client.
 pub fn service_section(r: &mut Report, quick: bool, host: Host) -> Result<ServiceBaseline, String> {
-    use crate::report::{service_protocols, ServiceEntry};
+    use crate::report::service_protocols;
 
     let (n, f) = SERVICE_GRID;
     let workloads: [(&str, Workload); 2] = [
@@ -875,10 +830,7 @@ pub fn service_section(r: &mut Report, quick: bool, host: Host) -> Result<Servic
             txns_per_client,
             host.name()
         ),
-        &[
-            "protocol", "workload", "clients", "txns", "commit%", "tput t/s", "p50 ms", "p90 ms",
-            "p99 ms", "p99.9 ms", "max ms", "safe",
-        ],
+        &SERVICE_COLUMNS,
     );
     let mut entries = Vec::new();
     for kind in service_protocols() {
@@ -892,24 +844,11 @@ pub fn service_section(r: &mut Report, quick: bool, host: Host) -> Result<Servic
                     .keys_per_shard(32)
                     .seed(7)
                     .transport(host.transport());
-                let cell = run_cell(host, &cfg, &FaultSpec::none(n))?;
-                let e = ServiceEntry::new(kind.name(), wname, clients, &cell);
-                let verdict = r.compare(e.problems().is_empty());
-                let ms = |us: f64| format!("{:.2}", us / 1e3);
-                t.row(vec![
-                    e.protocol.clone(),
-                    e.workload.clone(),
-                    clients.to_string(),
-                    e.txns.to_string(),
-                    commit_pct(e.committed, e.txns),
-                    format!("{:.0}", e.throughput_tps),
-                    ms(e.p50_micros),
-                    ms(e.p90_micros),
-                    ms(e.p99_micros),
-                    ms(e.p999_micros),
-                    ms(e.max_micros),
-                    verdict.into(),
-                ]);
+                let faults = FaultSpec::none(n);
+                let (_, e, row) = judged(r, &t.header, host, &cfg, &faults, |cell| {
+                    service_row(kind, wname, clients, cell)
+                })?;
+                t.row(row);
                 entries.push(e);
             }
         }
@@ -939,6 +878,64 @@ pub fn service_section(r: &mut Report, quick: bool, host: Host) -> Result<Servic
     })
 }
 
+/// The columns of the service table.
+pub(crate) const SERVICE_COLUMNS: [&str; 12] = [
+    "protocol", "workload", "clients", "txns", "commit%", "tput t/s", "p50 ms", "p90 ms", "p99 ms",
+    "p99.9 ms", "max ms", "safe",
+];
+
+/// A closed-loop cell's entry, its row of the service table (verdict
+/// aside) and whether the row passes: the entry's rules.
+pub(crate) fn service_row(
+    kind: ProtocolKind,
+    workload: &str,
+    clients: usize,
+    cell: &Record,
+) -> (ServiceEntry, Vec<String>, bool) {
+    let e = ServiceEntry::new(kind.name(), workload, clients, cell);
+    let ms = |us: f64| format!("{:.2}", us / 1e3);
+    let row = vec![
+        e.protocol.clone(),
+        e.workload.clone(),
+        clients.to_string(),
+        e.txns.to_string(),
+        commit_pct(e.committed, e.txns),
+        format!("{:.0}", e.throughput_tps),
+        ms(e.p50_micros),
+        ms(e.p90_micros),
+        ms(e.p99_micros),
+        ms(e.p999_micros),
+        ms(e.max_micros),
+    ];
+    let ok = e.problems().is_empty();
+    (e, row, ok)
+}
+
+/// Serve one cell of a section through [`run_judged_cell`]: `judge` reads
+/// its record into the section's entry and row (verdict aside) and says
+/// whether the row passes. The verdict is recorded in `r` and closes the
+/// row, and a row that fails is kept beside its run, under the table's
+/// `header`. Returns the record, the entry and the row.
+pub(crate) fn judged<E>(
+    r: &mut Report,
+    header: &[String],
+    host: Host,
+    cfg: &ServiceConfig,
+    faults: &FaultSpec,
+    judge: impl FnOnce(&Record) -> (E, Vec<String>, bool),
+) -> Result<(Record, E, Vec<String>), String> {
+    let mut judged = None;
+    let cell = run_judged_cell(host, cfg, faults, |cell| {
+        let (entry, mut row, ok) = judge(cell);
+        row.push(r.compare(ok).into());
+        let failed = (!ok).then(|| [header, &row].map(|r| r.join(" | ")).join("\n"));
+        judged = Some((entry, row));
+        failed
+    })?;
+    let (entry, row) = judged.expect("every run is judged");
+    Ok((cell, entry, row))
+}
+
 /// `committed` of `txns` as a whole percentage, the way the service and
 /// chaos tables print it.
 fn commit_pct(committed: usize, txns: usize) -> String {
@@ -965,8 +962,9 @@ pub fn attribution_txns_per_client(kind: ProtocolKind, quick: bool) -> usize {
 /// per-stage decomposition, slowest timelines embedded. Fixed light load
 /// per cell, the same shape, seed and load on every host — the point is
 /// where the microseconds go, not how many transactions fit — so a
-/// `"proc"` row is comparable run-for-run with its channel row, and is
-/// gated on agreeing with it ([`crate::report::dominant_agrees`]).
+/// `"proc"` row is comparable run-for-run with its in-process tcp row —
+/// sockets on both sides — and is gated on agreeing with it
+/// ([`crate::report::dominant_agrees`]).
 pub fn attribution_section(
     r: &mut Report,
     quick: bool,
@@ -1010,20 +1008,17 @@ pub fn attribution_section(
             // The acceptance gate: a clean run whose reconstructed stage
             // shares telescope to the measured end-to-end latency — and,
             // across the process boundary, blame the stage the in-process
-            // channel run of this protocol blames. A row that fails it is
-            // kept with its run.
-            let mut judged = None;
-            run_judged_cell(host, &cfg, &FaultSpec::none(n), |cell| {
+            // tcp run of this protocol blames: sockets on both sides.
+            let faults = FaultSpec::none(n);
+            let (_, entry, row) = judged(r, &at.header, host, &cfg, &faults, |cell| {
                 let a = &cell.attribution;
                 let entry = AttributionEntry::new(kind.name(), host.name(), cell);
+                let same = |e: &&AttributionEntry| e.protocol == entry.protocol;
+                let tcp = entries.iter().filter(same).find(|e| e.transport == "tcp");
                 let agrees = !matches!(host, Host::Proc(_))
-                    || entries
-                        .iter()
-                        .find(|e| e.protocol == entry.protocol && e.transport == "channel")
-                        .is_some_and(|channel| dominant_agrees(&entry.stages, &channel.stages));
+                    || tcp.is_some_and(|tcp| dominant_agrees(&entry.stages, &tcp.stages));
                 let clean = cell.audit_findings == 0 && cell.stats.stalled == 0;
                 let ok = clean && agrees && entry.problems().is_empty();
-                let verdict = r.compare(ok).to_string();
                 let mut row = vec![
                     kind.name().into(),
                     host.name().into(),
@@ -1035,12 +1030,8 @@ pub fn attribution_section(
                 let clock = cell.alignment_max_uncertainty_micros;
                 row.push(clock.map_or("-".into(), |us| format!("{us:.0}")));
                 row.push(dominant_stage(&entry.stages));
-                row.push(verdict);
-                let failed = (!ok).then(|| [&at.header, &row].map(|r| r.join(" | ")).join("\n"));
-                judged = Some((entry, row));
-                failed
+                (entry, row, ok)
             })?;
-            let (entry, row) = judged.expect("every run is judged");
             at.row(row);
             entries.push(entry);
         }
@@ -1067,12 +1058,11 @@ pub fn attribution_section(
              is the worst per-node alignment uncertainty; stage telescoping \
              survives the merge exactly because alignment shifts whole \
              exports, never individual events. `ok` additionally requires the \
-             in-process channel run of the same seed/config to agree on the \
-             dominant stage — outright, or with the `channel` stage set \
-             aside (client dispatch is the seam the transport swap itself \
-             replaces, so for the timer-free fast-path protocols it \
-             legitimately dominates over real sockets; the runs must still \
-             agree on where the time goes once the transaction reaches the \
+             in-process tcp run of the same seed/config (sockets on both \
+             sides) to agree on the dominant stage — outright, or with the \
+             `channel` stage set aside (client dispatch crosses a process \
+             boundary only in the proc run; the runs must still agree on \
+             where the time goes once the transaction reaches the \
              cluster).",
         );
     }
@@ -1127,37 +1117,13 @@ fn chaos_plan(scenario: &str, n: usize) -> ac_chaos::ChaosPlan {
     }
 }
 
-/// The gate of one chaos row. Universal: a clean audit (read by the
-/// protocol's Table-1 cell, [`ChaosEntry::new`]) and nothing stalled. When
-/// a crash or partition blocked transactions, the service must also show
-/// throughput recovering after the heal. Two faults legitimately drain a
-/// short stream inside the window instead: a lossy link (parks resolve
-/// via in-window retries), and a fault that blocked nothing (the client
-/// learned every outcome before its park point, so nothing is left to
-/// recover). Then the paper-facing contrast, asserted where it is robust: the
-/// f-tolerant protocols keep committing through a single crash, and 2PC
-/// blocks under a crashed coordinator.
-fn chaos_row_passes(kind: ProtocolKind, e: &ChaosEntry) -> bool {
-    let clean = e.problems().is_empty();
-    let recovered = e.scenario == "lossy-10" || e.blocked == 0 || e.committed_after_heal > 0;
-    let contrast = match (kind.name(), e.scenario.as_str()) {
-        ("PaxosCommit" | "INBAC" | "D1CC", "crash-participant" | "crash-coordinator") => {
-            e.committed_during_fault > 0
-        }
-        ("2PC", "crash-coordinator") => e.blocked > 0,
-        (_, "lossy-10") => e.committed_during_fault > 0,
-        _ => true,
-    };
-    clean && recovered && contrast
-}
-
 /// **Chaos section** — the availability-under-failure sweep on `host`:
 /// {2PC, Paxos-Commit, INBAC, D1CC} × {crash-coordinator,
 /// crash-participant, partition-heal, lossy-10}, each cell the plan's
 /// fault specification ([`ac_chaos::ChaosPlan::spec`]) served through
 /// [`run_judged_cell`], its timelines bucketed against the fault window
-/// ([`ac_chaos::ChaosConfig::fault_stats`]), its row gated
-/// (`chaos_row_passes`); a row that fails is kept beside its run.
+/// ([`ac_chaos::ChaosConfig::fault_stats`]), its row gated by
+/// [`ChaosEntry::problems`]; a row that fails is kept beside its run.
 ///
 /// The wall-clock face of the paper's trade-off, asserted as comparisons:
 /// the f-tolerant protocols (Paxos-Commit, INBAC, logless D1CC) keep
@@ -1202,14 +1168,11 @@ pub fn chaos_section(r: &mut Report, quick: bool, host: Host) -> Result<ChaosBas
                 service: chaos_service(kind, quick).transport(host.transport()),
                 plan: chaos_plan(scenario, n),
             };
-            // A row that fails its gate is kept with its run.
-            let mut judged = None;
             let faults = chaos.plan.spec(chaos.service.unit);
-            run_judged_cell(host, &chaos.service, &faults, |cell| {
+            let (_, e, row) = judged(r, &t.header, host, &chaos.service, &faults, |cell| {
                 let run = Duration::from_nanos(cell.stats.elapsed_nanos);
                 let stats = chaos.fault_stats(&cell.txn_events, run);
                 let e = ChaosEntry::new(kind, scenario, cell, &stats);
-                let ok = chaos_row_passes(kind, &e);
                 let row = vec![
                     e.protocol.clone(),
                     e.scenario.clone(),
@@ -1221,13 +1184,10 @@ pub fn chaos_section(r: &mut Report, quick: bool, host: Host) -> Result<ChaosBas
                     format!("{:.0}", e.ops_after_heal),
                     e.blocked.to_string(),
                     format!("{:.1}", e.recovery_ms),
-                    r.compare(ok).into(),
                 ];
-                let failed = (!ok).then(|| [&t.header, &row].map(|r| r.join(" | ")).join("\n"));
-                judged = Some((e, row));
-                failed
+                let ok = e.problems().is_empty();
+                (e, row, ok)
             })?;
-            let (e, row) = judged.expect("every run is judged");
             t.row(row);
             entries.push(e);
         }
@@ -1271,6 +1231,59 @@ pub const SATURATION_MAX_OUTSTANDING: usize = 32;
 /// transactions/second. Chosen so the ×1 step idles well below capacity
 /// (λ × p50 ≪ 1 in-flight per client) and the ×16 step is far past it.
 pub const SATURATION_BASE_RATE: f64 = 25.0;
+
+/// The columns of the saturation table.
+pub(crate) const SATURATION_COLUMNS: [&str; 14] = [
+    "protocol",
+    "n",
+    "clients",
+    "x",
+    "offered t/s",
+    "goodput t/s",
+    "commit%",
+    "shed",
+    "p50 ms",
+    "p99 ms",
+    "p99.9 ms",
+    "forces/txn",
+    "wire/txn",
+    "ok",
+];
+
+/// Step `step` of a saturation curve, offered `mult` ×
+/// [`SATURATION_BASE_RATE`] per client: its entry, its row of the
+/// saturation table (verdict aside) and whether the row passes: the
+/// step's rules and a reconstructed timeline.
+pub(crate) fn saturation_row(
+    kind: ProtocolKind,
+    n: usize,
+    clients: usize,
+    step: usize,
+    mult: usize,
+    cell: &Record,
+) -> (SaturationStep, Vec<String>, bool) {
+    let rate = SATURATION_BASE_RATE * mult as f64;
+    let s = SaturationStep::new(step, rate, clients, cell);
+    let ms = |us: f64| format!("{:.2}", us / 1e3);
+    let served = (s.committed + s.aborted).max(1);
+    let row = vec![
+        kind.name().into(),
+        n.to_string(),
+        clients.to_string(),
+        format!("x{mult}"),
+        format!("{:.0}", s.offered_tps),
+        format!("{:.0}", s.goodput_tps),
+        format!("{:.0}%", 100.0 * s.committed as f64 / served as f64),
+        s.shed.to_string(),
+        ms(s.p50_sojourn_micros),
+        ms(s.p99_sojourn_micros),
+        ms(s.p999_sojourn_micros),
+        format!("{:.2}", s.forces_per_txn),
+        format!("{:.1}", s.wire_per_txn),
+    ];
+    let ok = cell.attribution.covered > 0 && s.problems().is_empty();
+    (s, row, ok)
+}
 
 /// **Saturation section** — the open-loop offered-vs-goodput sweep:
 /// Poisson arrivals stepped ×1 → ×16 over each (protocol, n, clients)
@@ -1321,22 +1334,7 @@ pub fn saturation_section(
             if host.durable() { "durable" } else { "no log" },
             host.name()
         ),
-        &[
-            "protocol",
-            "n",
-            "clients",
-            "x",
-            "offered t/s",
-            "goodput t/s",
-            "commit%",
-            "shed",
-            "p50 ms",
-            "p99 ms",
-            "p99.9 ms",
-            "forces/txn",
-            "wire/txn",
-            "ok",
-        ],
+        &SATURATION_COLUMNS,
     );
     let mut kt = Table::new(
         "Detected knees (first step with <10% goodput gain while p99 doubles)",
@@ -1360,7 +1358,7 @@ pub fn saturation_section(
             ..FaultSpec::none(n)
         };
         let mut run = Vec::new();
-        for &mult in mults {
+        for (step, &mult) in mults.iter().enumerate() {
             // Poisson arrivals at `rate`/client for roughly `duration`,
             // shedding at a full window.
             let rate = SATURATION_BASE_RATE * mult as f64;
@@ -1375,32 +1373,13 @@ pub fn saturation_section(
                 .arrival_rate(rate)
                 .max_outstanding(SATURATION_MAX_OUTSTANDING)
                 .transport(host.transport());
-            run.push((rate, run_cell(host, &cfg, &faults)?));
+            let (cell, entry, row) = judged(r, &t.header, host, &cfg, &faults, |cell| {
+                saturation_row(kind, n, clients, step, mult, cell)
+            })?;
+            t.row(row);
+            run.push((entry, cell));
         }
-        let curve = SaturationCurve::new(kind.name(), host.name(), n, clients, &run);
-        for ((mult, (_, cell)), step) in mults.iter().zip(&run).zip(&curve.steps) {
-            // Gates: the step's rules and a reconstructed timeline.
-            let ok = cell.attribution.covered > 0 && step.problems().is_empty();
-            let verdict = r.compare(ok).to_string();
-            let ms = |us: f64| format!("{:.2}", us / 1e3);
-            let served = (step.committed + step.aborted).max(1);
-            t.row(vec![
-                kind.name().into(),
-                n.to_string(),
-                clients.to_string(),
-                format!("x{mult}"),
-                format!("{:.0}", step.offered_tps),
-                format!("{:.0}", step.goodput_tps),
-                format!("{:.0}%", 100.0 * step.committed as f64 / served as f64),
-                step.shed.to_string(),
-                ms(step.p50_sojourn_micros),
-                ms(step.p99_sojourn_micros),
-                ms(step.p999_sojourn_micros),
-                format!("{:.2}", step.forces_per_txn),
-                format!("{:.1}", step.wire_per_txn),
-                verdict,
-            ]);
-        }
+        let curve = SaturationCurve::new(kind.name(), host.name(), n, clients, run);
         let knee = &curve.knee;
         // The knee row gates the curve: its steps, and a knee whose stage
         // shares telescope.
@@ -1601,68 +1580,6 @@ mod tests {
         assert!(find("2PC", "crash-coordinator").blocked > 0);
         assert!(chaos.entries.iter().all(|e| e.safety_violations == 0));
         assert!(chaos.entries.iter().all(|e| e.stalled == 0));
-    }
-
-    /// The chaos row's gate on constructed inputs. A D1CC split under a
-    /// network failure is the documented price of its Table-1 cell and is
-    /// not counted; under a crash, or for a protocol with NF-agreement, it
-    /// is. A clean row still fails when it does not recover after the
-    /// heal or misses its contrast.
-    #[test]
-    fn the_chaos_gate_exempts_only_a_network_failure_split_without_nf_agreement() {
-        use crate::cell::Cell;
-        use ac_chaos::FaultStats;
-        use ac_commit::protocols::ProtocolKind::{D1cc, Inbac, TwoPc};
-
-        let zero = Duration::ZERO;
-        let healthy = FaultStats {
-            committed_during_fault: 3,
-            committed_after_heal: 5,
-            blocked: 2,
-            ..FaultStats::measure(&[], zero, zero, zero, zero)
-        };
-        // A cell that served transactions: a row of none fails its rules.
-        let mut clean = Cell::default();
-        clean.stats.committed = 8;
-        let split = Cell {
-            split: 1,
-            audit_findings: 1,
-            ..clean.clone()
-        };
-        let row = |kind, scenario, cell: &Cell, stats: &FaultStats| {
-            let e = ChaosEntry::new(kind, scenario, cell, stats);
-            (e.safety_violations, chaos_row_passes(kind, &e))
-        };
-        for scenario in ["partition-heal", "lossy-10"] {
-            assert_eq!(
-                row(D1cc, scenario, &split, &healthy),
-                (0, true),
-                "{scenario}"
-            );
-        }
-        assert_eq!(row(D1cc, "crash-coordinator", &split, &healthy), (1, false));
-        assert_eq!(row(Inbac, "partition-heal", &split, &healthy), (1, false));
-
-        assert_eq!(row(Inbac, "partition-heal", &clean, &healthy), (0, true));
-        assert_eq!(row(TwoPc, "crash-coordinator", &clean, &healthy), (0, true));
-        let stuck = FaultStats {
-            committed_after_heal: 0,
-            ..healthy.clone()
-        };
-        assert!(
-            !row(Inbac, "partition-heal", &clean, &stuck).1,
-            "not recovered"
-        );
-        let unavailable = FaultStats {
-            committed_during_fault: 0,
-            ..healthy.clone()
-        };
-        assert!(!row(Inbac, "crash-participant", &clean, &unavailable).1);
-        let unblocked = FaultStats {
-            blocked: 0,
-            ..healthy.clone()
-        };
-        assert!(!row(TwoPc, "crash-coordinator", &clean, &unblocked).1);
     }
 
     #[test]

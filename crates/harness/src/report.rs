@@ -526,20 +526,51 @@ impl ChaosEntry {
         format!("{}/{}", self.protocol, self.scenario)
     }
 
-    /// The rules every faulted cell meets, whatever its protocol and
-    /// scenario: a clean audit, every transaction resolved after the heal,
-    /// and a measured, non-negative availability. The chaos table's `ok`
-    /// column adds the recovery and contrast clauses, which read the
-    /// protocol.
+    /// The rules of a faulted cell, which its row of the `chaos` table,
+    /// `bench-check` and the perf gate all apply. Every cell: a clean
+    /// audit, every transaction resolved after the heal, a measured,
+    /// non-negative availability, and recovery: a fault that blocked
+    /// transactions shows commits after the heal, unless it was a lossy
+    /// link (parks resolve through in-window retries). Then the paper's
+    /// contrast, read from the Table-1 cell of the protocol the entry
+    /// names (an unknown name is a problem):
+    ///
+    /// * under a crash, a cell whose crash-failure guarantees include
+    ///   termination keeps committing: `committed_during_fault > 0`;
+    /// * under a crashed coordinator, a cell without it blocks:
+    ///   `blocked > 0` (2PC);
+    /// * a lossy link crashes nothing, so every cell keeps committing.
     pub fn problems(&self) -> Vec<String> {
         let clean = "safety audit must be clean on every faulted run";
         let resolved = "every transaction must resolve after the heal";
+        let recovered = "a fault that blocked transactions must show commits after the heal";
+        let committing = "committed_during_fault must be > 0 under a lossy link, or under \
+                          a crash when the protocol's cell terminates under one";
+        let blocking = "blocked must be > 0 under a crashed coordinator when the \
+                        protocol's cell does not terminate under a crash";
+        let scenario = self.scenario.as_str();
+        let mut all = ProtocolKind::all().into_iter();
+        let cell = all.find(|k| k.name() == self.protocol).map(|k| k.cell());
+        let terminates = cell.is_some_and(|c| c.cf.has_termination());
+        let lossy = scenario == "lossy-10";
+        let live = lossy || terminates && scenario.starts_with("crash-");
+        let blocks = !terminates && scenario == "crash-coordinator";
         Rules::default()
+            .need(
+                cell.is_some(),
+                format!("unknown protocol {:?}", self.protocol),
+            )
             .need(self.safety_violations == 0, clean)
             .need(self.stalled == 0, resolved)
             .at_least_0("availability_pct", self.availability_pct)
             .at_least_0("ops_after_heal", self.ops_after_heal)
             .need(self.txns > 0, "txns must be > 0")
+            .need(
+                lossy || self.blocked == 0 || self.committed_after_heal > 0,
+                recovered,
+            )
+            .need(!live || self.committed_during_fault > 0, committing)
+            .need(!blocks || self.blocked > 0, blocking)
             .0
     }
 }
@@ -614,16 +645,16 @@ pub fn dominant_stage<'a>(stages: impl IntoIterator<Item = &'a AttributionStageE
 }
 
 /// The cross-run agreement gate of a `"proc"` attribution row: the
-/// in-process channel entry of the same protocol, seed and configuration
-/// must blame the same stage. The `channel` stage (client submit -> node
-/// dispatch) is the one seam the transport swap itself replaces — over
-/// real sockets it carries a fixed per-txn cost that in-process channels
-/// don't, so for the timer-free sub-millisecond protocols it can
-/// legitimately outgrow everything else in the proc run while the
-/// decomposition stays exact. When the overall dominants differ,
-/// agreement therefore falls back to the dominant stage *with `channel`
-/// set aside*: where does the time go once the transaction has reached
-/// the cluster. A protocol that waits for its clock dominates `protocol`
+/// in-process tcp entry of the same protocol, seed and configuration
+/// (`channel_stages`, the reference row; sockets on both sides) must
+/// blame the same stage. The `channel` stage (client submit -> node
+/// dispatch) is the one seam the process boundary changes — a client in
+/// another process carries a per-txn cost an in-process one does not, so
+/// for the timer-free sub-millisecond protocols it can legitimately
+/// outgrow everything else in the proc run while the decomposition stays
+/// exact. When the overall dominants differ, agreement therefore falls
+/// back to the dominant stage *with `channel` set aside*: where does the
+/// time go once the transaction has reached the cluster. A protocol that waits for its clock dominates `protocol`
 /// outright in both runs, so the fallback never weakens the headline
 /// claim.
 pub fn dominant_agrees(
@@ -742,7 +773,7 @@ impl AttributionEntry {
     /// non-negative clock uncertainty, positive coverage and e2e p50, and
     /// all five stages, telescoping. The table's `ok` column adds what the
     /// entry does not carry: the run's audit and stalls, and for a
-    /// `"proc"` row the channel row's agreement.
+    /// `"proc"` row the in-process tcp row's agreement.
     pub fn problems(&self) -> Vec<String> {
         // In process there is one clock, nothing to align.
         let uncertainty = self.alignment_max_uncertainty_micros.unwrap_or(0.0);
@@ -859,41 +890,19 @@ pub struct SaturationCurve {
 }
 
 impl SaturationCurve {
-    /// Assemble a curve from its measured cells, each with the per-client
-    /// arrival rate it was offered, ascending: detect the knee — the first
-    /// step whose goodput gain over the previous step is < 10 % while p99
-    /// sojourn at least doubles, else the last step with `detected =
-    /// false` — and attach the knee step's stage shares.
+    /// Assemble a curve from its measured steps, ascending, each with the
+    /// cell it was read off: detect the knee — the first step whose
+    /// goodput gain over the previous step is < 10 % while p99 sojourn at
+    /// least doubles, else the last step with `detected = false` — and
+    /// attach the knee step's stage shares.
     pub fn new(
         protocol: &str,
         transport: &str,
         n: usize,
         clients: usize,
-        run: &[(f64, Cell)],
+        run: Vec<(SaturationStep, Cell)>,
     ) -> SaturationCurve {
-        let us = |v: u64| v as f64 / 1e3;
-        let steps: Vec<SaturationStep> = run
-            .iter()
-            .enumerate()
-            .map(|(step, (rate, cell))| SaturationStep {
-                step,
-                arrival_rate_per_client: *rate,
-                offered_tps: rate * clients as f64,
-                offered: cell.stats.offered as usize,
-                shed: cell.stats.shed as usize,
-                committed: cell.stats.committed as usize,
-                aborted: cell.stats.aborted as usize,
-                stalled: cell.stats.stalled as usize,
-                goodput_tps: cell.goodput_tps,
-                p50_sojourn_micros: us(cell.sojourn.p50()),
-                p99_sojourn_micros: us(cell.sojourn.p99()),
-                p999_sojourn_micros: us(cell.sojourn.p999()),
-                wal_forces: cell.wal_forces,
-                forces_per_txn: cell.per_txn(cell.wal_forces as f64),
-                wire_per_txn: cell.per_txn(cell.wire_messages as f64),
-                safety_violations: cell.audit_findings,
-            })
-            .collect();
+        let (steps, cells): (Vec<SaturationStep>, Vec<Cell>) = run.into_iter().unzip();
         let detected = (1..steps.len()).find(|&i| {
             let (prev, at) = (&steps[i - 1], &steps[i]);
             at.goodput_tps < prev.goodput_tps * 1.10
@@ -907,8 +916,8 @@ impl SaturationCurve {
             offered_tps: steps[step].offered_tps,
             goodput_tps: steps[step].goodput_tps,
             p99_sojourn_micros: steps[step].p99_sojourn_micros,
-            stage_shares: stage_entries(&run[step].1.attribution),
-            share_sum_pct: run[step].1.attribution.share_sum_pct(),
+            stage_shares: stage_entries(&cells[step].attribution),
+            share_sum_pct: cells[step].attribution.share_sum_pct(),
         };
         SaturationCurve {
             protocol: protocol.into(),
@@ -951,6 +960,30 @@ impl SaturationCurve {
 }
 
 impl SaturationStep {
+    /// Step `step` of a curve: the cell `clients` clients were offered
+    /// at `rate` transactions per second each.
+    pub fn new(step: usize, rate: f64, clients: usize, cell: &Cell) -> SaturationStep {
+        let us = |v: u64| v as f64 / 1e3;
+        SaturationStep {
+            step,
+            arrival_rate_per_client: rate,
+            offered_tps: rate * clients as f64,
+            offered: cell.stats.offered as usize,
+            shed: cell.stats.shed as usize,
+            committed: cell.stats.committed as usize,
+            aborted: cell.stats.aborted as usize,
+            stalled: cell.stats.stalled as usize,
+            goodput_tps: cell.goodput_tps,
+            p50_sojourn_micros: us(cell.sojourn.p50()),
+            p99_sojourn_micros: us(cell.sojourn.p99()),
+            p999_sojourn_micros: us(cell.sojourn.p999()),
+            wal_forces: cell.wal_forces,
+            forces_per_txn: cell.per_txn(cell.wal_forces as f64),
+            wire_per_txn: cell.per_txn(cell.wire_messages as f64),
+            safety_violations: cell.audit_findings,
+        }
+    }
+
     /// The rules of one offered-load level, which its row of the
     /// saturation table and `bench-check` both apply: a clean audit,
     /// offered load, goodput within 1.1 × the nominal offered rate (Poisson
@@ -1693,6 +1726,133 @@ pub(crate) mod tests {
                 "resolve after the heal",
             ],
         );
+    }
+
+    /// The chaos row's gate on constructed inputs. A D1CC split under a
+    /// network failure is the documented price of its Table-1 cell and is
+    /// not counted; under a crash, or for a protocol with NF-agreement, it
+    /// is. A clean row still fails when it does not recover after the
+    /// heal or misses its contrast.
+    #[test]
+    fn the_chaos_gate_exempts_only_a_network_failure_split_without_nf_agreement() {
+        use ac_commit::protocols::ProtocolKind::{D1cc, Inbac, TwoPc};
+        use std::time::Duration;
+
+        let zero = Duration::ZERO;
+        let healthy = FaultStats {
+            committed_during_fault: 3,
+            committed_after_heal: 5,
+            blocked: 2,
+            ..FaultStats::measure(&[], zero, zero, zero, zero)
+        };
+        // A cell that served transactions: a row of none fails its rules.
+        let mut clean = Cell::default();
+        clean.stats.committed = 8;
+        let split = Cell {
+            split: 1,
+            audit_findings: 1,
+            ..clean.clone()
+        };
+        let row = |kind, scenario, cell: &Cell, stats: &FaultStats| {
+            let e = ChaosEntry::new(kind, scenario, cell, stats);
+            (e.safety_violations, e.problems().is_empty())
+        };
+        for scenario in ["partition-heal", "lossy-10"] {
+            assert_eq!(
+                row(D1cc, scenario, &split, &healthy),
+                (0, true),
+                "{scenario}"
+            );
+        }
+        assert_eq!(row(D1cc, "crash-coordinator", &split, &healthy), (1, false));
+        assert_eq!(row(Inbac, "partition-heal", &split, &healthy), (1, false));
+
+        assert_eq!(row(Inbac, "partition-heal", &clean, &healthy), (0, true));
+        assert_eq!(row(TwoPc, "crash-coordinator", &clean, &healthy), (0, true));
+        let stuck = FaultStats {
+            committed_after_heal: 0,
+            ..healthy.clone()
+        };
+        assert!(
+            !row(Inbac, "partition-heal", &clean, &stuck).1,
+            "not recovered"
+        );
+        let unavailable = FaultStats {
+            committed_during_fault: 0,
+            ..healthy.clone()
+        };
+        assert!(!row(Inbac, "crash-participant", &clean, &unavailable).1);
+        let unblocked = FaultStats {
+            blocked: 0,
+            ..healthy.clone()
+        };
+        assert!(!row(TwoPc, "crash-coordinator", &clean, &unblocked).1);
+    }
+
+    /// The chaos rule as it stood when it matched protocol names: the
+    /// oracle the cell-derived rule must agree with on today's four
+    /// protocols.
+    fn named_chaos_rule(e: &ChaosEntry) -> bool {
+        let clean = e.safety_violations == 0
+            && e.stalled == 0
+            && e.availability_pct >= 0.0
+            && e.ops_after_heal >= 0.0
+            && e.txns > 0;
+        let recovered = e.scenario == "lossy-10" || e.blocked == 0 || e.committed_after_heal > 0;
+        let contrast = match (e.protocol.as_str(), e.scenario.as_str()) {
+            ("PaxosCommit" | "INBAC" | "D1CC", "crash-participant" | "crash-coordinator") => {
+                e.committed_during_fault > 0
+            }
+            ("2PC", "crash-coordinator") => e.blocked > 0,
+            (_, "lossy-10") => e.committed_during_fault > 0,
+            _ => true,
+        };
+        clean && recovered && contrast
+    }
+
+    /// Every (protocol, scenario) row of the chaos sweep, over every
+    /// combination of the three counts its contrast and recovery clauses
+    /// read, gets the verdict the name-matching rule gave it: 4 × 4 × 8
+    /// synthetic entries. Two entries the paper forbids fail: a 2PC that
+    /// did not block under a crashed coordinator, and a PaxosCommit that
+    /// stopped committing through a crash. A name outside the suite is a
+    /// problem, not a pass.
+    #[test]
+    fn the_chaos_rule_reads_the_cell_and_keeps_every_named_verdict() {
+        let base = &sample_baseline().chaos.unwrap().entries[0];
+        let entry = |protocol: &str, scenario: &str, counts: (usize, usize, usize)| ChaosEntry {
+            protocol: protocol.into(),
+            scenario: scenario.into(),
+            committed_during_fault: counts.0,
+            blocked: counts.1,
+            committed_after_heal: counts.2,
+            ..base.clone()
+        };
+        let mut passed = 0;
+        for protocol in service_protocols().map(|k| k.name()) {
+            for scenario in chaos_scenario_names() {
+                for bits in 0..8 {
+                    let counts = ((bits & 1) * 3, ((bits >> 1) & 1) * 2, ((bits >> 2) & 1) * 5);
+                    let e = entry(protocol, scenario, counts);
+                    let verdict = e.problems().is_empty();
+                    assert_eq!(verdict, named_chaos_rule(&e), "{e:?}: {:?}", e.problems());
+                    passed += usize::from(verdict);
+                }
+            }
+        }
+        assert!(passed > 0 && passed < 128, "{passed} of 128 pass");
+
+        let problems = entry("2PC", "crash-coordinator", (3, 0, 5)).problems();
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("blocked must be > 0"));
+        for scenario in ["crash-coordinator", "crash-participant"] {
+            let stopped = entry("PaxosCommit", scenario, (0, 2, 5));
+            let problems = stopped.problems();
+            assert_eq!(problems.len(), 1, "{scenario}: {problems:?}");
+            assert!(problems[0].starts_with("committed_during_fault must be > 0"));
+        }
+        let unknown = entry("carrier-pigeon", "crash-participant", (3, 2, 5));
+        assert_eq!(unknown.problems(), ["unknown protocol \"carrier-pigeon\""]);
     }
 
     #[test]

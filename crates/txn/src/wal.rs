@@ -10,7 +10,9 @@
 //! first-class metric of a commit protocol; here the log is an in-process
 //! structure that survives the node's crash (the node keeps it outside the
 //! volatile state a crash drops), which models durable storage without
-//! touching the filesystem.
+//! touching the filesystem. The log counts nothing itself: the node times
+//! and counts each force it makes as its `WalForce` seam meter, which is
+//! the run's one force count.
 //!
 //! Replay is **idempotent and order-insensitive per transaction**: records
 //! are first deduplicated (first prepare and first decision of a
@@ -101,19 +103,10 @@ pub struct Recovery {
     pub in_flight: Vec<PreparedTxn>,
 }
 
-/// A shard's write-ahead log.
+/// A shard's write-ahead log (see the module docs).
 #[derive(Clone, Debug, Default)]
 pub struct Wal {
     records: Vec<WalRecord>,
-    /// Records the typed appenders and [`Wal::force_batch`] wrote. The
-    /// log reads no clock: the node times its force step around
-    /// [`Wal::force_batch`].
-    appends: u64,
-    /// Durability points. A typed single-record append
-    /// (`log_prepare`/`log_decide`) is one append and one force;
-    /// [`Wal::force_batch`] amortizes one force over many appends — the
-    /// group-commit win the saturation harness gates on.
-    forces: u64,
 }
 
 impl Wal {
@@ -140,45 +133,19 @@ impl Wal {
 
     /// Log a prepare: `txn` validated locally with verdict `vote`.
     pub fn log_prepare(&mut self, txn: Arc<Transaction>, client: usize, vote: bool) {
-        self.log_one(WalRecord::Prepare { txn, client, vote });
+        self.records.push(WalRecord::Prepare { txn, client, vote });
     }
 
     /// Log an applied decision.
     pub fn log_decide(&mut self, txn: TxnId, value: u64) {
-        self.log_one(WalRecord::Decide { txn, value });
+        self.records.push(WalRecord::Decide { txn, value });
     }
 
-    /// A typed single-record append is its own durability point.
-    fn log_one(&mut self, rec: WalRecord) {
-        self.records.push(rec);
-        self.appends += 1;
-        self.forces += 1;
-    }
-
-    /// Group commit: append every staged record and force **once**. The
-    /// batch is drained (the caller's staging buffer comes back empty,
-    /// ready for reuse); an empty batch is a no-op — no force is charged
-    /// for a durability point that wrote nothing.
+    /// Group commit: append every staged record as one durability point.
+    /// The batch is drained (the caller's staging buffer comes back empty,
+    /// ready for reuse).
     pub fn force_batch(&mut self, batch: &mut Vec<WalRecord>) {
-        if batch.is_empty() {
-            return;
-        }
-        self.appends += batch.len() as u64;
         self.records.append(batch);
-        self.forces += 1;
-    }
-
-    /// Records appended through the typed appenders and
-    /// [`Wal::force_batch`] (raw [`Wal::append`] is not counted).
-    pub fn appends(&self) -> u64 {
-        self.appends
-    }
-
-    /// Durability points the log saw. `forces < appends` is the
-    /// group-commit signature; the per-record appenders keep the two
-    /// counters equal.
-    pub fn forces(&self) -> u64 {
-        self.forces
     }
 
     /// The raw record sequence.
@@ -335,19 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn typed_appends_are_counted() {
-        let mut wal = Wal::new();
-        assert_eq!((wal.appends(), wal.forces()), (0, 0));
-        wal.log_prepare(write_txn(1, 0, 2, 9), 0, true);
-        wal.log_decide(1, COMMIT);
-        assert_eq!((wal.appends(), wal.forces()), (2, 2));
-        // Raw `append` (tests/conversions) is not counted.
-        wal.append(WalRecord::Decide { txn: 2, value: 0 });
-        assert_eq!(wal.appends(), 2);
-    }
-
-    #[test]
-    fn force_batch_amortizes_one_force_over_many_appends() {
+    fn force_batch_appends_the_whole_batch_and_drains_it() {
         let mut wal = Wal::new();
         let mut batch = Vec::new();
         for i in 0..8u64 {
@@ -360,15 +315,9 @@ mod tests {
         }
         wal.force_batch(&mut batch);
         assert!(batch.is_empty(), "the staging buffer is drained");
-        assert_eq!(wal.appends(), 8, "every record appended");
-        assert_eq!(wal.forces(), 1, "one durability point");
-        assert_eq!(wal.len(), 8);
-        // An empty batch charges nothing.
+        assert_eq!(wal.len(), 8, "every record appended");
         wal.force_batch(&mut batch);
-        assert_eq!(wal.forces(), 1);
-        // Per-record appenders keep forces == appends.
-        wal.log_decide(1, COMMIT);
-        assert_eq!((wal.appends(), wal.forces()), (9, 2));
+        assert_eq!(wal.len(), 8, "an empty batch appends nothing");
     }
 
     #[test]
