@@ -6,21 +6,12 @@
 //! ┌────────────┬──────────────────────────────┐
 //! │ len: u32 LE│ body (len bytes)             │
 //! └────────────┴──────────────────────────────┘
-//! body = tag: u8, then the variant's fields in ac_sim::wire encoding:
-//!   0  Begin    txn: Transaction, client: u64, retry: bool
-//!   1  Net      txn: u64, from: u64, msg: M
-//!   2  StatusQ  txn: u64, from: u64
-//!   3  StatusA  txn: u64, value: u64
-//!   4  End      txn: u64
-//!   5  Shutdown (no fields)
-//!   6  Done     txn: u64, node: u64, decision: u64
-//!   7  Hello    client: u64
-//!   8  ObsPull  client: u64
-//!   9  EchoReq  seq: u32, t0_nanos: u64
-//!  10  EchoResp seq: u32, t0_nanos: u64, node: u32, node_nanos: u64
-//!  11  ObsDump  node: u32, export: ObsExport
-//!  12  Peer     node: u64
 //! ```
+//!
+//! The body is one [`AnyFrame`] in the `ac_sim::wire` encoding, a tag
+//! byte and then the variant's fields, declared once by the two
+//! `wire_enum!` tables below: `ToNode`'s, and `AnyFrame`'s, which hands
+//! every tag it does not list to `ToNode`.
 //!
 //! One tag space covers both directions: tags 0–5 and 8 are the node
 //! inbox alphabet ([`crate::service::ToNode`], including the
@@ -48,11 +39,8 @@
 //! **resynchronizes at the next length prefix** — the length field is
 //! what makes resync possible.
 
-use std::sync::Arc;
-
 use ac_obs::ObsExport;
 use ac_sim::{Wire, WireError};
-use ac_txn::Transaction;
 
 use crate::service::{Done, ToNode};
 
@@ -112,153 +100,46 @@ pub enum AnyFrame<M> {
     },
 }
 
+// Both decodes are forced inline, as `FrameDecoder::next_frame` is: the
+// frame is returned by value through each, and each out-of-line layer
+// copies it once more per frame. Boxing `ObsDump`'s payload took
+// `AnyFrame<PcMsg>` from 152 to 56 bytes and the cost of a lost inline
+// from 27 ns to 7 ns per frame (26 → 33 ns decoding PaxosCommit's
+// envelopes without the attributes), which is still a quarter of the
+// decode.
+ac_sim::wire_enum!(#[inline(always)] ToNode<M> {
+    0 => Begin { txn, client, retry },
+    1 => Net { txn, from, msg },
+    2 => StatusQ { txn, from },
+    3 => StatusA { txn, value },
+    4 => End { txn },
+    5 => Shutdown,
+    8 => ObsPull { client },
+});
+
+ac_sim::wire_enum!(#[inline(always)] AnyFrame<M> {
+    6 => Done(done),
+    7 => Hello { client },
+    9 => EchoReq { seq, t0_nanos },
+    10 => EchoResp { seq, t0_nanos, node, node_nanos },
+    11 => ObsDump { node, export },
+    12 => Peer { node },
+    _ => Node(env),
+});
+
+ac_sim::wire_struct!(Done {
+    txn,
+    node,
+    decision
+});
+
 /// Append the frame (length prefix + body) to `out`.
 pub fn write_frame<M: Wire>(frame: &AnyFrame<M>, out: &mut Vec<u8>) {
     let start = out.len();
     out.extend_from_slice(&[0; 4]); // length, patched below
-    match frame {
-        AnyFrame::Node(env) => match env {
-            ToNode::Begin { txn, client, retry } => {
-                out.push(0);
-                txn.encode(out);
-                client.encode(out);
-                retry.encode(out);
-            }
-            ToNode::Net { txn, from, msg } => {
-                out.push(1);
-                txn.encode(out);
-                from.encode(out);
-                msg.encode(out);
-            }
-            ToNode::StatusQ { txn, from } => {
-                out.push(2);
-                txn.encode(out);
-                from.encode(out);
-            }
-            ToNode::StatusA { txn, value } => {
-                out.push(3);
-                txn.encode(out);
-                value.encode(out);
-            }
-            ToNode::End { txn } => {
-                out.push(4);
-                txn.encode(out);
-            }
-            ToNode::Shutdown => out.push(5),
-            ToNode::ObsPull { client } => {
-                out.push(8);
-                client.encode(out);
-            }
-        },
-        AnyFrame::Done(d) => {
-            out.push(6);
-            d.txn.encode(out);
-            d.node.encode(out);
-            d.decision.encode(out);
-        }
-        AnyFrame::Hello { client } => {
-            out.push(7);
-            client.encode(out);
-        }
-        AnyFrame::Peer { node } => {
-            out.push(12);
-            node.encode(out);
-        }
-        AnyFrame::EchoReq { seq, t0_nanos } => {
-            out.push(9);
-            seq.encode(out);
-            t0_nanos.encode(out);
-        }
-        AnyFrame::EchoResp {
-            seq,
-            t0_nanos,
-            node,
-            node_nanos,
-        } => {
-            out.push(10);
-            seq.encode(out);
-            t0_nanos.encode(out);
-            node.encode(out);
-            node_nanos.encode(out);
-        }
-        AnyFrame::ObsDump { node, export } => {
-            out.push(11);
-            node.encode(out);
-            export.encode(out);
-        }
-    }
+    frame.encode(out);
     let len = (out.len() - start - 4) as u32;
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Decode one frame body (everything after the length prefix).
-///
-/// Forced inline, with [`FrameDecoder::next_frame`]: the frame is returned
-/// by value through both, and each out-of-line layer copies it once more
-/// per frame. Boxing `ObsDump`'s payload took `AnyFrame<PcMsg>` from 152 to
-/// 56 bytes and the cost of a lost inline from 27 ns to 7 ns per frame
-/// (26 → 33 ns decoding PaxosCommit's envelopes without the attributes),
-/// which is still a quarter of the decode.
-#[inline(always)]
-pub fn decode_body<M: Wire>(mut body: &[u8]) -> Result<AnyFrame<M>, WireError> {
-    let buf = &mut body;
-    let frame = match u8::decode(buf)? {
-        0 => AnyFrame::Node(ToNode::Begin {
-            txn: Arc::new(Transaction::decode(buf)?),
-            client: usize::decode(buf)?,
-            retry: bool::decode(buf)?,
-        }),
-        1 => AnyFrame::Node(ToNode::Net {
-            txn: u64::decode(buf)?,
-            from: usize::decode(buf)?,
-            msg: M::decode(buf)?,
-        }),
-        2 => AnyFrame::Node(ToNode::StatusQ {
-            txn: u64::decode(buf)?,
-            from: usize::decode(buf)?,
-        }),
-        3 => AnyFrame::Node(ToNode::StatusA {
-            txn: u64::decode(buf)?,
-            value: u64::decode(buf)?,
-        }),
-        4 => AnyFrame::Node(ToNode::End {
-            txn: u64::decode(buf)?,
-        }),
-        5 => AnyFrame::Node(ToNode::Shutdown),
-        6 => AnyFrame::Done(Done {
-            txn: u64::decode(buf)?,
-            node: usize::decode(buf)?,
-            decision: u64::decode(buf)?,
-        }),
-        7 => AnyFrame::Hello {
-            client: usize::decode(buf)?,
-        },
-        8 => AnyFrame::Node(ToNode::ObsPull {
-            client: usize::decode(buf)?,
-        }),
-        9 => AnyFrame::EchoReq {
-            seq: u32::decode(buf)?,
-            t0_nanos: u64::decode(buf)?,
-        },
-        10 => AnyFrame::EchoResp {
-            seq: u32::decode(buf)?,
-            t0_nanos: u64::decode(buf)?,
-            node: u32::decode(buf)?,
-            node_nanos: u64::decode(buf)?,
-        },
-        11 => AnyFrame::ObsDump {
-            node: u32::decode(buf)?,
-            export: Box::new(ObsExport::decode(buf)?),
-        },
-        12 => AnyFrame::Peer {
-            node: usize::decode(buf)?,
-        },
-        _ => return Err(WireError::Invalid("frame tag")),
-    };
-    if !buf.is_empty() {
-        return Err(WireError::Invalid("trailing bytes in frame body"));
-    }
-    Ok(frame)
 }
 
 /// Incremental frame decoder over an arbitrary chunking of the byte
@@ -295,7 +176,7 @@ impl FrameDecoder {
     /// decoder has already skipped it and can continue) or a poisoned
     /// stream (every further call errors).
     ///
-    /// Forced inline for the reason given at [`decode_body`].
+    /// Forced inline, as the frame's decode is (see the declarations).
     #[inline(always)]
     pub fn next_frame<M: Wire>(&mut self) -> Result<Option<AnyFrame<M>>, WireError> {
         if self.poisoned {
@@ -314,7 +195,7 @@ impl FrameDecoder {
             return Ok(None);
         }
         let body = &avail[4..4 + len];
-        let result = decode_body::<M>(body);
+        let result = AnyFrame::<M>::from_wire(body);
         // Consume the frame whether or not the body parsed: the length
         // prefix fixes the boundary, so a bad body costs one frame, not
         // the connection.

@@ -19,11 +19,12 @@
 //! `Mutex<VecDeque>` — that knows the host draining it by that host's
 //! [`Bell`], a `UnixStream` pair whose hearing end is one slot of the
 //! host's readiness wait. A post appends its batch under the lock and
-//! writes one byte to the bell only if the host has armed it: the host
-//! arms it before it reads its participants' deadlines (a mailbox that
-//! holds something makes its owner due at once) and disarms it after its
-//! wait, taking the byte. A post either lands before a deadline reads its
-//! mailbox, or finds the bell armed; so nothing posted is left waiting,
+//! writes one byte to the bell only if the host is still armed for the
+//! park it was armed for when the batch landed: the host arms it before
+//! it reads its participants' deadlines (a mailbox that holds something
+//! makes its owner due at once) and disarms it after its wait, taking the
+//! byte. A post either lands before a deadline reads its mailbox, or
+//! finds the bell armed; so nothing posted is left waiting,
 //! and a post to a host that is running — every post between co-hosted
 //! nodes and clients — is a push with no syscall and no wake-up. A hop
 //! between two hosts costs a post and at most one byte per park. Nobody
@@ -111,7 +112,7 @@ use std::ops::ControlFlow;
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -168,27 +169,36 @@ pub trait Transport<M>: Send {
 pub struct Bell {
     ring: UnixStream,
     hear: UnixStream,
-    /// Set from arm to disarm: the host is parked or about to park.
-    armed: AtomicBool,
+    /// Twice the host's parks so far, plus one from arm to disarm (the
+    /// host is parked or about to park).
+    state: AtomicU64,
 }
 
 impl Bell {
     /// A bell for one host.
     pub fn new() -> Arc<Bell> {
         let (ring, hear) = UnixStream::pair().expect("a Unix socket pair for a host's bell");
-        let armed = AtomicBool::new(false);
-        Arc::new(Bell { ring, hear, armed })
+        let state = AtomicU64::new(0);
+        Arc::new(Bell { ring, hear, state })
     }
 
     /// The host is about to read its deadlines and park: from now on a
     /// post rings. Every post a deadline misses sees the bell armed.
     pub(crate) fn arm(&self) {
-        self.armed.store(true, Ordering::SeqCst);
+        // The next park, armed. A disarmed bell is one no post changes.
+        let was = self.state.fetch_add(3, Ordering::SeqCst);
+        debug_assert_eq!(was & 1, 0, "a bell armed twice");
     }
 
-    /// A post's half: ring if the host is parked or about to park.
-    fn ring(&self) {
-        if self.armed.load(Ordering::SeqCst) && self.armed.swap(false, Ordering::SeqCst) {
+    /// A post's half: ring if the host is still armed for the park that
+    /// `seen` (read under the mailbox's lock, after the push) was armed
+    /// for. A post whose park is over rings nothing: its batch was taken.
+    fn ring(&self, seen: u64) {
+        let take = |s| {
+            self.state
+                .compare_exchange(s, s - 1, Ordering::SeqCst, Ordering::SeqCst)
+        };
+        if seen & 1 == 1 && take(seen).is_ok() {
             let _ = (&self.ring).write_all(&[1]);
         }
     }
@@ -196,7 +206,7 @@ impl Bell {
     /// The host's wait is over: disarm, and take the byte of a post that
     /// disarmed the bell first (a write it is about to make, if need be).
     fn disarm(&self) {
-        if !self.armed.swap(false, Ordering::SeqCst) {
+        if self.state.fetch_and(!1, Ordering::SeqCst) & 1 == 0 {
             let _ = (&self.hear).read_exact(&mut [0]);
         }
     }
@@ -224,10 +234,18 @@ impl<T> Mailbox<T> {
     }
 
     /// Append `batch`, in order and under one lock — its drainer takes
-    /// all of it or none — then ring the drainer's bell if it is parked.
+    /// all of it or none — then ring the drainer's bell if it is still
+    /// armed for the park it was armed for when the batch landed. A ring
+    /// that only read the bell now could find the host armed for its next
+    /// park, with the batch already taken, and wake it for nothing; a ring
+    /// under the lock would keep the host it wakes waiting on the lock.
     pub fn post(&self, batch: &mut Vec<T>) {
-        self.queue().extend(batch.drain(..));
-        self.bell.ring();
+        let seen = {
+            let mut queue = self.queue();
+            queue.extend(batch.drain(..));
+            self.bell.state.load(Ordering::SeqCst)
+        };
+        self.bell.ring(seen);
     }
 
     /// Move up to `max` of what waits into `buf` (appended), oldest
@@ -1369,6 +1387,30 @@ mod tests {
 
     const SOON: Duration = Duration::from_millis(100);
     const PATIENT: Duration = Duration::from_secs(10);
+
+    /// A ring counts only for the park its post read the bell in: once
+    /// that park is over (the host disarmed, took the batch and armed
+    /// again), the ring writes nothing; a ring for the current park writes
+    /// the park's one byte, and a second post of the same park no other.
+    #[test]
+    fn a_ring_for_a_park_that_is_over_writes_nothing() {
+        let bell = Bell::new();
+        bell.hear
+            .set_nonblocking(true)
+            .expect("a non-blocking bell");
+        let heard = || (&bell.hear).read(&mut [0]).is_ok();
+        bell.arm();
+        let late = bell.state.load(Ordering::SeqCst);
+        bell.disarm();
+        bell.arm();
+        bell.ring(late);
+        assert!(!heard(), "a ring for a park that is over wrote a byte");
+        let now = bell.state.load(Ordering::SeqCst);
+        bell.ring(now);
+        bell.ring(now);
+        assert!(heard(), "the park's ring wrote no byte");
+        assert!(!heard(), "one byte per park");
+    }
 
     #[test]
     fn a_read_result_is_data_or_try_again_or_closed() {

@@ -74,7 +74,7 @@ struct Children(Vec<(String, Child)>);
 impl Children {
     fn spawn(&mut self, what: String, cmd: &mut Command) -> Result<(), String> {
         let child = cmd
-            .stdout(Stdio::null())
+            .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
             .map_err(|e| format!("cannot spawn {what}: {e}"))?;
@@ -93,12 +93,20 @@ impl Drop for Children {
     }
 }
 
-/// Wait for `child` to exit with success before `deadline`.
+/// Wait for `child` to exit with success before `deadline`. A child
+/// that failed is named with what it printed: its one audit line.
 fn wait_clean(what: &str, child: &mut Child, deadline: Instant) -> Result<(), String> {
     loop {
         match child.try_wait() {
             Ok(Some(status)) if status.success() => return Ok(()),
-            Ok(Some(status)) => return Err(format!("{what} exited with {status}")),
+            Ok(Some(status)) => {
+                let mut said = String::new();
+                if let Some(mut out) = child.stdout.take() {
+                    let _ = out.read_to_string(&mut said);
+                }
+                let said = said.trim();
+                return Err(format!("{what} exited with {status}, printing {said:?}"));
+            }
             Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
             Ok(None) => return Err(format!("{what} missed the {RUN_DEADLINE:?} deadline")),
             Err(e) => return Err(format!("cannot wait for {what}: {e}")),
@@ -138,7 +146,9 @@ impl ProcHost {
     /// plus one `ac-client` on free loopback ports — wait for it, and read
     /// back the client's `--obs-out` dump. `Err` if the spec file cannot
     /// express `cfg`, or a process cannot be spawned, misses the deadline
-    /// or exits non-zero (the run's audit, see the module docs).
+    /// or exits non-zero (the run's audit, see the module docs); a process
+    /// that exited non-zero is named with its audit line and the spec
+    /// file it ran.
     pub(crate) fn run(&self, cfg: &ServiceConfig) -> Result<ClusterDump, String> {
         let spec = ClusterSpec::new(cfg.clone(), free_addrs(cfg.n)?)?;
         let mut tag = sanitize(cfg.kind.name());
@@ -183,7 +193,7 @@ impl ProcHost {
         if let Some(body) = scraper.and_then(|h| h.join().ok()).flatten() {
             let _ = self.scrape.set(body);
         }
-        exited?;
+        exited.map_err(|e| format!("{e} (spec {})", spec_path.display()))?;
         let bytes = std::fs::read(&dump_path)
             .map_err(|e| format!("cannot read {}: {e}", dump_path.display()))?;
         let dump = ClusterDump::from_bytes(&bytes)
@@ -250,4 +260,26 @@ fn scrape_prometheus(addr: SocketAddr, deadline: Duration) -> Option<String> {
         std::thread::sleep(Duration::from_millis(20));
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_process_is_named_with_what_it_printed() {
+        let mut procs = Children(Vec::new());
+        let mut cmd = Command::new("sh");
+        cmd.args(["-c", "echo 'client audit txns=2 stalled=1'; exit 1"]);
+        procs.spawn("ac-client".into(), &mut cmd).unwrap();
+        let deadline = Instant::now() + RUN_DEADLINE;
+        let (what, child) = &mut procs.0[0];
+        assert_eq!(
+            wait_clean(what, child, deadline),
+            Err(
+                "ac-client exited with exit status: 1, printing \"client audit txns=2 stalled=1\""
+                    .into()
+            )
+        );
+    }
 }

@@ -9,6 +9,7 @@
 //! * `bool` is one byte, `0` or `1` (any other value is a decode error);
 //! * `Option<T>` is a presence byte followed by the payload;
 //! * `Vec<T>` is a `u32` element count followed by the elements;
+//! * `Box<T>` and `Arc<T>` are `T` (the pointer is not on the wire);
 //! * enums are a leading tag byte followed by the variant's fields.
 //!
 //! A message, record or struct declares its layout once, with
@@ -40,9 +41,11 @@
 //! A tuple variant or tuple struct names its fields positionally
 //! (`Vote(txn, yes)`, `wire_struct!(Wrapper(inner))`); the names only
 //! bind the fields inside the generated impl. Tags are part of the wire
-//! contract: never renumber one (append-only). Hand-write an impl only
-//! where decoding does more than read the fields back (`FlatMap`
-//! canonicalizes) or the type is generic.
+//! contract: never renumber one (append-only). An enum may be generic,
+//! and may hand every tag it does not list to a variant that wraps
+//! another declared enum (see [`wire_enum!`](crate::wire_enum)). Hand-write
+//! an impl only for a collection (`SmallVec`) or where decoding does more
+//! than read the fields back (`FlatMap` canonicalizes).
 //!
 //! Decoding consumes from the front of a `&[u8]` slice and never panics:
 //! short input yields [`WireError::Truncated`], out-of-range tags or
@@ -105,7 +108,10 @@ pub trait Wire: Sized {
     }
 
     /// Convenience: decode a value that must occupy `bytes` exactly;
-    /// trailing bytes are an error.
+    /// trailing bytes are an error. Forced inline: it adds one check to
+    /// `decode`, and a `decode` forced inline (the socket frame's) must
+    /// not be returned by value through one more call.
+    #[inline(always)]
     fn from_wire(mut bytes: &[u8]) -> Result<Self, WireError> {
         let v = Self::decode(&mut bytes)?;
         if bytes.is_empty() {
@@ -149,10 +155,46 @@ int_wire!(u8, u16, u32, u64, i64);
 /// Variants may be unit (`0 => Help`), tuple (`1 => V(vote)`, one name
 /// per field) or struct (`2 => Accept { bal, val }`). See the
 /// [module docs](crate::wire) for an example.
+///
+/// Three optional parts:
+/// * type parameters, `Env<M> { … }`, each bound by `Wire`;
+/// * a last arm `_ => Inner(inner)`, a pass-through: the one-field
+///   variant `Inner` owns every tag the table does not list, and its
+///   field writes and reads its own tag (its tags and the table's must
+///   not overlap);
+/// * attributes before the type, which go on the generated `decode`
+///   (`#[inline(always)]` where a large value is returned by value).
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// enum Env<M> { Msg(M), Stop }
+/// ac_sim::wire_enum!(Env<M> { 0 => Msg(msg), 1 => Stop });
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Frame<M> { Env(Env<M>), Hello { id: u8 } }
+/// ac_sim::wire_enum!(#[inline(always)] Frame<M> { 7 => Hello { id }, _ => Env(env) });
+///
+/// use ac_sim::Wire;
+/// let frame = Frame::Env(Env::Msg(5u8));
+/// assert_eq!(frame.to_wire(), [0, 5]);
+/// assert_eq!(Frame::from_wire(&[0, 5]), Ok(frame));
+/// assert_eq!(Frame::<u8>::from_wire(&[7, 3]), Ok(Frame::Hello { id: 3 }));
+/// ```
 #[macro_export]
 macro_rules! wire_enum {
-    ($t:ident { $($tag:literal => $v:ident $(($($a:ident),*))? $({ $($f:ident),* })?),* $(,)? }) => {
-        impl $crate::Wire for $t {
+    // What an unlisted tag decodes to: the pass-through variant, from the
+    // bytes that still start with the tag, or an error naming the type.
+    (@unlisted $buf:ident $t:ident $pv:ident) => {
+        Ok($t::$pv($crate::Wire::decode($buf)?))
+    };
+    (@unlisted $buf:ident $t:ident) => {
+        Err($crate::WireError::Invalid(concat!(stringify!($t), " tag")))
+    };
+    ($(#[$attr:meta])* $t:ident $(<$($g:ident),+>)? {
+        $($tag:literal => $v:ident $(($($a:ident),*))? $({ $($f:ident),* })?),*
+        $(, _ => $pv:ident($pa:ident))? $(,)?
+    }) => {
+        impl$(<$($g: $crate::Wire),+>)? $crate::Wire for $t$(<$($g),+>)? {
             fn encode(&self, buf: &mut Vec<u8>) {
                 match self {
                     $($t::$v $(($($a),*))? $({ $($f),* })? => {
@@ -160,15 +202,19 @@ macro_rules! wire_enum {
                         $($($crate::Wire::encode($a, buf);)*)?
                         $($($crate::Wire::encode($f, buf);)*)?
                     })*
+                    $($t::$pv($pa) => $crate::Wire::encode($pa, buf),)?
                 }
             }
+            $(#[$attr])*
             fn decode(buf: &mut &[u8]) -> Result<Self, $crate::WireError> {
-                match <u8 as $crate::Wire>::decode(buf)? {
+                // Peeked, not taken: a pass-through variant reads it again.
+                match *buf.first().ok_or($crate::WireError::Truncated)? {
                     $($tag => {
+                        *buf = &buf[1..];
                         $($(let $a = $crate::Wire::decode(buf)?;)*)?
                         Ok($t::$v $(($($a),*))? $({ $($f: $crate::Wire::decode(buf)?),* })?)
                     })*
-                    _ => Err($crate::WireError::Invalid(concat!(stringify!($t), " tag"))),
+                    _ => $crate::wire_enum!(@unlisted buf $t $($pv)?),
                 }
             }
         }
@@ -252,6 +298,24 @@ impl<T: Wire> Wire for Option<T> {
             1 => Ok(Some(T::decode(buf)?)),
             _ => Err(WireError::Invalid("option byte not 0 or 1")),
         }
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (**self).encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        T::decode(buf).map(Box::new)
+    }
+}
+
+impl<T: Wire> Wire for std::sync::Arc<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (**self).encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        T::decode(buf).map(std::sync::Arc::new)
     }
 }
 
@@ -441,6 +505,72 @@ mod tests {
             g: vec![2, 3],
         });
         assert_cut_short_is_truncated(Wrapped(7, Shape::Unit));
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Env<M> {
+        Msg(u8, M),
+        Stop,
+    }
+    crate::wire_enum!(Env<M> { 0 => Msg(a, m), 1 => Stop });
+
+    #[derive(Debug, PartialEq)]
+    enum Frame<M> {
+        Env(Env<M>),
+        Hello { id: u16 },
+        Boxed(Box<Named>, std::sync::Arc<u8>),
+    }
+    crate::wire_enum!(#[inline(always)] Frame<M> {
+        5 => Hello { id },
+        6 => Boxed(b, a),
+        _ => Env(env),
+    });
+
+    fn generic_cases() -> [(Frame<bool>, &'static [u8]); 4] {
+        let boxed = Frame::Boxed(Box::new(Named { f: 3, g: vec![] }), 4.into());
+        [
+            (Frame::Env(Env::Msg(9, true)), &[0, 9, 1]),
+            (Frame::Env(Env::Stop), &[1]),
+            (Frame::Hello { id: 0x0102 }, &[5, 2, 1]),
+            (boxed, &[6, 3, 0, 0, 0, 0, 0, 4]),
+        ]
+    }
+
+    #[test]
+    fn a_generic_enum_and_its_pass_through_round_trip_in_table_order() {
+        assert_eq!(Env::Msg(2, 7u32).to_wire(), [0, 2, 7, 0, 0, 0]);
+        assert_eq!(
+            Env::<u32>::from_wire(&[0, 2, 7, 0, 0, 0]),
+            Ok(Env::Msg(2, 7))
+        );
+        for (v, bytes) in generic_cases() {
+            assert_eq!(v.to_wire(), bytes);
+            assert_eq!(Frame::from_wire(bytes), Ok(v));
+        }
+    }
+
+    #[test]
+    fn an_unlisted_tag_names_the_enum_that_owns_it() {
+        // A tag the outer table does not list is the wrapped enum's to
+        // refuse: the pass-through takes every unlisted tag.
+        for tag in [2u8, 4, 7, 255] {
+            assert_eq!(
+                Frame::<bool>::from_wire(&[tag]),
+                Err(WireError::Invalid("Env tag"))
+            );
+            assert_eq!(
+                Env::<bool>::from_wire(&[tag]),
+                Err(WireError::Invalid("Env tag"))
+            );
+        }
+    }
+
+    #[test]
+    fn a_generic_or_passed_through_layout_cut_short_is_truncated() {
+        assert_cut_short_is_truncated(Env::Msg(1, 2u64));
+        for (v, _) in generic_cases() {
+            assert_cut_short_is_truncated(v);
+        }
     }
 
     #[test]
