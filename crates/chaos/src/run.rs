@@ -1,21 +1,20 @@
-//! Drive the live service under a [`ChaosPlan`] and measure
+//! Drive the live service under an [`ac_net::FaultPlan`] and measure
 //! availability-under-failure: who keeps committing while the fault is
 //! live, who merely keeps *deciding*, who blocks, and how long recovery
 //! takes after the heal.
 
 use std::time::Duration;
 
-use ac_cluster::{run_service_faulted, ServiceConfig, ServiceOutcome, TxnEvent};
-
-use crate::plan::ChaosPlan;
+use ac_cluster::{run_service_faulted, FaultSpec, ServiceConfig, ServiceOutcome, TxnEvent};
+use ac_net::FaultPlan;
 
 /// One chaos experiment: a service configuration plus the fault schedule.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// The service under test.
     pub service: ServiceConfig,
-    /// The injected faults.
-    pub plan: ChaosPlan,
+    /// The injected faults, in ticks at the service's unit.
+    pub plan: FaultPlan,
 }
 
 /// Availability accounting against the plan's fault window.
@@ -141,25 +140,32 @@ impl ChaosConfig {
     /// blocked when the client learned its outcome no sooner than it would
     /// park it: `park_retries` (at least one) reply waits.
     pub fn fault_stats(&self, events: &[TxnEvent], run: Duration) -> FaultStats {
+        let (from, until) = self.plan.window().unwrap_or_default();
         let unit = self.service.unit;
-        let (from_u, until_u) = self.plan.fault_window_units().unwrap_or((0, 0));
-        let scale = |u: u64| {
-            unit.checked_mul(u32::try_from(u).unwrap_or(u32::MAX))
-                .unwrap_or(Duration::MAX)
-        };
         let park = self.service.reply_timeout * self.service.park_retries.max(1);
-        FaultStats::measure(events, scale(from_u), scale(until_u), run, park)
+        FaultStats::measure(events, from.to_wall(unit), until.to_wall(unit), run, park)
+    }
+
+    /// The service's fault specification: the plan, with the write-ahead
+    /// log on so a crashed node recovers from it.
+    pub fn spec(&self) -> FaultSpec {
+        FaultSpec {
+            plan: self.plan.clone(),
+            durable: true,
+        }
     }
 }
 
-/// Run the service under the plan ([`ChaosPlan::spec`]: the
-/// [`crate::FaultProxy`] on every node-to-node envelope, crash windows
-/// scheduled, the write-ahead log on so crashed nodes can recover) and
-/// bucket the transaction timelines against the fault window
+/// Run the service under the plan ([`ChaosConfig::spec`]) and bucket the
+/// transaction timelines against the fault window
 /// ([`ChaosConfig::fault_stats`]).
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
-    assert_eq!(cfg.plan.n, cfg.service.n, "plan and service disagree on n");
-    let service = run_service_faulted(&cfg.service, &cfg.plan.spec(cfg.service.unit));
+    assert_eq!(
+        cfg.plan.n(),
+        cfg.service.n,
+        "plan and service disagree on n"
+    );
+    let service = run_service_faulted(&cfg.service, &cfg.spec());
     let stats = cfg.fault_stats(&service.txn_events, service.elapsed);
     ChaosOutcome { service, stats }
 }

@@ -19,8 +19,9 @@
 //!   (any [`ac_commit::protocols::ProtocolKind`]), apply/release, with a
 //!   post-run safety audit. Since ISSUE-5 the service is also the
 //!   fault-injection substrate: [`run_service_faulted`] accepts a
-//!   [`FaultSpec`] (a [`NetPolicy`] deciding per-envelope [`Fate`]s plus
-//!   per-node [`CrashWindow`]s), nodes write-ahead-log prepares/decisions
+//!   [`FaultSpec`] (an [`ac_net::FaultPlan`], the simulator's fault
+//!   schedule: crashes with restarts, and drop and delay rules deciding
+//!   each envelope's [`ac_net::Fate`]), nodes write-ahead-log prepares/decisions
 //!   to [`ac_txn::Wal`] and recover from it on restart, and clients use
 //!   bounded, retrying reply waits instead of blocking on dead nodes.
 //!
@@ -49,9 +50,8 @@ pub use ac_obs::{
 pub use ac_sim::inline::{self, InlineVec};
 pub use codec::{AnyFrame, FrameDecoder, MAX_FRAME};
 pub use service::{
-    participants_of, run_service, run_service_faulted, CrashWindow, Done, Fate, FaultSpec,
-    NetPolicy, NodeRecord, ServiceConfig, ServiceOutcome, ToNode, TransportKind, TxnEvent,
-    ORPHAN_CAP, SLOWEST_KEPT,
+    participants_of, run_service, run_service_faulted, Done, FaultSpec, NodeRecord, ServiceConfig,
+    ServiceOutcome, ToNode, TransportKind, TxnEvent, ORPHAN_CAP, SLOWEST_KEPT,
 };
 pub use spec::ClusterSpec;
 pub use transport::{mailboxes, Bell, Mailbox, Mailboxes, TcpNode, TcpTransport, Transport};

@@ -53,7 +53,7 @@
 //! | `dispatch` | `inbox` → table, engine, `decided`, outbox; self-sends and due timers to quiescence | `DrainGap`, `LockAcquire`, flight `Dispatch`/`LockAcquired` | — |
 //! | `apply`    | `decided` → shard, `log`, staged `Done`s, then staged WAL records, a pass at a time | `LockHold`, `WalJournal`, flight `Decided` (per pass) | lock-steal guard (Deferred) |
 //! | `force`    | staged WAL records → WAL (one force per turn that staged any) | `WalForce`, flight `WalForced` | durability-before-reply |
-//! | `flush`    | outbox → fault policy → the same [`Link`] (one post to each peer's mailbox, or one write to each peer down the connection that peer is read from); `Done`s → [`Replies`] (one post to each client's mailbox, or one write down the connection it said `Hello` on) | `Flush` | fault policy ([`NetPolicy`](crate::service::NetPolicy)) |
+//! | `flush`    | outbox → fault plan → the same [`Link`] (one post to each peer's mailbox, or one write to each peer down the connection that peer is read from); `Done`s → [`Replies`] (one post to each client's mailbox, or one write down the connection it said `Hello` on) | `Flush` | envelope fates ([`FaultPlan::fate`]) |
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -62,16 +62,15 @@ use std::time::{Duration, Instant};
 use ac_commit::problem::COMMIT;
 use ac_commit::protocols::PerRank;
 use ac_commit::CommitProtocol;
+use ac_net::{Crash, Fate, FaultPlan};
 use ac_obs::{FlightStage, NetMeters, NodeObs, ObsExport, Stage};
 use ac_runtime::{NodeEvent, NodeLoop, Slab, UnitClock};
-use ac_sim::{InlineVec, ProcessId, Wire};
+use ac_sim::{InlineVec, ProcessId, Time, Wire};
 use ac_txn::{DecidedTxn, Shard, Transaction, TxnId, Wal, WalRecord};
 
 use crate::client::nanos;
 use crate::codec::AnyFrame;
-use crate::service::{
-    parts_of, CrashWindow, Done, Fate, NetPolicy, NodeRecord, ToNode, ORPHAN_CAP,
-};
+use crate::service::{parts_of, Done, NodeRecord, ToNode, ORPHAN_CAP};
 use crate::transport::{Link, Mailboxes, Outbox, PollFd, Sockets};
 
 /// Upper bound on envelopes drained per node-loop iteration. Bounds the
@@ -167,7 +166,7 @@ impl Replies {
 }
 
 /// Where a node's every reading comes from, and the host's epoch that its
-/// flight stamps, crash windows and fault-policy times count from. Both
+/// flight stamps, crash instants and fault-plan times count from. Both
 /// hosts read the monotonic clock; `node::tests` substitute a stepping
 /// one that counts its readings.
 pub(crate) struct Clock {
@@ -203,7 +202,7 @@ impl Clock {
 
 /// Everything a host hands one node: identity, its clock, its link to the
 /// other nodes, reply path, fault schedule, its log and instruments. It
-/// shares its link, its reply path, the fault policy it only reads and a
+/// shares its link, its reply path, the fault plan it only reads and a
 /// multi-process node's live meters with its host; the rest it owns.
 pub(crate) struct NodeEnv<P: CommitProtocol> {
     pub(crate) me: ProcessId,
@@ -218,8 +217,11 @@ pub(crate) struct NodeEnv<P: CommitProtocol> {
     pub(crate) link: Link<P::Msg>,
     /// The node-to-client seam (see [`Replies`]).
     pub(crate) replies: Replies,
-    pub(crate) policy: Option<Arc<dyn NetPolicy>>,
-    pub(crate) window: Option<CrashWindow>,
+    /// The run's fault plan, `None` when it has no link rule: the flush
+    /// reads each envelope's fate off it.
+    pub(crate) faults: Option<Arc<FaultPlan>>,
+    /// The node's own crash (and restart), if the plan schedules one.
+    pub(crate) crash: Option<Crash>,
     /// The write-ahead log, `None` on a node without one. A scheduled crash
     /// loses the node's memory, not its environment, so the log outlives
     /// it and `recover` replays it.
@@ -305,7 +307,7 @@ struct Volatile<M> {
     /// `StatusA`s, and (re-queued after every call) the deferred commits.
     decided: Vec<(TxnId, u64)>,
     outbox: Outbox<M>,
-    /// Envelopes the fault policy has cleared for the wire (judged
+    /// Envelopes the fault plan has cleared for the wire (judged
     /// `Deliver`, or delay-released), waiting for the flush point.
     cleared: Outbox<M>,
     done_out: Vec<Vec<Done>>,
@@ -451,7 +453,7 @@ pub(crate) struct Node<P: CommitProtocol> {
     /// Where each write-lock hold the current apply pass released started
     /// (reused buffer): closed at the reading that ends the pass.
     released: Vec<Instant>,
-    /// Per-destination envelope counters feeding the policy's seeded RNG.
+    /// Per-destination envelope counters feeding the plan's drop lottery.
     net_seq: Vec<u64>,
     shutdown: bool,
     counts: NodeCounts,
@@ -467,7 +469,7 @@ where
             engine: NodeLoop::new(env.me, env.n, UnitClock::new(env.unit)),
             vol: Volatile::new(env.me, env.n, env.replies.clients()),
             power: Power::Up {
-                crash_at: env.window.map(|w| env.clock.at(w.down_after)),
+                crash_at: env.crash.map(|c| env.clock.at(c.at.to_wall(env.unit))),
             },
             inbox: Vec::with_capacity(NODE_BATCH),
             released: Vec::new(),
@@ -582,9 +584,9 @@ where
     /// the node.
     fn crash(&mut self) {
         debug_assert!(self.vol.wal_batch.is_empty(), "a crash inside a turn");
-        let up_after = self.env.window.and_then(|w| w.up_after);
+        let up = self.env.crash.and_then(|c| c.up);
         self.power = Power::Dark {
-            up_at: up_after.map(|u| self.env.clock.at(u)),
+            up_at: up.map(|u| self.env.clock.at(u.to_wall(self.env.unit))),
         };
         self.engine.reset();
         self.vol = Volatile::new(self.env.me, self.env.n, self.env.replies.clients());
@@ -1004,10 +1006,10 @@ where
     /// socket write, at most one wakeup) per destination with traffic,
     /// peer node and client alike — over sockets, each down the connection
     /// that destination's own traffic arrives on.
-    /// Delay-released envelopes go first (already judged by the policy —
+    /// Delay-released envelopes go first (already judged by the plan —
     /// they bypass it; their dependent records were forced the turn that
-    /// staged them), then this turn's envelopes pass through the fault
-    /// policy. Durability-before-reply is the order of [`Node::step`]:
+    /// staged them), then this turn's envelopes take their fates from the
+    /// fault plan. Durability-before-reply is the order of [`Node::step`]:
     /// `force` ran and left nothing staged. `forced` is the reading a
     /// force that just ran ended at: only bookkeeping lies between it and
     /// this step, so the step starts from it. Returns how many envelopes
@@ -1021,17 +1023,19 @@ where
             vol.cleared.stage(to, env);
         }
         let link = &mut self.env.link;
-        if let Some(policy) = &self.env.policy {
-            let elapsed = self.env.clock.since_epoch(now);
+        if let Some(plan) = &self.env.faults {
+            let unit = self.env.unit;
+            let at = Time::from_wall(self.env.clock.since_epoch(now), unit);
             for (to, env) in vol.outbox.drain() {
                 let seq = self.net_seq[to];
                 self.net_seq[to] += 1;
-                match policy.fate(self.env.me, to, elapsed, seq) {
+                match plan.fate(self.env.me, to, at, seq) {
                     Fate::Deliver => vol.cleared.stage(to, env),
                     Fate::Drop => self.counts.dropped_messages += 1,
                     Fate::Delay(d) => {
                         self.counts.delayed_messages += 1;
-                        vol.delayed.insert((now + d, seq, to), env);
+                        vol.delayed
+                            .insert((now + Time(d).to_wall(unit), seq, to), env);
                     }
                 }
             }
@@ -1168,8 +1172,8 @@ mod tests {
             clock: Clock::monotonic(Instant::now()),
             link: Link::Mailbox(me, nodes),
             replies: Replies::Mailbox(clients),
-            policy: None,
-            window: None,
+            faults: None,
+            crash: None,
             wal: None,
             logless: false,
             obs: NodeObs::new(),

@@ -176,8 +176,8 @@ where
             clients: cfg.clients,
             net,
         },
-        policy: None,
-        window: None,
+        faults: None,
+        crash: None,
         wal: None,
         logless: cfg.kind.logless(),
         obs: meters.map_or_else(NodeObs::new, NodeObs::with_meters),

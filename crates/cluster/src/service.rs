@@ -45,10 +45,13 @@
 //! [`run_service_faulted`] augments the failure-free service with a
 //! [`FaultSpec`]:
 //!
-//! * a [`NetPolicy`] is consulted for every node-to-node envelope at flush
-//!   time and may **drop** or **delay** it (`ac-chaos` implements seeded
-//!   plans: partitions, loss, extra latency);
-//! * a per-node [`CrashWindow`] crashes the node at a wall-clock offset:
+//! * its [`ac_net::FaultPlan`], the simulator's fault schedule, is read
+//!   once per node-to-node envelope at flush time
+//!   ([`ac_net::FaultPlan::fate`], at the instant scaled into ticks by
+//!   [`ac_sim::Time::from_wall`]) and may **drop** or **delay** it: a
+//!   partition, a lossy window, a proof's slow process or link;
+//! * a node's [`ac_net::Crash`] crashes it at `at` scaled back to wall
+//!   clock ([`ac_sim::Time::to_wall`]; a partial crash is a whole one live):
 //!   the node replaces its entire volatile state (demux instances,
 //!   timers, the transaction table, the in-memory shard) with a fresh
 //!   value and its `drain` step discards all traffic until the restart
@@ -57,7 +60,8 @@
 //!   locks of in-flight prepared transactions are re-taken, their protocol
 //!   instances are re-opened (fresh automata with the *logged* vote — no
 //!   re-validation), decision reports are re-sent, and a `StatusQ` round
-//!   asks peers for decisions reached while the node was down.
+//!   asks peers for decisions reached while the node was down. The
+//!   restart instant is the crash's `up`.
 //!
 //! Clients never block forever on a dead node: every reply wait is bounded
 //! by [`ServiceConfig::reply_timeout`], after which the client re-sends
@@ -98,6 +102,7 @@ use std::time::{Duration, Instant};
 use ac_commit::problem::COMMIT;
 use ac_commit::protocols::{PerRank, ProtocolKind};
 use ac_commit::CommitProtocol;
+use ac_net::FaultPlan;
 use ac_sim::ProcessId;
 use ac_txn::workload::Workload;
 use ac_txn::{Shard, Transaction, TxnId, Wal};
@@ -150,46 +155,15 @@ pub(crate) fn parts_of(txn: &Transaction, n: usize) -> PerRank<usize> {
     }
 }
 
-/// What the fault layer decides about one node-to-node envelope.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fate {
-    /// Put it on the wire now.
-    Deliver,
-    /// Lose it (partition, lossy link).
-    Drop,
-    /// Deliver it after an extra delay.
-    Delay(Duration),
-}
-
-/// A fault-injection policy consulted for every node-to-node envelope.
-///
-/// `seq` is a per-`(from, to)` monotone counter, so a seeded policy can be
-/// deterministic without interior mutability (`ac-chaos::FaultProxy` hashes
-/// `(seed, from, to, seq)`); `elapsed` is wall time since the service
-/// epoch. Client↔node control traffic is *not* subject to the policy (the
-/// client is the measurement harness, not a distributed component).
-pub trait NetPolicy: Send + Sync {
-    /// Decide the fate of one envelope from `from` to `to`.
-    fn fate(&self, from: ProcessId, to: ProcessId, elapsed: Duration, seq: u64) -> Fate;
-}
-
-/// A scheduled crash (and optional restart) of one node, as wall-clock
-/// offsets from the service epoch.
-#[derive(Clone, Copy, Debug)]
-pub struct CrashWindow {
-    /// When the node dies: volatile state dropped, all traffic ignored.
-    pub down_after: Duration,
-    /// When the node restarts and recovers from its write-ahead log
-    /// (`None` = never; it stays dead for the rest of the run).
-    pub up_after: Option<Duration>,
-}
-
 /// The complete fault configuration of one service run.
+#[derive(Debug)]
 pub struct FaultSpec {
-    /// Message-level fault policy (drop/delay), if any.
-    pub policy: Option<Arc<dyn NetPolicy>>,
-    /// Per-node crash schedule.
-    pub crashes: Vec<Option<CrashWindow>>,
+    /// The fault schedule, in ticks (`U` = 1000) at the run's unit: crashes
+    /// with their restarts, and the drop and delay rules each node-to-node
+    /// envelope's fate is read off at flush time. Client↔node traffic is
+    /// not subject to it (the client is the measurement harness, not a
+    /// distributed component).
+    pub plan: FaultPlan,
     /// Force write-ahead logging even without a crash schedule (crash
     /// schedules always enable it — recovery needs the log).
     pub durable: bool,
@@ -199,15 +173,9 @@ impl FaultSpec {
     /// No faults, no durability — the failure-free fast path.
     pub fn none(n: usize) -> FaultSpec {
         FaultSpec {
-            policy: None,
-            crashes: vec![None; n],
+            plan: FaultPlan::none(n),
             durable: false,
         }
-    }
-
-    /// Whether any node has a crash scheduled.
-    pub fn any_crash(&self) -> bool {
-        self.crashes.iter().any(|c| c.is_some())
     }
 }
 
@@ -809,7 +777,7 @@ where
 {
     assert!(cfg.n >= 2 && cfg.f >= 1 && cfg.f < cfg.n, "invalid (n, f)");
     assert!(cfg.clients >= 1);
-    assert_eq!(spec.crashes.len(), cfg.n, "one crash slot per node");
+    assert_eq!(spec.plan.n(), cfg.n, "one crash slot per node");
     let n = cfg.n;
 
     // Placement: node `p` runs on host `p mod h` and client `c` on host
@@ -851,8 +819,11 @@ where
         }
     };
 
-    // Nodes and clients stamp against one epoch.
+    // Nodes and clients stamp against one epoch. The nodes share the plan
+    // only if it has a link rule: else their flush reads no fate at all.
     let epoch = Instant::now();
+    let faults = spec.plan.has_links().then(|| Arc::new(spec.plan.clone()));
+    let crashed = spec.plan.crashes.iter().any(Option::is_some);
     let envs: Vec<_> = links
         .into_iter()
         .enumerate()
@@ -864,11 +835,11 @@ where
             clock: Clock::monotonic(epoch),
             link,
             replies: Replies::Mailbox(clients.clone()),
-            policy: spec.policy.clone(),
-            window: spec.crashes[me],
+            faults: faults.clone(),
+            crash: spec.plan.crash_of(me),
             // Each node owns its log. A scheduled crash resets the
             // node's memory, not the log, which its restart replays.
-            wal: (spec.durable || spec.any_crash()).then(Wal::new),
+            wal: (spec.durable || crashed).then(Wal::new),
             logless: cfg.kind.logless(),
             obs: NodeObs::new(),
         })
@@ -1115,6 +1086,8 @@ fn aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ac_net::Crash;
+    use ac_sim::Time;
 
     fn quick(kind: ProtocolKind) -> ServiceConfig {
         ServiceConfig::new(4, 1, kind)
@@ -1628,11 +1601,12 @@ mod tests {
             .txn_deadline(Duration::from_secs(6))
             .transport(TransportKind::Tcp);
         let (down, up) = (Duration::from_millis(50), Duration::from_millis(250));
-        let mut spec = FaultSpec::none(n);
-        spec.crashes[1] = Some(CrashWindow {
-            down_after: down,
-            up_after: Some(up),
-        });
+        let at = |d| Time::from_wall(d, cfg.unit);
+        let crash = Crash::at(at(down)).restart(at(up));
+        let spec = FaultSpec {
+            plan: FaultPlan::none(n).with_crash(1, crash),
+            durable: false,
+        };
         let out = run_hosted(&cfg, &spec, 1);
         assert_eq!(out.node_threads, 1);
         assert!(out.is_safe(), "{:?}", out.violations);

@@ -5,14 +5,14 @@
 //! channel transport does — clean audit, no stalls, no split decisions,
 //! zero orphaned envelopes, conserved transfers.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use ac_cluster::{
-    run_service, run_service_faulted, Fate, FaultSpec, NetPolicy, ServiceConfig, Stage,
-    TransportKind,
+    run_service, run_service_faulted, FaultSpec, ServiceConfig, Stage, TransportKind,
 };
 use ac_commit::protocols::ProtocolKind;
+use ac_net::{DelayRule, FaultPlan};
+use ac_sim::{Time, U};
 use ac_txn::workload::Workload;
 
 fn tcp_config(kind: ProtocolKind) -> ServiceConfig {
@@ -149,19 +149,15 @@ fn paxos_commit_over_tcp_wakes_a_node_for_frames_only() {
     }
 }
 
-/// Holds every envelope travelling from a lower to a higher node id —
-/// with two-shard transactions, exactly the participant's vote to its
-/// coordinator — and nothing else.
-struct HoldVotes(Duration);
-
-impl NetPolicy for HoldVotes {
-    fn fate(&self, from: usize, to: usize, _elapsed: Duration, _seq: u64) -> Fate {
-        if from < to {
-            Fate::Delay(self.0)
-        } else {
-            Fate::Deliver
-        }
-    }
+/// Holds every envelope travelling from a lower to a higher node id
+/// `delay` ticks — with two-shard transactions, exactly the participant's
+/// vote to its coordinator — and nothing else.
+fn hold_votes(n: usize, delay: u64) -> FaultPlan {
+    let upward =
+        |a| (a + 1..n).map(move |b| DelayRule::link(a, b, Time::ZERO, Time(u64::MAX), delay));
+    (0..n)
+        .flat_map(upward)
+        .fold(FaultPlan::none(n), FaultPlan::with_rule)
 }
 
 /// The failure detector keeps its clock while the node is parked on
@@ -180,8 +176,8 @@ fn two_pc_over_tcp_still_aborts_at_one_unit_when_a_vote_is_late() {
         .seed(41)
         .transport(TransportKind::Tcp);
     let spec = FaultSpec {
-        policy: Some(Arc::new(HoldVotes(3 * unit))),
-        ..FaultSpec::none(cfg.n)
+        plan: hold_votes(cfg.n, 3 * U),
+        durable: false,
     };
     let out = run_service_faulted(&cfg, &spec);
     assert_eq!(out.stalled, 0);

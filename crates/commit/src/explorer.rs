@@ -417,7 +417,11 @@ mod tests {
         };
         let sc = schedule.scenario(&cfg);
         assert_eq!(sc.votes, vec![true, false, true]);
-        assert_eq!(sc.crashes, vec![(1, Crash::partial(Time::units(2), 1))]);
+        assert_eq!(sc.faults.crashes.iter().flatten().count(), 1);
+        assert_eq!(
+            sc.faults.crash_of(1),
+            Some(Crash::partial(Time::units(2), 1))
+        );
         assert_eq!(sc.horizon_units, cfg.horizon_units);
         assert!(sc.injects_failure());
     }

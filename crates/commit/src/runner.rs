@@ -1,7 +1,8 @@
 //! Scenario construction and execution.
 //!
 //! A [`Scenario`] is a declarative, cloneable description of one execution:
-//! votes, crash schedule, targeted delay rules and optional pre-GST chaos.
+//! votes, a fault plan (crash schedule and targeted delay rules) and
+//! optional pre-GST chaos.
 //! `Scenario::run::<P>()` instantiates protocol `P` for every process and
 //! runs it in an `ac_net::World`.
 //!
@@ -11,7 +12,7 @@
 //! of scenarios out over it. The exhaustive [`crate::explorer`] builds its
 //! parallel engine on these primitives.
 
-use ac_net::{Crash, DelayRule, FaultPlan, GstDelay, Outcome, RuleDelay, World, WorldConfig};
+use ac_net::{Crash, DelayRule, FaultPlan, FixedDelay, GstDelay, Outcome, World, WorldConfig};
 use ac_sim::{ProcessId, Time, U};
 
 use crate::problem::{CommitProtocol, Vote};
@@ -39,11 +40,11 @@ pub struct Scenario {
     pub f: usize,
     /// Each process's vote.
     pub votes: Vec<Vote>,
-    /// Crash schedule.
-    pub crashes: Vec<(ProcessId, Crash)>,
-    /// Targeted delay overrides, first match wins.
-    pub rules: Vec<DelayRule>,
-    /// Optional randomized pre-GST chaos (overrides `rules`).
+    /// Crash schedule and targeted delay overrides (first match wins) —
+    /// the plan a live run can serve unchanged.
+    pub faults: FaultPlan,
+    /// Optional randomized pre-GST chaos: the delay of every message no
+    /// rule of `faults` matches (unit delays without it).
     pub chaos: Option<Chaos>,
     /// Run horizon in delay units. The default (600) dwarfs every protocol's
     /// own schedule plus several consensus coordinator rotations.
@@ -59,8 +60,7 @@ impl Scenario {
             n,
             f,
             votes: vec![true; n],
-            crashes: Vec::new(),
-            rules: Vec::new(),
+            faults: FaultPlan::none(n),
             chaos: None,
             horizon_units: 600,
             trace: false,
@@ -80,16 +80,16 @@ impl Scenario {
         self
     }
 
-    /// Crash process `p` per `crash`.
+    /// Crash process `p` per `crash` (a later crash of `p` replaces it).
     pub fn crash(mut self, p: ProcessId, crash: Crash) -> Scenario {
-        self.crashes.push((p, crash));
+        self.faults = self.faults.with_crash(p, crash);
         self
     }
 
     /// Add a targeted delay rule (makes the execution a network-failure one
     /// if the delay exceeds `U` and a matching message exists).
     pub fn rule(mut self, rule: DelayRule) -> Scenario {
-        self.rules.push(rule);
+        self.faults = self.faults.with_rule(rule);
         self
     }
 
@@ -111,14 +111,6 @@ impl Scenario {
         self
     }
 
-    fn fault_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::none(self.n);
-        for &(p, c) in &self.crashes {
-            plan = plan.with_crash(p, c);
-        }
-        plan
-    }
-
     fn world_config(&self) -> WorldConfig {
         WorldConfig {
             horizon: Time::units(self.horizon_units),
@@ -133,20 +125,22 @@ impl Scenario {
             .map(|me| P::new(me, self.n, self.f, self.votes[me]))
             .collect();
         let delay: Box<dyn ac_net::DelayModel> = match self.chaos {
-            None => Box::new(RuleDelay::over_unit(self.rules.clone())),
-            Some(c) => Box::new(RuleDelay::new(
-                self.rules.clone(),
-                GstDelay::new(Time::units(c.gst_units), c.max_units * U, c.seed),
+            None => Box::new(FixedDelay::unit()),
+            Some(c) => Box::new(GstDelay::new(
+                Time::units(c.gst_units),
+                c.max_units * U,
+                c.seed,
             )),
         };
-        World::new(procs, delay, self.fault_plan(), self.world_config()).run()
+        World::new(procs, delay, self.faults.clone(), self.world_config()).run()
     }
 
     /// Whether the schedule itself injects any failure (crash or delayed
     /// message rule/chaos). Note a delay rule of exactly `U` is not a
     /// failure.
     pub fn injects_failure(&self) -> bool {
-        !self.crashes.is_empty() || self.chaos.is_some() || self.rules.iter().any(|r| r.delay > U)
+        let crashes = self.faults.crashes.iter().any(Option::is_some);
+        crashes || self.chaos.is_some() || self.faults.delays.iter().any(|r| r.delay > U)
     }
 }
 
@@ -339,6 +333,28 @@ mod tests {
             seed: 1,
         });
         assert!(sc.injects_failure());
+    }
+
+    /// Pre-GST chaos is the fallback: a rule's delay beats it on every
+    /// message the rule matches, and chaos decides the rest.
+    #[test]
+    fn a_rule_beats_pre_gst_chaos() {
+        let chaos = Chaos {
+            gst_units: 100,
+            max_units: 4,
+            seed: 9,
+        };
+        let sc = Scenario::nice(3, 1)
+            .rule(DelayRule::from_process(0, 9 * U))
+            .chaos(chaos);
+        let out = sc.run::<TwoPc>();
+        let (ruled, chaotic): (Vec<&ac_net::MsgRecord>, Vec<_>) =
+            out.records.iter().partition(|r| r.from == 0);
+        assert!(!ruled.is_empty() && !chaotic.is_empty());
+        assert!(ruled.iter().all(|r| r.arrival - r.sent == 9 * U));
+        assert!(chaotic
+            .iter()
+            .all(|r| (U..=4 * U).contains(&(r.arrival - r.sent))));
     }
 
     #[test]

@@ -150,7 +150,7 @@ mod tests {
         }
     }
 
-    use ac_net::{Crash, DelayRule, FaultPlan, FixedDelay, RuleDelay, World, WorldConfig};
+    use ac_net::{Crash, DelayRule, FaultPlan, FixedDelay, World, WorldConfig};
 
     fn run(
         proposals: &[u64],
@@ -165,11 +165,8 @@ mod tests {
                 proposal: proposals[me],
             })
             .collect();
-        let delay: Box<dyn ac_net::DelayModel> = if rules.is_empty() {
-            Box::new(FixedDelay::unit())
-        } else {
-            Box::new(RuleDelay::over_unit(rules))
-        };
+        let faults = rules.into_iter().fold(faults, FaultPlan::with_rule);
+        let delay = Box::new(FixedDelay::unit());
         World::new(procs, delay, faults, WorldConfig::default()).run()
     }
 

@@ -2,7 +2,7 @@
 //! `ac_net::World` under crashes, chaos and adversarial delays.
 
 use ac_consensus::{ConsensusHost, CtxHost, Paxos, PaxosMsg};
-use ac_net::{Crash, DelayRule, FaultPlan, FixedDelay, GstDelay, RuleDelay, World, WorldConfig};
+use ac_net::{Crash, DelayRule, FaultPlan, FixedDelay, GstDelay, World, WorldConfig};
 use ac_sim::{Automaton, Ctx, ProcessId, Time, U};
 
 /// Minimal automaton hosting one Paxos instance.
@@ -169,11 +169,11 @@ fn pre_gst_chaos_never_splits_decisions() {
 fn dueling_coordinators_converge() {
     // Delay the round-0 coordinator's accepts so that round 1 preempts it;
     // ballots race but agreement holds and everyone decides.
-    let rules = vec![DelayRule::link(0, 1, Time::ZERO, Time::units(40), 9 * U)];
+    let rule = DelayRule::link(0, 1, Time::ZERO, Time::units(40), 9 * U);
     let out = world(
         vec![Some(0), Some(1), Some(1), Some(1), Some(1)],
-        FaultPlan::none(5),
-        Box::new(RuleDelay::over_unit(rules)),
+        FaultPlan::none(5).with_rule(rule),
+        Box::new(FixedDelay::unit()),
     );
     let vals = out.decided_values();
     assert_eq!(vals.len(), 1, "split: {vals:?}");

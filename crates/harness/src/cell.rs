@@ -213,7 +213,7 @@ pub fn run_judged_cell(
             let out = run_service_faulted(cfg, faults);
             (Cell::of_outcome(&out), Some(out))
         }
-        Host::Proc(_) if faults.durable || faults.any_crash() || faults.policy.is_some() => {
+        Host::Proc(_) if faults.durable || faults.plan.any() => {
             return Err("the proc host has no write-ahead log and injects no fault".into());
         }
         Host::Proc(procs) => (Cell::of_dump(&procs.run(cfg)?), None),
@@ -246,8 +246,9 @@ mod tests {
         SERVICE_COLUMNS,
     };
     use crate::Report;
-    use ac_cluster::CrashWindow;
     use ac_commit::protocols::ProtocolKind;
+    use ac_net::Crash;
+    use ac_sim::Time;
     use std::time::Duration;
 
     /// A cell whose transactions stall — node 3 dark for good from the
@@ -262,10 +263,7 @@ mod tests {
             .seed(4_040)
             .txn_deadline(Duration::from_millis(60));
         let mut faults = FaultSpec::none(n);
-        faults.crashes[3] = Some(CrashWindow {
-            down_after: Duration::ZERO,
-            up_after: None,
-        });
+        faults.plan = faults.plan.with_crash(3, Crash::initially());
         // This cell's runs, kept by this run or by an earlier one.
         let kept = || -> Vec<_> {
             let Ok(dir) = std::fs::read_dir(FAILURES) else {
@@ -346,12 +344,10 @@ mod tests {
         for stale in kept(prefix) {
             std::fs::remove_file(stale).expect("remove an earlier run's file");
         }
+        let up = Time::from_wall(Duration::from_millis(20), cfg.unit);
         let mut faults = FaultSpec::none(n);
         faults.durable = true;
-        faults.crashes[3] = Some(CrashWindow {
-            down_after: Duration::ZERO,
-            up_after: Some(Duration::from_millis(20)),
-        });
+        faults.plan = faults.plan.with_crash(3, Crash::initially().restart(up));
         let cfg = cfg.seed(4_042).reply_timeout(Duration::from_millis(10));
         let cell = run_judged_cell(Host::Channel, &cfg, &faults, |_| Some(row.to_string()));
         let elapsed = Duration::from_nanos(cell.expect("in process").stats.elapsed_nanos);
@@ -366,10 +362,7 @@ mod tests {
         // stall, and the step reconstructs no timeline. Each is kept, as
         // the sections judge it, beside its run.
         let mut dark = FaultSpec::none(n);
-        dark.crashes.fill(Some(CrashWindow {
-            down_after: Duration::ZERO,
-            up_after: None,
-        }));
+        dark.plan.crashes.fill(Some(Crash::initially()));
         let cfg = cfg.txn_deadline(Duration::from_millis(60));
         let kind = ProtocolKind::PaxosCommit;
         let header = SERVICE_COLUMNS.map(String::from);

@@ -11,7 +11,7 @@ use ac_commit::explorer::{explore_jobs, ExplorerConfig};
 use ac_commit::protocols::{InbacUnbundledAck, ProtocolKind};
 use ac_commit::taxonomy::{Cell, PropSet};
 use ac_commit::{check, Scenario};
-use ac_net::DelayRule;
+use ac_net::{Crash, DelayRule, FaultPlan};
 use ac_sim::{Time, TraceKind, U};
 use ac_txn::Workload;
 
@@ -1102,17 +1102,20 @@ pub const CHAOS_WINDOW_UNITS: (u64, u64) = (10, 50);
 
 /// Build the fault plan of one named scenario (see
 /// [`crate::report::chaos_scenario_names`]).
-fn chaos_plan(scenario: &str, n: usize) -> ac_chaos::ChaosPlan {
-    use ac_chaos::ChaosPlan;
+fn chaos_plan(scenario: &str, n: usize) -> FaultPlan {
     let (from, until) = CHAOS_WINDOW_UNITS;
+    let window = (Time::units(from), Time::units(until));
+    let crash = Crash::at(window.0).restart(window.1);
     match scenario {
         // Node n−1 is the highest shard, hence 2PC's coordinator for every
         // transaction touching it; for the symmetric protocols it is just
         // another participant.
-        "crash-coordinator" => ChaosPlan::none(n).crash(n - 1, from, Some(until)),
-        "crash-participant" => ChaosPlan::none(n).crash(1, from, Some(until)),
-        "partition-heal" => ChaosPlan::none(n).partition((0..n / 2).collect(), from, until, true),
-        "lossy-10" => ChaosPlan::none(n).lossy(from, until, 100).seed(5),
+        "crash-coordinator" => FaultPlan::none(n).with_crash(n - 1, crash),
+        "crash-participant" => FaultPlan::none(n).with_crash(1, crash),
+        "partition-heal" => {
+            FaultPlan::none(n).partition(&(0..n / 2).collect::<Vec<_>>(), window, true)
+        }
+        "lossy-10" => FaultPlan::none(n).lossy(window, 100, 5),
         other => panic!("unknown chaos scenario {other}"),
     }
 }
@@ -1120,7 +1123,7 @@ fn chaos_plan(scenario: &str, n: usize) -> ac_chaos::ChaosPlan {
 /// **Chaos section** — the availability-under-failure sweep on `host`:
 /// {2PC, Paxos-Commit, INBAC, D1CC} × {crash-coordinator,
 /// crash-participant, partition-heal, lossy-10}, each cell the plan's
-/// fault specification ([`ac_chaos::ChaosPlan::spec`]) served through
+/// fault specification ([`ac_chaos::ChaosConfig::spec`]) served through
 /// [`run_judged_cell`], its timelines bucketed against the fault window
 /// ([`ac_chaos::ChaosConfig::fault_stats`]), its row gated by
 /// [`ChaosEntry::problems`]; a row that fails is kept beside its run.
@@ -1132,7 +1135,7 @@ fn chaos_plan(scenario: &str, n: usize) -> ac_chaos::ChaosPlan {
 /// coordinator that only resolve after the restart.
 ///
 /// Either in-process host serves (`repro chaos --transport tcp`): the
-/// fault policy decides envelope fates *before* the transport sees them,
+/// fault plan decides envelope fates *before* the transport sees them,
 /// so the same crash/partition/lossy plans run unchanged over sockets.
 /// The `proc` host injects no fault: its cells are `Err`.
 pub fn chaos_section(r: &mut Report, quick: bool, host: Host) -> Result<ChaosBaseline, String> {
@@ -1168,7 +1171,7 @@ pub fn chaos_section(r: &mut Report, quick: bool, host: Host) -> Result<ChaosBas
                 service: chaos_service(kind, quick).transport(host.transport()),
                 plan: chaos_plan(scenario, n),
             };
-            let faults = chaos.plan.spec(chaos.service.unit);
+            let faults = chaos.spec();
             let (_, e, row) = judged(r, &t.header, host, &chaos.service, &faults, |cell| {
                 let run = Duration::from_nanos(cell.stats.elapsed_nanos);
                 let stats = chaos.fault_stats(&cell.txn_events, run);

@@ -4,7 +4,9 @@
 //! producing only delays `≤ U` yields crash-failure (synchronous) or
 //! failure-free executions; any delay `> U` makes the execution a
 //! network-failure execution (paper §2.2). All models are deterministic
-//! given their seed, so every experiment is reproducible.
+//! given their seed, so every experiment is reproducible. A
+//! [`crate::FaultPlan`]'s delay rules come first: the model decides only
+//! the messages no rule matches, so a rule draws nothing from its stream.
 
 use ac_sim::{ProcessId, Time, U};
 use rand::rngs::StdRng;
@@ -19,12 +21,6 @@ pub trait DelayModel: Send {
     /// Delay of the message with wire sequence number `seq`, sent by `from`
     /// to `to` at `sent`.
     fn delay(&mut self, from: ProcessId, to: ProcessId, sent: Time, seq: u64) -> u64;
-
-    /// An upper bound on all delays this model will ever produce, used to
-    /// size run horizons. `None` means unbounded (caller must cap the run).
-    fn bound(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// Every message takes exactly `delay` ticks. `FixedDelay::unit()` is the
@@ -43,9 +39,6 @@ impl FixedDelay {
 impl DelayModel for FixedDelay {
     fn delay(&mut self, _f: ProcessId, _t: ProcessId, _s: Time, _q: u64) -> u64 {
         self.0
-    }
-    fn bound(&self) -> Option<u64> {
-        Some(self.0)
     }
 }
 
@@ -82,9 +75,6 @@ impl JitterDelay {
 impl DelayModel for JitterDelay {
     fn delay(&mut self, _f: ProcessId, _t: ProcessId, _s: Time, _q: u64) -> u64 {
         self.rng.gen_range(self.min..=self.max)
-    }
-    fn bound(&self) -> Option<u64> {
-        Some(self.max)
     }
 }
 
@@ -124,111 +114,6 @@ impl DelayModel for GstDelay {
             self.rng.gen_range(U..=self.chaos_max)
         }
     }
-    fn bound(&self) -> Option<u64> {
-        Some(self.chaos_max)
-    }
-}
-
-/// A targeted delay override, used to build the adversarial schedules of the
-/// paper's lower-bound proofs (e.g. "every message from P to a process in
-/// Ω\Φ arrives later than max(t1, t3)").
-///
-/// ```
-/// use ac_net::DelayRule;
-/// use ac_sim::{Time, U};
-///
-/// // Messages on the link P1 -> P3 sent before time 1U take 6 delay units.
-/// let rule = DelayRule::link(0, 2, Time::ZERO, Time::units(1), 6 * U);
-/// assert!(rule.matches(0, 2, Time::ZERO));
-/// assert!(!rule.matches(0, 2, Time::units(1))); // window expired
-/// assert!(!rule.matches(1, 2, Time::ZERO)); // different sender
-/// ```
-#[derive(Clone, Debug)]
-pub struct DelayRule {
-    /// Match messages from this sender (`None` = any).
-    pub from: Option<ProcessId>,
-    /// Match messages to this destination (`None` = any).
-    pub to: Option<ProcessId>,
-    /// Match messages sent in `[window_start, window_end)`.
-    pub window: (Time, Time),
-    /// Delay (ticks) applied to matching messages.
-    pub delay: u64,
-}
-
-impl DelayRule {
-    /// Whether this rule applies to a message `from -> to` sent at `sent`.
-    pub fn matches(&self, from: ProcessId, to: ProcessId, sent: Time) -> bool {
-        self.from.is_none_or(|p| p == from)
-            && self.to.is_none_or(|p| p == to)
-            && sent >= self.window.0
-            && sent < self.window.1
-    }
-
-    /// Rule: all messages from `from`, whenever sent, take `delay` ticks.
-    pub fn from_process(from: ProcessId, delay: u64) -> Self {
-        DelayRule {
-            from: Some(from),
-            to: None,
-            window: (Time::ZERO, Time(u64::MAX)),
-            delay,
-        }
-    }
-
-    /// Rule: the link `from -> to` takes `delay` ticks for messages sent in
-    /// `[start, end)`.
-    pub fn link(from: ProcessId, to: ProcessId, start: Time, end: Time, delay: u64) -> Self {
-        DelayRule {
-            from: Some(from),
-            to: Some(to),
-            window: (start, end),
-            delay,
-        }
-    }
-}
-
-/// First-match rule list with a fallback model.
-pub struct RuleDelay<D: DelayModel> {
-    /// Targeted overrides, checked in order; the first match wins.
-    pub rules: Vec<DelayRule>,
-    /// Model deciding the delay of messages no rule matches.
-    pub fallback: D,
-}
-
-impl<D: DelayModel> RuleDelay<D> {
-    /// Rules over an arbitrary fallback model.
-    pub fn new(rules: Vec<DelayRule>, fallback: D) -> Self {
-        RuleDelay { rules, fallback }
-    }
-}
-
-impl RuleDelay<FixedDelay> {
-    /// Rules over the unit-delay baseline — the usual way to build a
-    /// targeted network-failure execution.
-    pub fn over_unit(rules: Vec<DelayRule>) -> Self {
-        RuleDelay {
-            rules,
-            fallback: FixedDelay::unit(),
-        }
-    }
-}
-
-impl<D: DelayModel> DelayModel for RuleDelay<D> {
-    fn delay(&mut self, from: ProcessId, to: ProcessId, sent: Time, seq: u64) -> u64 {
-        for r in &self.rules {
-            if r.matches(from, to, sent) {
-                return r.delay;
-            }
-        }
-        self.fallback.delay(from, to, sent, seq)
-    }
-    fn bound(&self) -> Option<u64> {
-        let rule_max = self.rules.iter().map(|r| r.delay).max();
-        match (rule_max, self.fallback.bound()) {
-            (Some(r), Some(b)) => Some(r.max(b)),
-            (None, b) => b,
-            (Some(_), None) => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +124,6 @@ mod tests {
     fn fixed_delay_is_constant() {
         let mut d = FixedDelay::unit();
         assert_eq!(d.delay(0, 1, Time::ZERO, 0), U);
-        assert_eq!(d.bound(), Some(U));
     }
 
     #[test]
@@ -260,18 +144,5 @@ mod tests {
         assert!((U..=4 * U).contains(&before));
         assert_eq!(d.delay(0, 1, Time::units(5), 1), U);
         assert_eq!(d.delay(0, 1, Time::units(9), 2), U);
-    }
-
-    #[test]
-    fn rules_match_first_then_fallback() {
-        let mut d = RuleDelay::over_unit(vec![
-            DelayRule::link(0, 2, Time::ZERO, Time::units(1), 7 * U),
-            DelayRule::from_process(1, 3 * U),
-        ]);
-        assert_eq!(d.delay(0, 2, Time::ZERO, 0), 7 * U); // first rule
-        assert_eq!(d.delay(1, 2, Time::units(4), 1), 3 * U); // second rule
-        assert_eq!(d.delay(0, 2, Time::units(2), 2), U); // window expired
-        assert_eq!(d.delay(2, 0, Time::ZERO, 3), U); // fallback
-        assert_eq!(d.bound(), Some(7 * U));
     }
 }

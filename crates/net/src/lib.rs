@@ -13,7 +13,8 @@
 //! (a crashed process performs no further steps, so delivery to it is moot).
 //!
 //! [`World`] is the discrete-event interpreter tying `ac-sim` automata to a
-//! [`DelayModel`] and a [`FaultPlan`], recording decisions, per-message
+//! [`DelayModel`] and a [`FaultPlan`] (the fault schedule the live service
+//! reads too), recording decisions, per-message
 //! wire records and optional traces, from which [`Metrics`] computes the
 //! paper's two complexity measures.
 
@@ -25,7 +26,7 @@ pub mod fault;
 pub mod metrics;
 pub mod world;
 
-pub use delay::{DelayModel, DelayRule, FixedDelay, GstDelay, JitterDelay, RuleDelay};
-pub use fault::{Crash, FaultPlan};
+pub use delay::{DelayModel, FixedDelay, GstDelay, JitterDelay};
+pub use fault::{Crash, DelayRule, DropRule, Fate, FaultPlan};
 pub use metrics::{ExecutionClass, Metrics, MsgRecord};
 pub use world::{Outcome, World, WorldConfig};

@@ -5,15 +5,14 @@
 use ac_sim::{Action, Automaton, Ctx, Event, EventQueue, ProcessId, Time, TraceEntry, TraceKind};
 
 use crate::delay::DelayModel;
-use crate::fault::FaultPlan;
+use crate::fault::{Fate, FaultPlan};
 use crate::metrics::{Metrics, MsgRecord};
 
 /// Static configuration of a run.
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
     /// Hard cap on virtual time; events past it are not processed. Must be
-    /// generous enough for "eventually" (termination) to play out — the
-    /// harness derives it from the delay model's bound.
+    /// generous enough for "eventually" (termination) to play out.
     pub horizon: Time,
     /// Record a human-readable trace.
     pub trace: bool,
@@ -84,7 +83,10 @@ pub struct World<A: Automaton> {
 
 impl<A: Automaton> World<A> {
     /// Build a world over `procs` (one automaton per process, already
-    /// initialized with their votes/roles).
+    /// initialized with their votes/roles). A message no delay rule of
+    /// `faults` matches takes `delay`'s delay. `faults` may neither drop a
+    /// message nor restart a process: the paper's channels never lose, and
+    /// its automata do not recover.
     pub fn new(
         procs: Vec<A>,
         delay: Box<dyn DelayModel>,
@@ -94,6 +96,11 @@ impl<A: Automaton> World<A> {
         let n = procs.len();
         assert!(n >= 1);
         assert_eq!(faults.n(), n, "fault plan sized for a different n");
+        let restarts = faults.crashes.iter().flatten().any(|c| c.up.is_some());
+        assert!(
+            faults.drops.is_empty() && !restarts,
+            "a simulated channel never loses and a process never restarts"
+        );
         World {
             procs,
             queue: EventQueue::new(),
@@ -261,9 +268,12 @@ impl<A: Automaton> World<A> {
                         },
                     );
                 } else {
-                    let d = self.delay.delay(p, to, t, self.wire_seq).max(1);
-                    let arrival = t + d;
                     let seq = self.wire_seq;
+                    let d = match self.faults.fate(p, to, t, seq) {
+                        Fate::Delay(d) => d,
+                        _ => self.delay.delay(p, to, t, seq),
+                    };
+                    let arrival = t + d.max(1);
                     self.wire_seq += 1;
                     self.records.push(MsgRecord {
                         seq,
@@ -401,6 +411,29 @@ mod tests {
         let out = ping_world(3, faults).run();
         assert!(out.decisions[1].is_none());
         assert!(out.decisions[2].is_some());
+    }
+
+    #[test]
+    fn a_delay_rule_beats_the_model() {
+        let rule = crate::fault::DelayRule::link(0, 1, Time::ZERO, Time(1), 5 * U);
+        let faults = FaultPlan::none(3).with_rule(rule);
+        let out = ping_world(3, faults).run();
+        assert_eq!(out.decisions[1].unwrap().0, Time(5 * U));
+        assert_eq!(out.decisions[2].unwrap().0, Time(U));
+    }
+
+    #[test]
+    #[should_panic(expected = "never loses")]
+    fn a_plan_that_drops_is_refused() {
+        let lossy = FaultPlan::none(3).lossy((Time::ZERO, Time(U)), 100, 1);
+        let _ = ping_world(3, lossy);
+    }
+
+    #[test]
+    #[should_panic(expected = "never restarts")]
+    fn a_plan_that_restarts_is_refused() {
+        let crash = Crash::at(Time(U)).restart(Time(2 * U));
+        let _ = ping_world(3, FaultPlan::none(3).with_crash(1, crash));
     }
 
     #[test]

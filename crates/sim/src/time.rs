@@ -9,6 +9,7 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
+use std::time::Duration;
 
 /// Ticks per message-delay unit (the known upper bound `U` on message
 /// transmission delay in a synchronous execution).
@@ -39,6 +40,22 @@ impl Time {
     #[inline]
     pub fn ticks(self) -> u64 {
         self.0
+    }
+
+    /// The instant `elapsed` of wall clock after an epoch, at `unit` of
+    /// wall clock per delay unit, rounded down to a tick. The one scaling
+    /// from a live run's clock into a fault plan's ticks.
+    pub fn from_wall(elapsed: Duration, unit: Duration) -> Time {
+        let ticks = elapsed.as_nanos() * u128::from(U) / unit.as_nanos().max(1);
+        Time(u64::try_from(ticks).unwrap_or(u64::MAX))
+    }
+
+    /// This instant (or span) as wall clock at `unit` per delay unit, the
+    /// inverse of [`Time::from_wall`]; it saturates rather than overflow.
+    pub fn to_wall(self, unit: Duration) -> Duration {
+        let nanos = unit.as_nanos().saturating_mul(u128::from(self.0)) / u128::from(U);
+        let secs = u64::try_from(nanos / 1_000_000_000).unwrap_or(u64::MAX);
+        Duration::new(secs, (nanos % 1_000_000_000) as u32)
     }
 }
 
@@ -106,6 +123,22 @@ mod tests {
         let t = Time::units(1) + 500;
         assert_eq!(t.ticks(), U + 500);
         assert_eq!(t - Time::units(1), 500);
+    }
+
+    #[test]
+    fn wall_clock_scales_by_the_unit_both_ways() {
+        let unit = Duration::from_millis(5);
+        // A crash at 10 U restarting at 50 U lands at 50 ms / 250 ms.
+        assert_eq!(Time::units(10).to_wall(unit), Duration::from_millis(50));
+        assert_eq!(Time::units(50).to_wall(unit), Duration::from_millis(250));
+        assert_eq!(
+            Time::from_wall(Duration::from_millis(250), unit),
+            Time::units(50)
+        );
+        // Rounded down to a tick: one nanosecond short of 10 U is not 10 U.
+        let short = Duration::from_millis(50) - Duration::from_nanos(1);
+        assert_eq!(Time::from_wall(short, unit), Time(10 * U - 1));
+        assert_eq!(Time(u64::MAX).to_wall(unit).as_secs(), 92_233_720_368_547);
     }
 
     #[test]

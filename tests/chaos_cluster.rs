@@ -10,14 +10,12 @@
 
 use std::time::Duration;
 
-use ac_chaos::{run_chaos, ChaosConfig, ChaosPlan};
-use ac_cluster::{
-    participants_of, run_service_faulted, CrashWindow, Fate, FaultSpec, NetPolicy, ServiceConfig,
-    TransportKind,
-};
+use ac_chaos::{run_chaos, ChaosConfig};
+use ac_cluster::{participants_of, run_service_faulted, FaultSpec, ServiceConfig, TransportKind};
 use ac_commit::protocols::ProtocolKind;
-use ac_commit::Scenario;
-use ac_net::{Crash, FaultPlan};
+use ac_commit::{lower_bounds, Scenario};
+use ac_net::{Crash, DelayRule, FaultPlan};
+use ac_sim::Time;
 use ac_txn::workload::{Workload, WorkloadConfig};
 
 mod support;
@@ -43,11 +41,19 @@ fn chaos_cfg(kind: ProtocolKind) -> ServiceConfig {
 const DOWN: u64 = 10;
 const UP: u64 = 50;
 
+/// Node `p` of four crashes at `down` units and restarts at `up` units,
+/// or stays dead.
+fn crashing(p: usize, down: u64, up: Option<u64>) -> FaultPlan {
+    let crash = Crash::at(Time::units(down));
+    let crash = up.map_or(crash, |up| crash.restart(Time::units(up)));
+    FaultPlan::none(4).with_crash(p, crash)
+}
+
 #[test]
 fn paxos_commit_keeps_committing_through_a_participant_crash() {
     let cfg = ChaosConfig {
         service: chaos_cfg(ProtocolKind::PaxosCommit),
-        plan: ChaosPlan::none(4).crash(1, DOWN, Some(UP)),
+        plan: crashing(1, DOWN, Some(UP)),
     };
     let out = run_chaos(&cfg);
     // Everything must resolve after the restart.
@@ -78,7 +84,7 @@ fn two_pc_blocks_on_coordinator_crash_until_restart_unblocks_it() {
     // transaction that touches it (ranks are ascending shard ids).
     let cfg = ChaosConfig {
         service: chaos_cfg(ProtocolKind::TwoPc),
-        plan: ChaosPlan::none(4).crash(3, DOWN, Some(UP)),
+        plan: crashing(3, DOWN, Some(UP)),
     };
     let out = run_chaos(&cfg);
     // Restart + retry must eventually unblock every blocked txn.
@@ -108,7 +114,7 @@ fn two_pc_blocks_on_coordinator_crash_until_restart_unblocks_it() {
 fn inbac_decides_through_a_participant_crash_and_recovers() {
     let cfg = ChaosConfig {
         service: chaos_cfg(ProtocolKind::Inbac),
-        plan: ChaosPlan::none(4).crash(1, DOWN, Some(UP)),
+        plan: crashing(1, DOWN, Some(UP)),
     };
     let out = run_chaos(&cfg);
     audited("inbac_participant_crash", &cfg.service, &out.service, |s| {
@@ -130,7 +136,7 @@ fn partition_heals_and_every_transaction_resolves() {
     for kind in [ProtocolKind::PaxosCommit, ProtocolKind::TwoPc] {
         let cfg = ChaosConfig {
             service: chaos_cfg(kind).txns_per_client(40),
-            plan: ChaosPlan::none(4).partition(vec![0, 1], DOWN, UP, true),
+            plan: FaultPlan::none(4).partition(&[0, 1], (Time::units(DOWN), Time::units(UP)), true),
         };
         let out = run_chaos(&cfg);
         // Post-heal retries must resolve.
@@ -154,7 +160,7 @@ fn partition_heals_and_every_transaction_resolves() {
 fn lossy_links_degrade_but_never_corrupt() {
     let cfg = ChaosConfig {
         service: chaos_cfg(ProtocolKind::PaxosCommit),
-        plan: ChaosPlan::none(4).lossy(0, 10_000, 100).seed(5),
+        plan: FaultPlan::none(4).lossy((Time::ZERO, Time::units(10_000)), 100, 5),
     };
     let out = run_chaos(&cfg);
     audited("lossy_links", &cfg.service, &out.service, |s| s == 0);
@@ -163,25 +169,17 @@ fn lossy_links_degrade_but_never_corrupt() {
 }
 
 /// Same crash schedule, same protocol, same decisions — across **three**
-/// execution modes: a crash schedule expressed once as an
-/// `ac_net::FaultPlan` drives the simulator directly and, converted
-/// through `ChaosPlan::from_fault_plan`, the live cluster over in-process
-/// channels *and* over the real-socket TCP transport. Span-`n`
-/// transactions make the live participant set the whole cluster, so
-/// instance ranks coincide with the simulator's process ids. Survivor
+/// execution modes: one `ac_net::FaultPlan` drives the simulator and,
+/// unconverted, the live cluster over in-process channels *and* over the
+/// real-socket TCP transport. Span-`n` transactions make the live
+/// participant set the whole cluster, so instance ranks coincide with the
+/// simulator's process ids. Survivor
 /// decisions and final shard state must be identical in all three modes
 /// (for 2PC, PaxosCommit, INBAC and D1CC alike).
 #[test]
 fn sim_and_live_agree_under_the_same_crash_schedule() {
     let n = 4;
-    let sim_plan = FaultPlan::none(n).with_crash(1, Crash::initially());
-    let chaos_plan = ChaosPlan::from_fault_plan(&sim_plan);
-    // The conversion must round-trip (crash-only schedules are exactly
-    // representable in both vocabularies).
-    assert_eq!(
-        chaos_plan.to_fault_plan().unwrap().crashed_ids(),
-        sim_plan.crashed_ids()
-    );
+    let plan = FaultPlan::none(n).with_crash(1, Crash::initially());
 
     for kind in [
         ProtocolKind::Inbac,
@@ -210,7 +208,7 @@ fn sim_and_live_agree_under_the_same_crash_schedule() {
                 .transport(transport);
             let cfg = ChaosConfig {
                 service: service.clone(),
-                plan: chaos_plan.clone(),
+                plan: plan.clone(),
             };
             let out = run_chaos(&cfg);
             let label = format!("{}/{}", kind.name(), transport.name());
@@ -221,7 +219,7 @@ fn sim_and_live_agree_under_the_same_crash_schedule() {
             audited(&kept, &service, &out.service, |s| s == 2);
 
             // Reconstruct the submitted stream and run the simulator under
-            // the *original* FaultPlan with the survivors' actual votes.
+            // the same FaultPlan with the survivors' actual votes.
             let mut gen = WorkloadConfig {
                 shards: n,
                 keys_per_shard: service.keys_per_shard,
@@ -240,9 +238,10 @@ fn sim_and_live_agree_under_the_same_crash_schedule() {
                 // All survivors voted yes (sequential aborts leave no locks),
                 // the dead node proposes nothing: the paper's validity says
                 // the decision must be 0 in every such execution.
-                let sc = Scenario::nice(n, 1)
-                    .votes(&vec![true; n])
-                    .crash(1, sim_plan.crash_of(1).unwrap());
+                let sc = Scenario {
+                    faults: plan.clone(),
+                    ..Scenario::nice(n, 1)
+                };
                 let sim_out = kind.run(&sc);
                 let sim_vals = sim_out.decided_values();
                 assert_eq!(sim_vals, vec![0], "{label}: simulator decision");
@@ -292,6 +291,58 @@ fn sim_and_live_agree_under_the_same_crash_schedule() {
     }
 }
 
+/// The lower-bound witnesses' schedules run live, unchanged: each is the
+/// `faults` of a simulator `Scenario` (Theorem 1's slow process, a delay
+/// rule past `U`; Lemma 1's two collectors crashing mid-broadcast, which
+/// a live node takes as a whole crash at the same instant; Lemma 6's
+/// process dead from the start), handed to INBAC as it is, at the
+/// schedule's `n` and `f`, over channels and over TCP. Span-`n`
+/// transactions make every instance the whole cluster, so instance ranks
+/// are the schedule's process ids, and paced clients keep the load going
+/// past every crash. The proofs' own automata break under these
+/// schedules; INBAC must not, so every audit is clean. Transactions may
+/// stall only on a node that never restarts. Lemma 1's schedule runs at
+/// five processes, as the simulator's INBAC check runs it: at four, its
+/// two crashes leave INBAC's consensus no majority, so its survivors
+/// block, holding their locks.
+#[test]
+fn the_witness_schedules_run_live_with_a_clean_audit() {
+    let witnesses = [
+        ("eager", lower_bounds::eager_schedule(4, 2)),
+        ("no_backup", lower_bounds::no_backup_schedule(5)),
+        ("silent", lower_bounds::silent_schedule(4, 3)),
+    ];
+    for (name, sc) in witnesses {
+        let dead = sc.faults.crashes.iter().flatten().any(|c| c.up.is_none());
+        for transport in [TransportKind::Channel, TransportKind::Tcp] {
+            let service = ServiceConfig::new(sc.n, sc.f, ProtocolKind::Inbac)
+                .clients(2)
+                .txns_per_client(6)
+                .workload(Workload::Uniform { span: sc.n })
+                .unit(Duration::from_millis(5))
+                .keys_per_shard(64)
+                .seed(29)
+                .pacing(Duration::from_millis(2))
+                .reply_timeout(Duration::from_millis(60))
+                .park_retries(1)
+                .txn_deadline(Duration::from_millis(600))
+                .transport(transport);
+            let cfg = ChaosConfig {
+                service,
+                plan: sc.faults.clone(),
+            };
+            let out = run_chaos(&cfg);
+            let label = format!("witness_{name}_{}", transport.name());
+            audited(&label, &cfg.service, &out.service, |s| dead || s == 0);
+            let (served, stalled) = (out.service.txns, out.service.stalled);
+            assert_eq!(served + stalled, 12, "{label}: a transaction went missing");
+            if sc.faults.has_links() {
+                assert!(out.service.delayed_messages > 0, "{label}: the rule bit");
+            }
+        }
+    }
+}
+
 /// The chaos contrast the Table-1 cells predict under a participant crash.
 /// Both keep **committing** (transactions avoiding the dead shard decide;
 /// ones touching it abort instead of blocking). But Paxos-Commit's cell,
@@ -311,7 +362,7 @@ fn paxos_commit_reports_through_a_crash_more_available_than_d1cc() {
     let run = |kind: ProtocolKind, seed: u64| {
         let cfg = ChaosConfig {
             service: chaos_cfg(kind).seed(seed),
-            plan: ChaosPlan::none(4).crash(1, DOWN, Some(UP)),
+            plan: crashing(1, DOWN, Some(UP)),
         };
         let out = run_chaos(&cfg);
         let label = kind.name();
@@ -378,7 +429,7 @@ fn d1cc_restart_reconstructs_decisions_from_peer_votes() {
     let cfg = ChaosConfig {
         service,
         // Crash late enough that node 2 decided a batch before dying.
-        plan: ChaosPlan::none(4).crash(2, 30, Some(60)),
+        plan: crashing(2, 30, Some(60)),
     };
     let out = run_chaos(&cfg);
     // Peer votes must resolve everything.
@@ -403,19 +454,6 @@ fn d1cc_restart_reconstructs_decisions_from_peer_votes() {
     }
 }
 
-/// Holds every envelope to node 1 for a while, and delivers the rest.
-struct SlowTowardsNodeOne(Duration);
-
-impl NetPolicy for SlowTowardsNodeOne {
-    fn fate(&self, _from: usize, to: usize, _elapsed: Duration, _seq: u64) -> Fate {
-        if to == 1 {
-            Fate::Delay(self.0)
-        } else {
-            Fate::Deliver
-        }
-    }
-}
-
 /// The lost-volatile-vote case of the ask-before-revote rule, forced. D1CC
 /// node 1 votes yes and its vote reaches its peers, which commit; the
 /// peers' votes and decision to node 1 are held 30 ms, and node 1 crashes
@@ -433,15 +471,24 @@ fn a_logless_restart_asks_its_peers_instead_of_voting_again() {
         .reply_timeout(Duration::from_millis(150))
         .park_retries(4)
         .txn_deadline(Duration::from_secs(3));
-    let mut spec = FaultSpec::none(4);
-    spec.policy = Some(std::sync::Arc::new(SlowTowardsNodeOne(
-        Duration::from_millis(30),
-    )));
-    spec.crashes[1] = Some(CrashWindow {
-        down_after: Duration::from_millis(10),
-        up_after: Some(Duration::from_millis(60)),
-    });
-    let out = run_service_faulted(&cfg, &spec);
+    let at = |ms| Time::from_wall(Duration::from_millis(ms), cfg.unit);
+    // Every envelope to node 1 is held 30 ms; the rest flow.
+    let slow_towards_node_one = DelayRule {
+        from: None,
+        to: Some(1),
+        window: (Time::ZERO, Time(u64::MAX)),
+        delay: at(30).ticks(),
+    };
+    let plan = FaultPlan::none(4)
+        .with_rule(slow_towards_node_one)
+        .with_crash(1, Crash::at(at(10)).restart(at(60)));
+    let out = run_service_faulted(
+        &cfg,
+        &FaultSpec {
+            plan,
+            durable: false,
+        },
+    );
     audited("logless_restart_asks", &cfg, &out, |s| s == 0);
     let ev = &out.txn_events[0];
     assert_eq!(ev.committed, Some(true), "the peers committed");
@@ -458,7 +505,7 @@ fn crash_without_restart_keeps_the_audit_clean() {
         service: chaos_cfg(ProtocolKind::PaxosCommit)
             .txns_per_client(10)
             .txn_deadline(Duration::from_millis(1200)),
-        plan: ChaosPlan::none(4).crash(1, DOWN, None),
+        plan: crashing(1, DOWN, None),
     };
     let out = run_chaos(&cfg);
     // A dead-forever node must not fail the audit, and the txns waiting on
@@ -482,7 +529,7 @@ fn recovered_node_rebuilds_its_decision_log_from_the_wal() {
     let cfg = ChaosConfig {
         service,
         // Crash late enough that node 2 decided a batch before dying.
-        plan: ChaosPlan::none(4).crash(2, 30, Some(60)),
+        plan: crashing(2, 30, Some(60)),
     };
     let out = run_chaos(&cfg);
     audited("recovered_node_wal", &cfg.service, &out.service, |s| s == 0);
@@ -518,12 +565,15 @@ fn retried_begins_leave_in_the_turn_that_staged_them() {
         .reply_timeout(Duration::from_millis(100))
         .park_retries(8)
         .txn_deadline(Duration::from_secs(3));
-    let mut spec = FaultSpec::none(4);
-    spec.crashes[1] = Some(CrashWindow {
-        down_after: Duration::ZERO,
-        up_after: Some(Duration::from_millis(50)),
-    });
-    let out = run_service_faulted(&cfg, &spec);
+    let up = Time::from_wall(Duration::from_millis(50), cfg.unit);
+    let plan = FaultPlan::none(4).with_crash(1, Crash::initially().restart(up));
+    let out = run_service_faulted(
+        &cfg,
+        &FaultSpec {
+            plan,
+            durable: false,
+        },
+    );
     audited("retried_begins", &cfg, &out, |s| s == 0);
     let ev = &out.txn_events[0];
     assert_eq!(ev.committed, Some(false), "node 1 never voted in time");
@@ -544,8 +594,7 @@ fn durable_failure_free_run_matches_the_default_path() {
         .txns_per_client(6)
         .unit(Duration::from_millis(10));
     let spec = FaultSpec {
-        policy: None,
-        crashes: vec![None; 4],
+        plan: FaultPlan::none(4),
         durable: true,
     };
     let out = run_service_faulted(&cfg, &spec);

@@ -11,14 +11,13 @@
 //! Table-5 protocol with enough concurrent clients that multi-envelope
 //! drains, wakeup coalescing and early-envelope buffering all occur.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use ac_cluster::{
-    run_service, run_service_faulted, Fate, FaultSpec, NetPolicy, ServiceConfig, TransportKind,
-};
+use ac_cluster::{run_service, run_service_faulted, FaultSpec, ServiceConfig, TransportKind};
 use ac_commit::protocols::ProtocolKind;
+use ac_net::{DelayRule, FaultPlan};
 use ac_obs::{goodput_tps, sojourn_times, Stage};
+use ac_sim::{Time, U};
 use ac_txn::workload::{Workload, WorkloadConfig};
 use ac_txn::Cluster;
 
@@ -154,10 +153,8 @@ fn live_decisions_match_the_simulator_over_tcp() {
 /// journaled votes) must stay clean either way.
 #[test]
 fn d1cc_forces_no_critical_path_wal_writes() {
-    use ac_cluster::{run_service_faulted, FaultSpec};
     let durable = FaultSpec {
-        policy: None,
-        crashes: vec![None; 4],
+        plan: FaultPlan::none(4),
         durable: true,
     };
     let cfg = |kind| base(kind).clients(3).txns_per_client(8).seed(17);
@@ -223,19 +220,16 @@ fn complete_collections_commit_at_message_speed_and_fire_no_timer() {
     }
 }
 
-/// Holds every envelope travelling from a lower to a higher node id —
-/// with two-shard transactions, exactly the participant's vote to its
-/// coordinator (the highest-ranked participant) — and nothing else.
-struct HoldVotes(Duration);
-
-impl NetPolicy for HoldVotes {
-    fn fate(&self, from: usize, to: usize, _elapsed: Duration, _seq: u64) -> Fate {
-        if from < to {
-            Fate::Delay(self.0)
-        } else {
-            Fate::Deliver
-        }
-    }
+/// Holds every envelope travelling from a lower to a higher node id
+/// `delay` ticks — with two-shard transactions, exactly the participant's
+/// vote to its coordinator (the highest-ranked participant) — and nothing
+/// else.
+fn hold_votes(n: usize, delay: u64) -> FaultPlan {
+    let upward =
+        |a| (a + 1..n).map(move |b| DelayRule::link(a, b, Time::ZERO, Time(u64::MAX), delay));
+    (0..n)
+        .flat_map(upward)
+        .fold(FaultPlan::none(n), FaultPlan::with_rule)
 }
 
 /// ... and the timer is still the failure detector: a vote held back
@@ -252,8 +246,8 @@ fn two_pc_still_aborts_at_one_unit_when_a_vote_is_late() {
         .workload(Workload::Uniform { span: 2 })
         .seed(41);
     let spec = FaultSpec {
-        policy: Some(Arc::new(HoldVotes(3 * unit))),
-        ..FaultSpec::none(cfg.n)
+        plan: hold_votes(cfg.n, 3 * U),
+        durable: false,
     };
     let out = run_service_faulted(&cfg, &spec);
     audited("late_vote", &cfg, &out, |s| s == 0);
