@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use ac_commit::problem::COMMIT;
 use ac_commit::protocols::PerRank;
-use ac_obs::{DumpTxn, ObsMeters, RunStats, Stage};
+use ac_obs::{ObsMeters, RunStats, Stage};
 use ac_sim::Wire;
 use ac_txn::workload::{ArrivalSchedule, WorkloadConfig, WorkloadGen};
 use ac_txn::{Transaction, TxnId};
@@ -107,6 +107,7 @@ pub(crate) fn nanos(d: Duration) -> u64 {
 /// What a run's clients saw, folded: the in-process audit
 /// (`service::aggregate`) and the multi-process client (`proc::run_client`)
 /// count by this one pass.
+#[derive(Default)]
 pub(crate) struct ClientFold {
     /// Offered, shed, committed, aborted and stalled, summed over the
     /// clients folded in so far; `elapsed_nanos` is the host's to stamp.
@@ -115,23 +116,9 @@ pub(crate) struct ClientFold {
     pub(crate) split: usize,
     /// `Begin` re-sends.
     pub(crate) retries: usize,
-    /// Every transaction a client reported and settled, grouped by client,
-    /// in the order it reported them.
-    pub(crate) decided: Vec<DumpTxn>,
 }
 
 impl ClientFold {
-    /// An empty fold with room for the `txns` transactions a run's
-    /// clients submit at most.
-    pub(crate) fn new(txns: usize) -> ClientFold {
-        ClientFold {
-            stats: RunStats::default(),
-            split: 0,
-            retries: 0,
-            decided: Vec::with_capacity(txns),
-        }
-    }
-
     /// Fold one client's return in; `audit` sees each of its records with
     /// the verdict it was counted by.
     pub(crate) fn add(&mut self, cr: &ClientReturn, mut audit: impl FnMut(&ClientRecord, Verdict)) {
@@ -139,8 +126,6 @@ impl ClientFold {
         self.stats.shed += cr.shed as u64;
         self.stats.stalled += cr.stalled as u64;
         self.retries += cr.retries;
-        self.decided
-            .extend(cr.events.iter().filter_map(TxnEvent::decided));
         for rec in &cr.records {
             let verdict = rec.verdict();
             match verdict {

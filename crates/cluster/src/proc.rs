@@ -44,7 +44,7 @@ use crate::client::{nanos, Client, ClientFold};
 use crate::codec::AnyFrame;
 use crate::host::host;
 use crate::node::{Clock, Node, NodeEnv, Replies};
-use crate::service::ToNode;
+use crate::service::{ToNode, TxnEvent};
 use crate::spec::ClusterSpec;
 use crate::transport::{
     ClientLink, Control, EchoResponder, Link, NodeHooks, SocketLink, TcpTransport, Transport,
@@ -230,8 +230,14 @@ where
     let clients = (0..cfg.clients)
         .map(|c| Client::new(c, cfg, epoch, ClientLink::dialing(c, spec.nodes.clone())))
         .collect();
-    let mut fold = ClientFold::new(cfg.clients * cfg.txns_per_client);
-    host::<P>(None, Vec::new(), clients, |ret| fold.add(&ret, |_, _| {}));
+    // The dump carries the client-side record of every decided
+    // transaction, grouped by client, in the order each reported them.
+    let mut fold = ClientFold::default();
+    let mut txns = Vec::with_capacity(cfg.clients * cfg.txns_per_client);
+    host::<P>(None, Vec::new(), clients, |ret| {
+        fold.add(&ret, |_, _| {});
+        txns.extend(ret.events.iter().filter_map(TxnEvent::decided));
+    });
     // The load phase ends here, as the in-process service's does: what
     // follows is collection, not serving.
     let stats = RunStats {
@@ -269,10 +275,11 @@ where
     };
     let dump = ClusterDump {
         protocol: cfg.kind.name().to_string(),
+        host: "proc".to_string(),
         n: spec.n() as u32,
         f: cfg.f as u32,
         unit_micros: u64::try_from(cfg.unit.as_micros()).unwrap_or(u64::MAX),
-        txns: fold.decided,
+        txns,
         alignments,
         exports,
         stats,

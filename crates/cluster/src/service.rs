@@ -452,7 +452,7 @@ pub struct TxnEvent {
 impl TxnEvent {
     /// The transaction as a run's record of a reported and settled one
     /// (`None` when it was abandoned).
-    pub(crate) fn decided(&self) -> Option<DumpTxn> {
+    pub fn decided(&self) -> Option<DumpTxn> {
         let (decided, committed) = (self.decided_at?, self.committed?);
         Some(DumpTxn {
             id: self.id,
@@ -544,9 +544,6 @@ pub struct ServiceOutcome {
     /// Per-transaction timelines, grouped by client, each client's in the
     /// order it reported them or abandoned them at their deadline.
     pub txn_events: Vec<TxnEvent>,
-    /// The client-side record of every fully decided transaction, in the
-    /// form a multi-process run's [`ac_obs::ClusterDump`] carries it.
-    pub decided: Vec<DumpTxn>,
     /// Each node's flight record, indexed by node id, on the service
     /// epoch's clock (unordered where the ring wrapped) — what
     /// [`ServiceOutcome::attribution`] was computed from.
@@ -559,6 +556,10 @@ pub struct ServiceOutcome {
     pub attribution: Attribution,
     /// Safety violations found by the post-run audit (empty = safe).
     pub violations: Vec<String>,
+    /// Wall-clock of the post-run fold that built this outcome out of the
+    /// hosts' returns: the audit, the per-transaction stamps and the
+    /// attribution. A run pays it after its load phase.
+    pub fold: Duration,
 }
 
 impl ServiceOutcome {
@@ -575,11 +576,23 @@ impl ServiceOutcome {
         }
     }
 
+    /// The client-side record of every fully decided transaction, in the
+    /// form a multi-process run's [`ac_obs::ClusterDump`] carries it:
+    /// [`ServiceOutcome::txn_events`] read through [`TxnEvent::decided`],
+    /// in their order.
+    pub fn decided(&self) -> Vec<DumpTxn> {
+        self.txn_events
+            .iter()
+            .filter_map(TxnEvent::decided)
+            .collect()
+    }
+
     /// The run as a multi-process collector would have gathered it of
-    /// `cfg`'s cluster — the form `repro trace` reads: the client-side
-    /// list, the counters, each node's flight record as that node's export
-    /// (node 0's carrying the run's merged meters and lost-event count),
-    /// and clocks already aligned, since every recorder shared one epoch.
+    /// `cfg`'s cluster — the form `repro trace` reads: the host (`cfg`'s
+    /// transport), the client-side list, the counters, each node's flight
+    /// record as that node's export (node 0's carrying the run's merged
+    /// meters and lost-event count), and clocks already aligned, since
+    /// every recorder shared one epoch.
     pub fn cluster_dump(&self, cfg: &ServiceConfig) -> ClusterDump {
         let meters: Vec<_> = Stage::ALL
             .iter()
@@ -602,10 +615,11 @@ impl ServiceOutcome {
         };
         ClusterDump {
             protocol: self.kind.name().into(),
+            host: cfg.transport.name().into(),
             n: cfg.n as u32,
             f: cfg.f as u32,
             unit_micros: cfg.unit.as_micros() as u64,
-            txns: self.decided.clone(),
+            txns: self.decided(),
             alignments: nodes.clone().map(ClockAlignment::identity).collect(),
             exports: nodes.zip(&self.flight).map(export).collect(),
             stats: self.run_stats(),
@@ -977,6 +991,7 @@ fn aggregate(
     host_returns: Vec<HostReturn>,
     elapsed: Duration,
 ) -> ServiceOutcome {
+    let started = Instant::now();
     let node_threads = host_returns.len();
     let spurious_wakeups = host_returns.iter().map(|h| h.spurious_wakeups).sum();
     let node_returns: Vec<NodeReturn> = gather(host_returns.into_iter().map(|h| h.nodes).collect());
@@ -1004,12 +1019,14 @@ fn aggregate(
     let table = table(slots, &node_returns);
 
     // The client-side fold counts, and the audit holds each counted record
-    // against its slot. Then one walk of each transaction's chain stamps
-    // its event where it lies and, if it was decided, times its
-    // attribution. The first client's events become the run's where they
-    // lie, and the others are appended to them, inside the room the first
+    // against its slot. Then one pass over the client's events walks each
+    // transaction's chain, stamps its event where it lies and, if it was
+    // decided, times its attribution: no other pass reads them, and
+    // `ServiceOutcome::decided` derives the decided list from them when
+    // asked. The first client's events become the run's where they lie,
+    // and the others are appended to them, inside the room the first
     // client kept for them.
-    let mut fold = ClientFold::new(cfg.clients * cfg.txns_per_client);
+    let mut fold = ClientFold::default();
     let mut attribution = Attribution {
         dropped_events,
         ..Attribution::default()
@@ -1050,7 +1067,6 @@ fn aggregate(
         stats,
         split,
         retries,
-        decided,
     } = fold;
     ServiceOutcome {
         kind: cfg.kind,
@@ -1075,11 +1091,11 @@ fn aggregate(
         shards,
         node_logs,
         txn_events,
-        decided,
         flight,
         stage_meters,
         attribution,
         violations,
+        fold: started.elapsed(),
     }
 }
 
@@ -1103,10 +1119,45 @@ mod tests {
         assert_eq!(out.txns, 10);
         assert!(out.is_safe(), "{:?}", out.violations);
         assert!(out.committed + out.aborted == 10);
-        assert_eq!(ac_obs::sojourn_times(&out.decided).count(), 10);
+        assert_eq!(ac_obs::sojourn_times(&out.decided()).count(), 10);
         assert!(out.wire_messages > 0);
         assert_eq!(out.retries, 0, "healthy runs never need Begin retries");
         assert_eq!(out.reply_timeouts, 0);
+    }
+
+    /// A run's decided list is its events read through
+    /// [`TxnEvent::decided`], in their order: an abandoned transaction
+    /// has no entry, every other one its client's stamps and outcome.
+    /// Its cluster dump carries the same list and names its transport.
+    #[test]
+    fn the_decided_list_is_the_decided_events_in_their_order() {
+        let n = 4;
+        let cfg = quick(ProtocolKind::PaxosCommit)
+            .txns_per_client(8)
+            .reply_timeout(Duration::from_millis(10))
+            .txn_deadline(Duration::from_millis(60));
+        let spec = FaultSpec {
+            plan: FaultPlan::none(n).with_crash(3, Crash::initially()),
+            durable: false,
+        };
+        let out = run_service_faulted(&cfg, &spec);
+        let abandoned = out.txn_events.iter().filter(|e| e.decided_at.is_none());
+        assert!(abandoned.count() > 0, "node 3 is dark: some stall");
+        let want: Vec<DumpTxn> = (out.txn_events.iter())
+            .filter_map(|e| {
+                Some(DumpTxn {
+                    id: e.id,
+                    submitted_nanos: e.submitted_at.as_nanos() as u64,
+                    decided_nanos: e.decided_at?.as_nanos() as u64,
+                    committed: e.committed?,
+                })
+            })
+            .collect();
+        assert!(!want.is_empty(), "some avoid node 3");
+        assert_eq!(out.decided(), want);
+        let dump = out.cluster_dump(&cfg);
+        assert_eq!(dump.txns, want);
+        assert_eq!(dump.host, "channel");
     }
 
     #[test]
@@ -1312,7 +1363,7 @@ mod tests {
                 assert!(ring.iter().all(|e| e.node as usize == p), "node {p}'s ring");
             }
             let flat = out.flight.concat();
-            let spans: Vec<_> = out.decided.iter().map(DumpTxn::span).collect();
+            let spans: Vec<_> = out.decided().iter().map(DumpTxn::span).collect();
             let got = &out.attribution;
             assert!(got.covered > 0 && got.covered == got.total);
 
@@ -1412,7 +1463,7 @@ mod tests {
         assert_eq!(a.stages[2].sum(), 0);
         // Every covered timeline, kept: each anchors at a participant that
         // decided by the client's stamp, so none is clamped past it.
-        let spans: Vec<_> = out.decided.iter().map(DumpTxn::span).collect();
+        let spans: Vec<_> = out.decided().iter().map(DumpTxn::span).collect();
         let every = Attribution::compute(&spans, &out.flight.concat(), spans.len(), 0);
         assert_eq!(every.slowest.len(), a.covered);
         for tl in &every.slowest {
@@ -1517,7 +1568,7 @@ mod tests {
         assert!(out.is_safe(), "{:?}", out.violations);
         assert_eq!((out.txns, out.stalled, out.retries), (400, 0, 0));
         assert_eq!(out.txn_events.len(), 400);
-        assert_eq!(out.decided.len(), 400);
+        assert_eq!(out.decided().len(), 400);
         let logged: usize = out.node_logs.iter().map(Vec::len).sum();
         assert_eq!(logged, 2 * 400, "a record per participant");
         assert_replays(&out, 64, "two hosts");

@@ -184,7 +184,7 @@ fn two_pc_over_tcp_still_aborts_at_one_unit_when_a_vote_is_late() {
     assert!(out.is_safe(), "{:?}", out.violations);
     assert_eq!(out.aborted, 5, "a missing vote at U aborts");
     assert_eq!(out.delayed_messages, 5, "one held vote per transaction");
-    let sojourn = ac_obs::sojourn_times(&out.decided);
+    let sojourn = ac_obs::sojourn_times(&out.decided());
     let (fastest, slowest) = (
         Duration::from_nanos(sojourn.min()),
         Duration::from_nanos(sojourn.max()),

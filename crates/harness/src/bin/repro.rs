@@ -194,8 +194,8 @@ fn trace_entries(path: &str) -> Vec<AttributionEntry> {
         let dump = ac_obs::ClusterDump::from_bytes(&bytes)
             .unwrap_or_else(|e| fail(format!("{path}: not a valid cluster dump: {e:?}")));
         println!(
-            "# {path}: cluster dump of {} at n={}, f={}",
-            dump.protocol, dump.n, dump.f
+            "# {path}: cluster dump of {} over {} at n={}, f={}",
+            dump.protocol, dump.host, dump.n, dump.f
         );
         for al in &dump.alignments {
             println!(
@@ -209,7 +209,7 @@ fn trace_entries(path: &str) -> Vec<AttributionEntry> {
             );
         }
         let cell = Cell::of_dump(&dump);
-        return vec![AttributionEntry::new(&dump.protocol, "proc", &cell)];
+        return vec![AttributionEntry::new(&dump.protocol, &dump.host, &cell)];
     }
     read_baseline(path)
         .attribution

@@ -17,6 +17,7 @@ use ac_cluster::{
 use ac_obs::{goodput_tps, max_uncertainty_nanos, sojourn_times, ClusterDump, DumpTxn, RunStats};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use crate::procrun::ProcHost;
 
@@ -122,6 +123,10 @@ pub struct Cell {
     /// Worst per-node clock-alignment uncertainty, microseconds: `None`
     /// in process (one clock, nothing to align).
     pub alignment_max_uncertainty_micros: Option<f64>,
+    /// Wall-clock of the post-run fold that audited and attributed the
+    /// run ([`ServiceOutcome::fold`]): `None` on the `proc` host, whose
+    /// processes each audit their own half.
+    pub fold: Option<Duration>,
 }
 
 impl Cell {
@@ -140,7 +145,7 @@ impl Cell {
 
     /// The record of an in-process run.
     pub fn of_outcome(out: &ServiceOutcome) -> Cell {
-        let record = Cell::new(out.run_stats(), &out.decided, out.attribution.clone());
+        let record = Cell::new(out.run_stats(), &out.decided(), out.attribution.clone());
         Cell {
             wal_forces: out.wal_forces,
             wire_messages: out.wire_messages as u64,
@@ -152,6 +157,7 @@ impl Cell {
             retries: out.retries,
             dropped_messages: out.dropped_messages,
             txn_events: out.txn_events.clone(),
+            fold: Some(out.fold),
             ..record
         }
     }
@@ -179,6 +185,12 @@ impl Cell {
     /// `count` per fully served transaction.
     pub fn per_txn(&self, count: f64) -> f64 {
         count / (self.stats.committed + self.stats.aborted).max(1) as f64
+    }
+
+    /// Post-run fold nanoseconds per fully served transaction (`None`
+    /// where [`Cell::fold`] is).
+    pub fn fold_ns_per_txn(&self) -> Option<f64> {
+        self.fold.map(|d| self.per_txn(d.as_nanos() as f64))
     }
 }
 

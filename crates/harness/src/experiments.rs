@@ -866,7 +866,10 @@ pub fn service_section(r: &mut Report, quick: bool, host: Host) -> Result<Servic
          trade-off), not the configured U; a p50 near k*U now means a \
          round timed out. 'safe' requires a clean \
          post-run audit: agreed decisions, no commit without n yes-votes, \
-         no lock left held, no stalled client.",
+         no lock left held, no stalled client. 'fold ns/txn' is the \
+         wall-clock of the post-run fold (audit, per-transaction stamps, \
+         attribution) per served transaction: a cost the run pays after \
+         its load phase.",
     );
 
     Ok(ServiceBaseline {
@@ -879,10 +882,27 @@ pub fn service_section(r: &mut Report, quick: bool, host: Host) -> Result<Servic
 }
 
 /// The columns of the service table.
-pub(crate) const SERVICE_COLUMNS: [&str; 12] = [
-    "protocol", "workload", "clients", "txns", "commit%", "tput t/s", "p50 ms", "p90 ms", "p99 ms",
-    "p99.9 ms", "max ms", "safe",
+pub(crate) const SERVICE_COLUMNS: [&str; 13] = [
+    "protocol",
+    "workload",
+    "clients",
+    "txns",
+    "commit%",
+    "tput t/s",
+    "p50 ms",
+    "p90 ms",
+    "p99 ms",
+    "p99.9 ms",
+    "max ms",
+    "fold ns/txn",
+    "safe",
 ];
+
+/// A post-run fold cost per transaction as a table cell: `-` on a host
+/// that runs no fold.
+fn fold_cell(ns_per_txn: Option<f64>) -> String {
+    ns_per_txn.map_or("-".into(), |ns| format!("{ns:.0}"))
+}
 
 /// A closed-loop cell's entry, its row of the service table (verdict
 /// aside) and whether the row passes: the entry's rules.
@@ -906,6 +926,7 @@ pub(crate) fn service_row(
         ms(e.p99_micros),
         ms(e.p999_micros),
         ms(e.max_micros),
+        fold_cell(e.fold_ns_per_txn),
     ];
     let ok = e.problems().is_empty();
     (e, row, ok)
@@ -989,6 +1010,7 @@ pub fn attribution_section(
             "transport%",
             "Σ%",
             "e2e p50 ms",
+            "fold ns/txn",
             "clock ±µs",
             "dominant",
             "ok",
@@ -1027,6 +1049,7 @@ pub fn attribution_section(
                 row.extend((0..5).map(|i| format!("{:.1}", a.share_pct(i))));
                 row.push(format!("{:.1}", a.share_sum_pct()));
                 row.push(format!("{:.2}", a.e2e.p50() as f64 / 1e6));
+                row.push(fold_cell(entry.fold_ns_per_txn));
                 let clock = cell.alignment_max_uncertainty_micros;
                 row.push(clock.map_or("-".into(), |us| format!("{us:.0}")));
                 row.push(dominant_stage(&entry.stages));

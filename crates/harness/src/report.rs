@@ -287,6 +287,9 @@ pub struct ServiceEntry {
     pub wire_per_txn: f64,
     /// Host wakeups that found no work ([`Cell::spurious_wakeups`]).
     pub spurious_wakeups: usize,
+    /// Post-run fold nanoseconds per served transaction
+    /// ([`Cell::fold_ns_per_txn`]; `null` on the `proc` host).
+    pub fold_ns_per_txn: Option<f64>,
 }
 
 impl ServiceEntry {
@@ -313,6 +316,7 @@ impl ServiceEntry {
             wire_messages: cell.wire_messages as usize,
             wire_per_txn: cell.wire_messages as f64 / txns.max(1) as f64,
             spurious_wakeups: cell.spurious_wakeups,
+            fold_ns_per_txn: cell.fold_ns_per_txn(),
         }
     }
 
@@ -716,6 +720,10 @@ pub struct AttributionEntry {
     pub e2e_p999_micros: f64,
     /// Flight events lost to ring wrap-around (0 at sweep scale).
     pub dropped_events: u64,
+    /// Post-run fold nanoseconds per served transaction
+    /// ([`Cell::fold_ns_per_txn`]; `null` for `"proc"` entries, whose
+    /// processes each audit their own half).
+    pub fold_ns_per_txn: Option<f64>,
     /// Worst clock-alignment uncertainty across the nodes whose exports
     /// fed this entry, microseconds (`null` for in-process entries — one
     /// clock, nothing to align; a number only for `"proc"` transport).
@@ -740,6 +748,7 @@ impl AttributionEntry {
             e2e_p50_micros: a.e2e.p50() as f64 / 1e3,
             e2e_p999_micros: a.e2e.p999() as f64 / 1e3,
             dropped_events: a.dropped_events,
+            fold_ns_per_txn: cell.fold_ns_per_txn(),
             alignment_max_uncertainty_micros: cell.alignment_max_uncertainty_micros,
             stages: stage_entries(a),
             slowest: a
@@ -1093,6 +1102,15 @@ impl BeforeAfter {
         for (key, b, a) in keyed(b, a, |s| &s.entries, AttributionEntry::key) {
             let (e2e_b, e2e_a) = (b.e2e_p50_micros, a.e2e_p50_micros);
             pair("attribution", &key, "e2e_p50_micros".into(), e2e_b, e2e_a);
+            let fold = |e: &AttributionEntry| e.fold_ns_per_txn.unwrap_or(f64::NAN);
+            let (fold_b, fold_a) = (fold(b), fold(a));
+            pair(
+                "attribution",
+                &key,
+                "fold_ns_per_txn".into(),
+                fold_b,
+                fold_a,
+            );
             // The five stage shares: which one moved.
             for sa in &a.stages {
                 if let Some(sb) = b.stages.iter().find(|sb| sb.stage == sa.stage) {
@@ -1121,10 +1139,11 @@ impl BeforeAfter {
 type Paired<T> = (&'static str, fn(&T) -> f64);
 
 /// The metrics a pair holds of each service entry.
-const SERVICE_PAIRED: [Paired<ServiceEntry>; 3] = [
+const SERVICE_PAIRED: [Paired<ServiceEntry>; 4] = [
     ("p50_micros", |e| e.p50_micros),
     ("p99_micros", |e| e.p99_micros),
     ("throughput_tps", |e| e.throughput_tps),
+    ("fold_ns_per_txn", |e| e.fold_ns_per_txn.unwrap_or(f64::NAN)),
 ];
 
 /// The metrics a pair holds of each curve's top offered-load step.
@@ -1355,6 +1374,7 @@ pub(crate) mod tests {
             e2e_p50_micros: 10_500.0,
             e2e_p999_micros: 22_000.0,
             dropped_events: 0,
+            fold_ns_per_txn: (transport != "proc").then_some(180.0),
             alignment_max_uncertainty_micros: (transport == "proc").then_some(35.0),
             stages: sample_stages(2_100.0, 4_400.0),
             slowest: vec![SlowTxn {
@@ -1422,6 +1442,7 @@ pub(crate) mod tests {
                     wire_messages: 300,
                     wire_per_txn: 10.0,
                     spurious_wakeups: 0,
+                    fold_ns_per_txn: Some(180.0),
                 });
             }
         }

@@ -162,8 +162,29 @@ impl SlotBox {
 struct Slot<T> {
     /// The transaction's newest record in `points`, or [`END`].
     head: u32,
+    /// The nodes with a record in the chain ([`node_bit`]): a new
+    /// record's node usually has none, and its clear bit says so without
+    /// a walk of the other nodes' records.
+    nodes: u32,
     /// What the caller folds in beside the flight events.
     tag: T,
+}
+
+impl<T: Default> Slot<T> {
+    /// A slot with no record and a default tag.
+    fn empty() -> Slot<T> {
+        Slot {
+            head: END,
+            nodes: 0,
+            tag: T::default(),
+        }
+    }
+}
+
+/// `node`'s bit in [`Slot::nodes`]: its own below 31, one shared bit for
+/// every other node, whose records the chain walk then tells apart.
+fn node_bit(node: u32) -> u32 {
+    1 << node.min(31)
 }
 
 /// A run's flight events, read once, in one table with a slot per
@@ -201,13 +222,9 @@ impl<T: Clone + Default> FlightIndex<T> {
     /// decided of each transaction it decides. Only points lost (to ring
     /// wrap-around, or a crash) can make the index grow.
     pub fn with_slots(slots: SlotBox, events: usize) -> FlightIndex<T> {
-        let empty = Slot {
-            head: END,
-            tag: T::default(),
-        };
         FlightIndex {
             slots,
-            table: vec![empty; slots.slots()],
+            table: vec![Slot::empty(); slots.slots()],
             strays: Slab::new(),
             points: Vec::with_capacity(events.div_ceil(3)),
         }
@@ -251,10 +268,7 @@ impl<T: Clone + Default> FlightIndex<T> {
         let fresh = u32::try_from(self.table.len()).expect("fewer than u32::MAX slots");
         let slot = *self.strays.get_or_insert_with(txn, || fresh);
         if slot == fresh {
-            self.table.push(Slot {
-                head: END,
-                tag: T::default(),
-            });
+            self.table.push(Slot::empty());
         }
         slot as usize
     }
@@ -262,21 +276,26 @@ impl<T: Clone + Default> FlightIndex<T> {
     /// `(txn, node)`'s record, put at the head of `txn`'s chain if new.
     fn record(&mut self, txn: u64, node: u32) -> usize {
         let slot = self.slot_mut(txn);
-        let mut i = self.table[slot].head;
-        while i != END {
-            let p = &self.points[i as usize];
-            if p.node == node {
-                return i as usize;
+        let bit = node_bit(node);
+        let entry = &mut self.table[slot];
+        if entry.nodes & bit != 0 {
+            let mut i = entry.head;
+            while i != END {
+                let p = &self.points[i as usize];
+                if p.node == node {
+                    return i as usize;
+                }
+                i = p.next;
             }
-            i = p.next;
         }
         let fresh = u32::try_from(self.points.len())
             .ok()
             .filter(|&i| i != END)
             .expect("fewer than u32::MAX records");
+        entry.nodes |= bit;
         self.points.push(NodePoints {
             node,
-            next: std::mem::replace(&mut self.table[slot].head, fresh),
+            next: std::mem::replace(&mut entry.head, fresh),
             dispatch: NONE,
             lock: NONE,
             lock_last: NONE,
@@ -552,16 +571,20 @@ impl Attribution {
             h.record(v);
         }
         // Bounded insertion: `slowest` stays sorted and never holds more
-        // than `keep_slowest`.
+        // than `keep_slowest`. Once it is full, one comparison with its
+        // last entry turns away a timeline that sorts after it, as most
+        // do.
+        if self.slowest.len() >= keep_slowest {
+            let last = self.slowest.last();
+            if last.is_none_or(|last| slower_first(last, &tl) == Ordering::Less) {
+                return;
+            }
+            self.slowest.pop();
+        }
         let at = self
             .slowest
             .partition_point(|kept| slower_first(kept, &tl) == Ordering::Less);
-        if at < keep_slowest {
-            if self.slowest.len() == keep_slowest {
-                self.slowest.pop();
-            }
-            self.slowest.insert(at, tl);
-        }
+        self.slowest.insert(at, tl);
     }
 }
 
@@ -715,6 +738,84 @@ mod tests {
         assert_eq!(slowest(&decided), [1, 2, 3]);
         decided.rotate_left(7);
         assert_eq!(slowest(&decided), [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_full_list_keeps_the_lowest_ids_among_equal_latencies() {
+        // Equal end-to-end latency across different ids, in the order
+        // each boundary case needs: the list fills with 10, 20 and 30;
+        // a tie with a higher id than the last kept one is turned away by
+        // the one comparison; a tie with a lower one displaces the last;
+        // a slower one leads, and a faster one is turned away.
+        let mut flight = Vec::new();
+        let order = [10u64, 20, 30, 40, 25, 5, 99, 1];
+        for &txn in &order {
+            flight.extend(full_txn(txn, 0));
+        }
+        let e2e = |txn: u64| match txn {
+            99 => 2_100,
+            1 => 1_900,
+            _ => 2_000,
+        };
+        let kept = |n: usize, keep: usize| {
+            let decided: Vec<_> = order[..n].iter().map(|&t| (t, 0, e2e(t))).collect();
+            let a = Attribution::compute(&decided, &flight, keep, 0);
+            assert_eq!(a.covered, n, "the histograms count every one");
+            a.slowest.iter().map(|t| t.txn).collect::<Vec<_>>()
+        };
+        assert_eq!(kept(3, 3), [10, 20, 30]);
+        assert_eq!(kept(4, 3), [10, 20, 30], "a tie with a higher id");
+        assert_eq!(kept(5, 3), [10, 20, 25], "a tie with a lower id");
+        assert_eq!(kept(6, 3), [5, 10, 20]);
+        assert_eq!(kept(7, 3), [99, 5, 10], "a slower one");
+        assert_eq!(kept(8, 3), [99, 5, 10], "a faster one");
+        for n in 0..=order.len() {
+            assert_eq!(kept(n, 0), [0u64; 0], "keep = 0 keeps nothing");
+        }
+    }
+
+    #[test]
+    fn nodes_past_the_mask_share_a_bit_and_keep_their_own_records() {
+        // Nodes 31, 40 and 1 000 share one bit of a slot's node mask, so
+        // their records are told apart by the chain walk; node 3 has a
+        // bit of its own. Interleaved, each keeps its own points.
+        let (a, b, c) = (31u32, 40u32, 1_000u32);
+        let flight = vec![
+            ev(5, a, FlightStage::Dispatch, 10),
+            ev(5, 3, FlightStage::Dispatch, 11),
+            ev(5, b, FlightStage::Dispatch, 12),
+            ev(5, c, FlightStage::Dispatch, 13),
+            ev(5, b, FlightStage::LockAcquired, 22),
+            ev(5, a, FlightStage::LockAcquired, 20),
+            ev(5, c, FlightStage::LockAcquired, 23),
+            ev(5, 3, FlightStage::LockAcquired, 21),
+            ev(5, c, FlightStage::Decided, 90),
+            ev(5, a, FlightStage::Decided, 70),
+            ev(5, 3, FlightStage::Decided, 60),
+            ev(5, b, FlightStage::Decided, 80),
+        ];
+        let index = FlightIndex::new(&flight);
+        assert_eq!(index.points.len(), 4, "one record per (txn, node)");
+        for (node, dispatch, lock, decided) in [
+            (a, 10, 20, 70),
+            (3, 11, 21, 60),
+            (b, 12, 22, 80),
+            (c, 13, 23, 90),
+        ] {
+            let p = index
+                .points
+                .iter()
+                .find(|p| p.node == node)
+                .expect("a record");
+            assert_eq!(
+                (p.dispatch, p.lock, p.decided),
+                (dispatch, lock, decided),
+                "node {node}"
+            );
+        }
+        let walk = index.walk(5, Some(85));
+        assert_eq!(walk.anchor.map(|p| p.node), Some(b), "latest by 85");
+        assert_eq!(walk.lifecycle.journaled_nanos, Some(90));
     }
 
     #[test]

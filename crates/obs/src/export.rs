@@ -225,11 +225,12 @@ pub fn goodput_tps(stats: &RunStats, txns: &[DumpTxn]) -> f64 {
     commits.count() as f64 / ((hi - lo) as f64 / 1e9)
 }
 
-/// Leading magic of a serialized [`ClusterDump`] ("AC obs dump v2") —
-/// lets `repro trace` sniff a dump file apart from a JSON baseline. v2
-/// exports carry no per-stage histograms, so a v1 dump is refused rather
+/// Leading magic of a serialized [`ClusterDump`] ("AC obs dump v3") —
+/// lets `repro trace` sniff a dump file apart from a JSON baseline. v3
+/// dumps name the host that ran the cluster (v2 did not, and v1 exports
+/// carried per-stage histograms), so an older dump is refused rather
 /// than misparsed.
-pub const DUMP_MAGIC: [u8; 8] = *b"ACOBSDV2";
+pub const DUMP_MAGIC: [u8; 8] = *b"ACOBSDV3";
 
 /// Everything a collector gathered from one multi-process run: the
 /// client-observed outcomes, every node's export, every node's clock
@@ -239,6 +240,10 @@ pub const DUMP_MAGIC: [u8; 8] = *b"ACOBSDV2";
 pub struct ClusterDump {
     /// Protocol name (`ProtocolKind` render, e.g. `"2PC"`).
     pub protocol: String,
+    /// The host that ran the cluster: `"proc"` for a multi-process
+    /// cluster, the transport's name (`"channel"`, `"tcp"`) for an
+    /// in-process run kept as a dump.
+    pub host: String,
     /// Cluster size.
     pub n: u32,
     /// Resilience parameter.
@@ -295,6 +300,7 @@ impl ClusterDump {
 
 wire_struct!(ClusterDump {
     protocol,
+    host,
     n,
     f,
     unit_micros,
@@ -438,6 +444,7 @@ mod tests {
         let obs = sample_obs();
         let dump = ClusterDump {
             protocol: "2PC".to_string(),
+            host: "proc".to_string(),
             n: 4,
             f: 1,
             unit_micros: 5_000,

@@ -152,9 +152,10 @@ proptest! {
 /// Golden bytes: one [`ClusterDump`] that carries every obs record —
 /// each [`FlightStage`], a [`FlightEvent`], an [`ObsExport`] with its
 /// [`NetSnapshot`] and a [`PeerNet`], a [`DumpTxn`], a [`ClockAlignment`]
-/// with a negative offset, and [`RunStats`] — against the hex that the
-/// hand-coded encoders these declarations replaced wrote. A dump file
-/// written before the change must read back after it.
+/// with a negative offset, and [`RunStats`] — against pinned hex: the
+/// bytes the hand-coded encoders these declarations replaced wrote, with
+/// the v3 magic and the host that dump version added. A dump file written
+/// before a layout change must read back after it.
 #[test]
 fn a_cluster_dump_encodes_to_its_pinned_bytes() {
     let flight = STAGES
@@ -169,6 +170,7 @@ fn a_cluster_dump_encodes_to_its_pinned_bytes() {
         .collect();
     let dump = ClusterDump {
         protocol: "2PC".to_string(),
+        host: "proc".to_string(),
         n: 4,
         f: 1,
         unit_micros: 5_000,
@@ -216,18 +218,18 @@ fn a_cluster_dump_encodes_to_its_pinned_bytes() {
     let bytes = dump.to_bytes();
     let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
     let want = concat!(
-        "41434f4253445632030000003250430400000001000000881300000000000001",
-        "0000003000000000000000310000000000000032000000000000000101000000",
-        "01000000c0ffffffffffffff4100000000000000420000000000000010000000",
-        "0100000001000000500000000000000002000000510000000000000052000000",
-        "0000000053000000000000005400000000000000040000001100000000000000",
-        "0100000000210000000000000012000000000000000100000001220000000000",
-        "0000130000000000000001000000022300000000000000140000000000000001",
-        "0000000324000000000000000100000060000000000000006100000000000000",
-        "6200000000000000630000000000000064000000000000006500000000000000",
-        "6600000000000000670000000000000068000000000000007000000000000000",
-        "7100000000000000720000000000000073000000000000007400000000000000",
-        "7500000000000000",
+        "41434f4253445633030000003250430400000070726f63040000000100000088",
+        "1300000000000001000000300000000000000031000000000000003200000000",
+        "000000010100000001000000c0ffffffffffffff410000000000000042000000",
+        "0000000010000000010000000100000050000000000000000200000051000000",
+        "0000000052000000000000005300000000000000540000000000000004000000",
+        "1100000000000000010000000021000000000000001200000000000000010000",
+        "0001220000000000000013000000000000000100000002230000000000000014",
+        "0000000000000001000000032400000000000000010000006000000000000000",
+        "6100000000000000620000000000000063000000000000006400000000000000",
+        "6500000000000000660000000000000067000000000000006800000000000000",
+        "7000000000000000710000000000000072000000000000007300000000000000",
+        "74000000000000007500000000000000",
     );
     assert_eq!(hex, want, "the dump's encoding moved");
     let back = ClusterDump::from_bytes(&bytes).unwrap();

@@ -52,7 +52,7 @@ fn main() {
     );
     println!(
         "latency: {}",
-        ac_obs::sojourn_times(&out.decided).summary_millis()
+        ac_obs::sojourn_times(&out.decided()).summary_millis()
     );
     println!(
         "safety audit: {}",
