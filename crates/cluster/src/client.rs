@@ -96,7 +96,7 @@ pub(crate) struct ClientReturn {
     pub(crate) shed: usize,
     /// Client-side seam meters (`ClientQueueWait` and the client
     /// transport's share of `TcpWrite`).
-    pub(crate) meters: ObsMeters,
+    pub(crate) meters: Arc<ObsMeters>,
 }
 
 /// `d` in whole nanoseconds, saturating.
@@ -274,8 +274,9 @@ pub(crate) struct Client<M> {
     reply_timeouts: usize,
     /// Replies taken off the link, folded in by the next turn.
     replies: Vec<Done>,
-    /// Meters only: a client stamps no flight event.
-    meters: ObsMeters,
+    /// Meters only: a client stamps no flight event. Its link's socket
+    /// writes are added here too.
+    meters: Arc<ObsMeters>,
     outbox: Outbox<M>,
     /// Per node, the finished transactions whose `End`s wait there.
     ends: Vec<Vec<TxnId>>,
@@ -292,7 +293,7 @@ impl<M: Wire + Send + 'static> Client<M> {
         client: usize,
         cfg: &ServiceConfig,
         epoch: Instant,
-        link: ClientLink<M>,
+        mut link: ClientLink<M>,
     ) -> Client<M> {
         let gen = WorkloadConfig {
             shards: cfg.n,
@@ -319,6 +320,8 @@ impl<M: Wire + Send + 'static> Client<M> {
         } else {
             total
         };
+        let meters = Arc::new(ObsMeters::new());
+        link.meter(&meters);
         Client {
             client,
             cfg: cfg.clone(),
@@ -341,7 +344,7 @@ impl<M: Wire + Send + 'static> Client<M> {
             retries: 0,
             reply_timeouts: 0,
             replies: Vec::with_capacity(CLIENT_BATCH),
-            meters: ObsMeters::new(),
+            meters,
             outbox: Outbox::new(cfg.n),
             ends: vec![Vec::new(); cfg.n],
             flushed_at: None,
@@ -619,9 +622,6 @@ impl<M: Wire + Send + 'static> Client<M> {
     /// What the client returns once it has exited.
     pub(crate) fn finish(self) -> ClientReturn {
         debug_assert!(self.exited, "finished before its exit flush");
-        // The client's half of the socket path (zero in a channel run).
-        let (writes, write_nanos) = self.link.io_stats();
-        self.meters.add_many(Stage::TcpWrite, writes, write_nanos);
         ClientReturn {
             client: self.client,
             records: self.records,

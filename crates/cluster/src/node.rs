@@ -50,10 +50,10 @@
 //! | step       | reads → writes                                             | obs stamp                         | attaches            |
 //! |------------|------------------------------------------------------------|-----------------------------------|---------------------|
 //! | `drain`    | [`Link`] → `inbox` without waiting (what the node's mailbox holds, or one read per connection of its own sockets the host's wait found ready — peers' and clients' alike) | — | crash check, dark window, WAL recovery |
-//! | `dispatch` | `inbox` → table, engine, `decided`, outbox; self-sends and due timers to quiescence | `DrainGap`, `LockAcquire`, flight `Dispatch`/`LockAcquired` | — |
+//! | `dispatch` | `inbox` → table, engine, `decided`, outbox; self-sends and due timers to quiescence | `DrainGap`, `LockAcquire`, `TimerFire`, flight `Dispatch`/`LockAcquired` | — |
 //! | `apply`    | `decided` → shard, `log`, staged `Done`s, then staged WAL records, a pass at a time | `LockHold`, `WalJournal`, flight `Decided` (per pass) | lock-steal guard (Deferred) |
 //! | `force`    | staged WAL records → WAL (one force per turn that staged any) | `WalForce`, flight `WalForced` | durability-before-reply |
-//! | `flush`    | outbox → fault plan → the same [`Link`] (one post to each peer's mailbox, or one write to each peer down the connection that peer is read from); `Done`s → [`Replies`] (one post to each client's mailbox, or one write down the connection it said `Hello` on) | `Flush` | envelope fates ([`FaultPlan::fate`]) |
+//! | `flush`    | outbox → fault plan → the same [`Link`] (one post to each peer's mailbox, or one write to each peer down the connection that peer is read from); `Done`s → [`Replies`] (one post to each client's mailbox, or one write down the connection it said `Hello` on) | `Flush`, `TcpWrite` (per socket write, the link's) | envelope fates ([`FaultPlan::fate`]) |
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -114,18 +114,6 @@ pub(crate) struct NodeCounts {
     /// Prepare records staged on the Begin critical path (the records a
     /// pre-group-commit node forced one by one).
     pub(crate) wal_prepare_forces: usize,
-    /// Write-lock holds released and their summed length
-    /// ([`Stage::LockHold`], folded into the meters at exit).
-    lock_holds: u64,
-    lock_hold_nanos: u64,
-}
-
-impl NodeCounts {
-    /// One released write-lock hold that lasted `d`.
-    fn hold(&mut self, d: Duration) {
-        self.lock_holds += 1;
-        self.lock_hold_nanos += nanos(d);
-    }
 }
 
 pub(crate) struct NodeReturn {
@@ -464,7 +452,8 @@ where
     P: CommitProtocol,
     P::Msg: Wire + Send + 'static,
 {
-    pub(crate) fn new(env: NodeEnv<P>) -> Node<P> {
+    pub(crate) fn new(mut env: NodeEnv<P>) -> Node<P> {
+        env.link.meter(&env.obs.meters);
         Node {
             engine: NodeLoop::new(env.me, env.n, UnitClock::new(env.unit)),
             vol: Volatile::new(env.me, env.n, env.replies.clients()),
@@ -663,7 +652,8 @@ where
                     let _ = self.engine.deliver(txn, rank, msg, now, sink);
                 }
             }
-            if self.engine.fire_next(now, &mut |ev| self.vol.emit(ev)) {
+            if let Some(lag) = self.engine.fire_next(now, &mut |ev| self.vol.emit(ev)) {
+                self.env.obs.record(Stage::TimerFire, lag);
                 fired = true;
             } else if self.vol.selfq.is_empty() {
                 return fired;
@@ -708,12 +698,10 @@ where
                 self.vol.txns.remove(txn);
             }
             ToNode::ObsPull { client } => {
-                // Snapshot what the thread has recorded so far. The bulk
-                // fold-ins of `finish` (lock residency, timer lag,
-                // socket-write time) land at node exit, so a mid-run pull
-                // sees the flight recorder — all attribution needs — with
-                // meters still accruing. One `ObsDump` frame down the
-                // collector's connection.
+                // Snapshot what the thread has recorded so far: the flight
+                // recorder — all attribution needs — and every seam meter
+                // as of this turn, each added where it was observed. One
+                // `ObsDump` frame down the collector's connection.
                 if let Replies::Connection { net, .. } = &self.env.replies {
                     let (me, net) = (self.env.me as u32, net.snapshot());
                     let export = Box::new(ObsExport::snapshot(me, &self.env.obs, Some(net)));
@@ -892,7 +880,7 @@ where
     fn close_pass(&mut self, logged: usize) {
         let finished = self.env.clock.now();
         for since in self.released.drain(..) {
-            self.counts.hold(finished - since);
+            self.env.obs.record(Stage::LockHold, finished - since);
         }
         let applied = &self.vol.log[logged..];
         let mut decided = finished;
@@ -966,7 +954,7 @@ where
         if let Some(since) = route.locked_at {
             self.released.push(since);
         } else if holds_locks(&route.txn, rejoined, self.env.me) {
-            self.counts.hold(Duration::ZERO);
+            self.env.obs.record(Stage::LockHold, Duration::ZERO);
         }
         let (txn, client) = (Arc::clone(&route.txn), route.client);
         self.vol.log.push(NodeRecord {
@@ -1081,29 +1069,18 @@ where
             for p in &rec.in_flight {
                 self.vol.shard.finish(&p.txn, false);
                 if holds_locks(&p.txn, p.vote, me) {
-                    self.counts.hold(Duration::ZERO);
+                    self.env.obs.record(Stage::LockHold, Duration::ZERO);
                 }
             }
             self.vol.log = node_records(&rec.decided);
         }
-        // Fold in the bulk counters: lock residency from the node's own
-        // count, timer lag from the engine, socket-write time from the
-        // transport.
-        let obs = self.env.obs;
-        let counts = &self.counts;
-        obs.meters
-            .add_many(Stage::LockHold, counts.lock_holds, counts.lock_hold_nanos);
-        let (fires, lag_nanos) = self.engine.timer_stats();
-        obs.meters.add_many(Stage::TimerFire, fires, lag_nanos);
-        let (writes, write_nanos) = self.env.link.io_stats();
-        obs.meters.add_many(Stage::TcpWrite, writes, write_nanos);
         NodeReturn {
             shard: self.vol.shard,
             log: self.vol.log,
             counts: self.counts,
             #[cfg(test)]
             open_instances: self.vol.txns.len(),
-            obs,
+            obs: self.env.obs,
         }
     }
 }
@@ -1644,7 +1621,7 @@ mod tests {
             assert!(decided.iter().all(|&d| d == decided[0]), "{decided:?}");
             assert!(at(FlightStage::LockAcquired).all(|l| l < decided[0]));
             assert_eq!(obs.meters.get(Stage::WalJournal).0, 3, "one per decision");
-            assert_eq!(r.node.counts.lock_holds, 3);
+            assert_eq!(obs.meters.get(Stage::LockHold).0, 3);
         }
     }
 
@@ -1691,13 +1668,13 @@ mod tests {
         // a held from its `LockAcquired` reading across the dispatch-end
         // reading to its pass's first.
         let step = nanos(STEP);
-        let a_held = (r.node.counts.lock_holds, r.node.counts.lock_hold_nanos);
-        assert_eq!(a_held, (1, 2 * step), "a released, b still held");
+        let held = |r: &Rig| r.node.env.obs.meters.get(Stage::LockHold);
+        assert_eq!(held(&r), (1, 2 * step), "a released, b still held");
         r.node.crash();
         r.node.recover();
         assert_eq!((r.phase(a.id), r.phase(b.id)), ("decided", "open"));
         assert_eq!(r.node.vol.shard.locked(), 1, "b's lock re-taken");
-        assert_eq!(r.node.counts.lock_holds, 1, "replay closes no hold");
+        assert_eq!(held(&r).0, 1, "replay closes no hold");
         r.turn([net(b.id)]);
         assert_eq!(r.node.vol.shard.locked(), 0);
         // b held from the recovery reading across its deciding turn's batch
@@ -1842,6 +1819,90 @@ mod tests {
         assert!(
             matches!(&vote, AnyFrame::Node(env) if from_me(env)),
             "{vote:?}"
+        );
+    }
+
+    /// [`DecideOnMsg`] with a timer due at once: a fire every open.
+    struct TickThenDecide;
+    impl ac_sim::Automaton for TickThenDecide {
+        type Msg = ();
+        fn on_start(&mut self, ctx: &mut ac_sim::Ctx<()>) {
+            ctx.broadcast_others(());
+            ctx.set_timer(ctx.now(), 0);
+        }
+        fn on_message(&mut self, _: ProcessId, _: (), ctx: &mut ac_sim::Ctx<()>) {
+            ctx.decide(COMMIT);
+        }
+        fn on_timer(&mut self, _: u32, _: &mut ac_sim::Ctx<()>) {}
+    }
+    impl CommitProtocol for TickThenDecide {
+        const NAME: &'static str = "tick-then-decide";
+        fn new(_: ProcessId, _: usize, _: usize, _: bool) -> Self {
+            TickThenDecide
+        }
+    }
+
+    /// Every seam meter is added where it is observed: an `ObsPull`
+    /// answered mid-run, long before `finish`, already carries the node's
+    /// write-lock hold, its timer fire and its socket writes.
+    #[test]
+    fn a_mid_run_obs_pull_carries_the_hold_the_timer_fire_and_the_socket_writes() {
+        use crate::codec::{write_frame, FrameDecoder};
+        use std::io::{Read, Write};
+        use std::net::{TcpListener, TcpStream};
+
+        let (mut link, me) = bound();
+        let peer = TcpListener::bind("127.0.0.1:0").expect("bind the peer");
+        link.mesh(0, vec![me, peer.local_addr().expect("peer address")]);
+        let _from_node = peer.accept().expect("the node dialed its peer");
+        let mut node = Node::new(NodeEnv {
+            replies: Replies::Connection {
+                clients: 1,
+                net: Arc::new(NetMeters::new(2)),
+            },
+            ..socket_node::<TickThenDecide>(0, 2, link, mailboxes(0, &[]))
+        });
+        let turn = |node: &mut Node<TickThenDecide>, frames: &[AnyFrame<()>]| {
+            let mut client = TcpStream::connect(me).expect("connect");
+            let mut bytes = Vec::new();
+            frames.iter().for_each(|f| write_frame(f, &mut bytes));
+            client.write_all(&bytes).expect("write");
+            drained(node);
+            node.dispatch();
+            node.apply();
+            node.flush(None);
+            client
+        };
+
+        let txn = write7(0, 5);
+        let hello = AnyFrame::Hello { client: 0 };
+        let (begin, decide) = (
+            AnyFrame::Node(begin(&txn, false)),
+            AnyFrame::Node(net(txn.id)),
+        );
+        let _client = turn(&mut node, &[hello, begin, decide]);
+        let pull = AnyFrame::Node(ToNode::ObsPull { client: 1 });
+        let mut collector = turn(&mut node, &[AnyFrame::Hello { client: 1 }, pull]);
+
+        let mut dec = FrameDecoder::new();
+        let mut chunk = vec![0u8; 1 << 16];
+        let export = loop {
+            let n = collector.read(&mut chunk).expect("the ObsDump");
+            assert!(n > 0, "the node closed the collector's connection");
+            dec.feed(&chunk[..n]);
+            if let Some(frame) = dec.next_frame::<()>().expect("well-formed frame") {
+                match frame {
+                    AnyFrame::ObsDump { export, .. } => break export,
+                    other => panic!("{other:?}"),
+                }
+            }
+        };
+        let count = |stage: Stage| export.meters[stage as usize].0;
+        assert_eq!(count(Stage::LockHold), 1, "the yes-vote's released hold");
+        assert_eq!(count(Stage::TimerFire), 1, "the timer due at open");
+        assert!(
+            count(Stage::TcpWrite) >= 2,
+            "the vote envelope and the Done"
         );
     }
 

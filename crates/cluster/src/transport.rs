@@ -116,7 +116,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use ac_obs::NetMeters;
+use ac_obs::{NetMeters, ObsMeters, Stage};
 use ac_sim::{ProcessId, Wire};
 use crossbeam::channel::{unbounded, Sender};
 
@@ -150,13 +150,11 @@ pub trait Transport<M>: Send {
     /// order (implementations amortize: one lock, one syscall).
     fn send_batch(&mut self, to: ProcessId, batch: &mut Vec<ToNode<M>>);
 
-    /// `(writes, total nanoseconds)` this transport spent handing bytes
-    /// to the OS. The TCP transport times every socket `write_all`; a
-    /// post to a mailbox is a lock handoff and reports zero
-    /// (observability — the `tcp_write` seam meter).
-    fn io_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
+    /// From now on add each socket `write_all` to `meters`'
+    /// [`Stage::TcpWrite`] as it returns: the meters of the node or
+    /// client that writes. A post to a mailbox writes no socket, and the
+    /// default meters nothing.
+    fn meter(&mut self, _meters: &Arc<ObsMeters>) {}
 }
 
 /// A host's bell: a connected `UnixStream` pair whose hearing end joins
@@ -567,11 +565,10 @@ pub(crate) struct Sockets {
     /// The frames of the write in progress.
     out: Vec<u8>,
     net: Option<Arc<NetMeters>>,
-    /// Socket-write self-metering: `write_all` calls of `send` and their
-    /// summed nanoseconds (connection establishment is deliberately
-    /// excluded — a first-contact dial retries for seconds and is not
-    /// write time).
-    io: (u64, u64),
+    /// Where each `write_all` of `send` is metered ([`Stage::TcpWrite`]);
+    /// connection establishment is not write time (a first-contact dial
+    /// retries for seconds).
+    meters: Option<Arc<ObsMeters>>,
 }
 
 impl Sockets {
@@ -586,7 +583,7 @@ impl Sockets {
             greeting: Vec::new(),
             out: Vec::new(),
             net: None,
-            io: (0, 0),
+            meters: None,
         };
         socks.dials(peers, greeting);
         socks
@@ -781,7 +778,9 @@ impl Sockets {
         };
         let t0 = Instant::now();
         let sent = (&self.conns[i].stream).write_all(&self.out).is_ok();
-        self.io = (self.io.0 + 1, self.io.1 + t0.elapsed().as_nanos() as u64);
+        if let Some(meters) = &self.meters {
+            meters.add(Stage::TcpWrite, t0.elapsed().as_nanos() as u64);
+        }
         if !sent {
             self.conns.remove(i);
         } else if let Some((net, p)) = self.peer_meters(to) {
@@ -1038,9 +1037,12 @@ impl<M: Wire + Send> Link<M> {
         }
     }
 
-    /// `(writes, nanoseconds)` spent in socket writes (zero in process).
-    pub(crate) fn io_stats(&self) -> (u64, u64) {
-        self.sockets().map_or((0, 0), |socks| socks.io)
+    /// Meter the link's socket writes into `meters` (see
+    /// [`Transport::meter`]).
+    pub(crate) fn meter(&mut self, meters: &Arc<ObsMeters>) {
+        if let Link::Sockets(link) = self {
+            link.socks.meters = Some(Arc::clone(meters));
+        }
     }
 }
 
@@ -1114,11 +1116,12 @@ impl<M: Wire> ClientLink<M> {
         }
     }
 
-    /// `(writes, nanoseconds)` spent in socket writes.
-    pub(crate) fn io_stats(&self) -> (u64, u64) {
+    /// Meter the link's socket writes into `meters` (see
+    /// [`Transport::meter`]).
+    pub(crate) fn meter(&mut self, meters: &Arc<ObsMeters>) {
         match self {
-            ClientLink::InProcess(transport, _) => transport.io_stats(),
-            ClientLink::Sockets(socks, _) => socks.io,
+            ClientLink::InProcess(transport, _) => transport.meter(meters),
+            ClientLink::Sockets(socks, _) => socks.meters = Some(Arc::clone(meters)),
         }
     }
 }
@@ -1149,8 +1152,8 @@ impl<M: Wire + Send> Transport<M> for TcpTransport {
         self.0.send(Far::Peer(to), frames);
     }
 
-    fn io_stats(&self) -> (u64, u64) {
-        self.0.io
+    fn meter(&mut self, meters: &Arc<ObsMeters>) {
+        self.0.meters = Some(Arc::clone(meters));
     }
 }
 

@@ -3,14 +3,17 @@
 //! to end. The tests parse each process's audit line and check the global
 //! contract: value conserved across shards, no locks left, no orphaned
 //! envelopes, no stalls, no split decisions — also when a node, the one
-//! that dials or the one that is dialed, comes up after the client — and
-//! count the threads and the sockets each process serves with.
+//! that dials or the one that is dialed, comes up after the client — read
+//! the seam meters of the cluster dump the client collected, and count the
+//! threads and the sockets each process serves with.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Read as _;
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+use ac_obs::{ClusterDump, FlightStage, Stage};
 
 const N: usize = 4;
 const CLIENTS: usize = 2;
@@ -67,12 +70,14 @@ fn fields(line: &str) -> HashMap<String, i64> {
         .collect()
 }
 
-/// What one cluster run printed, and the most threads any `ac-node` /
+/// What one cluster run printed, the dump its client collected, and the
+/// most threads any `ac-node` /
 /// the `ac-client`, and the most sockets each `ac-node`, was seen with
 /// while the client was running.
 struct Run {
     client: HashMap<String, i64>,
     nodes: Vec<HashMap<String, i64>>,
+    dump: ClusterDump,
     node_threads: usize,
     client_threads: usize,
     node_sockets: Vec<usize>,
@@ -90,6 +95,7 @@ fn run_cluster(tag: &str, spec: &str, late: (usize, Duration)) -> Run {
     let spec_path =
         std::env::temp_dir().join(format!("ac-proc-smoke-{tag}-{}.spec", std::process::id()));
     std::fs::write(&spec_path, spec).expect("write spec");
+    let dump_path = spec_path.with_extension("dump");
     let node = |i: usize| {
         Command::new(env!("CARGO_BIN_EXE_ac-node"))
             .arg("--spec")
@@ -107,6 +113,8 @@ fn run_cluster(tag: &str, spec: &str, late: (usize, Duration)) -> Run {
     let mut client = Command::new(env!("CARGO_BIN_EXE_ac-client"))
         .arg("--spec")
         .arg(&spec_path)
+        .arg("--obs-out")
+        .arg(&dump_path)
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn ac-client");
@@ -137,6 +145,8 @@ fn run_cluster(tag: &str, spec: &str, late: (usize, Duration)) -> Run {
         .map(|(i, n)| output_of(n, &format!("ac-node {i}")))
         .collect();
     let _ = std::fs::remove_file(&spec_path);
+    let dump = std::fs::read(&dump_path).expect("ac-client wrote its dump");
+    let _ = std::fs::remove_file(&dump_path);
 
     let audit = |out: &str, prefix: &str| {
         let line = out.lines().find(|l| l.starts_with(prefix));
@@ -147,6 +157,7 @@ fn run_cluster(tag: &str, spec: &str, late: (usize, Duration)) -> Run {
         nodes: (0..N)
             .map(|i| audit(&node_outs[i], &format!("node {i} audit")))
             .collect(),
+        dump: ClusterDump::from_bytes(&dump).expect("a valid cluster dump"),
         node_threads,
         client_threads,
         node_sockets,
@@ -178,6 +189,42 @@ fn four_process_cluster_serves_a_transfer_workload() {
     }
     let grand_total: i64 = run.nodes.iter().map(|f| f["total"]).sum();
     assert_eq!(grand_total, 0, "transfer workload must conserve value");
+
+    // Every seam meter is added where it is observed, so the export each
+    // node answered the collector with already holds it: every node wrote
+    // to a socket, and every node that voted yes on a committed transfer
+    // (each participant of one: both write there) released a lock hold.
+    assert!(c["committed"] > 0, "nothing committed: {c:?}");
+    let dump = &run.dump;
+    assert_eq!(dump.exports.len(), N, "one export per node");
+    let committed: HashSet<u64> = dump
+        .txns
+        .iter()
+        .filter(|t| t.committed)
+        .map(|t| t.id)
+        .collect();
+    for e in &dump.exports {
+        let count = |stage: Stage| e.meters[stage as usize].0;
+        assert!(
+            count(Stage::TcpWrite) > 0,
+            "node {}: {:?}",
+            e.node,
+            e.meters
+        );
+        let voted = |f: &&ac_obs::FlightEvent| f.stage == FlightStage::LockAcquired;
+        if e.flight
+            .iter()
+            .filter(voted)
+            .any(|f| committed.contains(&f.txn))
+        {
+            assert!(
+                count(Stage::LockHold) > 0,
+                "node {}: {:?}",
+                e.node,
+                e.meters
+            );
+        }
+    }
 }
 
 /// The load starts when the cluster is up, not when `ac-client` is: with
@@ -218,5 +265,29 @@ fn a_node_that_comes_up_late_delays_the_load_instead_of_splitting_it() {
             "node {late} late: a listener, {} peers, {CLIENTS} clients each",
             N - 1
         );
+    }
+}
+
+/// (n−1+f)NBAC runs its rounds on timers, and a node adds each fire to its
+/// meters as it fires: the dump of a multi-process run — what a `proc`
+/// cell's `timer_fires` sums — shows fires at every node that served a
+/// transaction.
+#[test]
+fn a_timer_driven_cluster_dumps_its_timer_fires() {
+    const TXNS: usize = 10;
+    let spec = format!(
+        "protocol = (n-1+f)NBAC\nf = 1\nunit_ms = 5\nkeys_per_shard = 32\n\
+         clients = {CLIENTS}\ntxns_per_client = {TXNS}\n\
+         workload = uniform:2\nseed = 11\n"
+    );
+    let run = run_cluster("chain", &spec, (N - 1, Duration::ZERO));
+    let c = &run.client;
+    assert_eq!((c["split"], c["stalled"]), (0, 0), "{c:?}");
+    assert_eq!(c["txns"], (CLIENTS * TXNS) as i64, "transactions lost");
+    let fires = |e: &ac_obs::ObsExport| e.meters[Stage::TimerFire as usize].0;
+    assert!(run.dump.exports.iter().map(fires).sum::<u64>() > 0);
+    for e in &run.dump.exports {
+        let served = e.flight.iter().any(|f| f.stage == FlightStage::Dispatch);
+        assert!(!served || fires(e) > 0, "node {}: {:?}", e.node, e.meters);
     }
 }

@@ -101,9 +101,10 @@ pub struct Cell {
     /// decisions; each is also one audit finding. 0, measured, on the
     /// `proc` host: `ac-client` exits non-zero on a split.
     pub split: usize,
-    /// Protocol round timers the node loops fired ([`Stage::TimerFire`]):
-    /// from the merged stage meters in process, summed over every node's
-    /// exported meters on the `proc` host.
+    /// Protocol round timers the node loops fired ([`Stage::TimerFire`],
+    /// which a node adds to as each timer fires): from the merged stage
+    /// meters in process, summed over every node's exported meters on the
+    /// `proc` host — the export a node answers the collector with mid-run.
     pub timer_fires: u64,
     /// Host wakeups that found no work; 0 on the `proc` host, whose
     /// nodes do not export the count.

@@ -6,7 +6,7 @@
 
 use std::time::{Duration, Instant};
 
-use ac_cluster::{FaultSpec, ServiceConfig};
+use ac_cluster::{FaultSpec, ServiceConfig, ATTRIBUTION_STAGES};
 use ac_commit::explorer::{explore_jobs, ExplorerConfig};
 use ac_commit::protocols::{InbacUnbundledAck, ProtocolKind};
 use ac_commit::taxonomy::{Cell, PropSet};
@@ -994,27 +994,23 @@ pub fn attribution_section(
     use crate::report::{dominant_agrees, dominant_stage, AttributionEntry};
 
     let (n, f) = SERVICE_GRID;
+    let shares = ATTRIBUTION_STAGES.map(|s| format!("{s}%"));
+    let mut header = vec!["protocol", "host", "cover%"];
+    header.extend(shares.iter().map(String::as_str));
+    header.extend([
+        "Σ%",
+        "e2e p50 ms",
+        "fold ns/txn",
+        "clock ±µs",
+        "dominant",
+        "ok",
+    ]);
     let mut at = Table::new(
         format!(
             "Latency attribution at n={n}, f={f}, unit={}ms (share of end-to-end time per stage)",
             SERVICE_UNIT.as_millis()
         ),
-        &[
-            "protocol",
-            "host",
-            "cover%",
-            "channel%",
-            "lock%",
-            "wal%",
-            "protocol%",
-            "transport%",
-            "Σ%",
-            "e2e p50 ms",
-            "fold ns/txn",
-            "clock ±µs",
-            "dominant",
-            "ok",
-        ],
+        &header,
     );
     let mut entries: Vec<AttributionEntry> = Vec::new();
     for kind in ProtocolKind::table5() {
@@ -1046,7 +1042,7 @@ pub fn attribution_section(
                     host.name().into(),
                     format!("{:.0}%", a.coverage_pct()),
                 ];
-                row.extend((0..5).map(|i| format!("{:.1}", a.share_pct(i))));
+                row.extend(entry.stages.iter().map(|s| format!("{:.1}", s.share_pct)));
                 row.push(format!("{:.1}", a.share_sum_pct()));
                 row.push(format!("{:.2}", a.e2e.p50() as f64 / 1e6));
                 row.push(fold_cell(entry.fold_ns_per_txn));

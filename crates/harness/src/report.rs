@@ -14,6 +14,7 @@
 //! [`BenchBaseline::validate`] both call them.
 
 use ac_chaos::FaultStats;
+use ac_cluster::ATTRIBUTION_STAGES;
 use ac_commit::protocols::ProtocolKind;
 use serde::{Deserialize, Serialize};
 
@@ -385,7 +386,7 @@ impl Rules {
     /// measured end-to-end time (exact per covered transaction by
     /// construction — the tolerance only absorbs coverage loss).
     fn stages(mut self, what: &str, stages: &[AttributionStageEntry], sum: f64) -> Rules {
-        for want in attribution_stage_names() {
+        for want in ATTRIBUTION_STAGES {
             let ok = |s: &AttributionStageEntry| s.share_pct >= 0.0 && s.p50_micros >= 0.0;
             let found = stages.iter().any(|s| s.stage == want && ok(s));
             self = self.need(found, format!("missing (or malformed) {what} {want}"));
@@ -605,17 +606,11 @@ pub fn attribution_transport_names() -> [&'static str; 2] {
     ["channel", "tcp"]
 }
 
-/// The five canonical attribution stages, telescoping order (re-exported
-/// so emitter and validator share `ac-obs`'s single source of truth).
-pub fn attribution_stage_names() -> [&'static str; 5] {
-    ac_cluster::ATTRIBUTION_STAGES
-}
-
 /// One stage row of an attribution entry: where this slice of every
 /// commit's end-to-end latency went.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AttributionStageEntry {
-    /// Stage name ([`attribution_stage_names`]).
+    /// Stage name ([`ATTRIBUTION_STAGES`]).
     pub stage: String,
     /// Median stage residency, microseconds.
     pub p50_micros: f64,
@@ -627,7 +622,7 @@ pub struct AttributionStageEntry {
 
 /// The stage rows of `a`, in telescoping order.
 pub fn stage_entries(a: &ac_cluster::Attribution) -> Vec<AttributionStageEntry> {
-    attribution_stage_names()
+    ATTRIBUTION_STAGES
         .iter()
         .enumerate()
         .map(|(i, s)| AttributionStageEntry {
@@ -665,8 +660,9 @@ pub fn dominant_agrees(
     proc_stages: &[AttributionStageEntry],
     channel_stages: &[AttributionStageEntry],
 ) -> bool {
+    let channel = ATTRIBUTION_STAGES[0];
     let sans_dispatch = |stages: &[AttributionStageEntry]| {
-        dominant_stage(stages.iter().filter(|s| s.stage != "channel"))
+        dominant_stage(stages.iter().filter(|s| s.stage != channel))
     };
     dominant_stage(proc_stages) == dominant_stage(channel_stages)
         || sans_dispatch(proc_stages) == sans_dispatch(channel_stages)
@@ -728,7 +724,7 @@ pub struct AttributionEntry {
     /// fed this entry, microseconds (`null` for in-process entries — one
     /// clock, nothing to align; a number only for `"proc"` transport).
     pub alignment_max_uncertainty_micros: Option<f64>,
-    /// One row per [`attribution_stage_names`] stage, same order.
+    /// One row per [`ATTRIBUTION_STAGES`] stage, same order.
     pub stages: Vec<AttributionStageEntry>,
     /// Slowest covered timelines, descending end-to-end latency.
     pub slowest: Vec<SlowTxn>,
@@ -871,7 +867,7 @@ pub struct SaturationKnee {
     pub goodput_tps: f64,
     /// p99 sojourn at the knee, µs.
     pub p99_sojourn_micros: f64,
-    /// Per-stage latency shares at the knee ([`attribution_stage_names`]
+    /// Per-stage latency shares at the knee ([`ATTRIBUTION_STAGES`]
     /// order) — which layer saturates for this protocol.
     pub stage_shares: Vec<AttributionStageEntry>,
     /// Sum of the five stage shares at the knee (must be 100 ± 5).
@@ -1353,7 +1349,7 @@ pub(crate) mod tests {
     }
 
     fn sample_stages(p50_micros: f64, p99_micros: f64) -> Vec<AttributionStageEntry> {
-        attribution_stage_names()
+        ATTRIBUTION_STAGES
             .iter()
             .map(|s| AttributionStageEntry {
                 stage: s.to_string(),
@@ -1634,7 +1630,7 @@ pub(crate) mod tests {
         // The claimed speed-up: one service entry got faster, and the
         // `protocol` share of one attribution entry fell.
         after.service.as_mut().unwrap().entries[0].p50_micros /= 100.0;
-        let protocol_stage = attribution_stage_names()
+        let protocol_stage = ATTRIBUTION_STAGES
             .iter()
             .position(|s| *s == "protocol")
             .unwrap();

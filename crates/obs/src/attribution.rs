@@ -43,9 +43,6 @@ use ac_sim::Slab;
 use crate::histogram::LatencyHistogram;
 use crate::stage::{FlightEvent, FlightStage};
 
-/// The five canonical attribution stages, in telescoping order.
-pub const ATTRIBUTION_STAGES: [&str; 5] = ["channel", "lock", "wal", "protocol", "transport"];
-
 /// A point that was not recorded. A real stamp never reaches it (584
 /// years past the run epoch); one that does reads as missing.
 const NONE: u64 = u64::MAX;
@@ -404,7 +401,7 @@ impl TxnTimeline {
         self.decided_client_nanos - self.submitted_nanos
     }
 
-    /// The five stage durations in [`ATTRIBUTION_STAGES`] order. Their
+    /// The five stage durations in [`crate::ATTRIBUTION_STAGES`] order. Their
     /// sum equals [`TxnTimeline::e2e_nanos`] exactly.
     pub fn stage_nanos(&self) -> [u64; 5] {
         let wal_point = self.wal_nanos.unwrap_or(self.lock_nanos);
@@ -421,36 +418,17 @@ impl TxnTimeline {
     /// the shape a timeline renderer consumes.
     pub fn steps(&self) -> Vec<(u64, String, String)> {
         let node = format!("P{}", self.anchor + 1);
+        let submit = format!("submit txn {:#x}", self.txn);
+        let at_node = |at, stage: FlightStage| (at, node.clone(), stage.name().to_string());
         let mut rows = vec![
-            (
-                self.submitted_nanos,
-                "client".to_string(),
-                format!("submit txn {:#x}", self.txn),
-            ),
-            (
-                self.dispatch_nanos,
-                node.clone(),
-                "dispatch Begin".to_string(),
-            ),
-            (
-                self.lock_nanos,
-                node.clone(),
-                "locks held (vote cast)".to_string(),
-            ),
+            (self.submitted_nanos, "client".to_string(), submit),
+            at_node(self.dispatch_nanos, FlightStage::Dispatch),
+            at_node(self.lock_nanos, FlightStage::LockAcquired),
         ];
-        if let Some(w) = self.wal_nanos {
-            rows.push((w, node.clone(), "WAL prepare forced".to_string()));
-        }
-        rows.push((
-            self.decided_node_nanos,
-            node,
-            "decision applied".to_string(),
-        ));
-        rows.push((
-            self.decided_client_nanos,
-            "client".to_string(),
-            "outcome known".to_string(),
-        ));
+        rows.extend(self.wal_nanos.map(|w| at_node(w, FlightStage::WalForced)));
+        rows.push(at_node(self.decided_node_nanos, FlightStage::Decided));
+        let known = "outcome known".to_string();
+        rows.push((self.decided_client_nanos, "client".to_string(), known));
         rows
     }
 }
@@ -462,7 +440,7 @@ impl TxnTimeline {
 pub struct Attribution {
     /// End-to-end latency of the covered transactions.
     pub e2e: LatencyHistogram,
-    /// One histogram per [`ATTRIBUTION_STAGES`] entry, same order.
+    /// One histogram per [`crate::ATTRIBUTION_STAGES`] entry, same order.
     pub stages: [LatencyHistogram; 5],
     /// Transactions with a complete reconstructed timeline.
     pub covered: usize,
@@ -497,7 +475,7 @@ impl Attribution {
     /// Sum of the five stage shares — 100 % by construction whenever any
     /// transaction was covered (the acceptance gate checks ±5 %).
     pub fn share_sum_pct(&self) -> f64 {
-        (0..5).map(|i| self.share_pct(i)).sum()
+        (0..self.stages.len()).map(|i| self.share_pct(i)).sum()
     }
 
     /// Build the attribution from the client-observed decided

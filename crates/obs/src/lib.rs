@@ -44,9 +44,7 @@ pub mod histogram;
 pub mod net;
 pub mod stage;
 
-pub use attribution::{
-    Attribution, FlightIndex, Lifecycle, SlotBox, TxnTimeline, Walk, ATTRIBUTION_STAGES,
-};
+pub use attribution::{Attribution, FlightIndex, Lifecycle, SlotBox, TxnTimeline, Walk};
 pub use clock::{ClockAlignment, ClockSample};
 pub use export::{
     goodput_tps, max_uncertainty_nanos, sojourn_times, ClusterDump, DumpTxn, ObsExport, RunStats,
@@ -54,4 +52,7 @@ pub use export::{
 };
 pub use histogram::LatencyHistogram;
 pub use net::{NetMeters, NetSnapshot, PeerNet};
-pub use stage::{FlightEvent, FlightRecorder, FlightStage, NodeObs, ObsMeters, Stage, FLIGHT_CAP};
+pub use stage::{
+    FlightEvent, FlightRecorder, FlightStage, NodeObs, ObsMeters, Stage, ATTRIBUTION_STAGES,
+    FLIGHT_CAP,
+};

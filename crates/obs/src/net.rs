@@ -14,6 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ac_sim::wire_struct;
 
+use crate::stage::counter_family;
+
 /// Per-peer egress slots (one row per dialable peer).
 #[derive(Debug, Default)]
 struct PeerEgress {
@@ -137,7 +139,6 @@ impl NetMeters {
     /// [`crate::ObsMeters::render_prometheus`].
     pub fn render_prometheus(&self, labels: &str) -> String {
         let snap = self.snapshot();
-        let sep = if labels.is_empty() { "" } else { "," };
         let mut out = String::new();
         // (metric name, help text, the per-peer counter it reads)
         type Family = (&'static str, &'static str, fn(&PeerNet) -> u64);
@@ -165,13 +166,9 @@ impl NetMeters {
             ),
         ];
         for (name, help, get) in families {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for (peer, p) in snap.peers.iter().enumerate() {
-                out.push_str(&format!(
-                    "{name}{{peer=\"{peer}\"{sep}{labels}}} {}\n",
-                    get(p)
-                ));
-            }
+            let peers = snap.peers.iter().enumerate();
+            let samples = peers.map(|(peer, p)| (format!("peer=\"{peer}\""), get(p)));
+            counter_family(&mut out, name, help, labels, samples);
         }
         let ingress = [
             ("ac_net_bytes_in_total", "Bytes received.", snap.bytes_in),
@@ -192,12 +189,7 @@ impl NetMeters {
             ),
         ];
         for (name, help, v) in ingress {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            if labels.is_empty() {
-                out.push_str(&format!("{name} {v}\n"));
-            } else {
-                out.push_str(&format!("{name}{{{labels}}} {v}\n"));
-            }
+            counter_family(&mut out, name, help, labels, [(String::new(), v)]);
         }
         out
     }
@@ -306,6 +298,58 @@ mod tests {
         let bare = NetMeters::new(1).render_prometheus("");
         assert!(bare.contains("ac_net_resyncs_total 0"));
         assert!(bare.contains("ac_net_outbox_hiwater{peer=\"0\"} 0"));
+    }
+
+    /// The whole exposition, byte for byte, labelled and bare.
+    #[test]
+    fn prometheus_exposition_is_pinned() {
+        let m = NetMeters::new(2);
+        m.sent(0, 3, 420);
+        m.reconnected(1);
+        m.dial_failed(1);
+        m.outbox_depth(0, 7);
+        m.received(99);
+        m.frame_in();
+        m.decode_error();
+        m.resync();
+        let labelled = r##"# HELP ac_net_bytes_out_total Bytes written per peer.
+# TYPE ac_net_bytes_out_total counter
+ac_net_bytes_out_total{peer="0",node="1"} 420
+ac_net_bytes_out_total{peer="1",node="1"} 0
+# HELP ac_net_frames_out_total Frames written per peer.
+# TYPE ac_net_frames_out_total counter
+ac_net_frames_out_total{peer="0",node="1"} 3
+ac_net_frames_out_total{peer="1",node="1"} 0
+# HELP ac_net_reconnects_total Successful re-dials of a previously reached peer.
+# TYPE ac_net_reconnects_total counter
+ac_net_reconnects_total{peer="0",node="1"} 0
+ac_net_reconnects_total{peer="1",node="1"} 1
+# HELP ac_net_dial_failures_total Exhausted dial attempts (peer entered backoff).
+# TYPE ac_net_dial_failures_total counter
+ac_net_dial_failures_total{peer="0",node="1"} 0
+ac_net_dial_failures_total{peer="1",node="1"} 1
+# HELP ac_net_outbox_hiwater Deepest outbound batch handed to the transport, frames.
+# TYPE ac_net_outbox_hiwater counter
+ac_net_outbox_hiwater{peer="0",node="1"} 7
+ac_net_outbox_hiwater{peer="1",node="1"} 0
+# HELP ac_net_bytes_in_total Bytes received.
+# TYPE ac_net_bytes_in_total counter
+ac_net_bytes_in_total{node="1"} 99
+# HELP ac_net_frames_in_total Complete frames received.
+# TYPE ac_net_frames_in_total counter
+ac_net_frames_in_total{node="1"} 1
+# HELP ac_net_decode_errors_total Malformed frame bodies skipped.
+# TYPE ac_net_decode_errors_total counter
+ac_net_decode_errors_total{node="1"} 1
+# HELP ac_net_resyncs_total Connections dropped after a lost frame boundary.
+# TYPE ac_net_resyncs_total counter
+ac_net_resyncs_total{node="1"} 1
+"##;
+        assert_eq!(m.render_prometheus("node=\"1\""), labelled);
+        let bare = labelled
+            .replace(",node=\"1\"", "")
+            .replace("{node=\"1\"}", "");
+        assert_eq!(m.render_prometheus(""), bare);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! `--metrics` exposition endpoint reads while the run is live; flight
 //! events are thread-local and read at run end.
 
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -121,8 +122,8 @@ impl ObsMeters {
         self.nanos[stage as usize].fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Bulk-add `count` operations totalling `nanos` (used to fold in
-    /// counters kept outside the meters, like a node's lock holds).
+    /// Bulk-add `count` operations totalling `nanos`: one sample timing a
+    /// batch (an apply pass's `WalJournal`, one count per decision).
     #[inline]
     pub fn add_many(&self, stage: Stage, count: u64, nanos: u64) {
         if count > 0 {
@@ -154,28 +155,36 @@ impl ObsMeters {
     /// `node="2"`); pass `""` for none.
     pub fn render_prometheus(&self, labels: &str) -> String {
         let mut out = String::new();
-        let sep = if labels.is_empty() { "" } else { "," };
-        out.push_str("# HELP ac_stage_count Completed operations per instrumented stage.\n");
-        out.push_str("# TYPE ac_stage_count counter\n");
-        for s in Stage::ALL {
-            let (c, _) = self.get(s);
-            out.push_str(&format!(
-                "ac_stage_count{{stage=\"{}\"{sep}{labels}}} {c}\n",
-                s.name()
-            ));
-        }
-        out.push_str(
-            "# HELP ac_stage_nanos_total Time spent per instrumented stage, nanoseconds.\n",
-        );
-        out.push_str("# TYPE ac_stage_nanos_total counter\n");
-        for s in Stage::ALL {
-            let (_, n) = self.get(s);
-            out.push_str(&format!(
-                "ac_stage_nanos_total{{stage=\"{}\"{sep}{labels}}} {n}\n",
-                s.name()
-            ));
-        }
+        let stages = |part: fn((u64, u64)) -> u64| {
+            Stage::ALL.map(|s| (format!("stage=\"{}\"", s.name()), part(self.get(s))))
+        };
+        let help = "Completed operations per instrumented stage.";
+        counter_family(&mut out, "ac_stage_count", help, labels, stages(|m| m.0));
+        let help = "Time spent per instrumented stage, nanoseconds.";
+        let name = "ac_stage_nanos_total";
+        counter_family(&mut out, name, help, labels, stages(|m| m.1));
         out
+    }
+}
+
+/// Append one Prometheus counter family to `out`: its `# HELP` and
+/// `# TYPE` lines, then one sample per `(label, value)`, whose label set
+/// is its own `label` then the shared `labels` (either may be `""`; a
+/// sample with neither has no braces).
+pub(crate) fn counter_family(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    labels: &str,
+    samples: impl IntoIterator<Item = (String, u64)>,
+) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} counter");
+    for (label, v) in samples {
+        let _ = match (label.is_empty(), labels.is_empty()) {
+            (true, true) => writeln!(out, "{name} {v}"),
+            (false, false) => writeln!(out, "{name}{{{label},{labels}}} {v}"),
+            _ => writeln!(out, "{name}{{{label}{labels}}} {v}"),
+        };
     }
 }
 
@@ -196,16 +205,23 @@ pub enum FlightStage {
 }
 
 impl FlightStage {
-    /// Stable lowercase name for timeline rendering.
+    /// The label a rendered timeline gives this point
+    /// ([`crate::TxnTimeline::steps`]).
     pub fn name(self) -> &'static str {
         match self {
-            FlightStage::Dispatch => "dispatch",
-            FlightStage::LockAcquired => "locks-held",
-            FlightStage::WalForced => "wal-forced",
-            FlightStage::Decided => "decided",
+            FlightStage::Dispatch => "dispatch Begin",
+            FlightStage::LockAcquired => "locks held (vote cast)",
+            FlightStage::WalForced => "WAL prepare forced",
+            FlightStage::Decided => "decision applied",
         }
     }
 }
+
+/// The five attribution stages, in telescoping order: each is the gap
+/// between two consecutive points of a transaction's timeline — the
+/// client's submit, the anchor's [`FlightStage`] points, the client's
+/// outcome — with `wal` empty where no prepare was forced.
+pub const ATTRIBUTION_STAGES: [&str; 5] = ["channel", "lock", "wal", "protocol", "transport"];
 
 /// One flight-recorder event: transaction `txn` reached `stage` on node
 /// `node` at `at_nanos` past the run epoch.
@@ -365,6 +381,41 @@ mod tests {
         // No-label form keeps valid brace syntax.
         let bare = ObsMeters::new().render_prometheus("");
         assert!(bare.contains("ac_stage_count{stage=\"client_queue_wait\"} 0"));
+    }
+
+    /// The whole exposition, byte for byte, labelled and bare.
+    #[test]
+    fn prometheus_exposition_is_pinned() {
+        let m = ObsMeters::new();
+        m.add(Stage::LockHold, 120);
+        m.add(Stage::TimerFire, 42);
+        m.add(Stage::TimerFire, 8);
+        let labelled = r##"# HELP ac_stage_count Completed operations per instrumented stage.
+# TYPE ac_stage_count counter
+ac_stage_count{stage="client_queue_wait",node="3"} 0
+ac_stage_count{stage="lock_acquire",node="3"} 0
+ac_stage_count{stage="lock_hold",node="3"} 1
+ac_stage_count{stage="wal_force",node="3"} 0
+ac_stage_count{stage="wal_journal",node="3"} 0
+ac_stage_count{stage="flush",node="3"} 0
+ac_stage_count{stage="tcp_write",node="3"} 0
+ac_stage_count{stage="drain_gap",node="3"} 0
+ac_stage_count{stage="timer_fire",node="3"} 2
+# HELP ac_stage_nanos_total Time spent per instrumented stage, nanoseconds.
+# TYPE ac_stage_nanos_total counter
+ac_stage_nanos_total{stage="client_queue_wait",node="3"} 0
+ac_stage_nanos_total{stage="lock_acquire",node="3"} 0
+ac_stage_nanos_total{stage="lock_hold",node="3"} 120
+ac_stage_nanos_total{stage="wal_force",node="3"} 0
+ac_stage_nanos_total{stage="wal_journal",node="3"} 0
+ac_stage_nanos_total{stage="flush",node="3"} 0
+ac_stage_nanos_total{stage="tcp_write",node="3"} 0
+ac_stage_nanos_total{stage="drain_gap",node="3"} 0
+ac_stage_nanos_total{stage="timer_fire",node="3"} 50
+"##;
+        assert_eq!(m.render_prometheus("node=\"3\""), labelled);
+        let bare = labelled.replace(",node=\"3\"", "");
+        assert_eq!(m.render_prometheus(""), bare);
     }
 
     #[test]

@@ -168,11 +168,6 @@ pub struct NodeLoop<A: Automaton> {
     /// Recycled actions buffer, threaded through every `Ctx` so per-event
     /// effect collection allocates nothing in steady state.
     scratch: Vec<Action<<A as Automaton>::Msg>>,
-    /// Timer-dispatch self-metering: fired timers and their summed lag
-    /// past the deadline (observability — timer lag is the node loop's
-    /// contribution to protocol-phase residency).
-    timer_fires: u64,
-    timer_lag_nanos: u64,
 }
 
 /// Drain `ctx`'s actions and hand its buffer back for recycling.
@@ -214,8 +209,6 @@ impl<A: Automaton> NodeLoop<A> {
             slots: Slab::new(),
             timers: BinaryHeap::new(),
             scratch: Vec::new(),
-            timer_fires: 0,
-            timer_lag_nanos: 0,
         }
     }
 
@@ -355,33 +348,35 @@ impl<A: Automaton> NodeLoop<A> {
     /// fires — `ac-cluster`'s node loop does.
     pub fn fire_due(&mut self, now: Instant, sink: &mut impl FnMut(NodeEvent<A::Msg>)) -> usize {
         let mut fired = 0;
-        while self.fire_next(now, sink) {
+        while self.fire_next(now, sink).is_some() {
             fired += 1;
         }
         fired
     }
 
     /// Fire **at most one** timer — the earliest due at or before `now` —
-    /// returning whether one fired. Stale timers of closed instances are
-    /// discarded on the way (they do not count as a fire), including any
-    /// the fired timer's removal exposed at the head of the heap.
+    /// returning how far past its deadline it fired (its lag: the node
+    /// loop's share of a protocol phase's residency), or `None` when none
+    /// was due. Stale timers of closed instances are discarded on the way
+    /// (they are not a fire), including any the fired timer's removal
+    /// exposed at the head of the heap.
     ///
     /// This is the causality-preserving primitive: firing one timer at a
     /// time lets the host deliver the self-sends that fire produced before
     /// the next (possibly equally overdue) timer of the same process runs,
     /// matching the simulator's order where same-timestamp deliveries
     /// precede later timers.
-    pub fn fire_next(&mut self, now: Instant, sink: &mut impl FnMut(NodeEvent<A::Msg>)) -> bool {
-        let mut fired = false;
-        while !fired && self.timers.peek().is_some_and(|t| t.due <= now) {
+    pub fn fire_next(
+        &mut self,
+        now: Instant,
+        sink: &mut impl FnMut(NodeEvent<A::Msg>),
+    ) -> Option<Duration> {
+        let mut fired = None;
+        while fired.is_none() && self.timers.peek().is_some_and(|t| t.due <= now) {
             let t = self.timers.pop().expect("peeked");
             let Some(slot) = self.slots.get_mut(t.instance) else {
                 continue; // stale timer of a closed instance
             };
-            self.timer_fires += 1;
-            self.timer_lag_nanos = self
-                .timer_lag_nanos
-                .saturating_add(nanos_u64(now.saturating_duration_since(t.due)));
             let mut ctx = Ctx::with_actions(
                 self.clock.virtual_now(slot.epoch, now),
                 slot.me,
@@ -398,7 +393,7 @@ impl<A: Automaton> NodeLoop<A> {
                 &mut ctx,
                 sink,
             );
-            fired = true;
+            fired = Some(now.saturating_duration_since(t.due));
         }
         self.prune_stale_heads();
         fired
@@ -422,15 +417,6 @@ impl<A: Automaton> NodeLoop<A> {
         {
             self.timers.pop();
         }
-    }
-
-    /// `(fired timers, total lag nanoseconds past their deadlines)` over
-    /// the loop's lifetime (stale timers of closed instances do not
-    /// count; the meter survives [`NodeLoop::reset`], like any counter a
-    /// restarted node would expose). Hosts diff consecutive reads to
-    /// attribute per-fire lag.
-    pub fn timer_stats(&self) -> (u64, u64) {
-        (self.timer_fires, self.timer_lag_nanos)
     }
 
     /// Close `instance` and drop its state. Its pending timers are
@@ -662,7 +648,7 @@ mod tests {
                 NodeEvent::Send { .. } => selfq.push(()),
                 NodeEvent::Decided { value, .. } => decision = Some(value),
             };
-            if !node.fire_next(late, &mut sink) && selfq.is_empty() {
+            if node.fire_next(late, &mut sink).is_none() && selfq.is_empty() {
                 break;
             }
         }
@@ -674,25 +660,27 @@ mod tests {
     }
 
     #[test]
-    fn timer_stats_meter_real_fires_with_lag() {
+    fn fire_next_returns_the_lag_of_a_real_fire() {
         let clock = UnitClock::new(Duration::from_millis(1));
         let mut node: NodeLoop<TimedDecider> = NodeLoop::new(0, 1, clock);
         let mut sink = |_: NodeEvent<()>| {};
         let t0 = Instant::now();
         node.open(1, TimedDecider { value: 1 }, t0, &mut sink);
-        assert_eq!(node.timer_stats(), (0, 0));
         let due = node.next_due().unwrap();
-        // Fire 3ms past the deadline: one fire with >= 3ms of lag.
-        assert!(node.fire_next(due + Duration::from_millis(3), &mut sink));
-        let (fires, lag) = node.timer_stats();
-        assert_eq!(fires, 1);
-        assert!(lag >= 3_000_000, "lag {lag}ns must include the 3ms delay");
+        // Not yet due: no fire.
+        assert_eq!(
+            node.fire_next(due - Duration::from_nanos(1), &mut sink),
+            None
+        );
+        // Fire 3ms past the deadline: one fire with exactly that lag.
+        let late = Duration::from_millis(3);
+        assert_eq!(node.fire_next(due + late, &mut sink), Some(late));
         // A stale timer of a closed instance is a no-op, not a fire.
         node.open(2, TimedDecider { value: 2 }, t0, &mut sink);
         let due = node.next_due().unwrap();
         node.close(2);
-        assert!(!node.fire_next(due + Duration::from_millis(1), &mut sink));
-        assert_eq!(node.timer_stats().0, 1, "stale timers do not count");
+        let stale = node.fire_next(due + Duration::from_millis(1), &mut sink);
+        assert_eq!(stale, None, "stale timers do not fire");
     }
 
     /// A closed instance's timer must not be reported as a deadline: the
@@ -716,7 +704,7 @@ mod tests {
         node.open(4, TimedDecider { value: 4 }, t0 + ms(2), &mut sink);
         node.close(3);
         assert_eq!(node.next_due(), Some(t0 + ms(1)));
-        assert!(node.fire_next(t0 + ms(1), &mut sink));
+        assert!(node.fire_next(t0 + ms(1), &mut sink).is_some());
         assert_eq!(node.next_due(), Some(t0 + ms(3)), "skips the stale 3");
     }
 
